@@ -6,18 +6,16 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Record the sweep-throughput trajectory: run the reference grid in every
-# execution mode (eager, symbolic, template replay) plus the swap-execution
-# row and write BENCH_sweep.json (see docs/performance.md).
+# The registered benchmark (BENCHMARK.json, bench/README.md): every workload,
+# interleaved rounds plus one traced pass each -> bench/results/latest.json.
 bench:
-	$(PYTHON) tools/bench.py --grid full --modes eager,symbolic,replay,replay-batch,symbolic+swap
+	$(PYTHON) bench/run.py --seed 100 --rounds 10
 
-# Fast eager-free benchmark with a wall-clock budget (the CI smoke job);
-# includes the batched template-replay and swap-execution throughput rows
-# and gates on the replay speedup staying >= 6x over symbolic.
+# One short round of the two replay-pricing workloads plus the harness's own
+# tests (the CI smoke job).
 bench-smoke:
-	$(PYTHON) tools/bench.py --grid quick --modes symbolic,replay-batch,symbolic+swap \
-		--budget-s 300 --assert-replay-speedup 6.0 --out BENCH_smoke.json
+	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only replay_price,cache_write
+	$(PYTHON) -m pytest bench/tests -q
 
 # The qualitative paper-claim benchmark suite (pytest-based, seconds-scale).
 bench-suite:

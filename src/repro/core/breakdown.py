@@ -98,15 +98,27 @@ def occupation_breakdown(trace: MemoryTrace, label: str = "") -> OccupationBreak
     trace.require_events()
     cols = trace.columns()
     mask = cols.is_malloc | cols.is_free
+    return occupation_from_columns(cols.live_deltas()[mask],
+                                   cols.category_code[mask],
+                                   cols.timestamp_ns[mask], label=label)
+
+
+def occupation_from_columns(deltas: np.ndarray, categories: np.ndarray,
+                            timestamps: np.ndarray,
+                            label: str = "") -> OccupationBreakdown:
+    """The breakdown of a malloc/free stream given as parallel columns.
+
+    ``deltas`` (+size on malloc, -size on free), ``categories`` (category
+    codes) and ``timestamps`` hold one entry per malloc/free event, in event
+    order.  This is the whole reduction behind :func:`occupation_breakdown`;
+    the replay engine feeds it the same columns in a re-priced event order
+    without building a trace.
+    """
     bucket_bytes: Dict[str, int] = {bucket: 0 for bucket in PAPER_BUCKETS}
-    if not mask.any():
+    if not deltas.size:
         return OccupationBreakdown(label=label, peak_time_ns=0, total_bytes=0,
                                    bucket_bytes=bucket_bytes, category_bytes={},
                                    category_peak_bytes={})
-
-    deltas = cols.live_deltas()[mask]
-    categories = cols.category_code[mask]
-    timestamps = cols.timestamp_ns[mask]
 
     live_total = np.cumsum(deltas)
     peak_index = int(np.argmax(live_total))          # first occurrence of the max

@@ -688,8 +688,6 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
     if len(traces) == 1:
         return traces[0]
 
-    from dataclasses import replace as _replace
-
     per_rank_cols = [trace.columns() for trace in traces]
 
     # Block ids are positive; segment pseudo-ids are negative.  Offset both
@@ -701,9 +699,13 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
         block_id = cols.block_id
         shifted_block_ids.append(
             np.where(block_id > 0, block_id + block_offset, block_id - block_offset))
-        for lifetime in trace.lifetimes:
-            lifetimes.append(_replace(lifetime, block_id=lifetime.block_id + block_offset,
-                                      device_rank=rank))
+        # Constructed positionally (not dataclasses.replace): this runs once
+        # per lifetime of every rank and dominates the merge otherwise.
+        lifetimes.extend(
+            BlockLifetime(lt.block_id + block_offset, lt.address, lt.size,
+                          lt.category, lt.tag, lt.malloc_ns, lt.free_ns,
+                          lt.iteration, lt.access_count, rank)
+            for lt in trace.lifetimes)
         block_offset += int(np.abs(block_id).max()) if len(cols) else 0
 
     timestamp_ns = np.concatenate([cols.timestamp_ns for cols in per_rank_cols])

@@ -16,38 +16,50 @@ This module splits the two:
   atoms behind every clock advance, the event→atom correspondence, block
   lifetimes, iteration spans, and the structural scalars (peaks, parameter
   bytes, allocator counters).
-* :meth:`TraceTemplate.replay` re-derives every timestamp for a *different*
-  pricing point as a handful of vectorized NumPy transforms — re-price the
-  atoms from the target device spec, resolve cross-rank collectives with
-  barrier semantics, gather event times by tape position — and reduces the
-  result to the exact :class:`~repro.experiments.sweep.ScenarioResult` a
-  fresh simulation would produce.  No kernels run, no allocator decisions
-  are replayed; ``tests/test_replay_equivalence.py`` pins bit-identical
-  equality against fresh symbolic runs.
+* :meth:`TraceTemplate.replay_batch` re-derives every timestamp for a grid
+  of *different* pricing points as a handful of vectorized NumPy transforms
+  — re-price the atoms from the target device specs, resolve cross-rank
+  collectives with barrier semantics, gather event times by tape position —
+  and reduces each row to the exact
+  :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
+  produce.  No kernels run, no allocator decisions are replayed;
+  ``tests/test_replay_equivalence.py`` pins bit-identical equality against
+  fresh symbolic runs.  :meth:`TraceTemplate.replay` is a batch of one.
 * :class:`ReplayEngine` memoizes templates (in memory, and optionally as
   content-hashed ``.npz`` files next to the sweep cache) and prices
   scenarios on demand; :class:`~repro.experiments.sweep.SweepRunner` routes
   ``--execution replay`` scenarios through it, falling back to a fresh
   symbolic run whenever a template is structurally invalid for the target
   (different memory capacity that changed allocator behavior, inconsistent
-  capture, swap engine on).
+  capture, swap engine on) or the engine crashes on a structure group
+  (reason ``engine_error``, traceback logged).
 
-Single-rank swap-off scenarios take an additional fast path: the ATI
-pairing, the occupation breakdown's cumulative sums and the live-bytes peak
-are *structural* for a single rank (their event order never depends on
-timestamps), so they are precomputed at compile time and a replay only
-recomputes the interval gaps, the distribution summary and Eq.-1 screening
-— microseconds instead of milliseconds per scenario.
+There is one repricer and two reductions:
 
-Three layers push whole grids through one template:
-
-* **Batched repricing** — :meth:`TraceTemplate.replay_batch` stacks the
+* **Batched repricing** — :meth:`TraceTemplate._price_times` stacks the
   pricing-axis parameters of S scenarios (roofline inputs, bandwidths,
-  dispatch overheads) into per-scenario rows and re-derives every duration,
-  timestamp, ATI gap and distribution summary for all of them in one
-  ``(S × atoms)`` int64 broadcast over the tape — the per-scenario loop
-  through ``_reprice_atoms``/``_resolve_times`` survives only as the
-  fallback for multi-rank or policy-carrying scenarios.
+  dispatch overheads, per-sync allreduce costs) into per-scenario rows and
+  derives every duration and clock reading of every rank in one
+  ``(S × atoms)`` int64 broadcast per rank; collectives are resolved in a
+  loop over the sync points, not over scenarios.
+* **Columnar reduction** (policy-free rows, any replica count) — ATI
+  pairing, block sizes, live-bytes deltas and categories are *structural*
+  (``merge_rank_traces`` keeps block ids rank-disjoint and per-rank clocks
+  are monotone, so the merged trace's ATI pairs are the union of the
+  rank-local ones); they are precomputed per template as rank-major columns
+  (:class:`_MergedColumns`).  Per row only the interval gaps, the
+  distribution summary, Eq.-1 screening and — for multi-rank templates,
+  whose merged event *order* depends on the pricing point — one stable
+  argsort of the closing-event and malloc/free timestamps are recomputed.
+  No trace object is built.
+* **Rebuilt-trace reduction** (``swap_policy != "none"``) — the offline
+  baselines walk a real trace, so a policy-carrying row's clocks feed
+  :meth:`TraceTemplate._rebuild_session`, the real ``merge_rank_traces``
+  and the ordinary :func:`~repro.experiments.sweep.reduce_session`.  The
+  same path is the reference the tests diff the columnar reduction against.
+
+Two more layers push whole grids through one template:
+
 * **Dtype-generalized templates** — ``dtype`` is a *generalized* axis, not
   a structural one: one :class:`TemplateFamily` (one structural key) holds
   lazily-captured per-dtype :class:`TraceTemplate` variants, because AMP
@@ -63,6 +75,7 @@ Three layers push whole grids through one template:
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, replace
@@ -71,12 +84,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ati import (AtiSummary, IntervalArrays, compute_interval_arrays,
-                        summarize_values_us)
-from ..core.breakdown import occupation_breakdown
+from ..core.ati import AtiSummary, compute_interval_arrays
+from ..core.breakdown import occupation_from_columns
 from ..core.events import BlockLifetime, IterationMark, MemoryEventKind
-from ..core.swap import BandwidthConfig, swappable_fraction
+from ..core.swap import BandwidthConfig
 from ..core.trace import CATEGORY_FROM_CODE, KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
+from ..device.cluster import ClusterSpec
 from ..device.spec import get_device_spec
 from ..device.tape import (
     SYNC_KINDS,
@@ -97,6 +110,8 @@ from ..train.session import (
     run_training_session,
 )
 from ..train.trainer import IterationStats
+
+logger = logging.getLogger(__name__)
 
 #: Version of the persisted template format; bump to invalidate stored templates.
 #: v2: dtype-generalized families — ``dtype`` left the structural fingerprint
@@ -311,32 +326,20 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
 
 
 @dataclass
-class _FastPath:
-    """Single-rank precomputations whose event order is timestamp-free."""
+class _RankAtoms:
+    """One rank's gather tables for the batched ``(S × atoms)`` repricing.
 
-    ati: Optional[IntervalArrays]      # interval_ns holds compile-time gaps (unused)
-    ati_start_pos: np.ndarray          # positions into the event stream
-    ati_end_pos: np.ndarray
-    breakdown: object                  # OccupationBreakdown with peak_time_ns=0
-    peak_event_pos: int                # event position of the occupancy peak (-1: none)
-    peak_live_bytes: int
-    num_events: int
-    num_blocks: int
-
-
-@dataclass
-class _BatchArrays:
-    """Per-template gather tables for the batched ``(S × atoms)`` repricing.
-
-    Everything here is a pure function of the captured structure: per-kind
-    atom positions (so a batch prices each kind with one fancy-indexed
-    assignment instead of a boolean mask per scenario), the pre-scaled
-    roofline numerators, and the *tape* positions behind the ATI pairs,
-    iteration spans and occupancy peak (so timestamps are gathered straight
-    from the ``(S, atoms+1)`` prefix-sum matrix, never materializing the
-    per-scenario event timestamp vector).
+    Per-kind atom positions (so a batch prices each kind with one
+    fancy-indexed assignment instead of a boolean mask per scenario) and the
+    pre-scaled roofline numerators.  ``base`` is the column of the rank's
+    clock-start entry in the batch's time matrix, whose rows concatenate
+    every rank's ``n_atoms + 1`` clock readings rank-major.
     """
 
+    base: int
+    n_atoms: int
+    preamble_segments: int
+    sync_pos: np.ndarray
     const_idx: np.ndarray
     const_dur: np.ndarray
     kernel_idx: np.ndarray
@@ -352,15 +355,101 @@ class _BatchArrays:
     d2h_nz: np.ndarray
     alloc_idx: np.ndarray
     segment_idx: np.ndarray
-    ati_start_tape: np.ndarray     # tape positions of each ATI pair's endpoints
-    ati_end_tape: np.ndarray
+
+
+@dataclass
+class _MergedColumns:
+    """The timestamp-free structure of the merged trace, as time-matrix columns.
+
+    :func:`~repro.core.trace.merge_rank_traces` keeps block ids rank-disjoint
+    and every rank's clock is monotone, so the ATI pairs of the merged trace
+    are exactly the union of the rank-local pairs and every per-event column
+    is known up front; only the merged event *order* depends on the pricing
+    point.  Everything is stored rank-major / event-id-minor, so a stable
+    argsort of re-priced timestamps reproduces the merge's
+    ``(timestamp, rank, event_id)`` order on any subset of events.  Events
+    are addressed by the time-matrix column holding their timestamp, so
+    reductions gather straight from the ``(S, width)`` matrix and never
+    materialize a per-scenario event vector.
+    """
+
+    ati_start_col: np.ndarray      # endpoints of each ATI pair
+    ati_end_col: np.ndarray
     ati_size: np.ndarray           # block bytes behind each ATI pair (Eq. 1)
-    span_begin: np.ndarray         # iteration spans as tape positions
+    life_col: np.ndarray           # the malloc/free events ...
+    life_delta: np.ndarray         # ... their live-bytes deltas ...
+    life_category: np.ndarray      # ... and category codes
+    span_begin: np.ndarray         # (ranks, iterations) iteration-span columns
     span_end: np.ndarray
-    peak_tape_pos: int             # tape position of the occupancy peak (-1: none)
-    breakdown_base: Dict[str, object]
+    num_events: int
+    num_blocks: int
+    #: Single rank only (the event order is then timestamp-free too): the
+    #: occupation breakdown and the column of its peak event (-1: none).
+    breakdown_base: Optional[Dict[str, object]]
+    peak_col: int
     stats_base: Dict[str, int]
     mean_utilization: float
+
+
+@dataclass
+class _BatchArrays:
+    """Per-template tables behind :meth:`TraceTemplate.replay_batch`."""
+
+    atoms: List[_RankAtoms]
+    width: int                          # columns of the time matrix
+    merged: Optional[_MergedColumns]    # None: results need a rebuilt trace
+
+
+def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAtoms:
+    table = atom_index_table(rank.tape_kind)
+    empty = np.empty(0, dtype=np.int64)
+    const_idx = table.get(TAPE_CONST, empty)
+    kernel_idx = table.get(TAPE_KERNEL, empty)
+    h2d_idx = table.get(TAPE_MEMCPY_H2D, empty)
+    d2h_idx = table.get(TAPE_MEMCPY_D2H, empty)
+    kernel_flops = rank.tape_flops[kernel_idx]
+    kernel_moved = rank.tape_bytes_moved[kernel_idx]
+    h2d_bytes = rank.tape_nbytes[h2d_idx]
+    d2h_bytes = rank.tape_nbytes[d2h_idx]
+    return _RankAtoms(
+        base=base,
+        n_atoms=int(rank.tape_kind.size),
+        preamble_segments=int(rank.preamble_segments),
+        sync_pos=sync_pos,
+        const_idx=const_idx,
+        const_dur=rank.tape_duration_ns[const_idx],
+        kernel_idx=kernel_idx,
+        kernel_flops9=1e9 * kernel_flops,
+        kernel_flops_nz=kernel_flops != 0.0,
+        kernel_moved9=1e9 * kernel_moved,
+        kernel_moved_nz=kernel_moved != 0.0,
+        h2d_idx=h2d_idx,
+        h2d_bytes9=1e9 * h2d_bytes,
+        h2d_nz=h2d_bytes != 0,
+        d2h_idx=d2h_idx,
+        d2h_bytes9=1e9 * d2h_bytes,
+        d2h_nz=d2h_bytes != 0,
+        alloc_idx=table.get(TAPE_ALLOC_OVERHEAD, empty),
+        segment_idx=table.get(TAPE_SEGMENT_OVERHEAD, empty),
+    )
+
+
+def _structural_trace(rank: RankTemplate) -> MemoryTrace:
+    """One rank's trace with zeroed timestamps (structure only)."""
+    n = len(rank.event_kind)
+    columns = EventColumns(
+        event_id=np.arange(n, dtype=np.int64),
+        kind_code=rank.event_kind,
+        timestamp_ns=np.zeros(n, dtype=np.int64),
+        block_id=rank.event_block,
+        size=rank.event_size,
+        category_code=rank.event_category,
+        iteration=rank.event_iteration,
+        device_rank=np.zeros(n, dtype=np.int64),
+        address=rank.event_address,
+    )
+    return MemoryTrace(columns=columns, event_tags=list(rank.event_tags),
+                       event_ops=list(rank.event_ops))
 
 
 class TraceTemplate:
@@ -369,8 +458,8 @@ class TraceTemplate:
     ``meta`` carries the structural scalars (allocator name, capacities,
     peaks, parameter bytes, allocator counters, per-iteration statistics);
     ``ranks`` carries the per-replica arrays.  Construction validates the
-    capture (consistent tapes, matching cross-rank sync sequences) and, for
-    single-rank templates, precomputes the timestamp-free reductions.
+    capture (consistent tapes, matching cross-rank sync sequences); the
+    timestamp-free tables behind batched repricing are built on first use.
     """
 
     def __init__(self, key: str, meta: Dict[str, object],
@@ -382,7 +471,6 @@ class TraceTemplate:
             raise TemplateError("a template needs at least one rank",
                                 reason="capture_inconsistent")
         self._validate_syncs()
-        self.fast = self._precompute_fast() if len(self.ranks) == 1 else None
         self._batch: Optional[_BatchArrays] = None  # built on first replay_batch
 
     @property
@@ -438,144 +526,78 @@ class TraceTemplate:
             return fits
         return False
 
-    # -- timestamp-free precompute (single rank) --------------------------------------
+    # -- timestamp-free precompute ----------------------------------------------------
 
-    def _structural_trace(self) -> MemoryTrace:
-        """The single rank's trace with zeroed timestamps (structure only)."""
-        rank = self.ranks[0]
-        n = len(rank.event_kind)
-        columns = EventColumns(
-            event_id=np.arange(n, dtype=np.int64),
-            kind_code=rank.event_kind,
-            timestamp_ns=np.zeros(n, dtype=np.int64),
-            block_id=rank.event_block,
-            size=rank.event_size,
-            category_code=rank.event_category,
-            iteration=rank.event_iteration,
-            device_rank=np.zeros(n, dtype=np.int64),
-            address=rank.event_address,
-        )
-        return MemoryTrace(columns=columns, event_tags=list(rank.event_tags),
-                           event_ops=list(rank.event_ops))
+    def _batch_arrays(self) -> _BatchArrays:
+        """Build (once) the tables behind :meth:`replay_batch`."""
+        if self._batch is None:
+            atoms: List[_RankAtoms] = []
+            base = 0
+            for rank, sync_pos in zip(self.ranks, self.sync_pos):
+                atoms.append(_rank_atoms(rank, sync_pos, base))
+                base += atoms[-1].n_atoms + 1
+            self._batch = _BatchArrays(atoms=atoms, width=base,
+                                       merged=self._merged_columns(atoms))
+        return self._batch
 
-    def _precompute_fast(self) -> Optional[_FastPath]:
-        trace = self._structural_trace()
-        if trace.is_empty:
+    def _merged_columns(self, atoms: Sequence[_RankAtoms]) -> Optional[_MergedColumns]:
+        """The merged trace's structure, or ``None`` when a result cannot be
+        reduced without the trace itself (an empty rank, no reserved peak to
+        take the utilization from, marks the ranks disagree on)."""
+        stats_base = {k: int(v) for k, v in self.meta["allocator_stats"].items()}
+        peak_reserved = int(stats_base.get("peak_reserved_bytes",
+                                           self.meta["peak_reserved_bytes"]))
+        peak_allocated = int(stats_base.get("peak_allocated_bytes",
+                                            self.meta["peak_allocated_bytes"]))
+        stat_indices = [int(entry["index"])
+                        for entry in self.meta["iteration_stats"]]
+        if (peak_reserved <= 0
+                or any(rank.event_kind.size == 0 for rank in self.ranks)
+                or any(rank.mark_indices != stat_indices for rank in self.ranks)):
             return None
-        cols = trace.columns()
-        arrays = compute_interval_arrays(trace)
-        breakdown = occupation_breakdown(trace, label="")
-        mask = cols.is_malloc | cols.is_free
-        positions = np.flatnonzero(mask)
-        if positions.size:
-            live = np.cumsum(cols.live_deltas()[mask])
-            peak_event_pos = int(positions[int(np.argmax(live))])
-            peak_live = int(max(0, live.max()))
-        else:
-            peak_event_pos, peak_live = -1, 0
-        return _FastPath(
-            ati=arrays,
-            ati_start_pos=arrays.start_index,
-            ati_end_pos=arrays.end_index,
-            breakdown=breakdown,
-            peak_event_pos=peak_event_pos,
-            peak_live_bytes=peak_live,
-            num_events=len(trace),
-            num_blocks=len(trace.block_ids()),
+
+        per_rank: Dict[str, List[np.ndarray]] = {
+            name: [] for name in ("ati_start_col", "ati_end_col", "ati_size",
+                                  "life_col", "life_delta", "life_category")}
+        num_blocks = 0
+        for rank, tables in zip(self.ranks, atoms):
+            trace = _structural_trace(rank)
+            cols = trace.columns()
+            event_col = tables.base + rank.event_tape_pos
+            pairs = compute_interval_arrays(trace)
+            lifecycle = np.flatnonzero(cols.is_malloc | cols.is_free)
+            per_rank["ati_start_col"].append(event_col[pairs.start_index])
+            per_rank["ati_end_col"].append(event_col[pairs.end_index])
+            per_rank["ati_size"].append(pairs.size)
+            per_rank["life_col"].append(event_col[lifecycle])
+            per_rank["life_delta"].append(cols.live_deltas()[lifecycle])
+            per_rank["life_category"].append(cols.category_code[lifecycle])
+            num_blocks += len(trace.block_ids())
+        columns = {name: np.concatenate(parts) for name, parts in per_rank.items()}
+
+        breakdown_base, peak_col = None, -1
+        if len(self.ranks) == 1:
+            breakdown_base = occupation_from_columns(
+                columns["life_delta"], columns["life_category"],
+                columns["life_col"]).to_dict()
+            if columns["life_col"].size:
+                peak_col = int(columns["life_col"][
+                    int(np.argmax(np.cumsum(columns["life_delta"])))])
+        return _MergedColumns(
+            span_begin=np.stack([tables.base + rank.mark_spans[:, 0]
+                                 for rank, tables in zip(self.ranks, atoms)]),
+            span_end=np.stack([tables.base + rank.mark_spans[:, 1]
+                               for rank, tables in zip(self.ranks, atoms)]),
+            num_events=sum(int(rank.event_kind.size) for rank in self.ranks),
+            num_blocks=num_blocks,
+            breakdown_base=breakdown_base,
+            peak_col=peak_col,
+            stats_base=stats_base,
+            mean_utilization=float(peak_allocated / peak_reserved),
+            **columns,
         )
 
     # -- re-pricing -------------------------------------------------------------------
-
-    def _reprice_atoms(self, rank: RankTemplate, spec,
-                       host_dispatch_ns: int) -> np.ndarray:
-        """Vectorized duration of every tape atom under ``spec`` (syncs zeroed).
-
-        Reproduces :class:`~repro.device.timing.KernelTimingModel` exactly:
-        ``np.rint`` matches Python's banker's ``round`` on the same float
-        expressions, so re-priced durations are bit-identical to what a
-        fresh simulation advances the clock by.
-        """
-        kind = rank.tape_kind
-        out = np.zeros(kind.size, dtype=np.int64)
-
-        const_mask = kind == TAPE_CONST
-        out[const_mask] = rank.tape_duration_ns[const_mask]
-
-        kernel_mask = kind == TAPE_KERNEL
-        if kernel_mask.any():
-            flops = rank.tape_flops[kernel_mask]
-            moved = rank.tape_bytes_moved[kernel_mask]
-            effective_flops = spec.peak_flops * 0.65
-            effective_bw = spec.memory_bandwidth * 0.75
-            compute_ns = np.where(flops != 0.0, 1e9 * flops / effective_flops, 0.0)
-            memory_ns = np.where(moved != 0.0, 1e9 * moved / effective_bw, 0.0)
-            busy = np.maximum(compute_ns, memory_ns)
-            out[kernel_mask] = (
-                np.rint(spec.kernel_launch_overhead_ns + busy).astype(np.int64)
-                + host_dispatch_ns)
-
-        for mask_kind, bandwidth in ((TAPE_MEMCPY_H2D, spec.h2d_bandwidth),
-                                     (TAPE_MEMCPY_D2H, spec.d2h_bandwidth)):
-            copy_mask = kind == mask_kind
-            if copy_mask.any():
-                nbytes = rank.tape_nbytes[copy_mask]
-                transfer = np.where(nbytes != 0, 1e9 * nbytes / bandwidth, 0.0)
-                out[copy_mask] = np.rint(
-                    spec.memcpy_launch_overhead_ns + transfer).astype(np.int64)
-
-        out[kind == TAPE_ALLOC_OVERHEAD] = spec.allocator_overhead_ns
-        out[kind == TAPE_SEGMENT_OVERHEAD] = spec.cuda_malloc_overhead_ns
-        # sync atoms stay 0; they are resolved with barrier semantics below
-        return out
-
-    def _resolve_times(self, spec, host_dispatch_ns: int,
-                       cluster) -> Tuple[List[np.ndarray], List[int]]:
-        """Absolute clock time after every atom, with collectives resolved.
-
-        Returns one ``(n_atoms + 1)``-long array per rank — entry ``i`` is
-        the clock right after atom ``i - 1`` (entry 0 is the post-preamble
-        start time), so an event at tape position ``p`` happened at
-        ``times[p]`` — plus the resolved per-sync costs.
-        """
-        pres: List[np.ndarray] = []
-        for rank in self.ranks:
-            effective = self._reprice_atoms(rank, spec, host_dispatch_ns)
-            pres.append(np.concatenate((np.zeros(1, dtype=np.int64),
-                                        np.cumsum(effective))))
-        offsets = [int(rank.preamble_segments) * spec.cuda_malloc_overhead_ns
-                   for rank in self.ranks]
-
-        n_ranks = len(self.ranks)
-        sync_costs: List[int] = []
-        # Segment boundaries: each sync splits a rank's timeline; between two
-        # syncs the times are offset + prefix-sum (vectorized per segment).
-        segment_offsets: List[List[Tuple[int, int]]] = [
-            [(0, offsets[r])] for r in range(n_ranks)]
-        for j in range(int(self.sync_kinds.size)):
-            arrivals = [offsets[r] + int(pres[r][self.sync_pos[r][j]])
-                        for r in range(n_ranks)]
-            start = max(arrivals)
-            if int(self.sync_kinds[j]) == TAPE_ALLREDUCE:
-                cost = cluster.allreduce_time_ns(int(self.sync_nbytes[j]))
-            else:
-                cost = 0
-            end = start + cost
-            sync_costs.append(cost)
-            for r in range(n_ranks):
-                position = int(self.sync_pos[r][j])
-                offsets[r] = end - int(pres[r][position])
-                segment_offsets[r].append((position + 1, offsets[r]))
-
-        times: List[np.ndarray] = []
-        for r in range(n_ranks):
-            absolute = pres[r].copy()
-            boundaries = segment_offsets[r] + [(absolute.size, 0)]
-            for (begin, offset), (stop, _) in zip(boundaries, boundaries[1:]):
-                absolute[begin:stop] += offset
-            times.append(absolute)
-        return times, sync_costs
-
-    # -- replay -----------------------------------------------------------------------
 
     @staticmethod
     def _host_dispatch_ns(config: TrainingRunConfig) -> int:
@@ -583,294 +605,229 @@ class TraceTemplate:
             return int(config.host_dispatch_overhead_ns)
         return 6_000  # KernelTimingModel's default
 
-    @staticmethod
-    def _scenario_dict(config: TrainingRunConfig,
-                       swap_policy: str) -> Dict[str, object]:
-        """The identifying fields block of a result (mirrors ``run_scenario``)."""
-        return {
-            "model": config.model,
-            "dataset": config.dataset,
-            "batch_size": config.batch_size,
-            "iterations": config.iterations,
-            "allocator": config.allocator,
-            "swap_policy": swap_policy,
-            "device_spec": config.device_spec,
-            "dtype": config.dtype,
-            "n_devices": config.n_devices,
-            "interconnect": config.interconnect,
-            "swap": config.swap,
-            "device_memory_capacity": config.device_memory_capacity,
-            "execution_mode": config.execution_mode,
-            "seed": config.seed,
-        }
+    def _price_times(self, configs: Sequence[TrainingRunConfig]
+                     ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
+        """Every clock reading of every rank under every config, in one pass.
+
+        Returns the ``(S, width)`` int64 time matrix — rank ``r`` owns columns
+        ``[base, base + n_atoms]``, entry ``base + i`` being its clock right
+        after atom ``i - 1`` (``base`` itself the post-preamble start), so an
+        event at tape position ``p`` happened at column ``base + p`` — plus
+        the ``(S, syncs)`` resolved collective costs and each row's cluster.
+
+        Durations reproduce :class:`~repro.device.timing.KernelTimingModel`
+        exactly: ``np.rint`` matches Python's banker's ``round`` on the same
+        float expressions, broadcast along axis 0, so every row is
+        bit-identical to what a fresh simulation advances its clocks by.
+        Collectives are resolved with barrier semantics in a loop over the
+        sync points (not over scenarios): all ranks leave a sync at the
+        latest arrival plus the scenario's allreduce cost.
+        """
+        batch = self._batch_arrays()
+        n_scenarios = len(configs)
+        allreduce = (self.sync_kinds == TAPE_ALLREDUCE).tolist()
+        sync_nbytes = self.sync_nbytes.tolist()
+
+        # Pricing points repeat across a grid, so everything derived from the
+        # cluster (the only Python-object work per point) is computed once
+        # per distinct point and gathered per scenario.
+        points: Dict[Tuple, int] = {}
+        clusters: List[ClusterSpec] = []
+        rates: List[tuple] = []        # per point: the four float divisors
+        overheads: List[tuple] = []    # per point: the four fixed ns costs
+        costs: List[List[int]] = []    # per point: every sync's collective cost
+        point_of = np.empty(n_scenarios, dtype=np.intp)
+        dispatch = np.empty(n_scenarios, dtype=np.int64)
+        for j, config in enumerate(configs):
+            point_key = (config.device_spec, config.device_memory_capacity,
+                         config.interconnect, config.allreduce_algorithm)
+            point = points.get(point_key)
+            if point is None:
+                point = points[point_key] = len(clusters)
+                cluster = build_cluster(config)
+                spec = cluster.device
+                clusters.append(cluster)
+                rates.append((spec.peak_flops * 0.65,
+                              spec.memory_bandwidth * 0.75,
+                              spec.h2d_bandwidth, spec.d2h_bandwidth))
+                overheads.append((spec.kernel_launch_overhead_ns,
+                                  spec.memcpy_launch_overhead_ns,
+                                  spec.allocator_overhead_ns,
+                                  spec.cuda_malloc_overhead_ns))
+                costs.append([
+                    cluster.allreduce_time_ns(nbytes) if is_allreduce else 0
+                    for nbytes, is_allreduce in zip(sync_nbytes, allreduce)])
+            point_of[j] = point
+            dispatch[j] = self._host_dispatch_ns(config)
+        eff_flops, eff_bw, h2d_bw, d2h_bw = np.ascontiguousarray(
+            np.array(rates, dtype=np.float64)[point_of].T)
+        launch, memcpy_launch, alloc_overhead, segment_overhead = \
+            np.ascontiguousarray(np.array(overheads, dtype=np.int64)[point_of].T)
+        sync_costs = np.array(costs, dtype=np.int64).reshape(
+            len(costs), len(sync_nbytes))[point_of]
+
+        times = np.empty((n_scenarios, batch.width), dtype=np.int64)
+        clocks: List[np.ndarray] = []      # per-rank views into ``times``
+        offsets: List[np.ndarray] = []     # per-rank clock offset of the open segment
+        for atoms in batch.atoms:
+            durations = np.zeros((n_scenarios, atoms.n_atoms), dtype=np.int64)
+            if atoms.const_idx.size:
+                durations[:, atoms.const_idx] = atoms.const_dur[None, :]
+            if atoms.kernel_idx.size:
+                compute_ns = np.where(
+                    atoms.kernel_flops_nz[None, :],
+                    atoms.kernel_flops9[None, :] / eff_flops[:, None], 0.0)
+                memory_ns = np.where(
+                    atoms.kernel_moved_nz[None, :],
+                    atoms.kernel_moved9[None, :] / eff_bw[:, None], 0.0)
+                busy = np.maximum(compute_ns, memory_ns)
+                durations[:, atoms.kernel_idx] = (
+                    np.rint(launch[:, None] + busy).astype(np.int64)
+                    + dispatch[:, None])
+            for idx, nonzero, bytes9, bandwidth in (
+                    (atoms.h2d_idx, atoms.h2d_nz, atoms.h2d_bytes9, h2d_bw),
+                    (atoms.d2h_idx, atoms.d2h_nz, atoms.d2h_bytes9, d2h_bw)):
+                if idx.size:
+                    transfer = np.where(nonzero[None, :],
+                                        bytes9[None, :] / bandwidth[:, None], 0.0)
+                    durations[:, idx] = np.rint(
+                        memcpy_launch[:, None] + transfer).astype(np.int64)
+            if atoms.alloc_idx.size:
+                durations[:, atoms.alloc_idx] = alloc_overhead[:, None]
+            if atoms.segment_idx.size:
+                durations[:, atoms.segment_idx] = segment_overhead[:, None]
+            # sync atoms stay 0; their cost enters through the offsets below
+
+            clock = times[:, atoms.base:atoms.base + atoms.n_atoms + 1]
+            clock[:, 0] = 0
+            np.cumsum(durations, axis=1, out=clock[:, 1:])
+            clocks.append(clock)
+            offsets.append(atoms.preamble_segments * segment_overhead)
+
+        # Each sync splits a rank's timeline; between two syncs the clock is
+        # the prefix sum plus the segment's offset, added in place once the
+        # segment's closing sync has read the raw prefix.
+        segment_begin = [0] * len(clocks)
+        for j in range(len(sync_nbytes)):
+            prefixes = [clock[:, atoms.sync_pos[j]]
+                        for clock, atoms in zip(clocks, batch.atoms)]
+            arrivals = [offset + prefix
+                        for offset, prefix in zip(offsets, prefixes)]
+            end = np.maximum.reduce(arrivals) + sync_costs[:, j]
+            reopened = [end - prefix for prefix in prefixes]
+            for r, (clock, atoms) in enumerate(zip(clocks, batch.atoms)):
+                stop = int(atoms.sync_pos[j]) + 1
+                clock[:, segment_begin[r]:stop] += offsets[r][:, None]
+                segment_begin[r] = stop
+            offsets = reopened
+        for clock, begin, offset in zip(clocks, segment_begin, offsets):
+            clock[:, begin:] += offset[:, None]
+        return times, sync_costs, [clusters[i] for i in point_of.tolist()]
+
+    def _rank_times(self, row: np.ndarray) -> List[np.ndarray]:
+        """Split one row of the time matrix into per-rank clock arrays."""
+        return [row[atoms.base:atoms.base + atoms.n_atoms + 1]
+                for atoms in self._batch_arrays().atoms]
+
+    # -- replay -----------------------------------------------------------------------
 
     def replay(self, scenario, bandwidths: BandwidthConfig,
                started: float):
-        """Price one scenario from this template; returns a ``ScenarioResult``.
+        """Price one scenario from this template (a batch of one).
 
         Exactness contract: every field except ``wall_time_s`` equals what
         :func:`~repro.experiments.sweep.run_scenario` produces for the same
         scenario, bit for bit.
         """
-        config = scenario.config
-        cluster = build_cluster(config)
-        spec = cluster.device
-        times, sync_costs = self._resolve_times(
-            spec, self._host_dispatch_ns(config), cluster)
-        stats = self.meta["allocator_stats"]
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        if (self.fast is not None and scenario.swap_policy == "none"
-                and peak_reserved > 0):
-            return self._fast_result(scenario, bandwidths, times[0], started)
-        session = self._rebuild_session(config, cluster, times, sync_costs)
-        from .sweep import reduce_session
-        return reduce_session(scenario, bandwidths, session, started)
-
-    def _fast_result(self, scenario, bandwidths: BandwidthConfig,
-                     absolute: np.ndarray, started: float):
-        """Single-rank, policy-free replay: no trace object is ever built."""
-        from .sweep import ScenarioResult
-
-        config = scenario.config
-        rank = self.ranks[0]
-        fast = self.fast
-        timestamps = absolute[rank.event_tape_pos]
-        gaps = timestamps[fast.ati_end_pos] - timestamps[fast.ati_start_pos]
-        arrays = replace(fast.ati, interval_ns=gaps)
-        ati_summary = summarize_values_us(arrays.interval_us)
-
-        label = config.label or config.describe()
-        peak_time = (int(timestamps[fast.peak_event_pos])
-                     if fast.peak_event_pos >= 0 else 0)
-        breakdown = replace(fast.breakdown, label=label, peak_time_ns=peak_time)
-
-        spans = rank.mark_spans
-        durations_s = [int(end - start) / 1e9
-                       for start, end in zip(absolute[spans[:, 0]],
-                                             absolute[spans[:, 1]])]
-        total_s = float(sum(durations_s))
-
-        stats = {k: int(v) for k, v in self.meta["allocator_stats"].items()}
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        peak_allocated = int(stats.get("peak_allocated_bytes",
-                                       self.meta["peak_allocated_bytes"]))
-        return ScenarioResult(
-            scenario=self._scenario_dict(config, scenario.swap_policy),
-            key=scenario.key(bandwidths),
-            peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-            peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-            peak_live_bytes=int(fast.peak_live_bytes),
-            parameter_bytes=int(self.meta["parameter_bytes"]),
-            parameter_count=int(self.meta["parameter_count"]),
-            num_events=int(fast.num_events),
-            num_blocks=int(fast.num_blocks),
-            step_time_s_mean=total_s / len(durations_s) if durations_s else 0.0,
-            step_time_s_total=total_s,
-            ati=ati_summary.to_dict(),
-            swappable_fraction=swappable_fraction(arrays, bandwidths),
-            swap=None,  # the "none" policy evaluates to None by definition
-            breakdown=breakdown.to_dict(),
-            allocator_stats=stats,
-            mean_utilization=float(peak_allocated / peak_reserved),
-            wall_time_s=time.perf_counter() - started,
-            collective=None,
-            swap_execution=None,
-        )
-
-    # -- batched repricing ------------------------------------------------------------
-
-    def _batch_arrays(self) -> _BatchArrays:
-        """Build (once) the gather tables behind :meth:`replay_batch`."""
-        if self._batch is None:
-            rank = self.ranks[0]
-            fast = self.fast
-            table = atom_index_table(rank.tape_kind)
-            empty = np.empty(0, dtype=np.int64)
-            const_idx = table.get(TAPE_CONST, empty)
-            kernel_idx = table.get(TAPE_KERNEL, empty)
-            h2d_idx = table.get(TAPE_MEMCPY_H2D, empty)
-            d2h_idx = table.get(TAPE_MEMCPY_D2H, empty)
-            kernel_flops = rank.tape_flops[kernel_idx]
-            kernel_moved = rank.tape_bytes_moved[kernel_idx]
-            h2d_bytes = rank.tape_nbytes[h2d_idx]
-            d2h_bytes = rank.tape_nbytes[d2h_idx]
-            event_pos = rank.event_tape_pos
-            stats_base = {k: int(v)
-                          for k, v in self.meta["allocator_stats"].items()}
-            peak_reserved = int(stats_base.get(
-                "peak_reserved_bytes", self.meta["peak_reserved_bytes"]))
-            peak_allocated = int(stats_base.get(
-                "peak_allocated_bytes", self.meta["peak_allocated_bytes"]))
-            self._batch = _BatchArrays(
-                const_idx=const_idx,
-                const_dur=rank.tape_duration_ns[const_idx],
-                kernel_idx=kernel_idx,
-                kernel_flops9=1e9 * kernel_flops,
-                kernel_flops_nz=kernel_flops != 0.0,
-                kernel_moved9=1e9 * kernel_moved,
-                kernel_moved_nz=kernel_moved != 0.0,
-                h2d_idx=h2d_idx,
-                h2d_bytes9=1e9 * h2d_bytes,
-                h2d_nz=h2d_bytes != 0,
-                d2h_idx=d2h_idx,
-                d2h_bytes9=1e9 * d2h_bytes,
-                d2h_nz=d2h_bytes != 0,
-                alloc_idx=table.get(TAPE_ALLOC_OVERHEAD, empty),
-                segment_idx=table.get(TAPE_SEGMENT_OVERHEAD, empty),
-                ati_start_tape=event_pos[fast.ati_start_pos],
-                ati_end_tape=event_pos[fast.ati_end_pos],
-                ati_size=fast.ati.size,
-                span_begin=rank.mark_spans[:, 0],
-                span_end=rank.mark_spans[:, 1],
-                peak_tape_pos=(int(event_pos[fast.peak_event_pos])
-                               if fast.peak_event_pos >= 0 else -1),
-                breakdown_base=fast.breakdown.to_dict(),
-                stats_base=stats_base,
-                mean_utilization=float(peak_allocated / peak_reserved),
-            )
-        return self._batch
+        return self.replay_batch([scenario], [bandwidths], started)[0]
 
     def replay_batch(self, scenarios: Sequence[object],
                      bandwidths_list: Sequence[BandwidthConfig],
-                     started: Optional[float] = None) -> List[object]:
+                     started: Optional[float] = None,
+                     keys: Optional[Sequence[str]] = None) -> List[object]:
         """Price a whole grid of scenarios of this structure in one pass.
 
-        Every scenario that qualifies for the single-rank fast path is priced
-        through one ``(S × atoms)`` int64 broadcast (durations, prefix-sum
-        timestamps, ATI gaps, distribution summaries, Eq.-1 screening all
-        batched along axis 0); the rest fall back to the scalar
-        :meth:`replay` element by element.  The returned list is parallel to
-        ``scenarios`` and element-for-element bit-identical to what scalar
-        :meth:`replay` — and therefore a fresh symbolic simulation — would
-        produce (``wall_time_s`` aside).
+        Every scenario's clocks come out of one ``(S × atoms)`` int64
+        broadcast per rank (:meth:`_price_times`).  Policy-free rows
+        (``swap_policy == "none"``) — single- and multi-rank alike — are then
+        reduced column-wise: ATI gaps, distribution summaries and Eq.-1
+        screening batched along axis 0, and for multi-rank templates one
+        stable argsort per row to recover the merged event order behind the
+        ATI mean and the occupancy peak.  Policy-carrying rows need a real
+        trace for the baselines to walk, so their row of the time matrix
+        feeds :meth:`_rebuild_session` and the ordinary
+        :func:`~repro.experiments.sweep.reduce_session`.
+
+        The returned list is parallel to ``scenarios`` and bit-identical to
+        what a fresh symbolic simulation would produce (``wall_time_s``
+        aside).  ``keys`` optionally carries the scenarios' precomputed
+        content hashes.
         """
+        from .sweep import ScenarioResult, reduce_session, scenario_identity
+
         if started is None:
             started = time.perf_counter()
+        if keys is None:
+            keys = [scenario.key(bandwidths)
+                    for scenario, bandwidths in zip(scenarios, bandwidths_list)]
+        merged = self._batch_arrays().merged
+        times, sync_costs, clusters = self._price_times(
+            [scenario.config for scenario in scenarios])
         results: List[object] = [None] * len(scenarios)
-        stats = self.meta["allocator_stats"]
-        peak_reserved = int(stats.get("peak_reserved_bytes",
-                                      self.meta["peak_reserved_bytes"]))
-        batchable = (self.fast is not None and peak_reserved > 0
-                     and self.sync_kinds.size == 0)
         rows = []
         for index, scenario in enumerate(scenarios):
-            if batchable and scenario.swap_policy == "none":
+            if merged is not None and scenario.swap_policy == "none":
                 rows.append(index)
-            else:
-                results[index] = self.replay(scenario, bandwidths_list[index],
-                                             time.perf_counter())
-        if rows:
-            self._replay_batch_fast(scenarios, bandwidths_list, rows, results,
-                                    started)
-        return results
+                continue
+            session = self._rebuild_session(
+                scenario.config, clusters[index], self._rank_times(times[index]),
+                sync_costs[index].tolist())
+            results[index] = reduce_session(
+                scenario, bandwidths_list[index], session, time.perf_counter(),
+                keys[index])
+        if not rows:
+            return results
 
-    def _replay_batch_fast(self, scenarios, bandwidths_list, rows, results,
-                           started: float) -> None:
-        """Vectorized core of :meth:`replay_batch`: one (S × atoms) broadcast."""
-        from .sweep import ScenarioResult
-
-        rank = self.ranks[0]
-        fast = self.fast
-        batch = self._batch_arrays()
-        n_scenarios = len(rows)
-        n_atoms = rank.tape_kind.size
-
-        # Stack the pricing-axis parameters, one row per scenario.  Device
-        # specs repeat across a grid, so the cluster construction (the only
-        # Python-object work per pricing point) is memoized per spec.
-        eff_flops = np.empty(n_scenarios)
-        eff_bw = np.empty(n_scenarios)
-        h2d_bw = np.empty(n_scenarios)
-        d2h_bw = np.empty(n_scenarios)
-        launch = np.empty(n_scenarios, dtype=np.int64)
-        dispatch = np.empty(n_scenarios, dtype=np.int64)
-        memcpy_launch = np.empty(n_scenarios, dtype=np.int64)
-        alloc_overhead = np.empty(n_scenarios, dtype=np.int64)
-        segment_overhead = np.empty(n_scenarios, dtype=np.int64)
-        offsets = np.empty(n_scenarios, dtype=np.int64)
-        round_trip = np.empty(n_scenarios)
-        preamble = int(rank.preamble_segments)
-        specs: Dict[Tuple[str, Optional[int]], object] = {}
-        for j, i in enumerate(rows):
-            config = scenarios[i].config
-            spec_key = (config.device_spec, config.device_memory_capacity)
-            spec = specs.get(spec_key)
-            if spec is None:
-                spec = specs[spec_key] = build_cluster(config).device
-            eff_flops[j] = spec.peak_flops * 0.65
-            eff_bw[j] = spec.memory_bandwidth * 0.75
-            h2d_bw[j] = spec.h2d_bandwidth
-            d2h_bw[j] = spec.d2h_bandwidth
-            launch[j] = spec.kernel_launch_overhead_ns
-            dispatch[j] = self._host_dispatch_ns(config)
-            memcpy_launch[j] = spec.memcpy_launch_overhead_ns
-            alloc_overhead[j] = spec.allocator_overhead_ns
-            segment_overhead[j] = spec.cuda_malloc_overhead_ns
-            offsets[j] = preamble * spec.cuda_malloc_overhead_ns
-            round_trip[j] = bandwidths_list[i].round_trip_s_per_byte
-
-        # Duration of every atom under every scenario: same float expressions
-        # as _reprice_atoms, broadcast along axis 0 — bit-identical rows.
-        durations = np.zeros((n_scenarios, n_atoms), dtype=np.int64)
-        if batch.const_idx.size:
-            durations[:, batch.const_idx] = batch.const_dur[None, :]
-        if batch.kernel_idx.size:
-            compute_ns = np.where(batch.kernel_flops_nz[None, :],
-                                  batch.kernel_flops9[None, :] / eff_flops[:, None],
-                                  0.0)
-            memory_ns = np.where(batch.kernel_moved_nz[None, :],
-                                 batch.kernel_moved9[None, :] / eff_bw[:, None],
-                                 0.0)
-            busy = np.maximum(compute_ns, memory_ns)
-            durations[:, batch.kernel_idx] = (
-                np.rint(launch[:, None] + busy).astype(np.int64)
-                + dispatch[:, None])
-        for idx, nonzero, bytes9, bandwidth in (
-                (batch.h2d_idx, batch.h2d_nz, batch.h2d_bytes9, h2d_bw),
-                (batch.d2h_idx, batch.d2h_nz, batch.d2h_bytes9, d2h_bw)):
-            if idx.size:
-                transfer = np.where(nonzero[None, :],
-                                    bytes9[None, :] / bandwidth[:, None], 0.0)
-                durations[:, idx] = np.rint(
-                    memcpy_launch[:, None] + transfer).astype(np.int64)
-        if batch.alloc_idx.size:
-            durations[:, batch.alloc_idx] = alloc_overhead[:, None]
-        if batch.segment_idx.size:
-            durations[:, batch.segment_idx] = segment_overhead[:, None]
-
-        # Absolute clock time after every atom (entry 0: post-preamble start).
-        times = np.empty((n_scenarios, n_atoms + 1), dtype=np.int64)
-        times[:, 0] = offsets
-        np.cumsum(durations, axis=1, out=times[:, 1:])
-        times[:, 1:] += offsets[:, None]
-
-        # Batched reductions: ATI gaps/summary/Eq.-1, peaks, iteration spans.
-        gaps = times[:, batch.ati_end_tape] - times[:, batch.ati_start_tape]
+        n_ranks = len(self.ranks)
+        if len(rows) < len(scenarios):
+            times, sync_costs = times[rows], sync_costs[rows]
+        closing_times = times[:, merged.ati_end_col]
+        gaps = closing_times - times[:, merged.ati_start_col]
         n_intervals = gaps.shape[1]
         if n_intervals:
             values = gaps / 1_000.0
             percentiles = np.percentile(values, (50, 90, 99), axis=1)
-            # Row-at-a-time mean: the axis reduction pairs the sum with a
-            # different blocking than 1-D ``values.mean()`` and can differ in
-            # the last ulp, which would break bit-identity with the scalar
-            # path's ``summarize_values_us``.
-            means = [float(values[j].mean()) for j in range(n_scenarios)]
             mins = np.min(values, axis=1)
             maxs = np.max(values, axis=1)
+            round_trip = np.array([bandwidths_list[i].round_trip_s_per_byte
+                                   for i in rows])
             limits = np.maximum(gaps, 0) / 1e9 / round_trip[:, None]
-            fractions = np.mean(batch.ati_size[None, :] <= limits, axis=1)
-        if batch.peak_tape_pos >= 0:
-            peak_times = times[:, batch.peak_tape_pos]
-        step_ns = (times[:, batch.span_end] - times[:, batch.span_begin]).tolist()
+            fractions = np.mean(merged.ati_size[None, :] <= limits, axis=1)
+            if n_ranks > 1:
+                # The mean sums in closing-event order of the merged trace.
+                closing = np.argsort(closing_times, axis=1, kind="stable")
+                values = np.take_along_axis(values, closing, axis=1)
+            # Row-at-a-time mean: the axis reduction pairs the sum with a
+            # different blocking than 1-D ``values.mean()`` and can differ in
+            # the last ulp from ``summarize_values_us``.
+            means = [float(row.mean()) for row in values]
+        if n_ranks > 1:
+            life_times = times[:, merged.life_col]
+            life_order = np.argsort(life_times, axis=1, kind="stable")
+        else:
+            peak_times = (times[:, merged.peak_col].tolist()
+                          if merged.peak_col >= 0 else [0] * len(rows))
+        allreduce_ns = sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
+                                  ].sum(axis=1).tolist()
+        step_ns = (times[:, merged.span_end].max(axis=1)
+                   - times[:, merged.span_begin].min(axis=1)).tolist()
 
         for j, i in enumerate(rows):
             scenario = scenarios[i]
             config = scenario.config
             if n_intervals:
                 summary = AtiSummary(
-                    count=n_intervals, mean_us=float(means[j]),
+                    count=n_intervals, mean_us=means[j],
                     p50_us=float(percentiles[0, j]),
                     p90_us=float(percentiles[1, j]),
                     p99_us=float(percentiles[2, j]),
@@ -882,22 +839,27 @@ class TraceTemplate:
                                      max_us=0.0)
                 swappable = 0.0
             label = config.label or config.describe()
-            breakdown = dict(batch.breakdown_base)
-            breakdown["label"] = label
-            breakdown["peak_time_ns"] = (int(peak_times[j])
-                                         if batch.peak_tape_pos >= 0 else 0)
+            if n_ranks > 1:
+                order = life_order[j]
+                breakdown = occupation_from_columns(
+                    merged.life_delta[order], merged.life_category[order],
+                    life_times[j][order], label=label).to_dict()
+            else:
+                breakdown = dict(merged.breakdown_base)
+                breakdown["label"] = label
+                breakdown["peak_time_ns"] = peak_times[j]
             durations_s = [ns / 1e9 for ns in step_ns[j]]
             total_s = float(sum(durations_s))
             results[i] = ScenarioResult(
-                scenario=self._scenario_dict(config, scenario.swap_policy),
-                key=scenario.key(bandwidths_list[i]),
+                scenario=scenario_identity(scenario),
+                key=keys[i],
                 peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
                 peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-                peak_live_bytes=int(fast.peak_live_bytes),
+                peak_live_bytes=int(breakdown["total_bytes"]),
                 parameter_bytes=int(self.meta["parameter_bytes"]),
                 parameter_count=int(self.meta["parameter_count"]),
-                num_events=int(fast.num_events),
-                num_blocks=int(fast.num_blocks),
+                num_events=merged.num_events,
+                num_blocks=merged.num_blocks,
                 step_time_s_mean=(total_s / len(durations_s)
                                   if durations_s else 0.0),
                 step_time_s_total=total_s,
@@ -905,14 +867,34 @@ class TraceTemplate:
                 swappable_fraction=swappable,
                 swap=None,  # the "none" policy evaluates to None by definition
                 breakdown=breakdown,
-                allocator_stats=dict(batch.stats_base),
-                mean_utilization=batch.mean_utilization,
+                allocator_stats=dict(merged.stats_base),
+                mean_utilization=merged.mean_utilization,
                 wall_time_s=time.perf_counter() - started,
-                collective=None,
+                collective=self._collective_summary(clusters[i],
+                                                    allreduce_ns[j]),
                 swap_execution=None,
             )
+        return results
 
-    # -- full trace rebuild (multi-rank or policy evaluation) -------------------------
+    # -- full trace rebuild (policy evaluation) ---------------------------------------
+
+    def _collective_summary(self, cluster: ClusterSpec,
+                            total_ns: int) -> Optional[Dict[str, object]]:
+        """The session's ``collective`` block (``None`` on a single device)."""
+        n_ranks = len(self.ranks)
+        if n_ranks == 1:
+            return None
+        allreduce = self.sync_kinds == TAPE_ALLREDUCE
+        count = int(allreduce.sum())
+        return {
+            "count": count,
+            "world_size": n_ranks,
+            "algorithm": cluster.allreduce_algorithm,
+            "interconnect": cluster.interconnect.name,
+            "total_bytes": int(self.sync_nbytes[allreduce].sum()),
+            "total_time_ns": total_ns,
+            "mean_time_ns": (total_ns / count) if count else 0.0,
+        }
 
     def _rebuild_session(self, config: TrainingRunConfig, cluster,
                          times: List[np.ndarray],
@@ -1006,23 +988,9 @@ class TraceTemplate:
                 reserved_bytes_end=int(entry["reserved_bytes_end"]),
             ))
 
-        collective = None
-        if n_ranks > 1:
-            allreduce = self.sync_kinds == TAPE_ALLREDUCE
-            count = int(allreduce.sum())
-            total_ns = int(sum(cost for cost, kind
+        allreduce_ns = int(sum(cost for cost, kind
                                in zip(sync_costs, self.sync_kinds.tolist())
                                if kind == TAPE_ALLREDUCE))
-            collective = {
-                "count": count,
-                "world_size": n_ranks,
-                "algorithm": cluster.allreduce_algorithm,
-                "interconnect": cluster.interconnect.name,
-                "total_bytes": int(self.sync_nbytes[allreduce].sum()),
-                "total_time_ns": total_ns,
-                "mean_time_ns": (total_ns / count) if count else 0.0,
-            }
-
         return SessionResult(
             config=config,
             trace=merged,
@@ -1034,17 +1002,17 @@ class TraceTemplate:
             allocator_stats={k: int(v)
                              for k, v in self.meta["allocator_stats"].items()},
             n_devices=n_ranks,
-            collective=collective,
+            collective=self._collective_summary(cluster, allreduce_ns),
             rank_traces=(rank_traces if n_ranks > 1 else None),
             swap_execution=None,
         )
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
         """Rebuild the merged trace under ``config``'s pricing (test helper)."""
-        cluster = build_cluster(config)
-        times, sync_costs = self._resolve_times(
-            cluster.device, self._host_dispatch_ns(config), cluster)
-        return self._rebuild_session(config, cluster, times, sync_costs).trace
+        times, sync_costs, clusters = self._price_times([config])
+        return self._rebuild_session(config, clusters[0],
+                                     self._rank_times(times[0]),
+                                     sync_costs[0].tolist()).trace
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -1465,13 +1433,17 @@ class ReplayEngine:
                 config.host_latency is None)
 
     def price_batch(self, scenarios: Sequence,
-                    bandwidths_list: Sequence[BandwidthConfig]) -> List:
+                    bandwidths_list: Sequence[BandwidthConfig],
+                    keys: Optional[Sequence[str]] = None) -> List:
         """Replay-price a grid of scenarios, batching within each structure.
 
         Returns one entry per scenario: the priced
         :class:`~repro.experiments.sweep.ScenarioResult`, or ``None`` for
         scenarios that must be simulated fresh (with the reason tallied in
-        ``fallback_reasons``).
+        ``fallback_reasons``).  A structure group the engine crashes on is
+        declined as a whole (reason ``engine_error``, traceback logged); the
+        other groups are unaffected.  ``keys`` optionally carries the
+        scenarios' precomputed content hashes.
         """
         results: List = [None] * len(scenarios)
         groups: Dict[Tuple, List[int]] = {}
@@ -1481,24 +1453,30 @@ class ReplayEngine:
         for indices in groups.values():
             try:
                 template = self._variant_for(scenarios[indices[0]].config)
+                eligible = [i for i in indices
+                            if template.valid_for(scenarios[i].config)]
+                priced = template.replay_batch(
+                    [scenarios[i] for i in eligible],
+                    [bandwidths_list[i] for i in eligible],
+                    time.perf_counter(),
+                    None if keys is None else [keys[i] for i in eligible],
+                ) if eligible else []
             except TemplateError as exc:
                 self._count_fallback(exc.reason, len(indices))
                 continue
-            eligible = []
-            for i in indices:
-                if template.valid_for(scenarios[i].config):
-                    eligible.append(i)
-                else:
-                    self._count_fallback("capacity_mismatch")
-            if not eligible:
+            except Exception:  # degrade this group to fresh simulation
+                logger.warning(
+                    "replay engine failed on %d scenario(s) like [%s]; "
+                    "falling back to simulation", len(indices),
+                    scenarios[indices[0]].describe(), exc_info=True)
+                self._count_fallback("engine_error", len(indices))
                 continue
-            started = time.perf_counter()
-            priced = template.replay_batch(
-                [scenarios[i] for i in eligible],
-                [bandwidths_list[i] for i in eligible], started)
+            if len(eligible) < len(indices):
+                self._count_fallback("capacity_mismatch",
+                                     len(indices) - len(eligible))
             for i, result in zip(eligible, priced):
                 results[i] = result
-                self.replayed += 1
+            self.replayed += len(eligible)
         return results
 
     def price(self, scenario, bandwidths: BandwidthConfig):

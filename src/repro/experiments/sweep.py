@@ -447,13 +447,15 @@ def run_scenario(scenario: Scenario,
 
 
 def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
-                   session: SessionResult, started: float) -> ScenarioResult:
+                   session: SessionResult, started: float,
+                   key: Optional[str] = None) -> ScenarioResult:
     """Reduce a finished session to a :class:`ScenarioResult`.
 
     Factored out of :func:`run_scenario` so the replay engine
     (:mod:`repro.experiments.replay`) can feed a *reconstructed* session
     through the very same reduction — bit-identical results require the
-    identical code path, not a parallel reimplementation.
+    identical code path, not a parallel reimplementation.  ``key`` is the
+    scenario's content hash when the caller already computed it.
     """
     trace = session.trace
 
@@ -476,7 +478,7 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
     config = scenario.config
     return ScenarioResult(
         scenario=scenario_identity(scenario),
-        key=scenario.key(bandwidths),
+        key=key if key is not None else scenario.key(bandwidths),
         peak_allocated_bytes=int(session.peak_allocated_bytes),
         peak_reserved_bytes=int(session.peak_reserved_bytes),
         peak_live_bytes=int(trace.peak_live_bytes()),
@@ -785,7 +787,6 @@ class SweepRunner:
                  use_cache: bool = True,
                  bandwidths: Optional[BandwidthConfig] = None,
                  chunk_size: Optional[int] = None,
-                 replay_batching: bool = True,
                  retries: int = 0,
                  backoff_s: float = 0.05,
                  timeout_s: Optional[float] = None,
@@ -798,10 +799,6 @@ class SweepRunner:
         self.use_cache = bool(use_cache)
         self.bandwidths = bandwidths
         self.chunk_size = chunk_size
-        #: Route replay scenarios through the grid-batched pricer
-        #: (:meth:`ReplayEngine.price_batch`); ``False`` restores the
-        #: scenario-at-a-time scalar path (benchmark baseline).
-        self.replay_batching = bool(replay_batching)
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self.timeout_s = None if timeout_s is None else float(timeout_s)
@@ -880,10 +877,13 @@ class SweepRunner:
 
     # -- cache ------------------------------------------------------------------------
 
-    def _cache_path(self, scenario: Scenario) -> Optional[Path]:
+    def _cache_path(self, scenario: Scenario,
+                    key: Optional[str] = None) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{scenario.key(self.bandwidths)}.json"
+        if key is None:
+            key = scenario.key(self.bandwidths)
+        return self.cache_dir / f"{key}.json"
 
     def _quarantine_cache_entry(self, path: Path) -> None:
         """Move a corrupt cache entry into ``<cache_dir>/quarantine/``.
@@ -904,15 +904,19 @@ class SweepRunner:
                 pass
         self._cache_quarantined += 1
 
-    def cache_load(self, scenario: Scenario) -> Optional[ScenarioResult]:
+    def cache_load(self, scenario: Scenario,
+                   key: Optional[str] = None) -> Optional[ScenarioResult]:
         """Load one scenario's cached result (None on miss or corrupt entry).
+
+        ``key`` is the scenario's content hash when the caller already has it
+        (:meth:`run` hashes every scenario exactly once).
 
         A schema-version mismatch is a legitimate invalidation (the entry is
         simply ignored); an *unparseable* entry is corruption — it is moved
         into the quarantine directory and tallied as ``cache_corrupt`` in
         :attr:`SweepResult.quarantined` before the miss is reported.
         """
-        path = self._cache_path(scenario)
+        path = self._cache_path(scenario, key)
         if path is None or not path.is_file():
             return None
         try:
@@ -930,14 +934,15 @@ class SweepRunner:
         result.from_cache = True
         return result
 
-    def cache_store(self, scenario: Scenario, result: ScenarioResult) -> None:
+    def cache_store(self, scenario: Scenario, result: ScenarioResult,
+                    key: Optional[str] = None) -> None:
         """Write one scenario result to the cache (atomic rename).
 
         A failed write is tallied (``io_error``) but never fatal: losing a
         cache entry only costs recomputation next run, while aborting the
         sweep would discard finished work.
         """
-        path = self._cache_path(scenario)
+        path = self._cache_path(scenario, key)
         if path is None:
             return
         try:
@@ -1040,7 +1045,8 @@ class SweepRunner:
 
         missing: List[Tuple[int, Scenario]] = []
         for index, scenario in enumerate(scenarios):
-            cached = self.cache_load(scenario) if self.use_cache else None
+            cached = (self.cache_load(scenario, keys[index])
+                      if self.use_cache else None)
             if cached is not None:
                 results[index] = cached
             else:
@@ -1079,43 +1085,27 @@ class SweepRunner:
         if replay_candidates:
             # Replay runs serially in-process: pricing a scenario from a
             # memoized template is far cheaper than shipping it to a pool
-            # worker.  Scenarios the engine declines (no template, structure
-            # invalid for the target capacity, swap engine on) stay in
-            # ``missing`` and take the ordinary simulation path below, with
-            # the decline reason tallied in ``replay_fallbacks`` — and an
-            # engine *crash* degrades the same way (reason ``engine_error``)
-            # instead of aborting the sweep.
+            # worker.  The engine groups the scenarios by structure and prices
+            # each group as a single broadcast.  Scenarios it declines (no
+            # template, structure invalid for the target capacity, swap
+            # engine on) stay in ``missing`` and take the ordinary simulation
+            # path below, with the decline reason tallied in
+            # ``replay_fallbacks`` — a group the engine *crashed* on degrades
+            # the same way (reason ``engine_error``, traceback logged).
             engine = self._ensure_replay_engine()
             store = getattr(engine, "store", None)
             quarantined_before = getattr(store, "quarantined", 0)
-            bandwidths_list = [scenario.resolve_bandwidths(self.bandwidths)
-                               for _, scenario in replay_candidates]
-            engine_errors = 0
-            if self.replay_batching:
-                # Whole grid in one call: the engine groups the scenarios by
-                # structure and prices each group as a single broadcast.
-                try:
-                    outcomes = engine.price_batch(
-                        [scenario for _, scenario in replay_candidates],
-                        bandwidths_list)
-                except Exception:  # degrade to fresh simulation below
-                    engine_errors = len(replay_candidates)
-                    outcomes = [None] * len(replay_candidates)
-            else:
-                outcomes = []
-                for (_, scenario), bandwidths in zip(replay_candidates,
-                                                     bandwidths_list):
-                    try:
-                        outcomes.append(engine.price(scenario, bandwidths))
-                    except Exception:  # degrade to fresh simulation below
-                        engine_errors += 1
-                        outcomes.append(None)
+            outcomes = engine.price_batch(
+                [scenario for _, scenario in replay_candidates],
+                [scenario.resolve_bandwidths(self.bandwidths)
+                 for _, scenario in replay_candidates],
+                [keys[index] for index, _ in replay_candidates])
             priced: set = set()
             for (index, scenario), result in zip(replay_candidates, outcomes):
                 if result is None:
                     continue
                 results[index] = result
-                self.cache_store(scenario, result)
+                self.cache_store(scenario, result, keys[index])
                 if journal is not None:
                     journal.record_completed(keys[index], 1)
                 priced.add(index)
@@ -1124,9 +1114,6 @@ class SweepRunner:
             templates_compiled = engine.templates_compiled
             template_variants = engine.variants_captured
             replay_fallbacks = dict(engine.fallback_reasons)
-            if engine_errors:
-                replay_fallbacks["engine_error"] = (
-                    replay_fallbacks.get("engine_error", 0) + engine_errors)
             template_quarantined = (getattr(store, "quarantined", 0)
                                     - quarantined_before)
 
@@ -1238,7 +1225,7 @@ class SweepRunner:
         """
         attempts[index] += 1
         results[index] = result
-        self.cache_store(scenario, result)
+        self.cache_store(scenario, result, key)
         if journal is not None:
             journal.record_completed(key, attempts[index])
 

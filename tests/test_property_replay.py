@@ -13,10 +13,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.replay import ReplayEngine
-from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner
-from repro.train.session import TrainingRunConfig, build_cluster
+from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
+from repro.train.session import TrainingRunConfig
 
 MODELS = [("mlp", {"hidden_dim": 32}, "two_cluster", 16),
           ("paper_mlp", {}, "two_cluster", 32),
@@ -51,10 +53,9 @@ def test_replayed_timestamps_are_monotone_per_rank(seed):
         config = sample_config(rng)
         template = engine.template_for(config)
         assert template is not None, config
-        cluster = build_cluster(config)
-        times, _ = template._resolve_times(
-            cluster.device, template._host_dispatch_ns(config), cluster)
-        for rank, absolute in zip(template.ranks, times):
+        times, _, _ = template._price_times([config])
+        for rank, absolute in zip(template.ranks,
+                                  template._rank_times(times[0])):
             assert absolute.size == rank.tape_kind.size + 1
             assert np.all(np.diff(absolute) >= 0)
             if rank.event_tape_pos.size:
@@ -138,6 +139,37 @@ def test_batched_repricing_matches_scalar_replay(seed):
     for one, many in zip(scalar, batched):
         assert one is not None and many is not None
         one, many = one.to_dict(), many.to_dict()
+        one.pop("wall_time_s"), many.pop("wall_time_s")
+        assert one == many
+
+
+multi_rank_pricing_points = st.fixed_dictionaries({
+    "device_spec": st.sampled_from(DEVICE_SPECS),
+    "interconnect": st.sampled_from(INTERCONNECTS),
+    "allreduce_algorithm": st.sampled_from(["ring", "naive"]),
+    "host_dispatch_overhead_ns": st.one_of(st.none(),
+                                           st.integers(0, 50_000)),
+})
+
+
+@settings(max_examples=15, deadline=None)
+@given(structure=st.sampled_from([(2, 16), (2, 17), (3, 16), (4, 18)]),
+       dtype=st.sampled_from(["float32", "float16"]),
+       points=st.lists(multi_rank_pricing_points, min_size=1, max_size=5))
+def test_multi_rank_batches_match_fresh_simulation(structure, dtype, points):
+    """Any multi-rank pricing grid (even and uneven shards) priced in one
+    batch equals fresh symbolic simulation, row for row."""
+    n_devices, batch_size = structure
+    scenarios = [Scenario(config=TrainingRunConfig(
+        model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
+        batch_size=batch_size, iterations=2, n_devices=n_devices, dtype=dtype,
+        execution_mode="symbolic", seed=5, **point)) for point in points]
+    engine = ReplayEngine()
+    batched = engine.price_batch(
+        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    assert engine.templates_compiled == 1 and engine.fallback_reasons == {}
+    for scenario, result in zip(scenarios, batched):
+        one, many = run_scenario(scenario).to_dict(), result.to_dict()
         one.pop("wall_time_s"), many.pop("wall_time_s")
         assert one == many
 

@@ -332,33 +332,132 @@ def test_price_batch_is_bit_identical_to_fresh_symbolic():
     assert engine.replayed == len(scenarios)
 
 
+def multi_rank_grid():
+    """n_devices {2, 4} x interconnects x allreduce x dtypes x overheads x specs."""
+    return [make_scenario(n_devices=n_devices, batch_size=32,
+                          interconnect=interconnect,
+                          allreduce_algorithm=algorithm, dtype=dtype,
+                          host_dispatch_overhead_ns=overhead, device_spec=spec)
+            for n_devices in (2, 4)
+            for interconnect in ("pcie_gen3", "nvlink2", "ethernet_25g")
+            for algorithm in ("ring", "naive")
+            for dtype in ("float32", "float16")
+            for overhead in (None, 700, 11_000)
+            for spec in ("titan_x_pascal", "ampere_a100_40gb")]
+
+
 def test_price_batch_handles_multi_rank_scenarios():
-    """Sync-carrying (multi-rank) scenarios batch through the scalar fallback
-    inside ``replay_batch`` and stay exact."""
-    scenarios = [make_scenario(n_devices=2, dtype=dtype, **overrides)
-                 for dtype in ("float32", "float16")
-                 for overrides in ({}, {"interconnect": "nvlink2"},
-                                   {"host_dispatch_overhead_ns": 2_000})]
+    """Sync-carrying (multi-rank) scenarios are priced inside the batch —
+    no trace is rebuilt for a policy-free row — and stay exact across every
+    collective pricing axis in one call."""
+    import repro.experiments.replay as replay_module
+
+    scenarios = multi_rank_grid()
     engine = ReplayEngine()
-    batched = engine.price_batch(
-        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_module, "merge_rank_traces",
+                      lambda traces: pytest.fail("a trace was rebuilt"))
+        batched = engine.price_batch(
+            scenarios, [s.resolve_bandwidths() for s in scenarios])
+    assert engine.replayed == len(scenarios) == 144
+    assert engine.templates_compiled == 2 and engine.fallback_reasons == {}
     for scenario, result in zip(scenarios, batched):
         assert comparable(result) == comparable(run_scenario(scenario))
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, dict(CONV), {"n_devices": 2}, dict(CONV, n_devices=2),
+    {"n_devices": 4, "batch_size": 32, "allreduce_algorithm": "naive"},
+], ids=["mlp", "alexnet", "mlp-2dev", "alexnet-2dev", "mlp-4dev-naive"])
+def test_columnar_reduction_equals_the_rebuilt_trace_reduction(overrides):
+    """The batch's columnar reduction against the path it bypasses: the same
+    template, reduced through ``_rebuild_session`` -> ``reduce_session``."""
+    engine = ReplayEngine()
+    for pricing in ({}, {"device_spec": "v100_sxm2_16gb",
+                         "host_dispatch_overhead_ns": 1_300,
+                         "interconnect": "nvlink2"}):
+        scenario = make_scenario(**overrides, **pricing)
+        template = engine.template_for(scenario.config)
+        tables = template._batch_arrays()
+        merged = tables.merged
+        assert merged is not None
+        fast = template.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        tables.merged = None  # no columnar structure: every row rebuilds a trace
+        slow = template.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        tables.merged = merged
+        assert comparable(fast) == comparable(slow)
+
+
+@pytest.mark.parametrize("n_devices,batch_size", [(2, 17), (4, 19)])
+def test_skewed_rank_clocks_replay_exactly(n_devices, batch_size):
+    """An uneven batch shard gives the ranks different tapes, so the merged
+    event order is a real interleaving, not rank-alternating ties."""
+    engine = ReplayEngine()
+    for pricing in ({}, {"host_dispatch_overhead_ns": 300},
+                    {"device_spec": "ampere_a100_40gb",
+                     "interconnect": "ethernet_25g"}):
+        scenario = make_scenario(n_devices=n_devices, batch_size=batch_size,
+                                 model_kwargs={"hidden_dim": 512}, **pricing)
+        assert_replay_exact(engine, scenario)
+        template = engine.template_for(scenario.config)
+        times, _, _ = template._price_times([scenario.config])
+        stamps = [clock[rank.event_tape_pos] for clock, rank
+                  in zip(template._rank_times(times[0]), template.ranks)]
+        # array_split hands the last rank the short shard: it runs ahead,
+        # so its events sort *before* rank 0's (no tie to fall back on).
+        assert np.any(stamps[-1] < stamps[0])
     assert engine.templates_compiled == 1
 
 
-def test_sweep_batching_off_matches_batched_dispatch():
-    """``SweepRunner(replay_batching=False)`` (the benchmark baseline) and
-    the batched default produce identical rows and accounting."""
+def test_policy_rows_in_a_mixed_group_take_the_trace_path(monkeypatch):
+    """Policy-free and policy-carrying rows of one structure share a batch:
+    only the policy rows rebuild a trace, and row order is preserved."""
+    import repro.experiments.replay as replay_module
+
+    policies = ["none", "planner", "none", "none", "planner", "none"]
+    scenarios = [make_scenario(swap_policy=policy, n_devices=2,
+                               host_dispatch_overhead_ns=1_000 * (i + 1), **CONV)
+                 for i, policy in enumerate(policies)]
+    merges = []
+    real_merge = replay_module.merge_rank_traces
+    monkeypatch.setattr(replay_module, "merge_rank_traces",
+                        lambda traces: merges.append(1) or real_merge(traces))
+    engine = ReplayEngine()
+    batched = engine.price_batch(
+        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    assert len(merges) == policies.count("planner")
+    assert engine.templates_compiled == 1
+    assert [r.scenario["swap_policy"] for r in batched] == policies
+    for scenario, result in zip(scenarios, batched):
+        assert (result.swap is not None) == (scenario.swap_policy == "planner")
+        assert comparable(result) == comparable(run_scenario(scenario))
+
+
+def test_engine_error_degrades_one_structure_group(monkeypatch, caplog):
+    """A crash while pricing one structure declines that group only — tallied
+    ``engine_error``, traceback logged — and the sweep still converges."""
+    from repro.experiments.replay import TraceTemplate
+
+    real_replay_batch = TraceTemplate.replay_batch
+
+    def flaky(self, scenarios, *args, **kwargs):
+        if scenarios[0].config.dtype == "float16":
+            raise RuntimeError("boom")
+        return real_replay_batch(self, scenarios, *args, **kwargs)
+
+    monkeypatch.setattr(TraceTemplate, "replay_batch", flaky)
     grid = replay_grid(dtypes=("float32", "float16"))
-    batched = SweepRunner().run(grid)
-    scalar = SweepRunner(replay_batching=False).run(grid)
-    assert len(batched.results) == len(scalar.results) == 8
-    assert batched.replayed == scalar.replayed == 8
-    assert batched.templates_compiled == scalar.templates_compiled == 1
-    assert batched.template_variants == scalar.template_variants == 2
-    for one, many in zip(scalar.results, batched.results):
-        assert comparable(one) == comparable(many)
+    with caplog.at_level("WARNING", logger="repro.experiments.replay"):
+        result = SweepRunner().run(grid)
+    assert len(result.results) == 8 and not result.failures
+    assert result.replayed == 4
+    assert result.replay_fallbacks == {"engine_error": 4}
+    record, = [r for r in caplog.records if "replay engine failed" in r.message]
+    assert record.exc_info is not None and "boom" in str(record.exc_info[1])
+    symbolic = SweepRunner().run(replay_grid(execution_mode="symbolic",
+                                             dtypes=("float32", "float16")))
+    for fresh, row in zip(symbolic.results, result.results):
+        assert comparable(row) == comparable(fresh)
 
 
 # -- dtype-generalized template families ----------------------------------------------
