@@ -11,10 +11,10 @@ test:
 bench:
 	$(PYTHON) bench/run.py --seed 100 --rounds 10
 
-# One short round of the two replay-pricing workloads plus the harness's own
-# tests (the CI smoke job).
+# One short round of the replay-pricing workload and both sides of the
+# persistence layer (write, read) plus the harness's own tests (the CI smoke job).
 bench-smoke:
-	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only replay_price,cache_write
+	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only replay_price,cache_write,cache_read
 	$(PYTHON) -m pytest bench/tests -q
 
 # The qualitative paper-claim benchmark suite (pytest-based, seconds-scale).
@@ -36,7 +36,7 @@ sweep-smoke:
 # engine under every executable policy and prints measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
-		--swap off,planner,swap_advisor,zero_offload,lru --no-cache
+		--swap off,planner,swap_advisor,zero_offload,lru,unified --no-cache
 
 # Feasibility-frontier smoke (the CI frontier-smoke leg): the unified
 # keep/swap/recompute policy plus the capacity governor on a tiny capacity

@@ -20,7 +20,7 @@ from repro.units import KIB, MIB
 
 @pytest.mark.benchmark(group="micro-allocator")
 def test_caching_allocator_alloc_free_throughput(benchmark):
-    device = Device(titan_x_pascal(), execution_mode="virtual")
+    device = Device(titan_x_pascal(), execution_mode="symbolic")
 
     def alloc_free_cycle():
         blocks = [device.allocate((i % 64 + 1) * 4 * KIB) for i in range(256)]
@@ -35,7 +35,7 @@ def test_caching_allocator_alloc_free_throughput(benchmark):
 def test_profiling_overhead_per_training_iteration(benchmark):
     """One profiled virtual training iteration of the small MLP."""
     config = small_mlp_config(batch_size=64, iterations=1, hidden_dim=256)
-    config.execution_mode = "virtual"
+    config.execution_mode = "symbolic"
 
     result = benchmark.pedantic(run_training_session, args=(config,), rounds=3, iterations=1)
     assert len(result.trace) > 0
@@ -46,7 +46,7 @@ def test_profiling_overhead_per_training_iteration(benchmark):
 def test_ati_analysis_speed_on_large_trace(benchmark):
     """ATI extraction over a multi-thousand-event trace."""
     config = small_mlp_config(batch_size=64, iterations=20, hidden_dim=256)
-    config.execution_mode = "virtual"
+    config.execution_mode = "symbolic"
     trace = run_training_session(config).trace
 
     intervals = benchmark(compute_access_intervals, trace)

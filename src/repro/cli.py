@@ -64,10 +64,10 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--iterations", type=int, default=5)
     profile.add_argument("--execution", "--execution-mode", dest="execution_mode",
                          default="symbolic",
-                         choices=("eager", "symbolic", "virtual"),
+                         choices=("eager", "symbolic"),
                          help="eager computes real values; symbolic (the "
-                              "default, legacy name: virtual) skips the "
-                              "numerics but records identical events/timing")
+                              "default) skips the numerics but records "
+                              "identical events/timing")
     profile.add_argument("--device", default="titan_x_pascal", choices=sorted(DEVICE_PRESETS))
     profile.add_argument("--allocator", default="caching",
                          choices=("caching", "best_fit", "bump"))
@@ -148,10 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=sorted(DATASET_PRESETS))
     sweep.add_argument("--execution", "--execution-mode", dest="execution_mode",
                        default="symbolic",
-                       choices=("eager", "symbolic", "virtual", "replay"),
+                       choices=("eager", "symbolic", "replay"),
                        help="eager computes real values; symbolic (the "
-                            "default, legacy name: virtual) skips the "
-                            "numerics but records identical events/timing; "
+                            "default) skips the numerics but records "
+                            "identical events/timing; "
                             "replay compiles each structure once and "
                             "re-prices the grid from trace templates "
                             "(bit-identical to symbolic)")

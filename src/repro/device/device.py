@@ -30,10 +30,9 @@ from .spec import DeviceSpec, titan_x_pascal
 from .stream import Stream
 from .timing import KernelCost, KernelTimingModel
 
-#: Execution modes supported by the tensor library on this device.
-#: ``"symbolic"`` runs shape/behavior-only kernels; ``"virtual"`` is the
-#: legacy name of the same mode and stays accepted for back-compat.
-EXECUTION_MODES = ("eager", "symbolic", "virtual")
+#: Execution modes supported by the tensor library on this device
+#: (``"symbolic"`` runs shape/behavior-only kernels).
+EXECUTION_MODES = ("eager", "symbolic")
 
 
 class Device:
@@ -48,9 +47,9 @@ class Device:
         or ``"bump"``).
     execution_mode:
         ``"eager"`` runs every kernel numerically on NumPy buffers (correct
-        values, practical only for small models); ``"symbolic"`` (legacy
-        name ``"virtual"``) skips the arithmetic — tensors carry shape,
-        dtype and category but no data buffer — while performing identical
+        values, practical only for small models); ``"symbolic"`` skips the
+        arithmetic — tensors carry shape, dtype and category but no data
+        buffer — while performing identical
         allocations, accesses and timing-model costs.  Memory behavior is
         shape-dependent, not value-dependent, so the recorded traces are
         event-identical (the equivalence suite pins this), and symbolic mode
@@ -168,8 +167,8 @@ class Device:
 
     @property
     def is_symbolic(self) -> bool:
-        """Whether kernels are shape/behavior-only (``symbolic`` or legacy ``virtual``)."""
-        return self.execution_mode in ("symbolic", "virtual")
+        """Whether kernels are shape/behavior-only (``symbolic`` mode)."""
+        return self.execution_mode == "symbolic"
 
     def run_kernel(self, cost: KernelCost) -> int:
         """Account for the execution of one kernel; returns its duration in ns."""

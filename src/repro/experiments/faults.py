@@ -32,9 +32,9 @@ Hooks
 (``fault_plan=``) or loads one from the file named by the
 :data:`FAULT_PLAN_ENV` environment variable; the CLI exposes
 ``repro sweep --fault-plan plan.json`` and ``--chaos-seed N`` (a seeded
-plan over the expanded grid).  :class:`~repro.experiments.template_store.TemplateStore`
-accepts a plan for the ``template_corrupt`` kind.  With no plan configured
-every hook is a no-op costing one ``None`` check.
+plan over the expanded grid).  Storage faults fire from the one post-publish
+hook, :meth:`~repro.experiments.artifacts.ArtifactStore.inject_fault`.  With
+no plan configured every hook is a no-op costing one ``None`` check.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ Layout
 of the sorted scenario keys (plus the result-schema version), so the same
 grid — however it was expanded, whatever order — resumes from the same
 journal, and two different grids never collide.  Every record is flushed
-with the same pid-unique-temp + ``os.replace`` discipline as the
-:class:`~repro.experiments.template_store.TemplateStore` manifest, so an
-interrupt at any instant leaves a valid journal describing a prefix of the
-run.
+through the :class:`~repro.experiments.artifacts.ArtifactStore` of the
+``journals/`` directory (atomic publish), so an interrupt at any instant
+leaves a valid journal describing a prefix of the run; an unparseable
+journal is quarantined there and the run starts from an empty one.
 
 Semantics on ``--resume``
 -------------------------
@@ -33,10 +33,10 @@ Semantics on ``--resume``
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
+
+from .artifacts import ArtifactStore, as_store
 
 #: Subdirectory of the sweep cache holding run journals.
 JOURNALS_DIR = "journals"
@@ -54,55 +54,55 @@ def run_id_for_keys(keys: Sequence[str], schema_version: int) -> str:
     return digest.hexdigest()[:16]
 
 
+def clear_journals(cache: ArtifactStore) -> int:
+    """Delete every run journal beside the result cache ``cache``; returns how many."""
+    return cache.sub(JOURNALS_DIR).clear("*.json")
+
+
 class RunJournal:
     """Atomic on-disk record of one grid's per-scenario outcomes."""
 
     STATUS_COMPLETED = "completed"
     STATUS_FAILED = "failed"
 
-    def __init__(self, path: Path, run_id: str):
-        self.path = Path(path)
+    def __init__(self, store: ArtifactStore, run_id: str):
+        self.store = store
         self.run_id = run_id
+        self.path = store.root / f"{run_id}.json"
         #: key -> {"status", "attempts", and for failures "reason"/"kind"}.
         self.entries: Dict[str, Dict[str, object]] = {}
 
     @classmethod
-    def for_keys(cls, cache_dir: Path, keys: Sequence[str],
-                 schema_version: int) -> "RunJournal":
+    def for_keys(cls, cache_dir: Union[ArtifactStore, str, Path],
+                 keys: Sequence[str], schema_version: int) -> "RunJournal":
         """The journal for this grid under ``cache_dir`` (loads prior state)."""
-        run_id = run_id_for_keys(keys, schema_version)
-        journal = cls(Path(cache_dir) / JOURNALS_DIR / f"{run_id}.json", run_id)
+        journal = cls(as_store(cache_dir).sub(JOURNALS_DIR),
+                      run_id_for_keys(keys, schema_version))
         journal.load()
         return journal
 
     # -- persistence -------------------------------------------------------------------
 
+    def _parse(self, raw: dict) -> Optional[Dict[str, Dict[str, object]]]:
+        if raw.get("schema") != JOURNAL_SCHEMA_VERSION:
+            return None  # stale layout: start empty, nothing to quarantine
+        if raw.get("run_id") != self.run_id:
+            raise ValueError("journal run-id mismatch")
+        return {str(k): dict(v) for k, v in raw["entries"].items()}
+
     def load(self) -> "RunJournal":
-        """Read prior entries (corrupt/stale journals degrade to empty)."""
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-            if raw.get("schema") != JOURNAL_SCHEMA_VERSION:
-                raise ValueError("stale journal schema")
-            if raw.get("run_id") != self.run_id:
-                raise ValueError("journal run-id mismatch")
-            entries = raw.get("entries")
-            if not isinstance(entries, dict):
-                raise ValueError("malformed journal")
-            self.entries = {str(k): dict(v) for k, v in entries.items()}
-        except Exception:
-            self.entries = {}
+        """Read prior entries (stale → empty; corrupt → quarantined, empty)."""
+        self.entries = self.store.read_json(self.path.name, "journal_corrupt",
+                                            self._parse) or {}
         return self
 
     def flush(self) -> None:
-        """Atomically publish the journal (pid-unique temp + ``os.replace``)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps({
+        """Atomically publish the journal through the artifact store."""
+        self.store.publish_json(self.path.name, {
             "schema": JOURNAL_SCHEMA_VERSION,
             "run_id": self.run_id,
             "entries": self.entries,
-        }, indent=2, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self.path)
+        }, pretty=True)
 
     # -- recording ---------------------------------------------------------------------
 

@@ -76,9 +76,8 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -110,6 +109,7 @@ from ..train.session import (
     run_training_session,
 )
 from ..train.trainer import IterationStats
+from .artifacts import ArtifactStore
 
 logger = logging.getLogger(__name__)
 
@@ -158,10 +158,9 @@ def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     """Canonical JSON-friendly *structural* identity of a training config.
 
     Everything that shapes the event stream stays; the pricing axes
-    (:data:`PRICING_FIELDS`) are dropped, the generalized axes
+    (:data:`PRICING_FIELDS`) are dropped, and so are the generalized axes
     (:data:`GENERALIZED_FIELDS` — served by per-value variants within one
-    :class:`TemplateFamily`) are dropped, and the legacy ``"virtual"``
-    execution mode is normalized to its synonym ``"symbolic"``.
+    :class:`TemplateFamily`).
     """
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
@@ -170,8 +169,6 @@ def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     for name in PRICING_FIELDS + GENERALIZED_FIELDS:
         structural.pop(name, None)
     structural.pop("host_latency", None)
-    if structural.get("execution_mode") == "virtual":
-        structural["execution_mode"] = "symbolic"
     return {"template_schema": TEMPLATE_SCHEMA_VERSION, "config": structural}
 
 
@@ -1026,7 +1023,7 @@ def check_replay_envelope(config: TrainingRunConfig) -> None:
     if config.host_latency is not None:
         raise TemplateError("host-latency models are not replayable",
                             reason="host_latency")
-    if config.execution_mode not in ("symbolic", "virtual"):
+    if config.execution_mode != "symbolic":
         raise TemplateError("only symbolic runs can be captured",
                             reason="eager_mode")
 
@@ -1042,14 +1039,13 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     """
     check_replay_envelope(config)
     key = template_key(config)
-    compile_config = replace(config, execution_mode="symbolic")
     capture = _TemplateCapture()
     try:
-        session = run_training_session(compile_config, capture=capture)
+        session = run_training_session(config, capture=capture)
     finally:
         capture.detach()
 
-    spec = build_cluster(compile_config).device
+    spec = build_cluster(config).device
     ranks = []
     for profiler, trace, tape in zip(capture.profilers, capture.rank_traces,
                                      capture.tapes):
@@ -1202,11 +1198,11 @@ def save_family(family: TemplateFamily, path: Path) -> None:
     later variant that is byte-identical to the base variant's same-rank
     column is recorded in the header's ``aliased_arrays`` list instead of
     being written again, so a dtype variant costs only its structural delta.
-    The file is written to a pid-unique temp name and published with
-    ``os.replace`` so a parallel reader never sees a torn template.
+    The file is published atomically through the directory's
+    :class:`~repro.experiments.artifacts.ArtifactStore`, so a parallel
+    reader never sees a torn template.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     arrays: Dict[str, np.ndarray] = {}
     variant_items = sorted((dtype, template)
                            for dtype, template in family.variants.items()
@@ -1244,13 +1240,12 @@ def save_family(family: TemplateFamily, path: Path) -> None:
     }
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
-    try:
-        np.savez(tmp, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+
+    def write(temporary: Path) -> None:
+        with open(temporary, "wb") as handle:  # a handle: savez would append ".npz"
+            np.savez(handle, **arrays)
+
+    ArtifactStore(path.parent).publish(path.name, write)
 
 
 def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamily]:
@@ -1297,27 +1292,6 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
         return None
 
 
-def save_template(template: TraceTemplate, path: Path) -> None:
-    """Persist one template as a single-variant family (compat wrapper)."""
-    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
-
-
-def load_template(path: Path, key: Optional[str] = None,
-                  dtype: Optional[str] = None) -> Optional[TraceTemplate]:
-    """Load one variant from a persisted family (compat wrapper).
-
-    Without ``dtype``, returns the family's base variant; ``None`` on any
-    mismatch, corruption, or absent dtype.
-    """
-    family = load_family(path, key=key)
-    if family is None:
-        return None
-    if dtype is None:
-        captured = family.captured_dtypes()
-        dtype = captured[0] if captured else ""
-    return family.get(dtype)
-
-
 # -- the engine -----------------------------------------------------------------------
 
 
@@ -1334,9 +1308,9 @@ class ReplayEngine:
     """Compile-once / replay-many scenario pricer.
 
     Template *families* (one per dtype-free structural key, holding one
-    captured variant per dtype) are memoized in memory; when
-    ``template_dir`` is set (the sweep runner points it next to its result
-    cache) they are also published through a
+    captured variant per dtype) are memoized in memory; given a ``store``
+    (the sweep runner builds one next to its result cache) they are also
+    published through that
     :class:`~repro.experiments.template_store.TemplateStore` — a JSON
     manifest over content-addressed ``.npz`` files with an LRU bound — so
     later processes skip compilation entirely.  A memoized ``None`` variant
@@ -1348,16 +1322,7 @@ class ReplayEngine:
     tally so fallbacks to fresh simulation are explained, not silent.
     """
 
-    def __init__(self, template_dir: Optional[Path] = None,
-                 store: Optional["TemplateStore"] = None,
-                 max_stored: Optional[int] = None,
-                 fault_plan=None):
-        self.template_dir = Path(template_dir) if template_dir is not None else None
-        if store is None and self.template_dir is not None:
-            from .template_store import TemplateStore
-            kwargs = {} if max_stored is None else {"max_entries": max_stored}
-            store = TemplateStore(self.template_dir, fault_plan=fault_plan,
-                                  **kwargs)
+    def __init__(self, store: Optional["TemplateStore"] = None):
         self.store = store
         self._families: Dict[str, TemplateFamily] = {}
         #: Families that required at least one fresh capture this process
@@ -1427,9 +1392,7 @@ class ReplayEngine:
                 _freeze(config.dataset_kwargs), config.batch_size,
                 config.iterations, config.learning_rate, config.momentum,
                 config.optimizer, config.dtype, config.allocator,
-                "symbolic" if config.execution_mode == "virtual"
-                else config.execution_mode,
-                config.seed, config.n_devices, config.swap,
+                config.execution_mode, config.seed, config.n_devices, config.swap,
                 config.host_latency is None)
 
     def price_batch(self, scenarios: Sequence,

@@ -62,7 +62,11 @@ Cache layout
 canonical JSON of the scenario's configuration plus
 :data:`RESULT_SCHEMA_VERSION`.  Bumping the schema version (or changing any
 config field) invalidates stale entries by construction; nothing is ever
-deleted except by ``repro sweep --clear-cache``.
+deleted except by ``repro sweep --clear-cache``.  Run journals
+(``journals/``) and the template store (``templates/``) are sub-directories;
+every file in the tree is published, read, quarantined (``quarantine/``
+beside it) and cleared by one
+:class:`~repro.experiments.artifacts.ArtifactStore`.
 """
 
 from __future__ import annotations
@@ -91,14 +95,15 @@ from ..errors import (ConfigurationError, InfeasibleScenarioError,
                       ScenarioTimeoutError, SweepFaultError)
 from ..train.session import SessionResult, TrainingRunConfig, run_training_session
 from ..units import MIB
+from .artifacts import ArtifactStore
 from .faults import FaultPlan
-from .journal import RunJournal
+from .journal import RunJournal, clear_journals
 
 #: Version of the cached result schema; bump to invalidate every cache entry.
 #: v2: policies generalized to the baselines registry, dtype axis added.
 #: v3: data-parallel axes (n_devices, interconnect), collective summaries,
 #:     fp32 master weights under half-precision training.
-#: v4: symbolic execution mode is the sweep default (legacy name "virtual"),
+#: v4: symbolic execution mode is the sweep default,
 #:     columnar recorder, per-scenario wall time in the summary table.
 #: v5: closed-loop swap execution (the ``swaps`` axis / ``--swap`` flag):
 #:     scenarios can run the repro.swap engine and results carry the
@@ -662,8 +667,8 @@ class SweepResult:
     failures: List[FailureRecord] = field(default_factory=list)
     #: Transient-failure re-submissions performed under the retry budget.
     retries: int = 0
-    #: Corrupt artifacts moved aside this run, tallied by artifact kind
-    #: (``cache_corrupt`` entries, ``template_corrupt`` stores).
+    #: Corrupt artifacts moved aside this run, by kind (``cache_corrupt``,
+    #: ``template_corrupt``, ``journal_corrupt``, ``manifest_corrupt``).
     quarantined: Dict[str, int] = field(default_factory=dict)
     #: Scenarios skipped because a prior run's journal already recorded
     #: their deterministic failure (``resume=True``).
@@ -726,6 +731,42 @@ class SweepResult:
         return float(sum(result.step_time_s_total for result in self.results))
 
 
+def _parse_cache_entry(data: Dict[str, object]) -> Optional[ScenarioResult]:
+    """A cache entry's result; ``None`` when its schema is stale (a plain miss)."""
+    if data.get("schema_version") != RESULT_SCHEMA_VERSION:
+        return None
+    result = ScenarioResult.from_dict(data["result"])
+    result.from_cache = True
+    return result
+
+
+@dataclass
+class _RunState:
+    """Everything one :meth:`SweepRunner.run` accumulates across its phases."""
+
+    scenarios: List[Scenario]
+    keys: List[str]
+    journal: Optional[RunJournal]
+    results: List[Optional[ScenarioResult]] = field(init=False)
+    #: Outcomes observed per scenario index (the retry budget's meter).
+    attempts: List[int] = field(init=False)
+    #: Terminal failures by scenario index (the failure manifest).
+    failures: Dict[int, FailureRecord] = field(default_factory=dict)
+    retries: int = 0
+    resumed_skipped: int = 0
+    #: The replay phase's ``SweepResult`` counters (empty when it did not run).
+    replay_counts: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.results = [None] * len(self.scenarios)
+        self.attempts = [0] * len(self.scenarios)
+
+    def missing(self) -> List[int]:
+        """Indices with neither a result nor a terminal failure yet, in order."""
+        return [index for index, result in enumerate(self.results)
+                if result is None and index not in self.failures]
+
+
 class SweepRunner:
     """Execute scenario sweeps with caching and optional process parallelism.
 
@@ -766,12 +807,10 @@ class SweepRunner:
         failure is re-raised after the run drains.  When false, failures are
         returned in ``SweepResult.failures`` and the partial results stand.
     resume:
-        Consult the per-grid run journal: scenarios that already failed
+        Consult the per-grid run journal (kept whenever a ``cache_dir`` is
+        configured): scenarios that already failed
         deterministically in a prior run are skipped (resurfaced as
         ``resumed`` failure records) instead of re-executed.
-    journal:
-        Whether to keep the journal at all; ``None`` (default) enables it
-        exactly when a ``cache_dir`` is configured.
     fault_plan:
         A deterministic :class:`~repro.experiments.faults.FaultPlan` to
         inject; ``None`` falls back to the ``REPRO_FAULT_PLAN`` environment
@@ -792,7 +831,6 @@ class SweepRunner:
                  timeout_s: Optional[float] = None,
                  strict: bool = True,
                  resume: bool = False,
-                 journal: Optional[bool] = None,
                  fault_plan: Optional[FaultPlan] = None):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.workers = max(1, int(workers))
@@ -804,13 +842,14 @@ class SweepRunner:
         self.timeout_s = None if timeout_s is None else float(timeout_s)
         self.strict = bool(strict)
         self.resume = bool(resume)
-        self.journal_enabled = (self.cache_dir is not None
-                                if journal is None else bool(journal))
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
+        #: The cache directory's artifact store (journals and templates are
+        #: sub-stores sharing its tallies); ``None`` when caching is off.
+        self._artifacts = (ArtifactStore(self.cache_dir, self.fault_plan)
+                           if self.cache_dir is not None else None)
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_finalizer = None
         self._replay_engine = None  # lazy ReplayEngine (replay scenarios only)
-        self._cache_quarantined = 0  # corrupt cache entries moved aside
-        self._cache_io_errors = 0    # cache writes that failed (tallied, not fatal)
 
     # -- worker pool ------------------------------------------------------------------
 
@@ -831,9 +870,7 @@ class SweepRunner:
     def close(self) -> None:
         """Shut down the reusable worker pool (idempotent)."""
         if self._pool is not None:
-            finalizer = getattr(self, "_pool_finalizer", None)
-            if finalizer is not None:
-                finalizer.detach()
+            self._pool_finalizer.detach()
             self._pool.shutdown(wait=True)
             self._pool = None
 
@@ -847,9 +884,7 @@ class SweepRunner:
         """
         if self._pool is None:
             return
-        finalizer = getattr(self, "_pool_finalizer", None)
-        if finalizer is not None:
-            finalizer.detach()
+        self._pool_finalizer.detach()
         processes = getattr(self._pool, "_processes", None) or {}
         for process in list(processes.values()):
             try:
@@ -865,8 +900,8 @@ class SweepRunner:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
 
-    def _chunks(self, missing: List[Tuple[int, "Scenario"]]) -> List[List[Tuple[int, "Scenario"]]]:
-        """Split the uncached scenarios into per-task chunks (expansion order)."""
+    def _chunks(self, missing: List[int]) -> List[List[int]]:
+        """Split the pending scenario indices into per-task chunks (in order)."""
         if self.chunk_size is not None:
             size = max(1, int(self.chunk_size))
         else:
@@ -877,33 +912,6 @@ class SweepRunner:
 
     # -- cache ------------------------------------------------------------------------
 
-    def _cache_path(self, scenario: Scenario,
-                    key: Optional[str] = None) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        if key is None:
-            key = scenario.key(self.bandwidths)
-        return self.cache_dir / f"{key}.json"
-
-    def _quarantine_cache_entry(self, path: Path) -> None:
-        """Move a corrupt cache entry into ``<cache_dir>/quarantine/``.
-
-        Keeping the bad bytes (instead of silently recomputing over them)
-        preserves the evidence for post-mortem and guarantees a torn write
-        can never be half-parsed twice.  Falls back to unlinking when even
-        the move fails.
-        """
-        try:
-            quarantine = path.parent / "quarantine"
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self._cache_quarantined += 1
-
     def cache_load(self, scenario: Scenario,
                    key: Optional[str] = None) -> Optional[ScenarioResult]:
         """Load one scenario's cached result (None on miss or corrupt entry).
@@ -912,100 +920,63 @@ class SweepRunner:
         (:meth:`run` hashes every scenario exactly once).
 
         A schema-version mismatch is a legitimate invalidation (the entry is
-        simply ignored); an *unparseable* entry is corruption — it is moved
-        into the quarantine directory and tallied as ``cache_corrupt`` in
-        :attr:`SweepResult.quarantined` before the miss is reported.
+        simply ignored); an *unparseable* entry is corruption — the artifact
+        store quarantines it and tallies ``cache_corrupt`` (surfaced in
+        :attr:`SweepResult.quarantined`) before the miss is reported.
         """
-        path = self._cache_path(scenario, key)
-        if path is None or not path.is_file():
+        if self._artifacts is None:
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            if data.get("schema_version") != RESULT_SCHEMA_VERSION:
-                return None
-            result = ScenarioResult.from_dict(data["result"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._quarantine_cache_entry(path)
-            return None  # treated as a miss; a fresh result is rewritten
-        except OSError:
-            self._cache_io_errors += 1
-            return None
-        result.from_cache = True
-        return result
+        if key is None:
+            key = scenario.key(self.bandwidths)
+        return self._artifacts.read_json(f"{key}.json", "cache_corrupt",
+                                         _parse_cache_entry)
 
     def cache_store(self, scenario: Scenario, result: ScenarioResult,
                     key: Optional[str] = None) -> None:
-        """Write one scenario result to the cache (atomic rename).
+        """Write one scenario result to the cache (atomic publish).
 
-        A failed write is tallied (``io_error``) but never fatal: losing a
-        cache entry only costs recomputation next run, while aborting the
-        sweep would discard finished work.
+        A failed write is tallied on the artifact store but never fatal:
+        losing a cache entry only costs recomputation next run, while
+        aborting the sweep would discard finished work.
         """
-        path = self._cache_path(scenario, key)
-        if path is None:
+        if self._artifacts is None:
             return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = {
+        if key is None:
+            key = scenario.key(self.bandwidths)
+        name = f"{key}.json"
+        if self._artifacts.publish_json(name, {
                 "schema_version": RESULT_SCHEMA_VERSION,
                 "fingerprint": scenario.fingerprint(self.bandwidths),
-                "result": result.to_dict(),
-            }
-            temporary = path.with_suffix(".tmp")
-            with open(temporary, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(temporary, path)
-        except OSError:
-            self._cache_io_errors += 1
-            return
-        if self.fault_plan is not None:
-            self.fault_plan.corrupt_artifact("cache_corrupt", path.stem, path)
+                "result": result.to_dict()}) is not None:
+            self._artifacts.inject_fault("cache_corrupt", name)
 
     def clear_cache(self) -> int:
-        """Delete every cache entry; returns the number of files removed.
+        """Delete every cache entry; returns the number of results removed.
 
-        Run journals and quarantined artifacts are wiped along with the
-        entries they describe, but are *not* counted: the return value is
-        the number of results invalidated, the contract callers display.
+        Run journals, the template store and quarantined artifacts are wiped
+        along with the entries they describe, but are *not* counted: callers
+        display the number of results invalidated.
         """
-        if self.cache_dir is None or not self.cache_dir.is_dir():
+        if self._artifacts is None:
             return 0
-        removed = 0
-        for path in self.cache_dir.glob("*.json"):
-            path.unlink()
-            removed += 1
-        for path in (self.cache_dir / "templates").glob("*.npz"):
-            path.unlink()
-            removed += 1
-        index_path = self.cache_dir / "templates" / "index.json"
-        if index_path.is_file():
-            index_path.unlink()
-            removed += 1
-        for side_dir in ("journals", "quarantine"):
-            directory = self.cache_dir / side_dir
-            if directory.is_dir():
-                for path in directory.iterdir():
-                    if path.is_file():
-                        path.unlink()
-        quarantine = self.cache_dir / "templates" / "quarantine"
-        if quarantine.is_dir():
-            for path in quarantine.iterdir():
-                if path.is_file():
-                    path.unlink()
-        return removed
+        clear_journals(self._artifacts)
+        self._template_store().clear()
+        return self._artifacts.clear("*.json")
 
     # -- replay -----------------------------------------------------------------------
 
+    def _template_store(self):
+        """The template store beside the result cache (``None`` without one)."""
+        if self._artifacts is None:
+            return None
+        from .template_store import TEMPLATES_DIR, TemplateStore
+        return TemplateStore(self._artifacts.sub(TEMPLATES_DIR))
+
     def _ensure_replay_engine(self):
-        """The lazily-built template-replay engine (persists templates next to
-        the result cache when one is configured)."""
+        """The lazily-built replay engine (persists templates beside the cache)."""
         if self._replay_engine is None:
             from .replay import ReplayEngine
-            template_dir = (self.cache_dir / "templates"
-                            if self.cache_dir is not None else None)
-            self._replay_engine = ReplayEngine(template_dir=template_dir,
-                                               fault_plan=self.fault_plan)
+            self._replay_engine = ReplayEngine(store=self._template_store())
         return self._replay_engine
 
     # -- execution --------------------------------------------------------------------
@@ -1013,153 +984,128 @@ class SweepRunner:
     def run(self, grid_or_scenarios: Union[SweepGrid, Sequence[Scenario]]) -> SweepResult:
         """Run every scenario (cache-first), preserving expansion order.
 
-        The pipeline: cache pass, resume pass (skip prior deterministic
-        failures when ``resume=True``), replay phase, then the retry/timeout
-        execution loop.  Each result is cached and journaled the moment it
-        completes, so an interrupt at any instant loses at most the work in
-        flight.  With ``strict=True`` (the default) the first terminal
-        failure is re-raised after everything drains; otherwise failures are
-        returned in :attr:`SweepResult.failures` next to the partial results.
+        Four phases over one :class:`_RunState`: cache probe, resume skip
+        (prior deterministic failures, when ``resume=True``), replay, then
+        the guarded retry/timeout execution loop.  Each result is cached and
+        journaled the moment it completes, so an interrupt at any instant
+        loses at most the work in flight.  With ``strict=True`` (the default)
+        the first terminal failure is re-raised after everything drains;
+        otherwise failures are returned in :attr:`SweepResult.failures` next
+        to the partial results.
         """
         if isinstance(grid_or_scenarios, SweepGrid):
             scenarios = grid_or_scenarios.expand()
         else:
             scenarios = list(grid_or_scenarios)
         started = time.perf_counter()
-        self._cache_quarantined = 0
-        self._cache_io_errors = 0
 
         keys = [scenario.key(self.bandwidths) for scenario in scenarios]
         journal: Optional[RunJournal] = None
-        if self.journal_enabled and self.cache_dir is not None:
-            journal = RunJournal.for_keys(self.cache_dir, keys,
+        if self._artifacts is not None:
+            self._artifacts.quarantined.clear()  # tallies are per run
+            self._artifacts.io_errors.clear()
+            journal = RunJournal.for_keys(self._artifacts, keys,
                                           RESULT_SCHEMA_VERSION)
             if not self.resume:
                 # A fresh (non-resume) run voids the prior bookkeeping; the
                 # first record flushed rewrites the journal from scratch.
                 journal.entries = {}
+        state = _RunState(scenarios, keys, journal)
 
-        results: List[Optional[ScenarioResult]] = [None] * len(scenarios)
-        failure_records: Dict[int, FailureRecord] = {}
-        resumed_skipped = 0
+        self._probe_cache(state)
+        self._skip_resumed(state)
+        self._replay(state)
+        self._execute(state)
 
-        missing: List[Tuple[int, Scenario]] = []
-        for index, scenario in enumerate(scenarios):
-            cached = (self.cache_load(scenario, keys[index])
-                      if self.use_cache else None)
-            if cached is not None:
-                results[index] = cached
-            else:
-                missing.append((index, scenario))
-
-        if self.resume and journal is not None:
-            # Deterministic failures recorded by a prior run are skipped —
-            # re-running them cannot change the outcome — and resurfaced in
-            # the manifest marked ``resumed``.  Transient failures re-run
-            # with a fresh budget; completed scenarios were already served
-            # by the cache above (data wins over bookkeeping).
-            remaining: List[Tuple[int, Scenario]] = []
-            for index, scenario in missing:
-                prior = journal.deterministic_failure(keys[index])
-                if prior is not None:
-                    reason = str(prior.get("reason", "error"))
-                    failure_records[index] = FailureRecord(
-                        scenario=scenario_identity(scenario),
-                        key=keys[index],
-                        reason=reason,
-                        kind=DETERMINISTIC,
-                        attempts=int(prior.get("attempts", 1)),
-                        error=(f"skipped: a prior run recorded a "
-                               f"deterministic '{reason}' failure"),
-                        resumed=True,
-                    )
-                    resumed_skipped += 1
-                else:
-                    remaining.append((index, scenario))
-            missing = remaining
-
-        replayed = templates_compiled = template_variants = 0
-        replay_fallbacks: Dict[str, int] = {}
-        template_quarantined = 0
-        replay_candidates = [(i, s) for i, s in missing if s.via_replay]
-        if replay_candidates:
-            # Replay runs serially in-process: pricing a scenario from a
-            # memoized template is far cheaper than shipping it to a pool
-            # worker.  The engine groups the scenarios by structure and prices
-            # each group as a single broadcast.  Scenarios it declines (no
-            # template, structure invalid for the target capacity, swap
-            # engine on) stay in ``missing`` and take the ordinary simulation
-            # path below, with the decline reason tallied in
-            # ``replay_fallbacks`` — a group the engine *crashed* on degrades
-            # the same way (reason ``engine_error``, traceback logged).
-            engine = self._ensure_replay_engine()
-            store = getattr(engine, "store", None)
-            quarantined_before = getattr(store, "quarantined", 0)
-            outcomes = engine.price_batch(
-                [scenario for _, scenario in replay_candidates],
-                [scenario.resolve_bandwidths(self.bandwidths)
-                 for _, scenario in replay_candidates],
-                [keys[index] for index, _ in replay_candidates])
-            priced: set = set()
-            for (index, scenario), result in zip(replay_candidates, outcomes):
-                if result is None:
-                    continue
-                results[index] = result
-                self.cache_store(scenario, result, keys[index])
-                if journal is not None:
-                    journal.record_completed(keys[index], 1)
-                priced.add(index)
-            missing = [(i, s) for i, s in missing if i not in priced]
-            replayed = engine.replayed
-            templates_compiled = engine.templates_compiled
-            template_variants = engine.variants_captured
-            replay_fallbacks = dict(engine.fallback_reasons)
-            template_quarantined = (getattr(store, "quarantined", 0)
-                                    - quarantined_before)
-
-        retries_performed = 0
-        if missing:
-            retries_performed = self._execute_missing(
-                missing, keys, results, failure_records, journal)
-
-        failures = [failure_records[index] for index in sorted(failure_records)]
+        failures = [state.failures[index] for index in sorted(state.failures)]
         if self.strict and failures:
             first = failures[0]
             if first.error_obj is not None:
                 raise first.error_obj
             raise ReproError(first.error)
 
-        quarantined: Dict[str, int] = {}
-        if self._cache_quarantined:
-            quarantined["cache_corrupt"] = self._cache_quarantined
-        if template_quarantined:
-            quarantined["template_corrupt"] = template_quarantined
-
-        cache_hits = sum(1 for result in results
+        cache_hits = sum(1 for result in state.results
                          if result is not None and result.from_cache)
         return SweepResult(
-            results=[result for result in results if result is not None],
+            results=[result for result in state.results if result is not None],
             cache_hits=cache_hits,
             cache_misses=len(scenarios) - cache_hits,
             wall_time_s=time.perf_counter() - started,
-            replayed=replayed,
-            templates_compiled=templates_compiled,
-            template_variants=template_variants,
-            replay_fallbacks=replay_fallbacks,
             failures=failures,
-            retries=retries_performed,
-            quarantined=quarantined,
-            resumed_skipped=resumed_skipped,
+            retries=state.retries,
+            quarantined=(dict(self._artifacts.quarantined)
+                         if self._artifacts is not None else {}),
+            resumed_skipped=state.resumed_skipped,
+            **state.replay_counts,
         )
 
-    # -- the retry/timeout execution loop ----------------------------------------------
+    def _probe_cache(self, state: _RunState) -> None:
+        """Phase 1: serve every scenario the result cache already holds."""
+        if not self.use_cache:
+            return
+        for index, scenario in enumerate(state.scenarios):
+            state.results[index] = self.cache_load(scenario, state.keys[index])
 
-    def _execute_missing(self, missing: List[Tuple[int, Scenario]],
-                         keys: List[str],
-                         results: List[Optional[ScenarioResult]],
-                         failure_records: Dict[int, FailureRecord],
-                         journal: Optional[RunJournal]) -> int:
-        """Run the uncached scenarios under the retry policy; returns retries.
+    def _skip_resumed(self, state: _RunState) -> None:
+        """Phase 2 (``resume=True``): skip prior deterministic failures.
+
+        Re-running them cannot change the outcome, so they are resurfaced in
+        the manifest marked ``resumed``.  Transient failures re-run with a
+        fresh budget; completed scenarios were already served by the cache
+        probe (data wins over bookkeeping).
+        """
+        if not self.resume or state.journal is None:
+            return
+        for index in state.missing():
+            prior = state.journal.deterministic_failure(state.keys[index])
+            if prior is None:
+                continue
+            reason = str(prior.get("reason", "error"))
+            state.failures[index] = FailureRecord(
+                scenario=scenario_identity(state.scenarios[index]),
+                key=state.keys[index],
+                reason=reason,
+                kind=DETERMINISTIC,
+                attempts=int(prior.get("attempts", 1)),
+                error=(f"skipped: a prior run recorded a "
+                       f"deterministic '{reason}' failure"),
+                resumed=True,
+            )
+            state.resumed_skipped += 1
+
+    def _replay(self, state: _RunState) -> None:
+        """Phase 3: price the ``via_replay`` scenarios from trace templates.
+
+        Replay runs serially in-process: pricing a scenario from a memoized
+        template is far cheaper than shipping it to a pool worker.  The
+        engine groups the scenarios by structure and prices each group as a
+        single broadcast.  Scenarios it declines (no template, structure
+        invalid for the target capacity, swap engine on) stay missing and
+        take the ordinary simulation path, with the decline reason tallied
+        in ``replay_fallbacks`` — a group the engine *crashed* on degrades
+        the same way (reason ``engine_error``, traceback logged).
+        """
+        candidates = [index for index in state.missing()
+                      if state.scenarios[index].via_replay]
+        if not candidates:
+            return
+        engine = self._ensure_replay_engine()
+        outcomes = engine.price_batch(
+            [state.scenarios[index] for index in candidates],
+            [state.scenarios[index].resolve_bandwidths(self.bandwidths)
+             for index in candidates],
+            [state.keys[index] for index in candidates])
+        for index, result in zip(candidates, outcomes):
+            if result is not None:
+                self._record_success(state, index, result)
+        state.replay_counts = dict(
+            replayed=engine.replayed,
+            templates_compiled=engine.templates_compiled,
+            template_variants=engine.variants_captured,
+            replay_fallbacks=dict(engine.fallback_reasons))
+
+    def _execute(self, state: _RunState) -> None:
+        """Phase 4: run what is still missing under the retry policy.
 
         Scenarios execute in rounds: every pending scenario is submitted,
         outcomes are classified, transient failures within budget re-enter
@@ -1170,151 +1116,123 @@ class SweepRunner:
         both bounds the loop (the culprit's budget drains) and never charges
         an innocent scenario for its neighbor's crash.
         """
-        attempts: Dict[int, int] = {index: 0 for index, _ in missing}
-        pending = list(missing)
-        retries_performed = 0
         round_number = 0
+        pending = state.missing()
         while pending:
             if round_number > 0 and self.backoff_s > 0:
                 time.sleep(self.backoff_s * (2 ** (round_number - 1)))
-            failures = self._run_round(pending, keys, attempts, results, journal)
+            run_round = (self._run_pool_round
+                         if self.workers > 1 and len(pending) > 1
+                         else self._run_serial_round)
+            errors = run_round(state, pending)
             round_number += 1
-            next_pending: List[Tuple[int, Scenario]] = []
-            for index, scenario in pending:
-                if results[index] is not None:
+            for index in pending:
+                if state.results[index] is not None:
                     continue  # persisted by the round the moment it finished
-                outcome = failures.get(index)
+                outcome = errors.get(index)
                 if outcome is None:
                     # Never actually ran this round (unsubmitted when the
                     # pool died): re-enter without consuming an attempt.
-                    next_pending.append((index, scenario))
                     continue
-                attempts[index] += 1
+                state.attempts[index] += 1
                 error, trace_text = outcome
                 reason, kind = classify_failure(error)
-                if kind == TRANSIENT and attempts[index] <= self.retries:
-                    retries_performed += 1
-                    next_pending.append((index, scenario))
+                if kind == TRANSIENT and state.attempts[index] <= self.retries:
+                    state.retries += 1
                     continue
-                failure_records[index] = FailureRecord(
-                    scenario=scenario_identity(scenario),
-                    key=keys[index],
+                state.failures[index] = FailureRecord(
+                    scenario=scenario_identity(state.scenarios[index]),
+                    key=state.keys[index],
                     reason=reason,
                     kind=kind,
-                    attempts=attempts[index],
+                    attempts=state.attempts[index],
                     error=str(error),
                     traceback=trace_text,
                     error_obj=error,
                 )
-                if journal is not None:
-                    journal.record_failed(keys[index], reason, kind,
-                                          attempts[index])
-            pending = next_pending
-        return retries_performed
+                if state.journal is not None:
+                    state.journal.record_failed(state.keys[index], reason, kind,
+                                                state.attempts[index])
+            pending = state.missing()
 
-    def _record_success(self, index: int, scenario: Scenario, key: str,
-                        result: ScenarioResult,
-                        results: List[Optional[ScenarioResult]],
-                        attempts: Dict[int, int],
-                        journal: Optional[RunJournal]) -> None:
+    def _record_success(self, state: _RunState, index: int,
+                        result: ScenarioResult) -> None:
         """Persist one completed scenario *immediately* (crash safety).
 
         Caching and journaling happen the moment the result lands in the
         parent, not at end-of-round: an interrupt a millisecond later loses
         nothing that already finished.
         """
-        attempts[index] += 1
-        results[index] = result
-        self.cache_store(scenario, result, key)
-        if journal is not None:
-            journal.record_completed(key, attempts[index])
+        state.attempts[index] += 1
+        state.results[index] = result
+        self.cache_store(state.scenarios[index], result, state.keys[index])
+        if state.journal is not None:
+            state.journal.record_completed(state.keys[index],
+                                           state.attempts[index])
 
-    def _run_round(self, pending: List[Tuple[int, Scenario]],
-                   keys: List[str], attempts: Dict[int, int],
-                   results: List[Optional[ScenarioResult]],
-                   journal: Optional[RunJournal]) -> Dict[int, Tuple[BaseException, str]]:
-        """One submission round over the pending scenarios.
-
-        Successes are persisted in place (``results``/cache/journal) as they
-        complete; the return value maps the failed indices to their
-        ``(error, traceback_text)``.  An index with neither a result nor a
-        failure was not executed this round (the pool died before its chunk
-        was submitted) and must not be charged an attempt.
-        """
-        failures: Dict[int, Tuple[BaseException, str]] = {}
-        if self.workers > 1 and len(pending) > 1:
-            self._run_pool_round(pending, keys, attempts, results, journal,
-                                 failures)
-        else:
-            self._run_serial_round(pending, keys, attempts, results, journal,
-                                   failures)
-        return failures
-
-    def _run_serial_round(self, pending: List[Tuple[int, Scenario]],
-                          keys: List[str], attempts: Dict[int, int],
-                          results: List[Optional[ScenarioResult]],
-                          journal: Optional[RunJournal],
-                          failures: Dict[int, Tuple[BaseException, str]]) -> None:
+    def _run_serial_round(self, state: _RunState,
+                          pending: List[int]) -> Dict[int, Tuple[BaseException, str]]:
         """Serial in-process round (``workers == 1`` or a single scenario).
 
-        The per-scenario deadline is checked *post hoc*: a pure in-process
+        Successes are persisted in place as they complete; the return value
+        maps the failed indices to their ``(error, traceback_text)``.  The
+        per-scenario deadline is checked *post hoc*: a pure in-process
         simulation cannot be preempted, so an overdue scenario's result is
         discarded and replaced with a :class:`ScenarioTimeoutError` — the
         same outcome the pool path produces by killing the worker.
         ``KeyboardInterrupt`` propagates (the journal already holds every
         finished scenario, so Ctrl-C is resumable by construction).
         """
-        for index, scenario in pending:
+        errors: Dict[int, Tuple[BaseException, str]] = {}
+        for index in pending:
+            key = state.keys[index]
             scenario_started = time.perf_counter()
             try:
                 if self.fault_plan is not None:
-                    self.fault_plan.fire_execution(keys[index], attempts[index],
+                    self.fault_plan.fire_execution(key, state.attempts[index],
                                                    in_worker=False)
-                result = run_scenario(scenario, bandwidths=self.bandwidths)
+                result = run_scenario(state.scenarios[index],
+                                      bandwidths=self.bandwidths)
                 elapsed = time.perf_counter() - scenario_started
                 if self.timeout_s is not None and elapsed > self.timeout_s:
-                    raise ScenarioTimeoutError(keys[index], elapsed,
-                                               self.timeout_s)
-            except KeyboardInterrupt:
-                raise
-            except Exception as error:
-                failures[index] = (error, traceback_module.format_exc())
+                    raise ScenarioTimeoutError(key, elapsed, self.timeout_s)
+            except Exception as error:  # not KeyboardInterrupt: see above
+                errors[index] = (error, traceback_module.format_exc())
                 continue
-            self._record_success(index, scenario, keys[index], result,
-                                 results, attempts, journal)
+            self._record_success(state, index, result)
+        return errors
 
-    def _run_pool_round(self, pending: List[Tuple[int, Scenario]],
-                        keys: List[str], attempts: Dict[int, int],
-                        results: List[Optional[ScenarioResult]],
-                        journal: Optional[RunJournal],
-                        failures: Dict[int, Tuple[BaseException, str]]) -> None:
-        """Parallel round over the process pool.
+    def _run_pool_round(self, state: _RunState,
+                        pending: List[int]) -> Dict[int, Tuple[BaseException, str]]:
+        """Parallel round over the process pool (same contract as the serial one).
 
-        Without a deadline this is one shot of chunked submission.  With
-        ``timeout_s`` set, chunks shrink to a single scenario (the unit a
+        An index left with neither a result nor an error was not executed
+        (the pool died before its chunk was submitted) and is not charged an
+        attempt.  Without a deadline this is one shot of chunked submission.
+        With ``timeout_s`` set, chunks shrink to a single scenario (the unit a
         deadline can kill), submission is windowed to the worker count so
         every in-flight task's clock starts when it is actually submitted,
         and an overdue task terminates the whole pool (``os.kill`` is the
         only way to preempt a wedged worker) — innocent in-flight scenarios
         are simply not charged and re-run next round on a fresh pool.
         """
+        errors: Dict[int, Tuple[BaseException, str]] = {}
         pool = self._ensure_pool()
         timeout = self.timeout_s
         if timeout is not None:
-            chunks = [[entry] for entry in pending]
+            queue = [[index] for index in pending]
         else:
-            chunks = self._chunks(pending)
-        queue = list(chunks)
-        in_flight: Dict[object, Tuple[List[Tuple[int, Scenario]], float]] = {}
+            queue = self._chunks(pending)
+        in_flight: Dict[object, Tuple[List[int], float]] = {}
 
-        def submit(chunk: List[Tuple[int, Scenario]]) -> None:
+        def submit(chunk: List[int]) -> None:
             future = pool.submit(
                 _run_scenario_chunk,
-                [scenario for _, scenario in chunk],
+                [state.scenarios[index] for index in chunk],
                 self.bandwidths,
                 self.fault_plan,
-                [keys[index] for index, _ in chunk],
-                [attempts[index] for index, _ in chunk])
+                [state.keys[index] for index in chunk],
+                [state.attempts[index] for index in chunk])
             in_flight[future] = (chunk, time.perf_counter())
 
         window = self.workers if timeout is not None else len(queue)
@@ -1331,17 +1249,15 @@ class SweepRunner:
                 try:
                     chunk_outcomes = future.result()
                 except Exception as error:  # pool-level failure (worker died)
-                    for index, _ in chunk:
-                        failures[index] = (error, "")
+                    for index in chunk:
+                        errors[index] = (error, "")
                     pool_lost = True
                     continue
-                for (index, scenario), outcome in zip(chunk, chunk_outcomes):
+                for index, outcome in zip(chunk, chunk_outcomes):
                     if isinstance(outcome, _ScenarioFailure):
-                        failures[index] = (outcome.unwrap(), outcome.traceback)
+                        errors[index] = (outcome.unwrap(), outcome.traceback)
                     else:
-                        self._record_success(index, scenario, keys[index],
-                                             outcome, results, attempts,
-                                             journal)
+                        self._record_success(state, index, outcome)
             if pool_lost:
                 # Stop feeding work; drain the remaining in-flight futures
                 # (a broken pool fails them fast).  Unsubmitted chunks keep
@@ -1355,21 +1271,20 @@ class SweepRunner:
                 if overdue:
                     for future in overdue:
                         chunk, submitted_at = in_flight.pop(future)
-                        for index, _ in chunk:
-                            failures[index] = (
-                                ScenarioTimeoutError(keys[index],
+                        for index in chunk:
+                            errors[index] = (
+                                ScenarioTimeoutError(state.keys[index],
                                                      now - submitted_at,
                                                      timeout), "")
                     self._kill_pool()
-                    in_flight.clear()
-                    queue.clear()
-                    return
+                    return errors
             while queue and len(in_flight) < window:
                 submit(queue.pop(0))
         if pool_lost:
             # Dispose of the broken executor so the next round (or the next
             # run()) starts from a fresh pool instead of failing fast.
             self.close()
+        return errors
 
 
 def run_sweep(grid: SweepGrid, cache_dir: Optional[Union[str, Path]] = None,

@@ -5,30 +5,32 @@ by the family's structural key (a content hash of the dtype-free config
 fingerprint).  This module fronts that directory with a small manifest,
 ``index.json``, giving the three properties a shared pool needs:
 
-* **O(1) lookup** — the manifest maps key → file without globbing the
-  directory, and records which dtypes each family has captured so a caller
-  can tell a miss from a family that merely lacks the requested variant.
+* **Inventory** — the manifest maps key → file, size and captured dtypes,
+  so what the pool holds can be read without opening a single archive.
 * **LRU bound** — every publish and load bumps a monotonically increasing
   sequence number; when the pool exceeds ``max_entries`` the
   least-recently-used families are deleted, so long-lived sweep services do
   not grow the template directory without bound.
 * **Atomic publish** — both the ``.npz`` (see
-  :func:`~repro.experiments.replay.save_family`) and the manifest are
-  written to pid-unique temp files and published with ``os.replace``, so
+  :func:`~repro.experiments.replay.save_family`) and the manifest go through
+  the directory's :class:`~repro.experiments.artifacts.ArtifactStore`, so
   parallel sweep workers sharing one cache directory never read a torn
-  file.  The manifest is advisory: :meth:`load` falls back to probing the
+  file, and a corrupt archive or manifest is quarantined, not re-parsed.
+  The manifest is advisory: :meth:`load` falls back to probing the
   directory directly, so a stale or missing index degrades to the pre-index
   behavior instead of hiding templates.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
+from .artifacts import ArtifactStore, as_store
 from .replay import TemplateFamily, load_family, save_family
+
+#: Subdirectory of the sweep cache holding the template store.
+TEMPLATES_DIR = "templates"
 
 #: Manifest file name inside the template directory.
 INDEX_NAME = "index.json"
@@ -41,43 +43,29 @@ STORE_SCHEMA_VERSION = 1
 DEFAULT_MAX_ENTRIES = 64
 
 
-#: Subdirectory holding corrupt ``.npz`` files moved aside by :meth:`TemplateStore.load`.
-QUARANTINE_DIR = "quarantine"
+def _parse_index(raw: dict) -> Optional[dict]:
+    if raw.get("schema") != STORE_SCHEMA_VERSION:
+        return None  # stale layout: rebuilt from the directory as families load
+    if not isinstance(raw["entries"], dict):
+        raise ValueError("malformed manifest")
+    raw["next_seq"] = int(raw.get("next_seq", 0))
+    return raw
 
 
 class TemplateStore:
     """Directory of persisted template families with a manifest index.
 
-    ``fault_plan`` threads the deterministic fault-injection harness in:
-    a ``template_corrupt`` spec overwrites a family's just-published ``.npz``
-    with garbage, exercising the quarantine path the next load takes.
+    ``root`` is the template directory or its artifact store; a store
+    carrying a fault plan threads the deterministic fault-injection harness
+    in: a ``template_corrupt`` spec overwrites a family's just-published
+    ``.npz`` with garbage, exercising the quarantine path the next load takes.
     """
 
-    def __init__(self, root: Path, max_entries: int = DEFAULT_MAX_ENTRIES,
-                 fault_plan=None):
-        self.root = Path(root)
+    def __init__(self, root: Union[ArtifactStore, str, Path],
+                 max_entries: int = DEFAULT_MAX_ENTRIES):
+        self.artifacts = as_store(root)
+        self.root = self.artifacts.root
         self.max_entries = max_entries
-        self.fault_plan = fault_plan
-        #: Corrupt archives moved into ``quarantine/`` by this store instance.
-        self.quarantined = 0
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt archive aside (evidence preserved, never re-parsed)."""
-        try:
-            quarantine = self.root / QUARANTINE_DIR
-            quarantine.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine / path.name)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.quarantined += 1
-
-    @property
-    def index_path(self) -> Path:
-        """Path of the JSON manifest inside the store directory."""
-        return self.root / INDEX_NAME
 
     def path_for(self, key: str) -> Path:
         """Content-addressed archive path for a family key."""
@@ -87,54 +75,23 @@ class TemplateStore:
 
     def read_index(self) -> dict:
         """The manifest, or a fresh empty one when absent/corrupt/stale."""
-        try:
-            raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-            if raw.get("schema") != STORE_SCHEMA_VERSION:
-                raise ValueError("stale manifest schema")
-            if not isinstance(raw.get("entries"), dict):
-                raise ValueError("malformed manifest")
-            raw["next_seq"] = int(raw.get("next_seq", 0))
-            return raw
-        except Exception:
-            return {"schema": STORE_SCHEMA_VERSION, "entries": {}, "next_seq": 0}
-
-    def _write_index(self, index: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / f".{INDEX_NAME}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(index, indent=2, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, self.index_path)
+        return (self.artifacts.read_json(INDEX_NAME, "manifest_corrupt", _parse_index)
+                or {"schema": STORE_SCHEMA_VERSION, "entries": {}, "next_seq": 0})
 
     def _touch(self, index: dict, key: str, entry: Dict) -> None:
         entry["seq"] = index["next_seq"]
         index["next_seq"] += 1
         index["entries"][key] = entry
 
-    # -- lookup / load / publish -------------------------------------------------
-
-    def lookup(self, key: str) -> Optional[Dict]:
-        """The manifest entry for ``key`` (falls back to a directory probe).
-
-        Returns ``None`` when the family is not stored; a probe hit outside
-        the manifest is reported as a minimal entry so callers can still
-        :meth:`load` it.
-        """
-        entry = self.read_index()["entries"].get(key)
-        if entry is not None:
-            return dict(entry)
-        path = self.path_for(key)
-        if path.is_file():
-            return {"file": path.name, "bytes": path.stat().st_size,
-                    "dtypes": [], "seq": -1}
-        return None
+    # -- load / publish ----------------------------------------------------------
 
     def load(self, key: str) -> Optional[TemplateFamily]:
         """Load and LRU-touch the stored family for ``key`` (``None`` on miss).
 
         Corrupt or key-mismatched files are treated as misses so the caller
         recompiles instead of failing — but the bad bytes are *quarantined*
-        (moved into ``quarantine/`` and tallied on :attr:`quarantined`), not
-        silently recompiled over, and the manifest entry is dropped.
+        (tallied as ``template_corrupt`` on the artifact store), not silently
+        recompiled over, and the manifest entry is dropped.
         """
         path = self.path_for(key)
         if not path.is_file():
@@ -142,24 +99,20 @@ class TemplateStore:
         family = load_family(path, key=key)
         index = self.read_index()
         if family is None:
-            self._quarantine(path)
-            if index["entries"].pop(key, None) is not None:
-                self._write_index(index)
-            return None
-        entry = index["entries"].get(key) or self._entry_for(path, family)
-        self._touch(index, key, entry)
-        self._write_index(index)
+            self.artifacts.quarantine(path.name, "template_corrupt")
+            if index["entries"].pop(key, None) is None:
+                return None
+        else:
+            self._touch(index, key,
+                        index["entries"].get(key) or self._entry_for(path, family))
+        self.artifacts.publish_json(INDEX_NAME, index, pretty=True)
         return family
 
     def publish(self, family: TemplateFamily) -> Path:
-        """Atomically persist ``family`` and update the manifest (with LRU).
-
-        Returns the published ``.npz`` path.
-        """
+        """Atomically persist ``family``, update the manifest (LRU); returns the path."""
         path = self.path_for(family.key)
         save_family(family, path)
-        if self.fault_plan is not None:
-            self.fault_plan.corrupt_artifact("template_corrupt", family.key, path)
+        self.artifacts.inject_fault("template_corrupt", path.name)
         index = self.read_index()
         self._touch(index, family.key, self._entry_for(path, family))
         entries = index["entries"]
@@ -170,7 +123,7 @@ class TemplateStore:
                 (self.root / victim_entry.get("file", f"{victim}.npz")).unlink()
             except OSError:
                 pass
-        self._write_index(index)
+        self.artifacts.publish_json(INDEX_NAME, index, pretty=True)
         return path
 
     def _entry_for(self, path: Path, family: TemplateFamily) -> Dict:
@@ -184,3 +137,7 @@ class TemplateStore:
     def keys(self) -> Dict[str, Dict]:
         """All manifest entries (key → entry), for inspection/tests."""
         return dict(self.read_index()["entries"])
+
+    def clear(self) -> int:
+        """Delete every stored family and the manifest; returns how many files."""
+        return self.artifacts.clear("*.npz", INDEX_NAME)

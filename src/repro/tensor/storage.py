@@ -6,7 +6,7 @@ a ``free``, and every kernel that touches the storage reports a ``read`` or
 ``write`` — the four memory behaviors the paper records.
 
 In *eager* execution the storage also owns a NumPy buffer holding the actual
-values; in *symbolic* execution (legacy name: *virtual*) the buffer is
+values; in *symbolic* execution the buffer is
 omitted and only the memory behavior (allocation, accesses, timing) is
 simulated.
 """

@@ -20,7 +20,7 @@ def test_device():
 @pytest.fixture
 def virtual_device():
     """A Titan-X-like device running in virtual (shape-only) mode."""
-    return Device(titan_x_pascal(), execution_mode="virtual")
+    return Device(titan_x_pascal(), execution_mode="symbolic")
 
 
 @pytest.fixture
@@ -69,4 +69,4 @@ def paper_mlp_session():
     from repro.train.session import run_training_session
 
     return run_training_session(paper_mlp_config(batch_size=4096, iterations=5,
-                                                 execution_mode="virtual"))
+                                                 execution_mode="symbolic"))

@@ -52,7 +52,7 @@ def tiny_grid(**overrides):
         allocators=("caching",),
         model_kwargs={"hidden_dim": 32},
         dataset="two_cluster",
-        execution_mode="virtual",
+        execution_mode="symbolic",
     )
     settings.update(overrides)
     return SweepGrid(**settings)
@@ -330,6 +330,21 @@ def test_clear_cache_wipes_journals_without_counting_them(tmp_path):
     removed = runner.clear_cache()
     assert removed == len(scenarios)  # journals not counted
     assert not list((tmp_path / JOURNALS_DIR).glob("*.json"))
+
+    # The template side: archives, the manifest, quarantined files and a
+    # killed writer's orphaned temp are wiped too, and none of them counted.
+    replay = tiny_grid(execution_mode="replay").expand()
+    runner.run(replay)
+    templates = tmp_path / "templates"
+    assert list(templates.glob("*.npz")) and (templates / "index.json").is_file()
+    entry = tmp_path / f"{replay[0].key()}.json"
+    entry.write_text("{ torn", encoding="utf-8")
+    runner.run(replay)  # quarantines the torn entry, rewrites it
+    assert list((tmp_path / "quarantine").iterdir())
+    (tmp_path / f".{entry.name}.4242.tmp").write_text("orphan", encoding="utf-8")
+    assert runner.clear_cache() == len(replay)
+    leftovers = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert leftovers == []
 
 
 # -- quarantine -----------------------------------------------------------------------

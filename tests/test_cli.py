@@ -17,7 +17,7 @@ def test_cli_profile_small_workload(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     exit_code = main([
         "profile", "--model", "mlp", "--dataset", "two_cluster",
-        "--batch-size", "16", "--iterations", "2", "--execution-mode", "virtual",
+        "--batch-size", "16", "--iterations", "2", "--execution-mode", "symbolic",
         "--save-trace", str(trace_path),
     ])
     assert exit_code == 0

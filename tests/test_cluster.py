@@ -197,7 +197,7 @@ def _normalized_events(trace):
 @pytest.mark.parametrize("execution_mode,batch_size,iterations", [
     ("eager", 16, 3),
     ("eager", 32, 2),
-    ("virtual", 64, 4),
+    ("symbolic", 64, 4),
 ])
 def test_device_group_of_one_reproduces_the_single_device_trace(
         execution_mode, batch_size, iterations):
@@ -226,7 +226,7 @@ def test_multi_rank_sweep_smoke_through_the_cache(tmp_path):
 
     grid = SweepGrid(models=("mlp",), model_kwargs={"hidden_dim": 32},
                      batch_sizes=(32,), iterations=(2,), n_devices=(1, 2, 4),
-                     execution_mode="virtual")
+                     execution_mode="symbolic")
     runner = SweepRunner(cache_dir=tmp_path / "sweeps")
     cold = runner.run(grid)
     assert cold.cache_misses == 3 and cold.cache_hits == 0

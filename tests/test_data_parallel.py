@@ -10,7 +10,7 @@ from repro.errors import ConfigurationError
 from repro.train import TrainingRunConfig, run_training_session, shard_batch
 
 
-def _config(n_devices, execution_mode="virtual", batch_size=32, iterations=2,
+def _config(n_devices, execution_mode="symbolic", batch_size=32, iterations=2,
             **overrides):
     return TrainingRunConfig(
         model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=batch_size,

@@ -25,7 +25,7 @@ def small_paper_session():
     from repro.train.session import run_training_session
 
     return run_training_session(paper_mlp_config(batch_size=2048, iterations=4,
-                                                 execution_mode="virtual"))
+                                                 execution_mode="symbolic"))
 
 
 def test_eq1_reproduces_paper_numbers():

@@ -33,7 +33,7 @@ REL = 1e-9
 def golden_session():
     """One shared reduced paper-MLP session (batch 512, 3 virtual iterations)."""
     return run_training_session(paper_mlp_config(batch_size=512, iterations=3,
-                                                 execution_mode="virtual"))
+                                                 execution_mode="symbolic"))
 
 
 def test_fig2_golden_numbers():

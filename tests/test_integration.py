@@ -74,7 +74,7 @@ def test_virtual_and_eager_modes_produce_equivalent_memory_behavior():
     base = dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
                 batch_size=32, iterations=2, seed=0)
     eager = run_training_session(TrainingRunConfig(execution_mode="eager", **base))
-    virtual = run_training_session(TrainingRunConfig(execution_mode="virtual", **base))
+    virtual = run_training_session(TrainingRunConfig(execution_mode="symbolic", **base))
     eager_stream = [(e.kind, e.size, e.category) for e in eager.trace.events]
     virtual_stream = [(e.kind, e.size, e.category) for e in virtual.trace.events]
     assert eager_stream == virtual_stream
@@ -82,7 +82,7 @@ def test_virtual_and_eager_modes_produce_equivalent_memory_behavior():
 
 def test_convnet_session_has_workspace_and_conv_behaviors():
     config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2,
-                               execution_mode="virtual")
+                               execution_mode="symbolic")
     result = run_training_session(config)
     ops = {event.op for event in result.trace.events if event.op}
     assert "conv2d_forward" in ops
@@ -110,7 +110,7 @@ def test_outliers_scale_with_batch_size():
     def largest_idle_block(batch_size):
         config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 2048},
                                    dataset="two_cluster", batch_size=batch_size,
-                                   iterations=3, execution_mode="virtual")
+                                   iterations=3, execution_mode="symbolic")
         result = run_training_session(config)
         intervals = compute_access_intervals(result.trace)
         report = find_outliers(intervals, ati_threshold_ns=1_000_000,

@@ -96,7 +96,7 @@ def test_fp16_session_breakdown_carries_fp32_optimizer_state():
     def run(dtype):
         config = TrainingRunConfig(
             model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
-            iterations=2, dtype=dtype, execution_mode="virtual")
+            iterations=2, dtype=dtype, execution_mode="symbolic")
         return run_training_session(config)
 
     half, full = run("float16"), run("float32")

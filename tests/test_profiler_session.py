@@ -77,7 +77,7 @@ def test_run_training_session_end_to_end_eager():
 
 def test_run_training_session_virtual_adam():
     config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2,
-                               execution_mode="virtual", optimizer="adam")
+                               execution_mode="symbolic", optimizer="adam")
     result = run_training_session(config)
     assert all(loss is None for loss in result.losses())
     assert len(result.trace) > 0

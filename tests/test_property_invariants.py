@@ -17,7 +17,7 @@ from repro.tensor import from_numpy
 
 def run_tiny_training(hidden_dim, batch_size, iterations):
     """Train a tiny MLP in virtual mode and return the trace."""
-    device = Device(small_test_device(1 << 30), execution_mode="virtual")
+    device = Device(small_test_device(1 << 30), execution_mode="symbolic")
     profiler = MemoryProfiler(device)
     with profiler:
         model = MLP(device, hidden_dim=hidden_dim, rng=np.random.default_rng(0))
@@ -107,7 +107,7 @@ def test_invariants_hold_on_shared_sessions(small_mlp_session, paper_mlp_session
                           st.booleans()), min_size=1, max_size=60))
 def test_device_allocation_roundtrip_property(requests):
     """Allocating and freeing arbitrary sizes always returns to zero allocated bytes."""
-    device = Device(small_test_device(1 << 28), execution_mode="virtual")
+    device = Device(small_test_device(1 << 28), execution_mode="symbolic")
     live = []
     for size, free_something in requests:
         if free_something and live:

@@ -16,12 +16,14 @@ import pytest
 from repro.experiments.replay import (
     ReplayEngine,
     TemplateError,
+    TemplateFamily,
     compile_template,
-    load_template,
-    save_template,
+    load_family,
+    save_family,
     template_key,
 )
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
+from repro.experiments.template_store import TemplateStore
 from repro.train.session import TrainingRunConfig
 
 
@@ -274,8 +276,8 @@ def test_template_round_trips_through_npz(tmp_path):
     scenario = make_scenario(n_devices=2)
     template = compile_template(scenario.config)
     path = tmp_path / "template.npz"
-    save_template(template, path)
-    loaded = load_template(path, key=template.key)
+    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
+    loaded = load_family(path, key=template.key).get(template.dtype)
     assert loaded is not None
     fresh = run_scenario(scenario)
     replayed = loaded.replay(scenario, scenario.resolve_bandwidths(), 0.0)
@@ -285,8 +287,8 @@ def test_template_round_trips_through_npz(tmp_path):
 def test_corrupt_template_file_loads_as_none(tmp_path):
     path = tmp_path / "template.npz"
     path.write_bytes(b"not an npz archive")
-    assert load_template(path) is None
-    assert load_template(tmp_path / "missing.npz") is None
+    assert load_family(path) is None
+    assert load_family(tmp_path / "missing.npz") is None
 
 
 # -- batched grid repricing -----------------------------------------------------------
@@ -495,8 +497,6 @@ def test_one_family_serves_both_dtypes_across_pricing_points():
 
 
 def test_family_round_trips_with_dtype_variants(tmp_path):
-    from repro.experiments.replay import TemplateFamily, load_family, save_family
-
     fp32 = make_scenario(dtype="float32")
     fp16 = make_scenario(dtype="float16")
     family = TemplateFamily(template_key(fp32.config))
@@ -514,8 +514,6 @@ def test_family_round_trips_with_dtype_variants(tmp_path):
 
 
 def test_load_template_selects_the_requested_dtype_variant(tmp_path):
-    from repro.experiments.replay import TemplateFamily, save_family
-
     fp32 = make_scenario(dtype="float32").config
     fp16 = make_scenario(dtype="float16").config
     family = TemplateFamily(template_key(fp32))
@@ -523,14 +521,13 @@ def test_load_template_selects_the_requested_dtype_variant(tmp_path):
     family.capture(fp16)
     path = tmp_path / "family.npz"
     save_family(family, path)
-    assert load_template(path, dtype="float16").dtype == "float16"
-    assert load_template(path, dtype="float32").dtype == "float32"
-    assert load_template(path, dtype="bfloat16") is None
+    loaded = load_family(path)
+    assert loaded.get("float16").dtype == "float16"
+    assert loaded.get("float32").dtype == "float32"
+    assert loaded.get("bfloat16") is None
 
 
 def test_failed_dtype_capture_is_memoized_not_retried():
-    from repro.experiments.replay import TemplateFamily
-
     config = make_scenario().config
     family = TemplateFamily(template_key(config))
     broken = TrainingRunConfig(**{**config.__dict__, "swap": "lru"})
@@ -567,12 +564,12 @@ def test_sweep_surfaces_replay_fallback_reasons():
 def test_save_family_leaves_no_temp_files(tmp_path):
     template = compile_template(make_scenario().config)
     path = tmp_path / "template.npz"
-    save_template(template, path)
+    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
     assert [p.name for p in tmp_path.iterdir()] == ["template.npz"]
 
 
 def test_engine_persists_families_through_the_store(tmp_path):
-    engine = ReplayEngine(template_dir=tmp_path)
+    engine = ReplayEngine(store=TemplateStore(tmp_path))
     assert_replay_exact(engine, make_scenario())
     assert_replay_exact(engine, make_scenario(dtype="float16"))
     assert engine.templates_compiled == 1
@@ -580,7 +577,7 @@ def test_engine_persists_families_through_the_store(tmp_path):
 
     # A later process loads the family from the store: no fresh compile, and
     # pricing stays exact for both dtypes at a new pricing point.
-    second = ReplayEngine(template_dir=tmp_path)
+    second = ReplayEngine(store=TemplateStore(tmp_path))
     assert_replay_exact(second,
                         make_scenario(device_spec="v100_sxm2_16gb"))
     assert_replay_exact(second,

@@ -26,7 +26,7 @@ def tiny_grid(**overrides):
         allocators=("caching",),
         model_kwargs={"hidden_dim": 32},
         dataset="two_cluster",
-        execution_mode="virtual",
+        execution_mode="symbolic",
     )
     settings.update(overrides)
     return SweepGrid(**settings)
@@ -64,11 +64,11 @@ def test_grid_rejects_unknown_swap_policy():
 
 def test_scenario_key_ignores_label_but_not_workload():
     config_a = TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
-                                 execution_mode="virtual", label="a")
+                                 execution_mode="symbolic", label="a")
     config_b = TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
-                                 execution_mode="virtual", label="something else")
+                                 execution_mode="symbolic", label="something else")
     config_c = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
-                                 execution_mode="virtual", label="a")
+                                 execution_mode="symbolic", label="a")
     assert Scenario(config_a).key() == Scenario(config_b).key()
     assert Scenario(config_a).key() != Scenario(config_c).key()
     assert Scenario(config_a, swap_policy="planner").key() != Scenario(config_a).key()
@@ -224,7 +224,7 @@ def test_failing_scenario_does_not_discard_completed_results(tmp_path):
     # lenet5 cannot consume the 2-D two_cluster samples: this scenario raises.
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
                                             batch_size=16, iterations=2,
-                                            execution_mode="virtual"))
+                                            execution_mode="symbolic"))
     with pytest.raises(ReproError):
         runner.run(good + [bad])
     # The good scenario's result survived the failure and is served from cache.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import MaterializationError
+from repro.errors import ConfigurationError, MaterializationError
 from repro.train.session import TrainingRunConfig, run_training_session
 
 
@@ -124,15 +124,12 @@ def test_symbolic_columns_match_eager_columns():
                                       getattr(eager_cols, name), err_msg=name)
 
 
-def test_virtual_alias_matches_symbolic():
-    """The legacy mode name records the same stream as its new name."""
-    base = dict(model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=8,
-                iterations=2, seed=3)
-    symbolic = run_training_session(
-        TrainingRunConfig(execution_mode="symbolic", **base))
-    virtual = run_training_session(
-        TrainingRunConfig(execution_mode="virtual", **base))
-    assert event_stream(virtual.trace) == event_stream(symbolic.trace)
+def test_legacy_virtual_mode_name_is_rejected():
+    """The alias is gone: one mode name, one cache key per result."""
+    with pytest.raises(ConfigurationError, match="execution_mode"):
+        run_training_session(TrainingRunConfig(
+            model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=8,
+            iterations=1, execution_mode="virtual"))
 
 
 def test_unified_swap_session_is_event_identical_to_eager():

@@ -57,7 +57,7 @@ def test_no_memory_leak_across_iterations(test_device):
 
 
 def test_virtual_mode_training_reports_none_loss():
-    device = Device(titan_x_pascal(), execution_mode="virtual")
+    device = Device(titan_x_pascal(), execution_mode="symbolic")
     model = MLP(device, hidden_dim=64, rng=np.random.default_rng(0))
     trainer = make_trainer(device, model)
     stats = trainer.train(2)
