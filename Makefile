@@ -11,10 +11,12 @@ test:
 bench:
 	$(PYTHON) bench/run.py --seed 100 --rounds 10
 
-# One short round of the replay-pricing workload and both sides of the
-# persistence layer (write, read) plus the harness's own tests (the CI smoke job).
+# One short round of the two simulating workloads (cold simulation, swap
+# engine: differential checks (a) and (e)), the replay-pricing workload and
+# both sides of the persistence layer (write, read), plus the harness's own
+# tests (the CI smoke job).
 bench-smoke:
-	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only replay_price,cache_write,cache_read
+	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only sim_mixed,swap_ladder,replay_price,cache_write,cache_read
 	$(PYTHON) -m pytest bench/tests -q
 
 # The qualitative paper-claim benchmark suite (pytest-based, seconds-scale).

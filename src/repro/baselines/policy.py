@@ -104,8 +104,10 @@ class PlannerPolicy(MemoryPolicy):
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
         """Plan interval-aware swapping and summarize the chosen plan."""
         bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
-        intervals = compute_access_intervals(trace)
-        plan = SwapPlanner(bandwidths=bandwidths).plan(trace, intervals)
+        planner = SwapPlanner(bandwidths=bandwidths)
+        intervals = compute_access_intervals(trace,
+                                             min_size=planner.min_candidate_bytes)
+        plan = planner.plan(trace, intervals)
         summary = plan.summary()
         return self._normalize(summary, plan.savings_bytes, plan.savings_fraction,
                                plan.total_overhead_ns)

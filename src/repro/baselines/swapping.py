@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.ati import compute_access_intervals
+from ..core.ati import compute_interval_arrays
 from ..core.events import MemoryCategory
 from ..core.swap import BandwidthConfig, swap_round_trip_ns
 from ..core.trace import MemoryTrace
@@ -79,12 +79,18 @@ def _block_sizes(trace: MemoryTrace) -> Dict[int, int]:
     return sizes
 
 
-def _largest_interval_per_block(trace: MemoryTrace) -> Dict[int, int]:
-    """Largest access interval (ns) of every block (0 when a block has one access)."""
+def _largest_interval_per_block(trace: MemoryTrace, block_ids) -> Dict[int, int]:
+    """Largest access interval (ns) of each of ``block_ids`` (absent: no interval).
+
+    Read off the interval columns: no :class:`~repro.core.ati.AccessInterval`
+    is built for the (many) blocks the policy never considers.
+    """
+    arrays = compute_interval_arrays(trace)
     largest: Dict[int, int] = {}
-    for interval in compute_access_intervals(trace):
-        current = largest.get(interval.block_id, 0)
-        largest[interval.block_id] = max(current, interval.interval_ns)
+    for block_id in block_ids:
+        gaps = arrays.interval_ns[arrays.block_id == block_id]
+        if gaps.size:
+            largest[block_id] = int(gaps.max())
     return largest
 
 
@@ -95,11 +101,12 @@ def swap_advisor_style_policy(trace: MemoryTrace,
     """Swap the ``top_k`` largest blocks regardless of their access timing."""
     bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
     sizes = _block_sizes(trace)
-    largest_intervals = _largest_interval_per_block(trace)
     candidates = sorted(
         ((block_id, size) for block_id, size in sizes.items() if size >= min_block_bytes),
         key=lambda item: item[1], reverse=True,
     )[:top_k]
+    largest_intervals = _largest_interval_per_block(
+        trace, [block_id for block_id, _ in candidates])
 
     peak_before = trace.peak_live_bytes()
     swapped = sum(size for _, size in candidates)

@@ -185,7 +185,8 @@ def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
 
 
 def compute_access_intervals(trace: MemoryTrace, include_lifecycle: bool = False,
-                             min_interval_ns: int = 0) -> List[AccessInterval]:
+                             min_interval_ns: int = 0,
+                             min_size: int = 0) -> List[AccessInterval]:
     """Compute every ATI in a trace.
 
     Parameters
@@ -199,22 +200,28 @@ def compute_access_intervals(trace: MemoryTrace, include_lifecycle: bool = False
         data).
     min_interval_ns:
         Drop intervals shorter than this (0 keeps everything).
+    min_size:
+        Drop intervals whose block is smaller than this many bytes (0 keeps
+        everything).  The floor is applied to the interval *columns*, before
+        any :class:`AccessInterval` is built, and keeps the order — the swap
+        planner passes its candidate floor and gets exactly the intervals it
+        would have kept from the full list.
     """
     arrays = compute_interval_arrays(trace, include_lifecycle=include_lifecycle,
                                      min_interval_ns=min_interval_ns)
-    events = trace.events
-    return [AccessInterval(
-        block_id=int(arrays.block_id[i]),
-        size=int(arrays.size[i]),
-        category=CATEGORY_FROM_CODE[int(arrays.category_code[i])],
-        tag=events[int(arrays.end_index[i])].tag,
-        interval_ns=int(arrays.interval_ns[i]),
-        start_event_id=int(arrays.start_event_id[i]),
-        end_event_id=int(arrays.end_event_id[i]),
-        start_kind=KIND_FROM_CODE[int(arrays.start_kind_code[i])],
-        end_kind=KIND_FROM_CODE[int(arrays.end_kind_code[i])],
-        iteration=int(arrays.iteration[i]),
-    ) for i in range(len(arrays))]
+    keep = np.flatnonzero(arrays.size >= min_size)
+    if keep.size == 0:
+        return []
+    tags, _ops = trace.event_strings()
+    columns = (arrays.block_id, arrays.size, arrays.category_code, arrays.end_index,
+               arrays.interval_ns, arrays.start_event_id, arrays.end_event_id,
+               arrays.start_kind_code, arrays.end_kind_code, arrays.iteration)
+    rows = np.stack([column[keep] for column in columns], axis=1).tolist()
+    return [AccessInterval(block_id, size, CATEGORY_FROM_CODE[category], tags[end],
+                           interval_ns, start_id, end_id, KIND_FROM_CODE[start_kind],
+                           KIND_FROM_CODE[end_kind], iteration)
+            for (block_id, size, category, end, interval_ns, start_id, end_id,
+                 start_kind, end_kind, iteration) in rows]
 
 
 def intervals_by_kind(intervals: Sequence[AccessInterval]) -> Dict[str, List[AccessInterval]]:

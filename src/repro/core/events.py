@@ -108,6 +108,12 @@ class MemoryCategory(enum.Enum):
         return "intermediate results"
 
 
+# Stable integer code of each member in the column store (definition order):
+# a plain attribute, so the recorder reads ``category.code`` without hashing.
+for _code, _category in enumerate(MemoryCategory):
+    _category.code = _code
+
+
 #: Order in which the paper's buckets are reported in figures 5-7.
 PAPER_BUCKETS = ("input data", "parameters", "intermediate results")
 

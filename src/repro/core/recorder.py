@@ -5,10 +5,16 @@
 allocator/storage notification into one timestamped row of a
 :class:`~repro.core.trace.ColumnarEventLog`.  The recorder is the hottest
 non-numeric path of a profiled run — every malloc/free/read/write lands
-here — so it appends straight into growable typed arrays instead of building
-a :class:`~repro.core.events.MemoryEvent` object per behavior; the object
-view is synthesized lazily by :class:`~repro.core.trace.MemoryTrace` only
-when something actually asks for it.
+here — so one recorded behavior costs one hook call and one C-level row
+append: the device's composite listener hands a lone recorder's bound hooks
+straight to the allocator and the storages (see
+:class:`~repro.device.hooks.CompositeListener`), and ``on_malloc`` /
+``on_free`` / ``on_read`` / ``on_write`` each write the packed row, the tape
+position and the lifetime bookkeeping themselves, reading the clock field
+and the category's ``code`` attribute directly.  No
+:class:`~repro.core.events.MemoryEvent` object is built per behavior; the
+object view is synthesized lazily by :class:`~repro.core.trace.MemoryTrace`
+only when something actually asks for it.
 
 It also tracks block lifetimes (for the Gantt chart of Figure 2) and
 iteration boundaries (for the iterative-pattern analysis).
@@ -22,7 +28,7 @@ from typing import Dict, List, Optional
 from ..device.clock import DeviceClock
 from ..device.hooks import MemoryEventListener
 from .events import BlockLifetime, IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
-from .trace import CATEGORY_CODES, KIND_CODES, ColumnarEventLog, MemoryTrace
+from .trace import KIND_CODES, ColumnarEventLog, MemoryTrace, pack_row
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
 _FREE = KIND_CODES[MemoryEventKind.FREE]
@@ -34,7 +40,7 @@ _SWAP_OUT = KIND_CODES[MemoryEventKind.SWAP_OUT]
 _SWAP_IN = KIND_CODES[MemoryEventKind.SWAP_IN]
 _RECOMPUTE_DROP = KIND_CODES[MemoryEventKind.RECOMPUTE_DROP]
 _RECOMPUTE = KIND_CODES[MemoryEventKind.RECOMPUTE]
-_UNKNOWN_CATEGORY = CATEGORY_CODES[MemoryCategory.UNKNOWN]
+_UNKNOWN_CATEGORY = MemoryCategory.UNKNOWN.code
 
 
 class TraceRecorder(MemoryEventListener):
@@ -44,6 +50,11 @@ class TraceRecorder(MemoryEventListener):
         self.clock = clock
         self.metadata = dict(metadata or {})
         self.log = ColumnarEventLog()
+        # The log lives as long as the recorder, so its three C-level appends
+        # are bound once here and called directly by the per-event hooks.
+        self._append_row = self.log.rows.frombytes
+        self._append_tag = self.log.tag.append
+        self._append_op = self.log.op.append
         self.lifetimes: List[BlockLifetime] = []
         self.iteration_marks: List[IterationMark] = []
         self._open_lifetimes: Dict[int, BlockLifetime] = {}
@@ -92,34 +103,45 @@ class TraceRecorder(MemoryEventListener):
         """Object view of the recorded behaviors (synthesized; for inspection)."""
         return self.to_trace().events
 
+    def _record(self, kind_code: int, block, op: str) -> None:
+        """Record one engine action on ``block`` (swap / recompute traffic).
+
+        The four block-behavior hooks below inline this body instead of
+        calling it: they fire once per behavior of the workload.
+        """
+        if self._tape is not None:
+            self.event_tape_positions.append(len(self._tape))
+        self.log.append(kind_code, self.clock._now_ns, block.block_id, block.address,
+                        block.size, block.category.code, self._current_iteration,
+                        block.tag, op)
+
     def on_malloc(self, block, requested_size: int) -> None:
         if not self.enabled:
             return
-        now_ns = self.clock.now_ns
-        self._note_tape_position()
-        self.log.append(_MALLOC, now_ns, block.block_id, block.address, block.size,
-                        CATEGORY_CODES[block.category], self._current_iteration,
-                        block.tag, "")
-        lifetime = BlockLifetime(
-            block_id=block.block_id,
-            address=block.address,
-            size=block.size,
-            category=block.category,
-            tag=block.tag,
-            malloc_ns=now_ns,
-            iteration=self._current_iteration,
-        )
-        self._open_lifetimes[block.block_id] = lifetime
+        if self._tape is not None:
+            self.event_tape_positions.append(len(self._tape))
+        now_ns = self.clock._now_ns
+        block_id, category, tag = block.block_id, block.category, block.tag
+        self._append_row(pack_row(_MALLOC, now_ns, block_id, block.address,
+                                  block.size, category.code, self._current_iteration))
+        self._append_tag(tag)
+        self._append_op("")
+        lifetime = BlockLifetime(block_id, block.address, block.size, category, tag,
+                                 now_ns, None, self._current_iteration)
+        self._open_lifetimes[block_id] = lifetime
         self.lifetimes.append(lifetime)
 
     def on_free(self, block) -> None:
         if not self.enabled:
             return
-        now_ns = self.clock.now_ns
-        self._note_tape_position()
-        self.log.append(_FREE, now_ns, block.block_id, block.address, block.size,
-                        CATEGORY_CODES[block.category], self._current_iteration,
-                        block.tag, "")
+        if self._tape is not None:
+            self.event_tape_positions.append(len(self._tape))
+        now_ns = self.clock._now_ns
+        self._append_row(pack_row(_FREE, now_ns, block.block_id, block.address,
+                                  block.size, block.category.code,
+                                  self._current_iteration))
+        self._append_tag(block.tag)
+        self._append_op("")
         lifetime = self._open_lifetimes.pop(block.block_id, None)
         if lifetime is not None:
             lifetime.free_ns = now_ns
@@ -127,79 +149,63 @@ class TraceRecorder(MemoryEventListener):
     def on_read(self, block, nbytes: int, op: str) -> None:
         if not self.enabled:
             return
-        self._note_tape_position()
-        self.log.append(_READ, self.clock.now_ns, block.block_id, block.address,
-                        block.size, CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-        self._bump_access(block.block_id)
+        if self._tape is not None:
+            self.event_tape_positions.append(len(self._tape))
+        block_id = block.block_id
+        self._append_row(pack_row(_READ, self.clock._now_ns, block_id, block.address,
+                                  block.size, block.category.code,
+                                  self._current_iteration))
+        self._append_tag(block.tag)
+        self._append_op(op)
+        lifetime = self._open_lifetimes.get(block_id)
+        if lifetime is not None:
+            lifetime.access_count += 1
 
     def on_write(self, block, nbytes: int, op: str) -> None:
         if not self.enabled:
             return
-        self._note_tape_position()
-        self.log.append(_WRITE, self.clock.now_ns, block.block_id, block.address,
-                        block.size, CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-        self._bump_access(block.block_id)
-
-    def on_segment_alloc(self, segment) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_SEGMENT_ALLOC, self.clock.now_ns, -segment.segment_id,
-                        segment.address, segment.size, _UNKNOWN_CATEGORY,
-                        self._current_iteration, f"segment:{segment.pool}", "")
-
-    def on_segment_free(self, segment) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_SEGMENT_FREE, self.clock.now_ns, -segment.segment_id,
-                        segment.address, segment.size, _UNKNOWN_CATEGORY,
-                        self._current_iteration, f"segment:{segment.pool}", "")
-
-    def on_swap_out(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_SWAP_OUT, self.clock.now_ns, block.block_id, block.address,
-                        block.size, CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-
-    def on_swap_in(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_SWAP_IN, self.clock.now_ns, block.block_id, block.address,
-                        block.size, CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-
-    def on_recompute_drop(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_RECOMPUTE_DROP, self.clock.now_ns, block.block_id,
-                        block.address, block.size,
-                        CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-
-    def on_recompute(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
-        self._note_tape_position()
-        self.log.append(_RECOMPUTE, self.clock.now_ns, block.block_id,
-                        block.address, block.size,
-                        CATEGORY_CODES[block.category],
-                        self._current_iteration, block.tag, op)
-
-    def _note_tape_position(self) -> None:
-        if self.event_tape_positions is not None:
+        if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-
-    def _bump_access(self, block_id: int) -> None:
+        block_id = block.block_id
+        self._append_row(pack_row(_WRITE, self.clock._now_ns, block_id, block.address,
+                                  block.size, block.category.code,
+                                  self._current_iteration))
+        self._append_tag(block.tag)
+        self._append_op(op)
         lifetime = self._open_lifetimes.get(block_id)
         if lifetime is not None:
             lifetime.access_count += 1
+
+    def _record_segment(self, kind_code: int, segment) -> None:
+        if not self.enabled:
+            return
+        if self._tape is not None:
+            self.event_tape_positions.append(len(self._tape))
+        self.log.append(kind_code, self.clock._now_ns, -segment.segment_id,
+                        segment.address, segment.size, _UNKNOWN_CATEGORY,
+                        self._current_iteration, f"segment:{segment.pool}", "")
+
+    def on_segment_alloc(self, segment) -> None:
+        self._record_segment(_SEGMENT_ALLOC, segment)
+
+    def on_segment_free(self, segment) -> None:
+        self._record_segment(_SEGMENT_FREE, segment)
+
+    def on_swap_out(self, block, nbytes: int, op: str) -> None:
+        if self.enabled:
+            self._record(_SWAP_OUT, block, op)
+
+    def on_swap_in(self, block, nbytes: int, op: str) -> None:
+        if self.enabled:
+            self._record(_SWAP_IN, block, op)
+
+    def on_recompute_drop(self, block, nbytes: int, op: str) -> None:
+        if self.enabled:
+            self._record(_RECOMPUTE_DROP, block, op)
+
+    def on_recompute(self, block, nbytes: int, op: str) -> None:
+        if self.enabled:
+            self._record(_RECOMPUTE, block, op)
 
     # -- pausing ----------------------------------------------------------------------
 

@@ -22,21 +22,23 @@ pairing (:mod:`repro.core.ati`), the occupation breakdown
 on this column store and never touch the Python event objects.
 
 Since PR 4 the column store is the *primary* representation: the trace
-recorder appends every behavior into a :class:`ColumnarEventLog` (growable
-``array('q')`` typed arrays plus string side-lists for ``tag``/``op``) and
-finalizes it straight into :class:`EventColumns` — no
-:class:`~repro.core.events.MemoryEvent` object is ever constructed on the
-hot path.  The ``MemoryTrace.events`` list is synthesized lazily, on first
-access, for object-level consumers (JSON/CSV persistence, tests, the
-object-based analyses); traces built *from* event objects (tests, JSON
-loads) still derive their columns lazily as before, so both directions stay
-fully interchangeable.
+recorder appends every behavior into a :class:`ColumnarEventLog` — since
+PR 14 a *row store*: one flat ``array('q')`` of seven-wide ``int64`` rows
+(one C-level append per behavior) plus string side-lists for ``tag``/``op``
+— and finalizes it with one transposing copy straight into
+:class:`EventColumns`; no :class:`~repro.core.events.MemoryEvent` object is
+ever constructed on the hot path.  The ``MemoryTrace.events`` list is
+synthesized lazily, on first access, for object-level consumers (JSON/CSV
+persistence, tests, the object-based analyses); traces built *from* event
+objects (tests, JSON loads) still derive their columns lazily as before, so
+both directions stay fully interchangeable.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,7 +57,7 @@ TRACE_FORMAT_VERSION = 1
 #: Stable integer codes for event kinds / categories, used by the column store.
 KIND_CODES: Dict[MemoryEventKind, int] = {kind: i for i, kind in enumerate(MemoryEventKind)}
 KIND_FROM_CODE: List[MemoryEventKind] = list(MemoryEventKind)
-CATEGORY_CODES: Dict[MemoryCategory, int] = {cat: i for i, cat in enumerate(MemoryCategory)}
+CATEGORY_CODES: Dict[MemoryCategory, int] = {cat: cat.code for cat in MemoryCategory}
 CATEGORY_FROM_CODE: List[MemoryCategory] = list(MemoryCategory)
 
 _MALLOC_CODE = KIND_CODES[MemoryEventKind.MALLOC]
@@ -77,6 +79,13 @@ SWAP_CODES = np.array([_SWAP_OUT_CODE, _SWAP_IN_CODE], dtype=np.int64)
 #: Codes of the rematerialization actions (drop / compute replay).
 RECOMPUTE_CODES = np.array([_RECOMPUTE_DROP_CODE, _RECOMPUTE_CODE],
                            dtype=np.int64)
+
+#: Numeric fields of one :class:`ColumnarEventLog` row, in storage order.
+ROW_FIELDS = ("kind_code", "timestamp_ns", "block_id", "address", "size",
+              "category_code", "iteration")
+ROW_WIDTH = len(ROW_FIELDS)
+#: ``pack_row(*fields) -> bytes``: one row in the ``array('q')`` item layout.
+pack_row = struct.Struct(f"{ROW_WIDTH}q").pack
 
 
 @dataclass(frozen=True)
@@ -184,65 +193,55 @@ class EventColumns:
 
 
 class ColumnarEventLog:
-    """Growable typed-array event log the trace recorder appends into.
+    """Growable row store the trace recorder appends into.
 
-    Each numeric field is an ``array('q')`` (a C-backed growable ``int64``
-    array with amortized O(1) append); the two string fields (``tag``,
-    ``op``) are plain Python lists.  Appending one behavior is therefore a
-    handful of C-level appends instead of a frozen-dataclass construction —
-    this is what makes symbolic-mode sweeps recorder-bound rather than
-    object-allocation-bound.  :meth:`snapshot_columns` converts the log into
-    an immutable :class:`EventColumns` (a bulk copy, so the log can keep
-    growing afterwards without invalidating earlier snapshots).
+    The numeric fields of every behavior live in *one* flat ``array('q')`` of
+    :data:`ROW_WIDTH`-wide rows, in :data:`ROW_FIELDS` order; the two string
+    fields (``tag``, ``op``) are plain Python lists.  One behavior is one
+    ``rows.frombytes(pack_row(...))`` — a single C-level append of a packed
+    ``int64`` row (``array.extend`` of a tuple walks the generic iterator
+    protocol and is no faster than seven appends) — plus the two list
+    appends; the recorder's hooks do exactly that inline and use
+    :meth:`append` only off the hot path.  :meth:`snapshot_columns`
+    transposes the rows once into an immutable :class:`EventColumns` (a bulk
+    copy, so the log can keep growing afterwards without invalidating
+    earlier snapshots).
     """
 
-    __slots__ = ("kind_code", "timestamp_ns", "block_id", "address", "size",
-                 "category_code", "iteration", "tag", "op")
+    __slots__ = ("rows", "tag", "op")
 
     def __init__(self) -> None:
-        self.kind_code = array("q")
-        self.timestamp_ns = array("q")
-        self.block_id = array("q")
-        self.address = array("q")
-        self.size = array("q")
-        self.category_code = array("q")
-        self.iteration = array("q")
+        self.rows = array("q")
         self.tag: List[str] = []
         self.op: List[str] = []
 
     def __len__(self) -> int:
-        return len(self.kind_code)
+        return len(self.tag)
 
     def append(self, kind_code: int, timestamp_ns: int, block_id: int,
                address: int, size: int, category_code: int, iteration: int,
                tag: str, op: str) -> int:
         """Append one behavior; returns the event id it was assigned."""
-        event_id = len(self.kind_code)
-        self.kind_code.append(kind_code)
-        self.timestamp_ns.append(timestamp_ns)
-        self.block_id.append(block_id)
-        self.address.append(address)
-        self.size.append(size)
-        self.category_code.append(category_code)
-        self.iteration.append(iteration)
+        event_id = len(self.tag)
+        self.rows.frombytes(pack_row(kind_code, timestamp_ns, block_id, address,
+                                     size, category_code, iteration))
         self.tag.append(tag)
         self.op.append(op)
         return event_id
 
     def snapshot_columns(self) -> EventColumns:
         """Copy the current log contents into an immutable column record."""
-        n = len(self.kind_code)
-        return EventColumns(
-            event_id=np.arange(n, dtype=np.int64),
-            kind_code=np.array(self.kind_code, dtype=np.int64),
-            timestamp_ns=np.array(self.timestamp_ns, dtype=np.int64),
-            block_id=np.array(self.block_id, dtype=np.int64),
-            size=np.array(self.size, dtype=np.int64),
-            category_code=np.array(self.category_code, dtype=np.int64),
-            iteration=np.array(self.iteration, dtype=np.int64),
-            device_rank=np.zeros(n, dtype=np.int64),
-            address=np.array(self.address, dtype=np.int64),
-        )
+        n = len(self.tag)
+        # One transposing copy: every column comes out contiguous.  ``np.array``
+        # always copies (``ascontiguousarray`` would return the view itself for
+        # zero or one rows), so the temporary view on ``rows`` is released and
+        # the log can grow again.
+        table = np.array(
+            np.frombuffer(self.rows, dtype=np.int64).reshape(n, ROW_WIDTH).T,
+            order="C")
+        return EventColumns(event_id=np.arange(n, dtype=np.int64),
+                            device_rank=np.zeros(n, dtype=np.int64),
+                            **dict(zip(ROW_FIELDS, table)))
 
     def snapshot_strings(self) -> Tuple[List[str], List[str]]:
         """Copies of the per-event ``tag`` and ``op`` side-lists."""

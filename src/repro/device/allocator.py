@@ -162,6 +162,10 @@ class BaseAllocator:
         self._segments: List[Segment] = []
         self._next_address = BASE_ADDRESS
         self._live_blocks: Dict[int, Block] = {}
+        # Identities are per allocator: the first block (and segment) of every
+        # session is 1, whatever the process simulated before.
+        self._block_ids = itertools.count(1)
+        self._segment_ids = itertools.count(1)
 
     # -- interface -------------------------------------------------------------
 
@@ -268,7 +272,9 @@ class BaseAllocator:
             )
         address = self._next_address
         self._next_address += ((size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
-        segment = Segment(address=address, size=size, pool=pool)
+        segment = Segment(address=address, size=size, pool=pool,
+                          segment_id=next(self._segment_ids),
+                          first_block_id=next(self._block_ids))
         self._segments.append(segment)
         self.stats.on_reserve(size)
         self._advance_segment_overhead()
@@ -344,7 +350,7 @@ class CachingAllocator(BaseAllocator):
             block = self._allocate_from_new_segment(pool, rounded)
 
         block = self._maybe_split(block, rounded, pool)
-        return self._publish_alloc(block, requested_size=size, category=category, tag=tag)
+        return self._publish_alloc(block, size, category, tag)
 
     def _find_free_block(self, pool: str, rounded: int) -> Optional[Block]:
         """Best-fit lookup in the pool's free index; removes and returns the block."""
@@ -376,12 +382,8 @@ class CachingAllocator(BaseAllocator):
         )
         if not should_split:
             return block
-        tail = Block(
-            segment=block.segment,
-            address=block.address + rounded,
-            size=remainder,
-            allocated=False,
-        )
+        tail = Block(block.segment, block.address + rounded, remainder,
+                     block_id=next(self._block_ids))
         tail.prev = block
         tail.next = block.next
         if block.next is not None:
@@ -492,12 +494,8 @@ class BestFitAllocator(BaseAllocator):
                 capacity=self.spec.memory_capacity,
             )
         if best.size - rounded >= MIN_BLOCK_SIZE:
-            tail = Block(
-                segment=self._arena,
-                address=best.address + rounded,
-                size=best.size - rounded,
-                allocated=False,
-            )
+            tail = Block(self._arena, best.address + rounded, best.size - rounded,
+                         block_id=next(self._block_ids))
             tail.prev = best
             tail.next = best.next
             if best.next is not None:
@@ -506,7 +504,7 @@ class BestFitAllocator(BaseAllocator):
             best.size = rounded
             self._free_index.add(tail)
             self.stats.split_count += 1
-        return self._publish_alloc(best, requested_size=size, category=category, tag=tag)
+        return self._publish_alloc(best, size, category, tag)
 
     def free(self, block: Block) -> None:
         self._advance_alloc_overhead()
@@ -571,7 +569,7 @@ class BumpAllocator(BaseAllocator):
         block = segment.first_block
         assert block is not None
         self._cursor += rounded
-        return self._publish_alloc(block, requested_size=size, category=category, tag=tag)
+        return self._publish_alloc(block, size, category, tag)
 
     def free(self, block: Block) -> None:
         self._advance_alloc_overhead()

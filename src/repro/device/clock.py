@@ -24,6 +24,9 @@ class DeviceClock:
     def __init__(self, start_ns: int = 0):
         if start_ns < 0:
             raise ClockError(f"clock cannot start at negative time {start_ns}")
+        #: The current time.  Written only by this class; the trace recorder
+        #: reads the field directly (once per recorded behavior) instead of
+        #: going through the :attr:`now_ns` property.
         self._now_ns = int(start_ns)
         self._observers: List[Callable[[int, int], None]] = []
         #: Optional :class:`~repro.device.tape.TimingTape` capturing why each
@@ -51,7 +54,8 @@ class DeviceClock:
         ``delta_ns`` must be non-negative; the clock never moves backwards.
         Fractional inputs are rounded to the nearest nanosecond.
         """
-        delta_ns = int(round(delta_ns))
+        if type(delta_ns) is not int:
+            delta_ns = int(round(delta_ns))
         if delta_ns < 0:
             raise ClockError(f"cannot advance clock by negative delta {delta_ns}")
         previous = self._now_ns

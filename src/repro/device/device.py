@@ -144,7 +144,7 @@ class Device:
     def allocate(self, size: int, category: MemoryCategory = MemoryCategory.UNKNOWN,
                  tag: str = "") -> Block:
         """Allocate ``size`` bytes of device memory."""
-        return self.allocator.allocate(size, category=category, tag=tag)
+        return self.allocator.allocate(size, category, tag)
 
     def free(self, block: Block) -> None:
         """Free a device memory block."""

@@ -6,8 +6,10 @@ explicit: every allocator and every tensor storage accepts a
 :class:`MemoryEventListener` and notifies it on each ``malloc``, ``free``,
 ``read`` and ``write``.  The trace recorder in :mod:`repro.core.recorder`
 implements this interface; a :class:`CompositeListener` allows several
-consumers (e.g. a recorder plus a live fragmentation monitor) to observe the
-same device.
+consumers (e.g. the swap executor plus a recorder) to observe the same
+device.  Dispatch is *pre-bound*: the composite resolves its children's hooks
+once per membership change, so a behavior reaches a lone recorder in one call
+(see :class:`CompositeListener` for who may cache a hook and when).
 """
 
 from __future__ import annotations
@@ -77,63 +79,61 @@ class NullListener(MemoryEventListener):
     """A listener that ignores everything (the default when not profiling)."""
 
 
+#: Every hook of the listener interface, in declaration order.
+HOOK_NAMES = ("on_malloc", "on_free", "on_read", "on_write", "on_segment_alloc",
+              "on_segment_free", "on_swap_out", "on_swap_in", "on_recompute_drop",
+              "on_recompute")
+
+
+def _fan_out(hooks: tuple):
+    """One callable delivering its arguments to every bound hook, in order."""
+    def deliver(*args) -> None:
+        for hook in hooks:
+            hook(*args)
+    return deliver
+
+
 class CompositeListener(MemoryEventListener):
-    """Fan-out listener that forwards every hook to a list of children."""
+    """Fan-out listener that forwards every hook to its children, pre-bound.
+
+    Whenever the membership changes (construction, :meth:`add`,
+    :meth:`remove`) the composite re-resolves each child's hooks and stores
+    the result as its *own* ``on_*`` instance attributes: with exactly one
+    child they **are** that child's bound methods (a notification is one
+    call, no composite frame), otherwise one closure per hook iterating the
+    pre-bound tuple in attachment order (none: a no-op).
+
+    Who may cache a hook, and when: only the composite, and only between two
+    membership changes.  Callers (allocators, storages, the swap engine)
+    look ``composite.on_x`` up at every call and never keep it, so adding or
+    removing a listener mid-run takes effect at the next behavior.  Children
+    are resolved through normal attribute lookup *at binding time* — per
+    device and per membership change, never at import — so a hook replaced
+    on a listener's class before it is attached is the one that runs.
+    """
 
     def __init__(self, listeners: Iterable[MemoryEventListener] = ()):
         self._listeners: List[MemoryEventListener] = list(listeners)
+        self._bind()
+
+    def _bind(self) -> None:
+        for name in HOOK_NAMES:
+            hooks = tuple(getattr(child, name) for child in self._listeners)
+            setattr(self, name, hooks[0] if len(hooks) == 1 else _fan_out(hooks))
 
     def add(self, listener: MemoryEventListener) -> None:
         """Attach another child listener."""
         self._listeners.append(listener)
+        self._bind()
 
     def remove(self, listener: MemoryEventListener) -> None:
         """Detach a child listener (no-op if absent)."""
         if listener in self._listeners:
             self._listeners.remove(listener)
+            self._bind()
 
     def __len__(self) -> int:
         return len(self._listeners)
-
-    def on_malloc(self, block: "Block", requested_size: int) -> None:
-        for listener in self._listeners:
-            listener.on_malloc(block, requested_size)
-
-    def on_free(self, block: "Block") -> None:
-        for listener in self._listeners:
-            listener.on_free(block)
-
-    def on_read(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_read(block, nbytes, op)
-
-    def on_write(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_write(block, nbytes, op)
-
-    def on_segment_alloc(self, segment: "Segment") -> None:
-        for listener in self._listeners:
-            listener.on_segment_alloc(segment)
-
-    def on_segment_free(self, segment: "Segment") -> None:
-        for listener in self._listeners:
-            listener.on_segment_free(segment)
-
-    def on_swap_out(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_swap_out(block, nbytes, op)
-
-    def on_swap_in(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_swap_in(block, nbytes, op)
-
-    def on_recompute_drop(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_recompute_drop(block, nbytes, op)
-
-    def on_recompute(self, block: "Block", nbytes: int, op: str) -> None:
-        for listener in self._listeners:
-            listener.on_recompute(block, nbytes, op)
 
 
 class CountingListener(MemoryEventListener):

@@ -14,13 +14,17 @@ block-level view the paper instruments.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from ..core.events import MemoryCategory
 from ..errors import AllocatorStateError
 
 
+# Ids of blocks/segments constructed directly (tests, ad-hoc tooling).  An
+# allocator numbers its own from 1 (``BaseAllocator._block_ids`` /
+# ``_segment_ids``) and passes them in, so the ids a session reports never
+# depend on what the process simulated earlier.
 _block_id_counter = itertools.count(1)
 _segment_id_counter = itertools.count(1)
 
@@ -78,10 +82,14 @@ class Segment:
     pool: str
     segment_id: int = field(default_factory=_next_segment_id)
     first_block: Optional[Block] = None
+    #: Id for the covering block created when ``first_block`` is not given.
+    first_block_id: InitVar[Optional[int]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, first_block_id: Optional[int]) -> None:
         if self.first_block is None:
-            self.first_block = Block(segment=self, address=self.address, size=self.size)
+            self.first_block = Block(
+                self, self.address, self.size,
+                block_id=_next_block_id() if first_block_id is None else first_block_id)
 
     def blocks(self) -> Iterator[Block]:
         """Iterate over all blocks of this segment in address order."""

@@ -54,9 +54,9 @@ class Stream:
         self.busy_until_ns = clock.now_ns
         self.ops: List[StreamOp] = []
         # Busy intervals kept sorted by start for the reservation gap search;
-        # intervals entirely in the past are pruned (a reservation can never
-        # start before the current device time), so the search cost tracks
-        # the number of *in-flight* ops, not the run's full history.
+        # intervals entirely in the past are pruned whenever an op is placed,
+        # FIFO or reserved, so the index tracks the number of *in-flight*
+        # ops, not the run's full history.
         self._busy_intervals: List[Tuple[int, int]] = []
 
     def schedule(self, duration_ns: int, name: str = "") -> Tuple[int, int]:
@@ -66,8 +66,6 @@ class Stream:
         device time has been reached; it does **not** advance the device clock
         (the caller synchronizes explicitly if needed).
         """
-        if duration_ns < 0:
-            raise ValueError("duration_ns must be non-negative")
         return self.schedule_at(self.clock.now_ns, duration_ns, name=name)
 
     def schedule_at(self, earliest_start_ns: int, duration_ns: int,
@@ -93,26 +91,18 @@ class Stream:
 
     def _append_op(self, start: int, end: int, name: str) -> None:
         """Record one scheduled operation (history + sorted busy index)."""
-        self.ops.append(StreamOp(name=name or f"{self.name}-op{len(self.ops)}",
-                                 start_ns=start, end_ns=end))
+        self.ops.append(StreamOp(name or f"{self.name}-op{len(self.ops)}", start, end))
         if end > start:
-            insort(self._busy_intervals, (start, end))
-
-    def _pruned_intervals(self) -> List[Tuple[int, int]]:
-        """The sorted busy intervals, with fully elapsed ones dropped.
-
-        Reservations are clamped to start no earlier than the device's
-        current time, so an interval that ended in the past can never
-        constrain a placement again.
-        """
-        now = self.clock.now_ns
-        drop = 0
-        intervals = self._busy_intervals
-        while drop < len(intervals) and intervals[drop][1] <= now:
-            drop += 1
-        if drop:
-            del intervals[:drop]
-        return intervals
+            # Reservations are clamped to start no earlier than the device's
+            # current time, so an interval that ended at or before it can
+            # never constrain a placement again: drop those first.
+            intervals, now = self._busy_intervals, self.clock.now_ns
+            drop = 0
+            while drop < len(intervals) and intervals[drop][1] <= now:
+                drop += 1
+            if drop:
+                del intervals[:drop]
+            insort(intervals, (start, end))
 
     def reserve(self, earliest_start_ns: int, duration_ns: int,
                 name: str = "") -> Tuple[int, int]:
@@ -131,7 +121,7 @@ class Stream:
         duration = int(duration_ns)
         # A reservation made now can never start in the past.
         start = max(int(earliest_start_ns), self.clock.now_ns)
-        for busy_start, busy_end in self._pruned_intervals():
+        for busy_start, busy_end in self._busy_intervals:
             if start + duration <= busy_start:
                 break
             if busy_end > start:
@@ -163,7 +153,7 @@ class Stream:
         best_start = None
         cursor = earliest
         gaps = []
-        for busy_start, busy_end in self._pruned_intervals():
+        for busy_start, busy_end in self._busy_intervals:
             if busy_start > cursor:
                 gaps.append((cursor, busy_start))
             cursor = max(cursor, busy_end)

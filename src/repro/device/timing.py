@@ -21,7 +21,6 @@ in eager PyTorch is a significant part of small-kernel ATIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from .spec import DeviceSpec
 
@@ -81,24 +80,25 @@ class KernelTimingModel:
         self.compute_efficiency = compute_efficiency
         self.bandwidth_efficiency = bandwidth_efficiency
         self.host_dispatch_overhead_ns = int(host_dispatch_overhead_ns)
-        self._per_kernel_ns: Dict[str, int] = {}
+        # The roofline denominators are constants of the model (the spec is
+        # frozen, the efficiencies fixed at construction): computed once here,
+        # not once per kernel.
+        self._effective_flops = spec.peak_flops * compute_efficiency
+        self._effective_bw = spec.memory_bandwidth * bandwidth_efficiency
 
     # -- estimation -----------------------------------------------------------
 
     def kernel_duration_ns(self, cost: KernelCost) -> int:
         """Device-side duration of one kernel, in nanoseconds."""
-        effective_flops = self.spec.peak_flops * self.compute_efficiency
-        effective_bw = self.spec.memory_bandwidth * self.bandwidth_efficiency
-        compute_ns = 1e9 * cost.flops / effective_flops if cost.flops else 0.0
-        memory_ns = 1e9 * cost.bytes_moved / effective_bw if cost.bytes_moved else 0.0
+        bytes_moved = cost.bytes_read + cost.bytes_written
+        compute_ns = 1e9 * cost.flops / self._effective_flops if cost.flops else 0.0
+        memory_ns = 1e9 * bytes_moved / self._effective_bw if bytes_moved else 0.0
         busy_ns = max(compute_ns, memory_ns)
         return int(round(self.spec.kernel_launch_overhead_ns + busy_ns))
 
     def op_duration_ns(self, cost: KernelCost) -> int:
         """Total operator duration: host dispatch plus kernel time."""
-        duration = self.host_dispatch_overhead_ns + self.kernel_duration_ns(cost)
-        self._per_kernel_ns[cost.name or "anonymous"] = duration
-        return duration
+        return self.host_dispatch_overhead_ns + self.kernel_duration_ns(cost)
 
     def memcpy_duration_ns(self, nbytes: int, bandwidth: float) -> int:
         """Duration of a host↔device copy of ``nbytes`` at ``bandwidth`` B/s."""
@@ -106,12 +106,6 @@ class KernelTimingModel:
             raise ValueError("nbytes must be non-negative")
         transfer_ns = 1e9 * nbytes / bandwidth if nbytes else 0.0
         return int(round(self.spec.memcpy_launch_overhead_ns + transfer_ns))
-
-    # -- introspection ---------------------------------------------------------
-
-    def last_durations(self) -> Dict[str, int]:
-        """Most recent estimated duration per kernel name (for debugging)."""
-        return dict(self._per_kernel_ns)
 
 
 def matmul_cost(m: int, k: int, n: int, itemsize: int = 4, name: str = "matmul") -> KernelCost:

@@ -43,9 +43,7 @@ class DeviceStorage:
         self.nbytes = self.numel * dtype.itemsize
         self.category = category
         self.tag = tag
-        self.block: Optional[Block] = device.allocate(
-            max(self.nbytes, 1), category=category, tag=tag
-        )
+        self.block: Optional[Block] = device.allocate(self.nbytes or 1, category, tag)
         self._buffer: Optional[np.ndarray] = None
         if device.is_eager:
             self._buffer = np.zeros(self.numel, dtype=dtype.numpy_dtype)
@@ -85,15 +83,23 @@ class DeviceStorage:
 
     # -- instrumented access -------------------------------------------------------
 
+    # The two hot calls of a profiled run: the liveness check is inlined and
+    # the composite's hook (looked up per call, see ``CompositeListener``) is
+    # called directly instead of through ``Device.notify_read/notify_write``.
+
     def record_read(self, op: str, nbytes: Optional[int] = None) -> None:
         """Report a read of this storage by operator ``op``."""
-        self._ensure_live()
-        self.device.notify_read(self.block, nbytes if nbytes is not None else self.nbytes, op)
+        block = self.block
+        if block is None:
+            self._ensure_live()
+        self.device.listeners.on_read(block, self.nbytes if nbytes is None else nbytes, op)
 
     def record_write(self, op: str, nbytes: Optional[int] = None) -> None:
         """Report a write of this storage by operator ``op``."""
-        self._ensure_live()
-        self.device.notify_write(self.block, nbytes if nbytes is not None else self.nbytes, op)
+        block = self.block
+        if block is None:
+            self._ensure_live()
+        self.device.listeners.on_write(block, self.nbytes if nbytes is None else nbytes, op)
 
     # -- data access (eager mode only) ----------------------------------------------
 

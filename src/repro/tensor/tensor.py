@@ -29,10 +29,9 @@ ShapeLike = Union[int, Sequence[int]]
 def _normalize_shape(shape: ShapeLike) -> Tuple[int, ...]:
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
-    shape = tuple(int(dim) for dim in shape)
-    for dim in shape:
-        if dim < 0:
-            raise ShapeError(f"negative dimension in shape {shape}")
+    shape = tuple(map(int, shape))
+    if shape and min(shape) < 0:
+        raise ShapeError(f"negative dimension in shape {shape}")
     return shape
 
 
@@ -60,17 +59,15 @@ class Tensor:
         self.dtype = dtype
         self.category = category
         self.tag = tag
+        #: Number of elements (1 for a 0-d shape), computed once per tensor.
+        self.numel = math.prod(self.shape)
         if storage is None:
-            storage = DeviceStorage(
-                device, numel=int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1,
-                dtype=dtype, category=category, tag=tag,
+            storage = DeviceStorage(device, numel=self.numel, dtype=dtype,
+                                    category=category, tag=tag)
+        elif storage.numel != self.numel:
+            raise ShapeError(
+                f"storage of {storage.numel} elements cannot view shape {self.shape}"
             )
-        else:
-            expected = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
-            if storage.numel != expected:
-                raise ShapeError(
-                    f"storage of {storage.numel} elements cannot view shape {self.shape}"
-                )
         self.storage = storage
 
     # -- basic properties -----------------------------------------------------------
@@ -79,11 +76,6 @@ class Tensor:
     def ndim(self) -> int:
         """Number of dimensions."""
         return len(self.shape)
-
-    @property
-    def numel(self) -> int:
-        """Number of elements."""
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
 
     @property
     def nbytes(self) -> int:
@@ -120,7 +112,7 @@ class Tensor:
     def reshape(self, shape: ShapeLike) -> "Tensor":
         """Return a tensor sharing this storage with a new shape (no data movement)."""
         new_shape = _normalize_shape(shape)
-        if int(np.prod(new_shape, dtype=np.int64)) != self.numel:
+        if math.prod(new_shape) != self.numel:
             raise ShapeError(f"cannot reshape {self.shape} ({self.numel} elems) to {new_shape}")
         view = Tensor(self.device, new_shape, dtype=self.dtype, category=self.category,
                       tag=self.tag, storage=self.storage.retain())

@@ -14,6 +14,7 @@ from repro.core.events import (
     MemoryEventKind,
 )
 from repro.core.trace import MemoryTrace
+from repro.device.hooks import MemoryEventListener
 
 
 def build_trace(event_specs, iteration_marks=(), end_ns=None):
@@ -51,3 +52,81 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
     final_ns = end_ns if end_ns is not None else (events[-1].timestamp_ns if events else 0)
     return MemoryTrace(events=events, lifetimes=list(lifetimes.values()),
                        iteration_marks=marks, end_ns=final_ns)
+
+
+class ReferenceRecorder(MemoryEventListener):
+    """The obvious recorder: one :class:`MemoryEvent` object per hook call.
+
+    Deliberately naive — keyword construction, a dict of open lifetimes, the
+    public clock property — so the optimized :class:`TraceRecorder` has an
+    independent implementation to be compared against event for event.
+    ``iteration_of`` supplies the current iteration (the real recorder's
+    ``current_iteration`` when the two run side by side).
+    """
+
+    def __init__(self, clock, iteration_of=lambda: -1):
+        self.clock = clock
+        self.iteration_of = iteration_of
+        self.enabled = True
+        self.events = []
+        self.lifetimes = []
+        self._open = {}
+
+    def _emit(self, kind, block_id, address, size, category, tag, op=""):
+        if self.enabled:
+            self.events.append(MemoryEvent(
+                event_id=len(self.events), kind=kind, timestamp_ns=self.clock.now_ns,
+                block_id=block_id, address=address, size=size, category=category,
+                tag=tag, iteration=self.iteration_of(), op=op))
+        return self.enabled
+
+    def _emit_block(self, kind, block, op=""):
+        return self._emit(kind, block.block_id, block.address, block.size,
+                          block.category, block.tag, op)
+
+    def on_malloc(self, block, requested_size):
+        if self._emit_block(MemoryEventKind.MALLOC, block):
+            lifetime = BlockLifetime(
+                block_id=block.block_id, address=block.address, size=block.size,
+                category=block.category, tag=block.tag, malloc_ns=self.clock.now_ns,
+                iteration=self.iteration_of())
+            self._open[block.block_id] = lifetime
+            self.lifetimes.append(lifetime)
+
+    def on_free(self, block):
+        if self._emit_block(MemoryEventKind.FREE, block):
+            lifetime = self._open.pop(block.block_id, None)
+            if lifetime is not None:
+                lifetime.free_ns = self.clock.now_ns
+
+    def _on_access(self, kind, block, op):
+        if self._emit_block(kind, block, op) and block.block_id in self._open:
+            self._open[block.block_id].access_count += 1
+
+    def on_read(self, block, nbytes, op):
+        self._on_access(MemoryEventKind.READ, block, op)
+
+    def on_write(self, block, nbytes, op):
+        self._on_access(MemoryEventKind.WRITE, block, op)
+
+    def _on_segment(self, kind, segment):
+        self._emit(kind, -segment.segment_id, segment.address, segment.size,
+                   MemoryCategory.UNKNOWN, f"segment:{segment.pool}")
+
+    def on_segment_alloc(self, segment):
+        self._on_segment(MemoryEventKind.SEGMENT_ALLOC, segment)
+
+    def on_segment_free(self, segment):
+        self._on_segment(MemoryEventKind.SEGMENT_FREE, segment)
+
+    def on_swap_out(self, block, nbytes, op):
+        self._emit_block(MemoryEventKind.SWAP_OUT, block, op)
+
+    def on_swap_in(self, block, nbytes, op):
+        self._emit_block(MemoryEventKind.SWAP_IN, block, op)
+
+    def on_recompute_drop(self, block, nbytes, op):
+        self._emit_block(MemoryEventKind.RECOMPUTE_DROP, block, op)
+
+    def on_recompute(self, block, nbytes, op):
+        self._emit_block(MemoryEventKind.RECOMPUTE, block, op)

@@ -199,3 +199,34 @@ def test_reserve_in_the_past_is_clamped_to_now():
     stream = Stream("copy", clock)
     start, end = stream.reserve(0, 100)
     assert (start, end) == (2_000, 2_100)
+
+
+def test_in_order_stream_keeps_its_busy_index_bounded():
+    # The compute stream only ever calls schedule(): elapsed intervals must be
+    # pruned on that path too, or the index grows by one tuple per kernel.
+    clock = DeviceClock()
+    stream = Stream("compute", clock)
+    for _ in range(500):
+        _, end = stream.schedule(100)
+        clock.advance_to(end)
+        assert len(stream._busy_intervals) <= 1
+    assert len(stream.ops) == 500 and stream.busy_time_ns() == 50_000
+
+
+def test_pruning_on_schedule_leaves_reservations_where_they_were():
+    def placements(prune_history):
+        clock = DeviceClock()
+        stream = Stream("copy", clock)
+        placed = []
+        for step in range(40):
+            placed.append(stream.schedule_at(clock.now_ns + 30 * (step % 3), 40))
+            placed.append(stream.reserve(clock.now_ns + 500, 25))
+            placed.append(stream.reserve_before(clock.now_ns + 900, 60))
+            clock.advance(170)
+            if not prune_history:        # what an unpruned index would hold
+                stream._busy_intervals[:] = sorted(
+                    (op.start_ns, op.end_ns) for op in stream.ops
+                    if op.end_ns > op.start_ns)
+        return placed
+
+    assert placements(prune_history=True) == placements(prune_history=False)

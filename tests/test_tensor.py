@@ -69,6 +69,34 @@ def test_reshape_shares_storage(test_device):
     assert view.is_freed
 
 
+@pytest.mark.parametrize("shape, numel", [((), 1), ((7,), 7), (7, 7), ((0,), 0),
+                                          ((3, 0, 2), 0), ((2, 3, 4), 24)])
+def test_numel_for_scalar_vector_and_zero_size_shapes(test_device, shape, numel):
+    tensor = empty(test_device, shape)
+    assert tensor.numel == numel and isinstance(tensor.numel, int)
+    assert tensor.storage.numel == numel
+    assert tensor.nbytes == 4 * numel
+    assert tensor.reshape((numel,)).shape == (numel,)
+    assert tensor.reshape((1, numel, 1)).numel == numel
+    with pytest.raises(ShapeError, match="cannot reshape"):
+        tensor.reshape((numel + 1,))
+    with pytest.raises(ShapeError, match="negative dimension"):
+        tensor.reshape((-1,))
+
+
+def test_reshape_of_a_scalar_and_a_zero_size_tensor(test_device):
+    scalar = empty(test_device, ())
+    assert scalar.reshape(()).shape == () and scalar.reshape((1, 1)).numel == 1
+    with pytest.raises(ShapeError):
+        scalar.reshape((0,))
+    hollow = empty(test_device, (4, 0))
+    assert hollow.reshape((0, 9)).shape == (0, 9)
+    with pytest.raises(ShapeError):
+        hollow.reshape(())
+    with pytest.raises(ShapeError, match="cannot view shape"):
+        type(scalar)(test_device, (2,), storage=scalar.storage)
+
+
 def test_flatten_batch(test_device):
     tensor = empty(test_device, (2, 3, 4, 4))
     flat = tensor.flatten_batch()

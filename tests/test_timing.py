@@ -99,8 +99,3 @@ def test_reduction_cost_writes_one_element():
     cost = reduction_cost(1000)
     assert cost.bytes_written == 4
     assert cost.flops == 1000
-
-
-def test_last_durations_tracks_named_kernels(model):
-    model.op_duration_ns(KernelCost(flops=100, name="my_kernel"))
-    assert "my_kernel" in model.last_durations()
