@@ -105,8 +105,7 @@ def per_block_compute_times(trace: MemoryTrace) -> Dict[int, int]:
     return compute_ns
 
 
-def estimate_recompute_plan(trace: MemoryTrace, keep_every: int = 2,
-                            forward_fraction_of_iteration: float = 0.33) -> RecomputePlan:
+def estimate_recompute_plan(trace: MemoryTrace, keep_every: int = 2) -> RecomputePlan:
     """Estimate checkpointing on a recorded trace.
 
     Parameters
@@ -116,13 +115,11 @@ def estimate_recompute_plan(trace: MemoryTrace, keep_every: int = 2,
     keep_every:
         Keep one activation out of every ``keep_every`` as a checkpoint
         (``keep_every=2`` halves the resident activations).
-    forward_fraction_of_iteration:
-        Legacy fallback: fraction of an iteration assumed spent in the
-        forward pass.  The recompute overhead is normally the *sum of the
-        recorded producer compute times* of the discarded activations (see
-        :func:`per_block_compute_times`); the first-order
-        fraction-of-iteration model is used only when the trace carries no
-        usable timing (e.g. a hand-built trace with no write events).
+
+    The recompute overhead is the *sum of the recorded producer compute
+    times* of the discarded activations (see :func:`per_block_compute_times`);
+    a trace that carries no producer timing (e.g. a hand-built trace with no
+    write events) reports zero overhead.
     """
     if keep_every < 1:
         raise ValueError("keep_every must be at least 1")
@@ -140,22 +137,13 @@ def estimate_recompute_plan(trace: MemoryTrace, keep_every: int = 2,
                if index % keep_every == 0) // per_iteration
     discarded = max(0, total - kept)
 
-    # Recompute cost: replaying the producers of the discarded activations.
-    # The per-block producer times come straight from the recorded timeline;
-    # only a trace with no usable kernel timing falls back to the first-order
-    # fraction-of-iteration model.
+    # Recompute cost: replaying the producers of the discarded activations,
+    # whose times come straight from the recorded timeline.
     compute_ns = per_block_compute_times(trace)
-    discarded_lifetimes = [lifetime for index, lifetime in enumerate(ordered)
-                           if index % keep_every != 0]
-    if compute_ns and any(l.block_id in compute_ns for l in discarded_lifetimes):
-        recompute_overhead = sum(compute_ns.get(l.block_id, 0)
-                                 for l in discarded_lifetimes) // per_iteration
-    else:
-        durations = [mark.duration_ns() for mark in trace.iteration_marks
-                     if mark.end_ns is not None]
-        mean_iteration_ns = int(sum(durations) / len(durations)) if durations else 0
-        recompute_overhead = int(mean_iteration_ns * forward_fraction_of_iteration
-                                 * (1.0 - 1.0 / keep_every))
+    recompute_overhead = sum(
+        compute_ns.get(lifetime.block_id, 0)
+        for index, lifetime in enumerate(ordered)
+        if index % keep_every != 0) // per_iteration
 
     peak_before = trace.peak_live_bytes()
     return RecomputePlan(

@@ -37,18 +37,28 @@ import sys
 from typing import List, Optional
 
 from .core import compute_access_intervals, occupation_breakdown, summarize_intervals
+from .baselines.policy import available_policies
 from .core.events import PAPER_BUCKETS
 from .data.datasets import DATASET_PRESETS
+from .device.allocator import ALLOCATOR_CLASSES
+from .device.cluster import INTERCONNECT_PRESETS
 from .device.spec import DEVICE_PRESETS
 from .errors import InfeasibleScenarioError, OutOfMemoryError
 from .models.registry import available_models
 from .swap.policies import SWAP_OFF, available_execution_policies
+from .tensor.dtype import all_dtypes
 from .train.session import TrainingRunConfig, run_training_session
 from .units import format_bytes
 from .viz import render_stacked_bars, render_table
 
 
+#: Training precisions the ``--dtypes`` axis accepts: the registry's float types.
+_FLOAT_DTYPES = tuple(dtype.name for dtype in all_dtypes()
+                      if dtype.numpy_dtype.kind == "f")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    swap_modes = (SWAP_OFF,) + available_execution_policies()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Pinpointing the Memory Behaviors of DNN Training'",
@@ -70,9 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "identical events/timing")
     profile.add_argument("--device", default="titan_x_pascal", choices=sorted(DEVICE_PRESETS))
     profile.add_argument("--allocator", default="caching",
-                         choices=("caching", "best_fit", "bump"))
+                         choices=tuple(ALLOCATOR_CLASSES))
     profile.add_argument("--swap", default=SWAP_OFF,
-                         choices=(SWAP_OFF,) + available_execution_policies(),
+                         choices=swap_modes,
                          help="run the closed-loop swap-execution engine "
                               "during the session and print its measured "
                               "vs predicted summary")
@@ -114,28 +124,26 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated iteration counts")
     sweep.add_argument("--allocators", default="caching",
                        help="comma-separated allocator policies "
-                            "(caching, best_fit, bump)")
+                            f"({', '.join(ALLOCATOR_CLASSES)})")
     sweep.add_argument("--swap-policies", default="none",
-                       help="comma-separated baseline policies (none, planner, "
-                            "swap_advisor, zero_offload, recompute, pruning, "
-                            "quantization)")
+                       help="comma-separated baseline policies "
+                            f"({', '.join(available_policies())})")
     sweep.add_argument("--devices", default="titan_x_pascal",
                        help="comma-separated device presets")
     sweep.add_argument("--dtypes", default="float32",
                        help="comma-separated training dtypes "
-                            "(float32, float16, float64)")
+                            f"({', '.join(_FLOAT_DTYPES)})")
     sweep.add_argument("--n-devices", default="1", dest="n_devices",
                        help="comma-separated data-parallel replica counts "
                             "(e.g. 1,2,4)")
     sweep.add_argument("--interconnects", default="pcie_gen3",
                        help="comma-separated interconnect presets "
-                            "(pcie_gen3, pcie_gen4, nvlink2, ethernet_25g)")
+                            f"({', '.join(INTERCONNECT_PRESETS)})")
     sweep.add_argument("--allreduce", default="ring", choices=("ring", "naive"),
                        help="allreduce cost model used for gradient collectives")
     sweep.add_argument("--swap", default="off",
                        help="comma-separated closed-loop swap-execution modes "
-                            "(off, planner, swap_advisor, zero_offload, lru, "
-                            "unified): the engine actually evicts/prefetches "
+                            f"({', '.join(swap_modes)}): the engine actually evicts/prefetches "
                             "blocks on the copy stream during the simulation "
                             "and reports measured peak reduction + stall "
                             "time next to the policy's predictions; unified "
@@ -343,7 +351,6 @@ def _split_csv(value: str, cast=str) -> list:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from .device.cluster import INTERCONNECT_PRESETS
     from .experiments.faults import FaultPlan
     from .experiments.sweep import (
         SWAP_EXECUTION_MODES,
@@ -358,11 +365,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a clean message before any scenario (or worker process) starts.
     dimension_choices = (
         ("--models", _split_csv(args.models), set(available_models())),
-        ("--allocators", _split_csv(args.allocators), {"caching", "best_fit", "bump"}),
+        ("--allocators", _split_csv(args.allocators), set(ALLOCATOR_CLASSES)),
         ("--swap-policies", _split_csv(args.swap_policies), set(SWAP_POLICIES)),
         ("--swap", _split_csv(args.swap), set(SWAP_EXECUTION_MODES)),
         ("--devices", _split_csv(args.devices), set(DEVICE_PRESETS)),
-        ("--dtypes", _split_csv(args.dtypes), {"float16", "float32", "float64"}),
+        ("--dtypes", _split_csv(args.dtypes), set(_FLOAT_DTYPES)),
         ("--interconnects", _split_csv(args.interconnects),
          set(INTERCONNECT_PRESETS)),
     )

@@ -240,22 +240,31 @@ def intervals_by_category(intervals: Sequence[AccessInterval]) -> Dict[str, List
     return grouped
 
 
+def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
+    """One distribution summary per row of an ``(S, n)`` matrix of ATIs in microseconds.
+
+    The only implementation of the summary recipe: a single trace is the
+    one-row case (:func:`summarize_values_us`), a replayed grid passes one
+    row per pricing point.  The mean sums each row in the order given.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n_rows, count = values.shape
+    if count == 0:
+        return [AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0, p99_us=0.0,
+                           min_us=0.0, max_us=0.0) for _ in range(n_rows)]
+    p50, p90, p99 = np.percentile(values, (50, 90, 99), axis=1)
+    mins, maxs = values.min(axis=1), values.max(axis=1)
+    # Row-at-a-time mean: an axis reduction pairs the sum with a different
+    # blocking than a 1-D ``mean()`` and can differ from it in the last ulp.
+    return [AtiSummary(count=count, mean_us=float(values[i].mean()),
+                       p50_us=float(p50[i]), p90_us=float(p90[i]), p99_us=float(p99[i]),
+                       min_us=float(mins[i]), max_us=float(maxs[i]))
+            for i in range(n_rows)]
+
+
 def summarize_values_us(values: np.ndarray) -> AtiSummary:
     """Distribution summary of raw ATI values in microseconds (one percentile pass)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0, p99_us=0.0,
-                          min_us=0.0, max_us=0.0)
-    p50, p90, p99 = np.percentile(values, (50, 90, 99))
-    return AtiSummary(
-        count=int(values.size),
-        mean_us=float(values.mean()),
-        p50_us=float(p50),
-        p90_us=float(p90),
-        p99_us=float(p99),
-        min_us=float(values.min()),
-        max_us=float(values.max()),
-    )
+    return summarize_rows_us(np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def summarize_intervals(intervals) -> AtiSummary:

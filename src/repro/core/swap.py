@@ -73,17 +73,36 @@ def is_swappable(interval: AccessInterval, bandwidths: BandwidthConfig) -> bool:
     return interval.size <= max_swap_bytes(interval.interval_ns, bandwidths)
 
 
+def _eq1_limit_bytes(interval_ns: np.ndarray, round_trip_s_per_byte) -> np.ndarray:
+    """Vectorized Eq. 1: the bytes each ATI hides (negative gaps hide nothing)."""
+    return np.maximum(interval_ns, 0) / 1e9 / round_trip_s_per_byte
+
+
 def swappable_mask(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> np.ndarray:
     """Vectorized Eq. 1 over an :class:`~repro.core.ati.IntervalArrays` column set."""
-    limits = np.maximum(arrays.interval_ns, 0) / 1e9 / bandwidths.round_trip_s_per_byte
-    return arrays.size <= limits
+    return arrays.size <= _eq1_limit_bytes(arrays.interval_ns,
+                                           bandwidths.round_trip_s_per_byte)
+
+
+def swappable_fractions(interval_ns: np.ndarray, sizes: np.ndarray,
+                        round_trip_s_per_byte: np.ndarray) -> np.ndarray:
+    """Per row of an ``(S, n)`` gap matrix, the fraction of ATIs passing Eq. 1.
+
+    ``sizes`` holds the ``n`` block sizes behind the gaps and
+    ``round_trip_s_per_byte`` one Eq.-1 denominator per row; a row without
+    intervals screens to 0.0.
+    """
+    interval_ns = np.asarray(interval_ns)
+    if interval_ns.shape[1] == 0:
+        return np.zeros(interval_ns.shape[0])
+    limits = _eq1_limit_bytes(interval_ns, np.asarray(round_trip_s_per_byte)[:, None])
+    return np.mean(sizes <= limits, axis=1)
 
 
 def swappable_fraction(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> float:
     """Fraction of ATIs whose block fits through Eq. 1 (0.0 for an empty set)."""
-    if len(arrays) == 0:
-        return 0.0
-    return float(np.mean(swappable_mask(arrays, bandwidths)))
+    return float(swappable_fractions(arrays.interval_ns[None, :], arrays.size,
+                                     [bandwidths.round_trip_s_per_byte])[0])
 
 
 @dataclass

@@ -58,6 +58,21 @@ class CollectiveRecord:
         }
 
 
+def collective_summary(cluster: ClusterSpec, world_size: int, count: int,
+                       total_bytes: int, total_time_ns: int) -> Dict[str, object]:
+    """A run's ``collective`` block: the engine's aggregate, also built by the
+    replay engine from a template's sync atoms and re-priced costs."""
+    return {
+        "count": count,
+        "world_size": world_size,
+        "algorithm": cluster.allreduce_algorithm,
+        "interconnect": cluster.interconnect.name,
+        "total_bytes": total_bytes,
+        "total_time_ns": total_time_ns,
+        "mean_time_ns": (total_time_ns / count) if count else 0.0,
+    }
+
+
 class CollectiveEngine:
     """Models collectives across the replica clocks of one cluster.
 
@@ -115,14 +130,5 @@ class CollectiveEngine:
 
     def summary(self) -> Dict[str, object]:
         """Compact aggregate used by session results and the scaling report."""
-        count = len(self.records)
-        total_ns = self.total_time_ns()
-        return {
-            "count": count,
-            "world_size": self.world_size,
-            "algorithm": self.cluster.allreduce_algorithm,
-            "interconnect": self.cluster.interconnect.name,
-            "total_bytes": self.total_bytes(),
-            "total_time_ns": total_ns,
-            "mean_time_ns": (total_ns / count) if count else 0.0,
-        }
+        return collective_summary(self.cluster, self.world_size, len(self.records),
+                                  self.total_bytes(), self.total_time_ns())

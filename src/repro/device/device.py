@@ -28,7 +28,8 @@ from .hooks import CompositeListener, MemoryEventListener
 from .memory import Block
 from .spec import DeviceSpec, titan_x_pascal
 from .stream import Stream
-from .timing import KernelCost, KernelTimingModel
+from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
+                     DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
 
 #: Execution modes supported by the tensor library on this device
 #: (``"symbolic"`` runs shape/behavior-only kernels).
@@ -70,9 +71,9 @@ class Device:
         allocator: str = "caching",
         execution_mode: str = "eager",
         default_dtype: object = "float32",
-        compute_efficiency: float = 0.65,
-        bandwidth_efficiency: float = 0.75,
-        host_dispatch_overhead_ns: int = 6_000,
+        compute_efficiency: float = DEFAULT_COMPUTE_EFFICIENCY,
+        bandwidth_efficiency: float = DEFAULT_BANDWIDTH_EFFICIENCY,
+        host_dispatch_overhead_ns: int = DEFAULT_HOST_DISPATCH_OVERHEAD_NS,
     ):
         from ..tensor.dtype import DType, get_dtype
 

@@ -24,6 +24,13 @@ from dataclasses import dataclass
 
 from .spec import DeviceSpec
 
+#: Fraction of peak FLOP/s dense kernels are modelled to reach.
+DEFAULT_COMPUTE_EFFICIENCY = 0.65
+#: Fraction of peak DRAM bandwidth memory-bound kernels are modelled to reach.
+DEFAULT_BANDWIDTH_EFFICIENCY = 0.75
+#: Host-side framework dispatch cost per operator (Python + dispatcher).
+DEFAULT_HOST_DISPATCH_OVERHEAD_NS = 6_000
+
 
 @dataclass(frozen=True)
 class KernelCost:
@@ -68,9 +75,9 @@ class KernelTimingModel:
     def __init__(
         self,
         spec: DeviceSpec,
-        compute_efficiency: float = 0.65,
-        bandwidth_efficiency: float = 0.75,
-        host_dispatch_overhead_ns: int = 6_000,
+        compute_efficiency: float = DEFAULT_COMPUTE_EFFICIENCY,
+        bandwidth_efficiency: float = DEFAULT_BANDWIDTH_EFFICIENCY,
+        host_dispatch_overhead_ns: int = DEFAULT_HOST_DISPATCH_OVERHEAD_NS,
     ):
         if not 0.0 < compute_efficiency <= 1.0:
             raise ValueError("compute_efficiency must be in (0, 1]")
@@ -82,17 +89,18 @@ class KernelTimingModel:
         self.host_dispatch_overhead_ns = int(host_dispatch_overhead_ns)
         # The roofline denominators are constants of the model (the spec is
         # frozen, the efficiencies fixed at construction): computed once here,
-        # not once per kernel.
-        self._effective_flops = spec.peak_flops * compute_efficiency
-        self._effective_bw = spec.memory_bandwidth * bandwidth_efficiency
+        # not once per kernel.  The replay engine prices whole grids with the
+        # same two numbers.
+        self.effective_flops = spec.peak_flops * compute_efficiency
+        self.effective_bandwidth = spec.memory_bandwidth * bandwidth_efficiency
 
     # -- estimation -----------------------------------------------------------
 
     def kernel_duration_ns(self, cost: KernelCost) -> int:
         """Device-side duration of one kernel, in nanoseconds."""
         bytes_moved = cost.bytes_read + cost.bytes_written
-        compute_ns = 1e9 * cost.flops / self._effective_flops if cost.flops else 0.0
-        memory_ns = 1e9 * bytes_moved / self._effective_bw if bytes_moved else 0.0
+        compute_ns = 1e9 * cost.flops / self.effective_flops if cost.flops else 0.0
+        memory_ns = 1e9 * bytes_moved / self.effective_bandwidth if bytes_moved else 0.0
         busy_ns = max(compute_ns, memory_ns)
         return int(round(self.spec.kernel_launch_overhead_ns + busy_ns))
 

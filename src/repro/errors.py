@@ -155,7 +155,7 @@ class DTypeError(TensorError):
 
 
 class MaterializationError(TensorError):
-    """Raised when numeric data is requested from a virtual (shape-only) tensor."""
+    """Raised when numeric data is requested from a symbolic (shape-only) tensor."""
 
 
 class ModuleError(ReproError):

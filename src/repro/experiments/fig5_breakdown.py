@@ -3,7 +3,7 @@
 The paper's observation: for most DNNs, parameters account for only a small
 fraction of the training footprint; intermediate results dominate.  This
 experiment profiles a family of "typical" models (the MLP, LeNet-5, AlexNet,
-VGG-11/16, a small Inception and ResNet-18/50) in virtual execution and
+VGG-11/16, a small Inception and ResNet-18/50) in symbolic execution and
 reports the three-way breakdown at peak occupancy for each.
 """
 

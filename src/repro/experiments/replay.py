@@ -34,29 +34,37 @@ This module splits the two:
   capture, swap engine on) or the engine crashes on a structure group
   (reason ``engine_error``, traceback logged).
 
-There is one repricer and two reductions:
+There is one repricer and one reduction with two feeders:
 
 * **Batched repricing** — :meth:`TraceTemplate._price_times` stacks the
-  pricing-axis parameters of S scenarios (roofline inputs, bandwidths,
-  dispatch overheads, per-sync allreduce costs) into per-scenario rows and
-  derives every duration and clock reading of every rank in one
-  ``(S × atoms)`` int64 broadcast per rank; collectives are resolved in a
-  loop over the sync points, not over scenarios.
-* **Columnar reduction** (policy-free rows, any replica count) — ATI
+  pricing-axis parameters of S scenarios (the roofline rates and default
+  dispatch overhead of a :class:`~repro.device.timing.KernelTimingModel`,
+  bandwidths, dispatch overrides, per-sync allreduce costs) into
+  per-scenario rows and derives every duration and clock reading of every
+  rank in one ``(S × atoms)`` int64 broadcast per rank; collectives are
+  resolved in a loop over the sync points, not over scenarios.
+* **One reduction** — every result is built by
+  :func:`~repro.experiments.sweep.assemble_result` from a row's measurements
+  and the template's :class:`~repro.train.session.RunStructure`; the
+  measurements come from the simulator's own recipes
+  (:func:`~repro.core.ati.summarize_rows_us`,
+  :func:`~repro.core.swap.swappable_fractions`,
+  :func:`~repro.core.breakdown.occupation_from_columns`), never a copy.
+* **Fed by the time matrix** (policy-free rows, any replica count) — ATI
   pairing, block sizes, live-bytes deltas and categories are *structural*
   (``merge_rank_traces`` keeps block ids rank-disjoint and per-rank clocks
   are monotone, so the merged trace's ATI pairs are the union of the
   rank-local ones); they are precomputed per template as rank-major columns
-  (:class:`_MergedColumns`).  Per row only the interval gaps, the
-  distribution summary, Eq.-1 screening and — for multi-rank templates,
-  whose merged event *order* depends on the pricing point — one stable
-  argsort of the closing-event and malloc/free timestamps are recomputed.
-  No trace object is built.
-* **Rebuilt-trace reduction** (``swap_policy != "none"``) — the offline
+  (:class:`_MergedColumns`).  Per row only the interval gaps are gathered
+  and — for multi-rank templates, whose merged event *order* depends on the
+  pricing point — ordered by one stable argsort of the closing-event and
+  malloc/free timestamps.  No trace object is built.
+* **Fed by a rebuilt trace** (``swap_policy != "none"``) — the offline
   baselines walk a real trace, so a policy-carrying row's clocks feed
-  :meth:`TraceTemplate._rebuild_session`, the real ``merge_rank_traces``
-  and the ordinary :func:`~repro.experiments.sweep.reduce_session`.  The
-  same path is the reference the tests diff the columnar reduction against.
+  :meth:`TraceTemplate._rebuild_trace`, the real ``merge_rank_traces`` and
+  :func:`~repro.experiments.sweep.reduce_trace`, which also reduces every
+  fresh session.  The same path is the reference the tests diff the
+  time-matrix feeder against.
 
 Two more layers push whole grids through one template:
 
@@ -77,18 +85,20 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ati import AtiSummary, compute_interval_arrays
+from ..core.ati import compute_interval_arrays, summarize_rows_us
 from ..core.breakdown import occupation_from_columns
 from ..core.events import BlockLifetime, IterationMark, MemoryEventKind
-from ..core.swap import BandwidthConfig
+from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import CATEGORY_FROM_CODE, KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
 from ..device.cluster import ClusterSpec
+from ..device.collective import collective_summary
 from ..device.spec import get_device_spec
 from ..device.tape import (
     SYNC_KINDS,
@@ -102,13 +112,15 @@ from ..device.tape import (
     TAPE_SEGMENT_OVERHEAD,
     TimingTape,
 )
+from ..device.timing import KernelTimingModel
 from ..train.session import (
-    SessionResult,
+    RunStructure,
     TrainingRunConfig,
     build_cluster,
     run_training_session,
+    workload_metadata,
 )
-from ..train.trainer import IterationStats
+from ..units import ns_to_us
 from .artifacts import ArtifactStore
 
 logger = logging.getLogger(__name__)
@@ -195,8 +207,7 @@ class _TemplateCapture:
     def attach(self, group) -> None:
         self.tapes = [TimingTape(device.clock) for device in group]
 
-    def collect(self, group=None, profilers=None, trainer=None,
-                rank_traces=None) -> None:
+    def collect(self, profilers, rank_traces) -> None:
         self.profilers = profilers
         self.rank_traces = rank_traces
 
@@ -378,14 +389,10 @@ class _MergedColumns:
     life_category: np.ndarray      # ... and category codes
     span_begin: np.ndarray         # (ranks, iterations) iteration-span columns
     span_end: np.ndarray
-    num_events: int
-    num_blocks: int
     #: Single rank only (the event order is then timestamp-free too): the
     #: occupation breakdown and the column of its peak event (-1: none).
     breakdown_base: Optional[Dict[str, object]]
     peak_col: int
-    stats_base: Dict[str, int]
-    mean_utilization: float
 
 
 @dataclass
@@ -395,6 +402,7 @@ class _BatchArrays:
     atoms: List[_RankAtoms]
     width: int                          # columns of the time matrix
     merged: Optional[_MergedColumns]    # None: results need a rebuilt trace
+    structure: RunStructure             # what every row of this template reports
 
 
 def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAtoms:
@@ -431,13 +439,13 @@ def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAto
     )
 
 
-def _structural_trace(rank: RankTemplate) -> MemoryTrace:
-    """One rank's trace with zeroed timestamps (structure only)."""
+def _rank_columns(rank: RankTemplate, timestamps: np.ndarray) -> EventColumns:
+    """One rank's captured event columns under the given timestamps."""
     n = len(rank.event_kind)
-    columns = EventColumns(
+    return EventColumns(
         event_id=np.arange(n, dtype=np.int64),
         kind_code=rank.event_kind,
-        timestamp_ns=np.zeros(n, dtype=np.int64),
+        timestamp_ns=timestamps,
         block_id=rank.event_block,
         size=rank.event_size,
         category_code=rank.event_category,
@@ -445,6 +453,11 @@ def _structural_trace(rank: RankTemplate) -> MemoryTrace:
         device_rank=np.zeros(n, dtype=np.int64),
         address=rank.event_address,
     )
+
+
+def _structural_trace(rank: RankTemplate) -> MemoryTrace:
+    """One rank's trace with zeroed timestamps (structure only)."""
+    columns = _rank_columns(rank, np.zeros(len(rank.event_kind), dtype=np.int64))
     return MemoryTrace(columns=columns, event_tags=list(rank.event_tags),
                        event_ops=list(rank.event_ops))
 
@@ -453,7 +466,7 @@ class TraceTemplate:
     """One compiled structure: everything needed to re-price it in bulk.
 
     ``meta`` carries the structural scalars (allocator name, capacities,
-    peaks, parameter bytes, allocator counters, per-iteration statistics);
+    peaks, parameter bytes, allocator counters, iteration indices);
     ``ranks`` carries the per-replica arrays.  Construction validates the
     capture (consistent tapes, matching cross-rank sync sequences); the
     timestamp-free tables behind batched repricing are built on first use.
@@ -468,6 +481,9 @@ class TraceTemplate:
             raise TemplateError("a template needs at least one rank",
                                 reason="capture_inconsistent")
         self._validate_syncs()
+        #: Iteration indices of the capture's step statistics, in step order.
+        self.iteration_indices = [int(entry["index"])
+                                  for entry in self.meta["iteration_stats"]]
         self._batch: Optional[_BatchArrays] = None  # built on first replay_batch
 
     @property
@@ -516,7 +532,7 @@ class TraceTemplate:
         if capacity == compile_capacity:
             return True
         allocator = self.meta["allocator"]
-        fits = capacity >= int(self.meta["peak_reserved_validity"])
+        fits = capacity >= int(self.meta["peak_reserved_bytes"])
         if allocator == "caching":
             return fits and not self.meta["has_segment_free"]
         if allocator == "bump":
@@ -533,32 +549,38 @@ class TraceTemplate:
             for rank, sync_pos in zip(self.ranks, self.sync_pos):
                 atoms.append(_rank_atoms(rank, sync_pos, base))
                 base += atoms[-1].n_atoms + 1
+            traces = [_structural_trace(rank) for rank in self.ranks]
+            # merge_rank_traces keeps every event and keeps block ids
+            # rank-disjoint, so the merged counts are the per-rank sums.
+            structure = RunStructure(
+                peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
+                peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
+                parameter_bytes=int(self.meta["parameter_bytes"]),
+                parameter_count=int(self.meta["parameter_count"]),
+                num_events=sum(len(trace) for trace in traces),
+                num_blocks=sum(len(trace.block_ids()) for trace in traces),
+                allocator_stats={k: int(v)
+                                 for k, v in self.meta["allocator_stats"].items()},
+            )
             self._batch = _BatchArrays(atoms=atoms, width=base,
-                                       merged=self._merged_columns(atoms))
+                                       merged=self._merged_columns(atoms, traces),
+                                       structure=structure)
         return self._batch
 
-    def _merged_columns(self, atoms: Sequence[_RankAtoms]) -> Optional[_MergedColumns]:
+    def _merged_columns(self, atoms: Sequence[_RankAtoms],
+                        traces: Sequence[MemoryTrace]) -> Optional[_MergedColumns]:
         """The merged trace's structure, or ``None`` when a result cannot be
-        reduced without the trace itself (an empty rank, no reserved peak to
-        take the utilization from, marks the ranks disagree on)."""
-        stats_base = {k: int(v) for k, v in self.meta["allocator_stats"].items()}
-        peak_reserved = int(stats_base.get("peak_reserved_bytes",
-                                           self.meta["peak_reserved_bytes"]))
-        peak_allocated = int(stats_base.get("peak_allocated_bytes",
-                                            self.meta["peak_allocated_bytes"]))
-        stat_indices = [int(entry["index"])
-                        for entry in self.meta["iteration_stats"]]
-        if (peak_reserved <= 0
-                or any(rank.event_kind.size == 0 for rank in self.ranks)
-                or any(rank.mark_indices != stat_indices for rank in self.ranks)):
+        reduced without the trace itself (an empty rank, marks the ranks
+        disagree on)."""
+        if (any(rank.event_kind.size == 0 for rank in self.ranks)
+                or any(rank.mark_indices != self.iteration_indices
+                       for rank in self.ranks)):
             return None
 
         per_rank: Dict[str, List[np.ndarray]] = {
             name: [] for name in ("ati_start_col", "ati_end_col", "ati_size",
                                   "life_col", "life_delta", "life_category")}
-        num_blocks = 0
-        for rank, tables in zip(self.ranks, atoms):
-            trace = _structural_trace(rank)
+        for rank, tables, trace in zip(self.ranks, atoms, traces):
             cols = trace.columns()
             event_col = tables.base + rank.event_tape_pos
             pairs = compute_interval_arrays(trace)
@@ -569,7 +591,6 @@ class TraceTemplate:
             per_rank["life_col"].append(event_col[lifecycle])
             per_rank["life_delta"].append(cols.live_deltas()[lifecycle])
             per_rank["life_category"].append(cols.category_code[lifecycle])
-            num_blocks += len(trace.block_ids())
         columns = {name: np.concatenate(parts) for name, parts in per_rank.items()}
 
         breakdown_base, peak_col = None, -1
@@ -585,22 +606,12 @@ class TraceTemplate:
                                  for rank, tables in zip(self.ranks, atoms)]),
             span_end=np.stack([tables.base + rank.mark_spans[:, 1]
                                for rank, tables in zip(self.ranks, atoms)]),
-            num_events=sum(int(rank.event_kind.size) for rank in self.ranks),
-            num_blocks=num_blocks,
             breakdown_base=breakdown_base,
             peak_col=peak_col,
-            stats_base=stats_base,
-            mean_utilization=float(peak_allocated / peak_reserved),
             **columns,
         )
 
     # -- re-pricing -------------------------------------------------------------------
-
-    @staticmethod
-    def _host_dispatch_ns(config: TrainingRunConfig) -> int:
-        if config.host_dispatch_overhead_ns is not None:
-            return int(config.host_dispatch_overhead_ns)
-        return 6_000  # KernelTimingModel's default
 
     def _price_times(self, configs: Sequence[TrainingRunConfig]
                      ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
@@ -613,9 +624,11 @@ class TraceTemplate:
         the ``(S, syncs)`` resolved collective costs and each row's cluster.
 
         Durations reproduce :class:`~repro.device.timing.KernelTimingModel`
-        exactly: ``np.rint`` matches Python's banker's ``round`` on the same
-        float expressions, broadcast along axis 0, so every row is
-        bit-identical to what a fresh simulation advances its clocks by.
+        exactly: the roofline rates and the default dispatch overhead are
+        read off the model a fresh device would build, and ``np.rint``
+        matches Python's banker's ``round`` on the same float expressions,
+        broadcast along axis 0, so every row is bit-identical to what a
+        fresh simulation advances its clocks by.
         Collectives are resolved with barrier semantics in a loop over the
         sync points (not over scenarios): all ranks leave a sync at the
         latest arrival plus the scenario's allreduce cost.
@@ -632,6 +645,7 @@ class TraceTemplate:
         clusters: List[ClusterSpec] = []
         rates: List[tuple] = []        # per point: the four float divisors
         overheads: List[tuple] = []    # per point: the four fixed ns costs
+        default_dispatch: List[int] = []   # per point: the model's host dispatch cost
         costs: List[List[int]] = []    # per point: every sync's collective cost
         point_of = np.empty(n_scenarios, dtype=np.intp)
         dispatch = np.empty(n_scenarios, dtype=np.int64)
@@ -643,19 +657,22 @@ class TraceTemplate:
                 point = points[point_key] = len(clusters)
                 cluster = build_cluster(config)
                 spec = cluster.device
+                timing = KernelTimingModel(spec)
                 clusters.append(cluster)
-                rates.append((spec.peak_flops * 0.65,
-                              spec.memory_bandwidth * 0.75,
+                rates.append((timing.effective_flops, timing.effective_bandwidth,
                               spec.h2d_bandwidth, spec.d2h_bandwidth))
                 overheads.append((spec.kernel_launch_overhead_ns,
                                   spec.memcpy_launch_overhead_ns,
                                   spec.allocator_overhead_ns,
                                   spec.cuda_malloc_overhead_ns))
+                default_dispatch.append(timing.host_dispatch_overhead_ns)
                 costs.append([
                     cluster.allreduce_time_ns(nbytes) if is_allreduce else 0
                     for nbytes, is_allreduce in zip(sync_nbytes, allreduce)])
             point_of[j] = point
-            dispatch[j] = self._host_dispatch_ns(config)
+            dispatch[j] = (default_dispatch[point]
+                           if config.host_dispatch_overhead_ns is None
+                           else config.host_dispatch_overhead_ns)
         eff_flops, eff_bw, h2d_bw, d2h_bw = np.ascontiguousarray(
             np.array(rates, dtype=np.float64)[point_of].T)
         launch, memcpy_launch, alloc_overhead, segment_overhead = \
@@ -747,94 +764,75 @@ class TraceTemplate:
         Every scenario's clocks come out of one ``(S × atoms)`` int64
         broadcast per rank (:meth:`_price_times`).  Policy-free rows
         (``swap_policy == "none"``) — single- and multi-rank alike — are then
-        reduced column-wise: ATI gaps, distribution summaries and Eq.-1
-        screening batched along axis 0, and for multi-rank templates one
-        stable argsort per row to recover the merged event order behind the
-        ATI mean and the occupancy peak.  Policy-carrying rows need a real
-        trace for the baselines to walk, so their row of the time matrix
-        feeds :meth:`_rebuild_session` and the ordinary
-        :func:`~repro.experiments.sweep.reduce_session`.
+        measured column-wise: ATI gaps gathered from the time matrix, summarized
+        and Eq.-1 screened by the row forms of the trace recipes, and for
+        multi-rank templates one stable argsort per row to recover the merged
+        event order behind the ATI mean and the occupancy peak.
+        Policy-carrying rows need a real trace for the baselines to walk, so
+        their row of the time matrix feeds :meth:`_rebuild_trace` and
+        :func:`~repro.experiments.sweep.reduce_trace`.  Either way the row ends
+        in :func:`~repro.experiments.sweep.assemble_result`.
 
         The returned list is parallel to ``scenarios`` and bit-identical to
         what a fresh symbolic simulation would produce (``wall_time_s``
         aside).  ``keys`` optionally carries the scenarios' precomputed
         content hashes.
         """
-        from .sweep import ScenarioResult, reduce_session, scenario_identity
+        from .sweep import assemble_result, reduce_trace
 
         if started is None:
             started = time.perf_counter()
         if keys is None:
             keys = [scenario.key(bandwidths)
                     for scenario, bandwidths in zip(scenarios, bandwidths_list)]
-        merged = self._batch_arrays().merged
+        batch = self._batch_arrays()
+        merged, structure = batch.merged, batch.structure
         times, sync_costs, clusters = self._price_times(
             [scenario.config for scenario in scenarios])
+        allreduce_ns = sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
+                                  ].sum(axis=1).tolist()
+        collectives = [self._collective_summary(cluster, total_ns)
+                       for cluster, total_ns in zip(clusters, allreduce_ns)]
         results: List[object] = [None] * len(scenarios)
         rows = []
         for index, scenario in enumerate(scenarios):
             if merged is not None and scenario.swap_policy == "none":
                 rows.append(index)
                 continue
-            session = self._rebuild_session(
-                scenario.config, clusters[index], self._rank_times(times[index]),
-                sync_costs[index].tolist())
-            results[index] = reduce_session(
-                scenario, bandwidths_list[index], session, time.perf_counter(),
-                keys[index])
+            trace = self._rebuild_trace(scenario.config, clusters[index].device,
+                                        self._rank_times(times[index]))
+            marks = {mark.index: mark for mark in trace.iteration_marks}
+            results[index] = reduce_trace(
+                scenario, bandwidths_list[index], trace, structure,
+                [marks[i].end_ns - marks[i].start_ns
+                 for i in self.iteration_indices],
+                collectives[index], None, time.perf_counter(), keys[index])
         if not rows:
             return results
 
         n_ranks = len(self.ranks)
         if len(rows) < len(scenarios):
-            times, sync_costs = times[rows], sync_costs[rows]
+            times = times[rows]
         closing_times = times[:, merged.ati_end_col]
         gaps = closing_times - times[:, merged.ati_start_col]
-        n_intervals = gaps.shape[1]
-        if n_intervals:
-            values = gaps / 1_000.0
-            percentiles = np.percentile(values, (50, 90, 99), axis=1)
-            mins = np.min(values, axis=1)
-            maxs = np.max(values, axis=1)
-            round_trip = np.array([bandwidths_list[i].round_trip_s_per_byte
-                                   for i in rows])
-            limits = np.maximum(gaps, 0) / 1e9 / round_trip[:, None]
-            fractions = np.mean(merged.ati_size[None, :] <= limits, axis=1)
-            if n_ranks > 1:
-                # The mean sums in closing-event order of the merged trace.
-                closing = np.argsort(closing_times, axis=1, kind="stable")
-                values = np.take_along_axis(values, closing, axis=1)
-            # Row-at-a-time mean: the axis reduction pairs the sum with a
-            # different blocking than 1-D ``values.mean()`` and can differ in
-            # the last ulp from ``summarize_values_us``.
-            means = [float(row.mean()) for row in values]
+        fractions = swappable_fractions(
+            gaps, merged.ati_size,
+            [bandwidths_list[i].round_trip_s_per_byte for i in rows]).tolist()
         if n_ranks > 1:
+            # The ATI mean sums in closing-event order of the merged trace.
+            gaps = np.take_along_axis(
+                gaps, np.argsort(closing_times, axis=1, kind="stable"), axis=1)
             life_times = times[:, merged.life_col]
             life_order = np.argsort(life_times, axis=1, kind="stable")
         else:
             peak_times = (times[:, merged.peak_col].tolist()
                           if merged.peak_col >= 0 else [0] * len(rows))
-        allreduce_ns = sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
-                                  ].sum(axis=1).tolist()
+        summaries = summarize_rows_us(ns_to_us(gaps))
         step_ns = (times[:, merged.span_end].max(axis=1)
                    - times[:, merged.span_begin].min(axis=1)).tolist()
 
         for j, i in enumerate(rows):
-            scenario = scenarios[i]
-            config = scenario.config
-            if n_intervals:
-                summary = AtiSummary(
-                    count=n_intervals, mean_us=means[j],
-                    p50_us=float(percentiles[0, j]),
-                    p90_us=float(percentiles[1, j]),
-                    p99_us=float(percentiles[2, j]),
-                    min_us=float(mins[j]), max_us=float(maxs[j]))
-                swappable = float(fractions[j])
-            else:
-                summary = AtiSummary(count=0, mean_us=0.0, p50_us=0.0,
-                                     p90_us=0.0, p99_us=0.0, min_us=0.0,
-                                     max_us=0.0)
-                swappable = 0.0
+            config = scenarios[i].config
             label = config.label or config.describe()
             if n_ranks > 1:
                 order = life_order[j]
@@ -845,94 +843,38 @@ class TraceTemplate:
                 breakdown = dict(merged.breakdown_base)
                 breakdown["label"] = label
                 breakdown["peak_time_ns"] = peak_times[j]
-            durations_s = [ns / 1e9 for ns in step_ns[j]]
-            total_s = float(sum(durations_s))
-            results[i] = ScenarioResult(
-                scenario=scenario_identity(scenario),
-                key=keys[i],
-                peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-                peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-                peak_live_bytes=int(breakdown["total_bytes"]),
-                parameter_bytes=int(self.meta["parameter_bytes"]),
-                parameter_count=int(self.meta["parameter_count"]),
-                num_events=merged.num_events,
-                num_blocks=merged.num_blocks,
-                step_time_s_mean=(total_s / len(durations_s)
-                                  if durations_s else 0.0),
-                step_time_s_total=total_s,
-                ati=summary.to_dict(),
-                swappable_fraction=swappable,
+            results[i] = assemble_result(
+                scenarios[i], keys[i], structure, ati=summaries[j],
+                swappable=fractions[j], breakdown=breakdown,
+                step_durations_ns=step_ns[j],
                 swap=None,  # the "none" policy evaluates to None by definition
-                breakdown=breakdown,
-                allocator_stats=dict(merged.stats_base),
-                mean_utilization=merged.mean_utilization,
-                wall_time_s=time.perf_counter() - started,
-                collective=self._collective_summary(clusters[i],
-                                                    allreduce_ns[j]),
-                swap_execution=None,
-            )
+                collective=collectives[i], swap_execution=None, started=started)
         return results
-
-    # -- full trace rebuild (policy evaluation) ---------------------------------------
 
     def _collective_summary(self, cluster: ClusterSpec,
                             total_ns: int) -> Optional[Dict[str, object]]:
         """The session's ``collective`` block (``None`` on a single device)."""
-        n_ranks = len(self.ranks)
-        if n_ranks == 1:
+        if len(self.ranks) == 1:
             return None
         allreduce = self.sync_kinds == TAPE_ALLREDUCE
-        count = int(allreduce.sum())
-        return {
-            "count": count,
-            "world_size": n_ranks,
-            "algorithm": cluster.allreduce_algorithm,
-            "interconnect": cluster.interconnect.name,
-            "total_bytes": int(self.sync_nbytes[allreduce].sum()),
-            "total_time_ns": total_ns,
-            "mean_time_ns": (total_ns / count) if count else 0.0,
-        }
+        return collective_summary(cluster, len(self.ranks), int(allreduce.sum()),
+                                  int(self.sync_nbytes[allreduce].sum()), total_ns)
 
-    def _rebuild_session(self, config: TrainingRunConfig, cluster,
-                         times: List[np.ndarray],
-                         sync_costs: List[int]) -> SessionResult:
-        """Reconstruct the session a fresh run would have produced.
+    # -- full trace rebuild (policy evaluation) ---------------------------------------
+
+    def _rebuild_trace(self, config: TrainingRunConfig, spec,
+                       times: List[np.ndarray]) -> MemoryTrace:
+        """Reconstruct the merged trace a fresh run would have recorded.
 
         Per-rank traces are rebuilt with replayed timestamps and merged with
         the *real* :func:`~repro.core.trace.merge_rank_traces` (the merged
-        event order is timestamp-dependent, so it must be recomputed), and
-        the result feeds the real per-scenario reduction unchanged.
+        event order is timestamp-dependent, so it must be recomputed).
         """
-        n_ranks = len(self.ranks)
-        spec = cluster.device
-        base_metadata = {
-            "workload": config.describe(),
-            "model": config.model,
-            "dataset": config.dataset,
-            "batch_size": config.batch_size,
-            "iterations": config.iterations,
-            "n_devices": n_ranks,
-        }
-        if n_ranks > 1:
-            base_metadata["interconnect"] = config.interconnect
-            base_metadata["allreduce_algorithm"] = config.allreduce_algorithm
-
+        base_metadata = workload_metadata(config, len(self.ranks))
         rank_traces: List[MemoryTrace] = []
         for rank_index, rank in enumerate(self.ranks):
             absolute = times[rank_index]
             timestamps = absolute[rank.event_tape_pos]
-            n_events = timestamps.size
-            columns = EventColumns(
-                event_id=np.arange(n_events, dtype=np.int64),
-                kind_code=rank.event_kind,
-                timestamp_ns=timestamps.astype(np.int64),
-                block_id=rank.event_block,
-                size=rank.event_size,
-                category_code=rank.event_category,
-                iteration=rank.event_iteration,
-                device_rank=np.zeros(n_events, dtype=np.int64),
-                address=rank.event_address,
-            )
             lifetimes = []
             table, tags = rank.lifetimes, rank.lifetime_tags
             for i in range(table.shape[1]):
@@ -960,7 +902,7 @@ class TraceTemplate:
                 "device_rank": rank_index,
             }
             rank_traces.append(MemoryTrace(
-                columns=columns,
+                columns=_rank_columns(rank, timestamps),
                 event_tags=list(rank.event_tags),
                 event_ops=list(rank.event_ops),
                 lifetimes=lifetimes,
@@ -968,48 +910,13 @@ class TraceTemplate:
                 metadata=metadata,
                 end_ns=int(absolute[-1]),
             ))
-
-        merged = merge_rank_traces(rank_traces)
-
-        mark_by_index = {mark.index: mark for mark in merged.iteration_marks}
-        iteration_stats = []
-        for entry in self.meta["iteration_stats"]:
-            mark = mark_by_index[int(entry["index"])]
-            iteration_stats.append(IterationStats(
-                index=int(entry["index"]),
-                loss=entry["loss"],
-                start_ns=int(mark.start_ns),
-                end_ns=int(mark.end_ns),
-                allocated_bytes_end=int(entry["allocated_bytes_end"]),
-                peak_allocated_bytes=int(entry["peak_allocated_bytes"]),
-                reserved_bytes_end=int(entry["reserved_bytes_end"]),
-            ))
-
-        allreduce_ns = int(sum(cost for cost, kind
-                               in zip(sync_costs, self.sync_kinds.tolist())
-                               if kind == TAPE_ALLREDUCE))
-        return SessionResult(
-            config=config,
-            trace=merged,
-            iteration_stats=iteration_stats,
-            parameter_bytes=int(self.meta["parameter_bytes"]),
-            parameter_count=int(self.meta["parameter_count"]),
-            peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-            peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-            allocator_stats={k: int(v)
-                             for k, v in self.meta["allocator_stats"].items()},
-            n_devices=n_ranks,
-            collective=self._collective_summary(cluster, allreduce_ns),
-            rank_traces=(rank_traces if n_ranks > 1 else None),
-            swap_execution=None,
-        )
+        return merge_rank_traces(rank_traces)
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
         """Rebuild the merged trace under ``config``'s pricing (test helper)."""
-        times, sync_costs, clusters = self._price_times([config])
-        return self._rebuild_session(config, clusters[0],
-                                     self._rank_times(times[0]),
-                                     sync_costs[0].tolist()).trace
+        times, _, clusters = self._price_times([config])
+        return self._rebuild_trace(config, clusters[0].device,
+                                   self._rank_times(times[0]))
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -1070,19 +977,13 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
         "n_ranks": len(ranks),
         "compile_capacity": int(spec.memory_capacity),
         "has_segment_free": bool(has_segment_free),
-        "peak_reserved_validity": int(session.peak_reserved_bytes),
         "peak_allocated_bytes": int(session.peak_allocated_bytes),
         "peak_reserved_bytes": int(session.peak_reserved_bytes),
         "parameter_bytes": int(session.parameter_bytes),
         "parameter_count": int(session.parameter_count),
         "allocator_stats": allocator_stats,
-        "iteration_stats": [
-            {"index": stats.index, "loss": stats.loss,
-             "allocated_bytes_end": int(stats.allocated_bytes_end),
-             "peak_allocated_bytes": int(stats.peak_allocated_bytes),
-             "reserved_bytes_end": int(stats.reserved_bytes_end)}
-            for stats in session.iteration_stats
-        ],
+        "iteration_stats": [{"index": stats.index}
+                            for stats in session.iteration_stats],
     }
     return TraceTemplate(key, meta, ranks)
 
@@ -1304,6 +1205,16 @@ def _freeze(value):
     return value
 
 
+# The grouping token's fields: every config field that is not a pricing axis
+# (``host_latency`` only as "is None": a model attached is outside the replay
+# envelope whatever its parameters).
+_TOKEN_FIELDS = [f for f in fields(TrainingRunConfig)
+                 if f.name not in PRICING_FIELDS + ("host_latency",)]
+_TOKEN_DICTS = tuple(f.name for f in _TOKEN_FIELDS if f.default_factory is dict)
+_TOKEN_SCALARS = attrgetter(*(f.name for f in _TOKEN_FIELDS
+                              if f.name not in _TOKEN_DICTS))
+
+
 class ReplayEngine:
     """Compile-once / replay-many scenario pricer.
 
@@ -1384,15 +1295,14 @@ class ReplayEngine:
     def _structural_token(config: TrainingRunConfig) -> Tuple:
         """Cheap hashable grouping token: every non-pricing config field.
 
-        Two configs with equal tokens share a :func:`template_key`; the
-        token spares the batch dispatcher one sha256+JSON fingerprint per
-        scenario (the key is computed once per group instead).
+        Two configs with equal tokens share a :func:`template_key` and a
+        dtype variant; the token spares the batch dispatcher one sha256+JSON
+        fingerprint per scenario (the key is computed once per group
+        instead).  The field list is derived from the config dataclass, so
+        a new field splits groups unless it is declared a pricing axis.
         """
-        return (config.model, _freeze(config.model_kwargs), config.dataset,
-                _freeze(config.dataset_kwargs), config.batch_size,
-                config.iterations, config.learning_rate, config.momentum,
-                config.optimizer, config.dtype, config.allocator,
-                config.execution_mode, config.seed, config.n_devices, config.swap,
+        return (_TOKEN_SCALARS(config),
+                tuple(_freeze(getattr(config, name)) for name in _TOKEN_DICTS),
                 config.host_latency is None)
 
     def price_batch(self, scenarios: Sequence,
@@ -1445,10 +1355,3 @@ class ReplayEngine:
     def price(self, scenario, bandwidths: BandwidthConfig):
         """Replay-price one sweep scenario; ``None`` means "simulate it fresh"."""
         return self.price_batch([scenario], [bandwidths])[0]
-
-    def replay_trace(self, config: TrainingRunConfig) -> Optional[MemoryTrace]:
-        """Rebuild the merged trace for ``config`` (test/debug helper)."""
-        template = self.template_for(config)
-        if template is None or not template.valid_for(config):
-            return None
-        return template.replay_trace(config)

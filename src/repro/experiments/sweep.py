@@ -86,14 +86,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..baselines.policy import available_policies, get_policy
 from ..swap.policies import EXECUTION_POLICIES, SWAP_OFF
-from ..core.ati import compute_interval_arrays, summarize_values_us
+from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
 from ..core.breakdown import BreakdownSeries, OccupationBreakdown, occupation_breakdown
-from ..core.fragmentation import analyze_fragmentation
 from ..core.swap import BandwidthConfig, swappable_fraction
+from ..core.trace import MemoryTrace
 from ..errors import (ConfigurationError, InfeasibleScenarioError,
                       InjectedFaultError, OutOfMemoryError, ReproError,
                       ScenarioTimeoutError, SweepFaultError)
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..train.session import (RunStructure, SessionResult, TrainingRunConfig,
+                             run_training_session)
 from ..units import MIB
 from .artifacts import ArtifactStore
 from .faults import FaultPlan
@@ -414,7 +415,7 @@ def scenario_identity(scenario: Scenario) -> Dict[str, object]:
     }
 
 
-def _swap_policy_summary(policy: str, session: SessionResult,
+def _swap_policy_summary(scenario: Scenario, trace: MemoryTrace,
                          bandwidths: BandwidthConfig) -> Optional[Dict[str, object]]:
     """Evaluate the requested policy (from the baselines registry) on the trace.
 
@@ -425,10 +426,9 @@ def _swap_policy_summary(policy: str, session: SessionResult,
     once per rank).  The slice keeps the session metadata, so the rank-aware
     ZeRO-Offload partitioning still sees the cluster size.
     """
-    trace = session.trace
-    if session.n_devices > 1:
+    if scenario.config.n_devices > 1:
         trace = trace.for_rank(0)
-    return get_policy(policy).evaluate(trace, bandwidths)
+    return get_policy(scenario.swap_policy).evaluate(trace, bandwidths)
 
 
 def run_scenario(scenario: Scenario,
@@ -456,52 +456,81 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
                    key: Optional[str] = None) -> ScenarioResult:
     """Reduce a finished session to a :class:`ScenarioResult`.
 
-    Factored out of :func:`run_scenario` so the replay engine
-    (:mod:`repro.experiments.replay`) can feed a *reconstructed* session
-    through the very same reduction — bit-identical results require the
-    identical code path, not a parallel reimplementation.  ``key`` is the
-    scenario's content hash when the caller already computed it.
+    The session hands :func:`reduce_trace` its trace, structure record,
+    iteration durations and ``collective`` / ``swap_execution`` blocks.
+    ``key`` is the scenario's content hash when the caller already computed it.
     """
-    trace = session.trace
+    return reduce_trace(
+        scenario, bandwidths, session.trace, session.structure(),
+        [stats.duration_ns for stats in session.iteration_stats],
+        session.collective, session.swap_execution, started, key)
 
+
+def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
+                 trace: MemoryTrace, structure: RunStructure,
+                 step_durations_ns: Sequence[int],
+                 collective: Optional[Dict[str, object]],
+                 swap_execution: Optional[Dict[str, object]],
+                 started: float, key: Optional[str] = None) -> ScenarioResult:
+    """Measure a trace (ATI summary, Eq.-1 screening, occupation breakdown,
+    offline policy) and assemble the result.
+
+    Fed by a fresh session (:func:`reduce_session`) or by a trace the replay
+    engine rebuilt for a policy-carrying row; the rebuilt-trace route is also
+    the reference the tests diff the columnar replay reduction against.
+    """
     arrays = compute_interval_arrays(trace)
-    ati_summary = summarize_values_us(arrays.interval_us)
-    breakdown = occupation_breakdown(
-        trace, label=scenario.config.label or scenario.config.describe())
-
-    stats = dict(session.allocator_stats)
-    peak_reserved = int(stats.get("peak_reserved_bytes", session.peak_reserved_bytes))
-    peak_allocated = int(stats.get("peak_allocated_bytes", session.peak_allocated_bytes))
-    if peak_reserved:
-        mean_utilization = peak_allocated / peak_reserved
-    else:
-        mean_utilization = analyze_fragmentation(trace).mean_utilization
-
-    durations_s = [stats_.duration_ns / 1e9 for stats_ in session.iteration_stats]
-    total_s = float(sum(durations_s))
-
     config = scenario.config
+    return assemble_result(
+        scenario, key if key is not None else scenario.key(bandwidths), structure,
+        ati=summarize_values_us(arrays.interval_us),
+        swappable=swappable_fraction(arrays, bandwidths),
+        breakdown=occupation_breakdown(
+            trace, label=config.label or config.describe()).to_dict(),
+        step_durations_ns=step_durations_ns,
+        swap=_swap_policy_summary(scenario, trace, bandwidths),
+        collective=collective, swap_execution=swap_execution, started=started)
+
+
+def assemble_result(scenario: Scenario, key: str, structure: RunStructure, *,
+                    ati: AtiSummary, swappable: float,
+                    breakdown: Dict[str, object],
+                    step_durations_ns: Sequence[int],
+                    swap: Optional[Dict[str, object]],
+                    collective: Optional[Dict[str, object]],
+                    swap_execution: Optional[Dict[str, object]],
+                    started: float) -> ScenarioResult:
+    """Build one :class:`ScenarioResult` from a row's measurements.
+
+    The only place a result is put together: :func:`reduce_trace` feeds it
+    what it measured on a trace, the replay engine what it read off its time
+    matrix, so a result field or a step-time term is added here once.
+    ``breakdown`` is ``OccupationBreakdown.to_dict()``; its total is the
+    trace's peak live bytes.
+    """
+    durations_s = [ns / 1e9 for ns in step_durations_ns]
+    total_s = float(sum(durations_s))
     return ScenarioResult(
         scenario=scenario_identity(scenario),
-        key=key if key is not None else scenario.key(bandwidths),
-        peak_allocated_bytes=int(session.peak_allocated_bytes),
-        peak_reserved_bytes=int(session.peak_reserved_bytes),
-        peak_live_bytes=int(trace.peak_live_bytes()),
-        parameter_bytes=int(session.parameter_bytes),
-        parameter_count=int(session.parameter_count),
-        num_events=len(trace),
-        num_blocks=len(trace.block_ids()),
+        key=key,
+        peak_allocated_bytes=structure.peak_allocated_bytes,
+        peak_reserved_bytes=structure.peak_reserved_bytes,
+        peak_live_bytes=int(breakdown["total_bytes"]),
+        parameter_bytes=structure.parameter_bytes,
+        parameter_count=structure.parameter_count,
+        num_events=structure.num_events,
+        num_blocks=structure.num_blocks,
         step_time_s_mean=total_s / len(durations_s) if durations_s else 0.0,
         step_time_s_total=total_s,
-        ati=ati_summary.to_dict(),
-        swappable_fraction=swappable_fraction(arrays, bandwidths),
-        swap=_swap_policy_summary(scenario.swap_policy, session, bandwidths),
-        breakdown=breakdown.to_dict(),
-        allocator_stats={k: int(v) for k, v in stats.items()},
-        mean_utilization=float(mean_utilization),
+        ati=ati.to_dict(),
+        swappable_fraction=swappable,
+        swap=swap,
+        breakdown=breakdown,
+        allocator_stats=dict(structure.allocator_stats),
+        mean_utilization=float(structure.mean_utilization),
         wall_time_s=time.perf_counter() - started,
-        collective=session.collective,
-        swap_execution=session.swap_execution,
+        collective=collective,
+        swap_execution=swap_execution,
     )
 
 

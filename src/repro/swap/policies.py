@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 
 from ..core.ati import AccessInterval
 from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
+from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
 from ..units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -180,26 +180,58 @@ def _directive_for_trigger(trigger: _Trigger, block_id: int) -> EvictDirective:
     return EvictDirective(block_id=block_id, prefetch_gap_ns=trigger.gap_ns)
 
 
-def _directive_for_access(triggers: Dict[int, _Trigger],
-                          state: "BlockState") -> Optional[EvictDirective]:
-    """Ordinal-triggered eviction with a prefetch against the learned gap."""
-    trigger = triggers.get(state.block_id)
-    if (trigger is None or trigger.at_iteration_end
-            or state.iter_access_count != trigger.ordinal):
-        return None
-    return _directive_for_trigger(trigger, state.block_id)
+class _TriggerPlanPolicy(SwapExecutionPolicy):
+    """A policy whose :meth:`plan` selects blocks and fires them by trigger."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._triggers: Dict[int, _Trigger] = {}
+
+    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
+        """Ordinal-triggered eviction with a prefetch against the learned gap."""
+        trigger = self._triggers.get(state.block_id)
+        if (trigger is None or trigger.at_iteration_end
+                or state.iter_access_count != trigger.ordinal):
+            return None
+        return _directive_for_trigger(trigger, state.block_id)
+
+    def directives_at_iteration_end(
+            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
+        """Boundary-window evictions: fire once the iteration's accesses are done."""
+        directives = []
+        for state in resident:
+            trigger = self._triggers.get(state.block_id)
+            if trigger is None or not trigger.at_iteration_end:
+                continue
+            directives.append(_directive_for_trigger(trigger, state.block_id))
+        return directives
 
 
-def _directives_for_iteration_end(triggers: Dict[int, _Trigger],
-                                  resident: Iterable["BlockState"]) -> List[EvictDirective]:
-    """Boundary-window evictions: fire once the iteration's accesses are done."""
-    directives = []
-    for state in resident:
-        trigger = triggers.get(state.block_id)
-        if trigger is None or not trigger.at_iteration_end:
+def _absence_windows(states: Iterable["BlockState"]) -> List[Tuple[int, int, int]]:
+    """Each block's best idle window as :func:`_predict_peak_after` takes it."""
+    return [(state.best_gap_phase_ns,
+             state.best_gap_phase_ns + state.best_gap_ns, state.size)
+            for state in states]
+
+
+def _within_stream_budget(candidates: Iterable[SwapCandidate],
+                          budget_ns: float) -> Tuple[List[SwapCandidate], float]:
+    """The candidates whose round trips fit the copy stream, and their total.
+
+    Eq. 1 is a per-candidate bound; the copy engine is one in-order stream,
+    so the *aggregate* round-trip traffic per iteration must also fit or
+    prefetches queue behind each other and miss their deadlines.  Candidates
+    are accepted in the order given (best savings first) until the
+    stream-utilization budget is spent.
+    """
+    kept: List[SwapCandidate] = []
+    spent = 0.0
+    for candidate in candidates:
+        if spent + candidate.round_trip_ns > budget_ns:
             continue
-        directives.append(_directive_for_trigger(trigger, state.block_id))
-    return directives
+        spent += candidate.round_trip_ns
+        kept.append(candidate)
+    return kept, spent
 
 
 def _interval_from_observation(state: "BlockState") -> AccessInterval:
@@ -222,7 +254,7 @@ def _interval_from_observation(state: "BlockState") -> AccessInterval:
     )
 
 
-class PlannerExecutionPolicy(SwapExecutionPolicy):
+class PlannerExecutionPolicy(_TriggerPlanPolicy):
     """Execute the Eq.-1 swap planner's selection (the paper's cost model).
 
     The warm-up intervals are fed through the *same*
@@ -240,7 +272,6 @@ class PlannerExecutionPolicy(SwapExecutionPolicy):
         self.min_candidate_bytes = int(min_candidate_bytes)
         self.allow_overhead_ns = float(allow_overhead_ns)
         self.copy_utilization_cap = float(copy_utilization_cap)
-        self._triggers: Dict[int, _Trigger] = {}
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         planner = SwapPlanner(bandwidths=bandwidths,
@@ -256,26 +287,12 @@ class PlannerExecutionPolicy(SwapExecutionPolicy):
         plan = planner.plan_from_intervals(
             [_interval_from_observation(state) for state in observed],
             peak_before=warmup.peak_resident_bytes)
-        # Eq. 1 is a per-candidate bound; the copy engine is one in-order
-        # stream, so the *aggregate* round-trip traffic per iteration must
-        # also fit or prefetches queue behind each other and miss their
-        # deadlines.  Accept candidates (best savings first) until the
-        # stream-utilization budget is spent.
-        budget_ns = self.copy_utilization_cap * warmup.iteration_duration_ns
-        kept = []
-        spent = 0.0
-        for candidate in plan.selected:
-            if spent + candidate.round_trip_ns > budget_ns:
-                continue
-            spent += candidate.round_trip_ns
-            kept.append(candidate)
+        kept, spent = _within_stream_budget(
+            plan.selected, self.copy_utilization_cap * warmup.iteration_duration_ns)
         kept_states = [warmup.by_id[candidate.interval.block_id]
                        for candidate in kept]
         self._triggers = _build_triggers(kept_states)
-        peak_after = _predict_peak_after(
-            [(state.best_gap_phase_ns,
-              state.best_gap_phase_ns + state.best_gap_ns, state.size)
-             for state in kept_states], warmup)
+        peak_after = _predict_peak_after(_absence_windows(kept_states), warmup)
         savings = max(0, plan.peak_bytes_before - peak_after)
         self.predicted = {
             "num_candidates": len(plan.candidates),
@@ -289,15 +306,8 @@ class PlannerExecutionPolicy(SwapExecutionPolicy):
             "copy_round_trip_ns": spent,
         }
 
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
 
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
-
-
-class UnifiedExecutionPolicy(SwapExecutionPolicy):
+class UnifiedExecutionPolicy(_TriggerPlanPolicy):
     """Capuchin-style unified eviction: keep, swap or recompute per block.
 
     Every peak-covering idle window is a candidate.  Per candidate the policy
@@ -348,7 +358,6 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
         self.enable_recompute = bool(enable_recompute)
         self.capacity_bytes = (None if capacity_bytes is None
                                else int(capacity_bytes))
-        self._triggers: Dict[int, _Trigger] = {}
 
     def _recompute_cost_ns(self, state: "BlockState") -> Optional[int]:
         """The modeled replay cost, or ``None`` when not rematerializable.
@@ -381,13 +390,9 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
         # anything it would move, the unified plan also covers — by replay
         # when that is cheaper, by transfer otherwise — which is what makes
         # the unified savings dominate both single-mechanism plans.
-        planner_kept_ids = set()
-        planner_spent = 0.0
-        for candidate in plan.selected:
-            if planner_spent + candidate.round_trip_ns > budget_ns:
-                continue
-            planner_spent += candidate.round_trip_ns
-            planner_kept_ids.add(candidate.interval.block_id)
+        planner_kept_ids = {
+            candidate.interval.block_id
+            for candidate in _within_stream_budget(plan.selected, budget_ns)[0]}
 
         decisions: List[Dict[str, object]] = []
         swap_states: List["BlockState"] = []
@@ -441,14 +446,9 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
             decide(state, float(swap_round_trip_ns(state.size, bandwidths)),
                    swap_fits=False)
 
-        def windows(states):
-            return [(state.best_gap_phase_ns,
-                     state.best_gap_phase_ns + state.best_gap_ns, state.size)
-                    for state in states]
-
         forced_overhead = 0.0
         peak_after = _predict_peak_after(
-            windows(swap_states + recompute_states), warmup)
+            _absence_windows(swap_states + recompute_states), warmup)
         if self.capacity_bytes is not None and self.enable_swap:
             by_id = {decision["block_id"]: decision for decision in decisions}
             for state in sorted(kept_states, key=lambda s: s.size, reverse=True):
@@ -461,7 +461,7 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
                 by_id[state.block_id]["mechanism"] = "swap"
                 by_id[state.block_id]["effective_swap_cost_ns"] = swap_cost
                 peak_after = _predict_peak_after(
-                    windows(swap_states + recompute_states), warmup)
+                    _absence_windows(swap_states + recompute_states), warmup)
             swapped_ids = {state.block_id for state in swap_states}
             kept_states = [state for state in kept_states
                            if state.block_id not in swapped_ids]
@@ -491,15 +491,8 @@ class UnifiedExecutionPolicy(SwapExecutionPolicy):
             "decisions": decisions,
         }
 
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
 
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
-
-
-class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
+class SwapAdvisorExecutionPolicy(_TriggerPlanPolicy):
     """Size-ranked swapping (SwapAdvisor-style): largest blocks, timing-blind.
 
     The ``top_k`` largest observed blocks are evicted after the access that
@@ -514,7 +507,6 @@ class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
         super().__init__()
         self.top_k = int(top_k)
         self.min_block_bytes = int(min_block_bytes)
-        self._triggers: Dict[int, _Trigger] = {}
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         eligible = [state for state in warmup.blocks
@@ -525,10 +517,7 @@ class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
         overhead = sum(
             max(0.0, swap_round_trip_ns(state.size, bandwidths) - state.best_gap_ns)
             for state in chosen)
-        peak_after = _predict_peak_after(
-            [(state.best_gap_phase_ns,
-              state.best_gap_phase_ns + state.best_gap_ns, state.size)
-             for state in chosen], warmup)
+        peak_after = _predict_peak_after(_absence_windows(chosen), warmup)
         savings = max(0, warmup.peak_resident_bytes - peak_after)
         self.predicted = {
             "num_selected": len(chosen),
@@ -538,13 +527,6 @@ class SwapAdvisorExecutionPolicy(SwapExecutionPolicy):
             "savings_bytes": savings,
             "total_overhead_ns": overhead,
         }
-
-    def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
-        return _directive_for_access(self._triggers, state)
-
-    def directives_at_iteration_end(
-            self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
-        return _directives_for_iteration_end(self._triggers, resident)
 
 
 class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):

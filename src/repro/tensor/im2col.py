@@ -2,7 +2,7 @@
 
 These are host-side numerical helpers only; they do not touch the simulated
 device.  Shape arithmetic (:func:`conv_output_hw`, :func:`pool_output_hw`) is
-shared with the virtual execution path so that virtual and eager runs allocate
+shared with the symbolic execution path so that symbolic and eager runs allocate
 identical tensors.
 """
 

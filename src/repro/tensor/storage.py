@@ -109,7 +109,7 @@ class DeviceStorage:
         return self._buffer is not None
 
     def buffer(self) -> np.ndarray:
-        """The flat NumPy buffer; raises if the storage is virtual or freed."""
+        """The flat NumPy buffer; raises if the storage is symbolic or freed."""
         self._ensure_live()
         if self._buffer is None:
             raise MaterializationError(
@@ -123,7 +123,7 @@ class DeviceStorage:
         """Replace the buffer contents (eager mode only)."""
         self._ensure_live()
         if self._buffer is None:
-            return  # virtual storages silently drop values
+            return  # symbolic storages silently drop values
         flat = np.asarray(values, dtype=self.dtype.numpy_dtype).reshape(-1)
         if flat.size != self.numel:
             raise TensorError(

@@ -116,6 +116,32 @@ class TrainingRunConfig:
         }
 
 
+@dataclass(frozen=True)
+class RunStructure:
+    """What a run's result reports that no pricing axis moves.
+
+    A session builds one per run (:meth:`SessionResult.structure`); a replay
+    template builds one from its ``meta`` and serves every pricing point with
+    it.  The peaks are per replica, the counts cover the merged trace.
+    """
+
+    peak_allocated_bytes: int
+    peak_reserved_bytes: int
+    parameter_bytes: int
+    parameter_count: int
+    num_events: int
+    num_blocks: int
+    allocator_stats: Dict[str, int]
+
+    @property
+    def mean_utilization(self) -> float:
+        """Allocated over reserved bytes at their peaks (1.0: nothing reserved)."""
+        stats = self.allocator_stats
+        reserved = stats.get("peak_reserved_bytes", self.peak_reserved_bytes)
+        allocated = stats.get("peak_allocated_bytes", self.peak_allocated_bytes)
+        return allocated / reserved if reserved else 1.0
+
+
 @dataclass
 class SessionResult:
     """Everything produced by one profiled training run.
@@ -145,6 +171,18 @@ class SessionResult:
     def label(self) -> str:
         """Label for reports (falls back to the config description)."""
         return self.config.label or self.config.describe()
+
+    def structure(self) -> RunStructure:
+        """The pricing-independent scalars the per-scenario reduction reports."""
+        return RunStructure(
+            peak_allocated_bytes=int(self.peak_allocated_bytes),
+            peak_reserved_bytes=int(self.peak_reserved_bytes),
+            parameter_bytes=int(self.parameter_bytes),
+            parameter_count=int(self.parameter_count),
+            num_events=len(self.trace),
+            num_blocks=len(self.trace.block_ids()),
+            allocator_stats={k: int(v) for k, v in self.allocator_stats.items()},
+        )
 
     def losses(self) -> List[Optional[float]]:
         """Loss per iteration (``None`` entries in symbolic execution)."""
@@ -231,14 +269,32 @@ def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
     return executors
 
 
+def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, object]:
+    """The workload description every replica's trace metadata carries."""
+    metadata: Dict[str, object] = {
+        "workload": config.describe(),
+        "model": config.model,
+        "dataset": config.dataset,
+        "batch_size": config.batch_size,
+        "iterations": config.iterations,
+        "n_devices": n_devices,
+    }
+    if n_devices > 1:
+        metadata["interconnect"] = config.interconnect
+        metadata["allreduce_algorithm"] = config.allreduce_algorithm
+    if config.swap != "off":
+        metadata["swap"] = config.swap
+    return metadata
+
+
 def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResult:
     """Run one profiled training session and return its trace and statistics.
 
     ``capture`` is an optional instrumentation hook used by the replay engine
     (:mod:`repro.experiments.replay`): an object with ``attach(group)`` —
     called right after device construction, before any profiled work — and
-    ``collect(...)`` — called once the session is complete.  Ordinary callers
-    leave it ``None`` and pay nothing.
+    ``collect(profilers, rank_traces)`` — called once the session is complete.
+    Ordinary callers leave it ``None`` and pay nothing.
     """
     if config.iterations <= 0:
         raise ConfigurationError("iterations must be positive")
@@ -254,19 +310,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     n_devices = len(group)
     swap_executors = _build_swap_executors(config, group)
 
-    base_metadata = {
-        "workload": config.describe(),
-        "model": config.model,
-        "dataset": config.dataset,
-        "batch_size": config.batch_size,
-        "iterations": config.iterations,
-        "n_devices": n_devices,
-    }
-    if n_devices > 1:
-        base_metadata["interconnect"] = config.interconnect
-        base_metadata["allreduce_algorithm"] = config.allreduce_algorithm
-    if config.swap != "off":
-        base_metadata["swap"] = config.swap
+    base_metadata = workload_metadata(config, n_devices)
     profilers = [
         MemoryProfiler(device, metadata={**base_metadata, "device_rank": rank})
         for rank, device in enumerate(group)
@@ -309,8 +353,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         swap_execution["n_ranks"] = n_devices
 
     if capture is not None:
-        capture.collect(group=group, profilers=profilers, trainer=trainer,
-                        rank_traces=rank_traces)
+        capture.collect(profilers=profilers, rank_traces=rank_traces)
 
     return SessionResult(
         config=config,

@@ -167,27 +167,6 @@ def test_recompute_overhead_sums_recorded_times_of_discarded_blocks():
     assert plan.recompute_time_overhead_ns > 0
 
 
-def test_recompute_overhead_falls_back_without_write_timing():
-    """A trace with no usable kernel timing keeps the legacy first-order
-    fraction-of-iteration model."""
-    events = []
-    marks = []
-    for iteration in range(3):
-        base = (iteration + 1) * 1_000_000_000
-        events.append(("malloc", base, 10, 64 * MIB,
-                       MemoryCategory.ACTIVATION, iteration))
-        events.append(("read", base + 500_000_000, 10, 64 * MIB,
-                       MemoryCategory.ACTIVATION, iteration))
-        events.append(("free", base + 600_000_000, 10, 64 * MIB,
-                       MemoryCategory.ACTIVATION, iteration))
-        marks.append((base, base + 900_000_000))
-    trace = build_trace(events, iteration_marks=marks, end_ns=4_000_000_000)
-    plan = estimate_recompute_plan(trace, keep_every=2,
-                                   forward_fraction_of_iteration=0.33)
-    expected = int(900_000_000 * 0.33 * (1.0 - 1.0 / 2))
-    assert plan.recompute_time_overhead_ns == expected
-
-
 def test_recompute_overhead_uses_recorded_times_on_training_trace():
     """The shared synthetic training trace carries write timing, so the
     estimator must charge the activation's recorded 10 µs producer — not

@@ -1,0 +1,264 @@
+"""Facts that must be written down once: structural pins and differentials.
+
+The per-scenario reduction, the timing defaults and the template identity
+each have one home.  The AST pins fail when a second copy appears; the
+differentials pin the row forms of the recipes to their one-row forms.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.baselines import estimate_recompute_plan
+from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
+                            summarize_values_us)
+from repro.core.events import MemoryCategory
+from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
+                             swappable_fractions)
+from repro.data.loader import HostLatencyModel
+from repro.device import timing
+from repro.device.device import Device
+from repro.device.spec import get_device_spec
+from repro.experiments.replay import (
+    PRICING_FIELDS,
+    ReplayEngine,
+    TemplateError,
+    template_key,
+)
+from repro.train.session import TrainingRunConfig
+from repro.units import MIB
+
+from tests.helpers import build_trace
+
+SRC = Path(repro.__file__).resolve().parent
+REPLAY = SRC / "experiments" / "replay.py"
+
+
+def _enclosing_functions(path, predicate):
+    """Names of the functions in ``path`` containing a node ``predicate`` accepts."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if predicate(node):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def _calls(name):
+    def predicate(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (getattr(func, "id", None) == name
+                or getattr(func, "attr", None) == name)
+    return predicate
+
+
+# -- structural pins ------------------------------------------------------------------
+
+
+def test_scenario_result_is_constructed_in_two_places_only():
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("ScenarioResult"))}
+    assert sites == {("experiments/sweep.py", "from_dict"),
+                     ("experiments/sweep.py", "assemble_result")}
+
+
+def test_percentile_recipe_lives_in_core_only():
+    for path in sorted((SRC / "experiments").glob("*.py")):
+        assert not _enclosing_functions(path, _calls("percentile")), path.name
+
+
+def test_replay_restates_no_timing_default():
+    defaults = {timing.DEFAULT_COMPUTE_EFFICIENCY,
+                timing.DEFAULT_BANDWIDTH_EFFICIENCY,
+                timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS}
+    literals = {node.value for node in ast.walk(ast.parse(REPLAY.read_text()))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, (int, float))
+                and not isinstance(node.value, bool)}
+    assert not literals & defaults
+    assert "IterationStats" not in REPLAY.read_text()
+
+
+def test_device_and_timing_model_share_the_default_constants():
+    spec = get_device_spec("titan_x_pascal")
+    model = timing.KernelTimingModel(spec)
+    assert model.compute_efficiency == timing.DEFAULT_COMPUTE_EFFICIENCY
+    assert model.bandwidth_efficiency == timing.DEFAULT_BANDWIDTH_EFFICIENCY
+    assert model.host_dispatch_overhead_ns == timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS
+    assert model.effective_flops == spec.peak_flops * timing.DEFAULT_COMPUTE_EFFICIENCY
+    assert (model.effective_bandwidth
+            == spec.memory_bandwidth * timing.DEFAULT_BANDWIDTH_EFFICIENCY)
+    device = Device(spec)
+    assert device.timing.effective_flops == model.effective_flops
+    assert device.timing.effective_bandwidth == model.effective_bandwidth
+    assert device.timing.host_dispatch_overhead_ns == model.host_dispatch_overhead_ns
+
+
+def test_replay_follows_a_changed_timing_default(monkeypatch):
+    """The latent bug: a default moved in timing.py must move replay with it."""
+    from repro.experiments.sweep import Scenario, run_scenario
+
+    scenario = Scenario(TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
+                                          execution_mode="symbolic"))
+    bandwidths = scenario.resolve_bandwidths()
+    before = ReplayEngine().price(scenario, bandwidths)
+
+    original = timing.KernelTimingModel.__init__
+
+    def slower(self, spec, compute_efficiency=0.5, bandwidth_efficiency=0.5,
+               host_dispatch_overhead_ns=9_000):
+        original(self, spec, compute_efficiency, bandwidth_efficiency,
+                 host_dispatch_overhead_ns)
+
+    monkeypatch.setattr(timing.KernelTimingModel, "__init__", slower)
+    moved = {timing.DEFAULT_COMPUTE_EFFICIENCY: 0.5,
+             timing.DEFAULT_BANDWIDTH_EFFICIENCY: 0.5,
+             timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS: 9_000}
+    monkeypatch.setattr(Device.__init__, "__defaults__",
+                        tuple(moved.get(value, value) if isinstance(value, (int, float))
+                              else value for value in Device.__init__.__defaults__))
+    replayed = ReplayEngine().price(scenario, bandwidths)
+    fresh = run_scenario(scenario)
+    assert replayed.step_time_s_total == fresh.step_time_s_total
+    assert replayed.ati == fresh.ati
+    assert replayed.step_time_s_total > before.step_time_s_total
+
+
+# -- row forms equal their one-row forms ----------------------------------------------
+
+_WIDTHS = st.sampled_from([0, 1, 2, 7, 64, 301])
+
+
+@st.composite
+def _gap_matrices(draw):
+    rows = draw(st.integers(1, 5))
+    width = draw(_WIDTHS)
+    gaps = draw(st.lists(
+        st.lists(st.integers(-5_000, 2_000_000_000), min_size=width, max_size=width),
+        min_size=rows, max_size=rows))
+    return np.array(gaps, dtype=np.int64).reshape(rows, width)
+
+
+def _one_dimensional_summary(row):
+    """The recipe as the simulator ran it before the row form existed."""
+    if row.size == 0:
+        return AtiSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    p50, p90, p99 = np.percentile(row, (50, 90, 99))
+    return AtiSummary(int(row.size), float(row.mean()), float(p50), float(p90),
+                      float(p99), float(row.min()), float(row.max()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gap_matrices())
+def test_summarize_rows_equals_summarize_values_row_by_row(gaps):
+    values = gaps / 1_000.0
+    summaries = summarize_rows_us(values)
+    assert len(summaries) == len(values)
+    for summary, row in zip(summaries, values):
+        assert summary == summarize_values_us(row) == _one_dimensional_summary(row)
+
+
+def _interval_arrays(interval_ns, sizes):
+    filler = np.zeros(len(interval_ns), dtype=np.int64)
+    columns = {field.name: filler for field in dataclasses.fields(IntervalArrays)}
+    columns.update(interval_ns=np.asarray(interval_ns, dtype=np.int64),
+                   size=np.asarray(sizes, dtype=np.int64))
+    return IntervalArrays(**columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gap_matrices(), st.data())
+def test_swappable_fractions_equals_swappable_fraction_row_by_row(gaps, data):
+    rows, width = gaps.shape
+    sizes = np.array(data.draw(st.lists(st.integers(1, 256 * MIB),
+                                        min_size=width, max_size=width)),
+                     dtype=np.int64)
+    bandwidths = [BandwidthConfig(h2d_bytes_per_s=h2d * 1e9, d2h_bytes_per_s=d2h * 1e9)
+                  for h2d, d2h in data.draw(st.lists(
+                      st.tuples(st.floats(0.5, 64.0), st.floats(0.5, 64.0)),
+                      min_size=rows, max_size=rows))]
+    fractions = swappable_fractions(
+        gaps, sizes, [b.round_trip_s_per_byte for b in bandwidths])
+    assert fractions.shape == (rows,)
+    for fraction, row, bandwidth in zip(fractions.tolist(), gaps, bandwidths):
+        arrays = _interval_arrays(row, sizes)
+        by_interval = [size <= max_swap_bytes(gap, bandwidth)
+                       for gap, size in zip(row.tolist(), sizes.tolist())]
+        assert fraction == swappable_fraction(arrays, bandwidth)
+        assert fraction == (float(np.mean(by_interval)) if width else 0.0)
+
+
+# -- template identity ----------------------------------------------------------------
+
+_BASE = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
+                          execution_mode="symbolic")
+_OTHER_VALUES = {
+    "model": "paper_mlp", "model_kwargs": {"hidden_dim": 128}, "dataset": "mnist",
+    "dataset_kwargs": {"num_samples": 64}, "batch_size": 48, "iterations": 3,
+    "learning_rate": 0.5, "momentum": 0.1, "optimizer": "adam",
+    "device_spec": "v100_sxm2_16gb", "dtype": "float16", "allocator": "bump",
+    "execution_mode": "eager", "seed": 9, "host_latency": HostLatencyModel(),
+    "device_memory_capacity": 1 << 30, "host_dispatch_overhead_ns": 1_300,
+    "n_devices": 2, "interconnect": "nvlink2", "allreduce_algorithm": "naive",
+    "swap": "lru", "label": "renamed",
+}
+
+
+def _template_key_or_reason(config):
+    try:
+        return template_key(config)
+    except TemplateError as error:
+        return error.reason
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TrainingRunConfig)])
+def test_every_config_field_is_pricing_or_splits_the_token(field):
+    """A new ``TrainingRunConfig`` field fails here until it has a value in
+    ``_OTHER_VALUES`` — and then either is declared a pricing axis or splits
+    the batch dispatcher's groups."""
+    changed = dataclasses.replace(_BASE, **{field: _OTHER_VALUES[field]})
+    assert getattr(changed, field) != getattr(_BASE, field)
+    token = ReplayEngine._structural_token
+    if field in PRICING_FIELDS:
+        assert token(changed) == token(_BASE)
+        assert template_key(changed) == template_key(_BASE)
+    else:
+        assert token(changed) != token(_BASE)
+        hash(token(changed))
+        if field not in ("dtype", "host_latency"):  # generalized / outside the envelope
+            assert _template_key_or_reason(changed) != template_key(_BASE)
+
+
+# -- the recompute estimator has no fallback model ------------------------------------
+
+
+def test_trace_without_write_timing_reports_zero_recompute_overhead():
+    events, marks = [], []
+    for iteration in range(3):
+        base = (iteration + 1) * 1_000_000_000
+        for block in (10, 11):
+            events.append(("malloc", base + block, block, 64 * MIB,
+                           MemoryCategory.ACTIVATION, iteration))
+            events.append(("read", base + 500_000_000 + block, block, 64 * MIB,
+                           MemoryCategory.ACTIVATION, iteration))
+            events.append(("free", base + 600_000_000 + block, block, 64 * MIB,
+                           MemoryCategory.ACTIVATION, iteration))
+        marks.append((base, base + 900_000_000))
+    trace = build_trace(events, iteration_marks=marks, end_ns=4_000_000_000)
+    plan = estimate_recompute_plan(trace, keep_every=2)
+    assert plan.activation_bytes_discarded == 64 * MIB
+    assert plan.recompute_time_overhead_ns == 0
