@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling swap-smoke replay-smoke frontier-smoke chaos-smoke clean-cache
+.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -67,6 +67,19 @@ chaos-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32 --iterations 1 \
 		--chaos-seed 7 --retries 3 --backoff-s 0.01 --timeout 60 \
 		--workers 2 --strict --no-cache
+
+# Resume smoke (the CI resume-smoke leg): a small cached sweep, then the same
+# sweep under --resume, which must serve every scenario from the cache and
+# leave exactly one journal file for the grid and nothing quarantined.
+RESUME_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32,64 \
+	--iterations 1 --workers 2 --cache-dir .ci-resume-cache
+resume-smoke:
+	rm -rf .ci-resume-cache
+	$(RESUME_SWEEP)
+	$(RESUME_SWEEP) --resume | grep -F "(3 cached, 0 executed"
+	test "$$(ls .ci-resume-cache/journals)" = "$$(basename .ci-resume-cache/journals/*.jsonl)"
+	test ! -e .ci-resume-cache/quarantine
+	rm -rf .ci-resume-cache
 
 # Run the data-parallel scaling grid and regenerate the scaling report page
 # (docs/figures/scaling.md + its SVGs) from the cached results.

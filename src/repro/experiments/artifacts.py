@@ -6,14 +6,24 @@ quarantined and cleared by :class:`ArtifactStore`, one directory per store:
 
 * **Publish** writes to a pid-unique hidden temp name and ``os.replace``s it
   over the final name, so a reader never sees a torn file and two processes
-  publishing the same name never share a temp.
+  publishing the same name never share a temp.  The steady state is those
+  two steps and nothing else: the directory is created when a write finds it
+  missing, the temp is unlinked only when the write or the replace failed.
+* **Append** adds whole lines to an artifact that was published before (a
+  line log: the run journal) in one ``O_APPEND`` write — no temp, no
+  replace, cost independent of the file's size.  A writer killed mid-append
+  leaves an unterminated last line and nothing worse.
 * **Read** is parse-or-quarantine: a file that does not parse is moved into
   ``<root>/quarantine/`` (bytes preserved for post-mortem, never parsed
   twice) and tallied by artifact kind.  A *stale schema* is not corruption:
   the caller's parser, which owns its schema integer, returns ``None`` for
-  it and the read is a plain miss.
+  it and the read is a plain miss.  Neither is a line log's torn tail: the
+  client's parser is handed the unterminated remainder apart from the whole
+  lines and decides.
 * **I/O errors** are tallied, never raised: losing an artifact costs a
   recomputation next run, aborting the sweep would discard finished work.
+* **Durability** is that of the page cache: what was published or appended
+  survives the process, not a power cut (nothing is ``fsync``ed).
 
 Sub-stores (``journals/``, ``templates/``; :meth:`ArtifactStore.sub`) share
 the parent's tallies and fault plan: a runner reads them from one place.
@@ -63,22 +73,62 @@ class ArtifactStore:
         path = self.root / name
         temporary = self.root / f".{name}.{os.getpid()}.tmp"
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
             try:
-                write(temporary)
+                try:
+                    write(temporary)
+                except FileNotFoundError:  # the store's first artifact: no directory yet
+                    self.root.mkdir(parents=True, exist_ok=True)
+                    write(temporary)
                 os.replace(temporary, path)
-            finally:
-                temporary.unlink(missing_ok=True)
+            except BaseException:
+                with suppress(OSError):
+                    temporary.unlink()
+                raise
         except OSError:
             self.io_errors["write"] += 1
             return None
         return path
 
+    def publish_text(self, name: str, text: str) -> Optional[Path]:
+        """Atomically publish ``text`` (UTF-8) as ``name``."""
+        return self.publish(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
     def publish_json(self, name: str, payload, pretty: bool = False) -> Optional[Path]:
         """Atomically publish ``payload`` as JSON (``pretty``: indented, sorted)."""
-        text = (json.dumps(payload, indent=2, sort_keys=True) if pretty
-                else json.dumps(payload))
-        return self.publish(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        return self.publish_text(name, json.dumps(payload, indent=2, sort_keys=True)
+                                 if pretty else json.dumps(payload))
+
+    def append(self, name: str, data: bytes) -> bool:
+        """Append ``data`` to the *published* artifact ``name`` in one write.
+
+        ``O_APPEND`` without ``O_CREAT``: concurrent appenders interleave
+        whole calls, never bytes, and a file that vanished is an error, not
+        a new headerless log.  ``False`` when an ``OSError`` (a short write
+        included) was swallowed: the caller publishes the file over.
+        """
+        try:
+            descriptor = os.open(self.root / name, os.O_WRONLY | os.O_APPEND)
+            try:
+                if os.write(descriptor, data) != len(data):
+                    raise OSError(f"short append to {name}")
+            finally:
+                os.close(descriptor)
+        except OSError:
+            self.io_errors["write"] += 1
+            return False
+        return True
+
+    def _read(self, name: str, kind: str, parse: Callable[[bytes], object]):
+        try:
+            with open(self.root / name, "rb") as handle:
+                return parse(handle.read())
+        except FileNotFoundError:
+            return None
+        except OSError:
+            self.io_errors["read"] += 1
+        except _MALFORMED:
+            self.quarantine(name, kind)
+        return None
 
     def read_json(self, name: str, kind: str, parse: Callable):
         """``parse(json)`` of artifact ``name``; ``None`` on any kind of miss.
@@ -87,16 +137,15 @@ class ArtifactStore:
         raises for malformed content; that, like undecodable JSON, is
         corruption: the file is quarantined under ``kind``.
         """
-        try:
-            with open(self.root / name, "r", encoding="utf-8") as handle:
-                return parse(json.load(handle))
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.io_errors["read"] += 1
-        except _MALFORMED:
-            self.quarantine(name, kind)
-        return None
+        return self._read(name, kind, lambda raw: parse(json.loads(raw)))
+
+    def read_lines(self, name: str, kind: str, parse: Callable):
+        """``parse(lines)`` of line log ``name``, under :meth:`read_json`'s contract.
+
+        ``lines`` is the file split at newlines, so its last element is the
+        unterminated tail: empty unless a writer was killed mid-append.
+        """
+        return self._read(name, kind, lambda raw: parse(raw.split(b"\n")))
 
     def quarantine(self, name: str, kind: str) -> None:
         """Move corrupt artifact ``name`` into ``quarantine/``, tallied by ``kind``.

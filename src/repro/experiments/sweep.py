@@ -98,7 +98,7 @@ from ..train.session import (RunStructure, SessionResult, TrainingRunConfig,
 from ..units import MIB
 from .artifacts import ArtifactStore
 from .faults import FaultPlan
-from .journal import RunJournal, clear_journals
+from .journal import JOURNALS_DIR, RunJournal, clear_journals, run_id_for_keys
 
 #: Version of the cached result schema; bump to invalidate every cache entry.
 #: v2: policies generalized to the baselines registry, dtype axis added.
@@ -337,10 +337,12 @@ class ScenarioResult:
     from_cache: bool = False
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialize for the on-disk cache."""
-        data = asdict(self)
-        data.pop("from_cache", None)
-        return data
+        """Serialize for the on-disk cache: every field but ``from_cache``.
+
+        The dict is new, its nested values are the result's own — read-only
+        for the caller (``json.dumps`` walks them once; nothing is copied).
+        """
+        return {name: getattr(self, name) for name in _SERIALIZED_FIELDS}
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "ScenarioResult":
@@ -392,6 +394,11 @@ class ScenarioResult:
                 float(execution.get("peak_resident_bytes", 0)) / MIB, 2),
         })
         return row
+
+
+#: What :meth:`ScenarioResult.to_dict` writes, in field order.
+_SERIALIZED_FIELDS = tuple(name for name in ScenarioResult.__dataclass_fields__
+                           if name != "from_cache")
 
 
 def scenario_identity(scenario: Scenario) -> Dict[str, object]:
@@ -1033,12 +1040,15 @@ class SweepRunner:
         if self._artifacts is not None:
             self._artifacts.quarantined.clear()  # tallies are per run
             self._artifacts.io_errors.clear()
-            journal = RunJournal.for_keys(self._artifacts, keys,
-                                          RESULT_SCHEMA_VERSION)
-            if not self.resume:
-                # A fresh (non-resume) run voids the prior bookkeeping; the
-                # first record flushed rewrites the journal from scratch.
-                journal.entries = {}
+            if self.resume:
+                journal = RunJournal.for_keys(self._artifacts, keys,
+                                              RESULT_SCHEMA_VERSION)
+            else:
+                # A fresh run voids the prior bookkeeping without reading it:
+                # an unloaded journal starts its file over at the first record.
+                journal = RunJournal(
+                    self._artifacts.sub(JOURNALS_DIR),
+                    run_id_for_keys(keys, RESULT_SCHEMA_VERSION))
         state = _RunState(scenarios, keys, journal)
 
         self._probe_cache(state)

@@ -8,6 +8,7 @@ errors, ``clear()`` counting only what it was asked to count, and the
 structural guarantee that ``os.replace`` lives in exactly one module.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -20,6 +21,7 @@ from repro.experiments.artifacts import QUARANTINE_DIR, ArtifactStore
 from repro.experiments.journal import JOURNALS_DIR, RunJournal
 from repro.experiments.sweep import (
     RESULT_SCHEMA_VERSION,
+    ScenarioResult,
     SweepGrid,
     SweepRunner,
     run_scenario,
@@ -186,8 +188,10 @@ def test_corrupt_journal_and_manifest_are_quarantined(tmp_path):
 
 
 def test_hand_laid_parent_format_cache_is_served_with_zero_misses(tmp_path):
-    """No format or layout change: entries and a journal written the way the
-    pre-store code wrote them (plain ``json.dump``) are hits, not misses."""
+    """No result-cache format or layout change: entries written the way the
+    pre-store code wrote them (plain ``json.dump``) are hits, not misses.  A
+    schema-1 journal (one ``<run-id>.json`` document) beside them is a stale
+    schema: never parsed, never quarantined, left for ``--clear-cache``."""
     scenarios = tiny_scenarios()
     keys = [scenario.key() for scenario in scenarios]
     for scenario, key in zip(scenarios, keys):
@@ -196,24 +200,70 @@ def test_hand_laid_parent_format_cache_is_served_with_zero_misses(tmp_path):
                        "fingerprint": scenario.fingerprint(),
                        "result": run_scenario(scenario).to_dict()}, handle)
     journal = RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION)
-    journal.path.parent.mkdir()
-    journal.path.write_text(json.dumps({
+    old_path = journal.path.with_suffix(".json")
+    old_path.parent.mkdir()
+    old_bytes = json.dumps({
         "schema": 1, "run_id": journal.run_id,
         "entries": {key: {"status": "completed", "attempts": 1} for key in keys},
-    }, indent=2, sort_keys=True), encoding="utf-8")
+    }, indent=2, sort_keys=True)
+    old_path.write_text(old_bytes, encoding="utf-8")
 
     served = SweepRunner(cache_dir=tmp_path, resume=True).run(scenarios)
     assert served.cache_hits == len(scenarios) and served.cache_misses == 0
     assert served.quarantined == {}
-    assert RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION).completed(keys[0])
+    assert RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION).entries == {}
+    assert old_path.read_text(encoding="utf-8") == old_bytes
+    assert not (old_path.parent / QUARANTINE_DIR).exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},                                                  # plain
+    {"swaps": ("lru",), "iterations": (3,)},             # closed-loop swap execution
+    {"n_devices": (2,), "swap_policies": ("planner",)},  # multi-rank + offline policy
+])
+def test_cache_entry_bytes_are_the_deep_copied_dict_dumped_once(tmp_path, overrides):
+    """``to_dict`` shares the result's nested values instead of copying them;
+    the entry file is byte for byte what the ``asdict``-built payload gives."""
+    scenario = tiny_scenarios(batch_sizes=(16,), **overrides)[0]
+    result = run_scenario(scenario)
+    if "swaps" in overrides:
+        assert result.swap_execution is not None
+    if "n_devices" in overrides:
+        assert result.collective is not None and result.swap is not None
+
+    runner = SweepRunner(cache_dir=tmp_path)
+    runner.cache_store(scenario, result)
+    copied = dataclasses.asdict(result)
+    del copied["from_cache"]
+    assert (tmp_path / f"{scenario.key()}.json").read_text(encoding="utf-8") == json.dumps({
+        "schema_version": RESULT_SCHEMA_VERSION,
+        "fingerprint": scenario.fingerprint(),
+        "result": copied})
+
+    assert result.to_dict() == copied and list(result.to_dict()) == list(copied)
+    assert ScenarioResult.from_dict(result.to_dict()) == result
+    served = runner.cache_load(scenario)
+    assert served.from_cache and dataclasses.replace(served, from_cache=False) == result
 
 
 # -- one discipline -------------------------------------------------------------------
 
 
 def test_os_replace_appears_in_exactly_one_module():
+    """...and so does the other write primitive, an append-mode open."""
     source_root = Path(repro.__file__).parent
+    primitive = re.compile(
+        r"""\bos\.replace\b|\bos\.O_APPEND\b|\bopen\([^)]*,\s*(?:mode=)?["']a[bt+]*["']""")
     users = sorted(str(path.relative_to(source_root))
                    for path in source_root.rglob("*.py")
-                   if re.search(r"\bos\.replace\b", path.read_text(encoding="utf-8")))
+                   if primitive.search(path.read_text(encoding="utf-8")))
     assert users == ["experiments/artifacts.py"]
+    assert primitive.search('with open(path, "a", encoding="utf-8") as handle:')
+    assert primitive.search("handle = open(path, mode='ab')")
+    assert not primitive.search('open(path, "r", encoding="ascii")')
+
+
+def test_journal_writes_no_indented_json():
+    source = (Path(repro.__file__).parent / "experiments" / "journal.py").read_text(
+        encoding="utf-8")
+    assert "indent=" not in source and "pretty" not in source

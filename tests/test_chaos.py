@@ -14,10 +14,17 @@ The fault-tolerance contract under test (see ``docs/robustness.md``):
 """
 
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import (
     ConfigurationError,
     InfeasibleScenarioError,
@@ -282,6 +289,54 @@ def test_interrupted_sweep_resumes_without_rerunning_completed(tmp_path):
     assert after.entries[keys[0]] == completed_entry
 
 
+_KILLED_CHILD = """
+import sys
+from repro.experiments.sweep import SweepGrid, SweepRunner
+SweepRunner(cache_dir=sys.argv[1], strict=False).run(SweepGrid(
+    models=("mlp",), batch_sizes=(16, 32, 64), iterations=(1,),
+    allocators=("caching",), model_kwargs={"hidden_dim": 32},
+    dataset="two_cluster", execution_mode="symbolic"))
+"""
+
+
+def test_sigkilled_sweep_leaves_a_valid_journal_and_resumes(tmp_path):
+    """A real signal, not an injected exception: the child is killed while
+    it sleeps inside its second scenario, with no chance to clean up."""
+    scenarios = tiny_grid(batch_sizes=(16, 32, 64)).expand()
+    keys = [s.key() for s in scenarios]
+    cache = tmp_path / "cache"
+    plan = FaultPlan(faults=[FaultSpec(kind="slow", key=keys[1], delay_s=120.0)])
+    source = Path(repro.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_CHILD, str(cache)],
+        env={**os.environ, "PYTHONPATH": str(source),
+             "REPRO_FAULT_PLAN": str(plan.save(tmp_path / "plan.json"))})
+    try:
+        deadline = time.monotonic() + 60.0
+        while not (cache / f"{keys[0]}.json").is_file():
+            assert child.poll() is None, "the child exited before it could be killed"
+            assert time.monotonic() < deadline, "no cache entry appeared"
+            time.sleep(0.005)
+    finally:
+        child.kill()  # SIGKILL
+        child.wait(timeout=30)
+    assert child.returncode == -signal.SIGKILL
+
+    # Whatever instant the kill landed on, the journal is valid and a prefix.
+    journal = RunJournal.for_keys(cache, keys, RESULT_SCHEMA_VERSION)
+    assert journal.store.quarantined == {}
+    assert list(journal.entries) in ([], keys[:1])
+    cached = sorted(path.stem for path in cache.glob("*.json"))
+    assert cached == [keys[0]] and not list(cache.glob(".*.tmp"))
+
+    resumed = SweepRunner(cache_dir=cache, strict=False, resume=True).run(scenarios)
+    assert resumed.cache_hits == 1 and resumed.cache_misses == 2  # served, not re-run
+    assert len(resumed.results) == len(scenarios) and resumed.failures == []
+    assert resumed.quarantined == {}
+    after = RunJournal.for_keys(cache, keys, RESULT_SCHEMA_VERSION)
+    assert all(after.completed(key) for key in keys[1:])
+
+
 def test_resume_skips_prior_deterministic_failure(tmp_path):
     scenarios = infeasible_grid().expand()
     first = SweepRunner(cache_dir=tmp_path, strict=False).run(scenarios)
@@ -325,11 +380,13 @@ def test_clear_cache_wipes_journals_without_counting_them(tmp_path):
     scenarios = tiny_grid().expand()
     runner = SweepRunner(cache_dir=tmp_path)
     runner.run(scenarios)
-    journal_files = list((tmp_path / JOURNALS_DIR).glob("*.json"))
+    journal_files = list((tmp_path / JOURNALS_DIR).glob("*.jsonl"))
     assert journal_files  # the run journaled its completions
+    (tmp_path / JOURNALS_DIR / "0123456789abcdef.json").write_text(
+        '{"schema": 1}')  # a schema-1 journal an older version left behind
     removed = runner.clear_cache()
     assert removed == len(scenarios)  # journals not counted
-    assert not list((tmp_path / JOURNALS_DIR).glob("*.json"))
+    assert not list((tmp_path / JOURNALS_DIR).glob("*.json*"))
 
     # The template side: archives, the manifest, quarantined files and a
     # killed writer's orphaned temp are wiped too, and none of them counted.
