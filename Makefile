@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache
+.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -90,3 +90,8 @@ sweep-scaling:
 
 clean-cache:
 	rm -rf .repro_cache
+
+# Line count of every module under src/repro and their total: the figures
+# CHANGES.md and ROADMAP.md quote, so "net-negative" is one command.
+loc:
+	@find src/repro -name '*.py' | sort | xargs wc -l

@@ -47,11 +47,11 @@ def main() -> None:
          "peak saved": f"{100 * result.plan.savings_fraction:.1f}%",
          "overhead": format_duration(result.plan.total_overhead_ns)},
         {"approach": "SwapAdvisor-style (largest tensors)",
-         "peak saved": f"{100 * result.swap_advisor_baseline.savings_fraction:.1f}%",
-         "overhead": format_duration(result.swap_advisor_baseline.overhead_ns)},
+         "peak saved": f"{100 * result.swap_advisor_baseline['savings_fraction']:.1f}%",
+         "overhead": format_duration(result.swap_advisor_baseline['overhead_ns'])},
         {"approach": "ZeRO-Offload-style (optimizer state)",
-         "peak saved": f"{100 * result.zero_offload_baseline.savings_fraction:.1f}%",
-         "overhead": format_duration(result.zero_offload_baseline.overhead_ns)},
+         "peak saved": f"{100 * result.zero_offload_baseline['savings_fraction']:.1f}%",
+         "overhead": format_duration(result.zero_offload_baseline['overhead_ns'])},
         {"approach": "Gradient checkpointing (keep 1/2)",
          "peak saved": f"{100 * recompute.savings_fraction:.1f}%",
          "overhead": format_duration(recompute.recompute_time_overhead_ns)},

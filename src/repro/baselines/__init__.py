@@ -1,49 +1,19 @@
-"""Reference memory-pressure-reduction policies used for comparison.
+"""Trace-level estimators behind the analysis-only memory policies.
 
-Every baseline — swapping variants, recomputation and parameter
-compression — is exposed both as its original estimator function and behind
-the uniform :class:`~repro.baselines.policy.MemoryPolicy` interface, so the
-sweep engine and the report generator can treat ``swap_advisor``,
-``recompute`` and ``pruning`` as interchangeable points on one axis.
+Recomputation (:func:`estimate_recompute_plan`) and parameter compression
+(:func:`estimate_pruning`, :func:`estimate_quantization`) are estimated on a
+recorded trace.  The policy classes that put them — and the swapping
+techniques — on the sweep's ``swap_policies`` axis live with the one registry
+in :mod:`repro.swap.policies`.
 """
 
-from .policy import (
-    MemoryPolicy,
-    NoPolicy,
-    PlannerPolicy,
-    POLICY_REGISTRY,
-    PolicySummary,
-    PruningPolicy,
-    QuantizationPolicy,
-    RecomputePolicy,
-    SwapAdvisorPolicy,
-    ZeroOffloadPolicy,
-    available_policies,
-    get_policy,
-)
 from .pruning import CompressionEstimate, estimate_pruning, estimate_quantization
 from .recompute import RecomputePlan, estimate_recompute_plan
-from .swapping import SwapPolicyResult, swap_advisor_style_policy, zero_offload_style_policy
 
 __all__ = [
     "CompressionEstimate",
-    "MemoryPolicy",
-    "NoPolicy",
-    "POLICY_REGISTRY",
-    "PlannerPolicy",
-    "PolicySummary",
-    "PruningPolicy",
-    "QuantizationPolicy",
     "RecomputePlan",
-    "RecomputePolicy",
-    "SwapAdvisorPolicy",
-    "SwapPolicyResult",
-    "ZeroOffloadPolicy",
-    "available_policies",
     "estimate_pruning",
     "estimate_quantization",
     "estimate_recompute_plan",
-    "get_policy",
-    "swap_advisor_style_policy",
-    "zero_offload_style_policy",
 ]

@@ -37,7 +37,6 @@ import sys
 from typing import List, Optional
 
 from .core import compute_access_intervals, occupation_breakdown, summarize_intervals
-from .baselines.policy import available_policies
 from .core.events import PAPER_BUCKETS
 from .data.datasets import DATASET_PRESETS
 from .device.allocator import ALLOCATOR_CLASSES
@@ -45,7 +44,7 @@ from .device.cluster import INTERCONNECT_PRESETS
 from .device.spec import DEVICE_PRESETS
 from .errors import InfeasibleScenarioError, OutOfMemoryError
 from .models.registry import available_models
-from .swap.policies import SWAP_OFF, available_execution_policies
+from .swap.policies import SWAP_EXECUTION_MODES, SWAP_OFF, SWAP_POLICIES
 from .tensor.dtype import all_dtypes
 from .train.session import TrainingRunConfig, run_training_session
 from .units import format_bytes
@@ -58,7 +57,6 @@ _FLOAT_DTYPES = tuple(dtype.name for dtype in all_dtypes()
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    swap_modes = (SWAP_OFF,) + available_execution_policies()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Pinpointing the Memory Behaviors of DNN Training'",
@@ -82,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--allocator", default="caching",
                          choices=tuple(ALLOCATOR_CLASSES))
     profile.add_argument("--swap", default=SWAP_OFF,
-                         choices=swap_modes,
+                         choices=SWAP_EXECUTION_MODES,
                          help="run the closed-loop swap-execution engine "
                               "during the session and print its measured "
                               "vs predicted summary")
@@ -127,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"({', '.join(ALLOCATOR_CLASSES)})")
     sweep.add_argument("--swap-policies", default="none",
                        help="comma-separated baseline policies "
-                            f"({', '.join(available_policies())})")
+                            f"({', '.join(SWAP_POLICIES)})")
     sweep.add_argument("--devices", default="titan_x_pascal",
                        help="comma-separated device presets")
     sweep.add_argument("--dtypes", default="float32",
@@ -143,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="allreduce cost model used for gradient collectives")
     sweep.add_argument("--swap", default="off",
                        help="comma-separated closed-loop swap-execution modes "
-                            f"({', '.join(swap_modes)}): the engine actually evicts/prefetches "
+                            f"({', '.join(SWAP_EXECUTION_MODES)}): "
+                            "the engine actually evicts/prefetches "
                             "blocks on the copy stream during the simulation "
                             "and reports measured peak reduction + stall "
                             "time next to the policy's predictions; unified "
@@ -352,13 +351,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import json as json_module
 
     from .experiments.faults import FaultPlan
-    from .experiments.sweep import (
-        SWAP_EXECUTION_MODES,
-        SWAP_POLICIES,
-        SweepGrid,
-        SweepRunner,
-        default_cache_dir,
-    )
+    from .experiments.sweep import SweepGrid, SweepRunner, default_cache_dir
     from .units import GIB
 
     # Validate the comma-separated dimensions up front: a typo must fail with

@@ -122,6 +122,7 @@ from ..train.session import (
 )
 from ..units import ns_to_us
 from .artifacts import ArtifactStore
+from .results import assemble_result, reduce_trace
 
 logger = logging.getLogger(__name__)
 
@@ -778,8 +779,6 @@ class TraceTemplate:
         aside).  ``keys`` optionally carries the scenarios' precomputed
         content hashes.
         """
-        from .sweep import assemble_result, reduce_trace
-
         if started is None:
             started = time.perf_counter()
         if keys is None:

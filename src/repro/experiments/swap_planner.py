@@ -14,13 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..baselines.swapping import (
-    SwapPolicyResult,
-    swap_advisor_style_policy,
-    zero_offload_style_policy,
-)
 from ..core.ati import AccessInterval, compute_access_intervals
 from ..core.swap import BandwidthConfig, SwapPlan, SwapPlanner
+from ..swap.policies import PolicySummary, get_policy
 from ..train.session import SessionResult, TrainingRunConfig, run_training_session
 from .configs import paper_mlp_config
 
@@ -31,16 +27,16 @@ class SwapPlannerResult:
 
     session: SessionResult
     plan: SwapPlan
-    swap_advisor_baseline: SwapPolicyResult
-    zero_offload_baseline: SwapPolicyResult
+    swap_advisor_baseline: PolicySummary
+    zero_offload_baseline: PolicySummary
 
     def summary(self) -> Dict[str, object]:
         """Compact summary recorded in EXPERIMENTS.md."""
         return {
             "workload": self.session.label,
             "planner": self.plan.summary(),
-            "swap_advisor_style": self.swap_advisor_baseline.summary(),
-            "zero_offload_style": self.zero_offload_baseline.summary(),
+            "swap_advisor_style": self.swap_advisor_baseline,
+            "zero_offload_style": self.zero_offload_baseline,
         }
 
 
@@ -59,6 +55,6 @@ def run_swap_planner(config: Optional[TrainingRunConfig] = None,
     return SwapPlannerResult(
         session=session,
         plan=plan,
-        swap_advisor_baseline=swap_advisor_style_policy(session.trace, bandwidths),
-        zero_offload_baseline=zero_offload_style_policy(session.trace, bandwidths),
+        swap_advisor_baseline=get_policy("swap_advisor").evaluate(session.trace, bandwidths),
+        zero_offload_baseline=get_policy("zero_offload").evaluate(session.trace, bandwidths),
     )

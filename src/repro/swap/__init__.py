@@ -1,20 +1,21 @@
-"""Closed-loop swap-execution engine.
+"""Memory policies and the closed-loop swap-execution engine.
 
-The analytic side of the reproduction (:mod:`repro.core.swap`,
-:mod:`repro.baselines`) *predicts* what evicting blocks to host memory would
-do to the footprint and the step time.  This package *executes* those
-decisions inside the simulation: a :class:`SwapExecutor` attaches to a
-device as a memory-event listener, watches one warm-up iteration, lets a
-:class:`SwapExecutionPolicy` turn the observed behaviors into eviction /
-prefetch decisions, schedules the resulting copies on the device's dedicated
-copy stream (so they overlap with compute and contend with each other), and
-stalls the device clock whenever a prefetch misses its deadline.  Every
-eviction and restoration is recorded as a first-class ``swap_out`` /
-``swap_in`` trace event, so the *measured* peak-memory reduction and stall
-overhead fall out of the trace and can be regressed against the planner's
-*predicted* numbers.
+:mod:`repro.swap.policies` holds the one registry of footprint-reduction
+techniques (:data:`POLICIES`, :func:`get_policy`): each is one
+:class:`MemoryPolicy` class whose offline face *predicts*, on a recorded
+trace, what the technique would do to the footprint and the step time, and
+whose executable face drives the engine in this package, which *executes*
+those decisions inside the simulation: a :class:`SwapExecutor` attaches to a
+device as a memory-event listener, watches one warm-up iteration, lets the
+policy turn the observed behaviors into eviction / prefetch decisions,
+schedules the resulting copies on the device's dedicated copy stream (so they
+overlap with compute and contend with each other), and stalls the device
+clock whenever a prefetch misses its deadline.  Every eviction and
+restoration is recorded as a first-class ``swap_out`` / ``swap_in`` trace
+event, so the *measured* peak-memory reduction and stall overhead fall out of
+the trace and can be regressed against the policy's *predicted* numbers.
 
-Policies (see :data:`EXECUTION_POLICIES`):
+Executable policies (:data:`SWAP_EXECUTION_MODES` minus ``off``):
 
 ``planner``
     The paper's Eq.-1 cost model, executed: swap exactly the candidates the
@@ -49,29 +50,23 @@ eviction raises a structured
 
 from .executor import SwapExecutor, SwapExecutionSummary
 from .policies import (
-    EXECUTION_POLICIES,
+    POLICIES,
+    SWAP_EXECUTION_MODES,
+    SWAP_OFF,
+    SWAP_POLICIES,
     EvictDirective,
-    LruExecutionPolicy,
-    PlannerExecutionPolicy,
-    SwapAdvisorExecutionPolicy,
-    SwapExecutionPolicy,
-    UnifiedExecutionPolicy,
-    ZeroOffloadExecutionPolicy,
-    available_execution_policies,
-    get_execution_policy,
+    MemoryPolicy,
+    get_policy,
 )
 
 __all__ = [
-    "EXECUTION_POLICIES",
     "EvictDirective",
-    "LruExecutionPolicy",
-    "PlannerExecutionPolicy",
-    "SwapAdvisorExecutionPolicy",
-    "SwapExecutionPolicy",
+    "MemoryPolicy",
+    "POLICIES",
+    "SWAP_EXECUTION_MODES",
+    "SWAP_OFF",
+    "SWAP_POLICIES",
     "SwapExecutionSummary",
     "SwapExecutor",
-    "UnifiedExecutionPolicy",
-    "ZeroOffloadExecutionPolicy",
-    "available_execution_policies",
-    "get_execution_policy",
+    "get_policy",
 ]

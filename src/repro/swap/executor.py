@@ -9,7 +9,7 @@ closed loop around the training run:
   accesses (the block's access-time interval), plus the unswapped peak
   footprint and the moment it occurs;
 * from the first post-warm-up iteration its
-  :class:`~repro.swap.policies.SwapExecutionPolicy` turns those observations
+  :class:`~repro.swap.policies.MemoryPolicy` turns those observations
   into eviction directives.  Evictions are scheduled as device→host copies on
   the device's dedicated copy stream (so concurrent swap traffic serializes —
   DMA contention is modelled, not assumed away) and, for deadline-driven
@@ -74,7 +74,7 @@ from ..core.events import MemoryCategory
 from ..core.swap import BandwidthConfig
 from ..device.hooks import MemoryEventListener
 from ..errors import InfeasibleScenarioError
-from .policies import EvictDirective, SwapExecutionPolicy, get_execution_policy
+from .policies import EvictDirective, MemoryPolicy, get_policy
 
 
 @dataclass
@@ -231,9 +231,9 @@ class SwapExecutor(MemoryEventListener):
         therefore its dedicated copy stream), timing model and listener
         fan-out.
     policy:
-        A :class:`~repro.swap.policies.SwapExecutionPolicy` instance or a
-        registry name (``planner``, ``swap_advisor``, ``zero_offload``,
-        ``lru``).
+        An executable :class:`~repro.swap.policies.MemoryPolicy` instance or
+        its registry name (``planner``, ``swap_advisor``, ``zero_offload``,
+        ``lru``, ``unified``); an analysis-only policy is a ``ValueError``.
     warmup_iterations:
         Iterations observed before the policy activates (default 1).  The
         policy replans at every later iteration start from the accumulated
@@ -253,13 +253,15 @@ class SwapExecutor(MemoryEventListener):
         raised when even full eviction cannot make room.
     """
 
-    def __init__(self, device, policy: Union[str, SwapExecutionPolicy],
+    def __init__(self, device, policy: Union[str, MemoryPolicy],
                  warmup_iterations: int = 1, prefetch_margin_ns: int = 0,
                  bandwidths: Optional[BandwidthConfig] = None,
                  capacity_bytes: Optional[int] = None):
         self.device = device
-        self.policy = (get_execution_policy(policy)
-                       if isinstance(policy, str) else policy)
+        self.policy = get_policy(policy) if isinstance(policy, str) else policy
+        if not self.policy.executable:
+            raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
+                             f"it cannot drive the swap executor")
         self.warmup_iterations = max(1, int(warmup_iterations))
         self.prefetch_margin_ns = max(0, int(prefetch_margin_ns))
         self.bandwidths = (bandwidths if bandwidths is not None

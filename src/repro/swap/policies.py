@@ -1,32 +1,52 @@
-"""Execution policies for the closed-loop swap engine.
+"""Memory-pressure-reduction policies: one class per technique, one registry.
 
-A :class:`SwapExecutionPolicy` turns the executor's observations into
-eviction/prefetch *directives*.  The executor owns all mechanism — residency
-accounting, copy-stream scheduling, stall insertion, trace events — while the
-policy owns strategy: *which* blocks leave the device, *when*, and whether a
-prefetch is scheduled against a deadline or the block is left to a demand
-fetch.
+The paper compares swapping against recomputation and parameter compression
+on *measured* access behavior.  Every technique the reproduction knows is one
+:class:`MemoryPolicy` subclass here, carrying up to two faces:
 
-The plan-driven policies (``planner``, ``swap_advisor``) reuse the analytic
-machinery of :mod:`repro.core.swap` and :mod:`repro.baselines.swapping` for
-their selection, so their *predicted* numbers and the engine's *measured*
-numbers come from the same cost model — the predicted-vs-simulated
-regression in the test suite pins that agreement.
+*offline* — :meth:`MemoryPolicy.evaluate` estimates the technique on a
+    recorded :class:`~repro.core.trace.MemoryTrace` and returns a normalized
+    summary (``policy``, ``savings_bytes``, ``savings_fraction``,
+    ``overhead_ns`` plus technique-specific extras; ``None`` for ``none``).
+    These are the points of the sweep's ``swap_policies`` axis.
+*executable* — :meth:`MemoryPolicy.plan` digests the swap executor's warm-up
+    observations into triggers and the three directive hooks hand the
+    executor its evictions.  The executor (:mod:`repro.swap.executor`) owns
+    all mechanism — residency accounting, copy-stream scheduling, stall
+    insertion, trace events — while the policy owns strategy: *which* blocks
+    leave the device, *when*, and whether a prefetch is scheduled against a
+    deadline or the block is left to a demand fetch.  These are the modes of
+    the ``swaps`` axis (the ``--swap`` flag).
+
+A class declares the faces it has (``offline`` / ``executable``); the two
+axis tuples :data:`SWAP_POLICIES` and :data:`SWAP_EXECUTION_MODES` are
+derived from those flags and from nothing else.  Both faces of one technique
+share its constants (``top_k``, the 32 MiB candidate floor, the offloaded
+categories, the ceil-partition rule) and the Eq.-1 machinery of
+:mod:`repro.core.swap`, so a technique's *predicted* numbers and the engine's
+*measured* numbers come from the same cost model — the predicted-vs-simulated
+regression in the test suite pins that agreement.  The two faces are still
+two procedures: the offline estimate sums the selected sizes, :meth:`plan`
+keeps only peak-covering windows and replays the warm-up live-bytes profile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
 
-from ..core.ati import AccessInterval
+from ..core.ati import AccessInterval, compute_access_intervals, compute_interval_arrays
 from ..core.events import MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
+from ..core.trace import MemoryTrace
 from ..units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .executor import BlockState, WarmupObservations
+
+#: The normalized summary type every offline evaluation produces.
+PolicySummary = Dict[str, object]
 
 
 @dataclass(frozen=True)
@@ -59,16 +79,69 @@ class EvictDirective:
     recompute: bool = False
 
 
-class SwapExecutionPolicy:
-    """Base class: never evicts anything."""
+class MemoryPolicy:
+    """One footprint-reduction technique: no offline estimate, never evicts."""
 
     #: Registry name (subclasses override).
     name: str = "base"
+    #: Whether :meth:`evaluate` estimates the technique on a recorded trace.
+    offline: bool = False
+    #: Whether :meth:`plan` and the directive hooks can drive the swap executor.
+    executable: bool = False
 
     def __init__(self) -> None:
         #: The policy's predicted effect (a plan/estimator summary), filled by
         #: :meth:`plan`; ``None`` for purely reactive policies such as LRU.
         self.predicted: Optional[Dict[str, object]] = None
+
+    @classmethod
+    def for_run(cls, world_size: int, capacity_bytes: Optional[int]) -> "MemoryPolicy":
+        """The instance one training run executes: ``world_size`` replicas,
+        each under ``capacity_bytes`` of device memory (``None``: unbounded).
+
+        Most techniques plan the same way whatever the run looks like.
+        """
+        return cls()
+
+    # -- offline face ---------------------------------------------------------------------
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Evaluate the policy on ``trace`` and return a normalized summary.
+
+        Returns ``None`` when the policy performs no reduction (the ``none``
+        baseline), otherwise a dictionary with at least the keys ``policy``,
+        ``savings_bytes``, ``savings_fraction`` and ``overhead_ns``.
+        """
+        raise ValueError(f"policy '{self.name}' has no offline estimate")
+
+    def _normalize(self, summary: PolicySummary, savings_bytes: int,
+                   savings_fraction: float, overhead_ns: float) -> PolicySummary:
+        """Stamp the shared keys onto a policy-specific summary."""
+        summary = dict(summary)
+        summary["policy"] = self.name
+        summary["savings_bytes"] = int(savings_bytes)
+        summary["savings_fraction"] = float(savings_fraction)
+        summary["overhead_ns"] = float(overhead_ns)
+        return summary
+
+    def _swapped_summary(self, label: str, num_blocks: int, swapped_bytes: int,
+                         peak_before: int, overhead_ns: float,
+                         **extras) -> PolicySummary:
+        """Summary of keeping ``swapped_bytes`` off the device (Σ-of-sizes model)."""
+        savings = peak_before - max(0, peak_before - swapped_bytes)
+        return {
+            "name": label,
+            "num_blocks": num_blocks,
+            "swapped_bytes": swapped_bytes,
+            "savings_bytes": int(savings),
+            "savings_fraction": float(savings / peak_before if peak_before else 0.0),
+            "overhead_ns": float(overhead_ns),
+            **extras,
+            "policy": self.name,
+        }
+
+    # -- executable face ------------------------------------------------------------------
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         """Digest the warm-up observations into triggers (called every replan)."""
@@ -180,7 +253,7 @@ def _directive_for_trigger(trigger: _Trigger, block_id: int) -> EvictDirective:
     return EvictDirective(block_id=block_id, prefetch_gap_ns=trigger.gap_ns)
 
 
-class _TriggerPlanPolicy(SwapExecutionPolicy):
+class _TriggerPlanPolicy(MemoryPolicy):
     """A policy whose :meth:`plan` selects blocks and fires them by trigger."""
 
     def __init__(self) -> None:
@@ -254,16 +327,29 @@ def _interval_from_observation(state: "BlockState") -> AccessInterval:
     )
 
 
-class PlannerExecutionPolicy(_TriggerPlanPolicy):
-    """Execute the Eq.-1 swap planner's selection (the paper's cost model).
+class NoPolicy(MemoryPolicy):
+    """The do-nothing baseline: the footprint is reported as recorded."""
 
-    The warm-up intervals are fed through the *same*
-    :class:`~repro.core.swap.SwapPlanner` as the offline analysis; each
-    selected candidate becomes a trigger (evict after the opening access,
-    prefetch back against the measured interval).
+    name = "none"
+    offline = True
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """No reduction is attempted; evaluates to ``None``."""
+        return None
+
+
+class PlannerPolicy(_TriggerPlanPolicy):
+    """The paper's Eq.-1 swap planner: swap only where the ATI hides the copy.
+
+    Offline intervals and warm-up observations are fed through the *same*
+    :class:`~repro.core.swap.SwapPlanner`; executed, each selected candidate
+    becomes a trigger (evict after the opening access, prefetch back against
+    the measured interval).
     """
 
     name = "planner"
+    offline = executable = True
 
     def __init__(self, min_candidate_bytes: int = 32 * MIB,
                  allow_overhead_ns: float = 0.0,
@@ -273,10 +359,26 @@ class PlannerExecutionPolicy(_TriggerPlanPolicy):
         self.allow_overhead_ns = float(allow_overhead_ns)
         self.copy_utilization_cap = float(copy_utilization_cap)
 
+    def _planner(self, bandwidths: BandwidthConfig) -> SwapPlanner:
+        """The cost model both faces plan with."""
+        return SwapPlanner(bandwidths=bandwidths,
+                           min_candidate_bytes=self.min_candidate_bytes,
+                           allow_overhead_ns=self.allow_overhead_ns)
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Plan interval-aware swapping and summarize the chosen plan."""
+        bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
+        planner = self._planner(bandwidths)
+        intervals = compute_access_intervals(trace,
+                                             min_size=planner.min_candidate_bytes)
+        plan = planner.plan(trace, intervals)
+        summary = plan.summary()
+        return self._normalize(summary, plan.savings_bytes, plan.savings_fraction,
+                               plan.total_overhead_ns)
+
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
-        planner = SwapPlanner(bandwidths=bandwidths,
-                              min_candidate_bytes=self.min_candidate_bytes,
-                              allow_overhead_ns=self.allow_overhead_ns)
+        planner = self._planner(bandwidths)
         # Only windows that cover the peak instant can reduce the peak; the
         # filter keeps the plan's predicted savings honest (Σ selected sizes
         # all absent at the peak) instead of summing irrelevant idle time.
@@ -307,7 +409,7 @@ class PlannerExecutionPolicy(_TriggerPlanPolicy):
         }
 
 
-class UnifiedExecutionPolicy(_TriggerPlanPolicy):
+class UnifiedPolicy(_TriggerPlanPolicy):
     """Capuchin-style unified eviction: keep, swap or recompute per block.
 
     Every peak-covering idle window is a candidate.  Per candidate the policy
@@ -338,6 +440,7 @@ class UnifiedExecutionPolicy(_TriggerPlanPolicy):
     """
 
     name = "unified"
+    executable = True
 
     #: Only forward activations are rematerializable by producer replay —
     #: gradients would need the backward graph re-run, and parameters /
@@ -358,6 +461,11 @@ class UnifiedExecutionPolicy(_TriggerPlanPolicy):
         self.enable_recompute = bool(enable_recompute)
         self.capacity_bytes = (None if capacity_bytes is None
                                else int(capacity_bytes))
+
+    @classmethod
+    def for_run(cls, world_size: int, capacity_bytes: Optional[int]) -> "UnifiedPolicy":
+        """Plan against the run's capacity (force swaps until the peak fits)."""
+        return cls(capacity_bytes=capacity_bytes)
 
     def _recompute_cost_ns(self, state: "BlockState") -> Optional[int]:
         """The modeled replay cost, or ``None`` when not rematerializable.
@@ -492,21 +600,51 @@ class UnifiedExecutionPolicy(_TriggerPlanPolicy):
         }
 
 
-class SwapAdvisorExecutionPolicy(_TriggerPlanPolicy):
-    """Size-ranked swapping (SwapAdvisor-style): largest blocks, timing-blind.
+class SwapAdvisorPolicy(_TriggerPlanPolicy):
+    """Size-ranked swapping in the spirit of SwapAdvisor (Huang et al.,
+    ASPLOS'20): the ``top_k`` largest blocks, whatever their access timing.
 
-    The ``top_k`` largest observed blocks are evicted after the access that
-    opens their largest idle interval, with a prefetch against that interval
-    — whatever transfer time the interval cannot hide becomes a *measured*
-    stall, mirroring the analytic estimator's charged overhead.
+    Executed, each is evicted after the access that opens its largest idle
+    interval, with a prefetch against that interval — whatever transfer time
+    the interval cannot hide becomes a *measured* stall, mirroring the
+    overhead the offline estimate charges.
     """
 
     name = "swap_advisor"
+    offline = executable = True
 
     def __init__(self, top_k: int = 5, min_block_bytes: int = 32 * MIB):
         super().__init__()
         self.top_k = int(top_k)
         self.min_block_bytes = int(min_block_bytes)
+
+    def select(self, trace: MemoryTrace) -> List[Tuple[int, int]]:
+        """``(block_id, size)`` of the blocks the offline estimate swaps."""
+        sizes: Dict[int, int] = {}
+        for lifetime in trace.lifetimes:
+            sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0), lifetime.size)
+        return sorted(
+            ((block_id, size) for block_id, size in sizes.items()
+             if size >= self.min_block_bytes),
+            key=lambda item: item[1], reverse=True,
+        )[:self.top_k]
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Swap the largest blocks and charge the transfer time the ATIs cannot hide."""
+        bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
+        candidates = self.select(trace)
+        # Read off the interval columns: no AccessInterval is built for the
+        # (many) blocks the policy never considers.
+        arrays = compute_interval_arrays(trace)
+        overhead = 0.0
+        for block_id, size in candidates:
+            gaps = arrays.interval_ns[arrays.block_id == block_id]
+            hidden = int(gaps.max()) if gaps.size else 0
+            overhead += max(0.0, swap_round_trip_ns(size, bandwidths) - hidden)
+        return self._swapped_summary(
+            "swap_advisor_style", len(candidates),
+            sum(size for _, size in candidates), trace.peak_live_bytes(), overhead)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         eligible = [state for state in warmup.blocks
@@ -529,18 +667,22 @@ class SwapAdvisorExecutionPolicy(_TriggerPlanPolicy):
         }
 
 
-class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):
-    """Offload optimizer state and gradients between iterations (ZeRO-style).
+class ZeroOffloadPolicy(MemoryPolicy):
+    """Optimizer state and gradients live on the host, in the spirit of
+    ZeRO-Offload (Ren et al.), partitioned across data-parallel ranks.
 
-    At the end of every iteration all resident optimizer-state and
-    parameter-gradient blocks are evicted; each comes back through a demand
-    fetch (a synchronous stall) on its next access.  On a data-parallel run
-    each rank only moves its ``1/world_size`` partition per direction while
-    the full block still leaves the device footprint — the executable twin
-    of the rank-aware analytic estimator.
+    Executed, all resident optimizer-state and parameter-gradient blocks are
+    evicted at the end of every iteration; each comes back through a demand
+    fetch (a synchronous stall) on its next access.  Both faces are
+    *rank-aware*: every replica frees its *full* local footprint (the
+    per-device savings) but per iteration moves only its ``1/world_size``
+    partition of the host copy, so the exposed transfer time shrinks with the
+    replica count.  The offline face reads the replica count off the trace
+    metadata, the executable one takes it from the run (:meth:`for_run`).
     """
 
     name = "zero_offload"
+    offline = executable = True
 
     OFFLOAD_CATEGORIES = (MemoryCategory.OPTIMIZER_STATE,
                           MemoryCategory.PARAMETER_GRADIENT)
@@ -548,6 +690,40 @@ class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):
     def __init__(self, world_size: int = 1):
         super().__init__()
         self.world_size = max(1, int(world_size))
+
+    @classmethod
+    def for_run(cls, world_size: int, capacity_bytes: Optional[int]) -> "ZeroOffloadPolicy":
+        """Partition every transfer across the run's replicas."""
+        return cls(world_size=world_size)
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Keep optimizer state and gradients on the host, one round trip per step.
+
+        The offloaded bytes are absent from the device footprint; every
+        training iteration pays a round trip for them (gradients out, updated
+        values back), which is the overhead ZeRO-Offload hides behind CPU
+        compute but a synchronous implementation would expose.  A merged
+        data-parallel trace is evaluated on its rank-0 replica (a rank slice,
+        which carries ``device_rank`` in its metadata, is taken as given).
+        """
+        bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
+        world_size = max(1, int(trace.metadata.get("n_devices", 1) or 1))
+        if world_size > 1 and "device_rank" not in trace.metadata:
+            trace = trace.for_rank(0)
+        offloaded: Dict[int, int] = {}
+        for lifetime in trace.lifetimes:
+            if lifetime.category in self.OFFLOAD_CATEGORIES:
+                offloaded[lifetime.block_id] = max(offloaded.get(lifetime.block_id, 0),
+                                                   lifetime.size)
+        swapped = sum(offloaded.values())
+        partition = -(-swapped // world_size)  # ceil: each rank's shard of the host copy
+        iterations = max(1, len(trace.iteration_marks))
+        extras = ({"world_size": world_size, "partition_bytes": partition}
+                  if world_size > 1 else {})
+        return self._swapped_summary(
+            "zero_offload_style", len(offloaded), swapped, trace.peak_live_bytes(),
+            iterations * swap_round_trip_ns(partition, bandwidths), **extras)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         offloadable = [state for state in warmup.blocks
@@ -583,7 +759,66 @@ class ZeroOffloadExecutionPolicy(SwapExecutionPolicy):
         return directives
 
 
-class LruExecutionPolicy(SwapExecutionPolicy):
+class RecomputePolicy(MemoryPolicy):
+    """Gradient checkpointing: discard activations, re-run forward segments."""
+
+    name = "recompute"
+    offline = True
+
+    def __init__(self, keep_every: int = 2):
+        super().__init__()
+        self.keep_every = int(keep_every)
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Estimate checkpointing every ``keep_every``-th activation."""
+        from ..baselines.recompute import estimate_recompute_plan
+        plan = estimate_recompute_plan(trace, keep_every=self.keep_every)
+        return self._normalize(plan.summary(), plan.savings_bytes,
+                               plan.savings_fraction, plan.recompute_time_overhead_ns)
+
+
+class PruningPolicy(MemoryPolicy):
+    """Weight pruning: remove a fraction of the parameter bytes."""
+
+    name = "pruning"
+    offline = True
+
+    def __init__(self, sparsity: float = 0.9):
+        super().__init__()
+        self.sparsity = float(sparsity)
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Estimate the total-footprint effect of pruning the weights."""
+        from ..baselines.pruning import estimate_pruning
+        estimate = estimate_pruning(trace, sparsity=self.sparsity)
+        savings = estimate.peak_bytes_before - estimate.estimated_peak_bytes_after
+        return self._normalize(estimate.summary(), savings,
+                               estimate.total_reduction_fraction, 0.0)
+
+
+class QuantizationPolicy(MemoryPolicy):
+    """Weight quantization: shrink parameter bytes to ``bits`` per element."""
+
+    name = "quantization"
+    offline = True
+
+    def __init__(self, bits: int = 8):
+        super().__init__()
+        self.bits = int(bits)
+
+    def evaluate(self, trace: MemoryTrace,
+                 bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
+        """Estimate the total-footprint effect of quantizing the weights."""
+        from ..baselines.pruning import estimate_quantization
+        estimate = estimate_quantization(trace, bits=self.bits)
+        savings = estimate.peak_bytes_before - estimate.estimated_peak_bytes_after
+        return self._normalize(estimate.summary(), savings,
+                               estimate.total_reduction_fraction, 0.0)
+
+
+class LruPolicy(MemoryPolicy):
     """Online budget policy: evict least-recently-accessed blocks on pressure.
 
     The budget defaults to ``budget_fraction`` of the warm-up peak (so the
@@ -593,6 +828,7 @@ class LruExecutionPolicy(SwapExecutionPolicy):
     """
 
     name = "lru"
+    executable = True
 
     def __init__(self, budget_bytes: Optional[int] = None,
                  budget_fraction: float = 0.7,
@@ -636,34 +872,48 @@ class LruExecutionPolicy(SwapExecutionPolicy):
         return directives
 
 
-#: Factories for every executable policy, keyed by the ``--swap`` axis value.
-EXECUTION_POLICIES: Dict[str, Callable[..., SwapExecutionPolicy]] = {
-    PlannerExecutionPolicy.name: PlannerExecutionPolicy,
-    SwapAdvisorExecutionPolicy.name: SwapAdvisorExecutionPolicy,
-    ZeroOffloadExecutionPolicy.name: ZeroOffloadExecutionPolicy,
-    LruExecutionPolicy.name: LruExecutionPolicy,
-    UnifiedExecutionPolicy.name: UnifiedExecutionPolicy,
+#: Every technique, in presentation order (the one registry).
+POLICIES: Dict[str, Type[MemoryPolicy]] = {
+    NoPolicy.name: NoPolicy,
+    PlannerPolicy.name: PlannerPolicy,
+    SwapAdvisorPolicy.name: SwapAdvisorPolicy,
+    ZeroOffloadPolicy.name: ZeroOffloadPolicy,
+    RecomputePolicy.name: RecomputePolicy,
+    PruningPolicy.name: PruningPolicy,
+    QuantizationPolicy.name: QuantizationPolicy,
+    LruPolicy.name: LruPolicy,
+    UnifiedPolicy.name: UnifiedPolicy,
 }
+
+#: Policies a scenario can be evaluated under offline (the ``swap_policies``
+#: axis: the historical name is kept although it spans swapping, recompute
+#: and parameter-compression baselines).
+SWAP_POLICIES = tuple(name for name, policy in POLICIES.items() if policy.offline)
 
 #: The value of the ``--swap`` axis that disables the engine entirely.
 SWAP_OFF = "off"
 
+#: Modes of the closed-loop swap-execution axis (the ``--swap`` flag).
+SWAP_EXECUTION_MODES = (SWAP_OFF,) + tuple(
+    name for name, policy in POLICIES.items() if policy.executable)
 
-def available_execution_policies() -> Tuple[str, ...]:
-    """Names of every executable swap policy (``off`` excluded)."""
-    return tuple(EXECUTION_POLICIES)
 
-
-def get_execution_policy(name: str, **kwargs) -> SwapExecutionPolicy:
-    """Instantiate an executable policy by registry name.
+def get_policy(name: str) -> MemoryPolicy:
+    """Instantiate a registered policy by name.
 
     Raises ``ValueError`` with the list of known policies when unknown.
     """
     try:
-        factory = EXECUTION_POLICIES[name]
+        policy = POLICIES[name]
     except KeyError:
-        known = ", ".join(available_execution_policies())
+        known = ", ".join(POLICIES)
         raise ValueError(
-            f"unknown swap execution policy '{name}'; known policies: {known}"
-        ) from None
-    return factory(**kwargs)
+            f"unknown swap policy '{name}'; known policies: {known}") from None
+    return policy()
+
+
+#: The base under the name the frozen benchmark harness resolves
+#: (``bench/spans.py`` wraps ``repro.swap.policies.SwapExecutionPolicy.plan``);
+#: the next benchmark PR repoints that row at :class:`MemoryPolicy` and
+#: deletes this binding together with :mod:`repro.baselines.policy`.
+SwapExecutionPolicy = MemoryPolicy

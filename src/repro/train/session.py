@@ -250,19 +250,16 @@ def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
     """
     if config.swap == "off":
         return []
-    from ..swap import EXECUTION_POLICIES, SwapExecutor, get_execution_policy
-    if config.swap not in EXECUTION_POLICIES:
-        known = ", ".join(("off",) + tuple(EXECUTION_POLICIES))
+    from ..swap import POLICIES, SWAP_EXECUTION_MODES, SwapExecutor
+    if config.swap not in SWAP_EXECUTION_MODES:
         raise ConfigurationError(
-            f"unknown swap mode '{config.swap}'; known modes: {known}")
-    kwargs: Dict[str, object] = {}
-    if config.swap == "zero_offload":
-        kwargs["world_size"] = len(group)
-    if config.swap == "unified" and config.device_memory_capacity is not None:
-        kwargs["capacity_bytes"] = int(config.device_memory_capacity)
+            f"unknown swap mode '{config.swap}'; known modes: "
+            f"{', '.join(SWAP_EXECUTION_MODES)}")
     executors = []
     for device in group:
-        executor = SwapExecutor(device, get_execution_policy(config.swap, **kwargs),
+        policy = POLICIES[config.swap].for_run(
+            world_size=len(group), capacity_bytes=config.device_memory_capacity)
+        executor = SwapExecutor(device, policy,
                                 capacity_bytes=config.device_memory_capacity)
         device.attach_swap_executor(executor)
         executors.append(executor)

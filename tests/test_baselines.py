@@ -6,10 +6,10 @@ from repro.baselines import (
     estimate_pruning,
     estimate_quantization,
     estimate_recompute_plan,
-    swap_advisor_style_policy,
-    zero_offload_style_policy,
 )
 from repro.core.events import MemoryCategory
+from repro.swap.policies import (SWAP_POLICIES, SwapAdvisorPolicy,
+                                 ZeroOffloadPolicy, get_policy)
 from repro.units import MIB, s_to_ns
 
 from tests.helpers import build_trace
@@ -40,34 +40,35 @@ def make_training_like_trace():
 
 def test_swap_advisor_style_selects_largest_blocks():
     trace = make_training_like_trace()
-    result = swap_advisor_style_policy(trace, top_k=1)
-    assert result.selected_block_ids == [10]
-    assert result.swapped_bytes == 512 * MIB
-    assert result.savings_bytes > 0
-    assert result.summary()["name"] == "swap_advisor_style"
+    policy = SwapAdvisorPolicy(top_k=1)
+    assert policy.select(trace) == [(10, 512 * MIB)]
+    result = policy.evaluate(trace)
+    assert (result["num_blocks"], result["swapped_bytes"]) == (1, 512 * MIB)
+    assert result["savings_bytes"] > 0
+    assert result["name"] == "swap_advisor_style"
 
 
 def test_swap_advisor_style_charges_overhead_when_interval_too_short():
     trace = make_training_like_trace()
-    generous = swap_advisor_style_policy(trace, top_k=1)
+    generous = SwapAdvisorPolicy(top_k=1).evaluate(trace)
     # The 512 MiB activation is idle ~0.5 s, which hides its ~0.16 s round trip.
-    assert generous.overhead_ns == pytest.approx(0.0)
+    assert generous["overhead_ns"] == pytest.approx(0.0)
 
 
 def test_zero_offload_style_offloads_optimizer_state_and_gradients():
     trace = make_training_like_trace()
-    result = zero_offload_style_policy(trace)
-    assert result.swapped_bytes == 16 * MIB
-    assert result.overhead_ns > 0
-    assert result.savings_fraction < 0.1      # tiny compared to activations
+    result = ZeroOffloadPolicy().evaluate(trace)
+    assert result["swapped_bytes"] == 16 * MIB
+    assert result["overhead_ns"] > 0
+    assert result["savings_fraction"] < 0.1      # tiny compared to activations
 
 
 def test_policies_handle_traces_without_candidates(simple_trace):
-    result = swap_advisor_style_policy(simple_trace)
-    assert result.swapped_bytes == 0
-    assert result.savings_bytes == 0
-    zero = zero_offload_style_policy(simple_trace)
-    assert zero.swapped_bytes == 0
+    result = SwapAdvisorPolicy().evaluate(simple_trace)
+    assert result["swapped_bytes"] == 0
+    assert result["savings_bytes"] == 0
+    zero = ZeroOffloadPolicy().evaluate(simple_trace)
+    assert zero["swapped_bytes"] == 0
 
 
 def test_recompute_plan_discards_activation_bytes():
@@ -204,9 +205,7 @@ def test_quantization_estimate():
 
 
 def test_policy_registry_names_and_lookup():
-    from repro.baselines import available_policies, get_policy
-
-    names = available_policies()
+    names = SWAP_POLICIES
     assert names[0] == "none"
     assert {"planner", "swap_advisor", "zero_offload", "recompute", "pruning",
             "quantization"} <= set(names)
@@ -217,16 +216,12 @@ def test_policy_registry_names_and_lookup():
 
 
 def test_none_policy_evaluates_to_none():
-    from repro.baselines import get_policy
-
     assert get_policy("none").evaluate(make_training_like_trace()) is None
 
 
 def test_every_policy_summary_is_normalized():
-    from repro.baselines import available_policies, get_policy
-
     trace = make_training_like_trace()
-    for name in available_policies():
+    for name in SWAP_POLICIES:
         summary = get_policy(name).evaluate(trace)
         if name == "none":
             continue
@@ -237,12 +232,10 @@ def test_every_policy_summary_is_normalized():
 
 
 def test_policy_summaries_match_underlying_estimators():
-    from repro.baselines import get_policy
-
     trace = make_training_like_trace()
     advisor = get_policy("swap_advisor").evaluate(trace)
-    direct = swap_advisor_style_policy(trace)
-    assert advisor["savings_bytes"] == direct.savings_bytes
+    assert advisor["savings_bytes"] == min(advisor["swapped_bytes"],
+                                           trace.peak_live_bytes())
 
     recompute = get_policy("recompute").evaluate(trace)
     plan = estimate_recompute_plan(trace, keep_every=2)

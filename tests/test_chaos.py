@@ -44,9 +44,11 @@ from repro.experiments.journal import JOURNALS_DIR, RunJournal, run_id_for_keys
 from repro.experiments.sweep import (
     RESULT_SCHEMA_VERSION,
     FailureRecord,
+    Scenario,
     SweepGrid,
     SweepRunner,
     classify_failure,
+    run_scenario,
 )
 
 
@@ -244,6 +246,26 @@ def test_deterministic_failure_is_never_retried(tmp_path):
     assert record.reason in ("infeasible", "oom")
     assert record.attempts == 1  # the budget was not touched
     assert result.retries == 0
+
+
+def test_unknown_offline_policy_is_a_config_failure_before_the_session_runs(monkeypatch):
+    """A hand-built scenario: the grid refuses the name at ``expand()`` already."""
+    from repro.experiments import results
+    monkeypatch.setattr(results, "run_training_session",
+                        lambda config: pytest.fail("the session ran"))
+    config = tiny_grid(batch_sizes=(16,)).expand()[0].config
+    for name in ("plannr", "lru"):   # a typo; registered, but no offline estimate
+        scenario = Scenario(config, swap_policy=name)
+        result = SweepRunner(retries=5, backoff_s=0.0, strict=False).run([scenario])
+        record, = result.failures
+        assert (record.reason, record.kind, record.attempts) == (
+            "config", "deterministic", 1)
+        assert f"unknown swap policy '{name}'; known policies: none, planner," \
+            in record.error
+        with pytest.raises(ConfigurationError, match="unknown swap policy"):
+            run_scenario(scenario)
+        with pytest.raises(ValueError, match="unknown swap policy"):
+            tiny_grid(swap_policies=(name,)).expand()
 
 
 def test_strict_runner_still_raises_first_failure(tmp_path):

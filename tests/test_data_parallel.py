@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.baselines.swapping import zero_offload_style_policy
 from repro.core.events import MemoryCategory
 from repro.core.trace import merge_rank_traces
 from repro.errors import ConfigurationError
@@ -160,16 +159,30 @@ def test_policies_report_per_device_numbers_on_multi_rank_scenarios():
     assert sharded["overhead_ns"] < flat["overhead_ns"]
 
 
-def test_zero_offload_partitions_transfers_across_ranks():
+def test_zero_offload_partitions_transfers_across_ranks(monkeypatch):
+    from repro.core.trace import MemoryTrace
+    from repro.swap.policies import ZeroOffloadPolicy
+
     single = run_training_session(_config(1, batch_size=64))
     double = run_training_session(_config(2, batch_size=64))
-    flat = zero_offload_style_policy(single.trace)
-    sharded = zero_offload_style_policy(double.trace)
+    flat = ZeroOffloadPolicy().evaluate(single.trace)
+    sharded = ZeroOffloadPolicy().evaluate(double.trace)   # merged: sliced inside
     # Each rank still frees its full local optimizer-state/gradient bytes...
-    assert sharded.swapped_bytes == flat.swapped_bytes
-    assert sharded.world_size == 2
-    assert sharded.partition_bytes == -(-flat.swapped_bytes // 2)
+    assert sharded["swapped_bytes"] == flat["swapped_bytes"]
+    assert sharded["world_size"] == 2
+    assert sharded["partition_bytes"] == -(-flat["swapped_bytes"] // 2)
     # ...but only moves its 1/N partition per iteration.
-    assert sharded.overhead_ns < flat.overhead_ns
-    assert sharded.summary()["world_size"] == 2
-    assert "world_size" not in flat.summary()
+    assert sharded["overhead_ns"] < flat["overhead_ns"]
+    assert "world_size" not in flat
+    # The dict as the parent commit computed it, key order included.
+    assert list(sharded.items()) == [
+        ("name", "zero_offload_style"), ("num_blocks", 8), ("swapped_bytes", 4096),
+        ("savings_bytes", 4096), ("savings_fraction", 0.2),
+        ("overhead_ns", 1290.1587301587301), ("world_size", 2),
+        ("partition_bytes", 2048), ("policy", "zero_offload")]
+    # A rank slice (what the sweep hands over) is taken as given: same dict,
+    # no second slice.
+    rank0 = double.trace.for_rank(0)
+    monkeypatch.setattr(MemoryTrace, "for_rank", lambda self, rank: pytest.fail(
+        "an already-sliced trace was sliced again"))
+    assert ZeroOffloadPolicy().evaluate(rank0) == sharded

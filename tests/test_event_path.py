@@ -9,8 +9,6 @@ Python formulations.
 
 import pytest
 
-from repro.baselines.policy import PlannerPolicy
-from repro.baselines.swapping import swap_advisor_style_policy
 from repro.core.ati import compute_access_intervals
 from repro.core.profiler import MemoryProfiler
 from repro.core.recorder import TraceRecorder
@@ -19,6 +17,7 @@ from repro.core.trace import ROW_FIELDS, ColumnarEventLog
 from repro.device import Device, small_test_device
 from repro.device.hooks import HOOK_NAMES, CompositeListener, CountingListener
 from repro.experiments.sweep import Scenario, run_scenario
+from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
 from repro.tensor import functional as F
 from repro.tensor import randn
 from repro.train.session import TrainingRunConfig, run_training_session
@@ -268,7 +267,8 @@ def test_swap_advisor_equals_the_per_interval_python_loop(corpus):
     overheads = []
     for trace in corpus:
         for floor in (MIB, 32 * MIB):
-            result = swap_advisor_style_policy(trace, slow, min_block_bytes=floor)
+            policy = SwapAdvisorPolicy(min_block_bytes=floor)
+            overhead_ns = policy.evaluate(trace, slow)["overhead_ns"]
             largest = {}
             for interval in compute_access_intervals(trace):
                 largest[interval.block_id] = max(largest.get(interval.block_id, 0),
@@ -280,9 +280,9 @@ def test_swap_advisor_equals_the_per_interval_python_loop(corpus):
             expected = sum(
                 max(0.0, swap_round_trip_ns(sizes[block_id], slow)
                     - largest.get(block_id, 0))
-                for block_id in result.selected_block_ids)
-            assert result.overhead_ns == expected
-            overheads.append(result.overhead_ns)
+                for block_id, _ in policy.select(trace))
+            assert overhead_ns == expected
+            overheads.append(overhead_ns)
     assert any(overheads)
 
 

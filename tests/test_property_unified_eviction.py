@@ -1,6 +1,6 @@
 """Randomized property tests for the unified keep/swap/recompute planner.
 
-The :class:`~repro.swap.policies.UnifiedExecutionPolicy` makes one decision
+The :class:`~repro.swap.policies.UnifiedPolicy` makes one decision
 per candidate block — keep it, swap it over the link, or drop it and replay
 its producer — from warm-up observations.  These tests draw random synthetic
 observation sets (sizes, idle windows, categories, learned producer times,
@@ -37,7 +37,7 @@ import pytest
 from repro.core.events import MemoryCategory
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.swap.executor import BlockState, WarmupObservations
-from repro.swap.policies import PlannerExecutionPolicy, UnifiedExecutionPolicy
+from repro.swap.policies import PlannerPolicy, UnifiedPolicy
 from repro.units import MIB
 
 BANDWIDTHS = BandwidthConfig.from_paper()
@@ -105,7 +105,7 @@ def draws(n=25, seed=0):
 
 def test_every_candidate_gets_exactly_one_decision():
     for warmup in draws():
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         decisions = predicted["decisions"]
         assert len(decisions) == predicted["num_candidates"]
         assert len({d["block_id"] for d in decisions}) == len(decisions)
@@ -121,7 +121,7 @@ def test_every_candidate_gets_exactly_one_decision():
 
 def test_small_blocks_are_never_candidates():
     for warmup in draws(seed=1):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         decided = {d["block_id"] for d in predicted["decisions"]}
         for state in warmup.blocks:
             if state.size < MIN_CANDIDATE:
@@ -131,7 +131,7 @@ def test_small_blocks_are_never_candidates():
 def test_recompute_only_chosen_when_modeled_cost_is_cheaper():
     """The tentpole decision rule: replay never beats a cheaper transfer."""
     for warmup in draws(seed=2):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         for decision in predicted["decisions"]:
             if decision["mechanism"] == "recompute":
                 assert decision["recompute_cost_ns"] is not None
@@ -148,7 +148,7 @@ def test_boundary_crossing_windows_never_recompute():
     """A block dropped at an iteration boundary has no producer inputs left
     to replay in the next iteration — it must swap or keep."""
     for warmup in draws(seed=3):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         crossing = {state.block_id for state in warmup.blocks
                     if state.best_gap_crosses}
         for decision in predicted["decisions"]:
@@ -159,7 +159,7 @@ def test_boundary_crossing_windows_never_recompute():
 
 def test_non_activations_never_recompute():
     for warmup in draws(seed=4):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         for decision in predicted["decisions"]:
             state = warmup.by_id[decision["block_id"]]
             if state.category is not MemoryCategory.ACTIVATION:
@@ -171,9 +171,9 @@ def test_non_activations_never_recompute():
 
 def test_disable_recompute_degenerates_to_pure_planner():
     for warmup in draws(seed=5):
-        unified = UnifiedExecutionPolicy(enable_recompute=False)
+        unified = UnifiedPolicy(enable_recompute=False)
         unified_predicted = plan(unified, warmup)
-        planner = PlannerExecutionPolicy(min_candidate_bytes=MIN_CANDIDATE)
+        planner = PlannerPolicy(min_candidate_bytes=MIN_CANDIDATE)
         planner_predicted = plan(planner, warmup)
         swapped = {d["block_id"] for d in unified_predicted["decisions"]
                    if d["mechanism"] == "swap"}
@@ -188,7 +188,7 @@ def test_disable_recompute_degenerates_to_pure_planner():
 
 def test_disable_swap_yields_recompute_only_plan():
     for warmup in draws(seed=6):
-        predicted = plan(UnifiedExecutionPolicy(enable_swap=False), warmup)
+        predicted = plan(UnifiedPolicy(enable_swap=False), warmup)
         assert predicted["num_swapped"] == 0
         assert predicted["copy_round_trip_ns"] == 0
         for decision in predicted["decisions"]:
@@ -202,22 +202,22 @@ def test_disable_swap_yields_recompute_only_plan():
 
 def test_unified_savings_dominate_pure_swap_plan():
     for warmup in draws(n=40, seed=7):
-        unified = plan(UnifiedExecutionPolicy(), warmup)
-        planner = plan(PlannerExecutionPolicy(min_candidate_bytes=MIN_CANDIDATE),
+        unified = plan(UnifiedPolicy(), warmup)
+        planner = plan(PlannerPolicy(min_candidate_bytes=MIN_CANDIDATE),
                        warmup)
         assert unified["savings_bytes"] >= planner["savings_bytes"]
 
 
 def test_unified_savings_dominate_pure_recompute_plan():
     for warmup in draws(n=40, seed=8):
-        unified = plan(UnifiedExecutionPolicy(), warmup)
-        recompute_only = plan(UnifiedExecutionPolicy(enable_swap=False), warmup)
+        unified = plan(UnifiedPolicy(), warmup)
+        recompute_only = plan(UnifiedPolicy(enable_swap=False), warmup)
         assert unified["savings_bytes"] >= recompute_only["savings_bytes"]
 
 
 def test_predicted_summary_is_well_formed():
     for warmup in draws(seed=9):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         assert predicted["peak_bytes_after"] >= 0
         assert 0.0 <= predicted["savings_fraction"] <= 1.0
         assert predicted["total_overhead_ns"] >= 0
@@ -248,7 +248,7 @@ def test_capacity_plan_fits_at_every_sampled_instant_or_flips_everything():
     for index, warmup in enumerate(draws(n=40, seed=10)):
         capacity = int(warmup.peak_resident_bytes
                        * np.random.default_rng(index).uniform(0.4, 0.95))
-        policy = UnifiedExecutionPolicy(capacity_bytes=capacity)
+        policy = UnifiedPolicy(capacity_bytes=capacity)
         predicted = plan(policy, warmup)
         assert predicted["capacity_bytes"] == capacity
         if predicted["num_kept"] > 0:
@@ -288,12 +288,12 @@ def test_capacity_flips_charge_stall_overhead():
     round_trip = swap_round_trip_ns(128 * MIB, BANDWIDTHS)
     assert round_trip > blocks[0].best_gap_ns    # Eq.-1 infeasible by design
 
-    loose = plan(UnifiedExecutionPolicy(), warmup)
+    loose = plan(UnifiedPolicy(), warmup)
     assert loose["num_kept"] == 2 and loose["num_swapped"] == 0
     assert loose["total_overhead_ns"] == 0
 
     capacity = peak - 100 * MIB
-    tight = plan(UnifiedExecutionPolicy(capacity_bytes=capacity), warmup)
+    tight = plan(UnifiedPolicy(capacity_bytes=capacity), warmup)
     assert tight["num_swapped"] > 0
     assert tight["peak_bytes_after"] <= capacity or tight["num_kept"] == 0
     assert tight["total_overhead_ns"] > 0
@@ -301,7 +301,7 @@ def test_capacity_flips_charge_stall_overhead():
 
 def test_uncapped_plan_reports_no_capacity():
     for warmup in draws(n=5, seed=12):
-        predicted = plan(UnifiedExecutionPolicy(), warmup)
+        predicted = plan(UnifiedPolicy(), warmup)
         assert predicted["capacity_bytes"] is None
 
 
@@ -310,7 +310,7 @@ def test_uncapped_plan_reports_no_capacity():
 
 def test_recompute_decisions_fire_recompute_directives():
     for warmup in draws(seed=13):
-        policy = UnifiedExecutionPolicy()
+        policy = UnifiedPolicy()
         predicted = plan(policy, warmup)
         for decision in predicted["decisions"]:
             state = warmup.by_id[decision["block_id"]]
@@ -329,7 +329,7 @@ def test_recompute_decisions_fire_recompute_directives():
 
 def test_boundary_decisions_fire_at_iteration_end():
     for warmup in draws(seed=14):
-        policy = UnifiedExecutionPolicy()
+        policy = UnifiedPolicy()
         predicted = plan(policy, warmup)
         selected_crossing = {
             d["block_id"] for d in predicted["decisions"]
@@ -343,8 +343,8 @@ def test_boundary_decisions_fire_at_iteration_end():
 
 def test_planning_is_deterministic():
     for warmup in draws(n=5, seed=15):
-        first = plan(UnifiedExecutionPolicy(), warmup)
-        second = plan(UnifiedExecutionPolicy(), warmup)
+        first = plan(UnifiedPolicy(), warmup)
+        second = plan(UnifiedPolicy(), warmup)
         assert first == second
 
 
@@ -352,7 +352,7 @@ def test_empty_observation_set_plans_nothing():
     warmup = WarmupObservations(blocks=[], by_id={}, peak_resident_bytes=0,
                                 peak_phase_ns=None, iteration_duration_ns=0,
                                 live_series=[])
-    policy = UnifiedExecutionPolicy()
+    policy = UnifiedPolicy()
     predicted = plan(policy, warmup)
     assert predicted["num_selected"] == 0
     assert predicted["savings_bytes"] == 0

@@ -72,8 +72,110 @@ def test_scenario_result_is_constructed_in_two_places_only():
     sites = {(path.relative_to(SRC).as_posix(), function)
              for path in sorted(SRC.rglob("*.py"))
              for function in _enclosing_functions(path, _calls("ScenarioResult"))}
-    assert sites == {("experiments/sweep.py", "from_dict"),
-                     ("experiments/sweep.py", "assemble_result")}
+    assert sites == {("experiments/results.py", "from_dict"),
+                     ("experiments/results.py", "assemble_result")}
+
+
+TECHNIQUES = ("none", "planner", "swap_advisor", "zero_offload", "recompute",
+              "pruning", "quantization", "lru", "unified")
+
+
+def _sources(root=SRC):
+    return [(path, ast.parse(path.read_text())) for path in sorted(root.rglob("*.py"))]
+
+
+def test_each_technique_is_one_class_in_one_registry():
+    named = []       # (technique, class name, file) per ``name = "<technique>"``
+    for path, tree in _sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                named += [(statement.value.value, node.name,
+                           path.relative_to(SRC).as_posix())
+                          for statement in node.body
+                          if isinstance(statement, ast.Assign)
+                          and [getattr(t, "id", None) for t in statement.targets] == ["name"]
+                          and isinstance(statement.value, ast.Constant)
+                          and statement.value.value in TECHNIQUES]
+    assert sorted((name, path) for name, _cls, path in named) == sorted(
+        (name, "swap/policies.py") for name in TECHNIQUES)
+    classes = {cls for _name, cls, _path in named}
+    # dict literals whose values are technique classes: the registry, once
+    registries = [path.relative_to(SRC).as_posix()
+                  for path, tree in _sources() for node in ast.walk(tree)
+                  if isinstance(node, ast.Dict) and node.values
+                  and all(getattr(value, "id", None) in classes
+                          for value in node.values)]
+    assert registries == ["swap/policies.py"]
+    from repro.swap import policies
+    assert tuple(policies.POLICIES) == TECHNIQUES
+    bases = {cls.__mro__[-2] for cls in policies.POLICIES.values()}
+    assert bases == {policies.MemoryPolicy}
+    # the two import paths the frozen benchmark harness resolves are that base
+    from repro.baselines.policy import MemoryPolicy
+    assert MemoryPolicy is policies.SwapExecutionPolicy is policies.MemoryPolicy
+    assert [path.relative_to(SRC).as_posix() for path, tree in _sources()
+            if any(isinstance(node, ast.FunctionDef) and node.name == "get_policy"
+                   for node in ast.walk(tree))] == ["swap/policies.py"]
+
+
+def test_the_joins_between_two_registries_are_gone():
+    for path, _tree in _sources():
+        text = path.read_text()
+        for name in ("executable_name", "make_executable", "get_execution_policy",
+                     "available_execution_policies", "SwapPolicyResult"):
+            assert name not in text, (path.name, name)
+    assert not (SRC / "baselines" / "swapping.py").exists()
+
+
+def test_train_names_no_technique():
+    for path, tree in _sources(SRC / "train"):
+        literals = {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        assert not literals & set(TECHNIQUES), path.name
+
+
+def _imported_modules(tree):
+    """Dotted names a module imports, relative dots dropped (``.grid`` -> ``grid``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module or "")
+            found |= {f"{node.module or ''}.{alias.name}".lstrip(".")
+                      for alias in node.names}
+    return found
+
+
+def test_sweep_modules_import_downwards_only():
+    experiments = SRC / "experiments"
+    imports = {name: _imported_modules(ast.parse((experiments / f"{name}.py").read_text()))
+               for name in ("grid", "results", "failures", "executor", "sweep")}
+    for low in ("grid", "results", "failures"):
+        assert not imports[low] & {"executor", "sweep"}, low
+    assert "sweep" not in imports["executor"]
+    assert "results" not in imports["grid"]
+    # process pools belong to executor.py; failures.py only names the one
+    # exception class it classifies
+    users = {path.relative_to(SRC).as_posix(): sorted(
+                 name for name in _imported_modules(tree)
+                 if name.startswith("concurrent.futures"))
+             for path, tree in _sources()}
+    assert {path: names for path, names in users.items() if names} == {
+        "experiments/executor.py": [
+            "concurrent.futures", "concurrent.futures.FIRST_COMPLETED",
+            "concurrent.futures.ProcessPoolExecutor", "concurrent.futures.wait"],
+        "experiments/failures.py": [
+            "concurrent.futures.process",
+            "concurrent.futures.process.BrokenProcessPool"]}
+
+
+def test_sweep_module_defines_only_the_runner():
+    tree = ast.parse((SRC / "experiments" / "sweep.py").read_text())
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
+    assert defined == ["SweepResult", "_parse_cache_entry", "_RunState",
+                       "SweepRunner", "run_sweep"]
 
 
 def test_percentile_recipe_lives_in_core_only():

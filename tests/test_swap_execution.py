@@ -39,10 +39,11 @@ from repro.errors import ConfigurationError
 from repro.experiments.configs import paper_mlp_config
 from repro.experiments.sweep import SweepGrid, run_scenario
 from repro.swap import (
-    EXECUTION_POLICIES,
+    POLICIES,
+    SWAP_EXECUTION_MODES,
+    SWAP_POLICIES,
     SwapExecutor,
-    available_execution_policies,
-    get_execution_policy,
+    get_policy,
 )
 from repro.train.session import TrainingRunConfig, run_training_session
 
@@ -78,7 +79,7 @@ def run_manual_policy(policy, **overrides):
 
     Mirrors ``run_training_session``'s wiring (same optimizer, loader and
     trainer) but lets the test hand the executor a configured policy object
-    — e.g. the pure-recompute twin ``UnifiedExecutionPolicy(enable_swap=False)``
+    — e.g. the pure-recompute twin ``UnifiedPolicy(enable_swap=False)``
     that the session-level registry cannot express.
     """
     from repro.core.profiler import MemoryProfiler
@@ -119,20 +120,39 @@ def run_manual_policy(policy, **overrides):
 @lru_cache(maxsize=None)
 def pure_recompute_result():
     """The deep MLP under rematerialization only (no transfers allowed)."""
-    from repro.swap.policies import UnifiedExecutionPolicy
-    return run_manual_policy(UnifiedExecutionPolicy(enable_swap=False))
+    from repro.swap.policies import UnifiedPolicy
+    return run_manual_policy(UnifiedPolicy(enable_swap=False))
 
 
 # -- registry / wiring -----------------------------------------------------------------
 
 
-def test_execution_policy_registry():
-    assert available_execution_policies() == ("planner", "swap_advisor",
-                                              "zero_offload", "lru", "unified")
-    for name in EXECUTION_POLICIES:
-        assert get_execution_policy(name).name == name
-    with pytest.raises(ValueError, match="unknown swap execution policy"):
-        get_execution_policy("nope")
+def test_policy_registry():
+    """One registry: both axes derive from it, in the order they always had."""
+    assert SWAP_POLICIES == ("none", "planner", "swap_advisor", "zero_offload",
+                             "recompute", "pruning", "quantization")
+    assert SWAP_EXECUTION_MODES == ("off", "planner", "swap_advisor",
+                                    "zero_offload", "lru", "unified")
+    assert set(POLICIES) == set(SWAP_POLICIES) | set(SWAP_EXECUTION_MODES) - {"off"}
+    assert len(POLICIES) == 9
+    for name in POLICIES:
+        assert get_policy(name).name == name
+    with pytest.raises(ValueError, match="unknown swap policy 'nope'.*quantization"):
+        get_policy("nope")
+    # Analysis-only entries are not executable, reactive ones have no estimate.
+    from repro.device.device import Device
+    for name in ("none", "recompute", "pruning", "quantization"):
+        assert not POLICIES[name].executable
+        with pytest.raises(ValueError, match="analysis-only"):
+            SwapExecutor(Device(), name)
+    for name in ("lru", "unified"):
+        assert not POLICIES[name].offline
+        with pytest.raises(ValueError, match="no offline estimate"):
+            get_policy(name).evaluate(None)
+    # A run's replica count and capacity reach the two policies that plan on them.
+    assert POLICIES["zero_offload"].for_run(4, None).world_size == 4
+    assert POLICIES["unified"].for_run(1, 123).capacity_bytes == 123
+    assert POLICIES["planner"].for_run(4, 123).name == "planner"
 
 
 def test_unknown_swap_mode_rejected_by_session():
@@ -147,15 +167,6 @@ def test_only_one_executor_per_device():
     device.attach_swap_executor(SwapExecutor(device, "lru"))
     with pytest.raises(ConfigurationError):
         device.attach_swap_executor(SwapExecutor(device, "lru"))
-
-
-def test_baseline_policies_expose_executable_twins():
-    from repro.baselines.policy import get_policy
-    assert get_policy("planner").make_executable().name == "planner"
-    assert get_policy("swap_advisor").make_executable().name == "swap_advisor"
-    assert get_policy("zero_offload").make_executable(world_size=4).world_size == 4
-    with pytest.raises(ValueError, match="analysis-only"):
-        get_policy("recompute").make_executable()
 
 
 def test_counting_listener_counts_swap_events():
@@ -303,7 +314,7 @@ def test_lru_explicit_budget_is_respected():
     from repro.models.registry import build_model
     from repro.nn.loss import CrossEntropyLoss
     from repro.nn.optim import SGD
-    from repro.swap.policies import LruExecutionPolicy
+    from repro.swap.policies import LruPolicy
     from repro.train.session import build_device_group
     from repro.train.trainer import Trainer
 
@@ -314,7 +325,7 @@ def test_lru_explicit_budget_is_respected():
             model_kwargs={"hidden_dim": 4096, "num_hidden_layers": 4})
         device = build_device_group(config).primary
         executor = SwapExecutor(
-            device, LruExecutionPolicy(budget_bytes=budget_bytes))
+            device, LruPolicy(budget_bytes=budget_bytes))
         device.attach_swap_executor(executor)
         profiler = MemoryProfiler(device)
         profiler.start()
@@ -480,8 +491,7 @@ def test_counting_listener_counts_recompute_events():
 
 
 def test_unified_policy_accepts_planning_kwargs():
-    policy = get_execution_policy("unified", capacity_bytes=123,
-                                  enable_recompute=False)
+    policy = POLICIES["unified"](capacity_bytes=123, enable_recompute=False)
     assert policy.name == "unified"
     assert policy.capacity_bytes == 123
     assert policy.enable_swap and not policy.enable_recompute

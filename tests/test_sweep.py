@@ -1,10 +1,13 @@
 """Tests for the scenario-sweep engine (grid expansion, caching, parallelism)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
+from repro.experiments.grid import AXES
 from repro.experiments.sweep import (
     RESULT_SCHEMA_VERSION,
     Scenario,
@@ -55,6 +58,94 @@ def test_grid_expansion_order_is_deterministic():
     assert first == second
     # Dimension order is respected: batch sizes in declared order, outermost first.
     assert [s.config.batch_size for s in grid.expand()] == [32, 32, 16, 16]
+
+
+@st.composite
+def _axis_lengths(draw):
+    """1-3 values per axis, on at most four axes at once (3**13 is too many)."""
+    wide = draw(st.sets(st.sampled_from([axis for axis, _ in AXES]), max_size=4))
+    return {axis: draw(st.integers(2, 3)) if axis in wide else 1 for axis, _ in AXES}
+
+
+@settings(max_examples=40, deadline=None)
+@given(_axis_lengths())
+def test_grid_size_equals_expansion_length_for_any_axis_lengths(lengths):
+    values = {
+        "models": ("mlp", "paper_mlp", "lenet5"), "batch_sizes": (16, 32, 48),
+        "iterations": (1, 2, 3), "allocators": ("caching", "bump", "best_fit"),
+        "device_specs": ("titan_x_pascal", "v100_sxm2_16gb", "a100_sxm4_40gb"),
+        "dtypes": ("float32", "float16", "bfloat16"), "n_devices": (1, 2, 4),
+        "interconnects": ("pcie_gen3", "nvlink2", "pcie_gen4"),
+        "swaps": ("off", "lru", "unified"),
+        "device_memory_capacities": (None, 1 << 30, 1 << 31),
+        "host_dispatch_overheads_ns": (None, 1_300, 2_600), "seeds": (0, 7, 9),
+        "swap_policies": ("none", "planner", "recompute"),
+    }
+    assert set(values) == {axis for axis, _ in AXES}
+    grid = SweepGrid(**{axis: values[axis][:length]
+                        for axis, length in lengths.items()})
+    scenarios = grid.expand()
+    assert grid.size() == len(scenarios) == math.prod(lengths.values())
+    points = {tuple(scenario.swap_policy if field == "swap_policy"
+                    else getattr(scenario.config, field) for _, field in AXES)
+              for scenario in scenarios}
+    assert len(points) == len(scenarios)
+
+
+def test_axis_table_names_every_sequence_field_of_the_grid_once():
+    import dataclasses
+    sequence_fields = [f.name for f in dataclasses.fields(SweepGrid)
+                       if str(f.type).startswith("Sequence")]
+    assert sorted(axis for axis, _ in AXES) == sorted(sequence_fields)
+    config_fields = {f.name for f in dataclasses.fields(TrainingRunConfig)}
+    assert [field for _, field in AXES[:-1] if field not in config_fields] == []
+    assert AXES[-1] == ("swap_policies", "swap_policy")   # varies fastest
+
+
+#: ``Scenario.key()`` of the grid below, in expansion order, as the commit
+#: before the axis table (68e6b2c) produced them.
+_GOLDEN_KEYS = [
+    "d4cf278847c0b4529ca81b17d70a80b4a7cc4d83cf2264861ac63bde1b0d2156",
+    "e2fff303954ea620f240a8fa7ec511dd0bdc105cf13d9940d5a05a37c577f216",
+    "80fe0b36448b5473cc4497f54d3e47f9425a79c02dfc8d5c1527723b3895e974",
+    "680cb39a199555d4bbe490d41b8275ca7d0932379c9baaa357d7a3c37bb5f788",
+    "98cb0500c8615a12371d64d5a025299d431952dc23e6f7610b8f3ad4d11194f1",
+    "77506ffaa440bbd359fda0be1fe38ec9470c2b3e56998ee4dcc5b9f09aab95ed",
+    "613c9b7e52570c011d53ef7ba2300c14a0a981e7978745d33d198944ad8fb3ac",
+    "9656bf45ef1f17cee50f7da71e69295db5bdc3b17ec59384394cffc4574529eb",
+    "93b354e9c5bcb71fc24c4d84ea7ba27e8f8e487e84998f10dbe0233e91e4e6cc",
+    "9c64a2ac656dda0ac98dbba6640247be745de6c764f0df837674f306980cdfd8",
+    "09d23cfe80fa44c10af9e0ed11d9472ebb70e86122077d079bbe27ef343734e6",
+    "20757d253f06a464646c205dbbb0bb18e2dab9e6b1932ac429be26ce32f0d83a",
+    "28949665531509a4ffcd402130d4a95fa5df3ad91799783cd4745445b267df3e",
+    "5cc10e57cfe7acf0d4bff5ed8011787ffd3845fe899da8dd61b1a8cb0e1fab87",
+    "892e2dc084980092a1f743c65462fc88a63b580185dc38271e96d9784f1e0b3e",
+    "55108661cffa37368b1ef12407920c2cdc10361ef70f6da2b65a934bc60555c8",
+]
+
+
+def test_expansion_order_and_keys_match_the_hand_enumerated_grid():
+    """Every axis and shared scalar off its default, four axes two wide."""
+    grid = SweepGrid(
+        models=("mlp", "paper_mlp"), batch_sizes=(48,), iterations=(3,),
+        allocators=("caching", "bump"), swap_policies=("none", "planner"),
+        device_specs=("v100_sxm2_16gb",), dtypes=("float16",), n_devices=(2,),
+        interconnects=("nvlink2",), swaps=("off", "unified"),
+        device_memory_capacities=(1 << 30,), host_dispatch_overheads_ns=(1300,),
+        seeds=(9,), dataset="two_cluster", execution_mode="replay",
+        model_kwargs={"hidden_dim": 128}, dataset_kwargs={"num_samples": 96},
+        optimizer="adam", allreduce_algorithm="naive")
+    scenarios = grid.expand()
+    assert [scenario.key() for scenario in scenarios] == _GOLDEN_KEYS
+    assert [(s.config.model, s.config.allocator, s.config.swap, s.swap_policy)
+            for s in scenarios[:5]] == [
+        ("mlp", "caching", "off", "none"), ("mlp", "caching", "off", "planner"),
+        ("mlp", "caching", "unified", "none"), ("mlp", "caching", "unified", "planner"),
+        ("mlp", "bump", "off", "none")]
+    first = scenarios[0]
+    assert first.via_replay and first.config.execution_mode == "symbolic"
+    assert first.config.label == "mlp-batch48-caching"
+    assert first.config.model_kwargs is not grid.model_kwargs
 
 
 def test_grid_rejects_unknown_swap_policy():
@@ -404,20 +495,20 @@ def test_runner_pool_is_reused_across_runs():
     """The worker pool persists between run() calls (no per-sweep respawn)."""
     with SweepRunner(workers=2) as runner:
         runner.run(tiny_grid(batch_sizes=(16, 24)))
-        first_pool = runner._pool
+        first_pool = runner._executor._pool
         assert first_pool is not None
         runner.run(tiny_grid(batch_sizes=(32, 48)))
-        assert runner._pool is first_pool
-    assert runner._pool is None            # close() shut it down
+        assert runner._executor._pool is first_pool
+    assert runner._executor._pool is None            # close() shut it down
 
 
 def test_chunking_covers_every_scenario_exactly_once():
     runner = SweepRunner(workers=3, chunk_size=None)
     missing = [(index, None) for index in range(10)]
-    chunks = runner._chunks(missing)
+    chunks = runner._executor._chunks(missing)
     flattened = [entry for chunk in chunks for entry in chunk]
     assert flattened == missing
-    explicit = SweepRunner(workers=3, chunk_size=4)._chunks(missing)
+    explicit = SweepRunner(workers=3, chunk_size=4)._executor._chunks(missing)
     assert [len(chunk) for chunk in explicit] == [4, 4, 2]
 
 

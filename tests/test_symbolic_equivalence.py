@@ -150,7 +150,7 @@ def test_unified_rematerialization_is_event_identical_to_eager():
     """Where the unified plan actually swaps *and* recomputes, both modes
     emit the same decision stream (block ids come from a process-global
     counter, so the comparison normalizes them)."""
-    from repro.swap.policies import UnifiedExecutionPolicy
+    from repro.swap.policies import UnifiedPolicy
     from tests.test_swap_execution import run_manual_policy
 
     settings = dict(model="mlp", dataset="two_cluster", batch_size=512,
@@ -160,7 +160,7 @@ def test_unified_rematerialization_is_event_identical_to_eager():
 
     def run(mode):
         return run_manual_policy(
-            UnifiedExecutionPolicy(min_candidate_bytes=256 * 1024),
+            UnifiedPolicy(min_candidate_bytes=256 * 1024),
             execution_mode=mode, **settings)
 
     def normalized_summary(summary):
