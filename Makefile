@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,6 +87,15 @@ sweep-scaling:
 	$(PYTHON) -m repro sweep --models paper_mlp --batch-sizes 4096 \
 		--n-devices 1,2,4,8 --interconnects pcie_gen3,nvlink2 --workers 4
 	$(PYTHON) -m repro report
+
+# Multi-device smoke (the CI scaling-smoke leg): a cold sweep over replica
+# counts with one divisible (one replica class) and one non-divisible (two
+# classes) batch size, then the differential suite that holds the class
+# sessions to full materialisation.
+scaling-smoke:
+	$(PYTHON) -m repro sweep --models mlp --batch-sizes 48,50 \
+		--n-devices 1,2,3,4 --workers 2 --no-cache
+	$(PYTHON) -m pytest tests/test_replica_classes.py -q
 
 clean-cache:
 	rm -rf .repro_cache

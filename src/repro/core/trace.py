@@ -485,6 +485,19 @@ class MemoryTrace:
             end_ns=self.end_ns,
         )
 
+    def rank_view(self, rank: int) -> "MemoryTrace":
+        """This single-replica recording as ``rank`` of its replica class saw it.
+
+        Ranks of one class emit identical streams, so the view *shares* the
+        columns, strings, lifetimes and iteration marks (none of which may be
+        mutated in place); only ``metadata["device_rank"]`` is its own.
+        """
+        return MemoryTrace(
+            events=self._events, columns=self._columns_cache,
+            event_tags=self._event_tags, event_ops=self._event_ops,
+            lifetimes=self.lifetimes, iteration_marks=self.iteration_marks,
+            metadata={**self.metadata, "device_rank": rank}, end_ns=self.end_ns)
+
     def iterations(self) -> List[int]:
         """Indices of all iterations that have a recorded mark."""
         return sorted(mark.index for mark in self.iteration_marks)
@@ -728,10 +741,15 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
         device_rank=rank_col[order],
         address=_gather("address"),
     )
+    # Ranks of one replica class share their column record: read the string
+    # side-lists once per distinct recording, not once per rank.
+    strings: Dict[int, Tuple[List[str], List[str]]] = {}
     all_tags: List[str] = []
     all_ops: List[str] = []
-    for trace in traces:
-        tags, ops = trace.event_strings()
+    for trace, cols in zip(traces, per_rank_cols):
+        if id(cols) not in strings:
+            strings[id(cols)] = trace.event_strings()
+        tags, ops = strings[id(cols)]
         all_tags.extend(tags)
         all_ops.extend(ops)
     order_list = order.tolist()

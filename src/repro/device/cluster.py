@@ -11,10 +11,13 @@ an interconnect*.  This module introduces that layer:
 * :class:`ClusterSpec` combines a per-device :class:`~repro.device.spec.DeviceSpec`
   with a replica count, an interconnect and an allreduce algorithm, and
   exposes the collective cost model (:meth:`ClusterSpec.allreduce_time_ns`);
-* :class:`DeviceGroup` instantiates the N replica
-  :class:`~repro.device.device.Device`\\ s — each with its own clock,
-  allocator and streams — and wires them to one shared
-  :class:`~repro.device.collective.CollectiveEngine`.
+* :class:`DeviceGroup` instantiates one replica
+  :class:`~repro.device.device.Device` per replica *class* — the ranks the
+  simulator cannot tell apart (same shard shape in a symbolic run; every
+  rank on its own in an eager one) — each with its own clock, allocator and
+  streams, and wires them to one shared
+  :class:`~repro.device.collective.CollectiveEngine` that still costs
+  collectives for all N replicas.
 
 ``DeviceGroup`` with ``n_devices=1`` degenerates exactly to a single
 :class:`~repro.device.device.Device`: the collective engine costs nothing and
@@ -35,7 +38,7 @@ per-link bandwidth ``B`` and per-message latency ``L``:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from .device import Device
@@ -196,22 +199,44 @@ class ClusterSpec:
 
 
 class DeviceGroup:
-    """N replica :class:`~repro.device.device.Device`\\ s plus their collective engine.
+    """The replicas of a cluster, one :class:`Device` per replica *class*.
 
-    Every replica gets its own clock, allocator, timing model and streams —
-    ranks advance independently through their shards and synchronize only at
-    collectives.  Device-construction keyword arguments (allocator, execution
-    mode, default dtype, timing overrides) are forwarded to every replica so
-    the group is homogeneous.
+    A replica class is a set of ranks the simulator cannot tell apart: same
+    hardware, same model, same shard shape, hence the same event stream.
+    ``rank_classes`` labels every rank (equal labels, one class; classes are
+    numbered in order of first appearance, so rank 0 is always in class 0);
+    by default every rank is its own class.  Only one :class:`Device` per
+    class is materialised — its clock, allocator, timing model and streams
+    stand for every rank of the class — while :attr:`n_devices` and the
+    collective cost model keep the cluster's full replica count.  Iterating,
+    indexing and ``len()`` walk the materialised replicas in class order.
+    Device-construction keyword arguments (allocator, execution mode, default
+    dtype, timing overrides) are forwarded to every replica so the group is
+    homogeneous.
     """
 
-    def __init__(self, cluster: ClusterSpec, **device_kwargs):
+    def __init__(self, cluster: ClusterSpec,
+                 rank_classes: Optional[Sequence[Hashable]] = None, **device_kwargs):
         from .collective import CollectiveEngine
 
         self.cluster = cluster
+        labels = (range(cluster.n_devices) if rank_classes is None
+                  else list(rank_classes))
+        if len(labels) != cluster.n_devices:
+            raise ConfigurationError(
+                f"rank_classes must label each of the {cluster.n_devices} "
+                f"rank(s), got {len(labels)} label(s)")
+        ranks_by_label: Dict[Hashable, List[int]] = {}
+        for rank, label in enumerate(labels):
+            ranks_by_label.setdefault(label, []).append(rank)
+        #: Ranks of every class, in rank order (first entry: its representative).
+        self.class_ranks: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(ranks) for ranks in ranks_by_label.values())
+        class_of = {label: index for index, label in enumerate(ranks_by_label)}
+        #: Class index of every rank.
+        self.rank_classes: Tuple[int, ...] = tuple(class_of[label] for label in labels)
         self.devices: List[Device] = [
-            Device(cluster.device, **device_kwargs)
-            for _ in range(cluster.n_devices)
+            Device(cluster.device, **device_kwargs) for _ in self.class_ranks
         ]
         self.collective = CollectiveEngine(
             cluster, [device.clock for device in self.devices])
@@ -228,12 +253,17 @@ class DeviceGroup:
     def __iter__(self) -> Iterator[Device]:
         return iter(self.devices)
 
-    def __getitem__(self, rank: int) -> Device:
-        return self.devices[rank]
+    def __getitem__(self, index: int) -> Device:
+        return self.devices[index]
 
     @property
     def n_devices(self) -> int:
-        """Number of replicas in the group."""
+        """Number of replicas in the cluster (materialised or not)."""
+        return self.cluster.n_devices
+
+    @property
+    def n_materialized(self) -> int:
+        """Number of replicas actually simulated (one per replica class)."""
         return len(self.devices)
 
     @property
@@ -257,10 +287,13 @@ class DeviceGroup:
         return max(device.peak_allocated_bytes for device in self.devices)
 
     def total_allocated_bytes(self) -> int:
-        """Bytes currently allocated summed over every replica."""
-        return sum(device.allocated_bytes for device in self.devices)
+        """Bytes currently allocated summed over every rank of the cluster."""
+        return sum(device.allocated_bytes * len(ranks)
+                   for device, ranks in zip(self.devices, self.class_ranks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"DeviceGroup(n={self.n_devices}, device={self.cluster.device.name!r}, "
+        return (f"DeviceGroup(n={self.n_devices}, "
+                f"materialized={self.n_materialized}, "
+                f"device={self.cluster.device.name!r}, "
                 f"interconnect={self.cluster.interconnect.name!r}, "
                 f"allreduce={self.cluster.allreduce_algorithm!r})")

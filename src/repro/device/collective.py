@@ -6,7 +6,11 @@ that operation's *timing*: a collective is a barrier (it starts when the
 slowest participating replica arrives) followed by an algorithm-dependent
 transfer cost from the cluster's cost model
 (:meth:`~repro.device.cluster.ClusterSpec.allreduce_time_ns`), after which
-every replica clock has advanced to the same completion time.
+every replica clock has advanced to the same completion time.  The engine
+holds one clock per *materialised* replica — one per replica class of the
+:class:`~repro.device.cluster.DeviceGroup`; ranks of one class arrive at the
+same instant, so the barrier over the class clocks is the barrier over all
+ranks — while the cost and the reported ``world_size`` are the cluster's.
 
 The engine deliberately knows nothing about tensors: the training loop
 (:class:`~repro.train.trainer.DataParallelTrainer`) owns the gradient
@@ -81,8 +85,9 @@ class CollectiveEngine:
     cluster:
         The cluster specification supplying the allreduce cost model.
     clocks:
-        One :class:`~repro.device.clock.DeviceClock` per replica, in rank
-        order; collectives barrier and then advance all of them together.
+        One :class:`~repro.device.clock.DeviceClock` per materialised
+        replica, in class order; collectives barrier and then advance all of
+        them together.
     """
 
     def __init__(self, cluster: ClusterSpec, clocks: Sequence[DeviceClock]):
@@ -92,8 +97,8 @@ class CollectiveEngine:
 
     @property
     def world_size(self) -> int:
-        """Number of replicas participating in collectives."""
-        return len(self.clocks)
+        """Number of replicas participating in collectives (the cluster's)."""
+        return self.cluster.n_devices
 
     def allreduce(self, nbytes: int, tag: str = "") -> CollectiveRecord:
         """Model one allreduce of ``nbytes``: barrier, then the transfer cost.

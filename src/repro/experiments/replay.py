@@ -198,19 +198,22 @@ def template_key(config: TrainingRunConfig) -> str:
 
 
 class _TemplateCapture:
-    """Session hook that attaches one timing tape per replica clock."""
+    """Session hook that attaches one timing tape per materialised replica
+    clock (one per replica class) and notes which class each rank is in."""
 
     def __init__(self) -> None:
         self.tapes: List[TimingTape] = []
+        self.rank_classes: Sequence[int] = ()
         self.profilers = None
-        self.rank_traces = None
+        self.traces = None
 
     def attach(self, group) -> None:
         self.tapes = [TimingTape(device.clock) for device in group]
+        self.rank_classes = group.rank_classes
 
-    def collect(self, profilers, rank_traces) -> None:
+    def collect(self, profilers, traces) -> None:
         self.profilers = profilers
-        self.rank_traces = rank_traces
+        self.traces = traces
 
     def detach(self) -> None:
         for tape in self.tapes:
@@ -952,8 +955,8 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
         capture.detach()
 
     spec = build_cluster(config).device
-    ranks = []
-    for profiler, trace, tape in zip(capture.profilers, capture.rank_traces,
+    classes = []
+    for profiler, trace, tape in zip(capture.profilers, capture.traces,
                                      capture.tapes):
         rank = _capture_rank(profiler.recorder, trace, tape)
         preamble = tape.preamble_segments(spec.cuda_malloc_overhead_ns)
@@ -961,7 +964,9 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
             raise TemplateError("pre-attach clock time is not whole segments",
                                 reason="capture_inconsistent")
         rank.preamble_segments = preamble
-        ranks.append(rank)
+        classes.append(rank)
+    # Ranks of one replica class reference the one captured RankTemplate.
+    ranks = [classes[index] for index in capture.rank_classes]
     allocator_stats = {k: int(v) for k, v in session.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0

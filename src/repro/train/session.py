@@ -14,11 +14,17 @@ Every session runs on a :class:`~repro.device.cluster.DeviceGroup`:
 ``n_devices=1`` (the default, and the paper's setting) degenerates to one
 replica whose event stream is byte-identical to the historical single-device
 path — the golden-figure tests pin that equivalence.  With ``n_devices>1``
-the session becomes synchronous data-parallel training: one model/optimizer
-replica per device (identically seeded), the global batch sharded across
-ranks, a gradient allreduce on the configured interconnect before every
-optimizer step, and one memory profiler per replica whose traces are merged
-(with a ``device_rank`` dimension) into the session trace.
+the session becomes synchronous data-parallel training: the global batch
+sharded across ranks, a gradient allreduce on the configured interconnect
+before every optimizer step, and one trace per rank merged (with a
+``device_rank`` dimension) into the session trace.  Memory behaviour is
+deterministic, so ranks the simulator cannot tell apart — one *replica
+class* (:func:`~repro.train.trainer.replica_classes`: equal shard shapes in
+symbolic mode, at most two classes; every rank on its own in eager mode) —
+share one simulated replica: the session builds one identically seeded
+model / optimizer / loss / profiler / swap executor per class, and a rank's
+trace is a view of its class's recording that differs only in
+``metadata["device_rank"]``.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from ..errors import ConfigurationError
 from ..models.registry import build_model
 from ..nn.loss import CrossEntropyLoss
 from ..nn.optim import SGD, Adam, Optimizer
-from .trainer import DataParallelTrainer, IterationStats
+from .trainer import DataParallelTrainer, IterationStats, replica_classes
 
 
 @dataclass
@@ -223,7 +229,10 @@ def _device_kwargs(config: TrainingRunConfig) -> Dict[str, object]:
 
 def build_device_group(config: TrainingRunConfig) -> DeviceGroup:
     """Construct the replica device group described by a run configuration."""
-    return DeviceGroup(build_cluster(config), **_device_kwargs(config))
+    classes = replica_classes(config.batch_size, config.n_devices,
+                              config.execution_mode == "symbolic")
+    return DeviceGroup(build_cluster(config), rank_classes=classes,
+                       **_device_kwargs(config))
 
 
 def build_device(config: TrainingRunConfig) -> Device:
@@ -242,7 +251,7 @@ def _build_optimizer(config: TrainingRunConfig, model) -> Optimizer:
 
 
 def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
-    """One closed-loop swap executor per replica device (empty list when off).
+    """One closed-loop swap executor per materialised replica (empty when off).
 
     Executors are attached *before* the profilers so that the stalls they
     insert and the ``swap_in`` events they emit land ahead of the accesses
@@ -258,7 +267,7 @@ def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
     executors = []
     for device in group:
         policy = POLICIES[config.swap].for_run(
-            world_size=len(group), capacity_bytes=config.device_memory_capacity)
+            world_size=group.n_devices, capacity_bytes=config.device_memory_capacity)
         executor = SwapExecutor(device, policy,
                                 capacity_bytes=config.device_memory_capacity)
         device.attach_swap_executor(executor)
@@ -290,7 +299,8 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     ``capture`` is an optional instrumentation hook used by the replay engine
     (:mod:`repro.experiments.replay`): an object with ``attach(group)`` —
     called right after device construction, before any profiled work — and
-    ``collect(profilers, rank_traces)`` — called once the session is complete.
+    ``collect(profilers, traces)`` — called once the session is complete with
+    the per-class profilers and their traces.
     Ordinary callers leave it ``None`` and pay nothing.
     """
     if config.iterations <= 0:
@@ -304,13 +314,13 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     group = build_device_group(config)
     if capture is not None:
         capture.attach(group)
-    n_devices = len(group)
+    n_devices = group.n_devices
     swap_executors = _build_swap_executors(config, group)
 
     base_metadata = workload_metadata(config, n_devices)
     profilers = [
-        MemoryProfiler(device, metadata={**base_metadata, "device_rank": rank})
-        for rank, device in enumerate(group)
+        MemoryProfiler(device, metadata={**base_metadata, "device_rank": ranks[0]})
+        for device, ranks in zip(group, group.class_ranks)
     ]
 
     # The paper instruments the allocator for the whole run, so model and
@@ -318,6 +328,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     # profiled too — it is what puts the "parameters" bytes in the breakdown.
     # Every replica initializes from an identically seeded generator, so all
     # ranks start (and, after each allreduce, stay) with the same weights.
+    # ``group`` iterates the materialised replicas: one per replica class.
     for profiler in profilers:
         profiler.start()
     try:
@@ -341,7 +352,9 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     finally:
         for profiler in profilers:
             profiler.stop()
-    rank_traces = [profiler.trace() for profiler in profilers]
+    class_traces = [profiler.trace() for profiler in profilers]
+    rank_traces = [class_traces[index].rank_view(rank)
+                   for rank, index in enumerate(group.rank_classes)]
     trace = merge_rank_traces(rank_traces)
 
     swap_execution: Optional[Dict[str, object]] = None
@@ -350,7 +363,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         swap_execution["n_ranks"] = n_devices
 
     if capture is not None:
-        capture.collect(profilers=profilers, rank_traces=rank_traces)
+        capture.collect(profilers=profilers, traces=class_traces)
 
     return SessionResult(
         config=config,

@@ -14,13 +14,15 @@ One iteration reproduces the dataflow of an eager PyTorch training step:
 
 :class:`Trainer` drives the single-device loop.  :class:`DataParallelTrainer`
 generalizes it to a :class:`~repro.device.cluster.DeviceGroup`: every global
-batch is sharded across the replicas, each replica runs the per-shard
-forward/backward against its own model copy and recorder, a gradient
-allreduce on the group's :class:`~repro.device.collective.CollectiveEngine`
-synchronizes the replica clocks (and emits the gradient read/write behaviors)
-*before* the per-replica optimizer step — exactly PyTorch DDP's dataflow.
-With one replica the allreduce is skipped entirely, so the data-parallel loop
-degenerates to the single-device loop event for event.
+batch is sharded across the ranks, each *materialised* replica — one per
+replica class of the group (:func:`replica_classes`), standing for every rank
+of its class — runs the per-shard forward/backward of its representative rank
+against its own model copy and recorder, a gradient allreduce on the group's
+:class:`~repro.device.collective.CollectiveEngine` synchronizes the replica
+clocks (and emits the gradient read/write behaviors) *before* the per-replica
+optimizer step — exactly PyTorch DDP's dataflow.  With one replica the
+allreduce is skipped entirely, so the data-parallel loop degenerates to the
+single-device loop event for event.
 
 An optional recorder (duck-typed: ``begin_iteration`` / ``end_iteration``)
 receives iteration boundaries so that the analyses can segment the trace.
@@ -194,26 +196,44 @@ def shard_batch(array: np.ndarray, n_shards: int) -> List[np.ndarray]:
     return np.array_split(array, n_shards)
 
 
+def replica_classes(batch_size: int, n_devices: int, symbolic: bool) -> List[int]:
+    """Label every rank by what tells its replica apart in the simulator.
+
+    A symbolic replica's event stream is a function of its shard's *shape*
+    only, so ranks are labelled with their shard's sample count under
+    :func:`shard_batch` (at most two distinct counts for any ``n_devices``);
+    eager shards carry different values, so every rank is its own class.
+    Ranks with equal labels are simulated once
+    (:class:`~repro.device.cluster.DeviceGroup`).
+    """
+    if not symbolic:
+        return list(range(n_devices))
+    samples = np.empty((batch_size, 0), dtype=np.int8)
+    return [shard.shape[0] for shard in shard_batch(samples, n_devices)]
+
+
 class DataParallelTrainer:
     """Drives synchronous data-parallel training on a :class:`DeviceGroup`.
 
     Parameters
     ----------
     group:
-        The replica devices plus their collective engine.
+        The materialised replica devices (one per replica class) plus their
+        collective engine.
     models / optimizers / loss_fns:
-        One replica copy per rank, in rank order; replicas are assumed to
-        start from identical weights (the session factory seeds every
-        replica's initializer identically).
+        One copy per materialised replica, in class order; replicas are
+        assumed to start from identical weights (the session factory seeds
+        every replica's initializer identically).
     loader:
         The single host-side loader producing *global* batches; every
-        iteration the batch is sharded across the replicas.
+        iteration the batch is sharded across the ``n_devices`` ranks and
+        each replica trains on its class representative's shard.
     recorders:
-        Optional per-rank recorders (duck-typed ``begin_iteration`` /
+        Optional per-replica recorders (duck-typed ``begin_iteration`` /
         ``end_iteration``), e.g. one
         :class:`~repro.core.profiler.MemoryProfiler` per replica.
     swap_executors:
-        Optional per-rank closed-loop swap engines
+        Optional per-replica closed-loop swap engines
         (:class:`~repro.swap.SwapExecutor`).  They receive the same iteration
         boundaries as the recorders — begin *after* them (so replan-time
         evictions are stamped with the new iteration) and end *before* them
@@ -225,7 +245,7 @@ class DataParallelTrainer:
                  loss_fns: Sequence[Module], recorders: Optional[Sequence] = None,
                  swap_executors: Optional[Sequence] = None,
                  post_iteration_host_ns: int = 1_000_000):
-        n = len(group)
+        n = group.n_materialized
         if not (len(models) == len(optimizers) == len(loss_fns) == n):
             raise ConfigurationError(
                 f"need one model/optimizer/loss per replica: got {len(models)}/"
@@ -251,20 +271,20 @@ class DataParallelTrainer:
 
     @property
     def n_devices(self) -> int:
-        """Number of data-parallel replicas."""
-        return len(self.group)
+        """Number of data-parallel ranks (the cluster's replica count)."""
+        return self.group.n_devices
 
     # -- gradient allreduce ------------------------------------------------------------
 
     def _allreduce_gradients(self) -> Optional[CollectiveRecord]:
         """Average the replica gradients (barrier + collective cost + behaviors).
 
-        Emits one ``read`` per gradient buffer per rank when the collective
-        starts (the send), advances every replica clock through the
-        cluster's allreduce cost model, averages the values in eager mode,
-        and emits one ``write`` per buffer per rank at completion (the
-        reduced result landing back in place).  Skipped entirely for a
-        single replica.
+        Emits one ``read`` per gradient buffer per replica when the
+        collective starts (the send), advances every replica clock through
+        the cluster's allreduce cost model, averages the values in eager mode
+        (where every rank is materialised), and emits one ``write`` per
+        buffer per replica at completion (the reduced result landing back in
+        place).  Skipped entirely for a one-device cluster.
         """
         if self.n_devices == 1:
             return None
@@ -307,13 +327,14 @@ class DataParallelTrainer:
         inputs: List[Tensor] = []
         labels: List[Tensor] = []
         losses: List[Tensor] = []
-        # 2. Per-replica stage + forward + backward on the local shard
-        # (the exact single-device phases, applied rank by rank).
-        for rank, device in enumerate(self.group):
+        # 2. Per-replica stage + forward + backward on the shard of the
+        # replica's representative rank (the exact single-device phases).
+        for replica, (device, ranks) in enumerate(zip(self.group,
+                                                      self.group.class_ranks)):
             rank_inputs, rank_labels, loss = _replica_forward_backward(
-                device, self.models[rank], self.loss_fns[rank],
-                self.optimizers[rank], input_shards[rank], label_shards[rank],
-                host_ns)
+                device, self.models[replica], self.loss_fns[replica],
+                self.optimizers[replica], input_shards[ranks[0]],
+                label_shards[ranks[0]], host_ns)
             inputs.append(rank_inputs)
             labels.append(rank_labels)
             losses.append(loss)
@@ -326,9 +347,9 @@ class DataParallelTrainer:
 
         # 4. Per-replica loss readback (D2H) and host-side bookkeeping.
         loss_values: List[float] = []
-        for rank, device in enumerate(self.group):
-            value = _replica_readback_release(device, losses[rank], inputs[rank],
-                                              labels[rank],
+        for replica, device in enumerate(self.group):
+            value = _replica_readback_release(device, losses[replica],
+                                              inputs[replica], labels[replica],
                                               self.post_iteration_host_ns)
             if value is not None:
                 loss_values.append(value)

@@ -154,6 +154,38 @@ def test_device_group_synchronize_barriers_clocks():
     assert group[0].clock.now_ns == 9_999
 
 
+def test_device_group_says_what_it_holds():
+    """Five ranks in two classes: the world stays five, two are simulated."""
+    cluster = ClusterSpec(device=small_test_device(), n_devices=5)
+    group = DeviceGroup(cluster, rank_classes=[171, 171, 170, 171, 170])
+    assert group.n_devices == group.collective.world_size == 5
+    assert group.n_materialized == len(group) == len(list(group)) == 2
+    assert group.rank_classes == (0, 0, 1, 0, 1)
+    assert group.class_ranks == ((0, 1, 3), (2, 4))
+    assert group.primary is group[0]
+    assert "n=5" in repr(group) and "materialized=2" in repr(group)
+
+    big = group[0].allocate(4 * MIB)
+    group[1].allocate(1 * MIB)
+    assert group.total_allocated_bytes() == 3 * big.size + 2 * MIB
+    assert group.peak_allocated_bytes() == big.size
+
+    group[1].clock.advance(50_000)   # the straggler class sets the barrier
+    latest = group[1].clock.now_ns
+    assert group.synchronize() == latest
+    assert {device.clock.now_ns for device in group} == {latest}
+    record = group.collective.allreduce(MIB)
+    assert record.world_size == 5
+    assert record.duration_ns == ring_allreduce_time_ns(MIB, 5, 12e9, 10_000)
+    assert group.collective.summary()["world_size"] == 5
+
+    default = DeviceGroup(cluster)   # unlabelled: every rank is its own class
+    assert default.n_materialized == default.n_devices == 5
+    assert default.rank_classes == (0, 1, 2, 3, 4)
+    with pytest.raises(ConfigurationError):
+        DeviceGroup(cluster, rank_classes=[0, 0, 1])
+
+
 # -- DeviceGroup(n=1) equivalence -----------------------------------------------------
 
 

@@ -20,7 +20,8 @@ from repro.experiments.sweep import Scenario, run_scenario
 from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
 from repro.tensor import functional as F
 from repro.tensor import randn
-from repro.train.session import TrainingRunConfig, run_training_session
+from repro.train.session import (TrainingRunConfig, build_device_group,
+                                 run_training_session)
 from repro.units import MIB
 
 from tests.helpers import ReferenceRecorder
@@ -66,21 +67,27 @@ def side_by_side(monkeypatch):
 
 
 @pytest.mark.parametrize("swap", ["off", "lru"])
-@pytest.mark.parametrize("n_devices", [1, 2])
+@pytest.mark.parametrize("n_devices", [1, 2, 3])
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devices, swap):
+    """One recorder pair per replica *class* (batch 512 or 8: one class on 1-2
+    devices, two on 3); the reference stream must equal every rank trace of
+    its class, field for field."""
     capacity = LRU_CAPACITY[structure] if swap == "lru" else None
-    result = run_training_session(_config(
-        structure, n_devices=n_devices, swap=swap, device_memory_capacity=capacity))
-    assert len(side_by_side) == n_devices
-    for rank, (real, reference) in enumerate(side_by_side):
-        trace = real.to_trace()
+    config = _config(structure, n_devices=n_devices, swap=swap,
+                     device_memory_capacity=capacity)
+    result = run_training_session(config)
+    rank_classes = build_device_group(config).rank_classes
+    assert len(side_by_side) == len(set(rank_classes)) == (2 if n_devices == 3 else 1)
+    rank_traces = result.rank_traces if n_devices > 1 else [result.trace]
+    assert len(rank_traces) == n_devices
+    for rank, rank_trace in enumerate(rank_traces):
+        real, reference = side_by_side[rank_classes[rank]]
         # kind, timestamp, block, address, size, category, iteration, tag, op
-        assert trace.events == reference.events
-        assert trace.lifetimes == reference.lifetimes
-        assert len(trace) > 500
-        rank_trace = result.rank_traces[rank] if n_devices > 1 else result.trace
-        assert len(rank_trace) == len(reference.events)
+        assert rank_trace.events == real.to_trace().events == reference.events
+        assert rank_trace.lifetimes == reference.lifetimes
+        assert rank_trace.metadata["device_rank"] == rank
+        assert len(rank_trace) > 500
     if swap == "lru":
         assert result.trace.has_swap_events()
 
