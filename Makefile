@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke bench-suite report docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-smoke bench-suite report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -29,6 +29,17 @@ report:
 docs-check:
 	$(PYTHON) -m repro report --check
 	$(PYTHON) tools/check_docstrings.py src/repro
+
+# The report as a first-time user pays for it: every scenario simulated, no
+# cache read, one process.  Drift against the committed EXPERIMENTS.md and
+# docs/figures/ exits 1; the cold wall lands in the log either way.
+report-cold:
+	@$(PYTHON) -c "import subprocess, sys, time; \
+	started = time.perf_counter(); \
+	status = subprocess.call([sys.executable, '-m', 'repro', 'report', \
+	                          '--check', '--no-cache', '--workers', '1']); \
+	print(f'report-cold: {time.perf_counter() - started:.2f} s wall'); \
+	sys.exit(status)"
 
 sweep-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32 \

@@ -2,7 +2,10 @@
 
 Memory behavior depends only on tensor shapes and batch size, never on pixel
 values, so the paper's CIFAR-100 and ImageNet workloads are replaced by
-synthetic datasets that produce batches of identical shape.  A small
+synthetic datasets that produce batches of identical shape — and a symbolic
+session, which keeps no values at all, is served
+:meth:`SyntheticDataset.batch_stand_ins`: zero-stride views carrying the
+batch's shape and dtype, built without touching the generator.  A small
 separable two-cluster dataset is provided for the MLP so that eager training
 measurably reduces the loss (used by integration tests).
 """
@@ -68,6 +71,15 @@ class SyntheticDataset:
         ).astype(np.float32)
         labels = self._rng.integers(0, self.spec.num_classes, size=batch_size).astype(np.int64)
         return inputs, labels
+
+    def batch_stand_ins(self, batch_size: int) -> Tuple[np.ndarray, np.ndarray]:
+        """What :meth:`sample_batch` returns, minus the values: no draw, no buffer.
+
+        Read-only zero-stride views with the batch's shape, dtype, ``size``
+        and ``nbytes``; slicing and ``np.array_split`` give views again.
+        """
+        inputs = np.broadcast_to(np.float32(0), (batch_size,) + self.spec.sample_shape)
+        return inputs, np.broadcast_to(np.int64(0), (batch_size,))
 
     def batch_bytes(self, batch_size: int) -> int:
         """Device bytes needed to stage one input batch (float32)."""

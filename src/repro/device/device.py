@@ -9,6 +9,14 @@
 * a compute :class:`~repro.device.stream.Stream`;
 * a :class:`~repro.device.hooks.CompositeListener` that profilers attach to.
 
+The device issues kernels synchronously — :meth:`Device.run_kernel` advances
+the clock by the kernel's duration before it returns — so the compute
+stream is a *horizon*, not a log: ``run_kernel`` moves
+``compute_stream.busy_until_ns`` to the time the kernel ends (which is the
+new clock time unless someone scheduled compute-stream work by hand) and
+records no per-kernel :class:`~repro.device.stream.StreamOp`.  Only the copy
+stream, which takes reservations, keeps an op history and a busy index.
+
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
 storage management, :meth:`Device.notify_read` / :meth:`Device.notify_write`
 when kernels touch storage, and :meth:`Device.run_kernel` to account for the
@@ -174,10 +182,12 @@ class Device:
     def run_kernel(self, cost: KernelCost) -> int:
         """Account for the execution of one kernel; returns its duration in ns."""
         duration = self.timing.op_duration_ns(cost)
-        self.compute_stream.schedule(duration, name=cost.name)
-        if self.clock.tape is not None:
-            self.clock.tape.record_kernel(cost, duration)
-        self.clock.advance(duration)
+        clock, stream = self.clock, self.compute_stream
+        # The horizon compute_stream.schedule(duration) would leave, without the log.
+        stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + duration
+        if clock.tape is not None:
+            clock.tape.record_kernel(cost, duration)
+        clock.advance(duration)
         self.kernel_count += 1
         return duration
 

@@ -15,6 +15,7 @@ and for fast unit tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict
 
 from ..units import GIB, MIB
@@ -193,8 +194,9 @@ DEVICE_PRESETS = {
 }
 
 
+@lru_cache(maxsize=None)
 def get_device_spec(name: str) -> DeviceSpec:
-    """Look up a device preset by name.
+    """Look up a device preset by name (one shared frozen instance per preset).
 
     Raises ``KeyError`` with the list of known presets if the name is unknown.
     """

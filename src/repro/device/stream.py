@@ -8,6 +8,15 @@ overlap with compute, and the engine needs to know when the copy engine would
 actually be free — the stream's completion horizon is what turns concurrent
 swap traffic into serialized copies and, ultimately, measured stalls.
 
+The device's *compute* stream is only a completion horizon: kernels (and the
+swap engine's rematerializations) are issued synchronously, so
+:meth:`Device.run_kernel <repro.device.device.Device.run_kernel>` moves
+``busy_until_ns`` itself — ``max(busy_until, now) + duration``, what
+:meth:`Stream.schedule` would compute — and puts nothing in ``ops``.  The
+history and the busy-interval index below exist for streams that are
+scheduled through these methods: the copy stream, and a compute stream a
+caller schedules by hand.
+
 A :class:`Stream` tracks the time at which its last scheduled operation
 finishes; scheduling a new operation starts at ``max(now, busy_until)``.
 :meth:`Stream.schedule_at` additionally lets a caller reserve a slot at (or

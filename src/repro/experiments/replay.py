@@ -149,6 +149,11 @@ PRICING_FIELDS = ("label", "device_spec", "host_dispatch_overhead_ns",
 #: one extra capture — not a reason to compile a whole new family).
 GENERALIZED_FIELDS = ("dtype",)
 
+#: Rows of one structure group priced per ``replay_batch`` call.  Rows are
+#: independent, so blocking changes no result; it bounds the ``(rows × atoms)``
+#: int64 time matrices by the block instead of by the grid.
+PRICE_BLOCK_ROWS = 64
+
 
 class TemplateError(Exception):
     """A capture cannot be turned into (or served as) a replayable template.
@@ -1332,12 +1337,14 @@ class ReplayEngine:
                 template = self._variant_for(scenarios[indices[0]].config)
                 eligible = [i for i in indices
                             if template.valid_for(scenarios[i].config)]
-                priced = template.replay_batch(
-                    [scenarios[i] for i in eligible],
-                    [bandwidths_list[i] for i in eligible],
-                    time.perf_counter(),
-                    None if keys is None else [keys[i] for i in eligible],
-                ) if eligible else []
+                priced: List = []
+                for block in range(0, len(eligible), PRICE_BLOCK_ROWS):
+                    rows = eligible[block:block + PRICE_BLOCK_ROWS]
+                    priced += template.replay_batch(
+                        [scenarios[i] for i in rows],
+                        [bandwidths_list[i] for i in rows],
+                        time.perf_counter(),
+                        None if keys is None else [keys[i] for i in rows])
             except TemplateError as exc:
                 self._count_fallback(exc.reason, len(indices))
                 continue

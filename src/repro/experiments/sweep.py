@@ -181,6 +181,8 @@ class _RunState:
     """Everything one :meth:`SweepRunner.run` accumulates across its phases."""
 
     scenarios: List[Scenario]
+    #: Each scenario's Eq.-1 bandwidths, resolved once for keys and replay.
+    bandwidths: List[BandwidthConfig]
     keys: List[str]
     journal: Optional[RunJournal]
     results: List[Optional[ScenarioResult]] = field(init=False)
@@ -388,7 +390,10 @@ class SweepRunner:
             scenarios = list(grid_or_scenarios)
         started = time.perf_counter()
 
-        keys = [scenario.key(self.bandwidths) for scenario in scenarios]
+        bandwidths = [scenario.resolve_bandwidths(self.bandwidths)
+                      for scenario in scenarios]
+        keys = [scenario.key(resolved)
+                for scenario, resolved in zip(scenarios, bandwidths)]
         journal: Optional[RunJournal] = None
         if self._artifacts is not None:
             self._artifacts.quarantined.clear()  # tallies are per run
@@ -402,7 +407,7 @@ class SweepRunner:
                 journal = RunJournal(
                     self._artifacts.sub(JOURNALS_DIR),
                     run_id_for_keys(keys, RESULT_SCHEMA_VERSION))
-        state = _RunState(scenarios, keys, journal)
+        state = _RunState(scenarios, bandwidths, keys, journal)
 
         self._probe_cache(state)
         self._skip_resumed(state)
@@ -484,8 +489,7 @@ class SweepRunner:
         engine = self._ensure_replay_engine()
         outcomes = engine.price_batch(
             [state.scenarios[index] for index in candidates],
-            [state.scenarios[index].resolve_bandwidths(self.bandwidths)
-             for index in candidates],
+            [state.bandwidths[index] for index in candidates],
             [state.keys[index] for index in candidates])
         for index, result in zip(candidates, outcomes):
             if result is not None:

@@ -667,9 +667,9 @@ class SwapExecutor(MemoryEventListener):
         """
         cost = int(state.compute_ns or 0)
         if cost > 0:
-            self.device.compute_stream.schedule(
-                cost, name=f"recompute:{state.tag}")
-            self.device.clock.advance(cost)
+            stream, clock = self.device.compute_stream, self.device.clock
+            stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + cost
+            clock.advance(cost)
             self.recompute_ns_total += cost
         if self._active:
             resident = (s for s in self._states.values()

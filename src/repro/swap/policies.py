@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
 
+import numpy as np
+
 from ..core.ati import AccessInterval, compute_access_intervals, compute_interval_arrays
 from ..core.events import MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
@@ -208,15 +210,11 @@ def _predict_peak_after(windows: List[Tuple[int, int, int]],
         total = sum(size for _, _, size in windows)
         return max(0, warmup.peak_resident_bytes - total)
     margin = duration // 50
-    worst = 0
-    for phase, live in series:
-        absent = 0
-        for start, end, size in windows:
-            if (start <= phase < end - margin) or (phase < end - duration - margin):
-                absent += size
-        if live - absent > worst:
-            worst = live - absent
-    return worst
+    phase, live = np.array(series, dtype=np.int64).T
+    start, end, size = np.array(windows, dtype=np.int64).reshape(-1, 3).T
+    phase = phase[:, None]
+    covered = ((start <= phase) & (phase < end - margin)) | (phase < end - duration - margin)
+    return max(0, int((live - covered @ size).max()))
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ class Tensor:
                 f"cannot copy {array.size} host values into tensor of shape {self.shape}"
             )
         self.device.copy_host_to_device(self.nbytes, tag=tag or self.tag or "h2d")
-        self.storage.set_buffer(array.astype(self.dtype.numpy_dtype, copy=False))
+        if self.storage.is_materialized:
+            self.storage.set_buffer(array.astype(self.dtype.numpy_dtype, copy=False))
         self.storage.record_write("memcpy_h2d")
         return self
 

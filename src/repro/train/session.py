@@ -339,7 +339,8 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         dataset = build_dataset(config.dataset, seed=config.seed,
                                 **dict(config.dataset_kwargs))
         loader = DataLoader(dataset, batch_size=config.batch_size,
-                            host_latency=config.host_latency)
+                            host_latency=config.host_latency,
+                            symbolic=config.execution_mode == "symbolic")
         loss_fns = [CrossEntropyLoss(device, name="loss") for device in group]
         optimizers = [_build_optimizer(config, model) for model in models]
 

@@ -186,3 +186,38 @@ def test_memoized_replays_are_deterministic():
     second = engine.price(scenario, bandwidths).to_dict()
     first.pop("wall_time_s"), second.pop("wall_time_s")
     assert first == second
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 7])
+def test_row_blocks_price_what_one_broadcast_prices(block_rows, monkeypatch):
+    """``price_batch`` bounds its time matrices by pricing a structure group
+    in row blocks; rows are independent, so any block size gives the same
+    results — single- and multi-rank, policy-free and policy-carrying rows,
+    with the declined rows still declined."""
+    from repro.experiments import replay
+
+    rng = random.Random(31)
+    base = [sample_config(rng) for _ in range(2)]
+    grid = [Scenario(config=TrainingRunConfig(**{
+        **config.to_dict(), "device_spec": spec, "host_dispatch_overhead_ns": overhead}),
+        swap_policy=policy)
+        for config in base for spec in DEVICE_SPECS
+        for overhead in (None, 3_000) for policy in ("none", "planner")]
+    grid.append(Scenario(config=TrainingRunConfig(**{**base[0].to_dict(), "swap": "lru"})))
+    bandwidths = [s.resolve_bandwidths() for s in grid]
+
+    def priced():
+        engine = ReplayEngine()
+        rows = []
+        for result in engine.price_batch(grid, bandwidths):
+            row = result.to_dict() if result is not None else {}
+            row.pop("wall_time_s", None)
+            rows.append(row)
+        return rows, engine.replayed, engine.fallback_reasons
+
+    assert len(grid) > replay.PRICE_BLOCK_ROWS // 2
+    monkeypatch.setattr(replay, "PRICE_BLOCK_ROWS", len(grid))
+    unblocked = priced()
+    assert unblocked[1] == len(grid) - 1 and unblocked[0][-1] == {}
+    monkeypatch.setattr(replay, "PRICE_BLOCK_ROWS", block_rows)
+    assert priced() == unblocked

@@ -200,3 +200,53 @@ def test_caching_allocator_conserves_bytes_and_never_overlaps(program):
     reserved_before = device.reserved_bytes
     assert device.allocator.empty_cache() == reserved_before
     assert device.reserved_bytes == 0
+
+
+# -- predicted peak: the broadcast against the loop it replaced -------------------------
+
+
+def predict_peak_after_loop(windows, warmup):
+    """The per-sample, per-window replay ``_predict_peak_after`` used to run."""
+    series = warmup.live_series or []
+    duration = warmup.iteration_duration_ns
+    if not series or duration <= 0:
+        return max(0, warmup.peak_resident_bytes - sum(size for _, _, size in windows))
+    margin = duration // 50
+    worst = 0
+    for phase, live in series:
+        absent = 0
+        for start, end, size in windows:
+            if (start <= phase < end - margin) or (phase < end - duration - margin):
+                absent += size
+        worst = max(worst, live - absent)
+    return worst
+
+
+@st.composite
+def absence_profiles(draw):
+    duration = draw(st.sampled_from([-5, 0, 1, 49, 50, 1_000, 10**9]))
+    span = max(duration, 1)
+    phases = st.integers(0, span + span // 10)
+    series = draw(st.lists(st.tuples(phases, st.integers(0, 48 << 30)), max_size=40))
+    windows = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(phases)
+        # empty, in-iteration and boundary-crossing (end > duration) windows
+        length = draw(st.one_of(st.just(0), st.integers(0, 2 * span)))
+        windows.append((start, start + length, draw(st.integers(0, 12 << 30))))
+    return windows, series, duration
+
+
+@settings(max_examples=300, deadline=None)
+@given(profile=absence_profiles(), peak=st.integers(0, 48 << 30))
+def test_predicted_peak_broadcast_equals_the_loop(profile, peak):
+    from repro.swap.executor import WarmupObservations
+    from repro.swap.policies import _predict_peak_after
+
+    windows, series, duration = profile
+    warmup = WarmupObservations(blocks=[], by_id={}, peak_resident_bytes=peak,
+                                peak_phase_ns=None, iteration_duration_ns=duration,
+                                live_series=series)
+    predicted = _predict_peak_after(windows, warmup)
+    assert type(predicted) is int
+    assert predicted == predict_peak_after_loop(windows, warmup)

@@ -68,3 +68,15 @@ def test_spec_is_frozen():
     spec = titan_x_pascal()
     with pytest.raises(Exception):
         spec.memory_capacity = 1
+
+
+def test_preset_lookups_share_one_frozen_instance():
+    import dataclasses
+
+    for name in DEVICE_PRESETS:
+        spec = get_device_spec(name)
+        assert get_device_spec(name) is spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.memory_capacity = 1
+        assert spec == DEVICE_PRESETS[name]()
+        assert spec.with_memory_capacity(1) is not spec

@@ -461,6 +461,24 @@ def test_device_axis_resolves_eq1_bandwidths_from_spec():
     assert v100.resolve_bandwidths(override) is override
 
 
+def test_a_run_resolves_each_scenarios_bandwidths_once(monkeypatch):
+    """Keys and the replay phase share one resolution per scenario."""
+    resolved = []
+    original = Scenario.resolve_bandwidths
+
+    def counting(scenario, bandwidths=None):
+        if bandwidths is None:
+            resolved.append(scenario)
+        return original(scenario, bandwidths)
+
+    monkeypatch.setattr(Scenario, "resolve_bandwidths", counting)
+    scenarios = tiny_grid(execution_mode="replay",
+                          device_specs=("titan_x_pascal", "v100_sxm2_16gb")).expand()
+    sweep = SweepRunner().run(scenarios)
+    assert sweep.replayed == len(scenarios) == 4
+    assert [id(s) for s in resolved] == [id(s) for s in scenarios]
+
+
 def test_summary_table_shows_dtype_and_device_columns():
     sweep = run_sweep(tiny_grid(batch_sizes=(16,), dtypes=("float16",)))
     table = sweep.summary_table()
