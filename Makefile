@@ -64,11 +64,19 @@ frontier-smoke:
 
 # Template-replay smoke (the CI replay-smoke leg): the equivalence suite
 # plus a small --execution replay sweep that compiles one template and
-# re-prices it across device specs.
+# re-prices it across device specs; then the same sweep with a policy row in
+# a fresh process, which must price every row — the rebuilt-trace rows and
+# their derived lifetimes included — from the stored template, compiling none.
+REPLAY_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 32 \
+	--execution replay --devices titan_x_pascal,v100_sxm2_16gb --no-cache \
+	--cache-dir .ci-replay-cache
 replay-smoke:
 	$(PYTHON) -m pytest tests/test_replay_equivalence.py -q
-	$(PYTHON) -m repro sweep --models mlp --batch-sizes 32 --execution replay \
-		--devices titan_x_pascal,v100_sxm2_16gb --no-cache
+	rm -rf .ci-replay-cache
+	$(REPLAY_SWEEP)
+	$(REPLAY_SWEEP) --swap-policies none,swap_advisor \
+		| grep -F "4 replayed from 0 template(s)"
+	rm -rf .ci-replay-cache
 
 # Fault-tolerance smoke (the CI chaos-smoke leg): the chaos test suite
 # (deterministic fault injection, retry/timeout, journal resume, quarantine)

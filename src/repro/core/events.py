@@ -247,22 +247,6 @@ class BlockLifetime:
             "device_rank": self.device_rank,
         }
 
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "BlockLifetime":
-        """Reconstruct a lifetime from :meth:`to_dict` output."""
-        return BlockLifetime(
-            block_id=int(data["block_id"]),
-            address=int(data["address"]),
-            size=int(data["size"]),
-            category=MemoryCategory(data.get("category", "unknown")),
-            tag=str(data.get("tag", "")),
-            malloc_ns=int(data["malloc_ns"]),
-            free_ns=None if data.get("free_ns") is None else int(data["free_ns"]),
-            iteration=int(data.get("iteration", -1)),
-            access_count=int(data.get("access_count", 0)),
-            device_rank=int(data.get("device_rank", 0)),
-        )
-
 
 @dataclass
 class IterationMark:

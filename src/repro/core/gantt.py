@@ -95,7 +95,7 @@ class GanttChart:
 
     def columns(self) -> RectangleColumns:
         """Columnar NumPy view of the rectangles (built lazily, cached)."""
-        cached = getattr(self, "_columns_cache", None)
+        cached = getattr(self, "_rectangle_columns", None)
         if cached is not None and len(cached) == len(self.rectangles):
             return cached
         n = len(self.rectangles)
@@ -110,7 +110,7 @@ class GanttChart:
             arrays["iteration"][i] = rect.iteration
             arrays["device_rank"][i] = rect.device_rank
         columns = RectangleColumns(**arrays)
-        self._columns_cache = columns
+        self._rectangle_columns = columns
         return columns
 
     def _select(self, mask: np.ndarray) -> List[GanttRectangle]:

@@ -9,25 +9,26 @@ here — so one recorded behavior costs one hook call and one C-level row
 append: the device's composite listener hands a lone recorder's bound hooks
 straight to the allocator and the storages (see
 :class:`~repro.device.hooks.CompositeListener`), and ``on_malloc`` /
-``on_free`` / ``on_read`` / ``on_write`` each write the packed row, the tape
-position and the lifetime bookkeeping themselves, reading the clock field
-and the category's ``code`` attribute directly.  No
-:class:`~repro.core.events.MemoryEvent` object is built per behavior; the
-object view is synthesized lazily by :class:`~repro.core.trace.MemoryTrace`
-only when something actually asks for it.
+``on_free`` / ``on_read`` / ``on_write`` each write the packed row, the two
+strings and the tape position themselves, reading the clock field and the
+category's ``code`` attribute directly — and nothing else.  No
+:class:`~repro.core.events.MemoryEvent` or
+:class:`~repro.core.events.BlockLifetime` object is built per behavior: the
+block lifetimes of Figure 2 are a function of the recorded stream, and
+:class:`~repro.core.trace.MemoryTrace` derives them (and the object view of
+the events) only when something actually asks.
 
-It also tracks block lifetimes (for the Gantt chart of Figure 2) and
-iteration boundaries (for the iterative-pattern analysis).
+It also tracks iteration boundaries (for the iterative-pattern analysis).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..device.clock import DeviceClock
 from ..device.hooks import MemoryEventListener
-from .events import BlockLifetime, IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
+from .events import IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
 from .trace import KIND_CODES, ColumnarEventLog, MemoryTrace, pack_row
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
@@ -55,9 +56,7 @@ class TraceRecorder(MemoryEventListener):
         self._append_row = self.log.rows.frombytes
         self._append_tag = self.log.tag.append
         self._append_op = self.log.op.append
-        self.lifetimes: List[BlockLifetime] = []
         self.iteration_marks: List[IterationMark] = []
-        self._open_lifetimes: Dict[int, BlockLifetime] = {}
         self._current_iteration = -1
         self.enabled = True
         # Template capture: when a timing tape is attached to the clock, the
@@ -120,61 +119,44 @@ class TraceRecorder(MemoryEventListener):
             return
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        now_ns = self.clock._now_ns
-        block_id, category, tag = block.block_id, block.category, block.tag
-        self._append_row(pack_row(_MALLOC, now_ns, block_id, block.address,
-                                  block.size, category.code, self._current_iteration))
-        self._append_tag(tag)
+        self._append_row(pack_row(_MALLOC, self.clock._now_ns, block.block_id,
+                                  block.address, block.size, block.category.code,
+                                  self._current_iteration))
+        self._append_tag(block.tag)
         self._append_op("")
-        lifetime = BlockLifetime(block_id, block.address, block.size, category, tag,
-                                 now_ns, None, self._current_iteration)
-        self._open_lifetimes[block_id] = lifetime
-        self.lifetimes.append(lifetime)
 
     def on_free(self, block) -> None:
         if not self.enabled:
             return
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        now_ns = self.clock._now_ns
-        self._append_row(pack_row(_FREE, now_ns, block.block_id, block.address,
-                                  block.size, block.category.code,
+        self._append_row(pack_row(_FREE, self.clock._now_ns, block.block_id,
+                                  block.address, block.size, block.category.code,
                                   self._current_iteration))
         self._append_tag(block.tag)
         self._append_op("")
-        lifetime = self._open_lifetimes.pop(block.block_id, None)
-        if lifetime is not None:
-            lifetime.free_ns = now_ns
 
     def on_read(self, block, nbytes: int, op: str) -> None:
         if not self.enabled:
             return
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        block_id = block.block_id
-        self._append_row(pack_row(_READ, self.clock._now_ns, block_id, block.address,
-                                  block.size, block.category.code,
+        self._append_row(pack_row(_READ, self.clock._now_ns, block.block_id,
+                                  block.address, block.size, block.category.code,
                                   self._current_iteration))
         self._append_tag(block.tag)
         self._append_op(op)
-        lifetime = self._open_lifetimes.get(block_id)
-        if lifetime is not None:
-            lifetime.access_count += 1
 
     def on_write(self, block, nbytes: int, op: str) -> None:
         if not self.enabled:
             return
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        block_id = block.block_id
-        self._append_row(pack_row(_WRITE, self.clock._now_ns, block_id, block.address,
-                                  block.size, block.category.code,
+        self._append_row(pack_row(_WRITE, self.clock._now_ns, block.block_id,
+                                  block.address, block.size, block.category.code,
                                   self._current_iteration))
         self._append_tag(block.tag)
         self._append_op(op)
-        lifetime = self._open_lifetimes.get(block_id)
-        if lifetime is not None:
-            lifetime.access_count += 1
 
     def _record_segment(self, kind_code: int, segment) -> None:
         if not self.enabled:
@@ -226,7 +208,6 @@ class TraceRecorder(MemoryEventListener):
             columns=self.log.snapshot_columns(),
             event_tags=tags,
             event_ops=ops,
-            lifetimes=list(self.lifetimes),
             iteration_marks=list(self.iteration_marks),
             metadata=dict(self.metadata),
             end_ns=self.clock.now_ns,

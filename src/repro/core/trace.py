@@ -1,37 +1,38 @@
 """The memory trace container and its persistence formats.
 
 A :class:`MemoryTrace` is the immutable result of a profiled training run:
-the full behavior stream, the block lifetimes and the iteration boundaries.
-Every analysis in :mod:`repro.core` consumes this object, and it can be saved
-to / loaded from JSON (complete) or exported to CSV (events only, convenient
-for external plotting).
+the behavior stream and the iteration boundaries.  Every analysis in
+:mod:`repro.core` consumes this object, and it can be saved to / loaded from
+JSON (complete) or exported to CSV (events only, convenient for external
+plotting).
 
-Column-store layout (PR 1, columnar-first since PR 4)
------------------------------------------------------
-Besides the object-level ``events`` list, a trace exposes a columnar NumPy
-view through :meth:`MemoryTrace.columns`: one :class:`EventColumns` record of
-nine parallel ``int64`` arrays — ``event_id``, ``kind_code``,
-``timestamp_ns``, ``block_id``, ``address``, ``size``, ``category_code``,
-``iteration`` and ``device_rank`` — one entry per event, in recording order.
-Enum-valued fields are stored as stable integer codes (:data:`KIND_CODES` /
-:data:`CATEGORY_CODES`, with :data:`KIND_FROM_CODE` /
-:data:`CATEGORY_FROM_CODE` for the reverse mapping) so every analysis can be
-expressed as vectorized masks and reductions over the arrays.  The ATI
+One representation: the event columns
+-------------------------------------
+A trace stores its stream once, as an :class:`EventColumns` record — nine
+parallel ``int64`` arrays (``event_id``, ``kind_code``, ``timestamp_ns``,
+``block_id``, ``address``, ``size``, ``category_code``, ``iteration``,
+``device_rank``), one entry per event, in recording order — plus the
+``tag``/``op`` string side-lists.  Enum-valued fields are stable integer
+codes (:data:`KIND_CODES` / :data:`CATEGORY_CODES`, with
+:data:`KIND_FROM_CODE` / :data:`CATEGORY_FROM_CODE` for the reverse mapping),
+so every analysis is vectorized masks and reductions over the arrays: the ATI
 pairing (:mod:`repro.core.ati`), the occupation breakdown
-(:mod:`repro.core.breakdown`) and the sweep engine's Eq.-1 screening all run
-on this column store and never touch the Python event objects.
+(:mod:`repro.core.breakdown`) and the sweep engine's Eq.-1 screening never
+touch a Python event object.
 
-Since PR 4 the column store is the *primary* representation: the trace
-recorder appends every behavior into a :class:`ColumnarEventLog` — since
-PR 14 a *row store*: one flat ``array('q')`` of seven-wide ``int64`` rows
-(one C-level append per behavior) plus string side-lists for ``tag``/``op``
-— and finalizes it with one transposing copy straight into
-:class:`EventColumns`; no :class:`~repro.core.events.MemoryEvent` object is
-ever constructed on the hot path.  The ``MemoryTrace.events`` list is
-synthesized lazily, on first access, for object-level consumers (JSON/CSV
-persistence, tests, the object-based analyses); traces built *from* event
-objects (tests, JSON loads) still derive their columns lazily as before, so
-both directions stay fully interchangeable.
+The recorder appends every behavior into a :class:`ColumnarEventLog` — a row
+store: one flat ``array('q')`` of seven-wide ``int64`` rows (one C-level
+append per behavior) plus the two string lists — and finalizes it with one
+transposing copy straight into :class:`EventColumns`.
+
+Everything else is a *view* read off the columns on first access and cached:
+``MemoryTrace.events`` (the :class:`~repro.core.events.MemoryEvent` objects
+JSON/CSV persistence and the object-level helpers walk) and
+``MemoryTrace.lifetimes`` (the Fig.-2 block lifetimes, derived by
+:func:`lifetimes_from_columns` — the only place a
+:class:`~repro.core.events.BlockLifetime` is built).  A trace constructed
+from event objects (tests, JSON loads) is converted to columns at
+construction.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class EventColumns:
     category_code: np.ndarray  # int64, see CATEGORY_CODES
     iteration: np.ndarray     # int64
     device_rank: np.ndarray   # int64 (data-parallel rank; all zeros single-device)
-    address: np.ndarray = None  # int64 device virtual addresses (filled by builders)
+    address: np.ndarray       # int64 device virtual addresses
 
     def __len__(self) -> int:
         return int(self.event_id.size)
@@ -249,7 +250,7 @@ class ColumnarEventLog:
 
 
 def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
-    """Build the column record from a list of event objects (legacy direction)."""
+    """Build the column record from a list of event objects."""
     n = len(events)
     event_id = np.empty(n, dtype=np.int64)
     kind_code = np.empty(n, dtype=np.int64)
@@ -277,105 +278,135 @@ def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
                         address=address)
 
 
+_NEVER_FREED = int(np.iinfo(np.int64).min)  # no timestamp takes this value
+
+
+def lifetimes_from_columns(cols: EventColumns,
+                           tags: Sequence[str]) -> List[BlockLifetime]:
+    """The block lifetimes of an event stream, one per malloc, in malloc order.
+
+    A stable sort of the four block behaviors by block id keeps each block's
+    events in stream order.  Within a block, a ``free`` closes the malloc that
+    is the block's previous malloc/free event, and a read/write counts toward
+    a malloc exactly when that malloc is the block's latest malloc/free event
+    — so a reused id opens a new lifetime, a double free or an access after a
+    free touches nothing, and a free the recorder never saw (paused, or the
+    block outlived the run) leaves ``free_ns`` ``None``.
+    """
+    malloc_events = np.flatnonzero(cols.is_malloc)
+    if malloc_events.size == 0:
+        return []
+    behaviors = np.flatnonzero(cols.is_block_behavior)
+    by_block = behaviors[np.argsort(cols.block_id[behaviors], kind="stable")]
+    kind = cols.kind_code[by_block]
+    is_malloc = kind == _MALLOC_CODE
+    is_lifecycle = is_malloc | (kind == _FREE_CODE)
+    # owner[i]: the latest malloc/free event at or before sorted position i;
+    # it speaks for event i only when it is a malloc of the same block.
+    owner = np.maximum.accumulate(
+        np.where(is_lifecycle, np.arange(by_block.size), -1))
+    previous = np.concatenate(([-1], owner[:-1]))  # ... strictly before i
+    owner = np.where(is_lifecycle, previous, owner)
+    block = cols.block_id[by_block]
+    owned = (owner >= 0) & is_malloc[owner] & (block[owner] == block) & ~is_malloc
+    lifetime_of = np.searchsorted(malloc_events, by_block[owner[owned]])
+    closes = kind[owned] == _FREE_CODE
+    free_ns = np.full(malloc_events.size, _NEVER_FREED, dtype=np.int64)
+    free_ns[lifetime_of[closes]] = cols.timestamp_ns[by_block[owned][closes]]
+    access_count = np.bincount(lifetime_of[~closes], minlength=malloc_events.size)
+
+    return [
+        BlockLifetime(block_id, address, size, CATEGORY_FROM_CODE[category],
+                      tags[event], malloc_ns, None if freed == _NEVER_FREED else freed,
+                      iteration, accesses, rank)
+        for event, block_id, address, size, category, malloc_ns, freed,
+        iteration, accesses, rank in zip(
+            malloc_events.tolist(), cols.block_id[malloc_events].tolist(),
+            cols.address[malloc_events].tolist(), cols.size[malloc_events].tolist(),
+            cols.category_code[malloc_events].tolist(),
+            cols.timestamp_ns[malloc_events].tolist(), free_ns.tolist(),
+            cols.iteration[malloc_events].tolist(), access_count.tolist(),
+            cols.device_rank[malloc_events].tolist())
+    ]
+
+
 class MemoryTrace:
     """All memory behaviors recorded during one profiled run.
 
-    A trace holds one of two equivalent representations of its event stream
-    and converts between them lazily:
-
-    * *columnar* (the recorder's native output): an :class:`EventColumns`
-      record plus the ``tag``/``op`` string side-lists.  The ``events``
-      property synthesizes :class:`~repro.core.events.MemoryEvent` objects on
-      first access, so object-level consumers keep working unchanged.
-    * *object-level* (tests, ``from_dict``): a list of event objects;
-      :meth:`columns` derives the column record on first use, cached keyed on
-      the event count so a recorder that is still appending events
-      (``profiler.trace()`` mid-run) gets a fresh view.
+    The stream is held once, as an :class:`EventColumns` record plus the
+    ``tag``/``op`` string side-lists; ``events`` and ``lifetimes`` are views
+    derived from it on first access.  None of the three may be mutated in
+    place: rank views and merged traces share them.
     """
 
-    def __init__(self, events: Optional[List[MemoryEvent]] = None,
-                 lifetimes: Optional[List[BlockLifetime]] = None,
+    def __init__(self, events: Optional[Sequence[MemoryEvent]] = None,
                  iteration_marks: Optional[List[IterationMark]] = None,
                  metadata: Optional[Dict[str, object]] = None,
                  end_ns: int = 0,
                  columns: Optional[EventColumns] = None,
                  event_tags: Optional[List[str]] = None,
                  event_ops: Optional[List[str]] = None):
-        if events is None and columns is None:
-            events = []
-        self._events: Optional[List[MemoryEvent]] = events
-        self._columns_cache: Optional[EventColumns] = columns
-        self._event_tags = event_tags
-        self._event_ops = event_ops
-        self.lifetimes: List[BlockLifetime] = lifetimes if lifetimes is not None else []
+        if columns is None:
+            events = events or ()
+            columns = _columns_from_events(events)
+            event_tags = [event.tag for event in events]
+            event_ops = [event.op for event in events]
+        self._columns = columns
+        self._event_tags = event_tags if event_tags is not None else [""] * len(columns)
+        self._event_ops = event_ops if event_ops is not None else [""] * len(columns)
+        self._events: Optional[List[MemoryEvent]] = None
+        self._lifetimes: Optional[List[BlockLifetime]] = None
         self.iteration_marks: List[IterationMark] = (
             iteration_marks if iteration_marks is not None else [])
         self.metadata: Dict[str, object] = metadata if metadata is not None else {}
         self.end_ns = end_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (f"MemoryTrace(num_events={len(self)}, "
-                f"num_lifetimes={len(self.lifetimes)}, end_ns={self.end_ns})")
+        return f"MemoryTrace(num_events={len(self)}, end_ns={self.end_ns})"
 
-    # -- column store -------------------------------------------------------------------
+    # -- the stored representation ------------------------------------------------------
 
     def columns(self) -> EventColumns:
-        """Column-oriented NumPy view of the event stream (built lazily, cached)."""
-        cached = self._columns_cache
-        if cached is not None and (self._events is None
-                                   or len(cached) == len(self._events)):
-            return cached
-        columns = _columns_from_events(self._events or [])
-        self._columns_cache = columns
-        return columns
+        """The event stream as parallel NumPy columns."""
+        return self._columns
 
-    # -- object view --------------------------------------------------------------------
+    def event_strings(self) -> Tuple[List[str], List[str]]:
+        """Copies of the per-event ``(tags, ops)`` lists."""
+        return list(self._event_tags), list(self._event_ops)
+
+    # -- derived views ------------------------------------------------------------------
 
     @property
     def events(self) -> List[MemoryEvent]:
-        """The event stream as objects (synthesized lazily for columnar traces)."""
+        """The event stream as objects (built from the columns on first access)."""
         if self._events is None:
-            self._events = self._synthesize_events()
+            cols = self._columns
+            self._events = [
+                MemoryEvent(event_id=eid, kind=KIND_FROM_CODE[kind], timestamp_ns=ts,
+                            block_id=bid, address=addr, size=sz,
+                            category=CATEGORY_FROM_CODE[cat], tag=tag,
+                            iteration=it, op=op, device_rank=rank)
+                for eid, kind, ts, bid, addr, sz, cat, tag, it, op, rank in zip(
+                    cols.event_id.tolist(), cols.kind_code.tolist(),
+                    cols.timestamp_ns.tolist(), cols.block_id.tolist(),
+                    cols.address.tolist(), cols.size.tolist(),
+                    cols.category_code.tolist(),
+                    self._event_tags, cols.iteration.tolist(), self._event_ops,
+                    cols.device_rank.tolist())
+            ]
         return self._events
 
-    def _synthesize_events(self) -> List[MemoryEvent]:
-        """Materialize event objects from the column store (back-compat path)."""
-        cols = self._columns_cache
-        if cols is None or len(cols) == 0:
-            return []
-        n = len(cols)
-        tags = self._event_tags if self._event_tags is not None else [""] * n
-        ops = self._event_ops if self._event_ops is not None else [""] * n
-        kinds = [KIND_FROM_CODE[code] for code in cols.kind_code.tolist()]
-        categories = [CATEGORY_FROM_CODE[code] for code in cols.category_code.tolist()]
-        addresses = (cols.address.tolist() if cols.address is not None else [0] * n)
-        return [
-            MemoryEvent(event_id=eid, kind=kind, timestamp_ns=ts, block_id=bid,
-                        address=addr, size=sz, category=cat, tag=tag,
-                        iteration=it, op=op, device_rank=rank)
-            for eid, kind, ts, bid, addr, sz, cat, tag, it, op, rank in zip(
-                cols.event_id.tolist(), kinds, cols.timestamp_ns.tolist(),
-                cols.block_id.tolist(), addresses, cols.size.tolist(),
-                categories, tags, cols.iteration.tolist(), ops,
-                cols.device_rank.tolist())
-        ]
-
-    def event_strings(self) -> Tuple[List[str], List[str]]:
-        """Per-event ``(tags, ops)`` lists, whichever representation is live."""
-        if self._events is not None:
-            return ([event.tag for event in self._events],
-                    [event.op for event in self._events])
-        if self._event_tags is not None and self._event_ops is not None:
-            return list(self._event_tags), list(self._event_ops)
-        n = len(self)
-        return [""] * n, [""] * n
+    @property
+    def lifetimes(self) -> List[BlockLifetime]:
+        """One :class:`BlockLifetime` per malloc, in malloc order (Figure 2)."""
+        if self._lifetimes is None:
+            self._lifetimes = lifetimes_from_columns(self._columns, self._event_tags)
+        return self._lifetimes
 
     # -- basic accessors ----------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._events is not None:
-            return len(self._events)
-        return len(self._columns_cache) if self._columns_cache is not None else 0
+        return len(self._columns)
 
     @property
     def is_empty(self) -> bool:
@@ -392,32 +423,18 @@ class MemoryTrace:
         """Timestamp of the first event (0 for an empty trace)."""
         if self.is_empty:
             return 0
-        if self._events is not None:
-            return self._events[0].timestamp_ns
-        return int(self._columns_cache.timestamp_ns[0])
+        return int(self._columns.timestamp_ns[0])
 
     @property
     def duration_ns(self) -> int:
         """Span from the first event to the recorded end of the run."""
         if self.is_empty:
             return 0
-        if self._events is not None:
-            last = self._events[-1].timestamp_ns
-        else:
-            last = int(self._columns_cache.timestamp_ns[-1])
-        return max(self.end_ns, last) - self.start_ns
-
-    def block_behaviors(self) -> List[MemoryEvent]:
-        """Only the paper's four block-level behaviors (no segment events)."""
-        return [event for event in self.events if event.kind.is_block_behavior]
+        return max(self.end_ns, int(self._columns.timestamp_ns[-1])) - self.start_ns
 
     def access_events(self) -> List[MemoryEvent]:
         """Only read/write behaviors."""
         return [event for event in self.events if event.kind.is_access]
-
-    def events_by_kind(self, kind: MemoryEventKind) -> List[MemoryEvent]:
-        """Events of one behavior kind."""
-        return [event for event in self.events if event.kind is kind]
 
     def events_for_block(self, block_id: int) -> List[MemoryEvent]:
         """All events of one device memory block, in time order."""
@@ -454,15 +471,14 @@ class MemoryTrace:
     def for_rank(self, rank: int) -> "MemoryTrace":
         """The single-rank slice of a (possibly merged multi-device) trace.
 
-        Events and lifetimes of other ranks are dropped; iteration marks and
-        metadata are shared across ranks and kept as-is.
+        Events of other ranks are dropped; iteration marks and metadata are
+        shared across ranks and kept as-is.
         """
         metadata = dict(self.metadata)
         metadata["device_rank"] = int(rank)
-        cols = self.columns()
+        cols = self._columns
         mask = cols.device_rank == rank
         indices = np.nonzero(mask)[0].tolist()
-        tags, ops = self.event_strings()
         sliced = EventColumns(
             event_id=cols.event_id[mask],
             kind_code=cols.kind_code[mask],
@@ -472,14 +488,12 @@ class MemoryTrace:
             category_code=cols.category_code[mask],
             iteration=cols.iteration[mask],
             device_rank=cols.device_rank[mask],
-            address=cols.address[mask] if cols.address is not None else None,
+            address=cols.address[mask],
         )
         return MemoryTrace(
             columns=sliced,
-            event_tags=[tags[i] for i in indices],
-            event_ops=[ops[i] for i in indices],
-            lifetimes=[lifetime for lifetime in self.lifetimes
-                       if lifetime.device_rank == rank],
+            event_tags=[self._event_tags[i] for i in indices],
+            event_ops=[self._event_ops[i] for i in indices],
             iteration_marks=list(self.iteration_marks),
             metadata=metadata,
             end_ns=self.end_ns,
@@ -489,13 +503,12 @@ class MemoryTrace:
         """This single-replica recording as ``rank`` of its replica class saw it.
 
         Ranks of one class emit identical streams, so the view *shares* the
-        columns, strings, lifetimes and iteration marks (none of which may be
-        mutated in place); only ``metadata["device_rank"]`` is its own.
+        columns, strings and iteration marks; only
+        ``metadata["device_rank"]`` is its own.
         """
         return MemoryTrace(
-            events=self._events, columns=self._columns_cache,
-            event_tags=self._event_tags, event_ops=self._event_ops,
-            lifetimes=self.lifetimes, iteration_marks=self.iteration_marks,
+            columns=self._columns, event_tags=self._event_tags,
+            event_ops=self._event_ops, iteration_marks=self.iteration_marks,
             metadata={**self.metadata, "device_rank": rank}, end_ns=self.end_ns)
 
     def iterations(self) -> List[int]:
@@ -534,11 +547,6 @@ class MemoryTrace:
         cols = self.columns()
         mask = cols.is_malloc | cols.is_free
         return cols.timestamp_ns[mask], np.cumsum(cols.live_deltas()[mask])
-
-    def live_bytes_timeline(self) -> List[tuple]:
-        """``(timestamp_ns, live_bytes)`` after every malloc/free event."""
-        timestamps, live = self.live_bytes_series()
-        return [(int(ts), int(bytes_)) for ts, bytes_ in zip(timestamps, live)]
 
     def peak_live_bytes(self) -> int:
         """Highest number of simultaneously allocated bytes."""
@@ -609,15 +617,17 @@ class MemoryTrace:
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "MemoryTrace":
-        """Reconstruct a trace from :meth:`to_dict` output."""
+        """Reconstruct a trace from :meth:`to_dict` output.
+
+        The stored ``lifetimes`` are not read: they are a function of the
+        events and are derived from them like any other trace's.
+        """
         try:
             version = int(data.get("format_version", -1))
             if version != TRACE_FORMAT_VERSION:
                 raise TraceFormatError(f"unsupported trace format version {version}")
             return MemoryTrace(
                 events=[MemoryEvent.from_dict(entry) for entry in data.get("events", [])],
-                lifetimes=[BlockLifetime.from_dict(entry)
-                           for entry in data.get("lifetimes", [])],
                 iteration_marks=[IterationMark.from_dict(entry)
                                  for entry in data.get("iteration_marks", [])],
                 metadata=dict(data.get("metadata", {})),
@@ -676,7 +686,7 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
 
     Each input trace is the recording of one replica device.  The merge
 
-    * stamps every event and lifetime with its ``device_rank``;
+    * stamps every event with its ``device_rank``;
     * offsets block ids so that rank-local identities stay unique in the
       merged stream (ATI pairing and the per-block analyses keep working on
       the merged trace without cross-rank aliasing);
@@ -692,7 +702,9 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
     The merge is fully columnar: the per-rank column stores are concatenated,
     block ids shifted and the global ``(timestamp, rank, event_id)`` order
     computed with one ``np.lexsort`` — no per-event Python objects are built,
-    so merging large multi-replica symbolic traces stays array-speed.
+    so merging large multi-replica symbolic traces stays array-speed.  The
+    merged trace derives its lifetimes from the merged columns, i.e. in merged
+    stream order.
     """
     traces = list(traces)
     if not traces:
@@ -704,20 +716,12 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
 
     # Block ids are positive; segment pseudo-ids are negative.  Offset both
     # per rank by the running maximum magnitude so identities never collide.
-    lifetimes: List[BlockLifetime] = []
     shifted_block_ids: List[np.ndarray] = []
     block_offset = 0
-    for rank, (trace, cols) in enumerate(zip(traces, per_rank_cols)):
+    for cols in per_rank_cols:
         block_id = cols.block_id
         shifted_block_ids.append(
             np.where(block_id > 0, block_id + block_offset, block_id - block_offset))
-        # Constructed positionally (not dataclasses.replace): this runs once
-        # per lifetime of every rank and dominates the merge otherwise.
-        lifetimes.extend(
-            BlockLifetime(lt.block_id + block_offset, lt.address, lt.size,
-                          lt.category, lt.tag, lt.malloc_ns, lt.free_ns,
-                          lt.iteration, lt.access_count, rank)
-            for lt in trace.lifetimes)
         block_offset += int(np.abs(block_id).max()) if len(cols) else 0
 
     timestamp_ns = np.concatenate([cols.timestamp_ns for cols in per_rank_cols])
@@ -778,7 +782,6 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
         columns=merged_columns,
         event_tags=merged_tags,
         event_ops=merged_ops,
-        lifetimes=lifetimes,
         iteration_marks=[marks[index] for index in sorted(marks)],
         metadata=metadata,
         end_ns=max(trace.end_ns for trace in traces),

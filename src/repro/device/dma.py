@@ -95,10 +95,6 @@ class DmaEngine:
         """Non-blocking host→device copy scheduled on the copy stream."""
         return self._async_copy("h2d", nbytes, self.spec.h2d_bandwidth, tag)
 
-    def async_device_to_host(self, nbytes: int, tag: str = "") -> CopyRecord:
-        """Non-blocking device→host copy scheduled on the copy stream."""
-        return self._async_copy("d2h", nbytes, self.spec.d2h_bandwidth, tag)
-
     def _async_copy(self, direction: str, nbytes: int, bandwidth: float,
                     tag: str) -> CopyRecord:
         duration = self.timing.memcpy_duration_ns(nbytes, bandwidth)

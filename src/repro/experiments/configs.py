@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..data.loader import HostLatencyModel
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..train.session import TrainingRunConfig
 from ..units import GIB
 
 #: Batch size used for the paper-MLP trace.  The paper does not state its
@@ -94,8 +94,3 @@ def breakdown_config(model: str, dataset: str, batch_size: int, iterations: int 
         seed=seed,
         label=f"{model}/{dataset}/batch{batch_size}",
     )
-
-
-def run_config(config: TrainingRunConfig) -> SessionResult:
-    """Run a configuration (thin wrapper kept for symmetry and patching in tests)."""
-    return run_training_session(config)

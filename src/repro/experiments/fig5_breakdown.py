@@ -5,6 +5,10 @@ fraction of the training footprint; intermediate results dominate.  This
 experiment profiles a family of "typical" models (the MLP, LeNet-5, AlexNet,
 VGG-11/16, a small Inception and ResNet-18/50) in symbolic execution and
 reports the three-way breakdown at peak occupancy for each.
+
+The workloads run through the scenario-sweep engine
+(:mod:`repro.experiments.sweep`), so they share result caching and process
+parallelism with ``repro sweep``.
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.breakdown import OccupationBreakdown, occupation_breakdown
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..core.breakdown import OccupationBreakdown
+from ..train.session import TrainingRunConfig
 from .configs import breakdown_config
-from .sweep import Scenario
+from .sweep import Scenario, SweepRunner
 
 #: Default class count per dataset (used when the workload does not override it).
 DATASET_NUM_CLASSES = {"cifar100": 100, "cifar10": 10, "imagenet": 1000,
@@ -41,7 +45,6 @@ class Fig5Result:
     """Per-model breakdowns for the "typical DNNs" figure."""
 
     breakdowns: List[OccupationBreakdown] = field(default_factory=list)
-    sessions: Dict[str, SessionResult] = field(default_factory=dict)
 
     def rows(self) -> List[Dict[str, object]]:
         """One report row per model: total footprint and per-bucket fractions."""
@@ -98,15 +101,13 @@ def fig5_scenarios(workloads: Optional[Sequence[Tuple[str, str, str, int, int]]]
 
 
 def run_fig5(workloads: Optional[Sequence[Tuple[str, str, str, int, int]]] = None,
-             num_classes_override: Optional[int] = None) -> Fig5Result:
-    """Profile every model of the Figure-5 family and compute its breakdown."""
-    workloads = workloads if workloads is not None else DEFAULT_FIG5_WORKLOADS
-    result = Fig5Result()
-    for workload in workloads:
-        label = workload[0]
-        config = fig5_config(*workload, num_classes_override=num_classes_override)
-        session = run_training_session(config)
-        breakdown = occupation_breakdown(session.trace, label=label)
-        result.breakdowns.append(breakdown)
-        result.sessions[label] = session
-    return result
+             num_classes_override: Optional[int] = None,
+             runner: Optional[SweepRunner] = None) -> Fig5Result:
+    """Profile every model of the Figure-5 family and compute its breakdown.
+
+    ``runner`` (defaulting to a serial, uncached :class:`SweepRunner`)
+    controls caching and parallelism.
+    """
+    runner = runner if runner is not None else SweepRunner()
+    sweep = runner.run(fig5_scenarios(workloads, num_classes_override))
+    return Fig5Result(breakdowns=[result.occupation() for result in sweep.results])

@@ -13,9 +13,10 @@ This module splits the two:
 * :func:`compile_template` runs the simulation **once** per structure with a
   :class:`~repro.device.tape.TimingTape` attached to every replica clock,
   and captures a :class:`TraceTemplate`: the columnar event log, the timing
-  atoms behind every clock advance, the event→atom correspondence, block
-  lifetimes, iteration spans, and the structural scalars (peaks, parameter
-  bytes, allocator counters).
+  atoms behind every clock advance, the event→atom correspondence, iteration
+  spans, and the structural scalars (peaks, parameter bytes, allocator
+  counters).  Block lifetimes are not captured: a rebuilt trace derives them
+  from its re-timed event columns like any other trace.
 * :meth:`TraceTemplate.replay_batch` re-derives every timestamp for a grid
   of *different* pricing points as a handful of vectorized NumPy transforms
   — re-price the atoms from the target device specs, resolve cross-rank
@@ -94,9 +95,9 @@ import numpy as np
 
 from ..core.ati import compute_interval_arrays, summarize_rows_us
 from ..core.breakdown import occupation_from_columns
-from ..core.events import BlockLifetime, IterationMark, MemoryEventKind
+from ..core.events import IterationMark, MemoryEventKind
 from ..core.swap import BandwidthConfig, swappable_fractions
-from ..core.trace import CATEGORY_FROM_CODE, KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
+from ..core.trace import KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
 from ..device.cluster import ClusterSpec
 from ..device.collective import collective_summary
 from ..device.spec import get_device_spec
@@ -130,11 +131,10 @@ logger = logging.getLogger(__name__)
 #: v2: dtype-generalized families — ``dtype`` left the structural fingerprint
 #: and one ``.npz`` holds every captured per-dtype variant (shared arrays
 #: stored once, dtype-specific deltas stored against the base variant).
-TEMPLATE_SCHEMA_VERSION = 2
+#: v3: no lifetime table — lifetimes are derived from the event columns.
+TEMPLATE_SCHEMA_VERSION = 3
 
 _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
-_MALLOC_CODE = KIND_CODES[MemoryEventKind.MALLOC]
-_FREE_CODE = KIND_CODES[MemoryEventKind.FREE]
 
 #: Config fields that price a run without changing its structure.  They are
 #: excluded from the template identity, so one compiled structure serves
@@ -227,7 +227,7 @@ class _TemplateCapture:
 
 @dataclass
 class RankTemplate:
-    """One replica's captured structure: event columns, tape atoms, lifetimes."""
+    """One replica's captured structure: event columns, tape atoms, mark spans."""
 
     # timing tape (one entry per clock advance)
     tape_kind: np.ndarray          # int64
@@ -248,16 +248,8 @@ class RankTemplate:
     # iteration marks: index plus [begin, end] tape positions
     mark_indices: List[int]
     mark_spans: np.ndarray         # int64 (k, 2)
-    # block lifetimes: 8 parallel int64 rows (see _LT_* indices) + tags
-    lifetimes: np.ndarray          # int64 (8, m)
-    lifetime_tags: List[str]
     #: Pre-attach clock time as whole segment reservations (best-fit arena).
     preamble_segments: int
-
-
-# row indices of RankTemplate.lifetimes
-_LT_BLOCK, _LT_ADDRESS, _LT_SIZE, _LT_CATEGORY, _LT_ITERATION, \
-    _LT_ACCESS, _LT_MALLOC_IDX, _LT_FREE_IDX = range(8)
 
 
 def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplate:
@@ -276,46 +268,6 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
         raise TemplateError("iteration mark spans are incomplete",
                             reason="capture_inconsistent")
 
-    # Lifetimes: malloc events pair 1:1 with lifetimes in recording order;
-    # frees are matched to the most recent open malloc of the same block id
-    # (id reuse) with one stable sort instead of a Python open-block walk: a
-    # stable sort by block id keeps each block's malloc/free events in stream
-    # order, so a free pairs with its malloc exactly when the malloc is its
-    # immediate same-block predecessor.
-    malloc_positions = np.flatnonzero(cols.kind_code == _MALLOC_CODE)
-    if malloc_positions.size != len(trace.lifetimes):
-        raise TemplateError("lifetime/malloc correspondence is incomplete",
-                            reason="capture_inconsistent")
-    m = len(trace.lifetimes)
-    lifetimes = np.full((8, m), -1, dtype=np.int64)
-    lifetimes[_LT_MALLOC_IDX, :] = malloc_positions
-    access_pos = np.flatnonzero((cols.kind_code == _MALLOC_CODE)
-                                | (cols.kind_code == _FREE_CODE))
-    if access_pos.size:
-        order = np.argsort(cols.block_id[access_pos], kind="stable")
-        sorted_pos = access_pos[order]
-        sorted_block = cols.block_id[access_pos][order]
-        sorted_is_malloc = cols.kind_code[sorted_pos] == _MALLOC_CODE
-        follows_open_malloc = np.zeros(sorted_pos.size, dtype=bool)
-        follows_open_malloc[1:] = (sorted_is_malloc[:-1]
-                                   & (sorted_block[1:] == sorted_block[:-1]))
-        paired_free = ~sorted_is_malloc & follows_open_malloc
-        if paired_free.any():
-            free_rows = np.flatnonzero(paired_free)
-            matched = np.searchsorted(malloc_positions,
-                                      sorted_pos[free_rows - 1])
-            lifetimes[_LT_FREE_IDX, matched] = sorted_pos[free_rows]
-    lifetime_tags = []
-    from ..core.trace import CATEGORY_CODES
-    for i, lifetime in enumerate(trace.lifetimes):
-        lifetimes[_LT_BLOCK, i] = lifetime.block_id
-        lifetimes[_LT_ADDRESS, i] = lifetime.address
-        lifetimes[_LT_SIZE, i] = lifetime.size
-        lifetimes[_LT_CATEGORY, i] = CATEGORY_CODES[lifetime.category]
-        lifetimes[_LT_ITERATION, i] = lifetime.iteration
-        lifetimes[_LT_ACCESS, i] = lifetime.access_count
-        lifetime_tags.append(lifetime.tag)
-
     return RankTemplate(
         tape_kind=np.asarray(tape.kind, dtype=np.int64),
         tape_duration_ns=np.asarray(tape.duration_ns, dtype=np.int64),
@@ -324,8 +276,7 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
         tape_bytes_moved=np.asarray(tape.bytes_moved, dtype=np.float64),
         event_kind=cols.kind_code.copy(),
         event_block=cols.block_id.copy(),
-        event_address=(cols.address.copy() if cols.address is not None
-                       else np.zeros(len(cols), dtype=np.int64)),
+        event_address=cols.address.copy(),
         event_size=cols.size.copy(),
         event_category=cols.category_code.copy(),
         event_iteration=cols.iteration.copy(),
@@ -334,8 +285,6 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
         event_ops=list(ops),
         mark_indices=[mark.index for mark in trace.iteration_marks],
         mark_spans=np.asarray(spans, dtype=np.int64).reshape(len(spans), 2),
-        lifetimes=lifetimes,
-        lifetime_tags=lifetime_tags,
         preamble_segments=-1,  # filled by the caller (needs the compile spec)
     )
 
@@ -882,21 +831,6 @@ class TraceTemplate:
         for rank_index, rank in enumerate(self.ranks):
             absolute = times[rank_index]
             timestamps = absolute[rank.event_tape_pos]
-            lifetimes = []
-            table, tags = rank.lifetimes, rank.lifetime_tags
-            for i in range(table.shape[1]):
-                free_idx = int(table[_LT_FREE_IDX, i])
-                lifetimes.append(BlockLifetime(
-                    block_id=int(table[_LT_BLOCK, i]),
-                    address=int(table[_LT_ADDRESS, i]),
-                    size=int(table[_LT_SIZE, i]),
-                    category=CATEGORY_FROM_CODE[int(table[_LT_CATEGORY, i])],
-                    tag=tags[i],
-                    malloc_ns=int(timestamps[int(table[_LT_MALLOC_IDX, i])]),
-                    free_ns=(int(timestamps[free_idx]) if free_idx >= 0 else None),
-                    iteration=int(table[_LT_ITERATION, i]),
-                    access_count=int(table[_LT_ACCESS, i]),
-                ))
             marks = [IterationMark(index=index,
                                    start_ns=int(absolute[span[0]]),
                                    end_ns=int(absolute[span[1]]))
@@ -912,7 +846,6 @@ class TraceTemplate:
                 columns=_rank_columns(rank, timestamps),
                 event_tags=list(rank.event_tags),
                 event_ops=list(rank.event_ops),
-                lifetimes=lifetimes,
                 iteration_marks=marks,
                 metadata=metadata,
                 end_ns=int(absolute[-1]),
@@ -1068,7 +1001,7 @@ class TemplateFamily:
 _RANK_ARRAYS = ("tape_kind", "tape_duration_ns", "tape_nbytes", "tape_flops",
                 "tape_bytes_moved", "event_kind", "event_block", "event_address",
                 "event_size", "event_category", "event_iteration",
-                "event_tape_pos", "mark_spans", "lifetimes")
+                "event_tape_pos", "mark_spans")
 
 #: (column group, members) pairs that must agree in length for a persisted
 #: rank to be loadable — the torn-write / corruption screen on load.
@@ -1095,10 +1028,6 @@ def _validate_rank_columns(columns: Dict[str, np.ndarray], info: dict) -> None:
         raise ValueError("event tape position out of range")
     if columns["mark_spans"].ndim != 2 or columns["mark_spans"].shape[1] != 2:
         raise ValueError("mark span table malformed")
-    lifetimes = columns["lifetimes"]
-    if (lifetimes.ndim != 2 or lifetimes.shape[0] != 8
-            or lifetimes.shape[1] != len(info["lifetime_tags"])):
-        raise ValueError("lifetime table malformed")
 
 
 def save_family(family: TemplateFamily, path: Path) -> None:
@@ -1137,7 +1066,6 @@ def save_family(family: TemplateFamily, path: Path) -> None:
                 "event_tags": rank.event_tags,
                 "event_ops": rank.event_ops,
                 "mark_indices": rank.mark_indices,
-                "lifetime_tags": rank.lifetime_tags,
                 "preamble_segments": rank.preamble_segments,
                 "aliased_arrays": aliased,
             })
@@ -1162,8 +1090,9 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
     """Load a persisted family; ``None`` on any mismatch or corruption.
 
     Every rank's arrays are cross-validated (column lengths, tape-position
-    range, span/lifetime table shapes) so a torn or hand-edited file is
-    rejected rather than replayed.
+    range, span table shape) so a torn or hand-edited file is rejected rather
+    than replayed — with the reason logged; another schema or key is a plain
+    miss and says nothing.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -1189,7 +1118,6 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
                         event_tags=[str(tag) for tag in info["event_tags"]],
                         event_ops=[str(op) for op in info["event_ops"]],
                         mark_indices=[int(x) for x in info["mark_indices"]],
-                        lifetime_tags=[str(tag) for tag in info["lifetime_tags"]],
                         preamble_segments=int(info["preamble_segments"]),
                         **columns,
                     ))
@@ -1198,7 +1126,9 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
                 family.variants[str(variant_info["dtype"])] = TraceTemplate(
                     str(header["key"]), variant_info["meta"], ranks)
             return family
-    except Exception:
+    except Exception:  # whatever a damaged archive raises: the caller recompiles
+        logger.warning("template file %s (key %s) is unreadable; treating it "
+                       "as a miss", path, key, exc_info=True)
         return None
 
 

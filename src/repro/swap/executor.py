@@ -67,7 +67,7 @@ Two further mechanisms ride on the same machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Union
 
 from ..core.events import MemoryCategory
@@ -123,27 +123,40 @@ class WarmupObservations:
     live_series: List = None
 
 
+#: Computed entries of :meth:`SwapExecutionSummary.to_dict`, by the field they follow.
+_DERIVED_AFTER = {
+    "stall_ns_total": ("stall_ns_per_iteration",),
+    "warmup_peak_bytes": ("measured_savings_bytes", "measured_savings_fraction"),
+    "recompute_ns_total": ("recompute_ns_per_iteration",),
+}
+
+
 @dataclass
 class SwapExecutionSummary:
-    """Measured outcome of one executor's run (plus its policy's prediction)."""
+    """Measured outcome of one executor's run (plus its policy's prediction).
+
+    The executor counts straight into one instance of this record;
+    :meth:`SwapExecutor.summary` returns a copy with the three peaks and the
+    policy's prediction filled in.
+    """
 
     policy: str
-    active_iterations: int
-    swap_out_count: int
-    swap_in_count: int
-    prefetches_scheduled: int
-    prefetch_hits: int
-    late_prefetches: int
-    demand_fetches: int
-    discards: int
-    shutdown_restores: int
-    bytes_swapped_out: int
-    bytes_swapped_in: int
-    stall_ns_total: int
-    copy_busy_ns: int
-    peak_resident_bytes: int          # over the active (swapping) iterations
-    peak_live_bytes: int              # allocation peak over the same iterations
-    warmup_peak_bytes: int            # the unswapped warm-up footprint
+    active_iterations: int = 0
+    swap_out_count: int = 0
+    swap_in_count: int = 0
+    prefetches_scheduled: int = 0
+    prefetch_hits: int = 0
+    late_prefetches: int = 0
+    demand_fetches: int = 0
+    discards: int = 0
+    shutdown_restores: int = 0
+    bytes_swapped_out: int = 0
+    bytes_swapped_in: int = 0
+    stall_ns_total: int = 0
+    copy_busy_ns: int = 0
+    peak_resident_bytes: int = 0      # over the active (swapping) iterations
+    peak_live_bytes: int = 0          # allocation peak over the same iterations
+    warmup_peak_bytes: int = 0        # the unswapped warm-up footprint
     recompute_drop_count: int = 0
     recompute_count: int = 0
     bytes_recompute_dropped: int = 0
@@ -186,39 +199,18 @@ class SwapExecutionSummary:
         return self.recompute_ns_total / self.active_iterations
 
     def to_dict(self) -> Dict[str, object]:
-        """Serialize for scenario results and reports."""
-        return {
-            "policy": self.policy,
-            "active_iterations": self.active_iterations,
-            "swap_out_count": self.swap_out_count,
-            "swap_in_count": self.swap_in_count,
-            "prefetches_scheduled": self.prefetches_scheduled,
-            "prefetch_hits": self.prefetch_hits,
-            "late_prefetches": self.late_prefetches,
-            "demand_fetches": self.demand_fetches,
-            "discards": self.discards,
-            "shutdown_restores": self.shutdown_restores,
-            "bytes_swapped_out": self.bytes_swapped_out,
-            "bytes_swapped_in": self.bytes_swapped_in,
-            "stall_ns_total": self.stall_ns_total,
-            "stall_ns_per_iteration": self.stall_ns_per_iteration,
-            "copy_busy_ns": self.copy_busy_ns,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "peak_live_bytes": self.peak_live_bytes,
-            "warmup_peak_bytes": self.warmup_peak_bytes,
-            "measured_savings_bytes": self.measured_savings_bytes,
-            "measured_savings_fraction": self.measured_savings_fraction,
-            "recompute_drop_count": self.recompute_drop_count,
-            "recompute_count": self.recompute_count,
-            "bytes_recompute_dropped": self.bytes_recompute_dropped,
-            "bytes_recomputed": self.bytes_recomputed,
-            "recompute_ns_total": self.recompute_ns_total,
-            "recompute_ns_per_iteration": self.recompute_ns_per_iteration,
-            "pressure_evictions": self.pressure_evictions,
-            "pressure_stall_ns": self.pressure_stall_ns,
-            "capacity_bytes": self.capacity_bytes,
-            "predicted": self.predicted,
-        }
+        """Serialize for scenario results and reports.
+
+        Every field in declaration order, each computed property right after
+        the field :data:`_DERIVED_AFTER` names (cache entries are written
+        without ``sort_keys``, so the order is part of their bytes).
+        """
+        out: Dict[str, object] = {}
+        for spec in fields(self):
+            out[spec.name] = getattr(self, spec.name)
+            for derived in _DERIVED_AFTER.get(spec.name, ()):
+                out[derived] = getattr(self, derived)
+        return out
 
 
 class SwapExecutor(MemoryEventListener):
@@ -294,27 +286,8 @@ class SwapExecutor(MemoryEventListener):
         self._iter_live_series: List = []
         self._iter_peak_live = 0
         self._iter_peak_phase_ns: Optional[int] = None
-        # counters
-        self.active_iterations = 0
-        self.swap_out_count = 0
-        self.swap_in_count = 0
-        self.prefetches_scheduled = 0
-        self.prefetch_hits = 0
-        self.late_prefetches = 0
-        self.demand_fetches = 0
-        self.discards = 0
-        self.shutdown_restores = 0
-        self.bytes_swapped_out = 0
-        self.bytes_swapped_in = 0
-        self.stall_ns_total = 0
-        self.copy_busy_ns = 0
-        self.recompute_drop_count = 0
-        self.recompute_count = 0
-        self.bytes_recompute_dropped = 0
-        self.bytes_recomputed = 0
-        self.recompute_ns_total = 0
-        self.pressure_evictions = 0
-        self.pressure_stall_ns = 0
+        self.counters = SwapExecutionSummary(policy=self.policy.name,
+                                             capacity_bytes=self.capacity_bytes)
         # timestamp of the previous listener event: the gap between a block's
         # malloc-adjacent first write and the event before it is exactly its
         # producing kernel's duration (the clock only advances inside the
@@ -359,35 +332,13 @@ class SwapExecutor(MemoryEventListener):
             peak_resident = self._peak_resident_active
         else:
             peak_resident = self._warmup_peak_bytes
-        return SwapExecutionSummary(
-            policy=self.policy.name,
-            active_iterations=self.active_iterations,
-            swap_out_count=self.swap_out_count,
-            swap_in_count=self.swap_in_count,
-            prefetches_scheduled=self.prefetches_scheduled,
-            prefetch_hits=self.prefetch_hits,
-            late_prefetches=self.late_prefetches,
-            demand_fetches=self.demand_fetches,
-            discards=self.discards,
-            shutdown_restores=self.shutdown_restores,
-            bytes_swapped_out=self.bytes_swapped_out,
-            bytes_swapped_in=self.bytes_swapped_in,
-            stall_ns_total=self.stall_ns_total,
-            copy_busy_ns=self.copy_busy_ns,
+        return replace(
+            self.counters,
             peak_resident_bytes=peak_resident,
             peak_live_bytes=(self._peak_live_active if self._active
                              else self._warmup_peak_bytes),
             warmup_peak_bytes=self._warmup_peak_bytes,
-            recompute_drop_count=self.recompute_drop_count,
-            recompute_count=self.recompute_count,
-            bytes_recompute_dropped=self.bytes_recompute_dropped,
-            bytes_recomputed=self.bytes_recomputed,
-            recompute_ns_total=self.recompute_ns_total,
-            pressure_evictions=self.pressure_evictions,
-            pressure_stall_ns=self.pressure_stall_ns,
-            capacity_bytes=self.capacity_bytes,
-            predicted=self.policy.predicted,
-        )
+            predicted=self.policy.predicted)
 
     # -- iteration hooks (duck-typed like a recorder) ---------------------------------
 
@@ -428,7 +379,7 @@ class SwapExecutor(MemoryEventListener):
                 self._active = True
                 self._peak_resident_active = self._resident_bytes
                 self._peak_live_active = self._live_bytes
-            self.active_iterations += 1
+            self.counters.active_iterations += 1
 
     def end_iteration(self, index: int) -> None:
         """Iteration end: flush deferred evictions, apply boundary directives."""
@@ -464,13 +415,13 @@ class SwapExecutor(MemoryEventListener):
             # Bookkeeping only — nothing actually arrives on the device, so
             # the measured resident peak must not see this restoration.
             self._resident_bytes += state.size
-            self.shutdown_restores += 1
+            self.counters.shutdown_restores += 1
             if state.dropped_for_recompute:
                 state.dropped_for_recompute = False
-                self.recompute_count += 1
+                self.counters.recompute_count += 1
                 self.device.listeners.on_recompute(state.block, 0, "shutdown")
             else:
-                self.swap_in_count += 1
+                self.counters.swap_in_count += 1
                 self.device.listeners.on_swap_in(state.block, 0, "shutdown")
 
     # -- listener hooks ----------------------------------------------------------------
@@ -521,13 +472,13 @@ class SwapExecutor(MemoryEventListener):
             state.resident = True
             state.pending_ready_ns = None
             self._resident_bytes += state.size
-            self.discards += 1
+            self.counters.discards += 1
             if state.dropped_for_recompute:
                 state.dropped_for_recompute = False
-                self.recompute_count += 1
+                self.counters.recompute_count += 1
                 self.device.listeners.on_recompute(state.block, 0, "discard")
             else:
-                self.swap_in_count += 1
+                self.counters.swap_in_count += 1
                 self.device.listeners.on_swap_in(state.block, 0, "discard")
         self._resident_bytes -= state.size
         self._live_bytes -= state.size
@@ -622,18 +573,18 @@ class SwapExecutor(MemoryEventListener):
         else:
             record = self.device.dma.async_host_to_device_at(
                 nbytes, now, tag=f"swap_in:{state.tag}")
-            self.copy_busy_ns += record.duration_ns
+            self.counters.copy_busy_ns += record.duration_ns
             ready = record.end_ns
             op = "demand"
-            self.demand_fetches += 1
+            self.counters.demand_fetches += 1
         stall = max(0, ready - now)
         if stall > 0:
             self.device.clock.advance(stall)
-            self.stall_ns_total += stall
+            self.counters.stall_ns_total += stall
             if op == "prefetch":
-                self.late_prefetches += 1
+                self.counters.late_prefetches += 1
         elif op == "prefetch":
-            self.prefetch_hits += 1
+            self.counters.prefetch_hits += 1
         if self._active:
             # A restoration raises residency just like an allocation does, so
             # budget policies (LRU) get the same pressure hook — and like the
@@ -651,8 +602,8 @@ class SwapExecutor(MemoryEventListener):
         state.pending_ready_ns = None
         state.resident = True
         self._bump_resident(state.size)
-        self.swap_in_count += 1
-        self.bytes_swapped_in += nbytes
+        self.counters.swap_in_count += 1
+        self.counters.bytes_swapped_in += nbytes
         self.device.listeners.on_swap_in(state.block, nbytes, op)
 
     def _rematerialize(self, state: BlockState) -> None:
@@ -670,7 +621,7 @@ class SwapExecutor(MemoryEventListener):
             stream, clock = self.device.compute_stream, self.device.clock
             stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + cost
             clock.advance(cost)
-            self.recompute_ns_total += cost
+            self.counters.recompute_ns_total += cost
         if self._active:
             resident = (s for s in self._states.values()
                         if s.resident and not s.freed)
@@ -681,8 +632,8 @@ class SwapExecutor(MemoryEventListener):
         state.dropped_for_recompute = False
         state.resident = True
         self._bump_resident(state.size)
-        self.recompute_count += 1
-        self.bytes_recomputed += state.size
+        self.counters.recompute_count += 1
+        self.counters.bytes_recomputed += state.size
         self.device.listeners.on_recompute(state.block, state.size, "demand")
 
     def _evict(self, directive: EvictDirective):
@@ -703,8 +654,8 @@ class SwapExecutor(MemoryEventListener):
             state.gap_tainted = True
             state.pending_ready_ns = None
             self._resident_bytes -= state.size
-            self.recompute_drop_count += 1
-            self.bytes_recompute_dropped += state.size
+            self.counters.recompute_drop_count += 1
+            self.counters.bytes_recompute_dropped += state.size
             self.device.listeners.on_recompute_drop(state.block, state.size,
                                                     self.policy.name)
             return None
@@ -713,13 +664,13 @@ class SwapExecutor(MemoryEventListener):
                       else state.size)
         out = self.device.dma.async_device_to_host_at(
             copy_bytes, now, tag=f"swap_out:{state.tag}")
-        self.copy_busy_ns += out.duration_ns
+        self.counters.copy_busy_ns += out.duration_ns
         state.resident = False
         state.swapped_copy_bytes = copy_bytes
         state.gap_tainted = True
         self._resident_bytes -= state.size
-        self.swap_out_count += 1
-        self.bytes_swapped_out += copy_bytes
+        self.counters.swap_out_count += 1
+        self.counters.bytes_swapped_out += copy_bytes
         if directive.prefetch_gap_ns is not None:
             deadline = (state.last_access_ns + int(directive.prefetch_gap_ns)
                         - self.prefetch_margin_ns)
@@ -728,9 +679,9 @@ class SwapExecutor(MemoryEventListener):
             back = self.device.dma.async_host_to_device_by(
                 copy_bytes, deadline, earliest_start_ns=max(now, out.end_ns),
                 tag=f"swap_prefetch:{state.tag}")
-            self.copy_busy_ns += back.duration_ns
+            self.counters.copy_busy_ns += back.duration_ns
             state.pending_ready_ns = back.end_ns
-            self.prefetches_scheduled += 1
+            self.counters.prefetches_scheduled += 1
         self.device.listeners.on_swap_out(state.block, copy_bytes,
                                           self.policy.name)
         return out
@@ -768,15 +719,15 @@ class SwapExecutor(MemoryEventListener):
             out = self._evict(EvictDirective(block_id=state.block_id))
             if state.resident:
                 continue
-            self.pressure_evictions += 1
+            self.counters.pressure_evictions += 1
             excess -= state.size
             if out is not None and out.end_ns > wait_until:
                 wait_until = out.end_ns
         stall = wait_until - now
         if stall > 0:
             self.device.clock.advance(stall)
-            self.stall_ns_total += stall
-            self.pressure_stall_ns += stall
+            self.counters.stall_ns_total += stall
+            self.counters.pressure_stall_ns += stall
 
     def _flush_deferred(self) -> None:
         """Run post-access evictions queued by the previous event."""

@@ -25,7 +25,6 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
     ``(kind, timestamp_ns, block_id, size, category, iteration)``.
     """
     events = []
-    lifetimes = {}
     for index, spec in enumerate(event_specs):
         kind, timestamp, block_id, size = spec[:4]
         category = spec[4] if len(spec) > 4 else MemoryCategory.ACTIVATION
@@ -36,22 +35,10 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
             address=0x1000 * block_id, size=size, category=category,
             tag=f"block{block_id}", iteration=iteration,
         ))
-        if kind is MemoryEventKind.MALLOC:
-            lifetimes[(block_id, timestamp)] = BlockLifetime(
-                block_id=block_id, address=0x1000 * block_id, size=size,
-                category=category, tag=f"block{block_id}", malloc_ns=timestamp,
-                iteration=iteration,
-            )
-        elif kind is MemoryEventKind.FREE:
-            for key in sorted(lifetimes, reverse=True):
-                if key[0] == block_id and lifetimes[key].free_ns is None:
-                    lifetimes[key].free_ns = timestamp
-                    break
     marks = [IterationMark(index=i, start_ns=start, end_ns=end)
              for i, (start, end) in enumerate(iteration_marks)]
     final_ns = end_ns if end_ns is not None else (events[-1].timestamp_ns if events else 0)
-    return MemoryTrace(events=events, lifetimes=list(lifetimes.values()),
-                       iteration_marks=marks, end_ns=final_ns)
+    return MemoryTrace(events=events, iteration_marks=marks, end_ns=final_ns)
 
 
 class ReferenceRecorder(MemoryEventListener):

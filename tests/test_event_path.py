@@ -7,14 +7,21 @@ built) and the columnar-first offline policies are pinned against their plain
 Python formulations.
 """
 
+from collections import Counter
+from dataclasses import astuple, replace
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ati import compute_access_intervals
 from repro.core.profiler import MemoryProfiler
 from repro.core.recorder import TraceRecorder
 from repro.core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
 from repro.core.trace import ROW_FIELDS, ColumnarEventLog
+from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device
+from repro.device.clock import DeviceClock
 from repro.device.hooks import HOOK_NAMES, CompositeListener, CountingListener
 from repro.experiments.sweep import Scenario, run_scenario
 from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
@@ -81,6 +88,7 @@ def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devi
     assert len(side_by_side) == len(set(rank_classes)) == (2 if n_devices == 3 else 1)
     rank_traces = result.rank_traces if n_devices > 1 else [result.trace]
     assert len(rank_traces) == n_devices
+    merged_lifetimes, block_offset = [], 0
     for rank, rank_trace in enumerate(rank_traces):
         real, reference = side_by_side[rank_classes[rank]]
         # kind, timestamp, block, address, size, category, iteration, tag, op
@@ -88,6 +96,15 @@ def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devi
         assert rank_trace.lifetimes == reference.lifetimes
         assert rank_trace.metadata["device_rank"] == rank
         assert len(rank_trace) > 500
+        # The merged trace sees this rank's lifetimes under its block-id
+        # offset and rank stamp: the rank slice in order, the whole as a set.
+        shifted = [replace(lifetime, block_id=lifetime.block_id + block_offset,
+                           device_rank=rank) for lifetime in reference.lifetimes]
+        assert result.trace.for_rank(rank).lifetimes == shifted
+        merged_lifetimes += shifted
+        block_offset += max(abs(event.block_id) for event in reference.events)
+    assert (Counter(map(astuple, result.trace.lifetimes))
+            == Counter(map(astuple, merged_lifetimes)))
     if swap == "lru":
         assert result.trace.has_swap_events()
 
@@ -123,6 +140,50 @@ def test_recorder_matches_the_reference_across_a_pause_window(test_device):
     assert by_tag["b"].free_ns is None          # its free fell in the window
     assert by_tag["a"].access_count == 2        # init write + the recorded matmul read
     assert {e.tag for e in trace.events} >= {"a", "b", "d", "e", "c"}
+
+
+_HOOK_STEPS = st.tuples(st.sampled_from(["malloc", "free", "read", "write"]),
+                        st.integers(1, 4),          # block id: reuse is the point
+                        st.integers(0, 3))          # clock advance (0: same instant)
+_CONTROL_STEPS = st.tuples(st.sampled_from(["pause", "resume", "iteration"]),
+                           st.just(0), st.just(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.one_of(_HOOK_STEPS, _HOOK_STEPS, _CONTROL_STEPS), max_size=60))
+def test_derived_lifetimes_match_the_reference_on_generated_streams(steps):
+    """Id reuse, double frees, accesses after a free, frees and mallocs lost
+    to a pause window, blocks already live when recording starts (a free or an
+    access before any malloc): the lifetimes read off the columns are the ones
+    the reference recorder keeps by hand."""
+    clock = DeviceClock()
+    real = TraceRecorder(clock)
+    reference = ReferenceRecorder(clock, iteration_of=lambda: real.current_iteration)
+    categories = list(MemoryCategory)
+    for position, (step, block_id, advance) in enumerate(steps):
+        clock.advance(advance)
+        if step == "pause":
+            real.pause()
+            reference.enabled = False
+        elif step == "resume":
+            real.resume()
+            reference.enabled = True
+        elif step == "iteration":
+            real.begin_iteration(real.current_iteration + 1)
+        else:
+            # Every call sees its own size/category/tag: a lifetime must carry
+            # its malloc's, whatever the later events of the block say.
+            block = SimpleNamespace(block_id=block_id, address=0x1000 * block_id + position,
+                                    size=64 * (position + 1),
+                                    category=categories[position % len(categories)],
+                                    tag=f"step{position}")
+            arguments = {"malloc": (block, block.size), "free": (block,)}.get(
+                step, (block, block.size, f"op{position}"))
+            for recorder in (real, reference):
+                getattr(recorder, f"on_{step}")(*arguments)
+    trace = real.to_trace()
+    assert trace.events == reference.events
+    assert trace.lifetimes == reference.lifetimes
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 9])

@@ -107,3 +107,15 @@ def test_fig6_numbers_identical_through_cached_engine(tmp_path):
     cached = run_fig6(batch_sizes=(16,), input_size=32, num_classes=100, runner=runner)
     assert warm.rows() == direct.rows()
     assert cached.rows() == direct.rows()
+
+
+def test_fig5_numbers_identical_through_cached_engine(tmp_path):
+    from repro.experiments.sweep import SweepRunner
+
+    workloads = (("lenet5", "lenet5", "mnist", 16, 28),)
+    direct = run_fig5(workloads=workloads)
+    runner = SweepRunner(cache_dir=tmp_path / "sweeps")
+    warm = run_fig5(workloads=workloads, runner=runner)
+    cached = run_fig5(workloads=workloads, runner=runner)
+    assert warm.rows() == cached.rows() == direct.rows()
+    assert not hasattr(direct, "sessions")      # no session is kept alive

@@ -114,6 +114,15 @@ def test_one_template_prices_every_pricing_point():
 
 def test_replayed_trace_matches_fresh_trace_event_for_event():
     """Below the result level: the rebuilt trace itself is identical."""
+    assert_replayed_trace_is_the_fresh_one(store_dir=None)
+
+
+def test_stored_template_rebuilds_the_fresh_trace_event_for_event(tmp_path):
+    """... also when the template went through the ``.npz`` file (save -> load)."""
+    assert_replayed_trace_is_the_fresh_one(store_dir=tmp_path)
+
+
+def assert_replayed_trace_is_the_fresh_one(store_dir):
     from repro.train.session import run_training_session
 
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
@@ -122,8 +131,11 @@ def test_replayed_trace_matches_fresh_trace_event_for_event():
                                device_spec="v100_sxm2_16gb", seed=3)
     compile_point = TrainingRunConfig(
         **{**config.__dict__, "device_spec": "titan_x_pascal"})
-    engine = ReplayEngine()
-    replayed = engine.template_for(compile_point).replay_trace(config)
+    engine = ReplayEngine(store=TemplateStore(store_dir) if store_dir else None)
+    template = engine.template_for(compile_point)
+    if store_dir:
+        template = TemplateStore(store_dir).load(template.key).get(config.dtype)
+    replayed = template.replay_trace(config)
     fresh = run_training_session(config).trace
 
     fresh_cols, replay_cols = fresh.columns(), replayed.columns()

@@ -271,7 +271,7 @@ def test_derived_ranks_share_their_class_arrays_and_nothing_mutates_them(monkeyp
         assert trace.columns() is representative.columns()
         assert trace._event_tags is representative._event_tags
         assert trace._event_ops is representative._event_ops
-        assert trace.lifetimes is representative.lifetimes
+        assert trace.lifetimes == representative.lifetimes
         assert trace.iteration_marks is representative.iteration_marks
         assert trace.metadata is not representative.metadata
 

@@ -76,6 +76,13 @@ def test_scenario_result_is_constructed_in_two_places_only():
                      ("experiments/results.py", "assemble_result")}
 
 
+def test_block_lifetimes_are_constructed_in_one_function_only():
+    sites = [(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("BlockLifetime"))]
+    assert sites == [("core/trace.py", "lifetimes_from_columns")]
+
+
 TECHNIQUES = ("none", "planner", "swap_advisor", "zero_offload", "recompute",
               "pruning", "quantization", "lru", "unified")
 

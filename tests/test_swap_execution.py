@@ -691,3 +691,15 @@ def test_run_scenario_carries_swap_execution():
     from repro.experiments.sweep import ScenarioResult
     rebuilt = ScenarioResult.from_dict(result.to_dict())
     assert rebuilt.swap_execution == result.swap_execution
+    # cache entries are dumped without sort_keys: the key order is entry bytes
+    assert list(result.swap_execution) == [
+        "policy", "active_iterations", "swap_out_count", "swap_in_count",
+        "prefetches_scheduled", "prefetch_hits", "late_prefetches",
+        "demand_fetches", "discards", "shutdown_restores", "bytes_swapped_out",
+        "bytes_swapped_in", "stall_ns_total", "stall_ns_per_iteration",
+        "copy_busy_ns", "peak_resident_bytes", "peak_live_bytes",
+        "warmup_peak_bytes", "measured_savings_bytes",
+        "measured_savings_fraction", "recompute_drop_count", "recompute_count",
+        "bytes_recompute_dropped", "bytes_recomputed", "recompute_ns_total",
+        "recompute_ns_per_iteration", "pressure_evictions", "pressure_stall_ns",
+        "capacity_bytes", "predicted", "n_ranks"]

@@ -8,8 +8,10 @@ corrupt ``index.json`` must never lose templates that are still on disk.
 """
 
 import json
+import logging
 
-from repro.experiments.replay import TemplateFamily, template_key
+from repro.experiments import replay
+from repro.experiments.replay import ReplayEngine, TemplateFamily, template_key
 from repro.experiments.template_store import (
     DEFAULT_MAX_ENTRIES,
     INDEX_NAME,
@@ -104,15 +106,45 @@ def test_corrupt_manifest_recovers_from_the_directory(tmp_path):
     assert fresh.load(family.key) is not None  # directory probe wins
 
 
-def test_corrupt_npz_is_dropped_from_the_manifest(tmp_path):
+def test_corrupt_npz_is_dropped_from_the_manifest(tmp_path, caplog):
     store = TemplateStore(tmp_path)
     family = make_family()
     store.publish(family)
-    store.path_for(family.key).write_bytes(b"torn archive")
+    path = store.path_for(family.key)
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])   # torn write
 
     fresh = TemplateStore(tmp_path)
-    assert fresh.load(family.key) is None
+    with caplog.at_level(logging.WARNING, logger=replay.__name__):
+        assert fresh.load(family.key) is None
     assert family.key not in fresh.read_index()["entries"]
+    assert fresh.artifacts.quarantined == {"template_corrupt": 1}
+    (record,) = caplog.records
+    assert str(path) in record.getMessage() and family.key in record.getMessage()
+    assert record.exc_info is not None          # the traceback says why
+
+
+def test_an_archive_of_the_previous_schema_is_never_opened(tmp_path, monkeypatch, caplog):
+    """The schema version is part of the template key, so a v2 archive sits
+    under a name no v3 lookup asks for: not loaded, not quarantined, not
+    logged about — it ages out of the directory like any unused file."""
+    config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
+                               dataset="two_cluster", batch_size=16, iterations=2,
+                               execution_mode="symbolic", seed=3)
+    monkeypatch.setattr(replay, "TEMPLATE_SCHEMA_VERSION", 2)
+    stale = TemplateStore(tmp_path).path_for(template_key(config))
+    monkeypatch.undo()
+    assert stale.name != f"{template_key(config)}.npz"
+    stale.write_bytes(b"a v2 archive: unreadable to this schema")
+
+    with caplog.at_level(logging.WARNING, logger=replay.__name__):
+        for _process in range(2):       # compile + publish, then a store hit
+            engine = ReplayEngine(store=TemplateStore(tmp_path))
+            assert engine.template_for(config) is not None
+    assert engine.templates_compiled == 0
+    assert stale.read_bytes() == b"a v2 archive: unreadable to this schema"
+    assert not (tmp_path / "quarantine").exists()
+    assert not caplog.records
+    assert sorted(TemplateStore(tmp_path).read_index()["entries"]) == [template_key(config)]
 
 
 def test_default_capacity_is_sane():
