@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke bench-suite report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-smoke examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,9 +19,12 @@ bench-smoke:
 	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only sim_mixed,swap_ladder,replay_price,cache_write,cache_read
 	$(PYTHON) -m pytest bench/tests -q
 
-# The qualitative paper-claim benchmark suite (pytest-based, seconds-scale).
-bench-suite:
-	$(PYTHON) -m pytest benchmarks/ -q
+# Every script under examples/ must exit 0 (the CI examples-smoke step): they
+# run in seconds and write only under figure_data/.
+examples-smoke:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; $(PYTHON) $$script > /dev/null; \
+	done
 
 report:
 	$(PYTHON) -m repro report

@@ -16,7 +16,7 @@ Run with:  python examples/mlp_memory_patterns.py [--batch-size N]
 
 import argparse
 
-from repro.experiments import paper_mlp_config, run_fig2, run_fig3, run_fig4
+from repro.experiments import SweepRunner, paper_mlp_config, run_fig2, run_fig3, run_fig4
 from repro.units import GB, KB, format_bytes, format_duration
 from repro.viz import render_cdf, render_gantt, render_scatter, render_violin
 
@@ -31,8 +31,10 @@ def main() -> None:
     config = paper_mlp_config(batch_size=args.batch_size, iterations=args.iterations)
     print(f"Profiling {config.describe()} ...\n")
 
-    fig2 = run_fig2(config, max_iterations=args.iterations)
-    session = fig2.session
+    # One runner serves all three figures: the first compiles the workload's
+    # trace template, the others rebuild the trace from it in milliseconds.
+    runner = SweepRunner()
+    fig2 = run_fig2(config, max_iterations=args.iterations, runner=runner)
 
     print("=" * 78)
     print("Figure 2 — Gantt chart of the first five iterations")
@@ -42,9 +44,9 @@ def main() -> None:
           f"jaccard={fig2.patterns.mean_jaccard_similarity:.3f} "
           f"-> iterative={fig2.patterns.is_iterative}")
     print(f"Iteration durations: "
-          f"{[round(x, 3) for x in fig2.iteration_durations_s()]} s")
+          f"{[round(x, 3) for x in fig2.iteration_durations_s]} s")
 
-    fig3 = run_fig3(session=session)
+    fig3 = run_fig3(config, runner=runner)
     print("\n" + "=" * 78)
     print("Figure 3a — CDF of access-time intervals (us)")
     print("=" * 78)
@@ -56,7 +58,7 @@ def main() -> None:
           f"max={stats.max_us / 1e6:.3f} s; "
           f"{100 * fig3.fraction_below_25us:.1f}% of behaviors below 25 us")
 
-    fig4 = run_fig4(session=session)
+    fig4 = run_fig4(config, runner=runner)
     print("\n" + "=" * 78)
     print("Figure 4 — per-behavior ATI and block size; outliers")
     print("=" * 78)

@@ -17,7 +17,7 @@ Run with:  python examples/swap_planning.py [--batch-size N] [--allow-overhead-m
 import argparse
 
 from repro.baselines import estimate_pruning, estimate_quantization, estimate_recompute_plan
-from repro.experiments import paper_mlp_config, run_swap_planner
+from repro.experiments import Scenario, SweepRunner, paper_mlp_config, run_swap_planner
 from repro.units import format_bytes, format_duration
 from repro.viz import render_table
 
@@ -31,9 +31,11 @@ def main() -> None:
 
     config = paper_mlp_config(batch_size=args.batch_size)
     print(f"Planning memory-pressure reduction for {config.describe()} ...\n")
+    runner = SweepRunner()
     result = run_swap_planner(config=config,
-                              allow_overhead_ns=args.allow_overhead_ms * 1e6)
-    trace = result.session.trace
+                              allow_overhead_ns=args.allow_overhead_ms * 1e6,
+                              runner=runner)
+    trace = runner.trace(Scenario(config))   # rebuilt from the planner's template
 
     print("ATI-aware swap plan (this work):")
     print(result.plan.describe())

@@ -36,13 +36,11 @@ from .events import (
 )
 from .fragmentation import (
     FragmentationReport,
-    FragmentationTimelinePoint,
     analyze_fragmentation,
-    fragmentation_timeline,
     internal_fragmentation_bytes,
     snapshot_external_fragmentation,
 )
-from .gantt import GanttChart, GanttRectangle, address_gaps, build_gantt_chart
+from .gantt import GanttChart, GanttRectangle, build_gantt_chart
 from .outliers import (
     DEFAULT_ATI_THRESHOLD_NS,
     DEFAULT_SIZE_THRESHOLD_BYTES,
@@ -54,9 +52,7 @@ from .outliers import (
 from .patterns import (
     IterationSignature,
     PatternReport,
-    behaviors_per_iteration,
     detect_iterative_pattern,
-    iteration_durations_ns,
     iteration_signature,
     jaccard_similarity,
     sequence_similarity,
@@ -65,12 +61,9 @@ from .profiler import MemoryProfiler
 from .recorder import TraceRecorder
 from .stats import (
     CdfResult,
-    Histogram,
     ViolinStats,
-    concentration_ratio,
     empirical_cdf,
     gaussian_kde_trace,
-    histogram,
     violin_stats,
 )
 from .swap import (
@@ -94,10 +87,8 @@ __all__ = [
     "DEFAULT_ATI_THRESHOLD_NS",
     "DEFAULT_SIZE_THRESHOLD_BYTES",
     "FragmentationReport",
-    "FragmentationTimelinePoint",
     "GanttChart",
     "GanttRectangle",
-    "Histogram",
     "IterationMark",
     "IterationSignature",
     "MemoryCategory",
@@ -115,26 +106,20 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "TraceRecorder",
     "ViolinStats",
-    "address_gaps",
     "analyze_fragmentation",
-    "behaviors_per_iteration",
     "build_gantt_chart",
     "compute_access_intervals",
-    "concentration_ratio",
     "detect_iterative_pattern",
     "empirical_cdf",
     "find_outliers",
     "fraction_below",
-    "fragmentation_timeline",
     "gaussian_kde_trace",
     "merge_rank_traces",
-    "histogram",
     "internal_fragmentation_bytes",
     "interval_values_us",
     "intervals_by_category",
     "intervals_by_kind",
     "is_swappable",
-    "iteration_durations_ns",
     "iteration_signature",
     "jaccard_similarity",
     "max_swap_bytes",

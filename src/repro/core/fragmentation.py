@@ -4,8 +4,8 @@ The paper reads fragmentation off the Gantt chart as the blank space between
 rectangles along the y-axis and notes "there are fewer memory fragments
 during MLP training".  This module quantifies that:
 
-* *internal* fragmentation: bytes handed out by the allocator beyond what was
-  requested (size rounding, un-split remainders);
+* *internal* fragmentation: an upper bound on the bytes handed out beyond
+  what was requested (size rounding);
 * *external* fragmentation: reserved-but-unallocated bytes held in the
   allocator's cache, and the classic ``1 - largest_free / total_free`` ratio
   computed from allocator snapshots;
@@ -13,17 +13,15 @@ during MLP training".  This module quantifies that:
 
 All per-event reductions run on the trace's column store
 (:meth:`~repro.core.trace.MemoryTrace.columns`): the allocated/reserved
-series are cumulative sums over vectorized event-delta arrays
+timeline is a pair of cumulative sums over vectorized event-delta arrays
 (:func:`fragmentation_series`), and :func:`analyze_fragmentation` computes
-its peaks and utilization statistics directly on those arrays — the Python
-:class:`FragmentationTimelinePoint` objects are only materialized for
-consumers that ask for the object-level timeline.
+its peaks and utilization statistics directly on those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -37,31 +35,9 @@ _SEG_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
 
 @dataclass
-class FragmentationTimelinePoint:
-    """Memory-system state after one allocator event."""
-
-    timestamp_ns: int
-    allocated_bytes: int
-    reserved_bytes: int
-
-    @property
-    def cached_bytes(self) -> int:
-        """Reserved-but-unallocated bytes (the allocator cache)."""
-        return max(0, self.reserved_bytes - self.allocated_bytes)
-
-    @property
-    def utilization(self) -> float:
-        """Allocated fraction of reserved memory."""
-        if self.reserved_bytes == 0:
-            return 1.0
-        return self.allocated_bytes / self.reserved_bytes
-
-
-@dataclass
 class FragmentationReport:
     """Summary of fragmentation over a whole trace."""
 
-    timeline: List[FragmentationTimelinePoint]
     peak_allocated_bytes: int
     peak_reserved_bytes: int
     mean_utilization: float
@@ -103,31 +79,17 @@ def fragmentation_series(trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray, np
             np.cumsum(reserved_delta[mask]))
 
 
-def _timeline_points(timestamps: np.ndarray, allocated: np.ndarray,
-                     reserved: np.ndarray) -> List[FragmentationTimelinePoint]:
-    """Materialize object-level timeline points from the series arrays."""
-    return [FragmentationTimelinePoint(timestamp_ns=int(ts), allocated_bytes=int(a),
-                                       reserved_bytes=int(r))
-            for ts, a, r in zip(timestamps, allocated, reserved)]
-
-
-def fragmentation_timeline(trace: MemoryTrace) -> List[FragmentationTimelinePoint]:
-    """Replay allocator events into an (allocated, reserved) timeline."""
-    return _timeline_points(*fragmentation_series(trace))
-
-
 def analyze_fragmentation(trace: MemoryTrace) -> FragmentationReport:
     """Compute the fragmentation report of a trace (one vectorized scan)."""
     timestamps, allocated, reserved = fragmentation_series(trace)
     if timestamps.size == 0:
-        return FragmentationReport(timeline=[], peak_allocated_bytes=0, peak_reserved_bytes=0,
+        return FragmentationReport(peak_allocated_bytes=0, peak_reserved_bytes=0,
                                    mean_utilization=1.0, min_utilization=1.0,
                                    peak_cached_bytes=0)
     # Utilization is only meaningful once something is reserved.
     meaningful = reserved > 0
     utilizations = allocated[meaningful] / reserved[meaningful]
     return FragmentationReport(
-        timeline=_timeline_points(timestamps, allocated, reserved),
         peak_allocated_bytes=int(allocated.max()),
         peak_reserved_bytes=int(reserved.max()),
         mean_utilization=float(utilizations.mean()) if utilizations.size else 1.0,

@@ -7,24 +7,14 @@ ranges overlapping and the gaps between them (device memory fragments).
 
 This module extracts that data from a trace; the ASCII rendering lives in
 :mod:`repro.viz.ascii`.
-
-The chart's analyses are columnized: a :class:`GanttChart` lazily builds one
-set of parallel NumPy arrays (start, end, size, address, iteration, rank)
-over its rectangles, and every aggregate — peak concurrency, overlap
-queries, lifetime statistics, address-gap scans — is a vectorized reduction
-over those arrays rather than a per-rectangle Python loop, mirroring the
-:meth:`~repro.core.trace.MemoryTrace.columns` design of the trace itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from ..units import ns_to_ms
-from .events import BlockLifetime, MemoryCategory
+from .events import MemoryCategory
 from .trace import MemoryTrace
 
 
@@ -47,10 +37,6 @@ class GanttRectangle:
         """Lifetime duration (the rectangle's width)."""
         return self.end_ns - self.start_ns
 
-    def overlaps_time(self, other: "GanttRectangle") -> bool:
-        """Whether two lifetimes overlap in time (live-range overlap)."""
-        return self.start_ns < other.end_ns and other.start_ns < self.end_ns
-
     def to_dict(self) -> Dict[str, object]:
         """Serialize for figure-data export."""
         return {
@@ -67,21 +53,6 @@ class GanttRectangle:
         }
 
 
-@dataclass(frozen=True)
-class RectangleColumns:
-    """Column-oriented view of a chart's rectangles (parallel ``int64`` arrays)."""
-
-    start_ns: np.ndarray
-    end_ns: np.ndarray
-    size: np.ndarray
-    address: np.ndarray
-    iteration: np.ndarray
-    device_rank: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.start_ns.size)
-
-
 @dataclass
 class GanttChart:
     """The full set of lifetime rectangles plus iteration boundaries."""
@@ -92,74 +63,6 @@ class GanttChart:
 
     def __len__(self) -> int:
         return len(self.rectangles)
-
-    def columns(self) -> RectangleColumns:
-        """Columnar NumPy view of the rectangles (built lazily, cached)."""
-        cached = getattr(self, "_rectangle_columns", None)
-        if cached is not None and len(cached) == len(self.rectangles):
-            return cached
-        n = len(self.rectangles)
-        arrays = {name: np.empty(n, dtype=np.int64)
-                  for name in ("start_ns", "end_ns", "size", "address",
-                               "iteration", "device_rank")}
-        for i, rect in enumerate(self.rectangles):
-            arrays["start_ns"][i] = rect.start_ns
-            arrays["end_ns"][i] = rect.end_ns
-            arrays["size"][i] = rect.size
-            arrays["address"][i] = rect.address
-            arrays["iteration"][i] = rect.iteration
-            arrays["device_rank"][i] = rect.device_rank
-        columns = RectangleColumns(**arrays)
-        self._rectangle_columns = columns
-        return columns
-
-    def _select(self, mask: np.ndarray) -> List[GanttRectangle]:
-        """Materialize the rectangles selected by a boolean column mask."""
-        return [self.rectangles[int(i)] for i in np.flatnonzero(mask)]
-
-    def rectangles_in_iteration(self, iteration: int) -> List[GanttRectangle]:
-        """Rectangles whose lifetime started during ``iteration``."""
-        if not self.rectangles:
-            return []
-        return self._select(self.columns().iteration == iteration)
-
-    def rectangles_overlapping(self, start_ns: int, end_ns: int) -> List[GanttRectangle]:
-        """Rectangles alive at any point inside ``[start_ns, end_ns]``."""
-        if not self.rectangles:
-            return []
-        cols = self.columns()
-        return self._select((cols.start_ns < end_ns) & (start_ns < cols.end_ns))
-
-    def max_concurrent_bytes(self) -> int:
-        """Peak sum of sizes of simultaneously live rectangles.
-
-        Sweep-line over the start/end endpoints: at equal timestamps the
-        negative (free) deltas sort first, matching the historical
-        ``(time, delta)`` tuple sort.
-        """
-        if not self.rectangles:
-            return 0
-        cols = self.columns()
-        times = np.concatenate([cols.start_ns, cols.end_ns])
-        deltas = np.concatenate([cols.size, -cols.size])
-        order = np.lexsort((deltas, times))
-        live = np.cumsum(deltas[order])
-        return int(max(0, live.max()))
-
-    def lifetime_stats(self) -> Dict[str, float]:
-        """Mean / max lifetime duration and size over all rectangles."""
-        if not self.rectangles:
-            return {"count": 0, "mean_duration_ms": 0.0, "max_duration_ms": 0.0,
-                    "mean_size": 0.0, "max_size": 0.0}
-        cols = self.columns()
-        durations = cols.end_ns - cols.start_ns
-        return {
-            "count": len(self.rectangles),
-            "mean_duration_ms": ns_to_ms(float(durations.mean())),
-            "max_duration_ms": ns_to_ms(float(durations.max())),
-            "mean_size": float(cols.size.mean()),
-            "max_size": float(cols.size.max()),
-        }
 
 
 def build_gantt_chart(trace: MemoryTrace, max_iterations: Optional[int] = None) -> GanttChart:
@@ -198,28 +101,3 @@ def build_gantt_chart(trace: MemoryTrace, max_iterations: Optional[int] = None) 
         ))
     rectangles.sort(key=lambda rect: (rect.start_ns, rect.address))
     return GanttChart(rectangles=rectangles, iteration_bounds=bounds, end_ns=end_ns)
-
-
-def address_gaps(chart: GanttChart, at_time_ns: int) -> List[tuple]:
-    """Free gaps between live blocks along the address axis at ``at_time_ns``.
-
-    The paper reads fragmentation off the blank space between rectangles along
-    the y-axis; this returns ``(gap_start_address, gap_size)`` pairs between
-    consecutive live blocks, computed with one vectorized scan over the
-    chart's rectangle columns.
-    """
-    if not chart.rectangles:
-        return []
-    cols = chart.columns()
-    live = (cols.start_ns <= at_time_ns) & (at_time_ns < cols.end_ns)
-    addresses = cols.address[live]
-    sizes = cols.size[live]
-    order = np.argsort(addresses, kind="stable")
-    addresses, sizes = addresses[order], sizes[order]
-    if addresses.size < 2:
-        return []
-    gap_starts = addresses[:-1] + sizes[:-1]
-    gaps = addresses[1:] - gap_starts
-    positive = gaps > 0
-    return [(int(start), int(gap))
-            for start, gap in zip(gap_starts[positive], gaps[positive])]

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import difflib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .events import MemoryEvent
 from .trace import ACCESS_CODES, CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace
 
 Signature = Tuple[Tuple[str, int, str], ...]
@@ -140,19 +139,3 @@ def detect_iterative_pattern(trace: MemoryTrace, skip_warmup: int = 1,
         is_iterative=mean_seq >= similarity_threshold,
         steady_state_start=skip_warmup,
     )
-
-
-def iteration_durations_ns(trace: MemoryTrace) -> List[int]:
-    """Duration of each recorded iteration."""
-    return [mark.duration_ns() for mark in trace.iteration_marks if mark.end_ns is not None]
-
-
-def behaviors_per_iteration(trace: MemoryTrace) -> Dict[int, int]:
-    """Number of block-level behaviors attributed to each iteration."""
-    if trace.is_empty:
-        return {}
-    cols = trace.columns()
-    mask = cols.is_block_behavior & (cols.iteration >= 0)
-    iterations, counts = np.unique(cols.iteration[mask], return_counts=True)
-    return {int(iteration): int(count)
-            for iteration, count in zip(iterations, counts)}

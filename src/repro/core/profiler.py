@@ -24,11 +24,8 @@ from typing import Dict, List, Optional
 
 from ..device.device import Device
 from ..errors import TraceError
-from .ati import AccessInterval, AtiSummary, compute_access_intervals, summarize_intervals
+from .ati import AccessInterval, compute_access_intervals
 from .breakdown import OccupationBreakdown, occupation_breakdown
-from .gantt import GanttChart, build_gantt_chart
-from .outliers import OutlierReport, find_outliers
-from .patterns import PatternReport, detect_iterative_pattern
 from .recorder import TraceRecorder
 from .trace import MemoryTrace
 
@@ -89,22 +86,6 @@ class MemoryProfiler:
     def access_intervals(self, include_lifecycle: bool = False) -> List[AccessInterval]:
         """All access-time intervals of the recorded trace."""
         return compute_access_intervals(self.trace(), include_lifecycle=include_lifecycle)
-
-    def ati_summary(self) -> AtiSummary:
-        """Distribution summary of the recorded ATIs."""
-        return summarize_intervals(self.access_intervals())
-
-    def gantt_chart(self, max_iterations: Optional[int] = None) -> GanttChart:
-        """Gantt chart (Figure 2) of the recorded trace."""
-        return build_gantt_chart(self.trace(), max_iterations=max_iterations)
-
-    def pattern_report(self, skip_warmup: int = 1) -> PatternReport:
-        """Iterative-pattern report of the recorded trace."""
-        return detect_iterative_pattern(self.trace(), skip_warmup=skip_warmup)
-
-    def outlier_report(self, **kwargs) -> OutlierReport:
-        """Outlier behaviors (Figure 4) of the recorded trace."""
-        return find_outliers(self.access_intervals(), **kwargs)
 
     def breakdown(self, label: str = "") -> OccupationBreakdown:
         """Occupation breakdown (Figures 5-7) of the recorded trace."""

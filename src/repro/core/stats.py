@@ -1,15 +1,15 @@
-"""Distribution statistics used by the figures: CDFs, histograms and violin data.
+"""Distribution statistics used by the figures: CDFs and violin data.
 
 Figure 3a of the paper is an empirical CDF of the ATIs; Figure 3b is a violin
 plot (box-plot quartiles plus a kernel-density trace).  These helpers compute
-the underlying data so that benchmarks and examples can print the same
+the underlying data so that the CLI and the examples can print the same
 numbers the figures encode, without any plotting dependency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -21,26 +21,12 @@ class CdfResult:
     values: np.ndarray          # sorted sample values
     probabilities: np.ndarray   # cumulative probability at each value
 
-    def quantile(self, q: float) -> float:
-        """Value below which a fraction ``q`` of the samples fall."""
-        if self.values.size == 0:
-            return 0.0
-        return float(np.percentile(self.values, 100.0 * q))
-
     def fraction_below(self, threshold: float) -> float:
         """Fraction of samples at or below ``threshold``."""
         if self.values.size == 0:
             return 0.0
         return float(np.searchsorted(self.values, threshold, side="right") / self.values.size)
 
-    def sample_points(self, num_points: int = 50) -> List[Tuple[float, float]]:
-        """Evenly spaced ``(value, cumulative_probability)`` points for plotting."""
-        if self.values.size == 0:
-            return []
-        indices = np.linspace(0, self.values.size - 1,
-                              num=min(num_points, self.values.size)).astype(np.int64)
-        return list(zip(self.values[indices].astype(float).tolist(),
-                        self.probabilities[indices].astype(float).tolist()))
 
 
 def empirical_cdf(samples: Sequence[float]) -> CdfResult:
@@ -51,37 +37,6 @@ def empirical_cdf(samples: Sequence[float]) -> CdfResult:
     sorted_values = np.sort(array)
     probabilities = np.arange(1, sorted_values.size + 1) / sorted_values.size
     return CdfResult(values=sorted_values, probabilities=probabilities)
-
-
-@dataclass
-class Histogram:
-    """A fixed-bin histogram."""
-
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def total(self) -> int:
-        """Total number of samples."""
-        return int(self.counts.sum())
-
-    def densities(self) -> np.ndarray:
-        """Counts normalized to sum to one."""
-        total = self.total
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=np.float64)
-        return self.counts / total
-
-
-def histogram(samples: Sequence[float], bins: int = 50,
-              value_range: Optional[Tuple[float, float]] = None) -> Histogram:
-    """Histogram a sample set into ``bins`` equal-width bins."""
-    array = np.asarray(list(samples), dtype=np.float64)
-    if array.size == 0:
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        return Histogram(bin_edges=edges, counts=np.zeros(bins, dtype=np.int64))
-    counts, edges = np.histogram(array, bins=bins, range=value_range)
-    return Histogram(bin_edges=edges, counts=counts)
 
 
 @dataclass
@@ -152,15 +107,3 @@ def violin_stats(samples: Sequence[float], label: str = "",
         density_x=density_x,
         density_y=density_y,
     )
-
-
-def concentration_ratio(samples: Sequence[float], low: float, high: float) -> float:
-    """Fraction of samples falling inside ``[low, high]``.
-
-    The paper observes that most ATIs fall in the 10-25 us band; this helper
-    quantifies that concentration for arbitrary bands.
-    """
-    array = np.asarray(list(samples), dtype=np.float64)
-    if array.size == 0:
-        return 0.0
-    return float(np.mean((array >= low) & (array <= high)))

@@ -432,29 +432,12 @@ class MemoryTrace:
             return 0
         return max(self.end_ns, int(self._columns.timestamp_ns[-1])) - self.start_ns
 
-    def access_events(self) -> List[MemoryEvent]:
-        """Only read/write behaviors."""
-        return [event for event in self.events if event.kind.is_access]
-
-    def events_for_block(self, block_id: int) -> List[MemoryEvent]:
-        """All events of one device memory block, in time order."""
-        return [event for event in self.events if event.block_id == block_id]
-
     def block_ids(self) -> List[int]:
         """Identities of all blocks that appear in the trace (sorted)."""
         if self.is_empty:
             return []
         ids = self.columns().block_id
         return [int(b) for b in np.unique(ids[ids > 0])]
-
-    def events_by_block(self) -> Dict[int, List[MemoryEvent]]:
-        """Group block-level behaviors by block id (insertion-ordered within a block)."""
-        grouped: Dict[int, List[MemoryEvent]] = {}
-        for event in self.events:
-            if event.block_id <= 0 or not event.kind.is_block_behavior:
-                continue
-            grouped.setdefault(event.block_id, []).append(event)
-        return grouped
 
     def events_in_iteration(self, iteration: int) -> List[MemoryEvent]:
         """All events attributed to one training iteration."""
@@ -515,29 +498,12 @@ class MemoryTrace:
         """Indices of all iterations that have a recorded mark."""
         return sorted(mark.index for mark in self.iteration_marks)
 
-    def iteration_mark(self, index: int) -> Optional[IterationMark]:
-        """The mark of iteration ``index`` (None if absent)."""
-        for mark in self.iteration_marks:
-            if mark.index == index:
-                return mark
-        return None
-
     def counts_by_kind(self) -> Dict[str, int]:
         """Number of events of each kind."""
         if self.is_empty:
             return {}
         codes, counts = np.unique(self.columns().kind_code, return_counts=True)
         return {KIND_FROM_CODE[int(code)].value: int(count)
-                for code, count in zip(codes, counts)}
-
-    def counts_by_category(self) -> Dict[str, int]:
-        """Number of block-level behaviors per memory category."""
-        if self.is_empty:
-            return {}
-        cols = self.columns()
-        cats = cols.category_code[cols.is_block_behavior]
-        codes, counts = np.unique(cats, return_counts=True)
-        return {CATEGORY_FROM_CODE[int(code)].value: int(count)
                 for code, count in zip(codes, counts)}
 
     def live_bytes_series(self) -> "tuple[np.ndarray, np.ndarray]":
@@ -554,28 +520,6 @@ class MemoryTrace:
         if live.size == 0:
             return 0
         return int(live.max())
-
-    # -- swap-execution views (populated by repro.swap's engine) -----------------------
-
-    def swap_events(self) -> List[MemoryEvent]:
-        """Swap traffic (``swap_out``/``swap_in``) emitted by the execution engine."""
-        return [event for event in self.events if event.kind.is_swap]
-
-    def has_swap_events(self) -> bool:
-        """Whether the swap-execution engine ran during this trace."""
-        if self.is_empty:
-            return False
-        return bool(self.columns().is_swap.any())
-
-    def recompute_events(self) -> List[MemoryEvent]:
-        """Rematerialization traffic (``recompute_drop``/``recompute``)."""
-        return [event for event in self.events if event.kind.is_recompute]
-
-    def has_recompute_events(self) -> bool:
-        """Whether the engine executed any rematerialization during this trace."""
-        if self.is_empty:
-            return False
-        return bool(self.columns().is_rematerialization.any())
 
     def resident_bytes_series(self) -> "tuple[np.ndarray, np.ndarray]":
         """``(timestamps_ns, resident_bytes)`` after every residency-changing event.

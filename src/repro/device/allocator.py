@@ -200,10 +200,6 @@ class BaseAllocator:
             self.clock.tape.record_segment_overhead(self.spec.cuda_malloc_overhead_ns)
         self.clock.advance(self.spec.cuda_malloc_overhead_ns)
 
-    def set_listener(self, listener: MemoryEventListener) -> None:
-        """Replace the event listener (used when attaching a profiler)."""
-        self.listener = listener
-
     def segments(self) -> List[Segment]:
         """All currently reserved segments, in reservation order."""
         return list(self._segments)
@@ -221,11 +217,6 @@ class BaseAllocator:
     def reserved_bytes(self) -> int:
         """Bytes currently reserved from the device (segments)."""
         return self.stats.reserved_bytes
-
-    @property
-    def free_reserved_bytes(self) -> int:
-        """Reserved-but-unallocated bytes (the allocator's cache)."""
-        return self.stats.reserved_bytes - self.stats.allocated_bytes
 
     def device_free_bytes(self) -> int:
         """Device memory not yet reserved by any segment."""

@@ -38,16 +38,6 @@ class DeviceClock:
         """Current simulated time in nanoseconds."""
         return self._now_ns
 
-    @property
-    def now_us(self) -> float:
-        """Current simulated time in microseconds."""
-        return self._now_ns / 1_000
-
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_ns / 1_000_000_000
-
     def advance(self, delta_ns: int) -> int:
         """Advance the clock by ``delta_ns`` nanoseconds and return the new time.
 

@@ -180,8 +180,3 @@ class CountingListener(MemoryEventListener):
 
     def on_recompute(self, block: "Block", nbytes: int, op: str) -> None:
         self.recomputes += 1
-
-    @property
-    def total_behaviors(self) -> int:
-        """Total number of block-level behaviors observed."""
-        return self.mallocs + self.frees + self.reads + self.writes

@@ -38,7 +38,6 @@ from .sweep import (
     SweepResult,
     SweepRunner,
     run_scenario,
-    run_sweep,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "run_fig7",
     "run_scenario",
     "run_swap_planner",
-    "run_sweep",
     "run_timing_ablation",
     "small_mlp_config",
 ]

@@ -3,16 +3,14 @@
 The paper reports that the ATIs of most behaviors are concentrated in the
 10-25 us band and that 90% of behaviors have an ATI below 25 us.  This
 experiment computes the full CDF (Fig. 3a) and per-behavior-kind violin
-statistics (Fig. 3b) from the recorded MLP trace and quantifies the
-concentration.
+statistics (Fig. 3b) from the MLP scenario's trace (served by the sweep
+runner) and quantifies the concentration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ..core.ati import (
     AccessInterval,
@@ -24,26 +22,26 @@ from ..core.ati import (
     summarize_intervals,
 )
 from ..core.stats import CdfResult, ViolinStats, empirical_cdf, violin_stats
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..train.session import TrainingRunConfig
 from .configs import paper_mlp_config
+from .sweep import Scenario, SweepRunner
 
 
 @dataclass
 class Fig3Result:
     """Data behind Figure 3a (CDF) and Figure 3b (violin per behavior kind)."""
 
-    session: SessionResult
+    label: str
     intervals: List[AccessInterval]
     cdf: CdfResult
     violins: Dict[str, ViolinStats]
     summary_stats: AtiSummary
     fraction_below_25us: float
-    fraction_below_p90_value: float
 
     def summary(self) -> Dict[str, object]:
         """Compact summary recorded in EXPERIMENTS.md."""
         return {
-            "workload": self.session.label,
+            "workload": self.label,
             "num_intervals": len(self.intervals),
             "ati": self.summary_stats.to_dict(),
             "fraction_below_25us": self.fraction_below_25us,
@@ -54,24 +52,18 @@ class Fig3Result:
 
 
 def run_fig3(config: Optional[TrainingRunConfig] = None,
-             session: Optional[SessionResult] = None) -> Fig3Result:
-    """Run the Figure-3 experiment (reuses an existing session when provided)."""
-    if session is None:
-        config = config if config is not None else paper_mlp_config()
-        session = run_training_session(config)
-    intervals = compute_access_intervals(session.trace)
-    values_us = interval_values_us(intervals)
-    cdf = empirical_cdf(values_us)
+             runner: Optional[SweepRunner] = None) -> Fig3Result:
+    """Run the Figure-3 experiment on the trace ``runner`` serves for ``config``."""
+    runner = runner if runner is not None else SweepRunner()
+    scenario = Scenario(config if config is not None else paper_mlp_config())
+    intervals = compute_access_intervals(runner.trace(scenario))
     grouped = intervals_by_kind(intervals)
-    violins = {kind: violin_stats([i.interval_us for i in group], label=kind)
-               for kind, group in sorted(grouped.items())}
-    summary_stats = summarize_intervals(intervals)
     return Fig3Result(
-        session=session,
+        label=scenario.label,
         intervals=intervals,
-        cdf=cdf,
-        violins=violins,
-        summary_stats=summary_stats,
+        cdf=empirical_cdf(interval_values_us(intervals)),
+        violins={kind: violin_stats([i.interval_us for i in group], label=kind)
+                 for kind, group in sorted(grouped.items())},
+        summary_stats=summarize_intervals(intervals),
         fraction_below_25us=fraction_below(intervals, 25.0),
-        fraction_below_p90_value=0.9,
     )

@@ -15,16 +15,17 @@ from typing import Dict, List, Optional
 from ..core.ati import AccessInterval, compute_access_intervals
 from ..core.outliers import OutlierReport, find_outliers, pairwise_ati_size, top_swap_candidates
 from ..core.swap import BandwidthConfig, max_swap_bytes
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..train.session import TrainingRunConfig
 from ..units import GB
 from .configs import paper_mlp_config
+from .sweep import Scenario, SweepRunner
 
 
 @dataclass
 class Fig4Result:
     """The Figure-4 series plus the outlier report and their Eq.-1 swap bounds."""
 
-    session: SessionResult
+    label: str
     intervals: List[AccessInterval]
     pairwise: List[Dict[str, object]]
     outliers: OutlierReport
@@ -42,7 +43,7 @@ class Fig4Result:
         """Compact summary recorded in EXPERIMENTS.md."""
         largest = self.outliers.largest
         return {
-            "workload": self.session.label,
+            "workload": self.label,
             "num_behaviors": len(self.intervals),
             "num_outliers": self.outliers.count,
             "outlier_fraction": self.outliers.fraction,
@@ -53,16 +54,15 @@ class Fig4Result:
 
 
 def run_fig4(config: Optional[TrainingRunConfig] = None,
-             session: Optional[SessionResult] = None,
-             bandwidths: Optional[BandwidthConfig] = None) -> Fig4Result:
-    """Run the Figure-4 experiment (reuses an existing session when provided)."""
-    if session is None:
-        config = config if config is not None else paper_mlp_config()
-        session = run_training_session(config)
+             bandwidths: Optional[BandwidthConfig] = None,
+             runner: Optional[SweepRunner] = None) -> Fig4Result:
+    """Run the Figure-4 experiment on the trace ``runner`` serves for ``config``."""
+    runner = runner if runner is not None else SweepRunner()
+    scenario = Scenario(config if config is not None else paper_mlp_config())
     bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
-    intervals = compute_access_intervals(session.trace)
+    intervals = compute_access_intervals(runner.trace(scenario))
     return Fig4Result(
-        session=session,
+        label=scenario.label,
         intervals=intervals,
         pairwise=pairwise_ati_size(intervals),
         outliers=find_outliers(intervals),

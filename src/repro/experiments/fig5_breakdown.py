@@ -13,10 +13,10 @@ parallelism with ``repro sweep``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.breakdown import OccupationBreakdown
+from ..core.breakdown import BreakdownSeries, OccupationBreakdown
 from ..train.session import TrainingRunConfig
 from .configs import breakdown_config
 from .sweep import Scenario, SweepRunner
@@ -44,16 +44,22 @@ DEFAULT_FIG5_WORKLOADS: Tuple[Tuple[str, str, str, int, int], ...] = (
 class Fig5Result:
     """Per-model breakdowns for the "typical DNNs" figure."""
 
-    breakdowns: List[OccupationBreakdown] = field(default_factory=list)
+    #: One entry per workload, keyed by the workload's label.
+    series: BreakdownSeries
+
+    @property
+    def breakdowns(self) -> List[OccupationBreakdown]:
+        """The per-model breakdowns, in workload order."""
+        return [breakdown for _, breakdown in self.series.entries]
 
     def rows(self) -> List[Dict[str, object]]:
         """One report row per model: total footprint and per-bucket fractions."""
-        return [dict(label=b.label, total_bytes=b.total_bytes, **b.fractions())
-                for b in self.breakdowns]
+        return self.series.fractions_table()
 
     def parameters_always_minor(self, threshold: float = 0.5) -> bool:
         """The paper's claim: parameters are a small fraction for every model."""
-        return all(b.fraction("parameters") <= threshold for b in self.breakdowns)
+        return all(fraction <= threshold
+                   for fraction in self.series.trend("parameters"))
 
     def intermediates_dominant_count(self) -> int:
         """How many models have intermediate results as the largest bucket."""
@@ -63,15 +69,6 @@ class Fig5Result:
             if max(fractions, key=fractions.get) == "intermediate results":
                 count += 1
         return count
-
-    def summary(self) -> Dict[str, object]:
-        """Compact summary recorded in EXPERIMENTS.md."""
-        return {
-            "num_models": len(self.breakdowns),
-            "parameters_always_minor": self.parameters_always_minor(),
-            "intermediates_dominant_count": self.intermediates_dominant_count(),
-            "rows": self.rows(),
-        }
 
 
 def fig5_config(label: str, model: str, dataset: str, batch_size: int,
@@ -108,6 +105,10 @@ def run_fig5(workloads: Optional[Sequence[Tuple[str, str, str, int, int]]] = Non
     ``runner`` (defaulting to a serial, uncached :class:`SweepRunner`)
     controls caching and parallelism.
     """
+    workloads = workloads if workloads is not None else DEFAULT_FIG5_WORKLOADS
     runner = runner if runner is not None else SweepRunner()
     sweep = runner.run(fig5_scenarios(workloads, num_classes_override))
-    return Fig5Result(breakdowns=[result.occupation() for result in sweep.results])
+    series = BreakdownSeries(parameter_name="label")
+    for (label, *_), result in zip(workloads, sweep.results):
+        series.add(label, result.occupation())
+    return Fig5Result(series=series)

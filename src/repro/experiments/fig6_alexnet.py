@@ -45,17 +45,6 @@ class Fig6Result:
         """The paper's claim: the parameter share weakens with batch size."""
         return self.series.is_monotonic_decreasing("parameters")
 
-    def summary(self) -> Dict[str, object]:
-        """Compact summary recorded in EXPERIMENTS.md."""
-        return {
-            "model": self.model,
-            "dataset": self.dataset,
-            "input_size": self.input_size,
-            "intermediates_grow_with_batch": self.intermediates_grow_with_batch(),
-            "parameters_shrink_with_batch": self.parameters_shrink_with_batch(),
-            "rows": self.rows(),
-        }
-
 
 def fig6_scenarios(batch_sizes: Sequence[int] = DEFAULT_FIG6_BATCH_SIZES,
                    model: str = "alexnet", dataset: str = "cifar100",

@@ -52,18 +52,6 @@ class Fig7Result:
         totals = [breakdown.total_bytes for _, breakdown in self.series.entries]
         return all(b >= a for a, b in zip(totals, totals[1:]))
 
-    def summary(self) -> Dict[str, object]:
-        """Compact summary recorded in EXPERIMENTS.md."""
-        return {
-            "batch_size": self.batch_size,
-            "dataset": self.dataset,
-            "input_size": self.input_size,
-            "intermediates_dominant_everywhere": self.intermediates_dominant_everywhere(),
-            "parameters_always_minor": self.parameters_always_minor(),
-            "total_footprint_grows_with_depth": self.total_footprint_grows_with_depth(),
-            "rows": self.rows(),
-        }
-
 
 def fig7_scenarios(depths: Sequence[str] = DEFAULT_FIG7_DEPTHS,
                    batch_size: int = DEFAULT_FIG7_BATCH_SIZE,

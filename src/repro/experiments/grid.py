@@ -90,6 +90,11 @@ class Scenario:
     #: fresh symbolic run, so both share one cache entry.
     via_replay: bool = False
 
+    @property
+    def label(self) -> str:
+        """Label for reports (falls back to the config description)."""
+        return self.config.label or self.config.describe()
+
     def resolve_bandwidths(self,
                            bandwidths: Optional[BandwidthConfig] = None) -> BandwidthConfig:
         """The Eq.-1 bandwidths this scenario is evaluated under.

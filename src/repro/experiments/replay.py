@@ -10,12 +10,12 @@ multiply different constants into the same event stream.
 
 This module splits the two:
 
-* :func:`compile_template` runs the simulation **once** per structure with a
-  :class:`~repro.device.tape.TimingTape` attached to every replica clock,
-  and captures a :class:`TraceTemplate`: the columnar event log, the timing
-  atoms behind every clock advance, the event→atom correspondence, iteration
-  spans, and the structural scalars (peaks, parameter bytes, allocator
-  counters).  Block lifetimes are not captured: a rebuilt trace derives them
+* :meth:`TemplateFamily.capture` runs the simulation **once** per structure
+  with a :class:`~repro.device.tape.TimingTape` attached to every replica
+  clock, and captures a :class:`TraceTemplate`: the columnar event log, the
+  timing atoms behind every clock advance, the event→atom correspondence,
+  iteration spans, and the structural scalars (peaks, parameter bytes,
+  allocator counters).  Block lifetimes are not captured: a rebuilt trace derives them
   from its re-timed event columns like any other trace.
 * :meth:`TraceTemplate.replay_batch` re-derives every timestamp for a grid
   of *different* pricing points as a handful of vectorized NumPy transforms
@@ -25,7 +25,7 @@ This module splits the two:
   :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
   produce.  No kernels run, no allocator decisions are replayed;
   ``tests/test_replay_equivalence.py`` pins bit-identical equality against
-  fresh symbolic runs.  :meth:`TraceTemplate.replay` is a batch of one.
+  fresh symbolic runs.
 * :class:`ReplayEngine` memoizes templates (in memory, and optionally as
   content-hashed ``.npz`` files next to the sweep cache) and prices
   scenarios on demand; :class:`~repro.experiments.sweep.SweepRunner` routes
@@ -159,9 +159,9 @@ class TemplateError(Exception):
     """A capture cannot be turned into (or served as) a replayable template.
 
     ``reason`` is a stable machine-readable code (``swap_execution``,
-    ``host_latency``, ``eager_mode``, ``capture_inconsistent``,
-    ``capacity_mismatch``, ``compile_failed``) surfaced by the sweep CLI so
-    fallbacks to fresh simulation are explained, not silent.
+    ``eager_mode``, ``capture_inconsistent``, ``capacity_mismatch``,
+    ``compile_failed``) surfaced by the sweep CLI so fallbacks to fresh
+    simulation are explained, not silent.
     """
 
     def __init__(self, message: str, reason: str = "not_replayable"):
@@ -175,10 +175,13 @@ class TemplateError(Exception):
 def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     """Canonical JSON-friendly *structural* identity of a training config.
 
-    Everything that shapes the event stream stays; the pricing axes
-    (:data:`PRICING_FIELDS`) are dropped, and so are the generalized axes
-    (:data:`GENERALIZED_FIELDS` — served by per-value variants within one
-    :class:`TemplateFamily`).
+    Everything that shapes the event stream stays — the host-latency model
+    included: its pause is a constant atom on the tape, so each model is its
+    own structure.  The pricing axes (:data:`PRICING_FIELDS`) are dropped,
+    and so are the generalized axes (:data:`GENERALIZED_FIELDS` — served by
+    per-value variants within one :class:`TemplateFamily`).  An absent model
+    leaves no entry, which keeps the keys of latency-free configs (and the
+    template stores written under them) what they were.
     """
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
@@ -186,7 +189,8 @@ def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     structural = config.to_dict()
     for name in PRICING_FIELDS + GENERALIZED_FIELDS:
         structural.pop(name, None)
-    structural.pop("host_latency", None)
+    if structural["host_latency"] is None:
+        del structural["host_latency"]
     return {"template_schema": TEMPLATE_SCHEMA_VERSION, "config": structural}
 
 
@@ -703,16 +707,6 @@ class TraceTemplate:
 
     # -- replay -----------------------------------------------------------------------
 
-    def replay(self, scenario, bandwidths: BandwidthConfig,
-               started: float):
-        """Price one scenario from this template (a batch of one).
-
-        Exactness contract: every field except ``wall_time_s`` equals what
-        :func:`~repro.experiments.sweep.run_scenario` produces for the same
-        scenario, bit for bit.
-        """
-        return self.replay_batch([scenario], [bandwidths], started)[0]
-
     def replay_batch(self, scenarios: Sequence[object],
                      bandwidths_list: Sequence[BandwidthConfig],
                      started: Optional[float] = None,
@@ -788,8 +782,7 @@ class TraceTemplate:
                    - times[:, merged.span_begin].min(axis=1)).tolist()
 
         for j, i in enumerate(rows):
-            config = scenarios[i].config
-            label = config.label or config.describe()
+            label = scenarios[i].label
             if n_ranks > 1:
                 order = life_order[j]
                 breakdown = occupation_from_columns(
@@ -853,7 +846,9 @@ class TraceTemplate:
         return merge_rank_traces(rank_traces)
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
-        """Rebuild the merged trace under ``config``'s pricing (test helper)."""
+        """The merged trace a fresh run of ``config`` records, bit for bit:
+        the captured structure under ``config``'s pricing (callers check
+        :meth:`valid_for` first)."""
         times, _, clusters = self._price_times([config])
         return self._rebuild_trace(config, clusters[0].device,
                                    self._rank_times(times[0]))
@@ -867,9 +862,6 @@ def check_replay_envelope(config: TrainingRunConfig) -> None:
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
                             reason="swap_execution")
-    if config.host_latency is not None:
-        raise TemplateError("host-latency models are not replayable",
-                            reason="host_latency")
     if config.execution_mode != "symbolic":
         raise TemplateError("only symbolic runs can be captured",
                             reason="eager_mode")
@@ -879,10 +871,9 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     """Run the simulation once and capture its structure as a template.
 
     Raises a reason-coded :class:`TemplateError` when the configuration is
-    outside the replay envelope (swap execution on, a host-latency model
-    attached, eager numerics) or when the capture turns out not to be
-    replayable (a timing atom the tape could not attribute, ranks
-    disagreeing on the collective sequence).
+    outside the replay envelope (swap execution on, eager numerics) or when
+    the capture turns out not to be replayable (a timing atom the tape could
+    not attribute, ranks disagreeing on the collective sequence).
     """
     check_replay_envelope(config)
     key = template_key(config)
@@ -928,18 +919,6 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
                             for stats in session.iteration_stats],
     }
     return TraceTemplate(key, meta, ranks)
-
-
-def compile_template(config: TrainingRunConfig) -> Optional[TraceTemplate]:
-    """Capture ``config``'s structure; ``None`` when it is not replayable.
-
-    Thin ``None``-on-failure wrapper over :func:`_compile_template_checked`
-    for callers that do not need the failure reason.
-    """
-    try:
-        return _compile_template_checked(config)
-    except TemplateError:
-        return None
 
 
 # -- dtype-generalized families -------------------------------------------------------
@@ -1144,12 +1123,13 @@ def _freeze(value):
     return value
 
 
-# The grouping token's fields: every config field that is not a pricing axis
-# (``host_latency`` only as "is None": a model attached is outside the replay
-# envelope whatever its parameters).
+# The grouping token's fields: every config field that is not a pricing axis.
+# The ones that may hold a dict (the kwargs, and the one optional field: a
+# latency model given in its plain-dict form) are frozen to stay hashable.
 _TOKEN_FIELDS = [f for f in fields(TrainingRunConfig)
-                 if f.name not in PRICING_FIELDS + ("host_latency",)]
-_TOKEN_DICTS = tuple(f.name for f in _TOKEN_FIELDS if f.default_factory is dict)
+                 if f.name not in PRICING_FIELDS]
+_TOKEN_DICTS = tuple(f.name for f in _TOKEN_FIELDS
+                     if f.default_factory is dict or f.default is None)
 _TOKEN_SCALARS = attrgetter(*(f.name for f in _TOKEN_FIELDS
                               if f.name not in _TOKEN_DICTS))
 
@@ -1241,8 +1221,7 @@ class ReplayEngine:
         a new field splits groups unless it is declared a pricing axis.
         """
         return (_TOKEN_SCALARS(config),
-                tuple(_freeze(getattr(config, name)) for name in _TOKEN_DICTS),
-                config.host_latency is None)
+                tuple(_freeze(getattr(config, name)) for name in _TOKEN_DICTS))
 
     def price_batch(self, scenarios: Sequence,
                     bandwidths_list: Sequence[BandwidthConfig],
@@ -1292,7 +1271,3 @@ class ReplayEngine:
                 results[i] = result
             self.replayed += len(eligible)
         return results
-
-    def price(self, scenario, bandwidths: BandwidthConfig):
-        """Replay-price one sweep scenario; ``None`` means "simulate it fresh"."""
-        return self.price_batch([scenario], [bandwidths])[0]

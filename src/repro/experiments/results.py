@@ -221,13 +221,11 @@ def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
     the reference the tests diff the columnar replay reduction against.
     """
     arrays = compute_interval_arrays(trace)
-    config = scenario.config
     return assemble_result(
         scenario, key if key is not None else scenario.key(bandwidths), structure,
         ati=summarize_values_us(arrays.interval_us),
         swappable=swappable_fraction(arrays, bandwidths),
-        breakdown=occupation_breakdown(
-            trace, label=config.label or config.describe()).to_dict(),
+        breakdown=occupation_breakdown(trace, label=scenario.label).to_dict(),
         step_durations_ns=step_durations_ns,
         swap=_swap_policy_summary(scenario, trace, bandwidths),
         collective=collective, swap_execution=swap_execution, started=started)

@@ -12,20 +12,21 @@ largest tensors regardless of timing) and a ZeRO-Offload-style policy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core.ati import AccessInterval, compute_access_intervals
+from ..core.ati import compute_access_intervals
 from ..core.swap import BandwidthConfig, SwapPlan, SwapPlanner
 from ..swap.policies import PolicySummary, get_policy
-from ..train.session import SessionResult, TrainingRunConfig, run_training_session
+from ..train.session import TrainingRunConfig
 from .configs import paper_mlp_config
+from .sweep import Scenario, SweepRunner
 
 
 @dataclass
 class SwapPlannerResult:
     """The planner's plan plus the two reference policies on the same trace."""
 
-    session: SessionResult
+    label: str
     plan: SwapPlan
     swap_advisor_baseline: PolicySummary
     zero_offload_baseline: PolicySummary
@@ -33,7 +34,7 @@ class SwapPlannerResult:
     def summary(self) -> Dict[str, object]:
         """Compact summary recorded in EXPERIMENTS.md."""
         return {
-            "workload": self.session.label,
+            "workload": self.label,
             "planner": self.plan.summary(),
             "swap_advisor_style": self.swap_advisor_baseline,
             "zero_offload_style": self.zero_offload_baseline,
@@ -41,20 +42,18 @@ class SwapPlannerResult:
 
 
 def run_swap_planner(config: Optional[TrainingRunConfig] = None,
-                     session: Optional[SessionResult] = None,
                      bandwidths: Optional[BandwidthConfig] = None,
-                     allow_overhead_ns: float = 0.0) -> SwapPlannerResult:
+                     allow_overhead_ns: float = 0.0,
+                     runner: Optional[SweepRunner] = None) -> SwapPlannerResult:
     """Plan swapping on the MLP trace and evaluate the reference policies."""
-    if session is None:
-        config = config if config is not None else paper_mlp_config()
-        session = run_training_session(config)
+    runner = runner if runner is not None else SweepRunner()
+    scenario = Scenario(config if config is not None else paper_mlp_config())
     bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
-    intervals = compute_access_intervals(session.trace)
+    trace = runner.trace(scenario)
     planner = SwapPlanner(bandwidths=bandwidths, allow_overhead_ns=allow_overhead_ns)
-    plan = planner.plan(session.trace, intervals)
     return SwapPlannerResult(
-        session=session,
-        plan=plan,
-        swap_advisor_baseline=get_policy("swap_advisor").evaluate(session.trace, bandwidths),
-        zero_offload_baseline=get_policy("zero_offload").evaluate(session.trace, bandwidths),
+        label=scenario.label,
+        plan=planner.plan(trace, compute_access_intervals(trace)),
+        swap_advisor_baseline=get_policy("swap_advisor").evaluate(trace, bandwidths),
+        zero_offload_baseline=get_policy("zero_offload").evaluate(trace, bandwidths),
     )

@@ -19,17 +19,17 @@ makes that a first-class operation, one module per job:
 * this module — :class:`SweepRunner` runs many scenarios over a
   content-addressed on-disk cache (a repeat sweep is served from JSON files
   in milliseconds) in four phases with a retry loop around the execution
-  rounds, and :class:`SweepResult` aggregates the scenario results into a
-  tidy summary table and into the
-  :class:`~repro.core.breakdown.BreakdownSeries` the figure experiments
-  consume.
+  rounds, and serves a scenario's merged trace (:meth:`SweepRunner.trace`)
+  to the figure experiments that read a trace rather than a result;
+  :class:`SweepResult` aggregates the scenario results into a tidy summary
+  table.
 
 Every public name of the four modules above is re-exported here, so
 ``repro.experiments.sweep`` remains the one import site.  The figure
-experiments (``fig6_alexnet``, ``fig7_resnet``), the ablations and the report
-generator (``repro report``) are thin wrappers over this engine, so
-``repro sweep`` on the command line, the benchmarks and the tests all share
-one execution path.
+experiments (``fig2`` … ``fig7``, the swap planner), the ablations and the
+report generator (``repro report``) are thin wrappers over this engine, so
+``repro sweep`` on the command line, the figures and the tests all share one
+execution path.
 
 Cache layout
 ------------
@@ -51,8 +51,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..core.breakdown import BreakdownSeries
 from ..core.swap import BandwidthConfig
+from ..core.trace import MemoryTrace
 from ..errors import ReproError
 from ..train.session import run_training_session
 from .artifacts import ArtifactStore
@@ -71,7 +71,7 @@ __all__ = [
     "RESULT_SCHEMA_VERSION", "SWAP_EXECUTION_MODES", "SWAP_POLICIES", "Scenario",
     "ScenarioResult", "SweepGrid", "SweepResult", "SweepRunner", "TRANSIENT",
     "assemble_result", "classify_failure", "default_cache_dir", "reduce_session",
-    "reduce_trace", "run_scenario", "run_sweep", "scenario_identity",
+    "reduce_trace", "run_scenario", "scenario_identity",
     # Bound here for the benchmark harness, which checks that every module
     # importing the function by name is patched and restored with it.
     "run_training_session",
@@ -149,22 +149,6 @@ class SweepResult:
                     "swap_stall_ms"]
             columns = [c for c in columns if c in rows[0]]
         return render_table(rows, columns=columns)
-
-    def filter(self, **scenario_fields) -> List[ScenarioResult]:
-        """Scenario results whose identifying fields match every given value."""
-        return [result for result in self.results
-                if all(result.scenario.get(k) == v for k, v in scenario_fields.items())]
-
-    def breakdown_series(self, parameter: str) -> BreakdownSeries:
-        """Build the figure-style series keyed on one scenario dimension."""
-        series = BreakdownSeries(parameter_name=parameter)
-        for result in self.results:
-            series.add(result.scenario.get(parameter), result.occupation())
-        return series
-
-    def total_simulated_time_s(self) -> float:
-        """Sum of the simulated training time across scenarios."""
-        return float(sum(result.step_time_s_total for result in self.results))
 
 
 def _parse_cache_entry(data: Dict[str, object]) -> Optional[ScenarioResult]:
@@ -370,6 +354,22 @@ class SweepRunner:
             self._replay_engine = ReplayEngine(store=self._template_store())
         return self._replay_engine
 
+    def trace(self, scenario: Scenario) -> MemoryTrace:
+        """The merged trace a fresh run of ``scenario`` records, bit for bit.
+
+        Inside the replay envelope (symbolic, swap engine off — whatever
+        ``via_replay`` says) the trace is rebuilt from the runner's template:
+        memoized, else loaded from the store beside the cache, else compiled
+        once and published there.  Outside it — or when the template declines
+        the config (capacity, failed capture) — the scenario is simulated.
+        In-process and strict: an error raises.
+        """
+        config = scenario.config
+        template = self._ensure_replay_engine().template_for(config)
+        if template is not None and template.valid_for(config):
+            return template.replay_trace(config)
+        return run_training_session(config).trace
+
     # -- execution --------------------------------------------------------------------
 
     def run(self, grid_or_scenarios: Union[SweepGrid, Sequence[Scenario]]) -> SweepResult:
@@ -564,16 +564,3 @@ class SweepRunner:
         if state.journal is not None:
             state.journal.record_completed(state.keys[index],
                                            state.attempts[index])
-
-
-def run_sweep(grid: SweepGrid, cache_dir: Optional[Union[str, Path]] = None,
-              workers: int = 1, use_cache: bool = True) -> SweepResult:
-    """Convenience wrapper: expand ``grid`` and run it with a :class:`SweepRunner`.
-
-    The runner (and its worker pool, if one was spawned) is shut down before
-    returning; hold a :class:`SweepRunner` yourself to reuse workers across
-    several sweeps.
-    """
-    with SweepRunner(cache_dir=cache_dir, workers=workers,
-                     use_cache=use_cache) as runner:
-        return runner.run(grid)

@@ -22,11 +22,11 @@ from ..core.swap import BandwidthConfig, max_swap_bytes
 from ..experiments.ablations import run_allocator_ablation, run_timing_ablation
 from ..experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
 from ..experiments.eq1_swap import PAPER_EXPECTED_SWAP_BYTES, PAPER_OPERATING_POINTS_US
-from ..experiments.fig6_alexnet import DEFAULT_FIG6_BATCH_SIZES, fig6_scenarios
-from ..experiments.fig7_resnet import DEFAULT_FIG7_DEPTHS, fig7_scenarios
-from ..experiments.fig5_breakdown import DEFAULT_FIG5_WORKLOADS, fig5_scenarios
+from ..experiments.fig2_gantt import run_fig2
+from ..experiments.fig5_breakdown import DEFAULT_FIG5_WORKLOADS, run_fig5
+from ..experiments.fig6_alexnet import DEFAULT_FIG6_BATCH_SIZES, run_fig6
+from ..experiments.fig7_resnet import DEFAULT_FIG7_DEPTHS, run_fig7
 from ..experiments.sweep import Scenario, ScenarioResult, SweepGrid, SweepRunner
-from ..core.breakdown import BreakdownSeries
 from ..units import GB, GIB, KB, MIB, us_to_ns
 from ..viz import render_stacked_bars, render_svg_bars, render_svg_stacked_bars
 from .markdown import (
@@ -201,7 +201,9 @@ def _workload_metric_rows(result: ScenarioResult) -> List[Dict[str, object]]:
 
 def build_fig2(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
     """Figure 2 — the block-lifetime Gantt chart of the MLP workload."""
-    result = runner.run([_paper_mlp_scenario(profile)]).results[0]
+    scenario = _paper_mlp_scenario(profile)
+    result = runner.run([scenario]).results[0]
+    fig2 = run_fig2(scenario.config, runner=runner)
     page = FigurePage(
         slug="fig2_gantt", fig_id="fig2",
         title="Figure 2 - Memory-behavior Gantt chart (paper MLP)",
@@ -210,9 +212,9 @@ def build_fig2(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
         reproduce="PYTHONPATH=src python -m repro figure fig2",
         checks=[
             ("the trace repeats one iterative allocation pattern per training step",
-             result.num_events > 0 and int(result.scenario["iterations"]) > 1),
+             fig2.patterns.is_iterative),
             ("long-lived parameter blocks coexist with short-lived activations",
-             result.num_blocks > 1),
+             fig2.lifetimes_span_and_nest()),
         ],
     )
     intro = ("The paper's first observation is *what the trace looks like*: "
@@ -295,10 +297,11 @@ def build_fig4(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
     return _page(page, intro, markdown_table(rows, columns=["metric", "value"]))
 
 
-def _breakdown_page(page: FigurePage, series: BreakdownSeries, label_key: str,
-                    intro: str, svg_name: str, svg_title: str) -> FigurePage:
-    """Shared rendering for the three breakdown figures (5, 6, 7)."""
-    rows = series.fractions_table()
+def _breakdown_page(page: FigurePage, rows: List[Dict[str, object]],
+                    label_key: str, intro: str, svg_name: str,
+                    svg_title: str) -> FigurePage:
+    """Shared rendering for the three breakdown figures (5, 6, 7), from the
+    experiment's ``rows()`` (label, total bytes, bucket fractions)."""
     table_rows = []
     for row in rows:
         table_row = {label_key: row[label_key],
@@ -319,26 +322,19 @@ def _breakdown_page(page: FigurePage, series: BreakdownSeries, label_key: str,
 
 def build_fig5(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
     """Figure 5 — occupation breakdown of typical DNNs."""
-    sweep = runner.run(fig5_scenarios(profile.fig5_workloads))
-    series = BreakdownSeries(parameter_name="label")
-    for (label, *_), result in zip(profile.fig5_workloads, sweep.results):
-        series.add(label, result.occupation())
-    parameters_minor = all(b.fraction("parameters") <= 0.5
-                           for _, b in series.entries)
-    dominant = sum(1 for _, b in series.entries
-                   if max(b.fractions(), key=b.fractions().get)
-                   == "intermediate results")
+    fig5 = run_fig5(profile.fig5_workloads, runner=runner)
+    dominant = fig5.intermediates_dominant_count()
     page = FigurePage(
         slug="fig5_breakdown", fig_id="fig5",
         title="Figure 5 - Occupation breakdown of typical DNNs",
         finding=(f"intermediate results are the largest bucket for "
-                 f"{dominant}/{len(series.entries)} models"),
+                 f"{dominant}/{len(profile.fig5_workloads)} models"),
         reproduce="PYTHONPATH=src python -m repro figure fig5",
         checks=[
             ("parameters are a minor fraction of the footprint for every model",
-             parameters_minor),
+             fig5.parameters_always_minor()),
             ("intermediate results dominate for most models",
-             dominant >= len(series.entries) / 2),
+             dominant >= len(profile.fig5_workloads) / 2),
         ],
     )
     intro = ("The paper splits the bytes live at peak occupancy into three "
@@ -347,25 +343,20 @@ def build_fig5(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
              "quantization can shrink - are consistently small, which is the "
              "basis of the paper's argument that training-time memory "
              "pressure must be attacked through the intermediate results.")
-    return _breakdown_page(page, series, "label", intro, "fig5_breakdown.svg",
+    return _breakdown_page(page, fig5.rows(), "label", intro, "fig5_breakdown.svg",
                            "Occupation breakdown at peak (per model)")
 
 
 def build_fig6(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
     """Figure 6 — AlexNet breakdown versus batch size."""
-    scenarios = fig6_scenarios(profile.fig6_batch_sizes)
-    sweep = runner.run(scenarios)
-    series = BreakdownSeries(parameter_name="batch_size")
-    for batch_size, result in zip(profile.fig6_batch_sizes, sweep.results):
-        series.add(batch_size, result.occupation())
-    grows = series.is_monotonic_increasing("intermediate results")
-    shrinks = series.is_monotonic_decreasing("parameters")
+    fig6 = run_fig6(profile.fig6_batch_sizes, runner=runner)
+    intermediate_share = fig6.series.trend("intermediate results")
     page = FigurePage(
         slug="fig6_alexnet", fig_id="fig6",
         title="Figure 6 - AlexNet breakdown vs batch size (CIFAR-100)",
         finding=(f"intermediate share rises from "
-                 f"{series.trend('intermediate results')[0]:.2f} to "
-                 f"{series.trend('intermediate results')[-1]:.2f} across "
+                 f"{intermediate_share[0]:.2f} to "
+                 f"{intermediate_share[-1]:.2f} across "
                  f"batch {profile.fig6_batch_sizes[0]} to "
                  f"{profile.fig6_batch_sizes[-1]}"),
         reproduce=("PYTHONPATH=src python -m repro sweep --models alexnet "
@@ -373,27 +364,23 @@ def build_fig6(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
                    + ",".join(str(b) for b in profile.fig6_batch_sizes)
                    + " --dataset cifar100 --input-size 32 --num-classes 100"),
         checks=[
-            ("the intermediate-results share grows with the batch size", grows),
-            ("the parameter share shrinks with the batch size", shrinks),
+            ("the intermediate-results share grows with the batch size",
+             fig6.intermediates_grow_with_batch()),
+            ("the parameter share shrinks with the batch size",
+             fig6.parameters_shrink_with_batch()),
         ],
     )
     intro = ("Sweeping the batch size for AlexNet on CIFAR-100-shaped data: "
              "intermediate results gradually dominate the footprint while the "
              "(constant-size) parameters lose relative weight.")
-    return _breakdown_page(page, series, "batch_size", intro, "fig6_alexnet.svg",
+    return _breakdown_page(page, fig6.rows(), "batch_size", intro, "fig6_alexnet.svg",
                            "AlexNet: breakdown vs batch size")
 
 
 def build_fig7(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
     """Figure 7 — ResNet breakdown versus depth."""
-    scenarios = fig7_scenarios(profile.fig7_depths, batch_size=profile.fig7_batch_size)
-    sweep = runner.run(scenarios)
-    series = BreakdownSeries(parameter_name="depth")
-    for depth, result in zip(profile.fig7_depths, sweep.results):
-        series.add(depth, result.occupation())
-    dominant = all(fraction >= 0.5
-                   for fraction in series.trend("intermediate results"))
-    minor = all(fraction <= 0.5 for fraction in series.trend("parameters"))
+    fig7 = run_fig7(profile.fig7_depths, batch_size=profile.fig7_batch_size,
+                    runner=runner)
     page = FigurePage(
         slug="fig7_resnet", fig_id="fig7",
         title=(f"Figure 7 - ResNet breakdown vs depth "
@@ -405,14 +392,16 @@ def build_fig7(runner: SweepRunner, profile: ReportProfile) -> FigurePage:
                    + f" --batch-sizes {profile.fig7_batch_size} "
                      "--dataset imagenet --input-size 224 --num-classes 1000"),
         checks=[
-            ("intermediate results dominate at every depth", dominant),
-            ("the parameter share stays minor at every depth", minor),
+            ("intermediate results dominate at every depth",
+             fig7.intermediates_dominant_everywhere()),
+            ("the parameter share stays minor at every depth",
+             fig7.parameters_always_minor()),
         ],
     )
     intro = ("The same breakdown for the non-linear ResNet family: residual "
              "connections extend activation lifetimes, so depth deepens the "
              "dominance of intermediate results rather than diluting it.")
-    return _breakdown_page(page, series, "depth", intro, "fig7_resnet.svg",
+    return _breakdown_page(page, fig7.rows(), "depth", intro, "fig7_resnet.svg",
                            "ResNet: breakdown vs depth")
 
 

@@ -57,6 +57,10 @@ class _MemoRunner:
         #: (only populated when the underlying runner is non-strict).
         self.failures: List[object] = []
 
+    def trace(self, scenario):
+        """The scenario's merged trace, served by the underlying runner."""
+        return self._runner.trace(scenario)
+
     def run(self, grid_or_scenarios) -> SweepResult:
         """Run only the scenarios not seen in this generation; keep order.
 

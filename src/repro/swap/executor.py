@@ -297,11 +297,6 @@ class SwapExecutor(MemoryEventListener):
     # -- introspection -----------------------------------------------------------------
 
     @property
-    def is_active(self) -> bool:
-        """Whether the warm-up is over and the policy is executing."""
-        return self._active
-
-    @property
     def resident_bytes(self) -> int:
         """Bytes currently resident on the device (allocated minus swapped out)."""
         return self._resident_bytes

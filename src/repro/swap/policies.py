@@ -837,11 +837,6 @@ class LruPolicy(MemoryPolicy):
         self.min_block_bytes = int(min_block_bytes)
         self._resolved_budget: Optional[int] = None
 
-    @property
-    def resolved_budget_bytes(self) -> Optional[int]:
-        """The budget in force (None before :meth:`plan` ran)."""
-        return self._resolved_budget
-
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         if self.budget_bytes is not None:
             self._resolved_budget = self.budget_bytes

@@ -338,8 +338,11 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
                   for device in group]
         dataset = build_dataset(config.dataset, seed=config.seed,
                                 **dict(config.dataset_kwargs))
+        # A config rebuilt from its ``to_dict()`` carries the model as a dict.
+        latency = config.host_latency
         loader = DataLoader(dataset, batch_size=config.batch_size,
-                            host_latency=config.host_latency,
+                            host_latency=(HostLatencyModel(**latency)
+                                          if isinstance(latency, dict) else latency),
                             symbolic=config.execution_mode == "symbolic")
         loss_fns = [CrossEntropyLoss(device, name="loss") for device in group]
         optimizers = [_build_optimizer(config, model) for model in models]

@@ -171,12 +171,6 @@ class Trainer:
         """Loss of every completed iteration (``None`` in symbolic mode)."""
         return [stats.loss for stats in self.history]
 
-    def mean_iteration_time_ns(self) -> float:
-        """Average simulated iteration time over the recorded history."""
-        if not self.history:
-            return 0.0
-        return sum(stats.duration_ns for stats in self.history) / len(self.history)
-
 
 # -- data-parallel training ----------------------------------------------------------
 
@@ -386,12 +380,6 @@ class DataParallelTrainer:
     def losses(self) -> List[Optional[float]]:
         """Mean replica loss of every completed iteration (None in symbolic mode)."""
         return [stats.loss for stats in self.history]
-
-    def mean_iteration_time_ns(self) -> float:
-        """Average simulated iteration time over the recorded history."""
-        if not self.history:
-            return 0.0
-        return sum(stats.duration_ns for stats in self.history) / len(self.history)
 
     def collective_summary(self) -> dict:
         """Aggregate allreduce statistics of the run (engine summary passthrough)."""

@@ -32,11 +32,6 @@ def us_to_ns(us: float) -> int:
     return int(round(us * US))
 
 
-def ms_to_ns(ms: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return int(round(ms * MS))
-
-
 def s_to_ns(seconds: float) -> int:
     """Convert seconds to integer nanoseconds."""
     return int(round(seconds * SECOND))
@@ -50,11 +45,6 @@ def ns_to_us(ns: int) -> float:
 def ns_to_ms(ns: int) -> float:
     """Convert nanoseconds to milliseconds (float)."""
     return ns / MS
-
-
-def ns_to_s(ns: int) -> float:
-    """Convert nanoseconds to seconds (float)."""
-    return ns / SECOND
 
 
 def gbps_to_bytes_per_ns(gbps: float) -> float:

@@ -17,6 +17,28 @@ from repro.core.trace import MemoryTrace
 from repro.device.hooks import MemoryEventListener
 
 
+def price_one(engine, scenario, bandwidths=None):
+    """One scenario through the engine's batch door (``None``: it declined)."""
+    if bandwidths is None:
+        bandwidths = scenario.resolve_bandwidths()
+    return engine.price_batch([scenario], [bandwidths])[0]
+
+
+def replay_one(template, scenario):
+    """One scenario priced from ``template`` (a batch of one)."""
+    return template.replay_batch([scenario], [scenario.resolve_bandwidths()], 0.0)[0]
+
+
+def swap_events(trace):
+    """The engine's swap traffic (``swap_out`` / ``swap_in``) in a trace."""
+    return [event for event in trace.events if event.kind.is_swap]
+
+
+def recompute_events(trace):
+    """The engine's rematerialization traffic (``recompute_drop`` / ``recompute``)."""
+    return [event for event in trace.events if event.kind.is_recompute]
+
+
 def build_trace(event_specs, iteration_marks=(), end_ns=None):
     """Build a MemoryTrace from compact tuples.
 

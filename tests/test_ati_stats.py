@@ -14,10 +14,8 @@ from repro.core.ati import (
     summarize_intervals,
 )
 from repro.core.stats import (
-    concentration_ratio,
     empirical_cdf,
     gaussian_kde_trace,
-    histogram,
     violin_stats,
 )
 from repro.core.trace import MemoryTrace
@@ -95,12 +93,8 @@ def test_empirical_cdf_properties():
     assert list(cdf.values) == [1.0, 2.0, 2.0, 3.0]
     assert cdf.probabilities[-1] == pytest.approx(1.0)
     assert cdf.fraction_below(2.0) == pytest.approx(0.75)
-    assert cdf.quantile(0.5) == pytest.approx(2.0)
-    assert len(cdf.sample_points(3)) == 3
     empty = empirical_cdf([])
     assert empty.fraction_below(1.0) == 0.0
-    assert empty.quantile(0.5) == 0.0
-    assert empty.sample_points() == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -112,15 +106,6 @@ def test_cdf_is_monotone_and_bounded(samples):
     assert np.all(np.diff(cdf.probabilities) >= 0)
     assert cdf.probabilities[0] > 0
     assert cdf.probabilities[-1] == pytest.approx(1.0)
-
-
-def test_histogram_counts_total():
-    hist = histogram([1, 2, 2, 3, 10], bins=5)
-    assert hist.total == 5
-    assert hist.densities().sum() == pytest.approx(1.0)
-    empty = histogram([], bins=4)
-    assert empty.total == 0
-    assert empty.densities().sum() == 0.0
 
 
 def test_violin_stats_quartiles():
@@ -147,8 +132,3 @@ def test_gaussian_kde_integrates_to_about_one():
     x, density = gaussian_kde_trace(samples, num_points=200)
     integral = np.trapezoid(density, x)
     assert integral == pytest.approx(1.0, rel=0.1)
-
-
-def test_concentration_ratio():
-    assert concentration_ratio([1, 2, 3, 10], 1, 3) == pytest.approx(0.75)
-    assert concentration_ratio([], 0, 1) == 0.0

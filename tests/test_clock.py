@@ -9,8 +9,6 @@ from repro.errors import ClockError
 def test_clock_starts_at_zero_by_default():
     clock = DeviceClock()
     assert clock.now_ns == 0
-    assert clock.now_us == 0.0
-    assert clock.now_s == 0.0
 
 
 def test_clock_advance_accumulates():
@@ -18,7 +16,6 @@ def test_clock_advance_accumulates():
     clock.advance(1_000)
     clock.advance(500)
     assert clock.now_ns == 1_500
-    assert clock.now_us == pytest.approx(1.5)
 
 
 def test_clock_advance_rejects_negative_delta():

@@ -16,16 +16,20 @@ from repro.experiments import (
     run_timing_ablation,
     small_mlp_config,
 )
-from repro.units import GB, KB
+from repro.core.swap import max_swap_bytes
+from repro.experiments.configs import breakdown_config
+from repro.experiments.sweep import SweepRunner
+from repro.units import MIB, s_to_ns
+
+#: The reduced paper MLP the scaled-down figure tests share.
+SMALL_PAPER_MLP = paper_mlp_config(batch_size=2048, iterations=4)
 
 
 @pytest.fixture(scope="module")
-def small_paper_session():
-    """One shared reduced paper-MLP run used by the figure experiments."""
-    from repro.train.session import run_training_session
-
-    return run_training_session(paper_mlp_config(batch_size=2048, iterations=4,
-                                                 execution_mode="symbolic"))
+def runner():
+    """One shared runner: its engine memoizes the template families, so the
+    second figure on a workload rebuilds the trace instead of simulating."""
+    return SweepRunner()
 
 
 def test_eq1_reproduces_paper_numbers():
@@ -46,11 +50,26 @@ def test_eq1_with_measured_bandwidths_is_slightly_lower():
     assert measured.paper_points[25.0] <= paper.paper_points[25.0]
 
 
-def test_fig2_detects_iterative_patterns(small_paper_session):
-    result = run_fig2(config=None, max_iterations=4)
-    # Reuse the shared session path through run_fig2's own config is heavy; instead
-    # check the cheap eager config.
-    assert result.patterns.is_iterative or result.patterns.mean_jaccard_similarity > 0.9
+def test_fig2_detects_iterative_patterns(runner):
+    """Paper scale (batch 16,384): five stable iterations, one repeated pattern."""
+    result = run_fig2(runner=runner)
+    summary = result.summary()
+    assert summary["num_iterations"] == 5
+    assert result.patterns.is_iterative
+    assert result.patterns.mean_sequence_similarity > 0.95
+    assert result.lifetimes_span_and_nest()
+    assert (result.fragmentation.peak_reserved_bytes
+            >= result.fragmentation.peak_allocated_bytes)
+    durations = summary["iteration_durations_s"]
+    assert max(durations) - min(durations) < 0.05 * max(durations)
+    assert not hasattr(result, "session")
+
+
+def test_fig2_iterative_pattern_holds_for_lenet(runner):
+    """The paper notes the observation also applies to other DNNs."""
+    config = breakdown_config(model="lenet5", dataset="mnist", batch_size=32,
+                              iterations=5)
+    assert run_fig2(config, runner=runner).patterns.is_iterative
 
 
 def test_fig2_summary_fields_on_small_config():
@@ -59,11 +78,11 @@ def test_fig2_summary_fields_on_small_config():
     assert summary["num_iterations"] == 4
     assert summary["is_iterative"]
     assert summary["num_rectangles"] > 0
-    assert len(result.iteration_durations_s()) == 4
+    assert len(result.iteration_durations_s) == 4
 
 
-def test_fig3_distribution_is_concentrated(small_paper_session):
-    result = run_fig3(session=small_paper_session)
+def test_fig3_distribution_is_concentrated(runner):
+    result = run_fig3(SMALL_PAPER_MLP, runner=runner)
     assert result.summary_stats.count > 100
     assert result.cdf.values.size == result.summary_stats.count
     assert 0.0 < result.fraction_below_25us < 1.0
@@ -72,11 +91,23 @@ def test_fig3_distribution_is_concentrated(small_paper_session):
     assert summary["p90_us"] >= summary["ati"]["p50_us"]
 
 
-def test_fig4_finds_large_long_idle_outliers(small_paper_session):
-    from repro.units import MIB, s_to_ns
+def test_fig3_shape_at_paper_scale(runner):
+    """A dense band far below the iteration scale plus an iteration-scale tail."""
+    result = run_fig3(runner=runner)
+    stats = result.summary_stats
+    assert stats.count > 200
+    assert stats.p50_us < 10_000
+    assert stats.max_us > 100_000
+    assert result.cdf.fraction_below(stats.p50_us) >= 0.5
+    assert result.fraction_below_25us > 0.2
+    for kind, violin in result.violins.items():
+        assert violin.median < 50_000, kind
+
+
+def test_fig4_finds_large_long_idle_outliers(runner):
     from repro.core.outliers import find_outliers
 
-    result = run_fig4(session=small_paper_session)
+    result = run_fig4(SMALL_PAPER_MLP, runner=runner)
     assert len(result.pairwise) == len(result.intervals)
     # With the reduced batch the paper's absolute thresholds are too strict, so
     # verify the scaled-down equivalent: blocks > 64 MiB idle for > 0.1 s exist.
@@ -85,6 +116,18 @@ def test_fig4_finds_large_long_idle_outliers(small_paper_session):
     assert scaled.count > 0
     assert result.top_candidates
     assert result.summary()["num_behaviors"] > 0
+
+
+def test_fig4_outliers_at_paper_scale(runner):
+    """The headline: rare behaviors idle > 0.8 s on > 600 MB blocks, for which
+    Eq. 1 allows over 2 GB of free swapping (the paper computes 2.54 GB)."""
+    result = run_fig4(runner=runner)
+    assert 0 < result.outliers.fraction < 0.2
+    largest = result.outliers.largest
+    assert largest.size >= 600 * MIB
+    assert largest.interval_ns >= s_to_ns(0.8)
+    assert max_swap_bytes(largest.interval_ns, result.bandwidths) > largest.size
+    assert result.summary()["largest_outlier_swap_bound_gb"] > 2.0
 
 
 def test_fig5_parameters_are_minor_for_typical_dnns():
@@ -118,14 +161,20 @@ def test_fig7_intermediates_dominate_across_depths():
     assert len(result.rows()) == 2
 
 
-def test_swap_planner_beats_zero_overhead_baselines(small_paper_session):
-    result = run_swap_planner(session=small_paper_session)
+def test_swap_planner_beats_zero_overhead_baselines(runner):
+    result = run_swap_planner(SMALL_PAPER_MLP, runner=runner)
     summary = result.summary()
     assert summary["planner"]["savings_bytes"] >= 0
     assert summary["planner"]["total_overhead_ns"] == 0.0
     # The ZeRO-style baseline offloads small state on this workload, so the
     # ATI-aware planner should save at least as much.
     assert summary["planner"]["savings_bytes"] >= summary["zero_offload_style"]["savings_bytes"]
+
+
+def test_swap_planner_recovers_most_of_the_peak_at_paper_scale(runner):
+    planner = run_swap_planner(runner=runner).summary()["planner"]
+    assert planner["total_overhead_ns"] == 0.0
+    assert planner["savings_fraction"] > 0.5
 
 
 def test_allocator_ablation_differentiates_policies():

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.core.gantt import address_gaps, build_gantt_chart
+from repro.core.gantt import build_gantt_chart
 from repro.core.patterns import (
-    behaviors_per_iteration,
     detect_iterative_pattern,
-    iteration_durations_ns,
     iteration_signature,
     jaccard_similarity,
     sequence_similarity,
@@ -38,31 +36,11 @@ def test_gantt_iteration_filter(simple_trace):
     assert len(chart.iteration_bounds) == 1
 
 
-def test_gantt_concurrency_and_overlap(simple_trace):
-    chart = build_gantt_chart(simple_trace)
-    assert chart.max_concurrent_bytes() == 1024 + 4096
-    first, second = sorted(chart.rectangles, key=lambda rect: rect.start_ns)[:2]
-    assert first.overlaps_time(second)
-    in_iter0 = chart.rectangles_in_iteration(0)
-    assert {rect.block_id for rect in in_iter0} == {1, 2}
-    overlapping = chart.rectangles_overlapping(0, 5_000)
-    assert {rect.block_id for rect in overlapping} == {1, 2}
-
-
 def test_gantt_lifetime_stats_and_dict(simple_trace):
     chart = build_gantt_chart(simple_trace)
-    stats = chart.lifetime_stats()
-    assert stats["count"] == 3
-    assert stats["max_size"] == 4096
+    assert len(chart) == 3
+    assert max(rect.size for rect in chart.rectangles) == 4096
     assert chart.rectangles[0].to_dict()["block_id"] in {1, 2, 3}
-
-
-def test_gantt_address_gaps(simple_trace):
-    chart = build_gantt_chart(simple_trace)
-    gaps = address_gaps(chart, at_time_ns=5_000)
-    # Blocks 1 (at 0x1000, 1 KiB) and 2 (at 0x2000) are both live: one gap between them.
-    assert len(gaps) == 1
-    assert gaps[0][1] == 0x1000 - 1024
 
 
 def test_sequence_and_jaccard_similarity_basics():
@@ -114,13 +92,6 @@ def test_iteration_signature_contents(simple_trace):
     assert signature.event_count == 7
     assert signature.total_bytes_touched > 0
     assert signature.multiset()[("read", 4096, "activation")] == 1
-
-
-def test_iteration_durations_and_behavior_counts(simple_trace):
-    durations = iteration_durations_ns(simple_trace)
-    assert durations == [20_000, 20_000]
-    counts = behaviors_per_iteration(simple_trace)
-    assert counts == {0: 7, 1: 5}
 
 
 def test_pattern_detection_on_real_training_trace(small_mlp_session):

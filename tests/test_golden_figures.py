@@ -1,10 +1,10 @@
 """Golden-number regression tests for the figure experiments (tiny configs).
 
-The seconds-scale benchmark harness asserts the paper's *qualitative* claims;
-these tests pin the *exact numbers* produced by scaled-down configurations of
-every figure experiment, so numeric drift introduced by a ``core/`` refactor
-(event columnization, ATI pairing, breakdown attribution) is caught by the
-tier-1 suite immediately rather than only by the benchmarks.
+``test_experiments.py`` asserts the paper's *qualitative* claims; these tests
+pin the *exact numbers* produced by scaled-down configurations of every
+figure experiment, so numeric drift introduced by a ``core/`` refactor
+(event columnization, ATI pairing, breakdown attribution) is caught
+immediately.
 
 The simulation is fully deterministic under a fixed seed, so integer byte
 counts are compared exactly; float statistics use a tight relative tolerance
@@ -24,16 +24,18 @@ from repro.experiments import (
     run_fig7,
     small_mlp_config,
 )
-from repro.train.session import run_training_session
+from repro.experiments.sweep import SweepRunner
 
 REL = 1e-9
 
+#: The reduced paper MLP (batch 512, 3 symbolic iterations) figs 3 and 4 share.
+GOLDEN_CONFIG = paper_mlp_config(batch_size=512, iterations=3)
+
 
 @pytest.fixture(scope="module")
-def golden_session():
-    """One shared reduced paper-MLP session (batch 512, 3 virtual iterations)."""
-    return run_training_session(paper_mlp_config(batch_size=512, iterations=3,
-                                                 execution_mode="symbolic"))
+def golden_runner():
+    """One shared runner: fig. 4 rebuilds the trace fig. 3 compiled."""
+    return SweepRunner()
 
 
 def test_fig2_golden_numbers():
@@ -48,8 +50,8 @@ def test_fig2_golden_numbers():
     assert summary["mean_jaccard_similarity"] == pytest.approx(1.0, rel=REL)
 
 
-def test_fig3_golden_numbers(golden_session):
-    result = run_fig3(session=golden_session)
+def test_fig3_golden_numbers(golden_runner):
+    result = run_fig3(GOLDEN_CONFIG, runner=golden_runner)
     stats = result.summary_stats
     assert stats.count == 187
     assert stats.p50_us == pytest.approx(93.624, rel=REL)
@@ -58,8 +60,8 @@ def test_fig3_golden_numbers(golden_session):
     assert result.fraction_below_25us == pytest.approx(61 / 187, rel=1e-6)
 
 
-def test_fig4_golden_numbers(golden_session):
-    result = run_fig4(session=golden_session)
+def test_fig4_golden_numbers(golden_runner):
+    result = run_fig4(GOLDEN_CONFIG, runner=golden_runner)
     assert len(result.pairwise) == 187
     assert len(result.intervals) == 187
     assert result.outliers.count == 0  # paper-scale thresholds need the full batch
@@ -99,8 +101,6 @@ def test_fig7_golden_numbers():
 
 def test_fig6_numbers_identical_through_cached_engine(tmp_path):
     """The sweep engine's cache round-trip must not perturb figure numbers."""
-    from repro.experiments.sweep import SweepRunner
-
     direct = run_fig6(batch_sizes=(16,), input_size=32, num_classes=100)
     runner = SweepRunner(cache_dir=tmp_path / "sweeps")
     warm = run_fig6(batch_sizes=(16,), input_size=32, num_classes=100, runner=runner)
@@ -110,8 +110,6 @@ def test_fig6_numbers_identical_through_cached_engine(tmp_path):
 
 
 def test_fig5_numbers_identical_through_cached_engine(tmp_path):
-    from repro.experiments.sweep import SweepRunner
-
     workloads = (("lenet5", "lenet5", "mnist", 16, 28),)
     direct = run_fig5(workloads=workloads)
     runner = SweepRunner(cache_dir=tmp_path / "sweeps")

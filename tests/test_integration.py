@@ -29,7 +29,8 @@ def test_full_pipeline_on_shared_eager_session(small_mlp_session):
     assert summary.p50_us > 0
 
     chart = build_gantt_chart(trace, max_iterations=5)
-    assert chart.max_concurrent_bytes() <= small_mlp_session.peak_allocated_bytes
+    assert (max(rect.size for rect in chart.rectangles)
+            <= small_mlp_session.peak_allocated_bytes)
 
     patterns = detect_iterative_pattern(trace)
     assert patterns.is_iterative

@@ -55,7 +55,11 @@ def check_trace_invariants(trace: MemoryTrace):
 
     # 2. Per block: first event is a malloc, accesses only while allocated,
     #    frees alternate with mallocs.
-    for block_id, events in trace.events_by_block().items():
+    by_block = {}
+    for event in trace.events:
+        if event.block_id > 0 and event.kind.is_block_behavior:
+            by_block.setdefault(event.block_id, []).append(event)
+    for block_id, events in by_block.items():
         allocated = False
         for event in events:
             if event.kind is MemoryEventKind.MALLOC:

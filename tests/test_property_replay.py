@@ -16,9 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.loader import HostLatencyModel
 from repro.experiments.replay import ReplayEngine
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.train.session import TrainingRunConfig
+
+from tests.helpers import price_one
 
 MODELS = [("mlp", {"hidden_dim": 32}, "two_cluster", 16),
           ("paper_mlp", {}, "two_cluster", 32),
@@ -26,6 +29,7 @@ MODELS = [("mlp", {"hidden_dim": 32}, "two_cluster", 16),
 DEVICE_SPECS = ["titan_x_pascal", "v100_sxm2_16gb", "gtx_1080_8gb",
                 "ampere_a100_40gb"]
 INTERCONNECTS = ["pcie_gen3", "nvlink2", "ethernet_25g"]
+HOST_LATENCY = HostLatencyModel(per_batch_ns=1_500_000, per_sample_ns=30_000)
 
 
 def sample_config(rng: random.Random) -> TrainingRunConfig:
@@ -39,6 +43,7 @@ def sample_config(rng: random.Random) -> TrainingRunConfig:
         n_devices=rng.choice([1, 2]),
         interconnect=rng.choice(INTERCONNECTS),
         host_dispatch_overhead_ns=rng.choice([None, 2_000, 9_000]),
+        host_latency=rng.choice([None, HOST_LATENCY]),
         execution_mode="symbolic", seed=rng.choice([0, 7]),
     )
 
@@ -72,7 +77,7 @@ def test_replayed_peaks_are_consistently_ordered(seed):
     for _ in range(3):
         config = sample_config(rng)
         scenario = Scenario(config=config)
-        result = engine.price(scenario, scenario.resolve_bandwidths())
+        result = price_one(engine, scenario)
         assert result is not None, config
         # The live peak aggregates the merged (cluster-wide) trace while the
         # allocated/reserved peaks are per-replica — same as a fresh run.
@@ -95,7 +100,7 @@ def test_repricing_responds_to_the_timing_axes():
                                    batch_size=16, iterations=2, n_devices=2,
                                    execution_mode="symbolic", **overrides)
         scenario = Scenario(config=config)
-        return engine.price(scenario, scenario.resolve_bandwidths())
+        return price_one(engine, scenario)
 
     slow = total_s(host_dispatch_overhead_ns=20_000)
     fast = total_s(host_dispatch_overhead_ns=1_000)
@@ -133,7 +138,7 @@ def test_batched_repricing_matches_scalar_replay(seed):
     rng = random.Random(seed)
     scenarios = [Scenario(config=sample_config(rng)) for _ in range(6)]
     bandwidths = [s.resolve_bandwidths() for s in scenarios]
-    scalar = [ReplayEngine().price(s, bw)
+    scalar = [price_one(ReplayEngine(), s, bw)
               for s, bw in zip(scenarios, bandwidths)]
     batched = ReplayEngine().price_batch(scenarios, bandwidths)
     for one, many in zip(scalar, batched):
@@ -182,8 +187,8 @@ def test_memoized_replays_are_deterministic():
         model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
         iterations=2, execution_mode="symbolic"))
     bandwidths = scenario.resolve_bandwidths()
-    first = engine.price(scenario, bandwidths).to_dict()
-    second = engine.price(scenario, bandwidths).to_dict()
+    first = price_one(engine, scenario, bandwidths).to_dict()
+    second = price_one(engine, scenario, bandwidths).to_dict()
     first.pop("wall_time_s"), second.pop("wall_time_s")
     assert first == second
 

@@ -40,9 +40,8 @@ def test_recorder_tracks_iteration_attribution(test_device):
     trace = recorder.to_trace()
     assert trace.iterations() == [0]
     assert all(event.iteration == 0 for event in trace.events)
-    mark = trace.iteration_mark(0)
-    assert mark is not None and mark.duration_ns() > 0
-    assert trace.iteration_mark(7) is None
+    (mark,) = trace.iteration_marks
+    assert mark.index == 0 and mark.duration_ns() > 0
 
 
 def test_recorder_lifetimes_open_and_close(test_device):
@@ -69,13 +68,10 @@ def test_recorder_pause_resume(test_device):
 def test_trace_accessors(simple_trace):
     assert len(simple_trace) == 12
     assert simple_trace.block_ids() == [1, 2, 3]
-    assert len(simple_trace.access_events()) == 7
-    assert len(simple_trace.events_for_block(1)) == 4
-    assert simple_trace.counts_by_category()["parameter"] == 4
+    assert int(simple_trace.columns().is_access.sum()) == 7
+    assert simple_trace.counts_by_kind()["read"] == 4
     assert simple_trace.peak_live_bytes() == 1024 + 4096
     assert simple_trace.duration_ns == 120_000
-    grouped = simple_trace.events_by_block()
-    assert set(grouped) == {1, 2, 3}
 
 
 def test_trace_events_in_iteration(simple_trace):

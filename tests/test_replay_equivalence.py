@@ -13,18 +13,21 @@ compile separately (models, replica counts, dtypes, allocators, policies).
 import numpy as np
 import pytest
 
+from repro.data.loader import HostLatencyModel
+from repro.experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
 from repro.experiments.replay import (
     ReplayEngine,
     TemplateError,
     TemplateFamily,
-    compile_template,
     load_family,
     save_family,
     template_key,
 )
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.experiments.template_store import TemplateStore
-from repro.train.session import TrainingRunConfig
+from repro.train.session import TrainingRunConfig, run_training_session
+
+from tests.helpers import price_one, replay_one
 
 
 def make_scenario(swap_policy="none", **overrides):
@@ -44,7 +47,7 @@ def comparable(result):
 
 def assert_replay_exact(engine, scenario):
     fresh = run_scenario(scenario)
-    replayed = engine.price(scenario, scenario.resolve_bandwidths())
+    replayed = price_one(engine, scenario)
     assert replayed is not None, f"engine declined {scenario.describe()}"
     assert comparable(replayed) == comparable(fresh)
 
@@ -123,8 +126,6 @@ def test_stored_template_rebuilds_the_fresh_trace_event_for_event(tmp_path):
 
 
 def assert_replayed_trace_is_the_fresh_one(store_dir):
-    from repro.train.session import run_training_session
-
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
                                batch_size=16, iterations=2, n_devices=2,
                                execution_mode="symbolic",
@@ -135,9 +136,12 @@ def assert_replayed_trace_is_the_fresh_one(store_dir):
     template = engine.template_for(compile_point)
     if store_dir:
         template = TemplateStore(store_dir).load(template.key).get(config.dtype)
-    replayed = template.replay_trace(config)
-    fresh = run_training_session(config).trace
+    assert_same_trace(template.replay_trace(config),
+                      run_training_session(config).trace)
 
+
+def assert_same_trace(replayed, fresh):
+    """``replayed`` is the trace ``fresh`` is, event for event."""
     fresh_cols, replay_cols = fresh.columns(), replayed.columns()
     # Block/segment ids draw from a process-global counter, so two runs in
     # one process differ by a constant shift; compare first-appearance order.
@@ -162,6 +166,7 @@ def assert_replayed_trace_is_the_fresh_one(store_dir):
                 for bid, lt in zip(ids, trace.lifetimes)]
 
     assert lifetime_stream(replayed) == lifetime_stream(fresh)
+    assert replayed.metadata == fresh.metadata
     assert replayed.end_ns == fresh.end_ns
 
 
@@ -248,7 +253,7 @@ def test_template_key_rejects_unified_swap_execution():
     a template can never serve it — it must refuse, not mis-price."""
     with pytest.raises(TemplateError):
         template_key(TrainingRunConfig(model="mlp", swap="unified"))
-    assert compile_template(TrainingRunConfig(model="mlp",
+    assert ReplayEngine().template_for(TrainingRunConfig(model="mlp",
                                               swap="unified")) is None
 
 
@@ -268,9 +273,9 @@ def test_unified_swap_scenarios_fall_back_to_simulation():
 
 
 def test_compile_declines_out_of_envelope_configs():
-    assert compile_template(TrainingRunConfig(model="mlp",
+    assert ReplayEngine().template_for(TrainingRunConfig(model="mlp",
                                               execution_mode="eager")) is None
-    assert compile_template(TrainingRunConfig(model="mlp",
+    assert ReplayEngine().template_for(TrainingRunConfig(model="mlp",
                                               swap="lru")) is None
 
 
@@ -286,13 +291,13 @@ def test_best_fit_template_is_not_served_across_capacities():
 
 def test_template_round_trips_through_npz(tmp_path):
     scenario = make_scenario(n_devices=2)
-    template = compile_template(scenario.config)
+    template = ReplayEngine().template_for(scenario.config)
     path = tmp_path / "template.npz"
     save_family(TemplateFamily(template.key, {template.dtype: template}), path)
     loaded = load_family(path, key=template.key).get(template.dtype)
     assert loaded is not None
     fresh = run_scenario(scenario)
-    replayed = loaded.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+    replayed = replay_one(loaded, scenario)
     assert comparable(replayed) == comparable(fresh)
 
 
@@ -324,7 +329,7 @@ def test_price_batch_matches_scalar_replay_element_for_element():
     scenarios = batch_grid_scenarios()
     bandwidths = [s.resolve_bandwidths() for s in scenarios]
     scalar_engine = ReplayEngine()
-    scalar = [scalar_engine.price(s, bw)
+    scalar = [price_one(scalar_engine, s, bw)
               for s, bw in zip(scenarios, bandwidths)]
     batch_engine = ReplayEngine()
     batched = batch_engine.price_batch(scenarios, bandwidths)
@@ -395,9 +400,9 @@ def test_columnar_reduction_equals_the_rebuilt_trace_reduction(overrides):
         tables = template._batch_arrays()
         merged = tables.merged
         assert merged is not None
-        fast = template.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        fast = replay_one(template, scenario)
         tables.merged = None  # no columnar structure: every row rebuilds a trace
-        slow = template.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        slow = replay_one(template, scenario)
         tables.merged = merged
         assert comparable(fast) == comparable(slow)
 
@@ -521,7 +526,7 @@ def test_family_round_trips_with_dtype_variants(tmp_path):
     assert loaded.captured_dtypes() == ["float16", "float32"]
     for scenario in (fp32, fp16):
         variant = loaded.get(scenario.config.dtype)
-        replayed = variant.replay(scenario, scenario.resolve_bandwidths(), 0.0)
+        replayed = replay_one(variant, scenario)
         assert comparable(replayed) == comparable(run_scenario(scenario))
 
 
@@ -555,8 +560,8 @@ def test_engine_tallies_fallback_reasons():
     engine = ReplayEngine()
     swap_on = make_scenario(swap="lru")
     eager = make_scenario(execution_mode="eager")
-    assert engine.price(swap_on, swap_on.resolve_bandwidths()) is None
-    assert engine.price(eager, eager.resolve_bandwidths()) is None
+    assert price_one(engine, swap_on) is None
+    assert price_one(engine, eager) is None
     assert engine.fallback_reasons == {"swap_execution": 1, "eager_mode": 1}
 
 
@@ -574,7 +579,7 @@ def test_sweep_surfaces_replay_fallback_reasons():
 
 
 def test_save_family_leaves_no_temp_files(tmp_path):
-    template = compile_template(make_scenario().config)
+    template = ReplayEngine().template_for(make_scenario().config)
     path = tmp_path / "template.npz"
     save_family(TemplateFamily(template.key, {template.dtype: template}), path)
     assert [p.name for p in tmp_path.iterdir()] == ["template.npz"]
@@ -597,3 +602,136 @@ def test_engine_persists_families_through_the_store(tmp_path):
                                       device_spec="v100_sxm2_16gb"))
     assert second.templates_compiled == 0
     assert second.variants_captured == 0
+
+
+# -- the paper's own workload: a host-latency model is inside the envelope ------------
+
+OTHER_LATENCY = HostLatencyModel(per_batch_ns=500_000, per_sample_ns=5_000)
+
+
+def paper_scenario(swap_policy="none", host_latency=PAPER_MLP_HOST_LATENCY, **overrides):
+    config = paper_mlp_config(batch_size=4096, iterations=5)
+    config.host_latency = host_latency
+    for name, value in overrides.items():
+        setattr(config, name, value)
+    return Scenario(config=config, swap_policy=swap_policy)
+
+
+def test_paper_mlp_grid_replays_exactly_from_one_template_per_structure():
+    scenarios = [paper_scenario(policy, device_spec=spec, n_devices=n)
+                 for spec in ("titan_x_pascal", "v100_sxm2_16gb", "rtx_3090_24gb")
+                 for policy in ("none", "planner", "zero_offload")
+                 for n in (1, 2)]
+    scenarios.append(paper_scenario(host_latency=OTHER_LATENCY))
+    engine = ReplayEngine()
+    priced = engine.price_batch(scenarios,
+                                [s.resolve_bandwidths() for s in scenarios])
+    assert engine.fallback_reasons == {}
+    assert engine.templates_compiled == 3   # 1 device, 2 devices, the other model
+    for scenario, replayed in zip(scenarios, priced):
+        assert comparable(replayed) == comparable(run_scenario(scenario))
+
+
+@pytest.mark.parametrize("n_devices", [1, 2])
+@pytest.mark.parametrize("spec", ["titan_x_pascal", "v100_sxm2_16gb"])
+def test_paper_mlp_trace_rebuilds_event_for_event(spec, n_devices):
+    """Full paper scale (batch 16,384), compiled at one spec, rebuilt at another."""
+    config = paper_mlp_config()
+    config.n_devices = n_devices
+    template = ReplayEngine().template_for(config)
+    config.device_spec = spec
+    assert_same_trace(template.replay_trace(config),
+                      run_training_session(config).trace)
+
+
+def test_latency_models_split_the_template_key_and_the_token():
+    keys = {template_key(paper_scenario(host_latency=model).config)
+            for model in (None, PAPER_MLP_HOST_LATENCY, OTHER_LATENCY)}
+    assert len(keys) == 3
+    token = ReplayEngine._structural_token
+    tokens = {token(paper_scenario(host_latency=model).config)
+              for model in (None, PAPER_MLP_HOST_LATENCY, OTHER_LATENCY)}
+    assert len(tokens) == 3
+
+
+def test_a_dict_valued_latency_model_is_the_dataclass_one():
+    """``TrainingRunConfig(**config.to_dict())`` carries the model as a dict:
+    same key, a hashable token, the same priced row."""
+    as_dataclass = paper_scenario()
+    as_dict = Scenario(TrainingRunConfig(**as_dataclass.config.to_dict()))
+    assert isinstance(as_dict.config.host_latency, dict)
+    assert template_key(as_dict.config) == template_key(as_dataclass.config)
+    hash(ReplayEngine._structural_token(as_dict.config))
+    engine = ReplayEngine()
+    assert (comparable(price_one(engine, as_dict))
+            == comparable(run_scenario(as_dict))
+            == comparable(run_scenario(as_dataclass)))
+
+
+def test_latency_free_template_key_is_the_one_parent_stores_were_written_under():
+    config = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
+                               execution_mode="symbolic")
+    assert template_key(config) == (
+        "23443ef8d49e94727e992ebb7f1bc348fa940c2bf197987523bab9212dbea85d")
+
+
+def test_the_reports_comparison_grid_replays_every_row():
+    """The 42-row policy x dtype x device table (paper MLP, host latency on)
+    through ``--execution replay``: no fallback, rows equal the symbolic run's."""
+    from repro.report.figures import FULL_PROFILE, comparison_grid
+
+    symbolic = SweepRunner().run(comparison_grid(FULL_PROFILE))
+    grid = comparison_grid(FULL_PROFILE)
+    grid.execution_mode = "replay"
+    replayed = SweepRunner().run(grid)
+    assert replayed.replay_fallbacks == {}
+    assert replayed.replayed == len(replayed.results) == 42
+    assert ([comparable(row) for row in replayed.results]
+            == [comparable(row) for row in symbolic.results])
+
+
+# -- the runner serves traces ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("overrides", [
+    {},                                             # in the envelope: rebuilt
+    {"n_devices": 2, "device_spec": "v100_sxm2_16gb"},
+    {"execution_mode": "eager", "batch_size": 64},  # outside: simulated
+    {"swap": "lru"},
+], ids=["symbolic", "symbolic-2dev", "eager", "swap-on"])
+def test_runner_trace_is_the_fresh_sessions_trace(overrides):
+    scenario = paper_scenario(**overrides)
+    runner = SweepRunner()
+    assert_same_trace(runner.trace(scenario),
+                      run_training_session(scenario.config).trace)
+    in_envelope = "execution_mode" not in overrides and "swap" not in overrides
+    assert runner._ensure_replay_engine().templates_compiled == int(in_envelope)
+
+
+def test_runner_trace_declines_a_capacity_the_capture_does_not_cover():
+    scenario = paper_scenario(allocator="best_fit")
+    runner = SweepRunner()
+    runner.trace(scenario)
+    scenario.config.device_memory_capacity = 1 << 34
+    assert_same_trace(runner.trace(scenario),
+                      run_training_session(scenario.config).trace)
+
+
+def test_a_second_process_serves_the_trace_from_the_store(tmp_path, monkeypatch):
+    scenario = paper_scenario()
+    first = SweepRunner(cache_dir=tmp_path).trace(scenario)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a stored template must serve the trace")
+
+    import repro.experiments.replay as replay_module
+    import repro.experiments.sweep as sweep_module
+    monkeypatch.setattr(replay_module, "run_training_session", no_simulation)
+    monkeypatch.setattr(sweep_module, "run_training_session", no_simulation)
+    second = SweepRunner(cache_dir=tmp_path)
+    scenario.config.device_spec = "v100_sxm2_16gb"
+    rebuilt = second.trace(scenario)
+    assert second._ensure_replay_engine().templates_compiled == 0
+    assert rebuilt.columns().timestamp_ns[-1] != first.columns().timestamp_ns[-1]
+    monkeypatch.undo()
+    assert_same_trace(rebuilt, run_training_session(scenario.config).trace)

@@ -100,6 +100,47 @@ def test_report_is_byte_stable_across_runs(files, cache_dir):
     assert files == again
 
 
+def test_warm_trace_figures_simulate_nothing(files, cache_dir, monkeypatch):
+    """Results come from the cache, fig. 2's trace from the template store
+    (only the feasibility page's infeasible points, which raise and are never
+    cached, re-run in a warm report)."""
+    import repro.experiments.replay as replay
+    import repro.experiments.results as results
+    import repro.experiments.sweep as sweep
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a warm report must not simulate")
+
+    for module in (replay, results, sweep):
+        monkeypatch.setattr(module, "run_training_session", no_simulation)
+    from repro.report.generate import _MemoRunner
+    runner = _MemoRunner(SweepRunner(cache_dir=cache_dir))
+    for builder in FIGURE_BUILDERS[:3]:
+        page = builder(runner, SMOKE_PROFILE)
+        assert page.body == files[page.path]
+
+
+def test_fig2_claims_are_read_off_the_trace(files, cache_dir, monkeypatch):
+    """The two ticks are ``run_fig2``'s pattern report and Gantt, not counts."""
+    import dataclasses
+
+    from repro.report import figures
+
+    page = files["docs/figures/fig2_gantt.md"]
+    assert page.count("- [x]") == 2
+    real = figures.run_fig2
+
+    def aperiodic(config, runner):
+        result = real(config, runner=runner)
+        result.patterns = dataclasses.replace(result.patterns, is_iterative=False)
+        result.gantt.rectangles.clear()
+        return result
+
+    monkeypatch.setattr(figures, "run_fig2", aperiodic)
+    unticked = figures.build_fig2(SweepRunner(cache_dir=cache_dir), SMOKE_PROFILE)
+    assert [ok for _, ok in unticked.checks] == [False, False]
+
+
 def test_check_report_flags_stale_and_missing_files(files, tmp_path):
     root = tmp_path / "repo"
     write_report(files, root=root)

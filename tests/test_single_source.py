@@ -33,7 +33,7 @@ from repro.experiments.replay import (
 from repro.train.session import TrainingRunConfig
 from repro.units import MIB
 
-from tests.helpers import build_trace
+from tests.helpers import build_trace, price_one
 
 SRC = Path(repro.__file__).resolve().parent
 REPLAY = SRC / "experiments" / "replay.py"
@@ -81,6 +81,57 @@ def test_block_lifetimes_are_constructed_in_one_function_only():
              for path in sorted(SRC.rglob("*.py"))
              for function in _enclosing_functions(path, _calls("BlockLifetime"))]
     assert sites == [("core/trace.py", "lifetimes_from_columns")]
+
+
+def test_four_functions_run_a_training_session():
+    """One way to run a scenario: results, template capture and the runner's
+    trace door simulate; ``repro profile`` prints session-only fields
+    (``peak_allocated_bytes``, the ``swap_execution`` block) no trace carries."""
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("run_training_session"))}
+    assert sites == {("experiments/results.py", "run_scenario"),
+                     ("experiments/replay.py", "_compile_template_checked"),
+                     ("experiments/sweep.py", "trace"),
+                     ("cli.py", "_cmd_profile")}
+    holders = sorted(path.name for path in (SRC / "experiments").glob("*.py")
+                     if "SessionResult" in path.read_text())
+    assert holders == ["results.py"]
+
+
+def test_trace_figures_park_no_session():
+    from repro.experiments import (paper_mlp_config, run_fig2, run_fig3, run_fig4,
+                                   run_swap_planner)
+    from repro.experiments.sweep import SweepRunner
+
+    runner = SweepRunner()
+    config = paper_mlp_config(batch_size=256, iterations=3)
+    for run in (run_fig2, run_fig3, run_fig4, run_swap_planner):
+        result = run(config, runner=runner)
+        assert not hasattr(result, "session")
+        assert result.label == config.label
+    assert runner._ensure_replay_engine().templates_compiled == 1
+
+
+def test_host_latency_is_named_once_in_replay_the_fingerprints_none_drop():
+    tree = ast.parse(REPLAY.read_text())
+    fingerprint = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "template_fingerprint")
+    lines = [number for number, line in enumerate(REPLAY.read_text().splitlines(), 1)
+             if "host_latency" in line]
+    assert lines and all(fingerprint.lineno <= number <= fingerprint.end_lineno
+                         for number in lines)
+    from repro.experiments.replay import check_replay_envelope
+    reasons = set()
+    for config in (TrainingRunConfig(swap="lru"), TrainingRunConfig(),
+                   TrainingRunConfig(execution_mode="symbolic",
+                                     host_latency=HostLatencyModel())):
+        try:
+            check_replay_envelope(config)
+        except TemplateError as error:
+            reasons.add(error.reason)
+    assert reasons == {"swap_execution", "eager_mode"}
 
 
 TECHNIQUES = ("none", "planner", "swap_advisor", "zero_offload", "recompute",
@@ -182,7 +233,7 @@ def test_sweep_module_defines_only_the_runner():
     defined = [node.name for node in tree.body
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
     assert defined == ["SweepResult", "_parse_cache_entry", "_RunState",
-                       "SweepRunner", "run_sweep"]
+                       "SweepRunner"]
 
 
 def test_percentile_recipe_lives_in_core_only():
@@ -224,7 +275,7 @@ def test_replay_follows_a_changed_timing_default(monkeypatch):
     scenario = Scenario(TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
                                           execution_mode="symbolic"))
     bandwidths = scenario.resolve_bandwidths()
-    before = ReplayEngine().price(scenario, bandwidths)
+    before = price_one(ReplayEngine(), scenario, bandwidths)
 
     original = timing.KernelTimingModel.__init__
 
@@ -240,7 +291,7 @@ def test_replay_follows_a_changed_timing_default(monkeypatch):
     monkeypatch.setattr(Device.__init__, "__defaults__",
                         tuple(moved.get(value, value) if isinstance(value, (int, float))
                               else value for value in Device.__init__.__defaults__))
-    replayed = ReplayEngine().price(scenario, bandwidths)
+    replayed = price_one(ReplayEngine(), scenario, bandwidths)
     fresh = run_scenario(scenario)
     assert replayed.step_time_s_total == fresh.step_time_s_total
     assert replayed.ati == fresh.ati

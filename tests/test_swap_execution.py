@@ -47,7 +47,7 @@ from repro.swap import (
 )
 from repro.train.session import TrainingRunConfig, run_training_session
 
-from tests.helpers import build_trace
+from tests.helpers import build_trace, recompute_events, swap_events
 from tests.test_symbolic_equivalence import event_stream, lifetime_stream
 
 
@@ -195,10 +195,9 @@ def swap_trace():
 def test_swap_kinds_serialize_and_round_trip():
     trace = swap_trace()
     rebuilt = MemoryTrace.from_dict(trace.to_dict())
-    assert [e.kind for e in rebuilt.swap_events()] == [
+    assert [e.kind for e in swap_events(rebuilt)] == [
         MemoryEventKind.SWAP_OUT, MemoryEventKind.SWAP_IN]
-    assert rebuilt.has_swap_events()
-
+    
 
 def test_swap_kinds_csv_round_trip(tmp_path):
     import csv
@@ -383,7 +382,7 @@ def test_paper_mlp_planner_predicts_and_measures_nothing():
     assert summary["measured_savings_bytes"] == 0
     assert summary["predicted"]["savings_bytes"] == 0
     assert summary["predicted"]["total_overhead_ns"] == 0
-    assert not result.trace.has_swap_events()
+    assert not swap_events(result.trace)
 
 
 def test_deep_mlp_planner_predicted_vs_simulated():
@@ -412,8 +411,7 @@ def test_deep_mlp_trace_reports_measured_reduction():
     measured-vs-predicted numbers in the session payload."""
     result = deep_result("planner")
     trace = result.trace
-    assert trace.has_swap_events()
-    kinds = {e.kind for e in trace.swap_events()}
+    kinds = {e.kind for e in swap_events(trace)}
     assert kinds == {MemoryEventKind.SWAP_OUT, MemoryEventKind.SWAP_IN}
     # the trace itself exposes the measured reduction: the resident peak of
     # the steady phase sits below the allocation peak
@@ -442,10 +440,9 @@ def recompute_trace():
 def test_recompute_kinds_serialize_and_round_trip():
     trace = recompute_trace()
     rebuilt = MemoryTrace.from_dict(trace.to_dict())
-    assert [e.kind for e in rebuilt.recompute_events()] == [
+    assert [e.kind for e in recompute_events(rebuilt)] == [
         MemoryEventKind.RECOMPUTE_DROP, MemoryEventKind.RECOMPUTE]
-    assert rebuilt.has_recompute_events()
-    assert not swap_trace().has_recompute_events()
+    assert not recompute_events(swap_trace())
 
 
 def test_recompute_kinds_csv_round_trip(tmp_path):
@@ -637,15 +634,15 @@ def test_multi_rank_swapped_run_merges_and_slices():
     config = TrainingRunConfig(**{**SMALL_SWAPPED, "n_devices": 2})
     result = run_training_session(config)
     trace = result.trace
-    swap_ranks = {e.device_rank for e in trace.swap_events()}
+    swap_ranks = {e.device_rank for e in swap_events(trace)}
     assert swap_ranks == {0, 1}
     # replicas are symmetric: each rank slice carries half the swap traffic
-    per_rank = [len(trace.for_rank(rank).swap_events()) for rank in (0, 1)]
+    per_rank = [len(swap_events(trace.for_rank(rank))) for rank in (0, 1)]
     assert per_rank[0] == per_rank[1] > 0
-    assert sum(per_rank) == len(trace.swap_events())
+    assert sum(per_rank) == len(swap_events(trace))
     # and a manual re-merge of the rank traces is consistent
     remerged = merge_rank_traces(result.rank_traces)
-    assert len(remerged.swap_events()) == len(trace.swap_events())
+    assert len(swap_events(remerged)) == len(swap_events(trace))
     assert result.swap_execution["n_ranks"] == 2
 
 

@@ -6,7 +6,7 @@ from repro.core.ati import AccessInterval, compute_access_intervals
 from repro.core.events import MemoryCategory, MemoryEventKind
 from repro.core.fragmentation import (
     analyze_fragmentation,
-    fragmentation_timeline,
+    fragmentation_series,
     internal_fragmentation_bytes,
     snapshot_external_fragmentation,
 )
@@ -145,12 +145,13 @@ def make_fragmentation_trace():
 
 
 def test_fragmentation_timeline_tracks_reserved_and_allocated():
-    timeline = fragmentation_timeline(make_fragmentation_trace())
-    assert timeline[0].reserved_bytes == 4 * MIB
-    assert timeline[0].allocated_bytes == 0
-    assert timeline[2].allocated_bytes == 2 * MIB
-    assert timeline[2].utilization == pytest.approx(0.5)
-    assert timeline[-1].reserved_bytes == 0
+    timestamps, allocated, reserved = fragmentation_series(make_fragmentation_trace())
+    assert timestamps.tolist() == [0, 1, 2, 3, 4, 5]
+    assert reserved[0] == 4 * MIB
+    assert allocated[0] == 0
+    assert allocated[2] == 2 * MIB
+    assert allocated[2] / reserved[2] == pytest.approx(0.5)
+    assert reserved[-1] == 0
 
 
 def test_fragmentation_report_summary():

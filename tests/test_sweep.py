@@ -15,7 +15,6 @@ from repro.experiments.sweep import (
     SweepGrid,
     SweepRunner,
     run_scenario,
-    run_sweep,
 )
 from repro.train.session import TrainingRunConfig
 
@@ -355,7 +354,7 @@ def test_parallel_run_matches_serial_run(tmp_path):
 
 
 def test_sweep_result_rows_and_table():
-    sweep = run_sweep(tiny_grid())
+    sweep = SweepRunner().run(tiny_grid())
     rows = sweep.rows()
     assert len(rows) == 2
     assert rows[0]["batch_size"] == 16
@@ -366,15 +365,6 @@ def test_sweep_result_rows_and_table():
     table = sweep.summary_table()
     assert "batch_size" in table
     assert "peak_alloc_mib" in table
-
-
-def test_sweep_result_filter_and_breakdown_series():
-    sweep = run_sweep(tiny_grid(allocators=("caching", "bump")))
-    assert len(sweep.filter(allocator="bump")) == 2
-    assert len(sweep.filter(allocator="bump", batch_size=16)) == 1
-    series = sweep.breakdown_series("batch_size")
-    assert len(series.entries) == 4
-    assert all(breakdown.total_bytes > 0 for _, breakdown in series.entries)
 
 
 # -- CLI ------------------------------------------------------------------------------
@@ -480,7 +470,7 @@ def test_a_run_resolves_each_scenarios_bandwidths_once(monkeypatch):
 
 
 def test_summary_table_shows_dtype_and_device_columns():
-    sweep = run_sweep(tiny_grid(batch_sizes=(16,), dtypes=("float16",)))
+    sweep = SweepRunner().run(tiny_grid(batch_sizes=(16,), dtypes=("float16",)))
     table = sweep.summary_table()
     assert "dtype" in table and "float16" in table
     assert "device_spec" in table and "titan_x_pascal" in table
