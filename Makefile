@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-smoke examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -10,6 +10,16 @@ test:
 # interleaved rounds plus one traced pass each -> bench/results/latest.json.
 bench:
 	$(PYTHON) bench/run.py --seed 100 --rounds 10
+
+# The ten-pair protocol of docs/performance.md as one command: the working
+# tree against PARENT=<rev>, alternating which side runs first, judged per
+# workload x end-to-end metric (tools/bench_pairs.py; JSON under .bench-pairs/).
+PAIRS ?= 10
+SEED ?= 100
+bench-pairs:
+	$(if $(PARENT),,$(error usage: make bench-pairs PARENT=<rev> [ONLY=a,b] [PAIRS=10] [SEED=100]))
+	$(PYTHON) tools/bench_pairs.py --parent $(PARENT) --pairs $(PAIRS) --seed $(SEED) \
+		$(if $(ONLY),--only $(ONLY),)
 
 # One short round of the two simulating workloads (cold simulation, swap
 # engine: differential checks (a) and (e)), the replay-pricing workload and

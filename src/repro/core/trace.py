@@ -41,13 +41,14 @@ import csv
 import json
 import struct
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..errors import EmptyTraceError, TraceFormatError
+from ..errors import EmptyTraceError, TraceFormatError, TraceInvariantError
 from .events import BlockLifetime, IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
 
 PathLike = Union[str, Path]
@@ -281,21 +282,17 @@ def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
 _NEVER_FREED = int(np.iinfo(np.int64).min)  # no timestamp takes this value
 
 
-def lifetimes_from_columns(cols: EventColumns,
-                           tags: Sequence[str]) -> List[BlockLifetime]:
-    """The block lifetimes of an event stream, one per malloc, in malloc order.
+def _pair_block_behaviors(cols: EventColumns, malloc_events: np.ndarray):
+    """Pair every block behavior with the malloc that owns it.
 
     A stable sort of the four block behaviors by block id keeps each block's
     events in stream order.  Within a block, a ``free`` closes the malloc that
     is the block's previous malloc/free event, and a read/write counts toward
-    a malloc exactly when that malloc is the block's latest malloc/free event
-    — so a reused id opens a new lifetime, a double free or an access after a
-    free touches nothing, and a free the recorder never saw (paused, or the
-    block outlived the run) leaves ``free_ns`` ``None``.
+    a malloc exactly when that malloc is the block's latest malloc/free event.
+    Returns ``(events, kind, lifetime_of)`` over the sorted non-malloc
+    behaviors: the event index, its kind code and the index into
+    ``malloc_events`` of the malloc that owns it (-1 when none does).
     """
-    malloc_events = np.flatnonzero(cols.is_malloc)
-    if malloc_events.size == 0:
-        return []
     behaviors = np.flatnonzero(cols.is_block_behavior)
     by_block = behaviors[np.argsort(cols.block_id[behaviors], kind="stable")]
     kind = cols.kind_code[by_block]
@@ -308,12 +305,30 @@ def lifetimes_from_columns(cols: EventColumns,
     previous = np.concatenate(([-1], owner[:-1]))  # ... strictly before i
     owner = np.where(is_lifecycle, previous, owner)
     block = cols.block_id[by_block]
-    owned = (owner >= 0) & is_malloc[owner] & (block[owner] == block) & ~is_malloc
-    lifetime_of = np.searchsorted(malloc_events, by_block[owner[owned]])
-    closes = kind[owned] == _FREE_CODE
+    owned = (owner >= 0) & is_malloc[owner] & (block[owner] == block)
+    lifetime_of = np.where(owned, np.searchsorted(malloc_events, by_block[owner]), -1)
+    return by_block[~is_malloc], kind[~is_malloc], lifetime_of[~is_malloc]
+
+
+def lifetimes_from_columns(cols: EventColumns,
+                           tags: Sequence[str]) -> List[BlockLifetime]:
+    """The block lifetimes of an event stream, one per malloc, in malloc order.
+
+    Paired by :func:`_pair_block_behaviors`: a reused id opens a new
+    lifetime, a double free or an access after a free touches nothing, and a
+    free the recorder never saw (paused, or the block outlived the run)
+    leaves ``free_ns`` ``None``.
+    """
+    malloc_events = np.flatnonzero(cols.is_malloc)
+    if malloc_events.size == 0:
+        return []
+    events, kind, lifetime_of = _pair_block_behaviors(cols, malloc_events)
+    owned = lifetime_of >= 0
+    closes = owned & (kind == _FREE_CODE)
     free_ns = np.full(malloc_events.size, _NEVER_FREED, dtype=np.int64)
-    free_ns[lifetime_of[closes]] = cols.timestamp_ns[by_block[owned][closes]]
-    access_count = np.bincount(lifetime_of[~closes], minlength=malloc_events.size)
+    free_ns[lifetime_of[closes]] = cols.timestamp_ns[events[closes]]
+    access_count = np.bincount(lifetime_of[owned & ~closes],
+                               minlength=malloc_events.size)
 
     return [
         BlockLifetime(block_id, address, size, CATEGORY_FROM_CODE[category],
@@ -545,6 +560,84 @@ class MemoryTrace:
         if resident.size == 0:
             return 0
         return int(resident.max())
+
+    # -- invariants ------------------------------------------------------------------------
+
+    def validate(self) -> "MemoryTrace":
+        """Check the recorded stream against the allocator-level invariants.
+
+        1. every read/write lies inside a malloc…free of its block;
+        2. per rank, timestamps never decrease in event order;
+        3. per rank, no two simultaneously live blocks overlap in address.
+
+        The pairing and the first two checks are array passes; the third
+        walks the malloc/free events once, keeping the live address ranges
+        sorted.  Raises :class:`~repro.errors.TraceInvariantError` naming the
+        first offending event; returns ``self`` so call sites can chain.
+        """
+        cols = self._columns
+        offenders: List[Tuple[int, str]] = []
+
+        malloc_events = np.flatnonzero(cols.is_malloc)
+        events, kind, lifetime_of = _pair_block_behaviors(cols, malloc_events)
+        stray = events[(lifetime_of < 0) & np.isin(kind, ACCESS_CODES)]
+        if stray.size:
+            event = int(stray.min())
+            offenders.append((event, f"{KIND_FROM_CODE[int(cols.kind_code[event])].value} "
+                                     f"of block {int(cols.block_id[event])} outside any "
+                                     "malloc…free of that block"))
+
+        by_rank = np.argsort(cols.device_rank, kind="stable")
+        rank, stamp = cols.device_rank[by_rank], cols.timestamp_ns[by_rank]
+        backwards = np.flatnonzero((stamp[1:] < stamp[:-1]) & (rank[1:] == rank[:-1]))
+        if backwards.size:
+            event = int(by_rank[backwards + 1].min())
+            offenders.append((event, f"timestamp {int(cols.timestamp_ns[event])} ns is "
+                                     f"earlier than the previous event of rank "
+                                     f"{int(cols.device_rank[event])}"))
+
+        overlap = self._first_address_overlap(malloc_events, events, kind, lifetime_of)
+        if overlap is not None:
+            offenders.append(overlap)
+        if offenders:
+            raise TraceInvariantError(*min(offenders))
+        return self
+
+    def _first_address_overlap(self, malloc_events, events, kind,
+                               lifetime_of) -> Optional[Tuple[int, str]]:
+        """The first malloc whose range intersects a live block of its rank."""
+        cols = self._columns
+        closing = (lifetime_of >= 0) & (kind == _FREE_CODE)
+        # One row per malloc (own index >= 0) and per free that closes one (-1).
+        lifecycle = np.concatenate((malloc_events, events[closing]))
+        opens = np.concatenate((np.arange(malloc_events.size),
+                                np.full(int(closing.sum()), -1)))
+        opened_by = np.concatenate((malloc_events, malloc_events[lifetime_of[closing]]))
+        order = np.argsort(lifecycle, kind="stable")
+        live: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
+        for event, index, rank, start, size in zip(
+                lifecycle[order].tolist(), opens[order].tolist(),
+                cols.device_rank[opened_by[order]].tolist(),
+                cols.address[opened_by[order]].tolist(),
+                cols.size[opened_by[order]].tolist()):
+            starts, ends, blocks = live.setdefault(rank, ([], [], []))
+            position = bisect_left(starts, start)
+            if index < 0:
+                if position < len(starts) and starts[position] == start:
+                    del starts[position], ends[position], blocks[position]
+                continue
+            for neighbour in (position - 1, position):
+                if (0 <= neighbour < len(starts) and starts[neighbour] < start + size
+                        and ends[neighbour] > start):
+                    return event, (
+                        f"malloc of block {int(cols.block_id[event])} at "
+                        f"[0x{start:x}, 0x{start + size:x}) overlaps live block "
+                        f"{blocks[neighbour]} at [0x{starts[neighbour]:x}, "
+                        f"0x{ends[neighbour]:x}) on rank {rank}")
+            starts.insert(position, start)
+            ends.insert(position, start + size)
+            blocks.insert(position, int(cols.block_id[event]))
+        return None
 
     # -- persistence -----------------------------------------------------------------------
 

@@ -157,6 +157,8 @@ class BaseAllocator:
     ):
         self.spec = spec
         self.clock = clock
+        # The spec is frozen, so the per-malloc/free cost is read once.
+        self._alloc_overhead_ns = spec.allocator_overhead_ns
         self.listener = listener if listener is not None else NullListener()
         self.stats = AllocatorStats()
         self._segments: List[Segment] = []
@@ -190,9 +192,10 @@ class BaseAllocator:
 
     def _advance_alloc_overhead(self) -> None:
         """Pay the per-malloc/free bookkeeping cost (tape-annotated)."""
-        if self.clock.tape is not None:
-            self.clock.tape.record_alloc_overhead(self.spec.allocator_overhead_ns)
-        self.clock.advance(self.spec.allocator_overhead_ns)
+        clock = self.clock
+        if clock.tape is not None:
+            clock.tape.record_alloc_overhead(self._alloc_overhead_ns)
+        clock.advance(self._alloc_overhead_ns)
 
     def _advance_segment_overhead(self) -> None:
         """Pay the simulated ``cudaMalloc``/``cudaFree`` cost (tape-annotated)."""
@@ -333,7 +336,8 @@ class CachingAllocator(BaseAllocator):
         pool = "small" if rounded <= SMALL_ALLOCATION_LIMIT else "large"
         self._advance_alloc_overhead()
 
-        block = self._find_free_block(pool, rounded)
+        # Best fit in the pool's free index (removes and returns the block).
+        block = self._free_blocks[pool].take_best_fit(rounded)
         if block is not None:
             self.stats.cache_hits += 1
         else:
@@ -342,10 +346,6 @@ class CachingAllocator(BaseAllocator):
 
         block = self._maybe_split(block, rounded, pool)
         return self._publish_alloc(block, size, category, tag)
-
-    def _find_free_block(self, pool: str, rounded: int) -> Optional[Block]:
-        """Best-fit lookup in the pool's free index; removes and returns the block."""
-        return self._free_blocks[pool].take_best_fit(rounded)
 
     def _allocate_from_new_segment(self, pool: str, rounded: int) -> Block:
         """Reserve a fresh segment and return its (single, free) covering block."""

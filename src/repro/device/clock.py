@@ -25,8 +25,9 @@ class DeviceClock:
         if start_ns < 0:
             raise ClockError(f"clock cannot start at negative time {start_ns}")
         #: The current time.  Written only by this class; the trace recorder
-        #: reads the field directly (once per recorded behavior) instead of
-        #: going through the :attr:`now_ns` property.
+        #: (once per recorded behavior) and ``Device.run_kernel`` (once per
+        #: launch) read the field directly instead of going through the
+        #: :attr:`now_ns` property.
         self._now_ns = int(start_ns)
         self._observers: List[Callable[[int, int], None]] = []
         #: Optional :class:`~repro.device.tape.TimingTape` capturing why each

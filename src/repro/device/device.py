@@ -18,9 +18,9 @@ records no per-kernel :class:`~repro.device.stream.StreamOp`.  Only the copy
 stream, which takes reservations, keeps an op history and a busy index.
 
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
-storage management, :meth:`Device.notify_read` / :meth:`Device.notify_write`
-when kernels touch storage, and :meth:`Device.run_kernel` to account for the
-simulated execution time of each operator.
+storage management and :meth:`Device.run_kernel` to account for the simulated
+execution time of each operator; storages report the reads and writes of
+kernels straight to :attr:`Device.listeners`.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ class Device:
             )
         self.spec = spec if spec is not None else titan_x_pascal()
         self.execution_mode = execution_mode
+        #: Whether kernels actually compute values on NumPy buffers.
+        self.is_eager = execution_mode == "eager"
+        #: Whether kernels are shape/behavior-only (``symbolic`` mode).
+        self.is_symbolic = execution_mode == "symbolic"
         dtype = default_dtype if isinstance(default_dtype, DType) else get_dtype(
             str(default_dtype))
         if dtype.numpy_dtype.kind != "f":
@@ -159,32 +163,15 @@ class Device:
         """Free a device memory block."""
         self.allocator.free(block)
 
-    def notify_read(self, block: Block, nbytes: int, op: str) -> None:
-        """Report that ``op`` read ``nbytes`` from ``block``."""
-        self.listeners.on_read(block, nbytes, op)
-
-    def notify_write(self, block: Block, nbytes: int, op: str) -> None:
-        """Report that ``op`` wrote ``nbytes`` to ``block``."""
-        self.listeners.on_write(block, nbytes, op)
-
     # -- execution -----------------------------------------------------------
-
-    @property
-    def is_eager(self) -> bool:
-        """Whether kernels actually compute values on NumPy buffers."""
-        return self.execution_mode == "eager"
-
-    @property
-    def is_symbolic(self) -> bool:
-        """Whether kernels are shape/behavior-only (``symbolic`` mode)."""
-        return self.execution_mode == "symbolic"
 
     def run_kernel(self, cost: KernelCost) -> int:
         """Account for the execution of one kernel; returns its duration in ns."""
         duration = self.timing.op_duration_ns(cost)
         clock, stream = self.clock, self.compute_stream
         # The horizon compute_stream.schedule(duration) would leave, without the log.
-        stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + duration
+        now, busy = clock._now_ns, stream.busy_until_ns
+        stream.busy_until_ns = (busy if busy > now else now) + duration
         if clock.tape is not None:
             clock.tape.record_kernel(cost, duration)
         clock.advance(duration)

@@ -87,6 +87,15 @@ HOOK_NAMES = ("on_malloc", "on_free", "on_read", "on_write", "on_segment_alloc",
 
 def _fan_out(hooks: tuple):
     """One callable delivering its arguments to every bound hook, in order."""
+    if len(hooks) == 2:
+        # A swap-on device: the executor, then the recorder.
+        first, second = hooks
+
+        def deliver(*args) -> None:
+            first(*args)
+            second(*args)
+        return deliver
+
     def deliver(*args) -> None:
         for hook in hooks:
             hook(*args)

@@ -37,13 +37,17 @@ def _next_segment_id() -> int:
     return next(_segment_id_counter)
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Block:
     """A contiguous range of device memory inside a segment.
 
     A block is either *allocated* (owned by a tensor) or *free* (sitting in
     the allocator's cache).  Splitting a free block produces a new block for
     the remainder; coalescing merges adjacent free blocks back together.
+
+    Blocks (and segments) are allocator objects, not values: they compare by
+    identity and are hashable.  Field-wise equality would walk the
+    ``segment.first_block.segment`` cycle and never return.
     """
 
     segment: "Segment"
@@ -70,7 +74,7 @@ class Block:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """A device memory reservation obtained with a (simulated) ``cudaMalloc``.
 
@@ -179,8 +183,10 @@ class AllocatorStats:
         self.active_blocks += 1
         self.total_alloc_count += 1
         self.total_alloc_bytes += size
-        self.peak_allocated_bytes = max(self.peak_allocated_bytes, self.allocated_bytes)
-        self.peak_active_blocks = max(self.peak_active_blocks, self.active_blocks)
+        if self.allocated_bytes > self.peak_allocated_bytes:
+            self.peak_allocated_bytes = self.allocated_bytes
+        if self.active_blocks > self.peak_active_blocks:
+            self.peak_active_blocks = self.active_blocks
 
     def on_free(self, size: int) -> None:
         """Record a block free of ``size`` bytes."""
@@ -192,7 +198,8 @@ class AllocatorStats:
         """Record a segment reservation of ``size`` bytes."""
         self.reserved_bytes += size
         self.segment_allocs += 1
-        self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
+        if self.reserved_bytes > self.peak_reserved_bytes:
+            self.peak_reserved_bytes = self.reserved_bytes
 
     def on_release(self, size: int) -> None:
         """Record a segment release of ``size`` bytes."""

@@ -21,6 +21,8 @@ in eager PyTorch is a significant part of small-kernel ATIs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict
 
 from .spec import DeviceSpec
 
@@ -30,11 +32,21 @@ DEFAULT_COMPUTE_EFFICIENCY = 0.65
 DEFAULT_BANDWIDTH_EFFICIENCY = 0.75
 #: Host-side framework dispatch cost per operator (Python + dispatcher).
 DEFAULT_HOST_DISPATCH_OVERHEAD_NS = 6_000
+#: Entries each memoized cost function (and each model's duration table)
+#: keeps.  A session launches a few hundred distinct (op, shape, dtype)
+#: tuples, thousands of times each; a constant, not a setting.
+COST_CACHE_SIZE = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelCost:
-    """Work estimate for one kernel: floating point ops and bytes moved."""
+    """Work estimate for one kernel: floating point ops and bytes moved.
+
+    Immutable and slotted: the cost functions below are memoized (keyed on
+    their arguments' values *and* types, so a cached cost has exactly the
+    fields the call would have computed), and equal launches share one
+    instance.
+    """
 
     flops: float = 0.0
     bytes_read: float = 0.0
@@ -93,6 +105,9 @@ class KernelTimingModel:
         # same two numbers.
         self.effective_flops = spec.peak_flops * compute_efficiency
         self.effective_bandwidth = spec.memory_bandwidth * bandwidth_efficiency
+        # cost -> op duration.  Everything the duration depends on besides the
+        # (frozen) cost is fixed above, so an entry can never go stale.
+        self._op_durations: Dict[KernelCost, int] = {}
 
     # -- estimation -----------------------------------------------------------
 
@@ -106,7 +121,13 @@ class KernelTimingModel:
 
     def op_duration_ns(self, cost: KernelCost) -> int:
         """Total operator duration: host dispatch plus kernel time."""
-        return self.host_dispatch_overhead_ns + self.kernel_duration_ns(cost)
+        duration = self._op_durations.get(cost)
+        if duration is None:
+            if len(self._op_durations) >= COST_CACHE_SIZE:
+                self._op_durations.clear()
+            duration = self.host_dispatch_overhead_ns + self.kernel_duration_ns(cost)
+            self._op_durations[cost] = duration
+        return duration
 
     def memcpy_duration_ns(self, nbytes: int, bandwidth: float) -> int:
         """Duration of a host↔device copy of ``nbytes`` at ``bandwidth`` B/s."""
@@ -116,6 +137,7 @@ class KernelTimingModel:
         return int(round(self.spec.memcpy_launch_overhead_ns + transfer_ns))
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def matmul_cost(m: int, k: int, n: int, itemsize: int = 4, name: str = "matmul") -> KernelCost:
     """Cost of a dense ``(m, k) @ (k, n)`` matrix multiplication."""
     flops = 2.0 * m * k * n
@@ -124,6 +146,7 @@ def matmul_cost(m: int, k: int, n: int, itemsize: int = 4, name: str = "matmul")
     return KernelCost(flops=flops, bytes_read=bytes_read, bytes_written=bytes_written, name=name)
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def elementwise_cost(numel: int, n_inputs: int = 1, flops_per_element: float = 1.0,
                      itemsize: int = 4, name: str = "elementwise") -> KernelCost:
     """Cost of an elementwise kernel over ``numel`` elements."""
@@ -135,6 +158,7 @@ def elementwise_cost(numel: int, n_inputs: int = 1, flops_per_element: float = 1
     )
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def conv2d_cost(batch: int, in_channels: int, out_channels: int,
                 out_h: int, out_w: int, kernel_h: int, kernel_w: int,
                 itemsize: int = 4, name: str = "conv2d") -> KernelCost:
@@ -149,6 +173,7 @@ def conv2d_cost(batch: int, in_channels: int, out_channels: int,
     return KernelCost(flops=flops, bytes_read=bytes_read, bytes_written=bytes_written, name=name)
 
 
+@lru_cache(maxsize=COST_CACHE_SIZE, typed=True)
 def reduction_cost(numel: int, itemsize: int = 4, name: str = "reduction") -> KernelCost:
     """Cost of a full reduction over ``numel`` elements."""
     return KernelCost(flops=float(numel), bytes_read=float(itemsize * numel),

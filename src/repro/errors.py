@@ -180,3 +180,15 @@ class EmptyTraceError(TraceError):
 
 class TraceFormatError(TraceError):
     """Raised when a serialized trace cannot be parsed."""
+
+
+class TraceInvariantError(TraceError):
+    """Raised by ``MemoryTrace.validate`` when a recorded stream breaks an invariant.
+
+    ``event_index`` is the position (in stream order) of the first offending
+    event; the message names it.
+    """
+
+    def __init__(self, event_index: int, message: str):
+        self.event_index = int(event_index)
+        super().__init__(f"event {self.event_index}: {message}")

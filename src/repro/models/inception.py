@@ -73,7 +73,7 @@ class InceptionBlock(Module):
             if grad_input is None:
                 grad_input = grad_branch
             else:
-                merged = F.add(grad_input, grad_branch, tag=f"{self.name}.grad_in")
+                merged = F.add(grad_input, grad_branch, tag=self.grad_in_tag)
                 grad_input.release()
                 grad_branch.release()
                 grad_input = merged
@@ -92,7 +92,7 @@ class AvgLikePool(Module):
 
         self._input_shape = x.shape
         output, indices = C.maxpool2d_forward(x, kernel=3, stride=1, padding=1,
-                                              tag=f"{self.name}.out")
+                                              tag=self.out_tag)
         self.save_for_backward(indices=indices)
         indices.release()
         return output
@@ -102,7 +102,7 @@ class AvgLikePool(Module):
 
         indices = self.saved("indices")
         grad_input = C.maxpool2d_backward(grad_output, indices, self._input_shape, kernel=3,
-                                          stride=1, padding=1, tag=f"{self.name}.grad_in")
+                                          stride=1, padding=1, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 

@@ -113,7 +113,7 @@ class BasicBlock(Module):
             grad_shortcut = grad_sum.retain()
         grad_sum.release()
 
-        grad_input = F.add(grad_main, grad_shortcut, tag=f"{self.name}.grad_in",
+        grad_input = F.add(grad_main, grad_shortcut, tag=self.grad_in_tag,
                            category=MemoryCategory.ACTIVATION_GRADIENT)
         grad_main.release()
         grad_shortcut.release()
@@ -211,7 +211,7 @@ class Bottleneck(Module):
             grad_shortcut = grad_sum.retain()
         grad_sum.release()
 
-        grad_input = F.add(grad_main, grad_shortcut, tag=f"{self.name}.grad_in",
+        grad_input = F.add(grad_main, grad_shortcut, tag=self.grad_in_tag,
                            category=MemoryCategory.ACTIVATION_GRADIENT)
         grad_main.release()
         grad_shortcut.release()

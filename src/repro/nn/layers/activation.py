@@ -11,13 +11,13 @@ class ReLU(Module):
     """Rectified linear unit; saves its output as the backward mask."""
 
     def forward(self, x: Tensor) -> Tensor:
-        output = F.relu_forward(x, tag=f"{self.name}.out")
+        output = F.relu_forward(x, tag=self.out_tag)
         self.save_for_backward(output=output)
         return output
 
     def backward(self, grad_output: Tensor) -> Tensor:
         output = self.saved("output")
-        grad_input = F.relu_backward(grad_output, output, tag=f"{self.name}.grad_in")
+        grad_input = F.relu_backward(grad_output, output, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 
@@ -26,13 +26,13 @@ class Sigmoid(Module):
     """Logistic sigmoid; saves its output for the backward pass."""
 
     def forward(self, x: Tensor) -> Tensor:
-        output = F.sigmoid_forward(x, tag=f"{self.name}.out")
+        output = F.sigmoid_forward(x, tag=self.out_tag)
         self.save_for_backward(output=output)
         return output
 
     def backward(self, grad_output: Tensor) -> Tensor:
         output = self.saved("output")
-        grad_input = F.sigmoid_backward(grad_output, output, tag=f"{self.name}.grad_in")
+        grad_input = F.sigmoid_backward(grad_output, output, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 
@@ -41,12 +41,12 @@ class Tanh(Module):
     """Hyperbolic tangent; saves its output for the backward pass."""
 
     def forward(self, x: Tensor) -> Tensor:
-        output = F.tanh_forward(x, tag=f"{self.name}.out")
+        output = F.tanh_forward(x, tag=self.out_tag)
         self.save_for_backward(output=output)
         return output
 
     def backward(self, grad_output: Tensor) -> Tensor:
         output = self.saved("output")
-        grad_input = F.tanh_backward(grad_output, output, tag=f"{self.name}.grad_in")
+        grad_input = F.tanh_backward(grad_output, output, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input

@@ -44,7 +44,7 @@ class Conv2d(Module):
         self.save_for_backward(input=x)
         bias_tensor = self.bias.data if self.bias is not None else None
         return C.conv2d_forward(x, self.weight.data, bias_tensor, stride=self.stride,
-                                padding=self.padding, tag=f"{self.name}.out")
+                                padding=self.padding, tag=self.out_tag)
 
     def backward(self, grad_output: Tensor) -> Tensor:
         x = self.saved("input")
@@ -54,6 +54,6 @@ class Conv2d(Module):
                                  stride=self.stride, padding=self.padding)
         grad_input = C.conv2d_backward_input(grad_output, self.weight.data, x.shape,
                                              stride=self.stride, padding=self.padding,
-                                             tag=f"{self.name}.grad_in")
+                                             tag=self.grad_in_tag)
         self.release_saved()
         return grad_input

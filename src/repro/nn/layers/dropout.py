@@ -29,7 +29,7 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x.retain()
-        output, mask = F.dropout_forward(x, self.p, self._rng, tag=f"{self.name}.out")
+        output, mask = F.dropout_forward(x, self.p, self._rng, tag=self.out_tag)
         self.save_for_backward(mask=mask)
         mask.release()
         return output
@@ -38,6 +38,6 @@ class Dropout(Module):
         if not self.has_saved("mask"):
             return grad_output.retain()
         mask = self.saved("mask")
-        grad_input = F.dropout_backward(grad_output, mask, tag=f"{self.name}.grad_in")
+        grad_input = F.dropout_backward(grad_output, mask, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input

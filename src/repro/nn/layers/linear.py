@@ -41,7 +41,7 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         self.save_for_backward(input=x)
         bias_tensor = self.bias.data if self.bias is not None else None
-        return F.linear_forward(x, self.weight.data, bias_tensor, tag=f"{self.name}.out")
+        return F.linear_forward(x, self.weight.data, bias_tensor, tag=self.out_tag)
 
     def backward(self, grad_output: Tensor) -> Tensor:
         x = self.saved("input")
@@ -49,6 +49,6 @@ class Linear(Module):
         grad_bias = self.bias.ensure_grad() if self.bias is not None else None
         F.linear_backward_params(x, grad_output, grad_weight, grad_bias)
         grad_input = F.linear_backward_input(grad_output, self.weight.data,
-                                             tag=f"{self.name}.grad_in")
+                                             tag=self.grad_in_tag)
         self.release_saved()
         return grad_input

@@ -45,7 +45,7 @@ class BatchNorm2d(Module):
         output, save_mean, save_invstd = C.batchnorm2d_forward(
             x, self.weight.data, self.bias.data, self.running_mean, self.running_var,
             momentum=self.momentum, eps=self.eps, training=self.training,
-            tag=f"{self.name}.out",
+            tag=self.out_tag,
         )
         self.save_for_backward(input=x, save_mean=save_mean, save_invstd=save_invstd)
         # The statistics tensors were created inside the op with refcount 1;
@@ -62,6 +62,6 @@ class BatchNorm2d(Module):
         grad_beta = self.bias.ensure_grad()
         grad_input = C.batchnorm2d_backward(grad_output, x, self.weight.data, save_mean,
                                             save_invstd, grad_gamma, grad_beta,
-                                            tag=f"{self.name}.grad_in")
+                                            tag=self.grad_in_tag)
         self.release_saved()
         return grad_input

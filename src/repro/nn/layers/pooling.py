@@ -20,7 +20,7 @@ class MaxPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         output, indices = C.maxpool2d_forward(x, kernel=self.kernel_size, stride=self.stride,
-                                              padding=self.padding, tag=f"{self.name}.out")
+                                              padding=self.padding, tag=self.out_tag)
         self._input_shape = x.shape
         self.save_for_backward(indices=indices)
         # The indices tensor was created inside the op with refcount 1 and is
@@ -33,7 +33,7 @@ class MaxPool2d(Module):
         indices = self.saved("indices")
         grad_input = C.maxpool2d_backward(grad_output, indices, self._input_shape,
                                           kernel=self.kernel_size, stride=self.stride,
-                                          padding=self.padding, tag=f"{self.name}.grad_in")
+                                          padding=self.padding, tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 
@@ -52,12 +52,12 @@ class AvgPool2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         self._input_shape = x.shape
         return C.avgpool2d_forward(x, kernel=self.kernel_size, stride=self.stride,
-                                   padding=self.padding, tag=f"{self.name}.out")
+                                   padding=self.padding, tag=self.out_tag)
 
     def backward(self, grad_output: Tensor) -> Tensor:
         return C.avgpool2d_backward(grad_output, self._input_shape, kernel=self.kernel_size,
                                     stride=self.stride, padding=self.padding,
-                                    tag=f"{self.name}.grad_in")
+                                    tag=self.grad_in_tag)
 
 
 class GlobalAvgPool2d(Module):
@@ -69,8 +69,8 @@ class GlobalAvgPool2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         self._input_shape = x.shape
-        return C.global_avg_pool_forward(x, tag=f"{self.name}.out")
+        return C.global_avg_pool_forward(x, tag=self.out_tag)
 
     def backward(self, grad_output: Tensor) -> Tensor:
         return C.global_avg_pool_backward(grad_output, self._input_shape,
-                                          tag=f"{self.name}.grad_in")
+                                          tag=self.grad_in_tag)

@@ -30,6 +30,11 @@ class Module:
         object.__setattr__(self, "_saved", OrderedDict())
         self.device = device
         self.name = name or self.__class__.__name__
+        # A module's name is fixed at construction (pinned in
+        # tests/test_single_source.py), so the tags of the tensors its
+        # forward / backward produce are built here, not once per call.
+        self.out_tag = f"{self.name}.out"
+        self.grad_in_tag = f"{self.name}.grad_in"
         self.training = True
 
     # -- registration ----------------------------------------------------------------

@@ -77,7 +77,7 @@ from ..errors import InfeasibleScenarioError
 from .policies import EvictDirective, MemoryPolicy, get_policy
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockState:
     """Everything the executor knows about one device memory block."""
 

@@ -393,7 +393,7 @@ def sgd_step(param: Tensor, grad: Tensor, momentum_buffer: Optional[Tensor],
     behaviors of ``torch.optim.SGD``'s fused kernels.
     """
     device = _check_same_device(param, grad)
-    inputs = [param, grad] + ([momentum_buffer] if momentum_buffer is not None else [])
+    inputs = (param, grad) if momentum_buffer is None else (param, grad, momentum_buffer)
     cost = elementwise_cost(param.numel, n_inputs=len(inputs), flops_per_element=4.0,
                             itemsize=param.dtype.itemsize, name="sgd_step")
 

@@ -27,6 +27,9 @@ from .dtype import DType, float32
 class DeviceStorage:
     """A reference-counted slab of device memory holding tensor elements."""
 
+    __slots__ = ("device", "numel", "dtype", "nbytes", "category", "tag", "block",
+                 "_buffer", "_refcount")
+
     def __init__(
         self,
         device: Device,
@@ -64,7 +67,7 @@ class DeviceStorage:
 
     def release(self) -> None:
         """Decrease the reference count; frees the device block at zero."""
-        if self.is_freed:
+        if self.block is None:
             return
         self._refcount -= 1
         if self._refcount <= 0:
@@ -84,8 +87,7 @@ class DeviceStorage:
     # -- instrumented access -------------------------------------------------------
 
     # The two hot calls of a profiled run: the liveness check is inlined and
-    # the composite's hook (looked up per call, see ``CompositeListener``) is
-    # called directly instead of through ``Device.notify_read/notify_write``.
+    # the composite's hook is looked up per call (see ``CompositeListener``).
 
     def record_read(self, op: str, nbytes: Optional[int] = None) -> None:
         """Report a read of this storage by operator ``op``."""

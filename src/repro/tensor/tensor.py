@@ -27,6 +27,13 @@ ShapeLike = Union[int, Sequence[int]]
 
 
 def _normalize_shape(shape: ShapeLike) -> Tuple[int, ...]:
+    # What every kernel passes: a tuple of plain non-negative ints, returned as is.
+    if type(shape) is tuple:
+        for dim in shape:
+            if type(dim) is not int or dim < 0:
+                break
+        else:
+            return shape
     if isinstance(shape, (int, np.integer)):
         shape = (int(shape),)
     shape = tuple(map(int, shape))
@@ -42,6 +49,8 @@ class Tensor:
     (:func:`empty`, :func:`zeros`, :func:`randn`, :func:`from_numpy`) or
     through the operators in :mod:`repro.tensor.functional`.
     """
+
+    __slots__ = ("device", "shape", "dtype", "category", "tag", "numel", "storage")
 
     def __init__(
         self,
@@ -178,10 +187,10 @@ class Tensor:
 # -- factory helpers ---------------------------------------------------------------------
 
 
-def empty(device: Device, shape: ShapeLike, dtype: Optional[DType] = None,
-          category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "") -> Tensor:
-    """Allocate an uninitialized tensor (``device.default_dtype`` when untyped)."""
-    return Tensor(device, shape, dtype=dtype, category=category, tag=tag)
+#: Allocate an uninitialized tensor (``device.default_dtype`` when untyped):
+#: ``empty(device, shape, dtype=None, category=UNKNOWN, tag="")`` is the
+#: constructor itself — one frame per kernel output less than a wrapper.
+empty = Tensor
 
 
 def zeros(device: Device, shape: ShapeLike, dtype: Optional[DType] = None,

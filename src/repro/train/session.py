@@ -29,6 +29,7 @@ trace is a view of its class's recording that differs only in
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -302,6 +303,12 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     ``collect(profilers, traces)`` — called once the session is complete with
     the per-class profilers and their traces.
     Ordinary callers leave it ``None`` and pay nothing.
+
+    The session's object graph is cyclic (block lists, segment ↔ block,
+    module ↔ children, device ↔ allocator ↔ listeners) and all of it is live
+    until the session returns, so the cyclic collector is paused while it
+    runs — a young collection would mostly rescan objects still in use —
+    and restored on the way out, unless the caller had it off.
     """
     if config.iterations <= 0:
         raise ConfigurationError("iterations must be positive")
@@ -331,6 +338,8 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     # ``group`` iterates the materialised replicas: one per replica class.
     for profiler in profilers:
         profiler.start()
+    collector_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         models = [build_model(config.model, device,
                               rng=np.random.default_rng(config.seed),
@@ -356,6 +365,8 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     finally:
         for profiler in profilers:
             profiler.stop()
+        if collector_was_enabled:
+            gc.enable()
     class_traces = [profiler.trace() for profiler in profilers]
     rank_traces = [class_traces[index].rank_view(rank)
                    for rank, index in enumerate(group.rank_classes)]

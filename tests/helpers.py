@@ -6,6 +6,8 @@ functions, so that test modules never depend on conftest import order.
 
 from __future__ import annotations
 
+import functools
+
 from repro.core.events import (
     BlockLifetime,
     IterationMark,
@@ -15,6 +17,16 @@ from repro.core.events import (
 )
 from repro.core.trace import MemoryTrace
 from repro.device.hooks import MemoryEventListener
+
+
+def validating(run_session):
+    """``run_training_session`` whose every trace passes ``MemoryTrace.validate()``."""
+    @functools.wraps(run_session)
+    def run_and_validate(*args, **kwargs):
+        result = run_session(*args, **kwargs)
+        result.trace.validate()
+        return result
+    return run_and_validate
 
 
 def price_one(engine, scenario, bandwidths=None):

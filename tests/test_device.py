@@ -33,8 +33,8 @@ def test_listeners_observe_allocations_and_accesses(test_device):
     listener = CountingListener()
     test_device.add_listener(listener)
     block = test_device.allocate(1024)
-    test_device.notify_write(block, 1024, op="init")
-    test_device.notify_read(block, 1024, op="consume")
+    test_device.listeners.on_write(block, 1024, "init")
+    test_device.listeners.on_read(block, 1024, "consume")
     test_device.free(block)
     assert (listener.mallocs, listener.writes, listener.reads, listener.frees) == (1, 1, 1, 1)
     test_device.remove_listener(listener)

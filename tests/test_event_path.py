@@ -31,7 +31,10 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
                                  run_training_session)
 from repro.units import MIB
 
-from tests.helpers import ReferenceRecorder
+from tests.helpers import ReferenceRecorder, validating
+
+# Every session this file runs must also satisfy the trace invariants.
+run_training_session = validating(run_training_session)
 
 STRUCTURES = {
     "mlp": dict(model="mlp", dataset="two_cluster", batch_size=512,

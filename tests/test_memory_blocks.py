@@ -79,3 +79,38 @@ def test_allocator_stats_to_dict_contains_all_counters():
                      "cache_hits", "cache_misses", "segment_allocs", "segment_frees",
                      "split_count", "coalesce_count"}
     assert expected_keys == set(data)
+
+
+# -- identity semantics (allocator objects, not values) --------------------------------
+
+
+def _twin_segments():
+    """Two equal-valued first segments: rank 0's and rank 1's, both numbered from 1."""
+    return (Segment(4096, 1 << 20, "small", segment_id=1, first_block_id=1),
+            Segment(4096, 1 << 20, "small", segment_id=1, first_block_id=1))
+
+
+def test_equal_valued_segments_compare_by_identity():
+    # Field-wise equality walked first_block -> segment -> first_block ... forever.
+    left, right = _twin_segments()
+    assert left != right
+    assert left == left
+
+
+def test_equal_valued_blocks_compare_by_identity():
+    left, right = _twin_segments()
+    assert left.first_block != right.first_block
+    assert left.first_block in [right.first_block, left.first_block]
+
+
+def test_blocks_and_segments_are_hashable():
+    left, right = _twin_segments()
+    assert len({left.first_block, right.first_block, left.first_block}) == 2
+    assert len({left, right}) == 2
+
+
+def test_block_carries_no_instance_dict():
+    block = Segment(address=0, size=512, pool="small").first_block
+    assert not hasattr(block, "__dict__")
+    with pytest.raises(AttributeError):
+        block.scratch = 1

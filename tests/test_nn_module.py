@@ -131,3 +131,48 @@ def test_parameter_bytes_and_buffer_bytes(test_device):
     bn = BatchNorm2d(test_device, 4)
     assert bn.parameter_bytes() == 2 * 4 * 4          # gamma + beta, float32
     assert bn.buffer_bytes() == 2 * 4 * 4             # running mean + var
+
+
+# -- tags built at construction -----------------------------------------------------------
+
+_IMAGE, _FLAT = (2, 2, 4, 4), (2, 4)
+_LAYER_CASES = {
+    "ReLU": ({}, _FLAT), "Sigmoid": ({}, _FLAT), "Tanh": ({}, _FLAT),
+    "Linear": (dict(in_features=4, out_features=3), _FLAT),
+    "Dropout": (dict(p=0.5), _FLAT),
+    "Flatten": ({}, _IMAGE),
+    "Conv2d": (dict(in_channels=2, out_channels=3, kernel_size=3, padding=1), _IMAGE),
+    "BatchNorm2d": (dict(num_features=2), _IMAGE),
+    "MaxPool2d": (dict(kernel_size=2), _IMAGE),
+    "AvgPool2d": (dict(kernel_size=2), _IMAGE),
+    "GlobalAvgPool2d": ({}, _IMAGE),
+}
+
+
+def test_every_layer_class_has_a_tag_case():
+    from repro.nn import layers
+    assert set(_LAYER_CASES) == set(layers.__all__)
+
+
+@pytest.mark.parametrize("class_name", sorted(_LAYER_CASES))
+def test_cached_tags_equal_the_per_call_format(virtual_device, class_name):
+    from repro.nn import layers
+    kwargs, input_shape = _LAYER_CASES[class_name]
+    layer = getattr(layers, class_name)(virtual_device, name="net.block.layer", **kwargs)
+    assert layer.out_tag == f"{layer.name}.out" == "net.block.layer.out"
+    assert layer.grad_in_tag == f"{layer.name}.grad_in" == "net.block.layer.grad_in"
+    x = randn(virtual_device, input_shape, tag="x")
+    output = layer(x)
+    grad_output = randn(virtual_device, output.shape, tag="dy")
+    grad_input = layer.backward(grad_output)
+    # A layer that allocates its result tags it with the cached string itself
+    # (Flatten only views its input, so it produces no tagged tensor).
+    if output.storage is not x.storage:
+        assert output.tag is layer.out_tag
+    if grad_input.storage is not grad_output.storage:
+        assert grad_input.tag is layer.grad_in_tag
+
+
+def test_default_named_module_tags_follow_the_class_name(test_device):
+    assert Identity(test_device).out_tag == "Identity.out"
+    assert Identity(test_device).grad_in_tag == "Identity.grad_in"

@@ -98,3 +98,48 @@ def test_session_config_describe_mentions_model_and_batch():
     description = config.describe()
     assert "alexnet" in description
     assert "128" in description
+
+
+# -- the cyclic collector is paused for a session and left as it was found ----------------
+
+
+@pytest.fixture
+def restore_collector():
+    import gc
+    was_enabled = gc.isenabled()
+    yield gc
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _tiny_symbolic_config(**overrides):
+    return TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 16}, batch_size=8,
+                             iterations=1, execution_mode="symbolic", **overrides)
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_session_pauses_the_collector_and_restores_it(restore_collector, monkeypatch,
+                                                      enabled_before):
+    from repro.train import session
+    gc, seen_inside = restore_collector, []
+    real_build_dataset = session.build_dataset
+
+    def observing_build_dataset(*args, **kwargs):
+        seen_inside.append(gc.isenabled())
+        return real_build_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(session, "build_dataset", observing_build_dataset)
+    (gc.enable if enabled_before else gc.disable)()
+    run_training_session(_tiny_symbolic_config())
+    assert seen_inside == [False]
+    assert gc.isenabled() is enabled_before
+
+
+@pytest.mark.parametrize("enabled_before", [True, False])
+def test_session_restores_the_collector_when_it_raises(restore_collector, enabled_before):
+    from repro.errors import OutOfMemoryError
+    gc = restore_collector
+    (gc.enable if enabled_before else gc.disable)()
+    # Too small for the first segment: the model build raises inside the session.
+    with pytest.raises(OutOfMemoryError):
+        run_training_session(_tiny_symbolic_config(device_memory_capacity=1 << 20))
+    assert gc.isenabled() is enabled_before

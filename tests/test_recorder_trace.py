@@ -193,3 +193,54 @@ def test_midrun_trace_snapshots_are_independent(test_device):
     assert len(early) == early_len          # earlier snapshot unaffected
     assert len(late) > early_len
     test_device.remove_listener(recorder)
+
+
+# -- MemoryTrace.validate(): access inside lifetime, monotone clocks, no live overlap -----
+
+
+def _events(*rows):
+    """``(kind, timestamp_ns, block_id, address, size[, rank])`` rows -> a trace."""
+    return MemoryTrace(events=[
+        MemoryEvent(event_id=index, kind=MemoryEventKind(row[0]), timestamp_ns=row[1],
+                    block_id=row[2], address=row[3], size=row[4],
+                    category=MemoryCategory.ACTIVATION,
+                    device_rank=row[5] if len(row) > 5 else 0)
+        for index, row in enumerate(rows)])
+
+
+def test_validate_accepts_recorded_and_hand_built_traces(test_device, simple_trace):
+    assert simple_trace.validate() is simple_trace
+    assert MemoryTrace().validate().is_empty
+    record_some_activity(test_device).to_trace().validate()
+    # Address reuse after a free, an id reused for a second lifetime, a block that
+    # outlives the run, equal addresses on different ranks, equal timestamps.
+    _events(("malloc", 0, 1, 0x1000, 512), ("write", 1, 1, 0x1000, 512),
+            ("free", 2, 1, 0x1000, 512), ("malloc", 2, 2, 0x1000, 1024),
+            ("malloc", 3, 1, 0x2000, 512), ("read", 3, 1, 0x2000, 512),
+            ("malloc", 1, 7, 0x1000, 512, 1), ("read", 4, 2, 0x1000, 1024)).validate()
+
+
+@pytest.mark.parametrize("rows, offender, message", [
+    # read after the free; the later write before any malloc is not the first offender
+    ([("malloc", 0, 1, 0x1000, 512), ("free", 1, 1, 0x1000, 512),
+      ("read", 2, 1, 0x1000, 512), ("write", 3, 9, 0x9000, 512)], 2, "read of block 1 outside"),
+    ([("write", 0, 9, 0x9000, 512)], 0, "write of block 9 outside"),
+    # rank 0's clock steps back; rank 1 interleaved at other times is fine
+    ([("malloc", 5, 1, 0x1000, 512), ("malloc", 1, 2, 0x1000, 512, 1),
+      ("write", 4, 1, 0x1000, 512)], 2, "earlier than the previous event of rank 0"),
+    # same start, start inside a live block, a live block's start inside the new one
+    ([("malloc", 0, 1, 0x1000, 512), ("malloc", 1, 2, 0x1000, 256)], 1,
+     "block 2 at [0x1000, 0x1100) overlaps live block 1"),
+    ([("malloc", 0, 1, 0x1000, 1024), ("malloc", 1, 2, 0x1200, 512)], 1, "overlaps live block 1"),
+    ([("malloc", 0, 1, 0x1200, 512), ("malloc", 1, 2, 0x1000, 1024)], 1, "overlaps live block 1"),
+    # the earliest violation is the one named, whichever invariant it breaks
+    ([("malloc", 0, 1, 0x1000, 512), ("malloc", 1, 2, 0x1000, 512),
+      ("read", 2, 3, 0x3000, 512)], 1, "overlaps"),
+])
+def test_validate_names_the_first_offending_event(rows, offender, message):
+    from repro.errors import TraceError, TraceInvariantError
+    with pytest.raises(TraceInvariantError) as caught:
+        _events(*rows).validate()
+    assert isinstance(caught.value, TraceError)
+    assert caught.value.event_index == offender
+    assert str(caught.value).startswith(f"event {offender}: ") and message in str(caught.value)

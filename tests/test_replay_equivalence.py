@@ -141,7 +141,8 @@ def assert_replayed_trace_is_the_fresh_one(store_dir):
 
 
 def assert_same_trace(replayed, fresh):
-    """``replayed`` is the trace ``fresh`` is, event for event."""
+    """``replayed`` is the trace ``fresh`` is, event for event — and a valid one."""
+    replayed.validate()
     fresh_cols, replay_cols = fresh.columns(), replayed.columns()
     # Block/segment ids draw from a process-global counter, so two runs in
     # one process differ by a constant shift; compare first-appearance order.

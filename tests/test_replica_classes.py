@@ -33,6 +33,11 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
 from repro.train.trainer import replica_classes, shard_batch
 from repro.units import MIB
 
+from tests.helpers import validating
+
+# Every session this file runs must also satisfy the trace invariants.
+run_training_session = validating(run_training_session)
+
 STRUCTURES = {
     "mlp": dict(model="mlp", dataset="two_cluster",
                 model_kwargs={"hidden_dim": 64, "num_hidden_layers": 2}),

@@ -83,6 +83,21 @@ def test_block_lifetimes_are_constructed_in_one_function_only():
     assert sites == [("core/trace.py", "lifetimes_from_columns")]
 
 
+def test_a_name_is_assigned_at_construction_only():
+    """``Module.__init__`` builds the ``.out`` / ``.grad_in`` tags from the
+    name once, so nothing may rename a module (or anything else) afterwards."""
+    def assigns_name(node):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        return any(isinstance(target, ast.Attribute) and target.attr == "name"
+                   for target in targets)
+
+    functions = {function for path in sorted(SRC.rglob("*.py"))
+                 for function in _enclosing_functions(path, assigns_name)}
+    assert functions == {"__init__"}
+
+
 def test_four_functions_run_a_training_session():
     """One way to run a scenario: results, template capture and the runner's
     trace door simulate; ``repro profile`` prints session-only fields

@@ -22,6 +22,11 @@ import pytest
 from repro.errors import ConfigurationError, MaterializationError
 from repro.train.session import TrainingRunConfig, run_training_session
 
+from tests.helpers import validating
+
+# Every session this file runs must also satisfy the trace invariants.
+run_training_session = validating(run_training_session)
+
 
 def _normalized_block_ids(values):
     """Remap a block-id sequence to dense first-appearance order."""

@@ -137,3 +137,29 @@ def test_arange_labels_in_range(test_device):
     assert values.shape == (16,)
     assert values.min() >= 0
     assert values.max() < 4
+
+
+def test_normalize_shape_fast_path_and_fallback():
+    from repro.tensor.tensor import _normalize_shape
+
+    plain = (2, 0, 3)
+    assert _normalize_shape(plain) is plain          # returned as is, not re-tupled
+    for shape in ([2, 0, 3], (np.int64(2), 0, 3), (2.0, 0, 3), (True, 0, 3), np.array([2, 0, 3])):
+        normalized = _normalize_shape(shape)
+        assert normalized == (int(shape[0]), 0, 3)
+        assert all(type(dim) is int for dim in normalized)
+    assert _normalize_shape(np.int32(4)) == (4,) and _normalize_shape(()) == ()
+    for bad in ((2, -1), [2, -1], (np.int64(-1),), -3):
+        with pytest.raises(ShapeError, match="negative dimension"):
+            _normalize_shape(bad)
+
+
+def test_tensor_and_storage_carry_no_instance_dict(test_device):
+    tensor = empty(test_device, (2, 2), tag="slotted")
+    for instance in (tensor, tensor.storage):
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(AttributeError):
+            instance.scratch = 1
+    # ``empty`` is the constructor itself: the documented leading arguments.
+    typed = empty(test_device, (3,), int64, MemoryCategory.LABEL, "labels")
+    assert (typed.dtype, typed.category, typed.tag) == (int64, MemoryCategory.LABEL, "labels")

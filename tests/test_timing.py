@@ -1,9 +1,13 @@
 """Tests for the roofline kernel-timing model."""
 
-import pytest
+import dataclasses
 
-from repro.device.spec import titan_x_pascal
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.device.spec import get_device_spec, titan_x_pascal
 from repro.device.timing import (
+    COST_CACHE_SIZE,
     KernelCost,
     KernelTimingModel,
     conv2d_cost,
@@ -99,3 +103,66 @@ def test_reduction_cost_writes_one_element():
     cost = reduction_cost(1000)
     assert cost.bytes_written == 4
     assert cost.flops == 1000
+
+
+# -- memoization: a cost and its duration are derived once -----------------------------
+
+_dims = st.integers(min_value=0, max_value=4096)
+_itemsizes = st.sampled_from([1, 2, 4, 8])
+_names = st.sampled_from(["op", "conv2d_forward", "sgd_step"])
+_MEMOIZED = {
+    matmul_cost: st.tuples(_dims, _dims, _dims, _itemsizes, _names),
+    elementwise_cost: st.tuples(_dims, st.integers(0, 5),
+                                st.sampled_from([1.0, 3.0, 4.0, 10.0]), _itemsizes, _names),
+    conv2d_cost: st.tuples(_dims, _dims, _dims, _dims, _dims, st.integers(0, 7),
+                           st.integers(0, 7), _itemsizes, _names),
+    reduction_cost: st.tuples(_dims, _itemsizes, _names),
+}
+
+
+@pytest.mark.parametrize("function", list(_MEMOIZED), ids=lambda f: f.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_memoized_cost_equals_its_original_field_for_field(function, data):
+    args = data.draw(_MEMOIZED[function])
+    cached, fresh = function(*args), function.__wrapped__(*args)
+    for field in dataclasses.fields(KernelCost):
+        left, right = getattr(cached, field.name), getattr(fresh, field.name)
+        assert left == right and type(left) is type(right), field.name
+    assert function(*args) is cached                 # equal launches share one cost
+    assert not hasattr(cached, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cached.flops = 0.0
+
+
+@pytest.mark.parametrize("function", list(_MEMOIZED), ids=lambda f: f.__name__)
+def test_cost_caches_are_bounded(function):
+    assert function.cache_info().maxsize == COST_CACHE_SIZE
+
+
+def test_duration_table_is_bounded_and_exact():
+    model = KernelTimingModel(titan_x_pascal())
+    for numel in range(COST_CACHE_SIZE + 50):
+        cost = KernelCost(flops=float(numel), bytes_read=8.0 * numel)
+        expected = model.host_dispatch_overhead_ns + model.kernel_duration_ns(cost)
+        assert model.op_duration_ns(cost) == expected == model.op_duration_ns(cost)
+        assert len(model._op_durations) <= COST_CACHE_SIZE
+
+
+@settings(max_examples=60, deadline=None)
+@given(numel=st.integers(1, 1 << 24), specs=st.permutations(
+           ["titan_x_pascal", "v100_sxm2_16gb", "small_test_device"]),
+       overheads=st.lists(st.integers(0, 50_000), min_size=2, max_size=2, unique=True))
+def test_models_never_share_a_duration(numel, specs, overheads):
+    # One shared (memoized) cost priced by models differing in spec or dispatch
+    # overhead: each answers from its own table, equal to the uncached formula.
+    cost = elementwise_cost(numel, 2, 4.0, 4, "shared")
+    models = [KernelTimingModel(get_device_spec(specs[0]), host_dispatch_overhead_ns=overheads[0]),
+              KernelTimingModel(get_device_spec(specs[1]), host_dispatch_overhead_ns=overheads[0]),
+              KernelTimingModel(get_device_spec(specs[0]), host_dispatch_overhead_ns=overheads[1])]
+    for _ in range(2):                               # second pass answers from the tables
+        for model in models:
+            assert model.op_duration_ns(cost) == (
+                model.host_dispatch_overhead_ns + model.kernel_duration_ns(cost))
+    assert models[0].op_duration_ns(cost) != models[2].op_duration_ns(cost)
+    assert models[0]._op_durations is not models[1]._op_durations
