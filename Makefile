@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-pairs bench-smoke examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke kernel-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,6 +28,13 @@ bench-pairs:
 bench-smoke:
 	$(PYTHON) bench/run.py --rounds 1 --seconds 2 --only sim_mixed,swap_ladder,replay_price,cache_write,cache_read
 	$(PYTHON) -m pytest bench/tests -q
+
+# numpy version, detected SIMD features and the kernel ranking the row
+# reduction was chosen from (sort vs partition vs percentile, stable vs
+# unique-key argsort, axis vs per-row mean) on *this* host.  Prints a table,
+# never fails: a numpy upgrade that changes the ranking shows up in the log.
+kernel-probe:
+	-$(PYTHON) tools/kernel_probe.py
 
 # Every script under examples/ must exit 0 (the CI examples-smoke step): they
 # run in seconds and write only under figure_data/.

@@ -32,7 +32,8 @@ import numpy as np
 
 from ..units import ns_to_us
 from .events import MemoryCategory, MemoryEvent, MemoryEventKind
-from .trace import CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace
+from .stats import percentiles_of_sorted
+from .trace import CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace, stable_block_order
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
         return IntervalArrays(*(empty.copy() for _ in range(11)))
 
     blocks = cols.block_id[positions]
-    order = np.argsort(blocks, kind="stable")
+    order = stable_block_order(blocks)
     sorted_positions = positions[order]
     sorted_blocks = blocks[order]
 
@@ -167,7 +168,7 @@ def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
         keep = gaps >= min_interval_ns
         start_pos, end_pos, gaps = start_pos[keep], end_pos[keep], gaps[keep]
 
-    final = np.argsort(cols.event_id[end_pos], kind="stable")
+    final = np.argsort(cols.event_id[end_pos])  # event ids are unique: no ties to keep
     start_pos, end_pos, gaps = start_pos[final], end_pos[final], gaps[final]
     return IntervalArrays(
         block_id=cols.block_id[end_pos],
@@ -245,20 +246,26 @@ def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
 
     The only implementation of the summary recipe: a single trace is the
     one-row case (:func:`summarize_values_us`), a replayed grid passes one
-    row per pricing point.  The mean sums each row in the order given.
+    row per pricing point.  One sort per row hands out the minimum, the
+    maximum and the percentiles
+    (:func:`~repro.core.stats.percentiles_of_sorted`); the mean sums each row
+    in the order given.
     """
-    values = np.asarray(values, dtype=np.float64)
+    # C-contiguous rows: reduced along the last axis each row is one pairwise
+    # sum, bit for bit the 1-D ``mean()`` of that row; a Fortran-ordered
+    # matrix is summed in another blocking and can differ in the last ulp.
+    values = np.ascontiguousarray(values, dtype=np.float64)
     n_rows, count = values.shape
     if count == 0:
         return [AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0, p99_us=0.0,
                            min_us=0.0, max_us=0.0) for _ in range(n_rows)]
-    p50, p90, p99 = np.percentile(values, (50, 90, 99), axis=1)
-    mins, maxs = values.min(axis=1), values.max(axis=1)
-    # Row-at-a-time mean: an axis reduction pairs the sum with a different
-    # blocking than a 1-D ``mean()`` and can differ from it in the last ulp.
-    return [AtiSummary(count=count, mean_us=float(values[i].mean()),
-                       p50_us=float(p50[i]), p90_us=float(p90[i]), p99_us=float(p99[i]),
-                       min_us=float(mins[i]), max_us=float(maxs[i]))
+    ordered = np.sort(values, axis=1)
+    means = values.mean(axis=1).tolist()
+    p50, p90, p99 = percentiles_of_sorted(ordered, (50, 90, 99)).tolist()
+    mins, maxs = ordered[:, 0].tolist(), ordered[:, -1].tolist()
+    return [AtiSummary(count=count, mean_us=means[i],
+                       p50_us=p50[i], p90_us=p90[i], p99_us=p99[i],
+                       min_us=mins[i], max_us=maxs[i])
             for i in range(n_rows)]
 
 

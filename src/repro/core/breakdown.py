@@ -127,8 +127,9 @@ def occupation_from_columns(deltas: np.ndarray, categories: np.ndarray,
 
     category_bytes: Dict[str, int] = {}
     category_peak_bytes: Dict[str, int] = {}
-    for code in np.unique(categories):
-        category = CATEGORY_FROM_CODE[int(code)]
+    # The codes present, ascending (``np.unique`` would import ``numpy.ma``).
+    for code in np.flatnonzero(np.bincount(categories)).tolist():
+        category = CATEGORY_FROM_CODE[code]
         live = np.cumsum(np.where(categories == code, deltas, 0))
         live_at_peak = int(live[peak_index])
         if live_at_peak > 0:

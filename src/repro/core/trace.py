@@ -281,20 +281,39 @@ def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
 
 _NEVER_FREED = int(np.iinfo(np.int64).min)  # no timestamp takes this value
 
+_KEY_LIMIT = 1 << 31  # |block id| and position below it: id * n + position fits int64
+
+
+def stable_block_order(block_ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(block_ids, kind="stable")`` through a unique composite key.
+
+    ``block_id * n + position`` orders by block and, within a block, by
+    position — the stable order — and has no ties, so the default vectorised
+    argsort serves: 4-5x faster than the int64 timsort on a session's block
+    column (848 -> 179 us at n = 13,000; ``make kernel-probe`` reprints it).
+    The 2-D argsorts of nearly sorted times in ``replay_batch`` and the
+    ``lexsort`` of :func:`merge_rank_traces` measured the other way and stay.
+    """
+    n = block_ids.size
+    assert n < _KEY_LIMIT and (n == 0 or -_KEY_LIMIT < block_ids.min()
+                               and block_ids.max() < _KEY_LIMIT)
+    return np.argsort(block_ids * n + np.arange(n))
+
 
 def _pair_block_behaviors(cols: EventColumns, malloc_events: np.ndarray):
     """Pair every block behavior with the malloc that owns it.
 
-    A stable sort of the four block behaviors by block id keeps each block's
-    events in stream order.  Within a block, a ``free`` closes the malloc that
-    is the block's previous malloc/free event, and a read/write counts toward
-    a malloc exactly when that malloc is the block's latest malloc/free event.
+    A stable sort of the four block behaviors by block id
+    (:func:`stable_block_order`) keeps each block's events in stream order.
+    Within a block, a ``free`` closes the malloc that is the block's previous
+    malloc/free event, and a read/write counts toward a malloc exactly when
+    that malloc is the block's latest malloc/free event.
     Returns ``(events, kind, lifetime_of)`` over the sorted non-malloc
     behaviors: the event index, its kind code and the index into
     ``malloc_events`` of the malloc that owns it (-1 when none does).
     """
     behaviors = np.flatnonzero(cols.is_block_behavior)
-    by_block = behaviors[np.argsort(cols.block_id[behaviors], kind="stable")]
+    by_block = behaviors[stable_block_order(cols.block_id[behaviors])]
     kind = cols.kind_code[by_block]
     is_malloc = kind == _MALLOC_CODE
     is_lifecycle = is_malloc | (kind == _FREE_CODE)
@@ -452,7 +471,12 @@ class MemoryTrace:
         if self.is_empty:
             return []
         ids = self.columns().block_id
-        return [int(b) for b in np.unique(ids[ids > 0])]
+        # Sort and keep each id's first occurrence: what ``np.unique`` returns,
+        # without the ``numpy.ma`` import it triggers.
+        ids = np.sort(ids[ids > 0])
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        return ids[first].tolist()
 
     def events_in_iteration(self, iteration: int) -> List[MemoryEvent]:
         """All events attributed to one training iteration."""
@@ -464,7 +488,7 @@ class MemoryTrace:
         """Device ranks that appear in the trace (``[0]`` for single-device)."""
         if self.is_empty:
             return []
-        return [int(rank) for rank in np.unique(self.columns().device_rank)]
+        return np.flatnonzero(np.bincount(self.columns().device_rank)).tolist()
 
     def for_rank(self, rank: int) -> "MemoryTrace":
         """The single-rank slice of a (possibly merged multi-device) trace.
@@ -517,9 +541,9 @@ class MemoryTrace:
         """Number of events of each kind."""
         if self.is_empty:
             return {}
-        codes, counts = np.unique(self.columns().kind_code, return_counts=True)
-        return {KIND_FROM_CODE[int(code)].value: int(count)
-                for code, count in zip(codes, counts)}
+        counts = np.bincount(self.columns().kind_code)
+        return {KIND_FROM_CODE[code].value: int(counts[code])
+                for code in np.flatnonzero(counts).tolist()}
 
     def live_bytes_series(self) -> "tuple[np.ndarray, np.ndarray]":
         """``(timestamps_ns, live_bytes)`` arrays after every malloc/free event."""
@@ -765,7 +789,8 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
     rank_col = np.concatenate([np.full(len(cols), rank, dtype=np.int64)
                                for rank, cols in enumerate(per_rank_cols)])
     local_event_id = np.concatenate([cols.event_id for cols in per_rank_cols])
-    # Primary key last: order by timestamp, then rank, then rank-local id.
+    # Primary key last: order by timestamp, then rank, then rank-local id
+    # (~0.13 ms for a 2-device resnet18 merge: not worth a composite key).
     order = np.lexsort((local_event_id, rank_col, timestamp_ns))
 
     def _gather(name: str) -> np.ndarray:

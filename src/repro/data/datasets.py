@@ -18,6 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..rng import LazyGenerator
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class SyntheticDataset:
         if spec.num_classes <= 1:
             raise ConfigurationError("datasets need at least two classes")
         self.spec = spec
-        self._rng = np.random.default_rng(seed)
+        self._rng = LazyGenerator(seed)
 
     def __len__(self) -> int:
         return self.spec.num_samples

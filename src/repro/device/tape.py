@@ -56,8 +56,9 @@ def atom_index_table(kinds: np.ndarray) -> Dict[int, np.ndarray]:
     kind column for every scenario it prices.
     """
     kinds = np.asarray(kinds, dtype=np.int64)
-    return {int(kind): np.flatnonzero(kinds == kind)
-            for kind in np.unique(kinds)}
+    # The kinds present, ascending (``np.unique`` would import ``numpy.ma``).
+    return {kind: np.flatnonzero(kinds == kind)
+            for kind in np.flatnonzero(np.bincount(kinds)).tolist()}
 
 
 class TimingTape:

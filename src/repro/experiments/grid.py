@@ -40,10 +40,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..core.swap import BandwidthConfig
+from ..device.spec import get_device_spec
 from ..swap.policies import SWAP_EXECUTION_MODES, SWAP_POLICIES
 from ..train.session import TrainingRunConfig
 
@@ -71,6 +73,17 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 
 #: Default on-disk cache location (relative to the working directory).
 DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
+
+
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without building
+#: an encoder per call: the canonical form every scenario key hashes.
+_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@lru_cache(maxsize=None)
+def _preset_bandwidths(device_spec: str) -> BandwidthConfig:
+    """The Eq.-1 bandwidths of a device preset (one frozen record per name)."""
+    return BandwidthConfig.from_device_spec(get_device_spec(device_spec))
 
 
 def default_cache_dir() -> Path:
@@ -106,8 +119,7 @@ class Scenario:
         """
         if bandwidths is not None:
             return bandwidths
-        from ..device.spec import get_device_spec
-        return BandwidthConfig.from_device_spec(get_device_spec(self.config.device_spec))
+        return _preset_bandwidths(self.config.device_spec)
 
     def fingerprint(self, bandwidths: Optional[BandwidthConfig] = None) -> Dict[str, object]:
         """Canonical JSON-friendly identity of this scenario (cache key input).
@@ -130,11 +142,17 @@ class Scenario:
             "config": config,
         }
 
-    def key(self, bandwidths: Optional[BandwidthConfig] = None) -> str:
-        """Content hash of the scenario (the cache file stem)."""
-        canonical = json.dumps(self.fingerprint(bandwidths), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def key(self, bandwidths: Optional[BandwidthConfig] = None,
+            fingerprint: Optional[Dict[str, object]] = None) -> str:
+        """Content hash of the scenario (the cache file stem).
+
+        ``fingerprint`` is :meth:`fingerprint` under the same bandwidths when
+        the caller already built it (the runner writes it into the cache
+        entry the key names).
+        """
+        if fingerprint is None:
+            fingerprint = self.fingerprint(bandwidths)
+        return hashlib.sha256(_canonical_json(fingerprint).encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """One-line description used by ``repro sweep --dry-run``."""

@@ -167,6 +167,9 @@ class _RunState:
     scenarios: List[Scenario]
     #: Each scenario's Eq.-1 bandwidths, resolved once for keys and replay.
     bandwidths: List[BandwidthConfig]
+    #: Each scenario's identity and its content hash, built once: the cache
+    #: entry a key names carries the fingerprint the key hashes.
+    fingerprints: List[Dict[str, object]]
     keys: List[str]
     journal: Optional[RunJournal]
     results: List[Optional[ScenarioResult]] = field(init=False)
@@ -307,8 +310,13 @@ class SweepRunner:
                                          _parse_cache_entry)
 
     def cache_store(self, scenario: Scenario, result: ScenarioResult,
-                    key: Optional[str] = None) -> None:
+                    key: Optional[str] = None,
+                    fingerprint: Optional[Dict[str, object]] = None) -> None:
         """Write one scenario result to the cache (atomic publish).
+
+        ``key`` and ``fingerprint`` are the scenario's content hash and the
+        identity it hashes, when the caller already has them (:meth:`run`
+        builds both exactly once per scenario).
 
         A failed write is tallied on the artifact store but never fatal:
         losing a cache entry only costs recomputation next run, while
@@ -316,12 +324,14 @@ class SweepRunner:
         """
         if self._artifacts is None:
             return
+        if fingerprint is None:
+            fingerprint = scenario.fingerprint(self.bandwidths)
         if key is None:
-            key = scenario.key(self.bandwidths)
+            key = scenario.key(fingerprint=fingerprint)
         name = f"{key}.json"
         if self._artifacts.publish_json(name, {
                 "schema_version": RESULT_SCHEMA_VERSION,
-                "fingerprint": scenario.fingerprint(self.bandwidths),
+                "fingerprint": fingerprint,
                 "result": result.to_dict()}) is not None:
             self._artifacts.inject_fault("cache_corrupt", name)
 
@@ -392,8 +402,10 @@ class SweepRunner:
 
         bandwidths = [scenario.resolve_bandwidths(self.bandwidths)
                       for scenario in scenarios]
-        keys = [scenario.key(resolved)
-                for scenario, resolved in zip(scenarios, bandwidths)]
+        fingerprints = [scenario.fingerprint(resolved)
+                        for scenario, resolved in zip(scenarios, bandwidths)]
+        keys = [scenario.key(fingerprint=fingerprint)
+                for scenario, fingerprint in zip(scenarios, fingerprints)]
         journal: Optional[RunJournal] = None
         if self._artifacts is not None:
             self._artifacts.quarantined.clear()  # tallies are per run
@@ -407,7 +419,7 @@ class SweepRunner:
                 journal = RunJournal(
                     self._artifacts.sub(JOURNALS_DIR),
                     run_id_for_keys(keys, RESULT_SCHEMA_VERSION))
-        state = _RunState(scenarios, bandwidths, keys, journal)
+        state = _RunState(scenarios, bandwidths, fingerprints, keys, journal)
 
         self._probe_cache(state)
         self._skip_resumed(state)
@@ -560,7 +572,8 @@ class SweepRunner:
         """
         state.attempts[index] += 1
         state.results[index] = result
-        self.cache_store(state.scenarios[index], result, state.keys[index])
+        self.cache_store(state.scenarios[index], result, state.keys[index],
+                         state.fingerprints[index])
         if state.journal is not None:
             state.journal.record_completed(state.keys[index],
                                            state.attempts[index])

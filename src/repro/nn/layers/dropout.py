@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ...device.device import Device
+from ...rng import LazyGenerator
 from ...tensor import functional as F
 from ...tensor.tensor import Tensor
 from ..module import Module
@@ -24,7 +23,7 @@ class Dropout(Module):
                  seed: Optional[int] = None):
         super().__init__(device, name=name)
         self.p = float(p)
-        self._rng = np.random.default_rng(seed if seed is not None else 0)
+        self._rng = LazyGenerator(seed if seed is not None else 0)
 
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:

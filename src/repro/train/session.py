@@ -30,10 +30,8 @@ trace is a view of its class's recording that differs only in
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from ..core.profiler import MemoryProfiler
 from ..core.trace import MemoryTrace, merge_rank_traces
@@ -46,6 +44,7 @@ from ..errors import ConfigurationError
 from ..models.registry import build_model
 from ..nn.loss import CrossEntropyLoss
 from ..nn.optim import SGD, Adam, Optimizer
+from ..rng import LazyGenerator
 from .trainer import DataParallelTrainer, IterationStats, replica_classes
 
 
@@ -93,8 +92,6 @@ class TrainingRunConfig:
         hand-rolled equivalent produces the identical dictionary an order of
         magnitude faster (``tests/test_sweep.py`` pins the equality).
         """
-        from dataclasses import asdict, is_dataclass
-
         host_latency = (asdict(self.host_latency)
                         if is_dataclass(self.host_latency) else self.host_latency)
         return {
@@ -342,7 +339,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     gc.disable()
     try:
         models = [build_model(config.model, device,
-                              rng=np.random.default_rng(config.seed),
+                              rng=LazyGenerator(config.seed),
                               **dict(config.model_kwargs))
                   for device in group]
         dataset = build_dataset(config.dataset, seed=config.seed,

@@ -6,8 +6,16 @@ functions, so that test modules never depend on conftest import order.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
+from unittest import mock
 
+import numpy as np
+
+from repro.core import ati as ati_module
+from repro.core import trace as trace_module
+from repro.core.ati import compute_interval_arrays
 from repro.core.events import (
     BlockLifetime,
     IterationMark,
@@ -15,16 +23,58 @@ from repro.core.events import (
     MemoryEvent,
     MemoryEventKind,
 )
-from repro.core.trace import MemoryTrace
+from repro.core.trace import MemoryTrace, lifetimes_from_columns
 from repro.device.hooks import MemoryEventListener
+from repro.errors import TraceInvariantError
+
+
+@contextlib.contextmanager
+def stable_sort_grouping():
+    """Group block behaviours by ``np.argsort(kind="stable")``: the oracle the
+    unique-key argsort (``stable_block_order``) must reproduce."""
+    def oracle(block_ids):
+        return np.argsort(block_ids, kind="stable")
+    with mock.patch.object(trace_module, "stable_block_order", oracle), \
+            mock.patch.object(ati_module, "stable_block_order", oracle):
+        yield
+
+
+def grouped_views(trace):
+    """Everything derived from a trace through a by-block grouping sort."""
+    tags, _ops = trace.event_strings()
+    views = {"lifetimes": lifetimes_from_columns(trace.columns(), tags)}
+    try:
+        views["invariants"] = trace.validate() and "hold"
+    except TraceInvariantError as error:
+        views["invariants"] = str(error)
+    for lifecycle in (False, True):
+        arrays = compute_interval_arrays(trace, include_lifecycle=lifecycle)
+        for field in dataclasses.fields(arrays):
+            column = getattr(arrays, field.name)
+            views[f"{field.name}/{lifecycle}"] = (column.dtype.str, column.tobytes())
+        # The closing-event sort has no ties to break: one order qualifies.
+        assert (np.diff(arrays.end_event_id) > 0).all()
+    return views
+
+
+def assert_grouping_equals_stable_sort(trace):
+    """ATI pairs, lifetimes and ``validate()``'s verdict, field for field
+    under both sorts."""
+    if trace.is_empty:
+        return
+    got = grouped_views(trace)
+    with stable_sort_grouping():
+        expected = grouped_views(trace)
+    assert got == expected
 
 
 def validating(run_session):
-    """``run_training_session`` whose every trace passes ``MemoryTrace.validate()``."""
+    """``run_training_session`` whose every trace passes ``MemoryTrace.validate()``
+    and groups its blocks exactly as the stable sort would."""
     @functools.wraps(run_session)
     def run_and_validate(*args, **kwargs):
         result = run_session(*args, **kwargs)
-        result.trace.validate()
+        assert_grouping_equals_stable_sort(result.trace.validate())
         return result
     return run_and_validate
 

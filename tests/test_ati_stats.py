@@ -18,8 +18,10 @@ from repro.core.stats import (
     gaussian_kde_trace,
     violin_stats,
 )
-from repro.core.trace import MemoryTrace
+from repro.core.trace import MemoryTrace, merge_rank_traces, stable_block_order
 from repro.errors import EmptyTraceError
+
+from tests.helpers import assert_grouping_equals_stable_sort, build_trace
 
 
 def test_ati_computed_per_block(simple_trace):
@@ -120,6 +122,18 @@ def test_violin_stats_quartiles():
     assert stats.to_dict()["max"] == 100.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-1_000, 10**9), min_size=1, max_size=200))
+def test_violin_stats_are_np_percentile_bit_for_bit(sevenths):
+    """One sort serves the quartiles and the whiskers; the oracle selects."""
+    array = np.array(sevenths, dtype=np.float64) / 7.0
+    stats = violin_stats(array)
+    expected = [array.min(), np.percentile(array, 25), np.percentile(array, 50),
+                np.percentile(array, 75), array.max()]
+    got = [stats.minimum, stats.q1, stats.median, stats.q3, stats.maximum]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
 def test_violin_stats_empty_and_degenerate():
     empty = violin_stats([], label="empty")
     assert empty.count == 0
@@ -132,3 +146,62 @@ def test_gaussian_kde_integrates_to_about_one():
     x, density = gaussian_kde_trace(samples, num_points=200)
     integral = np.trapezoid(density, x)
     assert integral == pytest.approx(1.0, rel=0.1)
+
+
+# -- grouping sorts: the unique-key argsort is the stable argsort ---------------------
+
+_ID_COLUMNS = st.one_of(
+    # few ids, long runs of ties; negative segment pseudo-ids among them
+    st.lists(st.integers(-4, 6), max_size=300),
+    # the whole admitted range, ids of a rank-shifted merged trace included
+    st.lists(st.integers(-2**31 + 1, 2**31 - 1), max_size=60),
+    st.lists(st.sampled_from([-2**31 + 1, -1, 0, 1, 2**31 - 1]), max_size=60),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ID_COLUMNS)
+def test_unique_key_argsort_equals_stable_argsort(ids):
+    block_ids = np.array(ids, dtype=np.int64)
+    order = stable_block_order(block_ids)
+    assert order.tolist() == np.argsort(block_ids, kind="stable").tolist()
+
+
+def test_unique_key_argsort_states_its_bound():
+    with pytest.raises(AssertionError):
+        stable_block_order(np.array([1, 2**31], dtype=np.int64))
+    with pytest.raises(AssertionError):
+        stable_block_order(np.array([-2**31, 1], dtype=np.int64))
+
+
+_KINDS = ("malloc", "free", "read", "write", "segment_alloc", "swap_out", "swap_in")
+
+
+@st.composite
+def _event_streams(draw, max_events=80):
+    """Any stream at all — id reuse, double frees, accesses outside lifetimes,
+    negative segment pseudo-ids, equal timestamps — not only a valid one."""
+    rows = draw(st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 3),
+                                   st.integers(1, 6)), min_size=1, max_size=max_events))
+    clock, specs = 0, []
+    for kind, step, block in rows:
+        clock += step
+        specs.append((kind, clock, -block if kind == "segment_alloc" else block,
+                      512 * block))
+    return build_trace(specs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_event_streams())
+def test_drawn_streams_group_as_under_the_stable_sort(trace):
+    assert_grouping_equals_stable_sort(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_event_streams(max_events=40), min_size=2, max_size=3))
+def test_merged_rank_shifted_ids_group_as_under_the_stable_sort(rank_traces):
+    merged = merge_rank_traces(rank_traces)
+    block_ids = merged.columns().block_id
+    assert (stable_block_order(block_ids).tolist()
+            == np.argsort(block_ids, kind="stable").tolist())
+    assert_grouping_equals_stable_sort(merged)

@@ -18,6 +18,7 @@ from repro.baselines import estimate_recompute_plan
 from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
                             summarize_values_us)
 from repro.core.events import MemoryCategory
+from repro.core.stats import percentiles_of_sorted
 from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
                              swappable_fractions)
 from repro.data.loader import HostLatencyModel
@@ -256,6 +257,18 @@ def test_percentile_recipe_lives_in_core_only():
         assert not _enclosing_functions(path, _calls("percentile")), path.name
 
 
+def test_no_selection_kernel_is_called_under_src():
+    """Order statistics come off one sort (``percentiles_of_sorted``); the
+    tests keep ``np.percentile`` as their oracle."""
+    for path, _tree in _sources():
+        for kernel in ("percentile", "quantile", "partition", "median",
+                       "nanpercentile", "nanquantile", "nanmedian", "argpartition"):
+            assert not _enclosing_functions(path, _calls(kernel)), (path.name, kernel)
+    sorts = [path.name for path, _tree in _sources()
+             if "percentiles_of_sorted" in _enclosing_functions(path, _calls("floor"))]
+    assert sorts == ["stats.py"]
+
+
 def test_replay_restates_no_timing_default():
     defaults = {timing.DEFAULT_COMPUTE_EFFICIENCY,
                 timing.DEFAULT_BANDWIDTH_EFFICIENCY,
@@ -315,17 +328,25 @@ def test_replay_follows_a_changed_timing_default(monkeypatch):
 
 # -- row forms equal their one-row forms ----------------------------------------------
 
-_WIDTHS = st.sampled_from([0, 1, 2, 7, 64, 301])
+_WIDTHS = [0, 1, 2, 3, 7, 64, 301]
+# Around the sort's vector width and numpy's 128-element pairwise-sum blocks,
+# and beyond the 8,192-element reduction buffer.
+_SUMMARY_WIDTHS = _WIDTHS + [127, 128, 129, 8_193]
 
 
 @st.composite
-def _gap_matrices(draw):
+def _gap_matrices(draw, widths=_WIDTHS):
+    """``(rows, width)`` int64 gaps (negative ones included): spread out,
+    heavily tied or all equal; C-ordered, Fortran-ordered or a strided slice."""
     rows = draw(st.integers(1, 5))
-    width = draw(_WIDTHS)
-    gaps = draw(st.lists(
-        st.lists(st.integers(-5_000, 2_000_000_000), min_size=width, max_size=width),
-        min_size=rows, max_size=rows))
-    return np.array(gaps, dtype=np.int64).reshape(rows, width)
+    width = draw(st.sampled_from(widths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([1, 4, 1_000, 2_000_000_000]))  # 1: all equal
+    gaps = rng.integers(-5_000 if high > 1 else 0, high, size=(rows, 2 * width))
+    layout = draw(st.sampled_from(["C", "F", "sliced"]))
+    if layout == "sliced":
+        return gaps[:, ::2]
+    return np.array(gaps[:, :width], order=layout)
 
 
 def _one_dimensional_summary(row):
@@ -337,14 +358,40 @@ def _one_dimensional_summary(row):
                       float(p99), float(row.min()), float(row.max()))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_gap_matrices())
+def _bits(summary):
+    """A summary's floats as bytes: ``==`` would let ``-0.0`` pass for ``0.0``."""
+    floats = [value for value in dataclasses.astuple(summary) if isinstance(value, float)]
+    return summary.count, np.array(floats).tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_gap_matrices(_SUMMARY_WIDTHS))
 def test_summarize_rows_equals_summarize_values_row_by_row(gaps):
-    values = gaps / 1_000.0
+    values = gaps / 1_000.0       # keeps the layout of ``gaps``
     summaries = summarize_rows_us(values)
     assert len(summaries) == len(values)
     for summary, row in zip(summaries, values):
-        assert summary == summarize_values_us(row) == _one_dimensional_summary(row)
+        assert (_bits(summary) == _bits(summarize_values_us(row))
+                == _bits(_one_dimensional_summary(row))
+                == _bits(_one_dimensional_summary(np.ascontiguousarray(row))))
+
+
+@pytest.mark.parametrize("percents, branches", [
+    ((50, 90, 99), {False, True}), ((25, 50, 75), {False, True}),
+    ((0, 100), {False}), ((1, 33.3, 66.6, 99.9), {False, True})])
+def test_percentiles_of_sorted_is_np_percentile_bit_for_bit(percents, branches):
+    """Every width 1..400, ties and negatives, both interpolation branches."""
+    rng = np.random.default_rng(23)
+    upper_branch = set()
+    for width in range(1, 401):
+        values = rng.integers(-50, 50 if width % 3 else 3, size=(4, width)) / 7.0
+        ordered = np.sort(values, axis=1)
+        got = percentiles_of_sorted(ordered, percents)
+        assert got.tobytes() == np.percentile(values, percents, axis=1).tobytes()
+        assert (percentiles_of_sorted(ordered[0], percents).tobytes()
+                == np.percentile(values[0], percents).tobytes())
+        upper_branch |= {(width - 1) * (p / 100) % 1 >= 0.5 for p in percents}
+    assert upper_branch == branches
 
 
 def _interval_arrays(interval_ns, sizes):

@@ -164,6 +164,85 @@ def test_scenario_key_ignores_label_but_not_workload():
     assert Scenario(config_a, swap_policy="planner").key() != Scenario(config_a).key()
 
 
+def _literal_key(scenario, bandwidths=None):
+    """The content address as first written down: plain ``json.dumps`` + sha256."""
+    import hashlib
+
+    canonical = json.dumps(scenario.fingerprint(bandwidths), sort_keys=True,
+                           separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@st.composite
+def _drawn_grids(draw):
+    from repro.data.loader import HostLatencyModel
+
+    subset = lambda values: draw(st.lists(st.sampled_from(values), min_size=1,
+                                          max_size=2, unique=True))
+    return SweepGrid(
+        models=subset(["mlp", "paper_mlp", "resnet18"]),
+        batch_sizes=subset([8, 48, 512]), iterations=(draw(st.integers(1, 4)),),
+        allocators=subset(["caching", "bump", "best_fit"]),
+        swap_policies=subset(["none", "planner"]),
+        device_specs=subset(["titan_x_pascal", "v100_sxm2_16gb", "ampere_a100_40gb"]),
+        dtypes=subset(["float32", "float16"]), n_devices=subset([1, 2]),
+        interconnects=subset(["pcie_gen3", "nvlink2"]),
+        device_memory_capacities=subset([None, 1 << 30]),
+        host_dispatch_overheads_ns=subset([None, 250, 11_975]),
+        seeds=(draw(st.integers(0, 10**6)),),
+        execution_mode=draw(st.sampled_from(["symbolic", "replay", "eager"])),
+        model_kwargs=draw(st.sampled_from([{}, {"hidden_dim": 128}])),
+        host_latency=draw(st.sampled_from(
+            [None, HostLatencyModel(per_batch_ns=1_000_000, per_byte_ns=0.25)])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_drawn_grids(), st.booleans())
+def test_scenario_key_is_the_literal_json_sha256_recipe(grid, override):
+    from repro.core.swap import BandwidthConfig
+
+    bandwidths = (BandwidthConfig(h2d_bytes_per_s=5.5e9, d2h_bytes_per_s=6.5e9)
+                  if override else None)
+    for scenario in grid.expand():
+        assert scenario.key(bandwidths) == _literal_key(scenario, bandwidths)
+        assert (scenario.key(fingerprint=scenario.fingerprint(bandwidths))
+                == _literal_key(scenario, bandwidths))
+        resolved = scenario.resolve_bandwidths(bandwidths)
+        assert resolved is scenario.resolve_bandwidths(bandwidths)   # one record per preset
+        assert scenario.key(resolved) == _literal_key(scenario, bandwidths)
+
+
+def test_a_cache_written_by_the_literal_recipe_is_served_and_rewritten_equal(
+        tmp_path, monkeypatch):
+    """Entries are content addresses: a store the parent commit wrote must be
+    served whole, and the runner's own entries are those bytes."""
+    grid = tiny_grid(device_specs=("titan_x_pascal", "v100_sxm2_16gb"),
+                     execution_mode="replay")
+    scenarios = grid.expand()
+    results = SweepRunner(cache_dir=None).run(scenarios).results
+    parent_store, own_store = tmp_path / "parent", tmp_path / "own"
+    parent_store.mkdir()
+    for scenario, result in zip(scenarios, results):
+        (parent_store / f"{_literal_key(scenario)}.json").write_text(json.dumps({
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "fingerprint": scenario.fingerprint(),
+            "result": result.to_dict()}))
+    served = SweepRunner(cache_dir=parent_store).run(scenarios)
+    assert (served.cache_hits, served.cache_misses) == (len(scenarios), 0)
+
+    fingerprints = []
+    original = Scenario.fingerprint
+    monkeypatch.setattr(Scenario, "fingerprint", lambda scenario, bandwidths=None: (
+        fingerprints.append(scenario), original(scenario, bandwidths))[1])
+    written = SweepRunner(cache_dir=own_store).run(scenarios)
+    assert [id(s) for s in fingerprints] == [id(s) for s in scenarios]   # once each
+    for scenario, result in zip(scenarios, written.results):
+        entry = json.loads((own_store / f"{result.key}.json").read_text())
+        theirs = json.loads((parent_store / f"{result.key}.json").read_text())
+        entry["result"]["wall_time_s"] = theirs["result"]["wall_time_s"] = 0.0
+        assert json.dumps(entry) == json.dumps(theirs)
+
+
 def test_config_to_dict_matches_dataclasses_asdict():
     """Scenario fingerprints hash ``config.to_dict()``; it must stay a faithful
     (recursion-free) mirror of ``dataclasses.asdict`` or cache keys drift."""

@@ -196,6 +196,60 @@ def test_eager_losses_equal_the_parent_commit(overrides, losses):
     assert session.losses() == pytest.approx(losses, rel=1e-6)
 
 
+def test_lazy_generator_draws_the_seeded_stream():
+    import copy
+
+    from repro.rng import LazyGenerator
+
+    for seed in (0, 3, 12345):
+        lazy, eager = LazyGenerator(seed), np.random.default_rng(seed)
+        assert (lazy.standard_normal((3, 4)).tobytes()
+                == eager.standard_normal((3, 4)).tobytes())
+        assert lazy.integers(0, 10, size=7).tolist() == eager.integers(0, 10, size=7).tolist()
+        assert lazy.uniform(-1.0, 1.0, size=5).tobytes() == eager.uniform(-1.0, 1.0, size=5).tobytes()
+        assert lazy.random(6).tobytes() == eager.random(6).tobytes()
+        assert copy.deepcopy(lazy).random(2).tobytes() == lazy.random(2).tobytes()
+
+
+_COLD_PROCESS = """
+import sys
+from repro.experiments.sweep import SweepGrid, SweepRunner, run_scenario
+
+def lazily_imported():
+    return sorted(name for name in ("numpy.random", "numpy.ma") if name in sys.modules)
+
+grid = dict(models=("resnet18",), batch_sizes=(8,), dataset="cifar10",
+            model_kwargs={"input_size": 32, "num_classes": 10}, iterations=(2,),
+            n_devices=(1, 2), dtypes=("float32", "float16"),
+            swap_policies=("none", "planner"))
+for scenario in SweepGrid(**grid).expand():
+    run_scenario(scenario)
+print("simulated", lazily_imported())
+replayed = SweepRunner(cache_dir=None).run(SweepGrid(execution_mode="replay", **grid))
+assert replayed.replayed == len(replayed.results) == 8
+print("replayed", lazily_imported())
+run_scenario(SweepGrid(models=("mlp",), execution_mode="eager").expand()[0])
+print("eager", lazily_imported())
+"""
+
+
+def test_a_symbolic_process_imports_neither_numpy_random_nor_numpy_ma():
+    """13 ms + 9 ms of every cold child's and pool worker's first scenario."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    completed = subprocess.run(
+        [sys.executable, "-c", _COLD_PROCESS], capture_output=True, text=True,
+        timeout=120, env={"PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+                          "PYTHONDONTWRITEBYTECODE": "1"})
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines() == [
+        "simulated []", "replayed []", "eager ['numpy.random']"]
+
+
 # -- (d) the compute stream is a horizon, and it is the clock --------------------------
 
 

@@ -72,3 +72,31 @@ def test_single_pair_and_mismatched_readings(decide):
         decide([1.0, 2.0], [1.0], "higher", 0.25)
     with pytest.raises(ValueError):
         decide([], [], "higher", 0.25)
+
+
+# -- tools/kernel_probe.py --------------------------------------------------------------
+
+
+def test_kernel_probe_table_ranks_each_case_against_its_fastest_kernel():
+    table = _load("kernel_probe").table
+    text = table([("order statistics 2 x 3", {"percentile": 8.0, "sort": 2.0}),
+                  ("group by block id, n = 6", {"stable argsort": 0.5,
+                                                "unique-key argsort": 0.125})])
+    assert text.splitlines() == [
+        "order statistics 2 x 3           percentile 8.000 ms (4.0x), sort 2.000 ms (1.0x)",
+        "group by block id, n = 6         stable argsort 0.500 ms (4.0x), "
+        "unique-key argsort 0.125 ms (1.0x)"]
+    assert table([]) == ""
+
+
+def test_kernel_probe_times_every_case_it_names():
+    import numpy as np
+
+    probe = _load("kernel_probe")
+    rows = probe.probe(np.random.default_rng(0))
+    cases = [case for case, _timings in rows]
+    assert len(cases) == len(set(cases)) == 10
+    assert all(ms > 0 for _case, timings in rows for ms in timings.values())
+    assert {kernel for _case, timings in rows for kernel in timings} >= {
+        "percentile", "8-pivot partition", "sort", "stable argsort",
+        "unique-key argsort", "per-row mean", "axis mean"}
