@@ -86,7 +86,8 @@ frontier-smoke:
 # plus a small --execution replay sweep that compiles one template and
 # re-prices it across device specs; then the same sweep with a policy row in
 # a fresh process, which must price every row — the rebuilt-trace rows and
-# their derived lifetimes included — from the stored template, compiling none.
+# their derived lifetimes included — from the stored template, compiling none;
+# the template directory must hold archives and no second kind of file.
 REPLAY_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 32 \
 	--execution replay --devices titan_x_pascal,v100_sxm2_16gb --no-cache \
 	--cache-dir .ci-replay-cache
@@ -96,6 +97,7 @@ replay-smoke:
 	$(REPLAY_SWEEP)
 	$(REPLAY_SWEEP) --swap-policies none,swap_advisor \
 		| grep -F "4 replayed from 0 template(s)"
+	test -z "$$(ls .ci-replay-cache/templates | grep -v '\.npz$$')"
 	rm -rf .ci-replay-cache
 
 # Fault-tolerance smoke (the CI chaos-smoke leg): the chaos test suite

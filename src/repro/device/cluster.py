@@ -217,8 +217,6 @@ class DeviceGroup:
 
     def __init__(self, cluster: ClusterSpec,
                  rank_classes: Optional[Sequence[Hashable]] = None, **device_kwargs):
-        from .collective import CollectiveEngine
-
         self.cluster = cluster
         labels = (range(cluster.n_devices) if rank_classes is None
                   else list(rank_classes))
@@ -235,17 +233,30 @@ class DeviceGroup:
         class_of = {label: index for index, label in enumerate(ranks_by_label)}
         #: Class index of every rank.
         self.rank_classes: Tuple[int, ...] = tuple(class_of[label] for label in labels)
-        self.devices: List[Device] = [
-            Device(cluster.device, **device_kwargs) for _ in self.class_ranks
-        ]
+        self._adopt([Device(cluster.device, **device_kwargs)
+                     for _ in self.class_ranks])
+
+    def _adopt(self, devices: List[Device]) -> None:
+        from .collective import CollectiveEngine
+
+        self.devices = devices
         self.collective = CollectiveEngine(
-            cluster, [device.clock for device in self.devices])
+            self.cluster, [device.clock for device in devices])
 
     @classmethod
     def single(cls, spec: Optional[DeviceSpec] = None, **device_kwargs) -> "DeviceGroup":
         """A degenerate one-replica group (today's single-device behavior)."""
         device_spec = spec if spec is not None else titan_x_pascal()
         return cls(ClusterSpec(device=device_spec, n_devices=1), **device_kwargs)
+
+    @classmethod
+    def of(cls, device: Device) -> "DeviceGroup":
+        """The one-replica group around an existing ``device``."""
+        group = cls.__new__(cls)
+        group.cluster = ClusterSpec(device=device.spec, n_devices=1)
+        group.class_ranks, group.rank_classes = ((0,),), (0,)
+        group._adopt([device])
+        return group
 
     def __len__(self) -> int:
         return len(self.devices)

@@ -1,8 +1,8 @@
 """The one on-disk artifact discipline under the sweep engine's files.
 
 Everything a sweep leaves behind — result-cache entries, run journals, the
-template-store manifest and its ``.npz`` archives — is published, read,
-quarantined and cleared by :class:`ArtifactStore`, one directory per store:
+template store's ``.npz`` archives — is published, read, quarantined and
+cleared by :class:`ArtifactStore`, one directory per store:
 
 * **Publish** writes to a pid-unique hidden temp name and ``os.replace``s it
   over the final name, so a reader never sees a torn file and two processes
@@ -53,7 +53,7 @@ class ArtifactStore:
         #: Optional ``FaultPlan`` whose storage faults :meth:`inject_fault` applies.
         self.fault_plan = fault_plan
         #: Corrupt artifacts moved aside, by artifact kind (``cache_corrupt``,
-        #: ``template_corrupt``, ``journal_corrupt``, ``manifest_corrupt``).
+        #: ``template_corrupt``, ``journal_corrupt``).
         self.quarantined: Counter = Counter()
         #: Swallowed ``OSError``s, by operation (``read``/``write``/``clear``).
         self.io_errors: Counter = Counter()
@@ -93,10 +93,9 @@ class ArtifactStore:
         """Atomically publish ``text`` (UTF-8) as ``name``."""
         return self.publish(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
-    def publish_json(self, name: str, payload, pretty: bool = False) -> Optional[Path]:
-        """Atomically publish ``payload`` as JSON (``pretty``: indented, sorted)."""
-        return self.publish_text(name, json.dumps(payload, indent=2, sort_keys=True)
-                                 if pretty else json.dumps(payload))
+    def publish_json(self, name: str, payload) -> Optional[Path]:
+        """Atomically publish ``payload`` as JSON."""
+        return self.publish_text(name, json.dumps(payload))
 
     def append(self, name: str, data: bytes) -> bool:
         """Append ``data`` to the *published* artifact ``name`` in one write.

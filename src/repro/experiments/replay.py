@@ -1,84 +1,46 @@
 """Trace-template replay: compile one structure, re-price thousands of scenarios.
 
-Symbolic execution (PR 4) made a run's *event structure* — which blocks are
-allocated, accessed and freed, in which order, at which addresses — a pure
-function of the workload (model, batch size, allocator, replica count),
-while simulated *time* is that structure priced under the timing axes
-(device spec, host dispatch overhead, interconnect).  A sweep over pricing
-axes therefore re-simulates the same structure over and over, only to
-multiply different constants into the same event stream.
-
-This module splits the two:
+A symbolic run's *event structure* — which blocks are allocated, accessed and
+freed, in which order, at which addresses — is a pure function of the
+workload (model, batch size, allocator, replica count); simulated *time* is
+that structure priced under the timing axes (:data:`PRICING_FIELDS`).  This
+module splits the two:
 
 * :meth:`TemplateFamily.capture` runs the simulation **once** per structure
-  with a :class:`~repro.device.tape.TimingTape` attached to every replica
-  clock, and captures a :class:`TraceTemplate`: the columnar event log, the
-  timing atoms behind every clock advance, the event→atom correspondence,
-  iteration spans, and the structural scalars (peaks, parameter bytes,
-  allocator counters).  Block lifetimes are not captured: a rebuilt trace derives them
-  from its re-timed event columns like any other trace.
-* :meth:`TraceTemplate.replay_batch` re-derives every timestamp for a grid
-  of *different* pricing points as a handful of vectorized NumPy transforms
-  — re-price the atoms from the target device specs, resolve cross-rank
-  collectives with barrier semantics, gather event times by tape position —
-  and reduces each row to the exact
+  with a :class:`~repro.device.tape.TimingTape` on every replica clock and
+  keeps a :class:`TraceTemplate`: per replica the trace's event columns and
+  tag / op lists as recorded, the timing atoms behind every clock advance,
+  the event→atom correspondence and iteration spans, plus the structural
+  scalars (peaks, parameter bytes, allocator counters).
+* :meth:`TraceTemplate._price_times` stacks the pricing parameters of S
+  scenarios into rows and derives every clock reading of every rank in one
+  ``(S × atoms)`` int64 broadcast per rank, bit-identical to what a fresh
+  simulation advances its clocks by; collectives are resolved with barrier
+  semantics in a loop over the sync points, not over scenarios.
+* :meth:`TraceTemplate.replay_batch` reduces each row to the exact
   :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
-  produce.  No kernels run, no allocator decisions are replayed;
-  ``tests/test_replay_equivalence.py`` pins bit-identical equality against
-  fresh symbolic runs.
-* :class:`ReplayEngine` memoizes templates (in memory, and optionally as
-  content-hashed ``.npz`` files next to the sweep cache) and prices
-  scenarios on demand; :class:`~repro.experiments.sweep.SweepRunner` routes
-  ``--execution replay`` scenarios through it, falling back to a fresh
-  symbolic run whenever a template is structurally invalid for the target
-  (different memory capacity that changed allocator behavior, inconsistent
-  capture, swap engine on) or the engine crashes on a structure group
-  (reason ``engine_error``, traceback logged).
-
-There is one repricer and one reduction with two feeders:
-
-* **Batched repricing** — :meth:`TraceTemplate._price_times` stacks the
-  pricing-axis parameters of S scenarios (the roofline rates and default
-  dispatch overhead of a :class:`~repro.device.timing.KernelTimingModel`,
-  bandwidths, dispatch overrides, per-sync allreduce costs) into
-  per-scenario rows and derives every duration and clock reading of every
-  rank in one ``(S × atoms)`` int64 broadcast per rank; collectives are
-  resolved in a loop over the sync points, not over scenarios.
-* **One reduction** — every result is built by
-  :func:`~repro.experiments.sweep.assemble_result` from a row's measurements
-  and the template's :class:`~repro.train.session.RunStructure`; the
-  measurements come from the simulator's own recipes
-  (:func:`~repro.core.ati.summarize_rows_us`,
-  :func:`~repro.core.swap.swappable_fractions`,
-  :func:`~repro.core.breakdown.occupation_from_columns`), never a copy.
-* **Fed by the time matrix** (policy-free rows, any replica count) — ATI
-  pairing, block sizes, live-bytes deltas and categories are *structural*
-  (``merge_rank_traces`` keeps block ids rank-disjoint and per-rank clocks
-  are monotone, so the merged trace's ATI pairs are the union of the
-  rank-local ones); they are precomputed per template as rank-major columns
-  (:class:`_MergedColumns`).  Per row only the interval gaps are gathered
-  and — for multi-rank templates, whose merged event *order* depends on the
-  pricing point — ordered by one stable argsort of the closing-event and
-  malloc/free timestamps.  No trace object is built.
-* **Fed by a rebuilt trace** (``swap_policy != "none"``) — the offline
-  baselines walk a real trace, so a policy-carrying row's clocks feed
-  :meth:`TraceTemplate._rebuild_trace`, the real ``merge_rank_traces`` and
-  :func:`~repro.experiments.sweep.reduce_trace`, which also reduces every
-  fresh session.  The same path is the reference the tests diff the
-  time-matrix feeder against.
-
-Two more layers push whole grids through one template:
-
-* **Dtype-generalized templates** — ``dtype`` is a *generalized* axis, not
-  a structural one: one :class:`TemplateFamily` (one structural key) holds
-  lazily-captured per-dtype :class:`TraceTemplate` variants, because AMP
-  master-weight allocations give fp16 a genuinely different event stream
-  (a recorded structural delta, captured once, stored against the base
-  variant's arrays) rather than a reason to fall back.
-* **Template-store index** — :class:`~repro.experiments.template_store.TemplateStore`
-  fronts the ``.npz`` files with a JSON manifest (O(1) lookup, LRU bound,
-  atomic publish) so parallel sweep workers and persistent pools share
-  templates safely.
+  produce, through the one reduction
+  (:func:`~repro.experiments.sweep.assemble_result`) with two feeders.
+  Policy-free rows are **fed by the time matrix**: ATI pairing, block sizes,
+  live-bytes deltas and categories are structural (``merge_rank_traces``
+  keeps block ids rank-disjoint and per-rank clocks are monotone, so the
+  merged trace's ATI pairs are the union of the rank-local ones) and are
+  precomputed per template (:class:`_MergedColumns`); per row only the gaps
+  are gathered and — for multi-rank templates, whose merged event *order*
+  depends on the pricing point — ordered by one stable argsort.  Rows with a
+  ``swap_policy`` are **fed by a rebuilt trace**: the offline baselines walk
+  a real trace, so the row's clocks re-time the captured columns
+  (:meth:`RankTemplate.trace`) and the real ``merge_rank_traces`` and
+  :func:`~repro.experiments.sweep.reduce_trace` take over.
+* ``dtype`` is a *generalized* axis: one :class:`TemplateFamily` (one
+  structural key, one ``.npz``) holds a lazily captured variant per dtype,
+  because AMP master-weight allocations give fp16 a different event stream.
+* :class:`ReplayEngine` memoizes families in memory and, given a
+  :class:`~repro.experiments.template_store.TemplateStore`, as
+  content-addressed archives beside the sweep cache; it declines — with a
+  reason code the sweep CLI prints — whatever a template cannot serve
+  (swap engine on, eager numerics, a capacity that changed allocator
+  behaviour, an inconsistent capture, an engine crash on a structure group).
 """
 
 from __future__ import annotations
@@ -86,7 +48,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -141,6 +103,12 @@ _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 #: every combination of them.
 PRICING_FIELDS = ("label", "device_spec", "host_dispatch_overhead_ns",
                   "interconnect", "allreduce_algorithm", "device_memory_capacity")
+
+#: The pricing fields that select no pricing *point* in ``_price_times``: the
+#: label prices nothing, the dispatch override is applied per row.
+PER_ROW_PRICING_FIELDS = ("label", "host_dispatch_overhead_ns")
+_POINT_KEY = attrgetter(*(name for name in PRICING_FIELDS
+                          if name not in PER_ROW_PRICING_FIELDS))
 
 #: Config fields that *do* change the event structure but are generalized
 #: within one :class:`TemplateFamily` instead of splitting the template key:
@@ -231,7 +199,7 @@ class _TemplateCapture:
 
 @dataclass
 class RankTemplate:
-    """One replica's captured structure: event columns, tape atoms, mark spans."""
+    """One replica's captured structure: its trace's events, tape atoms, mark spans."""
 
     # timing tape (one entry per clock advance)
     tape_kind: np.ndarray          # int64
@@ -239,21 +207,29 @@ class RankTemplate:
     tape_nbytes: np.ndarray        # int64 (memcpy / allreduce payloads)
     tape_flops: np.ndarray         # float64 (kernel roofline inputs)
     tape_bytes_moved: np.ndarray   # float64
-    # event columns (timestamps re-derived at replay)
-    event_kind: np.ndarray         # int64
-    event_block: np.ndarray        # int64
-    event_address: np.ndarray      # int64
-    event_size: np.ndarray         # int64
-    event_category: np.ndarray     # int64
-    event_iteration: np.ndarray    # int64
-    event_tape_pos: np.ndarray     # int64: atoms preceding each event
+    #: The replica trace's own column record and string lists, shared not
+    #: copied; ``timestamp_ns`` is never read (every replay re-derives it).
+    columns: EventColumns
     event_tags: List[str]
     event_ops: List[str]
+    event_tape_pos: np.ndarray     # int64: atoms preceding each event
     # iteration marks: index plus [begin, end] tape positions
     mark_indices: List[int]
     mark_spans: np.ndarray         # int64 (k, 2)
     #: Pre-attach clock time as whole segment reservations (best-fit arena).
     preamble_segments: int
+
+    def trace(self, timestamp_ns: Optional[np.ndarray] = None,
+              **trace_fields) -> MemoryTrace:
+        """This replica's trace, re-timed to ``timestamp_ns`` when given.
+
+        The string lists (and every column but the timestamps) are shared
+        with the template, as :meth:`MemoryTrace.rank_view` shares them.
+        """
+        columns = (self.columns if timestamp_ns is None
+                   else replace(self.columns, timestamp_ns=timestamp_ns))
+        return MemoryTrace(columns=columns, event_tags=self.event_tags,
+                           event_ops=self.event_ops, **trace_fields)
 
 
 def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplate:
@@ -278,15 +254,10 @@ def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplat
         tape_nbytes=np.asarray(tape.nbytes, dtype=np.int64),
         tape_flops=np.asarray(tape.flops, dtype=np.float64),
         tape_bytes_moved=np.asarray(tape.bytes_moved, dtype=np.float64),
-        event_kind=cols.kind_code.copy(),
-        event_block=cols.block_id.copy(),
-        event_address=cols.address.copy(),
-        event_size=cols.size.copy(),
-        event_category=cols.category_code.copy(),
-        event_iteration=cols.iteration.copy(),
+        columns=cols,
+        event_tags=tags,
+        event_ops=ops,
         event_tape_pos=positions,
-        event_tags=list(tags),
-        event_ops=list(ops),
         mark_indices=[mark.index for mark in trace.iteration_marks],
         mark_spans=np.asarray(spans, dtype=np.int64).reshape(len(spans), 2),
         preamble_segments=-1,  # filled by the caller (needs the compile spec)
@@ -401,29 +372,6 @@ def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAto
     )
 
 
-def _rank_columns(rank: RankTemplate, timestamps: np.ndarray) -> EventColumns:
-    """One rank's captured event columns under the given timestamps."""
-    n = len(rank.event_kind)
-    return EventColumns(
-        event_id=np.arange(n, dtype=np.int64),
-        kind_code=rank.event_kind,
-        timestamp_ns=timestamps,
-        block_id=rank.event_block,
-        size=rank.event_size,
-        category_code=rank.event_category,
-        iteration=rank.event_iteration,
-        device_rank=np.zeros(n, dtype=np.int64),
-        address=rank.event_address,
-    )
-
-
-def _structural_trace(rank: RankTemplate) -> MemoryTrace:
-    """One rank's trace with zeroed timestamps (structure only)."""
-    columns = _rank_columns(rank, np.zeros(len(rank.event_kind), dtype=np.int64))
-    return MemoryTrace(columns=columns, event_tags=list(rank.event_tags),
-                       event_ops=list(rank.event_ops))
-
-
 class TraceTemplate:
     """One compiled structure: everything needed to re-price it in bulk.
 
@@ -511,7 +459,7 @@ class TraceTemplate:
             for rank, sync_pos in zip(self.ranks, self.sync_pos):
                 atoms.append(_rank_atoms(rank, sync_pos, base))
                 base += atoms[-1].n_atoms + 1
-            traces = [_structural_trace(rank) for rank in self.ranks]
+            traces = [rank.trace() for rank in self.ranks]
             # merge_rank_traces keeps every event and keeps block ids
             # rank-disjoint, so the merged counts are the per-rank sums.
             structure = RunStructure(
@@ -534,7 +482,7 @@ class TraceTemplate:
         """The merged trace's structure, or ``None`` when a result cannot be
         reduced without the trace itself (an empty rank, marks the ranks
         disagree on)."""
-        if (any(rank.event_kind.size == 0 for rank in self.ranks)
+        if (any(len(rank.columns) == 0 for rank in self.ranks)
                 or any(rank.mark_indices != self.iteration_indices
                        for rank in self.ranks)):
             return None
@@ -612,8 +560,7 @@ class TraceTemplate:
         point_of = np.empty(n_scenarios, dtype=np.intp)
         dispatch = np.empty(n_scenarios, dtype=np.int64)
         for j, config in enumerate(configs):
-            point_key = (config.device_spec, config.device_memory_capacity,
-                         config.interconnect, config.allreduce_algorithm)
+            point_key = _POINT_KEY(config)
             point = points.get(point_key)
             if point is None:
                 point = points[point_key] = len(clusters)
@@ -826,7 +773,6 @@ class TraceTemplate:
         rank_traces: List[MemoryTrace] = []
         for rank_index, rank in enumerate(self.ranks):
             absolute = times[rank_index]
-            timestamps = absolute[rank.event_tape_pos]
             marks = [IterationMark(index=index,
                                    start_ns=int(absolute[span[0]]),
                                    end_ns=int(absolute[span[1]]))
@@ -838,14 +784,9 @@ class TraceTemplate:
                 **base_metadata,
                 "device_rank": rank_index,
             }
-            rank_traces.append(MemoryTrace(
-                columns=_rank_columns(rank, timestamps),
-                event_tags=list(rank.event_tags),
-                event_ops=list(rank.event_ops),
-                iteration_marks=marks,
-                metadata=metadata,
-                end_ns=int(absolute[-1]),
-            ))
+            rank_traces.append(rank.trace(
+                absolute[rank.event_tape_pos], iteration_marks=marks,
+                metadata=metadata, end_ns=int(absolute[-1])))
         return merge_rank_traces(rank_traces)
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
@@ -902,7 +843,7 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     allocator_stats = {k: int(v) for k, v in session.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0
-        or any(bool((rank.event_kind == _SEGMENT_FREE_CODE).any())
+        or any(bool((rank.columns.kind_code == _SEGMENT_FREE_CODE).any())
                for rank in ranks))
     meta = {
         "schema": TEMPLATE_SCHEMA_VERSION,
@@ -980,17 +921,25 @@ class TemplateFamily:
 
 # -- persistence ----------------------------------------------------------------------
 
-_RANK_ARRAYS = ("tape_kind", "tape_duration_ns", "tape_nbytes", "tape_flops",
-                "tape_bytes_moved", "event_kind", "event_block", "event_address",
-                "event_size", "event_category", "event_iteration",
-                "event_tape_pos", "mark_spans")
-
 #: (column group, members) pairs that must agree in length for a persisted
 #: rank to be loadable — the torn-write / corruption screen on load.
 _TAPE_COLUMNS = ("tape_kind", "tape_duration_ns", "tape_nbytes", "tape_flops",
                  "tape_bytes_moved")
-_EVENT_COLUMNS = ("event_kind", "event_block", "event_address", "event_size",
-                  "event_category", "event_iteration", "event_tape_pos")
+#: Archive array name -> the :class:`EventColumns` field a rank holds it in.
+_EVENT_FIELDS = {"event_kind": "kind_code", "event_block": "block_id",
+                 "event_address": "address", "event_size": "size",
+                 "event_category": "category_code", "event_iteration": "iteration"}
+_EVENT_COLUMNS = (*_EVENT_FIELDS, "event_tape_pos")
+
+#: Every per-rank array of the archive, in stored order.
+_RANK_ARRAYS = (*_TAPE_COLUMNS, *_EVENT_COLUMNS, "mark_spans")
+
+
+def _rank_array(rank: RankTemplate, name: str) -> np.ndarray:
+    """The array ``rank`` holds under archive name ``name``."""
+    field = _EVENT_FIELDS.get(name)
+    return np.asarray(getattr(rank, name) if field is None
+                      else getattr(rank.columns, field))
 
 
 def _validate_rank_columns(columns: Dict[str, np.ndarray], info: dict) -> None:
@@ -1035,9 +984,9 @@ def save_family(family: TemplateFamily, path: Path) -> None:
         for i, rank in enumerate(template.ranks):
             aliased = []
             for name in _RANK_ARRAYS:
-                column = np.asarray(getattr(rank, name))
+                column = _rank_array(rank, name)
                 if j > 0 and i < len(base.ranks):
-                    base_column = np.asarray(getattr(base.ranks[i], name))
+                    base_column = _rank_array(base.ranks[i], name)
                     if (column.dtype == base_column.dtype
                             and column.shape == base_column.shape
                             and np.array_equal(column, base_column)):
@@ -1096,12 +1045,20 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
                         else:
                             columns[name] = np.array(data[f"v{j}_r{i}_{name}"])
                     _validate_rank_columns(columns, info)
+                    n_events = len(columns["event_kind"])
                     ranks.append(RankTemplate(
+                        columns=EventColumns(
+                            event_id=np.arange(n_events, dtype=np.int64),
+                            timestamp_ns=np.zeros(n_events, dtype=np.int64),
+                            device_rank=np.zeros(n_events, dtype=np.int64),
+                            **{field: columns[name]
+                               for name, field in _EVENT_FIELDS.items()}),
                         event_tags=[str(tag) for tag in info["event_tags"]],
                         event_ops=[str(op) for op in info["event_ops"]],
                         mark_indices=[int(x) for x in info["mark_indices"]],
                         preamble_segments=int(info["preamble_segments"]),
-                        **columns,
+                        **{name: columns[name] for name in _RANK_ARRAYS
+                           if name not in _EVENT_FIELDS},
                     ))
                     if j == 0:
                         base_columns.append(columns)
@@ -1144,9 +1101,9 @@ class ReplayEngine:
     captured variant per dtype) are memoized in memory; given a ``store``
     (the sweep runner builds one next to its result cache) they are also
     published through that
-    :class:`~repro.experiments.template_store.TemplateStore` — a JSON
-    manifest over content-addressed ``.npz`` files with an LRU bound — so
-    later processes skip compilation entirely.  A memoized ``None`` variant
+    :class:`~repro.experiments.template_store.TemplateStore` — a directory
+    of content-addressed ``.npz`` files — so later processes skip
+    compilation entirely.  A memoized ``None`` variant
     marks a dtype whose capture failed, so the sweep only pays the
     attempted compilation once.
 

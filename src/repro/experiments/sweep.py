@@ -104,7 +104,7 @@ class SweepResult:
     #: Transient-failure re-submissions performed under the retry budget.
     retries: int = 0
     #: Corrupt artifacts moved aside this run, by kind (``cache_corrupt``,
-    #: ``template_corrupt``, ``journal_corrupt``, ``manifest_corrupt``).
+    #: ``template_corrupt``, ``journal_corrupt``).
     quarantined: Dict[str, int] = field(default_factory=dict)
     #: Scenarios skipped because a prior run's journal already recorded
     #: their deterministic failure (``resume=True``).

@@ -123,6 +123,16 @@ class WarmupObservations:
     live_series: List = None
 
 
+#: Iterations observed before the policy activates.  One: the policy replans
+#: at every later iteration start from the accumulated (swap-undistorted)
+#: observations, so cross-iteration idle intervals — the paper's large
+#: outliers — are picked up as soon as they close.
+WARMUP_ITERATIONS = 1
+
+#: Prefetches aim to complete this long *before* the predicted next access.
+#: Zero: exactly on time (contention can still make them late).
+PREFETCH_MARGIN_NS = 0
+
 #: Computed entries of :meth:`SwapExecutionSummary.to_dict`, by the field they follow.
 _DERIVED_AFTER = {
     "stall_ns_total": ("stall_ns_per_iteration",),
@@ -226,14 +236,6 @@ class SwapExecutor(MemoryEventListener):
         An executable :class:`~repro.swap.policies.MemoryPolicy` instance or
         its registry name (``planner``, ``swap_advisor``, ``zero_offload``,
         ``lru``, ``unified``); an analysis-only policy is a ``ValueError``.
-    warmup_iterations:
-        Iterations observed before the policy activates (default 1).  The
-        policy replans at every later iteration start from the accumulated
-        (swap-undistorted) observations, so cross-iteration idle intervals —
-        the paper's large outliers — are picked up as soon as they close.
-    prefetch_margin_ns:
-        Prefetches aim to complete this much *before* the predicted next
-        access (0 = exactly on time; contention can still make them late).
     bandwidths:
         Eq.-1 bandwidths for the policy's predictions; defaults to the
         device spec's (the transfers themselves always use the spec).
@@ -246,7 +248,6 @@ class SwapExecutor(MemoryEventListener):
     """
 
     def __init__(self, device, policy: Union[str, MemoryPolicy],
-                 warmup_iterations: int = 1, prefetch_margin_ns: int = 0,
                  bandwidths: Optional[BandwidthConfig] = None,
                  capacity_bytes: Optional[int] = None):
         self.device = device
@@ -254,8 +255,6 @@ class SwapExecutor(MemoryEventListener):
         if not self.policy.executable:
             raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
                              f"it cannot drive the swap executor")
-        self.warmup_iterations = max(1, int(warmup_iterations))
-        self.prefetch_margin_ns = max(0, int(prefetch_margin_ns))
         self.bandwidths = (bandwidths if bandwidths is not None
                            else BandwidthConfig.from_device_spec(device.spec))
         self.capacity_bytes = (None if capacity_bytes is None
@@ -344,7 +343,7 @@ class SwapExecutor(MemoryEventListener):
         self._iteration_start_ns = self.device.clock.now_ns
         for state in self._states.values():
             state.iter_access_count = 0
-        if index > self.warmup_iterations:
+        if index > WARMUP_ITERATIONS:
             # Observation stops one iteration into execution: the first
             # active iteration still closes the cross-boundary windows and
             # refreshes the live profile (with e.g. the lazily allocated
@@ -355,7 +354,7 @@ class SwapExecutor(MemoryEventListener):
             self._iter_live_series = []
             self._iter_peak_live = self._live_bytes
             self._iter_peak_phase_ns = None
-        if index > self.warmup_iterations + 1 and not self._steady_started:
+        if index > WARMUP_ITERATIONS + 1 and not self._steady_started:
             # Measured peaks restart at the first fully steady iteration:
             # iteration warmup ran unswapped, and iteration warmup+1 still
             # starts with everything resident (the first boundary-window
@@ -364,7 +363,7 @@ class SwapExecutor(MemoryEventListener):
             self._steady_started = True
             self._peak_resident_active = self._resident_bytes
             self._peak_live_active = self._live_bytes
-        if index >= self.warmup_iterations:
+        if index >= WARMUP_ITERATIONS:
             if not self._plan_frozen:
                 # Replans are only useful while the observations can still
                 # change; the first plan after learning froze is final.
@@ -668,7 +667,7 @@ class SwapExecutor(MemoryEventListener):
         self.counters.bytes_swapped_out += copy_bytes
         if directive.prefetch_gap_ns is not None:
             deadline = (state.last_access_ns + int(directive.prefetch_gap_ns)
-                        - self.prefetch_margin_ns)
+                        - PREFETCH_MARGIN_NS)
             # The copy-back can start no earlier than its own eviction copy
             # finished (the host does not have the bytes before that).
             back = self.device.dma.async_host_to_device_by(

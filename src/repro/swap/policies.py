@@ -50,6 +50,16 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
 #: The normalized summary type every offline evaluation produces.
 PolicySummary = Dict[str, object]
 
+#: Share of one iteration the planned swap round trips may keep the copy
+#: stream busy (``planner`` / ``unified``).  Below one: the engine is a
+#: single in-order stream, so a plan that fills it queues prefetches behind
+#: each other and they miss their deadlines (:func:`_within_stream_budget`).
+COPY_UTILIZATION_CAP = 0.8
+
+#: ``lru``'s default resident budget as a share of the warm-up peak.  Below
+#: one so the policy has something to do on any workload.
+LRU_BUDGET_FRACTION = 0.7
+
 
 @dataclass(frozen=True)
 class EvictDirective:
@@ -350,12 +360,10 @@ class PlannerPolicy(_TriggerPlanPolicy):
     offline = executable = True
 
     def __init__(self, min_candidate_bytes: int = 32 * MIB,
-                 allow_overhead_ns: float = 0.0,
-                 copy_utilization_cap: float = 0.8):
+                 allow_overhead_ns: float = 0.0):
         super().__init__()
         self.min_candidate_bytes = int(min_candidate_bytes)
         self.allow_overhead_ns = float(allow_overhead_ns)
-        self.copy_utilization_cap = float(copy_utilization_cap)
 
     def _planner(self, bandwidths: BandwidthConfig) -> SwapPlanner:
         """The cost model both faces plan with."""
@@ -388,7 +396,7 @@ class PlannerPolicy(_TriggerPlanPolicy):
             [_interval_from_observation(state) for state in observed],
             peak_before=warmup.peak_resident_bytes)
         kept, spent = _within_stream_budget(
-            plan.selected, self.copy_utilization_cap * warmup.iteration_duration_ns)
+            plan.selected, COPY_UTILIZATION_CAP * warmup.iteration_duration_ns)
         kept_states = [warmup.by_id[candidate.interval.block_id]
                        for candidate in kept]
         self._triggers = _build_triggers(kept_states)
@@ -447,14 +455,12 @@ class UnifiedPolicy(_TriggerPlanPolicy):
 
     def __init__(self, min_candidate_bytes: int = 32 * MIB,
                  allow_overhead_ns: float = 0.0,
-                 copy_utilization_cap: float = 0.8,
                  enable_swap: bool = True,
                  enable_recompute: bool = True,
                  capacity_bytes: Optional[int] = None):
         super().__init__()
         self.min_candidate_bytes = int(min_candidate_bytes)
         self.allow_overhead_ns = float(allow_overhead_ns)
-        self.copy_utilization_cap = float(copy_utilization_cap)
         self.enable_swap = bool(enable_swap)
         self.enable_recompute = bool(enable_recompute)
         self.capacity_bytes = (None if capacity_bytes is None
@@ -490,7 +496,7 @@ class UnifiedPolicy(_TriggerPlanPolicy):
         plan = planner.plan_from_intervals(
             [_interval_from_observation(state) for state in observed],
             peak_before=warmup.peak_resident_bytes)
-        budget_ns = self.copy_utilization_cap * warmup.iteration_duration_ns
+        budget_ns = COPY_UTILIZATION_CAP * warmup.iteration_duration_ns
 
         # The pure-swap twin's own selection under the same stream budget:
         # anything it would move, the unified plan also covers — by replay
@@ -819,9 +825,8 @@ class QuantizationPolicy(MemoryPolicy):
 class LruPolicy(MemoryPolicy):
     """Online budget policy: evict least-recently-accessed blocks on pressure.
 
-    The budget defaults to ``budget_fraction`` of the warm-up peak (so the
-    policy always has something to do on any workload); an absolute
-    ``budget_bytes`` overrides it.  Evicted blocks are demand-fetched on
+    The budget defaults to :data:`LRU_BUDGET_FRACTION` of the warm-up peak; an
+    absolute ``budget_bytes`` overrides it.  Evicted blocks are demand-fetched on
     access — the stalls measure what a reactive pager costs on this workload.
     """
 
@@ -829,11 +834,9 @@ class LruPolicy(MemoryPolicy):
     executable = True
 
     def __init__(self, budget_bytes: Optional[int] = None,
-                 budget_fraction: float = 0.7,
                  min_block_bytes: int = 1 * MIB):
         super().__init__()
         self.budget_bytes = budget_bytes if budget_bytes is None else int(budget_bytes)
-        self.budget_fraction = float(budget_fraction)
         self.min_block_bytes = int(min_block_bytes)
         self._resolved_budget: Optional[int] = None
 
@@ -842,7 +845,7 @@ class LruPolicy(MemoryPolicy):
             self._resolved_budget = self.budget_bytes
         else:
             self._resolved_budget = int(warmup.peak_resident_bytes
-                                        * self.budget_fraction)
+                                        * LRU_BUDGET_FRACTION)
         self.predicted = None  # reactive: there is no plan to predict from
 
     def directives_on_pressure(self, resident: Iterable["BlockState"],

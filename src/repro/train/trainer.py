@@ -12,17 +12,17 @@ One iteration reproduces the dataflow of an eager PyTorch training step:
 6. optimizer step (parameters and optimizer state read/written),
 7. loss readback (D2H) and bookkeeping.
 
-:class:`Trainer` drives the single-device loop.  :class:`DataParallelTrainer`
-generalizes it to a :class:`~repro.device.cluster.DeviceGroup`: every global
-batch is sharded across the ranks, each *materialised* replica — one per
-replica class of the group (:func:`replica_classes`), standing for every rank
-of its class — runs the per-shard forward/backward of its representative rank
+:class:`DataParallelTrainer` drives the loop on a
+:class:`~repro.device.cluster.DeviceGroup`: every global batch is sharded
+across the ranks, each *materialised* replica — one per replica class of the
+group (:func:`replica_classes`), standing for every rank of its class — runs
+the per-shard forward/backward of its representative rank
 against its own model copy and recorder, a gradient allreduce on the group's
 :class:`~repro.device.collective.CollectiveEngine` synchronizes the replica
 clocks (and emits the gradient read/write behaviors) *before* the per-replica
 optimizer step — exactly PyTorch DDP's dataflow.  With one replica the
-allreduce is skipped entirely, so the data-parallel loop degenerates to the
-single-device loop event for event.
+allreduce is skipped entirely; :class:`Trainer` is that one-replica case
+around an existing device.
 
 An optional recorder (duck-typed: ``begin_iteration`` / ``end_iteration``)
 receives iteration boundaries so that the analyses can segment the trace.
@@ -69,10 +69,8 @@ def _replica_forward_backward(device: Device, model: Module, loss_fn: Module,
                               host_ns: int):
     """One replica's host wait, H2D staging, forward and backward pass.
 
-    Shared verbatim by :class:`Trainer` and :class:`DataParallelTrainer` so
-    the single-device loop and the one-replica data-parallel loop emit
-    identical event streams by construction.  Returns the staged
-    ``(inputs, labels, loss)`` tensors still holding device memory.
+    Returns the staged ``(inputs, labels, loss)`` tensors still holding
+    device memory.
     """
     device.host_pause(host_ns)
     inputs = from_numpy(device, inputs_np, category=MemoryCategory.INPUT,
@@ -103,76 +101,6 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
     labels.release()
     device.host_pause(post_iteration_host_ns)
     return loss_value
-
-
-class Trainer:
-    """Drives training of a model on a simulated device."""
-
-    def __init__(self, model: Module, loader: DataLoader, optimizer: Optimizer,
-                 loss_fn: Module, device: Device, recorder=None,
-                 post_iteration_host_ns: int = 1_000_000):
-        self.model = model
-        self.loader = loader
-        self.optimizer = optimizer
-        self.loss_fn = loss_fn
-        self.device = device
-        self.recorder = recorder
-        self.post_iteration_host_ns = int(post_iteration_host_ns)
-        self.history: List[IterationStats] = []
-
-    # -- single iteration ------------------------------------------------------------
-
-    def train_iteration(self, index: int) -> IterationStats:
-        """Run one full training iteration and return its statistics."""
-        if self.recorder is not None:
-            self.recorder.begin_iteration(index)
-        start_ns = self.device.clock.now_ns
-
-        # 1-3. Host-side data loading, H2D staging, forward and backward.
-        inputs_np, labels_np = self.loader.next_batch()
-        inputs, labels, loss = _replica_forward_backward(
-            self.device, self.model, self.loss_fn, self.optimizer,
-            inputs_np, labels_np, self.loader.host_time_ns())
-
-        # 4. Optimizer step.
-        self.optimizer.step()
-
-        # 5. Loss readback (D2H) and host-side bookkeeping.
-        loss_value = _replica_readback_release(
-            self.device, loss, inputs, labels, self.post_iteration_host_ns)
-
-        stats = IterationStats(
-            index=index,
-            loss=loss_value,
-            start_ns=start_ns,
-            end_ns=self.device.clock.now_ns,
-            allocated_bytes_end=self.device.allocated_bytes,
-            peak_allocated_bytes=self.device.peak_allocated_bytes,
-            reserved_bytes_end=self.device.reserved_bytes,
-        )
-        self.history.append(stats)
-        if self.recorder is not None:
-            self.recorder.end_iteration(index)
-        return stats
-
-    # -- multiple iterations ------------------------------------------------------------
-
-    def train(self, num_iterations: int) -> List[IterationStats]:
-        """Run ``num_iterations`` training iterations."""
-        if num_iterations <= 0:
-            raise ConfigurationError(f"num_iterations must be positive, got {num_iterations}")
-        start_index = len(self.history)
-        return [self.train_iteration(start_index + offset)
-                for offset in range(num_iterations)]
-
-    # -- reporting ---------------------------------------------------------------------
-
-    def losses(self) -> List[Optional[float]]:
-        """Loss of every completed iteration (``None`` in symbolic mode)."""
-        return [stats.loss for stats in self.history]
-
-
-# -- data-parallel training ----------------------------------------------------------
 
 
 def shard_batch(array: np.ndarray, n_shards: int) -> List[np.ndarray]:
@@ -384,3 +312,16 @@ class DataParallelTrainer:
     def collective_summary(self) -> dict:
         """Aggregate allreduce statistics of the run (engine summary passthrough)."""
         return self.group.collective.summary()
+
+
+class Trainer(DataParallelTrainer):
+    """Drives training of one model on one simulated device: the one-replica
+    :class:`DataParallelTrainer` over a group wrapping ``device``."""
+
+    def __init__(self, model: Module, loader: DataLoader, optimizer: Optimizer,
+                 loss_fn: Module, device: Device, recorder=None,
+                 post_iteration_host_ns: int = 1_000_000):
+        super().__init__(DeviceGroup.of(device), [model], loader, [optimizer],
+                         [loss_fn],
+                         recorders=None if recorder is None else [recorder],
+                         post_iteration_host_ns=post_iteration_host_ns)

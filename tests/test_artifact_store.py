@@ -1,7 +1,7 @@
 """Tests for the one on-disk artifact discipline (``experiments/artifacts.py``).
 
 Every file a sweep leaves behind — result-cache entries, run journals, the
-template manifest and archives — goes through :class:`ArtifactStore`.  These
+template archives — goes through :class:`ArtifactStore`.  These
 tests pin the survivor of the four hand-rolled copies it replaced: atomic
 pid-unique publish, parse-or-quarantine reads, tallied (never raised) I/O
 errors, ``clear()`` counting only what it was asked to count, and the
@@ -26,7 +26,7 @@ from repro.experiments.sweep import (
     SweepRunner,
     run_scenario,
 )
-from repro.experiments.template_store import INDEX_NAME, TemplateStore
+from repro.experiments.template_store import TemplateStore
 
 
 def tiny_scenarios(**overrides):
@@ -115,7 +115,7 @@ def test_unparseable_is_quarantined_with_bytes_preserved(tmp_path):
 def test_stale_schema_and_absence_are_plain_misses(tmp_path):
     store = ArtifactStore(tmp_path)
     store.publish_json("old.json", {"schema": 1, "value": 5})
-    store.publish_json("new.json", {"schema": 2, "value": 5}, pretty=True)
+    store.publish_json("new.json", {"schema": 2, "value": 5})
     assert store.read_json("old.json", "cache_corrupt", versioned) is None
     assert store.read_json("missing.json", "cache_corrupt", versioned) is None
     assert store.read_json("new.json", "cache_corrupt", versioned) == 5
@@ -180,11 +180,14 @@ def test_corrupt_journal_and_manifest_are_quarantined(tmp_path):
     assert reloaded.store.quarantined == {"journal_corrupt": 1}
     assert (tmp_path / JOURNALS_DIR / QUARANTINE_DIR / journal.path.name).is_file()
 
+    # The template store reads nothing but archives: an undecodable manifest
+    # an older checkout left is neither parsed nor quarantined.
     templates = TemplateStore(tmp_path / "templates")
     templates.root.mkdir()
-    (templates.root / INDEX_NAME).write_text("{ not json")
-    assert templates.keys() == {}
-    assert templates.artifacts.quarantined == {"manifest_corrupt": 1}
+    (templates.root / "index.json").write_text("{ not json")
+    assert templates.keys() == [] and templates.load("index") is None
+    assert templates.artifacts.quarantined == {}
+    assert (templates.root / "index.json").read_text() == "{ not json"
 
 
 def test_hand_laid_parent_format_cache_is_served_with_zero_misses(tmp_path):

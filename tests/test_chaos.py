@@ -410,12 +410,13 @@ def test_clear_cache_wipes_journals_without_counting_them(tmp_path):
     assert removed == len(scenarios)  # journals not counted
     assert not list((tmp_path / JOURNALS_DIR).glob("*.json*"))
 
-    # The template side: archives, the manifest, quarantined files and a
-    # killed writer's orphaned temp are wiped too, and none of them counted.
+    # The template side: archives, an older checkout's manifest, quarantined
+    # files and a killed writer's orphaned temp are wiped too, none counted.
     replay = tiny_grid(execution_mode="replay").expand()
     runner.run(replay)
     templates = tmp_path / "templates"
-    assert list(templates.glob("*.npz")) and (templates / "index.json").is_file()
+    assert {path.suffix for path in templates.iterdir()} == {".npz"}
+    (templates / "index.json").write_text('{"schema": 1, "entries": {}}')
     entry = tmp_path / f"{replay[0].key()}.json"
     entry.write_text("{ torn", encoding="utf-8")
     runner.run(replay)  # quarantines the torn entry, rewrites it

@@ -25,7 +25,7 @@ from repro.experiments.replay import (
 )
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.experiments.template_store import TemplateStore
-from repro.train.session import TrainingRunConfig, run_training_session
+from repro.train.session import TrainingRunConfig, build_cluster, run_training_session
 
 from tests.helpers import price_one, replay_one
 
@@ -591,7 +591,8 @@ def test_engine_persists_families_through_the_store(tmp_path):
     assert_replay_exact(engine, make_scenario())
     assert_replay_exact(engine, make_scenario(dtype="float16"))
     assert engine.templates_compiled == 1
-    assert (tmp_path / "index.json").is_file()
+    assert ([path.name for path in tmp_path.iterdir()]
+            == [f"{template_key(make_scenario().config)}.npz"])
 
     # A later process loads the family from the store: no fresh compile, and
     # pricing stays exact for both dtypes at a new pricing point.
@@ -603,6 +604,53 @@ def test_engine_persists_families_through_the_store(tmp_path):
                                       device_spec="v100_sxm2_16gb"))
     assert second.templates_compiled == 0
     assert second.variants_captured == 0
+
+
+def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
+        monkeypatch, tmp_path):
+    """No second copy: capture keeps the recorded column record itself, and
+    every trace the template hands out shares its string lists and every
+    column but the timestamps (as ``rank_view`` shares them)."""
+    from repro.experiments import replay
+
+    captured = []
+    capture_rank = replay._capture_rank
+
+    def recording(recorder, trace, tape):
+        captured.append((trace, capture_rank(recorder, trace, tape)))
+        return captured[-1][1]
+
+    monkeypatch.setattr(replay, "_capture_rank", recording)
+    three_ranks = make_scenario(n_devices=3).config     # two replica classes
+    template = ReplayEngine().template_for(three_ranks)
+    assert len(captured) == 2 and len(template.ranks) == 3
+    for trace, rank in captured:
+        assert rank.columns is trace.columns()
+        assert (rank.event_tags, rank.event_ops) == trace.event_strings()
+        assert any(rank is member for member in template.ranks)
+
+    def assert_shares(trace, rank):
+        assert trace._event_tags is rank.event_tags
+        assert trace._event_ops is rank.event_ops
+        for name in ("event_id", "kind_code", "block_id", "size",
+                     "category_code", "iteration", "device_rank", "address"):
+            assert getattr(trace.columns(), name) is getattr(rank.columns, name)
+
+    config = make_scenario().config
+    single = ReplayEngine().template_for(config)
+    path = tmp_path / "family.npz"
+    save_family(TemplateFamily(single.key, {single.dtype: single}), path)
+    loaded = load_family(path).get(single.dtype)
+    assert not loaded.ranks[0].columns.timestamp_ns.any()   # nothing recorded to keep
+    for one_rank in (single, loaded):
+        rank, = one_rank.ranks
+        times = one_rank._rank_times(one_rank._price_times([config])[0][0])
+        rebuilt = one_rank._rebuild_trace(config, build_cluster(config).device, times)
+        for trace in (rebuilt, one_rank.replay_trace(config)):
+            assert_shares(trace, rank)
+            assert trace.columns().timestamp_ns is not rank.columns.timestamp_ns
+            assert trace.validate() is trace
+        assert rank.trace().columns() is rank.columns
 
 
 # -- the paper's own workload: a host-latency model is inside the envelope ------------

@@ -26,6 +26,7 @@ from repro.device import timing
 from repro.device.device import Device
 from repro.device.spec import get_device_spec
 from repro.experiments.replay import (
+    PER_ROW_PRICING_FIELDS,
     PRICING_FIELDS,
     ReplayEngine,
     TemplateError,
@@ -463,6 +464,42 @@ def test_every_config_field_is_pricing_or_splits_the_token(field):
         hash(token(changed))
         if field not in ("dtype", "host_latency"):  # generalized / outside the envelope
             assert _template_key_or_reason(changed) != template_key(_BASE)
+
+
+def test_price_times_lists_no_pricing_field_by_hand():
+    """The point key is read off ``PRICING_FIELDS``; the one field the loop
+    names itself is the per-row dispatch override."""
+    assert PER_ROW_PRICING_FIELDS == ("label", "host_dispatch_overhead_ns")
+    assert set(PER_ROW_PRICING_FIELDS) < set(PRICING_FIELDS)
+    price_times = next(node for node in ast.walk(ast.parse(REPLAY.read_text()))
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "_price_times")
+    named = {node.attr for node in ast.walk(price_times)
+             if isinstance(node, ast.Attribute)
+             and getattr(node.value, "id", None) == "config"}
+    assert named == {"host_dispatch_overhead_ns"}
+
+
+@pytest.fixture(scope="module")
+def two_rank_template():
+    base = dataclasses.replace(_BASE, n_devices=2)
+    return base, ReplayEngine().template_for(base)
+
+
+@pytest.mark.parametrize("field", PRICING_FIELDS)
+def test_a_pricing_field_alone_selects_another_pricing_point(two_rank_template, field):
+    """Two configs one pricing field apart are two points (their clusters are
+    built separately) unless the field is a stated per-row one."""
+    base, template = two_rank_template
+    changed = dataclasses.replace(base, **{field: _OTHER_VALUES[field]})
+    _times, _costs, clusters = template._price_times([base, changed, base])
+    assert clusters[0] is clusters[2]
+    assert (clusters[0] is clusters[1]) == (field in PER_ROW_PRICING_FIELDS)
+
+
+def test_no_module_under_src_names_a_template_manifest():
+    for path, _tree in _sources():
+        assert "index.json" not in path.read_text(), path.name
 
 
 # -- the recompute estimator has no fallback model ------------------------------------
