@@ -88,9 +88,12 @@ frontier-smoke:
 # a fresh process, which must price every row — the rebuilt-trace rows and
 # their derived lifetimes included — from the stored template, compiling none;
 # the template directory must hold archives and no second kind of file.
+# Last, the grid over replica counts and interconnects runs under both
+# executions: its --json rows, wall time aside, must be identical.
 REPLAY_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 32 \
 	--execution replay --devices titan_x_pascal,v100_sxm2_16gb --no-cache \
 	--cache-dir .ci-replay-cache
+REPLAY_GRID_JSON = $(REPLAY_SWEEP) --n-devices 1,2 --interconnects pcie_gen3,nvlink2 --json
 replay-smoke:
 	$(PYTHON) -m pytest tests/test_replay_equivalence.py -q
 	rm -rf .ci-replay-cache
@@ -98,6 +101,13 @@ replay-smoke:
 	$(REPLAY_SWEEP) --swap-policies none,swap_advisor \
 		| grep -F "4 replayed from 0 template(s)"
 	test -z "$$(ls .ci-replay-cache/templates | grep -v '\.npz$$')"
+	$(REPLAY_GRID_JSON) > .ci-replay-cache/replay.out
+	grep -F "8 replayed from" .ci-replay-cache/replay.out
+	$(REPLAY_GRID_JSON) --execution symbolic > .ci-replay-cache/symbolic.out
+	$(PYTHON) -c "import json, sys; \
+	rows = lambda path: [dict(row, wall_s=None) for row in \
+	                     json.JSONDecoder().raw_decode(open(path).read())[0]]; \
+	sys.exit(rows('.ci-replay-cache/replay.out') != rows('.ci-replay-cache/symbolic.out'))"
 	rm -rf .ci-replay-cache
 
 # Fault-tolerance smoke (the CI chaos-smoke leg): the chaos test suite

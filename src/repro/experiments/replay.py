@@ -12,22 +12,31 @@ module splits the two:
   tag / op lists as recorded, the timing atoms behind every clock advance,
   the event→atom correspondence and iteration spans, plus the structural
   scalars (peaks, parameter bytes, allocator counters).
-* :meth:`TraceTemplate._price_times` stacks the pricing parameters of S
-  scenarios into rows and derives every clock reading of every rank in one
-  ``(S × atoms)`` int64 broadcast per rank, bit-identical to what a fresh
-  simulation advances its clocks by; collectives are resolved with barrier
-  semantics in a loop over the sync points, not over scenarios.
+* :meth:`TraceTemplate._price_points` prices each distinct pricing point of
+  a batch once, at zero host dispatch, in one ``(points × atoms)`` int64
+  broadcast per rank; collectives are resolved with barrier semantics in a
+  loop over the sync points, not over scenarios.  A row's clocks are then
+  *affine* in its dispatch cost ``d``: every reading is ``T0[point] + d · K``
+  with ``K`` the kernels launched before that column.  This is exact, not an
+  approximation: ``d`` enters each kernel atom as an integer added after
+  rounding, and every rank launches the same number of kernels before each
+  sync (checked at construction), so a barrier shifts all arrivals by the
+  same ``d · K``.  :meth:`TraceTemplate._price_times` builds the full
+  ``(S, width)`` rows from the points — bit-identical to what a fresh
+  simulation advances its clocks by — for the callers that rebuild a trace.
 * :meth:`TraceTemplate.replay_batch` reduces each row to the exact
   :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
   produce, through the one reduction
   (:func:`~repro.experiments.sweep.assemble_result`) with two feeders.
-  Policy-free rows are **fed by the time matrix**: ATI pairing, block sizes,
-  live-bytes deltas and categories are structural (``merge_rank_traces``
-  keeps block ids rank-disjoint and per-rank clocks are monotone, so the
-  merged trace's ATI pairs are the union of the rank-local ones) and are
-  precomputed per template (:class:`_MergedColumns`); per row only the gaps
-  are gathered and — for multi-rank templates, whose merged event *order*
-  depends on the pricing point — ordered by one stable argsort.  Rows with a
+  Policy-free rows are **fed by the priced points**: ATI pairing, block
+  sizes, live-bytes deltas and categories are structural
+  (``merge_rank_traces`` keeps block ids rank-disjoint and per-rank clocks
+  are monotone, so the merged trace's ATI pairs are the union of the
+  rank-local ones) and are precomputed per template (:class:`_MergedColumns`);
+  per row only the gaps (``base_gap[point] + d · kgap``) and the few clock
+  columns a reduction reads are gathered — no ``(S, width)`` time matrix is
+  built — and, for multi-rank templates, whose merged event *order* depends
+  on the pricing point, ordered by one stable argsort.  Rows with a
   ``swap_policy`` are **fed by a rebuilt trace**: the offline baselines walk
   a real trace, so the row's clocks re-time the captured columns
   (:meth:`RankTemplate.trace`) and the real ``merge_rank_traces`` and
@@ -104,7 +113,7 @@ _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 PRICING_FIELDS = ("label", "device_spec", "host_dispatch_overhead_ns",
                   "interconnect", "allreduce_algorithm", "device_memory_capacity")
 
-#: The pricing fields that select no pricing *point* in ``_price_times``: the
+#: The pricing fields that select no pricing *point* in ``_price_points``: the
 #: label prices nothing, the dispatch override is applied per row.
 PER_ROW_PRICING_FIELDS = ("label", "host_dispatch_overhead_ns")
 _POINT_KEY = attrgetter(*(name for name in PRICING_FIELDS
@@ -118,8 +127,9 @@ _POINT_KEY = attrgetter(*(name for name in PRICING_FIELDS
 GENERALIZED_FIELDS = ("dtype",)
 
 #: Rows of one structure group priced per ``replay_batch`` call.  Rows are
-#: independent, so blocking changes no result; it bounds the ``(rows × atoms)``
-#: int64 time matrices by the block instead of by the grid.
+#: independent, so blocking changes no result; it bounds the point table
+#: (at most one ``width``-long clock row per distinct point of the block) and
+#: the ``(rows × ATIs)`` int64 gap matrix by the block instead of by the grid.
 PRICE_BLOCK_ROWS = 64
 
 
@@ -309,9 +319,9 @@ class _MergedColumns:
     point.  Everything is stored rank-major / event-id-minor, so a stable
     argsort of re-priced timestamps reproduces the merge's
     ``(timestamp, rank, event_id)`` order on any subset of events.  Events
-    are addressed by the time-matrix column holding their timestamp, so
-    reductions gather straight from the ``(S, width)`` matrix and never
-    materialize a per-scenario event vector.
+    are addressed by the clock column holding their timestamp, so reductions
+    gather straight from the priced points and never materialize a
+    per-scenario event vector.
     """
 
     ati_start_col: np.ndarray      # endpoints of each ATI pair
@@ -334,8 +344,33 @@ class _BatchArrays:
 
     atoms: List[_RankAtoms]
     width: int                          # columns of the time matrix
+    #: (width,) int64: kernel atoms of the column's rank before the column —
+    #: the coefficient of the dispatch cost in every clock reading.
+    kernels_before: np.ndarray
     merged: Optional[_MergedColumns]    # None: results need a rebuilt trace
     structure: RunStructure             # what every row of this template reports
+
+
+@dataclass
+class _PricedPoints:
+    """A batch's distinct pricing points, each priced once at zero dispatch.
+
+    Row ``j`` reads every clock column ``c`` as ``times[point_of[j], c] +
+    dispatch[j] * kernels_before[c]``.
+    """
+
+    times: np.ndarray              # (points, width) int64 clock readings
+    sync_costs: np.ndarray         # (points, syncs) int64 resolved collective costs
+    clusters: List[ClusterSpec]    # per point
+    point_of: np.ndarray           # (rows,) intp: each row's point
+    dispatch: np.ndarray           # (rows,) int64: each row's host dispatch cost
+
+
+def _kernels_before(rank: RankTemplate) -> np.ndarray:
+    """``(n_atoms + 1,)`` int64: kernel atoms among the rank's first ``i`` atoms."""
+    counts = np.zeros(rank.tape_kind.size + 1, dtype=np.int64)
+    np.cumsum(rank.tape_kind == TAPE_KERNEL, out=counts[1:])
+    return counts
 
 
 def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAtoms:
@@ -378,7 +413,8 @@ class TraceTemplate:
     ``meta`` carries the structural scalars (allocator name, capacities,
     peaks, parameter bytes, allocator counters, iteration indices);
     ``ranks`` carries the per-replica arrays.  Construction validates the
-    capture (consistent tapes, matching cross-rank sync sequences); the
+    capture (consistent tapes, matching cross-rank sync sequences and kernel
+    counts before each sync); the
     timestamp-free tables behind batched repricing are built on first use.
     """
 
@@ -404,7 +440,10 @@ class TraceTemplate:
     # -- validation -------------------------------------------------------------------
 
     def _validate_syncs(self) -> None:
-        """Cross-rank sync atoms must agree in kind and payload, rank by rank."""
+        """Cross-rank sync atoms must agree in kind and payload, rank by rank,
+        and every rank must launch the same number of kernels before each —
+        the condition under which a barrier keeps the clocks affine in the
+        dispatch cost (:class:`_PricedPoints`)."""
         sync_mask = [np.isin(rank.tape_kind, SYNC_KINDS) for rank in self.ranks]
         self.sync_pos = [np.flatnonzero(mask) for mask in sync_mask]
         kinds = [rank.tape_kind[pos] for rank, pos in zip(self.ranks, self.sync_pos)]
@@ -416,6 +455,11 @@ class TraceTemplate:
                     or not np.array_equal(other_payloads, first_payloads)):
                 raise TemplateError("ranks disagree on the collective sequence",
                                     reason="capture_inconsistent")
+        launched = [_kernels_before(rank)[pos]
+                    for rank, pos in zip(self.ranks, self.sync_pos)]
+        if any(not np.array_equal(other, launched[0]) for other in launched[1:]):
+            raise TemplateError("ranks launch different kernel counts before a "
+                                "collective", reason="capture_inconsistent")
         self.sync_kinds = first_kinds
         self.sync_nbytes = first_payloads
 
@@ -472,9 +516,12 @@ class TraceTemplate:
                 allocator_stats={k: int(v)
                                  for k, v in self.meta["allocator_stats"].items()},
             )
-            self._batch = _BatchArrays(atoms=atoms, width=base,
-                                       merged=self._merged_columns(atoms, traces),
-                                       structure=structure)
+            self._batch = _BatchArrays(
+                atoms=atoms, width=base,
+                kernels_before=np.concatenate([_kernels_before(rank)
+                                               for rank in self.ranks]),
+                merged=self._merged_columns(atoms, traces),
+                structure=structure)
         return self._batch
 
     def _merged_columns(self, atoms: Sequence[_RankAtoms],
@@ -523,42 +570,43 @@ class TraceTemplate:
 
     # -- re-pricing -------------------------------------------------------------------
 
-    def _price_times(self, configs: Sequence[TrainingRunConfig]
-                     ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
-        """Every clock reading of every rank under every config, in one pass.
+    def _price_points(self, configs: Sequence[TrainingRunConfig]) -> _PricedPoints:
+        """Every clock reading of every rank at each distinct pricing point.
 
-        Returns the ``(S, width)`` int64 time matrix — rank ``r`` owns columns
+        The ``(points, width)`` int64 clock table — rank ``r`` owns columns
         ``[base, base + n_atoms]``, entry ``base + i`` being its clock right
         after atom ``i - 1`` (``base`` itself the post-preamble start), so an
-        event at tape position ``p`` happened at column ``base + p`` — plus
-        the ``(S, syncs)`` resolved collective costs and each row's cluster.
+        event at tape position ``p`` happened at column ``base + p`` — is
+        priced at zero host dispatch, once per point (:data:`_POINT_KEY`);
+        each config contributes only its point and its dispatch cost.
 
         Durations reproduce :class:`~repro.device.timing.KernelTimingModel`
         exactly: the roofline rates and the default dispatch overhead are
         read off the model a fresh device would build, and ``np.rint``
         matches Python's banker's ``round`` on the same float expressions,
-        broadcast along axis 0, so every row is bit-identical to what a
-        fresh simulation advances its clocks by.
-        Collectives are resolved with barrier semantics in a loop over the
-        sync points (not over scenarios): all ranks leave a sync at the
-        latest arrival plus the scenario's allreduce cost.
+        broadcast along axis 0.  The dispatch cost is an integer the model
+        adds to a kernel *after* rounding, so it adds ``d · K`` to a clock
+        that ``K`` kernels precede.  Collectives are resolved with barrier
+        semantics in a loop over the sync points (not over points): all ranks
+        leave a sync at the latest arrival plus the point's allreduce cost.
+        Every rank launches the same ``K`` before a sync
+        (:meth:`_validate_syncs`), so every arrival — and hence the departure
+        — carries the same ``d · K`` and the affine form survives the barrier.
         """
         batch = self._batch_arrays()
-        n_scenarios = len(configs)
         allreduce = (self.sync_kinds == TAPE_ALLREDUCE).tolist()
         sync_nbytes = self.sync_nbytes.tolist()
 
-        # Pricing points repeat across a grid, so everything derived from the
-        # cluster (the only Python-object work per point) is computed once
-        # per distinct point and gathered per scenario.
+        # Everything derived from the cluster (the only Python-object work)
+        # is computed once per distinct point.
         points: Dict[Tuple, int] = {}
         clusters: List[ClusterSpec] = []
         rates: List[tuple] = []        # per point: the four float divisors
         overheads: List[tuple] = []    # per point: the four fixed ns costs
         default_dispatch: List[int] = []   # per point: the model's host dispatch cost
         costs: List[List[int]] = []    # per point: every sync's collective cost
-        point_of = np.empty(n_scenarios, dtype=np.intp)
-        dispatch = np.empty(n_scenarios, dtype=np.int64)
+        point_of = np.empty(len(configs), dtype=np.intp)
+        dispatch = np.empty(len(configs), dtype=np.int64)
         for j, config in enumerate(configs):
             point_key = _POINT_KEY(config)
             point = points.get(point_key)
@@ -582,18 +630,18 @@ class TraceTemplate:
             dispatch[j] = (default_dispatch[point]
                            if config.host_dispatch_overhead_ns is None
                            else config.host_dispatch_overhead_ns)
-        eff_flops, eff_bw, h2d_bw, d2h_bw = np.ascontiguousarray(
-            np.array(rates, dtype=np.float64)[point_of].T)
+        n_points = len(clusters)
+        eff_flops, eff_bw, h2d_bw, d2h_bw = np.array(rates, dtype=np.float64).T
         launch, memcpy_launch, alloc_overhead, segment_overhead = \
-            np.ascontiguousarray(np.array(overheads, dtype=np.int64)[point_of].T)
-        sync_costs = np.array(costs, dtype=np.int64).reshape(
-            len(costs), len(sync_nbytes))[point_of]
+            np.array(overheads, dtype=np.int64).T
+        sync_costs = np.array(costs, dtype=np.int64).reshape(n_points,
+                                                             len(sync_nbytes))
 
-        times = np.empty((n_scenarios, batch.width), dtype=np.int64)
+        times = np.empty((n_points, batch.width), dtype=np.int64)
         clocks: List[np.ndarray] = []      # per-rank views into ``times``
         offsets: List[np.ndarray] = []     # per-rank clock offset of the open segment
         for atoms in batch.atoms:
-            durations = np.zeros((n_scenarios, atoms.n_atoms), dtype=np.int64)
+            durations = np.zeros((n_points, atoms.n_atoms), dtype=np.int64)
             if atoms.const_idx.size:
                 durations[:, atoms.const_idx] = atoms.const_dur[None, :]
             if atoms.kernel_idx.size:
@@ -604,17 +652,14 @@ class TraceTemplate:
                     atoms.kernel_moved_nz[None, :],
                     atoms.kernel_moved9[None, :] / eff_bw[:, None], 0.0)
                 busy = np.maximum(compute_ns, memory_ns)
-                durations[:, atoms.kernel_idx] = (
-                    np.rint(launch[:, None] + busy).astype(np.int64)
-                    + dispatch[:, None])
+                durations[:, atoms.kernel_idx] = np.rint(launch[:, None] + busy)
             for idx, nonzero, bytes9, bandwidth in (
                     (atoms.h2d_idx, atoms.h2d_nz, atoms.h2d_bytes9, h2d_bw),
                     (atoms.d2h_idx, atoms.d2h_nz, atoms.d2h_bytes9, d2h_bw)):
                 if idx.size:
                     transfer = np.where(nonzero[None, :],
                                         bytes9[None, :] / bandwidth[:, None], 0.0)
-                    durations[:, idx] = np.rint(
-                        memcpy_launch[:, None] + transfer).astype(np.int64)
+                    durations[:, idx] = np.rint(memcpy_launch[:, None] + transfer)
             if atoms.alloc_idx.size:
                 durations[:, atoms.alloc_idx] = alloc_overhead[:, None]
             if atoms.segment_idx.size:
@@ -645,7 +690,31 @@ class TraceTemplate:
             offsets = reopened
         for clock, begin, offset in zip(clocks, segment_begin, offsets):
             clock[:, begin:] += offset[:, None]
-        return times, sync_costs, [clusters[i] for i in point_of.tolist()]
+        return _PricedPoints(times=times, sync_costs=sync_costs,
+                             clusters=clusters, point_of=point_of,
+                             dispatch=dispatch)
+
+    def _materialise_rows(self, priced: _PricedPoints,
+                          rows: Sequence[int]) -> np.ndarray:
+        """The ``(len(rows), width)`` time matrix of ``rows``, built from their
+        points: only a caller that rebuilds a trace needs one."""
+        return (priced.times[priced.point_of[rows]]
+                + priced.dispatch[rows, None] * self._batch_arrays().kernels_before)
+
+    def _price_times(self, configs: Sequence[TrainingRunConfig]
+                     ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
+        """Every clock reading of every rank under every config.
+
+        Returns the ``(S, width)`` int64 time matrix (columns as in
+        :meth:`_price_points`), the ``(S, syncs)`` resolved collective costs
+        and each row's cluster — every row bit-identical to what a fresh
+        simulation advances its clocks by.
+        """
+        priced = self._price_points(configs)
+        point_of = priced.point_of
+        return (self._materialise_rows(priced, np.arange(len(configs))),
+                priced.sync_costs[point_of],
+                [priced.clusters[point] for point in point_of.tolist()])
 
     def _rank_times(self, row: np.ndarray) -> List[np.ndarray]:
         """Split one row of the time matrix into per-rank clock arrays."""
@@ -660,17 +729,19 @@ class TraceTemplate:
                      keys: Optional[Sequence[str]] = None) -> List[object]:
         """Price a whole grid of scenarios of this structure in one pass.
 
-        Every scenario's clocks come out of one ``(S × atoms)`` int64
-        broadcast per rank (:meth:`_price_times`).  Policy-free rows
-        (``swap_policy == "none"``) — single- and multi-rank alike — are then
-        measured column-wise: ATI gaps gathered from the time matrix, summarized
-        and Eq.-1 screened by the row forms of the trace recipes, and for
-        multi-rank templates one stable argsort per row to recover the merged
-        event order behind the ATI mean and the occupancy peak.
+        Each distinct pricing point of the batch is priced once
+        (:meth:`_price_points`).  Policy-free rows (``swap_policy == "none"``)
+        — single- and multi-rank alike — are then measured column-wise off
+        the points, no row's time matrix ever built: ATI gaps read as
+        ``base_gap[point] + d · kgap`` (``kgap`` the kernels launched inside
+        the interval), summarized and Eq.-1 screened by the row forms of the
+        trace recipes, peak, span and lifecycle clocks gathered the same way,
+        and for multi-rank templates one stable argsort per row to recover
+        the merged event order behind the ATI mean and the occupancy peak.
         Policy-carrying rows need a real trace for the baselines to walk, so
-        their row of the time matrix feeds :meth:`_rebuild_trace` and
-        :func:`~repro.experiments.sweep.reduce_trace`.  Either way the row ends
-        in :func:`~repro.experiments.sweep.assemble_result`.
+        their row of the time matrix (:meth:`_materialise_rows`) feeds
+        :meth:`_rebuild_trace` and :func:`~repro.experiments.sweep.reduce_trace`.
+        Either way the row ends in :func:`~repro.experiments.sweep.assemble_result`.
 
         The returned list is parallel to ``scenarios`` and bit-identical to
         what a fresh symbolic simulation would produce (``wall_time_s``
@@ -684,20 +755,23 @@ class TraceTemplate:
                     for scenario, bandwidths in zip(scenarios, bandwidths_list)]
         batch = self._batch_arrays()
         merged, structure = batch.merged, batch.structure
-        times, sync_costs, clusters = self._price_times(
-            [scenario.config for scenario in scenarios])
-        allreduce_ns = sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
-                                  ].sum(axis=1).tolist()
-        collectives = [self._collective_summary(cluster, total_ns)
-                       for cluster, total_ns in zip(clusters, allreduce_ns)]
+        priced = self._price_points([scenario.config for scenario in scenarios])
+        point_of = priced.point_of.tolist()
+        allreduce_ns = priced.sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
+                                         ].sum(axis=1).tolist()
+        collectives = [self._collective_summary(priced.clusters[point],
+                                                allreduce_ns[point])
+                       for point in point_of]
         results: List[object] = [None] * len(scenarios)
         rows = []
         for index, scenario in enumerate(scenarios):
             if merged is not None and scenario.swap_policy == "none":
                 rows.append(index)
                 continue
-            trace = self._rebuild_trace(scenario.config, clusters[index].device,
-                                        self._rank_times(times[index]))
+            times = self._materialise_rows(priced, [index])[0]
+            trace = self._rebuild_trace(scenario.config,
+                                        priced.clusters[point_of[index]].device,
+                                        self._rank_times(times))
             marks = {mark.index: mark for mark in trace.iteration_marks}
             results[index] = reduce_trace(
                 scenario, bandwidths_list[index], trace, structure,
@@ -708,10 +782,20 @@ class TraceTemplate:
             return results
 
         n_ranks = len(self.ranks)
-        if len(rows) < len(scenarios):
-            times = times[rows]
-        closing_times = times[:, merged.ati_end_col]
-        gaps = closing_times - times[:, merged.ati_start_col]
+        row_points = priced.point_of[rows]
+        row_dispatch = priced.dispatch[rows]
+        kernels = batch.kernels_before
+
+        def clock_at(columns):
+            """The rows' clock readings at ``columns`` (any shape): a gather
+            from the point table plus dispatch × kernels launched."""
+            dispatch = row_dispatch.reshape((-1,) + (1,) * np.ndim(columns))
+            return priced.times[:, columns][row_points] + dispatch * kernels[columns]
+
+        gaps = ((priced.times[:, merged.ati_end_col]
+                 - priced.times[:, merged.ati_start_col])[row_points]
+                + row_dispatch[:, None] * (kernels[merged.ati_end_col]
+                                           - kernels[merged.ati_start_col]))
         fractions = swappable_fractions(
             gaps, merged.ati_size,
             [bandwidths_list[i].round_trip_s_per_byte for i in rows]).tolist()
@@ -721,15 +805,16 @@ class TraceTemplate:
             # 64 x 4,500 rows 1.3 ms, against 3.5 ms for the default argsort of
             # a unique composite key (``make kernel-probe``) — these stay stable.
             gaps = np.take_along_axis(
-                gaps, np.argsort(closing_times, axis=1, kind="stable"), axis=1)
-            life_times = times[:, merged.life_col]
+                gaps, np.argsort(clock_at(merged.ati_end_col), axis=1,
+                                 kind="stable"), axis=1)
+            life_times = clock_at(merged.life_col)
             life_order = np.argsort(life_times, axis=1, kind="stable")
         else:
-            peak_times = (times[:, merged.peak_col].tolist()
+            peak_times = (clock_at(merged.peak_col).tolist()
                           if merged.peak_col >= 0 else [0] * len(rows))
         summaries = summarize_rows_us(ns_to_us(gaps))
-        step_ns = (times[:, merged.span_end].max(axis=1)
-                   - times[:, merged.span_begin].min(axis=1)).tolist()
+        step_ns = (clock_at(merged.span_end).max(axis=1)
+                   - clock_at(merged.span_begin).min(axis=1)).tolist()
 
         for j, i in enumerate(rows):
             label = scenarios[i].label

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+from typing import Dict, List, Tuple
 from unittest import mock
 
 import numpy as np
@@ -24,8 +25,13 @@ from repro.core.events import (
     MemoryEventKind,
 )
 from repro.core.trace import MemoryTrace, lifetimes_from_columns
+from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
+from repro.device.tape import TAPE_ALLREDUCE
+from repro.device.timing import KernelTimingModel
 from repro.errors import TraceInvariantError
+from repro.experiments.replay import _POINT_KEY
+from repro.train.session import build_cluster
 
 
 @contextlib.contextmanager
@@ -201,3 +207,118 @@ class ReferenceRecorder(MemoryEventListener):
 
     def on_recompute(self, block, nbytes, op):
         self._emit_block(MemoryEventKind.RECOMPUTE, block, op)
+
+
+def reference_price_times(template, configs):
+    """The per-row repricer: every row's durations built and summed on its own.
+
+    The body is the row pricer replay used before rows were read off their
+    pricing points (``times[point] + dispatch * kernels_before``) — the
+    dispatch cost added into each row's kernel durations before one
+    ``cumsum`` per row — kept as the oracle the point pricer must reproduce
+    element for element, as :class:`ReferenceRecorder` is the recorder's.
+    Returns ``(times, sync_costs, clusters)`` like ``_price_times``.
+    """
+    batch = template._batch_arrays()
+    n_scenarios = len(configs)
+    allreduce = (template.sync_kinds == TAPE_ALLREDUCE).tolist()
+    sync_nbytes = template.sync_nbytes.tolist()
+
+    # Pricing points repeat across a grid, so everything derived from the
+    # cluster (the only Python-object work per point) is computed once
+    # per distinct point and gathered per scenario.
+    points: Dict[Tuple, int] = {}
+    clusters: List[ClusterSpec] = []
+    rates: List[tuple] = []        # per point: the four float divisors
+    overheads: List[tuple] = []    # per point: the four fixed ns costs
+    default_dispatch: List[int] = []   # per point: the model's host dispatch cost
+    costs: List[List[int]] = []    # per point: every sync's collective cost
+    point_of = np.empty(n_scenarios, dtype=np.intp)
+    dispatch = np.empty(n_scenarios, dtype=np.int64)
+    for j, config in enumerate(configs):
+        point_key = _POINT_KEY(config)
+        point = points.get(point_key)
+        if point is None:
+            point = points[point_key] = len(clusters)
+            cluster = build_cluster(config)
+            spec = cluster.device
+            timing = KernelTimingModel(spec)
+            clusters.append(cluster)
+            rates.append((timing.effective_flops, timing.effective_bandwidth,
+                          spec.h2d_bandwidth, spec.d2h_bandwidth))
+            overheads.append((spec.kernel_launch_overhead_ns,
+                              spec.memcpy_launch_overhead_ns,
+                              spec.allocator_overhead_ns,
+                              spec.cuda_malloc_overhead_ns))
+            default_dispatch.append(timing.host_dispatch_overhead_ns)
+            costs.append([
+                cluster.allreduce_time_ns(nbytes) if is_allreduce else 0
+                for nbytes, is_allreduce in zip(sync_nbytes, allreduce)])
+        point_of[j] = point
+        dispatch[j] = (default_dispatch[point]
+                       if config.host_dispatch_overhead_ns is None
+                       else config.host_dispatch_overhead_ns)
+    eff_flops, eff_bw, h2d_bw, d2h_bw = np.ascontiguousarray(
+        np.array(rates, dtype=np.float64)[point_of].T)
+    launch, memcpy_launch, alloc_overhead, segment_overhead = \
+        np.ascontiguousarray(np.array(overheads, dtype=np.int64)[point_of].T)
+    sync_costs = np.array(costs, dtype=np.int64).reshape(
+        len(costs), len(sync_nbytes))[point_of]
+
+    times = np.empty((n_scenarios, batch.width), dtype=np.int64)
+    clocks: List[np.ndarray] = []      # per-rank views into ``times``
+    offsets: List[np.ndarray] = []     # per-rank clock offset of the open segment
+    for atoms in batch.atoms:
+        durations = np.zeros((n_scenarios, atoms.n_atoms), dtype=np.int64)
+        if atoms.const_idx.size:
+            durations[:, atoms.const_idx] = atoms.const_dur[None, :]
+        if atoms.kernel_idx.size:
+            compute_ns = np.where(
+                atoms.kernel_flops_nz[None, :],
+                atoms.kernel_flops9[None, :] / eff_flops[:, None], 0.0)
+            memory_ns = np.where(
+                atoms.kernel_moved_nz[None, :],
+                atoms.kernel_moved9[None, :] / eff_bw[:, None], 0.0)
+            busy = np.maximum(compute_ns, memory_ns)
+            durations[:, atoms.kernel_idx] = (
+                np.rint(launch[:, None] + busy).astype(np.int64)
+                + dispatch[:, None])
+        for idx, nonzero, bytes9, bandwidth in (
+                (atoms.h2d_idx, atoms.h2d_nz, atoms.h2d_bytes9, h2d_bw),
+                (atoms.d2h_idx, atoms.d2h_nz, atoms.d2h_bytes9, d2h_bw)):
+            if idx.size:
+                transfer = np.where(nonzero[None, :],
+                                    bytes9[None, :] / bandwidth[:, None], 0.0)
+                durations[:, idx] = np.rint(
+                    memcpy_launch[:, None] + transfer).astype(np.int64)
+        if atoms.alloc_idx.size:
+            durations[:, atoms.alloc_idx] = alloc_overhead[:, None]
+        if atoms.segment_idx.size:
+            durations[:, atoms.segment_idx] = segment_overhead[:, None]
+        # sync atoms stay 0; their cost enters through the offsets below
+
+        clock = times[:, atoms.base:atoms.base + atoms.n_atoms + 1]
+        clock[:, 0] = 0
+        np.cumsum(durations, axis=1, out=clock[:, 1:])
+        clocks.append(clock)
+        offsets.append(atoms.preamble_segments * segment_overhead)
+
+    # Each sync splits a rank's timeline; between two syncs the clock is
+    # the prefix sum plus the segment's offset, added in place once the
+    # segment's closing sync has read the raw prefix.
+    segment_begin = [0] * len(clocks)
+    for j in range(len(sync_nbytes)):
+        prefixes = [clock[:, atoms.sync_pos[j]]
+                    for clock, atoms in zip(clocks, batch.atoms)]
+        arrivals = [offset + prefix
+                    for offset, prefix in zip(offsets, prefixes)]
+        end = np.maximum.reduce(arrivals) + sync_costs[:, j]
+        reopened = [end - prefix for prefix in prefixes]
+        for r, (clock, atoms) in enumerate(zip(clocks, batch.atoms)):
+            stop = int(atoms.sync_pos[j]) + 1
+            clock[:, segment_begin[r]:stop] += offsets[r][:, None]
+            segment_begin[r] = stop
+        offsets = reopened
+    for clock, begin, offset in zip(clocks, segment_begin, offsets):
+        clock[:, begin:] += offset[:, None]
+    return times, sync_costs, [clusters[i] for i in point_of.tolist()]

@@ -8,6 +8,8 @@ and a result served from the cache must be bitwise identical to the replay
 that produced it.
 """
 
+import dataclasses
+import functools
 import json
 import random
 
@@ -21,7 +23,7 @@ from repro.experiments.replay import ReplayEngine
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.train.session import TrainingRunConfig
 
-from tests.helpers import price_one
+from tests.helpers import price_one, reference_price_times
 
 MODELS = [("mlp", {"hidden_dim": 32}, "two_cluster", 16),
           ("paper_mlp", {}, "two_cluster", 32),
@@ -226,3 +228,58 @@ def test_row_blocks_price_what_one_broadcast_prices(block_rows, monkeypatch):
     assert unblocked[1] == len(grid) - 1 and unblocked[0][-1] == {}
     monkeypatch.setattr(replay, "PRICE_BLOCK_ROWS", block_rows)
     assert priced() == unblocked
+
+
+@functools.lru_cache(maxsize=None)
+def _structure_template(n_devices, batch_size, host_latency):
+    config = TrainingRunConfig(
+        model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
+        batch_size=batch_size, iterations=2, n_devices=n_devices,
+        host_latency=HOST_LATENCY if host_latency else None,
+        execution_mode="symbolic", seed=5)
+    return config, ReplayEngine().template_for(config)
+
+
+pricing_points = st.fixed_dictionaries({
+    "device_spec": st.sampled_from(DEVICE_SPECS),
+    "interconnect": st.sampled_from(INTERCONNECTS),
+    "allreduce_algorithm": st.sampled_from(["ring", "naive"]),
+})
+dispatch_costs = st.one_of(st.none(), st.just(0), st.integers(0, 50_000))
+
+
+@settings(max_examples=25, deadline=None)
+@given(structure=st.sampled_from([(1, 16), (2, 16), (2, 17), (3, 16), (4, 16),
+                                  (4, 18)]),
+       host_latency=st.booleans(),
+       points=st.lists(pricing_points, min_size=1, max_size=3),
+       rows=st.lists(st.tuples(st.integers(0, 2), dispatch_costs),
+                     min_size=1, max_size=8),
+       data=st.data())
+def test_rows_read_off_their_points_equal_the_per_row_repricer(
+        structure, host_latency, points, rows, data):
+    """Every clock reading of every row — its point priced once, plus
+    dispatch × kernels launched — equals the per-row repricer element for
+    element, whatever the replica count, shards, host latency, collective
+    and dispatch; and a sample of the batch's rows equals fresh simulation."""
+    base, template = _structure_template(*structure, host_latency)
+    configs = [dataclasses.replace(base, host_dispatch_overhead_ns=dispatch,
+                                   **points[point % len(points)])
+               for point, dispatch in rows]
+    times, costs, clusters = template._price_times(configs)
+    expected_times, expected_costs, expected_clusters = reference_price_times(
+        template, configs)
+    assert times.dtype == expected_times.dtype == np.int64
+    assert np.array_equal(times, expected_times)
+    assert np.array_equal(costs, expected_costs)
+    assert clusters == expected_clusters
+
+    scenarios = [Scenario(config=config) for config in configs]
+    priced = template.replay_batch(
+        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    for index in data.draw(st.sets(st.integers(0, len(rows) - 1),
+                                   min_size=1, max_size=2)):
+        one = run_scenario(scenarios[index]).to_dict()
+        many = priced[index].to_dict()
+        one.pop("wall_time_s"), many.pop("wall_time_s")
+        assert one == many

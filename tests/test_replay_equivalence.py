@@ -10,15 +10,19 @@ interconnects, allreduce algorithms) and across the structural axes it must
 compile separately (models, replica counts, dtypes, allocators, policies).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.data.loader import HostLatencyModel
+from repro.device.tape import TAPE_ALLREDUCE, TAPE_KERNEL
 from repro.experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
 from repro.experiments.replay import (
     ReplayEngine,
     TemplateError,
     TemplateFamily,
+    _TAPE_COLUMNS,
     load_family,
     save_family,
     template_key,
@@ -385,6 +389,28 @@ def test_price_batch_handles_multi_rank_scenarios():
         assert comparable(result) == comparable(run_scenario(scenario))
 
 
+@pytest.mark.parametrize("n_devices,batch_size", [(1, 16), (2, 16), (3, 16)],
+                         ids=["one-rank", "two-ranks", "three-uneven-ranks"])
+def test_policy_free_rows_build_no_time_matrix(monkeypatch, n_devices, batch_size):
+    """A policy-free row reads its gaps, peak, spans and lifecycle clocks off
+    its pricing point plus dispatch × kernels launched: the row materialiser
+    is never called, and the rows stay exact."""
+    from repro.experiments.replay import TraceTemplate
+
+    monkeypatch.setattr(TraceTemplate, "_materialise_rows",
+                        lambda *args: pytest.fail("a row's time matrix was built"))
+    scenarios = [make_scenario(n_devices=n_devices, batch_size=batch_size,
+                               device_spec=spec, host_dispatch_overhead_ns=overhead)
+                 for spec in ("titan_x_pascal", "v100_sxm2_16gb")
+                 for overhead in (None, 0, 4_000)]
+    engine = ReplayEngine()
+    batched = engine.price_batch(
+        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    assert engine.replayed == len(scenarios) and engine.fallback_reasons == {}
+    for scenario, result in zip(scenarios, batched):
+        assert comparable(result) == comparable(run_scenario(scenario))
+
+
 @pytest.mark.parametrize("overrides", [
     {}, dict(CONV), {"n_devices": 2}, dict(CONV, n_devices=2),
     {"n_devices": 4, "batch_size": 32, "allreduce_algorithm": "naive"},
@@ -574,6 +600,45 @@ def test_sweep_surfaces_replay_fallback_reasons():
     assert result.replayed == 1
     assert result.replay_fallbacks == {"swap_execution": 1}
     assert result.template_variants == 1
+
+
+def without_atom(rank, atom):
+    """``rank`` with tape atom ``atom`` cut out (later tape positions shift)."""
+    def shift(positions):
+        return positions - (positions > atom)
+    return dataclasses.replace(
+        rank, event_tape_pos=shift(rank.event_tape_pos),
+        mark_spans=shift(rank.mark_spans),
+        **{name: np.delete(getattr(rank, name), atom) for name in _TAPE_COLUMNS})
+
+
+def test_ranks_launching_unequal_kernels_before_a_sync_are_declined(monkeypatch):
+    """Barriers keep a row's clocks affine in the dispatch cost only when every
+    rank launches as many kernels before each sync: a capture that breaks
+    that is declined as ``capture_inconsistent`` and its group simulated."""
+    from repro.experiments import replay
+
+    compile_checked = replay._compile_template_checked
+
+    def doctored(config):
+        template = compile_checked(config)
+        rank = template.ranks[1]
+        first_sync = np.flatnonzero(rank.tape_kind == TAPE_ALLREDUCE)[0]
+        kernel = np.flatnonzero(rank.tape_kind[:first_sync] == TAPE_KERNEL)[-1]
+        ranks = [template.ranks[0], without_atom(rank, kernel)]
+        return replay.TraceTemplate(template.key, template.meta, ranks)
+
+    with pytest.raises(TemplateError, match="kernel counts") as declined:
+        doctored(make_scenario(n_devices=2).config)
+    assert declined.value.reason == "capture_inconsistent"
+    monkeypatch.setattr(replay, "_compile_template_checked", doctored)
+    result = SweepRunner().run(replay_grid(n_devices=(2,)))
+    assert result.replayed == 0
+    assert result.replay_fallbacks == {"capture_inconsistent": 4}
+    symbolic = SweepRunner().run(replay_grid(n_devices=(2,),
+                                             execution_mode="symbolic"))
+    assert ([comparable(row) for row in result.results]
+            == [comparable(row) for row in symbolic.results])
 
 
 # -- atomic persistence and the template store ----------------------------------------

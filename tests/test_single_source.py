@@ -467,17 +467,21 @@ def test_every_config_field_is_pricing_or_splits_the_token(field):
 
 
 def test_price_times_lists_no_pricing_field_by_hand():
-    """The point key is read off ``PRICING_FIELDS``; the one field the loop
-    names itself is the per-row dispatch override."""
+    """The point key is read off ``PRICING_FIELDS``; the one field the point
+    pricer names itself is the per-row dispatch override, and the functions
+    that build rows from its points name none."""
     assert PER_ROW_PRICING_FIELDS == ("label", "host_dispatch_overhead_ns")
     assert set(PER_ROW_PRICING_FIELDS) < set(PRICING_FIELDS)
-    price_times = next(node for node in ast.walk(ast.parse(REPLAY.read_text()))
-                       if isinstance(node, ast.FunctionDef)
-                       and node.name == "_price_times")
-    named = {node.attr for node in ast.walk(price_times)
-             if isinstance(node, ast.Attribute)
-             and getattr(node.value, "id", None) == "config"}
-    assert named == {"host_dispatch_overhead_ns"}
+    functions = {node.name: node for node in ast.walk(ast.parse(REPLAY.read_text()))
+                 if isinstance(node, ast.FunctionDef)}
+
+    def named(name):
+        return {node.attr for node in ast.walk(functions[name])
+                if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "config"}
+
+    assert named("_price_points") == {"host_dispatch_overhead_ns"}
+    assert named("_price_times") == named("_materialise_rows") == set()
 
 
 @pytest.fixture(scope="module")
