@@ -246,10 +246,12 @@ def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
 
     The only implementation of the summary recipe: a single trace is the
     one-row case (:func:`summarize_values_us`), a replayed grid passes one
-    row per pricing point.  One sort per row hands out the minimum, the
-    maximum and the percentiles
-    (:func:`~repro.core.stats.percentiles_of_sorted`); the mean sums each row
-    in the order given.
+    row per policy-free scenario.  The mean sums each row in the order
+    given; then one sort per row hands out the minimum, the maximum and the
+    percentiles (:func:`~repro.core.stats.percentiles_of_sorted`).
+
+    ``values`` is consumed: a C-contiguous float64 matrix (the replay
+    block's own buffer) is sorted in place, anything else is copied once.
     """
     # C-contiguous rows: reduced along the last axis each row is one pairwise
     # sum, bit for bit the 1-D ``mean()`` of that row; a Fortran-ordered
@@ -259,10 +261,10 @@ def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
     if count == 0:
         return [AtiSummary(count=0, mean_us=0.0, p50_us=0.0, p90_us=0.0, p99_us=0.0,
                            min_us=0.0, max_us=0.0) for _ in range(n_rows)]
-    ordered = np.sort(values, axis=1)
     means = values.mean(axis=1).tolist()
-    p50, p90, p99 = percentiles_of_sorted(ordered, (50, 90, 99)).tolist()
-    mins, maxs = ordered[:, 0].tolist(), ordered[:, -1].tolist()
+    values.sort(axis=1)
+    p50, p90, p99 = percentiles_of_sorted(values, (50, 90, 99)).tolist()
+    mins, maxs = values[:, 0].tolist(), values[:, -1].tolist()
     return [AtiSummary(count=count, mean_us=means[i],
                        p50_us=p50[i], p90_us=p90[i], p99_us=p99[i],
                        min_us=mins[i], max_us=maxs[i])
@@ -270,8 +272,11 @@ def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
 
 
 def summarize_values_us(values: np.ndarray) -> AtiSummary:
-    """Distribution summary of raw ATI values in microseconds (one percentile pass)."""
-    return summarize_rows_us(np.asarray(values, dtype=np.float64)[None, :])[0]
+    """Distribution summary of raw ATI values in microseconds (one percentile pass).
+
+    Summarizes a copy: ``values`` is left as it was.
+    """
+    return summarize_rows_us(np.array(values, dtype=np.float64)[None, :])[0]
 
 
 def summarize_intervals(intervals) -> AtiSummary:

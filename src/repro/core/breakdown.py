@@ -12,9 +12,9 @@ The replay is vectorized over the trace's column store
 (:meth:`~repro.core.trace.MemoryTrace.columns`): malloc/free events become
 ``+size``/``-size`` deltas, one cumulative sum over the delta column locates
 the peak instant, and per-category/per-bucket attribution takes one masked
-cumulative sum per category that appears in the trace (at most nine) — no
-Python-level event loop, which is what lets the sweep engine compute a
-breakdown for every scenario it runs.
+``(categories × events)`` cumulative sum over the categories that appear in
+the trace (at most nine) — no Python-level event loop, which is what lets
+the sweep engine compute a breakdown for every scenario it runs.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def occupation_breakdown(trace: MemoryTrace, label: str = "") -> OccupationBreak
 
     Vectorized: the live-bytes walk is a cumulative sum over the malloc/free
     event columns; the peak instant is the first maximum of the total, and the
-    per-category attribution is one cumulative sum per category that appears
-    in the trace (at most nine).
+    per-category attribution is one cumulative sum along the rows of a
+    ``(categories × events)`` matrix.
     """
     trace.require_events()
     cols = trace.columns()
@@ -112,7 +112,7 @@ def occupation_from_columns(deltas: np.ndarray, categories: np.ndarray,
     codes) and ``timestamps`` hold one entry per malloc/free event, in event
     order.  This is the whole reduction behind :func:`occupation_breakdown`;
     the replay engine feeds it the same columns in a re-priced event order
-    without building a trace.
+    without building a trace.  The columns are only read.
     """
     bucket_bytes: Dict[str, int] = {bucket: 0 for bucket in PAPER_BUCKETS}
     if not deltas.size:
@@ -125,17 +125,20 @@ def occupation_from_columns(deltas: np.ndarray, categories: np.ndarray,
     peak_total = int(live_total[peak_index])
     peak_time = int(timestamps[peak_index])
 
+    # The codes present, ascending (``np.unique`` would import ``numpy.ma``),
+    # and one ``(codes × events)`` matrix of each category's deltas, summed
+    # in place into its live bytes along every row at once.
+    codes = np.flatnonzero(np.bincount(categories))
+    live = np.where(categories == codes[:, None], deltas, 0)
+    np.cumsum(live, axis=1, out=live)
     category_bytes: Dict[str, int] = {}
     category_peak_bytes: Dict[str, int] = {}
-    # The codes present, ascending (``np.unique`` would import ``numpy.ma``).
-    for code in np.flatnonzero(np.bincount(categories)).tolist():
+    for code, live_at_peak, running_peak in zip(
+            codes.tolist(), live[:, peak_index].tolist(), live.max(axis=1).tolist()):
         category = CATEGORY_FROM_CODE[code]
-        live = np.cumsum(np.where(categories == code, deltas, 0))
-        live_at_peak = int(live[peak_index])
         if live_at_peak > 0:
             category_bytes[category.value] = live_at_peak
             bucket_bytes[category.paper_bucket()] += live_at_peak
-        running_peak = int(live.max())
         if running_peak > 0:
             category_peak_bytes[category.value] = running_peak
 

@@ -73,9 +73,18 @@ def is_swappable(interval: AccessInterval, bandwidths: BandwidthConfig) -> bool:
     return interval.size <= max_swap_bytes(interval.interval_ns, bandwidths)
 
 
-def _eq1_limit_bytes(interval_ns: np.ndarray, round_trip_s_per_byte) -> np.ndarray:
-    """Vectorized Eq. 1: the bytes each ATI hides (negative gaps hide nothing)."""
-    return np.maximum(interval_ns, 0) / 1e9 / round_trip_s_per_byte
+def _eq1_limit_bytes(interval_ns: np.ndarray, round_trip_s_per_byte,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Vectorized Eq. 1: the bytes each ATI hides (negative gaps hide nothing).
+
+    Every step writes into ``out`` (a float64 array of the gaps' shape,
+    allocated when not given), in the order ``max(gap, 0) / 1e9 / rt``.
+    """
+    if out is None:
+        out = np.empty(np.shape(interval_ns))
+    np.maximum(interval_ns, 0, out=out)
+    np.divide(out, 1e9, out=out)
+    return np.divide(out, round_trip_s_per_byte, out=out)
 
 
 def swappable_mask(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> np.ndarray:
@@ -85,18 +94,23 @@ def swappable_mask(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> np.nd
 
 
 def swappable_fractions(interval_ns: np.ndarray, sizes: np.ndarray,
-                        round_trip_s_per_byte: np.ndarray) -> np.ndarray:
+                        round_trip_s_per_byte: np.ndarray,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per row of an ``(S, n)`` gap matrix, the fraction of ATIs passing Eq. 1.
 
     ``sizes`` holds the ``n`` block sizes behind the gaps and
     ``round_trip_s_per_byte`` one Eq.-1 denominator per row; a row without
-    intervals screens to 0.0.
+    intervals screens to 0.0.  The gaps are only read.  ``out``, a float64
+    ``(S, n)`` matrix the caller owns, takes the limits and then each ATI's
+    verdict as 0.0 / 1.0 (without it, one matrix is allocated); a row's mean
+    is an exact count over ``n``, bit for bit the mean of a boolean mask.
     """
     interval_ns = np.asarray(interval_ns)
     if interval_ns.shape[1] == 0:
         return np.zeros(interval_ns.shape[0])
-    limits = _eq1_limit_bytes(interval_ns, np.asarray(round_trip_s_per_byte)[:, None])
-    return np.mean(sizes <= limits, axis=1)
+    limits = _eq1_limit_bytes(interval_ns, np.asarray(round_trip_s_per_byte)[:, None],
+                              out)
+    return np.less_equal(sizes, limits, out=limits).mean(axis=1)
 
 
 def swappable_fraction(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> float:

@@ -20,8 +20,10 @@ the paper instruments:
 
 Two simpler allocators (:class:`BestFitAllocator` and :class:`BumpAllocator`)
 are provided as ablation baselines: they produce different fragmentation and
-event streams for the same workload, which the ablation benchmark
-(``benchmarks/test_ablation_allocators.py``) quantifies.
+event streams for the same workload, which the allocator ablation
+(:func:`repro.experiments.ablations.run_allocator_ablation`, checked by
+``tests/test_experiments.py::test_allocator_ablation_differentiates_policies``
+and rendered in ``docs/figures/ablations.md``) quantifies.
 """
 
 from __future__ import annotations

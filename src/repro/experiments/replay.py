@@ -92,7 +92,7 @@ from ..train.session import (
     run_training_session,
     workload_metadata,
 )
-from ..units import ns_to_us
+from ..units import US
 from .artifacts import ArtifactStore
 from .results import assemble_result, reduce_trace
 
@@ -129,7 +129,7 @@ GENERALIZED_FIELDS = ("dtype",)
 #: Rows of one structure group priced per ``replay_batch`` call.  Rows are
 #: independent, so blocking changes no result; it bounds the point table
 #: (at most one ``width``-long clock row per distinct point of the block) and
-#: the ``(rows × ATIs)`` int64 gap matrix by the block instead of by the grid.
+#: the block's two ``(rows × ATIs)`` buffers by the block instead of by the grid.
 PRICE_BLOCK_ROWS = 64
 
 
@@ -738,6 +738,9 @@ class TraceTemplate:
         trace recipes, peak, span and lifecycle clocks gathered the same way,
         and for multi-rank templates one stable argsort per row to recover
         the merged event order behind the ATI mean and the occupancy peak.
+        The ``(rows × ATIs)`` steps write into two buffers the block
+        allocates — the int64 gaps, and one float64 matrix for the Eq.-1
+        limits and then the µs values — not into a fresh array per step.
         Policy-carrying rows need a real trace for the baselines to walk, so
         their row of the time matrix (:meth:`_materialise_rows`) feeds
         :meth:`_rebuild_trace` and :func:`~repro.experiments.sweep.reduce_trace`.
@@ -781,24 +784,39 @@ class TraceTemplate:
         if not rows:
             return results
 
+        # Rows are independent, so they are reduced grouped by point: each
+        # point's rows are then one slice of every per-row array.
+        rows.sort(key=point_of.__getitem__)
         n_ranks = len(self.ranks)
-        row_points = priced.point_of[rows]
         row_dispatch = priced.dispatch[rows]
+        bounds = np.searchsorted(priced.point_of[rows],
+                                 np.arange(len(priced.clusters) + 1)).tolist()
         kernels = batch.kernels_before
 
-        def clock_at(columns):
-            """The rows' clock readings at ``columns`` (any shape): a gather
-            from the point table plus dispatch × kernels launched."""
-            dispatch = row_dispatch.reshape((-1,) + (1,) * np.ndim(columns))
-            return priced.times[:, columns][row_points] + dispatch * kernels[columns]
+        def from_points(table, coefficient):
+            """``table[point] + d · coefficient`` for every row, in the one
+            array the dispatch product allocates: each point's entry of
+            ``table`` is added in place to its rows' slice."""
+            out = np.multiply.outer(row_dispatch, coefficient)
+            for point, (begin, end) in enumerate(zip(bounds, bounds[1:])):
+                out[begin:end] += table[point]
+            return out
 
-        gaps = ((priced.times[:, merged.ati_end_col]
-                 - priced.times[:, merged.ati_start_col])[row_points]
-                + row_dispatch[:, None] * (kernels[merged.ati_end_col]
-                                           - kernels[merged.ati_start_col]))
+        def clock_at(columns):
+            """The rows' clock readings at ``columns`` (any shape)."""
+            return from_points(priced.times[:, columns], kernels[columns])
+
+        # The block's two buffers: the int64 gaps, and a float64 matrix that
+        # holds first the Eq.-1 limits, then the gaps in µs, which the
+        # summary sorts in place.  A multi-rank block adds its two clock
+        # gathers, their argsorts and the gaps in closing-event order.
+        gaps = from_points(priced.times[:, merged.ati_end_col]
+                           - priced.times[:, merged.ati_start_col],
+                           kernels[merged.ati_end_col] - kernels[merged.ati_start_col])
+        work = np.empty(gaps.shape)
         fractions = swappable_fractions(
             gaps, merged.ati_size,
-            [bandwidths_list[i].round_trip_s_per_byte for i in rows]).tolist()
+            [bandwidths_list[i].round_trip_s_per_byte for i in rows], out=work).tolist()
         if n_ranks > 1:
             # The ATI mean sums in closing-event order of the merged trace.
             # Re-priced times are nearly sorted, where the stable timsort wins:
@@ -812,7 +830,7 @@ class TraceTemplate:
         else:
             peak_times = (clock_at(merged.peak_col).tolist()
                           if merged.peak_col >= 0 else [0] * len(rows))
-        summaries = summarize_rows_us(ns_to_us(gaps))
+        summaries = summarize_rows_us(np.divide(gaps, US, out=work))
         step_ns = (clock_at(merged.span_end).max(axis=1)
                    - clock_at(merged.span_begin).min(axis=1)).tolist()
 

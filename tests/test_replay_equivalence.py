@@ -479,6 +479,66 @@ def test_policy_rows_in_a_mixed_group_take_the_trace_path(monkeypatch):
         assert comparable(result) == comparable(run_scenario(scenario))
 
 
+def _owned(value):
+    """``value`` with every array it reaches replaced by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return {field.name: _owned(getattr(value, field.name))
+                for field in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_owned(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _owned(item) for key, item in value.items()}
+    return value
+
+
+def test_pricing_a_block_twice_leaves_every_template_array_as_it_was(monkeypatch):
+    """A block's reduction writes into buffers it allocates, never into an
+    array the template or the point table owns: a mixed block (one and two
+    ranks, several points and dispatch costs, one policy row) priced twice
+    gives equal results and leaves every such array byte for byte as it was."""
+    from repro.experiments.replay import TraceTemplate
+
+    scenarios = [make_scenario(n_devices=n_devices, device_spec=spec,
+                               host_dispatch_overhead_ns=overhead, **CONV)
+                 for n_devices in (1, 2)
+                 for spec in ("titan_x_pascal", "v100_sxm2_16gb")
+                 for overhead in (None, 0, 4_000)]
+    scenarios.append(make_scenario(swap_policy="planner", n_devices=2,
+                                   host_dispatch_overhead_ns=700, **CONV))
+    bandwidths = [s.resolve_bandwidths() for s in scenarios]
+    engine = ReplayEngine()
+    templates = [engine.template_for(scenarios[0].config),
+                 engine.template_for(scenarios[-1].config)]
+
+    def state():
+        return _owned([(template.ranks, template._batch_arrays(), template.sync_pos,
+                        template.sync_kinds, template.sync_nbytes)
+                       for template in templates])
+
+    before = state()
+    point_tables = []
+    price_points = TraceTemplate._price_points
+
+    def recording(self, configs):
+        priced = price_points(self, configs)
+        point_tables.append((priced, _owned(priced)))
+        return priced
+
+    monkeypatch.setattr(TraceTemplate, "_price_points", recording)
+    first = engine.price_batch(scenarios, bandwidths)
+    assert state() == before
+    second = engine.price_batch(scenarios, bandwidths)
+    assert state() == before
+    assert len(point_tables) == 4
+    for priced, as_built in point_tables:
+        assert _owned(priced) == as_built
+    assert engine.fallback_reasons == {} and engine.templates_compiled == 2
+    assert [comparable(row) for row in first] == [comparable(row) for row in second]
+    assert comparable(first[3]) == comparable(run_scenario(scenarios[3]))
+
+
 def test_engine_error_degrades_one_structure_group(monkeypatch, caplog):
     """A crash while pricing one structure declines that group only — tallied
     ``engine_error``, traceback logged — and the sweep still converges."""

@@ -17,10 +17,12 @@ import repro
 from repro.baselines import estimate_recompute_plan
 from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
                             summarize_values_us)
+from repro.core.breakdown import occupation_from_columns
 from repro.core.events import MemoryCategory
 from repro.core.stats import percentiles_of_sorted
 from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
                              swappable_fractions)
+from repro.core.trace import CATEGORY_FROM_CODE
 from repro.data.loader import HostLatencyModel
 from repro.device import timing
 from repro.device.device import Device
@@ -369,12 +371,12 @@ def _bits(summary):
 @given(_gap_matrices(_SUMMARY_WIDTHS))
 def test_summarize_rows_equals_summarize_values_row_by_row(gaps):
     values = gaps / 1_000.0       # keeps the layout of ``gaps``
-    summaries = summarize_rows_us(values)
-    assert len(summaries) == len(values)
-    for summary, row in zip(summaries, values):
-        assert (_bits(summary) == _bits(summarize_values_us(row))
-                == _bits(_one_dimensional_summary(row))
+    expected = [_bits(summarize_values_us(row)) for row in values]
+    for bits, row in zip(expected, values):
+        assert (bits == _bits(_one_dimensional_summary(row))
                 == _bits(_one_dimensional_summary(np.ascontiguousarray(row))))
+    summaries = summarize_rows_us(values)       # consumes ``values``
+    assert [_bits(summary) for summary in summaries] == expected
 
 
 @pytest.mark.parametrize("percents, branches", [
@@ -414,15 +416,81 @@ def test_swappable_fractions_equals_swappable_fraction_row_by_row(gaps, data):
                   for h2d, d2h in data.draw(st.lists(
                       st.tuples(st.floats(0.5, 64.0), st.floats(0.5, 64.0)),
                       min_size=rows, max_size=rows))]
-    fractions = swappable_fractions(
-        gaps, sizes, [b.round_trip_s_per_byte for b in bandwidths])
+    round_trips = [b.round_trip_s_per_byte for b in bandwidths]
+    fractions = swappable_fractions(gaps, sizes, round_trips)
     assert fractions.shape == (rows,)
+    owned = np.full(gaps.shape, np.nan)      # a caller's buffer: only written
+    assert (swappable_fractions(gaps, sizes, round_trips, out=owned).tobytes()
+            == fractions.tobytes())
     for fraction, row, bandwidth in zip(fractions.tolist(), gaps, bandwidths):
         arrays = _interval_arrays(row, sizes)
         by_interval = [size <= max_swap_bytes(gap, bandwidth)
                        for gap, size in zip(row.tolist(), sizes.tolist())]
         assert fraction == swappable_fraction(arrays, bandwidth)
         assert fraction == (float(np.mean(by_interval)) if width else 0.0)
+
+
+def _malloc_free_stream(rng, blocks):
+    """``blocks`` allocations of random size and category, most freed later,
+    as parallel (deltas, categories, timestamps) columns in time order."""
+    sizes = rng.integers(1, 64 * MIB, blocks)
+    codes = rng.integers(0, len(CATEGORY_FROM_CODE), blocks)
+    malloc_at = rng.integers(0, 10_000, blocks)
+    freed = rng.random(blocks) < 0.8
+    free_at = malloc_at[freed] + rng.integers(1, 5_000, int(freed.sum()))
+    times = np.concatenate([malloc_at, free_at])
+    order = np.argsort(times, kind="stable")
+    return (np.concatenate([sizes, -sizes[freed]])[order],
+            np.concatenate([codes, codes[freed]])[order], times[order])
+
+
+def _per_category_breakdown(deltas, categories, timestamps):
+    """The breakdown as one ``where`` + ``cumsum`` per category present."""
+    live_total = np.cumsum(deltas)
+    peak = int(np.argmax(live_total))
+    at_peak, running = {}, {}
+    for code in sorted(set(categories.tolist())):
+        live = np.cumsum(np.where(categories == code, deltas, 0))
+        name = CATEGORY_FROM_CODE[code].value
+        if live[peak] > 0:
+            at_peak[name] = int(live[peak])
+        if live.max() > 0:
+            running[name] = int(live.max())
+    return int(timestamps[peak]), max(0, int(live_total[peak])), at_peak, running
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 17, 400])
+def test_one_matrix_breakdown_is_the_per_category_loop(blocks):
+    rng = np.random.default_rng(blocks)
+    deltas, categories, timestamps = _malloc_free_stream(rng, blocks)
+    breakdown = occupation_from_columns(deltas, categories, timestamps)
+    assert (breakdown.peak_time_ns, breakdown.total_bytes, breakdown.category_bytes,
+            breakdown.category_peak_bytes) == _per_category_breakdown(
+                deltas, categories, timestamps)
+    assert sum(breakdown.bucket_bytes.values()) == sum(breakdown.category_bytes.values())
+
+
+def test_the_one_row_forms_leave_their_inputs_untouched():
+    """The row recipes may consume a matrix the replay block owns; what a
+    trace's reduction hands the one-row forms comes back as it went in."""
+    rng = np.random.default_rng(26)
+    gaps = rng.integers(-5_000, 2_000_000_000, 301)
+    values = gaps / 1_000.0
+    sizes = rng.integers(1, 256 * MIB, 301)
+    deltas, categories, timestamps = _malloc_free_stream(rng, 120)
+    inputs = (values, gaps, sizes, deltas, categories, timestamps)
+    before = [column.copy() for column in inputs]
+    summary = summarize_values_us(values)
+    fraction = swappable_fraction(_interval_arrays(gaps, sizes),
+                                  BandwidthConfig.from_paper())
+    breakdown = occupation_from_columns(deltas, categories, timestamps)
+    for column, copy in zip(inputs, before):
+        assert column.tobytes() == copy.tobytes()
+    assert _bits(summary) == _bits(_one_dimensional_summary(values))
+    assert fraction == swappable_fraction(_interval_arrays(gaps.copy(), sizes),
+                                          BandwidthConfig.from_paper())
+    assert breakdown.to_dict() == occupation_from_columns(
+        deltas.copy(), categories.copy(), timestamps.copy()).to_dict()
 
 
 # -- template identity ----------------------------------------------------------------

@@ -79,13 +79,14 @@ def test_single_pair_and_mismatched_readings(decide):
 
 def test_kernel_probe_table_ranks_each_case_against_its_fastest_kernel():
     table = _load("kernel_probe").table
-    text = table([("order statistics 2 x 3", {"percentile": 8.0, "sort": 2.0}),
-                  ("group by block id, n = 6", {"stable argsort": 0.5,
-                                                "unique-key argsort": 0.125})])
+    text = table([("order statistics 2 x 3", {"percentile": (8.0, 12.0), "sort": (2.0, 0.0)}),
+                  ("group by block id, n = 6", {"stable argsort": (0.5, 0.0),
+                                                "unique-key argsort": (0.125, 2212.0)})])
     assert text.splitlines() == [
-        "order statistics 2 x 3           percentile 8.000 ms (4.0x), sort 2.000 ms (1.0x)",
-        "group by block id, n = 6         stable argsort 0.500 ms (4.0x), "
-        "unique-key argsort 0.125 ms (1.0x)"]
+        "order statistics 2 x 3           percentile 8.000 ms (4.0x, 12 faults), "
+        "sort 2.000 ms (1.0x, 0 faults)",
+        "group by block id, n = 6         stable argsort 0.500 ms (4.0x, 0 faults), "
+        "unique-key argsort 0.125 ms (1.0x, 2,212 faults)"]
     assert table([]) == ""
 
 
@@ -95,8 +96,19 @@ def test_kernel_probe_times_every_case_it_names():
     probe = _load("kernel_probe")
     rows = probe.probe(np.random.default_rng(0))
     cases = [case for case, _timings in rows]
-    assert len(cases) == len(set(cases)) == 10
-    assert all(ms > 0 for _case, timings in rows for ms in timings.values())
+    assert len(cases) == len(set(cases)) == 11
+    assert all(ms > 0 and faults >= 0
+               for _case, timings in rows for ms, faults in timings.values())
     assert {kernel for _case, timings in rows for kernel in timings} >= {
         "percentile", "8-pivot partition", "sort", "stable argsort",
-        "unique-key argsort", "per-row mean", "axis mean"}
+        "unique-key argsort", "per-row mean", "axis mean",
+        "allocating chain", "two owned buffers"}
+    assert probe.table(rows).splitlines()[0].startswith("block temporaries 64 x 3500 ")
+
+
+def test_kernel_probe_block_chains_compute_the_same_arrays():
+    import numpy as np
+
+    chains = _load("kernel_probe").block_chain(np.random.default_rng(3), 5, 40)
+    allocating, owned = chains["allocating chain"](), chains["two owned buffers"]()
+    assert [array.tobytes() for array in allocating] == [array.tobytes() for array in owned]
