@@ -65,9 +65,13 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32 \
 		--allocators caching,bump --dry-run
 
-# Tiny closed-loop swap-execution sweep (the CI swap-smoke leg): runs the
-# engine under every executable policy and prints measured vs predicted.
+# Closed-loop swap execution (the CI swap-smoke leg): the executor against its
+# per-behavior oracle on the pinned corpus and a wide generated draw, the
+# engine's own suite, then a tiny sweep under every executable policy that
+# prints measured vs predicted.
 swap-smoke:
+	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_swap_execution.py \
+		-q --hypothesis-profile=swap-wide
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
 		--swap off,planner,swap_advisor,zero_offload,lru,unified --no-cache
 

@@ -245,6 +245,18 @@ class ColumnarEventLog:
                             device_rank=np.zeros(n, dtype=np.int64),
                             **dict(zip(ROW_FIELDS, table)))
 
+    def columns_between(self, start: int, stop: int,
+                        fields: Sequence[str]) -> List[np.ndarray]:
+        """Contiguous copies of the named :data:`ROW_FIELDS` columns of rows
+        ``[start, stop)``.
+
+        The buffer view the copies are taken from is released on return, so
+        the log can keep growing.
+        """
+        view = np.frombuffer(self.rows, dtype=np.int64)
+        return [view[start * ROW_WIDTH + ROW_FIELDS.index(name):stop * ROW_WIDTH:ROW_WIDTH].copy()
+                for name in fields]
+
     def snapshot_strings(self) -> Tuple[List[str], List[str]]:
         """Copies of the per-event ``tag`` and ``op`` side-lists."""
         return list(self.tag), list(self.op)

@@ -6,8 +6,9 @@ techniques (:data:`POLICIES`, :func:`get_policy`): each is one
 trace, what the technique would do to the footprint and the step time, and
 whose executable face drives the engine in this package, which *executes*
 those decisions inside the simulation: a :class:`SwapExecutor` attaches to a
-device as a memory-event listener, watches one warm-up iteration, lets the
-policy turn the observed behaviors into eviction / prefetch decisions,
+device as a memory-event listener ahead of its trace recorder, learns one
+warm-up iteration from the recorder's event log, lets the policy turn those
+observations into eviction / prefetch decisions,
 schedules the resulting copies on the device's dedicated copy stream (so they
 overlap with compute and contend with each other), and stalls the device
 clock whenever a prefetch misses its deadline.  Every eviction and

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -162,6 +162,18 @@ class MemoryPolicy:
         """Eviction decision right after an access to ``state`` completed."""
         return None
 
+    def triggered_blocks(self) -> Optional[Collection[int]]:
+        """The blocks the current plan acts on by trigger (``None``: any block).
+
+        The executor follows the accesses of these blocks only: it counts
+        their ordinals, keeps their last access time (a prefetch deadline
+        starts there) and asks :meth:`directive_after_access` about them.  A
+        policy that does not override that hook triggers on none.
+        """
+        if type(self).directive_after_access is MemoryPolicy.directive_after_access:
+            return ()
+        return None
+
     def directives_at_iteration_end(
             self, resident: Iterable["BlockState"]) -> List[EvictDirective]:
         """Evictions to perform at an iteration boundary."""
@@ -170,7 +182,13 @@ class MemoryPolicy:
     def directives_on_pressure(self, resident: Iterable["BlockState"],
                                resident_bytes: int,
                                just_allocated: "BlockState") -> List[EvictDirective]:
-        """Evictions to relieve memory pressure right after an allocation."""
+        """Evictions to relieve memory pressure before a residency increase lands.
+
+        Called before an allocation (``just_allocated`` is the new block) and
+        before a restoration or rematerialization (``just_allocated`` is the
+        block coming back); ``resident_bytes`` already counts its bytes and
+        ``resident`` excludes it.
+        """
         return []
 
 
@@ -267,6 +285,10 @@ class _TriggerPlanPolicy(MemoryPolicy):
     def __init__(self) -> None:
         super().__init__()
         self._triggers: Dict[int, _Trigger] = {}
+
+    def triggered_blocks(self) -> Collection[int]:
+        """Every block with a trigger, at an ordinal or at the iteration end."""
+        return self._triggers.keys()
 
     def directive_after_access(self, state: "BlockState") -> Optional[EvictDirective]:
         """Ordinal-triggered eviction with a prefetch against the learned gap."""

@@ -248,12 +248,14 @@ def _build_optimizer(config: TrainingRunConfig, model) -> Optimizer:
     raise ConfigurationError(f"unknown optimizer '{config.optimizer}'")
 
 
-def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
+def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup,
+                          profilers: List[MemoryProfiler]):
     """One closed-loop swap executor per materialised replica (empty when off).
 
-    Executors are attached *before* the profilers so that the stalls they
-    insert and the ``swap_in`` events they emit land ahead of the accesses
-    that needed them (see :mod:`repro.swap`).
+    Each executor reads its replica's recorder (``profilers``, not started
+    yet) and is attached *before* it, so that the stalls it inserts and the
+    ``swap_in`` events it emits land ahead of the accesses that needed them
+    (see :mod:`repro.swap`).
     """
     if config.swap == "off":
         return []
@@ -263,10 +265,10 @@ def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup):
             f"unknown swap mode '{config.swap}'; known modes: "
             f"{', '.join(SWAP_EXECUTION_MODES)}")
     executors = []
-    for device in group:
+    for device, profiler in zip(group, profilers):
         policy = POLICIES[config.swap].for_run(
             world_size=group.n_devices, capacity_bytes=config.device_memory_capacity)
-        executor = SwapExecutor(device, policy,
+        executor = SwapExecutor(device, policy, profiler.recorder,
                                 capacity_bytes=config.device_memory_capacity)
         device.attach_swap_executor(executor)
         executors.append(executor)
@@ -319,13 +321,12 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
     if capture is not None:
         capture.attach(group)
     n_devices = group.n_devices
-    swap_executors = _build_swap_executors(config, group)
-
     base_metadata = workload_metadata(config, n_devices)
     profilers = [
         MemoryProfiler(device, metadata={**base_metadata, "device_rank": ranks[0]})
         for device, ranks in zip(group, group.class_ranks)
     ]
+    swap_executors = _build_swap_executors(config, group, profilers)
 
     # The paper instruments the allocator for the whole run, so model and
     # optimizer construction (parameter allocation + initialization) is

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device, titan_x_pascal
 
 from tests.helpers import build_trace
+
+#: The wide draw of ``tests/test_swap_differential.py`` (the swap-smoke CI leg:
+#: ``pytest --hypothesis-profile=swap-wide``).
+settings.register_profile("swap-wide", max_examples=200, deadline=None)
 
 
 @pytest.fixture

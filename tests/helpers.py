@@ -9,10 +9,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.core import ati as ati_module
 from repro.core import trace as trace_module
@@ -29,8 +31,12 @@ from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
 from repro.device.tape import TAPE_ALLREDUCE
 from repro.device.timing import KernelTimingModel
-from repro.errors import TraceInvariantError
+from repro.core.swap import BandwidthConfig
+from repro.errors import InfeasibleScenarioError, TraceInvariantError
 from repro.experiments.replay import _POINT_KEY
+from repro.swap.executor import (PREFETCH_MARGIN_NS, WARMUP_ITERATIONS,
+                                  SwapExecutionSummary, WarmupObservations)
+from repro.swap.policies import EvictDirective, get_policy
 from repro.train.session import build_cluster
 
 
@@ -322,3 +328,646 @@ def reference_price_times(template, configs):
     for clock, begin, offset in zip(clocks, segment_begin, offsets):
         clock[:, begin:] += offset[:, None]
     return times, sync_costs, [clusters[i] for i in point_of.tolist()]
+
+
+#: Capacities of the ``swap_ladder`` rungs, in MiB (a drawn capacity is one of them).
+CAPACITY_RUNGS_MIB = (64, 96, 128, 192, 256)
+
+
+@st.composite
+def swap_scenarios(draw):
+    """A swap-on scenario: a small MLP or a 32-pixel resnet18 at batch 4-8,
+    any executable policy, no capacity or a ladder rung, 2-6 iterations,
+    either dtype, 1-2 devices."""
+    from repro.experiments.grid import Scenario
+    from repro.swap import SWAP_EXECUTION_MODES
+    from repro.train.session import TrainingRunConfig
+
+    if draw(st.booleans()):
+        model = dict(model="mlp", dataset="two_cluster",
+                     batch_size=draw(st.sampled_from((256, 512))),
+                     model_kwargs={"hidden_dim": draw(st.sampled_from((512, 2048, 4096))),
+                                   "num_hidden_layers": draw(st.integers(2, 4))})
+    else:
+        model = dict(model="resnet18", dataset="cifar10",
+                     batch_size=draw(st.integers(4, 8)),
+                     model_kwargs={"input_size": 32, "num_classes": 10})
+    capacity = draw(st.sampled_from((None,) + CAPACITY_RUNGS_MIB))
+    config = TrainingRunConfig(
+        **model, execution_mode="symbolic",
+        swap=draw(st.sampled_from(SWAP_EXECUTION_MODES[1:])),
+        device_memory_capacity=None if capacity is None else capacity * 1024 * 1024,
+        iterations=draw(st.integers(2, 6)),
+        dtype=draw(st.sampled_from(("float32", "float16"))),
+        n_devices=draw(st.integers(1, 2)))
+    return Scenario(config=config)
+
+
+def plan_inputs(warmup):
+    """The observations a plan saw, as plain values: every field the two
+    executors' block states share, but the live ``block``."""
+    from repro.swap.executor import BlockState
+    shared = {field.name for field in dataclasses.fields(ReferenceBlockState)}
+    names = [field.name for field in dataclasses.fields(BlockState)
+             if field.name in shared and field.name != "block"]
+    return ([tuple(getattr(state, name) for name in names) for state in warmup.blocks],
+            list(warmup.by_id), warmup.peak_resident_bytes, warmup.peak_phase_ns,
+            warmup.iteration_duration_ns, list(warmup.live_series or ()))
+
+
+def swap_run(scenario, executor_class):
+    """Run ``scenario`` with ``executor_class`` as the session's swap executor.
+
+    Returns what the differential compares: the ``ScenarioResult`` (wall time
+    zeroed), the merged trace's columns, tags and ops, every executor's
+    ``summary().to_dict()`` and the inputs of every plan it made — or the
+    error the session raised.
+    """
+    from repro.experiments.results import reduce_session
+    from repro.train.session import run_training_session
+
+    executors = []
+
+    class Recording(executor_class):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            plans = []
+            executors.append((self, plans))
+            plan = self.policy.plan
+
+            def recorded(warmup, bandwidths):
+                plans.append(plan_inputs(warmup))
+                return plan(warmup, bandwidths)
+            self.policy.plan = recorded
+
+    with mock.patch("repro.swap.SwapExecutor", Recording):
+        try:
+            session = run_training_session(scenario.config)
+        except Exception as error:   # noqa: BLE001 - compared, not swallowed
+            return ("raised", type(error).__name__, str(error))
+    result = reduce_session(scenario, scenario.resolve_bandwidths(), session, 0.0)
+    columns = session.trace.columns()
+    return (replace(result, wall_time_s=0.0),
+            {field.name: getattr(columns, field.name).tolist()
+             for field in dataclasses.fields(columns)},
+            session.trace.event_strings(),
+            [(executor.summary().to_dict(), plans) for executor, plans in executors])
+
+
+def assert_swap_matches_reference(scenario):
+    """The executor and :class:`ReferenceSwapExecutor` agree on ``scenario``:
+    result, merged trace, summaries and plan inputs, or the error raised."""
+    from repro.swap.executor import SwapExecutor
+    got = swap_run(scenario, SwapExecutor)
+    expected = swap_run(scenario, ReferenceSwapExecutor)
+    for name, mine, theirs in zip(("result", "columns", "strings", "executors"),
+                                  got, expected):
+        assert mine == theirs, f"{name} differs for {scenario.config.describe()}"
+
+
+@dataclass(slots=True)
+class ReferenceBlockState:
+    """What :class:`ReferenceSwapExecutor` knows about one block (residency
+    flags included: the reference keeps its own books)."""
+
+    block_id: int
+    size: int = 0
+    category: MemoryCategory = MemoryCategory.UNKNOWN
+    tag: str = ""
+    block: object = None            # the live Block (for event emission)
+    resident: bool = True
+    freed: bool = False
+    pending_ready_ns: Optional[int] = None   # in-flight prefetch completion
+    swapped_copy_bytes: int = 0              # bytes moved by the last eviction
+    last_access_ns: int = 0
+    iter_access_count: int = 0               # accesses seen this iteration
+    prev_access_ns: Optional[int] = None
+    prev_access_ordinal: int = 0
+    prev_access_iteration: Optional[int] = None
+    prev_access_phase_ns: int = 0
+    first_access_phase_ns: int = 0           # first in-iteration access offset
+    best_gap_ns: int = 0                     # largest observed idle interval
+    best_gap_ordinal: int = 0                # ordinal of its opening access
+    best_gap_phase_ns: int = 0               # opening access offset in its iteration
+    best_gap_crosses: bool = False           # gap spans an iteration boundary
+    gap_tainted: bool = False                # next gap includes swap distortion
+    compute_ns: Optional[int] = None         # producer kernel duration (learned)
+    pending_first_write: bool = False        # next access may close the producer
+    dropped_for_recompute: bool = False      # off-device awaiting rematerialization
+
+
+
+class ReferenceSwapExecutor(MemoryEventListener):
+    """The per-behavior swap executor: every malloc, free, read and write
+    runs its learning rules and bookkeeping in Python.
+
+    Kept as the oracle :class:`~repro.swap.executor.SwapExecutor` is held
+    to (as :class:`ReferenceRecorder` is the recorder's): the same
+    decisions, events, summary and plan inputs from its own books.  It takes
+    (and ignores) the recorder the real executor reads.
+    """
+
+    def __init__(self, device, policy, recorder=None, bandwidths=None,
+                 capacity_bytes=None):
+        self.device = device
+        self.policy = get_policy(policy) if isinstance(policy, str) else policy
+        if not self.policy.executable:
+            raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
+                             f"it cannot drive the swap executor")
+        self.bandwidths = (bandwidths if bandwidths is not None
+                           else BandwidthConfig.from_device_spec(device.spec))
+        self.capacity_bytes = (None if capacity_bytes is None
+                               else int(capacity_bytes))
+        self._states: Dict[int, ReferenceBlockState] = {}
+        self._deferred: List[EvictDirective] = []
+        self._active = False
+        # iteration bookkeeping
+        self._iteration_index: Optional[int] = None
+        self._iteration_start_ns = 0
+        self._warmup_iter_duration_ns = 0
+        # accounting
+        self._resident_bytes = 0
+        self._live_bytes = 0
+        self._peak_resident_active = 0
+        self._peak_live_active = 0
+        self._peak_resident_overall = 0
+        self._learning_frozen = False
+        self._plan_frozen = False
+        self._steady_started = False
+        # committed warm-up profile: the last clean iteration's live-bytes
+        # series / peak / duration (refreshed every pre-steady iteration, so
+        # lazily allocated state — e.g. momentum buffers — is included)
+        self._warmup_peak_bytes = 0
+        self._warmup_peak_phase_ns: Optional[int] = None
+        self._warmup_live_series: List = []   # (phase_ns, live_bytes) samples
+        # in-progress trackers for the iteration being observed
+        self._iter_live_series: List = []
+        self._iter_peak_live = 0
+        self._iter_peak_phase_ns: Optional[int] = None
+        self.counters = SwapExecutionSummary(policy=self.policy.name,
+                                             capacity_bytes=self.capacity_bytes)
+        # timestamp of the previous listener event: the gap between a block's
+        # malloc-adjacent first write and the event before it is exactly its
+        # producing kernel's duration (the clock only advances inside the
+        # kernel between those two points).
+        self._last_event_ns = device.clock.now_ns
+
+    # -- introspection -----------------------------------------------------------------
+
+    @property
+    def resident_bytes(self) -> int:
+        """Bytes currently resident on the device (allocated minus swapped out)."""
+        return self._resident_bytes
+
+    @property
+    def swapped_out_bytes(self) -> int:
+        """Bytes of allocated blocks currently evicted to the host."""
+        return sum(state.size for state in self._states.values()
+                   if not state.freed and not state.resident)
+
+    def observations(self) -> WarmupObservations:
+        """Current (swap-undistorted) per-block observations for planning."""
+        blocks = [state for state in self._states.values() if state.size > 0]
+        return WarmupObservations(blocks=blocks, by_id=self._states,
+                                  peak_resident_bytes=self._warmup_peak_bytes,
+                                  peak_phase_ns=self._warmup_peak_phase_ns,
+                                  iteration_duration_ns=self._warmup_iter_duration_ns,
+                                  live_series=self._warmup_live_series)
+
+    def summary(self) -> SwapExecutionSummary:
+        """The measured outcome so far (plus the policy's prediction)."""
+        if self.capacity_bytes is not None:
+            # Under capacity governance the invariant spans the whole run
+            # (warm-up included), so the honest measured peak is the overall
+            # resident maximum — which the governor kept at or below capacity.
+            peak_resident = self._peak_resident_overall
+        elif self._active:
+            peak_resident = self._peak_resident_active
+        else:
+            peak_resident = self._warmup_peak_bytes
+        return replace(
+            self.counters,
+            peak_resident_bytes=peak_resident,
+            peak_live_bytes=(self._peak_live_active if self._active
+                             else self._warmup_peak_bytes),
+            warmup_peak_bytes=self._warmup_peak_bytes,
+            predicted=self.policy.predicted)
+
+    # -- iteration hooks (duck-typed like a recorder) ---------------------------------
+
+    def begin_iteration(self, index: int) -> None:
+        """Iteration start: reset per-iteration ordinals, (re)plan, activate."""
+        self._flush_deferred()
+        self._iteration_index = index
+        self._iteration_start_ns = self.device.clock.now_ns
+        for state in self._states.values():
+            state.iter_access_count = 0
+        if index > WARMUP_ITERATIONS:
+            # Observation stops one iteration into execution: the first
+            # active iteration still closes the cross-boundary windows and
+            # refreshes the live profile (with e.g. the lazily allocated
+            # optimizer state included), but later samples would fold the
+            # engine's own stalls back into the plan and destabilize it.
+            self._learning_frozen = True
+        if not self._learning_frozen:
+            self._iter_live_series = []
+            self._iter_peak_live = self._live_bytes
+            self._iter_peak_phase_ns = None
+        if index > WARMUP_ITERATIONS + 1 and not self._steady_started:
+            # Measured peaks restart at the first fully steady iteration:
+            # iteration warmup ran unswapped, and iteration warmup+1 still
+            # starts with everything resident (the first boundary-window
+            # eviction pass only happens at its end), so earlier iterations
+            # are not a fair comparison against the plan.
+            self._steady_started = True
+            self._peak_resident_active = self._resident_bytes
+            self._peak_live_active = self._live_bytes
+        if index >= WARMUP_ITERATIONS:
+            if not self._plan_frozen:
+                # Replans are only useful while the observations can still
+                # change; the first plan after learning froze is final.
+                self.policy.plan(self.observations(), self.bandwidths)
+                self._plan_frozen = self._learning_frozen
+            if not self._active:
+                self._active = True
+                self._peak_resident_active = self._resident_bytes
+                self._peak_live_active = self._live_bytes
+            self.counters.active_iterations += 1
+
+    def end_iteration(self, index: int) -> None:
+        """Iteration end: flush deferred evictions, apply boundary directives."""
+        self._flush_deferred()
+        if not self._learning_frozen:
+            # Commit this iteration as the reference profile for planning.
+            self._warmup_iter_duration_ns = (self.device.clock.now_ns
+                                             - self._iteration_start_ns)
+            self._warmup_live_series = self._iter_live_series
+            self._warmup_peak_bytes = self._iter_peak_live
+            self._warmup_peak_phase_ns = self._iter_peak_phase_ns
+        if self._active:
+            resident = [state for state in self._states.values()
+                        if state.resident and not state.freed]
+            for directive in self.policy.directives_at_iteration_end(resident):
+                self._evict(directive)
+        self._iteration_index = None
+
+    def finalize(self) -> None:
+        """Balance the books at the end of the run.
+
+        Every block still swapped out gets a zero-copy ``"shutdown"``
+        ``swap_in``, so the trace's residency series always sums back to the
+        allocation series and peak accounting can never be skewed by
+        unmatched evictions at the tail of the run.
+        """
+        self._flush_deferred()
+        for state in self._states.values():
+            if state.freed or state.resident:
+                continue
+            state.resident = True
+            state.pending_ready_ns = None
+            # Bookkeeping only — nothing actually arrives on the device, so
+            # the measured resident peak must not see this restoration.
+            self._resident_bytes += state.size
+            self.counters.shutdown_restores += 1
+            if state.dropped_for_recompute:
+                state.dropped_for_recompute = False
+                self.counters.recompute_count += 1
+                self.device.listeners.on_recompute(state.block, 0, "shutdown")
+            else:
+                self.counters.swap_in_count += 1
+                self.device.listeners.on_swap_in(state.block, 0, "shutdown")
+
+    # -- listener hooks ----------------------------------------------------------------
+
+    def on_malloc(self, block, requested_size: int) -> None:
+        self._flush_deferred()
+        state = self._states.get(block.block_id)
+        if state is None:
+            state = ReferenceBlockState(block_id=block.block_id)
+            self._states[block.block_id] = state
+        state.size = block.size
+        state.category = block.category
+        state.tag = block.tag
+        state.block = block
+        state.freed = False
+        state.pending_ready_ns = None
+        state.dropped_for_recompute = False
+        state.pending_first_write = not self._learning_frozen
+        # Relieve pressure *before* the allocation lands — an allocator
+        # under pressure frees space first — so the overshoot never shows
+        # up in the resident peak (the swap_out events also precede the
+        # malloc event in the trace).
+        state.resident = False
+        if self._active:
+            resident = (s for s in self._states.values()
+                        if s.resident and not s.freed)
+            for directive in self.policy.directives_on_pressure(
+                    resident, self._resident_bytes + block.size, state):
+                self._evict(directive)
+        self._enforce_capacity(block.size)
+        state.resident = True
+        self._bump_live(block.size)
+        self._bump_resident(block.size)
+        self._sample_live()
+        self._last_event_ns = self.device.clock.now_ns
+
+    def on_free(self, block) -> None:
+        self._flush_deferred()
+        state = self._states.get(block.block_id)
+        if state is None or state.freed:
+            return
+        if not state.resident:
+            # Freed while off-device: nothing comes back over the link (or
+            # gets recomputed), but the residency books must balance before
+            # the free event lands.  The restoration is bookkeeping only, so
+            # it bypasses the peak trackers — a transient that never holds
+            # real bytes must not count against the capacity invariant.
+            state.resident = True
+            state.pending_ready_ns = None
+            self._resident_bytes += state.size
+            self.counters.discards += 1
+            if state.dropped_for_recompute:
+                state.dropped_for_recompute = False
+                self.counters.recompute_count += 1
+                self.device.listeners.on_recompute(state.block, 0, "discard")
+            else:
+                self.counters.swap_in_count += 1
+                self.device.listeners.on_swap_in(state.block, 0, "discard")
+        self._resident_bytes -= state.size
+        self._live_bytes -= state.size
+        self._sample_live()
+        state.freed = True
+        state.resident = False
+        state.gap_tainted = False
+        state.pending_first_write = False
+        # A gap must never span a free/malloc round trip: once the block is
+        # freed its bytes are gone, so there is nothing left to swap during
+        # the idle time — unlike the paper's analysis-level ATIs, execution
+        # windows are constrained to a single lifetime.
+        state.prev_access_ns = None
+        state.prev_access_iteration = None
+        self._last_event_ns = self.device.clock.now_ns
+
+    def on_read(self, block, nbytes: int, op: str) -> None:
+        self._on_access(block, is_write=False)
+
+    def on_write(self, block, nbytes: int, op: str) -> None:
+        self._on_access(block, is_write=True)
+
+    # -- core mechanics ----------------------------------------------------------------
+
+    def _on_access(self, block, is_write: bool = False) -> None:
+        self._flush_deferred()
+        state = self._states.get(block.block_id)
+        if state is None:
+            # Attached mid-run: adopt the block as a resident unknown.
+            state = ReferenceBlockState(block_id=block.block_id, size=block.size,
+                               category=block.category, tag=block.tag,
+                               block=block)
+            self._states[block.block_id] = state
+            self._bump_live(block.size)
+            self._bump_resident(block.size)
+        was_nonresident = not state.resident and not state.freed
+        if was_nonresident:
+            self._ensure_resident(state)
+        now = self.device.clock.now_ns
+        if state.pending_first_write:
+            # A lifetime's first access, when it is a write, closes the
+            # kernel that produced the block: the clock only advanced inside
+            # that kernel since the previous listener event, so the elapsed
+            # time is the producer's duration — the recompute cost.  A
+            # first *read* means the block was filled some other way (e.g.
+            # a host staging copy); it is not rematerializable by replay.
+            if is_write and not self._learning_frozen and not was_nonresident:
+                state.compute_ns = max(0, now - self._last_event_ns)
+            state.pending_first_write = False
+        in_iteration = self._iteration_index is not None
+        state.iter_access_count += 1
+        if (state.iter_access_count == 1 and in_iteration
+                and not self._learning_frozen):
+            state.first_access_phase_ns = now - self._iteration_start_ns
+        if state.prev_access_ns is not None:
+            if state.gap_tainted:
+                # The gap includes this block's own eviction/stall timeline;
+                # learning from it would feed distortion back into the plan.
+                state.gap_tainted = False
+            elif (not self._learning_frozen
+                  and state.prev_access_iteration is not None):
+                gap = now - state.prev_access_ns
+                if gap > state.best_gap_ns:
+                    state.best_gap_ns = gap
+                    state.best_gap_ordinal = state.prev_access_ordinal
+                    state.best_gap_phase_ns = state.prev_access_phase_ns
+                    state.best_gap_crosses = (
+                        not in_iteration
+                        or state.prev_access_iteration != self._iteration_index)
+        state.prev_access_ns = now
+        state.prev_access_ordinal = state.iter_access_count
+        state.prev_access_iteration = self._iteration_index
+        state.prev_access_phase_ns = (now - self._iteration_start_ns
+                                      if in_iteration else 0)
+        state.last_access_ns = now
+        self._last_event_ns = now
+        if self._active:
+            directive = self.policy.directive_after_access(state)
+            if directive is not None:
+                self._deferred.append(directive)
+
+    def _ensure_resident(self, state: ReferenceBlockState) -> None:
+        """Restore an off-device block before the access that needs it."""
+        if state.dropped_for_recompute:
+            self._rematerialize(state)
+            return
+        now = self.device.clock.now_ns
+        nbytes = state.swapped_copy_bytes or state.size
+        if state.pending_ready_ns is not None:
+            ready = state.pending_ready_ns
+            op = "prefetch"
+        else:
+            record = self.device.dma.async_host_to_device_at(
+                nbytes, now, tag=f"swap_in:{state.tag}")
+            self.counters.copy_busy_ns += record.duration_ns
+            ready = record.end_ns
+            op = "demand"
+            self.counters.demand_fetches += 1
+        stall = max(0, ready - now)
+        if stall > 0:
+            self.device.clock.advance(stall)
+            self.counters.stall_ns_total += stall
+            if op == "prefetch":
+                self.counters.late_prefetches += 1
+        elif op == "prefetch":
+            self.counters.prefetch_hits += 1
+        if self._active:
+            # A restoration raises residency just like an allocation does, so
+            # budget policies (LRU) get the same pressure hook — and like the
+            # on_malloc path it runs *before* the bump, so a demand-fetch
+            # burst (the optimizer step pulling every buffer back) neither
+            # blows through the budget nor leaks overshoot into the measured
+            # resident peak (the relieving swap_outs also precede the
+            # swap_in event in the trace).
+            resident = (s for s in self._states.values()
+                        if s.resident and not s.freed)
+            for directive in self.policy.directives_on_pressure(
+                    resident, self._resident_bytes + state.size, state):
+                self._evict(directive)
+        self._enforce_capacity(state.size)
+        state.pending_ready_ns = None
+        state.resident = True
+        self._bump_resident(state.size)
+        self.counters.swap_in_count += 1
+        self.counters.bytes_swapped_in += nbytes
+        self.device.listeners.on_swap_in(state.block, nbytes, op)
+
+    def _rematerialize(self, state: ReferenceBlockState) -> None:
+        """Replay a dropped block's producer before the access that needs it.
+
+        No bytes cross the link: the device spends the recorded producer
+        duration on its compute stream (a synchronous replay — the access
+        cannot proceed without the data), the clock advances by exactly that
+        cost, and the block is resident again.  First-order model: the
+        producer's own inputs are assumed reachable (checkpointing always
+        keeps enough upstream state for a single replay).
+        """
+        cost = int(state.compute_ns or 0)
+        if cost > 0:
+            stream, clock = self.device.compute_stream, self.device.clock
+            stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + cost
+            clock.advance(cost)
+            self.counters.recompute_ns_total += cost
+        if self._active:
+            resident = (s for s in self._states.values()
+                        if s.resident and not s.freed)
+            for directive in self.policy.directives_on_pressure(
+                    resident, self._resident_bytes + state.size, state):
+                self._evict(directive)
+        self._enforce_capacity(state.size)
+        state.dropped_for_recompute = False
+        state.resident = True
+        self._bump_resident(state.size)
+        self.counters.recompute_count += 1
+        self.counters.bytes_recomputed += state.size
+        self.device.listeners.on_recompute(state.block, state.size, "demand")
+
+    def _evict(self, directive: EvictDirective):
+        """Execute one eviction directive (no-op if the block moved on).
+
+        Returns the device→host copy record for swap evictions (so capacity
+        governance can stall until the bytes actually left), ``None`` for
+        recompute drops and no-ops.
+        """
+        state = self._states.get(directive.block_id)
+        if state is None or state.freed or not state.resident:
+            return None
+        if directive.recompute:
+            # Rematerialization drop: the bytes simply vanish — no transfer,
+            # no prefetch; the block's next access replays its producer.
+            state.resident = False
+            state.dropped_for_recompute = True
+            state.gap_tainted = True
+            state.pending_ready_ns = None
+            self._resident_bytes -= state.size
+            self.counters.recompute_drop_count += 1
+            self.counters.bytes_recompute_dropped += state.size
+            self.device.listeners.on_recompute_drop(state.block, state.size,
+                                                    self.policy.name)
+            return None
+        now = self.device.clock.now_ns
+        copy_bytes = (directive.copy_bytes if directive.copy_bytes is not None
+                      else state.size)
+        out = self.device.dma.async_device_to_host_at(
+            copy_bytes, now, tag=f"swap_out:{state.tag}")
+        self.counters.copy_busy_ns += out.duration_ns
+        state.resident = False
+        state.swapped_copy_bytes = copy_bytes
+        state.gap_tainted = True
+        self._resident_bytes -= state.size
+        self.counters.swap_out_count += 1
+        self.counters.bytes_swapped_out += copy_bytes
+        if directive.prefetch_gap_ns is not None:
+            deadline = (state.last_access_ns + int(directive.prefetch_gap_ns)
+                        - PREFETCH_MARGIN_NS)
+            # The copy-back can start no earlier than its own eviction copy
+            # finished (the host does not have the bytes before that).
+            back = self.device.dma.async_host_to_device_by(
+                copy_bytes, deadline, earliest_start_ns=max(now, out.end_ns),
+                tag=f"swap_prefetch:{state.tag}")
+            self.counters.copy_busy_ns += back.duration_ns
+            state.pending_ready_ns = back.end_ns
+            self.counters.prefetches_scheduled += 1
+        self.device.listeners.on_swap_out(state.block, copy_bytes,
+                                          self.policy.name)
+        return out
+
+    def _enforce_capacity(self, incoming: int) -> None:
+        """Make room for ``incoming`` bytes under the capacity invariant.
+
+        Force-evicts resident blocks in least-recently-accessed order (the
+        caller has already marked the incoming block non-resident, so it can
+        never evict itself) until ``resident + incoming <= capacity``, then
+        stalls the device until the relieving copy-outs complete — memory is
+        not reusable before the bytes have left.  Raises
+        :class:`~repro.errors.InfeasibleScenarioError` up-front when even
+        evicting every resident block cannot make room.
+        """
+        capacity = self.capacity_bytes
+        if capacity is None:
+            return
+        excess = self._resident_bytes + incoming - capacity
+        if excess <= 0:
+            return
+        candidates = [state for state in self._states.values()
+                      if state.resident and not state.freed]
+        evictable = sum(state.size for state in candidates)
+        if excess > evictable:
+            raise InfeasibleScenarioError(
+                requested=incoming, resident=self._resident_bytes,
+                evictable=evictable, capacity=capacity)
+        candidates.sort(key=lambda state: state.last_access_ns)
+        now = self.device.clock.now_ns
+        wait_until = now
+        for state in candidates:
+            if excess <= 0:
+                break
+            out = self._evict(EvictDirective(block_id=state.block_id))
+            if state.resident:
+                continue
+            self.counters.pressure_evictions += 1
+            excess -= state.size
+            if out is not None and out.end_ns > wait_until:
+                wait_until = out.end_ns
+        stall = wait_until - now
+        if stall > 0:
+            self.device.clock.advance(stall)
+            self.counters.stall_ns_total += stall
+            self.counters.pressure_stall_ns += stall
+
+    def _flush_deferred(self) -> None:
+        """Run post-access evictions queued by the previous event."""
+        if not self._deferred:
+            return
+        pending, self._deferred = self._deferred, []
+        for directive in pending:
+            self._evict(directive)
+
+    def _bump_resident(self, size: int) -> None:
+        self._resident_bytes += size
+        if self._active and self._resident_bytes > self._peak_resident_active:
+            self._peak_resident_active = self._resident_bytes
+        if self._resident_bytes > self._peak_resident_overall:
+            self._peak_resident_overall = self._resident_bytes
+
+    def _bump_live(self, size: int) -> None:
+        self._live_bytes += size
+        if self._active and self._live_bytes > self._peak_live_active:
+            self._peak_live_active = self._live_bytes
+
+    def _sample_live(self) -> None:
+        """Record a (phase, live bytes) sample for the warm-up footprint profile."""
+        if self._learning_frozen or self._iteration_index is None:
+            return
+        phase = self.device.clock.now_ns - self._iteration_start_ns
+        self._iter_live_series.append((phase, self._live_bytes))
+        if self._live_bytes > self._iter_peak_live:
+            self._iter_peak_live = self._live_bytes
+            self._iter_peak_phase_ns = phase

@@ -33,6 +33,7 @@ import pytest
 from repro.core.ati import compute_interval_arrays
 from repro.core.breakdown import occupation_breakdown
 from repro.core.events import MemoryCategory, MemoryEventKind
+from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace, merge_rank_traces
 from repro.device.hooks import CountingListener
 from repro.errors import ConfigurationError
@@ -94,10 +95,10 @@ def run_manual_policy(policy, **overrides):
     config = TrainingRunConfig(**{**DEEP_MLP, **overrides})
     group = build_device_group(config)
     device = group.primary
-    executor = SwapExecutor(device, policy,
+    profiler = MemoryProfiler(device)
+    executor = SwapExecutor(device, policy, profiler.recorder,
                             capacity_bytes=config.device_memory_capacity)
     device.attach_swap_executor(executor)
-    profiler = MemoryProfiler(device)
     profiler.start()
     model = build_model(config.model, device,
                         rng=np.random.default_rng(config.seed),
@@ -143,8 +144,9 @@ def test_policy_registry():
     from repro.device.device import Device
     for name in ("none", "recompute", "pruning", "quantization"):
         assert not POLICIES[name].executable
+        device = Device()
         with pytest.raises(ValueError, match="analysis-only"):
-            SwapExecutor(Device(), name)
+            SwapExecutor(device, name, TraceRecorder(device.clock))
     for name in ("lru", "unified"):
         assert not POLICIES[name].offline
         with pytest.raises(ValueError, match="no offline estimate"):
@@ -164,9 +166,10 @@ def test_unknown_swap_mode_rejected_by_session():
 def test_only_one_executor_per_device():
     from repro.device.device import Device
     device = Device()
-    device.attach_swap_executor(SwapExecutor(device, "lru"))
+    recorder = TraceRecorder(device.clock)
+    device.attach_swap_executor(SwapExecutor(device, "lru", recorder))
     with pytest.raises(ConfigurationError):
-        device.attach_swap_executor(SwapExecutor(device, "lru"))
+        device.attach_swap_executor(SwapExecutor(device, "lru", recorder))
 
 
 def test_counting_listener_counts_swap_events():
@@ -323,10 +326,10 @@ def test_lru_explicit_budget_is_respected():
             execution_mode="symbolic",
             model_kwargs={"hidden_dim": 4096, "num_hidden_layers": 4})
         device = build_device_group(config).primary
-        executor = SwapExecutor(
-            device, LruPolicy(budget_bytes=budget_bytes))
-        device.attach_swap_executor(executor)
         profiler = MemoryProfiler(device)
+        executor = SwapExecutor(
+            device, LruPolicy(budget_bytes=budget_bytes), profiler.recorder)
+        device.attach_swap_executor(executor)
         profiler.start()
         model = build_model(config.model, device,
                             rng=np.random.default_rng(0),
