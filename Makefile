@@ -89,15 +89,16 @@ frontier-smoke:
 # Template-replay smoke (the CI replay-smoke leg): the equivalence suite
 # plus a small --execution replay sweep that compiles one template and
 # re-prices it across device specs; then the same sweep with a policy row in
-# a fresh process, which must price every row — the rebuilt-trace rows and
-# their derived lifetimes included — from the stored template, compiling none;
-# the template directory must hold archives and no second kind of file.
-# Last, the grid over replica counts and interconnects runs under both
-# executions: its --json rows, wall time aside, must be identical.
+# a fresh process, which must price every row — the policy's rank-0 trace
+# re-timed from the stored template's columns — compiling none; the template
+# directory must hold archives and no second kind of file.  Last, the grid
+# over replica counts, interconnects and every offline policy runs under
+# both executions: its --json rows, wall time aside, must be identical.
 REPLAY_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 32 \
 	--execution replay --devices titan_x_pascal,v100_sxm2_16gb --no-cache \
 	--cache-dir .ci-replay-cache
-REPLAY_GRID_JSON = $(REPLAY_SWEEP) --n-devices 1,2 --interconnects pcie_gen3,nvlink2 --json
+REPLAY_GRID_JSON = $(REPLAY_SWEEP) --n-devices 1,2 --interconnects pcie_gen3,nvlink2 \
+	--swap-policies none,planner,swap_advisor,zero_offload,recompute,pruning,quantization --json
 replay-smoke:
 	$(PYTHON) -m pytest tests/test_replay_equivalence.py -q
 	rm -rf .ci-replay-cache
@@ -106,7 +107,7 @@ replay-smoke:
 		| grep -F "4 replayed from 0 template(s)"
 	test -z "$$(ls .ci-replay-cache/templates | grep -v '\.npz$$')"
 	$(REPLAY_GRID_JSON) > .ci-replay-cache/replay.out
-	grep -F "8 replayed from" .ci-replay-cache/replay.out
+	grep -F "56 replayed from" .ci-replay-cache/replay.out
 	$(REPLAY_GRID_JSON) --execution symbolic > .ci-replay-cache/symbolic.out
 	$(PYTHON) -c "import json, sys; \
 	rows = lambda path: [dict(row, wall_s=None) for row in \

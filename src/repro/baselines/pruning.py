@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.trace import MemoryTrace
+import numpy as np
+
+from ..core.events import MemoryCategory
+from ..core.trace import CATEGORY_CODES, MemoryTrace
 
 
 @dataclass
@@ -52,28 +54,23 @@ class CompressionEstimate:
         }
 
 
+_PARAMETER_CODES = np.array([CATEGORY_CODES[MemoryCategory.PARAMETER],
+                             CATEGORY_CODES[MemoryCategory.OPTIMIZER_STATE]])
+
+
 def _peak_parameter_bytes(trace: MemoryTrace) -> int:
-    """Bytes of parameter-bucket blocks live at the footprint peak."""
-    parameter_categories = (MemoryCategory.PARAMETER, MemoryCategory.OPTIMIZER_STATE)
-    live_parameters = 0
-    live_total = 0
-    peak_total = -1
-    parameters_at_peak = 0
-    for event in trace.events:
-        if event.kind is MemoryEventKind.MALLOC:
-            live_total += event.size
-            if event.category in parameter_categories:
-                live_parameters += event.size
-        elif event.kind is MemoryEventKind.FREE:
-            live_total -= event.size
-            if event.category in parameter_categories:
-                live_parameters -= event.size
-        else:
-            continue
-        if live_total > peak_total:
-            peak_total = live_total
-            parameters_at_peak = live_parameters
-    return max(0, parameters_at_peak)
+    """Bytes of parameter-bucket blocks live at the footprint peak: the first
+    malloc/free row at which cumulative live bytes reach their maximum (a
+    later tie does not move it), none if they never reach zero."""
+    cols = trace.columns()
+    lifecycle = cols.is_malloc | cols.is_free
+    deltas = cols.live_deltas()[lifecycle]
+    live = np.cumsum(deltas)
+    if live.size == 0 or live.max() < 0:
+        return 0
+    parameters = np.cumsum(np.where(
+        np.isin(cols.category_code[lifecycle], _PARAMETER_CODES), deltas, 0))
+    return max(0, int(parameters[np.argmax(live)]))
 
 
 def estimate_pruning(trace: MemoryTrace, sparsity: float = 0.9) -> CompressionEstimate:

@@ -23,24 +23,23 @@ module splits the two:
   sync (checked at construction), so a barrier shifts all arrivals by the
   same ``d · K``.  :meth:`TraceTemplate._price_times` builds the full
   ``(S, width)`` rows from the points — bit-identical to what a fresh
-  simulation advances its clocks by — for the callers that rebuild a trace.
-* :meth:`TraceTemplate.replay_batch` reduces each row to the exact
+  simulation advances its clocks by — for the one caller that rebuilds a
+  merged trace (:meth:`TraceTemplate.replay_trace`).
+* :meth:`TraceTemplate.replay_batch` reduces every row one way, to the exact
   :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
-  produce, through the one reduction
-  (:func:`~repro.experiments.sweep.assemble_result`) with two feeders.
-  Policy-free rows are **fed by the priced points**: ATI pairing, block
-  sizes, live-bytes deltas and categories are structural
-  (``merge_rank_traces`` keeps block ids rank-disjoint and per-rank clocks
-  are monotone, so the merged trace's ATI pairs are the union of the
-  rank-local ones) and are precomputed per template (:class:`_MergedColumns`);
-  per row only the gaps (``base_gap[point] + d · kgap``) and the few clock
-  columns a reduction reads are gathered — no ``(S, width)`` time matrix is
-  built — and, for multi-rank templates, whose merged event *order* depends
-  on the pricing point, ordered by one stable argsort.  Rows with a
-  ``swap_policy`` are **fed by a rebuilt trace**: the offline baselines walk
-  a real trace, so the row's clocks re-time the captured columns
-  (:meth:`RankTemplate.trace`) and the real ``merge_rank_traces`` and
-  :func:`~repro.experiments.sweep.reduce_trace` take over.
+  produce (:func:`~repro.experiments.sweep.assemble_result`), **fed by the
+  priced points**: ATI pairing, block sizes, live-bytes deltas and
+  categories are structural (``merge_rank_traces`` keeps block ids
+  rank-disjoint and per-rank clocks are monotone, so the merged trace's ATI
+  pairs are the union of the rank-local ones) and are precomputed per
+  template (:class:`_MergedColumns`); per row only the gaps
+  (``base_gap[point] + d · kgap``) and the few clock columns a reduction
+  reads are gathered — no ``(S, width)`` time matrix is built — and, for
+  multi-rank templates, whose merged event *order* depends on the pricing
+  point, ordered by one stable argsort.  A row with a ``swap_policy``
+  additionally evaluates it on rank 0's own recording — the captured
+  columns re-timed to the row's rank-0 clocks (:meth:`TraceTemplate._rank_trace`),
+  as a fresh session hands the policy its ``rank_traces[0]``.
 * ``dtype`` is a *generalized* axis: one :class:`TemplateFamily` (one
   structural key, one ``.npz``) holds a lazily captured variant per dtype,
   because AMP master-weight allocations give fp16 a different event stream.
@@ -94,7 +93,7 @@ from ..train.session import (
 )
 from ..units import US
 from .artifacts import ArtifactStore
-from .results import assemble_result, reduce_trace
+from .results import assemble_result, evaluate_policy
 
 logger = logging.getLogger(__name__)
 
@@ -347,7 +346,7 @@ class _BatchArrays:
     #: (width,) int64: kernel atoms of the column's rank before the column —
     #: the coefficient of the dispatch cost in every clock reading.
     kernels_before: np.ndarray
-    merged: Optional[_MergedColumns]    # None: results need a rebuilt trace
+    merged: _MergedColumns
     structure: RunStructure             # what every row of this template reports
 
 
@@ -414,7 +413,8 @@ class TraceTemplate:
     peaks, parameter bytes, allocator counters, iteration indices);
     ``ranks`` carries the per-replica arrays.  Construction validates the
     capture (consistent tapes, matching cross-rank sync sequences and kernel
-    counts before each sync); the
+    counts before each sync, events and the capture's iteration marks on
+    every rank); the
     timestamp-free tables behind batched repricing are built on first use.
     """
 
@@ -430,6 +430,12 @@ class TraceTemplate:
         #: Iteration indices of the capture's step statistics, in step order.
         self.iteration_indices = [int(entry["index"])
                                   for entry in self.meta["iteration_stats"]]
+        # Every row is reduced off each rank's events and iteration spans
+        # (:class:`_MergedColumns`), so a rank must have both.
+        if any(len(rank.columns) == 0 or rank.mark_indices != self.iteration_indices
+               for rank in self.ranks):
+            raise TemplateError("a rank recorded no events or other iteration "
+                                "marks", reason="capture_inconsistent")
         self._batch: Optional[_BatchArrays] = None  # built on first replay_batch
 
     @property
@@ -525,15 +531,8 @@ class TraceTemplate:
         return self._batch
 
     def _merged_columns(self, atoms: Sequence[_RankAtoms],
-                        traces: Sequence[MemoryTrace]) -> Optional[_MergedColumns]:
-        """The merged trace's structure, or ``None`` when a result cannot be
-        reduced without the trace itself (an empty rank, marks the ranks
-        disagree on)."""
-        if (any(len(rank.columns) == 0 for rank in self.ranks)
-                or any(rank.mark_indices != self.iteration_indices
-                       for rank in self.ranks)):
-            return None
-
+                        traces: Sequence[MemoryTrace]) -> _MergedColumns:
+        """The merged trace's structure, addressed by time-matrix column."""
         per_rank: Dict[str, List[np.ndarray]] = {
             name: [] for name in ("ati_start_col", "ati_end_col", "ati_size",
                                   "life_col", "life_delta", "life_category")}
@@ -694,25 +693,21 @@ class TraceTemplate:
                              clusters=clusters, point_of=point_of,
                              dispatch=dispatch)
 
-    def _materialise_rows(self, priced: _PricedPoints,
-                          rows: Sequence[int]) -> np.ndarray:
-        """The ``(len(rows), width)`` time matrix of ``rows``, built from their
-        points: only a caller that rebuilds a trace needs one."""
-        return (priced.times[priced.point_of[rows]]
-                + priced.dispatch[rows, None] * self._batch_arrays().kernels_before)
-
     def _price_times(self, configs: Sequence[TrainingRunConfig]
                      ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
         """Every clock reading of every rank under every config.
 
         Returns the ``(S, width)`` int64 time matrix (columns as in
-        :meth:`_price_points`), the ``(S, syncs)`` resolved collective costs
-        and each row's cluster — every row bit-identical to what a fresh
-        simulation advances its clocks by.
+        :meth:`_price_points`, each row its point's clocks plus dispatch ×
+        kernels launched), the ``(S, syncs)`` resolved collective costs and
+        each row's cluster — every row bit-identical to what a fresh
+        simulation advances its clocks by.  Only a caller that rebuilds a
+        merged trace needs the matrix.
         """
         priced = self._price_points(configs)
         point_of = priced.point_of
-        return (self._materialise_rows(priced, np.arange(len(configs))),
+        return (priced.times[point_of]
+                + priced.dispatch[:, None] * self._batch_arrays().kernels_before,
                 priced.sync_costs[point_of],
                 [priced.clusters[point] for point in point_of.tolist()])
 
@@ -730,21 +725,22 @@ class TraceTemplate:
         """Price a whole grid of scenarios of this structure in one pass.
 
         Each distinct pricing point of the batch is priced once
-        (:meth:`_price_points`).  Policy-free rows (``swap_policy == "none"``)
-        — single- and multi-rank alike — are then measured column-wise off
-        the points, no row's time matrix ever built: ATI gaps read as
-        ``base_gap[point] + d · kgap`` (``kgap`` the kernels launched inside
-        the interval), summarized and Eq.-1 screened by the row forms of the
-        trace recipes, peak, span and lifecycle clocks gathered the same way,
-        and for multi-rank templates one stable argsort per row to recover
-        the merged event order behind the ATI mean and the occupancy peak.
-        The ``(rows × ATIs)`` steps write into two buffers the block
-        allocates — the int64 gaps, and one float64 matrix for the Eq.-1
-        limits and then the µs values — not into a fresh array per step.
-        Policy-carrying rows need a real trace for the baselines to walk, so
-        their row of the time matrix (:meth:`_materialise_rows`) feeds
-        :meth:`_rebuild_trace` and :func:`~repro.experiments.sweep.reduce_trace`.
-        Either way the row ends in :func:`~repro.experiments.sweep.assemble_result`.
+        (:meth:`_price_points`).  Every row — single- and multi-rank alike —
+        is then measured column-wise off the points, no row's time matrix
+        ever built: ATI gaps read as ``base_gap[point] + d · kgap``
+        (``kgap`` the kernels launched inside the interval), summarized and
+        Eq.-1 screened by the row forms of the trace recipes, peak, span and
+        lifecycle clocks gathered the same way, and for multi-rank templates
+        one stable argsort per row to recover the merged event order behind
+        the ATI mean and the occupancy peak.  The ``(rows × ATIs)`` steps
+        write into two buffers the block allocates — the int64 gaps, and one
+        float64 matrix for the Eq.-1 limits and then the µs values — not
+        into a fresh array per step.  A row whose ``swap_policy`` is not
+        ``"none"`` also gets the policy's summary
+        (:func:`~repro.experiments.results.evaluate_policy`) on rank 0's own
+        trace re-timed to the row's rank-0 clocks (:meth:`_rank_trace`) —
+        the recording a fresh session hands the policy.  Every row ends in
+        :func:`~repro.experiments.sweep.assemble_result`.
 
         The returned list is parallel to ``scenarios`` and bit-identical to
         what a fresh symbolic simulation would produce (``wall_time_s``
@@ -762,31 +758,9 @@ class TraceTemplate:
         point_of = priced.point_of.tolist()
         allreduce_ns = priced.sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
                                          ].sum(axis=1).tolist()
-        collectives = [self._collective_summary(priced.clusters[point],
-                                                allreduce_ns[point])
-                       for point in point_of]
-        results: List[object] = [None] * len(scenarios)
-        rows = []
-        for index, scenario in enumerate(scenarios):
-            if merged is not None and scenario.swap_policy == "none":
-                rows.append(index)
-                continue
-            times = self._materialise_rows(priced, [index])[0]
-            trace = self._rebuild_trace(scenario.config,
-                                        priced.clusters[point_of[index]].device,
-                                        self._rank_times(times))
-            marks = {mark.index: mark for mark in trace.iteration_marks}
-            results[index] = reduce_trace(
-                scenario, bandwidths_list[index], trace, structure,
-                [marks[i].end_ns - marks[i].start_ns
-                 for i in self.iteration_indices],
-                collectives[index], None, time.perf_counter(), keys[index])
-        if not rows:
-            return results
-
         # Rows are independent, so they are reduced grouped by point: each
         # point's rows are then one slice of every per-row array.
-        rows.sort(key=point_of.__getitem__)
+        rows = sorted(range(len(scenarios)), key=point_of.__getitem__)
         n_ranks = len(self.ranks)
         row_dispatch = priced.dispatch[rows]
         bounds = np.searchsorted(priced.point_of[rows],
@@ -834,23 +808,33 @@ class TraceTemplate:
         step_ns = (clock_at(merged.span_end).max(axis=1)
                    - clock_at(merged.span_begin).min(axis=1)).tolist()
 
+        rank0 = slice(0, batch.atoms[0].n_atoms + 1)   # rank 0's clock columns
+        results: List[object] = [None] * len(scenarios)
         for j, i in enumerate(rows):
-            label = scenarios[i].label
+            scenario, point = scenarios[i], point_of[i]
+            cluster = priced.clusters[point]
             if n_ranks > 1:
                 order = life_order[j]
                 breakdown = occupation_from_columns(
                     merged.life_delta[order], merged.life_category[order],
-                    life_times[j][order], label=label).to_dict()
+                    life_times[j][order], label=scenario.label).to_dict()
             else:
                 breakdown = dict(merged.breakdown_base)
-                breakdown["label"] = label
+                breakdown["label"] = scenario.label
                 breakdown["peak_time_ns"] = peak_times[j]
+            swap = None   # the "none" policy evaluates to None by definition
+            if scenario.swap_policy != "none":
+                clock = priced.times[point, rank0] + priced.dispatch[i] * kernels[rank0]
+                swap = evaluate_policy(
+                    scenario.swap_policy,
+                    self._rank_trace(0, scenario.config, cluster.device, clock),
+                    bandwidths_list[i])
             results[i] = assemble_result(
-                scenarios[i], keys[i], structure, ati=summaries[j],
+                scenario, keys[i], structure, ati=summaries[j],
                 swappable=fractions[j], breakdown=breakdown,
-                step_durations_ns=step_ns[j],
-                swap=None,  # the "none" policy evaluates to None by definition
-                collective=collectives[i], swap_execution=None, started=started)
+                step_durations_ns=step_ns[j], swap=swap,
+                collective=self._collective_summary(cluster, allreduce_ns[point]),
+                swap_execution=None, started=started)
         return results
 
     def _collective_summary(self, cluster: ClusterSpec,
@@ -862,35 +846,42 @@ class TraceTemplate:
         return collective_summary(cluster, len(self.ranks), int(allreduce.sum()),
                                   int(self.sync_nbytes[allreduce].sum()), total_ns)
 
-    # -- full trace rebuild (policy evaluation) ---------------------------------------
+    # -- trace rebuild ----------------------------------------------------------------
+
+    def _rank_trace(self, rank_index: int, config: TrainingRunConfig, spec,
+                    clock: np.ndarray) -> MemoryTrace:
+        """The trace rank ``rank_index`` of a fresh run would have recorded.
+
+        ``clock`` is the rank's ``n_atoms + 1`` clock readings: the captured
+        columns are re-timed to them, with the iteration marks and the
+        metadata the rank's profiler gives its recording.
+        """
+        rank = self.ranks[rank_index]
+        marks = [IterationMark(index=index,
+                               start_ns=int(clock[span[0]]),
+                               end_ns=int(clock[span[1]]))
+                 for index, span in zip(rank.mark_indices, rank.mark_spans)]
+        metadata = {
+            "device": spec.to_dict(),
+            "allocator": self.meta["allocator_name"],
+            "execution_mode": config.execution_mode,
+            **workload_metadata(config, len(self.ranks)),
+            "device_rank": rank_index,
+        }
+        return rank.trace(clock[rank.event_tape_pos], iteration_marks=marks,
+                          metadata=metadata, end_ns=int(clock[-1]))
 
     def _rebuild_trace(self, config: TrainingRunConfig, spec,
                        times: List[np.ndarray]) -> MemoryTrace:
         """Reconstruct the merged trace a fresh run would have recorded.
 
-        Per-rank traces are rebuilt with replayed timestamps and merged with
-        the *real* :func:`~repro.core.trace.merge_rank_traces` (the merged
-        event order is timestamp-dependent, so it must be recomputed).
+        Every rank's trace (:meth:`_rank_trace` under its clock array in
+        ``times``) is merged with the *real*
+        :func:`~repro.core.trace.merge_rank_traces` (the merged event order
+        is timestamp-dependent, so it must be recomputed).
         """
-        base_metadata = workload_metadata(config, len(self.ranks))
-        rank_traces: List[MemoryTrace] = []
-        for rank_index, rank in enumerate(self.ranks):
-            absolute = times[rank_index]
-            marks = [IterationMark(index=index,
-                                   start_ns=int(absolute[span[0]]),
-                                   end_ns=int(absolute[span[1]]))
-                     for index, span in zip(rank.mark_indices, rank.mark_spans)]
-            metadata = {
-                "device": spec.to_dict(),
-                "allocator": self.meta["allocator_name"],
-                "execution_mode": config.execution_mode,
-                **base_metadata,
-                "device_rank": rank_index,
-            }
-            rank_traces.append(rank.trace(
-                absolute[rank.event_tape_pos], iteration_marks=marks,
-                metadata=metadata, end_ns=int(absolute[-1])))
-        return merge_rank_traces(rank_traces)
+        return merge_rank_traces([self._rank_trace(rank_index, config, spec, clock)
+                                  for rank_index, clock in enumerate(times)])
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
         """The merged trace a fresh run of ``config`` records, bit for bit:

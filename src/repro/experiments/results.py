@@ -10,8 +10,9 @@ the occupation breakdown via the vectorized
 :func:`~repro.core.breakdown.occupation_breakdown` — the multi-megabyte
 Python event objects never cross the process-pool boundary, only the
 reduced :class:`ScenarioResult`.  Every result is put together by
-:func:`assemble_result`, fed by a trace (:func:`reduce_trace`) or by the
-replay engine's time matrix.
+:func:`assemble_result`, fed by a fresh session's trace
+(:func:`reduce_trace`) or by the replay engine's priced points; either way a
+row's offline policy is :func:`evaluate_policy` on rank 0's own recording.
 """
 
 from __future__ import annotations
@@ -153,20 +154,18 @@ def _offline_policy(name: str) -> MemoryPolicy:
     return get_policy(name)
 
 
-def _swap_policy_summary(scenario: Scenario, trace: MemoryTrace,
-                         bandwidths: BandwidthConfig) -> Optional[Dict[str, object]]:
-    """Evaluate the requested offline policy on the trace.
+def evaluate_policy(name: str, trace: MemoryTrace,
+                    bandwidths: BandwidthConfig) -> Optional[Dict[str, object]]:
+    """The registered offline policy ``name`` evaluated on ``trace``.
 
-    Multi-device sessions evaluate the policy on the rank-0 replica's slice:
-    every policy then reports *per-device* peaks and savings, directly
-    comparable with the scenario's per-replica ``peak_allocated_bytes``
-    (the merged trace would count each replicated parameter/gradient block
-    once per rank).  The slice keeps the session metadata, so the rank-aware
-    ZeRO-Offload partitioning still sees the cluster size.
+    A sweep row hands it rank 0's own recording (a session's
+    ``rank_traces[0]``, or replay's rank-0 trace under the row's clocks), so
+    every policy reports *per-device* peaks and savings, comparable with the
+    per-replica ``peak_allocated_bytes`` (the merged trace would count each
+    replicated block once per rank).  The recording carries the session
+    metadata, so ZeRO-Offload's partitioning still sees the cluster size.
     """
-    if scenario.config.n_devices > 1:
-        trace = trace.for_rank(0)
-    return _offline_policy(scenario.swap_policy).evaluate(trace, bandwidths)
+    return _offline_policy(name).evaluate(trace, bandwidths)
 
 
 def run_scenario(scenario: Scenario,
@@ -198,27 +197,31 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
     """Reduce a finished session to a :class:`ScenarioResult`.
 
     The session hands :func:`reduce_trace` its trace, structure record,
-    iteration durations and ``collective`` / ``swap_execution`` blocks.
-    ``key`` is the scenario's content hash when the caller already computed it.
+    iteration durations, policy summary and ``collective`` /
+    ``swap_execution`` blocks.  ``key`` is the scenario's content hash when
+    the caller already computed it.
     """
+    rank0 = session.rank_traces[0] if session.rank_traces else session.trace
     return reduce_trace(
         scenario, bandwidths, session.trace, session.structure(),
         [stats.duration_ns for stats in session.iteration_stats],
+        evaluate_policy(scenario.swap_policy, rank0, bandwidths),
         session.collective, session.swap_execution, started, key)
 
 
 def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
                  trace: MemoryTrace, structure: RunStructure,
                  step_durations_ns: Sequence[int],
+                 swap: Optional[Dict[str, object]],
                  collective: Optional[Dict[str, object]],
                  swap_execution: Optional[Dict[str, object]],
                  started: float, key: Optional[str] = None) -> ScenarioResult:
-    """Measure a trace (ATI summary, Eq.-1 screening, occupation breakdown,
-    offline policy) and assemble the result.
+    """Measure a merged trace (ATI summary, Eq.-1 screening, occupation
+    breakdown) and assemble the result with the row's policy summary.
 
-    Fed by a fresh session (:func:`reduce_session`) or by a trace the replay
-    engine rebuilt for a policy-carrying row; the rebuilt-trace route is also
-    the reference the tests diff the columnar replay reduction against.
+    Fed by a fresh session (:func:`reduce_session`); the tests also feed it
+    a trace the replay engine rebuilt (``TraceTemplate.replay_trace``), the
+    reference the columnar replay reduction is diffed against.
     """
     arrays = compute_interval_arrays(trace)
     return assemble_result(
@@ -226,8 +229,7 @@ def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
         ati=summarize_values_us(arrays.interval_us),
         swappable=swappable_fraction(arrays, bandwidths),
         breakdown=occupation_breakdown(trace, label=scenario.label).to_dict(),
-        step_durations_ns=step_durations_ns,
-        swap=_swap_policy_summary(scenario, trace, bandwidths),
+        step_durations_ns=step_durations_ns, swap=swap,
         collective=collective, swap_execution=swap_execution, started=started)
 
 
@@ -242,8 +244,8 @@ def assemble_result(scenario: Scenario, key: str, structure: RunStructure, *,
     """Build one :class:`ScenarioResult` from a row's measurements.
 
     The only place a result is put together: :func:`reduce_trace` feeds it
-    what it measured on a trace, the replay engine what it read off its time
-    matrix, so a result field or a step-time term is added here once.
+    what it measured on a trace, the replay engine what it read off its
+    priced points, so a result field or a step-time term is added here once.
     ``breakdown`` is ``OccupationBreakdown.to_dict()``; its total is the
     trace's peak live bytes.
     """

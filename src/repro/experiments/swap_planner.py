@@ -16,9 +16,10 @@ from typing import Dict, Optional
 
 from ..core.ati import compute_access_intervals
 from ..core.swap import BandwidthConfig, SwapPlan, SwapPlanner
-from ..swap.policies import PolicySummary, get_policy
+from ..swap.policies import PolicySummary
 from ..train.session import TrainingRunConfig
 from .configs import paper_mlp_config
+from .results import evaluate_policy
 from .sweep import Scenario, SweepRunner
 
 
@@ -54,6 +55,6 @@ def run_swap_planner(config: Optional[TrainingRunConfig] = None,
     return SwapPlannerResult(
         label=scenario.label,
         plan=planner.plan(trace, compute_access_intervals(trace)),
-        swap_advisor_baseline=get_policy("swap_advisor").evaluate(trace, bandwidths),
-        zero_offload_baseline=get_policy("zero_offload").evaluate(trace, bandwidths),
+        swap_advisor_baseline=evaluate_policy("swap_advisor", trace, bandwidths),
+        zero_offload_baseline=evaluate_policy("zero_offload", trace, bandwidths),
     )

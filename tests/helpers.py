@@ -137,6 +137,33 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
     return MemoryTrace(events=events, iteration_marks=marks, end_ns=final_ns)
 
 
+def reference_peak_parameter_bytes(trace):
+    """Parameter + optimizer-state bytes live at the footprint peak, one
+    :class:`MemoryEvent` at a time.
+
+    The object walk ``baselines.pruning`` ran before it read the columns,
+    kept as its oracle: the first malloc/free that *strictly* raises the
+    running maximum (started at -1) fixes the peak.
+    """
+    parameter_categories = (MemoryCategory.PARAMETER, MemoryCategory.OPTIMIZER_STATE)
+    live_parameters = live_total = parameters_at_peak = 0
+    peak_total = -1
+    for event in trace.events:
+        if event.kind is MemoryEventKind.MALLOC:
+            sign = 1
+        elif event.kind is MemoryEventKind.FREE:
+            sign = -1
+        else:
+            continue
+        live_total += sign * event.size
+        if event.category in parameter_categories:
+            live_parameters += sign * event.size
+        if live_total > peak_total:
+            peak_total = live_total
+            parameters_at_peak = live_parameters
+    return max(0, parameters_at_peak)
+
+
 class ReferenceRecorder(MemoryEventListener):
     """The obvious recorder: one :class:`MemoryEvent` object per hook call.
 

@@ -1,18 +1,20 @@
 """Tests for the swapping/recompute/compression baseline policies."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines import (
     estimate_pruning,
     estimate_quantization,
     estimate_recompute_plan,
 )
+from repro.baselines.pruning import _peak_parameter_bytes
 from repro.core.events import MemoryCategory
 from repro.swap.policies import (SWAP_POLICIES, SwapAdvisorPolicy,
                                  ZeroOffloadPolicy, get_policy)
 from repro.units import MIB, s_to_ns
 
-from tests.helpers import build_trace
+from tests.helpers import build_trace, reference_peak_parameter_bytes
 
 
 def make_training_like_trace():
@@ -189,6 +191,27 @@ def test_pruning_barely_reduces_training_footprint():
     assert estimate.total_reduction_fraction < 0.1
     with pytest.raises(ValueError):
         estimate_pruning(trace, sparsity=1.5)
+
+
+PARAMETER, ACTIVATION = MemoryCategory.PARAMETER, MemoryCategory.ACTIVATION
+
+
+@given(st.lists(st.tuples(st.sampled_from(("malloc", "free", "read", "write")),
+                          st.integers(1, 4),                  # block id
+                          st.sampled_from((0, 64, 128)),      # few sizes: ties
+                          st.sampled_from(list(MemoryCategory))),
+                max_size=24))
+@example([])
+@example([("malloc", 1, 64, PARAMETER), ("free", 1, 64, PARAMETER),
+          ("malloc", 2, 64, ACTIVATION)])                     # a tie at the peak
+@example([("free", 1, 64, PARAMETER), ("malloc", 2, 64, PARAMETER)])
+@settings(max_examples=200, deadline=None)
+def test_peak_parameter_bytes_is_the_object_walk(events):
+    """The column pass of pruning / quantization against the event walk it
+    replaced: same bytes on any stream, the first of tied peaks included."""
+    trace = build_trace([(kind, time, block, size, category, -1)
+                         for time, (kind, block, size, category) in enumerate(events)])
+    assert _peak_parameter_bytes(trace) == reference_peak_parameter_bytes(trace)
 
 
 def test_quantization_estimate():

@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.swap import BandwidthConfig
 from repro.data.loader import HostLatencyModel
 from repro.device.tape import TAPE_ALLREDUCE, TAPE_KERNEL
 from repro.experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
@@ -27,8 +28,10 @@ from repro.experiments.replay import (
     save_family,
     template_key,
 )
+from repro.experiments.results import evaluate_policy, reduce_trace
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.experiments.template_store import TemplateStore
+from repro.swap.policies import SWAP_POLICIES
 from repro.train.session import TrainingRunConfig, build_cluster, run_training_session
 
 from tests.helpers import price_one, replay_one
@@ -391,47 +394,85 @@ def test_price_batch_handles_multi_rank_scenarios():
 
 @pytest.mark.parametrize("n_devices,batch_size", [(1, 16), (2, 16), (3, 16)],
                          ids=["one-rank", "two-ranks", "three-uneven-ranks"])
-def test_policy_free_rows_build_no_time_matrix(monkeypatch, n_devices, batch_size):
-    """A policy-free row reads its gaps, peak, spans and lifecycle clocks off
-    its pricing point plus dispatch × kernels launched: the row materialiser
-    is never called, and the rows stay exact."""
+def test_policy_free_rows_build_no_time_matrix(n_devices, batch_size):
+    """Every row of a block — policy-free or carrying any offline policy —
+    reads its gaps, peak, spans and lifecycle clocks off its pricing point
+    plus dispatch × kernels launched: no row's time matrix is built, no
+    merged trace rebuilt or re-reduced, and the rows stay exact and in order."""
+    import repro.experiments.replay as replay_module
+    import repro.experiments.results as results_module
     from repro.experiments.replay import TraceTemplate
 
-    monkeypatch.setattr(TraceTemplate, "_materialise_rows",
-                        lambda *args: pytest.fail("a row's time matrix was built"))
-    scenarios = [make_scenario(n_devices=n_devices, batch_size=batch_size,
-                               device_spec=spec, host_dispatch_overhead_ns=overhead)
+    def refuse(what):
+        return lambda *args, **kwargs: pytest.fail(what)
+
+    scenarios = [make_scenario(swap_policy=policy, n_devices=n_devices,
+                               batch_size=batch_size, device_spec=spec,
+                               host_dispatch_overhead_ns=overhead)
                  for spec in ("titan_x_pascal", "v100_sxm2_16gb")
-                 for overhead in (None, 0, 4_000)]
+                 for overhead in (None, 0, 4_000)
+                 for policy in SWAP_POLICIES]
     engine = ReplayEngine()
-    batched = engine.price_batch(
-        scenarios, [s.resolve_bandwidths() for s in scenarios])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TraceTemplate, "_price_times",
+                      refuse("a row's time matrix was built"))
+        patch.setattr(TraceTemplate, "_rebuild_trace",
+                      refuse("a merged trace was rebuilt"))
+        patch.setattr(replay_module, "merge_rank_traces",
+                      refuse("rank traces were merged"))
+        patch.setattr(results_module, "reduce_trace",
+                      refuse("a trace was re-reduced"))
+        batched = engine.price_batch(
+            scenarios, [s.resolve_bandwidths() for s in scenarios])
     assert engine.replayed == len(scenarios) and engine.fallback_reasons == {}
+    assert ([row.scenario["swap_policy"] for row in batched]
+            == [scenario.swap_policy for scenario in scenarios])
     for scenario, result in zip(scenarios, batched):
+        assert (result.swap is None) == (scenario.swap_policy == "none")
         assert comparable(result) == comparable(run_scenario(scenario))
+
+
+def rebuilt_trace_result(template, scenario):
+    """``scenario`` reduced the way policy rows were before every row took the
+    one path, from public pieces: the merged trace ``replay_trace`` rebuilds,
+    measured by ``reduce_trace``, the policy evaluated on its rank-0 slice."""
+    config = scenario.config
+    bandwidths = scenario.resolve_bandwidths()
+    trace = template.replay_trace(config)
+    marks = {mark.index: mark for mark in trace.iteration_marks}
+    _, costs, clusters = template._price_times([config])
+    allreduce_ns = int(costs[0][template.sync_kinds == TAPE_ALLREDUCE].sum())
+    policy_trace = trace.for_rank(0) if config.n_devices > 1 else trace
+    return reduce_trace(
+        scenario, bandwidths, trace, template._batch_arrays().structure,
+        [marks[i].end_ns - marks[i].start_ns for i in template.iteration_indices],
+        evaluate_policy(scenario.swap_policy, policy_trace, bandwidths),
+        template._collective_summary(clusters[0], allreduce_ns), None, 0.0)
 
 
 @pytest.mark.parametrize("overrides", [
     {}, dict(CONV), {"n_devices": 2}, dict(CONV, n_devices=2),
+    {"n_devices": 3}, dict(CONV, n_devices=3),
     {"n_devices": 4, "batch_size": 32, "allreduce_algorithm": "naive"},
-], ids=["mlp", "alexnet", "mlp-2dev", "alexnet-2dev", "mlp-4dev-naive"])
+], ids=["mlp", "alexnet", "mlp-2dev", "alexnet-2dev", "mlp-3dev-uneven",
+        "alexnet-3dev-uneven", "mlp-4dev-naive"])
 def test_columnar_reduction_equals_the_rebuilt_trace_reduction(overrides):
-    """The batch's columnar reduction against the path it bypasses: the same
-    template, reduced through ``_rebuild_session`` -> ``reduce_session``."""
+    """The batch's columnar reduction, offline policies included, against the
+    merged trace it never builds: the same template's ``replay_trace``
+    reduced by ``reduce_trace``, every offline policy on its rank-0 slice."""
     engine = ReplayEngine()
     for pricing in ({}, {"device_spec": "v100_sxm2_16gb",
                          "host_dispatch_overhead_ns": 1_300,
                          "interconnect": "nvlink2"}):
-        scenario = make_scenario(**overrides, **pricing)
-        template = engine.template_for(scenario.config)
-        tables = template._batch_arrays()
-        merged = tables.merged
-        assert merged is not None
-        fast = replay_one(template, scenario)
-        tables.merged = None  # no columnar structure: every row rebuilds a trace
-        slow = replay_one(template, scenario)
-        tables.merged = merged
-        assert comparable(fast) == comparable(slow)
+        scenarios = [make_scenario(swap_policy=policy, **overrides, **pricing)
+                     for policy in SWAP_POLICIES]
+        template = engine.template_for(scenarios[0].config)
+        fast = template.replay_batch(
+            scenarios, [s.resolve_bandwidths() for s in scenarios], 0.0)
+        for scenario, row in zip(scenarios, fast):
+            assert comparable(row) == comparable(rebuilt_trace_result(template,
+                                                                      scenario))
+    assert engine.templates_compiled == 1
 
 
 @pytest.mark.parametrize("n_devices,batch_size", [(2, 17), (4, 19)])
@@ -455,28 +496,29 @@ def test_skewed_rank_clocks_replay_exactly(n_devices, batch_size):
     assert engine.templates_compiled == 1
 
 
-def test_policy_rows_in_a_mixed_group_take_the_trace_path(monkeypatch):
-    """Policy-free and policy-carrying rows of one structure share a batch:
-    only the policy rows rebuild a trace, and row order is preserved."""
-    import repro.experiments.replay as replay_module
-
-    policies = ["none", "planner", "none", "none", "planner", "none"]
-    scenarios = [make_scenario(swap_policy=policy, n_devices=2,
-                               host_dispatch_overhead_ns=1_000 * (i + 1), **CONV)
-                 for i, policy in enumerate(policies)]
-    merges = []
-    real_merge = replay_module.merge_rank_traces
-    monkeypatch.setattr(replay_module, "merge_rank_traces",
-                        lambda traces: merges.append(1) or real_merge(traces))
-    engine = ReplayEngine()
-    batched = engine.price_batch(
-        scenarios, [s.resolve_bandwidths() for s in scenarios])
-    assert len(merges) == policies.count("planner")
-    assert engine.templates_compiled == 1
-    assert [r.scenario["swap_policy"] for r in batched] == policies
-    for scenario, result in zip(scenarios, batched):
-        assert (result.swap is not None) == (scenario.swap_policy == "planner")
-        assert comparable(result) == comparable(run_scenario(scenario))
+@pytest.mark.parametrize("dtype", ["float32", "float16"])
+@pytest.mark.parametrize("n_devices,batch_size", [(2, 4), (3, 5)],
+                         ids=["two-ranks", "three-uneven-ranks"])
+@pytest.mark.parametrize("model", [
+    dict(model="mlp", model_kwargs={"hidden_dim": 32}, dataset="two_cluster"),
+    dict(model="resnet18", model_kwargs={"input_size": 32, "num_classes": 10},
+         dataset="cifar10"),
+], ids=["mlp", "resnet18"])
+def test_every_offline_policy_reads_rank_0s_recording_as_its_merged_slice(
+        model, n_devices, batch_size, dtype):
+    """Why a policy row needs no merged trace: rank 0's own recording and the
+    merged trace's rank-0 slice give every offline policy the same summary
+    (merging leaves rank 0's block ids unshifted and its event order intact,
+    and no policy reads event ids, ``end_ns`` or mark timestamps)."""
+    config = TrainingRunConfig(**model, batch_size=batch_size, iterations=2,
+                               n_devices=n_devices, dtype=dtype,
+                               execution_mode="symbolic", seed=3)
+    session = run_training_session(config)
+    own, sliced = session.rank_traces[0], session.trace.for_rank(0)
+    bandwidths = BandwidthConfig.from_device_spec(build_cluster(config).device)
+    for name in SWAP_POLICIES[1:]:
+        assert (evaluate_policy(name, own, bandwidths)
+                == evaluate_policy(name, sliced, bandwidths)), name
 
 
 def _owned(value):
@@ -701,6 +743,48 @@ def test_ranks_launching_unequal_kernels_before_a_sync_are_declined(monkeypatch)
             == [comparable(row) for row in symbolic.results])
 
 
+def empty_rank(rank):
+    """``rank`` with every recorded event cut out (its tape kept)."""
+    columns = rank.columns
+    return dataclasses.replace(
+        rank, event_tags=[], event_ops=[], event_tape_pos=rank.event_tape_pos[:0],
+        columns=dataclasses.replace(columns, **{
+            field.name: getattr(columns, field.name)[:0]
+            for field in dataclasses.fields(columns)}))
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda rank: dataclasses.replace(
+        rank, mark_indices=[index + 1 for index in rank.mark_indices]),
+    empty_rank,
+], ids=["other-marks", "no-events"])
+def test_a_rank_without_the_captures_events_and_marks_is_declined(monkeypatch, doctor):
+    """Every row is reduced off each rank's events and iteration spans, so a
+    capture with a rank whose marks disagree with the capture's, or a rank
+    that recorded nothing, is declined as ``capture_inconsistent`` at
+    construction and its group — policy rows included — simulated."""
+    from repro.experiments import replay
+
+    compile_checked = replay._compile_template_checked
+
+    def doctored(config):
+        template = compile_checked(config)
+        ranks = [template.ranks[0], doctor(template.ranks[1])]
+        return replay.TraceTemplate(template.key, template.meta, ranks)
+
+    with pytest.raises(TemplateError, match="iteration marks") as declined:
+        doctored(make_scenario(n_devices=2).config)
+    assert declined.value.reason == "capture_inconsistent"
+    monkeypatch.setattr(replay, "_compile_template_checked", doctored)
+    grid = dict(n_devices=(2,), swap_policies=("none", "planner"))
+    result = SweepRunner().run(replay_grid(**grid))
+    assert result.replayed == 0
+    assert result.replay_fallbacks == {"capture_inconsistent": 8}
+    symbolic = SweepRunner().run(replay_grid(**grid, execution_mode="symbolic"))
+    assert ([comparable(row) for row in result.results]
+            == [comparable(row) for row in symbolic.results])
+
+
 # -- atomic persistence and the template store ----------------------------------------
 
 
@@ -770,8 +854,10 @@ def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
     for one_rank in (single, loaded):
         rank, = one_rank.ranks
         times = one_rank._rank_times(one_rank._price_times([config])[0][0])
-        rebuilt = one_rank._rebuild_trace(config, build_cluster(config).device, times)
-        for trace in (rebuilt, one_rank.replay_trace(config)):
+        spec = build_cluster(config).device
+        rebuilt = one_rank._rebuild_trace(config, spec, times)
+        for trace in (rebuilt, one_rank.replay_trace(config),
+                      one_rank._rank_trace(0, config, spec, times[0])):
             assert_shares(trace, rank)
             assert trace.columns().timestamp_ns is not rank.columns.timestamp_ns
             assert trace.validate() is trace

@@ -118,6 +118,18 @@ def test_four_functions_run_a_training_session():
     assert holders == ["results.py"]
 
 
+def test_one_function_evaluates_an_offline_policy():
+    """Both feeders of a sweep row — a fresh session and replay — hand the
+    policy rank 0's own recording through one function; nothing in the
+    experiments layer slices a merged trace by rank."""
+    paths = sorted((SRC / "experiments").glob("*.py"))
+    sites = {(path.name, function) for path in paths
+             for function in _enclosing_functions(path, _calls("evaluate"))}
+    assert sites == {("results.py", "evaluate_policy")}
+    assert not [path.name for path in paths
+                if _enclosing_functions(path, _calls("for_rank"))]
+
+
 def test_trace_figures_park_no_session():
     from repro.experiments import (paper_mlp_config, run_fig2, run_fig3, run_fig4,
                                    run_swap_planner)
@@ -549,7 +561,7 @@ def test_price_times_lists_no_pricing_field_by_hand():
                 and getattr(node.value, "id", None) == "config"}
 
     assert named("_price_points") == {"host_dispatch_overhead_ns"}
-    assert named("_price_times") == named("_materialise_rows") == set()
+    assert named("_price_times") == set()
 
 
 @pytest.fixture(scope="module")
