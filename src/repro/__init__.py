@@ -13,11 +13,11 @@ The package is organised as the paper's system is:
 * :mod:`repro.experiments` — one entry point per paper figure/table, all
   backed by the scenario-sweep engine and its on-disk result cache;
 * :mod:`repro.viz` — ASCII/SVG renderings and CSV/JSON export of figure data;
-* :mod:`repro.baselines` — the trace-level recomputation and compression
-  estimators behind the analysis-only policies;
 * :mod:`repro.swap` — the one registry of memory policies
-  (:class:`~repro.swap.policies.MemoryPolicy`: the sweep's policy axis and
-  its ``--swap`` axis) and the closed-loop swap-execution engine: runs
+  (:class:`~repro.swap.policies.MemoryPolicy`: swapping, recomputation and
+  parameter compression; the offline estimates, read off a recorded trace's
+  columns, are the sweep's policy axis, the executable policies its
+  ``--swap`` axis) and the closed-loop swap-execution engine: runs
   eviction/prefetch plans on the device's copy stream during simulation,
   emits ``swap_out``/``swap_in`` trace events and measures real stalls;
 * :mod:`repro.report` — regenerates EXPERIMENTS.md and the ``docs/figures/``

@@ -1,19 +1,6 @@
-"""Trace-level estimators behind the analysis-only memory policies.
+"""The import path the frozen benchmark harness resolves (:mod:`.policy`).
 
-Recomputation (:func:`estimate_recompute_plan`) and parameter compression
-(:func:`estimate_pruning`, :func:`estimate_quantization`) are estimated on a
-recorded trace.  The policy classes that put them — and the swapping
-techniques — on the sweep's ``swap_policies`` axis live with the one registry
-in :mod:`repro.swap.policies`.
+Every technique — swapping, recomputation and parameter compression — is one
+class in the one registry of :mod:`repro.swap.policies`, whose offline face
+estimates it on a recorded trace.  Nothing in ``src/`` imports this package.
 """
-
-from .pruning import CompressionEstimate, estimate_pruning, estimate_quantization
-from .recompute import RecomputePlan, estimate_recompute_plan
-
-__all__ = [
-    "CompressionEstimate",
-    "RecomputePlan",
-    "estimate_pruning",
-    "estimate_quantization",
-    "estimate_recompute_plan",
-]

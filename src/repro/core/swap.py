@@ -250,21 +250,17 @@ class SwapPlanner:
 
     # -- planning -----------------------------------------------------------------------
 
-    def plan(self, trace: MemoryTrace, intervals: Sequence[AccessInterval],
-             target_bytes: Optional[int] = None) -> SwapPlan:
+    def plan(self, trace: MemoryTrace, intervals: Sequence[AccessInterval]) -> SwapPlan:
         """Choose a set of swaps that reduces peak memory the most.
 
         At most one swap is selected per block (a block absent from the device
         during its largest idle interval is the best that block can do), and
-        selection stops once ``target_bytes`` of savings (if given) is reached
-        or the allowed overhead is exhausted.
+        an infeasible candidate is taken only while the allowed overhead lasts.
         """
-        return self.plan_from_intervals(intervals, trace.peak_live_bytes(),
-                                        target_bytes=target_bytes)
+        return self.plan_from_intervals(intervals, trace.peak_live_bytes())
 
     def plan_from_intervals(self, intervals: Sequence[AccessInterval],
-                            peak_before: int,
-                            target_bytes: Optional[int] = None) -> SwapPlan:
+                            peak_before: int) -> SwapPlan:
         """:meth:`plan` without a trace: candidates plus a known peak.
 
         This is the entry point the closed-loop swap-execution engine
@@ -289,8 +285,6 @@ class SwapPlanner:
             selected.append(candidate)
             selected_blocks.add(candidate.interval.block_id)
             savings += candidate.savings_bytes
-            if target_bytes is not None and savings >= target_bytes:
-                break
 
         total_overhead = sum(candidate.overhead_ns for candidate in selected)
         estimated_after = max(0, peak_before - savings)

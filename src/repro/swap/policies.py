@@ -8,7 +8,9 @@ on *measured* access behavior.  Every technique the reproduction knows is one
     recorded :class:`~repro.core.trace.MemoryTrace` and returns a normalized
     summary (``policy``, ``savings_bytes``, ``savings_fraction``,
     ``overhead_ns`` plus technique-specific extras; ``None`` for ``none``).
-    These are the points of the sweep's ``swap_policies`` axis.
+    These are the points of the sweep's ``swap_policies`` axis.  Every
+    estimate — swapping, recomputation, parameter compression — lives on its
+    class and reads the trace's event columns; none builds an object view.
 *executable* — :meth:`MemoryPolicy.plan` digests the swap executor's warm-up
     observations into triggers and the three directive hooks hand the
     executor its evictions.  The executor (:mod:`repro.swap.executor`) owns
@@ -34,14 +36,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Dict, Iterable, List, Optional, Tuple, Type
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, Optional,
+                    Tuple, Type)
 
 import numpy as np
 
 from ..core.ati import AccessInterval, compute_access_intervals, compute_interval_arrays
 from ..core.events import MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
-from ..core.trace import MemoryTrace
+from ..core.trace import KIND_CODES, EventColumns, MemoryTrace
 from ..units import MIB
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -59,6 +62,8 @@ COPY_UTILIZATION_CAP = 0.8
 #: ``lru``'s default resident budget as a share of the warm-up peak.  Below
 #: one so the policy has something to do on any workload.
 LRU_BUDGET_FRACTION = 0.7
+
+_WRITE_CODE = KIND_CODES[MemoryEventKind.WRITE]
 
 
 @dataclass(frozen=True)
@@ -127,31 +132,17 @@ class MemoryPolicy:
         """
         raise ValueError(f"policy '{self.name}' has no offline estimate")
 
-    def _normalize(self, summary: PolicySummary, savings_bytes: int,
-                   savings_fraction: float, overhead_ns: float) -> PolicySummary:
-        """Stamp the shared keys onto a policy-specific summary."""
-        summary = dict(summary)
-        summary["policy"] = self.name
-        summary["savings_bytes"] = int(savings_bytes)
-        summary["savings_fraction"] = float(savings_fraction)
-        summary["overhead_ns"] = float(overhead_ns)
-        return summary
+    def _summary(self, fields: PolicySummary, *, savings_bytes: int,
+                 savings_fraction: float, overhead_ns: float) -> PolicySummary:
+        """The technique's ``fields`` stamped with the keys every summary shares.
 
-    def _swapped_summary(self, label: str, num_blocks: int, swapped_bytes: int,
-                         peak_before: int, overhead_ns: float,
-                         **extras) -> PolicySummary:
-        """Summary of keeping ``swapped_bytes`` off the device (Σ-of-sizes model)."""
-        savings = peak_before - max(0, peak_before - swapped_bytes)
-        return {
-            "name": label,
-            "num_blocks": num_blocks,
-            "swapped_bytes": swapped_bytes,
-            "savings_bytes": int(savings),
-            "savings_fraction": float(savings / peak_before if peak_before else 0.0),
-            "overhead_ns": float(overhead_ns),
-            **extras,
-            "policy": self.name,
-        }
+        ``policy``, ``savings_bytes``, ``savings_fraction`` and ``overhead_ns``
+        follow the technique's own keys in that order, except that a shared
+        key ``fields`` already holds keeps its place (with the stamped value).
+        """
+        return {**fields, "policy": self.name, "savings_bytes": int(savings_bytes),
+                "savings_fraction": float(savings_fraction),
+                "overhead_ns": float(overhead_ns)}
 
     # -- executable face ------------------------------------------------------------------
 
@@ -357,6 +348,23 @@ def _interval_from_observation(state: "BlockState") -> AccessInterval:
     )
 
 
+def _absent_savings(absent_bytes: int, peak_before: int) -> PolicySummary:
+    """The shared savings keys of keeping ``absent_bytes`` off the device at
+    the peak (the Σ-of-sizes model): never more than the peak itself."""
+    savings = min(absent_bytes, peak_before)
+    return {"savings_bytes": savings,
+            "savings_fraction": savings / peak_before if peak_before else 0.0}
+
+
+def _largest_malloc_per_block(cols: EventColumns, rows: np.ndarray) -> Dict[int, int]:
+    """Each block id's largest size over the malloc ``rows`` (a mask or
+    indices), keyed in the order the ids are first malloc'ed."""
+    sizes: Dict[int, int] = {}
+    for block_id, size in zip(cols.block_id[rows].tolist(), cols.size[rows].tolist()):
+        sizes[block_id] = max(sizes.get(block_id, 0), size)
+    return sizes
+
+
 class NoPolicy(MemoryPolicy):
     """The do-nothing baseline: the footprint is reported as recorded."""
 
@@ -401,9 +409,9 @@ class PlannerPolicy(_TriggerPlanPolicy):
         intervals = compute_access_intervals(trace,
                                              min_size=planner.min_candidate_bytes)
         plan = planner.plan(trace, intervals)
-        summary = plan.summary()
-        return self._normalize(summary, plan.savings_bytes, plan.savings_fraction,
-                               plan.total_overhead_ns)
+        return self._summary(plan.summary(), savings_bytes=plan.savings_bytes,
+                             savings_fraction=plan.savings_fraction,
+                             overhead_ns=plan.total_overhead_ns)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         planner = self._planner(bandwidths)
@@ -645,10 +653,13 @@ class SwapAdvisorPolicy(_TriggerPlanPolicy):
         self.min_block_bytes = int(min_block_bytes)
 
     def select(self, trace: MemoryTrace) -> List[Tuple[int, int]]:
-        """``(block_id, size)`` of the blocks the offline estimate swaps."""
-        sizes: Dict[int, int] = {}
-        for lifetime in trace.lifetimes:
-            sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0), lifetime.size)
+        """``(block_id, size)`` of the blocks the offline estimate swaps.
+
+        Each block id counts with its largest malloc; equal sizes keep the
+        order the ids were first malloc'ed in.
+        """
+        cols = trace.columns()
+        sizes = _largest_malloc_per_block(cols, cols.is_malloc)
         return sorted(
             ((block_id, size) for block_id, size in sizes.items()
              if size >= self.min_block_bytes),
@@ -668,9 +679,11 @@ class SwapAdvisorPolicy(_TriggerPlanPolicy):
             gaps = arrays.interval_ns[arrays.block_id == block_id]
             hidden = int(gaps.max()) if gaps.size else 0
             overhead += max(0.0, swap_round_trip_ns(size, bandwidths) - hidden)
-        return self._swapped_summary(
-            "swap_advisor_style", len(candidates),
-            sum(size for _, size in candidates), trace.peak_live_bytes(), overhead)
+        swapped = sum(size for _, size in candidates)
+        shared = {**_absent_savings(swapped, trace.peak_live_bytes()),
+                  "overhead_ns": overhead}
+        return self._summary({"name": "swap_advisor_style", "num_blocks": len(candidates),
+                              "swapped_bytes": swapped, **shared}, **shared)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         eligible = [state for state in warmup.blocks
@@ -737,19 +750,18 @@ class ZeroOffloadPolicy(MemoryPolicy):
         world_size = max(1, int(trace.metadata.get("n_devices", 1) or 1))
         if world_size > 1 and "device_rank" not in trace.metadata:
             trace = trace.for_rank(0)
-        offloaded: Dict[int, int] = {}
-        for lifetime in trace.lifetimes:
-            if lifetime.category in self.OFFLOAD_CATEGORIES:
-                offloaded[lifetime.block_id] = max(offloaded.get(lifetime.block_id, 0),
-                                                   lifetime.size)
+        cols = trace.columns()
+        offloaded = _largest_malloc_per_block(cols, cols.is_malloc & np.isin(
+            cols.category_code, [category.code for category in self.OFFLOAD_CATEGORIES]))
         swapped = sum(offloaded.values())
         partition = -(-swapped // world_size)  # ceil: each rank's shard of the host copy
         iterations = max(1, len(trace.iteration_marks))
+        shared = {**_absent_savings(swapped, trace.peak_live_bytes()),
+                  "overhead_ns": iterations * swap_round_trip_ns(partition, bandwidths)}
         extras = ({"world_size": world_size, "partition_bytes": partition}
                   if world_size > 1 else {})
-        return self._swapped_summary(
-            "zero_offload_style", len(offloaded), swapped, trace.peak_live_bytes(),
-            iterations * swap_round_trip_ns(partition, bandwidths), **extras)
+        return self._summary({"name": "zero_offload_style", "num_blocks": len(offloaded),
+                              "swapped_bytes": swapped, **shared, **extras}, **shared)
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         offloadable = [state for state in warmup.blocks
@@ -786,7 +798,15 @@ class ZeroOffloadPolicy(MemoryPolicy):
 
 
 class RecomputePolicy(MemoryPolicy):
-    """Gradient checkpointing: discard activations, re-run forward segments."""
+    """Gradient checkpointing (Chen et al.): discard activations, re-run
+    forward segments.
+
+    Recomputation attacks the intermediate-results bytes the swapping
+    policies move, from the compute side instead of the transfer side.  The
+    estimate treats the saved activations as discardable, keeps every
+    ``keep_every``-th as a checkpoint, and charges the recorded producer
+    compute times of the rest (:meth:`per_block_compute_times`).
+    """
 
     name = "recompute"
     offline = True
@@ -795,20 +815,137 @@ class RecomputePolicy(MemoryPolicy):
         super().__init__()
         self.keep_every = int(keep_every)
 
+    @staticmethod
+    def per_block_compute_times(trace: MemoryTrace) -> Dict[int, int]:
+        """Per-block producer compute times recovered from a recorded trace.
+
+        An activation's producing kernel closes with the block's first
+        *write* after its malloc, and the simulated clock only advances
+        across kernels and transfers — so the span between that first write
+        and the immediately preceding event in the global stream is the
+        producer's compute time.  This is the offline analog of the rule the
+        swap executor learns replay costs by online, and the two agree on a
+        block id with one lifetime.  A re-malloced id keeps its latest
+        *positive* span here, where the executor keeps the span of the latest
+        lifetime it learned from, zero included; the allocator reuses ids
+        across tensors of different producers, so the two often part.
+
+        Blocks whose first post-malloc access is a read (e.g. parameters
+        written during unprofiled setup) and later outputs of multi-output
+        kernels (which get a zero span) are omitted: they are not
+        rematerializable by producer replay.
+        """
+        cols = trace.columns()
+        order = np.argsort(cols.timestamp_ns, kind="stable")
+        kind = cols.kind_code[order]
+        timestamp = cols.timestamp_ns[order]
+        block = cols.block_id[order]
+        is_malloc = np.asarray(cols.is_malloc)[order]
+        is_write = np.asarray(cols.kind_code == _WRITE_CODE)[order]
+
+        compute_ns: Dict[int, int] = {}
+        pending: set = set()
+        previous_ns = None
+        for index in range(kind.size):
+            block_id = int(block[index])
+            if is_malloc[index]:
+                pending.add(block_id)
+            elif block_id in pending and is_write[index]:
+                pending.discard(block_id)
+                if previous_ns is not None:
+                    span = int(timestamp[index]) - previous_ns
+                    if span > 0:
+                        compute_ns[block_id] = span
+            elif block_id in pending:
+                # First touch was a read: produced outside the recorded stream.
+                pending.discard(block_id)
+            previous_ns = int(timestamp[index])
+        return compute_ns
+
     def evaluate(self, trace: MemoryTrace,
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
-        """Estimate checkpointing every ``keep_every``-th activation."""
-        from ..baselines.recompute import estimate_recompute_plan
-        plan = estimate_recompute_plan(trace, keep_every=self.keep_every)
-        return self._normalize(plan.summary(), plan.savings_bytes,
-                               plan.savings_fraction, plan.recompute_time_overhead_ns)
+        """Estimate checkpointing every ``keep_every``-th activation.
+
+        The activations are the ``activation`` malloc rows of iterations
+        ≥ 1 — steady state, so the warm-up allocations are not counted twice
+        — or all of them when there are none, in stable malloc-time order;
+        bytes and overhead are per iteration.  A trace that carries no
+        producer timing (no write events) reports zero overhead.
+        """
+        if self.keep_every < 1:
+            raise ValueError("keep_every must be at least 1")
+        cols = trace.columns()
+        rows = np.flatnonzero(cols.is_malloc
+                              & (cols.category_code == MemoryCategory.ACTIVATION.code))
+        steady = rows[cols.iteration[rows] >= 1]
+        if steady.size:
+            rows = steady
+        rows = rows[np.argsort(cols.timestamp_ns[rows], kind="stable")]
+        per_iteration = max(1, len(set(cols.iteration[rows].tolist())))
+        sizes = cols.size[rows]
+        discard = np.arange(rows.size) % self.keep_every != 0
+        total = int(sizes.sum()) // per_iteration
+        discarded = max(0, total - int(sizes[~discard].sum()) // per_iteration)
+        compute_ns = self.per_block_compute_times(trace)
+        overhead = sum(compute_ns.get(block_id, 0)
+                       for block_id in cols.block_id[rows[discard]].tolist()) // per_iteration
+        shared = _absent_savings(discarded, trace.peak_live_bytes())
+        return self._summary({"keep_every": self.keep_every,
+                              "activation_bytes_total": total,
+                              "activation_bytes_discarded": discarded, **shared,
+                              "recompute_time_overhead_ns": overhead},
+                             **shared, overhead_ns=overhead)
 
 
-class PruningPolicy(MemoryPolicy):
+class _CompressionPolicy(MemoryPolicy):
+    """Parameter compression, in the paper's Figure-5 argument: parameters
+    are a small share of the training footprint, so compressing them barely
+    moves the peak.  Only the parameter bytes live at the peak shrink."""
+
+    offline = True
+
+    #: The parameter bucket: weights and the optimizer state shaped like them.
+    PARAMETER_CODES = np.array([MemoryCategory.PARAMETER.code,
+                                MemoryCategory.OPTIMIZER_STATE.code])
+
+    @classmethod
+    def peak_parameter_bytes(cls, trace: MemoryTrace) -> int:
+        """Bytes of parameter-bucket blocks live at the footprint peak: the
+        first malloc/free row at which cumulative live bytes reach their
+        maximum (a later tie does not move it), none if they never reach zero."""
+        cols = trace.columns()
+        lifecycle = cols.is_malloc | cols.is_free
+        deltas = cols.live_deltas()[lifecycle]
+        live = np.cumsum(deltas)
+        if live.size == 0 or live.max() < 0:
+            return 0
+        parameters = np.cumsum(np.where(
+            np.isin(cols.category_code[lifecycle], cls.PARAMETER_CODES), deltas, 0))
+        return max(0, int(parameters[np.argmax(live)]))
+
+    def _compressed(self, trace: MemoryTrace, technique: str,
+                    parameters_after: Callable[[int], int]) -> PolicySummary:
+        """The summary of shrinking the peak's parameter bytes ``p`` to
+        ``parameters_after(p)``; compression stalls nothing."""
+        parameters = self.peak_parameter_bytes(trace)
+        kept = parameters_after(parameters)
+        peak_before = trace.peak_live_bytes()
+        peak_after = max(0, peak_before - (parameters - kept))
+        total_fraction = 1.0 - peak_after / peak_before if peak_before else 0.0
+        return self._summary({
+            "technique": technique,
+            "parameter_reduction_fraction": 1.0 - kept / parameters if parameters else 0.0,
+            "total_reduction_fraction": total_fraction,
+            "peak_bytes_before": peak_before,
+            "peak_bytes_after": peak_after,
+        }, savings_bytes=peak_before - peak_after, savings_fraction=total_fraction,
+            overhead_ns=0.0)
+
+
+class PruningPolicy(_CompressionPolicy):
     """Weight pruning: remove a fraction of the parameter bytes."""
 
     name = "pruning"
-    offline = True
 
     def __init__(self, sparsity: float = 0.9):
         super().__init__()
@@ -816,19 +953,18 @@ class PruningPolicy(MemoryPolicy):
 
     def evaluate(self, trace: MemoryTrace,
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
-        """Estimate the total-footprint effect of pruning the weights."""
-        from ..baselines.pruning import estimate_pruning
-        estimate = estimate_pruning(trace, sparsity=self.sparsity)
-        savings = estimate.peak_bytes_before - estimate.estimated_peak_bytes_after
-        return self._normalize(estimate.summary(), savings,
-                               estimate.total_reduction_fraction, 0.0)
+        """Estimate the total-footprint effect of pruning ``sparsity`` of the weights."""
+        if not 0.0 <= self.sparsity <= 1.0:
+            raise ValueError("sparsity must be in [0, 1]")
+        return self._compressed(
+            trace, f"pruning(sparsity={self.sparsity:.0%})",
+            lambda parameters: parameters - int(parameters * self.sparsity))
 
 
-class QuantizationPolicy(MemoryPolicy):
-    """Weight quantization: shrink parameter bytes to ``bits`` per element."""
+class QuantizationPolicy(_CompressionPolicy):
+    """Weight quantization: shrink float32 parameter bytes to ``bits`` per element."""
 
     name = "quantization"
-    offline = True
 
     def __init__(self, bits: int = 8):
         super().__init__()
@@ -837,11 +973,10 @@ class QuantizationPolicy(MemoryPolicy):
     def evaluate(self, trace: MemoryTrace,
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
         """Estimate the total-footprint effect of quantizing the weights."""
-        from ..baselines.pruning import estimate_quantization
-        estimate = estimate_quantization(trace, bits=self.bits)
-        savings = estimate.peak_bytes_before - estimate.estimated_peak_bytes_after
-        return self._normalize(estimate.summary(), savings,
-                               estimate.total_reduction_fraction, 0.0)
+        if self.bits <= 0 or self.bits > 32:
+            raise ValueError("bits must be in (0, 32]")
+        return self._compressed(trace, f"quantization({self.bits}-bit)",
+                                lambda parameters: int(parameters * self.bits / 32.0))
 
 
 class LruPolicy(MemoryPolicy):

@@ -26,18 +26,19 @@ from repro.core.events import (
     MemoryEvent,
     MemoryEventKind,
 )
-from repro.core.trace import MemoryTrace, lifetimes_from_columns
+from repro.core.trace import MemoryTrace, lifetimes_from_columns, merge_rank_traces
 from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
 from repro.device.tape import TAPE_ALLREDUCE
 from repro.device.timing import KernelTimingModel
-from repro.core.swap import BandwidthConfig
+from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.errors import InfeasibleScenarioError, TraceInvariantError
 from repro.experiments.replay import _POINT_KEY
 from repro.swap.executor import (PREFETCH_MARGIN_NS, WARMUP_ITERATIONS,
                                   SwapExecutionSummary, WarmupObservations)
-from repro.swap.policies import EvictDirective, get_policy
+from repro.swap.policies import EvictDirective, RecomputePolicy, get_policy
 from repro.train.session import build_cluster
+from repro.units import MIB
 
 
 @contextlib.contextmanager
@@ -141,7 +142,7 @@ def reference_peak_parameter_bytes(trace):
     """Parameter + optimizer-state bytes live at the footprint peak, one
     :class:`MemoryEvent` at a time.
 
-    The object walk ``baselines.pruning`` ran before it read the columns,
+    The object walk the pruning estimate ran before it read the columns,
     kept as its oracle: the first malloc/free that *strictly* raises the
     running maximum (started at -1) fixes the peak.
     """
@@ -162,6 +163,171 @@ def reference_peak_parameter_bytes(trace):
             peak_total = live_total
             parameters_at_peak = live_parameters
     return max(0, parameters_at_peak)
+
+
+# -- the offline policies' object walks: the oracles their column reads match --------
+
+
+def _reference_swapped_summary(policy, label, num_blocks, swapped_bytes, peak_before,
+                               overhead_ns, **extras):
+    """The Σ-of-sizes summary the swapping policies' estimates returned."""
+    savings = peak_before - max(0, peak_before - swapped_bytes)
+    return {
+        "name": label,
+        "num_blocks": num_blocks,
+        "swapped_bytes": swapped_bytes,
+        "savings_bytes": int(savings),
+        "savings_fraction": float(savings / peak_before if peak_before else 0.0),
+        "overhead_ns": float(overhead_ns),
+        **extras,
+        "policy": policy,
+    }
+
+
+def reference_swap_advisor_summary(trace, bandwidths, top_k=5, min_block_bytes=32 * MIB):
+    """``swap_advisor``'s offline summary, its blocks picked off ``trace.lifetimes``.
+
+    The lifetime walk the policy ran before it read the malloc rows, kept as
+    its oracle (as :func:`reference_peak_parameter_bytes` is pruning's).
+    """
+    sizes: Dict[int, int] = {}
+    for lifetime in trace.lifetimes:
+        sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0), lifetime.size)
+    candidates = sorted(
+        ((block_id, size) for block_id, size in sizes.items()
+         if size >= min_block_bytes),
+        key=lambda item: item[1], reverse=True,
+    )[:top_k]
+    arrays = compute_interval_arrays(trace)
+    overhead = 0.0
+    for block_id, size in candidates:
+        gaps = arrays.interval_ns[arrays.block_id == block_id]
+        hidden = int(gaps.max()) if gaps.size else 0
+        overhead += max(0.0, swap_round_trip_ns(size, bandwidths) - hidden)
+    return _reference_swapped_summary(
+        "swap_advisor", "swap_advisor_style", len(candidates),
+        sum(size for _, size in candidates), trace.peak_live_bytes(), overhead)
+
+
+def reference_zero_offload_summary(trace, bandwidths):
+    """``zero_offload``'s offline summary, its blocks picked off ``trace.lifetimes``."""
+    world_size = max(1, int(trace.metadata.get("n_devices", 1) or 1))
+    if world_size > 1 and "device_rank" not in trace.metadata:
+        trace = trace.for_rank(0)
+    offloaded: Dict[int, int] = {}
+    for lifetime in trace.lifetimes:
+        if lifetime.category in (MemoryCategory.OPTIMIZER_STATE,
+                                 MemoryCategory.PARAMETER_GRADIENT):
+            offloaded[lifetime.block_id] = max(offloaded.get(lifetime.block_id, 0),
+                                               lifetime.size)
+    swapped = sum(offloaded.values())
+    partition = -(-swapped // world_size)
+    iterations = max(1, len(trace.iteration_marks))
+    extras = ({"world_size": world_size, "partition_bytes": partition}
+              if world_size > 1 else {})
+    return _reference_swapped_summary(
+        "zero_offload", "zero_offload_style", len(offloaded), swapped,
+        trace.peak_live_bytes(), iterations * swap_round_trip_ns(partition, bandwidths),
+        **extras)
+
+
+def reference_recompute_summary(trace, keep_every=2):
+    """``recompute``'s offline summary, its activations picked off ``trace.lifetimes``.
+
+    Steady-state (iteration >= 1) activation lifetimes, or all of them when
+    there are none, sorted by malloc time; the producer times are the
+    policy's own column loop, which this oracle does not replace.
+    """
+    activation_lifetimes = [lifetime for lifetime in trace.lifetimes
+                            if lifetime.category is MemoryCategory.ACTIVATION]
+    steady = [lifetime for lifetime in activation_lifetimes if lifetime.iteration >= 1]
+    reference = steady if steady else activation_lifetimes
+    iterations = {lifetime.iteration for lifetime in reference}
+    per_iteration = max(1, len(iterations))
+    ordered = sorted(reference, key=lambda item: item.malloc_ns)
+    total = sum(lifetime.size for lifetime in reference) // per_iteration
+    kept = sum(lifetime.size for index, lifetime in enumerate(ordered)
+               if index % keep_every == 0) // per_iteration
+    discarded = max(0, total - kept)
+    compute_ns = RecomputePolicy.per_block_compute_times(trace)
+    recompute_overhead = sum(
+        compute_ns.get(lifetime.block_id, 0)
+        for index, lifetime in enumerate(ordered)
+        if index % keep_every != 0) // per_iteration
+    peak_before = trace.peak_live_bytes()
+    savings = peak_before - max(0, peak_before - discarded)
+    return {
+        "keep_every": keep_every,
+        "activation_bytes_total": total,
+        "activation_bytes_discarded": discarded,
+        "savings_bytes": int(savings),
+        "savings_fraction": float(savings / peak_before if peak_before else 0.0),
+        "recompute_time_overhead_ns": recompute_overhead,
+        "policy": "recompute",
+        "overhead_ns": float(recompute_overhead),
+    }
+
+
+def reference_compression_summary(trace, policy):
+    """``pruning`` (90 % sparsity) or ``quantization`` (8 bits) summarized as
+    the compression estimator did, on :func:`reference_peak_parameter_bytes`."""
+    parameter_bytes = reference_peak_parameter_bytes(trace)
+    peak_before = trace.peak_live_bytes()
+    if policy == "pruning":
+        technique = "pruning(sparsity=90%)"
+        after = parameter_bytes - int(parameter_bytes * 0.9)
+    else:
+        technique = "quantization(8-bit)"
+        after = int(parameter_bytes * 8 / 32.0)
+    peak_after = max(0, peak_before - (parameter_bytes - after))
+    total_fraction = 0.0 if peak_before == 0 else 1.0 - peak_after / peak_before
+    return {
+        "technique": technique,
+        "parameter_reduction_fraction": (0.0 if parameter_bytes == 0
+                                         else 1.0 - after / parameter_bytes),
+        "total_reduction_fraction": total_fraction,
+        "peak_bytes_before": peak_before,
+        "peak_bytes_after": peak_after,
+        "policy": policy,
+        "savings_bytes": int(peak_before - peak_after),
+        "savings_fraction": float(total_fraction),
+        "overhead_ns": 0.0,
+    }
+
+
+@st.composite
+def policy_traces(draw):
+    """A :func:`build_trace` stream for the offline policies' differential.
+
+    Random malloc/free/read/write behaviours over nine block ids, so ids are
+    malloc'ed again (with or without a free between); three sizes at or
+    above the 32 MiB candidate floor and one below, so equal sizes tie;
+    every category; a clock that may stand still, so malloc times tie;
+    activations attributed to iteration 0 or none at all in about half the
+    ranks; and two such ranks merged in about half the draws.
+    """
+    def rank_trace():
+        steady_activations = draw(st.booleans())
+        length = draw(st.integers(1, 40))
+        clock, events = 0, []
+        for kind, block, size, category, iteration, step in draw(st.lists(st.tuples(
+                st.sampled_from(("malloc", "malloc", "free", "read", "write")),
+                st.integers(1, 9),
+                st.sampled_from((1 * MIB, 32 * MIB, 48 * MIB, 64 * MIB)),
+                st.sampled_from([MemoryCategory.ACTIVATION] * 3 + list(MemoryCategory)),
+                st.integers(-1, 2),
+                st.integers(0, 3)), min_size=length, max_size=length)):
+            if category is MemoryCategory.ACTIVATION and not steady_activations:
+                iteration = min(iteration, 0)
+            clock += step * 100_000
+            events.append((kind, clock, block, size, category, iteration))
+        marks = [(index * 1_000_000, (index + 1) * 1_000_000)
+                 for index in range(draw(st.integers(0, 3)))]
+        return build_trace(events, iteration_marks=marks, end_ns=clock)
+
+    if draw(st.booleans()):
+        return merge_rank_traces([rank_trace(), rank_trace()])
+    return rank_trace()
 
 
 class ReferenceRecorder(MemoryEventListener):

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.baselines import estimate_recompute_plan
 from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
                             summarize_values_us)
 from repro.core.breakdown import occupation_from_columns
@@ -34,6 +33,7 @@ from repro.experiments.replay import (
     TemplateError,
     template_key,
 )
+from repro.swap.policies import get_policy
 from repro.train.session import TrainingRunConfig
 from repro.units import MIB
 
@@ -214,6 +214,37 @@ def test_the_joins_between_two_registries_are_gone():
                      "available_execution_policies", "SwapPolicyResult"):
             assert name not in text, (path.name, name)
     assert not (SRC / "baselines" / "swapping.py").exists()
+
+
+def _absolute_imports(path, tree):
+    """Dotted names a module under ``SRC`` imports, relative imports resolved."""
+    package = path.relative_to(SRC.parent).with_suffix("").parts[:-1]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            parts = list(package[:len(package) + 1 - node.level]) if node.level else []
+            module = ".".join(parts + ([node.module] if node.module else []))
+            found |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    return found
+
+
+def test_one_policy_module_reads_columns_and_baselines_is_a_binding():
+    """Every offline estimate lives on its policy class and reads the trace's
+    columns; ``baselines/`` keeps only the benchmark harness's import path."""
+    lifetime_reads = [(path.name, node.lineno) for path, tree in _sources(SRC / "swap")
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "lifetimes"]
+    assert lifetime_reads == []
+    importers = [path.relative_to(SRC).as_posix() for path, tree in _sources()
+                 if any(name == "repro.baselines" or name.startswith("repro.baselines.")
+                        for name in _absolute_imports(path, tree))]
+    assert importers == []
+    assert "repro.swap.policies" in _absolute_imports(
+        SRC / "baselines" / "policy.py", ast.parse((SRC / "baselines" / "policy.py").read_text()))
+    assert sorted(path.name for path in (SRC / "baselines").iterdir()
+                  if path.name != "__pycache__") == ["__init__.py", "policy.py"]
 
 
 def test_train_names_no_technique():
@@ -602,6 +633,6 @@ def test_trace_without_write_timing_reports_zero_recompute_overhead():
                            MemoryCategory.ACTIVATION, iteration))
         marks.append((base, base + 900_000_000))
     trace = build_trace(events, iteration_marks=marks, end_ns=4_000_000_000)
-    plan = estimate_recompute_plan(trace, keep_every=2)
-    assert plan.activation_bytes_discarded == 64 * MIB
-    assert plan.recompute_time_overhead_ns == 0
+    summary = get_policy("recompute").evaluate(trace)
+    assert summary["activation_bytes_discarded"] == 64 * MIB
+    assert summary["recompute_time_overhead_ns"] == summary["overhead_ns"] == 0

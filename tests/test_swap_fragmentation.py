@@ -101,16 +101,6 @@ def test_swap_planner_with_overhead_budget_takes_infeasible_blocks():
     assert plan.total_overhead_ns > 0
 
 
-def test_swap_planner_target_bytes_stops_early():
-    trace = make_swap_trace()
-    intervals = [
-        make_interval(1, 800 * MIB, s_to_ns(1.5)),
-        make_interval(2, 700 * MIB, s_to_ns(1.5)),
-    ]
-    plan = SwapPlanner().plan(trace, intervals, target_bytes=700 * MIB)
-    assert len(plan.selected) == 1
-
-
 def test_swap_planner_one_swap_per_block():
     trace = make_swap_trace()
     intervals = [
