@@ -86,8 +86,10 @@ frontier-smoke:
 		--hidden-dim 2048 --num-layers 4 --swap unified \
 		--device-memory-gib 0.0625,0.25 --no-cache
 
-# Template-replay smoke (the CI replay-smoke leg): the equivalence suite
-# plus a small --execution replay sweep that compiles one template and
+# Template-replay smoke (the CI replay-smoke leg): the equivalence suite, the
+# replay properties drawn wide (--hypothesis-profile=replay-wide, registered
+# in tests/conftest.py; the merged-order property among them), then a small
+# --execution replay sweep that compiles one template and
 # re-prices it across device specs; then the same sweep with a policy row in
 # a fresh process, which must price every row — the policy's rank-0 trace
 # re-timed from the stored template's columns — compiling none; the template
@@ -101,6 +103,7 @@ REPLAY_GRID_JSON = $(REPLAY_SWEEP) --n-devices 1,2 --interconnects pcie_gen3,nvl
 	--swap-policies none,planner,swap_advisor,zero_offload,recompute,pruning,quantization --json
 replay-smoke:
 	$(PYTHON) -m pytest tests/test_replay_equivalence.py -q
+	$(PYTHON) -m pytest tests/test_property_replay.py -q --hypothesis-profile=replay-wide
 	rm -rf .ci-replay-cache
 	$(REPLAY_SWEEP)
 	$(REPLAY_SWEEP) --swap-policies none,swap_advisor \

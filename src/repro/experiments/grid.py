@@ -39,10 +39,12 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.swap import BandwidthConfig
 from ..device.spec import get_device_spec
@@ -78,6 +80,132 @@ DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
 #: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without building
 #: an encoder per call: the canonical form every scenario key hashes.
 _canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: Config fields that price a run without changing its structure.  One
+#: compiled replay structure serves every combination of them, and a scenario
+#: key splices them into its structure's canonical JSON row by row.
+PRICING_FIELDS = ("label", "device_spec", "host_dispatch_overhead_ns",
+                  "interconnect", "allreduce_algorithm", "device_memory_capacity")
+
+_STRUCTURE_FIELDS = [f for f in fields(TrainingRunConfig)
+                     if f.name not in PRICING_FIELDS]
+#: The structural fields that may hold a dict: the kwargs, and the one
+#: optional field, a latency model given as a dataclass or as its plain dict.
+_STRUCTURE_DICTS = tuple(f.name for f in _STRUCTURE_FIELDS
+                         if f.default_factory is dict or f.default is None)
+_STRUCTURE_SCALAR_NAMES = tuple(f.name for f in _STRUCTURE_FIELDS
+                                if f.name not in _STRUCTURE_DICTS)
+_STRUCTURE_SCALARS = attrgetter(*_STRUCTURE_SCALAR_NAMES)
+_STRUCTURE_DICT_VALUES = attrgetter(*_STRUCTURE_DICTS)
+
+#: What a key fills in per row, in this order: the config's pricing fields
+#: (the label is no part of a fingerprint), the policy, the Eq.-1 bandwidths.
+_ROW_CONFIG_FIELDS = tuple(name for name in PRICING_FIELDS if name != "label")
+_ROW_CONFIG = attrgetter(*_ROW_CONFIG_FIELDS)
+_ROW_SLOTS = (*_ROW_CONFIG_FIELDS, "swap_policy", "h2d_bytes_per_s",
+              "d2h_bytes_per_s")
+
+
+def _json_value(value) -> str:
+    """``_canonical_json(value)``; a plain scalar or an empty dict skips the
+    encoder pass, encoded as the C encoder does (``int.__repr__``,
+    ``float.__repr__`` for a finite float)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is dict and not value:
+        return "{}"
+    return _canonical_json(value)
+
+
+def structure_token(config: TrainingRunConfig) -> Tuple:
+    """Hashable, type-exact identity of every non-pricing field of ``config``.
+
+    Scalars enter with their ``repr`` beside them, and dict-valued fields as
+    their canonical JSON (a latency dataclass as its ``asdict`` form, which
+    is what the fingerprint holds).  So two configs share a token exactly
+    when their fingerprints agree outside the pricing fields: ``1``, ``1.0``
+    and ``True`` (or ``0.0`` and ``-0.0``) split it, as they split the JSON.
+    Equal tokens share a key template (:meth:`Scenario.key`), a replay
+    grouping and a template key.  The field list is derived from the config
+    dataclass, so a new field splits tokens unless it is a pricing field.
+    """
+    scalars = _STRUCTURE_SCALARS(config)
+    return (scalars, tuple(map(repr, scalars)),
+            *map(_structure_json, _STRUCTURE_DICT_VALUES(config)))
+
+
+def _structure_json(value) -> str:
+    """The canonical JSON of a dict-valued field as its fingerprint holds it."""
+    if value is not None and type(value) is not dict and is_dataclass(value):
+        value = asdict(value)
+    return _json_value(value)
+
+
+class _Slot(str):
+    """A fingerprint entry a scenario key fills in per row (named by its text)."""
+
+
+class _Json(str):
+    """A fingerprint entry given as its canonical JSON text."""
+
+
+def _fingerprint(config: Dict[str, object], swap_policy, h2d_bytes_per_s,
+                 d2h_bytes_per_s) -> Dict[str, object]:
+    """The one layout of a scenario fingerprint (see :meth:`Scenario.fingerprint`)."""
+    return {
+        "schema_version": RESULT_SCHEMA_VERSION,
+        "swap_policy": swap_policy,
+        "bandwidths": {"h2d_bytes_per_s": h2d_bytes_per_s,
+                       "d2h_bytes_per_s": d2h_bytes_per_s},
+        "config": config,
+    }
+
+
+def _canonical_parts(value, parts: List[str]) -> None:
+    """Append ``_canonical_json(value)`` to ``parts``, each :class:`_Slot`
+    a part of its own and each :class:`_Json` its text."""
+    if type(value) is _Slot:
+        parts.append(value)
+    elif type(value) is _Json:
+        parts.append(str(value))
+    elif type(value) is dict:
+        parts.append("{")
+        for position, name in enumerate(sorted(value)):
+            parts.append(("," if position else "") + _canonical_json(name) + ":")
+            _canonical_parts(value[name], parts)
+        parts.append("}")
+    else:
+        parts.append(_canonical_json(value))
+
+
+@lru_cache(maxsize=256)
+def _key_pieces(token: Tuple) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+    """The canonical JSON every fingerprint with ``token`` shares, cut at its
+    per-row entries: the text pieces around them, and which entry of
+    :data:`_ROW_SLOTS` fills each cut."""
+    scalars, _reprs, *dicts = token
+    config: Dict[str, object] = dict(zip(_STRUCTURE_SCALAR_NAMES, scalars))
+    config.update(zip(_STRUCTURE_DICTS, map(_Json, dicts)))
+    config.update((name, _Slot(name)) for name in _ROW_CONFIG_FIELDS)
+    parts: List[str] = []
+    _canonical_parts(_fingerprint(config, *map(_Slot, _ROW_SLOTS[-3:])), parts)
+    pieces, slots = [""], []
+    for part in parts:
+        if type(part) is _Slot:
+            slots.append(_ROW_SLOTS.index(part))
+            pieces.append("")
+        else:
+            pieces[-1] += part
+    return tuple(pieces), tuple(slots)
 
 
 @lru_cache(maxsize=None)
@@ -134,25 +262,28 @@ class Scenario:
         bandwidths = self.resolve_bandwidths(bandwidths)
         config = self.config.to_dict()
         config.pop("label", None)
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "swap_policy": self.swap_policy,
-            "bandwidths": {"h2d_bytes_per_s": bandwidths.h2d_bytes_per_s,
-                           "d2h_bytes_per_s": bandwidths.d2h_bytes_per_s},
-            "config": config,
-        }
+        return _fingerprint(config, self.swap_policy, bandwidths.h2d_bytes_per_s,
+                            bandwidths.d2h_bytes_per_s)
 
     def key(self, bandwidths: Optional[BandwidthConfig] = None,
-            fingerprint: Optional[Dict[str, object]] = None) -> str:
+            token: Optional[Tuple] = None) -> str:
         """Content hash of the scenario (the cache file stem).
 
-        ``fingerprint`` is :meth:`fingerprint` under the same bandwidths when
-        the caller already built it (the runner writes it into the cache
-        entry the key names).
+        ``sha256`` of the canonical JSON of :meth:`fingerprint`, byte for
+        byte, built without the fingerprint: the row's pricing fields, policy
+        and bandwidths are spliced into the text its structure token's
+        fingerprints share (built once per token).  ``token`` is
+        :func:`structure_token` of the config when the caller already has it
+        (the runner groups replay rows by it too).
         """
-        if fingerprint is None:
-            fingerprint = self.fingerprint(bandwidths)
-        return hashlib.sha256(_canonical_json(fingerprint).encode("utf-8")).hexdigest()
+        bandwidths = self.resolve_bandwidths(bandwidths)
+        pieces, slots = _key_pieces(structure_token(self.config)
+                                    if token is None else token)
+        row = (*_ROW_CONFIG(self.config), self.swap_policy,
+               bandwidths.h2d_bytes_per_s, bandwidths.d2h_bytes_per_s)
+        text = "".join([piece + _json_value(row[slot])
+                        for piece, slot in zip(pieces, slots)]) + pieces[-1]
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
         """One-line description used by ``repro sweep --dry-run``."""

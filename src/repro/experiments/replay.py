@@ -34,9 +34,12 @@ module splits the two:
   pairs are the union of the rank-local ones) and are precomputed per
   template (:class:`_MergedColumns`); per row only the gaps
   (``base_gap[point] + d · kgap``) and the few clock columns a reduction
-  reads are gathered — no ``(S, width)`` time matrix is built — and, for
-  multi-rank templates, whose merged event *order* depends on the pricing
-  point, ordered by one stable argsort.  A row with a ``swap_policy``
+  reads are gathered — no ``(S, width)`` time matrix is built.  A
+  multi-rank template's merged event *order* depends on the pricing: the
+  rows of one point share their point's stable order whenever it is the
+  same at their smallest and largest dispatch cost (every sort key is affine
+  in it, so two events swap at most once — :func:`shared_stable_order`),
+  and sort their own clocks otherwise.  A row with a ``swap_policy``
   additionally evaluates it on rank 0's own recording — the captured
   columns re-timed to the row's rank-0 clocks (:meth:`TraceTemplate._rank_trace`),
   as a fresh session hands the policy its ``rank_traces[0]``.
@@ -56,7 +59,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -93,6 +96,7 @@ from ..train.session import (
 )
 from ..units import US
 from .artifacts import ArtifactStore
+from .grid import PRICING_FIELDS, structure_token
 from .results import assemble_result, evaluate_policy
 
 logger = logging.getLogger(__name__)
@@ -105,12 +109,6 @@ logger = logging.getLogger(__name__)
 TEMPLATE_SCHEMA_VERSION = 3
 
 _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
-
-#: Config fields that price a run without changing its structure.  They are
-#: excluded from the template identity, so one compiled structure serves
-#: every combination of them.
-PRICING_FIELDS = ("label", "device_spec", "host_dispatch_overhead_ns",
-                  "interconnect", "allreduce_algorithm", "device_memory_capacity")
 
 #: The pricing fields that select no pricing *point* in ``_price_points``: the
 #: label prices nothing, the dispatch override is applied per row.
@@ -365,6 +363,37 @@ class _PricedPoints:
     dispatch: np.ndarray           # (rows,) int64: each row's host dispatch cost
 
 
+def shared_stable_order(base: np.ndarray, slope: np.ndarray, low: int,
+                        high: int) -> Optional[np.ndarray]:
+    """The stable argsort of ``base + d · slope`` for every ``d`` in
+    ``[low, high]``, or ``None`` when the order moves inside that range.
+
+    Exact from the two ends alone: the relation between two entries (``a``
+    before ``b``: ``base_a + d · slope_a <= base_b + d · slope_b``, strict
+    when ``b`` comes first in index order) is affine in ``d``, so the ``d``
+    where it holds form a half-line and it flips at most once.  When the
+    stable orders at ``low`` and ``high`` agree, every pair relates the same
+    way at both ends, hence at every ``d`` between them.
+    """
+    order = np.argsort(base + low * slope, kind="stable")
+    if high != low and not np.array_equal(
+            order, np.argsort(base + high * slope, kind="stable")):
+        return None
+    return order
+
+
+def _column_breakdown(deltas: np.ndarray, categories: np.ndarray,
+                      columns: np.ndarray) -> Tuple[Dict[str, object], int]:
+    """The occupation breakdown of malloc/free events in this order, timed by
+    their clock columns, and the column of its peak event (-1: no event).
+
+    Rows that share the order share all of it but the peak instant, which
+    each reads off its own clock at that column.
+    """
+    breakdown = occupation_from_columns(deltas, categories, columns).to_dict()
+    return breakdown, (int(breakdown["peak_time_ns"]) if columns.size else -1)
+
+
 def _kernels_before(rank: RankTemplate) -> np.ndarray:
     """``(n_atoms + 1,)`` int64: kernel atoms among the rank's first ``i`` atoms."""
     counts = np.zeros(rank.tape_kind.size + 1, dtype=np.int64)
@@ -551,12 +580,8 @@ class TraceTemplate:
 
         breakdown_base, peak_col = None, -1
         if len(self.ranks) == 1:
-            breakdown_base = occupation_from_columns(
-                columns["life_delta"], columns["life_category"],
-                columns["life_col"]).to_dict()
-            if columns["life_col"].size:
-                peak_col = int(columns["life_col"][
-                    int(np.argmax(np.cumsum(columns["life_delta"])))])
+            breakdown_base, peak_col = _column_breakdown(
+                columns["life_delta"], columns["life_category"], columns["life_col"])
         return _MergedColumns(
             span_begin=np.stack([tables.base + rank.mark_spans[:, 0]
                                  for rank, tables in zip(self.ranks, atoms)]),
@@ -730,9 +755,11 @@ class TraceTemplate:
         ever built: ATI gaps read as ``base_gap[point] + d · kgap``
         (``kgap`` the kernels launched inside the interval), summarized and
         Eq.-1 screened by the row forms of the trace recipes, peak, span and
-        lifecycle clocks gathered the same way, and for multi-rank templates
-        one stable argsort per row to recover the merged event order behind
-        the ATI mean and the occupancy peak.  The ``(rows × ATIs)`` steps
+        lifecycle clocks gathered the same way.  A multi-rank template's
+        merged event order, behind the ATI mean and the occupancy peak, is
+        one stable argsort per point when the point's rows share it (one
+        gather of their gaps, one breakdown, a peak instant per row — as
+        single-rank rows always do), else one per row.  The ``(rows × ATIs)`` steps
         write into two buffers the block allocates — the int64 gaps, and one
         float64 matrix for the Eq.-1 limits and then the µs values — not
         into a fresh array per step.  A row whose ``swap_policy`` is not
@@ -782,8 +809,9 @@ class TraceTemplate:
 
         # The block's two buffers: the int64 gaps, and a float64 matrix that
         # holds first the Eq.-1 limits, then the gaps in µs, which the
-        # summary sorts in place.  A multi-rank block adds its two clock
-        # gathers, their argsorts and the gaps in closing-event order.
+        # summary sorts in place.  A multi-rank block adds, per point, its
+        # gaps in closing-event order and, where the rows sort their own
+        # order, their two clock gathers and argsorts.
         gaps = from_points(priced.times[:, merged.ati_end_col]
                            - priced.times[:, merged.ati_start_col],
                            kernels[merged.ati_end_col] - kernels[merged.ati_start_col])
@@ -791,35 +819,74 @@ class TraceTemplate:
         fractions = swappable_fractions(
             gaps, merged.ati_size,
             [bandwidths_list[i].round_trip_s_per_byte for i in rows], out=work).tolist()
+        own_breakdown: Dict[int, Dict[str, object]] = {}
+
+        def order_point(point, begin, end):
+            """Put the gaps of the point's rows ``begin:end`` into the merged
+            trace's closing-event order (the ATI mean sums in it), in place,
+            and return the breakdown of the merged malloc/free order the rows
+            share, with its peak column (:func:`_column_breakdown`).  The
+            order at the rows' smallest and largest dispatch cost decides
+            (:func:`shared_stable_order`): shared, it is one gather and one
+            breakdown; otherwise each row sorts its own clocks, gets its own
+            breakdown in ``own_breakdown``, and ``None`` is returned.
+            Re-priced times are nearly sorted, where the stable timsort wins:
+            64 x 4,500 rows 1.3 ms, against 3.5 ms for the default argsort
+            of a unique composite key (``make kernel-probe``)."""
+            dispatch = row_dispatch[begin:end]
+            low, high = int(dispatch.min()), int(dispatch.max())
+
+            def order_of(columns):
+                """The rows' shared order, else each row's order and clocks."""
+                order = shared_stable_order(priced.times[point, columns],
+                                            kernels[columns], low, high)
+                if order is not None:
+                    return order, None
+                clocks = priced.times[point, columns] + np.multiply.outer(
+                    dispatch, kernels[columns])
+                return np.argsort(clocks, axis=1, kind="stable"), clocks
+
+            block = gaps[begin:end]
+            order, _ = order_of(merged.ati_end_col)
+            block[...] = (block[:, order] if order.ndim == 1
+                          else np.take_along_axis(block, order, axis=1))
+            order, clocks = order_of(merged.life_col)
+            if clocks is None:
+                return _column_breakdown(merged.life_delta[order],
+                                         merged.life_category[order],
+                                         merged.life_col[order])
+            for j, row_order, row_clocks in zip(range(begin, end), order, clocks):
+                own_breakdown[j] = occupation_from_columns(
+                    merged.life_delta[row_order], merged.life_category[row_order],
+                    row_clocks[row_order], label=scenarios[rows[j]].label).to_dict()
+            return None
+
+        # Per point, the breakdown its rows share and its peak event's
+        # column (``None``: each row has its own).  One rank's event order
+        # is its tape order, the same at every point.
         if n_ranks > 1:
-            # The ATI mean sums in closing-event order of the merged trace.
-            # Re-priced times are nearly sorted, where the stable timsort wins:
-            # 64 x 4,500 rows 1.3 ms, against 3.5 ms for the default argsort of
-            # a unique composite key (``make kernel-probe``) — these stay stable.
-            gaps = np.take_along_axis(
-                gaps, np.argsort(clock_at(merged.ati_end_col), axis=1,
-                                 kind="stable"), axis=1)
-            life_times = clock_at(merged.life_col)
-            life_order = np.argsort(life_times, axis=1, kind="stable")
+            shared = [order_point(point, begin, end)
+                      for point, (begin, end) in enumerate(zip(bounds, bounds[1:]))]
         else:
-            peak_times = (clock_at(merged.peak_col).tolist()
-                          if merged.peak_col >= 0 else [0] * len(rows))
+            shared = [(merged.breakdown_base, merged.peak_col)] * len(priced.clusters)
         summaries = summarize_rows_us(np.divide(gaps, US, out=work))
         step_ns = (clock_at(merged.span_end).max(axis=1)
                    - clock_at(merged.span_begin).min(axis=1)).tolist()
+        peak_col = np.repeat([-1 if entry is None else entry[1] for entry in shared],
+                             np.diff(bounds))
+        peak_times = np.where(peak_col >= 0,
+                              priced.times[priced.point_of[rows], peak_col]
+                              + row_dispatch * kernels[peak_col], 0).tolist()
 
         rank0 = slice(0, batch.atoms[0].n_atoms + 1)   # rank 0's clock columns
         results: List[object] = [None] * len(scenarios)
         for j, i in enumerate(rows):
             scenario, point = scenarios[i], point_of[i]
             cluster = priced.clusters[point]
-            if n_ranks > 1:
-                order = life_order[j]
-                breakdown = occupation_from_columns(
-                    merged.life_delta[order], merged.life_category[order],
-                    life_times[j][order], label=scenario.label).to_dict()
+            if shared[point] is None:
+                breakdown = own_breakdown[j]
             else:
-                breakdown = dict(merged.breakdown_base)
+                breakdown = dict(shared[point][0])
                 breakdown["label"] = scenario.label
                 breakdown["peak_time_ns"] = peak_times[j]
             swap = None   # the "none" policy evaluates to None by definition
@@ -1168,26 +1235,6 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
 # -- the engine -----------------------------------------------------------------------
 
 
-def _freeze(value):
-    """Hashable mirror of a JSON-ish config value (for grouping tokens)."""
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
-# The grouping token's fields: every config field that is not a pricing axis.
-# The ones that may hold a dict (the kwargs, and the one optional field: a
-# latency model given in its plain-dict form) are frozen to stay hashable.
-_TOKEN_FIELDS = [f for f in fields(TrainingRunConfig)
-                 if f.name not in PRICING_FIELDS]
-_TOKEN_DICTS = tuple(f.name for f in _TOKEN_FIELDS
-                     if f.default_factory is dict or f.default is None)
-_TOKEN_SCALARS = attrgetter(*(f.name for f in _TOKEN_FIELDS
-                              if f.name not in _TOKEN_DICTS))
-
-
 class ReplayEngine:
     """Compile-once / replay-many scenario pricer.
 
@@ -1264,22 +1311,10 @@ class ReplayEngine:
     def _count_fallback(self, reason: str, count: int = 1) -> None:
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + count
 
-    @staticmethod
-    def _structural_token(config: TrainingRunConfig) -> Tuple:
-        """Cheap hashable grouping token: every non-pricing config field.
-
-        Two configs with equal tokens share a :func:`template_key` and a
-        dtype variant; the token spares the batch dispatcher one sha256+JSON
-        fingerprint per scenario (the key is computed once per group
-        instead).  The field list is derived from the config dataclass, so
-        a new field splits groups unless it is declared a pricing axis.
-        """
-        return (_TOKEN_SCALARS(config),
-                tuple(_freeze(getattr(config, name)) for name in _TOKEN_DICTS))
-
     def price_batch(self, scenarios: Sequence,
                     bandwidths_list: Sequence[BandwidthConfig],
-                    keys: Optional[Sequence[str]] = None) -> List:
+                    keys: Optional[Sequence[str]] = None,
+                    tokens: Optional[Sequence[Tuple]] = None) -> List:
         """Replay-price a grid of scenarios, batching within each structure.
 
         Returns one entry per scenario: the priced
@@ -1287,13 +1322,17 @@ class ReplayEngine:
         scenarios that must be simulated fresh (with the reason tallied in
         ``fallback_reasons``).  A structure group the engine crashes on is
         declined as a whole (reason ``engine_error``, traceback logged); the
-        other groups are unaffected.  ``keys`` optionally carries the
-        scenarios' precomputed content hashes.
+        other groups are unaffected.  Scenarios are grouped by
+        :func:`~repro.experiments.grid.structure_token`: equal tokens share a
+        :func:`template_key` and a dtype variant, so the key is hashed once
+        per group.  ``keys`` and ``tokens`` optionally carry the scenarios'
+        precomputed content hashes and tokens.
         """
+        if tokens is None:
+            tokens = [structure_token(scenario.config) for scenario in scenarios]
         results: List = [None] * len(scenarios)
         groups: Dict[Tuple, List[int]] = {}
-        for i, scenario in enumerate(scenarios):
-            token = self._structural_token(scenario.config)
+        for i, token in enumerate(tokens):
             groups.setdefault(token, []).append(i)
         for indices in groups.values():
             try:

@@ -71,8 +71,7 @@ class ScenarioResult:
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "ScenarioResult":
         """Reconstruct a result from :meth:`to_dict` output."""
-        known = {f for f in ScenarioResult.__dataclass_fields__}
-        kwargs = {k: v for k, v in data.items() if k in known}
+        kwargs = {k: v for k, v in data.items() if k in _FIELD_NAMES}
         kwargs.setdefault("from_cache", False)
         return ScenarioResult(**kwargs)
 
@@ -123,6 +122,8 @@ class ScenarioResult:
 #: What :meth:`ScenarioResult.to_dict` writes, in field order.
 _SERIALIZED_FIELDS = tuple(name for name in ScenarioResult.__dataclass_fields__
                            if name != "from_cache")
+#: What :meth:`ScenarioResult.from_dict` keeps of an entry (every field).
+_FIELD_NAMES = frozenset(ScenarioResult.__dataclass_fields__)
 
 
 def scenario_identity(scenario: Scenario) -> Dict[str, object]:

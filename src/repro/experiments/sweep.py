@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.swap import BandwidthConfig
 from ..core.trace import MemoryTrace
@@ -61,7 +61,7 @@ from .failures import DETERMINISTIC, TRANSIENT, FailureRecord, classify_failure
 from .faults import FaultPlan
 from .grid import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, RESULT_SCHEMA_VERSION,
                    SWAP_EXECUTION_MODES, SWAP_POLICIES, Scenario, SweepGrid,
-                   default_cache_dir)
+                   default_cache_dir, structure_token)
 from .journal import JOURNALS_DIR, RunJournal, clear_journals, run_id_for_keys
 from .results import (ScenarioResult, assemble_result, reduce_session,
                       reduce_trace, run_scenario, scenario_identity)
@@ -167,9 +167,9 @@ class _RunState:
     scenarios: List[Scenario]
     #: Each scenario's Eq.-1 bandwidths, resolved once for keys and replay.
     bandwidths: List[BandwidthConfig]
-    #: Each scenario's identity and its content hash, built once: the cache
-    #: entry a key names carries the fingerprint the key hashes.
-    fingerprints: List[Dict[str, object]]
+    #: Each scenario's structure token, built once for its key and its
+    #: replay group.
+    tokens: List[Tuple]
     keys: List[str]
     journal: Optional[RunJournal]
     results: List[Optional[ScenarioResult]] = field(init=False)
@@ -310,13 +310,12 @@ class SweepRunner:
                                          _parse_cache_entry)
 
     def cache_store(self, scenario: Scenario, result: ScenarioResult,
-                    key: Optional[str] = None,
-                    fingerprint: Optional[Dict[str, object]] = None) -> None:
+                    key: Optional[str] = None) -> None:
         """Write one scenario result to the cache (atomic publish).
 
-        ``key`` and ``fingerprint`` are the scenario's content hash and the
-        identity it hashes, when the caller already has them (:meth:`run`
-        builds both exactly once per scenario).
+        ``key`` is the scenario's content hash when the caller already has it
+        (:meth:`run` hashes every scenario exactly once); the fingerprint the
+        entry carries is built here, for the entries actually written.
 
         A failed write is tallied on the artifact store but never fatal:
         losing a cache entry only costs recomputation next run, while
@@ -324,14 +323,12 @@ class SweepRunner:
         """
         if self._artifacts is None:
             return
-        if fingerprint is None:
-            fingerprint = scenario.fingerprint(self.bandwidths)
         if key is None:
-            key = scenario.key(fingerprint=fingerprint)
+            key = scenario.key(self.bandwidths)
         name = f"{key}.json"
         if self._artifacts.publish_json(name, {
                 "schema_version": RESULT_SCHEMA_VERSION,
-                "fingerprint": fingerprint,
+                "fingerprint": scenario.fingerprint(self.bandwidths),
                 "result": result.to_dict()}) is not None:
             self._artifacts.inject_fault("cache_corrupt", name)
 
@@ -402,10 +399,9 @@ class SweepRunner:
 
         bandwidths = [scenario.resolve_bandwidths(self.bandwidths)
                       for scenario in scenarios]
-        fingerprints = [scenario.fingerprint(resolved)
-                        for scenario, resolved in zip(scenarios, bandwidths)]
-        keys = [scenario.key(fingerprint=fingerprint)
-                for scenario, fingerprint in zip(scenarios, fingerprints)]
+        tokens = [structure_token(scenario.config) for scenario in scenarios]
+        keys = [scenario.key(resolved, token)
+                for scenario, resolved, token in zip(scenarios, bandwidths, tokens)]
         journal: Optional[RunJournal] = None
         if self._artifacts is not None:
             self._artifacts.quarantined.clear()  # tallies are per run
@@ -419,7 +415,7 @@ class SweepRunner:
                 journal = RunJournal(
                     self._artifacts.sub(JOURNALS_DIR),
                     run_id_for_keys(keys, RESULT_SCHEMA_VERSION))
-        state = _RunState(scenarios, bandwidths, fingerprints, keys, journal)
+        state = _RunState(scenarios, bandwidths, tokens, keys, journal)
 
         self._probe_cache(state)
         self._skip_resumed(state)
@@ -502,7 +498,8 @@ class SweepRunner:
         outcomes = engine.price_batch(
             [state.scenarios[index] for index in candidates],
             [state.bandwidths[index] for index in candidates],
-            [state.keys[index] for index in candidates])
+            [state.keys[index] for index in candidates],
+            [state.tokens[index] for index in candidates])
         for index, result in zip(candidates, outcomes):
             if result is not None:
                 self._record_success(state, index, result)
@@ -572,8 +569,7 @@ class SweepRunner:
         """
         state.attempts[index] += 1
         state.results[index] = result
-        self.cache_store(state.scenarios[index], result, state.keys[index],
-                         state.fingerprints[index])
+        self.cache_store(state.scenarios[index], result, state.keys[index])
         if state.journal is not None:
             state.journal.record_completed(state.keys[index],
                                            state.attempts[index])

@@ -14,6 +14,9 @@ from tests.helpers import build_trace
 #: The wide draw of ``tests/test_swap_differential.py`` (the swap-smoke CI leg:
 #: ``pytest --hypothesis-profile=swap-wide``).
 settings.register_profile("swap-wide", max_examples=200, deadline=None)
+#: The wide draw of ``tests/test_property_replay.py`` (the replay-smoke CI
+#: leg: ``pytest --hypothesis-profile=replay-wide``).
+settings.register_profile("replay-wide", max_examples=100, deadline=None)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.loader import HostLatencyModel
-from repro.experiments.replay import ReplayEngine
+from repro.experiments.replay import ReplayEngine, shared_stable_order
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.train.session import TrainingRunConfig
 
@@ -32,6 +32,14 @@ DEVICE_SPECS = ["titan_x_pascal", "v100_sxm2_16gb", "gtx_1080_8gb",
                 "ampere_a100_40gb"]
 INTERCONNECTS = ["pcie_gen3", "nvlink2", "ethernet_25g"]
 HOST_LATENCY = HostLatencyModel(per_batch_ns=1_500_000, per_sample_ns=30_000)
+
+#: ``pytest --hypothesis-profile=replay-wide`` (``make replay-smoke``) draws
+#: every property below at the profile's count instead of its tier-1 one.
+WIDE = settings.get_current_profile_name() == "replay-wide"
+
+
+def examples(narrow: int) -> int:
+    return settings.default.max_examples if WIDE else narrow
 
 
 def sample_config(rng: random.Random) -> TrainingRunConfig:
@@ -159,24 +167,104 @@ multi_rank_pricing_points = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=15, deadline=None)
-@given(structure=st.sampled_from([(2, 16), (2, 17), (3, 16), (4, 18)]),
+#: (model, model kwargs, dataset) of the multi-rank structures below.
+WORKLOADS = {"mlp": ({"hidden_dim": 64}, "two_cluster"),
+             "resnet18": ({"input_size": 32, "num_classes": 10}, "cifar10")}
+
+
+def multi_rank_config(model, n_devices, batch_size, **fields):
+    model_kwargs, dataset = WORKLOADS[model]
+    return TrainingRunConfig(
+        model=model, model_kwargs=model_kwargs, dataset=dataset,
+        batch_size=batch_size, iterations=2, n_devices=n_devices,
+        execution_mode="symbolic", seed=5, **fields)
+
+
+@settings(max_examples=examples(15), deadline=None)
+@given(structure=st.sampled_from([("mlp", 2, 16), ("mlp", 2, 17), ("mlp", 3, 16),
+                                  ("mlp", 4, 18), ("resnet18", 2, 8),
+                                  ("resnet18", 2, 7)]),
        dtype=st.sampled_from(["float32", "float16"]),
-       points=st.lists(multi_rank_pricing_points, min_size=1, max_size=5))
-def test_multi_rank_batches_match_fresh_simulation(structure, dtype, points):
-    """Any multi-rank pricing grid (even and uneven shards) priced in one
-    batch equals fresh symbolic simulation, row for row."""
-    n_devices, batch_size = structure
-    scenarios = [Scenario(config=TrainingRunConfig(
-        model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
-        batch_size=batch_size, iterations=2, n_devices=n_devices, dtype=dtype,
-        execution_mode="symbolic", seed=5, **point)) for point in points]
+       points=st.lists(multi_rank_pricing_points, min_size=1, max_size=3),
+       dispatches=st.lists(st.integers(0, 50_000), max_size=4))
+def test_multi_rank_batches_match_fresh_simulation(structure, dtype, points,
+                                                   dispatches):
+    """Any multi-rank pricing grid priced in one batch equals fresh symbolic
+    simulation, row for row: even and uneven shards, each point with several
+    rows at dispatch costs from 0 to 50k ns — the rows of a point sharing
+    its merged event order (resnet18 at 2 x 8) or each sorting its own
+    (resnet18 at 2 x 7)."""
+    scenarios = [Scenario(config=multi_rank_config(
+        *structure, dtype=dtype, **dict(point, host_dispatch_overhead_ns=dispatch)))
+        for point in points
+        for dispatch in [point["host_dispatch_overhead_ns"], *dispatches]]
     engine = ReplayEngine()
     batched = engine.price_batch(
         scenarios, [s.resolve_bandwidths() for s in scenarios])
     assert engine.templates_compiled == 1 and engine.fallback_reasons == {}
     for scenario, result in zip(scenarios, batched):
         one, many = run_scenario(scenario).to_dict(), result.to_dict()
+        one.pop("wall_time_s"), many.pop("wall_time_s")
+        assert one == many
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(data=st.data())
+def test_a_shared_order_is_the_stable_order_at_every_dispatch_cost(data):
+    """Synthetic affine clocks ``base + d · slope`` (tied base clocks, tied
+    kernel counts): whenever :func:`shared_stable_order` shares an order over
+    ``[low, high]``, it is the stable argsort at every ``d`` in the range."""
+    size = data.draw(st.integers(1, 30))
+    column = lambda values: np.array(data.draw(st.lists(
+        values, min_size=size, max_size=size)), dtype=np.int64)
+    base, slope = column(st.integers(0, 300)), column(st.integers(0, 6))
+    low = data.draw(st.integers(0, 300))
+    high = data.draw(st.integers(low, low + 200))
+    order = shared_stable_order(base, slope, low, high)
+    orders = [np.argsort(base + d * slope, kind="stable")
+              for d in range(low, high + 1)]
+    if order is None:
+        assert not np.array_equal(orders[0], orders[-1])
+    for stable in orders if order is not None else ():
+        assert np.array_equal(order, stable)
+
+
+@pytest.mark.parametrize("batch_size,shared", [(8, True), (7, False)])
+def test_rows_of_a_point_share_one_breakdown_when_their_order_does(
+        batch_size, shared, monkeypatch):
+    """A 32-row two-device grid over 4 points (2 specs x 2 interconnects x 8
+    dispatch costs): on even shards every point's rows share one merged
+    order, so the breakdown is computed once per point; uneven shards move
+    the order with the dispatch cost (at 2 x 7 it differs at every ``d`` in
+    {0, 10^2, ..., 10^6}), so each row computes its own."""
+    from repro.experiments import replay
+
+    base = multi_rank_config("resnet18", 2, batch_size)
+    template = ReplayEngine().template_for(base)
+    batch = template._batch_arrays()
+    columns = batch.merged.life_col
+    times = template._price_points([base]).times[0]
+    orders = {np.argsort(times[columns] + d * batch.kernels_before[columns],
+                         kind="stable").tobytes()
+              for d in [0] + [10 ** exponent for exponent in range(2, 7)]}
+    assert len(orders) == (1 if shared else 6)
+
+    calls = []
+    breakdown = replay.occupation_from_columns
+    monkeypatch.setattr(replay, "occupation_from_columns",
+                        lambda *args, **kwargs: calls.append(args) or breakdown(
+                            *args, **kwargs))
+    scenarios = [Scenario(config=dataclasses.replace(
+        base, device_spec=spec, interconnect=link, host_dispatch_overhead_ns=d))
+        for spec in ("titan_x_pascal", "v100_sxm2_16gb")
+        for link in ("pcie_gen3", "nvlink2")
+        for d in range(200, 12_000, 1_475)]
+    assert len(scenarios) == 32
+    priced = template.replay_batch(scenarios,
+                                   [s.resolve_bandwidths() for s in scenarios])
+    assert len(calls) == (4 if shared else 32)
+    for index in (0, 31):
+        one, many = run_scenario(scenarios[index]).to_dict(), priced[index].to_dict()
         one.pop("wall_time_s"), many.pop("wall_time_s")
         assert one == many
 
@@ -248,7 +336,7 @@ pricing_points = st.fixed_dictionaries({
 dispatch_costs = st.one_of(st.none(), st.just(0), st.integers(0, 50_000))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(25), deadline=None)
 @given(structure=st.sampled_from([(1, 16), (2, 16), (2, 17), (3, 16), (4, 16),
                                   (4, 18)]),
        host_latency=st.booleans(),

@@ -19,6 +19,7 @@ from repro.core.swap import BandwidthConfig
 from repro.data.loader import HostLatencyModel
 from repro.device.tape import TAPE_ALLREDUCE, TAPE_KERNEL
 from repro.experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
+from repro.experiments.grid import structure_token
 from repro.experiments.replay import (
     ReplayEngine,
     TemplateError,
@@ -908,20 +909,21 @@ def test_latency_models_split_the_template_key_and_the_token():
     keys = {template_key(paper_scenario(host_latency=model).config)
             for model in (None, PAPER_MLP_HOST_LATENCY, OTHER_LATENCY)}
     assert len(keys) == 3
-    token = ReplayEngine._structural_token
-    tokens = {token(paper_scenario(host_latency=model).config)
+    tokens = {structure_token(paper_scenario(host_latency=model).config)
               for model in (None, PAPER_MLP_HOST_LATENCY, OTHER_LATENCY)}
     assert len(tokens) == 3
 
 
 def test_a_dict_valued_latency_model_is_the_dataclass_one():
     """``TrainingRunConfig(**config.to_dict())`` carries the model as a dict:
-    same key, a hashable token, the same priced row."""
+    the same template key, token and scenario key, the same priced row."""
     as_dataclass = paper_scenario()
     as_dict = Scenario(TrainingRunConfig(**as_dataclass.config.to_dict()))
     assert isinstance(as_dict.config.host_latency, dict)
     assert template_key(as_dict.config) == template_key(as_dataclass.config)
-    hash(ReplayEngine._structural_token(as_dict.config))
+    assert (structure_token(as_dict.config)
+            == structure_token(as_dataclass.config))
+    assert as_dict.key() == as_dataclass.key()
     engine = ReplayEngine()
     assert (comparable(price_one(engine, as_dict))
             == comparable(run_scenario(as_dict))

@@ -26,9 +26,9 @@ from repro.data.loader import HostLatencyModel
 from repro.device import timing
 from repro.device.device import Device
 from repro.device.spec import get_device_spec
+from repro.experiments.grid import PRICING_FIELDS, structure_token
 from repro.experiments.replay import (
     PER_ROW_PRICING_FIELDS,
-    PRICING_FIELDS,
     ReplayEngine,
     TemplateError,
     template_key,
@@ -563,18 +563,35 @@ def _template_key_or_reason(config):
 def test_every_config_field_is_pricing_or_splits_the_token(field):
     """A new ``TrainingRunConfig`` field fails here until it has a value in
     ``_OTHER_VALUES`` — and then either is declared a pricing axis or splits
-    the batch dispatcher's groups."""
+    the structure token (the key template and the replay groups)."""
     changed = dataclasses.replace(_BASE, **{field: _OTHER_VALUES[field]})
     assert getattr(changed, field) != getattr(_BASE, field)
-    token = ReplayEngine._structural_token
     if field in PRICING_FIELDS:
-        assert token(changed) == token(_BASE)
+        assert structure_token(changed) == structure_token(_BASE)
         assert template_key(changed) == template_key(_BASE)
     else:
-        assert token(changed) != token(_BASE)
-        hash(token(changed))
+        assert structure_token(changed) != structure_token(_BASE)
+        hash(structure_token(changed))
         if field not in ("dtype", "host_latency"):  # generalized / outside the envelope
             assert _template_key_or_reason(changed) != template_key(_BASE)
+
+
+def test_replay_groups_by_the_one_structure_token():
+    """``replay.py`` builds no grouping token of its own: it groups by
+    :func:`~repro.experiments.grid.structure_token`, the token keys are built
+    from, and defines no function, class or module constant that mentions a
+    token or freezes a value."""
+    tree = ast.parse(REPLAY.read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert not {name for name in defined
+                if "token" in name.lower() or "freeze" in name.lower()}
+    assert "PRICING_FIELDS" not in defined
+    assert _enclosing_functions(
+        REPLAY, lambda node: isinstance(node, ast.Name)
+        and node.id == "structure_token") == ["price_batch"]
 
 
 def test_price_times_lists_no_pricing_field_by_hand():

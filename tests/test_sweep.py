@@ -1,5 +1,6 @@
 """Tests for the scenario-sweep engine (grid expansion, caching, parallelism)."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
-from repro.experiments.grid import AXES
+from repro.core.swap import BandwidthConfig
+from repro.experiments.grid import AXES, structure_token
+from repro.experiments.replay import template_key
 from repro.experiments.sweep import (
     RESULT_SCHEMA_VERSION,
     Scenario,
@@ -196,20 +199,107 @@ def _drawn_grids(draw):
             [None, HostLatencyModel(per_batch_ns=1_000_000, per_byte_ns=0.25)])))
 
 
-@settings(max_examples=25, deadline=None)
-@given(_drawn_grids(), st.booleans())
-def test_scenario_key_is_the_literal_json_sha256_recipe(grid, override):
-    from repro.core.swap import BandwidthConfig
+#: Values that compare equal but encode apart (``1`` / ``1.0`` / ``true``,
+#: ``0.0`` / ``-0.0``), so a key or token that loses the type shows up.
+_TWINS = [1, 1.0, True, 0.0, -0.0, 0]
 
-    bandwidths = (BandwidthConfig(h2d_bytes_per_s=5.5e9, d2h_bytes_per_s=6.5e9)
-                  if override else None)
-    for scenario in grid.expand():
-        assert scenario.key(bandwidths) == _literal_key(scenario, bandwidths)
-        assert (scenario.key(fingerprint=scenario.fingerprint(bandwidths))
-                == _literal_key(scenario, bandwidths))
+
+@st.composite
+def _drawn_scenarios(draw):
+    """One scenario drawn field by field from small pools (so tokens collide),
+    with the values a grid never produces: type twins, bools, nested kwargs,
+    a latency model as a dataclass or as its dict."""
+    from repro.data.loader import HostLatencyModel
+
+    leaf = st.sampled_from(_TWINS + [False, 2, 2.5, "x", None])
+    kwargs = st.dictionaries(
+        st.sampled_from(["hidden_dim", "flag", "scale"]),
+        st.recursive(leaf, lambda inner: st.dictionaries(
+            st.sampled_from(["a", "b"]), inner, max_size=2), max_leaves=4),
+        max_size=2)
+    latency = draw(st.sampled_from(
+        [None, HostLatencyModel(), HostLatencyModel(per_batch_ns=0, per_byte_ns=1)]))
+    if latency is not None and draw(st.booleans()):
+        latency = dataclasses.asdict(latency)
+    pick = lambda *values: draw(st.sampled_from(values))
+    config = TrainingRunConfig(
+        model=pick("mlp", "resnet18"), model_kwargs=draw(kwargs),
+        dataset_kwargs=draw(kwargs), batch_size=pick(8, 8.0),
+        iterations=pick(2, 3), learning_rate=draw(st.sampled_from(_TWINS)),
+        momentum=pick(0.9, 0, 0.0), dtype=pick("float32", "float16"),
+        execution_mode=pick("symbolic", "eager"), seed=pick(0, 0.0, 7),
+        host_latency=latency, swap=pick("off", "off", "lru"),
+        device_spec=pick("titan_x_pascal", "v100_sxm2_16gb"),
+        host_dispatch_overhead_ns=pick(None, 250, 250.0, 11_975),
+        device_memory_capacity=pick(None, 1 << 30),
+        interconnect=pick("pcie_gen3", "nvlink2"),
+        allreduce_algorithm=pick("ring", "naive"), label=pick("", "a"))
+    return Scenario(config, swap_policy=pick("none", "planner"))
+
+
+_drawn_bandwidths = st.none() | st.builds(
+    BandwidthConfig, h2d_bytes_per_s=st.sampled_from([5.5e9, 6, 6.0]),
+    d2h_bytes_per_s=st.floats(1.0, 1e12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_drawn_grids().map(SweepGrid.expand),
+                 st.lists(_drawn_scenarios(), min_size=1, max_size=6)),
+       _drawn_bandwidths)
+def test_scenario_key_is_the_literal_json_sha256_recipe(scenarios, bandwidths):
+    for scenario in scenarios:
+        literal = _literal_key(scenario, bandwidths)
+        assert scenario.key(bandwidths) == literal
+        assert scenario.key(bandwidths, structure_token(scenario.config)) == literal
         resolved = scenario.resolve_bandwidths(bandwidths)
         assert resolved is scenario.resolve_bandwidths(bandwidths)   # one record per preset
-        assert scenario.key(resolved) == _literal_key(scenario, bandwidths)
+        assert scenario.key(resolved) == literal
+
+
+@st.composite
+def _drawn_relatives(draw):
+    """A drawn scenario and copies of it that each change a few fields to
+    another value of their pool — type twins and pricing fields included —
+    so that tokens meet often."""
+    base = draw(_drawn_scenarios())
+    pools = {"learning_rate": _TWINS, "momentum": [0.9, 0, 0.0],
+             "seed": [0, 0.0, False], "batch_size": [8, 8.0],
+             "model_kwargs": [{}, {"a": 1}, {"a": 1.0}, {"a": True}],
+             "device_spec": ["titan_x_pascal", "v100_sxm2_16gb"],
+             "host_dispatch_overhead_ns": [None, 250, 250.0]}
+    relatives = [base]
+    for _ in range(draw(st.integers(1, 6))):
+        changed = draw(st.dictionaries(st.sampled_from(sorted(pools)),
+                                       st.integers(0, 5), max_size=3))
+        relatives.append(Scenario(dataclasses.replace(base.config, **{
+            name: pools[name][index % len(pools[name])]
+            for name, index in changed.items()})))
+    return relatives
+
+
+@settings(max_examples=100, deadline=None)
+@given(_drawn_relatives())
+def test_equal_tokens_mean_equal_template_keys(scenarios):
+    """The replay engine groups rows by token and compiles one template per
+    group, so a token must not join configs whose template keys differ
+    (``1`` and ``1.0`` compare equal, but their JSON does not)."""
+    template_keys = {}
+    for scenario in scenarios:
+        if scenario.config.swap != "off":
+            continue
+        token = structure_token(scenario.config)
+        assert template_keys.setdefault(token, template_key(scenario.config)) \
+            == template_key(scenario.config)
+
+
+def test_type_twins_split_the_token_and_the_key():
+    twins = [TrainingRunConfig(model="mlp", learning_rate=value) for value in _TWINS]
+    twins += [TrainingRunConfig(model="mlp", model_kwargs={"a": {"b": value}})
+              for value in _TWINS]
+    assert len({structure_token(config) for config in twins}) == len(twins)
+    assert len({Scenario(config).key() for config in twins}) == len(twins)
+    for config in twins:
+        assert Scenario(config).key() == _literal_key(Scenario(config))
 
 
 def test_a_cache_written_by_the_literal_recipe_is_served_and_rewritten_equal(
