@@ -65,9 +65,10 @@ sweep-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32 \
 		--allocators caching,bump --dry-run
 
-# Closed-loop swap execution (the CI swap-smoke leg): the executor against its
-# per-behavior oracle on the pinned corpus and a wide generated draw, the
-# engine's own suite, then a tiny sweep under every executable policy that
+# Swap execution (the CI swap-smoke leg): the overlay against its live
+# per-behavior oracle (every trace validated) and the premise that swapping
+# moves no allocation, on the pinned corpus and a wide generated draw; the
+# engine's own suite; then a tiny sweep under every executable policy that
 # prints measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_swap_execution.py \

@@ -19,6 +19,8 @@ block lifetimes of Figure 2 are a function of the recorded stream, and
 the events) only when something actually asks.
 
 It also tracks iteration boundaries (for the iterative-pattern analysis).
+A swap-on run's engine rows are inserted afterwards, by
+:func:`repro.swap.executor.overlay`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ _READ = KIND_CODES[MemoryEventKind.READ]
 _WRITE = KIND_CODES[MemoryEventKind.WRITE]
 _SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
 _SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
-_SWAP_OUT = KIND_CODES[MemoryEventKind.SWAP_OUT]
-_SWAP_IN = KIND_CODES[MemoryEventKind.SWAP_IN]
-_RECOMPUTE_DROP = KIND_CODES[MemoryEventKind.RECOMPUTE_DROP]
-_RECOMPUTE = KIND_CODES[MemoryEventKind.RECOMPUTE]
 _UNKNOWN_CATEGORY = MemoryCategory.UNKNOWN.code
 
 
@@ -102,18 +100,6 @@ class TraceRecorder(MemoryEventListener):
         """Object view of the recorded behaviors (synthesized; for inspection)."""
         return self.to_trace().events
 
-    def _record(self, kind_code: int, block, op: str) -> None:
-        """Record one engine action on ``block`` (swap / recompute traffic).
-
-        The four block-behavior hooks below inline this body instead of
-        calling it: they fire once per behavior of the workload.
-        """
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self.log.append(kind_code, self.clock._now_ns, block.block_id, block.address,
-                        block.size, block.category.code, self._current_iteration,
-                        block.tag, op)
-
     def on_malloc(self, block, requested_size: int) -> None:
         if not self.enabled:
             return
@@ -172,22 +158,6 @@ class TraceRecorder(MemoryEventListener):
 
     def on_segment_free(self, segment) -> None:
         self._record_segment(_SEGMENT_FREE, segment)
-
-    def on_swap_out(self, block, nbytes: int, op: str) -> None:
-        if self.enabled:
-            self._record(_SWAP_OUT, block, op)
-
-    def on_swap_in(self, block, nbytes: int, op: str) -> None:
-        if self.enabled:
-            self._record(_SWAP_IN, block, op)
-
-    def on_recompute_drop(self, block, nbytes: int, op: str) -> None:
-        if self.enabled:
-            self._record(_RECOMPUTE_DROP, block, op)
-
-    def on_recompute(self, block, nbytes: int, op: str) -> None:
-        if self.enabled:
-            self._record(_RECOMPUTE, block, op)
 
     # -- pausing ----------------------------------------------------------------------
 

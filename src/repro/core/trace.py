@@ -245,18 +245,6 @@ class ColumnarEventLog:
                             device_rank=np.zeros(n, dtype=np.int64),
                             **dict(zip(ROW_FIELDS, table)))
 
-    def columns_between(self, start: int, stop: int,
-                        fields: Sequence[str]) -> List[np.ndarray]:
-        """Contiguous copies of the named :data:`ROW_FIELDS` columns of rows
-        ``[start, stop)``.
-
-        The buffer view the copies are taken from is released on return, so
-        the log can keep growing.
-        """
-        view = np.frombuffer(self.rows, dtype=np.int64)
-        return [view[start * ROW_WIDTH + ROW_FIELDS.index(name):stop * ROW_WIDTH:ROW_WIDTH].copy()
-                for name in fields]
-
     def snapshot_strings(self) -> Tuple[List[str], List[str]]:
         """Copies of the per-event ``tag`` and ``op`` side-lists."""
         return list(self.tag), list(self.op)
@@ -290,6 +278,14 @@ def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
                         iteration=iteration, device_rank=device_rank,
                         address=address)
 
+
+#: The engine's rows; per kind code, the eviction a restoration closes and
+#: the restoration an eviction needs (-1: not that kind of row).
+_ENGINE_CODES = np.concatenate((SWAP_CODES, RECOMPUTE_CODES))
+_OPENED_BY = np.full(len(KIND_CODES), -1, dtype=np.int64)
+_OPENED_BY[[_SWAP_IN_CODE, _RECOMPUTE_CODE]] = _SWAP_OUT_CODE, _RECOMPUTE_DROP_CODE
+_CLOSED_BY = np.full(len(KIND_CODES), -1, dtype=np.int64)
+_CLOSED_BY[[_SWAP_OUT_CODE, _RECOMPUTE_DROP_CODE]] = _SWAP_IN_CODE, _RECOMPUTE_CODE
 
 _NEVER_FREED = int(np.iinfo(np.int64).min)  # no timestamp takes this value
 
@@ -604,12 +600,17 @@ class MemoryTrace:
 
         1. every read/write lies inside a malloc…free of its block;
         2. per rank, timestamps never decrease in event order;
-        3. per rank, no two simultaneously live blocks overlap in address.
+        3. per rank, no two simultaneously live blocks overlap in address;
+        4. every ``swap_in`` / ``recompute`` closes an earlier ``swap_out``
+           / ``recompute_drop`` of its block in the same lifetime, no access
+           lands while its block is off the device, and every eviction is
+           closed by the end of the trace.
 
-        The pairing and the first two checks are array passes; the third
-        walks the malloc/free events once, keeping the live address ranges
-        sorted.  Raises :class:`~repro.errors.TraceInvariantError` naming the
-        first offending event; returns ``self`` so call sites can chain.
+        The pairing and checks 1, 2 and 4 are array passes (a trace without
+        engine rows skips 4 after one mask); the third walks the malloc/free
+        events once, keeping the live address ranges sorted.  Raises
+        :class:`~repro.errors.TraceInvariantError` naming the first offending
+        event; returns ``self`` so call sites can chain.
         """
         cols = self._columns
         offenders: List[Tuple[int, str]] = []
@@ -632,12 +633,46 @@ class MemoryTrace:
                                      f"earlier than the previous event of rank "
                                      f"{int(cols.device_rank[event])}"))
 
-        overlap = self._first_address_overlap(malloc_events, events, kind, lifetime_of)
-        if overlap is not None:
-            offenders.append(overlap)
+        for offender in (self._first_address_overlap(malloc_events, events, kind,
+                                                     lifetime_of),
+                         self._first_unbalanced_engine_row()):
+            if offender is not None:
+                offenders.append(offender)
         if offenders:
             raise TraceInvariantError(*min(offenders))
         return self
+
+    def _first_unbalanced_engine_row(self) -> Optional[Tuple[int, str]]:
+        """The first row breaking invariant 4: per block, in stream order, a
+        restoration's previous *move* (malloc, free or engine row) must be the
+        eviction it closes, an access's must not be an eviction, and an
+        eviction's next move must be its restoration."""
+        cols = self._columns
+        engine = np.isin(cols.kind_code, _ENGINE_CODES)
+        if not engine.any():
+            return None
+        rows = np.flatnonzero(engine | cols.is_block_behavior)
+        rows = rows[stable_block_order(cols.block_id[rows])]
+        kind, block = cols.kind_code[rows], cols.block_id[rows]
+        moves = ~np.isin(kind, ACCESS_CODES)
+        latest = np.maximum.accumulate(np.where(moves, np.arange(rows.size), -1))
+        previous = np.concatenate(([-1], latest[:-1]))
+        previous[(previous >= 0) & (block[np.maximum(previous, 0)] != block)] = -1
+        after = np.where(previous >= 0, kind[previous], -1)   # the previous move's kind
+        evicted = (after >= 0) & (_CLOSED_BY[np.maximum(after, 0)] >= 0)
+        last = np.append(block[1:] != block[:-1], True)       # each block's last row
+        dangling = latest[last][latest[last] >= 0]
+        offenders = [
+            (rows[(_OPENED_BY[kind] >= 0) & (after != _OPENED_BY[kind])],
+             "closes no earlier eviction of its block in the same lifetime"),
+            (rows[~moves & evicted], "lands while its block is off the device"),
+            (np.concatenate((rows[previous[moves & evicted & (kind != _CLOSED_BY[
+                np.maximum(after, 0)])]], rows[dangling[_CLOSED_BY[kind[dangling]] >= 0]])),
+             "is not balanced by a restoration of its block in the same lifetime")]
+        first = min(((int(events.min()), what) for events, what in offenders if events.size),
+                    default=None)
+        return first and (first[0], f"{KIND_FROM_CODE[int(cols.kind_code[first[0]])].value} "
+                                    f"of block {int(cols.block_id[first[0]])} {first[1]}")
 
     def _first_address_overlap(self, malloc_events, events, kind,
                                lifetime_of) -> Optional[Tuple[int, str]]:

@@ -165,9 +165,7 @@ class BaseAllocator:
         self.stats = AllocatorStats()
         self._segments: List[Segment] = []
         self._next_address = BASE_ADDRESS
-        #: The allocated blocks by ``block_id``.  Written only by this class;
-        #: the swap executor reads it directly (membership and lookup, once
-        #: per decision) instead of through :meth:`live_blocks`' copy.
+        #: The allocated blocks by ``block_id``.  Written only by this class.
         self._live_blocks: Dict[int, Block] = {}
         # Identities are per allocator: the first block (and segment) of every
         # session is 1, whatever the process simulated before.

@@ -26,7 +26,7 @@ class DeviceClock:
             raise ClockError(f"clock cannot start at negative time {start_ns}")
         #: The current time.  Written only by this class; the trace recorder
         #: (once per recorded behavior), ``Device.run_kernel`` (once per
-        #: launch) and the swap executor's access hook read the field directly
+        #: launch) and the swap overlay's walk read the field directly
         #: instead of going through the :attr:`now_ns` property.
         self._now_ns = int(start_ns)
         self._observers: List[Callable[[int, int], None]] = []

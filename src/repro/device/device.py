@@ -115,7 +115,6 @@ class Device:
         self.compute_stream = Stream("compute", self.clock)
         self.dma = DmaEngine(self.spec, self.clock, self.timing)
         self.kernel_count = 0
-        self.swap_executor = None  # set by attach_swap_executor
 
     # -- profiling hooks -----------------------------------------------------------
 
@@ -126,31 +125,6 @@ class Device:
     def remove_listener(self, listener: MemoryEventListener) -> None:
         """Detach a previously attached listener."""
         self.listeners.remove(listener)
-
-    def attach_swap_executor(self, executor: MemoryEventListener) -> None:
-        """Attach the closed-loop swap engine (see :mod:`repro.swap`).
-
-        The executor must observe every behavior *before* any trace recorder
-        does — stalls it inserts and the ``swap_in`` events it emits have to
-        land ahead of the access that triggered them — so attach it before
-        profilers are started.  Only one executor may be attached.
-        """
-        if self.swap_executor is not None:
-            raise ConfigurationError("a swap executor is already attached")
-        self.swap_executor = executor
-        self.listeners.add(executor)
-
-    @property
-    def swapped_out_bytes(self) -> int:
-        """Bytes of allocated blocks currently evicted to the host (0 if no engine)."""
-        if self.swap_executor is None:
-            return 0
-        return self.swap_executor.swapped_out_bytes
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes actually occupying device memory: allocated minus swapped out."""
-        return self.allocator.allocated_bytes - self.swapped_out_bytes
 
     # -- memory management -----------------------------------------------------------
 

@@ -6,10 +6,12 @@ explicit: every allocator and every tensor storage accepts a
 :class:`MemoryEventListener` and notifies it on each ``malloc``, ``free``,
 ``read`` and ``write``.  The trace recorder in :mod:`repro.core.recorder`
 implements this interface; a :class:`CompositeListener` allows several
-consumers (e.g. the swap executor plus a recorder) to observe the same
+consumers (e.g. a recorder plus a counting probe) to observe the same
 device.  Dispatch is *pre-bound*: the composite resolves its children's hooks
 once per membership change, so a behavior reaches a lone recorder in one call
 (see :class:`CompositeListener` for who may cache a hook and when).
+The six hooks are what the workload does with memory; the swap engine runs
+over the recording afterwards (:mod:`repro.swap.executor`), not through them.
 """
 
 from __future__ import annotations
@@ -46,34 +48,6 @@ class MemoryEventListener:
     def on_segment_free(self, segment: "Segment") -> None:
         """The allocator released a segment (simulated ``cudaFree``)."""
 
-    def on_swap_out(self, block: "Block", nbytes: int, op: str) -> None:
-        """The swap engine evicted ``block`` to the host (``nbytes`` moved)."""
-
-    def on_swap_in(self, block: "Block", nbytes: int, op: str) -> None:
-        """The swap engine restored ``block`` to the device (``nbytes`` moved).
-
-        ``op`` names how the restoration happened: a ``"prefetch"`` that made
-        its deadline, a ``"demand"`` fetch that stalled the device, or a
-        ``"discard"`` (the block was freed while swapped out, so nothing is
-        copied and ``nbytes`` is 0).
-        """
-
-    def on_recompute_drop(self, block: "Block", nbytes: int, op: str) -> None:
-        """The engine discarded ``block`` for later rematerialization.
-
-        No transfer happens — the bytes are simply released from the device
-        footprint; ``op`` names the policy that decided the drop.
-        """
-
-    def on_recompute(self, block: "Block", nbytes: int, op: str) -> None:
-        """The engine rematerialized ``block`` by replaying its producer.
-
-        ``op`` is ``"demand"`` when the replay stalled the device before an
-        access, ``"discard"`` when the block was freed while dropped (nothing
-        is recomputed and ``nbytes`` is 0), or ``"shutdown"`` for end-of-run
-        bookkeeping restores.
-        """
-
 
 class NullListener(MemoryEventListener):
     """A listener that ignores everything (the default when not profiling)."""
@@ -81,21 +55,11 @@ class NullListener(MemoryEventListener):
 
 #: Every hook of the listener interface, in declaration order.
 HOOK_NAMES = ("on_malloc", "on_free", "on_read", "on_write", "on_segment_alloc",
-              "on_segment_free", "on_swap_out", "on_swap_in", "on_recompute_drop",
-              "on_recompute")
+              "on_segment_free")
 
 
 def _fan_out(hooks: tuple):
     """One callable delivering its arguments to every bound hook, in order."""
-    if len(hooks) == 2:
-        # A swap-on device: the executor, then the recorder.
-        first, second = hooks
-
-        def deliver(*args) -> None:
-            first(*args)
-            second(*args)
-        return deliver
-
     def deliver(*args) -> None:
         for hook in hooks:
             hook(*args)
@@ -113,8 +77,8 @@ class CompositeListener(MemoryEventListener):
     pre-bound tuple in attachment order (none: a no-op).
 
     Who may cache a hook, and when: only the composite, and only between two
-    membership changes.  Callers (allocators, storages, the swap engine)
-    look ``composite.on_x`` up at every call and never keep it, so adding or
+    membership changes.  Callers (allocators, storages) look
+    ``composite.on_x`` up at every call and never keep it, so adding or
     removing a listener mid-run takes effect at the next behavior.  Children
     are resolved through normal attribute lookup *at binding time* — per
     device and per membership change, never at import — so a hook replaced
@@ -155,10 +119,6 @@ class CountingListener(MemoryEventListener):
         self.writes = 0
         self.segment_allocs = 0
         self.segment_frees = 0
-        self.swap_outs = 0
-        self.swap_ins = 0
-        self.recompute_drops = 0
-        self.recomputes = 0
 
     def on_malloc(self, block: "Block", requested_size: int) -> None:
         self.mallocs += 1
@@ -177,15 +137,3 @@ class CountingListener(MemoryEventListener):
 
     def on_segment_free(self, segment: "Segment") -> None:
         self.segment_frees += 1
-
-    def on_swap_out(self, block: "Block", nbytes: int, op: str) -> None:
-        self.swap_outs += 1
-
-    def on_swap_in(self, block: "Block", nbytes: int, op: str) -> None:
-        self.swap_ins += 1
-
-    def on_recompute_drop(self, block: "Block", nbytes: int, op: str) -> None:
-        self.recompute_drops += 1
-
-    def on_recompute(self, block: "Block", nbytes: int, op: str) -> None:
-        self.recomputes += 1

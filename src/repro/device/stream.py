@@ -8,8 +8,8 @@ overlap with compute, and the engine needs to know when the copy engine would
 actually be free — the stream's completion horizon is what turns concurrent
 swap traffic into serialized copies and, ultimately, measured stalls.
 
-The device's *compute* stream is only a completion horizon: kernels (and the
-swap engine's rematerializations) are issued synchronously, so
+The device's *compute* stream is only a completion horizon: kernels are
+issued synchronously, so
 :meth:`Device.run_kernel <repro.device.device.Device.run_kernel>` moves
 ``busy_until_ns`` itself — ``max(busy_until, now) + duration``, what
 :meth:`Stream.schedule` would compute — and puts nothing in ``ops``.  The

@@ -1,115 +1,64 @@
-"""The swap executor: runs eviction/prefetch decisions inside the simulation.
+"""The swap executor: a policy's decisions overlaid on a swap-off recording.
 
-:class:`SwapExecutor` is a :class:`~repro.device.hooks.MemoryEventListener`
-attached to a device *ahead of* the trace recorder, which gives it a
-closed loop around the training run:
+Swap execution never changes what the workload does with memory — a swap-on
+run allocates, frees, reads and writes exactly what its swap-off run does,
+only later — so a swap-on run is its swap-off recording plus a decision
+overlay (Capuchin's argument: record passively, then decide per block from
+the access times that were measured).  :func:`overlay` walks each replica's
+recorded rows once, one :class:`SwapExecutor` per replica, on a virtual
+clock: a row's recorded time plus the delay accumulated so far.
 
-* during the **warm-up iteration(s)** it only observes: per-block sizes,
-  categories, access ordinals and the largest idle gap between adjacent
-  accesses (the block's access-time interval), plus the unswapped peak
-  footprint and the moment it occurs;
-* from the first post-warm-up iteration its
-  :class:`~repro.swap.policies.MemoryPolicy` turns those observations
-  into eviction directives.  Evictions are scheduled as device→host copies on
-  the device's dedicated copy stream (so concurrent swap traffic serializes —
-  DMA contention is modelled, not assumed away) and, for deadline-driven
-  policies, a host→device prefetch is reserved to complete right when the
-  measured interval predicts the next access;
-* on an access to a non-resident block the executor *stalls the device
-  clock* until the in-flight prefetch (or a freshly issued demand fetch)
-  completes.  Stalls therefore lengthen the recorded iterations exactly the
-  way a synchronous ``cudaMemcpy`` wait would.
+* During the **warm-up iteration(s)** a walk only observes; at each replan
+  one vectorised pass, :func:`learn_from_rows`, turns the rows logged since
+  the previous replan (plus the state carried over, :class:`LearningCarry`)
+  into the :class:`WarmupObservations` the policy plans from.
+* From the first post-warm-up iteration the policy's directives evict
+  blocks: device→host copies reserved on the walk's own copy stream (so
+  swap traffic contends), and for deadline-driven policies a host→device
+  prefetch due when the measured interval predicts the next access (vDNN's
+  prefetch deadline: a second clock for the copy stream).
+* An access to an off-device block **stalls**: that row and every later row
+  run later until the prefetch (or a demand fetch) completes.  A
+  ``recompute`` directive drops the block instead, and its next access
+  replays the producer's learned compute time.  With ``capacity_bytes`` the
+  walk force-evicts least-recently-accessed blocks before any residency
+  increase would exceed it, or raises
+  :class:`~repro.errors.InfeasibleScenarioError`.
 
-Every eviction/restoration is emitted through the device's listener fan-out
-as a first-class ``swap_out``/``swap_in`` event, so the recorded trace
-carries the *measured* story: :meth:`~repro.core.trace.MemoryTrace.\
-peak_resident_bytes` vs :meth:`~repro.core.trace.MemoryTrace.peak_live_bytes`
-is the achieved peak reduction, and the summed stalls are the achieved
-overhead — both directly comparable with the policy's *predicted* summary.
+Between replans a row costs a decision only where one can fire before the
+behavior lands: a read or write of a block that is off the device or that
+the plan triggers on, the free of an off-device block (it gets a zero-copy
+``"discard"`` restoration first), the first malloc of a block id — and, for
+capacity-governed runs and pressure-relieving policies (LRU), every malloc
+and access.  A post-access eviction lands at the next malloc, free, read or
+write row.  Replicas walk in lock-step: a gradient allreduce barrier
+resolves to the latest of their delayed arrivals, because the collective
+starts when the last clock arrives and no stream is ever drained.
 
-What it reads and what it hooks
--------------------------------
-The executor does not shadow the recorder.  It is handed its device's
-:class:`~repro.core.recorder.TraceRecorder` and *reads* that recorder's
-event log:
-
-* **at each replan** (``begin_iteration`` while learning is on) one
-  vectorised pass, :func:`learn_from_rows`, turns the rows recorded since
-  the previous replan — plus the per-block state carried over from the
-  previous pass (:class:`LearningCarry`) — into the
-  :class:`WarmupObservations` the policy plans from;
-* **at** :meth:`SwapExecutor.finalize` it reads the live and resident
-  peaks, over the whole run and over the active and steady windows.
-
-Nothing else reads the log: the boundary directives at an iteration end walk
-the allocated, on-device blocks (the allocator's live map) in the order the
-executor first met them.
-
-Its four behavior hooks act only where a decision can fire *before* the
-behavior lands: ``on_read`` / ``on_write`` for a block that is off the
-device or that the plan triggers on
-(:meth:`~repro.swap.policies.MemoryPolicy.triggered_blocks`), ``on_free``
-for a block freed while off the device, and ``on_malloc`` to note a block
-it has not met.  Under capacity governance, or for a policy that relieves
-pressure itself (LRU), ``on_malloc`` also makes room before the allocation
-lands and every access records its block's last access time, because those
-runs rank resident blocks by it when pressure strikes.  A deferred eviction
-lands at the very next behavior of any block.  Resident bytes at a decision
-are the allocator's allocated bytes minus a running swapped-out total.
-
-Gap learning is iteration-phase aware: only gaps whose opening access
-happened inside a training iteration are learned (model-construction
-accesses never produce triggers), gaps stay within one lifetime, gaps
-distorted by the block's own swap traffic are discarded, and each gap
-remembers its within-iteration phase and whether it crosses an iteration
-boundary — boundary gaps are executed at ``end_iteration`` (where no further
-same-iteration access can misfire) while within-iteration gaps trigger on
-the opening access's ordinal.
-
-Ordering guarantees (they keep the trace's residency accounting exact):
-
-* the stall and the ``swap_in`` event precede the access event that needed
-  the block;
-* a block freed while swapped out receives a zero-copy ``"discard"``
-  ``swap_in`` immediately before its ``free`` event, so every eviction is
-  balanced;
-* post-access evictions are deferred to the next listener callback, so the
-  ``swap_out`` lands *after* the triggering access in the event stream.
-
-Two further mechanisms ride on the same machinery:
-
-* **rematerialization** — a directive flagged ``recompute`` drops the block
-  with no transfer at all (``recompute_drop`` event) and the next access
-  replays the block's recorded producer compute time on the device's compute
-  stream (``recompute`` event) instead of fetching bytes over the link.  The
-  producer cost is learned during warm-up: a block's first write after its
-  malloc closes its producing kernel, so the elapsed time since the previous
-  malloc/free/read/write row *is* that kernel's duration;
-* **capacity governance** — when the executor is constructed with
-  ``capacity_bytes``, every residency increase first force-evicts
-  least-recently-accessed blocks until the incoming bytes fit, stalling the
-  device until the relieving copy-out completes.  The invariant is enforced
-  from the first event (warm-up included), so the measured resident peak can
-  never exceed the configured device memory; when even evicting everything
-  cannot make room, a structured
-  :class:`~repro.errors.InfeasibleScenarioError` is raised instead of a raw
-  allocator OOM.
+The result is each recording re-timed, with every eviction and restoration
+inserted as a ``swap_out`` / ``swap_in`` (or ``recompute_drop`` /
+``recompute``) row in front of the recorded row it was made at, plus the
+measured :class:`SwapExecutionSummary`.  ``docs/swapping.md`` has the full
+semantics.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, fields, replace
-import weakref
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.recorder import TraceRecorder
+from ..core.events import IterationMark, MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig
-from ..core.trace import CATEGORY_FROM_CODE, KIND_CODES, stable_block_order
-from ..device.hooks import MemoryEventListener
+from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, EventColumns,
+                          MemoryTrace, stable_block_order)
+from ..device.clock import DeviceClock
+from ..device.dma import DmaEngine
+from ..device.spec import DeviceSpec
+from ..device.timing import KernelTimingModel
 from ..errors import InfeasibleScenarioError
 from .policies import EvictDirective, MemoryPolicy, get_policy
 
@@ -163,7 +112,7 @@ class BlockState:
     best_gap_crosses: bool = False           # gap spans an iteration boundary
     compute_ns: Optional[int] = None         # producer kernel duration (learned)
     # while the block is off the device
-    block: object = None                     # the live Block (for event emission)
+    malloc_row: int = -1                     # its lifetime's malloc row (for emitted rows)
     pending_ready_ns: Optional[int] = None   # in-flight prefetch completion
     swapped_copy_bytes: int = 0              # bytes moved by the last eviction
     dropped_for_recompute: bool = False      # off-device awaiting rematerialization
@@ -450,8 +399,8 @@ def _learn_blocks(p, columns, first_row, tags, window, iteration, phase, behavio
     taints_before_block = np.concatenate(([0], taints))[heads]
     last_free, last_malloc = _running_latest(free), _running_latest(malloc)
     carried = carry.rows(b[heads])
-    # A block allocated before the executor was attached has no state: its
-    # rows are learned into one that is dropped.
+    # A block whose malloc the walk has not met has no state: its rows are
+    # learned into one that is dropped.
     blocks = [states.get(block_id) or BlockState(block_id)
               for block_id in b[heads].tolist()]
 
@@ -563,170 +512,165 @@ def _learn_blocks(p, columns, first_row, tags, window, iteration, phase, behavio
     carry.blocks[b[heads]] = out
 
 
-class SwapExecutor(MemoryEventListener):
-    """Execute a swap policy against a live simulated device.
+def _mark_rows(iteration: np.ndarray, marks: Sequence[IterationMark]) -> List[Tuple[int, int]]:
+    """The recorded rows ``[begin, end)`` of each iteration: those stamped with its index."""
+    inside = [np.flatnonzero(iteration == mark.index) for mark in marks]
+    return [(int(rows[0]), int(rows[-1]) + 1) for rows in inside]
+
+
+class SwapExecutor:
+    """One replica's walk over its swap-off recording (see :func:`overlay`).
 
     Parameters
     ----------
-    device:
-        The simulated device; the executor uses its clock, allocator, DMA
-        engine (and therefore its dedicated copy stream), timing model and
-        listener fan-out.
+    trace:
+        The replica's swap-off recording (rows, iteration marks, end time).
     policy:
         An executable :class:`~repro.swap.policies.MemoryPolicy` instance or
-        its registry name (``planner``, ``swap_advisor``, ``zero_offload``,
-        ``lru``, ``unified``); an analysis-only policy is a ``ValueError``.
-    recorder:
-        The device's :class:`~repro.core.recorder.TraceRecorder`, whose log
-        the executor learns from.  It must record every behavior from the
-        executor's construction on, attached to the device *after* the
-        executor (so it logs each behavior once the executor has acted on it).
-    bandwidths:
-        Eq.-1 bandwidths for the policy's predictions; defaults to the
-        device spec's (the transfers themselves always use the spec).
+        its registry name; an analysis-only policy is a ``ValueError``.
+    spec:
+        The device spec: its link bandwidths price the copies and the
+        policy's Eq.-1 predictions.
     capacity_bytes:
-        When set, the executor governs a hard device-memory capacity: any
-        residency increase that would exceed it first force-evicts
-        least-recently-accessed blocks (with the stall of waiting for the
-        copy-out), and :class:`~repro.errors.InfeasibleScenarioError` is
-        raised when even full eviction cannot make room.
+        A hard device-memory capacity the walk governs (``None``: none).
+
+    Driven like a trainer drives a recorder (:meth:`begin_iteration` /
+    :meth:`end_iteration`, :meth:`arrive` / :meth:`leave` around a barrier,
+    :meth:`finalize`), each call first walking the rows recorded before it.
     """
 
-    def __init__(self, device, policy: Union[str, MemoryPolicy],
-                 recorder: TraceRecorder,
-                 bandwidths: Optional[BandwidthConfig] = None,
-                 capacity_bytes: Optional[int] = None):
-        self.device = device
+    def __init__(self, trace: MemoryTrace, policy: Union[str, MemoryPolicy],
+                 spec: DeviceSpec, capacity_bytes: Optional[int] = None):
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         if not self.policy.executable:
             raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
                              f"it cannot drive the swap executor")
-        self.bandwidths = (bandwidths if bandwidths is not None
-                           else BandwidthConfig.from_device_spec(device.spec))
+        self.bandwidths = BandwidthConfig.from_device_spec(spec)
         self.capacity_bytes = (None if capacity_bytes is None
                                else int(capacity_bytes))
         self.counters = SwapExecutionSummary(policy=self.policy.name,
                                              capacity_bytes=self.capacity_bytes)
-        # Read, not owned: the executor sits in the device's reference cycle,
-        # and a session's log must go when its recorder does, not at the next
-        # cyclic collection.
-        self._recorder = weakref.ref(recorder)
-        self._clock = device.clock
-        self._live = device.allocator._live_blocks
-        #: Every block allocated since the executor was attached, in
-        #: first-seen order (the order plans and directives walk them in).
+        # The recording, per row: lists for the two columns every row reads,
+        # compact arrays for those a decision reads.
+        self._recorded = trace
+        columns = trace.columns()
+        self._kind, self._bid = columns.kind_code.tolist(), columns.block_id.tolist()
+        self._ts, self._address, self._size, self._category, self._iteration = (
+            array("q", getattr(columns, name).tobytes()) for name in
+            ("timestamp_ns", "address", "size", "category_code", "iteration"))
+        self._tags, self._ops = trace.event_strings()
+        self._mark_rows = _mark_rows(columns.iteration, trace.iteration_marks)
+        self._marks: List[IterationMark] = []     # the re-timed marks
+        # The log (see :meth:`log`) is kept as its two differences from the
+        # recording: the delay from each row on where it changes, and the
+        # inserted rows.
+        self._shifts: List[Tuple[int, int]] = [(0, 0)]
+        self._inserted: List[tuple] = []
+        self._cursor = 0          # recorded rows walked
+        self._delay = 0           # how much later than recorded the walk is
+        self._stamp = -1          # the iteration the walk's own rows are stamped with
+        self._anchor = 0          # the recorded row they go in front of
+        self._clock = DeviceClock()
+        self._dma = DmaEngine(spec, self._clock, KernelTimingModel(spec))
+        #: Allocated blocks: block id -> the malloc row of its lifetime.
+        self._live: Dict[int, int] = {}
+        #: Allocated bytes after each recorded row (after none: 0), and the
+        #: entry the walk's position reads.
+        self._allocated = array("q", np.concatenate(
+            ([0], np.cumsum(_LIVE_SIGN[columns.kind_code] * columns.size))).tobytes())
+        self._after = 0
+        #: Every block the walk has met, in first-seen order (the order plans
+        #: and directives walk them in).
         self._states: Dict[int, BlockState] = {}
         self._off_device: Dict[int, BlockState] = {}
         self._swapped_out_bytes = 0
         self._deferred: List[EvictDirective] = []
         # Runs that rank resident blocks at allocation time follow every
-        # malloc and access; the others follow the blocks in ``_acting``:
-        # those off the device and those the plan triggers on.
+        # malloc and access; the others follow the blocks off the device and
+        # those the plan triggers on.
         self._relieves_pressure = (type(self.policy).directives_on_pressure
                                    is not MemoryPolicy.directives_on_pressure)
         self._governed = self.capacity_bytes is not None or self._relieves_pressure
         # What the plan triggers on (set at every replan; nothing before the first).
         self._any_trigger = False
         self._triggered: frozenset = frozenset()
-        self._acting: set = set()
-        self._incoming: Optional[int] = None   # a block being allocated ...
-        self._incoming_bytes = 0               # ... which the allocator already counts
         self._active = False
         self._plan_frozen = False
-        # Log rows: where this executor's rows start, how far learning has
-        # read, where learning stops, and where the measured windows begin.
-        self._start_row = len(recorder.log)
-        self._learned_row = self._start_row
+        # Log rows: how far learning has read, where it stops, and where the
+        # measured windows begin.
+        self._learned_row = 0
         self._freeze_row: Optional[int] = None
         self._active_row: Optional[int] = None
         self._steady_row: Optional[int] = None
         self._windows: List[IterationWindow] = []
-        self._carry = LearningCarry(live_bytes=0, last_event_ns=self._clock.now_ns)
+        self._carry = LearningCarry(live_bytes=0, last_event_ns=0)
         #: The last learning iteration's footprint (the plan's reference).
         self._profile = IterationProfile([], 0, None, 0)
-        #: The peaks :meth:`finalize` read off the log (``None`` before).
+        #: The whole log and the peaks :meth:`finalize` read off it.
+        self._log: Optional[Tuple[EventColumns, List[str], List[str]]] = None
         self._books: Optional[Tuple[int, int, int]] = None
 
     # -- introspection -----------------------------------------------------------------
 
     @property
-    def recorder(self) -> TraceRecorder:
-        """The recorder whose log the executor reads."""
-        return self._recorder()
-
-    @property
-    def swapped_out_bytes(self) -> int:
-        """Bytes of allocated blocks currently evicted to the host."""
-        return self._swapped_out_bytes
-
-    @property
     def resident_bytes(self) -> int:
-        """Bytes currently resident on the device (allocated minus swapped out)."""
-        return self.device.allocator.allocated_bytes - self._swapped_out_bytes
-
-    def observations(self) -> WarmupObservations:
-        """Current (swap-undistorted) per-block observations for planning."""
-        self._learn()
-        profile = self._profile
-        blocks = [state for state in self._states.values() if state.size > 0]
-        return WarmupObservations(blocks=blocks, by_id=self._states,
-                                  peak_resident_bytes=profile.peak_bytes,
-                                  peak_phase_ns=profile.peak_phase_ns,
-                                  iteration_duration_ns=profile.duration_ns,
-                                  live_series=profile.live_series)
+        """Bytes resident at the walk's position: allocated minus swapped out."""
+        return self._allocated[self._after] - self._swapped_out_bytes
 
     def summary(self) -> SwapExecutionSummary:
-        """The measured outcome so far (plus the policy's prediction)."""
-        peak_resident, peak_live, warmup_peak = self._books or self._read_peaks()
+        """The measured outcome and the policy's prediction (after :meth:`finalize`)."""
+        peak_resident, peak_live, warmup_peak = self._books
         return replace(self.counters, peak_resident_bytes=peak_resident,
                        peak_live_bytes=peak_live, warmup_peak_bytes=warmup_peak,
                        predicted=self.policy.predicted)
 
-    def _read_peaks(self) -> Tuple[int, int, int]:
-        """``(resident, live, warm-up)`` peaks, read off the log.
+    def log(self) -> Tuple[EventColumns, List[str], List[str]]:
+        """The log's columns, tags and ops: the recorded rows walked so far at
+        their delays, each inserted row in front of the recorded row it was
+        made at."""
+        recorded, walked, inserted = self._recorded.columns(), self._cursor, self._inserted
+        rows = np.arange(walked)
+        anchors = np.fromiter((row[0] for row in inserted), np.int64, len(inserted))
+        own = anchors + np.arange(anchors.size)
+        place = rows + np.searchsorted(anchors, rows, side="right")
+        merged = {}
+        for position, name in enumerate(ROW_FIELDS, start=1):
+            column = merged[name] = np.empty(own.size + walked, dtype=np.int64)
+            column[place] = getattr(recorded, name)[:walked]
+            column[own] = [row[position] for row in inserted]
+        starts, delays = np.array(self._shifts).T
+        merged["timestamp_ns"][place] += delays[np.searchsorted(starts, rows, side="right") - 1]
+        tags, ops, done = [], [], 0
+        for row in inserted:
+            tags += self._tags[done:row[0]]
+            ops += self._ops[done:row[0]]
+            tags.append(row[8])
+            ops.append(row[9])
+            done = row[0]
+        tags += self._tags[done:walked]
+        ops += self._ops[done:walked]
+        return (EventColumns(event_id=np.arange(own.size + walked),
+                             device_rank=np.zeros(own.size + walked, dtype=np.int64),
+                             **merged), tags, ops)
 
-        Resident bytes are the running sum of the rows' residency deltas,
-        sampled after every malloc and every restoration that put bytes on the
-        device (``discard`` / ``shutdown`` restorations are bookkeeping and
-        stay out); live bytes are sampled after every malloc.
-        """
-        self._learn()
-        warmup_peak = self._profile.peak_bytes
-        log = self.recorder.log
-        kind, size = log.columns_between(self._start_row, len(log), ("kind_code", "size"))
-        malloc = kind == _MALLOC
-        sampled = malloc.copy()
-        sampled[[row for row in np.flatnonzero(_RESTORE_KINDS[kind]).tolist()
-                 if log.op[self._start_row + row] not in _BOOKKEEPING_RESTORES]] = True
-        resident = np.cumsum(_RESIDENT_SIGN[kind] * size)
-        live = np.cumsum(_LIVE_SIGN[kind] * size)
+    def trace(self) -> MemoryTrace:
+        """The overlaid recording; call after :meth:`finalize`."""
+        columns, tags, ops = self._log
+        return MemoryTrace(columns=columns, event_tags=tags, event_ops=ops,
+                           iteration_marks=self._marks,
+                           metadata=dict(self._recorded.metadata),
+                           end_ns=self._recorded.end_ns + self._delay)
 
-        def peak(series, mask, first=0):
-            """The highest sample from row ``first`` on, or the value before it."""
-            base = int(series[first - 1]) if first else 0
-            values = series[first:][mask[first:]]
-            return max(base, int(values.max())) if values.size else base
-
-        if self._active:
-            first = (self._steady_row if self._steady_row is not None
-                     else self._active_row) - self._start_row
-            peak_live = peak(live, malloc, first)
-            peak_resident = peak(resident, sampled, first)
-        else:
-            peak_live = peak_resident = warmup_peak
-        if self.capacity_bytes is not None:
-            # Under capacity governance the invariant spans the whole run
-            # (warm-up included), so the honest measured peak is the overall
-            # resident maximum — which the governor kept at or below capacity.
-            peak_resident = peak(resident, sampled)
-        return peak_resident, peak_live, warmup_peak
-
-    # -- iteration hooks (duck-typed like a recorder) ---------------------------------
+    # -- the points the trainer marks ---------------------------------------------------
 
     def begin_iteration(self, index: int) -> None:
         """Iteration start: reset per-iteration ordinals, (re)plan, activate."""
+        position = len(self._marks)
+        self._at(self._mark_rows[position][0],
+                 self._recorded.iteration_marks[position].start_ns, index)
+        self._marks.append(IterationMark(index=index, start_ns=self._clock.now_ns))
         self._flush_deferred()
-        row = len(self.recorder.log)
+        row = self._logged()
         self._windows.append(IterationWindow(index, row, self._clock.now_ns))
         # Only triggered blocks are counted (all of them when the plan
         # triggers on any block).
@@ -752,12 +696,18 @@ class SwapExecutor(MemoryEventListener):
             if not self._plan_frozen:
                 # Replans are only useful while the observations can still
                 # change; the first plan after learning froze is final.
-                self.policy.plan(self.observations(), self.bandwidths)
+                self._learn()
+                profile = self._profile
+                self.policy.plan(WarmupObservations(
+                    blocks=[state for state in self._states.values() if state.size > 0],
+                    by_id=self._states, peak_resident_bytes=profile.peak_bytes,
+                    peak_phase_ns=profile.peak_phase_ns,
+                    iteration_duration_ns=profile.duration_ns,
+                    live_series=profile.live_series), self.bandwidths)
                 self._plan_frozen = self._freeze_row is not None
                 triggered = self.policy.triggered_blocks()
                 self._any_trigger = triggered is None
                 self._triggered = frozenset(triggered or ())
-                self._acting = set(self._triggered) | set(self._off_device)
             if not self._active:
                 self._active = True
                 self._active_row = row
@@ -765,95 +715,212 @@ class SwapExecutor(MemoryEventListener):
 
     def end_iteration(self, index: int) -> None:
         """Iteration end: flush deferred evictions, apply boundary directives."""
+        position = len(self._marks) - 1
+        self._at(self._mark_rows[position][1],
+                 self._recorded.iteration_marks[position].end_ns, index)
         self._flush_deferred()
         window = self._windows[-1]
-        window.end_row, window.end_ns = len(self.recorder.log), self._clock.now_ns
+        window.end_row, window.end_ns = self._logged(), self._clock.now_ns
         if self._active:
             resident = list(self._resident_states())
             for directive in self.policy.directives_at_iteration_end(resident):
                 self._evict(directive)
+        self._marks[-1].end_ns = self._clock.now_ns
+
+    def arrive(self, row: int) -> Tuple[int, int]:
+        """Walk up to a barrier recorded just before ``row``; returns the
+        recorded and the delayed arrival (the clock of the row before it)."""
+        self._walk(row)
+        arrival = self._ts[row - 1]
+        return arrival, arrival + self._delay
+
+    def leave(self, delay: int) -> None:
+        """Leave the barrier with ``delay``: rows from here on run that much
+        later than recorded."""
+        self._shift(self._cursor, delay)
 
     def finalize(self) -> None:
-        """Balance the books at the end of the run.
+        """Walk the rest of the recording and balance the books.
 
         Every block still swapped out gets a zero-copy ``"shutdown"``
         ``swap_in``, so the trace's residency series always sums back to the
         allocation series and peak accounting can never be skewed by
         unmatched evictions at the tail of the run.  The peaks are then read
-        off the log once, while the recorder is still there: the summary
-        serves them from here on.
+        off the log once: the summary serves them from here on.
         """
+        self._at(len(self._kind), self._recorded.end_ns, -1)
         self._flush_deferred()
         for state in sorted(self._off_device.values(), key=attrgetter("first_seen")):
             self._put_back(state)
             self.counters.shutdown_restores += 1
-            self._emit_restore(state, 0, "shutdown")
+            self._emit_restore(state, "shutdown")
+        self._log = self.log()
         self._books = self._read_peaks()
 
-    # -- listener hooks ----------------------------------------------------------------
+    def _read_peaks(self) -> Tuple[int, int, int]:
+        """``(resident, live, warm-up)`` peaks, read off the log.
 
-    def on_malloc(self, block, requested_size: int) -> None:
-        if self._deferred:
-            self._flush_deferred()
-        if self._governed:
-            self._govern_malloc(block)
-        elif block.block_id not in self._states:
-            self._states[block.block_id] = BlockState(block.block_id, len(self._states))
+        Resident bytes are the running sum of the rows' residency deltas,
+        sampled after every malloc and every restoration that put bytes on the
+        device (``discard`` / ``shutdown`` restorations are bookkeeping and
+        stay out); live bytes are sampled after every malloc.
+        """
+        self._learn()
+        warmup_peak = self._profile.peak_bytes
+        columns, _, ops = self._log
+        kind, size = columns.kind_code, columns.size
+        malloc = kind == _MALLOC
+        sampled = malloc.copy()
+        sampled[[row for row in np.flatnonzero(_RESTORE_KINDS[kind]).tolist()
+                 if ops[row] not in _BOOKKEEPING_RESTORES]] = True
+        resident = np.cumsum(_RESIDENT_SIGN[kind] * size)
+        live = np.cumsum(_LIVE_SIGN[kind] * size)
 
-    def on_free(self, block) -> None:
-        if self._deferred:
-            self._flush_deferred()
-        if block.block_id in self._off_device:
-            # Freed while off-device: nothing comes back over the link (or
-            # gets recomputed), but the residency books must balance before
-            # the free event lands.
-            state = self._off_device[block.block_id]
-            self._put_back(state)
-            self.counters.discards += 1
-            self._emit_restore(state, 0, "discard")
+        def peak(series, mask, first=0):
+            """The highest sample from row ``first`` on, or the value before it."""
+            base = int(series[first - 1]) if first else 0
+            values = series[first:][mask[first:]]
+            return max(base, int(values.max())) if values.size else base
 
-    def on_read(self, block, nbytes: int, op: str) -> None:
-        if self._deferred:
-            self._flush_deferred()
-        if self._any_trigger or block.block_id in self._acting:
-            self._on_access(block)
-        elif self._governed:
-            state = self._states.get(block.block_id)
-            if state is not None:
-                state.last_access_ns = self._clock._now_ns
+        if self._active:
+            first = (self._steady_row if self._steady_row is not None
+                     else self._active_row)
+            peak_live = peak(live, malloc, first)
+            peak_resident = peak(resident, sampled, first)
+        else:
+            peak_live = peak_resident = warmup_peak
+        if self.capacity_bytes is not None:
+            # Under capacity governance the invariant spans the whole run
+            # (warm-up included), so the honest measured peak is the overall
+            # resident maximum — which the governor kept at or below capacity.
+            peak_resident = peak(resident, sampled)
+        return peak_resident, peak_live, warmup_peak
 
-    #: A write is followed exactly like a read.
-    on_write = on_read
+    # -- the walk -----------------------------------------------------------------------
+
+    def _at(self, row: int, recorded_ns: int, stamp: int) -> None:
+        """Walk to recorded row ``row``, at recorded time ``recorded_ns``,
+        stamping the walk's own rows with iteration ``stamp``."""
+        self._walk(row)
+        self._clock.advance_to(recorded_ns + self._delay)
+        self._stamp = stamp
+        self._anchor = self._after = row
+
+    def _logged(self) -> int:
+        """Rows in the log at a point between two recorded rows."""
+        return self._cursor + len(self._inserted)
+
+    def _shift(self, row: int, delay: int) -> None:
+        """Recorded rows from ``row`` on run ``delay`` later than recorded."""
+        if delay != self._delay:
+            self._shifts.append((row, delay))
+            self._delay = delay
+
+    def _enter(self, row: int) -> None:
+        """Start acting on recorded row ``row``: the clock stands at the
+        row's time, and the walk's own rows go in front of it."""
+        self._clock.advance_to(self._ts[row] + self._delay)
+        self._stamp = self._iteration[row]
+        self._anchor = row
+        self._after = row + 1   # the allocator has already counted the row
+
+    def _leave(self, row: int) -> None:
+        """Done acting on recorded row ``row``: it and the rows after it
+        run as late as the clock now is."""
+        self._shift(row, self._clock._now_ns - self._ts[row])
+
+    def _walk(self, stop: int) -> None:
+        """Walk recorded rows ``[cursor, stop)``: the malloc/free/read/write
+        hooks of a live engine, acting only where a decision can fire."""
+        kinds, block_ids, stamps = self._kind, self._bid, self._ts
+        live, states, off, triggered = self._live, self._states, self._off_device, self._triggered
+        deferred, governed, any_trigger = self._deferred, self._governed, self._any_trigger
+        for row in range(self._cursor, stop):
+            kind = kinds[row]
+            if kind == _MALLOC:
+                block_id = block_ids[row]
+                if not governed and block_id not in states:
+                    states[block_id] = BlockState(block_id, len(states))
+                if deferred or governed:
+                    self._enter(row)
+                    self._flush_deferred()
+                    if governed:
+                        self._govern_malloc(row)
+                    self._leave(row)
+                # Allocated once room is made: no decision before it can
+                # touch the block (a deferred eviction of its id was moot at
+                # the free that preceded this malloc).
+                live[block_id] = row
+            elif kind == _FREE:
+                block_id = block_ids[row]
+                del live[block_id]
+                if deferred or block_id in off:
+                    self._enter(row)
+                    self._flush_deferred()
+                    if block_id in off:
+                        # Freed while off-device: nothing comes back over the
+                        # link (or gets recomputed), but the residency books
+                        # must balance before the free row lands.
+                        state = off[block_id]
+                        self._put_back(state)
+                        self.counters.discards += 1
+                        self._emit_restore(state, "discard")
+            elif kind == _READ or kind == _WRITE:
+                block_id = block_ids[row]
+                if deferred or any_trigger or block_id in triggered or block_id in off:
+                    self._enter(row)
+                    self._flush_deferred()
+                    if any_trigger or block_id in triggered or block_id in off:
+                        self._on_access(block_id)
+                        self._leave(row)
+                        continue
+                if governed:
+                    # Not acted on: only its last access is noted.
+                    state = states.get(block_id)
+                    if state is not None:
+                        state.last_access_ns = stamps[row] + self._delay
+        self._cursor = stop
+
+    def _emit(self, kind_code: int, state: BlockState, op: str) -> None:
+        """Log one of the walk's own rows for ``state``'s current lifetime,
+        in :data:`ROW_FIELDS` order after its anchor, then tag and op."""
+        row = state.malloc_row
+        self._inserted.append((self._anchor, kind_code, self._clock._now_ns,
+                               state.block_id, self._address[row], self._size[row],
+                               self._category[row], self._stamp, self._tags[row], op))
 
     # -- core mechanics ----------------------------------------------------------------
 
-    def _govern_malloc(self, block) -> None:
+    def _govern_malloc(self, row: int) -> None:
         """Track the block and make room for it *before* the allocation lands
         — an allocator under pressure frees space first — so the overshoot
-        never shows up in the resident peak (the swap_out events also precede
-        the malloc event in the trace)."""
-        state = self._states.get(block.block_id)
+        never shows up in the resident peak (the swap_out rows also precede
+        the malloc row in the trace)."""
+        block_id = self._bid[row]
+        state = self._states.get(block_id)
         if state is None:
-            state = self._states[block.block_id] = BlockState(block.block_id,
-                                                              len(self._states))
-        state.size, state.category, state.tag = block.size, block.category, block.tag
-        self._incoming, self._incoming_bytes = block.block_id, block.size
+            state = self._states[block_id] = BlockState(block_id, len(self._states))
+        state.size, state.category, state.tag = self._lifetime(row)
+        self._after = row   # resident bytes before the allocation lands
         self._relieve(state)
-        self._incoming, self._incoming_bytes = None, 0
 
-    def _on_access(self, block) -> None:
-        state = self._off_device.get(block.block_id)
+    def _lifetime(self, row: int) -> Tuple[int, MemoryCategory, str]:
+        """Size, category and tag of the lifetime malloc'ed at ``row``."""
+        return self._size[row], CATEGORY_FROM_CODE[self._category[row]], self._tags[row]
+
+    def _on_access(self, block_id: int) -> None:
+        state = self._off_device.get(block_id)
         if state is not None:
             if state.dropped_for_recompute:
                 self._rematerialize(state)
             else:
                 self._ensure_resident(state)
         else:
-            state = self._states.get(block.block_id)
-            if state is None:   # allocated before the executor was attached
+            state = self._states.get(block_id)
+            if state is None:   # a block whose malloc the walk has not met
                 return
         state.last_access_ns = self._clock._now_ns
-        if self._any_trigger or block.block_id in self._triggered:
+        if self._any_trigger or block_id in self._triggered:
             state.iter_access_count += 1
             directive = self.policy.directive_after_access(state)
             if directive is not None:
@@ -863,31 +930,24 @@ class SwapExecutor(MemoryEventListener):
         """Allocated, on-device blocks in first-seen order (a lazy generator:
         nothing is built until a policy walks it).
 
-        Governed runs keep every state current in their malloc hook; the
-        others take each block's size, category and tag from the allocated
-        block itself.
+        Governed runs keep every state current at its malloc; the others
+        take each block's size, category and tag from its malloc row.
         """
-        states, off, incoming = self._states, self._off_device, self._incoming
-        resident = [states[block_id] for block_id in self._live
-                    if block_id not in off and block_id != incoming and block_id in states]
+        states, off, live = self._states, self._off_device, self._live
+        resident = [states[block_id] for block_id in live
+                    if block_id not in off and block_id in states]
         resident.sort(key=attrgetter("first_seen"))
         if not self._governed:
             for state in resident:
-                block = self._live[state.block_id]
-                state.size, state.category, state.tag = block.size, block.category, block.tag
+                state.size, state.category, state.tag = self._lifetime(live[state.block_id])
         yield from resident
-
-    def _resident_bytes_before(self) -> int:
-        """Resident bytes, not counting a block being allocated."""
-        return self.resident_bytes - self._incoming_bytes
 
     def _relieve(self, state: BlockState) -> None:
         """Make room for ``state``'s bytes: the policy's pressure directives
         (when active), then the capacity invariant."""
         if self._active and self._relieves_pressure:
             for directive in self.policy.directives_on_pressure(
-                    self._resident_states(), self._resident_bytes_before() + state.size,
-                    state):
+                    self._resident_states(), self.resident_bytes + state.size, state):
                 self._evict(directive)
         self._enforce_capacity(state.size)
 
@@ -899,7 +959,7 @@ class SwapExecutor(MemoryEventListener):
             ready = state.pending_ready_ns
             op = "prefetch"
         else:
-            record = self.device.dma.async_host_to_device_at(
+            record = self._dma.async_host_to_device_at(
                 nbytes, now, tag=f"swap_in:{state.tag}")
             self.counters.copy_busy_ns += record.duration_ns
             ready = record.end_ns
@@ -918,51 +978,47 @@ class SwapExecutor(MemoryEventListener):
         # malloc path it runs *before* the block is back, so a demand-fetch
         # burst (the optimizer step pulling every buffer back) neither blows
         # through the budget nor leaks overshoot into the measured resident
-        # peak (the relieving swap_outs also precede the swap_in event).
+        # peak (the relieving swap_outs also precede the swap_in row).
         self._relieve(state)
         self._put_back(state)
         self.counters.bytes_swapped_in += nbytes
-        self._emit_restore(state, nbytes, op)
+        self._emit_restore(state, op)
 
     def _rematerialize(self, state: BlockState) -> None:
         """Replay a dropped block's producer before the access that needs it.
 
-        No bytes cross the link: the device spends the recorded producer
-        duration on its compute stream (a synchronous replay — the access
-        cannot proceed without the data), the clock advances by exactly that
-        cost, and the block is resident again.  First-order model: the
-        producer's own inputs are assumed reachable (checkpointing always
-        keeps enough upstream state for a single replay).
+        No bytes cross the link: the walk spends the recorded producer
+        duration (a synchronous replay — the access cannot proceed without
+        the data), so the delay grows by exactly that cost, and the block is
+        resident again.  First-order model: the producer's own inputs are
+        assumed reachable (checkpointing always keeps enough upstream state
+        for a single replay).
         """
         cost = int(state.compute_ns or 0)
         if cost > 0:
-            stream, clock = self.device.compute_stream, self._clock
-            stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + cost
-            clock.advance(cost)
+            self._clock.advance(cost)
             self.counters.recompute_ns_total += cost
         self._relieve(state)
         self._put_back(state)
         self.counters.bytes_recomputed += state.size
-        self._emit_restore(state, state.size, "demand")
+        self._emit_restore(state, "demand")
 
     def _put_back(self, state: BlockState) -> None:
         """The residency books of a block coming back on the device."""
         del self._off_device[state.block_id]
-        if state.block_id not in self._triggered:
-            self._acting.discard(state.block_id)
         self._swapped_out_bytes -= state.size
         state.pending_ready_ns = None
 
-    def _emit_restore(self, state: BlockState, nbytes: int, op: str) -> None:
-        """Count and emit a restoration: a ``recompute`` for a dropped block,
+    def _emit_restore(self, state: BlockState, op: str) -> None:
+        """Count and log a restoration: a ``recompute`` for a dropped block,
         a ``swap_in`` otherwise."""
         if state.dropped_for_recompute:
             state.dropped_for_recompute = False
             self.counters.recompute_count += 1
-            self.device.listeners.on_recompute(state.block, nbytes, op)
+            self._emit(_RECOMPUTE, state, op)
         else:
             self.counters.swap_in_count += 1
-            self.device.listeners.on_swap_in(state.block, nbytes, op)
+            self._emit(_SWAP_IN, state, op)
 
     def _evict(self, directive: EvictDirective):
         """Execute one eviction directive (no-op if the block moved on).
@@ -973,15 +1029,13 @@ class SwapExecutor(MemoryEventListener):
         """
         block_id = directive.block_id
         state = self._states.get(block_id)
-        block = self._live.get(block_id)
-        if (state is None or block is None or block_id in self._off_device
-                or block_id == self._incoming):
+        row = self._live.get(block_id)
+        if state is None or row is None or block_id in self._off_device:
             return None
         # The block is allocated, so its size, category and tag are current.
-        state.block = block
-        state.size, state.category, state.tag = block.size, block.category, block.tag
+        state.malloc_row = row
+        state.size, state.category, state.tag = self._lifetime(row)
         self._off_device[block_id] = state
-        self._acting.add(block_id)
         self._swapped_out_bytes += state.size
         if directive.recompute:
             # Rematerialization drop: the bytes simply vanish — no transfer,
@@ -990,13 +1044,12 @@ class SwapExecutor(MemoryEventListener):
             state.pending_ready_ns = None
             self.counters.recompute_drop_count += 1
             self.counters.bytes_recompute_dropped += state.size
-            self.device.listeners.on_recompute_drop(block, state.size,
-                                                    self.policy.name)
+            self._emit(_RECOMPUTE_DROP, state, self.policy.name)
             return None
         now = self._clock.now_ns
         copy_bytes = (directive.copy_bytes if directive.copy_bytes is not None
                       else state.size)
-        out = self.device.dma.async_device_to_host_at(
+        out = self._dma.async_device_to_host_at(
             copy_bytes, now, tag=f"swap_out:{state.tag}")
         self.counters.copy_busy_ns += out.duration_ns
         state.swapped_copy_bytes = copy_bytes
@@ -1007,13 +1060,13 @@ class SwapExecutor(MemoryEventListener):
                         - PREFETCH_MARGIN_NS)
             # The copy-back can start no earlier than its own eviction copy
             # finished (the host does not have the bytes before that).
-            back = self.device.dma.async_host_to_device_by(
+            back = self._dma.async_host_to_device_by(
                 copy_bytes, deadline, earliest_start_ns=max(now, out.end_ns),
                 tag=f"swap_prefetch:{state.tag}")
             self.counters.copy_busy_ns += back.duration_ns
             state.pending_ready_ns = back.end_ns
             self.counters.prefetches_scheduled += 1
-        self.device.listeners.on_swap_out(block, copy_bytes, self.policy.name)
+        self._emit(_SWAP_OUT, state, self.policy.name)
         return out
 
     def _enforce_capacity(self, incoming: int) -> None:
@@ -1021,16 +1074,15 @@ class SwapExecutor(MemoryEventListener):
 
         Force-evicts resident blocks in least-recently-accessed order (the
         incoming block is never a candidate) until
-        ``resident + incoming <= capacity``, then stalls the device until the
-        relieving copy-outs complete — memory is not reusable before the
-        bytes have left.  Raises
-        :class:`~repro.errors.InfeasibleScenarioError` up-front when even
-        evicting every resident block cannot make room.
+        ``resident + incoming <= capacity``, then stalls until the relieving
+        copy-outs complete — memory is not reusable before the bytes have
+        left.  Raises :class:`~repro.errors.InfeasibleScenarioError` up-front
+        when even evicting every resident block cannot make room.
         """
         capacity = self.capacity_bytes
         if capacity is None:
             return
-        resident = self._resident_bytes_before()
+        resident = self.resident_bytes
         excess = resident + incoming - capacity
         if excess <= 0:
             return
@@ -1060,10 +1112,11 @@ class SwapExecutor(MemoryEventListener):
             self.counters.pressure_stall_ns += stall
 
     def _flush_deferred(self) -> None:
-        """Run post-access evictions queued by the previous event."""
+        """Run the post-access evictions queued by an earlier row."""
         if not self._deferred:
             return
-        pending, self._deferred = self._deferred, []
+        pending = self._deferred[:]
+        self._deferred.clear()
         for directive in pending:
             self._evict(directive)
 
@@ -1072,14 +1125,48 @@ class SwapExecutor(MemoryEventListener):
     def _learn(self) -> None:
         """Run :func:`learn_from_rows` over the learning rows not read yet
         (those before the freeze)."""
-        log = self.recorder.log
-        stop = self._freeze_row if self._freeze_row is not None else len(log)
+        stop = self._freeze_row if self._freeze_row is not None else self._logged()
         if stop <= self._learned_row:
             return
+        columns, tags, _ = self.log()
         profile = learn_from_rows(
-            log.columns_between(self._learned_row, stop, LEARNED_FIELDS),
-            self._learned_row, log.tag, self._windows, self._states,
-            self._carry)
+            [getattr(columns, name)[self._learned_row:stop] for name in LEARNED_FIELDS],
+            self._learned_row, tags, self._windows, self._states, self._carry)
         self._learned_row = stop
         if profile is not None:
             self._profile = profile
+
+
+def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryPolicy]],
+            spec: DeviceSpec, capacity_bytes: Optional[int] = None,
+            syncs: Sequence[Sequence[int]] = ()
+            ) -> Tuple[List[MemoryTrace], List[SwapExecutionSummary]]:
+    """Execute a swap policy on the swap-off recordings of a run's replicas.
+
+    ``traces`` are the replicas' recordings (one per materialised replica,
+    sharing their iteration indices) and ``policies`` one policy per
+    replica.  ``syncs``, when the replicas synchronize, holds per replica
+    the recorded row that follows each iteration's barrier (one per
+    iteration): the walks advance in lock-step, and each barrier resolves to
+    the latest of the replicas' delayed arrivals, measured from the latest
+    recorded one.  Returns every replica's overlaid trace and its
+    :class:`SwapExecutionSummary`; an infeasible capacity raises
+    :class:`~repro.errors.InfeasibleScenarioError`.
+    """
+    executors = [SwapExecutor(trace, policy, spec, capacity_bytes)
+                 for trace, policy in zip(traces, policies)]
+    for position, mark in enumerate(traces[0].iteration_marks):
+        for executor in executors:
+            executor.begin_iteration(mark.index)
+        if syncs:
+            arrivals = [executor.arrive(rows[position])
+                        for executor, rows in zip(executors, syncs)]
+            delay = max(live for _, live in arrivals) - max(recorded for recorded, _ in arrivals)
+            for executor in executors:
+                executor.leave(delay)
+        for executor in executors:
+            executor.end_iteration(mark.index)
+    for executor in executors:
+        executor.finalize()
+    return ([executor.trace() for executor in executors],
+            [executor.summary() for executor in executors])

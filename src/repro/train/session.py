@@ -22,15 +22,18 @@ deterministic, so ranks the simulator cannot tell apart — one *replica
 class* (:func:`~repro.train.trainer.replica_classes`: equal shard shapes in
 symbolic mode, at most two classes; every rank on its own in eager mode) —
 share one simulated replica: the session builds one identically seeded
-model / optimizer / loss / profiler / swap executor per class, and a rank's
-trace is a view of its class's recording that differs only in
-``metadata["device_rank"]``.
+model / optimizer / loss / profiler per class, and a rank's trace is a view
+of its class's recording that differs only in ``metadata["device_rank"]``.
+
+A swap-on run is simulated with swap off and the allocator at its native
+capacity — swap execution never moves an allocation — and its policy then
+runs over each class's recording (:func:`repro.swap.executor.overlay`).
 """
 
 from __future__ import annotations
 
 import gc
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Dict, List, Optional
 
 from ..core.profiler import MemoryProfiler
@@ -45,7 +48,7 @@ from ..models.registry import build_model
 from ..nn.loss import CrossEntropyLoss
 from ..nn.optim import SGD, Adam, Optimizer
 from ..rng import LazyGenerator
-from .trainer import DataParallelTrainer, IterationStats, replica_classes
+from .trainer import DataParallelTrainer, IterationStats, barrier_rows, replica_classes
 
 
 @dataclass
@@ -197,7 +200,7 @@ def build_cluster(config: TrainingRunConfig) -> ClusterSpec:
     """Construct the cluster specification described by a run configuration.
 
     With the swap engine on, ``device_memory_capacity`` is enforced by the
-    executor's capacity governor (forced eviction with stall accounting, a
+    overlay's capacity governor (forced eviction with stall accounting, a
     structured :class:`~repro.errors.InfeasibleScenarioError` when even full
     eviction cannot fit) rather than by shrinking the allocator — the
     allocator keeps its native capacity so blocks that are merely *swapped
@@ -248,31 +251,39 @@ def _build_optimizer(config: TrainingRunConfig, model) -> Optimizer:
     raise ConfigurationError(f"unknown optimizer '{config.optimizer}'")
 
 
-def _build_swap_executors(config: TrainingRunConfig, group: DeviceGroup,
-                          profilers: List[MemoryProfiler]):
-    """One closed-loop swap executor per materialised replica (empty when off).
-
-    Each executor reads its replica's recorder (``profilers``, not started
-    yet) and is attached *before* it, so that the stalls it inserts and the
-    ``swap_in`` events it emits land ahead of the accesses that needed them
-    (see :mod:`repro.swap`).
-    """
+def _swap_policies(config: TrainingRunConfig, group: DeviceGroup):
+    """One policy per materialised replica (``None``: swap off), built
+    before anything is simulated so that an unknown mode fails first."""
     if config.swap == "off":
-        return []
-    from ..swap import POLICIES, SWAP_EXECUTION_MODES, SwapExecutor
+        return None
+    from ..swap import POLICIES, SWAP_EXECUTION_MODES
     if config.swap not in SWAP_EXECUTION_MODES:
         raise ConfigurationError(
             f"unknown swap mode '{config.swap}'; known modes: "
             f"{', '.join(SWAP_EXECUTION_MODES)}")
-    executors = []
-    for device, profiler in zip(group, profilers):
-        policy = POLICIES[config.swap].for_run(
-            world_size=group.n_devices, capacity_bytes=config.device_memory_capacity)
-        executor = SwapExecutor(device, policy, profiler.recorder,
-                                capacity_bytes=config.device_memory_capacity)
-        device.attach_swap_executor(executor)
-        executors.append(executor)
-    return executors
+    return [POLICIES[config.swap].for_run(world_size=group.n_devices,
+                                          capacity_bytes=config.device_memory_capacity)
+            for _ in group]
+
+
+def _execute_swap(config: TrainingRunConfig, group: DeviceGroup, policies,
+                  traces: List[MemoryTrace], iteration_stats: List[IterationStats]):
+    """Overlay the swap policies on the class recordings: the overlaid
+    traces, the iteration statistics re-timed like their marks, and the
+    ``swap_execution`` payload (replica 0's summary plus the rank count)."""
+    from ..swap.executor import overlay
+    syncs = [barrier_rows(trace) for trace in traces] if len(traces) > 1 else ()
+    traces, summaries = overlay(traces, policies, group.primary.spec,
+                                capacity_bytes=config.device_memory_capacity,
+                                syncs=syncs)
+    stats = [replace(step, start_ns=min(trace.iteration_marks[position].start_ns
+                                        for trace in traces),
+                     end_ns=max(trace.iteration_marks[position].end_ns
+                                for trace in traces))
+             for position, step in enumerate(iteration_stats)]
+    swap_execution = summaries[0].to_dict()
+    swap_execution["n_ranks"] = group.n_devices
+    return traces, stats, swap_execution
 
 
 def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, object]:
@@ -326,7 +337,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         MemoryProfiler(device, metadata={**base_metadata, "device_rank": ranks[0]})
         for device, ranks in zip(group, group.class_ranks)
     ]
-    swap_executors = _build_swap_executors(config, group, profilers)
+    policies = _swap_policies(config, group)
 
     # The paper instruments the allocator for the whole run, so model and
     # optimizer construction (parameter allocation + initialization) is
@@ -355,25 +366,21 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         optimizers = [_build_optimizer(config, model) for model in models]
 
         trainer = DataParallelTrainer(group, models, loader, optimizers, loss_fns,
-                                      recorders=profilers,
-                                      swap_executors=swap_executors or None)
+                                      recorders=profilers)
         iteration_stats = trainer.train(config.iterations)
-        for executor in swap_executors:
-            executor.finalize()
     finally:
         for profiler in profilers:
             profiler.stop()
         if collector_was_enabled:
             gc.enable()
     class_traces = [profiler.trace() for profiler in profilers]
+    swap_execution: Optional[Dict[str, object]] = None
+    if policies is not None:
+        class_traces, iteration_stats, swap_execution = _execute_swap(
+            config, group, policies, class_traces, iteration_stats)
     rank_traces = [class_traces[index].rank_view(rank)
                    for rank, index in enumerate(group.rank_classes)]
     trace = merge_rank_traces(rank_traces)
-
-    swap_execution: Optional[Dict[str, object]] = None
-    if swap_executors:
-        swap_execution = swap_executors[0].summary().to_dict()
-        swap_execution["n_ranks"] = n_devices
 
     if capture is not None:
         capture.collect(profilers=profilers, traces=class_traces)

@@ -35,7 +35,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.events import MemoryCategory
+from ..core.events import MemoryCategory, MemoryEventKind
+from ..core.trace import KIND_CODES, MemoryTrace
 from ..device.cluster import DeviceGroup
 from ..device.collective import CollectiveRecord
 from ..device.device import Device
@@ -44,6 +45,22 @@ from ..data.loader import DataLoader
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..tensor.tensor import Tensor, from_numpy
+
+
+#: The op (and collective tag) of the gradient allreduce's reads and writes.
+ALLREDUCE_OP = "grad_allreduce"
+
+
+def barrier_rows(trace: MemoryTrace) -> List[int]:
+    """Per iteration of a replica's recording, the row right after its
+    gradient allreduce barrier: :meth:`DataParallelTrainer._allreduce_gradients`
+    records every gradient's read, waits at the barrier, then records the
+    writes."""
+    ops, columns = trace.event_strings()[1], trace.columns()
+    writes = np.flatnonzero(columns.kind_code == KIND_CODES[MemoryEventKind.WRITE])
+    reads = [ops.index(ALLREDUCE_OP, int(np.argmax(columns.iteration == mark.index)))
+             for mark in trace.iteration_marks]
+    return writes[np.searchsorted(writes, reads)].tolist()
 
 
 @dataclass
@@ -154,18 +171,11 @@ class DataParallelTrainer:
         Optional per-replica recorders (duck-typed ``begin_iteration`` /
         ``end_iteration``), e.g. one
         :class:`~repro.core.profiler.MemoryProfiler` per replica.
-    swap_executors:
-        Optional per-replica closed-loop swap engines
-        (:class:`~repro.swap.SwapExecutor`).  They receive the same iteration
-        boundaries as the recorders — begin *after* them (so replan-time
-        evictions are stamped with the new iteration) and end *before* them
-        (so boundary-window evictions land inside the closing iteration).
     """
 
     def __init__(self, group: DeviceGroup, models: Sequence[Module],
                  loader: DataLoader, optimizers: Sequence[Optimizer],
                  loss_fns: Sequence[Module], recorders: Optional[Sequence] = None,
-                 swap_executors: Optional[Sequence] = None,
                  post_iteration_host_ns: int = 1_000_000):
         n = group.n_materialized
         if not (len(models) == len(optimizers) == len(loss_fns) == n):
@@ -175,18 +185,12 @@ class DataParallelTrainer:
         if recorders is not None and len(recorders) != n:
             raise ConfigurationError(
                 f"need one recorder per replica, got {len(recorders)} for {n}")
-        if swap_executors is not None and len(swap_executors) != n:
-            raise ConfigurationError(
-                f"need one swap executor per replica, got {len(swap_executors)} "
-                f"for {n}")
         self.group = group
         self.models = list(models)
         self.loader = loader
         self.optimizers = list(optimizers)
         self.loss_fns = list(loss_fns)
         self.recorders = list(recorders) if recorders is not None else []
-        self.swap_executors = (list(swap_executors)
-                               if swap_executors is not None else [])
         self.post_iteration_host_ns = int(post_iteration_host_ns)
         self.history: List[IterationStats] = []
         self.collective_records: List[CollectiveRecord] = []
@@ -216,8 +220,8 @@ class DataParallelTrainer:
         nbytes = sum(grad.nbytes for grad in grads_per_rank[0])
         for grads in grads_per_rank:
             for grad in grads:
-                grad.storage.record_read("grad_allreduce")
-        record = self.group.collective.allreduce(nbytes, tag="grad_allreduce")
+                grad.storage.record_read(ALLREDUCE_OP)
+        record = self.group.collective.allreduce(nbytes, tag=ALLREDUCE_OP)
         if self.group.primary.is_eager:
             for buffers in zip(*grads_per_rank):
                 mean = np.mean([grad.numpy() for grad in buffers], axis=0)
@@ -225,7 +229,7 @@ class DataParallelTrainer:
                     grad.storage.set_buffer(mean.reshape(-1))
         for grads in grads_per_rank:
             for grad in grads:
-                grad.storage.record_write("grad_allreduce")
+                grad.storage.record_write(ALLREDUCE_OP)
         self.collective_records.append(record)
         return record
 
@@ -235,8 +239,6 @@ class DataParallelTrainer:
         """Run one data-parallel iteration; returns the aggregated statistics."""
         for recorder in self.recorders:
             recorder.begin_iteration(index)
-        for executor in self.swap_executors:
-            executor.begin_iteration(index)
         start_ns = min(device.clock.now_ns for device in self.group)
 
         # 1. One global host-side batch, sharded across the replicas.  Every
@@ -287,8 +289,6 @@ class DataParallelTrainer:
             reserved_bytes_end=max(device.reserved_bytes for device in self.group),
         )
         self.history.append(stats)
-        for executor in self.swap_executors:
-            executor.end_iteration(index)
         for recorder in self.recorders:
             recorder.end_iteration(index)
         return stats

@@ -26,6 +26,7 @@ from repro.core.events import (
     MemoryEvent,
     MemoryEventKind,
 )
+from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace, lifetimes_from_columns, merge_rank_traces
 from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
@@ -395,18 +396,6 @@ class ReferenceRecorder(MemoryEventListener):
     def on_segment_free(self, segment):
         self._on_segment(MemoryEventKind.SEGMENT_FREE, segment)
 
-    def on_swap_out(self, block, nbytes, op):
-        self._emit_block(MemoryEventKind.SWAP_OUT, block, op)
-
-    def on_swap_in(self, block, nbytes, op):
-        self._emit_block(MemoryEventKind.SWAP_IN, block, op)
-
-    def on_recompute_drop(self, block, nbytes, op):
-        self._emit_block(MemoryEventKind.RECOMPUTE_DROP, block, op)
-
-    def on_recompute(self, block, nbytes, op):
-        self._emit_block(MemoryEventKind.RECOMPUTE, block, op)
-
 
 def reference_price_times(template, configs):
     """The per-row repricer: every row's durations built and summed on its own.
@@ -568,52 +557,167 @@ def plan_inputs(warmup):
             warmup.iteration_duration_ns, list(warmup.live_series or ()))
 
 
-def swap_run(scenario, executor_class):
-    """Run ``scenario`` with ``executor_class`` as the session's swap executor.
+class SwapRecorder(TraceRecorder):
+    """A recorder that also logs the swap rows of its device's live
+    :class:`ReferenceSwapExecutor`, and drives that executor's iteration
+    hooks the way a trainer would: the executor begins an iteration after
+    the recorder (replan-time evictions carry the new iteration) and ends it
+    before (boundary evictions land inside it), and it is finalized before
+    the trace is taken."""
 
-    Returns what the differential compares: the ``ScenarioResult`` (wall time
-    zeroed), the merged trace's columns, tags and ops, every executor's
-    ``summary().to_dict()`` and the inputs of every plan it made — or the
-    error the session raised.
+    executor = None
+
+    def _record(self, kind, block, op):
+        if self.enabled:
+            self.log.append(trace_module.KIND_CODES[kind], self.clock.now_ns,
+                            block.block_id, block.address, block.size,
+                            block.category.code, self.current_iteration, block.tag, op)
+
+    def on_swap_out(self, block, nbytes, op):
+        self._record(MemoryEventKind.SWAP_OUT, block, op)
+
+    def on_swap_in(self, block, nbytes, op):
+        self._record(MemoryEventKind.SWAP_IN, block, op)
+
+    def on_recompute_drop(self, block, nbytes, op):
+        self._record(MemoryEventKind.RECOMPUTE_DROP, block, op)
+
+    def on_recompute(self, block, nbytes, op):
+        self._record(MemoryEventKind.RECOMPUTE, block, op)
+
+    def begin_iteration(self, index):
+        super().begin_iteration(index)
+        self.executor.begin_iteration(index)
+
+    def end_iteration(self, index):
+        self.executor.end_iteration(index)
+        super().end_iteration(index)
+
+    def to_trace(self):
+        if not self.executor.finalized:
+            self.executor.finalize()
+        return super().to_trace()
+
+
+def _recording_plans(policy, plans):
+    """Wrap ``policy.plan`` so every call first appends its inputs to ``plans``."""
+    plan = policy.plan
+
+    def recorded(warmup, bandwidths):
+        plans.append(plan_inputs(warmup))
+        return plan(warmup, bandwidths)
+    policy.plan = recorded
+
+
+def live_swap_session(config):
+    """Run ``config`` with :class:`ReferenceSwapExecutor` live on every replica.
+
+    The executors are listeners attached ahead of the recorders (through the
+    session's ``capture`` hook), their rows are logged by
+    :class:`SwapRecorder`, and the session's overlay step is replaced by
+    what they did.  Returns the session and every executor with the inputs
+    of each plan it made.
     """
-    from repro.experiments.results import reduce_session
+    from repro.swap import POLICIES
     from repro.train.session import run_training_session
 
     executors = []
+    if config.swap == "off":
+        return run_training_session(config), executors
+    by_clock = {}
 
-    class Recording(executor_class):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            plans = []
-            executors.append((self, plans))
-            plan = self.policy.plan
+    class Capture:
+        def attach(self, group):
+            for device in group:
+                policy = POLICIES[config.swap].for_run(
+                    world_size=group.n_devices,
+                    capacity_bytes=config.device_memory_capacity)
+                executor = ReferenceSwapExecutor(
+                    device, policy, capacity_bytes=config.device_memory_capacity)
+                plans = []
+                _recording_plans(executor.policy, plans)
+                executors.append((executor, plans))
+                by_clock[id(device.clock)] = executor
+                device.add_listener(executor)
 
-            def recorded(warmup, bandwidths):
-                plans.append(plan_inputs(warmup))
-                return plan(warmup, bandwidths)
-            self.policy.plan = recorded
+        def collect(self, profilers, traces):
+            pass
 
-    with mock.patch("repro.swap.SwapExecutor", Recording):
-        try:
-            session = run_training_session(scenario.config)
-        except Exception as error:   # noqa: BLE001 - compared, not swallowed
-            return ("raised", type(error).__name__, str(error))
+    def recorder(clock, metadata=None):
+        made = SwapRecorder(clock, metadata)
+        made.executor = by_clock[id(clock)]
+        made.executor.recorder = made
+        return made
+
+    def lived(traces, policies, spec, capacity_bytes=None, syncs=()):
+        return traces, [executor.summary() for executor, _ in executors]
+
+    with mock.patch("repro.core.profiler.TraceRecorder", recorder), \
+            mock.patch("repro.swap.executor.overlay", lived):
+        session = run_training_session(config, capture=Capture())
+    return session, executors
+
+
+def overlaid_swap_session(config):
+    """Run ``config`` through the session's overlay step; returns the session
+    and every replica's summary with the inputs of each plan it made."""
+    from repro.swap import executor as swap_executor
+    from repro.train.session import run_training_session
+
+    walks = []
+    overlay = swap_executor.overlay
+
+    def observed(traces, policies, *args, **kwargs):
+        plans = [[] for _ in policies]
+        for policy, made in zip(policies, plans):
+            _recording_plans(policy, made)
+        traces, summaries = overlay(traces, policies, *args, **kwargs)
+        walks.extend(zip(summaries, plans))
+        return traces, summaries
+
+    with mock.patch("repro.swap.executor.overlay", observed):
+        session = run_training_session(config)
+    return session, walks
+
+
+def swap_run(scenario, side):
+    """Run ``scenario`` through the overlay (``side="overlay"``) or with the
+    live :class:`ReferenceSwapExecutor` (``side="reference"``).
+
+    Returns what the differential compares: the ``ScenarioResult`` (wall time
+    zeroed), the merged trace's columns, tags and ops, every replica's
+    ``summary().to_dict()`` and the inputs of every plan it made — or the
+    error the session raised.  Every trace is validated first.
+    """
+    from repro.experiments.results import reduce_session
+
+    try:
+        if side == "overlay":
+            session, walks = overlaid_swap_session(scenario.config)
+            replicas = [(summary.to_dict(), plans) for summary, plans in walks]
+        else:
+            session, executors = live_swap_session(scenario.config)
+            replicas = [(executor.summary().to_dict(), plans)
+                        for executor, plans in executors]
+    except Exception as error:   # noqa: BLE001 - compared, not swallowed
+        return ("raised", type(error).__name__, str(error))
+    session.trace.validate()
     result = reduce_session(scenario, scenario.resolve_bandwidths(), session, 0.0)
     columns = session.trace.columns()
     return (replace(result, wall_time_s=0.0),
             {field.name: getattr(columns, field.name).tolist()
              for field in dataclasses.fields(columns)},
             session.trace.event_strings(),
-            [(executor.summary().to_dict(), plans) for executor, plans in executors])
+            replicas)
 
 
 def assert_swap_matches_reference(scenario):
-    """The executor and :class:`ReferenceSwapExecutor` agree on ``scenario``:
-    result, merged trace, summaries and plan inputs, or the error raised."""
-    from repro.swap.executor import SwapExecutor
-    got = swap_run(scenario, SwapExecutor)
-    expected = swap_run(scenario, ReferenceSwapExecutor)
-    for name, mine, theirs in zip(("result", "columns", "strings", "executors"),
+    """The overlay and the live :class:`ReferenceSwapExecutor` agree on
+    ``scenario``: result, merged trace, summaries and plan inputs, or the
+    error raised."""
+    got = swap_run(scenario, "overlay")
+    expected = swap_run(scenario, "reference")
+    for name, mine, theirs in zip(("result", "columns", "strings", "replicas"),
                                   got, expected):
         assert mine == theirs, f"{name} differs for {scenario.config.describe()}"
 
@@ -651,18 +755,23 @@ class ReferenceBlockState:
 
 
 class ReferenceSwapExecutor(MemoryEventListener):
-    """The per-behavior swap executor: every malloc, free, read and write
-    runs its learning rules and bookkeeping in Python.
+    """The live, per-behavior swap executor: a listener attached to a
+    device ahead of its recorder, where every malloc, free, read and write
+    runs its learning rules and bookkeeping in Python, stalls the device
+    clock and logs its rows through ``recorder`` (a :class:`SwapRecorder`).
 
-    Kept as the oracle :class:`~repro.swap.executor.SwapExecutor` is held
-    to (as :class:`ReferenceRecorder` is the recorder's): the same
-    decisions, events, summary and plan inputs from its own books.  It takes
-    (and ignores) the recorder the real executor reads.
+    The one live-hook executor: kept as the oracle
+    :func:`repro.swap.executor.overlay` is held to (as
+    :class:`ReferenceRecorder` is the recorder's) — the same decisions,
+    rows, summary and plan inputs from its own books
+    (:func:`live_swap_session` runs it).
     """
 
     def __init__(self, device, policy, recorder=None, bandwidths=None,
                  capacity_bytes=None):
         self.device = device
+        self.recorder = recorder
+        self.finalized = False
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         if not self.policy.executable:
             raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
@@ -812,6 +921,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
         allocation series and peak accounting can never be skewed by
         unmatched evictions at the tail of the run.
         """
+        self.finalized = True
         self._flush_deferred()
         for state in self._states.values():
             if state.freed or state.resident:
@@ -825,10 +935,10 @@ class ReferenceSwapExecutor(MemoryEventListener):
             if state.dropped_for_recompute:
                 state.dropped_for_recompute = False
                 self.counters.recompute_count += 1
-                self.device.listeners.on_recompute(state.block, 0, "shutdown")
+                self.recorder.on_recompute(state.block, 0, "shutdown")
             else:
                 self.counters.swap_in_count += 1
-                self.device.listeners.on_swap_in(state.block, 0, "shutdown")
+                self.recorder.on_swap_in(state.block, 0, "shutdown")
 
     # -- listener hooks ----------------------------------------------------------------
 
@@ -882,10 +992,10 @@ class ReferenceSwapExecutor(MemoryEventListener):
             if state.dropped_for_recompute:
                 state.dropped_for_recompute = False
                 self.counters.recompute_count += 1
-                self.device.listeners.on_recompute(state.block, 0, "discard")
+                self.recorder.on_recompute(state.block, 0, "discard")
             else:
                 self.counters.swap_in_count += 1
-                self.device.listeners.on_swap_in(state.block, 0, "discard")
+                self.recorder.on_swap_in(state.block, 0, "discard")
         self._resident_bytes -= state.size
         self._live_bytes -= state.size
         self._sample_live()
@@ -1010,7 +1120,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
         self._bump_resident(state.size)
         self.counters.swap_in_count += 1
         self.counters.bytes_swapped_in += nbytes
-        self.device.listeners.on_swap_in(state.block, nbytes, op)
+        self.recorder.on_swap_in(state.block, nbytes, op)
 
     def _rematerialize(self, state: ReferenceBlockState) -> None:
         """Replay a dropped block's producer before the access that needs it.
@@ -1040,7 +1150,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
         self._bump_resident(state.size)
         self.counters.recompute_count += 1
         self.counters.bytes_recomputed += state.size
-        self.device.listeners.on_recompute(state.block, state.size, "demand")
+        self.recorder.on_recompute(state.block, state.size, "demand")
 
     def _evict(self, directive: EvictDirective):
         """Execute one eviction directive (no-op if the block moved on).
@@ -1062,7 +1172,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
             self._resident_bytes -= state.size
             self.counters.recompute_drop_count += 1
             self.counters.bytes_recompute_dropped += state.size
-            self.device.listeners.on_recompute_drop(state.block, state.size,
+            self.recorder.on_recompute_drop(state.block, state.size,
                                                     self.policy.name)
             return None
         now = self.device.clock.now_ns
@@ -1088,7 +1198,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
             self.counters.copy_busy_ns += back.duration_ns
             state.pending_ready_ns = back.end_ns
             self.counters.prefetches_scheduled += 1
-        self.device.listeners.on_swap_out(state.block, copy_bytes,
+        self.recorder.on_swap_out(state.block, copy_bytes,
                                           self.policy.name)
         return out
 

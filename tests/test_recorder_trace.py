@@ -208,6 +208,19 @@ def _events(*rows):
         for index, row in enumerate(rows)])
 
 
+def test_validate_accepts_balanced_engine_rows():
+    """An eviction closed by its restoration (a discard right before the
+    free counts), a drop closed by its replay, one per lifetime."""
+    trace = _events(("malloc", 0, 1, 0x1000, 512), ("write", 1, 1, 0x1000, 512),
+                    ("swap_out", 2, 1, 0x1000, 512), ("swap_in", 3, 1, 0x1000, 512),
+                    ("read", 4, 1, 0x1000, 512), ("recompute_drop", 5, 1, 0x1000, 512),
+                    ("recompute", 6, 1, 0x1000, 512), ("swap_out", 7, 1, 0x1000, 512),
+                    ("swap_in", 8, 1, 0x1000, 512), ("free", 9, 1, 0x1000, 512),
+                    ("malloc", 10, 1, 0x1000, 512), ("swap_out", 11, 1, 0x1000, 512),
+                    ("swap_in", 12, 1, 0x1000, 512))
+    assert trace.validate() is trace
+
+
 def test_validate_accepts_recorded_and_hand_built_traces(test_device, simple_trace):
     assert simple_trace.validate() is simple_trace
     assert MemoryTrace().validate().is_empty
@@ -236,6 +249,18 @@ def test_validate_accepts_recorded_and_hand_built_traces(test_device, simple_tra
     # the earliest violation is the one named, whichever invariant it breaks
     ([("malloc", 0, 1, 0x1000, 512), ("malloc", 1, 2, 0x1000, 512),
       ("read", 2, 3, 0x3000, 512)], 1, "overlaps"),
+    # engine rows: a restoration with no eviction of its kind to close
+    ([("malloc", 0, 1, 0x1000, 512), ("swap_in", 1, 1, 0x1000, 512),
+      ("free", 2, 1, 0x1000, 512)], 1,
+     "swap_in of block 1 closes no earlier eviction of its block in the same lifetime"),
+    # ... an access while the block is off the device
+    ([("malloc", 0, 1, 0x1000, 512), ("recompute_drop", 1, 1, 0x1000, 512),
+      ("read", 2, 1, 0x1000, 512), ("recompute", 3, 1, 0x1000, 512),
+      ("free", 4, 1, 0x1000, 512)], 2, "read of block 1 lands while its block is off the device"),
+    # ... an eviction still open at the end of the trace
+    ([("malloc", 0, 1, 0x1000, 512), ("write", 1, 1, 0x1000, 512),
+      ("swap_out", 2, 1, 0x1000, 512)], 2,
+     "swap_out of block 1 is not balanced by a restoration of its block in the same lifetime"),
 ])
 def test_validate_names_the_first_offending_event(rows, offender, message):
     from repro.errors import TraceError, TraceInvariantError

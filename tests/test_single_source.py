@@ -7,6 +7,7 @@ differentials pin the row forms of the recipes to their one-row forms.
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
                             summarize_values_us)
 from repro.core.breakdown import occupation_from_columns
 from repro.core.events import MemoryCategory
+from repro.core.recorder import TraceRecorder
 from repro.core.stats import percentiles_of_sorted
 from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
                              swappable_fractions)
@@ -25,6 +27,7 @@ from repro.core.trace import CATEGORY_FROM_CODE
 from repro.data.loader import HostLatencyModel
 from repro.device import timing
 from repro.device.device import Device
+from repro.device.hooks import HOOK_NAMES, CountingListener, MemoryEventListener
 from repro.device.spec import get_device_spec
 from repro.experiments.grid import PRICING_FIELDS, structure_token
 from repro.experiments.replay import (
@@ -35,6 +38,7 @@ from repro.experiments.replay import (
 )
 from repro.swap.policies import get_policy
 from repro.train.session import TrainingRunConfig
+from repro.train.trainer import DataParallelTrainer
 from repro.units import MIB
 
 from tests.helpers import build_trace, price_one
@@ -252,6 +256,54 @@ def test_train_names_no_technique():
         literals = {node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         assert not literals & set(TECHNIQUES), path.name
+
+
+def test_the_device_and_training_layers_run_no_swap_engine():
+    """The device and the trainer know nothing of swapping; the session's
+    swap step imports the registry and the overlay, lazily, and nothing else."""
+    importers = {}
+    for path, tree in _sources(SRC / "device") + _sources(SRC / "train"):
+        names = {name for name in _absolute_imports(path, tree)
+                 if name == "repro.swap" or name.startswith("repro.swap.")}
+        if names:
+            importers[path.relative_to(SRC).as_posix()] = names
+    assert importers == {"train/session.py": {
+        "repro.swap", "repro.swap.POLICIES", "repro.swap.SWAP_EXECUTION_MODES",
+        "repro.swap.executor", "repro.swap.executor.overlay"}}
+    session = SRC / "train" / "session.py"
+    assert _enclosing_functions(session, lambda node: isinstance(node, ast.ImportFrom)
+                                and "swap" in (node.module or "")) == [
+        "_swap_policies", "_execute_swap"]
+    assert [name for name in dir(Device()) if "swap" in name.lower()] == []
+    assert "swap_executors" not in inspect.signature(DataParallelTrainer).parameters
+
+
+def test_a_listener_hears_only_the_six_allocator_and_storage_hooks():
+    assert HOOK_NAMES == ("on_malloc", "on_free", "on_read", "on_write",
+                          "on_segment_alloc", "on_segment_free")
+    for listener in (MemoryEventListener, CountingListener, TraceRecorder):
+        assert {name for name in vars(listener) if name.startswith("on_")} \
+            == set(HOOK_NAMES), listener.__name__
+
+
+def test_tests_helpers_holds_the_only_live_hook_executor():
+    """A live-hook executor is a listener that moves the device clock from
+    inside the event path: only the oracle the overlay is held to is one."""
+    behaviors = set(HOOK_NAMES[:4])
+    found = []
+    for root in (SRC, SRC.parents[1] / "tests"):
+        for path, tree in _sources(root):
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ClassDef):
+                    continue
+                hooks = {item.name for item in node.body
+                         if isinstance(item, ast.FunctionDef)} & behaviors
+                stalls = any(isinstance(call, ast.Call)
+                             and getattr(call.func, "attr", None) == "advance"
+                             for call in ast.walk(node))
+                if hooks and stalls:
+                    found.append((path.name, node.name))
+    assert found == [("helpers.py", "ReferenceSwapExecutor")]
 
 
 def _imported_modules(tree):

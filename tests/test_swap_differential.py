@@ -1,13 +1,19 @@
-"""The swap executor against its per-behavior oracle.
+"""The swap overlay against its live oracle, and the premise it rests on.
 
-:class:`~repro.swap.executor.SwapExecutor` learns from its recorder's log in
-one columnar pass per replan and hooks only the blocks it acts on;
-``tests.helpers.ReferenceSwapExecutor`` is the executor that ran every rule
-in Python at every malloc, free, read and write.  For each scenario both must
-produce the same ``ScenarioResult`` (wall time aside), the same merged trace
-(columns, tags and ops), the same ``SwapExecutionSummary.to_dict()`` for
-every replica, and hand ``plan()`` the same observations at every replan —
-or raise the same error.
+:func:`~repro.swap.executor.overlay` executes a policy over a run's swap-off
+recording; ``tests.helpers.ReferenceSwapExecutor`` is the executor that ran
+live, as a listener ahead of the recorder, every rule in Python at every
+malloc, free, read and write.  For each scenario both must produce the same
+``ScenarioResult`` (wall time aside), the same merged trace (columns, tags
+and ops, every trace passing ``validate()``), the same
+``SwapExecutionSummary.to_dict()`` for every replica, and hand ``plan()``
+the same observations at every replan — or raise the same error.
+
+The overlay is exact only because swap execution never moves an allocation:
+the premise tests hold the live oracle's trace, engine rows removed, to the
+swap-off run of the same config, and its clocks to that run's plus a delay
+that never shrinks between two gradient barriers (each barrier hands every
+rank the same delay).
 
 Tier-1 runs a pinned corpus (the 23 ``swap_ladder`` benchmark rows at its
 seed 100) plus a few generated draws; the swap-smoke CI leg draws wide with
@@ -16,19 +22,22 @@ seed 100) plus a few generated draws; the swap-smoke CI leg draws wide with
 
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.experiments.grid import SweepGrid
+from repro.errors import InfeasibleScenarioError
+from repro.experiments.grid import Scenario, SweepGrid
 from repro.swap import SwapExecutor
 from repro.train.session import TrainingRunConfig, run_training_session
+from repro.train.trainer import barrier_rows
 from repro.units import MIB
 
 from tests.helpers import (CAPACITY_RUNGS_MIB, assert_swap_matches_reference,
-                           swap_scenarios)
+                           live_swap_session, swap_scenarios)
 
 #: The model seed ``swap_ladder`` draws at benchmark seed 100.
 LADDER_SEED = 314590
@@ -79,20 +88,81 @@ def test_generated_scenarios_match_the_reference(scenario):
     assert_swap_matches_reference(scenario)
 
 
+def assert_swap_moves_no_allocation(scenario):
+    """Per rank, the live oracle's trace with its engine rows removed is the
+    swap-off run of the same config with no capacity in every field but
+    time, and its clock runs behind that run's by a delay that never
+    shrinks between two barriers.  A barrier hands every rank one delay:
+    the latest delayed arrival minus the latest recorded one, which can be
+    less than what a rank that arrived early had accumulated."""
+    try:
+        live = live_swap_session(scenario.config)[0].trace
+    except InfeasibleScenarioError:   # no trace to hold
+        return
+    off = run_training_session(replace(scenario.config, swap="off",
+                                       device_memory_capacity=None)).trace
+    assert live.ranks() == off.ranks()
+    after_barriers = []
+    for rank in off.ranks():
+        swapped, recorded = live.for_rank(rank), off.for_rank(rank)
+        columns, behaviors = swapped.columns(), recorded.columns()
+        kept = ~(columns.is_swap | columns.is_rematerialization)
+        for name in ("kind_code", "block_id", "size", "address", "category_code",
+                     "iteration"):
+            assert np.array_equal(getattr(columns, name)[kept],
+                                  getattr(behaviors, name)), (rank, name)
+        for mine, theirs in zip(swapped.event_strings(), recorded.event_strings()):
+            assert [value for value, keep in zip(mine, kept) if keep] == theirs, rank
+        delay = columns.timestamp_ns[kept] - behaviors.timestamp_ns
+        barriers = barrier_rows(recorded) if len(off.ranks()) > 1 else []
+        for segment in np.split(delay, barriers):
+            assert segment[0] >= 0 and np.all(np.diff(segment) >= 0), rank
+        after_barriers.append(delay[barriers].tolist())
+    assert all(delays == after_barriers[0] for delays in after_barriers)
+
+
+@pytest.mark.parametrize("scenario", LADDER, ids=lambda s: s.config.describe()
+                         + f", cap={s.config.device_memory_capacity}")
+def test_ladder_rows_move_no_allocation(scenario):
+    assert_swap_moves_no_allocation(scenario)
+
+
+@settings(max_examples=settings.default.max_examples if WIDE else 4,
+          deadline=None, derandomize=not WIDE)
+@given(scenario=swap_scenarios())
+def test_generated_scenarios_move_no_allocation(scenario):
+    assert_swap_moves_no_allocation(scenario)
+
+
+#: Uneven shards (5 samples over 2 devices): two replica classes, whose walks
+#: meet at every gradient barrier with different delays.
+UNEVEN = [Scenario(TrainingRunConfig(
+    model="resnet18", dataset="cifar10", batch_size=5, iterations=3, n_devices=2,
+    execution_mode="symbolic", swap=swap, device_memory_capacity=capacity,
+    model_kwargs={"input_size": 32, "num_classes": 10}))
+    for swap, capacity in (("zero_offload", None), ("lru", 96 * MIB), ("unified", None))]
+
+
+@pytest.mark.parametrize("scenario", UNEVEN, ids=lambda s: s.config.swap)
+def test_uneven_replicas_match_the_reference(scenario):
+    assert_swap_matches_reference(scenario)
+    assert_swap_moves_no_allocation(scenario)
+
+
 @pytest.mark.parametrize("swap,capacity,width", [
     ("zero_offload", None, 2048), ("unified", None, 4096),
     ("lru", 96 * MIB, 2048), ("unified", 64 * MIB, 2048)])
 def test_resident_bytes_follow_the_trace(swap, capacity, width):
-    """``Device.resident_bytes`` (allocated minus the running swapped-out
-    total) equals the running sum of the log's residency deltas at every
-    iteration end."""
+    """The overlay's running resident total (recorded allocated bytes minus
+    its swapped-out total) equals the cumulative residency deltas of the
+    rows it has logged, at every iteration end."""
     checked = []
     original = SwapExecutor.end_iteration
 
     def end_iteration(executor, index):
         original(executor, index)
-        deltas = executor.recorder.to_trace().columns().resident_deltas()
-        assert executor.device.resident_bytes == int(np.sum(deltas))
+        deltas = executor.log()[0].resident_deltas()
+        assert executor.resident_bytes == int(np.sum(deltas))
         checked.append(index)
 
     config = TrainingRunConfig(

@@ -27,15 +27,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from repro.core.ati import compute_interval_arrays
 from repro.core.breakdown import occupation_breakdown
 from repro.core.events import MemoryCategory, MemoryEventKind
-from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace, merge_rank_traces
-from repro.device.hooks import CountingListener
+from repro.device.spec import get_device_spec
 from repro.errors import ConfigurationError
 from repro.experiments.configs import paper_mlp_config
 from repro.experiments.sweep import SweepGrid, run_scenario
@@ -43,9 +41,9 @@ from repro.swap import (
     POLICIES,
     SWAP_EXECUTION_MODES,
     SWAP_POLICIES,
-    SwapExecutor,
     get_policy,
 )
+from repro.swap.executor import overlay
 from repro.train.session import TrainingRunConfig, run_training_session
 
 from tests.helpers import build_trace, recompute_events, swap_events
@@ -76,46 +74,18 @@ def deep_result(swap):
 
 
 def run_manual_policy(policy, **overrides):
-    """Run the deep-MLP config with an explicit policy instance attached.
+    """Overlay an explicit policy instance on the deep-MLP's swap-off run.
 
-    Mirrors ``run_training_session``'s wiring (same optimizer, loader and
-    trainer) but lets the test hand the executor a configured policy object
-    — e.g. the pure-recompute twin ``UnifiedPolicy(enable_swap=False)``
-    that the session-level registry cannot express.
+    What ``run_training_session`` does for a swap-on config, but with a
+    configured policy object — e.g. the pure-recompute twin
+    ``UnifiedPolicy(enable_swap=False)`` that the session-level registry
+    cannot express.  Returns the overlaid trace and the summary.
     """
-    from repro.core.profiler import MemoryProfiler
-    from repro.data.datasets import build_dataset
-    from repro.data.loader import DataLoader
-    from repro.models.registry import build_model
-    from repro.nn.loss import CrossEntropyLoss
-    from repro.nn.optim import SGD
-    from repro.train.session import build_device_group
-    from repro.train.trainer import DataParallelTrainer
-
     config = TrainingRunConfig(**{**DEEP_MLP, **overrides})
-    group = build_device_group(config)
-    device = group.primary
-    profiler = MemoryProfiler(device)
-    executor = SwapExecutor(device, policy, profiler.recorder,
-                            capacity_bytes=config.device_memory_capacity)
-    device.attach_swap_executor(executor)
-    profiler.start()
-    model = build_model(config.model, device,
-                        rng=np.random.default_rng(config.seed),
-                        **dict(config.model_kwargs))
-    loader = DataLoader(build_dataset(config.dataset, seed=config.seed),
-                        batch_size=config.batch_size,
-                        host_latency=config.host_latency)
-    trainer = DataParallelTrainer(
-        group, [model], loader,
-        [SGD(model.parameters(), lr=config.learning_rate,
-             momentum=config.momentum)],
-        [CrossEntropyLoss(device, name="loss")],
-        recorders=[profiler], swap_executors=[executor])
-    trainer.train(config.iterations)
-    executor.finalize()
-    profiler.stop()
-    return profiler.trace(), executor.summary()
+    traces, summaries = overlay([run_training_session(config).trace], [policy],
+                                get_device_spec(config.device_spec),
+                                capacity_bytes=config.device_memory_capacity)
+    return traces[0], summaries[0]
 
 
 @lru_cache(maxsize=None)
@@ -141,12 +111,10 @@ def test_policy_registry():
     with pytest.raises(ValueError, match="unknown swap policy 'nope'.*quantization"):
         get_policy("nope")
     # Analysis-only entries are not executable, reactive ones have no estimate.
-    from repro.device.device import Device
     for name in ("none", "recompute", "pruning", "quantization"):
         assert not POLICIES[name].executable
-        device = Device()
         with pytest.raises(ValueError, match="analysis-only"):
-            SwapExecutor(device, name, TraceRecorder(device.clock))
+            overlay([MemoryTrace()], [name], get_device_spec("titan_x_pascal"))
     for name in ("lru", "unified"):
         assert not POLICIES[name].offline
         with pytest.raises(ValueError, match="no offline estimate"):
@@ -161,23 +129,6 @@ def test_unknown_swap_mode_rejected_by_session():
     config = TrainingRunConfig(**{**SMALL_SWAPPED, "swap": "bogus"})
     with pytest.raises(ConfigurationError, match="unknown swap mode"):
         run_training_session(config)
-
-
-def test_only_one_executor_per_device():
-    from repro.device.device import Device
-    device = Device()
-    recorder = TraceRecorder(device.clock)
-    device.attach_swap_executor(SwapExecutor(device, "lru", recorder))
-    with pytest.raises(ConfigurationError):
-        device.attach_swap_executor(SwapExecutor(device, "lru", recorder))
-
-
-def test_counting_listener_counts_swap_events():
-    listener = CountingListener()
-    listener.on_swap_out(None, 10, "planner")
-    listener.on_swap_in(None, 10, "prefetch")
-    assert listener.swap_outs == 1
-    assert listener.swap_ins == 1
 
 
 # -- trace plumbing --------------------------------------------------------------------
@@ -310,40 +261,17 @@ def test_lru_keeps_resident_peak_near_budget():
 
 def test_lru_explicit_budget_is_respected():
     """A tighter explicit budget yields a lower resident peak + more stall."""
-    from repro.core.profiler import MemoryProfiler
-    from repro.data.datasets import build_dataset
-    from repro.data.loader import DataLoader
-    from repro.models.registry import build_model
-    from repro.nn.loss import CrossEntropyLoss
-    from repro.nn.optim import SGD
     from repro.swap.policies import LruPolicy
-    from repro.train.session import build_device_group
-    from repro.train.trainer import Trainer
+
+    config = TrainingRunConfig(
+        model="mlp", dataset="two_cluster", batch_size=2048, iterations=6,
+        execution_mode="symbolic",
+        model_kwargs={"hidden_dim": 4096, "num_hidden_layers": 4})
+    recording = run_training_session(config).trace
 
     def run_with_budget(budget_bytes):
-        config = TrainingRunConfig(
-            model="mlp", dataset="two_cluster", batch_size=2048, iterations=6,
-            execution_mode="symbolic",
-            model_kwargs={"hidden_dim": 4096, "num_hidden_layers": 4})
-        device = build_device_group(config).primary
-        profiler = MemoryProfiler(device)
-        executor = SwapExecutor(
-            device, LruPolicy(budget_bytes=budget_bytes), profiler.recorder)
-        device.attach_swap_executor(executor)
-        profiler.start()
-        model = build_model(config.model, device,
-                            rng=np.random.default_rng(0),
-                            **dict(config.model_kwargs))
-        loader = DataLoader(build_dataset(config.dataset, seed=0),
-                            batch_size=config.batch_size)
-        trainer = Trainer(model, loader,
-                          SGD(model.parameters(), lr=0.01, momentum=0.9),
-                          CrossEntropyLoss(device, name="loss"), device,
-                          recorder=executor)
-        trainer.train(config.iterations)
-        executor.finalize()
-        profiler.stop()
-        return executor.summary()
+        return overlay([recording], [LruPolicy(budget_bytes=budget_bytes)],
+                       get_device_spec(config.device_spec))[1][0]
 
     largest_block = 4096 * 4096 * 4
     tight = run_with_budget(300_000_000)
@@ -352,6 +280,40 @@ def test_lru_explicit_budget_is_respected():
     assert loose.peak_resident_bytes <= 500_000_000 + 2 * largest_block
     assert tight.peak_resident_bytes < loose.peak_resident_bytes
     assert tight.stall_ns_total > loose.stall_ns_total
+
+
+def test_a_deferred_eviction_lands_at_the_next_behavior_even_a_free():
+    """A post-access eviction lands in front of the next malloc, free, read
+    or write row, whichever block it belongs to (one of a block being freed
+    is moot); the access that needs the block back stalls for a demand
+    fetch."""
+    from repro.swap.policies import EvictDirective, MemoryPolicy
+
+    class EvictAfterEveryAccess(MemoryPolicy):
+        name, executable = "evict_after_every_access", True
+
+        def directive_after_access(self, state):
+            return EvictDirective(block_id=state.block_id)
+
+    recording = build_trace([
+        ("malloc", 0, 1, 1024, MemoryCategory.ACTIVATION, 0),
+        ("malloc", 10, 2, 1024, MemoryCategory.ACTIVATION, 0),
+        ("write", 20, 1, 1024, MemoryCategory.ACTIVATION, 0),
+        ("read", 1_000, 1, 1024, MemoryCategory.ACTIVATION, 1),
+        ("free", 1_010, 2, 1024, MemoryCategory.ACTIVATION, 1),
+        ("read", 1_020, 1, 1024, MemoryCategory.ACTIVATION, 1),
+        ("free", 1_030, 1, 1024, MemoryCategory.ACTIVATION, 1),
+    ], iteration_marks=[(0, 500), (500, 2_000)], end_ns=2_000)
+    traces, summaries = overlay([recording], [EvictAfterEveryAccess()],
+                                get_device_spec("titan_x_pascal"))
+    events = traces[0].events
+    assert [(event.kind.value, event.block_id) for event in events[3:]] == [
+        ("read", 1), ("swap_out", 1), ("free", 2), ("swap_in", 1), ("read", 1),
+        ("free", 1)]
+    assert events[4].timestamp_ns == 1_010 and events[6].op == "demand"
+    assert events[7].timestamp_ns == events[6].timestamp_ns > 1_020
+    assert (summaries[0].swap_out_count, summaries[0].demand_fetches) == (1, 1)
+    traces[0].validate()
 
 
 def test_swap_stalls_lengthen_iterations():
@@ -480,14 +442,6 @@ def test_ati_and_breakdown_ignore_recompute_traffic():
     assert a.interval_ns.tolist() == b.interval_ns.tolist()
     assert (occupation_breakdown(with_drops).bucket_bytes
             == occupation_breakdown(without).bucket_bytes)
-
-
-def test_counting_listener_counts_recompute_events():
-    listener = CountingListener()
-    listener.on_recompute_drop(None, 10, "unified")
-    listener.on_recompute(None, 10, "demand")
-    assert listener.recompute_drops == 1
-    assert listener.recomputes == 1
 
 
 def test_unified_policy_accepts_planning_kwargs():
