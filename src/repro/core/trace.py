@@ -81,6 +81,9 @@ SWAP_CODES = np.array([_SWAP_OUT_CODE, _SWAP_IN_CODE], dtype=np.int64)
 #: Codes of the rematerialization actions (drop / compute replay).
 RECOMPUTE_CODES = np.array([_RECOMPUTE_DROP_CODE, _RECOMPUTE_CODE],
                            dtype=np.int64)
+#: The op (and collective tag) of a data-parallel gradient allreduce's reads
+#: and writes.
+ALLREDUCE_OP = "grad_allreduce"
 
 #: Numeric fields of one :class:`ColumnarEventLog` row, in storage order.
 ROW_FIELDS = ("kind_code", "timestamp_ns", "block_id", "address", "size",
@@ -787,6 +790,20 @@ class MemoryTrace:
             "peak_live_bytes": self.peak_live_bytes(),
             "counts_by_kind": self.counts_by_kind(),
         }
+
+
+def barrier_rows(trace: MemoryTrace) -> List[int]:
+    """Per iteration of a data-parallel replica's recording, the row right
+    after its gradient allreduce barrier (none in a single-device recording):
+    the trainer records every gradient's read, waits at the barrier, then
+    records the writes."""
+    ops, columns = trace.event_strings()[1], trace.columns()
+    if ALLREDUCE_OP not in ops:
+        return []
+    writes = np.flatnonzero(columns.kind_code == _WRITE_CODE)
+    reads = [ops.index(ALLREDUCE_OP, int(np.argmax(columns.iteration == mark.index)))
+             for mark in trace.iteration_marks]
+    return writes[np.searchsorted(writes, reads)].tolist()
 
 
 def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:

@@ -54,7 +54,7 @@ import numpy as np
 from ..core.events import IterationMark, MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig
 from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, EventColumns,
-                          MemoryTrace, stable_block_order)
+                          MemoryTrace, barrier_rows, stable_block_order)
 from ..device.clock import DeviceClock
 from ..device.dma import DmaEngine
 from ..device.spec import DeviceSpec
@@ -399,10 +399,7 @@ def _learn_blocks(p, columns, first_row, tags, window, iteration, phase, behavio
     taints_before_block = np.concatenate(([0], taints))[heads]
     last_free, last_malloc = _running_latest(free), _running_latest(malloc)
     carried = carry.rows(b[heads])
-    # A block whose malloc the walk has not met has no state: its rows are
-    # learned into one that is dropped.
-    blocks = [states.get(block_id) or BlockState(block_id)
-              for block_id in b[heads].tolist()]
+    blocks = [states[block_id] for block_id in b[heads].tolist()]
 
     # The accesses, each with its block (ga) and what precedes it there.
     a = np.flatnonzero((k == _READ) | (k == _WRITE))
@@ -478,10 +475,9 @@ def _learn_blocks(p, columns, first_row, tags, window, iteration, phase, behavio
     made = p[made[made >= heads]]
     for block_id, row, nbytes, code in zip(bid[made].tolist(), made.tolist(),
                                            size[made].tolist(), category[made].tolist()):
-        state = states.get(block_id)
-        if state is not None:
-            state.size, state.category = nbytes, CATEGORY_FROM_CODE[code]
-            state.tag = tags[first_row + row]
+        state = states[block_id]
+        state.size, state.category = nbytes, CATEGORY_FROM_CODE[code]
+        state.tag = tags[first_row + row]
     used = last_of_block(j)
     for block, now in zip(ga[used].tolist(), ta[used].tolist()):
         blocks[block].last_access_ns = now
@@ -535,8 +531,8 @@ class SwapExecutor:
         A hard device-memory capacity the walk governs (``None``: none).
 
     Driven like a trainer drives a recorder (:meth:`begin_iteration` /
-    :meth:`end_iteration`, :meth:`arrive` / :meth:`leave` around a barrier,
-    :meth:`finalize`), each call first walking the rows recorded before it.
+    :meth:`end_iteration`, :meth:`leave` at a barrier, :meth:`finalize`),
+    each call first walking the rows recorded before it.
     """
 
     def __init__(self, trace: MemoryTrace, policy: Union[str, MemoryPolicy],
@@ -560,6 +556,7 @@ class SwapExecutor:
             ("timestamp_ns", "address", "size", "category_code", "iteration"))
         self._tags, self._ops = trace.event_strings()
         self._mark_rows = _mark_rows(columns.iteration, trace.iteration_marks)
+        self._barriers = barrier_rows(trace)
         self._marks: List[IterationMark] = []     # the re-timed marks
         # The log (see :meth:`log`) is kept as its two differences from the
         # recording: the delay from each row on where it changes, and the
@@ -663,8 +660,13 @@ class SwapExecutor:
 
     # -- the points the trainer marks ---------------------------------------------------
 
-    def begin_iteration(self, index: int) -> None:
-        """Iteration start: reset per-iteration ordinals, (re)plan, activate."""
+    def begin_iteration(self, index: int) -> Optional[Tuple[int, int]]:
+        """Iteration start: reset per-iteration ordinals, (re)plan, activate.
+
+        Then, when the recording synchronizes, walk up to the iteration's
+        gradient barrier and return the recorded and the delayed arrival
+        there (the clock of the row before it; ``None``: no barrier).
+        """
         position = len(self._marks)
         self._at(self._mark_rows[position][0],
                  self._recorded.iteration_marks[position].start_ns, index)
@@ -712,6 +714,12 @@ class SwapExecutor:
                 self._active = True
                 self._active_row = row
             self.counters.active_iterations += 1
+        if not self._barriers:
+            return None
+        row = self._barriers[position]
+        self._walk(row)
+        arrival = self._ts[row - 1]
+        return arrival, arrival + self._delay
 
     def end_iteration(self, index: int) -> None:
         """Iteration end: flush deferred evictions, apply boundary directives."""
@@ -726,13 +734,6 @@ class SwapExecutor:
             for directive in self.policy.directives_at_iteration_end(resident):
                 self._evict(directive)
         self._marks[-1].end_ns = self._clock.now_ns
-
-    def arrive(self, row: int) -> Tuple[int, int]:
-        """Walk up to a barrier recorded just before ``row``; returns the
-        recorded and the delayed arrival (the clock of the row before it)."""
-        self._walk(row)
-        arrival = self._ts[row - 1]
-        return arrival, arrival + self._delay
 
     def leave(self, delay: int) -> None:
         """Leave the barrier with ``delay``: rows from here on run that much
@@ -876,9 +877,7 @@ class SwapExecutor:
                         continue
                 if governed:
                     # Not acted on: only its last access is noted.
-                    state = states.get(block_id)
-                    if state is not None:
-                        state.last_access_ns = stamps[row] + self._delay
+                    states[block_id].last_access_ns = stamps[row] + self._delay
         self._cursor = stop
 
     def _emit(self, kind_code: int, state: BlockState, op: str) -> None:
@@ -916,9 +915,7 @@ class SwapExecutor:
             else:
                 self._ensure_resident(state)
         else:
-            state = self._states.get(block_id)
-            if state is None:   # a block whose malloc the walk has not met
-                return
+            state = self._states[block_id]
         state.last_access_ns = self._clock._now_ns
         if self._any_trigger or block_id in self._triggered:
             state.iter_access_count += 1
@@ -934,8 +931,7 @@ class SwapExecutor:
         take each block's size, category and tag from its malloc row.
         """
         states, off, live = self._states, self._off_device, self._live
-        resident = [states[block_id] for block_id in live
-                    if block_id not in off and block_id in states]
+        resident = [states[block_id] for block_id in live if block_id not in off]
         resident.sort(key=attrgetter("first_seen"))
         if not self._governed:
             for state in resident:
@@ -1028,10 +1024,10 @@ class SwapExecutor:
         recompute drops and no-ops.
         """
         block_id = directive.block_id
-        state = self._states.get(block_id)
         row = self._live.get(block_id)
-        if state is None or row is None or block_id in self._off_device:
+        if row is None or block_id in self._off_device:
             return None
+        state = self._states[block_id]
         # The block is allocated, so its size, category and tag are current.
         state.malloc_row = row
         state.size, state.category, state.tag = self._lifetime(row)
@@ -1138,29 +1134,24 @@ class SwapExecutor:
 
 
 def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryPolicy]],
-            spec: DeviceSpec, capacity_bytes: Optional[int] = None,
-            syncs: Sequence[Sequence[int]] = ()
+            spec: DeviceSpec, capacity_bytes: Optional[int] = None
             ) -> Tuple[List[MemoryTrace], List[SwapExecutionSummary]]:
     """Execute a swap policy on the swap-off recordings of a run's replicas.
 
     ``traces`` are the replicas' recordings (one per materialised replica,
     sharing their iteration indices) and ``policies`` one policy per
-    replica.  ``syncs``, when the replicas synchronize, holds per replica
-    the recorded row that follows each iteration's barrier (one per
-    iteration): the walks advance in lock-step, and each barrier resolves to
-    the latest of the replicas' delayed arrivals, measured from the latest
-    recorded one.  Returns every replica's overlaid trace and its
+    replica.  Several replicas advance in lock-step: each iteration's
+    gradient barrier (:func:`~repro.core.trace.barrier_rows`) resolves to
+    the latest of their delayed arrivals, measured from the latest recorded
+    one.  Returns every replica's overlaid trace and its
     :class:`SwapExecutionSummary`; an infeasible capacity raises
     :class:`~repro.errors.InfeasibleScenarioError`.
     """
     executors = [SwapExecutor(trace, policy, spec, capacity_bytes)
                  for trace, policy in zip(traces, policies)]
-    for position, mark in enumerate(traces[0].iteration_marks):
-        for executor in executors:
-            executor.begin_iteration(mark.index)
-        if syncs:
-            arrivals = [executor.arrive(rows[position])
-                        for executor, rows in zip(executors, syncs)]
+    for mark in traces[0].iteration_marks:
+        arrivals = [executor.begin_iteration(mark.index) for executor in executors]
+        if len(executors) > 1:
             delay = max(live for _, live in arrivals) - max(recorded for recorded, _ in arrivals)
             for executor in executors:
                 executor.leave(delay)

@@ -48,7 +48,7 @@ from ..models.registry import build_model
 from ..nn.loss import CrossEntropyLoss
 from ..nn.optim import SGD, Adam, Optimizer
 from ..rng import LazyGenerator
-from .trainer import DataParallelTrainer, IterationStats, barrier_rows, replica_classes
+from .trainer import DataParallelTrainer, IterationStats, replica_classes
 
 
 @dataclass
@@ -272,10 +272,8 @@ def _execute_swap(config: TrainingRunConfig, group: DeviceGroup, policies,
     traces, the iteration statistics re-timed like their marks, and the
     ``swap_execution`` payload (replica 0's summary plus the rank count)."""
     from ..swap.executor import overlay
-    syncs = [barrier_rows(trace) for trace in traces] if len(traces) > 1 else ()
     traces, summaries = overlay(traces, policies, group.primary.spec,
-                                capacity_bytes=config.device_memory_capacity,
-                                syncs=syncs)
+                                capacity_bytes=config.device_memory_capacity)
     stats = [replace(step, start_ns=min(trace.iteration_marks[position].start_ns
                                         for trace in traces),
                      end_ns=max(trace.iteration_marks[position].end_ns

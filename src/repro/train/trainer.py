@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.trace import KIND_CODES, MemoryTrace
+from ..core.events import MemoryCategory
+from ..core.trace import ALLREDUCE_OP
 from ..device.cluster import DeviceGroup
 from ..device.collective import CollectiveRecord
 from ..device.device import Device
@@ -45,22 +45,6 @@ from ..data.loader import DataLoader
 from ..nn.module import Module
 from ..nn.optim import Optimizer
 from ..tensor.tensor import Tensor, from_numpy
-
-
-#: The op (and collective tag) of the gradient allreduce's reads and writes.
-ALLREDUCE_OP = "grad_allreduce"
-
-
-def barrier_rows(trace: MemoryTrace) -> List[int]:
-    """Per iteration of a replica's recording, the row right after its
-    gradient allreduce barrier: :meth:`DataParallelTrainer._allreduce_gradients`
-    records every gradient's read, waits at the barrier, then records the
-    writes."""
-    ops, columns = trace.event_strings()[1], trace.columns()
-    writes = np.flatnonzero(columns.kind_code == KIND_CODES[MemoryEventKind.WRITE])
-    reads = [ops.index(ALLREDUCE_OP, int(np.argmax(columns.iteration == mark.index)))
-             for mark in trace.iteration_marks]
-    return writes[np.searchsorted(writes, reads)].tolist()
 
 
 @dataclass

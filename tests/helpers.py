@@ -649,7 +649,7 @@ def live_swap_session(config):
         made.executor.recorder = made
         return made
 
-    def lived(traces, policies, spec, capacity_bytes=None, syncs=()):
+    def lived(traces, policies, spec, capacity_bytes=None):
         return traces, [executor.summary() for executor, _ in executors]
 
     with mock.patch("repro.core.profiler.TraceRecorder", recorder), \

@@ -29,11 +29,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core.trace import barrier_rows
 from repro.errors import InfeasibleScenarioError
 from repro.experiments.grid import Scenario, SweepGrid
 from repro.swap import SwapExecutor
 from repro.train.session import TrainingRunConfig, run_training_session
-from repro.train.trainer import barrier_rows
 from repro.units import MIB
 
 from tests.helpers import (CAPACITY_RUNGS_MIB, assert_swap_matches_reference,
@@ -114,7 +114,7 @@ def assert_swap_moves_no_allocation(scenario):
         for mine, theirs in zip(swapped.event_strings(), recorded.event_strings()):
             assert [value for value, keep in zip(mine, kept) if keep] == theirs, rank
         delay = columns.timestamp_ns[kept] - behaviors.timestamp_ns
-        barriers = barrier_rows(recorded) if len(off.ranks()) > 1 else []
+        barriers = barrier_rows(recorded)
         for segment in np.split(delay, barriers):
             assert segment[0] >= 0 and np.all(np.diff(segment) >= 0), rank
         after_barriers.append(delay[barriers].tolist())
