@@ -68,11 +68,11 @@ sweep-smoke:
 # Swap execution (the CI swap-smoke leg): the overlay against its live
 # per-behavior oracle (every trace validated) and the premise that swapping
 # moves no allocation, on the pinned corpus and a wide generated draw; the
-# engine's own suite; then a tiny sweep under every executable policy that
-# prints measured vs predicted.
+# engine's own suite and its copy stream's (tests/test_stream.py); then a
+# tiny sweep under every executable policy that prints measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_swap_execution.py \
-		-q --hypothesis-profile=swap-wide
+		tests/test_stream.py -q --hypothesis-profile=swap-wide
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
 		--swap off,planner,swap_advisor,zero_offload,lru,unified --no-cache
 

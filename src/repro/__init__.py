@@ -3,7 +3,7 @@
 The package is organised as the paper's system is:
 
 * :mod:`repro.device` — a simulated GPU (Titan X Pascal by default) with an
-  instrumented, PyTorch-style caching allocator, DMA engine and timing model;
+  instrumented, PyTorch-style caching allocator and timing model;
 * :mod:`repro.tensor`, :mod:`repro.nn`, :mod:`repro.models`, :mod:`repro.data`,
   :mod:`repro.train` — the DNN training stack that generates memory behaviors;
 * :mod:`repro.core` — the paper's contribution: block-level memory-behavior
@@ -17,9 +17,10 @@ The package is organised as the paper's system is:
   (:class:`~repro.swap.policies.MemoryPolicy`: swapping, recomputation and
   parameter compression; the offline estimates, read off a recorded trace's
   columns, are the sweep's policy axis, the executable policies its
-  ``--swap`` axis) and the closed-loop swap-execution engine: runs
-  eviction/prefetch plans on the device's copy stream during simulation,
-  emits ``swap_out``/``swap_in`` trace events and measures real stalls;
+  ``--swap`` axis) and the swap-execution overlay: runs eviction/prefetch
+  plans after the simulation, over the swap-off recording, on its own copy
+  stream and virtual clock, inserts ``swap_out``/``swap_in`` trace events
+  and measures the stalls;
 * :mod:`repro.report` — regenerates EXPERIMENTS.md and the ``docs/figures/``
   pages from cached sweep results (``repro report`` / ``repro report
   --check``).

@@ -1,8 +1,13 @@
-"""Simulated DNN accelerator: clock, memory system, allocators, DMA and timing.
+"""Simulated DNN accelerator: clock, memory system, allocators and timing.
 
 This package replaces the Nvidia Titan X (Pascal) + CUDA runtime used by the
 paper with a deterministic software model whose memory system is instrumented
-exactly the way the paper instruments PyTorch's allocators.
+exactly the way the paper instruments PyTorch's allocators.  The device is
+synchronous — kernels and host↔device copies run in order on one timeline,
+its clock — and the one asynchronous copy engine,
+:class:`~repro.device.stream.Stream`, belongs to the swap overlay
+(:mod:`repro.swap.executor`), which reserves its transfers on it against a
+clock of its own.
 """
 
 from .allocator import (
@@ -33,7 +38,6 @@ from .cluster import (
 )
 from .collective import CollectiveEngine, CollectiveRecord
 from .device import Device, EXECUTION_MODES
-from .dma import CopyRecord, DmaEngine
 from .hooks import CompositeListener, CountingListener, MemoryEventListener, NullListener
 from .memory import AllocatorStats, Block, Segment
 from .spec import (
@@ -44,7 +48,7 @@ from .spec import (
     small_test_device,
     titan_x_pascal,
 )
-from .stream import Stream, StreamOp
+from .stream import Stream
 from .timing import (
     KernelCost,
     KernelTimingModel,
@@ -70,14 +74,12 @@ __all__ = [
     "CollectiveEngine",
     "CollectiveRecord",
     "CompositeListener",
-    "CopyRecord",
     "CountingListener",
     "DEVICE_PRESETS",
     "Device",
     "DeviceClock",
     "DeviceGroup",
     "DeviceSpec",
-    "DmaEngine",
     "EXECUTION_MODES",
     "INTERCONNECT_PRESETS",
     "InterconnectSpec",
@@ -91,7 +93,6 @@ __all__ = [
     "SMALL_SEGMENT_SIZE",
     "Segment",
     "Stream",
-    "StreamOp",
     "ampere_a100_40gb",
     "conv2d_cost",
     "elementwise_cost",

@@ -3,12 +3,12 @@
 The paper measures pinned host↔device memcpy bandwidth with the
 ``bandwidthTest`` tool from the CUDA SDK samples and reports 6.3 GB/s
 (host→device) and 6.4 GB/s (device→host) on its Titan X Pascal testbed.
-:class:`BandwidthTest` performs the same measurement against the simulated
-:class:`~repro.device.dma.DmaEngine`: it issues a series of fixed-size
-transfers, times them with the device clock and reports the achieved
-bandwidth.  Because the DMA engine also charges a per-copy launch overhead,
-the measured numbers converge to the configured bandwidths only for large
-transfer sizes — just like the real tool.
+:class:`BandwidthTest` performs the same measurement against a simulated
+:class:`~repro.device.device.Device`: it issues a series of fixed-size
+blocking copies, times them with the device clock and reports the achieved
+bandwidth.  Because every copy also pays a launch overhead, the measured
+numbers converge to the configured bandwidths only for large transfer sizes
+— just like the real tool.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..units import GB, MIB
-from .dma import DmaEngine
+from .device import Device
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,23 @@ class BandwidthReport:
 class BandwidthTest:
     """Measure pinned host↔device transfer bandwidth on the simulated device."""
 
-    def __init__(self, dma: DmaEngine, transfer_bytes: int = 32 * MIB, repetitions: int = 10):
+    def __init__(self, device: Device, transfer_bytes: int = 32 * MIB,
+                 repetitions: int = 10):
         if transfer_bytes <= 0:
             raise ValueError("transfer_bytes must be positive")
         if repetitions <= 0:
             raise ValueError("repetitions must be positive")
-        self.dma = dma
+        self.device = device
         self.transfer_bytes = int(transfer_bytes)
         self.repetitions = int(repetitions)
 
     def _measure(self, direction: str) -> BandwidthMeasurement:
-        copy = (self.dma.host_to_device if direction == "h2d"
-                else self.dma.device_to_host)
-        start = self.dma.clock.now_ns
+        copy = (self.device.copy_host_to_device if direction == "h2d"
+                else self.device.copy_device_to_host)
+        start = self.device.clock.now_ns
         for _ in range(self.repetitions):
-            copy(self.transfer_bytes, tag=f"bandwidth_test_{direction}")
-        total = self.dma.clock.now_ns - start
+            copy(self.transfer_bytes)
+        total = self.device.clock.now_ns - start
         return BandwidthMeasurement(
             direction=direction,
             transfer_bytes=self.transfer_bytes,

@@ -2,9 +2,12 @@
 
 All timestamps in the memory traces come from this clock.  It only moves
 forward, in integer nanoseconds, and is advanced explicitly by the components
-that model time: kernel execution (:mod:`repro.device.timing`), DMA transfers
-(:mod:`repro.device.dma`) and host-side overheads modelled by the training
-loop (:mod:`repro.train`).
+that model time: the synchronous device's kernels and host↔device copies
+(:class:`~repro.device.device.Device`), the allocator's bookkeeping, the
+collective barrier (:mod:`repro.device.collective`) and host-side overheads
+modelled by the training loop (:mod:`repro.train`).  The swap overlay
+(:mod:`repro.swap.executor`) runs a clock of its own, its virtual time, with
+a copy stream (:mod:`repro.device.stream`) reserving against it.
 
 Using a simulated clock instead of wall-clock time makes every figure of the
 reproduction exactly deterministic and independent of the speed of the machine
@@ -25,9 +28,8 @@ class DeviceClock:
         if start_ns < 0:
             raise ClockError(f"clock cannot start at negative time {start_ns}")
         #: The current time.  Written only by this class; the trace recorder
-        #: (once per recorded behavior), ``Device.run_kernel`` (once per
-        #: launch) and the swap overlay's walk read the field directly
-        #: instead of going through the :attr:`now_ns` property.
+        #: (once per recorded behavior) and the swap overlay's walk read the
+        #: field directly instead of going through the :attr:`now_ns` property.
         self._now_ns = int(start_ns)
         self._observers: List[Callable[[int, int], None]] = []
         #: Optional :class:`~repro.device.tape.TimingTape` capturing why each

@@ -14,10 +14,10 @@ an interconnect*.  This module introduces that layer:
 * :class:`DeviceGroup` instantiates one replica
   :class:`~repro.device.device.Device` per replica *class* — the ranks the
   simulator cannot tell apart (same shard shape in a symbolic run; every
-  rank on its own in an eager one) — each with its own clock, allocator and
-  streams, and wires them to one shared
+  rank on its own in an eager one) — each with its own clock and allocator —
+  and wires them to one shared
   :class:`~repro.device.collective.CollectiveEngine` that still costs
-  collectives for all N replicas.
+  collectives for all N replicas; its allreduce is the group's only barrier.
 
 ``DeviceGroup`` with ``n_devices=1`` degenerates exactly to a single
 :class:`~repro.device.device.Device`: the collective engine costs nothing and
@@ -206,8 +206,8 @@ class DeviceGroup:
     ``rank_classes`` labels every rank (equal labels, one class; classes are
     numbered in order of first appearance, so rank 0 is always in class 0);
     by default every rank is its own class.  Only one :class:`Device` per
-    class is materialised — its clock, allocator, timing model and streams
-    stand for every rank of the class — while :attr:`n_devices` and the
+    class is materialised — its clock, allocator and timing model stand
+    for every rank of the class — while :attr:`n_devices` and the
     collective cost model keep the cluster's full replica count.  Iterating,
     indexing and ``len()`` walk the materialised replicas in class order.
     Device-construction keyword arguments (allocator, execution mode, default
@@ -281,17 +281,6 @@ class DeviceGroup:
     def primary(self) -> Device:
         """Rank-0 replica (the degenerate single-device view of the group)."""
         return self.devices[0]
-
-    def synchronize(self) -> int:
-        """Drain every replica's streams and barrier all clocks; returns the time."""
-        latest = max(device.synchronize() for device in self.devices)
-        for device in self.devices:
-            clock = device.clock
-            if clock.tape is not None:
-                from .tape import TAPE_BARRIER
-                clock.tape.record_sync(TAPE_BARRIER, 0, latest - clock.now_ns)
-            clock.advance_to(latest)
-        return latest
 
     def peak_allocated_bytes(self) -> int:
         """Per-replica peak allocated bytes (max across ranks)."""

@@ -1,4 +1,4 @@
-"""Cross-device collective engine (the multi-device sibling of the DMA engine).
+"""Cross-device collective engine: the gradient allreduce, the one sync point.
 
 Data-parallel training inserts one gradient allreduce per iteration between
 the backward pass and the optimizer step.  :class:`CollectiveEngine` models
@@ -11,14 +11,18 @@ holds one clock per *materialised* replica — one per replica class of the
 :class:`~repro.device.cluster.DeviceGroup`; ranks of one class arrive at the
 same instant, so the barrier over the class clocks is the barrier over all
 ranks — while the cost and the reported ``world_size`` are the cluster's.
+The allreduce is the only cross-rank synchronization a run has: every
+device is synchronous, so there is no stream to drain, and the timing tape
+records it as its one sync atom (:data:`~repro.device.tape.TAPE_ALLREDUCE`).
 
 The engine deliberately knows nothing about tensors: the training loop
 (:class:`~repro.train.trainer.DataParallelTrainer`) owns the gradient
 buffers, emits their read/write memory behaviors and performs the numeric
-averaging in eager mode, exactly as the :class:`~repro.device.dma.DmaEngine`
-split keeps copies separate from the storage they move.  A one-replica
-cluster costs nothing and moves no clock, so single-device runs are
-unaffected by the engine's existence.
+averaging in eager mode, just as :meth:`Device.copy_host_to_device
+<repro.device.device.Device.copy_host_to_device>` times a copy and leaves the
+storage it fills to the tensor.  A one-replica cluster costs nothing and
+moves no clock, so single-device runs are unaffected by the engine's
+existence.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import Dict, List, Sequence
 
 from .clock import DeviceClock
 from .cluster import ClusterSpec
-from .tape import TAPE_ALLREDUCE
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,7 @@ class CollectiveEngine:
         end = start + duration
         for clock in self.clocks:
             if clock.tape is not None:
-                clock.tape.record_sync(TAPE_ALLREDUCE, int(nbytes),
-                                       end - clock.now_ns)
+                clock.tape.record_sync(int(nbytes), end - clock.now_ns)
             clock.advance_to(end)
         record = CollectiveRecord(
             kind="allreduce", nbytes=int(nbytes), start_ns=start, end_ns=end,

@@ -5,17 +5,15 @@
 * a deterministic :class:`~repro.device.clock.DeviceClock`;
 * an instrumentable allocator (caching by default);
 * a roofline :class:`~repro.device.timing.KernelTimingModel`;
-* a :class:`~repro.device.dma.DmaEngine` for host↔device transfers;
-* a compute :class:`~repro.device.stream.Stream`;
 * a :class:`~repro.device.hooks.CompositeListener` that profilers attach to.
 
-The device issues kernels synchronously — :meth:`Device.run_kernel` advances
-the clock by the kernel's duration before it returns — so the compute
-stream is a *horizon*, not a log: ``run_kernel`` moves
-``compute_stream.busy_until_ns`` to the time the kernel ends (which is the
-new clock time unless someone scheduled compute-stream work by hand) and
-records no per-kernel :class:`~repro.device.stream.StreamOp`.  Only the copy
-stream, which takes reservations, keeps an op history and a busy index.
+The device is synchronous, the way eager PyTorch issues work on one stream:
+:meth:`Device.run_kernel`, the two host↔device copies and
+:meth:`Device.host_pause` each record their timing atom and advance the
+clock by their duration before they return, so the clock is the device's
+whole timeline.  Swap traffic, the one thing that overlaps with compute, is
+executed after the run by :mod:`repro.swap.executor` on its own clock and
+copy stream.
 
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
 storage management and :meth:`Device.run_kernel` to account for the simulated
@@ -31,11 +29,9 @@ from ..core.events import MemoryCategory
 from ..errors import ConfigurationError
 from .allocator import BaseAllocator, make_allocator
 from .clock import DeviceClock
-from .dma import DmaEngine
 from .hooks import CompositeListener, MemoryEventListener
 from .memory import Block
 from .spec import DeviceSpec, titan_x_pascal
-from .stream import Stream
 from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
                      DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
 
@@ -112,8 +108,6 @@ class Device:
             bandwidth_efficiency=bandwidth_efficiency,
             host_dispatch_overhead_ns=host_dispatch_overhead_ns,
         )
-        self.compute_stream = Stream("compute", self.clock)
-        self.dma = DmaEngine(self.spec, self.clock, self.timing)
         self.kernel_count = 0
 
     # -- profiling hooks -----------------------------------------------------------
@@ -142,10 +136,7 @@ class Device:
     def run_kernel(self, cost: KernelCost) -> int:
         """Account for the execution of one kernel; returns its duration in ns."""
         duration = self.timing.op_duration_ns(cost)
-        clock, stream = self.clock, self.compute_stream
-        # The horizon compute_stream.schedule(duration) would leave, without the log.
-        now, busy = clock._now_ns, stream.busy_until_ns
-        stream.busy_until_ns = (busy if busy > now else now) + duration
+        clock = self.clock
         if clock.tape is not None:
             clock.tape.record_kernel(cost, duration)
         clock.advance(duration)
@@ -165,13 +156,21 @@ class Device:
             self.clock.tape.record_const(duration_ns)
         self.clock.advance(duration_ns)
 
-    def copy_host_to_device(self, nbytes: int, tag: str = "") -> int:
+    def copy_host_to_device(self, nbytes: int) -> int:
         """Synchronous pinned host→device copy; returns its duration in ns."""
-        return self.dma.host_to_device(nbytes, tag=tag).duration_ns
+        return self._copy("h2d", nbytes, self.spec.h2d_bandwidth)
 
-    def copy_device_to_host(self, nbytes: int, tag: str = "") -> int:
+    def copy_device_to_host(self, nbytes: int) -> int:
         """Synchronous pinned device→host copy; returns its duration in ns."""
-        return self.dma.device_to_host(nbytes, tag=tag).duration_ns
+        return self._copy("d2h", nbytes, self.spec.d2h_bandwidth)
+
+    def _copy(self, direction: str, nbytes: int, bandwidth: float) -> int:
+        """A blocking copy: its memcpy duration, taped, then on the clock."""
+        duration = self.timing.memcpy_duration_ns(nbytes, bandwidth)
+        if self.clock.tape is not None:
+            self.clock.tape.record_memcpy(direction, nbytes, duration)
+        self.clock.advance(duration)
+        return duration
 
     # -- introspection -----------------------------------------------------------
 
@@ -202,12 +201,6 @@ class Device:
     def memory_snapshot(self) -> list:
         """``torch.cuda.memory_snapshot``-style dump of segments and blocks."""
         return self.allocator.memory_snapshot()
-
-    def synchronize(self) -> int:
-        """Wait for all outstanding stream work; returns the new device time."""
-        self.compute_stream.synchronize()
-        self.dma.copy_stream.synchronize()
-        return self.clock.now_ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

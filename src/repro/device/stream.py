@@ -1,108 +1,46 @@
-"""Minimal stream model for overlap analysis.
+"""The copy stream of the swap overlay: reservations against a second clock.
 
-The bulk of the reproduction runs synchronously on a single compute stream
-(which is how eager PyTorch issues its kernels), so the device clock alone is
-sufficient.  Streams carry the swap-execution engine
-(:mod:`repro.swap`): a dedicated copy stream lets evictions and prefetches
-overlap with compute, and the engine needs to know when the copy engine would
-actually be free — the stream's completion horizon is what turns concurrent
-swap traffic into serialized copies and, ultimately, measured stalls.
+The simulated device issues every kernel and every copy synchronously, so
+its clock alone is its timeline.  Swap traffic is the one thing that runs
+beside it: the overlay (:mod:`repro.swap.executor`) reserves its evictions
+and prefetches on a :class:`Stream` of its own virtual clock — vDNN's
+prefetch model, where the copy stream is a second clock and a copy that is
+not done by the access that needs it is a stall.
 
-The device's *compute* stream is only a completion horizon: kernels are
-issued synchronously, so
-:meth:`Device.run_kernel <repro.device.device.Device.run_kernel>` moves
-``busy_until_ns`` itself — ``max(busy_until, now) + duration``, what
-:meth:`Stream.schedule` would compute — and puts nothing in ``ops``.  The
-history and the busy-interval index below exist for streams that are
-scheduled through these methods: the copy stream, and a compute stream a
-caller schedules by hand.
-
-A :class:`Stream` tracks the time at which its last scheduled operation
-finishes; scheduling a new operation starts at ``max(now, busy_until)``.
-:meth:`Stream.schedule_at` additionally lets a caller reserve a slot at (or
-after) a *future* point in time — the mechanism behind deadline-driven
-prefetches — while still never moving the stream's horizon backwards.
+A reservation may backfill an idle gap between transfers already placed,
+never starts before the clock's current time, and overlapping requests
+serialize through the gap search, so concurrent swap traffic contends.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .clock import DeviceClock
 
 
-@dataclass
-class StreamOp:
-    """One operation scheduled on a stream."""
-
-    name: str
-    start_ns: int
-    end_ns: int
-
-    @property
-    def duration_ns(self) -> int:
-        """Duration of the operation in nanoseconds."""
-        return self.end_ns - self.start_ns
-
-
 class Stream:
-    """An in-order queue of device operations with its own completion horizon.
+    """Busy intervals of one copy engine, placed by reservation.
 
-    Zero-duration operations (empty transfers, degenerate reservations) are
-    recorded in the op history but never move ``busy_until_ns``: an op that
-    occupies no time must not make the engine look busy at a future instant,
-    or a far-deadline zero-byte prefetch would serialize real copies behind
-    an empty slot.
+    Zero-duration reservations occupy no time and are not indexed: an empty
+    transfer must not make the engine look busy at a future instant, or a
+    far-deadline zero-byte prefetch would serialize real copies behind an
+    empty slot.
     """
 
-    def __init__(self, name: str, clock: DeviceClock):
-        self.name = name
+    def __init__(self, clock: DeviceClock):
         self.clock = clock
-        self.busy_until_ns = clock.now_ns
-        self.ops: List[StreamOp] = []
         # Busy intervals kept sorted by start for the reservation gap search;
-        # intervals entirely in the past are pruned whenever an op is placed,
-        # FIFO or reserved, so the index tracks the number of *in-flight*
-        # ops, not the run's full history.
+        # intervals entirely in the past are pruned whenever one is placed,
+        # so the index tracks the number of *in-flight* copies, not the
+        # run's full history.
         self._busy_intervals: List[Tuple[int, int]] = []
 
-    def schedule(self, duration_ns: int, name: str = "") -> Tuple[int, int]:
-        """Schedule an operation of ``duration_ns``; returns its (start, end) times.
-
-        The operation starts when both the stream is free and the current
-        device time has been reached; it does **not** advance the device clock
-        (the caller synchronizes explicitly if needed).
-        """
-        return self.schedule_at(self.clock.now_ns, duration_ns, name=name)
-
-    def schedule_at(self, earliest_start_ns: int, duration_ns: int,
-                    name: str = "") -> Tuple[int, int]:
-        """Schedule an operation that may start no earlier than ``earliest_start_ns``.
-
-        The operation starts at ``max(earliest_start_ns, busy_until)`` — an
-        in-order stream can never run an op before the previous one finished,
-        so an earliest-start in the past (or before the stream's completion
-        horizon) is clamped forward rather than moving time backwards.  The
-        returned ``(start, end)`` therefore always satisfies
-        ``start >= previous op's end`` and ``end >= busy_until`` — the stream
-        horizon is monotonic even for callers that compute stale deadlines.
-        """
-        if duration_ns < 0:
-            raise ValueError("duration_ns must be non-negative")
-        start = max(int(earliest_start_ns), self.busy_until_ns)
-        end = start + int(duration_ns)
+    def _place(self, start: int, end: int) -> Tuple[int, int]:
+        """Index one placed interval (pruning the elapsed ones) and return it."""
         if end > start:
-            self.busy_until_ns = end
-        self._append_op(start, end, name)
-        return start, end
-
-    def _append_op(self, start: int, end: int, name: str) -> None:
-        """Record one scheduled operation (history + sorted busy index)."""
-        self.ops.append(StreamOp(name or f"{self.name}-op{len(self.ops)}", start, end))
-        if end > start:
-            # Reservations are clamped to start no earlier than the device's
+            # Reservations are clamped to start no earlier than the clock's
             # current time, so an interval that ended at or before it can
             # never constrain a placement again: drop those first.
             intervals, now = self._busy_intervals, self.clock.now_ns
@@ -112,18 +50,17 @@ class Stream:
             if drop:
                 del intervals[:drop]
             insort(intervals, (start, end))
+        return start, end
 
-    def reserve(self, earliest_start_ns: int, duration_ns: int,
-                name: str = "") -> Tuple[int, int]:
+    def reserve(self, earliest_start_ns: int, duration_ns: int) -> Tuple[int, int]:
         """Reserve the earliest idle window of ``duration_ns`` at/after a time.
 
-        Unlike the FIFO :meth:`schedule_at`, a reservation may *backfill* an
-        idle gap between already-scheduled operations — the model of a copy
-        engine whose transfers are issued on independent hardware queues, so
-        a far-future reservation (a prefetch against a distant deadline) does
-        not head-of-line-block an urgent transfer issued later.  Contention
-        is still real: overlapping requests serialize through the gap search,
-        and the stream's completion horizon only moves forward.
+        A reservation may *backfill* an idle gap between already-placed
+        transfers — the model of a copy engine whose transfers are issued on
+        independent hardware queues, so a far-future reservation (a prefetch
+        against a distant deadline) does not head-of-line-block an urgent
+        transfer issued later.  Contention is still real: overlapping
+        requests serialize through the gap search.  Returns ``(start, end)``.
         """
         if duration_ns < 0:
             raise ValueError("duration_ns must be non-negative")
@@ -135,23 +72,19 @@ class Stream:
                 break
             if busy_end > start:
                 start = busy_end
-        end = start + duration
-        if end > start:
-            self.busy_until_ns = max(self.busy_until_ns, end)
-        self._append_op(start, end, name)
-        return start, end
+        return self._place(start, start + duration)
 
     def reserve_before(self, latest_end_ns: int, duration_ns: int,
-                       earliest_start_ns: int = 0, name: str = "") -> Tuple[int, int]:
+                       earliest_start_ns: int = 0) -> Tuple[int, int]:
         """Latest-fitting reservation that completes by ``latest_end_ns``.
 
-        The deadline-driven counterpart of :meth:`reserve`: the operation is
+        The deadline-driven counterpart of :meth:`reserve`: the transfer is
         placed in the idle window that lets it finish as late as possible
         while still meeting the deadline (so several prefetches against the
         same deadline stack backwards in time instead of serializing past
-        it).  When no window can meet the deadline the op falls back to the
-        earliest-fit placement — it will simply be late, and the caller's
-        stall accounting shows by how much.
+        it).  When no window can meet the deadline the transfer falls back
+        to the earliest-fit placement — it will simply be late, and the
+        caller's stall accounting shows by how much.
         """
         if duration_ns < 0:
             raise ValueError("duration_ns must be non-negative")
@@ -173,30 +106,8 @@ class Stream:
             if start >= max(gap_start, earliest):
                 best_start = start if best_start is None else max(best_start, start)
         if best_start is None:
-            return self.reserve(earliest, duration, name=name)
-        end = best_start + duration
-        if end > best_start:
-            self.busy_until_ns = max(self.busy_until_ns, end)
-        self._append_op(best_start, end, name)
-        return best_start, end
-
-    def synchronize(self) -> int:
-        """Advance the device clock to this stream's completion horizon."""
-        if self.busy_until_ns > self.clock.now_ns:
-            self.clock.advance_to(self.busy_until_ns)
-        return self.clock.now_ns
-
-    def idle_time_ns(self) -> int:
-        """Total idle gaps between consecutive operations on this stream."""
-        idle = 0
-        ordered = sorted(self.ops, key=lambda op: (op.start_ns, op.end_ns))
-        for previous, current in zip(ordered, ordered[1:]):
-            idle += max(0, current.start_ns - previous.end_ns)
-        return idle
-
-    def busy_time_ns(self) -> int:
-        """Total busy time of the stream."""
-        return sum(op.duration_ns for op in self.ops)
+            return self.reserve(earliest, duration)
+        return self._place(best_start, best_start + duration)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Stream({self.name!r}, busy_until={self.busy_until_ns}, ops={len(self.ops)})"
+        return f"Stream(in_flight={len(self._busy_intervals)})"

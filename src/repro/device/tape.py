@@ -6,8 +6,8 @@ pure function of that structure plus the pricing axes (device spec, host
 dispatch overhead, interconnect).  The tape is what separates the two: each
 component that advances a :class:`~repro.device.clock.DeviceClock` first
 records a typed atom saying *why* — a kernel with its roofline parameters, a
-memcpy with its byte count, an allocator bookkeeping overhead, a collective
-barrier — so the trace-template replay engine
+memcpy with its byte count, an allocator bookkeeping overhead, the gradient
+allreduce — so the trace-template replay engine
 (:mod:`repro.experiments.replay`) can later re-derive every timestamp for a
 different device specification with a handful of vectorized array
 transforms, without re-running the simulation.
@@ -32,8 +32,9 @@ from .clock import DeviceClock
 from .timing import KernelCost
 
 #: Atom kinds.  ``CONST`` re-prices to its recorded nanoseconds; the others
-#: re-price from the target device specification (and, for the sync kinds,
-#: from the target cluster's collective cost model).
+#: re-price from the target device specification (and the allreduce, the one
+#: sync kind, from the target cluster's collective cost model, resolved with
+#: cross-rank barrier semantics at replay time).
 TAPE_CONST = 0
 TAPE_KERNEL = 1
 TAPE_MEMCPY_H2D = 2
@@ -41,10 +42,6 @@ TAPE_MEMCPY_D2H = 3
 TAPE_ALLOC_OVERHEAD = 4
 TAPE_SEGMENT_OVERHEAD = 5
 TAPE_ALLREDUCE = 6
-TAPE_BARRIER = 7
-
-#: Kinds resolved with cross-rank barrier semantics at replay time.
-SYNC_KINDS = (TAPE_ALLREDUCE, TAPE_BARRIER)
 
 
 def atom_index_table(kinds: np.ndarray) -> Dict[int, np.ndarray]:
@@ -65,9 +62,9 @@ class TimingTape:
     """Per-clock columnar log of timing atoms (one per clock advance).
 
     Attaching a tape registers it as ``clock.tape`` and as a clock observer;
-    the instrumented choke points (kernel launch, DMA, allocator, collective
-    engine, host pauses) check ``clock.tape`` and record their atom right
-    before advancing the clock.
+    the instrumented choke points (kernel launch, host↔device copy,
+    allocator, collective engine, host pauses) check ``clock.tape`` and
+    record their atom right before advancing the clock.
     """
 
     def __init__(self, clock: DeviceClock):
@@ -136,14 +133,14 @@ class TimingTape:
         """One host-side pause: a constant under device re-pricing."""
         self._append(TAPE_CONST, int(round(duration_ns)))
 
-    def record_sync(self, kind: int, nbytes: int, duration_ns: int) -> None:
-        """One cross-rank synchronization point (allreduce or barrier).
+    def record_sync(self, nbytes: int, duration_ns: int) -> None:
+        """One gradient allreduce of ``nbytes``, the run's one sync point.
 
         ``duration_ns`` is this rank's catch-up delta during capture; replay
         ignores it and re-resolves the sync with barrier semantics across all
         participating ranks.
         """
-        self._append(kind, duration_ns, nbytes=nbytes)
+        self._append(TAPE_ALLREDUCE, duration_ns, nbytes=nbytes)
 
     # -- clock observer ----------------------------------------------------------
 

@@ -57,7 +57,7 @@ def run_eq1(device: Optional[Device] = None,
     pays a launch overhead, mirroring the real tool's behavior at small sizes).
     """
     device = device if device is not None else Device(titan_x_pascal(), execution_mode="symbolic")
-    report = BandwidthTest(device.dma).run()
+    report = BandwidthTest(device).run()
     if use_measured_bandwidths:
         bandwidths = BandwidthConfig(
             h2d_bytes_per_s=report.h2d.bandwidth_bytes_per_s,

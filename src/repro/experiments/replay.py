@@ -75,7 +75,6 @@ from ..device.cluster import ClusterSpec
 from ..device.collective import collective_summary
 from ..device.spec import get_device_spec
 from ..device.tape import (
-    SYNC_KINDS,
     atom_index_table,
     TAPE_ALLOC_OVERHEAD,
     TAPE_ALLREDUCE,
@@ -475,28 +474,22 @@ class TraceTemplate:
     # -- validation -------------------------------------------------------------------
 
     def _validate_syncs(self) -> None:
-        """Cross-rank sync atoms must agree in kind and payload, rank by rank,
+        """Cross-rank allreduce atoms must agree in payload, rank by rank,
         and every rank must launch the same number of kernels before each —
         the condition under which a barrier keeps the clocks affine in the
         dispatch cost (:class:`_PricedPoints`)."""
-        sync_mask = [np.isin(rank.tape_kind, SYNC_KINDS) for rank in self.ranks]
-        self.sync_pos = [np.flatnonzero(mask) for mask in sync_mask]
-        kinds = [rank.tape_kind[pos] for rank, pos in zip(self.ranks, self.sync_pos)]
+        self.sync_pos = [np.flatnonzero(rank.tape_kind == TAPE_ALLREDUCE)
+                         for rank in self.ranks]
         payloads = [rank.tape_nbytes[pos] for rank, pos in zip(self.ranks, self.sync_pos)]
-        first_kinds, first_payloads = kinds[0], payloads[0]
-        for other_kinds, other_payloads in zip(kinds[1:], payloads[1:]):
-            if (other_kinds.size != first_kinds.size
-                    or not np.array_equal(other_kinds, first_kinds)
-                    or not np.array_equal(other_payloads, first_payloads)):
-                raise TemplateError("ranks disagree on the collective sequence",
-                                    reason="capture_inconsistent")
+        if any(not np.array_equal(other, payloads[0]) for other in payloads[1:]):
+            raise TemplateError("ranks disagree on the collective sequence",
+                                reason="capture_inconsistent")
         launched = [_kernels_before(rank)[pos]
                     for rank, pos in zip(self.ranks, self.sync_pos)]
         if any(not np.array_equal(other, launched[0]) for other in launched[1:]):
             raise TemplateError("ranks launch different kernel counts before a "
                                 "collective", reason="capture_inconsistent")
-        self.sync_kinds = first_kinds
-        self.sync_nbytes = first_payloads
+        self.sync_nbytes = payloads[0]
 
     def valid_for(self, config: TrainingRunConfig) -> bool:
         """Whether this structure also holds under ``config``'s memory capacity.
@@ -618,7 +611,6 @@ class TraceTemplate:
         — carries the same ``d · K`` and the affine form survives the barrier.
         """
         batch = self._batch_arrays()
-        allreduce = (self.sync_kinds == TAPE_ALLREDUCE).tolist()
         sync_nbytes = self.sync_nbytes.tolist()
 
         # Everything derived from the cluster (the only Python-object work)
@@ -647,9 +639,8 @@ class TraceTemplate:
                                   spec.allocator_overhead_ns,
                                   spec.cuda_malloc_overhead_ns))
                 default_dispatch.append(timing.host_dispatch_overhead_ns)
-                costs.append([
-                    cluster.allreduce_time_ns(nbytes) if is_allreduce else 0
-                    for nbytes, is_allreduce in zip(sync_nbytes, allreduce)])
+                costs.append([cluster.allreduce_time_ns(nbytes)
+                              for nbytes in sync_nbytes])
             point_of[j] = point
             dispatch[j] = (default_dispatch[point]
                            if config.host_dispatch_overhead_ns is None
@@ -783,8 +774,7 @@ class TraceTemplate:
         merged, structure = batch.merged, batch.structure
         priced = self._price_points([scenario.config for scenario in scenarios])
         point_of = priced.point_of.tolist()
-        allreduce_ns = priced.sync_costs[:, self.sync_kinds == TAPE_ALLREDUCE
-                                         ].sum(axis=1).tolist()
+        allreduce_ns = priced.sync_costs.sum(axis=1).tolist()
         # Rows are independent, so they are reduced grouped by point: each
         # point's rows are then one slice of every per-row array.
         rows = sorted(range(len(scenarios)), key=point_of.__getitem__)
@@ -909,9 +899,8 @@ class TraceTemplate:
         """The session's ``collective`` block (``None`` on a single device)."""
         if len(self.ranks) == 1:
             return None
-        allreduce = self.sync_kinds == TAPE_ALLREDUCE
-        return collective_summary(cluster, len(self.ranks), int(allreduce.sum()),
-                                  int(self.sync_nbytes[allreduce].sum()), total_ns)
+        return collective_summary(cluster, len(self.ranks), len(self.sync_nbytes),
+                                  int(self.sync_nbytes.sum()), total_ns)
 
     # -- trace rebuild ----------------------------------------------------------------
 

@@ -56,8 +56,8 @@ from ..core.swap import BandwidthConfig
 from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, EventColumns,
                           MemoryTrace, barrier_rows, stable_block_order)
 from ..device.clock import DeviceClock
-from ..device.dma import DmaEngine
 from ..device.spec import DeviceSpec
+from ..device.stream import Stream
 from ..device.timing import KernelTimingModel
 from ..errors import InfeasibleScenarioError
 from .policies import EvictDirective, MemoryPolicy, get_policy
@@ -568,7 +568,9 @@ class SwapExecutor:
         self._stamp = -1          # the iteration the walk's own rows are stamped with
         self._anchor = 0          # the recorded row they go in front of
         self._clock = DeviceClock()
-        self._dma = DmaEngine(spec, self._clock, KernelTimingModel(spec))
+        self._copies = Stream(self._clock)
+        self._memcpy_ns = KernelTimingModel(spec).memcpy_duration_ns
+        self._h2d_bandwidth, self._d2h_bandwidth = spec.h2d_bandwidth, spec.d2h_bandwidth
         #: Allocated blocks: block id -> the malloc row of its lifetime.
         self._live: Dict[int, int] = {}
         #: Allocated bytes after each recorded row (after none: 0), and the
@@ -955,10 +957,9 @@ class SwapExecutor:
             ready = state.pending_ready_ns
             op = "prefetch"
         else:
-            record = self._dma.async_host_to_device_at(
-                nbytes, now, tag=f"swap_in:{state.tag}")
-            self.counters.copy_busy_ns += record.duration_ns
-            ready = record.end_ns
+            duration = self._memcpy_ns(nbytes, self._h2d_bandwidth)
+            _, ready = self._copies.reserve(now, duration)
+            self.counters.copy_busy_ns += duration
             op = "demand"
             self.counters.demand_fetches += 1
         stall = max(0, ready - now)
@@ -1019,9 +1020,9 @@ class SwapExecutor:
     def _evict(self, directive: EvictDirective):
         """Execute one eviction directive (no-op if the block moved on).
 
-        Returns the device→host copy record for swap evictions (so capacity
-        governance can stall until the bytes actually left), ``None`` for
-        recompute drops and no-ops.
+        Returns when the device→host copy of a swap eviction ends (so
+        capacity governance can stall until the bytes actually left),
+        ``None`` for recompute drops and no-ops.
         """
         block_id = directive.block_id
         row = self._live.get(block_id)
@@ -1045,9 +1046,9 @@ class SwapExecutor:
         now = self._clock.now_ns
         copy_bytes = (directive.copy_bytes if directive.copy_bytes is not None
                       else state.size)
-        out = self._dma.async_device_to_host_at(
-            copy_bytes, now, tag=f"swap_out:{state.tag}")
-        self.counters.copy_busy_ns += out.duration_ns
+        duration = self._memcpy_ns(copy_bytes, self._d2h_bandwidth)
+        _, out_end = self._copies.reserve(now, duration)
+        self.counters.copy_busy_ns += duration
         state.swapped_copy_bytes = copy_bytes
         self.counters.swap_out_count += 1
         self.counters.bytes_swapped_out += copy_bytes
@@ -1056,14 +1057,13 @@ class SwapExecutor:
                         - PREFETCH_MARGIN_NS)
             # The copy-back can start no earlier than its own eviction copy
             # finished (the host does not have the bytes before that).
-            back = self._dma.async_host_to_device_by(
-                copy_bytes, deadline, earliest_start_ns=max(now, out.end_ns),
-                tag=f"swap_prefetch:{state.tag}")
-            self.counters.copy_busy_ns += back.duration_ns
-            state.pending_ready_ns = back.end_ns
+            duration = self._memcpy_ns(copy_bytes, self._h2d_bandwidth)
+            _, state.pending_ready_ns = self._copies.reserve_before(
+                deadline, duration, earliest_start_ns=max(now, out_end))
+            self.counters.copy_busy_ns += duration
             self.counters.prefetches_scheduled += 1
         self._emit(_SWAP_OUT, state, self.policy.name)
-        return out
+        return out_end
 
     def _enforce_capacity(self, incoming: int) -> None:
         """Make room for ``incoming`` bytes under the capacity invariant.
@@ -1094,13 +1094,13 @@ class SwapExecutor:
         for state in candidates:
             if excess <= 0:
                 break
-            out = self._evict(EvictDirective(block_id=state.block_id))
+            out_end = self._evict(EvictDirective(block_id=state.block_id))
             if state.block_id not in self._off_device:
                 continue
             self.counters.pressure_evictions += 1
             excess -= state.size
-            if out is not None and out.end_ns > wait_until:
-                wait_until = out.end_ns
+            if out_end is not None and out_end > wait_until:
+                wait_until = out_end
         stall = wait_until - now
         if stall > 0:
             self._clock.advance(stall)

@@ -156,23 +156,23 @@ class Tensor:
         self.storage.record_write(op)
         return self
 
-    def copy_from_host(self, values: np.ndarray, tag: str = "") -> "Tensor":
+    def copy_from_host(self, values: np.ndarray) -> "Tensor":
         """Stage host data onto the device: models a pinned H2D copy plus a write."""
         array = np.asarray(values)
         if array.size != self.numel:
             raise ShapeError(
                 f"cannot copy {array.size} host values into tensor of shape {self.shape}"
             )
-        self.device.copy_host_to_device(self.nbytes, tag=tag or self.tag or "h2d")
+        self.device.copy_host_to_device(self.nbytes)
         if self.storage.is_materialized:
             self.storage.set_buffer(array.astype(self.dtype.numpy_dtype, copy=False))
         self.storage.record_write("memcpy_h2d")
         return self
 
-    def copy_to_host(self, tag: str = "") -> Optional[np.ndarray]:
+    def copy_to_host(self) -> Optional[np.ndarray]:
         """Read the tensor back to the host: models a D2H copy plus a read."""
         self.storage.record_read("memcpy_d2h")
-        self.device.copy_device_to_host(self.nbytes, tag=tag or self.tag or "d2h")
+        self.device.copy_device_to_host(self.nbytes)
         if self.storage.is_materialized:
             return self.numpy()
         return None
@@ -247,7 +247,7 @@ def from_numpy(device: Device, array: np.ndarray,
         dtype = from_numpy_dtype(array.dtype)
     tensor = empty(device, array.shape, dtype=dtype, category=category, tag=tag)
     if stage_h2d:
-        tensor.copy_from_host(array, tag=tag)
+        tensor.copy_from_host(array)
     else:
         if tensor.storage.is_materialized:
             tensor.storage.set_buffer(array.astype(dtype.numpy_dtype, copy=False))

@@ -95,7 +95,7 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
 
     Returns the host-side loss value (``None`` in symbolic execution).
     """
-    loss_values = loss.copy_to_host(tag="loss_readback")
+    loss_values = loss.copy_to_host()
     loss_value = float(loss_values[0]) if loss_values is not None else None
     loss.release()
     inputs.release()

@@ -30,7 +30,7 @@ from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace, lifetimes_from_columns, merge_rank_traces
 from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
-from repro.device.tape import TAPE_ALLREDUCE
+from repro.device.stream import Stream
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.errors import InfeasibleScenarioError, TraceInvariantError
@@ -409,7 +409,6 @@ def reference_price_times(template, configs):
     """
     batch = template._batch_arrays()
     n_scenarios = len(configs)
-    allreduce = (template.sync_kinds == TAPE_ALLREDUCE).tolist()
     sync_nbytes = template.sync_nbytes.tolist()
 
     # Pricing points repeat across a grid, so everything derived from the
@@ -439,9 +438,7 @@ def reference_price_times(template, configs):
                               spec.allocator_overhead_ns,
                               spec.cuda_malloc_overhead_ns))
             default_dispatch.append(timing.host_dispatch_overhead_ns)
-            costs.append([
-                cluster.allreduce_time_ns(nbytes) if is_allreduce else 0
-                for nbytes, is_allreduce in zip(sync_nbytes, allreduce)])
+            costs.append([cluster.allreduce_time_ns(nbytes) for nbytes in sync_nbytes])
         point_of[j] = point
         dispatch[j] = (default_dispatch[point]
                        if config.host_dispatch_overhead_ns is None
@@ -759,6 +756,7 @@ class ReferenceSwapExecutor(MemoryEventListener):
     device ahead of its recorder, where every malloc, free, read and write
     runs its learning rules and bookkeeping in Python, stalls the device
     clock and logs its rows through ``recorder`` (a :class:`SwapRecorder`).
+    Its copies reserve on a copy stream of its own against the device clock.
 
     The one live-hook executor: kept as the oracle
     :func:`repro.swap.executor.overlay` is held to (as
@@ -770,6 +768,8 @@ class ReferenceSwapExecutor(MemoryEventListener):
     def __init__(self, device, policy, recorder=None, bandwidths=None,
                  capacity_bytes=None):
         self.device = device
+        self._copies = Stream(device.clock)
+        self._memcpy_ns = device.timing.memcpy_duration_ns
         self.recorder = recorder
         self.finalized = False
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
@@ -1087,10 +1087,9 @@ class ReferenceSwapExecutor(MemoryEventListener):
             ready = state.pending_ready_ns
             op = "prefetch"
         else:
-            record = self.device.dma.async_host_to_device_at(
-                nbytes, now, tag=f"swap_in:{state.tag}")
-            self.counters.copy_busy_ns += record.duration_ns
-            ready = record.end_ns
+            duration = self._memcpy_ns(nbytes, self.device.spec.h2d_bandwidth)
+            _, ready = self._copies.reserve(now, duration)
+            self.counters.copy_busy_ns += duration
             op = "demand"
             self.counters.demand_fetches += 1
         stall = max(0, ready - now)
@@ -1126,17 +1125,15 @@ class ReferenceSwapExecutor(MemoryEventListener):
         """Replay a dropped block's producer before the access that needs it.
 
         No bytes cross the link: the device spends the recorded producer
-        duration on its compute stream (a synchronous replay — the access
-        cannot proceed without the data), the clock advances by exactly that
-        cost, and the block is resident again.  First-order model: the
+        duration (a synchronous replay — the access cannot proceed without
+        the data), the clock advances by exactly that cost, and the block is
+        resident again.  First-order model: the
         producer's own inputs are assumed reachable (checkpointing always
         keeps enough upstream state for a single replay).
         """
         cost = int(state.compute_ns or 0)
         if cost > 0:
-            stream, clock = self.device.compute_stream, self.device.clock
-            stream.busy_until_ns = max(stream.busy_until_ns, clock.now_ns) + cost
-            clock.advance(cost)
+            self.device.clock.advance(cost)
             self.counters.recompute_ns_total += cost
         if self._active:
             resident = (s for s in self._states.values()
@@ -1155,9 +1152,9 @@ class ReferenceSwapExecutor(MemoryEventListener):
     def _evict(self, directive: EvictDirective):
         """Execute one eviction directive (no-op if the block moved on).
 
-        Returns the device→host copy record for swap evictions (so capacity
-        governance can stall until the bytes actually left), ``None`` for
-        recompute drops and no-ops.
+        Returns when the device→host copy of a swap eviction ends (so
+        capacity governance can stall until the bytes actually left),
+        ``None`` for recompute drops and no-ops.
         """
         state = self._states.get(directive.block_id)
         if state is None or state.freed or not state.resident:
@@ -1178,9 +1175,9 @@ class ReferenceSwapExecutor(MemoryEventListener):
         now = self.device.clock.now_ns
         copy_bytes = (directive.copy_bytes if directive.copy_bytes is not None
                       else state.size)
-        out = self.device.dma.async_device_to_host_at(
-            copy_bytes, now, tag=f"swap_out:{state.tag}")
-        self.counters.copy_busy_ns += out.duration_ns
+        duration = self._memcpy_ns(copy_bytes, self.device.spec.d2h_bandwidth)
+        _, out_end = self._copies.reserve(now, duration)
+        self.counters.copy_busy_ns += duration
         state.resident = False
         state.swapped_copy_bytes = copy_bytes
         state.gap_tainted = True
@@ -1192,16 +1189,14 @@ class ReferenceSwapExecutor(MemoryEventListener):
                         - PREFETCH_MARGIN_NS)
             # The copy-back can start no earlier than its own eviction copy
             # finished (the host does not have the bytes before that).
-            back = self.device.dma.async_host_to_device_by(
-                copy_bytes, deadline, earliest_start_ns=max(now, out.end_ns),
-                tag=f"swap_prefetch:{state.tag}")
-            self.counters.copy_busy_ns += back.duration_ns
-            state.pending_ready_ns = back.end_ns
+            duration = self._memcpy_ns(copy_bytes, self.device.spec.h2d_bandwidth)
+            _, state.pending_ready_ns = self._copies.reserve_before(
+                deadline, duration, earliest_start_ns=max(now, out_end))
+            self.counters.copy_busy_ns += duration
             self.counters.prefetches_scheduled += 1
         self.recorder.on_swap_out(state.block, copy_bytes,
                                           self.policy.name)
-        return out
-
+        return out_end
     def _enforce_capacity(self, incoming: int) -> None:
         """Make room for ``incoming`` bytes under the capacity invariant.
 
@@ -1232,13 +1227,13 @@ class ReferenceSwapExecutor(MemoryEventListener):
         for state in candidates:
             if excess <= 0:
                 break
-            out = self._evict(EvictDirective(block_id=state.block_id))
+            out_end = self._evict(EvictDirective(block_id=state.block_id))
             if state.resident:
                 continue
             self.counters.pressure_evictions += 1
             excess -= state.size
-            if out is not None and out.end_ns > wait_until:
-                wait_until = out.end_ns
+            if out_end is not None and out_end > wait_until:
+                wait_until = out_end
         stall = wait_until - now
         if stall > 0:
             self.device.clock.advance(stall)

@@ -146,12 +146,12 @@ def test_collective_engine_is_free_for_one_replica():
     assert group.primary.clock.now_ns == 123
 
 
-def test_device_group_synchronize_barriers_clocks():
+def test_allreduce_waits_for_the_straggler():
     group = DeviceGroup(ClusterSpec(device=small_test_device(), n_devices=2))
     group[1].clock.advance(9_999)
-    latest = group.synchronize()
-    assert latest == 9_999
-    assert group[0].clock.now_ns == 9_999
+    record = group.collective.allreduce(MIB)
+    assert record.start_ns == 9_999
+    assert {device.clock.now_ns for device in group} == {record.end_ns}
 
 
 def test_device_group_says_what_it_holds():
@@ -172,9 +172,9 @@ def test_device_group_says_what_it_holds():
 
     group[1].clock.advance(50_000)   # the straggler class sets the barrier
     latest = group[1].clock.now_ns
-    assert group.synchronize() == latest
-    assert {device.clock.now_ns for device in group} == {latest}
     record = group.collective.allreduce(MIB)
+    assert record.start_ns == latest
+    assert {device.clock.now_ns for device in group} == {record.end_ns}
     assert record.world_size == 5
     assert record.duration_ns == ring_allreduce_time_ns(MIB, 5, 12e9, 10_000)
     assert group.collective.summary()["world_size"] == 5

@@ -72,11 +72,5 @@ def test_memory_stats_and_snapshot(test_device):
     assert snapshot and snapshot[0]["blocks"]
 
 
-def test_synchronize_drains_streams(test_device):
-    test_device.compute_stream.schedule(1_000)
-    now = test_device.synchronize()
-    assert now >= 1_000
-
-
 def test_virtual_device_is_not_eager(virtual_device):
     assert not virtual_device.is_eager

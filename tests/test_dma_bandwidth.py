@@ -1,82 +1,62 @@
-"""Tests for the DMA engine and the bandwidthTest reproduction."""
+"""Tests for the device's host↔device copies and the bandwidthTest reproduction."""
 
 import pytest
 
+from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.device.bandwidth import BandwidthTest
-from repro.device.clock import DeviceClock
-from repro.device.dma import DmaEngine
+from repro.device.device import Device
 from repro.device.spec import titan_x_pascal
-from repro.device.timing import KernelTimingModel
-from repro.units import GB, MIB
+from repro.units import MIB
 
 
 @pytest.fixture
-def dma():
-    spec = titan_x_pascal()
-    clock = DeviceClock()
-    return DmaEngine(spec, clock, KernelTimingModel(spec))
+def device():
+    return Device(titan_x_pascal(), execution_mode="symbolic")
 
 
-def test_synchronous_copy_advances_clock(dma):
-    before = dma.clock.now_ns
-    record = dma.host_to_device(10 * MIB)
-    assert dma.clock.now_ns > before
-    assert record.direction == "h2d"
-    assert record.duration_ns == dma.clock.now_ns - before
+def test_synchronous_copy_advances_clock(device):
+    before = device.clock.now_ns
+    duration = device.copy_host_to_device(10 * MIB)
+    assert duration > 0
+    assert duration == device.clock.now_ns - before
 
 
-def test_copy_duration_matches_bandwidth(dma):
+def test_copy_duration_matches_bandwidth(device):
     nbytes = 64 * MIB
-    record = dma.device_to_host(nbytes)
+    duration = device.copy_device_to_host(nbytes)
     expected_transfer_ns = 1e9 * nbytes / titan_x_pascal().d2h_bandwidth
     overhead = titan_x_pascal().memcpy_launch_overhead_ns
-    assert record.duration_ns == pytest.approx(expected_transfer_ns + overhead, rel=1e-6)
+    assert duration == pytest.approx(expected_transfer_ns + overhead, rel=1e-6)
 
 
-def test_async_copies_queue_on_the_copy_stream(dma):
-    first = dma.async_host_to_device(10 * MIB)
-    second = dma.async_host_to_device(10 * MIB)
-    assert second.start_ns >= first.end_ns
-    assert dma.clock.now_ns == 0  # async copies do not advance the device clock
-
-
-def test_round_trip_time_matches_equation_one(dma):
+def test_round_trip_time_matches_equation_one():
     nbytes = 79_370  # the paper's 25 us operating point
-    round_trip_ns = dma.round_trip_time_ns(nbytes)
-    assert round_trip_ns == pytest.approx(25_000, rel=0.01)
+    bandwidths = BandwidthConfig.from_device_spec(titan_x_pascal())
+    assert swap_round_trip_ns(nbytes, bandwidths) == pytest.approx(25_000, rel=0.01)
 
 
-def test_total_bytes_accounting(dma):
-    dma.host_to_device(10)
-    dma.device_to_host(20)
-    dma.host_to_device(30)
-    assert dma.total_bytes() == 60
-    assert dma.total_bytes("h2d") == 40
-    assert dma.total_bytes("d2h") == 20
-
-
-def test_bandwidth_test_converges_to_configured_bandwidths(dma):
-    report = BandwidthTest(dma, transfer_bytes=256 * MIB, repetitions=5).run()
+def test_bandwidth_test_converges_to_configured_bandwidths(device):
+    report = BandwidthTest(device, transfer_bytes=256 * MIB, repetitions=5).run()
     assert report.h2d_gb_per_s == pytest.approx(6.3, rel=0.02)
     assert report.d2h_gb_per_s == pytest.approx(6.4, rel=0.02)
     assert "Host to Device" in report.summary()
 
 
-def test_bandwidth_test_small_transfers_lose_to_overhead(dma):
-    small = BandwidthTest(dma, transfer_bytes=64 * 1024, repetitions=3).run()
-    large = BandwidthTest(dma, transfer_bytes=256 * MIB, repetitions=3).run()
+def test_bandwidth_test_small_transfers_lose_to_overhead(device):
+    small = BandwidthTest(device, transfer_bytes=64 * 1024, repetitions=3).run()
+    large = BandwidthTest(device, transfer_bytes=256 * MIB, repetitions=3).run()
     assert small.h2d_gb_per_s < large.h2d_gb_per_s
 
 
-def test_bandwidth_test_sweep_restores_transfer_size(dma):
-    test = BandwidthTest(dma, transfer_bytes=1 * MIB, repetitions=2)
+def test_bandwidth_test_sweep_restores_transfer_size(device):
+    test = BandwidthTest(device, transfer_bytes=1 * MIB, repetitions=2)
     reports = test.sweep([1 * MIB, 8 * MIB])
     assert len(reports) == 2
     assert test.transfer_bytes == 1 * MIB
 
 
-def test_bandwidth_test_validates_arguments(dma):
+def test_bandwidth_test_validates_arguments(device):
     with pytest.raises(ValueError):
-        BandwidthTest(dma, transfer_bytes=0)
+        BandwidthTest(device, transfer_bytes=0)
     with pytest.raises(ValueError):
-        BandwidthTest(dma, repetitions=0)
+        BandwidthTest(device, repetitions=0)

@@ -442,7 +442,7 @@ def rebuilt_trace_result(template, scenario):
     trace = template.replay_trace(config)
     marks = {mark.index: mark for mark in trace.iteration_marks}
     _, costs, clusters = template._price_times([config])
-    allreduce_ns = int(costs[0][template.sync_kinds == TAPE_ALLREDUCE].sum())
+    allreduce_ns = int(costs[0].sum())
     policy_trace = trace.for_rank(0) if config.n_devices > 1 else trace
     return reduce_trace(
         scenario, bandwidths, trace, template._batch_arrays().structure,
@@ -557,7 +557,7 @@ def test_pricing_a_block_twice_leaves_every_template_array_as_it_was(monkeypatch
 
     def state():
         return _owned([(template.ranks, template._batch_arrays(), template.sync_pos,
-                        template.sync_kinds, template.sync_nbytes)
+                        template.sync_nbytes)
                        for template in templates])
 
     before = state()

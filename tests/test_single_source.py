@@ -7,6 +7,7 @@ differentials pin the row forms of the recipes to their one-row forms.
 
 import ast
 import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
@@ -25,7 +26,8 @@ from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction
                              swappable_fractions)
 from repro.core.trace import CATEGORY_FROM_CODE
 from repro.data.loader import HostLatencyModel
-from repro.device import timing
+from repro.device import tape, timing
+from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
 from repro.device.hooks import HOOK_NAMES, CountingListener, MemoryEventListener
 from repro.device.spec import get_device_spec
@@ -276,6 +278,46 @@ def test_the_device_and_training_layers_run_no_swap_engine():
         "_swap_policies", "_execute_swap"]
     assert [name for name in dir(Device()) if "swap" in name.lower()] == []
     assert "swap_executors" not in inspect.signature(DataParallelTrainer).parameters
+
+
+def test_the_device_is_synchronous_and_the_overlay_owns_the_copy_stream():
+    """No DMA engine, no device streams, nothing to drain: a device copy
+    blocks on the device clock, and the one copy stream is the overlay's."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.device.dma")
+    for name in ("dma", "compute_stream", "synchronize"):
+        assert not hasattr(Device(), name), name
+    assert not hasattr(DeviceGroup, "synchronize")
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("Stream"))}
+    assert sites == {("swap/executor.py", "__init__")}
+
+
+def test_the_tape_has_one_sync_kind():
+    """The gradient allreduce is the one cross-rank sync a run records."""
+    kinds = {name for name in vars(tape) if name.startswith("TAPE_")}
+    assert kinds == {"TAPE_CONST", "TAPE_KERNEL", "TAPE_MEMCPY_H2D", "TAPE_MEMCPY_D2H",
+                     "TAPE_ALLOC_OVERHEAD", "TAPE_SEGMENT_OVERHEAD", "TAPE_ALLREDUCE"}
+    assert not hasattr(tape, "SYNC_KINDS")
+    assert list(inspect.signature(tape.TimingTape.record_sync).parameters) == [
+        "self", "nbytes", "duration_ns"]
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("record_sync"))}
+    assert sites == {("device/collective.py", "allreduce")}
+    assert "sync_kinds" not in REPLAY.read_text()
+
+
+def test_eq1_round_trip_has_one_implementation():
+    """``core.swap.swap_round_trip_ns`` (on its bandwidths' one denominator)
+    is the only round trip a module under ``src/`` defines."""
+    defined = {(path.relative_to(SRC).as_posix(), node.name)
+               for path, tree in _sources() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "round_trip" in node.name}
+    assert defined == {("core/swap.py", "swap_round_trip_ns"),
+                       ("core/swap.py", "round_trip_s_per_byte")}
 
 
 def test_a_listener_hears_only_the_six_allocator_and_storage_hooks():

@@ -72,6 +72,39 @@ def test_the_corpus_is_the_ladder():
     assert len(LADDER) == 23
 
 
+#: Copy-stream outcomes of three ladder rows, recorded at commit ceef508.
+#: Both sides of the differential reserve through ``repro.device.stream``,
+#: so a change there moves them alike; it moves these.
+COPY_STREAM_GOLDEN = {
+    ("planner", 4096, None): dict(
+        copy_busy_ns=63_473_883, prefetches_scheduled=3, prefetch_hits=0,
+        late_prefetches=2, demand_fetches=0, stall_ns_total=70_474,
+        pressure_stall_ns=0),
+    ("swap_advisor", 4096, None): dict(
+        copy_busy_ns=423_159_220, prefetches_scheduled=20, prefetch_hits=7,
+        late_prefetches=9, demand_fetches=0, stall_ns_total=350_652_195,
+        pressure_stall_ns=0),
+    ("lru", 2048, 64 * MIB): dict(
+        copy_busy_ns=468_611_656, prefetches_scheduled=0, prefetch_hits=0,
+        late_prefetches=0, demand_fetches=278, stall_ns_total=468_611_656,
+        pressure_stall_ns=240_572_800),
+}
+
+
+def _ladder_row(swap, width, capacity):
+    (scenario,) = [s for s in LADDER if s.config.model == "mlp"
+                   and (s.config.swap, s.config.model_kwargs["hidden_dim"],
+                        s.config.device_memory_capacity) == (swap, width, capacity)]
+    return scenario
+
+
+@pytest.mark.parametrize("row", list(COPY_STREAM_GOLDEN), ids=str)
+def test_copy_stream_outcomes_are_golden(row):
+    execution = run_training_session(_ladder_row(*row).config).swap_execution
+    assert {name: execution[name] for name in COPY_STREAM_GOLDEN[row]} \
+        == COPY_STREAM_GOLDEN[row]
+
+
 @pytest.mark.parametrize("scenario", LADDER, ids=lambda s: s.config.describe()
                          + f", cap={s.config.device_memory_capacity}")
 def test_ladder_rows_match_the_reference(scenario):

@@ -1,12 +1,9 @@
 """A symbolic session simulates shapes, not values.
 
-Three seams used to leak values or unread history into symbolic runs: the
-loader drew every batch, ``copy_from_host`` cast it, and every kernel was
-logged on the compute stream.  The oracle for the first two is the same
-session with the loader forced (test-only; there is nothing in ``src/`` to
-switch) to draw real batches; the oracle for the third is the stream's own
-contract — its horizon is the clock — plus times recorded on the parent
-commit.  Eager sessions must not have moved at all.
+Two seams used to leak values into symbolic runs: the loader drew every
+batch, and ``copy_from_host`` cast it.  The oracle is the same session with
+the loader forced (test-only; there is nothing in ``src/`` to switch) to draw
+real batches.  Eager sessions must not have moved at all.
 """
 
 from __future__ import annotations
@@ -19,8 +16,6 @@ import pytest
 from repro.data.datasets import DATASET_PRESETS, build_dataset
 from repro.data.loader import DataLoader
 from repro.device.device import Device
-from repro.device.stream import StreamOp
-from repro.device.timing import elementwise_cost
 from repro.tensor.storage import DeviceStorage
 from repro.tensor.tensor import from_numpy
 from repro.train import session as session_module
@@ -54,7 +49,7 @@ class _GrabGroup:
         pass
 
 
-# -- (a) nothing is drawn, cast, stored or logged --------------------------------------
+# -- (a) nothing is drawn, cast or stored ----------------------------------------------
 
 
 @pytest.mark.parametrize("dataset", sorted(DATASET_PRESETS))
@@ -89,11 +84,8 @@ def test_symbolic_session_never_asks_the_dataset_for_values(monkeypatch):
     assert dataset._rng.bit_generator.state == fresh.bit_generator.state
 
 
-def test_symbolic_session_writes_no_buffer_and_logs_no_kernel(monkeypatch):
-    stream_ops, buffer_writes = [], []
-    original_init = StreamOp.__init__
-    monkeypatch.setattr(StreamOp, "__init__", lambda op, *args, **kwargs: (
-        stream_ops.append(op), original_init(op, *args, **kwargs))[1])
+def test_symbolic_session_writes_no_buffer(monkeypatch):
+    buffer_writes = []
     monkeypatch.setattr(DeviceStorage, "set_buffer",
                         lambda storage, values: buffer_writes.append(storage.tag))
     grab = _GrabGroup()
@@ -101,7 +93,6 @@ def test_symbolic_session_writes_no_buffer_and_logs_no_kernel(monkeypatch):
     (device,) = grab.group
     assert device.kernel_count > 900
     assert buffer_writes == []
-    assert stream_ops == [] == device.compute_stream.ops
 
 
 def test_copy_from_host_casts_only_into_a_buffer():
@@ -247,53 +238,3 @@ def test_a_symbolic_process_imports_neither_numpy_random_nor_numpy_ma():
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines() == [
         "simulated []", "replayed []", "eager ['numpy.random']"]
-
-
-# -- (d) the compute stream is a horizon, and it is the clock --------------------------
-
-
-def test_horizon_equals_the_clock_after_every_kernel_and_swap_leaves_device_streams_alone(
-        monkeypatch):
-    """Kernels keep the compute horizon on the clock; swapping and
-    rematerialization happen in the swap overlay, on its own clock, and leave
-    the device's streams untouched."""
-    kernels = 0
-    original = Device.run_kernel
-
-    def run_kernel(self, *args, **kwargs):
-        nonlocal kernels
-        result = original(self, *args, **kwargs)
-        assert self.compute_stream.busy_until_ns == self.clock.now_ns
-        kernels += 1
-        return result
-
-    monkeypatch.setattr(Device, "run_kernel", run_kernel)
-    config = make_config("mlp", batch_size=2048, iterations=5, swap="unified",
-                         model_kwargs={"hidden_dim": 8192, "num_hidden_layers": 6})
-    grab = _GrabGroup()
-    session = run_training_session(config, capture=grab)
-    assert kernels > 100
-    assert session.swap_execution["recompute_count"] > 0
-    assert session.swap_execution["swap_out_count"] > 0
-    # Swap traffic reserves slots on the overlay's copy stream; the device's
-    # streams log nothing.
-    assert grab.group.primary.dma.copy_stream.ops == []
-    assert grab.group.primary.compute_stream.ops == []
-
-
-def test_hand_scheduled_compute_work_reads_as_on_the_parent_commit():
-    """Clock / horizon pairs recorded on the parent commit (832b736)."""
-    device = Device(execution_mode="symbolic")
-    cost = elementwise_cost(1 << 16)
-    for _ in range(3):
-        device.run_kernel(cost)
-    assert device.compute_stream.schedule(50_000, name="hand") == (37_368, 87_368)
-    device.run_kernel(cost)         # queues behind the hand-scheduled op
-    assert (device.clock.now_ns, device.compute_stream.busy_until_ns) == (49_824, 99_824)
-    device.compute_stream.schedule_at(device.clock.now_ns + 200_000, 30_000)
-    device.run_kernel(cost)
-    assert (device.clock.now_ns, device.compute_stream.busy_until_ns) == (62_280, 292_280)
-    assert device.synchronize() == 292_280
-    device.run_kernel(cost)
-    assert device.clock.now_ns == device.compute_stream.busy_until_ns == 304_736
-    assert [op.name for op in device.compute_stream.ops] == ["hand", "compute-op1"]
