@@ -72,5 +72,16 @@ def test_memory_stats_and_snapshot(test_device):
     assert snapshot and snapshot[0]["blocks"]
 
 
+def test_work_runs_in_order_on_the_clock(test_device):
+    """Kernels, copies and host pauses each block until done: the clock is
+    the device's whole timeline, with nothing left in flight to drain."""
+    before = test_device.clock.now_ns
+    durations = [test_device.run_kernel(KernelCost(flops=1e6, name="k")),
+                 test_device.copy_host_to_device(1 * MIB)]
+    test_device.host_pause(500)
+    durations.append(test_device.copy_device_to_host(2 * MIB))
+    assert test_device.clock.now_ns == before + sum(durations) + 500
+
+
 def test_virtual_device_is_not_eager(virtual_device):
     assert not virtual_device.is_eager

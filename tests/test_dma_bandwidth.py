@@ -5,6 +5,7 @@ import pytest
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.device.bandwidth import BandwidthTest
 from repro.device.device import Device
+from repro.device.tape import TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D, TimingTape
 from repro.device.spec import titan_x_pascal
 from repro.units import MIB
 
@@ -27,6 +28,30 @@ def test_copy_duration_matches_bandwidth(device):
     expected_transfer_ns = 1e9 * nbytes / titan_x_pascal().d2h_bandwidth
     overhead = titan_x_pascal().memcpy_launch_overhead_ns
     assert duration == pytest.approx(expected_transfer_ns + overhead, rel=1e-6)
+
+
+def test_device_to_host_copy_advances_clock(device):
+    before = device.clock.now_ns
+    duration = device.copy_device_to_host(10 * MIB)
+    assert duration > 0
+    assert duration == device.clock.now_ns - before
+
+
+def test_empty_copy_costs_only_the_launch_overhead(device):
+    overhead = titan_x_pascal().memcpy_launch_overhead_ns
+    assert device.copy_host_to_device(0) == overhead
+    assert device.copy_device_to_host(0) == overhead
+    assert device.clock.now_ns == 2 * overhead
+
+
+def test_copies_are_taped_with_their_direction_and_bytes(device):
+    tape = TimingTape(device.clock)
+    durations = [device.copy_host_to_device(10), device.copy_device_to_host(20),
+                 device.copy_host_to_device(30)]
+    assert list(tape.kind) == [TAPE_MEMCPY_H2D, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D]
+    assert list(tape.nbytes) == [10, 20, 30]
+    assert list(tape.duration_ns) == durations
+    assert tape.consistent
 
 
 def test_round_trip_time_matches_equation_one():

@@ -1,5 +1,7 @@
 """Tests for the copy stream: reservations against a clock."""
 
+import random
+
 import pytest
 
 from repro.device.clock import DeviceClock
@@ -24,6 +26,43 @@ def test_reserve_backfills_idle_gaps():
     assert (start, end) == (0, 30)
     start2, end2 = stream.reserve(0, 80)        # does not fit in [30, 100)
     assert (start2, end2) == (150, 230)
+
+
+def test_reserve_in_a_busy_window_starts_when_it_ends():
+    stream = Stream(DeviceClock())
+    stream.reserve(0, 100)                      # busy [0, 100)
+    assert stream.reserve(40, 10) == (100, 110)  # clamps forward, never back
+
+
+def test_reserve_honors_a_future_start():
+    stream = Stream(DeviceClock())
+    assert stream.reserve(500, 20) == (500, 520)
+    # a copy asking to start inside the future reservation queues after it
+    assert stream.reserve(510, 5) == (520, 525)
+    # one asking for now backfills the idle window before it
+    assert stream.reserve(0, 5) == (0, 5)
+
+
+def test_contending_reservations_never_overlap():
+    rng = random.Random(7)
+    clock = DeviceClock()
+    stream = Stream(clock)
+    placed = []
+    for _ in range(300):
+        duration = rng.randrange(1, 80)
+        if rng.random() < 0.5:
+            earliest = clock.now_ns + rng.randrange(0, 400)
+            start, end = stream.reserve(earliest, duration)
+            assert start >= earliest
+        else:
+            start, end = stream.reserve_before(clock.now_ns + rng.randrange(0, 600),
+                                               duration)
+        assert start >= clock.now_ns and end - start == duration
+        placed.append((start, end))
+        clock.advance(rng.randrange(0, 40))
+    placed.sort()
+    assert all(end <= next_start
+               for (_, end), (next_start, _) in zip(placed, placed[1:]))
 
 
 def test_reserve_before_places_latest_fit_meeting_deadline():
@@ -68,6 +107,22 @@ def test_zero_duration_reserve_before_does_not_block_later_copies():
     start, end = stream.reserve_before(9_000, 0)
     assert start == end == 9_000
     assert stream.reserve(8_990, 20) == (8_990, 9_010)
+
+
+def test_reserve_before_fills_the_latest_gap_that_meets_the_deadline():
+    stream = Stream(DeviceClock())
+    stream.reserve(0, 100)                      # busy [0, 100)
+    stream.reserve(500, 100)                    # busy [500, 600)
+    # the deadline falls inside [500, 600): finish as that copy starts
+    assert stream.reserve_before(550, 50) == (450, 500)
+    assert stream.reserve_before(400, 50) == (350, 400)
+
+
+def test_zero_duration_reservations_are_not_indexed():
+    stream = Stream(DeviceClock())
+    assert stream.reserve(500, 0) == (500, 500)
+    assert stream.reserve_before(900, 0) == (900, 900)
+    assert stream._busy_intervals == []
 
 
 # -- deadlines that predate the current clock time -------------------------------------

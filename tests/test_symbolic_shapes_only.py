@@ -3,7 +3,9 @@
 Two seams used to leak values into symbolic runs: the loader drew every
 batch, and ``copy_from_host`` cast it.  The oracle is the same session with
 the loader forced (test-only; there is nothing in ``src/`` to switch) to draw
-real batches.  Eager sessions must not have moved at all.
+real batches.  Eager sessions must not have moved at all, and the device's
+clock stays its whole timeline: every kernel blocks until done, and swap
+traffic runs on the overlay's own clock.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import pytest
 from repro.data.datasets import DATASET_PRESETS, build_dataset
 from repro.data.loader import DataLoader
 from repro.device.device import Device
+from repro.device.stream import Stream
+from repro.device.timing import elementwise_cost
 from repro.tensor.storage import DeviceStorage
 from repro.tensor.tensor import from_numpy
 from repro.train import session as session_module
@@ -238,3 +242,57 @@ def test_a_symbolic_process_imports_neither_numpy_random_nor_numpy_ma():
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines() == [
         "simulated []", "replayed []", "eager ['numpy.random']"]
+
+
+# -- (d) the clock is the device's timeline --------------------------------------------
+
+
+def test_every_kernel_advances_the_clock_by_its_duration_and_swap_keeps_off_it(
+        monkeypatch):
+    """A kernel blocks until done, so the clock moves by exactly its duration;
+    swapping and rematerialization happen in the swap overlay, whose copy
+    stream runs on a clock of its own."""
+    kernels = 0
+    original = Device.run_kernel
+
+    def run_kernel(self, *args, **kwargs):
+        nonlocal kernels
+        before = self.clock.now_ns
+        duration = original(self, *args, **kwargs)
+        assert self.clock.now_ns == before + duration
+        kernels += 1
+        return duration
+
+    stream_clocks = []
+    original_reserve = Stream.reserve
+
+    def reserve(self, *args, **kwargs):
+        stream_clocks.append(self.clock)
+        return original_reserve(self, *args, **kwargs)
+
+    monkeypatch.setattr(Device, "run_kernel", run_kernel)
+    monkeypatch.setattr(Stream, "reserve", reserve)
+    config = make_config("mlp", batch_size=2048, iterations=5, swap="unified",
+                         model_kwargs={"hidden_dim": 8192, "num_hidden_layers": 6})
+    grab = _GrabGroup()
+    session = run_training_session(config, capture=grab)
+    assert kernels > 100
+    assert session.swap_execution["recompute_count"] > 0
+    assert session.swap_execution["swap_out_count"] > 0
+    assert stream_clocks
+    device_clocks = [device.clock for device in grab.group]
+    assert not any(clock is device_clock for clock in stream_clocks
+                   for device_clock in device_clocks)
+
+
+def test_device_work_reads_as_on_the_parent_commit():
+    """Clock times recorded on commit 832b736: 12,456 ns per kernel, and a
+    host pause adds exactly its length."""
+    device = Device(execution_mode="symbolic")
+    cost = elementwise_cost(1 << 16)
+    for _ in range(3):
+        device.run_kernel(cost)
+    assert device.clock.now_ns == 37_368
+    device.host_pause(50_000)
+    device.run_kernel(cost)
+    assert device.clock.now_ns == 99_824
