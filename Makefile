@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-pairs bench-smoke kernel-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -35,6 +35,13 @@ bench-smoke:
 # never fails: a numpy upgrade that changes the ranking shows up in the log.
 kernel-probe:
 	-$(PYTHON) tools/kernel_probe.py
+
+# What a template capture costs over the bare simulation it records (best of 7,
+# resnet18 / vgg11 / mlp at 1 and 2 devices; ROADMAP item 8's bar is <= 1.05x),
+# with a check that the template prices each config to the simulation's result.
+# Prints a table, never fails.
+capture-probe:
+	-$(PYTHON) tools/capture_probe.py
 
 # Every script under examples/ must exit 0 (the CI examples-smoke step): they
 # run in seconds and write only under figure_data/.

@@ -142,9 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--swap", default="off",
                        help="comma-separated closed-loop swap-execution modes "
                             f"({', '.join(SWAP_EXECUTION_MODES)}): "
-                            "the engine actually evicts/prefetches "
-                            "blocks on the copy stream during the simulation "
-                            "and reports measured peak reduction + stall "
+                            "the session is simulated with swap off, then "
+                            "the engine walks that recording, evicting and "
+                            "prefetching blocks on its own copy stream, and "
+                            "reports measured peak reduction + stall "
                             "time next to the policy's predictions; unified "
                             "additionally rematerializes activations when "
                             "replaying the producer is cheaper than the "

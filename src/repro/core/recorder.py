@@ -11,7 +11,10 @@ straight to the allocator and the storages (see
 :class:`~repro.device.hooks.CompositeListener`), and ``on_malloc`` /
 ``on_free`` / ``on_read`` / ``on_write`` each write the packed row, the two
 strings and the tape position themselves, reading the clock field and the
-category's ``code`` attribute directly — and nothing else.  No
+category's ``code`` attribute directly — and nothing else.  The recorder
+never writes the tape: a taped clock logs its own atoms
+(:class:`~repro.device.tape.TimingTape`), and the recorder only notes, per
+event, how many atoms precede it.  No
 :class:`~repro.core.events.MemoryEvent` or
 :class:`~repro.core.events.BlockLifetime` object is built per behavior: the
 block lifetimes of Figure 2 are a function of the recorded stream, and

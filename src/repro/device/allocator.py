@@ -39,6 +39,7 @@ from .clock import DeviceClock
 from .hooks import MemoryEventListener, NullListener
 from .memory import AllocatorStats, Block, Segment
 from .spec import DeviceSpec
+from .tape import TAPE_ALLOC_OVERHEAD, TAPE_SEGMENT_OVERHEAD
 
 #: Allocation granularity: all block sizes are multiples of this.
 MIN_BLOCK_SIZE = 512
@@ -194,17 +195,12 @@ class BaseAllocator:
     # -- shared helpers ---------------------------------------------------------
 
     def _advance_alloc_overhead(self) -> None:
-        """Pay the per-malloc/free bookkeeping cost (tape-annotated)."""
-        clock = self.clock
-        if clock.tape is not None:
-            clock.tape.record_alloc_overhead(self._alloc_overhead_ns)
-        clock.advance(self._alloc_overhead_ns)
+        """Pay the per-malloc/free bookkeeping cost."""
+        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
 
     def _advance_segment_overhead(self) -> None:
-        """Pay the simulated ``cudaMalloc``/``cudaFree`` cost (tape-annotated)."""
-        if self.clock.tape is not None:
-            self.clock.tape.record_segment_overhead(self.spec.cuda_malloc_overhead_ns)
-        self.clock.advance(self.spec.cuda_malloc_overhead_ns)
+        """Pay the simulated ``cudaMalloc``/``cudaFree`` cost."""
+        self.clock.advance(self.spec.cuda_malloc_overhead_ns, TAPE_SEGMENT_OVERHEAD)
 
     def segments(self) -> List[Segment]:
         """All currently reserved segments, in reservation order."""

@@ -9,6 +9,13 @@ modelled by the training loop (:mod:`repro.train`).  The swap overlay
 (:mod:`repro.swap.executor`) runs a clock of its own, its virtual time, with
 a copy stream (:mod:`repro.device.stream`) reserving against it.
 
+Each advance says why it happened: its atom kind and the kind's pricing
+inputs (bytes, flops, DRAM traffic).  With a
+:class:`~repro.device.tape.TimingTape` attached, the clock logs every advance
+as one atom on it — zero-length advances included — so an atom and the time
+it moved the clock are one call and cannot disagree.  Without a tape the
+arguments are ignored.
+
 Using a simulated clock instead of wall-clock time makes every figure of the
 reproduction exactly deterministic and independent of the speed of the machine
 running the simulation.
@@ -16,9 +23,8 @@ running the simulation.
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 from ..errors import ClockError
+from .tape import TAPE_CONST
 
 
 class DeviceClock:
@@ -31,9 +37,8 @@ class DeviceClock:
         #: (once per recorded behavior) and the swap overlay's walk read the
         #: field directly instead of going through the :attr:`now_ns` property.
         self._now_ns = int(start_ns)
-        self._observers: List[Callable[[int, int], None]] = []
-        #: Optional :class:`~repro.device.tape.TimingTape` capturing why each
-        #: advance happened (set by the tape itself when it attaches).
+        #: The :class:`~repro.device.tape.TimingTape` this clock logs its
+        #: advances on, if any (set by the tape itself when it attaches).
         self.tape = None
 
     @property
@@ -41,21 +46,27 @@ class DeviceClock:
         """Current simulated time in nanoseconds."""
         return self._now_ns
 
-    def advance(self, delta_ns: int) -> int:
+    def advance(self, delta_ns: int, kind: int = TAPE_CONST, nbytes: int = 0,
+                flops: float = 0.0, bytes_moved: float = 0.0) -> int:
         """Advance the clock by ``delta_ns`` nanoseconds and return the new time.
 
         ``delta_ns`` must be non-negative; the clock never moves backwards.
-        Fractional inputs are rounded to the nearest nanosecond.
+        Fractional inputs are rounded to the nearest nanosecond.  ``kind`` and
+        its pricing inputs describe the advance as a timing atom, logged on
+        the attached tape (a host-side constant by default).
         """
         if type(delta_ns) is not int:
             delta_ns = int(round(delta_ns))
         if delta_ns < 0:
             raise ClockError(f"cannot advance clock by negative delta {delta_ns}")
-        previous = self._now_ns
         self._now_ns += delta_ns
-        if delta_ns and self._observers:
-            for observer in self._observers:
-                observer(previous, self._now_ns)
+        tape = self.tape
+        if tape is not None:
+            tape.kind.append(kind)
+            tape.duration_ns.append(delta_ns)
+            tape.nbytes.append(nbytes)
+            tape.flops.append(flops)
+            tape.bytes_moved.append(bytes_moved)
         return self._now_ns
 
     def advance_to(self, target_ns: int) -> int:
@@ -69,21 +80,6 @@ class DeviceClock:
                 f"cannot move clock backwards from {self._now_ns} to {target_ns}"
             )
         return self.advance(target_ns - self._now_ns)
-
-    def add_observer(self, observer: Callable[[int, int], None]) -> None:
-        """Register a callback invoked as ``observer(old_ns, new_ns)`` on advances."""
-        self._observers.append(observer)
-
-    def remove_observer(self, observer: Callable[[int, int], None]) -> None:
-        """Unregister a previously added observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-
-    def reset(self, start_ns: int = 0) -> None:
-        """Reset the clock to ``start_ns`` (observers are kept)."""
-        if start_ns < 0:
-            raise ClockError(f"clock cannot be reset to negative time {start_ns}")
-        self._now_ns = int(start_ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DeviceClock(now_ns={self._now_ns})"

@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence
 
 from .clock import DeviceClock
 from .cluster import ClusterSpec
+from .tape import TAPE_ALLREDUCE
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,7 @@ class CollectiveEngine:
         duration = self.cluster.allreduce_time_ns(nbytes)
         end = start + duration
         for clock in self.clocks:
-            if clock.tape is not None:
-                clock.tape.record_sync(int(nbytes), end - clock.now_ns)
-            clock.advance_to(end)
+            clock.advance(end - clock.now_ns, TAPE_ALLREDUCE, int(nbytes))
         record = CollectiveRecord(
             kind="allreduce", nbytes=int(nbytes), start_ns=start, end_ns=end,
             algorithm=self.cluster.allreduce_algorithm, world_size=self.world_size,

@@ -32,6 +32,7 @@ from .clock import DeviceClock
 from .hooks import CompositeListener, MemoryEventListener
 from .memory import Block
 from .spec import DeviceSpec, titan_x_pascal
+from .tape import TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
                      DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
 
@@ -136,10 +137,7 @@ class Device:
     def run_kernel(self, cost: KernelCost) -> int:
         """Account for the execution of one kernel; returns its duration in ns."""
         duration = self.timing.op_duration_ns(cost)
-        clock = self.clock
-        if clock.tape is not None:
-            clock.tape.record_kernel(cost, duration)
-        clock.advance(duration)
+        self.clock.advance(duration, TAPE_KERNEL, 0, cost.flops, cost.bytes_moved)
         self.kernel_count += 1
         return duration
 
@@ -152,24 +150,20 @@ class Device:
         """
         if duration_ns < 0:
             raise ConfigurationError("host_pause duration must be non-negative")
-        if self.clock.tape is not None:
-            self.clock.tape.record_const(duration_ns)
         self.clock.advance(duration_ns)
 
     def copy_host_to_device(self, nbytes: int) -> int:
         """Synchronous pinned host→device copy; returns its duration in ns."""
-        return self._copy("h2d", nbytes, self.spec.h2d_bandwidth)
+        return self._copy(TAPE_MEMCPY_H2D, nbytes, self.spec.h2d_bandwidth)
 
     def copy_device_to_host(self, nbytes: int) -> int:
         """Synchronous pinned device→host copy; returns its duration in ns."""
-        return self._copy("d2h", nbytes, self.spec.d2h_bandwidth)
+        return self._copy(TAPE_MEMCPY_D2H, nbytes, self.spec.d2h_bandwidth)
 
-    def _copy(self, direction: str, nbytes: int, bandwidth: float) -> int:
-        """A blocking copy: its memcpy duration, taped, then on the clock."""
+    def _copy(self, kind: int, nbytes: int, bandwidth: float) -> int:
+        """A blocking copy: its memcpy duration on the clock, as atom ``kind``."""
         duration = self.timing.memcpy_duration_ns(nbytes, bandwidth)
-        if self.clock.tape is not None:
-            self.clock.tape.record_memcpy(direction, nbytes, duration)
-        self.clock.advance(duration)
+        self.clock.advance(duration, kind, nbytes)
         return duration
 
     # -- introspection -----------------------------------------------------------

@@ -3,38 +3,36 @@
 Symbolic execution makes a run's event structure a pure function of the
 workload (model, batch size, replica count, ...) while simulated *time* is a
 pure function of that structure plus the pricing axes (device spec, host
-dispatch overhead, interconnect).  The tape is what separates the two: each
-component that advances a :class:`~repro.device.clock.DeviceClock` first
-records a typed atom saying *why* — a kernel with its roofline parameters, a
-memcpy with its byte count, an allocator bookkeeping overhead, the gradient
-allreduce — so the trace-template replay engine
-(:mod:`repro.experiments.replay`) can later re-derive every timestamp for a
-different device specification with a handful of vectorized array
-transforms, without re-running the simulation.
+dispatch overhead, interconnect).  The tape is what separates the two: it is
+a :class:`~repro.device.clock.DeviceClock`'s own log.  Every advance names
+its atom kind — a kernel with its roofline parameters, a memcpy with its byte
+count, an allocator bookkeeping overhead, the gradient allreduce, or a
+host-side constant — and a clock with a tape attached appends that atom,
+with the nanoseconds it moved, as one row of the tape's columns.  The
+trace-template replay engine (:mod:`repro.experiments.replay`) later
+re-derives every timestamp for a different device specification with a
+handful of vectorized array transforms, without re-running the simulation.
 
-The tape doubles as its own correctness monitor.  Annotated atoms set a
-*pending* duration that the clock observer must claim on the very next
-advance; any advance that arrives unannotated is recorded verbatim as a
-:data:`TAPE_CONST` atom (constant nanoseconds under re-pricing, which is
-exactly right for host-side pauses), and any mismatch between an annotation
-and the advance it claimed bumps :attr:`TimingTape.unexpected` — a non-zero
-count marks the captured template as unusable rather than silently wrong.
+Because the atom and the advance are one call, the tape cannot disagree
+with the clock: it holds exactly one atom per advance, zero-length ones
+included.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
-from .clock import DeviceClock
-from .timing import KernelCost
+if TYPE_CHECKING:  # the clock imports this module for its atom kinds
+    from .clock import DeviceClock
 
 #: Atom kinds.  ``CONST`` re-prices to its recorded nanoseconds; the others
 #: re-price from the target device specification (and the allreduce, the one
 #: sync kind, from the target cluster's collective cost model, resolved with
-#: cross-rank barrier semantics at replay time).
+#: cross-rank barrier semantics at replay time; an allreduce atom's recorded
+#: duration is its rank's catch-up to the barrier's end, which replay ignores).
 TAPE_CONST = 0
 TAPE_KERNEL = 1
 TAPE_MEMCPY_H2D = 2
@@ -61,10 +59,9 @@ def atom_index_table(kinds: np.ndarray) -> Dict[int, np.ndarray]:
 class TimingTape:
     """Per-clock columnar log of timing atoms (one per clock advance).
 
-    Attaching a tape registers it as ``clock.tape`` and as a clock observer;
-    the instrumented choke points (kernel launch, host↔device copy,
-    allocator, collective engine, host pauses) check ``clock.tape`` and
-    record their atom right before advancing the clock.
+    Attaching a tape registers it as ``clock.tape``; from then on every
+    :meth:`DeviceClock.advance <repro.device.clock.DeviceClock.advance>`
+    appends its atom to the five columns below until :meth:`detach`.
     """
 
     def __init__(self, clock: DeviceClock):
@@ -79,92 +76,15 @@ class TimingTape:
         self.nbytes = array("q")
         self.flops = array("d")
         self.bytes_moved = array("d")
-        #: Number of annotation/advance mismatches observed; any non-zero
-        #: value invalidates the capture for replay.
-        self.unexpected = 0
-        self._pending = None
         clock.tape = self
-        clock.add_observer(self._observe)
 
     def __len__(self) -> int:
         return len(self.kind)
 
     def detach(self) -> None:
-        """Stop observing the clock and unpublish ``clock.tape``."""
-        self.clock.remove_observer(self._observe)
-        if getattr(self.clock, "tape", None) is self:
+        """Stop logging: unpublish ``clock.tape``."""
+        if self.clock.tape is self:
             self.clock.tape = None
-
-    # -- atom recording (called by the instrumented choke points) ----------------
-
-    def _append(self, kind: int, duration_ns: int, nbytes: int = 0,
-                flops: float = 0.0, bytes_moved: float = 0.0) -> None:
-        self.kind.append(kind)
-        self.duration_ns.append(int(duration_ns))
-        self.nbytes.append(int(nbytes))
-        self.flops.append(float(flops))
-        self.bytes_moved.append(float(bytes_moved))
-        if duration_ns > 0:
-            if self._pending is not None:
-                # Two annotations with no advance in between: the first one
-                # was never claimed.
-                self.unexpected += 1
-            self._pending = int(duration_ns)
-
-    def record_kernel(self, cost: KernelCost, duration_ns: int) -> None:
-        """One kernel launch with its roofline inputs (flops, DRAM bytes)."""
-        self._append(TAPE_KERNEL, duration_ns,
-                     flops=cost.flops, bytes_moved=cost.bytes_moved)
-
-    def record_memcpy(self, direction: str, nbytes: int, duration_ns: int) -> None:
-        """One synchronous host↔device copy (direction is ``h2d``/``d2h``)."""
-        kind = TAPE_MEMCPY_H2D if direction == "h2d" else TAPE_MEMCPY_D2H
-        self._append(kind, duration_ns, nbytes=nbytes)
-
-    def record_alloc_overhead(self, duration_ns: int) -> None:
-        """One allocator bookkeeping advance (``allocator_overhead_ns``)."""
-        self._append(TAPE_ALLOC_OVERHEAD, duration_ns)
-
-    def record_segment_overhead(self, duration_ns: int) -> None:
-        """One segment reserve/release advance (``cuda_malloc_overhead_ns``)."""
-        self._append(TAPE_SEGMENT_OVERHEAD, duration_ns)
-
-    def record_const(self, duration_ns: int) -> None:
-        """One host-side pause: a constant under device re-pricing."""
-        self._append(TAPE_CONST, int(round(duration_ns)))
-
-    def record_sync(self, nbytes: int, duration_ns: int) -> None:
-        """One gradient allreduce of ``nbytes``, the run's one sync point.
-
-        ``duration_ns`` is this rank's catch-up delta during capture; replay
-        ignores it and re-resolves the sync with barrier semantics across all
-        participating ranks.
-        """
-        self._append(TAPE_ALLREDUCE, duration_ns, nbytes=nbytes)
-
-    # -- clock observer ----------------------------------------------------------
-
-    def _observe(self, old_ns: int, new_ns: int) -> None:
-        delta = new_ns - old_ns
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            if pending == delta:
-                return
-            self.unexpected += 1
-        # Unannotated advance: keep the tape exact by logging it verbatim.
-        self.kind.append(TAPE_CONST)
-        self.duration_ns.append(int(delta))
-        self.nbytes.append(0)
-        self.flops.append(0.0)
-        self.bytes_moved.append(0.0)
-
-    # -- capture health ----------------------------------------------------------
-
-    @property
-    def consistent(self) -> bool:
-        """Whether every advance matched its annotation (replay-safe)."""
-        return self.unexpected == 0 and self._pending is None
 
     def preamble_segments(self, segment_overhead_ns: int) -> int:
         """Pre-attach time expressed as a count of segment reservations.

@@ -7,11 +7,12 @@ that structure priced under the timing axes (:data:`PRICING_FIELDS`).  This
 module splits the two:
 
 * :meth:`TemplateFamily.capture` runs the simulation **once** per structure
-  with a :class:`~repro.device.tape.TimingTape` on every replica clock and
+  with a :class:`~repro.device.tape.TimingTape` attached to every replica
+  clock, which then logs each of its advances as one typed timing atom, and
   keeps a :class:`TraceTemplate`: per replica the trace's event columns and
-  tag / op lists as recorded, the timing atoms behind every clock advance,
-  the event→atom correspondence and iteration spans, plus the structural
-  scalars (peaks, parameter bytes, allocator counters).
+  tag / op lists as recorded, the clock's atoms, the event→atom
+  correspondence (atoms preceding each event) and iteration spans, plus the
+  structural scalars (peaks, parameter bytes, allocator counters).
 * :meth:`TraceTemplate._price_points` prices each distinct pricing point of
   a batch once, at zero host dispatch, in one ``(points × atoms)`` int64
   broadcast per rank; collectives are resolved with barrier semantics in a
@@ -240,9 +241,6 @@ class RankTemplate:
 
 def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplate:
     """Freeze one replica's recorder + tape into a :class:`RankTemplate`."""
-    if not tape.consistent:
-        raise TemplateError("timing tape saw unannotated or mismatched advances",
-                            reason="capture_inconsistent")
     cols = trace.columns()
     tags, ops = trace.event_strings()
     positions = np.asarray(recorder.event_tape_positions, dtype=np.int64)
@@ -440,9 +438,8 @@ class TraceTemplate:
     ``meta`` carries the structural scalars (allocator name, capacities,
     peaks, parameter bytes, allocator counters, iteration indices);
     ``ranks`` carries the per-replica arrays.  Construction validates the
-    capture (consistent tapes, matching cross-rank sync sequences and kernel
-    counts before each sync, events and the capture's iteration marks on
-    every rank); the
+    capture (matching cross-rank sync sequences and kernel counts before each
+    sync, events and the capture's iteration marks on every rank); the
     timestamp-free tables behind batched repricing are built on first use.
     """
 
@@ -966,8 +963,9 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
 
     Raises a reason-coded :class:`TemplateError` when the configuration is
     outside the replay envelope (swap execution on, eager numerics) or when
-    the capture turns out not to be replayable (a timing atom the tape could
-    not attribute, ranks disagreeing on the collective sequence).
+    the capture turns out not to be replayable (pre-attach clock time that is
+    not whole segment reservations, ranks disagreeing on the collective
+    sequence).
     """
     check_replay_envelope(config)
     key = template_key(config)
@@ -1105,10 +1103,17 @@ def _validate_rank_columns(columns: Dict[str, np.ndarray], info: dict) -> None:
     if len(info["event_tags"]) != event_len or len(info["event_ops"]) != event_len:
         raise ValueError("event annotation length mismatch")
     tape_pos = columns["event_tape_pos"]
-    if event_len and (int(tape_pos.min()) < -1 or int(tape_pos.max()) >= tape_len):
+    if event_len and (int(tape_pos.min()) < 0 or int(tape_pos.max()) >= tape_len):
         raise ValueError("event tape position out of range")
-    if columns["mark_spans"].ndim != 2 or columns["mark_spans"].shape[1] != 2:
+    if (np.diff(tape_pos) < 0).any():
+        raise ValueError("event tape positions decrease")
+    spans = columns["mark_spans"]
+    if spans.ndim != 2 or spans.shape[1] != 2:
         raise ValueError("mark span table malformed")
+    if spans.size and (int(spans.min()) < 0 or int(spans.max()) > tape_len):
+        raise ValueError("mark span outside the tape")
+    if (spans[:, 0] > spans[:, 1]).any():
+        raise ValueError("mark span begins after it ends")
 
 
 def save_family(family: TemplateFamily, path: Path) -> None:
@@ -1170,8 +1175,9 @@ def save_family(family: TemplateFamily, path: Path) -> None:
 def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamily]:
     """Load a persisted family; ``None`` on any mismatch or corruption.
 
-    Every rank's arrays are cross-validated (column lengths, tape-position
-    range, span table shape) so a torn or hand-edited file is rejected rather
+    Every rank's arrays are cross-validated (column lengths, event tape
+    positions non-decreasing inside the tape, iteration spans ordered inside
+    ``[0, tape length]``) so a torn or hand-edited file is rejected rather
     than replayed — with the reason logged; another schema or key is a plain
     miss and says nothing.
     """

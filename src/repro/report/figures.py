@@ -674,12 +674,13 @@ def build_swap_execution(runner: SweepRunner, profile: ReportProfile) -> FigureP
         ],
     )
     intro = ("Earlier pages *predict* what swapping would do; this page "
-             "*executes* it. Each row runs the same training session with "
-             "the closed-loop engine (`repro.swap`) driving a different "
-             "policy: evictions and prefetches are scheduled on the "
-             "device's copy stream, overlap with compute, contend with each "
-             "other, and stall the device clock when a prefetch misses its "
-             "deadline. `swap_out`/`swap_in` are first-class trace events, "
+             "*executes* it. Each row simulates the same training session "
+             "with swap off, then walks that recording with the closed-loop "
+             "engine (`repro.swap`) driving a different policy: evictions "
+             "and prefetches are scheduled on the engine's own copy stream, "
+             "overlap with compute, contend with each other, and delay the "
+             "recording's clock when a prefetch misses its deadline. "
+             "`swap_out`/`swap_in` are first-class trace events, "
              "so the measured peak reduction (live peak minus resident "
              "peak over the steady iterations) and the stall time come out "
              "of the trace - directly comparable with the planner's "

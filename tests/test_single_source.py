@@ -27,6 +27,7 @@ from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction
 from repro.core.trace import CATEGORY_FROM_CODE
 from repro.data.loader import HostLatencyModel
 from repro.device import tape, timing
+from repro.device.clock import DeviceClock
 from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
 from repro.device.hooks import HOOK_NAMES, CountingListener, MemoryEventListener
@@ -294,19 +295,58 @@ def test_the_device_is_synchronous_and_the_overlay_owns_the_copy_stream():
     assert sites == {("swap/executor.py", "__init__")}
 
 
+def _advance_sites(kind):
+    """(module, function) of every ``.advance(...)`` call passing atom ``kind``."""
+    def predicate(node):
+        return (_calls("advance")(node)
+                and any(getattr(arg, "id", None) == kind
+                        for arg in (*node.args, *(k.value for k in node.keywords))))
+    return {(path.relative_to(SRC).as_posix(), function)
+            for path in sorted(SRC.rglob("*.py"))
+            for function in _enclosing_functions(path, predicate)}
+
+
 def test_the_tape_has_one_sync_kind():
-    """The gradient allreduce is the one cross-rank sync a run records."""
+    """The gradient allreduce is the one cross-rank sync a run records: only
+    ``CollectiveEngine.allreduce`` advances a clock with its atom."""
     kinds = {name for name in vars(tape) if name.startswith("TAPE_")}
     assert kinds == {"TAPE_CONST", "TAPE_KERNEL", "TAPE_MEMCPY_H2D", "TAPE_MEMCPY_D2H",
                      "TAPE_ALLOC_OVERHEAD", "TAPE_SEGMENT_OVERHEAD", "TAPE_ALLREDUCE"}
     assert not hasattr(tape, "SYNC_KINDS")
-    assert list(inspect.signature(tape.TimingTape.record_sync).parameters) == [
-        "self", "nbytes", "duration_ns"]
-    sites = {(path.relative_to(SRC).as_posix(), function)
-             for path in sorted(SRC.rglob("*.py"))
-             for function in _enclosing_functions(path, _calls("record_sync"))}
-    assert sites == {("device/collective.py", "allreduce")}
+    assert _advance_sites("TAPE_ALLREDUCE") == {("device/collective.py", "allreduce")}
     assert "sync_kinds" not in REPLAY.read_text()
+
+
+def test_the_clock_logs_its_own_atoms():
+    """One call per advance: the clock has no observers, the tape no
+    recording methods or mismatch counters, and outside ``device/`` a tape is
+    only attached, read and detached."""
+    for name in ("add_observer", "remove_observer", "reset", "_observers"):
+        assert not hasattr(DeviceClock(), name), name
+    methods = {name for name, value in vars(tape.TimingTape).items()
+               if callable(value) and not name.startswith("__")}
+    assert methods == {"detach", "preamble_segments"}
+    attached = tape.TimingTape(DeviceClock())
+    for name in ("consistent", "unexpected", "_pending", "_observe", "_append"):
+        assert not hasattr(attached, name), name
+    assert not any(name.startswith("record_") for name in dir(attached))
+
+    def tape_call(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return False
+        receiver = node.func.value
+        return getattr(receiver, "attr", getattr(receiver, "id", None)) in ("tape", "_tape")
+
+    calls = {(path.relative_to(SRC).as_posix(), node.func.attr)
+             for path, tree in _sources() for node in ast.walk(tree)
+             if tape_call(node) and not path.relative_to(SRC).as_posix().startswith("device/")}
+    assert calls == {("experiments/replay.py", "detach"),
+                     ("experiments/replay.py", "preamble_segments")}
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text()
+        for word in ("record_kernel", "record_sync", "add_observer", ".consistent"):
+            assert word not in text, (path, word)
+    assert _advance_sites("TAPE_KERNEL") == {("device/device.py", "run_kernel")}
 
 
 def test_eq1_round_trip_has_one_implementation():

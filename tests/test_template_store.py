@@ -11,9 +11,13 @@ import json
 import logging
 import threading
 
+import numpy as np
+import pytest
+
 from repro.experiments import replay
-from repro.experiments.replay import ReplayEngine, TemplateFamily, template_key
-from repro.experiments.sweep import SweepRunner
+from repro.experiments.replay import (ReplayEngine, TemplateFamily, load_family,
+                                      template_key)
+from repro.experiments.sweep import SweepGrid, SweepRunner
 from repro.experiments.template_store import TEMPLATES_DIR, TemplateStore
 from repro.train.session import TrainingRunConfig
 
@@ -200,3 +204,65 @@ def test_an_archive_of_the_previous_schema_is_never_opened(tmp_path, monkeypatch
     assert not (tmp_path / "quarantine").exists()
     assert not caplog.records
     assert TemplateStore(tmp_path).keys() == sorted([stale.stem, template_key(CONFIG)])
+
+
+# -- the load screen: damaged positions and spans are rejected, not replayed -----------
+
+
+def _edited(array, index, value):
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+#: Hand edits a capture never produces, as (rank 0's column, edit of that
+#: column given the tape length).  Each keeps the archive readable and every
+#: column its length, so only the position / span screen can catch it.
+DAMAGE = {
+    "a position below zero": ("event_tape_pos", lambda p, n: _edited(p, 0, -1)),
+    "positions that decrease": ("event_tape_pos", lambda p, n: p[::-1]),
+    "a span past the tape": ("mark_spans", lambda s, n: _edited(s, (-1, 1), n + 1)),
+    "a span below zero": ("mark_spans", lambda s, n: _edited(s, (0, 0), -1)),
+    "a span that begins after it ends": ("mark_spans", lambda s, n: s[:, ::-1]),
+}
+
+DOCTORED_GRID = dict(models=("mlp",), batch_sizes=(16,), iterations=(2,),
+                     n_devices=(2,), interconnects=("pcie_gen3", "nvlink2"),
+                     model_kwargs={"hidden_dim": 32}, dataset="two_cluster")
+
+
+def _rows(sweep):
+    rows = []
+    for result in sweep.results:
+        data = result.to_dict()
+        data.pop("wall_time_s")
+        rows.append(data)
+    return rows
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_a_doctored_archive_is_rejected_and_the_sweep_recompiles(tmp_path, caplog, damage):
+    grid = SweepGrid(execution_mode="replay", **DOCTORED_GRID)
+    SweepRunner(cache_dir=tmp_path).run(grid.expand())
+    store = TemplateStore(tmp_path / TEMPLATES_DIR)
+    (key,) = store.keys()
+    path = store.path_for(key)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: np.array(data[name]) for name in data.files}
+    column, edit = DAMAGE[damage]
+    arrays[f"v0_r0_{column}"] = edit(arrays[f"v0_r0_{column}"],
+                                     len(arrays["v0_r0_tape_kind"]))
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+    with caplog.at_level(logging.WARNING, logger=replay.__name__):
+        assert load_family(path, key=key) is None
+    (record,) = caplog.records
+    assert str(path) in record.getMessage() and record.exc_info is not None
+
+    replayed = SweepRunner(cache_dir=tmp_path, use_cache=False).run(grid.expand())
+    assert replayed.templates_compiled == 1
+    assert replayed.quarantined == {"template_corrupt": 1}
+    symbolic = SweepRunner(use_cache=False).run(
+        SweepGrid(execution_mode="symbolic", **DOCTORED_GRID).expand())
+    assert _rows(replayed) == _rows(symbolic)

@@ -112,3 +112,28 @@ def test_kernel_probe_block_chains_compute_the_same_arrays():
     chains = _load("kernel_probe").block_chain(np.random.default_rng(3), 5, 40)
     allocating, owned = chains["allocating chain"](), chains["two owned buffers"]()
     assert [array.tobytes() for array in allocating] == [array.tobytes() for array in owned]
+
+
+# -- tools/capture_probe.py -------------------------------------------------------------
+
+
+def test_capture_probe_times_a_tiny_config_and_finds_equal_results():
+    probe = _load("capture_probe")
+    ((label, config),) = probe.configs(
+        {"mlp": dict(model="mlp", dataset="two_cluster", batch_size=16,
+                     model_kwargs={"hidden_dim": 32})}, devices=(2,))
+    assert label == "mlp x 2" and config.n_devices == 2
+    assert config.execution_mode == "symbolic"
+    row = probe.probe(config, repeats=1)
+    assert row["equal"] is True
+    assert row["simulate_ms"] > 0 and row["compile_ms"] > 0
+    assert row["ratio"] == pytest.approx(row["compile_ms"] / row["simulate_ms"])
+    lines = probe.table([(label, row)]).splitlines()
+    assert lines[0].split() == ["config", "simulate", "ms", "compile", "ms", "ratio", "results"]
+    assert lines[1].startswith("mlp x 2 ") and lines[1].endswith("x  equal")
+
+
+def test_capture_probe_covers_three_structures_at_one_and_two_devices():
+    labels = [label for label, _config in _load("capture_probe").configs()]
+    assert labels == ["resnet18 x 1", "resnet18 x 2", "vgg11 x 1", "vgg11 x 2",
+                      "mlp x 1", "mlp x 2"]
