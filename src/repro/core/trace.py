@@ -539,10 +539,15 @@ class MemoryTrace:
         columns, strings and iteration marks; only
         ``metadata["device_rank"]`` is its own.
         """
+        return self.with_metadata({**self.metadata, "device_rank": rank})
+
+    def with_metadata(self, metadata: Dict[str, object]) -> "MemoryTrace":
+        """A view sharing this trace's columns, strings and iteration marks,
+        with ``metadata`` as its own."""
         return MemoryTrace(
             columns=self._columns, event_tags=self._event_tags,
             event_ops=self._event_ops, iteration_marks=self.iteration_marks,
-            metadata={**self.metadata, "device_rank": rank}, end_ns=self.end_ns)
+            metadata=metadata, end_ns=self.end_ns)
 
     def iterations(self) -> List[int]:
         """Indices of all iterations that have a recorded mark."""
@@ -606,8 +611,10 @@ class MemoryTrace:
         3. per rank, no two simultaneously live blocks overlap in address;
         4. every ``swap_in`` / ``recompute`` closes an earlier ``swap_out``
            / ``recompute_drop`` of its block in the same lifetime, no access
-           lands while its block is off the device, and every eviction is
-           closed by the end of the trace.
+           lands while its block is off the device, every eviction is
+           closed by the end of the trace, and every one of these engine
+           rows lies in a lifetime of its block and carries its malloc size
+           (swapping conserves bytes).
 
         The pairing and checks 1, 2 and 4 are array passes (a trace without
         engine rows skips 4 after one mask); the third walks the malloc/free
@@ -648,8 +655,9 @@ class MemoryTrace:
     def _first_unbalanced_engine_row(self) -> Optional[Tuple[int, str]]:
         """The first row breaking invariant 4: per block, in stream order, a
         restoration's previous *move* (malloc, free or engine row) must be the
-        eviction it closes, an access's must not be an eviction, and an
-        eviction's next move must be its restoration."""
+        eviction it closes, an access's must not be an eviction, an
+        eviction's next move must be its restoration, and an engine row's
+        latest malloc or free must be a malloc of its size."""
         cols = self._columns
         engine = np.isin(cols.kind_code, _ENGINE_CODES)
         if not engine.any():
@@ -665,13 +673,22 @@ class MemoryTrace:
         evicted = (after >= 0) & (_CLOSED_BY[np.maximum(after, 0)] >= 0)
         last = np.append(block[1:] != block[:-1], True)       # each block's last row
         dangling = latest[last][latest[last] >= 0]
+        lifecycle = (kind == _MALLOC_CODE) | (kind == _FREE_CODE)
+        owner = np.maximum.accumulate(np.where(lifecycle, np.arange(rows.size), -1))
+        opened = np.maximum(owner, 0)
+        engine_rows = np.isin(kind, _ENGINE_CODES)
+        owned = (owner >= 0) & (kind[opened] == _MALLOC_CODE) & (block[opened] == block)
+        size = cols.size[rows]
         offenders = [
             (rows[(_OPENED_BY[kind] >= 0) & (after != _OPENED_BY[kind])],
              "closes no earlier eviction of its block in the same lifetime"),
             (rows[~moves & evicted], "lands while its block is off the device"),
             (np.concatenate((rows[previous[moves & evicted & (kind != _CLOSED_BY[
                 np.maximum(after, 0)])]], rows[dangling[_CLOSED_BY[kind[dangling]] >= 0]])),
-             "is not balanced by a restoration of its block in the same lifetime")]
+             "is not balanced by a restoration of its block in the same lifetime"),
+            (rows[engine_rows & ~owned], "lies outside any malloc…free of its block"),
+            (rows[engine_rows & owned & (size != size[opened])],
+             "does not carry its block's malloc size")]
         first = min(((int(events.min()), what) for events, what in offenders if events.size),
                     default=None)
         return first and (first[0], f"{KIND_FROM_CODE[int(cols.kind_code[first[0]])].value} "

@@ -8,6 +8,13 @@ failure means — retry, record, re-raise — is the runner's business
 (:mod:`repro.experiments.sweep`); this module owns the pool's lifecycle,
 chunked submission, the in-band transport of worker failures and the
 per-scenario deadline.
+
+Rows that differ only in ``swap`` and ``device_memory_capacity`` overlay one
+swap-off recording (:func:`~repro.experiments.grid.recording_token`): a
+round walks its rows, and a chunk holds them, in recording order, and each
+row hands its recording to the next row with the same token — at most one
+recording is alive per round or chunk.  Under ``timeout_s`` every chunk is
+one row, so nothing is shared.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..core.swap import BandwidthConfig
 from ..errors import ScenarioTimeoutError
 from .faults import FaultPlan
-from .grid import Scenario
-from .results import ScenarioResult, run_scenario
+from .grid import Scenario, recording_token
+from .results import ScenarioResult, run_scenario_on
 
 #: What a round reports per failed scenario index: the error and the
 #: traceback text (empty when the failure is the pool's, not the scenario's).
@@ -53,6 +60,38 @@ class _ScenarioFailure:
         return self.error
 
 
+def _in_recording_order(scenarios: Sequence[Scenario],
+                        indices: Sequence[int]) -> List[int]:
+    """``indices`` with the rows that share a recording token made adjacent:
+    groups in order of first appearance, expansion order inside each."""
+    groups: Dict[Tuple, List[int]] = {}
+    for index in indices:
+        groups.setdefault(recording_token(scenarios[index].config), []).append(index)
+    return [index for group in groups.values() for index in group]
+
+
+class _SharedRecording:
+    """The one swap-off recording a round or a chunk keeps alive: the last
+    row's, handed to the next row when their recording tokens are equal
+    (:func:`~repro.experiments.grid.recording_token`) and dropped before a
+    row with another token records its own."""
+
+    def __init__(self, bandwidths: Optional[BandwidthConfig]):
+        self.bandwidths = bandwidths
+        self._token: Optional[Tuple] = None
+        self._recording = None
+
+    def run(self, scenario: Scenario) -> ScenarioResult:
+        """:func:`~repro.experiments.results.run_scenario_on` over the kept
+        recording, when it is this row's."""
+        token = recording_token(scenario.config)
+        if token != self._token:
+            self._token, self._recording = token, None
+        result, self._recording = run_scenario_on(scenario, self.bandwidths,
+                                                  self._recording)
+        return result
+
+
 def _run_scenario_chunk(scenarios: List[Scenario],
                         bandwidths: Optional[BandwidthConfig],
                         fault_plan: Optional[FaultPlan] = None,
@@ -65,7 +104,9 @@ def _run_scenario_chunk(scenarios: List[Scenario],
     overhead is comparable to a small scenario itself.  Per-scenario failures
     are returned in-band (as a :class:`_ScenarioFailure` carrying the worker
     traceback) instead of failing the whole chunk, so one bad scenario never
-    discards its chunk-mates' work.
+    discards its chunk-mates' work.  The chunk comes in recording order
+    (:meth:`ScenarioExecutor._chunks`), so adjacent rows that share a
+    swap-off recording simulate it once.
 
     ``fault_plan``/``keys``/``attempts`` thread the deterministic
     fault-injection harness into the worker: each scenario's fault decision
@@ -73,6 +114,7 @@ def _run_scenario_chunk(scenarios: List[Scenario],
     rebuilt pools observe the same schedule.
     """
     outcomes: List[object] = []
+    shared = _SharedRecording(bandwidths)
     for position, scenario in enumerate(scenarios):
         try:
             if fault_plan is not None and keys is not None:
@@ -80,7 +122,7 @@ def _run_scenario_chunk(scenarios: List[Scenario],
                                           0 if attempts is None
                                           else attempts[position],
                                           in_worker=True)
-            outcomes.append(run_scenario(scenario, bandwidths=bandwidths))
+            outcomes.append(shared.run(scenario))
         except Exception as error:  # reported to the parent, with traceback
             outcomes.append(_ScenarioFailure(error, traceback_module.format_exc()))
     return outcomes
@@ -151,7 +193,8 @@ class ScenarioExecutor:
         self._pool = None
 
     def _chunks(self, missing: List[int]) -> List[List[int]]:
-        """Split the pending scenario indices into per-task chunks (in order)."""
+        """Split the pending scenario indices, in recording order, into
+        per-task chunks."""
         if self.chunk_size is not None:
             size = max(1, int(self.chunk_size))
         else:
@@ -187,18 +230,20 @@ class ScenarioExecutor:
         discarded and replaced with a :class:`ScenarioTimeoutError` — the
         same outcome the pool path produces by killing the worker.
         ``KeyboardInterrupt`` propagates (the journal already holds every
-        finished scenario, so Ctrl-C is resumable by construction).
+        finished scenario, so Ctrl-C is resumable by construction).  Rows run
+        in recording order, so the rows that share a swap-off recording
+        simulate it once; the first of them carries its cost.
         """
         errors: RoundErrors = {}
-        for index in pending:
+        shared = _SharedRecording(self.bandwidths)
+        for index in _in_recording_order(scenarios, pending):
             key = keys[index]
             scenario_started = time.perf_counter()
             try:
                 if self.fault_plan is not None:
                     self.fault_plan.fire_execution(key, attempts[index],
                                                    in_worker=False)
-                result = run_scenario(scenarios[index],
-                                      bandwidths=self.bandwidths)
+                result = shared.run(scenarios[index])
                 elapsed = time.perf_counter() - scenario_started
                 if self.timeout_s is not None and elapsed > self.timeout_s:
                     raise ScenarioTimeoutError(key, elapsed, self.timeout_s)
@@ -216,7 +261,8 @@ class ScenarioExecutor:
         (the pool died before its chunk was submitted) and is not charged an
         attempt.  Without a deadline this is one shot of chunked submission.
         With ``timeout_s`` set, chunks shrink to a single scenario (the unit a
-        deadline can kill), submission is windowed to the worker count so
+        deadline can kill, sharing no recording with any other row),
+        submission is windowed to the worker count so
         every in-flight task's clock starts when it is actually submitted,
         and an overdue task terminates the whole pool (``os.kill`` is the
         only way to preempt a wedged worker) — innocent in-flight scenarios
@@ -228,7 +274,7 @@ class ScenarioExecutor:
         if timeout is not None:
             queue = [[index] for index in pending]
         else:
-            queue = self._chunks(pending)
+            queue = self._chunks(_in_recording_order(scenarios, pending))
         in_flight: Dict[object, Tuple[List[int], float]] = {}
 
         def submit(chunk: List[int]) -> None:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.swap import BandwidthConfig
 from ..device.spec import get_device_spec
 from ..swap.policies import SWAP_EXECUTION_MODES, SWAP_POLICIES
-from ..train.session import TrainingRunConfig
+from ..train.session import TrainingRunConfig, swap_off_twin
 
 #: Version of the cached result schema; bump to invalidate every cache entry.
 #: v2: policies generalized to the baselines registry, dtype axis added.
@@ -141,6 +141,21 @@ def structure_token(config: TrainingRunConfig) -> Tuple:
     scalars = _STRUCTURE_SCALARS(config)
     return (scalars, tuple(map(repr, scalars)),
             *map(_structure_json, _STRUCTURE_DICT_VALUES(config)))
+
+
+def recording_token(config: TrainingRunConfig) -> Tuple:
+    """Hashable, type-exact identity of the recording ``config``'s session
+    overlays: its swap-off twin's (:func:`~repro.train.session.swap_off_twin`)
+    :func:`structure_token` plus the twin's pricing fields but the label.
+
+    Rows with equal tokens differ at most in ``swap``,
+    ``device_memory_capacity`` (a swap-on row records with no capacity; a
+    swap-off row keeps its own, since its allocator really shrinks) and the
+    label, so one :func:`~repro.train.session.record_session` serves them all.
+    """
+    twin = swap_off_twin(config)
+    pricing = _ROW_CONFIG(twin)
+    return structure_token(twin), pricing, tuple(map(repr, pricing))
 
 
 def _structure_json(value) -> str:

@@ -2,11 +2,12 @@
 
 :func:`run_scenario` executes one scenario and reduces its trace to a
 JSON-serializable :class:`ScenarioResult` — the per-scenario *metrics*, not
-the multi-megabyte trace.  The reduction runs on the trace's column store
-(:meth:`~repro.core.trace.MemoryTrace.columns`): ATI pairing via
-:func:`~repro.core.ati.compute_interval_arrays`, Eq.-1 screening via
-:func:`~repro.core.swap.swappable_fraction` over the interval arrays, and
-the occupation breakdown via the vectorized
+the multi-megabyte trace; :func:`run_scenario_on` does the same on a
+swap-off recording an earlier row already made.  The reduction runs on the
+trace's column store (:meth:`~repro.core.trace.MemoryTrace.columns`): ATI
+pairing via :func:`~repro.core.ati.compute_interval_arrays`, Eq.-1
+screening via :func:`~repro.core.swap.swappable_fraction` over the interval
+arrays, and the occupation breakdown via the vectorized
 :func:`~repro.core.breakdown.occupation_breakdown` — the multi-megabyte
 Python event objects never cross the process-pool boundary, only the
 reduced :class:`ScenarioResult`.  Every result is put together by
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
 from ..core.breakdown import OccupationBreakdown, occupation_breakdown
@@ -27,7 +28,8 @@ from ..core.swap import BandwidthConfig, swappable_fraction
 from ..core.trace import MemoryTrace
 from ..errors import ConfigurationError
 from ..swap.policies import SWAP_POLICIES, MemoryPolicy, get_policy
-from ..train.session import RunStructure, SessionResult, run_training_session
+from ..train.session import (Recording, RunStructure, SessionResult,
+                             run_training_session)
 from ..units import MIB
 from .grid import Scenario
 
@@ -173,11 +175,26 @@ def run_scenario(scenario: Scenario,
                  bandwidths: Optional[BandwidthConfig] = None) -> ScenarioResult:
     """Execute one scenario and reduce its trace to a :class:`ScenarioResult`.
 
-    This is the worker function shipped to the process pool, so it must stay
-    importable at module top level and both its argument and its return value
-    must pickle.  An unknown offline policy is a
-    :class:`~repro.errors.ConfigurationError` raised before the simulation
-    starts, like an unknown swap mode.
+    :func:`run_scenario_on` with a fresh recording, the recording dropped.
+    """
+    return run_scenario_on(scenario, bandwidths)[0]
+
+
+def run_scenario_on(scenario: Scenario,
+                    bandwidths: Optional[BandwidthConfig] = None,
+                    recording: Optional[Recording] = None
+                    ) -> Tuple[ScenarioResult, Recording]:
+    """Execute one scenario on ``recording`` (``None``: simulate one) and
+    reduce its trace; returns the result and the recording it overlaid.
+
+    ``recording`` must be one :func:`~repro.train.session.record_session`
+    made for a row with the same :func:`~repro.experiments.grid.recording_token`;
+    the result is the same either way, so the execution rounds hand the
+    returned recording to the next row with that token.  It runs inside the
+    process-pool workers, so ``scenario`` and the result must pickle; a
+    recording never leaves the process that made it.  An unknown offline
+    policy is a :class:`~repro.errors.ConfigurationError` raised before the
+    simulation starts, like an unknown swap mode.
 
     Multi-device semantics: ``peak_allocated_bytes`` / ``peak_reserved_bytes``
     and the policy summary are *per replica* (what must fit one device),
@@ -188,8 +205,8 @@ def run_scenario(scenario: Scenario,
     bandwidths = scenario.resolve_bandwidths(bandwidths)
     _offline_policy(scenario.swap_policy)
     started = time.perf_counter()
-    session = run_training_session(scenario.config)
-    return reduce_session(scenario, bandwidths, session, started)
+    session = run_training_session(scenario.config, recording=recording)
+    return reduce_session(scenario, bandwidths, session, started), session.recording
 
 
 def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,

@@ -2,9 +2,10 @@
 
 A :class:`TrainingRunConfig` declaratively describes one training workload
 (model, dataset, batch size, device, allocator, execution mode, host latency,
-replica count) and :func:`run_training_session` builds every piece, attaches
-the memory profiler, trains for the requested number of iterations and
-returns the recorded trace together with the per-iteration statistics.
+replica count) and :func:`run_training_session` builds every piece (through
+:func:`record_session`), attaches the memory profiler, trains for the
+requested number of iterations and returns the recorded trace together with
+the per-iteration statistics.
 
 This is the single entry point used by the figure experiments, the examples
 and the benchmark harness, so every reported number flows through the exact
@@ -25,16 +26,23 @@ share one simulated replica: the session builds one identically seeded
 model / optimizer / loss / profiler per class, and a rank's trace is a view
 of its class's recording that differs only in ``metadata["device_rank"]``.
 
-A swap-on run is simulated with swap off and the allocator at its native
-capacity — swap execution never moves an allocation — and its policy then
-runs over each class's recording (:func:`repro.swap.executor.overlay`).
+A session is a :class:`Recording` plus what the row decides on top of it.
+:func:`record_session` simulates the row's swap-off twin
+(:func:`swap_off_twin`: swap off, the allocator at its native capacity —
+swap execution never moves an allocation), and
+:func:`run_training_session` re-stamps the recording with the row's own
+workload metadata and, for a swap-on row, runs its policy over each class's
+recording (:func:`repro.swap.executor.overlay`).  Rows that differ only in
+``swap`` and ``device_memory_capacity`` share a twin, so a sweep simulates
+it once and overlays it once per row
+(:func:`~repro.experiments.grid.recording_token` names the twin).
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.profiler import MemoryProfiler
 from ..core.trace import MemoryTrace, merge_rank_traces
@@ -173,6 +181,8 @@ class SessionResult:
     #: Swap-execution outcome (rank-0 replica's summary dict plus the rank
     #: count; replicas are symmetric) — ``None`` when ``config.swap`` is off.
     swap_execution: Optional[Dict[str, object]] = None
+    #: The swap-off recording the session was made from (see :class:`Recording`).
+    recording: Optional["Recording"] = field(default=None, repr=False, compare=False)
 
     @property
     def label(self) -> str:
@@ -197,17 +207,10 @@ class SessionResult:
 
 
 def build_cluster(config: TrainingRunConfig) -> ClusterSpec:
-    """Construct the cluster specification described by a run configuration.
-
-    With the swap engine on, ``device_memory_capacity`` is enforced by the
-    overlay's capacity governor (forced eviction with stall accounting, a
-    structured :class:`~repro.errors.InfeasibleScenarioError` when even full
-    eviction cannot fit) rather than by shrinking the allocator — the
-    allocator keeps its native capacity so blocks that are merely *swapped
-    out* do not trip a raw OOM while their bytes are on the host.
-    """
+    """Construct the cluster specification described by a run configuration
+    (``device_memory_capacity`` shrinks the device and so its allocator)."""
     spec: DeviceSpec = get_device_spec(config.device_spec)
-    if config.device_memory_capacity is not None and config.swap == "off":
+    if config.device_memory_capacity is not None:
         spec = spec.with_memory_capacity(config.device_memory_capacity)
     return ClusterSpec(
         device=spec,
@@ -251,9 +254,57 @@ def _build_optimizer(config: TrainingRunConfig, model) -> Optimizer:
     raise ConfigurationError(f"unknown optimizer '{config.optimizer}'")
 
 
-def _swap_policies(config: TrainingRunConfig, group: DeviceGroup):
-    """One policy per materialised replica (``None``: swap off), built
-    before anything is simulated so that an unknown mode fails first."""
+def swap_off_twin(config: TrainingRunConfig) -> TrainingRunConfig:
+    """The configuration a row's recording simulates.
+
+    A swap-on row records with swap off and the allocator at its native
+    capacity — swap execution never moves an allocation — so every swap
+    mode and capacity of one workload shares this twin.  The row's
+    ``device_memory_capacity`` is enforced by the overlay's capacity
+    governor (forced eviction with stall accounting, a structured
+    :class:`~repro.errors.InfeasibleScenarioError` when even full eviction
+    cannot fit), so blocks that are merely *swapped out* never trip a raw
+    OOM while their bytes are on the host.  A swap-off row is its own twin:
+    under a capacity its allocator really shrinks.
+    """
+    if config.swap == "off":
+        return config
+    return replace(config, swap="off", device_memory_capacity=None)
+
+
+@dataclass(frozen=True)
+class Recording:
+    """One simulated swap-off run, ready to be overlaid by any row that
+    differs from it only in ``swap`` and ``device_memory_capacity``.
+
+    ``traces`` holds one recording per replica class, stamped with the
+    twin's workload metadata; ``rank_classes`` maps each rank to its class.
+    The peaks are per replica, the rest describes replica 0.  Nothing here
+    is mutated by a session that reads it.
+    """
+
+    config: TrainingRunConfig
+    traces: Tuple[MemoryTrace, ...]
+    iteration_stats: Tuple[IterationStats, ...]
+    rank_classes: Tuple[int, ...]
+    spec: DeviceSpec
+    peak_allocated_bytes: int
+    peak_reserved_bytes: int
+    allocator_stats: Dict[str, int]
+    parameter_bytes: int
+    parameter_count: int
+    collective: Optional[Dict[str, object]]
+
+    @property
+    def n_devices(self) -> int:
+        """Replica count of the recorded run."""
+        return len(self.rank_classes)
+
+
+def _swap_policies(config: TrainingRunConfig):
+    """The row's swap policy class (``None``: swap off), looked up before
+    anything is simulated so that an unknown mode fails first;
+    :func:`_execute_swap` makes one instance per replica."""
     if config.swap == "off":
         return None
     from ..swap import POLICIES, SWAP_EXECUTION_MODES
@@ -261,26 +312,27 @@ def _swap_policies(config: TrainingRunConfig, group: DeviceGroup):
         raise ConfigurationError(
             f"unknown swap mode '{config.swap}'; known modes: "
             f"{', '.join(SWAP_EXECUTION_MODES)}")
-    return [POLICIES[config.swap].for_run(world_size=group.n_devices,
-                                          capacity_bytes=config.device_memory_capacity)
-            for _ in group]
+    return POLICIES[config.swap]
 
 
-def _execute_swap(config: TrainingRunConfig, group: DeviceGroup, policies,
-                  traces: List[MemoryTrace], iteration_stats: List[IterationStats]):
-    """Overlay the swap policies on the class recordings: the overlaid
-    traces, the iteration statistics re-timed like their marks, and the
+def _execute_swap(config: TrainingRunConfig, recording: Recording, policy,
+                  traces: List[MemoryTrace]):
+    """Overlay ``policy`` on the class recordings: the overlaid traces, the
+    iteration statistics re-timed like their marks, and the
     ``swap_execution`` payload (replica 0's summary plus the rank count)."""
     from ..swap.executor import overlay
-    traces, summaries = overlay(traces, policies, group.primary.spec,
+    policies = [policy.for_run(world_size=recording.n_devices,
+                               capacity_bytes=config.device_memory_capacity)
+                for _ in traces]
+    traces, summaries = overlay(traces, policies, recording.spec,
                                 capacity_bytes=config.device_memory_capacity)
     stats = [replace(step, start_ns=min(trace.iteration_marks[position].start_ns
                                         for trace in traces),
                      end_ns=max(trace.iteration_marks[position].end_ns
                                 for trace in traces))
-             for position, step in enumerate(iteration_stats)]
+             for position, step in enumerate(recording.iteration_stats)]
     swap_execution = summaries[0].to_dict()
-    swap_execution["n_ranks"] = group.n_devices
+    swap_execution["n_ranks"] = recording.n_devices
     return traces, stats, swap_execution
 
 
@@ -302,21 +354,21 @@ def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, ob
     return metadata
 
 
-def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResult:
-    """Run one profiled training session and return its trace and statistics.
+def record_session(config: TrainingRunConfig, capture=None) -> Recording:
+    """Simulate ``config``'s swap-off twin (:func:`swap_off_twin`) once.
 
     ``capture`` is an optional instrumentation hook used by the replay engine
     (:mod:`repro.experiments.replay`): an object with ``attach(group)`` —
     called right after device construction, before any profiled work — and
-    ``collect(profilers, traces)`` — called once the session is complete with
+    ``collect(profilers, traces)`` — called once the run is complete with
     the per-class profilers and their traces.
     Ordinary callers leave it ``None`` and pay nothing.
 
     The session's object graph is cyclic (block lists, segment ↔ block,
     module ↔ children, device ↔ allocator ↔ listeners) and all of it is live
-    until the session returns, so the cyclic collector is paused while it
-    runs — a young collection would mostly rescan objects still in use —
-    and restored on the way out, unless the caller had it off.
+    until the run ends, so the cyclic collector is paused while it runs — a
+    young collection would mostly rescan objects still in use — and
+    restored on the way out, unless the caller had it off.
     """
     if config.iterations <= 0:
         raise ConfigurationError("iterations must be positive")
@@ -326,6 +378,7 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         raise ConfigurationError(
             f"batch_size ({config.batch_size}) must provide at least one sample "
             f"per device ({config.n_devices})")
+    config = swap_off_twin(config)
     group = build_device_group(config)
     if capture is not None:
         capture.attach(group)
@@ -335,7 +388,6 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         MemoryProfiler(device, metadata={**base_metadata, "device_rank": ranks[0]})
         for device, ranks in zip(group, group.class_ranks)
     ]
-    policies = _swap_policies(config, group)
 
     # The paper instruments the allocator for the whole run, so model and
     # optimizer construction (parameter allocation + initialization) is
@@ -372,28 +424,77 @@ def run_training_session(config: TrainingRunConfig, capture=None) -> SessionResu
         if collector_was_enabled:
             gc.enable()
     class_traces = [profiler.trace() for profiler in profilers]
-    swap_execution: Optional[Dict[str, object]] = None
-    if policies is not None:
-        class_traces, iteration_stats, swap_execution = _execute_swap(
-            config, group, policies, class_traces, iteration_stats)
-    rank_traces = [class_traces[index].rank_view(rank)
-                   for rank, index in enumerate(group.rank_classes)]
-    trace = merge_rank_traces(rank_traces)
-
     if capture is not None:
         capture.collect(profilers=profilers, traces=class_traces)
 
-    return SessionResult(
+    return Recording(
         config=config,
-        trace=trace,
-        iteration_stats=iteration_stats,
-        parameter_bytes=models[0].parameter_bytes(),
-        parameter_count=models[0].parameter_count(),
+        traces=tuple(class_traces),
+        iteration_stats=tuple(iteration_stats),
+        rank_classes=tuple(group.rank_classes),
+        spec=group.primary.spec,
         peak_allocated_bytes=max(device.peak_allocated_bytes for device in group),
         peak_reserved_bytes=max(device.peak_reserved_bytes for device in group),
         allocator_stats=group.primary.memory_stats(),
-        n_devices=n_devices,
+        parameter_bytes=models[0].parameter_bytes(),
+        parameter_count=models[0].parameter_count(),
         collective=(trainer.collective_summary() if n_devices > 1 else None),
+    )
+
+
+def _restamped(trace: MemoryTrace, recorded: Dict[str, object],
+               workload: Dict[str, object]) -> MemoryTrace:
+    """A view of a class recording whose metadata carries the ``workload``
+    metadata in place of the ``recorded`` one, in the order a recorder
+    stamps them: the profiler's own entries, the workload, the rank."""
+    own = {name: value for name, value in trace.metadata.items()
+           if name not in recorded and name != "device_rank"}
+    return trace.with_metadata(
+        {**own, **workload, "device_rank": trace.metadata["device_rank"]})
+
+
+def run_training_session(config: TrainingRunConfig, capture=None,
+                         recording: Optional[Recording] = None) -> SessionResult:
+    """Run one profiled training session and return its trace and statistics.
+
+    The session is ``recording`` — or a fresh :func:`record_session` of
+    ``config``, given ``capture`` — re-stamped with ``config``'s workload
+    metadata and, when ``config.swap`` is on, overlaid by its policy
+    (:func:`repro.swap.executor.overlay`) under its capacity.  A recording
+    serves every row with the same
+    :func:`~repro.experiments.grid.recording_token`; the result does not
+    depend on whether it was shared.  An unknown swap mode is a
+    :class:`~repro.errors.ConfigurationError` raised before anything is
+    simulated.
+    """
+    policy = _swap_policies(config)
+    if recording is None:
+        recording = record_session(config, capture)
+    n_devices = recording.n_devices
+    recorded = workload_metadata(recording.config, n_devices)
+    workload = workload_metadata(config, n_devices)
+    class_traces = [_restamped(trace, recorded, workload) for trace in recording.traces]
+    iteration_stats = list(recording.iteration_stats)
+    swap_execution: Optional[Dict[str, object]] = None
+    if policy is not None:
+        class_traces, iteration_stats, swap_execution = _execute_swap(
+            config, recording, policy, class_traces)
+    rank_traces = [class_traces[index].rank_view(rank)
+                   for rank, index in enumerate(recording.rank_classes)]
+
+    return SessionResult(
+        config=config,
+        trace=merge_rank_traces(rank_traces),
+        iteration_stats=iteration_stats,
+        parameter_bytes=recording.parameter_bytes,
+        parameter_count=recording.parameter_count,
+        peak_allocated_bytes=recording.peak_allocated_bytes,
+        peak_reserved_bytes=recording.peak_reserved_bytes,
+        allocator_stats=dict(recording.allocator_stats),
+        n_devices=n_devices,
+        collective=(None if recording.collective is None
+                    else dict(recording.collective)),
         rank_traces=(rank_traces if n_devices > 1 else None),
         swap_execution=swap_execution,
+        recording=recording,
     )

@@ -261,6 +261,28 @@ def test_validate_accepts_recorded_and_hand_built_traces(test_device, simple_tra
     ([("malloc", 0, 1, 0x1000, 512), ("write", 1, 1, 0x1000, 512),
       ("swap_out", 2, 1, 0x1000, 512)], 2,
      "swap_out of block 1 is not balanced by a restoration of its block in the same lifetime"),
+    # ... an engine row that moves other than its block's malloc size, per kind
+    ([("malloc", 0, 1, 0x1000, 512), ("swap_out", 1, 1, 0x1000, 256),
+      ("swap_in", 2, 1, 0x1000, 512), ("free", 3, 1, 0x1000, 512)], 1,
+     "swap_out of block 1 does not carry its block's malloc size"),
+    ([("malloc", 0, 1, 0x1000, 512), ("swap_out", 1, 1, 0x1000, 512),
+      ("swap_in", 2, 1, 0x1000, 1024), ("free", 3, 1, 0x1000, 512)], 2,
+     "swap_in of block 1 does not carry its block's malloc size"),
+    ([("malloc", 0, 1, 0x1000, 512), ("recompute_drop", 1, 1, 0x1000, 0),
+      ("recompute", 2, 1, 0x1000, 512), ("free", 3, 1, 0x1000, 512)], 1,
+     "recompute_drop of block 1 does not carry its block's malloc size"),
+    ([("malloc", 0, 1, 0x1000, 512), ("recompute_drop", 1, 1, 0x1000, 512),
+      ("recompute", 2, 1, 0x1000, 511), ("free", 3, 1, 0x1000, 512)], 2,
+     "recompute of block 1 does not carry its block's malloc size"),
+    # ... the size of a reused id's own lifetime, not of its first one
+    ([("malloc", 0, 1, 0x1000, 512), ("free", 1, 1, 0x1000, 512),
+      ("malloc", 2, 1, 0x1000, 1024), ("swap_out", 3, 1, 0x1000, 512),
+      ("swap_in", 4, 1, 0x1000, 1024)], 3,
+     "swap_out of block 1 does not carry its block's malloc size"),
+    # ... an eviction and its restoration after the block was freed
+    ([("malloc", 0, 1, 0x1000, 512), ("free", 1, 1, 0x1000, 512),
+      ("swap_out", 2, 1, 0x1000, 512), ("swap_in", 3, 1, 0x1000, 512)], 2,
+     "swap_out of block 1 lies outside any malloc…free of its block"),
 ])
 def test_validate_names_the_first_offending_event(rows, offender, message):
     from repro.errors import TraceError, TraceInvariantError

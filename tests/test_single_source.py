@@ -9,6 +9,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +33,16 @@ from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
 from repro.device.hooks import HOOK_NAMES, CountingListener, MemoryEventListener
 from repro.device.spec import get_device_spec
-from repro.experiments.grid import PRICING_FIELDS, structure_token
+from repro.experiments.grid import PRICING_FIELDS, SweepGrid, structure_token
 from repro.experiments.replay import (
     PER_ROW_PRICING_FIELDS,
     ReplayEngine,
     TemplateError,
     template_key,
 )
+from repro.experiments.sweep import SweepRunner
 from repro.swap.policies import get_policy
-from repro.train.session import TrainingRunConfig
+from repro.train.session import Recording, TrainingRunConfig
 from repro.train.trainer import DataParallelTrainer
 from repro.units import MIB
 
@@ -116,7 +118,7 @@ def test_four_functions_run_a_training_session():
     sites = {(path.relative_to(SRC).as_posix(), function)
              for path in sorted(SRC.rglob("*.py"))
              for function in _enclosing_functions(path, _calls("run_training_session"))}
-    assert sites == {("experiments/results.py", "run_scenario"),
+    assert sites == {("experiments/results.py", "run_scenario_on"),
                      ("experiments/replay.py", "_compile_template_checked"),
                      ("experiments/sweep.py", "trace"),
                      ("cli.py", "_cmd_profile")}
@@ -279,6 +281,51 @@ def test_the_device_and_training_layers_run_no_swap_engine():
         "_swap_policies", "_execute_swap"]
     assert [name for name in dir(Device()) if "swap" in name.lower()] == []
     assert "swap_executors" not in inspect.signature(DataParallelTrainer).parameters
+
+
+def test_only_record_session_builds_a_trainer():
+    """A session simulates in one place: :func:`record_session` makes the
+    recording every other session step (and every twin row) reads."""
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _calls("DataParallelTrainer"))}
+    assert sites == {("train/session.py", "record_session")}
+
+
+def _holds_a_recording(value, depth=2):
+    if isinstance(value, Recording):
+        return True
+    if depth and isinstance(value, dict):
+        value = list(value.values())
+    if depth and isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_a_recording(item, depth - 1) for item in value)
+    return False
+
+
+def test_no_experiments_module_holds_a_recording():
+    """Shared recordings live for one round or chunk: no module under
+    ``experiments/`` binds one, or a cache of them, at module level."""
+    recorders = {"Recording", "record_session", "run_scenario_on",
+                 "run_training_session"}
+    for path, tree in _sources(SRC / "experiments"):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                # a memoized function must not return what a session made
+                if any("cache" in ast.unparse(decorator)
+                       for decorator in node.decorator_list):
+                    assert not any(_calls(name)(inner) for inner in ast.walk(node)
+                                   for name in recorders), (path.name, node.name)
+                continue
+            names = {getattr(inner, "id", None) for inner in ast.walk(node)}
+            assert not names & recorders, (path.name, ast.unparse(node)[:60])
+    scenarios = SweepGrid(models=("mlp",), batch_sizes=(64,), iterations=(2,),
+                          swaps=("off", "lru")).expand()
+    assert len(SweepRunner(cache_dir=None, workers=1).run(scenarios).results) == 2
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("repro.experiments"):
+            held = [attribute for attribute, value in vars(module).items()
+                    if _holds_a_recording(value)]
+            assert held == [], name
 
 
 def test_the_device_is_synchronous_and_the_overlay_owns_the_copy_stream():

@@ -15,6 +15,11 @@ swap-off run of the same config, and its clocks to that run's plus a delay
 that never shrinks between two gradient barriers (each barrier hands every
 rank the same delay).
 
+A sweep simulates one recording per swap-off twin and overlays it once per
+row, so a row's session on a recording another row made — and two other
+policies already overlaid — must equal its own fresh session, and the
+recording must come out of every overlay unchanged.
+
 Tier-1 runs a pinned corpus (the 23 ``swap_ladder`` benchmark rows at its
 seed 100) plus a few generated draws; the swap-smoke CI leg draws wide with
 ``--hypothesis-profile=swap-wide``.
@@ -22,6 +27,9 @@ seed 100) plus a few generated draws; the swap-smoke CI leg draws wide with
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -31,9 +39,10 @@ from hypothesis import given, settings
 
 from repro.core.trace import barrier_rows
 from repro.errors import InfeasibleScenarioError
-from repro.experiments.grid import Scenario, SweepGrid
+from repro.experiments.grid import Scenario, SweepGrid, recording_token
 from repro.swap import SwapExecutor
-from repro.train.session import TrainingRunConfig, run_training_session
+from repro.train.session import (TrainingRunConfig, record_session, run_training_session,
+                                 workload_metadata)
 from repro.units import MIB
 
 from tests.helpers import (CAPACITY_RUNGS_MIB, assert_swap_matches_reference,
@@ -207,3 +216,76 @@ def test_resident_bytes_follow_the_trace(swap, capacity, width):
     assert checked == list(range(5))
     assert result.swap_execution["swap_out_count"] + \
         result.swap_execution["recompute_drop_count"] > 0
+
+
+def _trace_view(trace):
+    """Everything a consumer reads off a trace, metadata as its JSON text
+    (key order included)."""
+    columns = trace.columns()
+    return ({field.name: getattr(columns, field.name).tolist()
+             for field in dataclasses.fields(columns)},
+            trace.event_strings(),
+            [(mark.index, mark.start_ns, mark.end_ns) for mark in trace.iteration_marks],
+            trace.end_ns, json.dumps(trace.metadata))
+
+
+def _session_view(config, recording=None):
+    """A session's merged and per-rank traces, iteration statistics,
+    ``swap_execution`` block and structure — or the error it raised.  Each
+    rank's metadata ends with the row's own workload metadata and its rank,
+    whichever row the recording was made for."""
+    try:
+        session = run_training_session(config, recording=recording)
+    except InfeasibleScenarioError as error:
+        return ("raised", str(error))
+    session.trace.validate()
+    workload = list(workload_metadata(config, config.n_devices).items())
+    for rank, trace in enumerate(session.rank_traces or [session.trace]):
+        assert list(trace.metadata.items())[-len(workload) - 1:] == \
+            workload + [("device_rank", rank)]
+    return ([_trace_view(trace) for trace in (session.trace, *(session.rank_traces or ()))],
+            session.iteration_stats, session.swap_execution, session.structure())
+
+
+def _digest(recording):
+    """sha256 over every class trace's columns, strings, marks and metadata
+    and the recorded iteration statistics."""
+    digest = hashlib.sha256()
+    for trace in recording.traces:
+        columns = trace.columns()
+        for field in dataclasses.fields(columns):
+            digest.update(getattr(columns, field.name).tobytes())
+        digest.update(repr(_trace_view(trace)[1:]).encode())
+    digest.update(repr(recording.iteration_stats).encode())
+    return digest.hexdigest()
+
+
+def assert_overlay_on_a_shared_recording(scenario):
+    """``scenario``'s session on a recording another row with its token made,
+    after two other policies overlaid it, equals its own fresh session; the
+    recording comes out of all three overlays unchanged."""
+    config = scenario.config
+    others = [replace(config, swap=swap, device_memory_capacity=capacity)
+              for swap, capacity in zip([mode for mode in ("lru", "unified", "planner")
+                                         if mode != config.swap][:2], (None, 64 * MIB))]
+    assert {recording_token(other) for other in others} == {recording_token(config)}
+    recording = record_session(others[0])
+    digest = _digest(recording)
+    first, second = (_session_view(other, recording) for other in others)
+    assert first != second
+    assert _session_view(config, recording) == _session_view(config)
+    assert _digest(recording) == digest
+
+
+@pytest.mark.parametrize("scenario", LADDER + UNEVEN,
+                         ids=lambda s: s.config.describe()
+                         + f", cap={s.config.device_memory_capacity}")
+def test_ladder_rows_overlay_a_shared_recording(scenario):
+    assert_overlay_on_a_shared_recording(scenario)
+
+
+@settings(max_examples=settings.default.max_examples if WIDE else 4,
+          deadline=None, derandomize=not WIDE)
+@given(scenario=swap_scenarios())
+def test_generated_scenarios_overlay_a_shared_recording(scenario):
+    assert_overlay_on_a_shared_recording(scenario)
