@@ -17,6 +17,10 @@ first-appearance order before comparing streams.
 
 from __future__ import annotations
 
+import enum
+import hashlib
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError, MaterializationError
@@ -204,3 +208,131 @@ def test_symbolic_storage_refuses_numeric_readout():
     tensor = randn(device, (4, 4))
     with pytest.raises(MaterializationError):
         tensor.numpy()
+
+
+# -- golden digests ---------------------------------------------------------------------
+
+#: ``(label, config overrides)`` of every symbolic run the digests pin: the
+#: :data:`CASES`, the two ``unified`` runs, the integration suite's two-mode
+#: MLP and the mixed-precision suite's fp16/fp32 pair.
+GOLDEN_RUNS = [
+    (f"{model}-{dtype}-x{n_devices}",
+     dict(model=model, model_kwargs=model_kwargs, dataset=dataset,
+          batch_size=batch_size, iterations=2, n_devices=n_devices, dtype=dtype,
+          seed=7))
+    for model, model_kwargs, dataset, batch_size, n_devices, dtype in CASES
+] + [
+    ("unified-session",
+     dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
+          batch_size=16, iterations=3, seed=7, swap="unified")),
+    ("integration-mlp",
+     dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
+          batch_size=32, iterations=2, seed=0)),
+    ("mixed-precision-float16",
+     dict(model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
+          iterations=2, dtype="float16")),
+    ("mixed-precision-float32",
+     dict(model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
+          iterations=2, dtype="float32")),
+]
+
+#: sha256 of :func:`trace_digest`'s payload per golden run, recorded while the
+#: symbolic side was still held event for event to a numeric (eager) twin.
+GOLDEN_DIGESTS = {
+    "mlp-float32-x1":
+        "7fbd1a1949ecc05a94f4e5a704cd1d9c13ec07adc49b6f3853b837bcf16e130c",
+    "mlp-float32-x2":
+        "1e423c5213b7410508da94bbcf54d7f091bdf42cf8f89ea23b3cbaf9a694a51f",
+    "mlp-float16-x1":
+        "538bf38bfab98b67797aa177334243588fb0aefac874c03cee35518de9cb8a0b",
+    "mlp-float16-x2":
+        "c9fd74f3c5e5b55da4743dcb109c9c7fe47b1b8d28cadbb5cc7819b45ec67d63",
+    "alexnet-float32-x1":
+        "255c0fb6c4fdfab67c1b16017e1f2f79557adbac4b7c1cb096bfad0b7a7657d0",
+    "alexnet-float16-x2":
+        "52cd993f106e252e4b1ca6202c5b0b4d2c9898355f682aba15ba37e50fa46653",
+    "resnet18-float32-x1":
+        "4c718518198ed2463083ca5be2d547fd3e5cd3509bfc970780497718c0a75d20",
+    "resnet18-float16-x2":
+        "25d3782d68fab2a83e69413cd38df44e6ec36d240655c9ac8b8bb92ef42ce3c2",
+    "vgg11-float32-x1":
+        "80426a78b2f3e3e94ea17f17b68b2f359887e33a09ecf3e4d315d5a0844690d3",
+    "inception_small-float32-x1":
+        "c5c0ae470a97cf65bb43e08b2305a34a3f5416272c1989989d93bd75b76abe1b",
+    "mlp-float32-x4":
+        "0aab86f409e71eb4e7e00bbbe5b8ccd4e1f7203d67e03188d1d4f85b6701e4ca",
+    "unified-session":
+        "951e6331dd6803b98f92280c13fd4c57936d17ec2ddd58d0b55a49b163056db2",
+    "integration-mlp":
+        "63065c3f9d4737d636336c507f9083e6ba6c35d391b9dc53996124a53e9d35d5",
+    "mixed-precision-float16":
+        "e20e378e079bff091778225049f7b831bbdb8bd247c9949735accf7ac6ccda48",
+    "mixed-precision-float32":
+        "319c9a51c96fba1734dbd3ac91aa87935274a362586cad9616977faafb1847b1",
+}
+
+#: The unified plan's swap-and-recompute run (``run_manual_policy``).
+UNIFIED_REMATERIALIZATION_DIGEST = (
+    "1938709994b67bee73e4d5b64b3e64e7a900965facf2d33a1bafffb9c4201b29")
+
+
+def _json_default(value):
+    if isinstance(value, enum.Enum):
+        return value.value
+    raise TypeError(f"cannot digest {value!r}")
+
+
+def trace_digest(trace, extra=None):
+    """sha256 over the normalized event and lifetime streams, the iteration
+    marks and ``end_ns`` (metadata aside), plus any ``extra`` payload."""
+    payload = {
+        "events": event_stream(trace),
+        "lifetimes": lifetime_stream(trace),
+        "marks": [mark.to_dict() for mark in trace.iteration_marks],
+        "end_ns": trace.end_ns,
+        "extra": extra,
+    }
+    text = json.dumps(payload, sort_keys=True, default=_json_default)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def session_digest(result):
+    """:func:`trace_digest` of a session plus its footprint, durations and
+    swap summary."""
+    return trace_digest(result.trace, extra={
+        "peaks": [result.peak_allocated_bytes, result.peak_reserved_bytes,
+                  result.parameter_bytes],
+        "durations": [stats.duration_ns for stats in result.iteration_stats],
+        "swap_execution": result.swap_execution,
+    })
+
+
+def _normalized_summary(summary):
+    """A swap summary with its process-global block ids dropped."""
+    data = summary.to_dict()
+    predicted = dict(data["predicted"])
+    predicted["decisions"] = [
+        {key: value for key, value in decision.items() if key != "block_id"}
+        for decision in predicted["decisions"]]
+    data["predicted"] = predicted
+    return data
+
+
+@pytest.mark.parametrize("label,overrides", GOLDEN_RUNS, ids=[l for l, _ in GOLDEN_RUNS])
+def test_symbolic_trace_matches_its_golden_digest(label, overrides):
+    result = run_training_session(TrainingRunConfig(execution_mode="symbolic",
+                                                    **overrides))
+    assert session_digest(result) == GOLDEN_DIGESTS[label]
+
+
+def test_unified_rematerialization_matches_its_golden_digest():
+    from repro.swap.policies import UnifiedPolicy
+    from tests.test_swap_execution import run_manual_policy
+
+    trace, summary = run_manual_policy(
+        UnifiedPolicy(min_candidate_bytes=256 * 1024), execution_mode="symbolic",
+        model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
+        model_kwargs={"hidden_dim": 1024, "num_hidden_layers": 3}, seed=7)
+    assert summary.swap_out_count > 0
+    assert (trace_digest(trace, extra=_normalized_summary(summary))
+            == UNIFIED_REMATERIALIZATION_DIGEST)
