@@ -12,6 +12,8 @@ This is the five-minute tour of the library:
 Run with:  python examples/quickstart.py
 """
 
+import numpy as np
+
 from repro import TrainingRunConfig, run_training_session
 from repro.core import (
     build_gantt_chart,
@@ -31,19 +33,21 @@ def main() -> None:
         dataset="two_cluster",
         batch_size=256,
         iterations=5,
-        execution_mode="eager",       # actually computes: the loss goes down
         label="quickstart MLP",
     )
     print(f"Training {config.describe()} on a simulated Titan X (Pascal)...\n")
     result = run_training_session(config)
-
-    print("Per-iteration loss (eager execution computes real values):")
-    for stats in result.iteration_stats:
-        print(f"  iteration {stats.index}: loss={stats.loss:.4f} "
-              f"time={stats.duration_ns / 1e6:.2f} ms "
-              f"peak={format_bytes(stats.peak_allocated_bytes)}")
-
     trace = result.trace
+
+    print("Per-iteration memory behaviors:")
+    columns = trace.columns()
+    for stats in result.iteration_stats:
+        in_iteration = columns.iteration == stats.index
+        blocks = np.unique(columns.block_id[in_iteration]).size
+        print(f"  iteration {stats.index}: time={stats.duration_ns / 1e6:.2f} ms "
+              f"peak={format_bytes(stats.peak_allocated_bytes)} "
+              f"behaviors={int(in_iteration.sum())} blocks={blocks}")
+
     print(f"\nRecorded {len(trace)} memory behaviors on {len(trace.block_ids())} device blocks.")
 
     intervals = compute_access_intervals(trace)

@@ -70,12 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--dataset", default="two_cluster", choices=sorted(DATASET_PRESETS))
     profile.add_argument("--batch-size", type=int, default=64)
     profile.add_argument("--iterations", type=int, default=5)
-    profile.add_argument("--execution", "--execution-mode", dest="execution_mode",
-                         default="symbolic",
-                         choices=("eager", "symbolic"),
-                         help="eager computes real values; symbolic (the "
-                              "default) skips the numerics but records "
-                              "identical events/timing")
     profile.add_argument("--device", default="titan_x_pascal", choices=sorted(DEVICE_PRESETS))
     profile.add_argument("--allocator", default="caching",
                          choices=tuple(ALLOCATOR_CLASSES))
@@ -151,15 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "replaying the producer is cheaper than the "
                             "transfer; use >=4 iterations to see "
                             "steady-state behavior")
-    sweep.add_argument("--seeds", default="0", help="comma-separated RNG seeds")
+    sweep.add_argument("--seeds", default="0",
+                       help="comma-separated seeds (row labels: no result "
+                            "depends on them)")
     sweep.add_argument("--dataset", default="two_cluster",
                        choices=sorted(DATASET_PRESETS))
-    sweep.add_argument("--execution", "--execution-mode", dest="execution_mode",
-                       default="symbolic",
-                       choices=("eager", "symbolic", "replay"),
-                       help="eager computes real values; symbolic (the "
-                            "default) skips the numerics but records "
-                            "identical events/timing; "
+    sweep.add_argument("--execution", dest="execution_mode",
+                       default="symbolic", choices=("symbolic", "replay"),
+                       help="symbolic (the default) simulates every scenario; "
                             "replay compiles each structure once and "
                             "re-prices the grid from trace templates "
                             "(bit-identical to symbolic)")
@@ -241,7 +234,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     config = TrainingRunConfig(
         model=args.model, model_kwargs=model_kwargs, dataset=args.dataset,
         batch_size=args.batch_size, iterations=args.iterations,
-        execution_mode=args.execution_mode, device_spec=args.device,
+        device_spec=args.device,
         allocator=args.allocator, swap=args.swap,
     )
     print(f"Profiling {config.describe()} ...")

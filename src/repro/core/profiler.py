@@ -35,8 +35,7 @@ class MemoryProfiler:
 
     def __init__(self, device: Device, metadata: Optional[Dict[str, object]] = None):
         self.device = device
-        meta = {"device": device.spec.to_dict(), "allocator": device.allocator.name,
-                "execution_mode": device.execution_mode}
+        meta = {"device": device.spec.to_dict(), "allocator": device.allocator.name}
         meta.update(metadata or {})
         self.recorder = TraceRecorder(device.clock, metadata=meta)
         self._attached = False

@@ -7,11 +7,9 @@ from — blocks that are re-used across iterations see an interval that covers
 the whole host-side pause.  :class:`HostLatencyModel` makes that pause an
 explicit, configurable part of the simulation.
 
-What a batch *contains* only matters to eager execution.  A loader built
-``symbolic`` (the session derives it from ``execution_mode``, like the
-device's) hands out the dataset's shape-only stand-ins instead of drawing
-values: same shapes, dtypes and byte counts reach the trainer, the dataset
-generator is never advanced, and nothing ImageNet-sized is ever filled.
+What a batch *contains* never matters to memory behavior, so the loader hands
+out the dataset's shape-only stand-ins: the shapes, dtypes and byte counts
+reach the trainer, and nothing ImageNet-sized is ever filled.
 """
 
 from __future__ import annotations
@@ -50,20 +48,16 @@ class DataLoader:
     """Yields host batches and reports the host latency the batch cost."""
 
     def __init__(self, dataset: SyntheticDataset, batch_size: int,
-                 host_latency: Optional[HostLatencyModel] = None,
-                 symbolic: bool = False):
+                 host_latency: Optional[HostLatencyModel] = None):
         if batch_size <= 0:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
         self.dataset = dataset
         self.batch_size = int(batch_size)
         self.host_latency = host_latency if host_latency is not None else HostLatencyModel()
-        self.symbolic = bool(symbolic)
 
     def next_batch(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The next host-side batch (inputs, labels): drawn, or shape-only if symbolic."""
-        if self.symbolic:
-            return self.dataset.batch_stand_ins(self.batch_size)
-        return self.dataset.sample_batch(self.batch_size)
+        """The next host-side batch (inputs, labels), shape-only."""
+        return self.dataset.batch_stand_ins(self.batch_size)
 
     def host_time_ns(self) -> int:
         """Host latency charged for producing one batch."""

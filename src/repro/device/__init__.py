@@ -37,7 +37,7 @@ from .cluster import (
     ring_allreduce_time_ns,
 )
 from .collective import CollectiveEngine, CollectiveRecord
-from .device import Device, EXECUTION_MODES
+from .device import Device
 from .hooks import CompositeListener, CountingListener, MemoryEventListener, NullListener
 from .memory import AllocatorStats, Block, Segment
 from .spec import (
@@ -80,7 +80,6 @@ __all__ = [
     "DeviceClock",
     "DeviceGroup",
     "DeviceSpec",
-    "EXECUTION_MODES",
     "INTERCONNECT_PRESETS",
     "InterconnectSpec",
     "KernelCost",

@@ -13,8 +13,8 @@ an interconnect*.  This module introduces that layer:
   exposes the collective cost model (:meth:`ClusterSpec.allreduce_time_ns`);
 * :class:`DeviceGroup` instantiates one replica
   :class:`~repro.device.device.Device` per replica *class* — the ranks the
-  simulator cannot tell apart (same shard shape in a symbolic run; every
-  rank on its own in an eager one) — each with its own clock and allocator —
+  simulator cannot tell apart (same shard shape) — each with its own clock
+  and allocator —
   and wires them to one shared
   :class:`~repro.device.collective.CollectiveEngine` that still costs
   collectives for all N replicas; its allreduce is the group's only barrier.
@@ -210,8 +210,8 @@ class DeviceGroup:
     for every rank of the class — while :attr:`n_devices` and the
     collective cost model keep the cluster's full replica count.  Iterating,
     indexing and ``len()`` walk the materialised replicas in class order.
-    Device-construction keyword arguments (allocator, execution mode, default
-    dtype, timing overrides) are forwarded to every replica so the group is
+    Device-construction keyword arguments (allocator, default dtype, timing
+    overrides) are forwarded to every replica so the group is
     homogeneous.
     """
 

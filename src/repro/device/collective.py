@@ -17,8 +17,8 @@ records it as its one sync atom (:data:`~repro.device.tape.TAPE_ALLREDUCE`).
 
 The engine deliberately knows nothing about tensors: the training loop
 (:class:`~repro.train.trainer.DataParallelTrainer`) owns the gradient
-buffers, emits their read/write memory behaviors and performs the numeric
-averaging in eager mode, just as :meth:`Device.copy_host_to_device
+buffers and emits their read/write memory behaviors, just as
+:meth:`Device.copy_host_to_device
 <repro.device.device.Device.copy_host_to_device>` times a copy and leaves the
 storage it fills to the tensor.  A one-replica cluster costs nothing and
 moves no clock, so single-device runs are unaffected by the engine's

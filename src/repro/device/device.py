@@ -18,7 +18,9 @@ copy stream.
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
 storage management and :meth:`Device.run_kernel` to account for the simulated
 execution time of each operator; storages report the reads and writes of
-kernels straight to :attr:`Device.listeners`.
+kernels straight to :attr:`Device.listeners`.  Nothing is computed: tensors
+carry shape, dtype and category but no values, and memory behavior is a
+function of shapes alone.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .tape import TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
                      DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
 
-#: Execution modes supported by the tensor library on this device
-#: (``"symbolic"`` runs shape/behavior-only kernels).
-EXECUTION_MODES = ("eager", "symbolic")
-
 
 class Device:
     """A simulated DNN accelerator with an instrumented memory system.
@@ -51,15 +49,6 @@ class Device:
     allocator:
         Registry name of the allocator policy (``"caching"``, ``"best_fit"``
         or ``"bump"``).
-    execution_mode:
-        ``"eager"`` runs every kernel numerically on NumPy buffers (correct
-        values, practical only for small models); ``"symbolic"`` skips the
-        arithmetic — tensors carry shape, dtype and category but no data
-        buffer — while performing identical
-        allocations, accesses and timing-model costs.  Memory behavior is
-        shape-dependent, not value-dependent, so the recorded traces are
-        event-identical (the equivalence suite pins this), and symbolic mode
-        is the default for sweeps.
     default_dtype:
         Element type (name or :class:`~repro.tensor.dtype.DType`) used for
         floating-point tensors whose dtype is not given explicitly —
@@ -74,7 +63,6 @@ class Device:
         self,
         spec: Optional[DeviceSpec] = None,
         allocator: str = "caching",
-        execution_mode: str = "eager",
         default_dtype: object = "float32",
         compute_efficiency: float = DEFAULT_COMPUTE_EFFICIENCY,
         bandwidth_efficiency: float = DEFAULT_BANDWIDTH_EFFICIENCY,
@@ -82,16 +70,7 @@ class Device:
     ):
         from ..tensor.dtype import DType, get_dtype
 
-        if execution_mode not in EXECUTION_MODES:
-            raise ConfigurationError(
-                f"execution_mode must be one of {EXECUTION_MODES}, got {execution_mode!r}"
-            )
         self.spec = spec if spec is not None else titan_x_pascal()
-        self.execution_mode = execution_mode
-        #: Whether kernels actually compute values on NumPy buffers.
-        self.is_eager = execution_mode == "eager"
-        #: Whether kernels are shape/behavior-only (``symbolic`` mode).
-        self.is_symbolic = execution_mode == "symbolic"
         dtype = default_dtype if isinstance(default_dtype, DType) else get_dtype(
             str(default_dtype))
         if dtype.numpy_dtype.kind != "f":
@@ -199,5 +178,5 @@ class Device:
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"Device({self.spec.name!r}, allocator={self.allocator.name!r}, "
-            f"mode={self.execution_mode!r}, now={self.clock.now_ns}ns)"
+            f"now={self.clock.now_ns}ns)"
         )

@@ -1,6 +1,6 @@
 """Timing tape: the *reason* behind every clock advance, one atom at a time.
 
-Symbolic execution makes a run's event structure a pure function of the
+A run's event structure is a pure function of the
 workload (model, batch size, replica count, ...) while simulated *time* is a
 pure function of that structure plus the pricing axes (device spec, host
 dispatch overhead, interconnect).  The tape is what separates the two: it is

@@ -154,10 +154,6 @@ class DTypeError(TensorError):
     """Raised when an unsupported or mismatched dtype is used."""
 
 
-class MaterializationError(TensorError):
-    """Raised when numeric data is requested from a symbolic (shape-only) tensor."""
-
-
 class ModuleError(ReproError):
     """Base class for neural-network module errors."""
 

@@ -39,7 +39,6 @@ def _mlp_ablation_grid(batch_size: int, iterations: int, hidden_dim: int,
         iterations=(iterations,),
         model_kwargs={"hidden_dim": hidden_dim},
         dataset="two_cluster",
-        execution_mode="symbolic",
         host_latency=ABLATION_HOST_LATENCY,
         **dimensions,
     )

@@ -35,7 +35,6 @@ PAPER_MLP_HOST_LATENCY = HostLatencyModel(
 
 def paper_mlp_config(batch_size: int = PAPER_MLP_BATCH_SIZE,
                      iterations: int = PAPER_MLP_ITERATIONS,
-                     execution_mode: str = "symbolic",
                      seed: int = 0) -> TrainingRunConfig:
     """The workload behind Figures 2-4: the Fig.-1 MLP trained for 5 iterations."""
     return TrainingRunConfig(
@@ -43,7 +42,6 @@ def paper_mlp_config(batch_size: int = PAPER_MLP_BATCH_SIZE,
         dataset="two_cluster",
         batch_size=batch_size,
         iterations=iterations,
-        execution_mode=execution_mode,
         host_latency=PAPER_MLP_HOST_LATENCY,
         seed=seed,
         label=f"paper MLP (batch={batch_size})",
@@ -52,14 +50,13 @@ def paper_mlp_config(batch_size: int = PAPER_MLP_BATCH_SIZE,
 
 def small_mlp_config(batch_size: int = 64, iterations: int = 5,
                      hidden_dim: int = 256, seed: int = 0) -> TrainingRunConfig:
-    """A scaled-down eager MLP used by tests and the quickstart example."""
+    """A scaled-down MLP used by tests and the quickstart example."""
     return TrainingRunConfig(
         model="mlp",
         model_kwargs={"hidden_dim": hidden_dim},
         dataset="two_cluster",
         batch_size=batch_size,
         iterations=iterations,
-        execution_mode="eager",
         seed=seed,
         label=f"small MLP (hidden={hidden_dim}, batch={batch_size})",
     )
@@ -69,7 +66,7 @@ def breakdown_config(model: str, dataset: str, batch_size: int, iterations: int 
                      input_size: Optional[int] = None, num_classes: Optional[int] = None,
                      device_memory_capacity: int = 48 * GIB,
                      seed: int = 0) -> TrainingRunConfig:
-    """A symbolic-execution configuration for the occupation-breakdown figures.
+    """The configuration of the occupation-breakdown figures.
 
     Two iterations are enough: the footprint peaks during the backward pass
     once gradients and optimizer state exist.  The simulated device capacity
@@ -89,7 +86,6 @@ def breakdown_config(model: str, dataset: str, batch_size: int, iterations: int 
         dataset=dataset,
         batch_size=batch_size,
         iterations=iterations,
-        execution_mode="symbolic",
         device_memory_capacity=device_memory_capacity,
         seed=seed,
         label=f"{model}/{dataset}/batch{batch_size}",

@@ -56,7 +56,7 @@ def run_eq1(device: Optional[Device] = None,
     achieved by the simulated bandwidth test (slightly lower because each copy
     pays a launch overhead, mirroring the real tool's behavior at small sizes).
     """
-    device = device if device is not None else Device(titan_x_pascal(), execution_mode="symbolic")
+    device = device if device is not None else Device(titan_x_pascal())
     report = BandwidthTest(device).run()
     if use_measured_bandwidths:
         bandwidths = BandwidthConfig(

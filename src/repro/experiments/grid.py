@@ -68,7 +68,9 @@ from ..train.session import TrainingRunConfig, swap_off_twin
 #:     ``device_memory_capacity`` became the ``device_memory_capacities``
 #:     sweep axis, scenario identities carry the capacity, and swap-execution
 #:     summaries gained recompute/pressure counters.
-RESULT_SCHEMA_VERSION = 7
+#: v8: one execution mode: ``execution_mode`` left the config (so every
+#:     fingerprint) and the result's identity fields.
+RESULT_SCHEMA_VERSION = 8
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
@@ -308,7 +310,7 @@ class Scenario:
         return (f"{c.model}/{c.dataset} batch={c.batch_size} iters={c.iterations} "
                 f"alloc={c.allocator} swap={self.swap_policy} device={c.device_spec} "
                 f"dtype={c.dtype} ndev={c.n_devices} link={c.interconnect} "
-                f"swap_exec={c.swap}{capacity} mode={c.execution_mode}")
+                f"swap_exec={c.swap}{capacity}")
 
 
 #: Every sweep axis as ``(grid field, scenario field)``, outermost first: the
@@ -334,6 +336,9 @@ AXES = (
 
 #: Grid scalars copied into every scenario's config under the same name.
 SHARED_FIELDS = ("dataset", "optimizer", "allreduce_algorithm", "host_latency")
+
+#: How a grid's scenarios run: simulated, or priced from trace templates.
+EXECUTION_MODES = ("symbolic", "replay")
 
 
 @dataclass
@@ -382,12 +387,14 @@ class SweepGrid:
                 raise ValueError(
                     f"unknown swap execution mode '{swap}'; known modes: "
                     f"{SWAP_EXECUTION_MODES}")
-        # "replay" is a pseudo-mode: the scenarios themselves are plain
-        # symbolic (identical fingerprints, identical results), only routed
-        # through the template-replay engine by the runner.
+        if self.execution_mode not in EXECUTION_MODES:
+            raise ValueError(
+                f"unknown execution mode '{self.execution_mode}'; known modes: "
+                f"{EXECUTION_MODES}")
+        # "replay" routes the very same scenarios (identical fingerprints,
+        # identical results) through the template-replay engine.
         via_replay = self.execution_mode == "replay"
         shared = {name: getattr(self, name) for name in SHARED_FIELDS}
-        shared["execution_mode"] = "symbolic" if via_replay else self.execution_mode
         scenario_fields = [scenario_field for _, scenario_field in AXES]
         scenarios: List[Scenario] = []
         for values in itertools.product(*(getattr(self, axis) for axis, _ in AXES)):

@@ -51,8 +51,8 @@ module splits the two:
   :class:`~repro.experiments.template_store.TemplateStore`, as
   content-addressed archives beside the sweep cache; it declines — with a
   reason code the sweep CLI prints — whatever a template cannot serve
-  (swap engine on, eager numerics, a capacity that changed allocator
-  behaviour, an inconsistent capture, an engine crash on a structure group).
+  (swap engine on, a capacity that changed allocator behaviour, an
+  inconsistent capture, an engine crash on a structure group).
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ logger = logging.getLogger(__name__)
 #: and one ``.npz`` holds every captured per-dtype variant (shared arrays
 #: stored once, dtype-specific deltas stored against the base variant).
 #: v3: no lifetime table — lifetimes are derived from the event columns.
-TEMPLATE_SCHEMA_VERSION = 3
+#: v4: one execution mode — ``execution_mode`` left the config, so the
+#: structural fingerprint (and every template key) changed.
+TEMPLATE_SCHEMA_VERSION = 4
 
 _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
@@ -134,8 +136,7 @@ class TemplateError(Exception):
     """A capture cannot be turned into (or served as) a replayable template.
 
     ``reason`` is a stable machine-readable code (``swap_execution``,
-    ``eager_mode``, ``capture_inconsistent``, ``capacity_mismatch``,
-    ``compile_failed``) surfaced by the sweep CLI so fallbacks to fresh
+    ``capture_inconsistent``, ``capacity_mismatch``, ``compile_failed``) surfaced by the sweep CLI so fallbacks to fresh
     simulation are explained, not silent.
     """
 
@@ -917,7 +918,6 @@ class TraceTemplate:
         metadata = {
             "device": spec.to_dict(),
             "allocator": self.meta["allocator_name"],
-            "execution_mode": config.execution_mode,
             **workload_metadata(config, len(self.ranks)),
             "device_rank": rank_index,
         }
@@ -953,16 +953,13 @@ def check_replay_envelope(config: TrainingRunConfig) -> None:
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
                             reason="swap_execution")
-    if config.execution_mode != "symbolic":
-        raise TemplateError("only symbolic runs can be captured",
-                            reason="eager_mode")
 
 
 def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     """Run the simulation once and capture its structure as a template.
 
     Raises a reason-coded :class:`TemplateError` when the configuration is
-    outside the replay envelope (swap execution on, eager numerics) or when
+    outside the replay envelope (swap execution on) or when
     the capture turns out not to be replayable (pre-attach clock time that is
     not whole segment reservations, ranks disagreeing on the collective
     sequence).

@@ -144,7 +144,6 @@ def scenario_identity(scenario: Scenario) -> Dict[str, object]:
         "interconnect": config.interconnect,
         "swap": config.swap,
         "device_memory_capacity": config.device_memory_capacity,
-        "execution_mode": config.execution_mode,
         "seed": config.seed,
     }
 

@@ -15,10 +15,6 @@ shows the intermediate results progressively dominating the footprint.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..device.device import Device
 from ..nn import Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU, Sequential
 
@@ -27,45 +23,41 @@ class AlexNet(Sequential):
     """AlexNet for ImageNet-sized (224x224) or CIFAR-sized (32x32) inputs."""
 
     def __init__(self, device: Device, num_classes: int = 1000, input_size: int = 224,
-                 in_channels: int = 3, dropout: float = 0.5,
-                 rng: Optional[np.random.Generator] = None, name: str = "alexnet"):
-        generator = rng if rng is not None else np.random.default_rng(0)
+                 in_channels: int = 3, dropout: float = 0.5, name: str = "alexnet"):
         if input_size >= 64:
-            layers, feature_dim = self._imagenet_layers(device, in_channels, input_size,
-                                                        generator, name)
+            layers, feature_dim = self._imagenet_layers(device, in_channels, input_size, name)
         else:
-            layers, feature_dim = self._cifar_layers(device, in_channels, input_size,
-                                                     generator, name)
+            layers, feature_dim = self._cifar_layers(device, in_channels, input_size, name)
         layers += [
             Flatten(device, name=f"{name}.flatten"),
             Dropout(device, p=dropout, name=f"{name}.drop1"),
-            Linear(device, feature_dim, 4096, name=f"{name}.fc1", rng=generator),
+            Linear(device, feature_dim, 4096, name=f"{name}.fc1"),
             ReLU(device, name=f"{name}.relu_fc1"),
             Dropout(device, p=dropout, name=f"{name}.drop2"),
-            Linear(device, 4096, 4096, name=f"{name}.fc2", rng=generator),
+            Linear(device, 4096, 4096, name=f"{name}.fc2"),
             ReLU(device, name=f"{name}.relu_fc2"),
-            Linear(device, 4096, num_classes, name=f"{name}.fc3", rng=generator),
+            Linear(device, 4096, num_classes, name=f"{name}.fc3"),
         ]
         super().__init__(device, layers, name=name)
         self.input_shape = (in_channels, input_size, input_size)
         self.num_classes = num_classes
 
     @staticmethod
-    def _imagenet_layers(device, in_channels, input_size, rng, name):
+    def _imagenet_layers(device, in_channels, input_size, name):
         """Feature extractor for 224x224 inputs (torchvision layout)."""
         layers = [
             Conv2d(device, in_channels, 64, kernel_size=11, stride=4, padding=2,
-                   name=f"{name}.conv1", rng=rng),
+                   name=f"{name}.conv1"),
             ReLU(device, name=f"{name}.relu1"),
             MaxPool2d(device, kernel_size=3, stride=2, name=f"{name}.pool1"),
-            Conv2d(device, 64, 192, kernel_size=5, padding=2, name=f"{name}.conv2", rng=rng),
+            Conv2d(device, 64, 192, kernel_size=5, padding=2, name=f"{name}.conv2"),
             ReLU(device, name=f"{name}.relu2"),
             MaxPool2d(device, kernel_size=3, stride=2, name=f"{name}.pool2"),
-            Conv2d(device, 192, 384, kernel_size=3, padding=1, name=f"{name}.conv3", rng=rng),
+            Conv2d(device, 192, 384, kernel_size=3, padding=1, name=f"{name}.conv3"),
             ReLU(device, name=f"{name}.relu3"),
-            Conv2d(device, 384, 256, kernel_size=3, padding=1, name=f"{name}.conv4", rng=rng),
+            Conv2d(device, 384, 256, kernel_size=3, padding=1, name=f"{name}.conv4"),
             ReLU(device, name=f"{name}.relu4"),
-            Conv2d(device, 256, 256, kernel_size=3, padding=1, name=f"{name}.conv5", rng=rng),
+            Conv2d(device, 256, 256, kernel_size=3, padding=1, name=f"{name}.conv5"),
             ReLU(device, name=f"{name}.relu5"),
             MaxPool2d(device, kernel_size=3, stride=2, name=f"{name}.pool3"),
         ]
@@ -83,21 +75,21 @@ class AlexNet(Sequential):
         return max(1, size)
 
     @staticmethod
-    def _cifar_layers(device, in_channels, input_size, rng, name):
+    def _cifar_layers(device, in_channels, input_size, name):
         """Feature extractor for 32x32 inputs (CIFAR adaptation)."""
         layers = [
             Conv2d(device, in_channels, 64, kernel_size=3, stride=2, padding=1,
-                   name=f"{name}.conv1", rng=rng),
+                   name=f"{name}.conv1"),
             ReLU(device, name=f"{name}.relu1"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool1"),
-            Conv2d(device, 64, 192, kernel_size=3, padding=1, name=f"{name}.conv2", rng=rng),
+            Conv2d(device, 64, 192, kernel_size=3, padding=1, name=f"{name}.conv2"),
             ReLU(device, name=f"{name}.relu2"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool2"),
-            Conv2d(device, 192, 384, kernel_size=3, padding=1, name=f"{name}.conv3", rng=rng),
+            Conv2d(device, 192, 384, kernel_size=3, padding=1, name=f"{name}.conv3"),
             ReLU(device, name=f"{name}.relu3"),
-            Conv2d(device, 384, 256, kernel_size=3, padding=1, name=f"{name}.conv4", rng=rng),
+            Conv2d(device, 384, 256, kernel_size=3, padding=1, name=f"{name}.conv4"),
             ReLU(device, name=f"{name}.relu4"),
-            Conv2d(device, 256, 256, kernel_size=3, padding=1, name=f"{name}.conv5", rng=rng),
+            Conv2d(device, 256, 256, kernel_size=3, padding=1, name=f"{name}.conv5"),
             ReLU(device, name=f"{name}.relu5"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool3"),
         ]

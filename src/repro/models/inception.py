@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from ..device.device import Device
 from ..nn import Conv2d, Flatten, GlobalAvgPool2d, Linear, MaxPool2d, ReLU, Sequential
 from ..nn.module import Module
@@ -25,29 +23,27 @@ class InceptionBlock(Module):
     """Four parallel convolution branches concatenated along channels."""
 
     def __init__(self, device: Device, in_channels: int, branch_channels: int,
-                 name: str = "inception_block",
-                 rng: Optional[np.random.Generator] = None):
+                 name: str = "inception_block"):
         super().__init__(device, name=name)
-        generator = rng if rng is not None else np.random.default_rng(0)
         self.branch1 = Sequential(device, [
             Conv2d(device, in_channels, branch_channels, kernel_size=1,
-                   name=f"{name}.b1.conv", rng=generator),
+                   name=f"{name}.b1.conv"),
             ReLU(device, name=f"{name}.b1.relu"),
         ], name=f"{name}.branch1")
         self.branch3 = Sequential(device, [
             Conv2d(device, in_channels, branch_channels, kernel_size=3, padding=1,
-                   name=f"{name}.b3.conv", rng=generator),
+                   name=f"{name}.b3.conv"),
             ReLU(device, name=f"{name}.b3.relu"),
         ], name=f"{name}.branch3")
         self.branch5 = Sequential(device, [
             Conv2d(device, in_channels, branch_channels, kernel_size=5, padding=2,
-                   name=f"{name}.b5.conv", rng=generator),
+                   name=f"{name}.b5.conv"),
             ReLU(device, name=f"{name}.b5.relu"),
         ], name=f"{name}.branch5")
         self.branch_pool = Sequential(device, [
             AvgLikePool(device, name=f"{name}.bp.pool"),
             Conv2d(device, in_channels, branch_channels, kernel_size=1,
-                   name=f"{name}.bp.conv", rng=generator),
+                   name=f"{name}.bp.conv"),
             ReLU(device, name=f"{name}.bp.relu"),
         ], name=f"{name}.branch_pool")
         self.branches = [self.branch1, self.branch3, self.branch5, self.branch_pool]
@@ -111,22 +107,21 @@ class SimpleInception(Sequential):
     """A compact GoogLeNet-flavoured network with three Inception blocks."""
 
     def __init__(self, device: Device, num_classes: int = 100, input_size: int = 32,
-                 in_channels: int = 3, rng: Optional[np.random.Generator] = None,
+                 in_channels: int = 3,
                  name: str = "inception_small"):
-        generator = rng if rng is not None else np.random.default_rng(0)
         layers: List[Module] = [
             Conv2d(device, in_channels, 64, kernel_size=3, padding=1,
-                   name=f"{name}.stem.conv", rng=generator),
+                   name=f"{name}.stem.conv"),
             ReLU(device, name=f"{name}.stem.relu"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.stem.pool"),
-            InceptionBlock(device, 64, 32, name=f"{name}.block1", rng=generator),
+            InceptionBlock(device, 64, 32, name=f"{name}.block1"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool1"),
-            InceptionBlock(device, 128, 48, name=f"{name}.block2", rng=generator),
+            InceptionBlock(device, 128, 48, name=f"{name}.block2"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool2"),
-            InceptionBlock(device, 192, 64, name=f"{name}.block3", rng=generator),
+            InceptionBlock(device, 192, 64, name=f"{name}.block3"),
             GlobalAvgPool2d(device, name=f"{name}.gap"),
             Flatten(device, name=f"{name}.flatten"),
-            Linear(device, 256, num_classes, name=f"{name}.fc", rng=generator),
+            Linear(device, 256, num_classes, name=f"{name}.fc"),
         ]
         super().__init__(device, layers, name=name)
         self.input_shape = (in_channels, input_size, input_size)

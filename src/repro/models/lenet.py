@@ -1,14 +1,10 @@
 """LeNet-5, the classic small convolutional network (LeCun et al.).
 
 Used by the tests and the Figure-5 breakdown as a small "typical DNN" whose
-eager training is cheap enough to verify numerically.
+sessions are cheap enough to run in unit tests.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
 
 from ..device.device import Device
 from ..nn import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential
@@ -18,26 +14,24 @@ class LeNet5(Sequential):
     """LeNet-5 adapted to configurable input channels / spatial size."""
 
     def __init__(self, device: Device, num_classes: int = 10, in_channels: int = 1,
-                 input_size: int = 28, rng: Optional[np.random.Generator] = None,
+                 input_size: int = 28,
                  name: str = "lenet5"):
-        generator = rng if rng is not None else np.random.default_rng(0)
         after_convs = ((input_size - 4) // 2 - 4) // 2
         if after_convs <= 0:
             raise ValueError(f"input_size {input_size} is too small for LeNet-5")
         layers = [
-            Conv2d(device, in_channels, 6, kernel_size=5, name=f"{name}.conv1", rng=generator),
+            Conv2d(device, in_channels, 6, kernel_size=5, name=f"{name}.conv1"),
             ReLU(device, name=f"{name}.relu1"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool1"),
-            Conv2d(device, 6, 16, kernel_size=5, name=f"{name}.conv2", rng=generator),
+            Conv2d(device, 6, 16, kernel_size=5, name=f"{name}.conv2"),
             ReLU(device, name=f"{name}.relu2"),
             MaxPool2d(device, kernel_size=2, stride=2, name=f"{name}.pool2"),
             Flatten(device, name=f"{name}.flatten"),
-            Linear(device, 16 * after_convs * after_convs, 120, name=f"{name}.fc1",
-                   rng=generator),
+            Linear(device, 16 * after_convs * after_convs, 120, name=f"{name}.fc1"),
             ReLU(device, name=f"{name}.relu3"),
-            Linear(device, 120, 84, name=f"{name}.fc2", rng=generator),
+            Linear(device, 120, 84, name=f"{name}.fc2"),
             ReLU(device, name=f"{name}.relu4"),
-            Linear(device, 84, num_classes, name=f"{name}.fc3", rng=generator),
+            Linear(device, 84, num_classes, name=f"{name}.fc3"),
         ]
         super().__init__(device, layers, name=name)
         self.input_shape = (in_channels, input_size, input_size)

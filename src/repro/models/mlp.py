@@ -10,10 +10,6 @@ first five training iterations.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..device.device import Device
 from ..nn import Linear, ReLU, Sequential
 from ..tensor.tensor import Tensor
@@ -31,18 +27,14 @@ class MLP(Sequential):
                  hidden_dim: int = PAPER_MLP_HIDDEN_DIM,
                  output_dim: int = PAPER_MLP_OUTPUT_DIM,
                  num_hidden_layers: int = 1,
-                 rng: Optional[np.random.Generator] = None,
                  name: str = "mlp"):
-        generator = rng if rng is not None else np.random.default_rng(0)
         layers = []
         previous = input_dim
         for index in range(num_hidden_layers):
-            layers.append(Linear(device, previous, hidden_dim, name=f"{name}.fc{index}",
-                                 rng=generator))
+            layers.append(Linear(device, previous, hidden_dim, name=f"{name}.fc{index}"))
             layers.append(ReLU(device, name=f"{name}.relu{index}"))
             previous = hidden_dim
-        layers.append(Linear(device, previous, output_dim, name=f"{name}.fc_out",
-                             rng=generator))
+        layers.append(Linear(device, previous, output_dim, name=f"{name}.fc_out"))
         super().__init__(device, layers, name=name)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
@@ -51,6 +43,6 @@ class MLP(Sequential):
         self.num_classes = output_dim
 
 
-def paper_mlp(device: Device, rng: Optional[np.random.Generator] = None) -> MLP:
+def paper_mlp(device: Device) -> MLP:
     """Construct the exact MLP of the paper's Figure 1."""
-    return MLP(device, rng=rng)
+    return MLP(device)

@@ -8,9 +8,7 @@ makes non-linear DNNs hold more intermediate tensors alive than linear ones.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List
 
 from ..core.events import MemoryCategory
 from ..device.device import Device
@@ -47,23 +45,21 @@ class BasicBlock(Module):
     expansion = 1
 
     def __init__(self, device: Device, in_planes: int, planes: int, stride: int = 1,
-                 name: str = "basic_block",
-                 rng: Optional[np.random.Generator] = None):
+                 name: str = "basic_block"):
         super().__init__(device, name=name)
-        generator = rng if rng is not None else np.random.default_rng(0)
         self.conv1 = Conv2d(device, in_planes, planes, kernel_size=3, stride=stride,
-                            padding=1, bias=False, name=f"{name}.conv1", rng=generator)
+                            padding=1, bias=False, name=f"{name}.conv1")
         self.bn1 = BatchNorm2d(device, planes, name=f"{name}.bn1")
         self.relu1 = ReLU(device, name=f"{name}.relu1")
         self.conv2 = Conv2d(device, planes, planes, kernel_size=3, stride=1, padding=1,
-                            bias=False, name=f"{name}.conv2", rng=generator)
+                            bias=False, name=f"{name}.conv2")
         self.bn2 = BatchNorm2d(device, planes, name=f"{name}.bn2")
         self.relu_out = ReLU(device, name=f"{name}.relu_out")
         self.has_downsample = stride != 1 or in_planes != planes * self.expansion
         if self.has_downsample:
             self.downsample_conv = Conv2d(device, in_planes, planes * self.expansion,
                                           kernel_size=1, stride=stride, bias=False,
-                                          name=f"{name}.downsample_conv", rng=generator)
+                                          name=f"{name}.downsample_conv")
             self.downsample_bn = BatchNorm2d(device, planes * self.expansion,
                                              name=f"{name}.downsample_bn")
 
@@ -126,28 +122,26 @@ class Bottleneck(Module):
     expansion = 4
 
     def __init__(self, device: Device, in_planes: int, planes: int, stride: int = 1,
-                 name: str = "bottleneck",
-                 rng: Optional[np.random.Generator] = None):
+                 name: str = "bottleneck"):
         super().__init__(device, name=name)
-        generator = rng if rng is not None else np.random.default_rng(0)
         out_planes = planes * self.expansion
         self.conv1 = Conv2d(device, in_planes, planes, kernel_size=1, bias=False,
-                            name=f"{name}.conv1", rng=generator)
+                            name=f"{name}.conv1")
         self.bn1 = BatchNorm2d(device, planes, name=f"{name}.bn1")
         self.relu1 = ReLU(device, name=f"{name}.relu1")
         self.conv2 = Conv2d(device, planes, planes, kernel_size=3, stride=stride, padding=1,
-                            bias=False, name=f"{name}.conv2", rng=generator)
+                            bias=False, name=f"{name}.conv2")
         self.bn2 = BatchNorm2d(device, planes, name=f"{name}.bn2")
         self.relu2 = ReLU(device, name=f"{name}.relu2")
         self.conv3 = Conv2d(device, planes, out_planes, kernel_size=1, bias=False,
-                            name=f"{name}.conv3", rng=generator)
+                            name=f"{name}.conv3")
         self.bn3 = BatchNorm2d(device, out_planes, name=f"{name}.bn3")
         self.relu_out = ReLU(device, name=f"{name}.relu_out")
         self.has_downsample = stride != 1 or in_planes != out_planes
         if self.has_downsample:
             self.downsample_conv = Conv2d(device, in_planes, out_planes, kernel_size=1,
                                           stride=stride, bias=False,
-                                          name=f"{name}.downsample_conv", rng=generator)
+                                          name=f"{name}.downsample_conv")
             self.downsample_bn = BatchNorm2d(device, out_planes,
                                              name=f"{name}.downsample_bn")
 
@@ -222,13 +216,11 @@ class ResNet(Sequential):
     """A ResNet assembled as a Sequential of stem, residual stages and head."""
 
     def __init__(self, device: Device, depth_name: str = "resnet18", num_classes: int = 1000,
-                 input_size: int = 224, in_channels: int = 3,
-                 rng: Optional[np.random.Generator] = None, name: str = ""):
+                 input_size: int = 224, in_channels: int = 3, name: str = ""):
         if depth_name not in RESNET_CONFIGS:
             known = ", ".join(sorted(RESNET_CONFIGS))
             raise ValueError(f"unknown ResNet depth '{depth_name}'; known: {known}")
         name = name or depth_name
-        generator = rng if rng is not None else np.random.default_rng(0)
         block_kind, stage_sizes = RESNET_CONFIGS[depth_name]
         block_cls = BasicBlock if block_kind == "basic" else Bottleneck
 
@@ -236,7 +228,7 @@ class ResNet(Sequential):
         if input_size >= 64:
             layers += [
                 Conv2d(device, in_channels, 64, kernel_size=7, stride=2, padding=3,
-                       bias=False, name=f"{name}.conv1", rng=generator),
+                       bias=False, name=f"{name}.conv1"),
                 BatchNorm2d(device, 64, name=f"{name}.bn1"),
                 ReLU(device, name=f"{name}.relu1"),
                 MaxPool2d(device, kernel_size=3, stride=2, padding=1, name=f"{name}.maxpool"),
@@ -245,7 +237,7 @@ class ResNet(Sequential):
             # CIFAR stem: keep the 32x32 resolution in the first stage.
             layers += [
                 Conv2d(device, in_channels, 64, kernel_size=3, stride=1, padding=1,
-                       bias=False, name=f"{name}.conv1", rng=generator),
+                       bias=False, name=f"{name}.conv1"),
                 BatchNorm2d(device, 64, name=f"{name}.bn1"),
                 ReLU(device, name=f"{name}.relu1"),
             ]
@@ -256,15 +248,14 @@ class ResNet(Sequential):
             for block_index in range(blocks):
                 block_stride = stride if block_index == 0 else 1
                 block = block_cls(device, in_planes, planes, stride=block_stride,
-                                  name=f"{name}.layer{stage_index + 1}.{block_index}",
-                                  rng=generator)
+                                  name=f"{name}.layer{stage_index + 1}.{block_index}")
                 layers.append(block)
                 in_planes = planes * block_cls.expansion
 
         layers += [
             GlobalAvgPool2d(device, name=f"{name}.avgpool"),
             Flatten(device, name=f"{name}.flatten"),
-            Linear(device, in_planes, num_classes, name=f"{name}.fc", rng=generator),
+            Linear(device, in_planes, num_classes, name=f"{name}.fc"),
         ]
         super().__init__(device, layers, name=name)
         self.depth_name = depth_name

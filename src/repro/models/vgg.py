@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
-
-import numpy as np
+from typing import List, Sequence, Union
 
 from ..device.device import Device
 from ..nn import Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU, Sequential
@@ -21,9 +19,7 @@ class VGG(Sequential):
     """A VGG network built from a channel configuration string."""
 
     def __init__(self, device: Device, config: Union[str, Sequence] = "vgg16",
-                 num_classes: int = 1000, input_size: int = 224, in_channels: int = 3,
-                 rng: Optional[np.random.Generator] = None, name: str = "vgg"):
-        generator = rng if rng is not None else np.random.default_rng(0)
+                 num_classes: int = 1000, input_size: int = 224, in_channels: int = 3, name: str = "vgg"):
         if isinstance(config, str):
             config_key = config
             config = VGG_CONFIGS[config]
@@ -41,21 +37,20 @@ class VGG(Sequential):
                 continue
             conv_index += 1
             layers.append(Conv2d(device, channels, int(entry), kernel_size=3, padding=1,
-                                 name=f"{name}.conv{conv_index}", rng=generator))
+                                 name=f"{name}.conv{conv_index}"))
             layers.append(ReLU(device, name=f"{name}.relu{conv_index}"))
             channels = int(entry)
         spatial = max(1, spatial)
         hidden = 4096 if input_size >= 64 else 512
         layers += [
             Flatten(device, name=f"{name}.flatten"),
-            Linear(device, channels * spatial * spatial, hidden, name=f"{name}.fc1",
-                   rng=generator),
+            Linear(device, channels * spatial * spatial, hidden, name=f"{name}.fc1"),
             ReLU(device, name=f"{name}.relu_fc1"),
             Dropout(device, p=0.5, name=f"{name}.drop1"),
-            Linear(device, hidden, hidden, name=f"{name}.fc2", rng=generator),
+            Linear(device, hidden, hidden, name=f"{name}.fc2"),
             ReLU(device, name=f"{name}.relu_fc2"),
             Dropout(device, p=0.5, name=f"{name}.drop2"),
-            Linear(device, hidden, num_classes, name=f"{name}.fc3", rng=generator),
+            Linear(device, hidden, num_classes, name=f"{name}.fc3"),
         ]
         super().__init__(device, layers, name=name or config_key)
         self.input_shape = (in_channels, input_size, input_size)

@@ -1,80 +1,16 @@
-"""Weight initialization schemes.
+"""Weight initialization.
 
-Initializers write values into parameter tensors on the device, so every
-initialization shows up in the memory trace as a write to a parameter block
-before training starts (just like the randomized init kernels PyTorch runs).
-All initializers are deterministic given the supplied NumPy generator.
+Which scheme fills a parameter (He, Glorot, a constant) decides its values,
+never its memory behavior: every one of them is the same on-device write to
+the parameter block before training starts, like the init kernels PyTorch
+runs.  That write is all a layer's initialization records.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Tuple
-
-import numpy as np
-
 from .parameter import Parameter
 
 
-def _fan_in_fan_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    """Compute fan-in/fan-out for linear ``(in, out)`` and conv ``(O, C, kh, kw)`` weights."""
-    if len(shape) == 2:
-        fan_in, fan_out = shape[0], shape[1]
-    elif len(shape) == 4:
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        fan_in = fan_out = int(np.prod(shape)) if shape else 1
-    return max(1, fan_in), max(1, fan_out)
-
-
-def kaiming_normal_(param: Parameter, rng: np.random.Generator) -> None:
-    """He-normal initialization (suited to ReLU networks)."""
-    fan_in, _ = _fan_in_fan_out(param.shape)
-    std = math.sqrt(2.0 / fan_in)
-    if param.data.storage.is_materialized:
-        values = rng.standard_normal(param.numel).astype(np.float32) * std
-        param.set_values(values)
-    else:
-        param.data.storage.record_write("param_init")
-
-
-def kaiming_uniform_(param: Parameter, rng: np.random.Generator) -> None:
-    """He-uniform initialization (PyTorch's default for conv/linear weights)."""
-    fan_in, _ = _fan_in_fan_out(param.shape)
-    bound = math.sqrt(6.0 / fan_in)
-    if param.data.storage.is_materialized:
-        values = rng.uniform(-bound, bound, size=param.numel).astype(np.float32)
-        param.set_values(values)
-    else:
-        param.data.storage.record_write("param_init")
-
-
-def xavier_uniform_(param: Parameter, rng: np.random.Generator) -> None:
-    """Glorot-uniform initialization (suited to tanh/sigmoid networks)."""
-    fan_in, fan_out = _fan_in_fan_out(param.shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    if param.data.storage.is_materialized:
-        values = rng.uniform(-bound, bound, size=param.numel).astype(np.float32)
-        param.set_values(values)
-    else:
-        param.data.storage.record_write("param_init")
-
-
-def constant_(param: Parameter, value: float) -> None:
-    """Fill a parameter with a constant (used for biases and BN gamma/beta)."""
-    if param.data.storage.is_materialized:
-        param.set_values(np.full(param.numel, value, dtype=np.float32))
-    else:
-        param.data.storage.record_write("param_init")
-
-
-def zeros_(param: Parameter) -> None:
-    """Fill a parameter with zeros."""
-    constant_(param, 0.0)
-
-
-def ones_(param: Parameter) -> None:
-    """Fill a parameter with ones."""
-    constant_(param, 1.0)
+def param_init(param: Parameter) -> None:
+    """Initialize ``param`` on-device: one ``param_init`` write to its block."""
+    param.data.storage.record_write("param_init")

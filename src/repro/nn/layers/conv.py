@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ...device.device import Device
 from ...tensor import conv_ops as C
 from ...tensor.tensor import Tensor
@@ -19,8 +17,7 @@ class Conv2d(Module):
 
     def __init__(self, device: Device, in_channels: int, out_channels: int,
                  kernel_size: int, stride: int = 1, padding: int = 0,
-                 bias: bool = True, name: str = "conv",
-                 rng: Optional[np.random.Generator] = None):
+                 bias: bool = True, name: str = "conv"):
         super().__init__(device, name=name)
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
@@ -35,10 +32,9 @@ class Conv2d(Module):
         self.bias: Optional[Parameter] = None
         if bias:
             self.bias = Parameter(device, (self.out_channels,), name=f"{name}.bias")
-        generator = rng if rng is not None else np.random.default_rng(0)
-        init.kaiming_uniform_(self.weight, generator)
+        init.param_init(self.weight)
         if self.bias is not None:
-            init.zeros_(self.bias)
+            init.param_init(self.bias)
 
     def forward(self, x: Tensor) -> Tensor:
         self.save_for_backward(input=x)

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ...device.device import Device
-from ...rng import LazyGenerator
 from ...tensor import functional as F
 from ...tensor.tensor import Tensor
 from ..module import Module
@@ -19,16 +16,14 @@ class Dropout(Module):
     contribute noticeably to the intermediate-results footprint.
     """
 
-    def __init__(self, device: Device, p: float = 0.5, name: str = "dropout",
-                 seed: Optional[int] = None):
+    def __init__(self, device: Device, p: float = 0.5, name: str = "dropout"):
         super().__init__(device, name=name)
         self.p = float(p)
-        self._rng = LazyGenerator(seed if seed is not None else 0)
 
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x.retain()
-        output, mask = F.dropout_forward(x, self.p, self._rng, tag=self.out_tag)
+        output, mask = F.dropout_forward(x, self.p, tag=self.out_tag)
         self.save_for_backward(mask=mask)
         mask.release()
         return output

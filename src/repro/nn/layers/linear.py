@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ...device.device import Device
 from ...tensor import functional as F
 from ...tensor.tensor import Tensor
@@ -23,8 +21,7 @@ class Linear(Module):
     """
 
     def __init__(self, device: Device, in_features: int, out_features: int,
-                 bias: bool = True, name: str = "linear",
-                 rng: Optional[np.random.Generator] = None):
+                 bias: bool = True, name: str = "linear"):
         super().__init__(device, name=name)
         self.in_features = int(in_features)
         self.out_features = int(out_features)
@@ -33,10 +30,9 @@ class Linear(Module):
         self.bias: Optional[Parameter] = None
         if bias:
             self.bias = Parameter(device, (self.out_features,), name=f"{name}.bias")
-        generator = rng if rng is not None else np.random.default_rng(0)
-        init.kaiming_uniform_(self.weight, generator)
+        init.param_init(self.weight)
         if self.bias is not None:
-            init.zeros_(self.bias)
+            init.param_init(self.bias)
 
     def forward(self, x: Tensor) -> Tensor:
         self.save_for_backward(input=x)

@@ -20,16 +20,13 @@ class BatchNorm2d(Module):
     for backward, adding to the intermediate-results footprint.
     """
 
-    def __init__(self, device: Device, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1, name: str = "bn"):
+    def __init__(self, device: Device, num_features: int, name: str = "bn"):
         super().__init__(device, name=name)
         self.num_features = int(num_features)
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.weight = Parameter(device, (self.num_features,), name=f"{name}.weight")
         self.bias = Parameter(device, (self.num_features,), name=f"{name}.bias")
-        init.ones_(self.weight)
-        init.zeros_(self.bias)
+        init.param_init(self.weight)
+        init.param_init(self.bias)
         self.register_buffer(
             "running_mean",
             zeros(device, (self.num_features,), category=MemoryCategory.PARAMETER,
@@ -44,8 +41,7 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         output, save_mean, save_invstd = C.batchnorm2d_forward(
             x, self.weight.data, self.bias.data, self.running_mean, self.running_var,
-            momentum=self.momentum, eps=self.eps, training=self.training,
-            tag=self.out_tag,
+            training=self.training, tag=self.out_tag,
         )
         self.save_for_backward(input=x, save_mean=save_mean, save_invstd=save_invstd)
         # The statistics tensors were created inside the op with refcount 1;

@@ -9,6 +9,9 @@ dtype (``float16`` training), the optimizer follows the standard AMP recipe
 instead of letting everything shadow the training dtype — it keeps a
 *float32 master copy* of the weights plus float32 optimizer state, updates
 the master, and writes the half-precision parameter back as a downcast.
+Only the memory behaviors of those steps are simulated, never their values,
+so the hyperparameters beyond the learning rate and SGD's momentum (which
+decides whether a momentum buffer exists) are not modelled.
 Both the master copies and the state buffers live in the
 ``optimizer_state`` memory category, so half-precision runs show the
 realistic footprint: half-size parameters/gradients/activations but
@@ -18,8 +21,6 @@ full-size optimizer state.
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
-
-import numpy as np
 
 from ..core.events import MemoryCategory
 from ..errors import ConfigurationError
@@ -77,9 +78,6 @@ class Optimizer:
             master = empty(parameter.device, parameter.shape, dtype=float32,
                            category=MemoryCategory.OPTIMIZER_STATE,
                            tag=f"{parameter.name}.master")
-            if master.storage.is_materialized:
-                master.storage.set_buffer(
-                    parameter.data.numpy().reshape(-1).astype(np.float32))
             parameter.data.storage.record_read("master_init")
             master.storage.record_write("master_init")
             self._master_weights[index] = master
@@ -87,10 +85,6 @@ class Optimizer:
 
     def _writeback_master(self, master: Tensor, parameter: Parameter) -> None:
         """Downcast the updated fp32 master back into the half-precision parameter."""
-        if parameter.data.storage.is_materialized:
-            parameter.data.storage.set_buffer(
-                master.numpy().reshape(-1)
-                .astype(parameter.data.dtype.numpy_dtype))
         master.storage.record_read("master_downcast")
         parameter.data.storage.record_write("master_downcast")
 
@@ -104,15 +98,13 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
+    """Stochastic gradient descent with optional momentum."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float, momentum: float = 0.0,
-                 weight_decay: float = 0.0):
+    def __init__(self, parameters: Iterable[Parameter], lr: float, momentum: float = 0.0):
         super().__init__(parameters, lr)
         if momentum < 0.0:
             raise ConfigurationError(f"momentum must be non-negative, got {momentum}")
         self.momentum = float(momentum)
-        self.weight_decay = float(weight_decay)
         self._momentum_buffers: Dict[int, Tensor] = {}
 
     def _momentum_buffer(self, index: int, parameter: Parameter) -> Optional[Tensor]:
@@ -135,8 +127,7 @@ class SGD(Optimizer):
             buffer = self._momentum_buffer(index, parameter)
             master = self.master_weight(index, parameter)
             target = master if master is not None else parameter.data
-            F.sgd_step(target, parameter.grad, buffer, lr=self.lr,
-                       momentum=self.momentum, weight_decay=self.weight_decay)
+            F.sgd_step(target, parameter.grad, buffer)
             if master is not None:
                 self._writeback_master(master, parameter)
 
@@ -148,12 +139,8 @@ class SGD(Optimizer):
 class Adam(Optimizer):
     """Adam optimizer with per-parameter first/second moment buffers."""
 
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3,
-                 betas: tuple = (0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3):
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
         self._exp_avg: Dict[int, Tensor] = {}
         self._exp_avg_sq: Dict[int, Tensor] = {}
 
@@ -176,9 +163,7 @@ class Adam(Optimizer):
             exp_avg, exp_avg_sq = self._moments(index, parameter)
             master = self.master_weight(index, parameter)
             target = master if master is not None else parameter.data
-            F.adam_step(target, parameter.grad, exp_avg, exp_avg_sq, lr=self.lr,
-                        beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                        step=self.step_count, weight_decay=self.weight_decay)
+            F.adam_step(target, parameter.grad, exp_avg, exp_avg_sq)
             if master is not None:
                 self._writeback_master(master, parameter)
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..core.events import MemoryCategory
 from ..device.device import Device
 from ..tensor.dtype import DType
@@ -63,14 +61,6 @@ class Parameter:
         """Zero the gradient buffer if it exists (records a device write)."""
         if self.grad is not None:
             zero_(self.grad)
-
-    def set_values(self, values: np.ndarray) -> None:
-        """Initialize the parameter values on-device (records a write behavior)."""
-        self.data.set_data(values, op="param_init")
-
-    def values(self) -> np.ndarray:
-        """Host copy of the parameter values (eager mode only)."""
-        return self.data.numpy()
 
     def free(self) -> None:
         """Release the parameter (and gradient) device memory."""

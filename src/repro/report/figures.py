@@ -465,7 +465,6 @@ def scaling_grid(profile: ReportProfile) -> SweepGrid:
         n_devices=profile.scaling_n_devices,
         interconnects=profile.scaling_interconnects,
         host_latency=PAPER_MLP_HOST_LATENCY,
-        execution_mode="symbolic",
     )
 
 
@@ -596,7 +595,6 @@ def swap_execution_grid(profile: ReportProfile) -> SweepGrid:
         batch_sizes=(profile.swap_batch_size,),
         iterations=(profile.swap_iterations,),
         swaps=profile.swap_modes,
-        execution_mode="symbolic",
     )
 
 
@@ -730,7 +728,6 @@ def feasibility_scenarios(profile: ReportProfile) -> List[Tuple[str, int, Scenar
             iterations=(profile.swap_iterations,),
             swaps=(mode,),
             device_memory_capacities=profile.frontier_capacities,
-            execution_mode="symbolic",
         )
         for capacity, scenario in zip(profile.frontier_capacities, grid.expand()):
             ladder.append((mode, capacity, scenario))
@@ -902,7 +899,6 @@ def comparison_grid(profile: ReportProfile) -> SweepGrid:
         device_specs=profile.comparison_devices,
         swap_policies=profile.comparison_policies,
         host_latency=PAPER_MLP_HOST_LATENCY,
-        execution_mode="symbolic",
     )
 
 

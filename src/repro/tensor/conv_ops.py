@@ -1,10 +1,10 @@
 """Convolution, pooling and batch-normalization kernels.
 
-The eager implementations use im2col/col2im on the host for numerical
-correctness.  The simulated device additionally models a cuDNN-style
-convolution *workspace*: a transient device buffer allocated right before the
-kernel and freed right after it, capped at :data:`WORKSPACE_LIMIT_BYTES` (the
-same 64 MiB default limit PyTorch passes to cuDNN).  Those short-lived
+Besides its operands, a convolution touches a cuDNN-style *workspace*: a
+transient device buffer allocated right before the kernel and freed right
+after it, sized like the im2col buffer and capped at
+:data:`WORKSPACE_LIMIT_BYTES` (the same 64 MiB default limit PyTorch passes
+to cuDNN).  Those short-lived
 workspace blocks are part of the "intermediate results" the paper's breakdown
 attributes most of the footprint to.
 """
@@ -13,26 +13,35 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..core.events import MemoryCategory
-from ..device.timing import KernelCost, conv2d_cost, elementwise_cost
+from ..device.timing import conv2d_cost, elementwise_cost
 from ..errors import ShapeError
 from ..units import MIB
 from .dtype import float32
-from .functional import gemm, launch
-from .im2col import (
-    col2im,
-    conv_output_hw,
-    im2col,
-    pool_col2im,
-    pool_im2col,
-    pool_output_hw,
-)
+from .functional import launch
 from .tensor import Tensor, empty
 
 #: cuDNN-style workspace cap; the modeled workspace never exceeds this.
 WORKSPACE_LIMIT_BYTES = 64 * MIB
+
+
+def conv_output_hw(height: int, width: int, kernel_h: int, kernel_w: int,
+                   stride: int, padding: int) -> Tuple[int, int]:
+    """Output spatial size of a convolution with square stride/padding."""
+    out_h = (height + 2 * padding - kernel_h) // stride + 1
+    out_w = (width + 2 * padding - kernel_w) // stride + 1
+    if out_h <= 0 or out_w <= 0:
+        raise ShapeError(
+            f"convolution of {height}x{width} input with kernel {kernel_h}x{kernel_w}, "
+            f"stride {stride}, padding {padding} produces empty output"
+        )
+    return out_h, out_w
+
+
+def pool_output_hw(height: int, width: int, kernel: int, stride: int,
+                   padding: int = 0) -> Tuple[int, int]:
+    """Output spatial size of a pooling window (same formula as convolution)."""
+    return conv_output_hw(height, width, kernel, kernel, stride, padding)
 
 
 def _workspace_bytes(batch: int, channels: int, kernel_h: int, kernel_w: int,
@@ -79,16 +88,7 @@ def conv2d_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     if workspace is not None:
         inputs.append(workspace)
 
-    def compute() -> np.ndarray:
-        cols = im2col(x.numpy(), kernel_h, kernel_w, stride, padding)
-        flat_weight = weight.numpy().reshape(out_channels, -1)
-        result = gemm(cols, flat_weight.T)
-        if bias is not None:
-            result = result + bias.numpy()[None, :]
-        result = result.reshape(batch, out_h, out_w, out_channels).transpose(0, 3, 1, 2)
-        return result
-
-    launch(device, "conv2d_forward", cost, inputs, out, compute=compute)
+    launch(device, "conv2d_forward", cost, inputs, out)
     if workspace is not None:
         workspace.free()
     return out
@@ -113,14 +113,7 @@ def conv2d_backward_input(grad_output: Tensor, weight: Tensor,
     cost = conv2d_cost(batch, in_channels, out_channels, out_h, out_w, kernel_h, kernel_w,
                        itemsize=grad_output.dtype.itemsize, name="conv2d_backward_input")
     inputs = [grad_output, weight] + ([workspace] if workspace is not None else [])
-
-    def compute() -> np.ndarray:
-        flat_weight = weight.numpy().reshape(out_channels, -1)
-        grad_cols = grad_output.numpy().transpose(0, 2, 3, 1).reshape(-1, out_channels)
-        cols = gemm(grad_cols, flat_weight)
-        return col2im(cols, x_shape, kernel_h, kernel_w, stride, padding)
-
-    launch(device, "conv2d_backward_input", cost, inputs, grad_input, compute=compute)
+    launch(device, "conv2d_backward_input", cost, inputs, grad_input)
     if workspace is not None:
         workspace.free()
     return grad_input
@@ -143,14 +136,7 @@ def conv2d_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
     cost = conv2d_cost(batch, in_channels, out_channels, out_h, out_w, kernel_h, kernel_w,
                        itemsize=x.dtype.itemsize, name="conv2d_backward_weight")
     inputs = [x, grad_output, grad_weight] + ([workspace] if workspace is not None else [])
-
-    def compute_weight() -> np.ndarray:
-        cols = im2col(x.numpy(), kernel_h, kernel_w, stride, padding)
-        grad_cols = grad_output.numpy().transpose(0, 2, 3, 1).reshape(-1, out_channels)
-        grad_w = gemm(grad_cols.T, cols).reshape(grad_weight.shape)
-        return grad_weight.numpy() + grad_w
-
-    launch(device, "conv2d_backward_weight", cost, inputs, grad_weight, compute=compute_weight)
+    launch(device, "conv2d_backward_weight", cost, inputs, grad_weight)
     if workspace is not None:
         workspace.free()
 
@@ -158,12 +144,8 @@ def conv2d_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
         bias_cost = elementwise_cost(grad_output.numel, n_inputs=2,
                                      itemsize=grad_output.dtype.itemsize,
                                      name="conv2d_backward_bias")
-
-        def compute_bias() -> np.ndarray:
-            return grad_bias.numpy() + grad_output.numpy().sum(axis=(0, 2, 3))
-
         launch(device, "conv2d_backward_bias", bias_cost, [grad_output, grad_bias],
-               grad_bias, compute=compute_bias)
+               grad_bias)
 
 
 # -- pooling ---------------------------------------------------------------------------
@@ -180,21 +162,7 @@ def maxpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
     indices = empty(device, (batch, channels, out_h, out_w), dtype=x.dtype,
                     category=MemoryCategory.ACTIVATION, tag=f"{tag}_indices")
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="maxpool2d")
-    argmax_holder = {}
-
-    def compute() -> np.ndarray:
-        padded = x.numpy()
-        if padding:
-            padded = np.pad(padded, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                            mode="constant", constant_values=-np.inf)
-        cols = pool_im2col(x.numpy(), kernel, stride, padding)
-        argmax = cols.argmax(axis=1)
-        argmax_holder["argmax"] = argmax
-        return cols.max(axis=1).reshape(batch, channels, out_h, out_w)
-
-    launch(device, "maxpool2d_forward", cost, [x], out, compute=compute)
-    if device.is_eager:
-        indices.storage.set_buffer(argmax_holder["argmax"].astype(np.float32))
+    launch(device, "maxpool2d_forward", cost, [x], out)
     indices.storage.record_write("maxpool2d_forward")
     return out, indices
 
@@ -208,16 +176,7 @@ def maxpool2d_backward(grad_output: Tensor, indices: Tensor,
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="maxpool2d_backward")
-
-    def compute() -> np.ndarray:
-        grads = grad_output.numpy().reshape(-1)
-        argmax = indices.numpy().reshape(-1).astype(np.int64)
-        cols = np.zeros((grads.size, kernel * kernel), dtype=grad_output.dtype.numpy_dtype)
-        cols[np.arange(grads.size), argmax] = grads
-        return pool_col2im(cols, x_shape, kernel, stride, padding)
-
-    return launch(device, "maxpool2d_backward", cost, [grad_output, indices], grad_input,
-                  compute=compute)
+    return launch(device, "maxpool2d_backward", cost, [grad_output, indices], grad_input)
 
 
 def avgpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
@@ -229,12 +188,7 @@ def avgpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
     out = empty(device, (batch, channels, out_h, out_w), dtype=x.dtype,
                 category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="avgpool2d")
-
-    def compute() -> np.ndarray:
-        cols = pool_im2col(x.numpy(), kernel, stride, padding)
-        return cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
-
-    return launch(device, "avgpool2d_forward", cost, [x], out, compute=compute)
+    return launch(device, "avgpool2d_forward", cost, [x], out)
 
 
 def avgpool2d_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
@@ -246,14 +200,7 @@ def avgpool2d_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=1,
                             itemsize=grad_output.dtype.itemsize, name="avgpool2d_backward")
-
-    def compute() -> np.ndarray:
-        grads = grad_output.numpy().reshape(-1)
-        cols = np.repeat(grads[:, None] / (kernel * kernel), kernel * kernel, axis=1)
-        return pool_col2im(cols, x_shape, kernel, stride, padding)
-
-    return launch(device, "avgpool2d_backward", cost, [grad_output], grad_input,
-                  compute=compute)
+    return launch(device, "avgpool2d_backward", cost, [grad_output], grad_input)
 
 
 def global_avg_pool_forward(x: Tensor, tag: str = "gap_out") -> Tensor:
@@ -264,8 +211,7 @@ def global_avg_pool_forward(x: Tensor, tag: str = "gap_out") -> Tensor:
                 category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize,
                             name="global_avg_pool")
-    return launch(device, "global_avg_pool_forward", cost, [x], out,
-                  compute=lambda: x.numpy().mean(axis=(2, 3), keepdims=True))
+    return launch(device, "global_avg_pool_forward", cost, [x], out)
 
 
 def global_avg_pool_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
@@ -274,22 +220,16 @@ def global_avg_pool_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, 
     device = grad_output.device
     grad_input = empty(device, x_shape, dtype=grad_output.dtype,
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
-    spatial = x_shape[2] * x_shape[3]
     cost = elementwise_cost(grad_input.numel, n_inputs=1,
                             itemsize=grad_output.dtype.itemsize, name="global_avg_pool_backward")
-
-    def compute() -> np.ndarray:
-        return np.broadcast_to(grad_output.numpy() / spatial, x_shape).copy()
-
-    return launch(device, "global_avg_pool_backward", cost, [grad_output], grad_input,
-                  compute=compute)
+    return launch(device, "global_avg_pool_backward", cost, [grad_output], grad_input)
 
 
 # -- batch normalization ----------------------------------------------------------------
 
 
 def batchnorm2d_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-                        running_var: Tensor, momentum: float, eps: float, training: bool,
+                        running_var: Tensor, training: bool,
                         tag: str = "bn_out") -> Tuple[Tensor, Tensor, Tensor]:
     """Batch normalization over ``(N, H, W)`` per channel.
 
@@ -306,37 +246,13 @@ def batchnorm2d_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Te
                         category=MemoryCategory.ACTIVATION, tag=f"{tag}_invstd")
     cost = elementwise_cost(x.numel, n_inputs=2, flops_per_element=5.0,
                             itemsize=x.dtype.itemsize, name="batchnorm2d")
-    stats_holder = {}
-
-    def compute() -> np.ndarray:
-        values = x.numpy()
-        if training:
-            mean = values.mean(axis=(0, 2, 3))
-            var = values.var(axis=(0, 2, 3))
-        else:
-            mean = running_mean.numpy()
-            var = running_var.numpy()
-        invstd = 1.0 / np.sqrt(var + eps)
-        stats_holder["mean"], stats_holder["invstd"] = mean, invstd
-        stats_holder["var"] = var
-        normalized = (values - mean[None, :, None, None]) * invstd[None, :, None, None]
-        return normalized * gamma.numpy()[None, :, None, None] + beta.numpy()[None, :, None, None]
-
-    launch(device, "batchnorm2d_forward", cost, [x, gamma, beta], out, compute=compute)
-    if device.is_eager:
-        save_mean.storage.set_buffer(stats_holder["mean"])
-        save_invstd.storage.set_buffer(stats_holder["invstd"])
+    launch(device, "batchnorm2d_forward", cost, [x, gamma, beta], out)
     save_mean.storage.record_write("batchnorm2d_forward")
     save_invstd.storage.record_write("batchnorm2d_forward")
 
     if training:
         running_mean.storage.record_read("batchnorm2d_forward")
         running_var.storage.record_read("batchnorm2d_forward")
-        if device.is_eager:
-            new_mean = (1 - momentum) * running_mean.numpy() + momentum * stats_holder["mean"]
-            new_var = (1 - momentum) * running_var.numpy() + momentum * stats_holder["var"]
-            running_mean.storage.set_buffer(new_mean)
-            running_var.storage.set_buffer(new_var)
         running_mean.storage.record_write("batchnorm2d_forward")
         running_var.storage.record_write("batchnorm2d_forward")
     return out, save_mean, save_invstd
@@ -351,35 +267,11 @@ def batchnorm2d_backward(grad_output: Tensor, x: Tensor, gamma: Tensor, save_mea
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=3, flops_per_element=8.0,
                             itemsize=x.dtype.itemsize, name="batchnorm2d_backward")
-    holder = {}
-
-    def compute() -> np.ndarray:
-        dy = grad_output.numpy()
-        values = x.numpy()
-        mean = save_mean.numpy()[None, :, None, None]
-        invstd = save_invstd.numpy()[None, :, None, None]
-        g = gamma.numpy()[None, :, None, None]
-        count = values.shape[0] * values.shape[2] * values.shape[3]
-        x_hat = (values - mean) * invstd
-        dgamma = (dy * x_hat).sum(axis=(0, 2, 3))
-        dbeta = dy.sum(axis=(0, 2, 3))
-        holder["dgamma"], holder["dbeta"] = dgamma, dbeta
-        dxhat = dy * g
-        dx = (invstd / count) * (
-            count * dxhat
-            - dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            - x_hat * (dxhat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        )
-        return dx
-
     launch(device, "batchnorm2d_backward", cost,
-           [grad_output, x, gamma, save_mean, save_invstd], grad_input, compute=compute)
+           [grad_output, x, gamma, save_mean, save_invstd], grad_input)
 
     grad_gamma.storage.record_read("batchnorm2d_backward")
     grad_beta.storage.record_read("batchnorm2d_backward")
-    if device.is_eager:
-        grad_gamma.storage.set_buffer(grad_gamma.numpy() + holder["dgamma"])
-        grad_beta.storage.set_buffer(grad_beta.numpy() + holder["dbeta"])
     grad_gamma.storage.record_write("batchnorm2d_backward")
     grad_beta.storage.record_write("batchnorm2d_backward")
     return grad_input

@@ -6,8 +6,9 @@ device kernel launch(es):
 1. the input storages are *read* (recorded as ``read`` behaviors),
 2. the kernel executes for a duration given by the roofline timing model
    (advancing the simulated clock),
-3. the output storage is *written* (recorded as a ``write`` behavior),
-4. in eager mode the actual values are computed with NumPy.
+3. the output storage is *written* (recorded as a ``write`` behavior).
+
+No values are computed: the behaviors and their timing depend on shapes only.
 
 Convolution, pooling and batch-normalization kernels live in
 :mod:`repro.tensor.conv_ops`.
@@ -15,9 +16,7 @@ Convolution, pooling and batch-normalization kernels live in
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from ..core.events import MemoryCategory
 from ..device.device import Device
@@ -27,38 +26,17 @@ from .dtype import float32
 from .tensor import Tensor, empty
 
 
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with fp32 accumulation for half-precision operands.
-
-    NumPy has no BLAS path for ``float16`` matmul (it falls back to a scalar
-    loop, orders of magnitude slower), and real mixed-precision GEMMs
-    accumulate in fp32 anyway — so half inputs are upcast for the product.
-    The caller's :func:`launch` casts the result back to the output dtype.
-    """
-    if a.dtype == np.float16 or b.dtype == np.float16:
-        return np.matmul(a.astype(np.float32, copy=False),
-                         b.astype(np.float32, copy=False))
-    return np.matmul(a, b)
-
-
 def launch(
     device: Device,
     op_name: str,
     cost: KernelCost,
     inputs: Sequence[Tensor],
     output: Tensor,
-    compute: Optional[Callable[[], np.ndarray]] = None,
 ) -> Tensor:
-    """Run one simulated kernel: record reads, advance time, record the write.
-
-    ``compute`` is only invoked in eager mode; it must return the output
-    values with any shape reshapeable to ``output.shape``.
-    """
+    """Run one simulated kernel: record reads, advance time, record the write."""
     for tensor in inputs:
         tensor.storage.record_read(op_name)
     device.run_kernel(cost)
-    if device.is_eager and compute is not None:
-        output.storage.set_buffer(np.asarray(compute(), dtype=output.dtype.numpy_dtype))
     output.storage.record_write(op_name)
     return output
 
@@ -84,8 +62,7 @@ def matmul(a: Tensor, b: Tensor, category: MemoryCategory = MemoryCategory.ACTIV
     n = b.shape[1]
     out = empty(device, (m, n), dtype=a.dtype, category=category, tag=tag or "matmul_out")
     cost = matmul_cost(m, k, n, itemsize=a.dtype.itemsize, name=op_name)
-    return launch(device, op_name, cost, [a, b], out,
-                  compute=lambda: gemm(a.numpy(), b.numpy()))
+    return launch(device, op_name, cost, [a, b], out)
 
 
 def linear_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -99,14 +76,7 @@ def linear_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = empty(device, (m, n), dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = matmul_cost(m, k, n, itemsize=x.dtype.itemsize, name="linear_forward")
     inputs = [x, weight] + ([bias] if bias is not None else [])
-
-    def compute() -> np.ndarray:
-        result = gemm(x.numpy(), weight.numpy())
-        if bias is not None:
-            result = result + bias.numpy()[None, :]
-        return result
-
-    return launch(device, "linear_forward", cost, inputs, out, compute=compute)
+    return launch(device, "linear_forward", cost, inputs, out)
 
 
 def linear_backward_input(grad_output: Tensor, weight: Tensor,
@@ -119,8 +89,7 @@ def linear_backward_input(grad_output: Tensor, weight: Tensor,
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = matmul_cost(m, n, k, itemsize=grad_output.dtype.itemsize,
                        name="linear_backward_input")
-    return launch(device, "linear_backward_input", cost, [grad_output, weight], out,
-                  compute=lambda: gemm(grad_output.numpy(), weight.numpy().T))
+    return launch(device, "linear_backward_input", cost, [grad_output, weight], out)
 
 
 def linear_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
@@ -134,22 +103,14 @@ def linear_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
     m, k = x.shape
     n = grad_output.shape[1]
     cost = matmul_cost(k, m, n, itemsize=x.dtype.itemsize, name="linear_backward_weight")
-
-    def compute_weight() -> np.ndarray:
-        return grad_weight.numpy() + gemm(x.numpy().T, grad_output.numpy())
-
     launch(device, "linear_backward_weight", cost, [x, grad_output, grad_weight],
-           grad_weight, compute=compute_weight)
+           grad_weight)
 
     if grad_bias is not None:
         bias_cost = reduction_cost(m * n, itemsize=grad_output.dtype.itemsize,
                                    name="linear_backward_bias")
-
-        def compute_bias() -> np.ndarray:
-            return grad_bias.numpy() + grad_output.numpy().sum(axis=0)
-
         launch(device, "linear_backward_bias", bias_cost, [grad_output, grad_bias],
-               grad_bias, compute=compute_bias)
+               grad_bias)
 
 
 # -- elementwise operators ----------------------------------------------------------------
@@ -163,8 +124,7 @@ def add(a: Tensor, b: Tensor, tag: str = "add_out",
         raise ShapeError(f"add shapes {a.shape} and {b.shape} differ")
     out = empty(device, a.shape, dtype=a.dtype, category=category, tag=tag)
     cost = elementwise_cost(a.numel, n_inputs=2, itemsize=a.dtype.itemsize, name="add")
-    return launch(device, "add", cost, [a, b], out,
-                  compute=lambda: a.numpy() + b.numpy())
+    return launch(device, "add", cost, [a, b], out)
 
 
 def accumulate_(dst: Tensor, src: Tensor, op_name: str = "accumulate") -> Tensor:
@@ -173,8 +133,7 @@ def accumulate_(dst: Tensor, src: Tensor, op_name: str = "accumulate") -> Tensor
     if dst.shape != src.shape:
         raise ShapeError(f"accumulate shapes {dst.shape} and {src.shape} differ")
     cost = elementwise_cost(dst.numel, n_inputs=2, itemsize=dst.dtype.itemsize, name=op_name)
-    return launch(device, op_name, cost, [dst, src], dst,
-                  compute=lambda: dst.numpy() + src.numpy())
+    return launch(device, op_name, cost, [dst, src], dst)
 
 
 def scale(x: Tensor, alpha: float, tag: str = "scale_out",
@@ -183,14 +142,13 @@ def scale(x: Tensor, alpha: float, tag: str = "scale_out",
     device = x.device
     out = empty(device, x.shape, dtype=x.dtype, category=category, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="scale")
-    return launch(device, "scale", cost, [x], out, compute=lambda: x.numpy() * alpha)
+    return launch(device, "scale", cost, [x], out)
 
 
 def zero_(x: Tensor) -> Tensor:
     """In-place fill with zeros (``optimizer.zero_grad``)."""
     cost = elementwise_cost(x.numel, n_inputs=0, itemsize=x.dtype.itemsize, name="zero_")
-    return launch(x.device, "zero_", cost, [], x,
-                  compute=lambda: np.zeros(x.numel, dtype=x.dtype.numpy_dtype))
+    return launch(x.device, "zero_", cost, [], x)
 
 
 def relu_forward(x: Tensor, tag: str = "relu_out") -> Tensor:
@@ -198,8 +156,7 @@ def relu_forward(x: Tensor, tag: str = "relu_out") -> Tensor:
     device = x.device
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="relu")
-    return launch(device, "relu_forward", cost, [x], out,
-                  compute=lambda: np.maximum(x.numpy(), 0.0))
+    return launch(device, "relu_forward", cost, [x], out)
 
 
 def relu_backward(grad_output: Tensor, output: Tensor, tag: str = "relu_grad_in") -> Tensor:
@@ -209,8 +166,7 @@ def relu_backward(grad_output: Tensor, output: Tensor, tag: str = "relu_grad_in"
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="relu_backward")
-    return launch(device, "relu_backward", cost, [grad_output, output], out,
-                  compute=lambda: grad_output.numpy() * (output.numpy() > 0))
+    return launch(device, "relu_backward", cost, [grad_output, output], out)
 
 
 def sigmoid_forward(x: Tensor, tag: str = "sigmoid_out") -> Tensor:
@@ -219,8 +175,7 @@ def sigmoid_forward(x: Tensor, tag: str = "sigmoid_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=4.0,
                             itemsize=x.dtype.itemsize, name="sigmoid")
-    return launch(device, "sigmoid_forward", cost, [x], out,
-                  compute=lambda: 1.0 / (1.0 + np.exp(-x.numpy())))
+    return launch(device, "sigmoid_forward", cost, [x], out)
 
 
 def sigmoid_backward(grad_output: Tensor, output: Tensor, tag: str = "sigmoid_grad_in") -> Tensor:
@@ -230,12 +185,7 @@ def sigmoid_backward(grad_output: Tensor, output: Tensor, tag: str = "sigmoid_gr
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2, flops_per_element=3.0,
                             itemsize=grad_output.dtype.itemsize, name="sigmoid_backward")
-
-    def compute() -> np.ndarray:
-        y = output.numpy()
-        return grad_output.numpy() * y * (1.0 - y)
-
-    return launch(device, "sigmoid_backward", cost, [grad_output, output], out, compute=compute)
+    return launch(device, "sigmoid_backward", cost, [grad_output, output], out)
 
 
 def tanh_forward(x: Tensor, tag: str = "tanh_out") -> Tensor:
@@ -244,7 +194,7 @@ def tanh_forward(x: Tensor, tag: str = "tanh_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=4.0,
                             itemsize=x.dtype.itemsize, name="tanh")
-    return launch(device, "tanh_forward", cost, [x], out, compute=lambda: np.tanh(x.numpy()))
+    return launch(device, "tanh_forward", cost, [x], out)
 
 
 def tanh_backward(grad_output: Tensor, output: Tensor, tag: str = "tanh_grad_in") -> Tensor:
@@ -254,15 +204,10 @@ def tanh_backward(grad_output: Tensor, output: Tensor, tag: str = "tanh_grad_in"
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2, flops_per_element=3.0,
                             itemsize=grad_output.dtype.itemsize, name="tanh_backward")
-
-    def compute() -> np.ndarray:
-        y = output.numpy()
-        return grad_output.numpy() * (1.0 - y * y)
-
-    return launch(device, "tanh_backward", cost, [grad_output, output], out, compute=compute)
+    return launch(device, "tanh_backward", cost, [grad_output, output], out)
 
 
-def dropout_forward(x: Tensor, p: float, rng: np.random.Generator,
+def dropout_forward(x: Tensor, p: float,
                     tag: str = "dropout_out") -> Tuple[Tensor, Tensor]:
     """Dropout with keep-probability ``1 - p``; returns (output, mask)."""
     if not 0.0 <= p < 1.0:
@@ -270,15 +215,10 @@ def dropout_forward(x: Tensor, p: float, rng: np.random.Generator,
     device = x.device
     mask = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION,
                  tag=f"{tag}_mask")
-    mask_values = None
-    if device.is_eager:
-        mask_values = (rng.random(x.numel) >= p).astype(np.float32) / max(1e-8, (1.0 - p))
-        mask.storage.set_buffer(mask_values)
     mask.storage.record_write("dropout_mask")
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=2, itemsize=x.dtype.itemsize, name="dropout")
-    launch(device, "dropout_forward", cost, [x, mask], out,
-           compute=lambda: x.numpy() * mask_values.reshape(x.shape))
+    launch(device, "dropout_forward", cost, [x, mask], out)
     return out, mask
 
 
@@ -289,8 +229,7 @@ def dropout_backward(grad_output: Tensor, mask: Tensor, tag: str = "dropout_grad
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="dropout_backward")
-    return launch(device, "dropout_backward", cost, [grad_output, mask], out,
-                  compute=lambda: grad_output.numpy() * mask.numpy())
+    return launch(device, "dropout_backward", cost, [grad_output, mask], out)
 
 
 # -- softmax and losses -------------------------------------------------------------------
@@ -302,14 +241,7 @@ def softmax(x: Tensor, tag: str = "softmax_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=5.0,
                             itemsize=x.dtype.itemsize, name="softmax")
-
-    def compute() -> np.ndarray:
-        logits = x.numpy()
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=1, keepdims=True)
-
-    return launch(device, "softmax", cost, [x], out, compute=compute)
+    return launch(device, "softmax", cost, [x], out)
 
 
 def cross_entropy_forward(logits: Tensor, labels: Tensor) -> Tuple[Tensor, Tensor]:
@@ -318,17 +250,7 @@ def cross_entropy_forward(logits: Tensor, labels: Tensor) -> Tuple[Tensor, Tenso
     probs = softmax(logits, tag="ce_probs")
     loss = empty(device, (1,), dtype=float32, category=MemoryCategory.ACTIVATION, tag="ce_loss")
     cost = reduction_cost(logits.numel, itemsize=logits.dtype.itemsize, name="cross_entropy")
-
-    def compute() -> np.ndarray:
-        probabilities = probs.numpy()
-        targets = labels.numpy().astype(np.int64).reshape(-1)
-        batch = probabilities.shape[0]
-        # Upcast before clipping: in float16 the 1e-12 floor underflows to 0
-        # and log(0) would leak -inf into the loss.
-        picked = probabilities[np.arange(batch), targets].astype(np.float64)
-        return np.array([-np.log(np.clip(picked, 1e-12, None)).mean()], dtype=np.float32)
-
-    launch(device, "cross_entropy_forward", cost, [probs, labels], loss, compute=compute)
+    launch(device, "cross_entropy_forward", cost, [probs, labels], loss)
     return loss, probs
 
 
@@ -340,16 +262,7 @@ def cross_entropy_backward(probs: Tensor, labels: Tensor,
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(probs.numel, n_inputs=2, itemsize=probs.dtype.itemsize,
                             name="cross_entropy_backward")
-
-    def compute() -> np.ndarray:
-        probabilities = probs.numpy()
-        targets = labels.numpy().astype(np.int64).reshape(-1)
-        batch = probabilities.shape[0]
-        grad = probabilities.copy()
-        grad[np.arange(batch), targets] -= 1.0
-        return grad / batch
-
-    return launch(device, "cross_entropy_backward", cost, [probs, labels], out, compute=compute)
+    return launch(device, "cross_entropy_backward", cost, [probs, labels], out)
 
 
 def mse_forward(prediction: Tensor, target: Tensor) -> Tensor:
@@ -359,12 +272,7 @@ def mse_forward(prediction: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"mse shapes {prediction.shape} and {target.shape} differ")
     loss = empty(device, (1,), dtype=float32, category=MemoryCategory.ACTIVATION, tag="mse_loss")
     cost = reduction_cost(prediction.numel, itemsize=prediction.dtype.itemsize, name="mse")
-
-    def compute() -> np.ndarray:
-        diff = prediction.numpy() - target.numpy()
-        return np.array([float(np.mean(diff * diff))], dtype=np.float32)
-
-    return launch(device, "mse_forward", cost, [prediction, target], loss, compute=compute)
+    return launch(device, "mse_forward", cost, [prediction, target], loss)
 
 
 def mse_backward(prediction: Tensor, target: Tensor, tag: str = "mse_grad") -> Tensor:
@@ -374,18 +282,13 @@ def mse_backward(prediction: Tensor, target: Tensor, tag: str = "mse_grad") -> T
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(prediction.numel, n_inputs=2,
                             itemsize=prediction.dtype.itemsize, name="mse_backward")
-
-    def compute() -> np.ndarray:
-        return 2.0 * (prediction.numpy() - target.numpy()) / prediction.numel
-
-    return launch(device, "mse_backward", cost, [prediction, target], out, compute=compute)
+    return launch(device, "mse_backward", cost, [prediction, target], out)
 
 
 # -- optimizer update kernels ------------------------------------------------------------
 
 
-def sgd_step(param: Tensor, grad: Tensor, momentum_buffer: Optional[Tensor],
-             lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
+def sgd_step(param: Tensor, grad: Tensor, momentum_buffer: Optional[Tensor]) -> None:
     """One SGD (optionally momentum) update, in-place on the parameter.
 
     Reads the parameter, its gradient and the momentum buffer (if any), and
@@ -396,50 +299,17 @@ def sgd_step(param: Tensor, grad: Tensor, momentum_buffer: Optional[Tensor],
     inputs = (param, grad) if momentum_buffer is None else (param, grad, momentum_buffer)
     cost = elementwise_cost(param.numel, n_inputs=len(inputs), flops_per_element=4.0,
                             itemsize=param.dtype.itemsize, name="sgd_step")
-
-    def compute_param() -> np.ndarray:
-        values = param.numpy().reshape(-1)
-        gradient = grad.numpy().reshape(-1)
-        if weight_decay:
-            gradient = gradient + weight_decay * values
-        if momentum_buffer is not None and momentum:
-            buf = momentum_buffer.numpy().reshape(-1)
-            buf = momentum * buf + gradient
-            momentum_buffer.storage.set_buffer(buf)
-            update = buf
-        else:
-            update = gradient
-        return values - lr * update
-
-    launch(device, "sgd_step", cost, inputs, param, compute=compute_param)
+    launch(device, "sgd_step", cost, inputs, param)
     if momentum_buffer is not None:
         momentum_buffer.storage.record_write("sgd_step")
 
 
-def adam_step(param: Tensor, grad: Tensor, exp_avg: Tensor, exp_avg_sq: Tensor,
-              lr: float, beta1: float, beta2: float, eps: float, step: int,
-              weight_decay: float = 0.0) -> None:
+def adam_step(param: Tensor, grad: Tensor, exp_avg: Tensor, exp_avg_sq: Tensor) -> None:
     """One Adam update, in-place on the parameter and its moment buffers."""
     device = _check_same_device(param, grad, exp_avg, exp_avg_sq)
     inputs = [param, grad, exp_avg, exp_avg_sq]
     cost = elementwise_cost(param.numel, n_inputs=len(inputs), flops_per_element=10.0,
                             itemsize=param.dtype.itemsize, name="adam_step")
-
-    def compute_param() -> np.ndarray:
-        values = param.numpy().reshape(-1)
-        gradient = grad.numpy().reshape(-1)
-        if weight_decay:
-            gradient = gradient + weight_decay * values
-        m = exp_avg.numpy().reshape(-1)
-        v = exp_avg_sq.numpy().reshape(-1)
-        m = beta1 * m + (1.0 - beta1) * gradient
-        v = beta2 * v + (1.0 - beta2) * gradient * gradient
-        exp_avg.storage.set_buffer(m)
-        exp_avg_sq.storage.set_buffer(v)
-        m_hat = m / (1.0 - beta1 ** step)
-        v_hat = v / (1.0 - beta2 ** step)
-        return values - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-    launch(device, "adam_step", cost, inputs, param, compute=compute_param)
+    launch(device, "adam_step", cost, inputs, param)
     exp_avg.storage.record_write("adam_step")
     exp_avg_sq.storage.record_write("adam_step")

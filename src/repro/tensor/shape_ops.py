@@ -8,9 +8,7 @@ packed output.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from ..core.events import MemoryCategory
 from ..device.timing import elementwise_cost
@@ -36,8 +34,7 @@ def concat_channels(tensors: Sequence[Tensor], tag: str = "concat_out") -> Tenso
     numel = sum(tensor.numel for tensor in tensors)
     cost = elementwise_cost(numel, n_inputs=1, itemsize=tensors[0].dtype.itemsize,
                             name="concat_channels")
-    return launch(device, "concat_channels", cost, list(tensors), out,
-                  compute=lambda: np.concatenate([t.numpy() for t in tensors], axis=1))
+    return launch(device, "concat_channels", cost, list(tensors), out)
 
 
 def split_channels(grad: Tensor, channel_sizes: Sequence[int],
@@ -50,18 +47,11 @@ def split_channels(grad: Tensor, channel_sizes: Sequence[int],
     device = grad.device
     batch, _, height, width = grad.shape
     outputs: List[Tensor] = []
-    offset = 0
     for index, channels in enumerate(channel_sizes):
         piece = empty(device, (batch, channels, height, width), dtype=grad.dtype,
                       category=MemoryCategory.ACTIVATION_GRADIENT, tag=f"{tag}_{index}")
         cost = elementwise_cost(piece.numel, n_inputs=1, itemsize=grad.dtype.itemsize,
                                 name="split_channels")
-        start = offset
-
-        def compute(start=start, channels=channels) -> np.ndarray:
-            return grad.numpy()[:, start:start + channels, :, :]
-
-        launch(device, "split_channels", cost, [grad], piece, compute=compute)
+        launch(device, "split_channels", cost, [grad], piece)
         outputs.append(piece)
-        offset += channels
     return outputs

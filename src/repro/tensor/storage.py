@@ -5,22 +5,18 @@ storage performs a ``malloc`` on the device allocator, releasing it performs
 a ``free``, and every kernel that touches the storage reports a ``read`` or
 ``write`` — the four memory behaviors the paper records.
 
-In *eager* execution the storage also owns a NumPy buffer holding the actual
-values; in *symbolic* execution the buffer is
-omitted and only the memory behavior (allocation, accesses, timing) is
-simulated.
+A storage holds no values: memory behavior is a function of shapes, so only
+the allocation, the accesses and their timing are simulated.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..core.events import MemoryCategory
 from ..device.device import Device
 from ..device.memory import Block
-from ..errors import MaterializationError, TensorError
+from ..errors import TensorError
 from .dtype import DType, float32
 
 
@@ -28,7 +24,7 @@ class DeviceStorage:
     """A reference-counted slab of device memory holding tensor elements."""
 
     __slots__ = ("device", "numel", "dtype", "nbytes", "category", "tag", "block",
-                 "_buffer", "_refcount")
+                 "_refcount")
 
     def __init__(
         self,
@@ -47,9 +43,6 @@ class DeviceStorage:
         self.category = category
         self.tag = tag
         self.block: Optional[Block] = device.allocate(self.nbytes or 1, category, tag)
-        self._buffer: Optional[np.ndarray] = None
-        if device.is_eager:
-            self._buffer = np.zeros(self.numel, dtype=dtype.numpy_dtype)
         self._refcount = 1
 
     # -- lifecycle ---------------------------------------------------------------
@@ -78,7 +71,6 @@ class DeviceStorage:
         if self.block is not None:
             self.device.free(self.block)
             self.block = None
-            self._buffer = None
 
     def _ensure_live(self) -> None:
         if self.block is None:
@@ -103,39 +95,9 @@ class DeviceStorage:
             self._ensure_live()
         self.device.listeners.on_write(block, self.nbytes if nbytes is None else nbytes, op)
 
-    # -- data access (eager mode only) ----------------------------------------------
-
-    @property
-    def is_materialized(self) -> bool:
-        """Whether a NumPy buffer with actual values exists."""
-        return self._buffer is not None
-
-    def buffer(self) -> np.ndarray:
-        """The flat NumPy buffer; raises if the storage is symbolic or freed."""
-        self._ensure_live()
-        if self._buffer is None:
-            raise MaterializationError(
-                f"storage {self.tag!r} is symbolic (execution_mode="
-                f"{self.device.execution_mode!r}); numeric values are not "
-                "available — rerun with execution_mode='eager'"
-            )
-        return self._buffer
-
-    def set_buffer(self, values: np.ndarray) -> None:
-        """Replace the buffer contents (eager mode only)."""
-        self._ensure_live()
-        if self._buffer is None:
-            return  # symbolic storages silently drop values
-        flat = np.asarray(values, dtype=self.dtype.numpy_dtype).reshape(-1)
-        if flat.size != self.numel:
-            raise TensorError(
-                f"buffer of {flat.size} elements does not match storage numel {self.numel}"
-            )
-        self._buffer = flat.copy()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "freed" if self.is_freed else ("eager" if self.is_materialized else "symbolic")
+        state = ", freed" if self.is_freed else ""
         return (
             f"DeviceStorage(numel={self.numel}, dtype={self.dtype.name}, "
-            f"category={self.category.value}, tag={self.tag!r}, {state})"
+            f"category={self.category.value}, tag={self.tag!r}{state})"
         )

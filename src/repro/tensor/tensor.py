@@ -13,13 +13,13 @@ release produces a ``free`` behavior in the trace.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.events import MemoryCategory
 from ..device.device import Device
-from ..errors import ShapeError, TensorError
+from ..errors import ShapeError
 from .dtype import DType, float32, from_numpy_dtype, int64
 from .storage import DeviceStorage
 
@@ -133,49 +133,18 @@ class Tensor:
             raise ShapeError(f"flatten_batch needs at least 2 dims, got shape {self.shape}")
         return self.reshape((self.shape[0], self.numel // self.shape[0]))
 
-    # -- host data access ---------------------------------------------------------------
+    # -- host transfers -------------------------------------------------------------------
 
-    def numpy(self) -> np.ndarray:
-        """Return a NumPy copy of the tensor values (eager mode only)."""
-        return self.storage.buffer().reshape(self.shape).copy()
-
-    def item(self) -> float:
-        """Return the value of a single-element tensor as a Python float."""
-        if self.numel != 1:
-            raise TensorError(f"item() requires a single-element tensor, got shape {self.shape}")
-        return float(self.storage.buffer().reshape(-1)[0])
-
-    def set_data(self, values: np.ndarray, op: str = "set_data") -> "Tensor":
-        """Overwrite the tensor contents on-device (records a write behavior)."""
-        array = np.asarray(values)
-        if array.size != self.numel:
-            raise ShapeError(
-                f"cannot set {array.size} values into tensor of shape {self.shape}"
-            )
-        self.storage.set_buffer(array.astype(self.dtype.numpy_dtype, copy=False))
-        self.storage.record_write(op)
-        return self
-
-    def copy_from_host(self, values: np.ndarray) -> "Tensor":
+    def copy_from_host(self) -> "Tensor":
         """Stage host data onto the device: models a pinned H2D copy plus a write."""
-        array = np.asarray(values)
-        if array.size != self.numel:
-            raise ShapeError(
-                f"cannot copy {array.size} host values into tensor of shape {self.shape}"
-            )
         self.device.copy_host_to_device(self.nbytes)
-        if self.storage.is_materialized:
-            self.storage.set_buffer(array.astype(self.dtype.numpy_dtype, copy=False))
         self.storage.record_write("memcpy_h2d")
         return self
 
-    def copy_to_host(self) -> Optional[np.ndarray]:
-        """Read the tensor back to the host: models a D2H copy plus a read."""
+    def copy_to_host(self) -> None:
+        """Read the tensor back to the host: models a read plus a D2H copy."""
         self.storage.record_read("memcpy_d2h")
         self.device.copy_device_to_host(self.nbytes)
-        if self.storage.is_materialized:
-            return self.numpy()
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -197,34 +166,22 @@ def zeros(device: Device, shape: ShapeLike, dtype: Optional[DType] = None,
           category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "") -> Tensor:
     """Allocate a zero-filled tensor (records an on-device fill write)."""
     tensor = empty(device, shape, dtype=dtype, category=category, tag=tag)
-    if tensor.storage.is_materialized:
-        tensor.storage.set_buffer(np.zeros(tensor.numel, dtype=tensor.dtype.numpy_dtype))
     tensor.storage.record_write("fill_zero")
     return tensor
 
 
 def full(device: Device, shape: ShapeLike, value: float, dtype: Optional[DType] = None,
          category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "") -> Tensor:
-    """Allocate a tensor filled with ``value``."""
+    """Allocate a tensor filled with ``value`` (records an on-device fill write)."""
     tensor = empty(device, shape, dtype=dtype, category=category, tag=tag)
-    if tensor.storage.is_materialized:
-        tensor.storage.set_buffer(
-            np.full(tensor.numel, value, dtype=tensor.dtype.numpy_dtype))
     tensor.storage.record_write("fill_value")
     return tensor
 
 
 def randn(device: Device, shape: ShapeLike, dtype: Optional[DType] = None,
-          scale: float = 1.0,
-          category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "",
-          rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Allocate a tensor of Gaussian values (records an on-device init write)."""
+          category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "") -> Tensor:
+    """Allocate a randomly initialized tensor (records an on-device init write)."""
     tensor = empty(device, shape, dtype=dtype, category=category, tag=tag)
-    if tensor.storage.is_materialized:
-        generator = rng if rng is not None else np.random.default_rng()
-        values = (generator.standard_normal(tensor.numel)
-                  .astype(tensor.dtype.numpy_dtype) * scale)
-        tensor.storage.set_buffer(values)
     tensor.storage.record_write("fill_randn")
     return tensor
 
@@ -232,10 +189,10 @@ def randn(device: Device, shape: ShapeLike, dtype: Optional[DType] = None,
 def from_numpy(device: Device, array: np.ndarray,
                category: MemoryCategory = MemoryCategory.UNKNOWN, tag: str = "",
                stage_h2d: bool = False) -> Tensor:
-    """Create a device tensor from a host array.
+    """Create a device tensor shaped and typed like a host array.
 
     With ``stage_h2d=True`` the creation also models the pinned host→device
-    copy (used for input batches); otherwise the values are assumed to already
+    copy (used for input batches); otherwise the data is assumed to already
     be resident (used for test fixtures).
     """
     array = np.asarray(array)
@@ -247,21 +204,14 @@ def from_numpy(device: Device, array: np.ndarray,
         dtype = from_numpy_dtype(array.dtype)
     tensor = empty(device, array.shape, dtype=dtype, category=category, tag=tag)
     if stage_h2d:
-        tensor.copy_from_host(array)
+        tensor.copy_from_host()
     else:
-        if tensor.storage.is_materialized:
-            tensor.storage.set_buffer(array.astype(dtype.numpy_dtype, copy=False))
         tensor.storage.record_write("init_from_host")
     return tensor
 
 
-def arange_labels(device: Device, batch: int, num_classes: int,
-                  tag: str = "labels", rng: Optional[np.random.Generator] = None) -> Tensor:
+def arange_labels(device: Device, batch: int, tag: str = "labels") -> Tensor:
     """Create an integer label tensor (one label per sample), for test workloads."""
-    generator = rng if rng is not None else np.random.default_rng()
-    values = generator.integers(0, num_classes, size=batch)
     tensor = empty(device, (batch,), dtype=int64, category=MemoryCategory.LABEL, tag=tag)
-    if tensor.storage.is_materialized:
-        tensor.storage.set_buffer(values.astype(np.int64))
     tensor.storage.record_write("init_labels")
     return tensor

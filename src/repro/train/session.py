@@ -1,8 +1,8 @@
 """Profiled training sessions.
 
 A :class:`TrainingRunConfig` declaratively describes one training workload
-(model, dataset, batch size, device, allocator, execution mode, host latency,
-replica count) and :func:`run_training_session` builds every piece (through
+(model, dataset, batch size, device, allocator, host latency, replica
+count) and :func:`run_training_session` builds every piece (through
 :func:`record_session`), attaches the memory profiler, trains for the
 requested number of iterations and returns the recorded trace together with
 the per-iteration statistics.
@@ -20,9 +20,8 @@ sharded across ranks, a gradient allreduce on the configured interconnect
 before every optimizer step, and one trace per rank merged (with a
 ``device_rank`` dimension) into the session trace.  Memory behaviour is
 deterministic, so ranks the simulator cannot tell apart — one *replica
-class* (:func:`~repro.train.trainer.replica_classes`: equal shard shapes in
-symbolic mode, at most two classes; every rank on its own in eager mode) —
-share one simulated replica: the session builds one identically seeded
+class* (:func:`~repro.train.trainer.replica_classes`: equal shard shapes, at
+most two classes) — share one simulated replica: the session builds one
 model / optimizer / loss / profiler per class, and a rank's trace is a view
 of its class's recording that differs only in ``metadata["device_rank"]``.
 
@@ -55,13 +54,19 @@ from ..errors import ConfigurationError
 from ..models.registry import build_model
 from ..nn.loss import CrossEntropyLoss
 from ..nn.optim import SGD, Adam, Optimizer
-from ..rng import LazyGenerator
 from .trainer import DataParallelTrainer, IterationStats, replica_classes
 
 
 @dataclass
 class TrainingRunConfig:
-    """Declarative description of one profiled training run."""
+    """Declarative description of one profiled training run.
+
+    Every run is simulated the one way there is: shapes, not values.  So
+    ``seed`` only labels a row — it reaches the result's identity and its
+    cache key, but no kernel, initializer or batch reads it, and two seeds
+    give equal traces.  ``learning_rate`` likewise only describes the
+    optimizer; ``momentum`` decides whether SGD keeps a momentum buffer.
+    """
 
     model: str = "paper_mlp"
     model_kwargs: Dict[str, object] = field(default_factory=dict)
@@ -75,7 +80,6 @@ class TrainingRunConfig:
     device_spec: str = "titan_x_pascal"
     dtype: str = "float32"
     allocator: str = "caching"
-    execution_mode: str = "eager"
     seed: int = 0
     host_latency: Optional[HostLatencyModel] = None
     device_memory_capacity: Optional[int] = None
@@ -91,8 +95,8 @@ class TrainingRunConfig:
         devices = f", n_devices={self.n_devices}" if self.n_devices > 1 else ""
         swap = f", swap={self.swap}" if self.swap != "off" else ""
         return (f"{self.model} on {self.dataset} "
-                f"(batch={self.batch_size}, iters={self.iterations}, "
-                f"mode={self.execution_mode}{devices}{swap})")
+                f"(batch={self.batch_size}, iters={self.iterations}"
+                f"{devices}{swap})")
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form of this config, equal to ``dataclasses.asdict``.
@@ -118,7 +122,6 @@ class TrainingRunConfig:
             "device_spec": self.device_spec,
             "dtype": self.dtype,
             "allocator": self.allocator,
-            "execution_mode": self.execution_mode,
             "seed": self.seed,
             "host_latency": host_latency,
             "device_memory_capacity": self.device_memory_capacity,
@@ -201,10 +204,6 @@ class SessionResult:
             allocator_stats={k: int(v) for k, v in self.allocator_stats.items()},
         )
 
-    def losses(self) -> List[Optional[float]]:
-        """Loss per iteration (``None`` entries in symbolic execution)."""
-        return [stats.loss for stats in self.iteration_stats]
-
 
 def build_cluster(config: TrainingRunConfig) -> ClusterSpec:
     """Construct the cluster specification described by a run configuration
@@ -223,7 +222,6 @@ def build_cluster(config: TrainingRunConfig) -> ClusterSpec:
 def _device_kwargs(config: TrainingRunConfig) -> Dict[str, object]:
     kwargs: Dict[str, object] = dict(
         allocator=config.allocator,
-        execution_mode=config.execution_mode,
         default_dtype=config.dtype,
     )
     if config.host_dispatch_overhead_ns is not None:
@@ -233,8 +231,7 @@ def _device_kwargs(config: TrainingRunConfig) -> Dict[str, object]:
 
 def build_device_group(config: TrainingRunConfig) -> DeviceGroup:
     """Construct the replica device group described by a run configuration."""
-    classes = replica_classes(config.batch_size, config.n_devices,
-                              config.execution_mode == "symbolic")
+    classes = replica_classes(config.batch_size, config.n_devices)
     return DeviceGroup(build_cluster(config), rank_classes=classes,
                        **_device_kwargs(config))
 
@@ -392,26 +389,20 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     # The paper instruments the allocator for the whole run, so model and
     # optimizer construction (parameter allocation + initialization) is
     # profiled too — it is what puts the "parameters" bytes in the breakdown.
-    # Every replica initializes from an identically seeded generator, so all
-    # ranks start (and, after each allreduce, stay) with the same weights.
     # ``group`` iterates the materialised replicas: one per replica class.
     for profiler in profilers:
         profiler.start()
     collector_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        models = [build_model(config.model, device,
-                              rng=LazyGenerator(config.seed),
-                              **dict(config.model_kwargs))
+        models = [build_model(config.model, device, **dict(config.model_kwargs))
                   for device in group]
-        dataset = build_dataset(config.dataset, seed=config.seed,
-                                **dict(config.dataset_kwargs))
+        dataset = build_dataset(config.dataset, **dict(config.dataset_kwargs))
         # A config rebuilt from its ``to_dict()`` carries the model as a dict.
         latency = config.host_latency
         loader = DataLoader(dataset, batch_size=config.batch_size,
                             host_latency=(HostLatencyModel(**latency)
-                                          if isinstance(latency, dict) else latency),
-                            symbolic=config.execution_mode == "symbolic")
+                                          if isinstance(latency, dict) else latency))
         loss_fns = [CrossEntropyLoss(device, name="loss") for device in group]
         optimizers = [_build_optimizer(config, model) for model in models]
 

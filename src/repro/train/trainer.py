@@ -30,7 +30,7 @@ receives iteration boundaries so that the analyses can segment the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ class IterationStats:
     """Per-iteration measurements reported by the trainer."""
 
     index: int
-    loss: Optional[float]
     start_ns: int
     end_ns: int
     allocated_bytes_end: int
@@ -90,18 +89,13 @@ def _replica_forward_backward(device: Device, model: Module, loss_fn: Module,
 
 
 def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
-                              labels: Tensor, post_iteration_host_ns: int):
-    """One replica's loss readback (D2H), tensor releases and host bookkeeping.
-
-    Returns the host-side loss value (``None`` in symbolic execution).
-    """
-    loss_values = loss.copy_to_host()
-    loss_value = float(loss_values[0]) if loss_values is not None else None
+                              labels: Tensor, post_iteration_host_ns: int) -> None:
+    """One replica's loss readback (D2H), tensor releases and host bookkeeping."""
+    loss.copy_to_host()
     loss.release()
     inputs.release()
     labels.release()
     device.host_pause(post_iteration_host_ns)
-    return loss_value
 
 
 def shard_batch(array: np.ndarray, n_shards: int) -> List[np.ndarray]:
@@ -119,18 +113,15 @@ def shard_batch(array: np.ndarray, n_shards: int) -> List[np.ndarray]:
     return np.array_split(array, n_shards)
 
 
-def replica_classes(batch_size: int, n_devices: int, symbolic: bool) -> List[int]:
+def replica_classes(batch_size: int, n_devices: int) -> List[int]:
     """Label every rank by what tells its replica apart in the simulator.
 
-    A symbolic replica's event stream is a function of its shard's *shape*
-    only, so ranks are labelled with their shard's sample count under
-    :func:`shard_batch` (at most two distinct counts for any ``n_devices``);
-    eager shards carry different values, so every rank is its own class.
+    A replica's event stream is a function of its shard's *shape* only, so
+    ranks are labelled with their shard's sample count under
+    :func:`shard_batch` (at most two distinct counts for any ``n_devices``).
     Ranks with equal labels are simulated once
     (:class:`~repro.device.cluster.DeviceGroup`).
     """
-    if not symbolic:
-        return list(range(n_devices))
     samples = np.empty((batch_size, 0), dtype=np.int8)
     return [shard.shape[0] for shard in shard_batch(samples, n_devices)]
 
@@ -144,9 +135,7 @@ class DataParallelTrainer:
         The materialised replica devices (one per replica class) plus their
         collective engine.
     models / optimizers / loss_fns:
-        One copy per materialised replica, in class order; replicas are
-        assumed to start from identical weights (the session factory seeds
-        every replica's initializer identically).
+        One copy per materialised replica, in class order.
     loader:
         The single host-side loader producing *global* batches; every
         iteration the batch is sharded across the ``n_devices`` ranks and
@@ -191,8 +180,7 @@ class DataParallelTrainer:
 
         Emits one ``read`` per gradient buffer per replica when the
         collective starts (the send), advances every replica clock through
-        the cluster's allreduce cost model, averages the values in eager mode
-        (where every rank is materialised), and emits one ``write`` per
+        the cluster's allreduce cost model, and emits one ``write`` per
         buffer per replica at completion (the reduced result landing back in
         place).  Skipped entirely for a one-device cluster.
         """
@@ -206,11 +194,6 @@ class DataParallelTrainer:
             for grad in grads:
                 grad.storage.record_read(ALLREDUCE_OP)
         record = self.group.collective.allreduce(nbytes, tag=ALLREDUCE_OP)
-        if self.group.primary.is_eager:
-            for buffers in zip(*grads_per_rank):
-                mean = np.mean([grad.numpy() for grad in buffers], axis=0)
-                for grad in buffers:
-                    grad.storage.set_buffer(mean.reshape(-1))
         for grads in grads_per_rank:
             for grad in grads:
                 grad.storage.record_write(ALLREDUCE_OP)
@@ -254,17 +237,12 @@ class DataParallelTrainer:
             optimizer.step()
 
         # 4. Per-replica loss readback (D2H) and host-side bookkeeping.
-        loss_values: List[float] = []
         for replica, device in enumerate(self.group):
-            value = _replica_readback_release(device, losses[replica],
-                                              inputs[replica], labels[replica],
-                                              self.post_iteration_host_ns)
-            if value is not None:
-                loss_values.append(value)
+            _replica_readback_release(device, losses[replica], inputs[replica],
+                                      labels[replica], self.post_iteration_host_ns)
 
         stats = IterationStats(
             index=index,
-            loss=sum(loss_values) / len(loss_values) if loss_values else None,
             start_ns=start_ns,
             end_ns=max(device.clock.now_ns for device in self.group),
             allocated_bytes_end=max(device.allocated_bytes for device in self.group),
@@ -288,10 +266,6 @@ class DataParallelTrainer:
                 for offset in range(num_iterations)]
 
     # -- reporting ---------------------------------------------------------------------
-
-    def losses(self) -> List[Optional[float]]:
-        """Mean replica loss of every completed iteration (None in symbolic mode)."""
-        return [stats.loss for stats in self.history]
 
     def collective_summary(self) -> dict:
         """Aggregate allreduce statistics of the run (engine summary passthrough)."""

@@ -21,14 +21,14 @@ settings.register_profile("replay-wide", max_examples=100, deadline=None)
 
 @pytest.fixture
 def test_device():
-    """A tiny eager device for unit tests (256 MiB, fast overheads)."""
-    return Device(small_test_device(), execution_mode="eager")
+    """A tiny device for unit tests (256 MiB, fast overheads)."""
+    return Device(small_test_device())
 
 
 @pytest.fixture
-def virtual_device():
-    """A Titan-X-like device running in virtual (shape-only) mode."""
-    return Device(titan_x_pascal(), execution_mode="symbolic")
+def titan_device():
+    """A Titan-X-like device, large enough for the full-size models."""
+    return Device(titan_x_pascal())
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ def simple_trace():
 
 @pytest.fixture(scope="session")
 def small_mlp_session():
-    """A shared eager training session (small MLP, 5 iterations)."""
+    """A shared training session (small MLP, 5 iterations)."""
     from repro.experiments.configs import small_mlp_config
     from repro.train.session import run_training_session
 
@@ -72,9 +72,8 @@ def small_mlp_session():
 
 @pytest.fixture(scope="session")
 def paper_mlp_session():
-    """A shared virtual paper-MLP session (reduced batch to stay fast)."""
+    """A shared paper-MLP session (reduced batch to stay fast)."""
     from repro.experiments.configs import paper_mlp_config
     from repro.train.session import run_training_session
 
-    return run_training_session(paper_mlp_config(batch_size=4096, iterations=5,
-                                                 execution_mode="symbolic"))
+    return run_training_session(paper_mlp_config(batch_size=4096, iterations=5))

@@ -42,6 +42,45 @@ from repro.train.session import build_cluster
 from repro.units import MIB
 
 
+class BehaviorLog(MemoryEventListener):
+    """Every behavior ``device`` reports from construction on, in order.
+
+    ``rows`` holds ``(kind, tag, op)`` — ``op`` is the kernel for a read or a
+    write, ``None`` for a malloc or a free — and ``times`` the device clock
+    at each.  The memory contract of a kernel is its rows, its output's
+    shape, dtype and category, and :meth:`kernel_ns`.
+    """
+
+    def __init__(self, device):
+        self.clock = device.clock
+        self.start_ns = device.clock.now_ns
+        self.rows: List[Tuple[str, str, Optional[str]]] = []
+        self.times: List[int] = []
+        device.add_listener(self)
+
+    def _log(self, kind, block, op=None):
+        self.rows.append((kind, block.tag, op))
+        self.times.append(self.clock.now_ns)
+
+    def on_malloc(self, block, requested_size):
+        self._log("malloc", block)
+
+    def on_free(self, block):
+        self._log("free", block)
+
+    def on_read(self, block, nbytes, op):
+        self._log("read", block, op)
+
+    def on_write(self, block, nbytes, op):
+        self._log("write", block, op)
+
+    def kernel_ns(self, op, tag):
+        """The clock advance of ``op``'s launch writing ``tag``: from the
+        behavior before that write (the log's start if none) to the write."""
+        index = self.rows.index(("write", tag, op))
+        return self.times[index] - (self.times[index - 1] if index else self.start_ns)
+
+
 @contextlib.contextmanager
 def stable_sort_grouping():
     """Group block behaviours by ``np.argsort(kind="stable")``: the oracle the
@@ -533,7 +572,7 @@ def swap_scenarios(draw):
                      model_kwargs={"input_size": 32, "num_classes": 10})
     capacity = draw(st.sampled_from((None,) + CAPACITY_RUNGS_MIB))
     config = TrainingRunConfig(
-        **model, execution_mode="symbolic",
+        **model,
         swap=draw(st.sampled_from(SWAP_EXECUTION_MODES[1:])),
         device_memory_capacity=None if capacity is None else capacity * 1024 * 1024,
         iterations=draw(st.integers(2, 6)),

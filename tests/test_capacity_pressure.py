@@ -39,7 +39,6 @@ from repro.units import GIB, MIB
 #: 64 MiB capacity exercises the governor without being infeasible.
 PRESSURE = dict(
     model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
-    execution_mode="symbolic",
     model_kwargs={"hidden_dim": 2048, "num_hidden_layers": 4},
 )
 

@@ -53,7 +53,7 @@ from repro.experiments.sweep import (
 
 
 def tiny_grid(**overrides):
-    """A fast virtual-mode grid (mirrors the helper in test_sweep.py)."""
+    """A fast grid (mirrors the helper in test_sweep.py)."""
     settings = dict(
         models=("mlp",),
         batch_sizes=(16, 32),

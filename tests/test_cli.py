@@ -13,11 +13,23 @@ def test_cli_list_prints_registries(capsys):
     assert "titan_x_pascal" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["profile", "--execution", "symbolic"],
+    ["sweep", "--execution", "eager"],
+    ["sweep", "--execution-mode", "replay"],
+], ids=["profile-execution", "sweep-eager", "sweep-execution-mode"])
+def test_execution_is_a_sweep_option_of_two_modes(argv, capsys):
+    """Every run simulates one way; only a sweep picks symbolic or replay."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+
+
 def test_cli_profile_small_workload(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     exit_code = main([
         "profile", "--model", "mlp", "--dataset", "two_cluster",
-        "--batch-size", "16", "--iterations", "2", "--execution-mode", "symbolic",
+        "--batch-size", "16", "--iterations", "2",
         "--save-trace", str(trace_path),
     ])
     assert exit_code == 0

@@ -1,34 +1,37 @@
-"""Numerical tests for convolution, pooling and batch-norm kernels."""
+"""Memory contracts of the convolution, pooling and batch-norm kernels.
 
-import numpy as np
+What each kernel reads and writes, in order, what it allocates (the
+convolution workspace included, freed right after its kernel) and the clock
+advance its cost prices — see :class:`tests.helpers.BehaviorLog`.
+"""
+
 import pytest
 
-from repro.tensor import conv_ops as C
-from repro.tensor import from_numpy, full, randn, zeros
-from repro.tensor.im2col import col2im, conv_output_hw, im2col, pool_output_hw
+from repro.core.events import MemoryCategory
+from repro.device.timing import conv2d_cost, elementwise_cost
 from repro.errors import ShapeError
+from repro.tensor import conv_ops as C
+from repro.tensor import empty, float32, zeros
+from repro.tensor.conv_ops import conv_output_hw
+
+from tests.helpers import BehaviorLog
+
+ACTIVATION = MemoryCategory.ACTIVATION
+GRADIENT = MemoryCategory.ACTIVATION_GRADIENT
 
 
-def reference_conv2d(x, w, b, stride, padding):
-    """Direct (slow) convolution used as the numerical reference."""
-    batch, _, height, width = x.shape
-    out_channels, _, kh, kw = w.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    out_h = (height + 2 * padding - kh) // stride + 1
-    out_w = (width + 2 * padding - kw) // stride + 1
-    out = np.zeros((batch, out_channels, out_h, out_w), dtype=np.float32)
-    for n in range(batch):
-        for o in range(out_channels):
-            for i in range(out_h):
-                for j in range(out_w):
-                    window = padded[n, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
-                    out[n, o, i, j] = (window * w[o]).sum()
-            if b is not None:
-                out[n, o] += b[o]
-    return out
+def operand(device, shape, tag):
+    """An input tensor (its allocation happens before any log attaches)."""
+    return empty(device, shape, tag=tag)
 
 
-# -- im2col -----------------------------------------------------------------------------------
+def priced(device, cost):
+    """The clock advance ``cost`` prices on ``device``."""
+    return device.timing.op_duration_ns(cost)
+
+
+def layout(tensor):
+    return tensor.shape, tensor.dtype, tensor.category
 
 
 def test_conv_output_hw():
@@ -38,36 +41,27 @@ def test_conv_output_hw():
         conv_output_hw(2, 2, 5, 5, 1, 0)
 
 
-def test_im2col_col2im_adjoint_property(rng):
-    """col2im(im2col(x)) sums each input element once per window it appears in."""
-    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
-    cols = im2col(x, 3, 3, 1, 1)
-    ones = np.ones_like(cols)
-    folded = col2im(ones, x.shape, 3, 3, 1, 1)
-    # Interior pixels are covered by 9 windows of a 3x3 kernel with padding 1.
-    assert folded[0, 0, 3, 3] == pytest.approx(9.0)
-    assert folded[0, 0, 0, 0] == pytest.approx(4.0)   # corners by 4
-
-
-def test_im2col_matmul_equals_direct_conv(rng):
-    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-    cols = im2col(x, 3, 3, 1, 1)
-    out = (cols @ w.reshape(4, -1).T).reshape(2, 8, 8, 4).transpose(0, 3, 1, 2)
-    np.testing.assert_allclose(out, reference_conv2d(x, w, None, 1, 1), rtol=1e-4, atol=1e-4)
-
-
 # -- convolution --------------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
-def test_conv2d_forward_matches_reference(test_device, rng, stride, padding):
-    x = from_numpy(test_device, rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
-    w = from_numpy(test_device, rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
-    b = from_numpy(test_device, rng.standard_normal(4).astype(np.float32))
+@pytest.mark.parametrize("stride,padding,out_hw", [(1, 1, 8), (2, 1, 4), (1, 0, 6)])
+def test_conv2d_forward_touches_a_transient_workspace(test_device, stride, padding,
+                                                      out_hw):
+    x = operand(test_device, (2, 3, 8, 8), "x")
+    w = operand(test_device, (4, 3, 3, 3), "w")
+    b = operand(test_device, (4,), "b")
+    log = BehaviorLog(test_device)
     out = C.conv2d_forward(x, w, b, stride=stride, padding=padding)
-    expected = reference_conv2d(x.numpy(), w.numpy(), b.numpy(), stride, padding)
-    np.testing.assert_allclose(out.numpy(), expected, rtol=1e-4, atol=1e-4)
+    op, workspace = "conv2d_forward", "conv2d_forward_workspace"
+    assert log.rows == [
+        ("malloc", "conv_out", None), ("malloc", workspace, None),
+        ("write", workspace, op),
+        ("read", "x", op), ("read", "w", op), ("read", "b", op), ("read", workspace, op),
+        ("write", "conv_out", op), ("free", workspace, None),
+    ]
+    assert layout(out) == ((2, 4, out_hw, out_hw), float32, ACTIVATION)
+    assert log.kernel_ns(op, "conv_out") == priced(
+        test_device, conv2d_cost(2, 3, 4, out_hw, out_hw, 3, 3, itemsize=4, name=op))
 
 
 def test_conv2d_channel_mismatch_raises(test_device):
@@ -77,53 +71,49 @@ def test_conv2d_channel_mismatch_raises(test_device):
         C.conv2d_forward(x, w, None, stride=1, padding=1)
 
 
-def test_conv2d_backward_input_matches_numerical(test_device, rng):
-    x_np = rng.standard_normal((1, 2, 5, 5)).astype(np.float64)
-    w_np = rng.standard_normal((3, 2, 3, 3)).astype(np.float64)
-    grad_np = rng.standard_normal((1, 3, 5, 5)).astype(np.float64)
-
-    def forward(x_values):
-        """Direct float64 convolution contracted with the upstream gradient."""
-        padded = np.pad(x_values, ((0, 0), (0, 0), (1, 1), (1, 1)))
-        out = np.zeros((1, 3, 5, 5), dtype=np.float64)
-        for o in range(3):
-            for i in range(5):
-                for j in range(5):
-                    window = padded[0, :, i:i + 3, j:j + 3]
-                    out[0, o, i, j] = (window * w_np[o]).sum()
-        return (out * grad_np).sum()
-
-    numerical = np.zeros_like(x_np)
-    epsilon = 1e-4
-    for index in np.ndindex(*x_np.shape):
-        plus, minus = x_np.copy(), x_np.copy()
-        plus[index] += epsilon
-        minus[index] -= epsilon
-        numerical[index] = (forward(plus) - forward(minus)) / (2 * epsilon)
-
-    grad_output = from_numpy(test_device, grad_np.astype(np.float32))
-    weight = from_numpy(test_device, w_np.astype(np.float32))
-    grad_input = C.conv2d_backward_input(grad_output, weight, (1, 2, 5, 5), stride=1, padding=1)
-    np.testing.assert_allclose(grad_input.numpy(), numerical, rtol=1e-2, atol=1e-3)
+def test_conv2d_backward_input_allocates_the_input_gradient(test_device):
+    grad_output = operand(test_device, (1, 3, 5, 5), "dy")
+    weight = operand(test_device, (3, 2, 3, 3), "w")
+    log = BehaviorLog(test_device)
+    grad_input = C.conv2d_backward_input(grad_output, weight, (1, 2, 5, 5), stride=1,
+                                         padding=1)
+    op, workspace = "conv2d_backward_input", "conv2d_backward_input_workspace"
+    assert log.rows == [
+        ("malloc", "conv_grad_in", None), ("malloc", workspace, None),
+        ("write", workspace, op),
+        ("read", "dy", op), ("read", "w", op), ("read", workspace, op),
+        ("write", "conv_grad_in", op), ("free", workspace, None),
+    ]
+    assert layout(grad_input) == ((1, 2, 5, 5), float32, GRADIENT)
+    assert log.kernel_ns(op, "conv_grad_in") == priced(
+        test_device, conv2d_cost(1, 2, 3, 5, 5, 3, 3, itemsize=4, name=op))
 
 
-def test_conv2d_backward_params_accumulates(test_device, rng):
-    x = from_numpy(test_device, rng.standard_normal((2, 2, 6, 6)).astype(np.float32))
-    grad_out = from_numpy(test_device, rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
-    grad_w = zeros(test_device, (3, 2, 3, 3))
-    grad_b = zeros(test_device, (3,))
+def test_conv2d_backward_params_accumulates_in_place(test_device):
+    x = operand(test_device, (2, 2, 6, 6), "x")
+    grad_out = operand(test_device, (2, 3, 6, 6), "dy")
+    grad_w = operand(test_device, (3, 2, 3, 3), "dw")
+    grad_b = operand(test_device, (3,), "db")
+    log = BehaviorLog(test_device)
     C.conv2d_backward_params(x, grad_out, grad_w, grad_b, stride=1, padding=1)
-    first_pass = grad_w.numpy().copy()
     C.conv2d_backward_params(x, grad_out, grad_w, grad_b, stride=1, padding=1)
-    np.testing.assert_allclose(grad_w.numpy(), 2 * first_pass, rtol=1e-4)
-    np.testing.assert_allclose(grad_b.numpy(), 2 * grad_out.numpy().sum(axis=(0, 2, 3)),
-                               rtol=1e-4)
+    weight, bias = "conv2d_backward_weight", "conv2d_backward_bias"
+    workspace = "conv2d_backward_weight_workspace"
+    once = [
+        ("malloc", workspace, None), ("write", workspace, weight),
+        ("read", "x", weight), ("read", "dy", weight), ("read", "dw", weight),
+        ("read", workspace, weight), ("write", "dw", weight), ("free", workspace, None),
+        ("read", "dy", bias), ("read", "db", bias), ("write", "db", bias),
+    ]
+    assert log.rows == once + once
+    assert log.kernel_ns(bias, "db") == priced(
+        test_device, elementwise_cost(216, n_inputs=2, itemsize=4, name=bias))
 
 
-def test_conv2d_workspace_is_freed(test_device, rng):
+def test_conv2d_workspace_is_freed(test_device):
     allocated_before = test_device.allocated_bytes
-    x = from_numpy(test_device, rng.standard_normal((1, 3, 8, 8)).astype(np.float32))
-    w = from_numpy(test_device, rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+    x = operand(test_device, (1, 3, 8, 8), "x")
+    w = operand(test_device, (4, 3, 3, 3), "w")
     out = C.conv2d_forward(x, w, None, stride=1, padding=1)
     # Only x, w and the output should remain allocated (workspace freed).
     expected_live = x.nbytes + w.nbytes + out.nbytes
@@ -133,100 +123,114 @@ def test_conv2d_workspace_is_freed(test_device, rng):
 # -- pooling -------------------------------------------------------------------------------------
 
 
-def test_maxpool_forward_and_backward(test_device):
-    x_np = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
-    x = from_numpy(test_device, x_np)
+def test_maxpool_saves_indices_for_backward(test_device):
+    x = operand(test_device, (1, 1, 4, 4), "x")
+    grad = operand(test_device, (1, 1, 2, 2), "dy")
+    log = BehaviorLog(test_device)
     out, indices = C.maxpool2d_forward(x, kernel=2, stride=2)
-    np.testing.assert_allclose(out.numpy(), [[[[5, 7], [13, 15]]]])
-    grad = from_numpy(test_device, np.ones((1, 1, 2, 2), dtype=np.float32))
     grad_x = C.maxpool2d_backward(grad, indices, x.shape, kernel=2, stride=2)
-    expected = np.zeros((1, 1, 4, 4), dtype=np.float32)
-    expected[0, 0, 1, 1] = expected[0, 0, 1, 3] = 1
-    expected[0, 0, 3, 1] = expected[0, 0, 3, 3] = 1
-    np.testing.assert_allclose(grad_x.numpy(), expected)
+    forward, backward = "maxpool2d_forward", "maxpool2d_backward"
+    assert log.rows == [
+        ("malloc", "maxpool_out", None), ("malloc", "maxpool_out_indices", None),
+        ("read", "x", forward), ("write", "maxpool_out", forward),
+        ("write", "maxpool_out_indices", forward),
+        ("malloc", "maxpool_grad_in", None), ("read", "dy", backward),
+        ("read", "maxpool_out_indices", backward), ("write", "maxpool_grad_in", backward),
+    ]
+    assert layout(out) == ((1, 1, 2, 2), float32, ACTIVATION)
+    assert layout(indices) == ((1, 1, 2, 2), float32, ACTIVATION)
+    assert layout(grad_x) == ((1, 1, 4, 4), float32, GRADIENT)
 
 
 def test_avgpool_forward_and_backward(test_device):
-    x = from_numpy(test_device, np.ones((1, 2, 4, 4), dtype=np.float32))
+    x = operand(test_device, (1, 2, 4, 4), "x")
+    grad = operand(test_device, (1, 2, 2, 2), "dy")
+    log = BehaviorLog(test_device)
     out = C.avgpool2d_forward(x, kernel=2, stride=2)
-    np.testing.assert_allclose(out.numpy(), np.ones((1, 2, 2, 2)))
-    grad = from_numpy(test_device, np.ones((1, 2, 2, 2), dtype=np.float32))
     grad_x = C.avgpool2d_backward(grad, x.shape, kernel=2, stride=2)
-    np.testing.assert_allclose(grad_x.numpy(), np.full((1, 2, 4, 4), 0.25))
+    assert log.rows == [
+        ("malloc", "avgpool_out", None), ("read", "x", "avgpool2d_forward"),
+        ("write", "avgpool_out", "avgpool2d_forward"),
+        ("malloc", "avgpool_grad_in", None), ("read", "dy", "avgpool2d_backward"),
+        ("write", "avgpool_grad_in", "avgpool2d_backward"),
+    ]
+    assert layout(out) == ((1, 2, 2, 2), float32, ACTIVATION)
+    assert layout(grad_x) == ((1, 2, 4, 4), float32, GRADIENT)
 
 
-def test_global_avg_pool(test_device, rng):
-    x_np = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
-    x = from_numpy(test_device, x_np)
+def test_global_avg_pool(test_device):
+    x = operand(test_device, (2, 3, 5, 5), "x")
+    grad = operand(test_device, (2, 3, 1, 1), "dy")
+    log = BehaviorLog(test_device)
     out = C.global_avg_pool_forward(x)
-    np.testing.assert_allclose(out.numpy(), x_np.mean(axis=(2, 3), keepdims=True), rtol=1e-5)
-    grad = from_numpy(test_device, np.ones((2, 3, 1, 1), dtype=np.float32))
     grad_x = C.global_avg_pool_backward(grad, x.shape)
-    np.testing.assert_allclose(grad_x.numpy(), np.full(x_np.shape, 1.0 / 25), rtol=1e-5)
+    forward, backward = "global_avg_pool_forward", "global_avg_pool_backward"
+    assert log.rows == [
+        ("malloc", "gap_out", None), ("read", "x", forward), ("write", "gap_out", forward),
+        ("malloc", "gap_grad_in", None), ("read", "dy", backward),
+        ("write", "gap_grad_in", backward),
+    ]
+    assert layout(out) == ((2, 3, 1, 1), float32, ACTIVATION)
+    assert layout(grad_x) == ((2, 3, 5, 5), float32, GRADIENT)
+    assert log.kernel_ns(backward, "gap_grad_in") == priced(
+        test_device, elementwise_cost(150, n_inputs=1, itemsize=4, name=backward))
 
 
 # -- batch normalization -----------------------------------------------------------------------------
 
 
-def test_batchnorm_forward_normalizes_channels(test_device, rng):
-    x_np = rng.standard_normal((8, 4, 6, 6)).astype(np.float32) * 3 + 2
-    x = from_numpy(test_device, x_np)
-    gamma = full(test_device, (4,), 1.0)
-    beta = zeros(test_device, (4,))
-    running_mean = zeros(test_device, (4,))
-    running_var = full(test_device, (4,), 1.0)
+def _batchnorm_operands(device, channels):
+    return (operand(device, (8, channels, 6, 6), "x"), operand(device, (channels,), "gamma"),
+            operand(device, (channels,), "beta"), operand(device, (channels,), "mean"),
+            operand(device, (channels,), "var"))
+
+
+def test_batchnorm_forward_saves_statistics_and_updates_running_ones(test_device):
+    x, gamma, beta, running_mean, running_var = _batchnorm_operands(test_device, 4)
+    log = BehaviorLog(test_device)
     out, save_mean, save_invstd = C.batchnorm2d_forward(
-        x, gamma, beta, running_mean, running_var, momentum=0.1, eps=1e-5, training=True)
-    values = out.numpy()
-    np.testing.assert_allclose(values.mean(axis=(0, 2, 3)), np.zeros(4), atol=1e-4)
-    np.testing.assert_allclose(values.std(axis=(0, 2, 3)), np.ones(4), atol=1e-3)
-    # Running statistics moved toward the batch statistics.
-    assert not np.allclose(running_mean.numpy(), np.zeros(4))
-    np.testing.assert_allclose(save_mean.numpy(), x_np.mean(axis=(0, 2, 3)), rtol=1e-4)
+        x, gamma, beta, running_mean, running_var, training=True)
+    op = "batchnorm2d_forward"
+    assert log.rows == [
+        ("malloc", "bn_out", None), ("malloc", "bn_out_mean", None),
+        ("malloc", "bn_out_invstd", None),
+        ("read", "x", op), ("read", "gamma", op), ("read", "beta", op),
+        ("write", "bn_out", op), ("write", "bn_out_mean", op),
+        ("write", "bn_out_invstd", op),
+        ("read", "mean", op), ("read", "var", op), ("write", "mean", op),
+        ("write", "var", op),
+    ]
+    assert layout(out) == ((8, 4, 6, 6), float32, ACTIVATION)
+    assert layout(save_mean) == layout(save_invstd) == ((4,), float32, ACTIVATION)
+    assert log.kernel_ns(op, "bn_out") == priced(
+        test_device, elementwise_cost(1152, n_inputs=2, flops_per_element=5.0,
+                                      itemsize=4, name="batchnorm2d"))
 
 
-def test_batchnorm_eval_uses_running_stats(test_device, rng):
-    x = from_numpy(test_device, rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
-    gamma = full(test_device, (2,), 1.0)
-    beta = zeros(test_device, (2,))
-    running_mean = zeros(test_device, (2,))
-    running_var = full(test_device, (2,), 1.0)
-    out, _, _ = C.batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
-                                      momentum=0.1, eps=0.0, training=False)
-    np.testing.assert_allclose(out.numpy(), x.numpy(), rtol=1e-4)
+def test_batchnorm_eval_leaves_running_stats_untouched(test_device):
+    x, gamma, beta, running_mean, running_var = _batchnorm_operands(test_device, 2)
+    log = BehaviorLog(test_device)
+    C.batchnorm2d_forward(x, gamma, beta, running_mean, running_var, training=False)
+    assert not [row for row in log.rows if row[1] in ("mean", "var")]
 
 
-def test_batchnorm_backward_matches_numerical(test_device, rng):
-    x_np = rng.standard_normal((3, 2, 4, 4)).astype(np.float64)
-    gamma_np = rng.standard_normal(2).astype(np.float64)
-    grad_np = rng.standard_normal((3, 2, 4, 4)).astype(np.float64)
-    eps = 1e-5
-
-    def forward(values):
-        mean = values.mean(axis=(0, 2, 3), keepdims=True)
-        var = values.var(axis=(0, 2, 3), keepdims=True)
-        x_hat = (values - mean) / np.sqrt(var + eps)
-        return (x_hat * gamma_np[None, :, None, None] * grad_np).sum()
-
-    numerical = np.zeros_like(x_np)
-    epsilon = 1e-5
-    for index in np.ndindex(*x_np.shape):
-        plus, minus = x_np.copy(), x_np.copy()
-        plus[index] += epsilon
-        minus[index] -= epsilon
-        numerical[index] = (forward(plus) - forward(minus)) / (2 * epsilon)
-
-    x = from_numpy(test_device, x_np.astype(np.float32))
-    gamma = from_numpy(test_device, gamma_np.astype(np.float32))
-    beta = zeros(test_device, (2,))
-    running_mean = zeros(test_device, (2,))
-    running_var = full(test_device, (2,), 1.0)
-    out, save_mean, save_invstd = C.batchnorm2d_forward(
-        x, gamma, beta, running_mean, running_var, momentum=0.1, eps=eps, training=True)
-    grad_out = from_numpy(test_device, grad_np.astype(np.float32))
-    grad_gamma = zeros(test_device, (2,))
-    grad_beta = zeros(test_device, (2,))
+def test_batchnorm_backward_accumulates_gamma_and_beta_grads(test_device):
+    x, gamma, beta, running_mean, running_var = _batchnorm_operands(test_device, 2)
+    _, save_mean, save_invstd = C.batchnorm2d_forward(
+        x, gamma, beta, running_mean, running_var, training=True)
+    grad_out = operand(test_device, x.shape, "dy")
+    grad_gamma = operand(test_device, (2,), "dgamma")
+    grad_beta = operand(test_device, (2,), "dbeta")
+    log = BehaviorLog(test_device)
     grad_x = C.batchnorm2d_backward(grad_out, x, gamma, save_mean, save_invstd,
                                     grad_gamma, grad_beta)
-    np.testing.assert_allclose(grad_x.numpy(), numerical, rtol=1e-2, atol=1e-3)
-    np.testing.assert_allclose(grad_beta.numpy(), grad_np.sum(axis=(0, 2, 3)), rtol=1e-3)
+    op = "batchnorm2d_backward"
+    assert log.rows == [
+        ("malloc", "bn_grad_in", None),
+        ("read", "dy", op), ("read", "x", op), ("read", "gamma", op),
+        ("read", "bn_out_mean", op), ("read", "bn_out_invstd", op),
+        ("write", "bn_grad_in", op),
+        ("read", "dgamma", op), ("read", "dbeta", op), ("write", "dgamma", op),
+        ("write", "dbeta", op),
+    ]
+    assert layout(grad_x) == ((8, 2, 6, 6), float32, GRADIENT)

@@ -13,12 +13,12 @@ def test_device_defaults_to_titan_x_and_caching_allocator():
     device = Device()
     assert "Titan X" in device.spec.name
     assert device.allocator.name == "caching"
-    assert device.is_eager
+    assert device.default_dtype.name == "float32"
 
 
-def test_device_rejects_unknown_execution_mode():
-    with pytest.raises(ConfigurationError):
-        Device(small_test_device(), execution_mode="magic")
+def test_device_rejects_a_non_float_training_dtype():
+    with pytest.raises(ConfigurationError, match="floating-point"):
+        Device(small_test_device(), default_dtype="int64")
 
 
 def test_allocate_and_free_update_stats(test_device):
@@ -82,6 +82,3 @@ def test_work_runs_in_order_on_the_clock(test_device):
     durations.append(test_device.copy_device_to_host(2 * MIB))
     assert test_device.clock.now_ns == before + sum(durations) + 500
 
-
-def test_virtual_device_is_not_eager(virtual_device):
-    assert not virtual_device.is_eager

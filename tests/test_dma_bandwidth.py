@@ -12,7 +12,7 @@ from repro.units import MIB
 
 @pytest.fixture
 def device():
-    return Device(titan_x_pascal(), execution_mode="symbolic")
+    return Device(titan_x_pascal())
 
 
 def test_synchronous_copy_advances_clock(device):

@@ -5,9 +5,11 @@ import pytest
 
 from repro.core.events import MemoryCategory
 from repro.device import CountingListener
-from repro.errors import DTypeError, MaterializationError, TensorError
+from repro.errors import DTypeError, TensorError
 from repro.tensor.dtype import all_dtypes, float32, from_numpy_dtype, get_dtype, int64
 from repro.tensor.storage import DeviceStorage
+
+from tests.helpers import BehaviorLog
 
 
 # -- dtypes ---------------------------------------------------------------------------
@@ -45,22 +47,12 @@ def test_storage_allocates_device_block(test_device):
     assert test_device.allocated_bytes >= 400
 
 
-def test_storage_eager_buffer_and_set(test_device):
-    storage = DeviceStorage(test_device, numel=4, dtype=float32)
-    assert storage.is_materialized
-    storage.set_buffer(np.array([1.0, 2.0, 3.0, 4.0]))
-    np.testing.assert_allclose(storage.buffer(), [1, 2, 3, 4])
-    with pytest.raises(TensorError):
-        storage.set_buffer(np.zeros(5))
-
-
-def test_storage_virtual_has_no_buffer(virtual_device):
-    storage = DeviceStorage(virtual_device, numel=10)
-    assert not storage.is_materialized
-    with pytest.raises(MaterializationError):
-        storage.buffer()
-    # Setting values on a virtual storage is silently dropped.
-    storage.set_buffer(np.zeros(10))
+def test_a_storage_records_its_malloc_and_free_and_nothing_else(test_device):
+    log = BehaviorLog(test_device)
+    storage = DeviceStorage(test_device, numel=4, dtype=float32, tag="x")
+    assert log.rows == [("malloc", "x", None)]
+    storage.free()
+    assert log.rows == [("malloc", "x", None), ("free", "x", None)]
 
 
 def test_storage_refcounting_frees_at_zero(test_device):

@@ -34,4 +34,3 @@ def test_trace_errors_subclass_trace_error():
 def test_tensor_errors_subclass_tensor_error():
     assert issubclass(errors.ShapeError, errors.TensorError)
     assert issubclass(errors.DTypeError, errors.TensorError)
-    assert issubclass(errors.MaterializationError, errors.TensorError)

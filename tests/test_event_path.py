@@ -52,7 +52,7 @@ ENGINE_KINDS = {MemoryEventKind.SWAP_OUT, MemoryEventKind.SWAP_IN,
 
 
 def _config(structure, **overrides):
-    return TrainingRunConfig(**{"iterations": 3, "execution_mode": "symbolic",
+    return TrainingRunConfig(**{"iterations": 3,
                                 "seed": 3, **STRUCTURES[structure], **overrides})
 
 
@@ -274,7 +274,7 @@ def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(mon
         return original(recorder, block, nbytes, op)
 
     monkeypatch.setattr(TraceRecorder, "on_read", traced)
-    device = Device(small_test_device(), execution_mode="symbolic")
+    device = Device(small_test_device())
     with MemoryProfiler(device) as profiler:
         a = randn(device, (4, 4))
         F.matmul(a, a)

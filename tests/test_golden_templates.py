@@ -61,8 +61,7 @@ def template_digest(template):
 @pytest.mark.parametrize("label", sorted(GOLDEN))
 def test_captured_template_bytes_are_pinned(label):
     overrides, tape_len, expected = GOLDEN[label]
-    config = TrainingRunConfig(**{"iterations": 2, "execution_mode": "symbolic",
-                                  "seed": 3, **overrides})
+    config = TrainingRunConfig(**{"iterations": 2, "seed": 3, **overrides})
     template = ReplayEngine().template_for(config)
     assert template is not None
     assert len(template.ranks[0].tape_kind) == tape_len

@@ -1,8 +1,5 @@
 """End-to-end integration tests crossing every subsystem."""
 
-import numpy as np
-import pytest
-
 from repro.core import (
     MemoryEventKind,
     analyze_fragmentation,
@@ -18,8 +15,8 @@ from repro.train.session import TrainingRunConfig, run_training_session
 from repro.viz import render_gantt, render_stacked_bars
 
 
-def test_full_pipeline_on_shared_eager_session(small_mlp_session):
-    """Every paper analysis runs on one real eager training trace."""
+def test_full_pipeline_on_shared_session(small_mlp_session):
+    """Every paper analysis runs on one training trace."""
     trace = small_mlp_session.trace
     assert len(trace) > 100
 
@@ -49,16 +46,10 @@ def test_full_pipeline_on_shared_eager_session(small_mlp_session):
     assert len(render_gantt(chart).splitlines()) > 5
 
 
-def test_losses_decrease_in_shared_session(small_mlp_session):
-    losses = [loss for loss in small_mlp_session.losses() if loss is not None]
-    assert len(losses) == 5
-    assert losses[-1] < losses[0]
-
-
 def test_trace_is_reproducible_for_identical_configs():
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 16},
                                dataset="two_cluster", batch_size=8, iterations=2,
-                               execution_mode="eager", seed=3)
+                               seed=3)
     first = run_training_session(config)
     second = run_training_session(config)
     assert len(first.trace) == len(second.trace)
@@ -67,23 +58,10 @@ def test_trace_is_reproducible_for_identical_configs():
     assert first_kinds == second_kinds
     assert [event.size for event in first.trace.events] == \
         [event.size for event in second.trace.events]
-    assert first.losses() == pytest.approx(second.losses())
-
-
-def test_virtual_and_eager_modes_produce_equivalent_memory_behavior():
-    """Memory behavior is shape-dependent, so both modes yield the same stream."""
-    base = dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
-                batch_size=32, iterations=2, seed=0)
-    eager = run_training_session(TrainingRunConfig(execution_mode="eager", **base))
-    virtual = run_training_session(TrainingRunConfig(execution_mode="symbolic", **base))
-    eager_stream = [(e.kind, e.size, e.category) for e in eager.trace.events]
-    virtual_stream = [(e.kind, e.size, e.category) for e in virtual.trace.events]
-    assert eager_stream == virtual_stream
 
 
 def test_convnet_session_has_workspace_and_conv_behaviors():
-    config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2,
-                               execution_mode="symbolic")
+    config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2)
     result = run_training_session(config)
     ops = {event.op for event in result.trace.events if event.op}
     assert "conv2d_forward" in ops
@@ -111,7 +89,7 @@ def test_outliers_scale_with_batch_size():
     def largest_idle_block(batch_size):
         config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 2048},
                                    dataset="two_cluster", batch_size=batch_size,
-                                   iterations=3, execution_mode="symbolic")
+                                   iterations=3)
         result = run_training_session(config)
         intervals = compute_access_intervals(result.trace)
         report = find_outliers(intervals, ati_threshold_ns=1_000_000,

@@ -6,7 +6,6 @@ optimizer follows the AMP recipe — float32 master weights plus float32 state
 buffers, both living in the ``optimizer_state`` category.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.events import MemoryCategory
@@ -15,21 +14,23 @@ from repro.nn import SGD, Adam, Linear
 from repro.tensor.dtype import float16, float32
 from repro.train.session import TrainingRunConfig, run_training_session
 
+from tests.helpers import BehaviorLog
+
 
 @pytest.fixture
 def half_device():
-    """A tiny eager device whose default training dtype is float16."""
-    return Device(small_test_device(), execution_mode="eager", default_dtype="float16")
+    """A tiny device whose default training dtype is float16."""
+    return Device(small_test_device(), default_dtype="float16")
 
 
 def _step_once(optimizer, layer):
-    layer.weight.ensure_grad().set_data(np.ones(layer.weight.numel))
-    layer.bias.ensure_grad().set_data(np.ones(layer.bias.numel))
+    layer.weight.ensure_grad()
+    layer.bias.ensure_grad()
     optimizer.step()
 
 
-def test_fp16_sgd_keeps_fp32_momentum_and_master_weights(half_device, rng):
-    layer = Linear(half_device, 4, 3, rng=rng)
+def test_fp16_sgd_keeps_fp32_momentum_and_master_weights(half_device):
+    layer = Linear(half_device, 4, 3)
     assert layer.weight.data.dtype is float16
     optimizer = SGD(layer.parameters(), lr=0.1, momentum=0.9)
     _step_once(optimizer, layer)
@@ -52,8 +53,8 @@ def test_fp16_sgd_keeps_fp32_momentum_and_master_weights(half_device, rng):
     assert optimizer.master_weight_bytes() == 4 * elements
 
 
-def test_fp16_adam_moments_are_fp32(half_device, rng):
-    layer = Linear(half_device, 4, 3, rng=rng)
+def test_fp16_adam_moments_are_fp32(half_device):
+    layer = Linear(half_device, 4, 3)
     optimizer = Adam(layer.parameters(), lr=1e-3)
     _step_once(optimizer, layer)
     for store in (optimizer._exp_avg, optimizer._exp_avg_sq):
@@ -64,8 +65,8 @@ def test_fp16_adam_moments_are_fp32(half_device, rng):
     assert optimizer.state_bytes() == 3 * 4 * elements
 
 
-def test_fp32_training_allocates_no_master_weights(test_device, rng):
-    layer = Linear(test_device, 4, 3, rng=rng)
+def test_fp32_training_allocates_no_master_weights(test_device):
+    layer = Linear(test_device, 4, 3)
     optimizer = SGD(layer.parameters(), lr=0.1, momentum=0.9)
     _step_once(optimizer, layer)
     assert optimizer._master_weights == {}
@@ -74,21 +75,24 @@ def test_fp32_training_allocates_no_master_weights(test_device, rng):
         assert buffer.dtype is float32  # parameters already fp32
 
 
-def test_fp16_master_update_flows_through_the_master_copy(half_device, rng):
-    """The update must be applied in fp32 and downcast into the fp16 weights."""
-    layer = Linear(half_device, 2, 2, rng=rng)
+def test_fp16_master_update_flows_through_the_master_copy(half_device):
+    """The update reads and writes the fp32 master, then downcasts it into the
+    fp16 weights; the master copy is made from the weights on first use."""
+    layer = Linear(half_device, 2, 2, bias=False, name="fc")
     optimizer = SGD(layer.parameters(), lr=0.5)
-    before = layer.weight.values().astype(np.float32).copy()
-    layer.weight.ensure_grad().set_data(np.ones(layer.weight.numel))
-    layer.bias.ensure_grad().set_data(np.zeros(layer.bias.numel))
+    layer.weight.ensure_grad()
+    log = BehaviorLog(half_device)
     optimizer.step()
-    master = optimizer._master_weights[0]
-    np.testing.assert_allclose(master.numpy().reshape(-1),
-                               before.reshape(-1) - 0.5, rtol=1e-3)
-    # The fp16 copy tracks the downcast master.
-    np.testing.assert_allclose(
-        layer.weight.values().astype(np.float32).reshape(-1),
-        master.numpy().reshape(-1), rtol=1e-3)
+    optimizer.step()
+    first_step = [
+        ("malloc", "fc.weight.master", None),
+        ("read", "fc.weight", "master_init"), ("write", "fc.weight.master", "master_init"),
+        ("read", "fc.weight.master", "sgd_step"), ("read", "fc.weight.grad", "sgd_step"),
+        ("write", "fc.weight.master", "sgd_step"),
+        ("read", "fc.weight.master", "master_downcast"),
+        ("write", "fc.weight", "master_downcast"),
+    ]
+    assert log.rows == first_step + first_step[3:]
 
 
 def test_fp16_session_breakdown_carries_fp32_optimizer_state():
@@ -96,7 +100,7 @@ def test_fp16_session_breakdown_carries_fp32_optimizer_state():
     def run(dtype):
         config = TrainingRunConfig(
             model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
-            iterations=2, dtype=dtype, execution_mode="symbolic")
+            iterations=2, dtype=dtype)
         return run_training_session(config)
 
     half, full = run("float16"), run("float32")

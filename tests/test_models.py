@@ -1,6 +1,5 @@
 """Tests for the model zoo."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -16,21 +15,21 @@ from repro.models import (
     register_model,
     vgg11,
 )
-from repro.tensor import from_numpy
+from repro.tensor import empty
 
 
-def forward_backward(device, model, batch, in_shape, num_classes, rng):
+def forward_backward(device, model, batch, in_shape, num_classes):
     """Run one forward and backward pass and return the logits shape."""
-    x = from_numpy(device, rng.standard_normal((batch,) + in_shape).astype(np.float32))
+    x = empty(device, (batch,) + in_shape)
     logits = model(x)
-    grad = from_numpy(device, rng.standard_normal(logits.shape).astype(np.float32))
+    grad = empty(device, logits.shape)
     grad_x = model.backward(grad)
     assert grad_x.shape == x.shape
     return logits.shape
 
 
-def test_paper_mlp_matches_figure_one_shapes(virtual_device):
-    model = paper_mlp(virtual_device)
+def test_paper_mlp_matches_figure_one_shapes(titan_device):
+    model = paper_mlp(titan_device)
     shapes = {name: param.shape for name, param in model.named_parameters()}
     assert shapes["layer0.weight"] == (2, 12288)
     assert shapes["layer0.bias"] == (12288,)
@@ -39,14 +38,14 @@ def test_paper_mlp_matches_figure_one_shapes(virtual_device):
     assert model.parameter_count() == 2 * 12288 + 12288 + 12288 * 2 + 2
 
 
-def test_small_mlp_forward_backward(test_device, rng):
-    model = MLP(test_device, hidden_dim=32, rng=rng)
-    assert forward_backward(test_device, model, 8, (2,), 2, rng) == (8, 2)
+def test_small_mlp_forward_backward(test_device):
+    model = MLP(test_device, hidden_dim=32)
+    assert forward_backward(test_device, model, 8, (2,), 2) == (8, 2)
 
 
-def test_lenet5_forward_backward(test_device, rng):
-    model = LeNet5(test_device, rng=rng)
-    assert forward_backward(test_device, model, 4, (1, 28, 28), 10, rng) == (4, 10)
+def test_lenet5_forward_backward(test_device):
+    model = LeNet5(test_device)
+    assert forward_backward(test_device, model, 4, (1, 28, 28), 10) == (4, 10)
 
 
 def test_lenet5_rejects_tiny_inputs(test_device):
@@ -54,39 +53,39 @@ def test_lenet5_rejects_tiny_inputs(test_device):
         LeNet5(test_device, input_size=8)
 
 
-def test_alexnet_cifar_forward_backward(test_device, rng):
-    model = AlexNet(test_device, num_classes=10, input_size=32, rng=rng)
-    assert forward_backward(test_device, model, 2, (3, 32, 32), 10, rng) == (2, 10)
+def test_alexnet_cifar_forward_backward(test_device):
+    model = AlexNet(test_device, num_classes=10, input_size=32)
+    assert forward_backward(test_device, model, 2, (3, 32, 32), 10) == (2, 10)
 
 
-def test_alexnet_imagenet_parameter_count(virtual_device, rng):
-    model = AlexNet(virtual_device, num_classes=1000, input_size=224, rng=rng)
+def test_alexnet_imagenet_parameter_count(titan_device):
+    model = AlexNet(titan_device, num_classes=1000, input_size=224)
     # Torchvision AlexNet has ~61.1M parameters.
     assert model.parameter_count() == pytest.approx(61_100_840, rel=0.01)
 
 
-def test_vgg11_builds_with_cifar_inputs(virtual_device, rng):
-    model = vgg11(virtual_device, num_classes=100, input_size=32, rng=rng)
+def test_vgg11_builds_with_cifar_inputs(titan_device):
+    model = vgg11(titan_device, num_classes=100, input_size=32)
     assert model.parameter_count() > 9_000_000
 
 
-def test_inception_forward_backward(test_device, rng):
-    model = SimpleInception(test_device, num_classes=10, input_size=32, rng=rng)
-    assert forward_backward(test_device, model, 2, (3, 32, 32), 10, rng) == (2, 10)
+def test_inception_forward_backward(test_device):
+    model = SimpleInception(test_device, num_classes=10, input_size=32)
+    assert forward_backward(test_device, model, 2, (3, 32, 32), 10) == (2, 10)
 
 
 @pytest.mark.parametrize("depth,expected_millions", [
     ("resnet18", 11.7), ("resnet34", 21.8), ("resnet50", 25.6),
     ("resnet101", 44.5), ("resnet152", 60.2),
 ])
-def test_resnet_parameter_counts_match_reference(virtual_device, rng, depth, expected_millions):
-    model = ResNet(virtual_device, depth, num_classes=1000, input_size=224, rng=rng)
+def test_resnet_parameter_counts_match_reference(titan_device, depth, expected_millions):
+    model = ResNet(titan_device, depth, num_classes=1000, input_size=224)
     assert model.parameter_count() / 1e6 == pytest.approx(expected_millions, rel=0.02)
 
 
-def test_resnet18_cifar_forward_backward(test_device, rng):
-    model = ResNet(test_device, "resnet18", num_classes=10, input_size=32, rng=rng)
-    assert forward_backward(test_device, model, 2, (3, 32, 32), 10, rng) == (2, 10)
+def test_resnet18_cifar_forward_backward(test_device):
+    model = ResNet(test_device, "resnet18", num_classes=10, input_size=32)
+    assert forward_backward(test_device, model, 2, (3, 32, 32), 10) == (2, 10)
 
 
 def test_resnet_unknown_depth_raises(test_device):
@@ -94,34 +93,23 @@ def test_resnet_unknown_depth_raises(test_device):
         ResNet(test_device, "resnet7")
 
 
-def test_registry_lists_and_builds_models(virtual_device):
+def test_registry_lists_and_builds_models(titan_device):
     names = available_models()
     assert "paper_mlp" in names
     assert "resnet152" in names
-    model = build_model("lenet5", virtual_device)
+    model = build_model("lenet5", titan_device)
     assert model.parameter_count() > 0
 
 
-def test_registry_unknown_model_raises(virtual_device):
+def test_registry_unknown_model_raises(titan_device):
     with pytest.raises(ConfigurationError, match="unknown model"):
-        build_model("transformer-9000", virtual_device)
+        build_model("transformer-9000", titan_device)
 
 
-def test_registry_register_custom_model(virtual_device):
+def test_registry_register_custom_model(titan_device):
     register_model("tiny_mlp_for_test", lambda device, **kw: MLP(device, hidden_dim=4, **kw),
                    overwrite=True)
-    model = build_model("tiny_mlp_for_test", virtual_device)
+    model = build_model("tiny_mlp_for_test", titan_device)
     assert model.parameter_count() > 0
     with pytest.raises(ConfigurationError):
         register_model("tiny_mlp_for_test", lambda device, **kw: None)
-
-
-def test_virtual_model_training_step_has_no_values(virtual_device, rng):
-    """Virtual execution builds and traverses models without materializing data."""
-    model = MLP(virtual_device, hidden_dim=128, rng=rng)
-    x = from_numpy(virtual_device, rng.standard_normal((16, 2)).astype(np.float32))
-    logits = model(x)
-    grad = from_numpy(virtual_device, np.ones(logits.shape, dtype=np.float32))
-    grad_x = model.backward(grad)
-    assert grad_x.shape == (16, 2)
-    assert not logits.storage.is_materialized

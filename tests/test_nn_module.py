@@ -1,31 +1,35 @@
 """Tests for the Module base class, Parameter and Sequential."""
 
-import numpy as np
 import pytest
 
+from repro.core.events import MemoryCategory
 from repro.errors import BackwardBeforeForwardError
 from repro.nn import Identity, Linear, Parameter, ReLU, Sequential
 from repro.nn.module import Module
-from repro.tensor import from_numpy, randn
+from repro.tensor import empty, randn
+
+from tests.helpers import BehaviorLog
 
 
 def test_parameter_allocates_and_lazily_creates_grad(test_device):
+    log = BehaviorLog(test_device)
     param = Parameter(test_device, (4, 4), name="w")
     assert param.grad is None
     grad = param.ensure_grad()
-    assert grad.shape == (4, 4)
+    assert (grad.shape, grad.category) == ((4, 4), MemoryCategory.PARAMETER_GRADIENT)
     assert param.ensure_grad() is grad        # idempotent
-    np.testing.assert_allclose(grad.numpy(), np.zeros((4, 4)))
-    param.set_values(np.ones(16))
-    np.testing.assert_allclose(param.values(), np.ones((4, 4)))
+    assert log.rows == [("malloc", "w", None), ("malloc", "w.grad", None),
+                        ("write", "w.grad", "zero_")]
 
 
 def test_parameter_zero_grad_noop_without_grad(test_device):
     param = Parameter(test_device, (2,), name="b")
-    param.zero_grad()                         # no error
-    param.ensure_grad().set_data(np.ones(2))
+    log = BehaviorLog(test_device)
+    param.zero_grad()                         # no error, no behavior
+    assert log.rows == []
+    param.ensure_grad()
     param.zero_grad()
-    np.testing.assert_allclose(param.grad.numpy(), np.zeros(2))
+    assert log.rows[-1] == ("write", "b.grad", "zero_")
 
 
 def test_module_auto_registers_parameters_and_children(test_device):
@@ -78,16 +82,16 @@ def test_saved_unknown_key_raises(test_device):
     assert not module.has_saved("missing")
 
 
-def test_sequential_forward_backward_shapes(test_device, rng):
+def test_sequential_forward_backward_shapes(test_device):
     model = Sequential(test_device, [
-        Linear(test_device, 4, 8, name="fc1", rng=rng),
+        Linear(test_device, 4, 8, name="fc1"),
         ReLU(test_device),
-        Linear(test_device, 8, 2, name="fc2", rng=rng),
+        Linear(test_device, 8, 2, name="fc2"),
     ])
-    x = from_numpy(test_device, rng.standard_normal((5, 4)).astype(np.float32))
+    x = empty(test_device, (5, 4))
     y = model(x)
     assert y.shape == (5, 2)
-    grad = from_numpy(test_device, np.ones((5, 2), dtype=np.float32))
+    grad = empty(test_device, (5, 2))
     grad_x = model.backward(grad)
     assert grad_x.shape == (5, 4)
     for param in model.parameters():
@@ -108,14 +112,14 @@ def test_empty_sequential_is_identity(test_device):
     assert y.storage is x.storage
 
 
-def test_zero_grad_zeroes_existing_gradients(test_device, rng):
-    layer = Linear(test_device, 3, 2, rng=rng)
-    x = from_numpy(test_device, rng.standard_normal((4, 3)).astype(np.float32))
-    y = layer(x)
-    layer.backward(from_numpy(test_device, np.ones((4, 2), dtype=np.float32)))
-    assert np.abs(layer.weight.grad.numpy()).sum() > 0
+def test_zero_grad_zeroes_existing_gradients(test_device):
+    layer = Linear(test_device, 3, 2, name="fc")
+    layer(empty(test_device, (4, 3)))
+    layer.backward(empty(test_device, (4, 2)))
+    log = BehaviorLog(test_device)
     layer.zero_grad()
-    np.testing.assert_allclose(layer.weight.grad.numpy(), np.zeros((3, 2)))
+    assert log.rows == [("write", "fc.weight.grad", "zero_"),
+                        ("write", "fc.bias.grad", "zero_")]
 
 
 def test_module_free_releases_device_memory(test_device):
@@ -155,15 +159,15 @@ def test_every_layer_class_has_a_tag_case():
 
 
 @pytest.mark.parametrize("class_name", sorted(_LAYER_CASES))
-def test_cached_tags_equal_the_per_call_format(virtual_device, class_name):
+def test_cached_tags_equal_the_per_call_format(titan_device, class_name):
     from repro.nn import layers
     kwargs, input_shape = _LAYER_CASES[class_name]
-    layer = getattr(layers, class_name)(virtual_device, name="net.block.layer", **kwargs)
+    layer = getattr(layers, class_name)(titan_device, name="net.block.layer", **kwargs)
     assert layer.out_tag == f"{layer.name}.out" == "net.block.layer.out"
     assert layer.grad_in_tag == f"{layer.name}.grad_in" == "net.block.layer.grad_in"
-    x = randn(virtual_device, input_shape, tag="x")
+    x = randn(titan_device, input_shape, tag="x")
     output = layer(x)
-    grad_output = randn(virtual_device, output.shape, tag="dy")
+    grad_output = randn(titan_device, output.shape, tag="dy")
     grad_input = layer.backward(grad_output)
     # A layer that allocates its result tags it with the cached string itself
     # (Flatten only views its input, so it produces no tagged tensor).

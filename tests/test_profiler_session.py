@@ -1,8 +1,8 @@
 """Tests for the high-level profiler and profiled training sessions."""
 
-import numpy as np
 import pytest
 
+from repro.core.events import MemoryCategory
 from repro.core.profiler import MemoryProfiler
 from repro.errors import ConfigurationError, TraceError
 from repro.tensor import functional as F
@@ -28,7 +28,7 @@ def test_profiler_metadata_includes_device_description(test_device):
     trace = profiler.trace()
     assert trace.metadata["note"] == "hi"
     assert trace.metadata["allocator"] == "caching"
-    assert trace.metadata["execution_mode"] == "eager"
+    assert trace.metadata["device"]["name"] == test_device.spec.name
 
 
 def test_profiler_analysis_shortcuts(small_mlp_session, test_device):
@@ -61,26 +61,28 @@ def test_build_device_applies_capacity_override():
     assert device.spec.memory_capacity == 123456789
 
 
-def test_run_training_session_end_to_end_eager():
+def test_run_training_session_end_to_end():
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
                                dataset="two_cluster", batch_size=16, iterations=3,
-                               execution_mode="eager", label="session-test")
+                               label="session-test")
     result = run_training_session(config)
     assert result.label == "session-test"
     assert len(result.iteration_stats) == 3
-    assert all(loss is not None for loss in result.losses())
     assert result.parameter_count > 0
     assert result.peak_allocated_bytes > 0
     assert result.trace.iterations() == [0, 1, 2]
     assert result.allocator_stats["total_alloc_count"] > 0
 
 
-def test_run_training_session_virtual_adam():
-    config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2,
-                               execution_mode="symbolic", optimizer="adam")
-    result = run_training_session(config)
-    assert all(loss is None for loss in result.losses())
-    assert len(result.trace) > 0
+def test_run_training_session_with_adam_keeps_two_moments_per_parameter():
+    def state_bytes(optimizer):
+        config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8,
+                                   iterations=2, optimizer=optimizer)
+        trace = run_training_session(config).trace
+        return sum(lifetime.size for lifetime in trace.lifetimes
+                   if lifetime.category is MemoryCategory.OPTIMIZER_STATE)
+
+    assert state_bytes("adam") == 2 * state_bytes("sgd") > 0
 
 
 def test_run_training_session_validations():
@@ -113,7 +115,7 @@ def restore_collector():
 
 def _tiny_symbolic_config(**overrides):
     return TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 16}, batch_size=8,
-                             iterations=1, execution_mode="symbolic", **overrides)
+                             iterations=1, **overrides)
 
 
 @pytest.mark.parametrize("enabled_before", [True, False])

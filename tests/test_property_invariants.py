@@ -16,11 +16,11 @@ from repro.tensor import from_numpy
 
 
 def run_tiny_training(hidden_dim, batch_size, iterations):
-    """Train a tiny MLP in virtual mode and return the trace."""
-    device = Device(small_test_device(1 << 30), execution_mode="symbolic")
+    """Train a tiny MLP and return the trace."""
+    device = Device(small_test_device(1 << 30))
     profiler = MemoryProfiler(device)
     with profiler:
-        model = MLP(device, hidden_dim=hidden_dim, rng=np.random.default_rng(0))
+        model = MLP(device, hidden_dim=hidden_dim)
         loss_fn = CrossEntropyLoss(device)
         optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
         rng = np.random.default_rng(0)
@@ -111,7 +111,7 @@ def test_invariants_hold_on_shared_sessions(small_mlp_session, paper_mlp_session
                           st.booleans()), min_size=1, max_size=60))
 def test_device_allocation_roundtrip_property(requests):
     """Allocating and freeing arbitrary sizes always returns to zero allocated bytes."""
-    device = Device(small_test_device(1 << 28), execution_mode="symbolic")
+    device = Device(small_test_device(1 << 28))
     live = []
     for size, free_something in requests:
         if free_something and live:

@@ -54,7 +54,7 @@ def sample_config(rng: random.Random) -> TrainingRunConfig:
         interconnect=rng.choice(INTERCONNECTS),
         host_dispatch_overhead_ns=rng.choice([None, 2_000, 9_000]),
         host_latency=rng.choice([None, HOST_LATENCY]),
-        execution_mode="symbolic", seed=rng.choice([0, 7]),
+        seed=rng.choice([0, 7]),
     )
 
 
@@ -108,7 +108,7 @@ def test_repricing_responds_to_the_timing_axes():
     def total_s(**overrides):
         config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
                                    batch_size=16, iterations=2, n_devices=2,
-                                   execution_mode="symbolic", **overrides)
+                                   **overrides)
         scenario = Scenario(config=config)
         return price_one(engine, scenario)
 
@@ -177,7 +177,7 @@ def multi_rank_config(model, n_devices, batch_size, **fields):
     return TrainingRunConfig(
         model=model, model_kwargs=model_kwargs, dataset=dataset,
         batch_size=batch_size, iterations=2, n_devices=n_devices,
-        execution_mode="symbolic", seed=5, **fields)
+        seed=5, **fields)
 
 
 @settings(max_examples=examples(15), deadline=None)
@@ -275,7 +275,7 @@ def test_memoized_replays_are_deterministic():
     engine = ReplayEngine()
     scenario = Scenario(config=TrainingRunConfig(
         model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=16,
-        iterations=2, execution_mode="symbolic"))
+        iterations=2))
     bandwidths = scenario.resolve_bandwidths()
     first = price_one(engine, scenario, bandwidths).to_dict()
     second = price_one(engine, scenario, bandwidths).to_dict()
@@ -324,7 +324,7 @@ def _structure_template(n_devices, batch_size, host_latency):
         model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
         batch_size=batch_size, iterations=2, n_devices=n_devices,
         host_latency=HOST_LATENCY if host_latency else None,
-        execution_mode="symbolic", seed=5)
+        seed=5)
     return config, ReplayEngine().template_for(config)
 
 

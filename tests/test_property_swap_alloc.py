@@ -170,7 +170,7 @@ allocation_programs = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(program=allocation_programs)
 def test_caching_allocator_conserves_bytes_and_never_overlaps(program):
-    device = Device(small_test_device(1 << 30), execution_mode="symbolic")
+    device = Device(small_test_device(1 << 30))
     live = []
     allocated_total = 0
     for size, frees in program:

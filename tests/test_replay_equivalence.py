@@ -41,7 +41,7 @@ from tests.helpers import price_one, replay_one
 def make_scenario(swap_policy="none", **overrides):
     settings = dict(model="mlp", model_kwargs={"hidden_dim": 32},
                     dataset="two_cluster", batch_size=16, iterations=2,
-                    execution_mode="symbolic", seed=3)
+                    seed=3)
     settings.update(overrides)
     return Scenario(config=TrainingRunConfig(**settings), swap_policy=swap_policy)
 
@@ -136,7 +136,6 @@ def test_stored_template_rebuilds_the_fresh_trace_event_for_event(tmp_path):
 def assert_replayed_trace_is_the_fresh_one(store_dir):
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
                                batch_size=16, iterations=2, n_devices=2,
-                               execution_mode="symbolic",
                                device_spec="v100_sxm2_16gb", seed=3)
     compile_point = TrainingRunConfig(
         **{**config.__dict__, "device_spec": "titan_x_pascal"})
@@ -282,8 +281,6 @@ def test_unified_swap_scenarios_fall_back_to_simulation():
 
 
 def test_compile_declines_out_of_envelope_configs():
-    assert ReplayEngine().template_for(TrainingRunConfig(model="mlp",
-                                              execution_mode="eager")) is None
     assert ReplayEngine().template_for(TrainingRunConfig(model="mlp",
                                               swap="lru")) is None
 
@@ -513,7 +510,7 @@ def test_every_offline_policy_reads_rank_0s_recording_as_its_merged_slice(
     and no policy reads event ids, ``end_ns`` or mark timestamps)."""
     config = TrainingRunConfig(**model, batch_size=batch_size, iterations=2,
                                n_devices=n_devices, dtype=dtype,
-                               execution_mode="symbolic", seed=3)
+                               seed=3)
     session = run_training_session(config)
     own, sliced = session.rank_traces[0], session.trace.for_rank(0)
     bandwidths = BandwidthConfig.from_device_spec(build_cluster(config).device)
@@ -688,11 +685,9 @@ def test_failed_dtype_capture_is_memoized_not_retried():
 
 def test_engine_tallies_fallback_reasons():
     engine = ReplayEngine()
-    swap_on = make_scenario(swap="lru")
-    eager = make_scenario(execution_mode="eager")
-    assert price_one(engine, swap_on) is None
-    assert price_one(engine, eager) is None
-    assert engine.fallback_reasons == {"swap_execution": 1, "eager_mode": 1}
+    for swap in ("lru", "unified"):
+        assert price_one(engine, make_scenario(swap=swap)) is None
+    assert engine.fallback_reasons == {"swap_execution": 2}
 
 
 def test_sweep_surfaces_replay_fallback_reasons():
@@ -738,8 +733,7 @@ def test_ranks_launching_unequal_kernels_before_a_sync_are_declined(monkeypatch)
     result = SweepRunner().run(replay_grid(n_devices=(2,)))
     assert result.replayed == 0
     assert result.replay_fallbacks == {"capture_inconsistent": 4}
-    symbolic = SweepRunner().run(replay_grid(n_devices=(2,),
-                                             execution_mode="symbolic"))
+    symbolic = SweepRunner().run(replay_grid(n_devices=(2,)))
     assert ([comparable(row) for row in result.results]
             == [comparable(row) for row in symbolic.results])
 
@@ -931,10 +925,9 @@ def test_a_dict_valued_latency_model_is_the_dataclass_one():
 
 
 def test_latency_free_template_key_is_the_one_parent_stores_were_written_under():
-    config = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
-                               execution_mode="symbolic")
+    config = TrainingRunConfig(model="mlp", batch_size=32, iterations=2)
     assert template_key(config) == (
-        "23443ef8d49e94727e992ebb7f1bc348fa940c2bf197987523bab9212dbea85d")
+        "9baded31d8bf75bcf1aaec7441d301a8c9767144f6d11dd976e84784607c9cf8")
 
 
 def test_the_reports_comparison_grid_replays_every_row():
@@ -958,15 +951,14 @@ def test_the_reports_comparison_grid_replays_every_row():
 @pytest.mark.parametrize("overrides", [
     {},                                             # in the envelope: rebuilt
     {"n_devices": 2, "device_spec": "v100_sxm2_16gb"},
-    {"execution_mode": "eager", "batch_size": 64},  # outside: simulated
-    {"swap": "lru"},
-], ids=["symbolic", "symbolic-2dev", "eager", "swap-on"])
+    {"swap": "lru"},                                # outside: simulated
+], ids=["symbolic", "symbolic-2dev", "swap-on"])
 def test_runner_trace_is_the_fresh_sessions_trace(overrides):
     scenario = paper_scenario(**overrides)
     runner = SweepRunner()
     assert_same_trace(runner.trace(scenario),
                       run_training_session(scenario.config).trace)
-    in_envelope = "execution_mode" not in overrides and "swap" not in overrides
+    in_envelope = "swap" not in overrides
     assert runner._ensure_replay_engine().templates_compiled == int(in_envelope)
 
 

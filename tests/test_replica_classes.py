@@ -5,9 +5,7 @@ ranks the simulator cannot tell apart — and derives the other ranks from it.
 The oracle here is full materialisation: with the class function patched
 (test-only; there is nothing in ``src/`` to switch) so that every rank is its
 own class, a session must produce exactly what the default one does, down to
-the saved template bytes.  Eager sessions are the standing oracle on the
-other side: their shard *values* differ, so they always materialise every
-rank.
+the saved template bytes.
 """
 
 from __future__ import annotations
@@ -48,8 +46,8 @@ COLUMN_NAMES = tuple(EventColumns.__dataclass_fields__)
 
 
 def make_config(structure, **overrides):
-    return TrainingRunConfig(**{"iterations": 2, "execution_mode": "symbolic",
-                                "seed": 5, **STRUCTURES[structure], **overrides})
+    return TrainingRunConfig(**{"iterations": 2, "seed": 5, **STRUCTURES[structure],
+                                **overrides})
 
 
 @contextmanager
@@ -57,7 +55,7 @@ def every_rank_materialised():
     """Sessions started inside simulate each rank on its own replica."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(session_module, "replica_classes",
-                      lambda batch_size, n_devices, symbolic: list(range(n_devices)))
+                      lambda batch_size, n_devices: list(range(n_devices)))
         yield
 
 
@@ -201,7 +199,7 @@ def test_class_session_equals_the_fully_materialised_one(config, tmp_path_factor
 def test_uneven_shards_yield_two_classes_and_every_rank_trace():
     """Batch 512 on 3 devices shards 171/171/170: ranks 0 ≡ 1 ≠ 2."""
     config = make_config("mlp", batch_size=512, n_devices=3)
-    assert replica_classes(512, 3, symbolic=True) == [171, 171, 170]
+    assert replica_classes(512, 3) == [171, 171, 170]
     group = build_device_group(config)
     assert (group.n_devices, group.n_materialized) == (3, 2)
     assert group.rank_classes == (0, 0, 1)
@@ -223,27 +221,12 @@ def test_conv_nets_on_uneven_shards_equal_full_materialisation(model):
     config = TrainingRunConfig(
         model=model, dataset="cifar10", batch_size=8, iterations=2, n_devices=3,
         model_kwargs={"input_size": 32, "num_classes": 10},
-        execution_mode="symbolic", allocator="best_fit", dtype="float16")
+        allocator="best_fit", dtype="float16")
     default = run_training_session(config)
     with every_rank_materialised():
         oracle = run_training_session(config)
     assert_sessions_equal(default, oracle)
     assert reduced(default) == reduced(oracle)
-
-
-@pytest.mark.parametrize("n_devices", [2, 3])
-def test_eager_sessions_materialise_every_rank(n_devices):
-    """Eager shards differ in value, so eager stays the full-materialisation oracle."""
-    config = make_config("mlp", batch_size=4 * n_devices, n_devices=n_devices,
-                         execution_mode="eager")
-    assert replica_classes(config.batch_size, n_devices, symbolic=False) == list(
-        range(n_devices))
-    group = build_device_group(config)
-    assert group.n_materialized == group.n_devices == n_devices
-    result = run_training_session(config)
-    columns = [trace.columns() for trace in result.rank_traces]
-    assert len({id(cols) for cols in columns}) == n_devices
-    assert all(loss is not None for loss in result.losses())
 
 
 @pytest.mark.parametrize("swap,capacity,error", [

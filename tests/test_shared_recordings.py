@@ -179,9 +179,9 @@ def test_a_retried_first_row_leaves_its_twins_alone(expected, workers):
 
 BOGUS = [
     Scenario(TrainingRunConfig(model="mlp", batch_size=64, iterations=2,
-                               execution_mode="symbolic", swap="teleport")),
+                               swap="teleport")),
     Scenario(TrainingRunConfig(model="mlp", batch_size=64, iterations=2,
-                               execution_mode="symbolic", swap="lru"),
+                               swap="lru"),
              swap_policy="teleport"),
 ]
 

@@ -165,13 +165,12 @@ def test_host_latency_is_named_once_in_replay_the_fingerprints_none_drop():
     from repro.experiments.replay import check_replay_envelope
     reasons = set()
     for config in (TrainingRunConfig(swap="lru"), TrainingRunConfig(),
-                   TrainingRunConfig(execution_mode="symbolic",
-                                     host_latency=HostLatencyModel())):
+                   TrainingRunConfig(host_latency=HostLatencyModel())):
         try:
             check_replay_envelope(config)
         except TemplateError as error:
             reasons.add(error.reason)
-    assert reasons == {"swap_execution", "eager_mode"}
+    assert reasons == {"swap_execution"}
 
 
 TECHNIQUES = ("none", "planner", "swap_advisor", "zero_offload", "recompute",
@@ -527,8 +526,7 @@ def test_replay_follows_a_changed_timing_default(monkeypatch):
     """The latent bug: a default moved in timing.py must move replay with it."""
     from repro.experiments.sweep import Scenario, run_scenario
 
-    scenario = Scenario(TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
-                                          execution_mode="symbolic"))
+    scenario = Scenario(TrainingRunConfig(model="mlp", batch_size=16, iterations=2))
     bandwidths = scenario.resolve_bandwidths()
     before = price_one(ReplayEngine(), scenario, bandwidths)
 
@@ -719,14 +717,13 @@ def test_the_one_row_forms_leave_their_inputs_untouched():
 
 # -- template identity ----------------------------------------------------------------
 
-_BASE = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
-                          execution_mode="symbolic")
+_BASE = TrainingRunConfig(model="mlp", batch_size=32, iterations=2)
 _OTHER_VALUES = {
     "model": "paper_mlp", "model_kwargs": {"hidden_dim": 128}, "dataset": "mnist",
     "dataset_kwargs": {"num_samples": 64}, "batch_size": 48, "iterations": 3,
     "learning_rate": 0.5, "momentum": 0.1, "optimizer": "adam",
     "device_spec": "v100_sxm2_16gb", "dtype": "float16", "allocator": "bump",
-    "execution_mode": "eager", "seed": 9, "host_latency": HostLatencyModel(),
+    "seed": 9, "host_latency": HostLatencyModel(),
     "device_memory_capacity": 1 << 30, "host_dispatch_overhead_ns": 1_300,
     "n_devices": 2, "interconnect": "nvlink2", "allreduce_algorithm": "naive",
     "swap": "lru", "label": "renamed",

@@ -180,7 +180,7 @@ def test_generated_scenarios_move_no_allocation(scenario):
 #: meet at every gradient barrier with different delays.
 UNEVEN = [Scenario(TrainingRunConfig(
     model="resnet18", dataset="cifar10", batch_size=5, iterations=3, n_devices=2,
-    execution_mode="symbolic", swap=swap, device_memory_capacity=capacity,
+    swap=swap, device_memory_capacity=capacity,
     model_kwargs={"input_size": 32, "num_classes": 10}))
     for swap, capacity in (("zero_offload", None), ("lru", 96 * MIB), ("unified", None))]
 
@@ -209,7 +209,7 @@ def test_resident_bytes_follow_the_trace(swap, capacity, width):
 
     config = TrainingRunConfig(
         model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
-        execution_mode="symbolic", swap=swap, device_memory_capacity=capacity,
+        swap=swap, device_memory_capacity=capacity,
         model_kwargs={"hidden_dim": width, "num_hidden_layers": 4})
     with mock.patch.object(SwapExecutor, "end_iteration", end_iteration):
         result = run_training_session(config)

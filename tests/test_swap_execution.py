@@ -16,8 +16,8 @@ Covers, per the subsystem's contract:
   event plumbing, the per-block cheaper-mechanism decisions, the learned
   producer compute times against the offline estimator, and the dominance
   of the unified measured savings over both single-mechanism plans;
-* eager/symbolic equivalence for a swapped scenario and multi-rank
-  (DeviceGroup) execution;
+* multi-rank (DeviceGroup) execution (the swapped runs' traces are pinned
+  by ``tests/test_symbolic_equivalence.py``'s golden digests);
 * the session/sweep/CLI wiring (``config.swap``, the ``swaps`` axis, the
   ``swap_execution`` result payload).
 """
@@ -47,12 +47,10 @@ from repro.swap.executor import overlay
 from repro.train.session import TrainingRunConfig, run_training_session
 
 from tests.helpers import build_trace, recompute_events, swap_events
-from tests.test_symbolic_equivalence import event_stream, lifetime_stream
 
 
 DEEP_MLP = dict(
     model="mlp", dataset="two_cluster", batch_size=2048, iterations=7,
-    execution_mode="symbolic",
     model_kwargs={"hidden_dim": 8192, "num_hidden_layers": 6},
 )
 
@@ -239,7 +237,6 @@ def test_swap_events_carry_policy_and_restore_op():
 def test_lru_keeps_resident_peak_near_budget():
     config = TrainingRunConfig(model="mlp", dataset="two_cluster",
                                batch_size=2048, iterations=6,
-                               execution_mode="symbolic",
                                model_kwargs={"hidden_dim": 4096,
                                              "num_hidden_layers": 4},
                                swap="lru")
@@ -265,7 +262,6 @@ def test_lru_explicit_budget_is_respected():
 
     config = TrainingRunConfig(
         model="mlp", dataset="two_cluster", batch_size=2048, iterations=6,
-        execution_mode="symbolic",
         model_kwargs={"hidden_dim": 4096, "num_hidden_layers": 4})
     recording = run_training_session(config).trace
 
@@ -571,23 +567,7 @@ def test_unified_sweep_row_reports_recompute_columns():
     assert row["peak_resident_mib"] >= 0
 
 
-# -- eager/symbolic equivalence and multi-rank ----------------------------------------
-
-
-EQUIVALENCE_CONFIG = dict(
-    model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
-    swap="zero_offload",
-)
-
-
-def test_swapped_run_eager_symbolic_equivalence():
-    eager = run_training_session(
-        TrainingRunConfig(**EQUIVALENCE_CONFIG, execution_mode="eager"))
-    symbolic = run_training_session(
-        TrainingRunConfig(**EQUIVALENCE_CONFIG, execution_mode="symbolic"))
-    assert event_stream(eager.trace) == event_stream(symbolic.trace)
-    assert lifetime_stream(eager.trace) == lifetime_stream(symbolic.trace)
-    assert eager.swap_execution == symbolic.swap_execution
+# -- multi-rank ------------------------------------------------------------------------
 
 
 def test_multi_rank_swapped_run_merges_and_slices():

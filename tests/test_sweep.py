@@ -23,7 +23,7 @@ from repro.train.session import TrainingRunConfig
 
 
 def tiny_grid(**overrides):
-    """A fast virtual-mode grid used throughout this module."""
+    """A fast grid used throughout this module."""
     settings = dict(
         models=("mlp",),
         batch_sizes=(16, 32),
@@ -104,25 +104,25 @@ def test_axis_table_names_every_sequence_field_of_the_grid_once():
     assert AXES[-1] == ("swap_policies", "swap_policy")   # varies fastest
 
 
-#: ``Scenario.key()`` of the grid below, in expansion order, as the commit
-#: before the axis table (68e6b2c) produced them.
+#: ``Scenario.key()`` of the grid below, in expansion order, under result
+#: schema v8 (one execution mode: ``execution_mode`` left every fingerprint).
 _GOLDEN_KEYS = [
-    "d4cf278847c0b4529ca81b17d70a80b4a7cc4d83cf2264861ac63bde1b0d2156",
-    "e2fff303954ea620f240a8fa7ec511dd0bdc105cf13d9940d5a05a37c577f216",
-    "80fe0b36448b5473cc4497f54d3e47f9425a79c02dfc8d5c1527723b3895e974",
-    "680cb39a199555d4bbe490d41b8275ca7d0932379c9baaa357d7a3c37bb5f788",
-    "98cb0500c8615a12371d64d5a025299d431952dc23e6f7610b8f3ad4d11194f1",
-    "77506ffaa440bbd359fda0be1fe38ec9470c2b3e56998ee4dcc5b9f09aab95ed",
-    "613c9b7e52570c011d53ef7ba2300c14a0a981e7978745d33d198944ad8fb3ac",
-    "9656bf45ef1f17cee50f7da71e69295db5bdc3b17ec59384394cffc4574529eb",
-    "93b354e9c5bcb71fc24c4d84ea7ba27e8f8e487e84998f10dbe0233e91e4e6cc",
-    "9c64a2ac656dda0ac98dbba6640247be745de6c764f0df837674f306980cdfd8",
-    "09d23cfe80fa44c10af9e0ed11d9472ebb70e86122077d079bbe27ef343734e6",
-    "20757d253f06a464646c205dbbb0bb18e2dab9e6b1932ac429be26ce32f0d83a",
-    "28949665531509a4ffcd402130d4a95fa5df3ad91799783cd4745445b267df3e",
-    "5cc10e57cfe7acf0d4bff5ed8011787ffd3845fe899da8dd61b1a8cb0e1fab87",
-    "892e2dc084980092a1f743c65462fc88a63b580185dc38271e96d9784f1e0b3e",
-    "55108661cffa37368b1ef12407920c2cdc10361ef70f6da2b65a934bc60555c8",
+    "c8b1a3080f2b07c33f281658c378d486705b589f6be8f211dae4ccfe3652814c",
+    "52851cd64d34bdfb3a97ecc3515699aaf994aab786dc433c81c42ed8a62355fa",
+    "452ae7b6d2eccbce309295da827d79542f0244042d30ec342abbd382838c2035",
+    "b82587c870e7835a9a4c81a368b74f4900f0fcb66c33aad24897eb7669008b52",
+    "52ed45fa857c3a2719116308a080f0ce9288d1d54ab12d6d755dd45c165572fd",
+    "88fbc195145958ba5ad918f87cbeefe738574c36a0320c8f89964c278b7b66a6",
+    "095a63794082122f20e2d7741ddd88a2605651d5f83f743c129b14ab66e82103",
+    "c1b77cd2726427aa2bedd3abb894e5cbf67fabc515906a833bf96b8e92bb0ace",
+    "03b89e19ffff4136f145193cd8c3e1bb43e1ea94b2f4cbeec37397fe4e3f616b",
+    "c6a1ce98959a57b561bbc89ce14cf196fe689e9cc11c1a7fcac69b05b1500f54",
+    "2c57e1712add7a539b3e5f486f9d7fb9319f8ba285224dd24b7eb94dac6d4a36",
+    "1388eb465d0c49912fcead55646fd95bb863debadfd19d3bed78e01722e905fe",
+    "3c0bdd7191293ff47aeb70c47775a834c34e164daa9effe416de3d9a20d0cb9b",
+    "ac3bb24287cb5e29c6bd262d848e409fe5bda136de57f0eaed60981ba85e751d",
+    "065207b2e5964bb816cf4bbe123d25c9c1f04d734b7051f8ef35600cd0ba9fa2",
+    "182a9ac18fef8daec49086e2804fb28dc0a51a985f68d8dcb7dfea2fb9f7b9b3",
 ]
 
 
@@ -145,7 +145,7 @@ def test_expansion_order_and_keys_match_the_hand_enumerated_grid():
         ("mlp", "caching", "unified", "none"), ("mlp", "caching", "unified", "planner"),
         ("mlp", "bump", "off", "none")]
     first = scenarios[0]
-    assert first.via_replay and first.config.execution_mode == "symbolic"
+    assert first.via_replay
     assert first.config.label == "mlp-batch48-caching"
     assert first.config.model_kwargs is not grid.model_kwargs
 
@@ -157,11 +157,11 @@ def test_grid_rejects_unknown_swap_policy():
 
 def test_scenario_key_ignores_label_but_not_workload():
     config_a = TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
-                                 execution_mode="symbolic", label="a")
+                                 label="a")
     config_b = TrainingRunConfig(model="mlp", batch_size=16, iterations=2,
-                                 execution_mode="symbolic", label="something else")
+                                 label="something else")
     config_c = TrainingRunConfig(model="mlp", batch_size=32, iterations=2,
-                                 execution_mode="symbolic", label="a")
+                                 label="a")
     assert Scenario(config_a).key() == Scenario(config_b).key()
     assert Scenario(config_a).key() != Scenario(config_c).key()
     assert Scenario(config_a, swap_policy="planner").key() != Scenario(config_a).key()
@@ -193,7 +193,7 @@ def _drawn_grids(draw):
         device_memory_capacities=subset([None, 1 << 30]),
         host_dispatch_overheads_ns=subset([None, 250, 11_975]),
         seeds=(draw(st.integers(0, 10**6)),),
-        execution_mode=draw(st.sampled_from(["symbolic", "replay", "eager"])),
+        execution_mode=draw(st.sampled_from(["symbolic", "replay"])),
         model_kwargs=draw(st.sampled_from([{}, {"hidden_dim": 128}])),
         host_latency=draw(st.sampled_from(
             [None, HostLatencyModel(per_batch_ns=1_000_000, per_byte_ns=0.25)])))
@@ -227,7 +227,7 @@ def _drawn_scenarios(draw):
         dataset_kwargs=draw(kwargs), batch_size=pick(8, 8.0),
         iterations=pick(2, 3), learning_rate=draw(st.sampled_from(_TWINS)),
         momentum=pick(0.9, 0, 0.0), dtype=pick("float32", "float16"),
-        execution_mode=pick("symbolic", "eager"), seed=pick(0, 0.0, 7),
+        seed=pick(0, 0.0, 7),
         host_latency=latency, swap=pick("off", "off", "lru"),
         device_spec=pick("titan_x_pascal", "v100_sxm2_16gb"),
         host_dispatch_overhead_ns=pick(None, 250, 250.0, 11_975),
@@ -340,8 +340,7 @@ def test_config_to_dict_matches_dataclasses_asdict():
 
     config = TrainingRunConfig(model="mlp", model_kwargs={"hidden_dim": 32},
                                batch_size=16, iterations=2, dtype="float16",
-                               n_devices=2, host_dispatch_overhead_ns=2_000,
-                               execution_mode="symbolic")
+                               n_devices=2, host_dispatch_overhead_ns=2_000)
     assert config.to_dict() == dataclasses.asdict(config)
     # A mutation of the returned mapping must not leak back into the config.
     config.to_dict()["model_kwargs"]["hidden_dim"] = 64
@@ -482,8 +481,7 @@ def test_failing_scenario_does_not_discard_completed_results(tmp_path):
     good = tiny_grid(batch_sizes=(16,)).expand()
     # lenet5 cannot consume the 2-D two_cluster samples: this scenario raises.
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
-                                            batch_size=16, iterations=2,
-                                            execution_mode="symbolic"))
+                                            batch_size=16, iterations=2))
     with pytest.raises(ReproError):
         runner.run(good + [bad])
     # The good scenario's result survived the failure and is served from cache.
@@ -659,8 +657,7 @@ def test_parallel_failure_keeps_chunkmates_and_reraises(tmp_path):
     cache_dir = tmp_path / "sweeps"
     good = tiny_grid(batch_sizes=(16, 24, 32)).expand()
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
-                                            batch_size=16, iterations=2,
-                                            execution_mode="symbolic"))
+                                            batch_size=16, iterations=2))
     with SweepRunner(cache_dir=cache_dir, workers=2, chunk_size=2) as runner:
         with pytest.raises(ReproError):
             runner.run(good + [bad])
@@ -702,8 +699,7 @@ def test_parallel_failure_carries_worker_traceback(tmp_path):
 
     good = tiny_grid(batch_sizes=(16, 24)).expand()
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
-                                            batch_size=16, iterations=2,
-                                            execution_mode="symbolic"))
+                                            batch_size=16, iterations=2))
     with SweepRunner(workers=2, chunk_size=1) as runner:
         with pytest.raises(ReproError) as caught:
             runner.run(good + [bad])

@@ -1,18 +1,18 @@
-"""Equivalence suite: symbolic execution is event-identical to eager.
+"""Golden digests: the traces simulation records are pinned byte for byte.
 
-The whole point of symbolic mode is that the trace/timing layer is a pure
-function of shapes, never of tensor values — so a symbolic run must produce
-*exactly* the events an eager run of the same configuration produces:
-same kinds, sizes, categories, addresses, iteration attribution, simulated
-timestamps, tags/ops, lifetimes and device ranks.  These tests pin that
-equivalence across models (dense MLP, conv AlexNet, residual ResNet),
-replica counts and training dtypes, so any kernel that accidentally makes
-memory behavior value-dependent (or mode-dependent) fails tier-1
-immediately.
+Memory behavior is a function of shapes, never of tensor values, so the
+simulator computes none: every session records the events, lifetimes,
+iteration marks and end time digested here.  The digests were recorded while
+this suite still held each run event for event to a twin that computed
+every value in NumPy — the configurations are that suite's: dense MLP, conv
+AlexNet, residual ResNet, VGG, Inception, replica counts, training dtypes,
+three swap runs, the integration suite's MLP and the
+mixed-precision pair — so a kernel that changes what a run records fails
+here.
 
 Block ids come from a process-global counter (they are *stable within* a
-session but not across sessions), so the comparison normalizes them to
-first-appearance order before comparing streams.
+session but not across sessions), so the digests normalize them to
+first-appearance order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError, MaterializationError
 from repro.train.session import TrainingRunConfig, run_training_session
 
 from tests.helpers import validating
@@ -73,17 +72,6 @@ def lifetime_stream(trace):
     ]
 
 
-def run_pair(model, model_kwargs, batch_size, n_devices, dtype, iterations=2,
-             dataset="two_cluster"):
-    """Run the same configuration eagerly and symbolically."""
-    base = dict(model=model, model_kwargs=model_kwargs, dataset=dataset,
-                batch_size=batch_size, iterations=iterations,
-                n_devices=n_devices, dtype=dtype, seed=7)
-    eager = run_training_session(TrainingRunConfig(execution_mode="eager", **base))
-    symbolic = run_training_session(TrainingRunConfig(execution_mode="symbolic", **base))
-    return eager, symbolic
-
-
 CASES = [
     # (model, model_kwargs, dataset, batch_size, n_devices, dtype)
     ("mlp", {"hidden_dim": 64}, "two_cluster", 16, 1, "float32"),
@@ -100,121 +88,9 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("model,model_kwargs,dataset,batch_size,n_devices,dtype", CASES)
-def test_symbolic_trace_is_event_identical_to_eager(model, model_kwargs, dataset,
-                                                    batch_size, n_devices, dtype):
-    eager, symbolic = run_pair(model, model_kwargs, batch_size, n_devices, dtype,
-                               dataset=dataset)
-
-    assert event_stream(symbolic.trace) == event_stream(eager.trace)
-    assert lifetime_stream(symbolic.trace) == lifetime_stream(eager.trace)
-    assert ([mark.to_dict() for mark in symbolic.trace.iteration_marks]
-            == [mark.to_dict() for mark in eager.trace.iteration_marks])
-    assert symbolic.trace.duration_ns == eager.trace.duration_ns
-
-    # Timing and footprint reductions agree too.
-    assert symbolic.peak_allocated_bytes == eager.peak_allocated_bytes
-    assert symbolic.peak_reserved_bytes == eager.peak_reserved_bytes
-    assert symbolic.parameter_bytes == eager.parameter_bytes
-    assert ([stats.duration_ns for stats in symbolic.iteration_stats]
-            == [stats.duration_ns for stats in eager.iteration_stats])
-
-
-def test_symbolic_columns_match_eager_columns():
-    """The columnar views agree array-for-array (not just tuple-wise)."""
-    import numpy as np
-
-    eager, symbolic = run_pair("mlp", {"hidden_dim": 32}, 8, 1, "float32")
-    eager_cols = eager.trace.columns()
-    symbolic_cols = symbolic.trace.columns()
-    for name in ("kind_code", "timestamp_ns", "size", "category_code",
-                 "iteration", "device_rank", "address", "event_id"):
-        np.testing.assert_array_equal(getattr(symbolic_cols, name),
-                                      getattr(eager_cols, name), err_msg=name)
-
-
-def test_legacy_virtual_mode_name_is_rejected():
-    """The alias is gone: one mode name, one cache key per result."""
-    with pytest.raises(ConfigurationError, match="execution_mode"):
-        run_training_session(TrainingRunConfig(
-            model="mlp", model_kwargs={"hidden_dim": 32}, batch_size=8,
-            iterations=1, execution_mode="virtual"))
-
-
-def test_unified_swap_session_is_event_identical_to_eager():
-    """A ``--swap unified`` session is mode-invariant end to end."""
-    base = dict(model="mlp", model_kwargs={"hidden_dim": 64},
-                dataset="two_cluster", batch_size=16, iterations=3, seed=7,
-                swap="unified")
-    eager = run_training_session(
-        TrainingRunConfig(execution_mode="eager", **base))
-    symbolic = run_training_session(
-        TrainingRunConfig(execution_mode="symbolic", **base))
-    assert event_stream(symbolic.trace) == event_stream(eager.trace)
-    assert lifetime_stream(symbolic.trace) == lifetime_stream(eager.trace)
-    assert symbolic.swap_execution == eager.swap_execution
-
-
-def test_unified_rematerialization_is_event_identical_to_eager():
-    """Where the unified plan actually swaps *and* recomputes, both modes
-    emit the same decision stream (block ids come from a process-global
-    counter, so the comparison normalizes them)."""
-    from repro.swap.policies import UnifiedPolicy
-    from tests.test_swap_execution import run_manual_policy
-
-    settings = dict(model="mlp", dataset="two_cluster", batch_size=512,
-                    iterations=5,
-                    model_kwargs={"hidden_dim": 1024, "num_hidden_layers": 3},
-                    seed=7)
-
-    def run(mode):
-        return run_manual_policy(
-            UnifiedPolicy(min_candidate_bytes=256 * 1024),
-            execution_mode=mode, **settings)
-
-    def normalized_summary(summary):
-        data = summary.to_dict()
-        predicted = dict(data["predicted"])
-        predicted["decisions"] = [
-            {key: value for key, value in decision.items() if key != "block_id"}
-            for decision in predicted["decisions"]]
-        data["predicted"] = predicted
-        return data
-
-    symbolic_trace, symbolic_summary = run("symbolic")
-    eager_trace, eager_summary = run("eager")
-    assert symbolic_summary.swap_out_count > 0
-    assert any(d["mechanism"] == "recompute"
-               for d in symbolic_summary.predicted["decisions"])
-    assert event_stream(symbolic_trace) == event_stream(eager_trace)
-    assert lifetime_stream(symbolic_trace) == lifetime_stream(eager_trace)
-    assert (normalized_summary(symbolic_summary)
-            == normalized_summary(eager_summary))
-
-
-def test_symbolic_mode_has_no_values_but_eager_does():
-    eager, symbolic = run_pair("mlp", {"hidden_dim": 32}, 8, 1, "float32",
-                               iterations=1)
-    assert all(loss is not None for loss in eager.losses())
-    assert all(loss is None for loss in symbolic.losses())
-
-
-def test_symbolic_storage_refuses_numeric_readout():
-    from repro.device import Device, small_test_device
-    from repro.tensor import randn
-
-    device = Device(small_test_device(), execution_mode="symbolic")
-    assert device.is_symbolic and not device.is_eager
-    tensor = randn(device, (4, 4))
-    with pytest.raises(MaterializationError):
-        tensor.numpy()
-
-
-# -- golden digests ---------------------------------------------------------------------
-
-#: ``(label, config overrides)`` of every symbolic run the digests pin: the
-#: :data:`CASES`, the two ``unified`` runs, the integration suite's two-mode
-#: MLP and the mixed-precision suite's fp16/fp32 pair.
+#: ``(label, config overrides)`` of every run the digests pin: the
+#: :data:`CASES`, a ``unified`` and a ``zero_offload`` swap session, the
+#: integration suite's MLP and the mixed-precision suite's fp16/fp32 pair.
 GOLDEN_RUNS = [
     (f"{model}-{dtype}-x{n_devices}",
      dict(model=model, model_kwargs=model_kwargs, dataset=dataset,
@@ -225,6 +101,9 @@ GOLDEN_RUNS = [
     ("unified-session",
      dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
           batch_size=16, iterations=3, seed=7, swap="unified")),
+    ("zero-offload-session",
+     dict(model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
+          swap="zero_offload")),
     ("integration-mlp",
      dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
           batch_size=32, iterations=2, seed=0)),
@@ -236,8 +115,8 @@ GOLDEN_RUNS = [
           iterations=2, dtype="float32")),
 ]
 
-#: sha256 of :func:`trace_digest`'s payload per golden run, recorded while the
-#: symbolic side was still held event for event to a numeric (eager) twin.
+#: sha256 of :func:`session_digest`'s payload per golden run, recorded while
+#: each run was still held event for event to a twin that computed values.
 GOLDEN_DIGESTS = {
     "mlp-float32-x1":
         "7fbd1a1949ecc05a94f4e5a704cd1d9c13ec07adc49b6f3853b837bcf16e130c",
@@ -263,6 +142,8 @@ GOLDEN_DIGESTS = {
         "0aab86f409e71eb4e7e00bbbe5b8ccd4e1f7203d67e03188d1d4f85b6701e4ca",
     "unified-session":
         "951e6331dd6803b98f92280c13fd4c57936d17ec2ddd58d0b55a49b163056db2",
+    "zero-offload-session":
+        "c7dee98b55aeec3efbf96e8077528181ac8277157b1e06653d077df371e5b488",
     "integration-mlp":
         "63065c3f9d4737d636336c507f9083e6ba6c35d391b9dc53996124a53e9d35d5",
     "mixed-precision-float16":
@@ -320,8 +201,7 @@ def _normalized_summary(summary):
 
 @pytest.mark.parametrize("label,overrides", GOLDEN_RUNS, ids=[l for l, _ in GOLDEN_RUNS])
 def test_symbolic_trace_matches_its_golden_digest(label, overrides):
-    result = run_training_session(TrainingRunConfig(execution_mode="symbolic",
-                                                    **overrides))
+    result = run_training_session(TrainingRunConfig(**overrides))
     assert session_digest(result) == GOLDEN_DIGESTS[label]
 
 
@@ -330,9 +210,19 @@ def test_unified_rematerialization_matches_its_golden_digest():
     from tests.test_swap_execution import run_manual_policy
 
     trace, summary = run_manual_policy(
-        UnifiedPolicy(min_candidate_bytes=256 * 1024), execution_mode="symbolic",
-        model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
+        UnifiedPolicy(min_candidate_bytes=256 * 1024), model="mlp", dataset="two_cluster", batch_size=512, iterations=5,
         model_kwargs={"hidden_dim": 1024, "num_hidden_layers": 3}, seed=7)
     assert summary.swap_out_count > 0
     assert (trace_digest(trace, extra=_normalized_summary(summary))
             == UNIFIED_REMATERIALIZATION_DIGEST)
+
+
+def test_the_seed_only_labels_a_row():
+    """No kernel, initializer or batch reads the seed: two seeds, one trace."""
+    base = dict(model="resnet18", model_kwargs={"input_size": 32, "num_classes": 10},
+                dataset="cifar10", batch_size=4, iterations=2, n_devices=2,
+                dtype="float16")
+    first, second = (run_training_session(TrainingRunConfig(seed=seed, **base))
+                     for seed in (0, 99))
+    assert event_stream(first.trace) == event_stream(second.trace)
+    assert lifetime_stream(first.trace) == lifetime_stream(second.trace)

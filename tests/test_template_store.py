@@ -24,7 +24,7 @@ from repro.train.session import TrainingRunConfig
 
 SETTINGS = dict(model="mlp", model_kwargs={"hidden_dim": 32},
                 dataset="two_cluster", batch_size=16, iterations=2,
-                execution_mode="symbolic", seed=3)
+                seed=3)
 CONFIG = TrainingRunConfig(**SETTINGS)
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.errors import ShapeError, TensorError
+from repro.device import Device, small_test_device
+from repro.errors import ShapeError
 from repro.tensor import arange_labels, empty, from_numpy, full, randn, zeros
-from repro.tensor.dtype import float32, int64
+from repro.tensor.dtype import float16, float32, int64
+
+from tests.helpers import BehaviorLog
 
 
 def test_empty_tensor_shape_and_bytes(test_device):
@@ -25,38 +28,43 @@ def test_scalar_shape_normalization(test_device):
         empty(test_device, (-1, 3))
 
 
-def test_zeros_and_full(test_device):
-    z = zeros(test_device, (3, 3))
-    np.testing.assert_allclose(z.numpy(), np.zeros((3, 3)))
-    f = full(test_device, (2, 2), 7.5)
-    np.testing.assert_allclose(f.numpy(), np.full((2, 2), 7.5))
+def test_fill_factories_allocate_then_write_once(test_device):
+    log = BehaviorLog(test_device)
+    z = zeros(test_device, (3, 3), tag="z")
+    f = full(test_device, (2, 2), 7.5, tag="f")
+    r = randn(test_device, (10,), tag="r")
+    assert log.rows == [("malloc", "z", None), ("write", "z", "fill_zero"),
+                        ("malloc", "f", None), ("write", "f", "fill_value"),
+                        ("malloc", "r", None), ("write", "r", "fill_randn")]
+    assert [t.shape for t in (z, f, r)] == [(3, 3), (2, 2), (10,)]
 
 
-def test_randn_is_deterministic_with_rng(test_device, rng):
-    import numpy as np
-    a = randn(test_device, (10,), rng=np.random.default_rng(7))
-    b = randn(test_device, (10,), rng=np.random.default_rng(7))
-    np.testing.assert_allclose(a.numpy(), b.numpy())
-
-
-def test_from_numpy_preserves_values_and_dtype(test_device):
+def test_from_numpy_takes_the_host_array_shape_and_dtype(test_device):
+    log = BehaviorLog(test_device)
     array = np.arange(6, dtype=np.float32).reshape(2, 3)
-    tensor = from_numpy(test_device, array, category=MemoryCategory.INPUT)
-    assert tensor.shape == (2, 3)
-    assert tensor.dtype is float32
-    np.testing.assert_allclose(tensor.numpy(), array)
-    labels = from_numpy(test_device, np.array([1, 2, 3], dtype=np.int64))
+    tensor = from_numpy(test_device, array, category=MemoryCategory.INPUT, tag="x")
+    assert (tensor.shape, tensor.dtype, tensor.category) == (
+        (2, 3), float32, MemoryCategory.INPUT)
+    labels = from_numpy(test_device, np.array([1, 2, 3], dtype=np.int64), tag="y")
     assert labels.dtype is int64
+    assert log.rows == [("malloc", "x", None), ("write", "x", "init_from_host"),
+                        ("malloc", "y", None), ("write", "y", "init_from_host")]
+    # Floating host data lands in the device's training precision.
+    half = Device(small_test_device(), default_dtype="float16")
+    assert from_numpy(half, array).dtype is float16
 
 
-def test_from_numpy_with_h2d_staging_advances_clock(test_device):
-    before = test_device.clock.now_ns
-    from_numpy(test_device, np.zeros((64, 64), dtype=np.float32), stage_h2d=True)
-    assert test_device.clock.now_ns > before
+def test_from_numpy_with_h2d_staging_prices_the_copy(test_device):
+    log = BehaviorLog(test_device)
+    tensor = from_numpy(test_device, np.zeros((64, 64), dtype=np.float32), tag="batch",
+                        stage_h2d=True)
+    assert log.rows == [("malloc", "batch", None), ("write", "batch", "memcpy_h2d")]
+    assert log.kernel_ns("memcpy_h2d", "batch") == test_device.timing.memcpy_duration_ns(
+        tensor.nbytes, test_device.spec.h2d_bandwidth)
 
 
 def test_reshape_shares_storage(test_device):
-    tensor = from_numpy(test_device, np.arange(12, dtype=np.float32))
+    tensor = empty(test_device, (12,))
     view = tensor.reshape((3, 4))
     assert view.storage is tensor.storage
     assert view.shape == (3, 4)
@@ -105,38 +113,21 @@ def test_flatten_batch(test_device):
         empty(test_device, (5,)).flatten_batch()
 
 
-def test_item_requires_single_element(test_device):
-    scalar = full(test_device, (1,), 3.0)
-    assert scalar.item() == pytest.approx(3.0)
-    with pytest.raises(TensorError):
-        empty(test_device, (2,)).item()
-
-
-def test_set_data_validates_size(test_device):
-    tensor = empty(test_device, (2, 2))
-    tensor.set_data(np.ones(4))
-    np.testing.assert_allclose(tensor.numpy(), np.ones((2, 2)))
-    with pytest.raises(ShapeError):
-        tensor.set_data(np.ones(5))
-
-
-def test_copy_to_host_returns_values_in_eager_mode(test_device):
-    tensor = full(test_device, (2,), 1.5)
-    values = tensor.copy_to_host()
-    np.testing.assert_allclose(values, [1.5, 1.5])
-
-
-def test_copy_to_host_returns_none_in_virtual_mode(virtual_device):
-    tensor = empty(virtual_device, (2,))
+def test_copy_to_host_reads_then_prices_the_d2h_copy(test_device):
+    tensor = empty(test_device, (2,), tag="loss")
+    log = BehaviorLog(test_device)
     assert tensor.copy_to_host() is None
+    assert log.rows == [("read", "loss", "memcpy_d2h")]
+    assert test_device.clock.now_ns - log.times[0] == test_device.timing.memcpy_duration_ns(
+        tensor.nbytes, test_device.spec.d2h_bandwidth)
 
 
-def test_arange_labels_in_range(test_device):
-    labels = arange_labels(test_device, batch=16, num_classes=4)
-    values = labels.numpy()
-    assert values.shape == (16,)
-    assert values.min() >= 0
-    assert values.max() < 4
+def test_arange_labels_is_one_int64_label_write(test_device):
+    log = BehaviorLog(test_device)
+    labels = arange_labels(test_device, batch=16)
+    assert (labels.shape, labels.dtype, labels.category) == (
+        (16,), int64, MemoryCategory.LABEL)
+    assert log.rows == [("malloc", "labels", None), ("write", "labels", "init_labels")]
 
 
 def test_normalize_shape_fast_path_and_fallback():

@@ -34,8 +34,7 @@ def configs(structures: Dict[str, dict] = STRUCTURES,
             devices: Sequence[int] = (1, 2)) -> List[Tuple[str, TrainingRunConfig]]:
     """``(label, symbolic config)`` per structure and replica count."""
     return [(f"{name} x {n}", TrainingRunConfig(**{
-                "iterations": 3, "execution_mode": "symbolic", "seed": 3,
-                **settings, "n_devices": n}))
+                "iterations": 3, "seed": 3, **settings, "n_devices": n}))
             for name, settings in structures.items() for n in devices]
 
 
