@@ -97,8 +97,8 @@ class AvgLikePool(Module):
         from ..tensor import conv_ops as C
 
         indices = self.saved("indices")
-        grad_input = C.maxpool2d_backward(grad_output, indices, self._input_shape, kernel=3,
-                                          stride=1, padding=1, tag=self.grad_in_tag)
+        grad_input = C.maxpool2d_backward(grad_output, indices, self._input_shape,
+                                          tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 

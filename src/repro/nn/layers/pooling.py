@@ -32,8 +32,7 @@ class MaxPool2d(Module):
     def backward(self, grad_output: Tensor) -> Tensor:
         indices = self.saved("indices")
         grad_input = C.maxpool2d_backward(grad_output, indices, self._input_shape,
-                                          kernel=self.kernel_size, stride=self.stride,
-                                          padding=self.padding, tag=self.grad_in_tag)
+                                          tag=self.grad_in_tag)
         self.release_saved()
         return grad_input
 
@@ -55,9 +54,7 @@ class AvgPool2d(Module):
                                    padding=self.padding, tag=self.out_tag)
 
     def backward(self, grad_output: Tensor) -> Tensor:
-        return C.avgpool2d_backward(grad_output, self._input_shape, kernel=self.kernel_size,
-                                    stride=self.stride, padding=self.padding,
-                                    tag=self.grad_in_tag)
+        return C.avgpool2d_backward(grad_output, self._input_shape, tag=self.grad_in_tag)
 
 
 class GlobalAvgPool2d(Module):

@@ -168,8 +168,8 @@ def maxpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
 
 
 def maxpool2d_backward(grad_output: Tensor, indices: Tensor,
-                       x_shape: Tuple[int, int, int, int], kernel: int, stride: int,
-                       padding: int = 0, tag: str = "maxpool_grad_in") -> Tensor:
+                       x_shape: Tuple[int, int, int, int],
+                       tag: str = "maxpool_grad_in") -> Tensor:
     """Gradient of max pooling: scatter gradients to the saved argmax positions."""
     device = grad_output.device
     grad_input = empty(device, x_shape, dtype=grad_output.dtype,
@@ -192,7 +192,6 @@ def avgpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
 
 
 def avgpool2d_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
-                       kernel: int, stride: int, padding: int = 0,
                        tag: str = "avgpool_grad_in") -> Tensor:
     """Gradient of average pooling: spread each gradient uniformly over its window."""
     device = grad_output.device

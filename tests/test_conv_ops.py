@@ -128,7 +128,7 @@ def test_maxpool_saves_indices_for_backward(test_device):
     grad = operand(test_device, (1, 1, 2, 2), "dy")
     log = BehaviorLog(test_device)
     out, indices = C.maxpool2d_forward(x, kernel=2, stride=2)
-    grad_x = C.maxpool2d_backward(grad, indices, x.shape, kernel=2, stride=2)
+    grad_x = C.maxpool2d_backward(grad, indices, x.shape)
     forward, backward = "maxpool2d_forward", "maxpool2d_backward"
     assert log.rows == [
         ("malloc", "maxpool_out", None), ("malloc", "maxpool_out_indices", None),
@@ -147,7 +147,7 @@ def test_avgpool_forward_and_backward(test_device):
     grad = operand(test_device, (1, 2, 2, 2), "dy")
     log = BehaviorLog(test_device)
     out = C.avgpool2d_forward(x, kernel=2, stride=2)
-    grad_x = C.avgpool2d_backward(grad, x.shape, kernel=2, stride=2)
+    grad_x = C.avgpool2d_backward(grad, x.shape)
     assert log.rows == [
         ("malloc", "avgpool_out", None), ("read", "x", "avgpool2d_forward"),
         ("write", "avgpool_out", "avgpool2d_forward"),
