@@ -8,10 +8,11 @@ advance its cost prices — see :class:`tests.helpers.BehaviorLog`.
 import pytest
 
 from repro.core.events import MemoryCategory
+from repro.device import Device, MemoryEventListener, small_test_device
 from repro.device.timing import conv2d_cost, elementwise_cost
 from repro.errors import ShapeError
 from repro.tensor import conv_ops as C
-from repro.tensor import empty, float32, zeros
+from repro.tensor import empty, float16, float32, zeros
 from repro.tensor.conv_ops import conv_output_hw
 
 from tests.helpers import BehaviorLog
@@ -118,6 +119,45 @@ def test_conv2d_workspace_is_freed(test_device):
     # Only x, w and the output should remain allocated (workspace freed).
     expected_live = x.nbytes + w.nbytes + out.nbytes
     assert test_device.allocated_bytes - allocated_before <= expected_live + 1024
+
+
+class _Sizes(MemoryEventListener):
+    """The requested bytes of every malloc, by tag."""
+
+    def __init__(self, device):
+        self.bytes = {}
+        device.add_listener(self)
+
+    def on_malloc(self, block, requested_size):
+        self.bytes[block.tag] = requested_size
+
+
+@pytest.mark.parametrize("batch,capped", [(8, False), (32, True)])
+def test_conv2d_workspace_is_the_im2col_buffer_capped_at_64_mib(test_device, batch,
+                                                                capped):
+    x = operand(test_device, (batch, 64, 32, 32), "x")
+    w = operand(test_device, (8, 64, 3, 3), "w")
+    sizes = _Sizes(test_device)
+    C.conv2d_forward(x, w, None, stride=1, padding=1)
+    im2col = batch * 64 * 3 * 3 * 32 * 32 * 4
+    assert (im2col > C.WORKSPACE_LIMIT_BYTES) is capped
+    assert sizes.bytes["conv2d_forward_workspace"] == min(im2col,
+                                                          C.WORKSPACE_LIMIT_BYTES)
+
+
+def test_conv2d_in_half_precision_halves_its_output_and_workspace(test_device):
+    half = Device(small_test_device(), default_dtype="float16")
+    byte_counts = []
+    for device in (test_device, half):
+        x = operand(device, (2, 3, 8, 8), "x")
+        w = operand(device, (4, 3, 3, 3), "w")
+        sizes = _Sizes(device)
+        out = C.conv2d_forward(x, w, None, stride=1, padding=1)
+        byte_counts.append((sizes.bytes["conv_out"],
+                            sizes.bytes["conv2d_forward_workspace"]))
+    assert out.dtype is float16
+    (full_out, full_workspace), (half_out, half_workspace) = byte_counts
+    assert (2 * half_out, 2 * half_workspace) == (full_out, full_workspace)
 
 
 # -- pooling -------------------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.data import (
     TwoClusterDataset,
     build_dataset,
 )
+from repro.data.datasets import DatasetSpec, SyntheticDataset
 from repro.errors import ConfigurationError
 
 
@@ -54,6 +55,13 @@ def test_build_dataset_by_name():
     assert build_dataset("two_cluster", input_dim=4).sample_shape == (4,)
     with pytest.raises(ConfigurationError):
         build_dataset("imagenet22k")
+
+
+def test_datasets_carry_their_length_and_need_two_classes():
+    assert len(SyntheticCIFAR100(num_samples=64)) == 64
+    assert len(TwoClusterDataset()) == 100_000
+    with pytest.raises(ConfigurationError, match="two classes"):
+        SyntheticDataset(DatasetSpec("one_class", (4,), 1, 10))
 
 
 def test_host_latency_model_scales_with_batch():

@@ -55,6 +55,18 @@ def test_merged_trace_carries_the_device_rank_dimension():
     assert timestamps == sorted(timestamps)
 
 
+def test_each_rank_runs_the_single_device_step_on_its_shard():
+    """Apart from the allreduce, rank 0 of a two-device run behaves exactly
+    like one device training on half the batch."""
+    def step(trace):
+        return [(event.kind, event.size, event.category, event.op, event.tag)
+                for event in trace.events if event.op != "grad_allreduce"]
+
+    double = run_training_session(_config(2, batch_size=32))
+    single = run_training_session(_config(1, batch_size=16))
+    assert step(double.trace.for_rank(0)) == step(single.trace)
+
+
 def test_per_rank_slices_are_symmetric():
     session = run_training_session(_config(2))
     rank0 = session.trace.for_rank(0)

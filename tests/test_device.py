@@ -21,6 +21,15 @@ def test_device_rejects_a_non_float_training_dtype():
         Device(small_test_device(), default_dtype="int64")
 
 
+def test_a_device_has_one_execution_and_takes_no_mode():
+    """Every device simulates shapes only: there is no mode to pick or read."""
+    with pytest.raises(TypeError):
+        Device(small_test_device(), execution_mode="symbolic")
+    device = Device(small_test_device())
+    for name in ("execution_mode", "is_eager", "is_symbolic"):
+        assert not hasattr(device, name)
+
+
 def test_allocate_and_free_update_stats(test_device):
     block = test_device.allocate(1 * MIB, category=MemoryCategory.ACTIVATION, tag="a")
     assert test_device.allocated_bytes >= 1 * MIB

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.device import CountingListener
+from repro.device import CountingListener, MemoryEventListener
 from repro.errors import DTypeError, TensorError
 from repro.tensor.dtype import all_dtypes, float32, from_numpy_dtype, get_dtype, int64
 from repro.tensor.storage import DeviceStorage
@@ -84,6 +84,27 @@ def test_storage_access_records_events(test_device):
     storage.record_read("consumer", nbytes=4)
     assert listener.writes == 1
     assert listener.reads == 2
+
+
+def test_an_access_reports_the_whole_storage_unless_told_a_byte_count(test_device):
+    class Touches(MemoryEventListener):
+        def __init__(self):
+            self.seen = []
+
+        def on_read(self, block, nbytes, op):
+            self.seen.append(("read", nbytes, op))
+
+        def on_write(self, block, nbytes, op):
+            self.seen.append(("write", nbytes, op))
+
+    touches = Touches()
+    test_device.add_listener(touches)
+    storage = DeviceStorage(test_device, numel=10, dtype=int64)
+    storage.record_write("producer")
+    storage.record_read("consumer", nbytes=16)
+    storage.record_write("update", nbytes=0)
+    assert touches.seen == [("write", 80, "producer"), ("read", 16, "consumer"),
+                            ("write", 0, "update")]
 
 
 def test_storage_rejects_negative_numel(test_device):

@@ -60,6 +60,25 @@ def test_trace_is_reproducible_for_identical_configs():
         [event.size for event in second.trace.events]
 
 
+def test_every_iteration_of_the_shared_session_reads_its_loss_back(small_mlp_session):
+    readbacks = [event for event in small_mlp_session.trace.events
+                 if event.op == "memcpy_d2h" and event.kind is MemoryEventKind.READ]
+    assert [event.iteration for event in readbacks] == list(range(5))
+    assert {event.tag for event in readbacks} == {"ce_loss"}
+
+
+def test_value_only_settings_leave_the_memory_behavior_unchanged():
+    """Memory behavior depends on shapes: the seed and the learning rate,
+    which only ever set values, move no event."""
+    base = dict(model="mlp", model_kwargs={"hidden_dim": 64}, dataset="two_cluster",
+                batch_size=32, iterations=2)
+    first = run_training_session(TrainingRunConfig(seed=0, learning_rate=0.1, **base))
+    second = run_training_session(TrainingRunConfig(seed=11, learning_rate=0.5, **base))
+    assert ([(e.kind, e.timestamp_ns, e.size, e.category, e.op) for e in first.trace.events]
+            == [(e.kind, e.timestamp_ns, e.size, e.category, e.op)
+                for e in second.trace.events])
+
+
 def test_convnet_session_has_workspace_and_conv_behaviors():
     config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2)
     result = run_training_session(config)

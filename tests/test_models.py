@@ -1,5 +1,7 @@
 """Tests for the model zoo."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -16,6 +18,8 @@ from repro.models import (
     vgg11,
 )
 from repro.tensor import empty
+
+from tests.helpers import BehaviorLog
 
 
 def forward_backward(device, model, batch, in_shape, num_classes):
@@ -46,6 +50,22 @@ def test_small_mlp_forward_backward(test_device):
 def test_lenet5_forward_backward(test_device):
     model = LeNet5(test_device)
     assert forward_backward(test_device, model, 4, (1, 28, 28), 10) == (4, 10)
+
+
+def test_a_training_step_frees_every_activation_it_saved(test_device):
+    """Once the step's own tensors go, only the parameter gradients it
+    allocated stay live."""
+    model = MLP(test_device, hidden_dim=128)
+    log = BehaviorLog(test_device)
+    x = empty(test_device, (16, 2), tag="x")
+    logits = model(x)
+    grad = empty(test_device, logits.shape, tag="dy")
+    grad_x = model.backward(grad)
+    for tensor in (x, logits, grad, grad_x):
+        tensor.release()
+    live = Counter(tag for kind, tag, _ in log.rows if kind == "malloc")
+    live.subtract(tag for kind, tag, _ in log.rows if kind == "free")
+    assert sorted(+live) == sorted(param.grad.tag for param in model.parameters())
 
 
 def test_lenet5_rejects_tiny_inputs(test_device):

@@ -89,6 +89,19 @@ def test_adam_allocates_two_moments_per_parameter(test_device):
     assert optimizer.step_count == 1
 
 
+def test_adam_reuses_its_moments_after_the_first_step(test_device):
+    layer = Linear(test_device, 4, 4)
+    optimizer = Adam(layer.parameters(), lr=1e-3)
+    for param in layer.parameters():
+        param.ensure_grad()
+    optimizer.step()
+    log = BehaviorLog(test_device)
+    optimizer.step()
+    assert log.rows and all(kind in ("read", "write") for kind, _, _ in log.rows)
+    assert optimizer.state_bytes() == 2 * sum(p.nbytes for p in layer.parameters())
+    assert optimizer.step_count == 2
+
+
 def test_optimizer_validation():
     with pytest.raises(ConfigurationError):
         SGD([], lr=0.1)

@@ -952,7 +952,8 @@ def test_the_reports_comparison_grid_replays_every_row():
     {},                                             # in the envelope: rebuilt
     {"n_devices": 2, "device_spec": "v100_sxm2_16gb"},
     {"swap": "lru"},                                # outside: simulated
-], ids=["symbolic", "symbolic-2dev", "swap-on"])
+    {"swap": "unified", "batch_size": 64},
+], ids=["symbolic", "symbolic-2dev", "swap-on", "swap-unified"])
 def test_runner_trace_is_the_fresh_sessions_trace(overrides):
     scenario = paper_scenario(**overrides)
     runner = SweepRunner()

@@ -215,6 +215,21 @@ def test_uneven_shards_yield_two_classes_and_every_rank_trace():
         assert_sessions_equal(result, run_training_session(config))
 
 
+@pytest.mark.parametrize("n_devices", [2, 3])
+def test_even_shards_materialise_one_replica_for_every_rank(n_devices):
+    """Shards of one shape are one class: a single replica stands for all."""
+    config = make_config("mlp", batch_size=4 * n_devices, n_devices=n_devices)
+    assert replica_classes(config.batch_size, n_devices) == [4] * n_devices
+    group = build_device_group(config)
+    assert (group.n_devices, group.n_materialized) == (n_devices, 1)
+    assert group.rank_classes == (0,) * n_devices
+    result = run_training_session(config)
+    columns = [trace.columns() for trace in result.rank_traces]
+    assert all(cols is columns[0] for cols in columns)
+    with every_rank_materialised():
+        assert_sessions_equal(result, run_training_session(config))
+
+
 @pytest.mark.parametrize("model", ["resnet18", "vgg11"])
 def test_conv_nets_on_uneven_shards_equal_full_materialisation(model):
     """The benchmark's conv structures, batch 8 on 3 devices (3/3/2)."""

@@ -47,6 +47,7 @@ from repro.swap.executor import overlay
 from repro.train.session import TrainingRunConfig, run_training_session
 
 from tests.helpers import build_trace, recompute_events, swap_events
+from tests.test_symbolic_equivalence import event_stream, lifetime_stream
 
 
 DEEP_MLP = dict(
@@ -568,6 +569,17 @@ def test_unified_sweep_row_reports_recompute_columns():
 
 
 # -- multi-rank ------------------------------------------------------------------------
+
+
+def test_a_swapped_run_records_the_same_trace_every_time():
+    """The swap overlay keeps no state between sessions: a rerun of a
+    ``zero_offload`` session records it event for event."""
+    first, second = (run_training_session(TrainingRunConfig(**SMALL_SWAPPED))
+                     for _ in range(2))
+    assert event_stream(first.trace) == event_stream(second.trace)
+    assert lifetime_stream(first.trace) == lifetime_stream(second.trace)
+    assert len(swap_events(first.trace)) > 0
+    assert first.swap_execution == second.swap_execution
 
 
 def test_multi_rank_swapped_run_merges_and_slices():

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device
-from repro.errors import ShapeError
+from repro.errors import ShapeError, TensorError
 from repro.tensor import arange_labels, empty, from_numpy, full, randn, zeros
 from repro.tensor.dtype import float16, float32, int64
 
@@ -103,6 +103,52 @@ def test_reshape_of_a_scalar_and_a_zero_size_tensor(test_device):
         hollow.reshape(())
     with pytest.raises(ShapeError, match="cannot view shape"):
         type(scalar)(test_device, (2,), storage=scalar.storage)
+
+
+def test_views_record_no_behavior_and_the_last_release_frees(test_device):
+    tensor = empty(test_device, (2, 3, 4), tag="act")
+    log = BehaviorLog(test_device)
+    view = tensor.reshape((6, 4))
+    flat = tensor.flatten_batch()
+    assert log.rows == []
+    for handle in (tensor, view):
+        handle.release()
+        assert log.rows == []
+    flat.release()
+    assert log.rows == [("free", "act", None)]
+
+
+def test_a_freed_tensor_refuses_every_access(test_device):
+    tensor = empty(test_device, (4,), tag="gone")
+    tensor.free()
+    log = BehaviorLog(test_device)
+    before = test_device.clock.now_ns
+    for access in (tensor.copy_to_host, tensor.retain, lambda: tensor.reshape((2, 2))):
+        with pytest.raises(TensorError, match="already been freed"):
+            access()
+    assert test_device.clock.now_ns == before
+    with pytest.raises(TensorError, match="already been freed"):
+        tensor.copy_from_host()
+    assert tensor.is_freed and tensor.block_id is None
+    assert log.rows == []
+
+
+def test_resident_host_data_is_written_without_a_copy():
+    """Unstaged, ``from_numpy`` costs what allocating the tensor costs."""
+    resident, allocated = Device(small_test_device()), Device(small_test_device())
+    from_numpy(resident, np.zeros((64, 64), dtype=np.float32))
+    empty(allocated, (64, 64))
+    assert resident.clock.now_ns == allocated.clock.now_ns > 0
+
+
+def test_a_half_precision_device_halves_every_float_factory():
+    half = Device(small_test_device(), default_dtype="float16")
+    made = [empty(half, (3, 5)), zeros(half, (3, 5)), full(half, (3, 5), 2.0),
+            randn(half, (3, 5)), from_numpy(half, np.zeros((3, 5), dtype=np.float64))]
+    assert [(t.dtype, t.nbytes) for t in made] == [(float16, 30)] * 5
+    # Integer data keeps its width: labels are int64 in every precision.
+    assert arange_labels(half, batch=3).nbytes == 24
+    assert empty(half, (3,), dtype=float32).nbytes == 12
 
 
 def test_flatten_batch(test_device):

@@ -86,6 +86,18 @@ def test_training_convnet_on_images(test_device):
     assert {"conv2d_forward", "conv2d_backward_input"} <= {op for _, _, op in log.rows}
 
 
+def test_stats_and_run_config_carry_no_values_and_no_mode():
+    """Nothing is computed, so no loss is reported and no mode is chosen."""
+    from dataclasses import fields
+
+    from repro.train import IterationStats, TrainingRunConfig
+
+    assert "loss" not in {field.name for field in fields(IterationStats)}
+    assert "execution_mode" not in {field.name for field in fields(TrainingRunConfig)}
+    with pytest.raises(TypeError):
+        TrainingRunConfig(execution_mode="eager")
+
+
 def test_history_accumulates(test_device):
     model = MLP(test_device, hidden_dim=16)
     trainer = make_trainer(test_device, model)
