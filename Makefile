@@ -74,14 +74,15 @@ sweep-smoke:
 
 # Swap execution (the CI swap-smoke leg): the overlay against its live
 # per-behavior oracle (every trace validated), the premise that swapping
-# moves no allocation and the overlay on a shared recording, on the pinned
-# corpus and a wide generated draw; the engine's own suite, its copy
+# moves no allocation, the overlay on a shared recording and the bound that
+# residency never exceeds the recording's allocation, on the pinned corpus
+# and a wide generated draw; the engine's own suite, its copy
 # stream's (tests/test_stream.py) and the sweep's recording sharing
 # (tests/test_shared_recordings.py); then a tiny sweep under every
 # executable policy that prints measured vs predicted.
 swap-smoke:
-	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_swap_execution.py \
-		tests/test_stream.py tests/test_shared_recordings.py -q \
+	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_overlay_bounds.py \
+		tests/test_swap_execution.py tests/test_stream.py tests/test_shared_recordings.py -q \
 		--hypothesis-profile=swap-wide
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
 		--swap off,planner,swap_advisor,zero_offload,lru,unified --no-cache
