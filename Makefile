@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe overlay-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,12 @@ kernel-probe:
 # Prints a table, never fails.
 capture-probe:
 	-$(PYTHON) tools/capture_probe.py
+
+# Where a swap_ladder sample's time goes, as medians of 7 samples: the
+# recording, the overlay's stages (init, walk, learning, log, plan,
+# finalize) and the reduction.  Prints a table, never fails.
+overlay-probe:
+	-$(PYTHON) tools/overlay_probe.py
 
 # Every script under examples/ must exit 0 (the CI examples-smoke step): they
 # run in seconds and write only under figure_data/.

@@ -11,7 +11,10 @@ clock: a row's recorded time plus the delay accumulated so far.
 * During the **warm-up iteration(s)** a walk only observes; at each replan
   one vectorised pass, :func:`learn_from_rows`, turns the rows logged since
   the previous replan (plus the state carried over, :class:`LearningCarry`)
-  into the :class:`WarmupObservations` the policy plans from.
+  into the :class:`WarmupObservations` the policy plans from.  The first
+  pass of a walk that has inserted no row and shifted no delay reads the
+  undelayed warm-up, so it is learned once per recording and kept on its
+  :class:`WalkIndex`.
 * From the first post-warm-up iteration the policy's directives evict
   blocks: device→host copies reserved on the walk's own copy stream (so
   swap traffic contends), and for deadline-driven policies a host→device
@@ -29,8 +32,12 @@ Between replans a row costs a decision only where one can fire before the
 behavior lands: a read or write of a block that is off the device or that
 the plan triggers on, the free of an off-device block (it gets a zero-copy
 ``"discard"`` restoration first), the first malloc of a block id — and, for
-capacity-governed runs and pressure-relieving policies (LRU), every malloc
-and access.  A post-access eviction lands at the next malloc, free, read or
+capacity-governed runs and pressure-relieving policies (LRU), a malloc or a
+restoration that would take the resident bytes past the limit (the
+capacity, and the policy's budget while it is active).  Swapping never moves
+an allocation, so resident bytes are the recording's allocated bytes less
+the swapped-out total: governance can bind only where the recording can
+overflow.  A post-access eviction lands at the next malloc, free, read or
 write row.  Replicas walk in lock-step: a gradient allreduce barrier
 resolves to the latest of their delayed arrivals, because the collective
 starts when the last clock arrives and no stream is ever drained.
@@ -44,6 +51,7 @@ semantics.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
@@ -514,6 +522,53 @@ def _mark_rows(iteration: np.ndarray, marks: Sequence[IterationMark]) -> List[Tu
     return [(int(rows[0]), int(rows[-1]) + 1) for rows in inside]
 
 
+#: The :class:`BlockState` fields a learning pass writes.
+_LEARNED_STATE = ("size", "category", "tag", "last_access_ns", "first_access_phase_ns",
+                  "best_gap_ns", "best_gap_ordinal", "best_gap_phase_ns",
+                  "best_gap_crosses", "compute_ns")
+
+
+@dataclass
+class _WarmupPass:
+    """What the first learning pass over ``stop`` undisturbed rows learned:
+    each block's :data:`_LEARNED_STATE`, in first-seen order, the carry and
+    the profile."""
+
+    stop: int
+    states: List[tuple]
+    live_bytes: int
+    last_event_ns: int
+    carried: np.ndarray
+    profile: Optional[IterationProfile]
+
+
+class WalkIndex:
+    """What every walk over one recording reads, derived once.
+
+    Per row, lists for the two columns every row reads and compact arrays for
+    those a decision reads; the tags and ops; each iteration's rows, the
+    gradient barriers and the allocated bytes after each row.  ``warmup`` is
+    the first learning pass of a walk that reached it undisturbed — no row
+    inserted, no delay — which every such walk learns alike.  A
+    :class:`~repro.train.session.Recording` holds one per replica class, so
+    the rows overlaid on it share them.
+    """
+
+    def __init__(self, trace: MemoryTrace):
+        columns = self.columns = trace.columns()
+        self.kind, self.bid = columns.kind_code.tolist(), columns.block_id.tolist()
+        self.ts, self.address, self.size, self.category, self.iteration = (
+            array("q", getattr(columns, name).tobytes()) for name in
+            ("timestamp_ns", "address", "size", "category_code", "iteration"))
+        self.tags, self.ops = trace.event_strings()
+        self.mark_rows = _mark_rows(columns.iteration, trace.iteration_marks)
+        self.barriers = barrier_rows(trace)
+        #: Allocated bytes after each recorded row (after none: 0).
+        self.allocated = array("q", np.concatenate(
+            ([0], np.cumsum(_LIVE_SIGN[columns.kind_code] * columns.size))).tobytes())
+        self.warmup: Optional[_WarmupPass] = None
+
+
 class SwapExecutor:
     """One replica's walk over its swap-off recording (see :func:`overlay`).
 
@@ -529,6 +584,8 @@ class SwapExecutor:
         policy's Eq.-1 predictions.
     capacity_bytes:
         A hard device-memory capacity the walk governs (``None``: none).
+    index:
+        The recording's :class:`WalkIndex`.
 
     Driven like a trainer drives a recorder (:meth:`begin_iteration` /
     :meth:`end_iteration`, :meth:`leave` at a barrier, :meth:`finalize`),
@@ -536,7 +593,7 @@ class SwapExecutor:
     """
 
     def __init__(self, trace: MemoryTrace, policy: Union[str, MemoryPolicy],
-                 spec: DeviceSpec, capacity_bytes: Optional[int] = None):
+                 spec: DeviceSpec, capacity_bytes: Optional[int], index: WalkIndex):
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         if not self.policy.executable:
             raise ValueError(f"policy '{self.policy.name}' is analysis-only: "
@@ -546,17 +603,12 @@ class SwapExecutor:
                                else int(capacity_bytes))
         self.counters = SwapExecutionSummary(policy=self.policy.name,
                                              capacity_bytes=self.capacity_bytes)
-        # The recording, per row: lists for the two columns every row reads,
-        # compact arrays for those a decision reads.
         self._recorded = trace
-        columns = trace.columns()
-        self._kind, self._bid = columns.kind_code.tolist(), columns.block_id.tolist()
-        self._ts, self._address, self._size, self._category, self._iteration = (
-            array("q", getattr(columns, name).tobytes()) for name in
-            ("timestamp_ns", "address", "size", "category_code", "iteration"))
-        self._tags, self._ops = trace.event_strings()
-        self._mark_rows = _mark_rows(columns.iteration, trace.iteration_marks)
-        self._barriers = barrier_rows(trace)
+        self._index = index
+        self._kind, self._bid, self._ts = index.kind, index.bid, index.ts
+        self._address, self._size, self._category = index.address, index.size, index.category
+        self._iteration, self._tags, self._ops = index.iteration, index.tags, index.ops
+        self._mark_rows, self._barriers = index.mark_rows, index.barriers
         self._marks: List[IterationMark] = []     # the re-timed marks
         # The log (see :meth:`log`) is kept as its two differences from the
         # recording: the delay from each row on where it changes, and the
@@ -573,10 +625,9 @@ class SwapExecutor:
         self._h2d_bandwidth, self._d2h_bandwidth = spec.h2d_bandwidth, spec.d2h_bandwidth
         #: Allocated blocks: block id -> the malloc row of its lifetime.
         self._live: Dict[int, int] = {}
-        #: Allocated bytes after each recorded row (after none: 0), and the
-        #: entry the walk's position reads.
-        self._allocated = array("q", np.concatenate(
-            ([0], np.cumsum(_LIVE_SIGN[columns.kind_code] * columns.size))).tobytes())
+        #: Allocated bytes after each recorded row, and the entry the walk's
+        #: position reads.
+        self._allocated = index.allocated
         self._after = 0
         #: Every block the walk has met, in first-seen order (the order plans
         #: and directives walk them in).
@@ -587,9 +638,7 @@ class SwapExecutor:
         # Runs that rank resident blocks at allocation time follow every
         # malloc and access; the others follow the blocks off the device and
         # those the plan triggers on.
-        self._relieves_pressure = (type(self.policy).directives_on_pressure
-                                   is not MemoryPolicy.directives_on_pressure)
-        self._governed = self.capacity_bytes is not None or self._relieves_pressure
+        self._governed = self.capacity_bytes is not None or self.policy.relieves_pressure
         # What the plan triggers on (set at every replan; nothing before the first).
         self._any_trigger = False
         self._triggered: frozenset = frozenset()
@@ -838,17 +887,31 @@ class SwapExecutor:
         kinds, block_ids, stamps = self._kind, self._bid, self._ts
         live, states, off, triggered = self._live, self._states, self._off_device, self._triggered
         deferred, governed, any_trigger = self._deferred, self._governed, self._any_trigger
+        allocated, sizes = self._allocated, self._size
+        categories, tags, limit = self._category, self._tags, self._limit()
         for row in range(self._cursor, stop):
             kind = kinds[row]
             if kind == _MALLOC:
                 block_id = block_ids[row]
-                if not governed and block_id not in states:
-                    states[block_id] = BlockState(block_id, len(states))
-                if deferred or governed:
+                state = states.get(block_id)
+                if state is None:
+                    state = states[block_id] = BlockState(block_id, len(states))
+                if governed:
+                    state.size, state.category, state.tag = (
+                        sizes[row], CATEGORY_FROM_CODE[categories[row]], tags[row])
+                # Residency can pass the limit only where the recording's
+                # allocated bytes, plus the block, do.
+                if deferred or (governed and allocated[row] - self._swapped_out_bytes
+                                + sizes[row] > limit):
                     self._enter(row)
                     self._flush_deferred()
                     if governed:
-                        self._govern_malloc(row)
+                        # Room is made before the allocation lands — an
+                        # allocator under pressure frees space first — so the
+                        # overshoot never shows up in the resident peak (the
+                        # swap_out rows also precede the malloc row).
+                        self._after = row
+                        self._relieve(state)
                     self._leave(row)
                 # Allocated once room is made: no decision before it can
                 # touch the block (a deferred eviction of its id was moot at
@@ -892,19 +955,6 @@ class SwapExecutor:
 
     # -- core mechanics ----------------------------------------------------------------
 
-    def _govern_malloc(self, row: int) -> None:
-        """Track the block and make room for it *before* the allocation lands
-        — an allocator under pressure frees space first — so the overshoot
-        never shows up in the resident peak (the swap_out rows also precede
-        the malloc row in the trace)."""
-        block_id = self._bid[row]
-        state = self._states.get(block_id)
-        if state is None:
-            state = self._states[block_id] = BlockState(block_id, len(self._states))
-        state.size, state.category, state.tag = self._lifetime(row)
-        self._after = row   # resident bytes before the allocation lands
-        self._relieve(state)
-
     def _lifetime(self, row: int) -> Tuple[int, MemoryCategory, str]:
         """Size, category and tag of the lifetime malloc'ed at ``row``."""
         return self._size[row], CATEGORY_FROM_CODE[self._category[row]], self._tags[row]
@@ -940,13 +990,24 @@ class SwapExecutor:
                 state.size, state.category, state.tag = self._lifetime(live[state.block_id])
         yield from resident
 
+    def _limit(self) -> float:
+        """The resident bytes a residency increase may reach with no decision:
+        the capacity and, while a pressure-relieving policy is active, its
+        budget."""
+        limit = math.inf if self.capacity_bytes is None else self.capacity_bytes
+        if self._active and self.policy.relieves_pressure:
+            limit = min(limit, self.policy.pressure_budget_bytes)
+        return limit
+
     def _relieve(self, state: BlockState) -> None:
         """Make room for ``state``'s bytes: the policy's pressure directives
-        (when active), then the capacity invariant."""
-        if self._active and self._relieves_pressure:
-            for directive in self.policy.directives_on_pressure(
-                    self._resident_states(), self.resident_bytes + state.size, state):
-                self._evict(directive)
+        (when active and over its budget), then the capacity invariant."""
+        if self._active and self.policy.relieves_pressure:
+            incoming = self.resident_bytes + state.size
+            if incoming > self.policy.pressure_budget_bytes:
+                for directive in self.policy.directives_on_pressure(
+                        self._resident_states(), incoming, state):
+                    self._evict(directive)
         self._enforce_capacity(state.size)
 
     def _ensure_resident(self, state: BlockState) -> None:
@@ -1124,17 +1185,45 @@ class SwapExecutor:
         stop = self._freeze_row if self._freeze_row is not None else self._logged()
         if stop <= self._learned_row:
             return
-        columns, tags, _ = self.log()
-        profile = learn_from_rows(
-            [getattr(columns, name)[self._learned_row:stop] for name in LEARNED_FIELDS],
-            self._learned_row, tags, self._windows, self._states, self._carry)
+        if self._learned_row == 0 and not self._inserted and len(self._shifts) == 1:
+            profile = self._learn_warmup(stop)
+        else:
+            columns, tags, _ = self.log()
+            profile = learn_from_rows(
+                [getattr(columns, name)[self._learned_row:stop] for name in LEARNED_FIELDS],
+                self._learned_row, tags, self._windows, self._states, self._carry)
         self._learned_row = stop
         if profile is not None:
             self._profile = profile
 
+    def _learn_warmup(self, stop: int) -> Optional[IterationProfile]:
+        """The first learning pass of an undisturbed walk, whose log is the
+        recording's first ``stop`` rows: taken from the recording's
+        :class:`WalkIndex` when a walk there learned it, else learned off
+        the recorded columns and kept there."""
+        index, states, carry = self._index, self._states, self._carry
+        memo = index.warmup
+        if memo is not None and memo.stop == stop:
+            for state, values in zip(states.values(), memo.states):
+                for name, value in zip(_LEARNED_STATE, values):
+                    setattr(state, name, value)
+            carry.live_bytes, carry.last_event_ns = memo.live_bytes, memo.last_event_ns
+            carry.blocks = memo.carried.copy()
+            return memo.profile
+        profile = learn_from_rows(
+            [getattr(index.columns, name)[:stop] for name in LEARNED_FIELDS], 0,
+            index.tags, self._windows, states, carry)
+        if memo is None:
+            index.warmup = _WarmupPass(
+                stop, [tuple(getattr(state, name) for name in _LEARNED_STATE)
+                       for state in states.values()],
+                carry.live_bytes, carry.last_event_ns, carry.blocks.copy(), profile)
+        return profile
+
 
 def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryPolicy]],
-            spec: DeviceSpec, capacity_bytes: Optional[int] = None
+            spec: DeviceSpec, capacity_bytes: Optional[int] = None,
+            indexes: Optional[List[WalkIndex]] = None
             ) -> Tuple[List[MemoryTrace], List[SwapExecutionSummary]]:
     """Execute a swap policy on the swap-off recordings of a run's replicas.
 
@@ -1143,12 +1232,18 @@ def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryP
     replica.  Several replicas advance in lock-step: each iteration's
     gradient barrier (:func:`~repro.core.trace.barrier_rows`) resolves to
     the latest of their delayed arrivals, measured from the latest recorded
-    one.  Returns every replica's overlaid trace and its
+    one.  ``indexes`` is where the recordings keep their :class:`WalkIndex`
+    (one per trace, made here when it is empty; ``None``: made for this
+    call only).  Returns every replica's overlaid trace and its
     :class:`SwapExecutionSummary`; an infeasible capacity raises
     :class:`~repro.errors.InfeasibleScenarioError`.
     """
-    executors = [SwapExecutor(trace, policy, spec, capacity_bytes)
-                 for trace, policy in zip(traces, policies)]
+    if indexes is None:
+        indexes = []
+    if not indexes:
+        indexes.extend(WalkIndex(trace) for trace in traces)
+    executors = [SwapExecutor(trace, policy, spec, capacity_bytes, index)
+                 for trace, policy, index in zip(traces, policies, indexes)]
     for mark in traces[0].iteration_marks:
         arrivals = [executor.begin_iteration(mark.index) for executor in executors]
         if len(executors) > 1:

@@ -105,6 +105,13 @@ class MemoryPolicy:
     offline: bool = False
     #: Whether :meth:`plan` and the directive hooks can drive the swap executor.
     executable: bool = False
+    #: Whether :meth:`directives_on_pressure` can evict: the executor then
+    #: follows every malloc and access of the run.
+    relieves_pressure: bool = False
+    #: The resident bytes a policy that relieves pressure keeps to, resolved
+    #: when it plans (``None`` until then, and for every other policy); the
+    #: executor asks :meth:`directives_on_pressure` only above it.
+    pressure_budget_bytes: Optional[int] = None
 
     def __init__(self) -> None:
         #: The policy's predicted effect (a plan/estimator summary), filled by
@@ -175,10 +182,12 @@ class MemoryPolicy:
                                just_allocated: "BlockState") -> List[EvictDirective]:
         """Evictions to relieve memory pressure before a residency increase lands.
 
-        Called before an allocation (``just_allocated`` is the new block) and
-        before a restoration or rematerialization (``just_allocated`` is the
-        block coming back); ``resident_bytes`` already counts its bytes and
-        ``resident`` excludes it.
+        Called, for a policy that :attr:`relieves_pressure`, before an
+        allocation (``just_allocated`` is the new block) and before a
+        restoration or rematerialization (``just_allocated`` is the block
+        coming back) that takes ``resident_bytes`` above
+        :attr:`pressure_budget_bytes`; ``resident_bytes`` already counts its
+        bytes and ``resident`` excludes it.
         """
         return []
 
@@ -988,35 +997,31 @@ class LruPolicy(MemoryPolicy):
     """
 
     name = "lru"
-    executable = True
+    executable = relieves_pressure = True
 
     def __init__(self, budget_bytes: Optional[int] = None,
                  min_block_bytes: int = 1 * MIB):
         super().__init__()
         self.budget_bytes = budget_bytes if budget_bytes is None else int(budget_bytes)
         self.min_block_bytes = int(min_block_bytes)
-        self._resolved_budget: Optional[int] = None
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
         if self.budget_bytes is not None:
-            self._resolved_budget = self.budget_bytes
+            self.pressure_budget_bytes = self.budget_bytes
         else:
-            self._resolved_budget = int(warmup.peak_resident_bytes
-                                        * LRU_BUDGET_FRACTION)
+            self.pressure_budget_bytes = int(warmup.peak_resident_bytes
+                                             * LRU_BUDGET_FRACTION)
         self.predicted = None  # reactive: there is no plan to predict from
 
     def directives_on_pressure(self, resident: Iterable["BlockState"],
                                resident_bytes: int,
                                just_allocated: "BlockState") -> List[EvictDirective]:
-        budget = self._resolved_budget
-        if budget is None or resident_bytes <= budget:
-            return []
         candidates = [state for state in resident
                       if state.size >= self.min_block_bytes
                       and state.block_id != just_allocated.block_id]
         candidates.sort(key=lambda state: state.last_access_ns)
         directives = []
-        excess = resident_bytes - budget
+        excess = resident_bytes - self.pressure_budget_bytes
         for state in candidates:
             if excess <= 0:
                 break

@@ -277,7 +277,11 @@ class Recording:
     ``traces`` holds one recording per replica class, stamped with the
     twin's workload metadata; ``rank_classes`` maps each rank to its class.
     The peaks are per replica, the rest describes replica 0.  Nothing here
-    is mutated by a session that reads it.
+    is mutated by a session that reads it, but for the overlay's memo:
+    ``walk_indexes`` holds one :class:`~repro.swap.executor.WalkIndex` per
+    class trace, built by the first swap-on row overlaid on the recording,
+    which carries what every row's walk derives from the trace alike (its
+    per-row lists and arrays, and the undisturbed warm-up's learning pass).
     """
 
     config: TrainingRunConfig
@@ -291,6 +295,7 @@ class Recording:
     parameter_bytes: int
     parameter_count: int
     collective: Optional[Dict[str, object]]
+    walk_indexes: List = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n_devices(self) -> int:
@@ -322,7 +327,8 @@ def _execute_swap(config: TrainingRunConfig, recording: Recording, policy,
                                capacity_bytes=config.device_memory_capacity)
                 for _ in traces]
     traces, summaries = overlay(traces, policies, recording.spec,
-                                capacity_bytes=config.device_memory_capacity)
+                                capacity_bytes=config.device_memory_capacity,
+                                indexes=recording.walk_indexes)
     stats = [replace(step, start_ns=min(trace.iteration_marks[position].start_ns
                                         for trace in traces),
                      end_ns=max(trace.iteration_marks[position].end_ns

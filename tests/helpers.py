@@ -685,7 +685,7 @@ def live_swap_session(config):
         made.executor.recorder = made
         return made
 
-    def lived(traces, policies, spec, capacity_bytes=None):
+    def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
         return traces, [executor.summary() for executor, _ in executors]
 
     with mock.patch("repro.core.profiler.TraceRecorder", recorder), \
@@ -694,9 +694,10 @@ def live_swap_session(config):
     return session, executors
 
 
-def overlaid_swap_session(config):
-    """Run ``config`` through the session's overlay step; returns the session
-    and every replica's summary with the inputs of each plan it made."""
+def overlaid_swap_session(config, recording=None):
+    """Run ``config`` through the session's overlay step (on ``recording``,
+    when given); returns the session and every replica's summary with the
+    inputs of each plan it made."""
     from repro.swap import executor as swap_executor
     from repro.train.session import run_training_session
 
@@ -712,13 +713,14 @@ def overlaid_swap_session(config):
         return traces, summaries
 
     with mock.patch("repro.swap.executor.overlay", observed):
-        session = run_training_session(config)
+        session = run_training_session(config, recording=recording)
     return session, walks
 
 
-def swap_run(scenario, side):
-    """Run ``scenario`` through the overlay (``side="overlay"``) or with the
-    live :class:`ReferenceSwapExecutor` (``side="reference"``).
+def swap_run(scenario, side, recording=None):
+    """Run ``scenario`` through the overlay (``side="overlay"``, on
+    ``recording`` when given) or with the live
+    :class:`ReferenceSwapExecutor` (``side="reference"``).
 
     Returns what the differential compares: the ``ScenarioResult`` (wall time
     zeroed), the merged trace's columns, tags and ops, every replica's
@@ -729,7 +731,7 @@ def swap_run(scenario, side):
 
     try:
         if side == "overlay":
-            session, walks = overlaid_swap_session(scenario.config)
+            session, walks = overlaid_swap_session(scenario.config, recording)
             replicas = [(summary.to_dict(), plans) for summary, plans in walks]
         else:
             session, executors = live_swap_session(scenario.config)

@@ -41,7 +41,8 @@ from repro.experiments.replay import (
     template_key,
 )
 from repro.experiments.sweep import SweepRunner
-from repro.swap.policies import get_policy
+from repro.swap.executor import WalkIndex
+from repro.swap.policies import POLICIES, get_policy
 from repro.train.session import Recording, TrainingRunConfig
 from repro.train.trainer import DataParallelTrainer
 from repro.units import MIB
@@ -292,7 +293,7 @@ def test_only_record_session_builds_a_trainer():
 
 
 def _holds_a_recording(value, depth=2):
-    if isinstance(value, Recording):
+    if isinstance(value, (Recording, WalkIndex)):
         return True
     if depth and isinstance(value, dict):
         value = list(value.values())
@@ -303,7 +304,10 @@ def _holds_a_recording(value, depth=2):
 
 def test_no_experiments_module_holds_a_recording():
     """Shared recordings live for one round or chunk: no module under
-    ``experiments/`` binds one, or a cache of them, at module level."""
+    ``experiments/`` binds one, or a cache of them, at module level, and
+    no module under ``swap/`` binds one or the overlay's per-recording
+    memo (a :class:`~repro.swap.executor.WalkIndex` lives on its
+    recording)."""
     recorders = {"Recording", "record_session", "run_scenario_on",
                  "run_training_session"}
     for path, tree in _sources(SRC / "experiments"):
@@ -320,11 +324,29 @@ def test_no_experiments_module_holds_a_recording():
     scenarios = SweepGrid(models=("mlp",), batch_sizes=(64,), iterations=(2,),
                           swaps=("off", "lru")).expand()
     assert len(SweepRunner(cache_dir=None, workers=1).run(scenarios).results) == 2
+    scanned = []
     for name, module in sorted(sys.modules.items()):
-        if name.startswith("repro.experiments"):
+        if name.startswith(("repro.experiments", "repro.swap")):
             held = [attribute for attribute, value in vars(module).items()
                     if _holds_a_recording(value)]
             assert held == [], name
+            scanned.append(name)
+    assert {"repro.swap.executor", "repro.swap.policies"} <= set(scanned)
+
+
+def test_pressure_relief_is_declared_not_introspected():
+    """A policy declares whether it relieves pressure (and resolves its
+    budget when it plans); nothing under ``swap/`` compares a policy's
+    ``directives_on_pressure`` with the base class's."""
+    for path, tree in _sources(SRC / "swap"):
+        compared = [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Compare)
+                    and any(isinstance(inner, ast.Attribute)
+                            and inner.attr == "directives_on_pressure"
+                            for inner in ast.walk(node))]
+        assert compared == [], path.name
+    assert [name for name, policy in POLICIES.items() if policy.relieves_pressure] == ["lru"]
+    assert all(policy().pressure_budget_bytes is None for policy in POLICIES.values())
 
 
 def test_the_device_is_synchronous_and_the_overlay_owns_the_copy_stream():

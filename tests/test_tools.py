@@ -137,3 +137,30 @@ def test_capture_probe_covers_three_structures_at_one_and_two_devices():
     labels = [label for label, _config in _load("capture_probe").configs()]
     assert labels == ["resnet18 x 1", "resnet18 x 2", "vgg11 x 1", "vgg11 x 2",
                       "mlp x 1", "mlp x 2"]
+
+
+# -- tools/overlay_probe.py -------------------------------------------------------------
+
+
+def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
+    from repro.experiments.grid import SweepGrid
+    from repro.swap.executor import SwapExecutor
+
+    probe = _load("overlay_probe")
+    walk = SwapExecutor._walk
+    scenarios = SweepGrid(models=("mlp",), batch_sizes=(64,), iterations=(3,),
+                          swaps=("off", "lru", "planner")).expand()
+    rows = dict(probe.probe(scenarios, samples=1))
+    assert list(rows) == probe.ORDER + ["total"]
+    for stage in ("recording", "overlay: init", "overlay: walk", "overlay: learning",
+                  "overlay: log", "overlay: plan", "overlay: finalize", "reduction"):
+        assert rows[stage] > 0, stage
+    assert sum(rows[stage] for stage in probe.ORDER) == pytest.approx(rows["total"])
+    assert SwapExecutor._walk is walk
+    lines = probe.table(list(rows.items())).splitlines()
+    assert lines[0].split() == ["stage", "median", "ms", "share"]
+    assert lines[-1].startswith("overlay (all)")
+
+
+def test_overlay_probe_reads_the_benchmark_sample():
+    assert len(_load("overlay_probe").ladder()) == 23
