@@ -9,6 +9,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import hashlib
+import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
@@ -40,6 +42,12 @@ from repro.swap.executor import (PREFETCH_MARGIN_NS, WARMUP_ITERATIONS,
 from repro.swap.policies import EvictDirective, RecomputePolicy, get_policy
 from repro.train.session import build_cluster
 from repro.units import MIB
+
+
+def json_digest(value) -> str:
+    """sha256 of ``value``'s canonical JSON (sorted keys, floats by ``repr``)."""
+    text = json.dumps(value, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class BehaviorLog(MemoryEventListener):

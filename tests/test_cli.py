@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -58,6 +60,22 @@ def test_cli_figure_eq1(capsys):
     out = capsys.readouterr().out
     assert "Host to Device Bandwidth" in out
     assert "79.37" in out
+
+
+#: sha256 of ``repro figure <name>``'s stdout: the paper-scale MLP trace's
+#: ATI figures and the swap planner's plan, every number as printed.
+FIGURE_STDOUT_SHA256 = {
+    "fig3": "8b14e8f6209231269bc12b5de7ce3a98f711ae023192a929d4348cd15b45a980",
+    "fig4": "5ab66c94d5b6f966c801f55370e5202f12f10a8fe2caedc854cbdc7860370749",
+    "swap": "1f64083649efad1b8152446452ec860bd7f0920ecfb03d449e5090fc8bb088fe",
+}
+
+
+@pytest.mark.parametrize("name", list(FIGURE_STDOUT_SHA256))
+def test_cli_figure_stdout_is_golden(name, capsys):
+    assert main(["figure", name]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIGURE_STDOUT_SHA256[name]
 
 
 def test_cli_rejects_unknown_arguments():

@@ -12,6 +12,7 @@ counts are compared exactly; float statistics use a tight relative tolerance
 library-level reassociation).
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -25,6 +26,8 @@ from repro.experiments import (
     small_mlp_config,
 )
 from repro.experiments.sweep import SweepRunner
+
+from tests.helpers import json_digest
 
 REL = 1e-9
 
@@ -66,6 +69,54 @@ def test_fig4_golden_numbers(golden_runner):
     assert len(result.intervals) == 187
     assert result.outliers.count == 0  # paper-scale thresholds need the full batch
     assert len(result.top_candidates) == 10
+
+
+#: sha256 of :func:`fig3_payload` / :func:`fig4_payload` on ``GOLDEN_CONFIG``.
+FIG3_SHA256 = "8f99bfe385556bed6493f315260a0180e34db36bbdd36e9b362a20e13f4050d2"
+FIG4_SHA256 = "6a130e1f842c8feb2f7442ee0ddee37de65b6e8ed7bddb6742dbeeb84da75d08"
+
+
+def fig3_payload(result):
+    """Every number fig. 3 reports: summary, CDF and each violin in full."""
+    return {
+        "summary": result.summary(),
+        "cdf": [result.cdf.values.tolist(), result.cdf.probabilities.tolist()],
+        "violins": {kind: [stats.to_dict(), stats.density_x.tolist(),
+                           stats.density_y.tolist()]
+                    for kind, stats in result.violins.items()},
+    }
+
+
+def top_candidate_columns(result):
+    """``(block_id, size, interval_ns)`` of each of fig. 4's top candidates,
+    read off ``result.intervals`` when the candidates are its row indices."""
+    rows = result.top_candidates
+    if isinstance(rows, np.ndarray):
+        arrays = result.intervals
+        return np.stack([arrays.block_id[rows], arrays.size[rows],
+                         arrays.interval_ns[rows]], axis=1).tolist()
+    return [[c.block_id, c.size, c.interval_ns] for c in rows]
+
+
+def fig4_payload(result):
+    """Every number fig. 4 reports: summary, series, outliers, top candidates."""
+    return {
+        "summary": result.summary(),
+        "pairwise": result.pairwise,
+        "describe": result.outliers.describe(),
+        "outliers": result.outliers.to_dict(),
+        "top_candidates": top_candidate_columns(result),
+    }
+
+
+def test_fig3_digest_is_golden(golden_runner):
+    assert json_digest(fig3_payload(run_fig3(GOLDEN_CONFIG, runner=golden_runner))) \
+        == FIG3_SHA256
+
+
+def test_fig4_digest_is_golden(golden_runner):
+    assert json_digest(fig4_payload(run_fig4(GOLDEN_CONFIG, runner=golden_runner))) \
+        == FIG4_SHA256
 
 
 def test_fig5_golden_numbers():

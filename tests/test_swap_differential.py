@@ -45,7 +45,7 @@ from repro.train.session import (TrainingRunConfig, record_session, run_training
                                  workload_metadata)
 from repro.units import MIB
 
-from tests.helpers import (CAPACITY_RUNGS_MIB, assert_swap_matches_reference,
+from tests.helpers import (CAPACITY_RUNGS_MIB, assert_swap_matches_reference, json_digest,
                            live_swap_session, swap_scenarios)
 
 #: The model seed ``swap_ladder`` draws at benchmark seed 100.
@@ -112,6 +112,26 @@ def test_copy_stream_outcomes_are_golden(row):
     execution = run_training_session(_ladder_row(*row).config).swap_execution
     assert {name: execution[name] for name in COPY_STREAM_GOLDEN[row]} \
         == COPY_STREAM_GOLDEN[row]
+
+
+#: sha256 of the ``predicted`` block (unified decisions included) of four
+#: ladder rows: what the planners predict, every float as computed.
+PREDICTED_GOLDEN = {
+    ("planner", 4096, None):
+        "9376ae272fe7ec69502483f8910e170844e817ea7e8ce425aff3d9ed9b951b32",
+    ("unified", 4096, None):
+        "743b13bc692f7950df7ddf4fe00e1ca7df7199424bdfddff9b17202fbe791f85",
+    ("unified", 2048, 64 * MIB):
+        "ddd903ac799284abf5f5f89160b78cca1661eeca988094a252dc2a9d8d620de4",
+    ("unified", 2048, 128 * MIB):
+        "dd894cd3ab859ab6b1d787c7b1f00813fdb2c9ccd8c93898f2d592fef925ee03",
+}
+
+
+@pytest.mark.parametrize("row", list(PREDICTED_GOLDEN), ids=str)
+def test_predicted_blocks_are_golden(row):
+    execution = run_training_session(_ladder_row(*row).config).swap_execution
+    assert json_digest(execution["predicted"]) == PREDICTED_GOLDEN[row]
 
 
 @pytest.mark.parametrize("scenario", LADDER, ids=lambda s: s.config.describe()
