@@ -83,13 +83,14 @@ sweep-smoke:
 # moves no allocation, the overlay on a shared recording and the bound that
 # residency never exceeds the recording's allocation, on the pinned corpus
 # and a wide generated draw; the engine's own suite, its copy
-# stream's (tests/test_stream.py) and the sweep's recording sharing
-# (tests/test_shared_recordings.py); then a tiny sweep under every
-# executable policy that prints measured vs predicted.
+# stream's (tests/test_stream.py), the sweep's recording sharing
+# (tests/test_shared_recordings.py) and the columnar planner's Eq.-1 and
+# selection invariants (tests/test_property_swap_alloc.py); then a tiny
+# sweep under every executable policy that prints measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_overlay_bounds.py \
-		tests/test_swap_execution.py tests/test_stream.py tests/test_shared_recordings.py -q \
-		--hypothesis-profile=swap-wide
+		tests/test_swap_execution.py tests/test_stream.py tests/test_shared_recordings.py \
+		tests/test_property_swap_alloc.py -q --hypothesis-profile=swap-wide
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \
 		--swap off,planner,swap_advisor,zero_offload,lru,unified --no-cache
 

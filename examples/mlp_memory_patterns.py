@@ -16,6 +16,8 @@ Run with:  python examples/mlp_memory_patterns.py [--batch-size N]
 
 import argparse
 
+import numpy as np
+
 from repro.experiments import SweepRunner, paper_mlp_config, run_fig2, run_fig3, run_fig4
 from repro.units import GB, KB, format_bytes, format_duration
 from repro.viz import render_cdf, render_gantt, render_scatter, render_violin
@@ -63,9 +65,9 @@ def main() -> None:
     print("Figure 4 — per-behavior ATI and block size; outliers")
     print("=" * 78)
     points = [(index, row["ati_us"]) for index, row in enumerate(fig4.pairwise)]
-    outlier_ids = {interval.end_event_id for interval in fig4.outliers.outliers}
-    highlight = [(index, row["ati_us"]) for index, row in enumerate(fig4.pairwise)
-                 if fig4.intervals[index].end_event_id in outlier_ids]
+    is_outlier = np.zeros(len(fig4.intervals), dtype=bool)
+    is_outlier[fig4.outliers.rows] = True
+    highlight = [point for point, outlier in zip(points, is_outlier) if outlier]
     print(render_scatter(points, highlight=highlight,
                          x_label="behavior index", y_label="ATI (us)"))
     print(f"\n{fig4.outliers.count} outlier behaviors "
@@ -75,8 +77,10 @@ def main() -> None:
     largest = fig4.outliers.largest
     if largest is not None:
         bound_gb = fig4.largest_outlier_swap_bound_gb()
-        print(f"\nEq. 1 on the largest outlier: ATI={format_duration(largest.interval_ns)}, "
-              f"block={format_bytes(largest.size)}, swap bound={bound_gb:.2f} GB "
+        ati_ns, size = (int(fig4.intervals.interval_ns[largest]),
+                        int(fig4.intervals.size[largest]))
+        print(f"\nEq. 1 on the largest outlier: ATI={format_duration(ati_ns)}, "
+              f"block={format_bytes(size)}, swap bound={bound_gb:.2f} GB "
               f"(>> block size, so this behavior is worth swapping)")
 
 

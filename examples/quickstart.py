@@ -17,10 +17,10 @@ import numpy as np
 from repro import TrainingRunConfig, run_training_session
 from repro.core import (
     build_gantt_chart,
-    compute_access_intervals,
+    compute_interval_arrays,
     detect_iterative_pattern,
     occupation_breakdown,
-    summarize_intervals,
+    summarize_values_us,
 )
 from repro.units import format_bytes
 from repro.viz import render_gantt
@@ -50,8 +50,8 @@ def main() -> None:
 
     print(f"\nRecorded {len(trace)} memory behaviors on {len(trace.block_ids())} device blocks.")
 
-    intervals = compute_access_intervals(trace)
-    summary = summarize_intervals(intervals)
+    intervals = compute_interval_arrays(trace)   # one row per ATI
+    summary = summarize_values_us(intervals.interval_us)
     print(f"Access-time intervals: n={summary.count}, "
           f"p50={summary.p50_us:.1f} us, p90={summary.p90_us:.1f} us, "
           f"max={summary.max_us / 1e6:.3f} s")

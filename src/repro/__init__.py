@@ -28,9 +28,9 @@ The package is organised as the paper's system is:
 Quickstart
 ----------
 >>> from repro import TrainingRunConfig, run_training_session
->>> from repro.core import compute_access_intervals, summarize_intervals
+>>> from repro.core import compute_interval_arrays, summarize_values_us
 >>> result = run_training_session(TrainingRunConfig(batch_size=256, iterations=5))
->>> summary = summarize_intervals(compute_access_intervals(result.trace))
+>>> summary = summarize_values_us(compute_interval_arrays(result.trace).interval_us)
 >>> summary.p90_us  # doctest: +SKIP
 """
 

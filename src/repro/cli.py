@@ -36,7 +36,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import compute_access_intervals, occupation_breakdown, summarize_intervals
+from .core import compute_interval_arrays, occupation_breakdown, summarize_values_us
 from .core.events import PAPER_BUCKETS
 from .data.datasets import DATASET_PRESETS
 from .device.allocator import ALLOCATOR_CLASSES
@@ -246,7 +246,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(f"  {key}: {value}")
     print(f"  peak allocated: {format_bytes(result.peak_allocated_bytes)}")
 
-    summary = summarize_intervals(compute_access_intervals(trace))
+    summary = summarize_values_us(compute_interval_arrays(trace).interval_us)
     print("\nAccess-time intervals (us):")
     for key, value in summary.to_dict().items():
         print(f"  {key}: {value:.3f}" if isinstance(value, float) else f"  {key}: {value}")

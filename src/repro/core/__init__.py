@@ -7,19 +7,13 @@ gantt, patterns, fragmentation, Eq.-1 swap planning) consumes it.  The hot
 analyses — ATI pairing, occupation breakdown, Eq.-1 screening — are
 vectorized over the trace's columnar NumPy view
 (:meth:`~repro.core.trace.MemoryTrace.columns`, see the module docstring of
-:mod:`repro.core.trace` for the layout).
+:mod:`repro.core.trace` for the layout).  The access-time intervals have one
+record, :class:`~repro.core.ati.IntervalArrays` (one row per ATI): the
+figures, the outlier report and the swap planner read its columns and keep
+row indices into it.
 """
 
-from .ati import (
-    AccessInterval,
-    AtiSummary,
-    compute_access_intervals,
-    fraction_below,
-    interval_values_us,
-    intervals_by_category,
-    intervals_by_kind,
-    summarize_intervals,
-)
+from .ati import AtiSummary, IntervalArrays, compute_interval_arrays, summarize_values_us
 from .breakdown import (
     BreakdownSeries,
     OccupationBreakdown,
@@ -71,14 +65,12 @@ from .swap import (
     SwapCandidate,
     SwapPlan,
     SwapPlanner,
-    is_swappable,
     max_swap_bytes,
     swap_round_trip_ns,
 )
 from .trace import MemoryTrace, TRACE_FORMAT_VERSION, merge_rank_traces
 
 __all__ = [
-    "AccessInterval",
     "AtiSummary",
     "BandwidthConfig",
     "BlockLifetime",
@@ -89,6 +81,7 @@ __all__ = [
     "FragmentationReport",
     "GanttChart",
     "GanttRectangle",
+    "IntervalArrays",
     "IterationMark",
     "IterationSignature",
     "MemoryCategory",
@@ -108,18 +101,13 @@ __all__ = [
     "ViolinStats",
     "analyze_fragmentation",
     "build_gantt_chart",
-    "compute_access_intervals",
+    "compute_interval_arrays",
     "detect_iterative_pattern",
     "empirical_cdf",
     "find_outliers",
-    "fraction_below",
     "gaussian_kde_trace",
     "merge_rank_traces",
     "internal_fragmentation_bytes",
-    "interval_values_us",
-    "intervals_by_category",
-    "intervals_by_kind",
-    "is_swappable",
     "iteration_signature",
     "jaccard_similarity",
     "max_swap_bytes",
@@ -128,7 +116,7 @@ __all__ = [
     "pairwise_ati_size",
     "sequence_similarity",
     "snapshot_external_fragmentation",
-    "summarize_intervals",
+    "summarize_values_us",
     "swap_round_trip_ns",
     "top_swap_candidates",
     "violin_stats",

@@ -9,68 +9,26 @@ from the collection of per-block ATIs:
 * Figure 4 plots each behavior's ATI together with the size of the block it
   touches, revealing the high-ATI / large-block outliers.
 
-Two API levels share one vectorized core built on the trace's column store
-(:meth:`~repro.core.trace.MemoryTrace.columns`):
-
-* :func:`compute_interval_arrays` sorts the access events by
-  ``(block_id, timestamp_ns)`` once and differences adjacent timestamps in
-  bulk, producing an :class:`IntervalArrays` record of parallel NumPy
-  columns (``block_id``, ``size``, ``category_code``, ``interval_ns``,
-  ``start_index``/``end_index`` into ``trace.events``).  The sweep engine
-  and the Eq.-1 feasibility screening consume these arrays directly.
-* :func:`compute_access_intervals` materializes the same pairing as
-  object-level :class:`AccessInterval` records for consumers that need tags,
-  kinds or per-interval inspection.
+One record holds them: :func:`compute_interval_arrays` sorts the access
+events of the trace's column store
+(:meth:`~repro.core.trace.MemoryTrace.columns`) by ``(block_id,
+timestamp_ns)`` once and differences adjacent timestamps in bulk, producing
+an :class:`IntervalArrays` of parallel NumPy columns, one row per ATI.
+Every consumer — the sweep reduction, Eq.-1 screening, the figures, the
+outlier report and the swap planner — reads those columns and keeps row
+indices into them.  Strings stay off the record: a consumer that prints a
+row reads its tag from ``trace.event_strings()`` at the row's ``end_index``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
-from ..units import ns_to_us
-from .events import MemoryCategory, MemoryEvent, MemoryEventKind
 from .stats import percentiles_of_sorted
-from .trace import CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace, stable_block_order
-
-
-@dataclass(frozen=True)
-class AccessInterval:
-    """One ATI sample: the gap between two adjacent accesses to the same block."""
-
-    block_id: int
-    size: int
-    category: MemoryCategory
-    tag: str
-    interval_ns: int
-    start_event_id: int
-    end_event_id: int
-    start_kind: MemoryEventKind
-    end_kind: MemoryEventKind
-    iteration: int
-
-    @property
-    def interval_us(self) -> float:
-        """The ATI in microseconds (the unit the paper reports)."""
-        return ns_to_us(self.interval_ns)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialize for CSV/JSON export."""
-        return {
-            "block_id": self.block_id,
-            "size": self.size,
-            "category": self.category.value,
-            "tag": self.tag,
-            "interval_ns": self.interval_ns,
-            "interval_us": self.interval_us,
-            "start_event_id": self.start_event_id,
-            "end_event_id": self.end_event_id,
-            "start_kind": self.start_kind.value,
-            "end_kind": self.end_kind.value,
-            "iteration": self.iteration,
-        }
+from .trace import MemoryTrace, stable_block_order
 
 
 @dataclass
@@ -100,15 +58,13 @@ class AtiSummary:
 
 @dataclass(frozen=True)
 class IntervalArrays:
-    """Column-oriented ATI samples (one entry per adjacent access pair).
+    """Column-oriented ATI samples: one row per adjacent same-block access pair.
 
-    This is the vectorized core of the ATI analysis: pairing, gap
-    computation and filtering are NumPy bulk operations over the trace's
-    column store.  ``start_index``/``end_index`` are positions into
-    ``trace.events`` so that object-level consumers (:func:`compute_access_intervals`)
-    can materialize :class:`AccessInterval` records without re-deriving the
-    pairing, while array-level consumers (the sweep engine, Eq.-1 feasibility
-    screening) never touch Python objects at all.
+    ``start_index`` / ``end_index`` are the pair's rows in the trace's
+    columns (:meth:`~repro.core.trace.MemoryTrace.columns`) and in its
+    ``event_strings()``, not positions into ``trace.events``: no consumer
+    builds an event object to read a row.  ``size``, ``category_code`` and
+    ``iteration`` are the closing access's.
     """
 
     block_id: np.ndarray       # int64
@@ -120,8 +76,8 @@ class IntervalArrays:
     start_kind_code: np.ndarray  # int64
     end_kind_code: np.ndarray  # int64
     iteration: np.ndarray      # int64
-    start_index: np.ndarray    # int64, positions into trace.events
-    end_index: np.ndarray      # int64, positions into trace.events
+    start_index: np.ndarray    # int64, row of the opening access in trace.columns()
+    end_index: np.ndarray      # int64, row of the closing access in trace.columns()
 
     def __len__(self) -> int:
         return int(self.interval_ns.size)
@@ -132,15 +88,16 @@ class IntervalArrays:
         return self.interval_ns / 1_000.0
 
 
-def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
-                            min_interval_ns: int = 0) -> IntervalArrays:
-    """Vectorized ATI extraction: every adjacent same-block access pair.
+def compute_interval_arrays(trace: MemoryTrace,
+                            include_lifecycle: bool = False) -> IntervalArrays:
+    """Every adjacent same-block access pair of ``trace``, ordered by the
+    closing event's id.
 
     Pairs are formed per block in event order (a stable sort by block id
-    preserves the stream order within each block), gaps below
-    ``min_interval_ns`` are dropped and the result is ordered by the closing
-    event's id — identical semantics to the historical per-block Python loop,
-    at NumPy speed.
+    preserves the stream order within each block).  With
+    ``include_lifecycle`` a block's ``malloc`` and ``free`` pair as accesses
+    too (the paper's instrumentation tracks all four behaviors; accesses
+    alone are the default because only they move data).
     """
     trace.require_events()
     cols = trace.columns()
@@ -164,9 +121,6 @@ def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
     start_pos = sorted_positions[:-1][adjacent]
     end_pos = sorted_positions[1:][adjacent]
     gaps = cols.timestamp_ns[end_pos] - cols.timestamp_ns[start_pos]
-    if min_interval_ns > 0:
-        keep = gaps >= min_interval_ns
-        start_pos, end_pos, gaps = start_pos[keep], end_pos[keep], gaps[keep]
 
     final = np.argsort(cols.event_id[end_pos])  # event ids are unique: no ties to keep
     start_pos, end_pos, gaps = start_pos[final], end_pos[final], gaps[final]
@@ -183,62 +137,6 @@ def compute_interval_arrays(trace: MemoryTrace, include_lifecycle: bool = False,
         start_index=start_pos,
         end_index=end_pos,
     )
-
-
-def compute_access_intervals(trace: MemoryTrace, include_lifecycle: bool = False,
-                             min_interval_ns: int = 0,
-                             min_size: int = 0) -> List[AccessInterval]:
-    """Compute every ATI in a trace.
-
-    Parameters
-    ----------
-    trace:
-        The recorded memory trace.
-    include_lifecycle:
-        If true, ``malloc``/``free`` events also count as accesses when
-        forming adjacent pairs (the paper's instrumentation tracks all four
-        behaviors; accesses alone are the default because only they move
-        data).
-    min_interval_ns:
-        Drop intervals shorter than this (0 keeps everything).
-    min_size:
-        Drop intervals whose block is smaller than this many bytes (0 keeps
-        everything).  The floor is applied to the interval *columns*, before
-        any :class:`AccessInterval` is built, and keeps the order — the swap
-        planner passes its candidate floor and gets exactly the intervals it
-        would have kept from the full list.
-    """
-    arrays = compute_interval_arrays(trace, include_lifecycle=include_lifecycle,
-                                     min_interval_ns=min_interval_ns)
-    keep = np.flatnonzero(arrays.size >= min_size)
-    if keep.size == 0:
-        return []
-    tags, _ops = trace.event_strings()
-    columns = (arrays.block_id, arrays.size, arrays.category_code, arrays.end_index,
-               arrays.interval_ns, arrays.start_event_id, arrays.end_event_id,
-               arrays.start_kind_code, arrays.end_kind_code, arrays.iteration)
-    rows = np.stack([column[keep] for column in columns], axis=1).tolist()
-    return [AccessInterval(block_id, size, CATEGORY_FROM_CODE[category], tags[end],
-                           interval_ns, start_id, end_id, KIND_FROM_CODE[start_kind],
-                           KIND_FROM_CODE[end_kind], iteration)
-            for (block_id, size, category, end, interval_ns, start_id, end_id,
-                 start_kind, end_kind, iteration) in rows]
-
-
-def intervals_by_kind(intervals: Sequence[AccessInterval]) -> Dict[str, List[AccessInterval]]:
-    """Group intervals by the kind of the access that closes them (Figure 3b groups)."""
-    grouped: Dict[str, List[AccessInterval]] = {}
-    for interval in intervals:
-        grouped.setdefault(interval.end_kind.value, []).append(interval)
-    return grouped
-
-
-def intervals_by_category(intervals: Sequence[AccessInterval]) -> Dict[str, List[AccessInterval]]:
-    """Group intervals by the memory category of the block."""
-    grouped: Dict[str, List[AccessInterval]] = {}
-    for interval in intervals:
-        grouped.setdefault(interval.category.value, []).append(interval)
-    return grouped
 
 
 def summarize_rows_us(values: np.ndarray) -> List[AtiSummary]:
@@ -277,31 +175,3 @@ def summarize_values_us(values: np.ndarray) -> AtiSummary:
     Summarizes a copy: ``values`` is left as it was.
     """
     return summarize_rows_us(np.array(values, dtype=np.float64)[None, :])[0]
-
-
-def summarize_intervals(intervals) -> AtiSummary:
-    """Distribution summary (mean / percentiles) of a set of ATIs.
-
-    Accepts either a sequence of :class:`AccessInterval` objects or an
-    :class:`IntervalArrays` column set.
-    """
-    return summarize_values_us(interval_values_us(intervals))
-
-
-def fraction_below(intervals, threshold_us: float) -> float:
-    """Fraction of ATIs below ``threshold_us`` (the paper's "90% below 25us" claim)."""
-    values = interval_values_us(intervals)
-    if values.size == 0:
-        return 0.0
-    return float(np.mean(values <= threshold_us))
-
-
-def interval_values_us(intervals) -> np.ndarray:
-    """The raw ATI values in microseconds as a NumPy array.
-
-    Accepts either a sequence of :class:`AccessInterval` objects or an
-    :class:`IntervalArrays` column set (returned as-is, no copy).
-    """
-    if isinstance(intervals, IntervalArrays):
-        return intervals.interval_us
-    return np.array([interval.interval_us for interval in intervals], dtype=np.float64)

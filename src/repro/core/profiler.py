@@ -15,16 +15,16 @@ Example
 ...                       recorder=profiler)
 ...     trainer.train(5)
 >>> trace = profiler.trace()
->>> intervals = profiler.access_intervals()
+>>> intervals = profiler.access_intervals()   # an IntervalArrays, one row per ATI
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..device.device import Device
 from ..errors import TraceError
-from .ati import AccessInterval, compute_access_intervals
+from .ati import IntervalArrays, compute_interval_arrays
 from .breakdown import OccupationBreakdown, occupation_breakdown
 from .recorder import TraceRecorder
 from .trace import MemoryTrace
@@ -82,9 +82,9 @@ class MemoryProfiler:
             self._trace = self.recorder.to_trace()
         return self._trace
 
-    def access_intervals(self, include_lifecycle: bool = False) -> List[AccessInterval]:
+    def access_intervals(self, include_lifecycle: bool = False) -> IntervalArrays:
         """All access-time intervals of the recorded trace."""
-        return compute_access_intervals(self.trace(), include_lifecycle=include_lifecycle)
+        return compute_interval_arrays(self.trace(), include_lifecycle=include_lifecycle)
 
     def breakdown(self, label: str = "") -> OccupationBreakdown:
         """Occupation breakdown (Figures 5-7) of the recorded trace."""

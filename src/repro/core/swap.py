@@ -13,21 +13,22 @@ swapping.
 
 The paper's stated future work is "an automatic cost model to sift out these
 memory access behaviors"; :class:`SwapPlanner` implements that cost model on
-top of the recorded trace: it ranks swappable intervals by footprint savings,
-checks Eq. 1 per candidate, accounts for copy-engine contention and reports
-the expected peak-memory reduction and runtime overhead of a chosen plan.
+columns of idle windows — a trace's ATIs or the swap engine's observed gaps:
+it ranks swappable windows by footprint savings, checks Eq. 1 per candidate
+and reports the expected peak-memory reduction and runtime overhead of a
+chosen plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..units import GB, MIB, format_bytes, format_duration, ns_to_us
-from .ati import AccessInterval, IntervalArrays
-from .trace import MemoryTrace
+from ..units import GB, MIB, format_bytes, format_duration
+from .ati import IntervalArrays
+from .trace import CATEGORY_FROM_CODE, MemoryTrace
 
 
 @dataclass(frozen=True)
@@ -66,11 +67,6 @@ def swap_round_trip_ns(nbytes: float, bandwidths: BandwidthConfig) -> float:
     if nbytes <= 0:
         return 0.0
     return nbytes * bandwidths.round_trip_s_per_byte * 1e9
-
-
-def is_swappable(interval: AccessInterval, bandwidths: BandwidthConfig) -> bool:
-    """Whether the block of ``interval`` can be swapped within its ATI (Eq. 1)."""
-    return interval.size <= max_swap_bytes(interval.interval_ns, bandwidths)
 
 
 def _eq1_limit_bytes(interval_ns: np.ndarray, round_trip_s_per_byte,
@@ -121,33 +117,21 @@ def swappable_fraction(arrays: IntervalArrays, bandwidths: BandwidthConfig) -> f
 
 @dataclass
 class SwapCandidate:
-    """One behavior the planner considers swapping during its ATI."""
+    """One idle window the planner considers swapping its block out for."""
 
-    interval: AccessInterval
+    block_id: int
+    size: int                     # bytes absent from the device while swapped out
+    interval_ns: int              # the window: an ATI or an observed idle gap
+    label: str                    # how :meth:`SwapPlan.describe` names the block
     feasible: bool
     swap_limit_bytes: float
     round_trip_ns: float
     slack_ns: float               # ATI minus round-trip time (negative => overhead)
-    savings_bytes: int            # bytes absent from the device while swapped out
 
     @property
     def overhead_ns(self) -> float:
         """Runtime overhead if this candidate is swapped anyway (0 when feasible)."""
         return max(0.0, -self.slack_ns)
-
-    def to_dict(self) -> Dict[str, object]:
-        """Serialize for reports."""
-        return {
-            "block_id": self.interval.block_id,
-            "tag": self.interval.tag,
-            "size_bytes": self.interval.size,
-            "ati_us": self.interval.interval_us,
-            "feasible": self.feasible,
-            "swap_limit_bytes": self.swap_limit_bytes,
-            "round_trip_us": ns_to_us(self.round_trip_ns),
-            "slack_us": ns_to_us(self.slack_ns),
-            "savings_bytes": self.savings_bytes,
-        }
 
 
 @dataclass
@@ -196,10 +180,9 @@ class SwapPlan:
         ]
         for candidate in self.selected:
             lines.append(
-                f"  - block {candidate.interval.block_id} "
-                f"({candidate.interval.tag or candidate.interval.category.value}): "
-                f"{format_bytes(candidate.interval.size)} over "
-                f"{format_duration(candidate.interval.interval_ns)} ATI"
+                f"  - block {candidate.block_id} ({candidate.label}): "
+                f"{format_bytes(candidate.size)} over "
+                f"{format_duration(candidate.interval_ns)} ATI"
             )
         return "\n".join(lines)
 
@@ -228,63 +211,80 @@ class SwapPlanner:
 
     # -- candidate evaluation ----------------------------------------------------------
 
-    def evaluate(self, intervals: Sequence[AccessInterval]) -> List[SwapCandidate]:
-        """Score every interval large enough to be worth considering."""
+    def evaluate(self, block_id, size, interval_ns,
+                 labels: Callable[[np.ndarray], List[str]]) -> List[SwapCandidate]:
+        """Score every window whose block reaches the size floor, best first.
+
+        ``block_id``, ``size`` and ``interval_ns`` are parallel columns, one
+        row per idle window; ``labels`` is asked once for the names of the
+        rows the floor keeps (their indices, in row order).  Feasible
+        candidates rank first, then larger ones; equal keys keep row order.
+        """
+        size = np.asarray(size)
+        rows = np.flatnonzero(size >= self.min_candidate_bytes)
+        if rows.size == 0:
+            return []
         candidates = []
-        for interval in intervals:
-            if interval.size < self.min_candidate_bytes:
-                continue
-            limit = max_swap_bytes(interval.interval_ns, self.bandwidths)
-            round_trip = swap_round_trip_ns(interval.size, self.bandwidths)
-            slack = interval.interval_ns - round_trip
+        for block, nbytes, gap, label in zip(np.asarray(block_id)[rows].tolist(),
+                                             size[rows].tolist(),
+                                             np.asarray(interval_ns)[rows].tolist(),
+                                             labels(rows)):
+            limit = max_swap_bytes(gap, self.bandwidths)
+            round_trip = swap_round_trip_ns(nbytes, self.bandwidths)
             candidates.append(SwapCandidate(
-                interval=interval,
-                feasible=interval.size <= limit,
-                swap_limit_bytes=limit,
-                round_trip_ns=round_trip,
-                slack_ns=slack,
-                savings_bytes=interval.size,
-            ))
-        candidates.sort(key=lambda c: (c.feasible, c.savings_bytes), reverse=True)
+                block_id=block, size=nbytes, interval_ns=gap, label=label,
+                feasible=nbytes <= limit, swap_limit_bytes=limit,
+                round_trip_ns=round_trip, slack_ns=gap - round_trip))
+        candidates.sort(key=lambda c: (c.feasible, c.size), reverse=True)
         return candidates
 
     # -- planning -----------------------------------------------------------------------
 
-    def plan(self, trace: MemoryTrace, intervals: Sequence[AccessInterval]) -> SwapPlan:
-        """Choose a set of swaps that reduces peak memory the most.
+    def plan(self, trace: MemoryTrace, arrays: IntervalArrays) -> SwapPlan:
+        """Choose a set of swaps over ``trace``'s ATIs (``arrays``) that
+        reduces its peak memory the most.
+
+        A candidate is named by the tag of the access closing its ATI, or by
+        its block's category when that access has no tag.
+        """
+        def labels(rows: np.ndarray) -> List[str]:
+            tags, _ops = trace.event_strings()
+            return [tags[end] or CATEGORY_FROM_CODE[code].value
+                    for end, code in zip(arrays.end_index[rows].tolist(),
+                                         arrays.category_code[rows].tolist())]
+
+        return self.plan_columns(arrays.block_id, arrays.size, arrays.interval_ns,
+                                 labels, trace.peak_live_bytes())
+
+    def plan_columns(self, block_id, size, interval_ns,
+                     labels: Callable[[np.ndarray], List[str]],
+                     peak_before: int) -> SwapPlan:
+        """:meth:`plan` on bare columns (see :meth:`evaluate`) plus a known peak.
 
         At most one swap is selected per block (a block absent from the device
         during its largest idle interval is the best that block can do), and
         an infeasible candidate is taken only while the allowed overhead lasts.
-        """
-        return self.plan_from_intervals(intervals, trace.peak_live_bytes())
-
-    def plan_from_intervals(self, intervals: Sequence[AccessInterval],
-                            peak_before: int) -> SwapPlan:
-        """:meth:`plan` without a trace: candidates plus a known peak.
-
-        This is the entry point the closed-loop swap-execution engine
-        (:mod:`repro.swap`) uses after its warm-up iteration — it observed
-        the intervals and the peak itself, and routing its selection through
-        the same code as the offline planner is what makes the
+        The closed-loop swap-execution engine (:mod:`repro.swap`) plans its
+        warm-up's observed idle windows here, so its selection and the
+        offline planner's are one code path — what makes the
         predicted-vs-simulated comparison an apples-to-apples regression.
         """
-        candidates = self.evaluate(intervals)
+        candidates = self.evaluate(block_id, size, interval_ns, labels)
 
         selected: List[SwapCandidate] = []
         selected_blocks: set = set()
         overhead_budget = self.allow_overhead_ns
         savings = 0
         for candidate in candidates:
-            if candidate.interval.block_id in selected_blocks:
+            if candidate.block_id in selected_blocks:
                 continue
             if not candidate.feasible:
                 if candidate.overhead_ns > overhead_budget:
                     continue
                 overhead_budget -= candidate.overhead_ns
             selected.append(candidate)
-            selected_blocks.add(candidate.interval.block_id)
-            savings += candidate.savings_bytes
+            selected_blocks.add(candidate.block_id)
+            savings += candidate.size
 
         total_overhead = sum(candidate.overhead_ns for candidate in selected)
         estimated_after = max(0, peak_before - savings)

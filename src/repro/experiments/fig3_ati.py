@@ -10,18 +10,13 @@ runner) and quantifies the concentration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core.ati import (
-    AccessInterval,
-    AtiSummary,
-    compute_access_intervals,
-    fraction_below,
-    interval_values_us,
-    intervals_by_kind,
-    summarize_intervals,
-)
+import numpy as np
+
+from ..core.ati import AtiSummary, IntervalArrays, compute_interval_arrays, summarize_values_us
 from ..core.stats import CdfResult, ViolinStats, empirical_cdf, violin_stats
+from ..core.trace import KIND_FROM_CODE
 from ..train.session import TrainingRunConfig
 from .configs import paper_mlp_config
 from .sweep import Scenario, SweepRunner
@@ -32,7 +27,7 @@ class Fig3Result:
     """Data behind Figure 3a (CDF) and Figure 3b (violin per behavior kind)."""
 
     label: str
-    intervals: List[AccessInterval]
+    intervals: IntervalArrays
     cdf: CdfResult
     violins: Dict[str, ViolinStats]
     summary_stats: AtiSummary
@@ -56,14 +51,18 @@ def run_fig3(config: Optional[TrainingRunConfig] = None,
     """Run the Figure-3 experiment on the trace ``runner`` serves for ``config``."""
     runner = runner if runner is not None else SweepRunner()
     scenario = Scenario(config if config is not None else paper_mlp_config())
-    intervals = compute_access_intervals(runner.trace(scenario))
-    grouped = intervals_by_kind(intervals)
+    intervals = compute_interval_arrays(runner.trace(scenario))
+    values = intervals.interval_us
+    # One violin per kind of the access closing the ATI, in kind-name order.
+    kinds = sorted((KIND_FROM_CODE[code].value, code)
+                   for code in np.unique(intervals.end_kind_code).tolist())
+    cdf = empirical_cdf(values)
     return Fig3Result(
         label=scenario.label,
         intervals=intervals,
-        cdf=empirical_cdf(interval_values_us(intervals)),
-        violins={kind: violin_stats([i.interval_us for i in group], label=kind)
-                 for kind, group in sorted(grouped.items())},
-        summary_stats=summarize_intervals(intervals),
-        fraction_below_25us=fraction_below(intervals, 25.0),
+        cdf=cdf,
+        violins={kind: violin_stats(values[intervals.end_kind_code == code], label=kind)
+                 for kind, code in kinds},
+        summary_stats=summarize_values_us(values),
+        fraction_below_25us=cdf.fraction_below(25.0),
     )

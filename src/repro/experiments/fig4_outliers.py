@@ -12,43 +12,52 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..core.ati import AccessInterval, compute_access_intervals
+import numpy as np
+
+from ..core.ati import IntervalArrays, compute_interval_arrays
 from ..core.outliers import OutlierReport, find_outliers, pairwise_ati_size, top_swap_candidates
 from ..core.swap import BandwidthConfig, max_swap_bytes
 from ..train.session import TrainingRunConfig
-from ..units import GB
+from ..units import GB, ns_to_us
 from .configs import paper_mlp_config
 from .sweep import Scenario, SweepRunner
 
 
 @dataclass
 class Fig4Result:
-    """The Figure-4 series plus the outlier report and their Eq.-1 swap bounds."""
+    """The Figure-4 series plus the outlier report and their Eq.-1 swap bounds.
+
+    ``outliers`` and ``top_candidates`` hold row indices into ``intervals``.
+    """
 
     label: str
-    intervals: List[AccessInterval]
+    intervals: IntervalArrays
     pairwise: List[Dict[str, object]]
     outliers: OutlierReport
     bandwidths: BandwidthConfig
-    top_candidates: List[AccessInterval]
+    top_candidates: np.ndarray
 
     def largest_outlier_swap_bound_gb(self) -> float:
         """Eq.-1 bound (in decimal GB) for the largest outlier's ATI."""
         largest = self.outliers.largest
         if largest is None:
             return 0.0
-        return max_swap_bytes(largest.interval_ns, self.bandwidths) / GB
+        return max_swap_bytes(int(self.intervals.interval_ns[largest]), self.bandwidths) / GB
 
     def summary(self) -> Dict[str, object]:
         """Compact summary recorded in EXPERIMENTS.md."""
         largest = self.outliers.largest
+        ati_us = size = None
+        if largest is not None:
+            ati_us = ns_to_us(int(self.intervals.interval_ns[largest]))
+            size = int(self.intervals.size[largest])
         return {
             "workload": self.label,
             "num_behaviors": len(self.intervals),
             "num_outliers": self.outliers.count,
             "outlier_fraction": self.outliers.fraction,
-            "largest_outlier_ati_us": None if largest is None else largest.interval_us,
-            "largest_outlier_size_bytes": None if largest is None else largest.size,
+            "largest_outlier_ati_us": ati_us,
+            "largest_outlier_size_bytes": size,
             "largest_outlier_swap_bound_gb": self.largest_outlier_swap_bound_gb(),
         }
 
@@ -60,12 +69,14 @@ def run_fig4(config: Optional[TrainingRunConfig] = None,
     runner = runner if runner is not None else SweepRunner()
     scenario = Scenario(config if config is not None else paper_mlp_config())
     bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
-    intervals = compute_access_intervals(runner.trace(scenario))
+    trace = runner.trace(scenario)
+    intervals = compute_interval_arrays(trace)
+    tags, _ops = trace.event_strings()
     return Fig4Result(
         label=scenario.label,
         intervals=intervals,
         pairwise=pairwise_ati_size(intervals),
-        outliers=find_outliers(intervals),
+        outliers=find_outliers(intervals, tags),
         bandwidths=bandwidths,
         top_candidates=top_swap_candidates(intervals, top_k=10),
     )

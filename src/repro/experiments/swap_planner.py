@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..core.ati import compute_access_intervals
+from ..core.ati import compute_interval_arrays
 from ..core.swap import BandwidthConfig, SwapPlan, SwapPlanner
 from ..swap.policies import PolicySummary
 from ..train.session import TrainingRunConfig
@@ -54,7 +54,7 @@ def run_swap_planner(config: Optional[TrainingRunConfig] = None,
     planner = SwapPlanner(bandwidths=bandwidths, allow_overhead_ns=allow_overhead_ns)
     return SwapPlannerResult(
         label=scenario.label,
-        plan=planner.plan(trace, compute_access_intervals(trace)),
+        plan=planner.plan(trace, compute_interval_arrays(trace)),
         swap_advisor_baseline=evaluate_policy("swap_advisor", trace, bandwidths),
         zero_offload_baseline=evaluate_policy("zero_offload", trace, bandwidths),
     )

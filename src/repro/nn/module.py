@@ -46,12 +46,6 @@ class Module:
             self._modules[key] = value
         object.__setattr__(self, key, value)
 
-    def register_parameter(self, key: str, parameter: Parameter) -> Parameter:
-        """Explicitly register a parameter under ``key``."""
-        self._parameters[key] = parameter
-        object.__setattr__(self, key, parameter)
-        return parameter
-
     def register_buffer(self, key: str, tensor: Tensor) -> Tensor:
         """Register a persistent, non-trainable tensor (e.g. BN running stats)."""
         self._buffers[key] = tensor

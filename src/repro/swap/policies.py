@@ -41,9 +41,9 @@ from typing import (TYPE_CHECKING, Callable, Collection, Dict, Iterable, List, O
 
 import numpy as np
 
-from ..core.ati import AccessInterval, compute_access_intervals, compute_interval_arrays
+from ..core.ati import compute_interval_arrays
 from ..core.events import MemoryCategory, MemoryEventKind
-from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlanner, swap_round_trip_ns
+from ..core.swap import BandwidthConfig, SwapCandidate, SwapPlan, SwapPlanner, swap_round_trip_ns
 from ..core.trace import KIND_CODES, EventColumns, MemoryTrace
 from ..units import MIB
 
@@ -337,24 +337,15 @@ def _within_stream_budget(candidates: Iterable[SwapCandidate],
     return kept, spent
 
 
-def _interval_from_observation(state: "BlockState") -> AccessInterval:
-    """Adapt a warm-up observation to the planner's candidate record.
-
-    Only the fields the cost model reads (size, interval, identity, category,
-    tag) are meaningful; the event bookkeeping fields are synthesized.
-    """
-    return AccessInterval(
-        block_id=state.block_id,
-        size=state.size,
-        category=state.category,
-        tag=state.tag,
-        interval_ns=int(state.best_gap_ns),
-        start_event_id=-1,
-        end_event_id=-1,
-        start_kind=MemoryEventKind.READ,
-        end_kind=MemoryEventKind.READ,
-        iteration=0,
-    )
+def _plan_observed(planner: SwapPlanner, observed: List["BlockState"],
+                   peak_before: int) -> SwapPlan:
+    """Plan over the warm-up's observed blocks, each at its best idle gap."""
+    return planner.plan_columns(
+        [state.block_id for state in observed], [state.size for state in observed],
+        [int(state.best_gap_ns) for state in observed],
+        lambda rows: [observed[row].tag or observed[row].category.value
+                      for row in rows.tolist()],
+        peak_before)
 
 
 def _absent_savings(absent_bytes: int, peak_before: int) -> PolicySummary:
@@ -414,10 +405,7 @@ class PlannerPolicy(_TriggerPlanPolicy):
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
         """Plan interval-aware swapping and summarize the chosen plan."""
         bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
-        planner = self._planner(bandwidths)
-        intervals = compute_access_intervals(trace,
-                                             min_size=planner.min_candidate_bytes)
-        plan = planner.plan(trace, intervals)
+        plan = self._planner(bandwidths).plan(trace, compute_interval_arrays(trace))
         return self._summary(plan.summary(), savings_bytes=plan.savings_bytes,
                              savings_fraction=plan.savings_fraction,
                              overhead_ns=plan.total_overhead_ns)
@@ -431,13 +419,10 @@ class PlannerPolicy(_TriggerPlanPolicy):
                     if state.best_gap_ns > 0
                     and _covers_peak(state, warmup.peak_phase_ns,
                                      warmup.iteration_duration_ns)]
-        plan = planner.plan_from_intervals(
-            [_interval_from_observation(state) for state in observed],
-            peak_before=warmup.peak_resident_bytes)
+        plan = _plan_observed(planner, observed, warmup.peak_resident_bytes)
         kept, spent = _within_stream_budget(
             plan.selected, COPY_UTILIZATION_CAP * warmup.iteration_duration_ns)
-        kept_states = [warmup.by_id[candidate.interval.block_id]
-                       for candidate in kept]
+        kept_states = [warmup.by_id[candidate.block_id] for candidate in kept]
         self._triggers = _build_triggers(kept_states)
         peak_after = _predict_peak_after(_absence_windows(kept_states), warmup)
         savings = max(0, plan.peak_bytes_before - peak_after)
@@ -532,9 +517,7 @@ class UnifiedPolicy(_TriggerPlanPolicy):
                     and state.size >= self.min_candidate_bytes
                     and _covers_peak(state, warmup.peak_phase_ns,
                                      warmup.iteration_duration_ns)]
-        plan = planner.plan_from_intervals(
-            [_interval_from_observation(state) for state in observed],
-            peak_before=warmup.peak_resident_bytes)
+        plan = _plan_observed(planner, observed, warmup.peak_resident_bytes)
         budget_ns = COPY_UTILIZATION_CAP * warmup.iteration_duration_ns
 
         # The pure-swap twin's own selection under the same stream budget:
@@ -542,7 +525,7 @@ class UnifiedPolicy(_TriggerPlanPolicy):
         # when that is cheaper, by transfer otherwise — which is what makes
         # the unified savings dominate both single-mechanism plans.
         planner_kept_ids = {
-            candidate.interval.block_id
+            candidate.block_id
             for candidate in _within_stream_budget(plan.selected, budget_ns)[0]}
 
         decisions: List[Dict[str, object]] = []
@@ -581,10 +564,10 @@ class UnifiedPolicy(_TriggerPlanPolicy):
             return mechanism
 
         for candidate in plan.selected:
-            feasible_ids.add(candidate.interval.block_id)
-            state = warmup.by_id[candidate.interval.block_id]
+            feasible_ids.add(candidate.block_id)
+            state = warmup.by_id[candidate.block_id]
             swap_cost = float(candidate.round_trip_ns)
-            in_planner = candidate.interval.block_id in planner_kept_ids
+            in_planner = candidate.block_id in planner_kept_ids
             swap_fits = (self.enable_swap
                          and (in_planner or spent + swap_cost <= budget_ns))
             if decide(state, swap_cost, swap_fits) == "swap":
@@ -680,8 +663,6 @@ class SwapAdvisorPolicy(_TriggerPlanPolicy):
         """Swap the largest blocks and charge the transfer time the ATIs cannot hide."""
         bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
         candidates = self.select(trace)
-        # Read off the interval columns: no AccessInterval is built for the
-        # (many) blocks the policy never considers.
         arrays = compute_interval_arrays(trace)
         overhead = 0.0
         for block_id, size in candidates:

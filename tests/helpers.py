@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core import ati as ati_module
 from repro.core import trace as trace_module
-from repro.core.ati import compute_interval_arrays
+from repro.core.ati import IntervalArrays, compute_interval_arrays
 from repro.core.events import (
     BlockLifetime,
     IterationMark,
@@ -29,7 +29,8 @@ from repro.core.events import (
     MemoryEventKind,
 )
 from repro.core.recorder import TraceRecorder
-from repro.core.trace import MemoryTrace, lifetimes_from_columns, merge_rank_traces
+from repro.core.trace import (CATEGORY_CODES, KIND_CODES, MemoryTrace, lifetimes_from_columns,
+                              merge_rank_traces)
 from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
 from repro.device.stream import Stream
@@ -48,6 +49,34 @@ def json_digest(value) -> str:
     """sha256 of ``value``'s canonical JSON (sorted keys, floats by ``repr``)."""
     text = json.dumps(value, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def interval_arrays(rows, category=MemoryCategory.ACTIVATION) -> IntervalArrays:
+    """An :class:`IntervalArrays` of ``(block_id, size, interval_ns)`` rows:
+    each a write closed by a read in iteration 0, row ``i`` closing at event
+    ``i`` (so a tag list indexes by row)."""
+    block_id, size, interval_ns = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    index = np.arange(len(rows), dtype=np.int64)
+
+    def constant(value):
+        return np.full(len(rows), value, dtype=np.int64)
+
+    return IntervalArrays(
+        block_id=block_id, size=size, category_code=constant(CATEGORY_CODES[category]),
+        interval_ns=interval_ns, start_event_id=index, end_event_id=index,
+        start_kind_code=constant(KIND_CODES[MemoryEventKind.WRITE]),
+        end_kind_code=constant(KIND_CODES[MemoryEventKind.READ]),
+        iteration=constant(0), start_index=index, end_index=index)
+
+
+def plan_rows(planner, rows, peak_before):
+    """``planner.plan_columns`` over ``(block_id, size, interval_ns)`` rows,
+    each candidate labelled ``b<block_id>``."""
+    arrays = interval_arrays(rows)
+    return planner.plan_columns(
+        arrays.block_id, arrays.size, arrays.interval_ns,
+        lambda kept: [f"b{block_id}" for block_id in arrays.block_id[kept].tolist()],
+        peak_before)
 
 
 class BehaviorLog(MemoryEventListener):

@@ -5,56 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ati import (
-    compute_access_intervals,
-    fraction_below,
-    interval_values_us,
-    intervals_by_category,
-    intervals_by_kind,
-    summarize_intervals,
-)
+from repro.core.ati import compute_interval_arrays, summarize_values_us
 from repro.core.stats import (
     empirical_cdf,
     gaussian_kde_trace,
     violin_stats,
 )
-from repro.core.trace import MemoryTrace, merge_rank_traces, stable_block_order
+from repro.core.trace import (CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace,
+                              merge_rank_traces, stable_block_order)
 from repro.errors import EmptyTraceError
 
 from tests.helpers import assert_grouping_equals_stable_sort, build_trace
 
 
 def test_ati_computed_per_block(simple_trace):
-    intervals = compute_access_intervals(simple_trace)
+    arrays = compute_interval_arrays(simple_trace)
     by_block = {}
-    for interval in intervals:
-        by_block.setdefault(interval.block_id, []).append(interval)
+    for block_id, interval_us in zip(arrays.block_id.tolist(), arrays.interval_us.tolist()):
+        by_block.setdefault(block_id, []).append(interval_us)
     # Block 2: write@3us -> read@10us => one interval of 7us.
-    assert [i.interval_us for i in by_block[2]] == [7.0]
+    assert by_block[2] == [7.0]
     # Block 1: write@1us -> read@12us -> read@112us => 11us and 100us.
-    assert [i.interval_us for i in by_block[1]] == [11.0, 100.0]
+    assert by_block[1] == [11.0, 100.0]
     # Block 3: write@101 -> read@110 => 9us.
-    assert [i.interval_us for i in by_block[3]] == [9.0]
+    assert by_block[3] == [9.0]
 
 
 def test_ati_include_lifecycle_adds_malloc_free_pairs(simple_trace):
-    access_only = compute_access_intervals(simple_trace)
-    with_lifecycle = compute_access_intervals(simple_trace, include_lifecycle=True)
+    access_only = compute_interval_arrays(simple_trace)
+    with_lifecycle = compute_interval_arrays(simple_trace, include_lifecycle=True)
     assert len(with_lifecycle) > len(access_only)
-
-
-def test_ati_min_interval_filter(simple_trace):
-    intervals = compute_access_intervals(simple_trace, min_interval_ns=50_000)
-    assert all(interval.interval_ns >= 50_000 for interval in intervals)
 
 
 def test_ati_empty_trace_raises():
     with pytest.raises(EmptyTraceError):
-        compute_access_intervals(MemoryTrace())
+        compute_interval_arrays(MemoryTrace())
 
 
 def test_ati_summary_percentiles(simple_trace):
-    summary = summarize_intervals(compute_access_intervals(simple_trace))
+    summary = summarize_values_us(compute_interval_arrays(simple_trace).interval_us)
     assert summary.count == 4
     assert summary.min_us == 7.0
     assert summary.max_us == 100.0
@@ -64,27 +53,28 @@ def test_ati_summary_percentiles(simple_trace):
 
 
 def test_ati_summary_of_empty_set_is_zero():
-    summary = summarize_intervals([])
+    summary = summarize_values_us(np.array([]))
     assert summary.count == 0
     assert summary.max_us == 0.0
 
 
 def test_fraction_below_threshold(simple_trace):
-    intervals = compute_access_intervals(simple_trace)
-    assert fraction_below(intervals, 12.0) == pytest.approx(3 / 4)
-    assert fraction_below(intervals, 1e9) == 1.0
-    assert fraction_below([], 10) == 0.0
+    """Fig. 3's "fraction below" is the CDF's count at or below, over n."""
+    cdf = empirical_cdf(compute_interval_arrays(simple_trace).interval_us)
+    assert cdf.fraction_below(12.0) == pytest.approx(3 / 4)
+    assert cdf.fraction_below(11.0) == pytest.approx(3 / 4)   # at the threshold counts
+    assert cdf.fraction_below(1e9) == 1.0
+    assert empirical_cdf([]).fraction_below(10) == 0.0
 
 
 def test_grouping_by_kind_and_category(simple_trace):
-    intervals = compute_access_intervals(simple_trace)
-    by_kind = intervals_by_kind(intervals)
-    assert set(by_kind) <= {"read", "write"}
-    by_category = intervals_by_category(intervals)
-    assert "parameter" in by_category
-    assert "activation" in by_category
-    values = interval_values_us(intervals)
-    assert values.shape == (4,)
+    arrays = compute_interval_arrays(simple_trace)
+    kinds = {KIND_FROM_CODE[code].value for code in arrays.end_kind_code.tolist()}
+    assert kinds <= {"read", "write"}
+    categories = {CATEGORY_FROM_CODE[code].value for code in arrays.category_code.tolist()}
+    assert "parameter" in categories
+    assert "activation" in categories
+    assert arrays.interval_us.shape == (4,)
 
 
 # -- distribution statistics ---------------------------------------------------------------

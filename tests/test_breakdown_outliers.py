@@ -1,14 +1,15 @@
 """Tests for the occupation breakdown and the outlier analysis."""
 
+import numpy as np
 import pytest
 
-from repro.core.ati import AccessInterval, compute_access_intervals
+from repro.core.ati import compute_interval_arrays
 from repro.core.breakdown import BreakdownSeries, model_state_bytes, occupation_breakdown
-from repro.core.events import MemoryCategory, MemoryEventKind, PAPER_BUCKETS
+from repro.core.events import MemoryCategory, PAPER_BUCKETS
 from repro.core.outliers import find_outliers, pairwise_ati_size, top_swap_candidates
 from repro.units import MIB, s_to_ns
 
-from tests.helpers import build_trace
+from tests.helpers import build_trace, interval_arrays
 
 
 def make_breakdown_trace():
@@ -79,66 +80,88 @@ def test_breakdown_on_real_session(small_mlp_session):
 # -- outliers ---------------------------------------------------------------------------------
 
 
-def make_interval(block_id, size, interval_ns, category=MemoryCategory.ACTIVATION):
-    return AccessInterval(block_id=block_id, size=size, category=category, tag=f"b{block_id}",
-                          interval_ns=interval_ns, start_event_id=0, end_event_id=1,
-                          start_kind=MemoryEventKind.WRITE, end_kind=MemoryEventKind.READ,
-                          iteration=0)
+def tags_of(arrays):
+    """A per-event tag list naming row ``i``'s closing access ``b<block_id>``."""
+    return [f"b{block_id}" for block_id in arrays.block_id.tolist()]
 
 
 def test_find_outliers_requires_both_thresholds():
-    intervals = [
-        make_interval(1, 700 * MIB, s_to_ns(1.0)),    # outlier: big and slow
-        make_interval(2, 700 * MIB, 10_000),          # big but fast
-        make_interval(3, 1 * MIB, s_to_ns(1.0)),      # slow but small
-        make_interval(4, 4096, 5_000),                # neither
-    ]
-    report = find_outliers(intervals)
+    arrays = interval_arrays([
+        (1, 700 * MIB, s_to_ns(1.0)),    # outlier: big and slow
+        (2, 700 * MIB, 10_000),          # big but fast
+        (3, 1 * MIB, s_to_ns(1.0)),      # slow but small
+        (4, 4096, 5_000),                # neither
+    ])
+    report = find_outliers(arrays, tags_of(arrays))
     assert report.count == 1
-    assert report.outliers[0].block_id == 1
+    assert report.rows.tolist() == [0]
+    assert report.tags == ["b1"]
     assert report.fraction == pytest.approx(0.25)
-    assert report.largest.block_id == 1
+    assert report.largest == 0
     assert report.outlier_bytes() == 700 * MIB
-    assert "block 1" in report.describe()[0]
+    assert report.describe()[0].startswith("block 1 (b1): ATI ")
     assert report.to_dict()["count"] == 1
+    (row,) = report.to_dict()["outliers"]
+    assert (row["block_id"], row["size"], row["tag"], row["interval_ns"],
+            row["start_kind"], row["end_kind"]) == (
+        1, 700 * MIB, "b1", s_to_ns(1.0), "write", "read")
+
+
+def test_outliers_rank_by_ati_times_size_and_fall_back_to_the_category():
+    arrays = interval_arrays([
+        (1, 700 * MIB, s_to_ns(1.0)),
+        (2, 900 * MIB, s_to_ns(2.0)),    # the largest product
+        (3, 700 * MIB, s_to_ns(1.0)),    # ties row 0: row order breaks it
+    ])
+    report = find_outliers(arrays, ["b1", "", "b3"])
+    assert report.largest == 1
+    assert [line.split(":")[0] for line in report.describe()] == [
+        "block 2 (activation)", "block 1 (b1)", "block 3 (b3)"]
+    assert report.outlier_bytes() == (700 + 900 + 700) * MIB
 
 
 def test_find_outliers_custom_thresholds():
-    intervals = [make_interval(1, 10 * MIB, 200_000_000)]
-    default = find_outliers(intervals)
+    arrays = interval_arrays([(1, 10 * MIB, 200_000_000)])
+    default = find_outliers(arrays, tags_of(arrays))
     assert default.count == 0
-    relaxed = find_outliers(intervals, ati_threshold_ns=100_000_000,
+    relaxed = find_outliers(arrays, tags_of(arrays), ati_threshold_ns=100_000_000,
                             size_threshold_bytes=5 * MIB)
     assert relaxed.count == 1
 
 
 def test_outlier_report_empty():
-    report = find_outliers([])
+    report = find_outliers(interval_arrays([]), [])
     assert report.count == 0
     assert report.largest is None
     assert report.fraction == 0.0
+    assert report.describe() == []
 
 
 def test_pairwise_series_preserves_order():
-    intervals = [make_interval(1, 100, 10), make_interval(2, 200, 20)]
-    rows = pairwise_ati_size(intervals)
+    rows = pairwise_ati_size(interval_arrays([(1, 100, 10), (2, 200, 20)]))
     assert rows[0]["behavior_index"] == 0
     assert rows[1]["size_bytes"] == 200
+    assert rows[1]["ati_us"] == 0.02
+    assert rows[1]["category"] == "activation"
 
 
 def test_top_swap_candidates_ranked_by_product():
-    intervals = [
-        make_interval(1, 100 * MIB, 1_000_000),
-        make_interval(2, 200 * MIB, 10_000_000),
-        make_interval(3, 1024, 10_000_000_000),       # too small to be considered
-    ]
-    ranked = top_swap_candidates(intervals, top_k=2)
-    assert [interval.block_id for interval in ranked] == [2, 1]
+    arrays = interval_arrays([
+        (1, 100 * MIB, 1_000_000),
+        (2, 200 * MIB, 10_000_000),
+        (3, 1024, 10_000_000_000),       # too small to be considered
+    ])
+    ranked = top_swap_candidates(arrays, top_k=2)
+    assert ranked.tolist() == [1, 0]
+    assert arrays.block_id[ranked].tolist() == [2, 1]
 
 
 def test_outliers_present_in_paper_mlp_trace(paper_mlp_session):
     """Even at a reduced batch size the cross-iteration intervals are outliers in time."""
-    intervals = compute_access_intervals(paper_mlp_session.trace)
-    report = find_outliers(intervals, ati_threshold_ns=s_to_ns(0.1),
+    trace = paper_mlp_session.trace
+    arrays = compute_interval_arrays(trace)
+    report = find_outliers(arrays, trace.event_strings()[0],
+                           ati_threshold_ns=s_to_ns(0.1),
                            size_threshold_bytes=100 * MIB)
     assert report.count > 0
+    assert np.all(arrays.size[report.rows] >= 100 * MIB)

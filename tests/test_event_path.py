@@ -14,7 +14,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.ati import compute_access_intervals
+import numpy as np
+
+from repro.core.ati import compute_interval_arrays
 from repro.core.profiler import MemoryProfiler
 from repro.core.recorder import TraceRecorder
 from repro.core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
@@ -296,28 +298,46 @@ def corpus():
 
 
 @pytest.mark.parametrize("floor", [0, 1, 64 * 1024, MIB, 32 * MIB, 10**12])
-def test_size_floor_equals_filtering_the_full_list(corpus, floor):
+def test_planner_floor_equals_filtering_the_full_list(corpus, floor):
+    """The planner's size floor is a mask over the rows: it scores exactly
+    the floor-free candidates at or above it, in the same order, and names
+    only the rows it keeps."""
     for trace in corpus:
-        everything = compute_access_intervals(trace)
-        assert compute_access_intervals(trace, min_size=floor) == [
-            interval for interval in everything if interval.size >= floor]
-        lifecycle = compute_access_intervals(trace, include_lifecycle=True,
-                                             min_interval_ns=1_000)
-        assert compute_access_intervals(
-            trace, include_lifecycle=True, min_interval_ns=1_000, min_size=floor
-        ) == [interval for interval in lifecycle if interval.size >= floor]
+        for arrays in (compute_interval_arrays(trace),
+                       compute_interval_arrays(trace, include_lifecycle=True)):
+            asked = []
+
+            def labels(rows):
+                asked.append(rows.tolist())
+                return [str(row) for row in rows.tolist()]
+
+            columns = (arrays.block_id, arrays.size, arrays.interval_ns)
+            everything = SwapPlanner(min_candidate_bytes=0).evaluate(*columns, labels)
+            floored = SwapPlanner(min_candidate_bytes=floor).evaluate(*columns, labels)
+            assert floored == [c for c in everything if c.size >= floor]
+            kept = np.flatnonzero(arrays.size >= floor).tolist()
+            assert asked[1:] == ([kept] if kept else [])
 
 
-def test_interval_objects_match_the_event_objects_they_point_at(corpus):
+def test_interval_rows_match_the_event_rows_they_index(corpus):
     trace = corpus[1]
+    cols = trace.columns()
+    tags, _ops = trace.event_strings()
     events = trace.events
-    for interval in compute_access_intervals(trace)[::37]:
-        start, end = events[interval.start_event_id], events[interval.end_event_id]
-        assert (interval.block_id, interval.size, interval.category, interval.tag,
-                interval.iteration) == (end.block_id, end.size, end.category,
-                                        end.tag, end.iteration)
-        assert (interval.start_kind, interval.end_kind) == (start.kind, end.kind)
-        assert interval.interval_ns == end.timestamp_ns - start.timestamp_ns
+    arrays = compute_interval_arrays(trace)
+    for row in range(0, len(arrays), 37):
+        start, end = int(arrays.start_index[row]), int(arrays.end_index[row])
+        assert (arrays.block_id[row], arrays.size[row], arrays.category_code[row],
+                arrays.iteration[row]) == (cols.block_id[end], cols.size[end],
+                                           cols.category_code[end], cols.iteration[end])
+        assert (arrays.start_event_id[row], arrays.end_event_id[row]) == (
+            cols.event_id[start], cols.event_id[end])
+        assert (arrays.start_kind_code[row], arrays.end_kind_code[row]) == (
+            cols.kind_code[start], cols.kind_code[end])
+        assert arrays.interval_ns[row] == cols.timestamp_ns[end] - cols.timestamp_ns[start]
+        # The rows are the event objects' positions too, tags included.
+        assert (events[start].event_id, events[end].event_id, events[end].tag) == (
+            arrays.start_event_id[row], arrays.end_event_id[row], tags[end])
 
 
 def test_planner_policy_equals_planning_over_the_unfiltered_intervals(corpus):
@@ -325,7 +345,7 @@ def test_planner_policy_equals_planning_over_the_unfiltered_intervals(corpus):
     for trace in corpus:
         bandwidths = BandwidthConfig.from_paper()
         plan = SwapPlanner(bandwidths=bandwidths).plan(
-            trace, compute_access_intervals(trace))
+            trace, compute_interval_arrays(trace))
         summary = PlannerPolicy().evaluate(trace, bandwidths)
         assert {key: summary[key] for key in plan.summary()} == plan.summary()
         assert summary["savings_bytes"] == plan.savings_bytes
@@ -344,9 +364,10 @@ def test_swap_advisor_equals_the_per_interval_python_loop(corpus):
             policy = SwapAdvisorPolicy(min_block_bytes=floor)
             overhead_ns = policy.evaluate(trace, slow)["overhead_ns"]
             largest = {}
-            for interval in compute_access_intervals(trace):
-                largest[interval.block_id] = max(largest.get(interval.block_id, 0),
-                                                 interval.interval_ns)
+            arrays = compute_interval_arrays(trace)
+            for block_id, interval_ns in zip(arrays.block_id.tolist(),
+                                             arrays.interval_ns.tolist()):
+                largest[block_id] = max(largest.get(block_id, 0), interval_ns)
             sizes = {}
             for lifetime in trace.lifetimes:
                 sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0),

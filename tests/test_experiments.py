@@ -18,7 +18,7 @@ from repro.experiments import (
 )
 from repro.core.swap import max_swap_bytes
 from repro.experiments.configs import breakdown_config
-from repro.experiments.sweep import SweepRunner
+from repro.experiments.sweep import Scenario, SweepRunner
 from repro.units import MIB, s_to_ns
 
 #: The reduced paper MLP the scaled-down figure tests share.
@@ -111,10 +111,11 @@ def test_fig4_finds_large_long_idle_outliers(runner):
     assert len(result.pairwise) == len(result.intervals)
     # With the reduced batch the paper's absolute thresholds are too strict, so
     # verify the scaled-down equivalent: blocks > 64 MiB idle for > 0.1 s exist.
-    scaled = find_outliers(result.intervals, ati_threshold_ns=s_to_ns(0.1),
+    tags, _ops = runner.trace(Scenario(SMALL_PAPER_MLP)).event_strings()
+    scaled = find_outliers(result.intervals, tags, ati_threshold_ns=s_to_ns(0.1),
                            size_threshold_bytes=64 * MIB)
     assert scaled.count > 0
-    assert result.top_candidates
+    assert result.top_candidates.size
     assert result.summary()["num_behaviors"] > 0
 
 
@@ -124,9 +125,11 @@ def test_fig4_outliers_at_paper_scale(runner):
     result = run_fig4(runner=runner)
     assert 0 < result.outliers.fraction < 0.2
     largest = result.outliers.largest
-    assert largest.size >= 600 * MIB
-    assert largest.interval_ns >= s_to_ns(0.8)
-    assert max_swap_bytes(largest.interval_ns, result.bandwidths) > largest.size
+    size = int(result.intervals.size[largest])
+    interval_ns = int(result.intervals.interval_ns[largest])
+    assert size >= 600 * MIB
+    assert interval_ns >= s_to_ns(0.8)
+    assert max_swap_bytes(interval_ns, result.bandwidths) > size
     assert result.summary()["largest_outlier_swap_bound_gb"] > 2.0
 
 

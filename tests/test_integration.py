@@ -4,11 +4,11 @@ from repro.core import (
     MemoryEventKind,
     analyze_fragmentation,
     build_gantt_chart,
-    compute_access_intervals,
+    compute_interval_arrays,
     detect_iterative_pattern,
     find_outliers,
     occupation_breakdown,
-    summarize_intervals,
+    summarize_values_us,
 )
 from repro.core.swap import SwapPlanner
 from repro.train.session import TrainingRunConfig, run_training_session
@@ -20,8 +20,8 @@ def test_full_pipeline_on_shared_session(small_mlp_session):
     trace = small_mlp_session.trace
     assert len(trace) > 100
 
-    intervals = compute_access_intervals(trace)
-    summary = summarize_intervals(intervals)
+    intervals = compute_interval_arrays(trace)
+    summary = summarize_values_us(intervals.interval_us)
     assert summary.count == len(intervals) > 50
     assert summary.p50_us > 0
 
@@ -110,9 +110,9 @@ def test_outliers_scale_with_batch_size():
                                    dataset="two_cluster", batch_size=batch_size,
                                    iterations=3)
         result = run_training_session(config)
-        intervals = compute_access_intervals(result.trace)
-        report = find_outliers(intervals, ati_threshold_ns=1_000_000,
-                               size_threshold_bytes=1024)
-        return max((interval.size for interval in report.outliers), default=0)
+        intervals = compute_interval_arrays(result.trace)
+        report = find_outliers(intervals, result.trace.event_strings()[0],
+                               ati_threshold_ns=1_000_000, size_threshold_bytes=1024)
+        return max(intervals.size[report.rows].tolist(), default=0)
 
     assert largest_idle_block(256) < largest_idle_block(2048)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.ati import IntervalArrays
 from repro.core.events import MemoryCategory
 from repro.core.profiler import MemoryProfiler
 from repro.errors import ConfigurationError, TraceError
@@ -39,6 +40,7 @@ def test_profiler_analysis_shortcuts(small_mlp_session, test_device):
         c = F.matmul(a, b)
         F.relu_forward(c)
         profiler.end_iteration(0)
+    assert isinstance(profiler.access_intervals(), IntervalArrays)
     assert len(profiler.access_intervals()) >= 1
     assert (len(profiler.access_intervals(include_lifecycle=True))
             > len(profiler.access_intervals()))

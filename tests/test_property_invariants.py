@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ati import compute_access_intervals
+from repro.core.ati import compute_interval_arrays
 from repro.core.events import MemoryEventKind
 from repro.core.profiler import MemoryProfiler
 from repro.core.trace import MemoryTrace
@@ -85,9 +85,11 @@ def check_trace_invariants(trace: MemoryTrace):
 
     # 4. Every access interval is non-negative and pairs events of the same block.
     if trace.events:
-        for interval in compute_access_intervals(trace):
-            assert interval.interval_ns >= 0
-            assert interval.start_event_id < interval.end_event_id
+        arrays = compute_interval_arrays(trace)
+        block_id = trace.columns().block_id
+        assert np.all(arrays.interval_ns >= 0)
+        assert np.all(arrays.start_event_id < arrays.end_event_id)
+        assert np.array_equal(block_id[arrays.start_index], block_id[arrays.end_index])
 
 
 @settings(max_examples=8, deadline=None)

@@ -14,12 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ati import AccessInterval, compute_interval_arrays
-from repro.core.events import MemoryCategory, MemoryEventKind
+from repro.core.ati import compute_interval_arrays
 from repro.core.swap import (
     BandwidthConfig,
     SwapPlanner,
-    is_swappable,
     max_swap_bytes,
     swap_round_trip_ns,
     swappable_fraction,
@@ -28,20 +26,14 @@ from repro.core.swap import (
 from repro.device import Device, small_test_device
 from repro.units import KB, MIB
 
-from tests.helpers import build_trace
+from tests.helpers import build_trace, plan_rows
 
 BANDWIDTHS = BandwidthConfig.from_paper()
 
 
-def make_interval(block_id, size, interval_ns, iteration=0):
-    """A standalone ATI sample for planner-level tests."""
-    return AccessInterval(
-        block_id=block_id, size=size, category=MemoryCategory.ACTIVATION,
-        tag=f"block{block_id}", interval_ns=interval_ns,
-        start_event_id=2 * block_id, end_event_id=2 * block_id + 1,
-        start_kind=MemoryEventKind.WRITE, end_kind=MemoryEventKind.READ,
-        iteration=iteration,
-    )
+def eq1_feasible(size, interval_ns):
+    """The scalar Eq.-1 oracle: ``size`` fits through the ATI's round trip."""
+    return size <= max_swap_bytes(interval_ns, BANDWIDTHS)
 
 
 # -- Eq. 1 consistency ----------------------------------------------------------------
@@ -50,10 +42,13 @@ def make_interval(block_id, size, interval_ns, iteration=0):
 @settings(max_examples=200, deadline=None)
 @given(size=st.integers(min_value=0, max_value=1 << 34),
        interval_ns=st.integers(min_value=-10, max_value=10**12))
-def test_is_swappable_consistent_with_max_swap_bytes(size, interval_ns):
-    interval = make_interval(1, size, interval_ns)
+def test_planner_feasibility_consistent_with_max_swap_bytes(size, interval_ns):
+    planner = SwapPlanner(bandwidths=BANDWIDTHS, min_candidate_bytes=0)
+    (candidate,) = plan_rows(planner, [(1, size, interval_ns)], peak_before=size).candidates
     limit = max_swap_bytes(interval_ns, BANDWIDTHS)
-    assert is_swappable(interval, BANDWIDTHS) == (size <= limit)
+    assert candidate.swap_limit_bytes == limit
+    assert candidate.feasible == (size <= limit)
+    assert candidate.round_trip_ns == swap_round_trip_ns(size, BANDWIDTHS)
     if interval_ns <= 0:
         assert limit == 0.0
     else:
@@ -66,7 +61,7 @@ def test_is_swappable_consistent_with_max_swap_bytes(size, interval_ns):
                           st.integers(min_value=1, max_value=10**10)),
                 min_size=1, max_size=40))
 def test_vectorized_swappable_mask_matches_scalar_eq1(pairs):
-    """swappable_mask/swappable_fraction agree with per-interval is_swappable."""
+    """swappable_mask/swappable_fraction agree with the scalar Eq.-1 oracle."""
     us = 1_000
     events = []
     t = 0
@@ -80,9 +75,8 @@ def test_vectorized_swappable_mask_matches_scalar_eq1(pairs):
     assert len(arrays) == len(pairs)
     mask = swappable_mask(arrays, BANDWIDTHS)
     for i in range(len(arrays)):
-        expected = int(arrays.size[i]) <= max_swap_bytes(int(arrays.interval_ns[i]),
-                                                         BANDWIDTHS)
-        assert bool(mask[i]) == expected
+        assert bool(mask[i]) == eq1_feasible(int(arrays.size[i]),
+                                             int(arrays.interval_ns[i]))
     assert swappable_fraction(arrays, BANDWIDTHS) == pytest.approx(float(np.mean(mask)))
 
 
@@ -100,7 +94,6 @@ interval_lists = st.lists(
 @given(intervals=interval_lists,
        allow_overhead_ns=st.sampled_from([0.0, 1e6, 1e9]))
 def test_swap_plan_invariants(intervals, allow_overhead_ns):
-    samples = [make_interval(block, size, ati) for block, size, ati in intervals]
     us = 1_000
     events = []
     for i, (block, size, _) in enumerate(intervals):
@@ -108,10 +101,10 @@ def test_swap_plan_invariants(intervals, allow_overhead_ns):
     trace = build_trace(events) if events else build_trace([("malloc", 0, 1, 1)])
 
     planner = SwapPlanner(bandwidths=BANDWIDTHS, allow_overhead_ns=allow_overhead_ns)
-    plan = planner.plan(trace, samples)
+    plan = plan_rows(planner, intervals, trace.peak_live_bytes())
 
-    candidate_total = sum(c.savings_bytes for c in plan.candidates)
-    selected_total = sum(c.savings_bytes for c in plan.selected)
+    candidate_total = sum(c.size for c in plan.candidates)
+    selected_total = sum(c.size for c in plan.selected)
 
     # Savings are conservative: bounded by the candidates and by the peak.
     assert 0 <= plan.savings_bytes <= plan.peak_bytes_before
@@ -119,17 +112,24 @@ def test_swap_plan_invariants(intervals, allow_overhead_ns):
     assert plan.savings_bytes <= selected_total
     assert plan.estimated_peak_bytes_after >= 0
 
-    # Candidates below the planner's size floor are never considered.
-    assert all(c.interval.size >= planner.min_candidate_bytes for c in plan.candidates)
+    # Candidates below the planner's size floor are never considered; every
+    # row at or above it is, under its own label.
+    assert sorted((c.block_id, c.size, c.interval_ns) for c in plan.candidates) == sorted(
+        row for row in intervals if row[1] >= planner.min_candidate_bytes)
+    assert all(c.label == f"b{c.block_id}" for c in plan.candidates)
+
+    # Ranked feasible first, then by size: the stable descending order.
+    keys = [(c.feasible, c.size) for c in plan.candidates]
+    assert keys == sorted(keys, reverse=True)
 
     # At most one selection per block.
-    selected_blocks = [c.interval.block_id for c in plan.selected]
+    selected_blocks = [c.block_id for c in plan.selected]
     assert len(selected_blocks) == len(set(selected_blocks))
 
-    # Eq.-1 consistency: feasibility of every candidate matches is_swappable,
-    # and the total overhead respects the planner's budget.
+    # Eq.-1 consistency: feasibility of every candidate matches the scalar
+    # oracle, and the total overhead respects the planner's budget.
     for candidate in plan.candidates:
-        assert candidate.feasible == is_swappable(candidate.interval, BANDWIDTHS)
+        assert candidate.feasible == eq1_feasible(candidate.size, candidate.interval_ns)
     assert plan.total_overhead_ns <= allow_overhead_ns + 1e-6
     if allow_overhead_ns == 0.0:
         # (overhead == 0 admits the float edge where round-trip rounds to the ATI)
@@ -140,11 +140,10 @@ def test_swap_plan_invariants(intervals, allow_overhead_ns):
 @settings(max_examples=50, deadline=None)
 @given(intervals=interval_lists)
 def test_swap_plan_zero_overhead_selects_all_feasible_blocks(intervals):
-    samples = [make_interval(block, size, ati) for block, size, ati in intervals]
     planner = SwapPlanner(bandwidths=BANDWIDTHS, allow_overhead_ns=0.0)
-    plan = planner.plan(build_trace([("malloc", 0, 1, 1)]), samples)
-    feasible_blocks = {c.interval.block_id for c in plan.candidates if c.feasible}
-    selected_blocks = {c.interval.block_id for c in plan.selected}
+    plan = plan_rows(planner, intervals, peak_before=1)
+    feasible_blocks = {c.block_id for c in plan.candidates if c.feasible}
+    selected_blocks = {c.block_id for c in plan.selected}
     # Every feasible block is picked; anything extra must be zero-overhead.
     assert feasible_blocks <= selected_blocks
     assert all(c.feasible or c.overhead_ns == 0.0 for c in plan.selected)

@@ -256,6 +256,75 @@ def test_one_policy_module_reads_columns_and_baselines_is_a_binding():
                   if path.name != "__pycache__") == ["__init__.py", "policy.py"]
 
 
+#: The object-level ATI API ``repro.core`` exported; the columns replaced it.
+DELETED_ATI_NAMES = ("AccessInterval", "compute_access_intervals", "intervals_by_kind",
+                     "intervals_by_category", "interval_values_us", "summarize_intervals",
+                     "fraction_below", "is_swappable")
+#: The fields that pair two accesses into one ATI.
+PAIRING_FIELDS = {"start_event_id", "end_event_id", "start_kind", "end_kind",
+                  "start_kind_code", "end_kind_code", "start_index", "end_index"}
+
+
+def test_core_exports_no_object_level_ati_api():
+    from repro import core
+    from repro.core import ati, swap
+    for name in DELETED_ATI_NAMES:
+        assert name not in core.__all__ and not hasattr(core, name), name
+        assert not hasattr(ati, name) and not hasattr(swap, name), name
+    assert {"IntervalArrays", "compute_interval_arrays"} <= set(core.__all__)
+
+
+def test_access_intervals_have_one_record():
+    """No class under ``src/repro`` but the interval columns pairs two accesses."""
+    records = [(path.relative_to(SRC).as_posix(), node.name)
+               for path, tree in _sources() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and PAIRING_FIELDS & {statement.target.id for statement in node.body
+                                     if isinstance(statement, ast.AnnAssign)
+                                     and isinstance(statement.target, ast.Name)}]
+    assert records == [("core/ati.py", "IntervalArrays")]
+
+
+def test_the_planners_read_the_observed_blocks_own_fields(monkeypatch):
+    """``planner`` and ``unified`` plan on the warm-up's blocks as observed:
+    the policies build no interval record and make up no event id or kind."""
+    from repro.core.swap import SwapPlanner
+    from repro.swap.executor import BlockState, WarmupObservations
+    from repro.swap.policies import PlannerPolicy, UnifiedPolicy
+
+    tree = ast.parse((SRC / "swap" / "policies.py").read_text())
+    keywords = {keyword.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                for keyword in node.keywords}
+    assert not keywords & PAIRING_FIELDS
+    assert "repro.core.ati.IntervalArrays" not in _absolute_imports(
+        SRC / "swap" / "policies.py", tree)
+
+    scored = []
+    evaluate = SwapPlanner.evaluate
+
+    def spy(planner, *columns):
+        candidates = evaluate(planner, *columns)
+        scored.extend(candidates)
+        return candidates
+
+    monkeypatch.setattr(SwapPlanner, "evaluate", spy)
+    second = 1_000_000_000
+    blocks = [BlockState(block_id=7, size=64 * MIB, category=MemoryCategory.ACTIVATION,
+                         tag="fc0.out", best_gap_ns=second // 2, best_gap_phase_ns=0),
+              BlockState(block_id=9, size=96 * MIB, category=MemoryCategory.PARAMETER,
+                         best_gap_ns=second // 2 + 1, best_gap_phase_ns=1)]
+    warmup = WarmupObservations(
+        blocks=blocks, by_id={state.block_id: state for state in blocks},
+        peak_resident_bytes=256 * MIB, peak_phase_ns=second // 4,
+        iteration_duration_ns=second, live_series=[(0, 0), (second // 4, 256 * MIB)])
+    for policy in (PlannerPolicy(), UnifiedPolicy()):
+        policy.plan(warmup, BandwidthConfig.from_paper())
+    assert sorted((c.block_id, c.size, c.interval_ns, c.label) for c in scored) == [
+        (7, 64 * MIB, second // 2, "fc0.out"), (7, 64 * MIB, second // 2, "fc0.out"),
+        (9, 96 * MIB, second // 2 + 1, "parameter"),
+        (9, 96 * MIB, second // 2 + 1, "parameter")]
+
+
 def test_train_names_no_technique():
     for path, tree in _sources(SRC / "train"):
         literals = {node.value for node in ast.walk(tree)

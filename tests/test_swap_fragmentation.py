@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.ati import AccessInterval, compute_access_intervals
-from repro.core.events import MemoryCategory, MemoryEventKind
+from repro.core.ati import compute_interval_arrays
+from repro.core.events import MemoryCategory
 from repro.core.fragmentation import (
     analyze_fragmentation,
     fragmentation_series,
@@ -13,20 +13,13 @@ from repro.core.fragmentation import (
 from repro.core.swap import (
     BandwidthConfig,
     SwapPlanner,
-    is_swappable,
     max_swap_bytes,
     swap_round_trip_ns,
+    swappable_mask,
 )
 from repro.units import GB, KB, MIB, s_to_ns, us_to_ns
 
-from tests.helpers import build_trace
-
-
-def make_interval(block_id, size, interval_ns):
-    return AccessInterval(block_id=block_id, size=size, category=MemoryCategory.ACTIVATION,
-                          tag=f"b{block_id}", interval_ns=interval_ns, start_event_id=0,
-                          end_event_id=1, start_kind=MemoryEventKind.WRITE,
-                          end_kind=MemoryEventKind.READ, iteration=0)
+from tests.helpers import build_trace, interval_arrays, plan_rows
 
 
 # -- Equation 1 -------------------------------------------------------------------------------
@@ -52,8 +45,9 @@ def test_round_trip_and_feasibility():
     bandwidths = BandwidthConfig.from_paper()
     limit = max_swap_bytes(us_to_ns(100), bandwidths)
     assert swap_round_trip_ns(limit, bandwidths) == pytest.approx(us_to_ns(100), rel=1e-6)
-    assert is_swappable(make_interval(1, int(limit) - 1, us_to_ns(100)), bandwidths)
-    assert not is_swappable(make_interval(1, int(limit * 2), us_to_ns(100)), bandwidths)
+    arrays = interval_arrays([(1, int(limit) - 1, us_to_ns(100)),
+                              (1, int(limit * 2), us_to_ns(100))])
+    assert swappable_mask(arrays, bandwidths).tolist() == [True, False]
 
 
 def test_bandwidth_config_from_device_spec():
@@ -77,44 +71,42 @@ def make_swap_trace():
 
 def test_swap_planner_selects_only_feasible_candidates():
     trace = make_swap_trace()
-    intervals = [
-        make_interval(1, 800 * MIB, s_to_ns(1.0)),    # hides a 3.17 GB round trip: feasible
-        make_interval(2, 700 * MIB, us_to_ns(50)),    # infeasible
-        make_interval(3, 64 * 1024, s_to_ns(1.0)),    # too small to bother
-    ]
-    planner = SwapPlanner()
-    plan = planner.plan(trace, intervals)
-    selected_ids = [candidate.interval.block_id for candidate in plan.selected]
+    plan = plan_rows(SwapPlanner(), [
+        (1, 800 * MIB, s_to_ns(1.0)),    # hides a 3.17 GB round trip: feasible
+        (2, 700 * MIB, us_to_ns(50)),    # infeasible
+        (3, 64 * 1024, s_to_ns(1.0)),    # too small to bother
+    ], trace.peak_live_bytes())
+    selected_ids = [candidate.block_id for candidate in plan.selected]
     assert selected_ids == [1]
+    assert [candidate.block_id for candidate in plan.candidates] == [1, 2]
     assert plan.total_overhead_ns == 0.0
     assert plan.savings_bytes == 800 * MIB
     assert 0 < plan.savings_fraction < 1
     assert "peak before" in plan.describe()
+    assert "  - block 1 (b1): 800.00 MiB over " in plan.describe()
 
 
 def test_swap_planner_with_overhead_budget_takes_infeasible_blocks():
     trace = make_swap_trace()
-    intervals = [make_interval(2, 700 * MIB, us_to_ns(50))]
     eager_planner = SwapPlanner(allow_overhead_ns=10 * s_to_ns(1.0))
-    plan = eager_planner.plan(trace, intervals)
+    plan = plan_rows(eager_planner, [(2, 700 * MIB, us_to_ns(50))], trace.peak_live_bytes())
     assert len(plan.selected) == 1
     assert plan.total_overhead_ns > 0
 
 
 def test_swap_planner_one_swap_per_block():
     trace = make_swap_trace()
-    intervals = [
-        make_interval(1, 800 * MIB, s_to_ns(1.0)),
-        make_interval(1, 800 * MIB, s_to_ns(1.2)),
-    ]
-    plan = SwapPlanner().plan(trace, intervals)
+    plan = plan_rows(SwapPlanner(), [
+        (1, 800 * MIB, s_to_ns(1.0)),
+        (1, 800 * MIB, s_to_ns(1.2)),
+    ], trace.peak_live_bytes())
     assert len(plan.selected) == 1
     assert plan.summary()["num_candidates"] == 2
 
 
 def test_swap_planner_on_real_trace(paper_mlp_session):
-    intervals = compute_access_intervals(paper_mlp_session.trace)
-    plan = SwapPlanner().plan(paper_mlp_session.trace, intervals)
+    trace = paper_mlp_session.trace
+    plan = SwapPlanner().plan(trace, compute_interval_arrays(trace))
     assert plan.peak_bytes_before > 0
     assert plan.savings_bytes >= 0
     assert plan.estimated_peak_bytes_after <= plan.peak_bytes_before
