@@ -302,6 +302,31 @@ def test_type_twins_split_the_token_and_the_key():
         assert Scenario(config).key() == _literal_key(Scenario(config))
 
 
+#: Strings that need escaping or leave ASCII: quotes, backslashes, control
+#: characters, U+2028, accents, astral characters and lone surrogates.
+_json_strings = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x7f", "\u2028", "\u00e9", "\U0001f600"]))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_strings
+    | st.sampled_from([10**40, -(2**63), -0.0, 1e300, -1e-300, 0.1]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_canonical_json_is_sorted_compact_json_dumps(value):
+    """Every key and structure token hashes ``_canonical_json`` text (and
+    ``_json_value``'s scalar shortcuts), so both must be ``json.dumps`` with
+    sorted keys and compact separators for any JSON value."""
+    from repro.experiments import grid
+
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert grid._canonical_json(value) == expected
+    assert grid._json_value(value) == expected
+
+
 def test_a_cache_written_by_the_literal_recipe_is_served_and_rewritten_equal(
         tmp_path, monkeypatch):
     """Entries are content addresses: a store the parent commit wrote must be
