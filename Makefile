@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe overlay-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe overlay-probe read-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -48,6 +48,13 @@ capture-probe:
 # finalize) and the reduction.  Prints a table, never fails.
 overlay-probe:
 	-$(PYTHON) tools/overlay_probe.py
+
+# Where a cache_read pass's time goes, in microseconds per hit: keys and
+# tokens, journal open, open + read, JSON decode, construction and the
+# wrappers around them, medians of 15 alternating rounds over the benchmark's
+# populated store.  Prints a table, never fails.
+read-probe:
+	-$(PYTHON) tools/read_probe.py
 
 # Every script under examples/ must exit 0 (the CI examples-smoke step): they
 # run in seconds and write only under figure_data/.

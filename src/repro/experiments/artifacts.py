@@ -44,12 +44,31 @@ QUARANTINE_DIR = "quarantine"
 #: Exceptions that mean "this file's content is malformed" during a read.
 _MALFORMED = (ValueError, KeyError, TypeError, AttributeError)
 
+_decode_text = json.JSONDecoder().decode
+
+
+def _decode_json(raw: bytes):
+    """``json.loads`` of a UTF-8 artifact, without its encoding detection."""
+    return _decode_text(raw.decode())
+
+
+def _split_lines(raw: bytes):
+    return raw.split(b"\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
 
 class ArtifactStore:
     """One directory of atomically published artifacts plus its quarantine."""
 
     def __init__(self, root: Union[str, Path], fault_plan=None):
         self.root = Path(root)
+        #: ``root`` with a trailing separator: an artifact's path is
+        #: ``_prefix + name``, no ``Path`` is built per read, publish or append.
+        self._prefix = os.path.join(self.root, "")
         #: Optional ``FaultPlan`` whose storage faults :meth:`inject_fault` applies.
         self.fault_plan = fault_plan
         #: Corrupt artifacts moved aside, by artifact kind (``cache_corrupt``,
@@ -64,14 +83,14 @@ class ArtifactStore:
         child.quarantined, child.io_errors = self.quarantined, self.io_errors
         return child
 
-    def publish(self, name: str, write: Callable[[Path], None]) -> Optional[Path]:
+    def publish(self, name: str, write: Callable[[str], None]) -> Optional[str]:
         """Atomically publish ``name`` from ``write(temp_path)``.
 
         Returns the path (``None`` when an ``OSError`` was swallowed);
         whatever ``write`` raises, no temp file is left behind.
         """
-        path = self.root / name
-        temporary = self.root / f".{name}.{os.getpid()}.tmp"
+        path = self._prefix + name
+        temporary = f"{self._prefix}.{name}.{os.getpid()}.tmp"
         try:
             try:
                 try:
@@ -82,18 +101,18 @@ class ArtifactStore:
                 os.replace(temporary, path)
             except BaseException:
                 with suppress(OSError):
-                    temporary.unlink()
+                    os.unlink(temporary)
                 raise
         except OSError:
             self.io_errors["write"] += 1
             return None
         return path
 
-    def publish_text(self, name: str, text: str) -> Optional[Path]:
+    def publish_text(self, name: str, text: str) -> Optional[str]:
         """Atomically publish ``text`` (UTF-8) as ``name``."""
-        return self.publish(name, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+        return self.publish(name, lambda temporary: _write_text(temporary, text))
 
-    def publish_json(self, name: str, payload) -> Optional[Path]:
+    def publish_json(self, name: str, payload) -> Optional[str]:
         """Atomically publish ``payload`` as JSON."""
         return self.publish_text(name, json.dumps(payload))
 
@@ -106,7 +125,7 @@ class ArtifactStore:
         included) was swallowed: the caller publishes the file over.
         """
         try:
-            descriptor = os.open(self.root / name, os.O_WRONLY | os.O_APPEND)
+            descriptor = os.open(self._prefix + name, os.O_WRONLY | os.O_APPEND)
             try:
                 if os.write(descriptor, data) != len(data):
                     raise OSError(f"short append to {name}")
@@ -117,10 +136,11 @@ class ArtifactStore:
             return False
         return True
 
-    def _read(self, name: str, kind: str, parse: Callable[[bytes], object]):
+    def _read(self, name: str, kind: str, decode: Callable[[bytes], object],
+              parse: Callable):
         try:
-            with open(self.root / name, "rb") as handle:
-                return parse(handle.read())
+            with open(self._prefix + name, "rb") as handle:
+                return parse(decode(handle.read()))
         except FileNotFoundError:
             return None
         except OSError:
@@ -136,7 +156,7 @@ class ArtifactStore:
         raises for malformed content; that, like undecodable JSON, is
         corruption: the file is quarantined under ``kind``.
         """
-        return self._read(name, kind, lambda raw: parse(json.loads(raw)))
+        return self._read(name, kind, _decode_json, parse)
 
     def read_lines(self, name: str, kind: str, parse: Callable):
         """``parse(lines)`` of line log ``name``, under :meth:`read_json`'s contract.
@@ -144,7 +164,7 @@ class ArtifactStore:
         ``lines`` is the file split at newlines, so its last element is the
         unterminated tail: empty unless a writer was killed mid-append.
         """
-        return self._read(name, kind, lambda raw: parse(raw.split(b"\n")))
+        return self._read(name, kind, _split_lines, parse)
 
     def quarantine(self, name: str, kind: str) -> None:
         """Move corrupt artifact ``name`` into ``quarantine/``, tallied by ``kind``.

@@ -41,7 +41,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,9 +79,19 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE"
 DEFAULT_CACHE_DIR = Path(".repro_cache") / "sweeps"
 
 
-#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` without building
-#: an encoder per call: the canonical form every scenario key hashes.
-_canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+#: The C encoder ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``
+#: builds on every call, built once: no circular-reference markers (a
+#: fingerprint is a tree), ``float.__repr__`` and ``NaN`` / ``Infinity``.
+_encode_chunks = c_make_encoder(None, json.JSONEncoder().default,
+                                encode_basestring_ascii, None, ":", ",",
+                                True, False, True)
+
+
+def _canonical_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``: the
+    canonical form every scenario key hashes."""
+    return "".join(_encode_chunks(value, 0))
+
 
 #: Config fields that price a run without changing its structure.  One
 #: compiled replay structure serves every combination of them, and a scenario

@@ -1162,7 +1162,7 @@ def save_family(family: TemplateFamily, path: Path) -> None:
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
 
-    def write(temporary: Path) -> None:
+    def write(temporary: str) -> None:
         with open(temporary, "wb") as handle:  # a handle: savez would append ".npz"
             np.savez(handle, **arrays)
 

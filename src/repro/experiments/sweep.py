@@ -152,7 +152,12 @@ class SweepResult:
 
 
 def _parse_cache_entry(data: Dict[str, object]) -> Optional[ScenarioResult]:
-    """A cache entry's result; ``None`` when its schema is stale (a plain miss)."""
+    """A cache entry's result; ``None`` when its schema is stale (a plain miss).
+
+    A same-schema result with a missing or unknown field raises
+    (:meth:`ScenarioResult.from_dict`'s ``TypeError``): the entry is
+    malformed, not stale.
+    """
     if data.get("schema_version") != RESULT_SCHEMA_VERSION:
         return None
     result = ScenarioResult.from_dict(data["result"])

@@ -377,7 +377,24 @@ class NoPolicy(MemoryPolicy):
         return None
 
 
-class PlannerPolicy(_TriggerPlanPolicy):
+class _Eq1PlanPolicy(_TriggerPlanPolicy):
+    """A trigger plan scored by the Eq.-1 :class:`~repro.core.swap.SwapPlanner`
+    under the policy's size floor and overhead allowance."""
+
+    def __init__(self, min_candidate_bytes: int = 32 * MIB,
+                 allow_overhead_ns: float = 0.0):
+        super().__init__()
+        self.min_candidate_bytes = int(min_candidate_bytes)
+        self.allow_overhead_ns = float(allow_overhead_ns)
+
+    def _planner(self, bandwidths: BandwidthConfig) -> SwapPlanner:
+        """The cost model every face of the policy plans with."""
+        return SwapPlanner(bandwidths=bandwidths,
+                           min_candidate_bytes=self.min_candidate_bytes,
+                           allow_overhead_ns=self.allow_overhead_ns)
+
+
+class PlannerPolicy(_Eq1PlanPolicy):
     """The paper's Eq.-1 swap planner: swap only where the ATI hides the copy.
 
     Offline intervals and warm-up observations are fed through the *same*
@@ -388,18 +405,6 @@ class PlannerPolicy(_TriggerPlanPolicy):
 
     name = "planner"
     offline = executable = True
-
-    def __init__(self, min_candidate_bytes: int = 32 * MIB,
-                 allow_overhead_ns: float = 0.0):
-        super().__init__()
-        self.min_candidate_bytes = int(min_candidate_bytes)
-        self.allow_overhead_ns = float(allow_overhead_ns)
-
-    def _planner(self, bandwidths: BandwidthConfig) -> SwapPlanner:
-        """The cost model both faces plan with."""
-        return SwapPlanner(bandwidths=bandwidths,
-                           min_candidate_bytes=self.min_candidate_bytes,
-                           allow_overhead_ns=self.allow_overhead_ns)
 
     def evaluate(self, trace: MemoryTrace,
                  bandwidths: Optional[BandwidthConfig] = None) -> Optional[PolicySummary]:
@@ -439,7 +444,7 @@ class PlannerPolicy(_TriggerPlanPolicy):
         }
 
 
-class UnifiedPolicy(_TriggerPlanPolicy):
+class UnifiedPolicy(_Eq1PlanPolicy):
     """Capuchin-style unified eviction: keep, swap or recompute per block.
 
     Every peak-covering idle window is a candidate.  Per candidate the policy
@@ -482,9 +487,7 @@ class UnifiedPolicy(_TriggerPlanPolicy):
                  enable_swap: bool = True,
                  enable_recompute: bool = True,
                  capacity_bytes: Optional[int] = None):
-        super().__init__()
-        self.min_candidate_bytes = int(min_candidate_bytes)
-        self.allow_overhead_ns = float(allow_overhead_ns)
+        super().__init__(min_candidate_bytes, allow_overhead_ns)
         self.enable_swap = bool(enable_swap)
         self.enable_recompute = bool(enable_recompute)
         self.capacity_bytes = (None if capacity_bytes is None
@@ -509,15 +512,15 @@ class UnifiedPolicy(_TriggerPlanPolicy):
         return None
 
     def plan(self, warmup: "WarmupObservations", bandwidths: BandwidthConfig) -> None:
-        planner = SwapPlanner(bandwidths=bandwidths,
-                              min_candidate_bytes=self.min_candidate_bytes,
-                              allow_overhead_ns=self.allow_overhead_ns)
+        # The planner's own floor mask would drop the small blocks too, but
+        # the Eq.-1-infeasible loop below and ``num_candidates`` read this list.
         observed = [state for state in warmup.blocks
                     if state.best_gap_ns > 0
                     and state.size >= self.min_candidate_bytes
                     and _covers_peak(state, warmup.peak_phase_ns,
                                      warmup.iteration_duration_ns)]
-        plan = _plan_observed(planner, observed, warmup.peak_resident_bytes)
+        plan = _plan_observed(self._planner(bandwidths), observed,
+                              warmup.peak_resident_bytes)
         budget_ns = COPY_UTILIZATION_CAP * warmup.iteration_duration_ns
 
         # The pure-swap twin's own selection under the same stream budget:

@@ -51,11 +51,11 @@ def test_publish_is_atomic_and_leaves_no_temp(tmp_path):
     seen = []
 
     def write(temporary):
-        seen.append(temporary)
-        temporary.write_bytes(b"payload")
+        seen.append(Path(temporary))
+        Path(temporary).write_bytes(b"payload")
         assert not (store.root / "a.bin").exists()  # not visible until replaced
 
-    assert store.publish("a.bin", write) == store.root / "a.bin"
+    assert store.publish("a.bin", write) == str(store.root / "a.bin")
     assert (store.root / "a.bin").read_bytes() == b"payload"
     assert seen[0].parent == store.root and seen[0].name != "a.bin"
     assert [p.name for p in store.root.iterdir()] == ["a.bin"]
@@ -65,7 +65,7 @@ def test_a_writer_that_raises_leaves_no_file_and_no_temp(tmp_path):
     store = ArtifactStore(tmp_path)
 
     def write(temporary):
-        temporary.write_bytes(b"half a pay")
+        Path(temporary).write_bytes(b"half a pay")
         raise RuntimeError("writer died")
 
     with pytest.raises(RuntimeError):
@@ -217,6 +217,34 @@ def test_hand_laid_parent_format_cache_is_served_with_zero_misses(tmp_path):
     assert RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION).entries == {}
     assert old_path.read_text(encoding="utf-8") == old_bytes
     assert not (old_path.parent / QUARANTINE_DIR).exists()
+
+
+@pytest.mark.parametrize("edit", ["unknown field", "missing field", "from_cache"])
+def test_a_result_with_a_field_more_or_less_is_quarantined_and_rerun(tmp_path, edit):
+    """A same-schema entry holds a whole :meth:`ScenarioResult.to_dict`: a
+    field more (``from_cache``, never written, included) or less is
+    malformed, not stale.
+    The entry is quarantined under ``cache_corrupt``, bytes kept, and its
+    scenario runs again and is written back whole."""
+    scenarios = tiny_scenarios(batch_sizes=(16,))
+    runner = SweepRunner(cache_dir=tmp_path)
+    written = runner.run(scenarios).results[0].to_dict()
+    path = tmp_path / f"{written['key']}.json"
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    if edit == "missing field":
+        del entry["result"]["num_blocks"]
+    else:
+        entry["result"]["extra" if edit == "unknown field" else edit] = False
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    edited = path.read_bytes()
+
+    again = runner.run(scenarios)
+    assert (again.cache_hits, again.cache_misses) == (0, 1)
+    assert again.quarantined == {"cache_corrupt": 1}
+    assert (tmp_path / QUARANTINE_DIR / path.name).read_bytes() == edited
+    assert not again.results[0].from_cache
+    assert list(json.loads(path.read_text(encoding="utf-8"))["result"]) == list(written)
+    assert runner.run(scenarios).cache_hits == 1
 
 
 @pytest.mark.parametrize("overrides", [

@@ -134,6 +134,48 @@ def test_predicted_blocks_are_golden(row):
     assert json_digest(execution["predicted"]) == PREDICTED_GOLDEN[row]
 
 
+#: The 4096-wide ladder MLP under ``unified`` at a capacity below its
+#: predicted peak (624 MiB uncapped): the ladder's own capacity rungs are on
+#: the 2048-wide MLP, whose blocks all sit under the 32 MiB candidate floor,
+#: so only here does the plan force a block it would keep onto the link.
+FORCED = Scenario(replace(_ladder_row("unified", 4096, None).config,
+                          device_memory_capacity=560 * MIB))
+
+
+def test_capacity_forces_a_kept_block_onto_the_copy_stream(monkeypatch):
+    """``UnifiedPolicy``'s forced-swap loop on a real session: a block the
+    capacity-free plan of the same warm-up keeps is swapped, which
+    ``predicted`` shows with the stall its window cannot hide; the governor
+    keeps residency under the capacity; the live oracle agrees."""
+    from repro.swap.policies import UnifiedPolicy
+
+    flips = []
+    plan = UnifiedPolicy.plan
+
+    def planned(policy, warmup, bandwidths):
+        uncapped = UnifiedPolicy()
+        plan(uncapped, warmup, bandwidths)
+        plan(policy, warmup, bandwidths)
+        kept = {decision["block_id"] for decision in uncapped.predicted["decisions"]
+                if decision["mechanism"] == "keep"}
+        flips.append({decision["block_id"] for decision in policy.predicted["decisions"]
+                      if decision["mechanism"] == "swap"} & kept)
+
+    capacity = FORCED.config.device_memory_capacity
+    with monkeypatch.context() as patch:
+        patch.setattr(UnifiedPolicy, "plan", planned)
+        execution = run_training_session(FORCED.config).swap_execution
+    predicted = execution["predicted"]
+    assert predicted["capacity_bytes"] == capacity < predicted["peak_bytes_before"]
+    assert flips[-1], "the last plan flipped no keep"
+    assert {decision["block_id"] for decision in predicted["decisions"]
+            if decision["mechanism"] == "swap"} >= flips[-1]
+    assert predicted["num_kept"] == 0
+    assert predicted["total_overhead_ns"] > predicted["recompute_overhead_ns"]
+    assert 0 < execution["peak_resident_bytes"] <= capacity
+    assert_swap_matches_reference(FORCED)
+
+
 @pytest.mark.parametrize("scenario", LADDER, ids=lambda s: s.config.describe()
                          + f", cap={s.config.device_memory_capacity}")
 def test_ladder_rows_match_the_reference(scenario):

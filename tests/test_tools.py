@@ -164,3 +164,30 @@ def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
 
 def test_overlay_probe_reads_the_benchmark_sample():
     assert len(_load("overlay_probe").ladder()) == 23
+
+
+# -- tools/read_probe.py ----------------------------------------------------------------
+
+
+def test_read_probe_splits_a_served_pass_into_its_stages(tmp_path):
+    from repro.experiments.grid import SweepGrid
+    from repro.experiments.sweep import SweepRunner
+
+    probe = _load("read_probe")
+    scenarios = SweepGrid(models=("mlp",), batch_sizes=(16, 32), execution_mode="replay",
+                          model_kwargs={"hidden_dim": 32}).expand()
+    SweepRunner(cache_dir=tmp_path).run(scenarios)
+    rows = dict(probe.probe(scenarios, tmp_path, rounds=1, repeats=1))
+    assert list(rows) == probe.ORDER + ["total"]
+    for stage in probe.ORDER[:-1]:
+        assert rows[stage] > 0, stage
+    assert sum(rows[stage] for stage in probe.ORDER) == pytest.approx(rows["total"])
+    lines = probe.table(list(rows.items())).splitlines()
+    assert lines[0].split() == ["stage", "us", "per", "hit", "share"]
+    assert [line.split()[-1] for line in lines[1:]][-1] == "100.0%"
+
+
+def test_read_probe_reads_the_benchmark_store(tmp_path):
+    scenarios, store = _load("read_probe").benchmark_sample(tmp_path)
+    assert len(scenarios) == 208
+    assert len(list(store.glob("*.json"))) == 208
