@@ -184,7 +184,7 @@ def test_read_probe_splits_a_served_pass_into_its_stages(tmp_path):
     assert sum(rows[stage] for stage in probe.ORDER) == pytest.approx(rows["total"])
     lines = probe.table(list(rows.items())).splitlines()
     assert lines[0].split() == ["stage", "us", "per", "hit", "share"]
-    assert [line.split()[-1] for line in lines[1:]][-1] == "100.0%"
+    assert lines[-1].split()[-1] == "100.0%"
 
 
 def test_read_probe_reads_the_benchmark_store(tmp_path):

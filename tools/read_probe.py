@@ -57,21 +57,17 @@ def benchmark_sample(directory: Path, seed: int = 100) -> Tuple[List[Scenario], 
 
 def _stages(scenarios: Sequence[Scenario], store: Path) -> Dict[str, Callable[[], object]]:
     """One callable per stage this checkout has, each over every scenario."""
+    def keys_and_tokens():
+        bandwidths = [scenario.resolve_bandwidths(None) for scenario in scenarios]
+        tokens = [sweep.structure_token(scenario.config) for scenario in scenarios]
+        return [scenario.key(resolved, token)
+                for scenario, resolved, token in zip(scenarios, bandwidths, tokens)]
+
     artifacts = ArtifactStore(store)
-    bandwidths = [scenario.resolve_bandwidths(None) for scenario in scenarios]
-    tokens = [sweep.structure_token(scenario.config) for scenario in scenarios]
-    keys = [scenario.key(resolved, token)
-            for scenario, resolved, token in zip(scenarios, bandwidths, tokens)]
+    keys = keys_and_tokens()
     names = [f"{key}.json" for key in keys]
     texts = [(store / name).read_text(encoding="utf-8") for name in names]
     entries = [json.loads(text) for text in texts]
-
-    def keys_and_tokens():
-        resolved = [scenario.resolve_bandwidths(None) for scenario in scenarios]
-        made = [sweep.structure_token(scenario.config) for scenario in scenarios]
-        return [scenario.key(bandwidth, token)
-                for scenario, bandwidth, token in zip(scenarios, resolved, made)]
-
     stages = {
         "keys and tokens": keys_and_tokens,
         "journal open": lambda: RunJournal.for_keys(
