@@ -153,16 +153,23 @@ chaos-smoke:
 		--chaos-seed 7 --retries 3 --backoff-s 0.01 --timeout 60 \
 		--workers 2 --strict --no-cache
 
-# Resume smoke (the CI resume-smoke leg): a small cached sweep, then the same
-# sweep under --resume, which must serve every scenario from the cache and
-# leave exactly one journal file for the grid and nothing quarantined.
-RESUME_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 16,32,64 \
+# Resume smoke (the CI resume-smoke leg): a small cached sweep with three
+# rows that fail deterministically (lenet5 rejects two_cluster's 2-D samples),
+# then the same sweep under --resume, which must serve every finished scenario
+# from the cache and skip the three failures; the grid leaves exactly one
+# journal file, holding only failed lines, and nothing quarantined.
+RESUME_SWEEP = $(PYTHON) -m repro sweep --models mlp,lenet5 --batch-sizes 16,32,64 \
 	--iterations 1 --workers 2 --cache-dir .ci-resume-cache
 resume-smoke:
 	rm -rf .ci-resume-cache
 	$(RESUME_SWEEP)
-	$(RESUME_SWEEP) --resume | grep -F "(3 cached, 0 executed"
+	$(RESUME_SWEEP) --resume > .ci-resume-cache/resume.out
+	grep -F "(3 cached," .ci-resume-cache/resume.out
+	grep -F "3 resume-skipped" .ci-resume-cache/resume.out
 	test "$$(ls .ci-resume-cache/journals)" = "$$(basename .ci-resume-cache/journals/*.jsonl)"
+	$(PYTHON) -c "import glob, json, sys; \
+	header, *records = map(json.loads, open(glob.glob('.ci-resume-cache/journals/*.jsonl')[0])); \
+	sys.exit(len(records) != 3 or any(r['status'] != 'failed' for r in records))"
 	test ! -e .ci-resume-cache/quarantine
 	rm -rf .ci-resume-cache
 

@@ -196,9 +196,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "scenario is retried or recorded as a timeout")
     sweep.add_argument("--resume", action="store_true",
                        help="consult the per-grid run journal: scenarios "
-                            "that already completed are served from cache "
-                            "and scenarios that failed deterministically in "
-                            "a prior run are skipped instead of re-executed")
+                            "that failed deterministically in a prior run "
+                            "are skipped instead of re-executed (finished "
+                            "scenarios are served from the cache either way)")
     sweep.add_argument("--strict", action="store_true",
                        help="exit nonzero when any scenario failed; the "
                             "default prints the partial grid plus a failure "

@@ -136,6 +136,15 @@ class ArtifactStore:
             return False
         return True
 
+    def remove(self, name: str) -> None:
+        """Delete artifact ``name`` when it exists."""
+        try:
+            os.unlink(self._prefix + name)
+        except FileNotFoundError:
+            pass
+        except OSError:
+            self.io_errors["clear"] += 1
+
     def _read(self, name: str, kind: str, decode: Callable[[bytes], object],
               parse: Callable):
         try:

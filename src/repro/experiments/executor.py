@@ -6,8 +6,10 @@ failures come back as ``index -> (error, traceback text)``, and an index with
 neither never ran (the pool died before its chunk was submitted).  What a
 failure means — retry, record, re-raise — is the runner's business
 (:mod:`repro.experiments.sweep`); this module owns the pool's lifecycle,
-chunked submission, the in-band transport of worker failures and the
-per-scenario deadline.
+chunked submission (about four chunks per worker), the in-band transport of
+worker failures and the per-scenario deadline.  Every row runs under the
+content hash the runner computed for it, which its result carries: a round
+hashes no key.
 
 Rows that differ only in ``swap`` and ``device_memory_capacity`` overlay one
 swap-off recording (:func:`~repro.experiments.grid.recording_token`): a
@@ -26,7 +28,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.swap import BandwidthConfig
 from ..errors import ScenarioTimeoutError
 from .faults import FaultPlan
 from .grid import Scenario, recording_token
@@ -76,27 +77,22 @@ class _SharedRecording:
     (:func:`~repro.experiments.grid.recording_token`) and dropped before a
     row with another token records its own."""
 
-    def __init__(self, bandwidths: Optional[BandwidthConfig]):
-        self.bandwidths = bandwidths
+    def __init__(self):
         self._token: Optional[Tuple] = None
         self._recording = None
 
-    def run(self, scenario: Scenario) -> ScenarioResult:
+    def run(self, scenario: Scenario, key: str) -> ScenarioResult:
         """:func:`~repro.experiments.results.run_scenario_on` over the kept
-        recording, when it is this row's."""
+        recording, when it is this row's; ``key`` is the row's content hash."""
         token = recording_token(scenario.config)
         if token != self._token:
             self._token, self._recording = token, None
-        result, self._recording = run_scenario_on(scenario, self.bandwidths,
-                                                  self._recording)
+        result, self._recording = run_scenario_on(scenario, key, self._recording)
         return result
 
 
-def _run_scenario_chunk(scenarios: List[Scenario],
-                        bandwidths: Optional[BandwidthConfig],
-                        fault_plan: Optional[FaultPlan] = None,
-                        keys: Optional[List[str]] = None,
-                        attempts: Optional[List[int]] = None):
+def _run_scenario_chunk(scenarios: List[Scenario], keys: List[str],
+                        attempts: List[int], fault_plan: Optional[FaultPlan]):
     """Pool worker: run several scenarios inside one task submission.
 
     Chunked submission amortizes the per-task pickling/dispatch overhead of
@@ -108,21 +104,19 @@ def _run_scenario_chunk(scenarios: List[Scenario],
     (:meth:`ScenarioExecutor._chunks`), so adjacent rows that share a
     swap-off recording simulate it once.
 
-    ``fault_plan``/``keys``/``attempts`` thread the deterministic
-    fault-injection harness into the worker: each scenario's fault decision
+    ``keys`` are the scenarios' content hashes, which their results carry.
+    With ``attempts`` they also thread the deterministic fault-injection
+    harness (``fault_plan``) into the worker: each scenario's fault decision
     is a pure function of its key and attempt number, so retries across
     rebuilt pools observe the same schedule.
     """
     outcomes: List[object] = []
-    shared = _SharedRecording(bandwidths)
-    for position, scenario in enumerate(scenarios):
+    shared = _SharedRecording()
+    for scenario, key, attempt in zip(scenarios, keys, attempts):
         try:
-            if fault_plan is not None and keys is not None:
-                fault_plan.fire_execution(keys[position],
-                                          0 if attempts is None
-                                          else attempts[position],
-                                          in_worker=True)
-            outcomes.append(shared.run(scenario))
+            if fault_plan is not None:
+                fault_plan.fire_execution(key, attempt, in_worker=True)
+            outcomes.append(shared.run(scenario, key))
         except Exception as error:  # reported to the parent, with traceback
             outcomes.append(_ScenarioFailure(error, traceback_module.format_exc()))
     return outcomes
@@ -131,20 +125,16 @@ def _run_scenario_chunk(scenarios: List[Scenario],
 class ScenarioExecutor:
     """Runs rounds of scenarios for one :class:`~repro.experiments.sweep.SweepRunner`.
 
-    ``workers``, ``chunk_size``, ``timeout_s``, ``bandwidths`` and
-    ``fault_plan`` are the runner's parameters of the same names.  The worker
-    pool is created lazily on the first parallel round and *reused across
-    rounds and runs*; :meth:`close` shuts it down.
+    ``workers``, ``timeout_s`` and ``fault_plan`` are the runner's parameters
+    of the same names.  The worker pool is created lazily on the first
+    parallel round and *reused across rounds and runs*; :meth:`close` shuts
+    it down.
     """
 
-    def __init__(self, workers: int, chunk_size: Optional[int],
-                 timeout_s: Optional[float],
-                 bandwidths: Optional[BandwidthConfig],
+    def __init__(self, workers: int, timeout_s: Optional[float],
                  fault_plan: Optional[FaultPlan]):
         self.workers = workers
-        self.chunk_size = chunk_size
         self.timeout_s = timeout_s
-        self.bandwidths = bandwidths
         self.fault_plan = fault_plan
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_finalizer = None
@@ -194,13 +184,9 @@ class ScenarioExecutor:
 
     def _chunks(self, missing: List[int]) -> List[List[int]]:
         """Split the pending scenario indices, in recording order, into
-        per-task chunks."""
-        if self.chunk_size is not None:
-            size = max(1, int(self.chunk_size))
-        else:
-            # Aim for ~4 chunks per worker so stragglers rebalance, but never
-            # less than one scenario per task.
-            size = max(1, -(-len(missing) // (self.workers * 4)))
+        per-task chunks: about four per worker so stragglers rebalance, never
+        less than one scenario per task."""
+        size = max(1, -(-len(missing) // (self.workers * 4)))
         return [missing[i:i + size] for i in range(0, len(missing), size)]
 
     # -- rounds -----------------------------------------------------------------------
@@ -229,13 +215,13 @@ class ScenarioExecutor:
         simulation cannot be preempted, so an overdue scenario's result is
         discarded and replaced with a :class:`ScenarioTimeoutError` — the
         same outcome the pool path produces by killing the worker.
-        ``KeyboardInterrupt`` propagates (the journal already holds every
+        ``KeyboardInterrupt`` propagates (the result cache already holds every
         finished scenario, so Ctrl-C is resumable by construction).  Rows run
         in recording order, so the rows that share a swap-off recording
         simulate it once; the first of them carries its cost.
         """
         errors: RoundErrors = {}
-        shared = _SharedRecording(self.bandwidths)
+        shared = _SharedRecording()
         for index in _in_recording_order(scenarios, pending):
             key = keys[index]
             scenario_started = time.perf_counter()
@@ -243,7 +229,7 @@ class ScenarioExecutor:
                 if self.fault_plan is not None:
                     self.fault_plan.fire_execution(key, attempts[index],
                                                    in_worker=False)
-                result = shared.run(scenarios[index])
+                result = shared.run(scenarios[index], key)
                 elapsed = time.perf_counter() - scenario_started
                 if self.timeout_s is not None and elapsed > self.timeout_s:
                     raise ScenarioTimeoutError(key, elapsed, self.timeout_s)
@@ -281,10 +267,9 @@ class ScenarioExecutor:
             future = pool.submit(
                 _run_scenario_chunk,
                 [scenarios[index] for index in chunk],
-                self.bandwidths,
-                self.fault_plan,
                 [keys[index] for index in chunk],
-                [attempts[index] for index in chunk])
+                [attempts[index] for index in chunk],
+                self.fault_plan)
             in_flight[future] = (chunk, time.perf_counter())
 
         window = self.workers if timeout is not None else len(queue)

@@ -24,12 +24,11 @@ raw — together they trace a feasibility frontier.
 The policy axis is backed by the offline face of the
 :mod:`repro.swap.policies` registry (swapping variants, recomputation,
 parameter compression); the dtype axis sets the device's default training
-precision; the device axis also selects the Eq.-1 bandwidths unless the
-runner overrides them explicitly.  The ``n_devices`` and ``interconnects``
-axes make each scenario a data-parallel cluster (batch sharded across
-replicas, gradient allreduce on the named interconnect before every
-optimizer step); results then report *per-replica* peaks plus the collective
-summary.
+precision; the device axis also selects the Eq.-1 bandwidths.  The
+``n_devices`` and ``interconnects`` axes make each scenario a data-parallel
+cluster (batch sharded across replicas, gradient allreduce on the named
+interconnect before every optimizer step); results then report
+*per-replica* peaks plus the collective summary.
 """
 
 from __future__ import annotations
@@ -263,37 +262,31 @@ class Scenario:
         """Label for reports (falls back to the config description)."""
         return self.config.label or self.config.describe()
 
-    def resolve_bandwidths(self,
-                           bandwidths: Optional[BandwidthConfig] = None) -> BandwidthConfig:
+    def resolve_bandwidths(self) -> BandwidthConfig:
         """The Eq.-1 bandwidths this scenario is evaluated under.
 
-        An explicit override wins; otherwise the bandwidths come from the
-        scenario's own device spec (for the paper's Titan X these are exactly
-        the measured 6.3/6.4 GB/s), so the device axis changes the
-        swap-feasibility results the way real hardware would.
+        They come from the scenario's own device spec (for the paper's Titan
+        X these are exactly the measured 6.3/6.4 GB/s), so the device axis
+        changes the swap-feasibility results the way real hardware would.
         """
-        if bandwidths is not None:
-            return bandwidths
         return _preset_bandwidths(self.config.device_spec)
 
-    def fingerprint(self, bandwidths: Optional[BandwidthConfig] = None) -> Dict[str, object]:
+    def fingerprint(self) -> Dict[str, object]:
         """Canonical JSON-friendly identity of this scenario (cache key input).
 
         The cosmetic ``label`` is excluded: two scenarios that run the same
         workload hit the same cache entry regardless of how they are named.
-        The Eq.-1 bandwidths are *included* (resolved from the device spec
-        when unset): they shape ``swappable_fraction`` and every swap-policy
-        summary, so results computed under different bandwidths must never
-        share a cache entry.
+        The Eq.-1 bandwidths are *included*: they shape
+        ``swappable_fraction`` and every swap-policy summary, so results
+        computed under different bandwidths must never share a cache entry.
         """
-        bandwidths = self.resolve_bandwidths(bandwidths)
+        bandwidths = self.resolve_bandwidths()
         config = self.config.to_dict()
         config.pop("label", None)
         return _fingerprint(config, self.swap_policy, bandwidths.h2d_bytes_per_s,
                             bandwidths.d2h_bytes_per_s)
 
-    def key(self, bandwidths: Optional[BandwidthConfig] = None,
-            token: Optional[Tuple] = None) -> str:
+    def key(self, token: Optional[Tuple] = None) -> str:
         """Content hash of the scenario (the cache file stem).
 
         ``sha256`` of the canonical JSON of :meth:`fingerprint`, byte for
@@ -303,7 +296,7 @@ class Scenario:
         :func:`structure_token` of the config when the caller already has it
         (the runner groups replay rows by it too).
         """
-        bandwidths = self.resolve_bandwidths(bandwidths)
+        bandwidths = _preset_bandwidths(self.config.device_spec)
         pieces, slots = _key_pieces(structure_token(self.config)
                                     if token is None else token)
         row = (*_ROW_CONFIG(self.config), self.swap_policy,

@@ -1,11 +1,13 @@
-"""Per-run sweep journal: crash-safe record of completed/failed scenarios.
+"""Per-run sweep journal: crash-safe record of terminally failed scenarios.
 
 A sweep interrupted by Ctrl-C, an OOM-killed parent or a machine reboot
 should not have to redo finished work.  The content-addressed result cache
-already makes *completed* scenarios free to re-serve; what it cannot say is
+already makes *finished* scenarios free to re-serve; what it cannot say is
 which scenarios already **failed deterministically** (an infeasible
 capacity, a mis-configured model) — re-running those burns the whole retry
-budget again on every restart.  The journal records both.
+budget again on every restart.  The journal records exactly those terminal
+failures and nothing else: a run in which every scenario finishes leaves no
+journal.
 
 Layout
 ------
@@ -15,16 +17,18 @@ grid — however it was expanded, whatever order — resumes from the same
 journal, and two different grids never collide.  The file is a line log::
 
     {"schema": 2, "run_id": "<run_id>"}
-    {"key": "<scenario key>", "status": "completed", "attempts": 1}
     {"key": "<scenario key>", "status": "failed", "reason": ..., "kind": ..., "attempts": 2}
 
-The header is published atomically; each record after it is one ``O_APPEND``
-write through the ``journals/``
+The header is published atomically with the run's first record; each record
+after it is one ``O_APPEND`` write through the ``journals/``
 :class:`~repro.experiments.artifacts.ArtifactStore`, made the moment the
-scenario finishes, so recording costs the same for the first scenario of a
-run and the ten-thousandth.  On load the lines replay in order, the last
-record of a key winning.  A run that does not resume never reads the file:
-it starts it over at its first record.
+scenario fails terminally, so recording costs the same for the first record
+of a run and the ten-thousandth.  On load the lines replay in order, the
+last record of a key winning.  Journals an older version wrote also hold a
+``"status": "completed"`` line per finished scenario: they load under the
+same schema, and such a line only means its key is no failure.  A run that
+does not resume never reads the file: it removes its grid's journal before
+its first scenario (:meth:`RunJournal.discard`).
 
 * **Torn tail** — a final line without its newline is what a kill in the
   middle of an append leaves.  It is dropped (kept, if it still decodes):
@@ -40,16 +44,16 @@ it starts it over at its first record.
   Schema 1 (one ``<run_id>.json`` document rewritten per record) lives under
   another suffix and run id: never opened, never quarantined, removed by
   ``--clear-cache``.
-* **Durability** — a record is with the operating system before ``record_*``
-  returns and survives the process (``kill -9`` included).  Nothing is
-  ``fsync``ed, now as before: a power cut may lose the last records, which
-  costs re-running what they described.
+* **Durability** — a record is with the operating system before
+  :meth:`RunJournal.record_failed` returns and survives the process
+  (``kill -9`` included).  Nothing is ``fsync``ed, now as before: a power
+  cut may lose the last records, which costs re-running what they described.
 
 Semantics on ``--resume``
 -------------------------
-* ``completed`` entries are *advisory*: the scenario is normally served by
-  the result cache; if its cache entry is missing or was quarantined, the
-  scenario re-runs (data wins over bookkeeping).
+* Finished scenarios are served by the result cache; if a cache entry is
+  missing or was quarantined, the scenario re-runs (data wins over
+  bookkeeping).
 * ``failed`` entries with kind ``deterministic`` are skipped outright and
   surfaced again in the failure manifest (marked ``resumed``) — retrying
   them cannot change the outcome.
@@ -99,16 +103,15 @@ def _line(record: Dict[str, object]) -> str:
 
 
 class RunJournal:
-    """Append-only on-disk record of one grid's per-scenario outcomes."""
+    """Append-only on-disk record of one grid's terminal failures."""
 
-    STATUS_COMPLETED = "completed"
     STATUS_FAILED = "failed"
 
     def __init__(self, store: ArtifactStore, run_id: str):
         self.store = store
         self.run_id = run_id
         self.path = store.root / f"{run_id}{JOURNAL_SUFFIX}"
-        #: key -> {"status", "attempts", and for failures "reason"/"kind"}.
+        #: key -> {"status", "reason", "kind", "attempts"}.
         self.entries: Dict[str, Dict[str, object]] = {}
         #: Whether the file is known to be this run's header plus whole lines,
         #: i.e. may be appended to; a journal never loaded starts it over.
@@ -149,6 +152,11 @@ class RunJournal:
             self.path.name, "journal_corrupt", self._parse) or ({}, False)
         return self
 
+    def discard(self) -> None:
+        """Remove the file without reading it: a run that does not resume
+        voids its grid's prior bookkeeping before its first scenario."""
+        self.store.remove(self.path.name)
+
     def flush(self) -> None:
         """Make the file hold every known entry.
 
@@ -165,30 +173,19 @@ class RunJournal:
 
     # -- recording ---------------------------------------------------------------------
 
-    def _record(self, key: str, entry: Dict[str, object]) -> None:
+    def record_failed(self, key: str, reason: str, kind: str,
+                      attempts: int) -> None:
+        """Mark one scenario failed with its taxonomy verdict (on disk before
+        this returns)."""
+        entry = {"status": self.STATUS_FAILED, "reason": str(reason),
+                 "kind": str(kind), "attempts": int(attempts)}
         self.entries[key] = entry
         if self._appendable:
             self._appendable = self.store.append(
                 self.path.name, _line({"key": key, **entry}).encode("ascii"))
         self.flush()
 
-    def record_completed(self, key: str, attempts: int) -> None:
-        """Mark one scenario finished (on disk before this returns)."""
-        self._record(key, {"status": self.STATUS_COMPLETED,
-                           "attempts": int(attempts)})
-
-    def record_failed(self, key: str, reason: str, kind: str,
-                      attempts: int) -> None:
-        """Mark one scenario failed with its taxonomy verdict (on disk likewise)."""
-        self._record(key, {"status": self.STATUS_FAILED, "reason": str(reason),
-                           "kind": str(kind), "attempts": int(attempts)})
-
     # -- queries -----------------------------------------------------------------------
-
-    def completed(self, key: str) -> bool:
-        """Whether ``key`` finished successfully in a prior (or this) run."""
-        entry = self.entries.get(key)
-        return bool(entry) and entry.get("status") == self.STATUS_COMPLETED
 
     def deterministic_failure(self, key: str) -> Optional[Dict[str, object]]:
         """The prior deterministic-failure entry for ``key``, if any."""

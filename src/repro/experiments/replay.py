@@ -766,8 +766,7 @@ class TraceTemplate:
         if started is None:
             started = time.perf_counter()
         if keys is None:
-            keys = [scenario.key(bandwidths)
-                    for scenario, bandwidths in zip(scenarios, bandwidths_list)]
+            keys = [scenario.key() for scenario in scenarios]
         batch = self._batch_arrays()
         merged, structure = batch.merged, batch.structure
         priced = self._price_points([scenario.config for scenario in scenarios])

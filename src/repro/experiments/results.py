@@ -174,30 +174,30 @@ def evaluate_policy(name: str, trace: MemoryTrace,
     return _offline_policy(name).evaluate(trace, bandwidths)
 
 
-def run_scenario(scenario: Scenario,
-                 bandwidths: Optional[BandwidthConfig] = None) -> ScenarioResult:
+def run_scenario(scenario: Scenario) -> ScenarioResult:
     """Execute one scenario and reduce its trace to a :class:`ScenarioResult`.
 
     :func:`run_scenario_on` with a fresh recording, the recording dropped.
     """
-    return run_scenario_on(scenario, bandwidths)[0]
+    return run_scenario_on(scenario)[0]
 
 
-def run_scenario_on(scenario: Scenario,
-                    bandwidths: Optional[BandwidthConfig] = None,
+def run_scenario_on(scenario: Scenario, key: Optional[str] = None,
                     recording: Optional[Recording] = None
                     ) -> Tuple[ScenarioResult, Recording]:
     """Execute one scenario on ``recording`` (``None``: simulate one) and
     reduce its trace; returns the result and the recording it overlaid.
 
-    ``recording`` must be one :func:`~repro.train.session.record_session`
-    made for a row with the same :func:`~repro.experiments.grid.recording_token`;
-    the result is the same either way, so the execution rounds hand the
-    returned recording to the next row with that token.  It runs inside the
-    process-pool workers, so ``scenario`` and the result must pickle; a
-    recording never leaves the process that made it.  An unknown offline
-    policy is a :class:`~repro.errors.ConfigurationError` raised before the
-    simulation starts, like an unknown swap mode.
+    ``key`` is the scenario's content hash when the caller already has it
+    (the execution rounds pass the runner's).  ``recording`` must be one
+    :func:`~repro.train.session.record_session` made for a row with the same
+    :func:`~repro.experiments.grid.recording_token`; the result is the same
+    either way, so the execution rounds hand the returned recording to the
+    next row with that token.  It runs inside the process-pool workers, so
+    ``scenario`` and the result must pickle; a recording never leaves the
+    process that made it.  An unknown offline policy is a
+    :class:`~repro.errors.ConfigurationError` raised before the simulation
+    starts, like an unknown swap mode.
 
     Multi-device semantics: ``peak_allocated_bytes`` / ``peak_reserved_bytes``
     and the policy summary are *per replica* (what must fit one device),
@@ -205,11 +205,12 @@ def run_scenario_on(scenario: Scenario,
     the occupation breakdown aggregate the merged multi-rank trace
     (cluster-wide totals).
     """
-    bandwidths = scenario.resolve_bandwidths(bandwidths)
+    bandwidths = scenario.resolve_bandwidths()
     _offline_policy(scenario.swap_policy)
     started = time.perf_counter()
     session = run_training_session(scenario.config, recording=recording)
-    return reduce_session(scenario, bandwidths, session, started), session.recording
+    return (reduce_session(scenario, bandwidths, session, started, key),
+            session.recording)
 
 
 def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
@@ -246,7 +247,7 @@ def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
     """
     arrays = compute_interval_arrays(trace)
     return assemble_result(
-        scenario, key if key is not None else scenario.key(bandwidths), structure,
+        scenario, key if key is not None else scenario.key(), structure,
         ati=summarize_values_us(arrays.interval_us),
         swappable=swappable_fraction(arrays, bandwidths),
         breakdown=occupation_breakdown(trace, label=scenario.label).to_dict(),

@@ -19,8 +19,10 @@ makes that a first-class operation, one module per job:
 * this module — :class:`SweepRunner` runs many scenarios over a
   content-addressed on-disk cache (a repeat sweep is served from JSON files
   in milliseconds) in four phases with a retry loop around the execution
-  rounds, and serves a scenario's merged trace (:meth:`SweepRunner.trace`)
-  to the figure experiments that read a trace rather than a result;
+  rounds, journals only terminal failures (:mod:`~repro.experiments.journal`;
+  a finished scenario's record is its cache entry), and serves a scenario's
+  merged trace (:meth:`SweepRunner.trace`) to the figure experiments that
+  read a trace rather than a result;
   :class:`SweepResult` aggregates the scenario results into a tidy summary
   table.
 
@@ -51,7 +53,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.swap import BandwidthConfig
 from ..core.trace import MemoryTrace
 from ..errors import ReproError
 from ..train.session import run_training_session
@@ -170,8 +171,6 @@ class _RunState:
     """Everything one :meth:`SweepRunner.run` accumulates across its phases."""
 
     scenarios: List[Scenario]
-    #: Each scenario's Eq.-1 bandwidths, resolved once for keys and replay.
-    bandwidths: List[BandwidthConfig]
     #: Each scenario's structure token, built once for its key and its
     #: replay group.
     tokens: List[Tuple]
@@ -210,15 +209,6 @@ class SweepRunner:
     use_cache:
         If false, cached entries are ignored (but fresh results are still
         written back when ``cache_dir`` is set).
-    bandwidths:
-        Explicit Eq.-1 bandwidth override for every scenario; ``None`` (the
-        default) derives the bandwidths from each scenario's device spec.
-    chunk_size:
-        Scenarios submitted to a pool worker per task; ``None`` picks a size
-        that gives every worker a few chunks (load balancing) while keeping
-        the per-task dispatch overhead amortized.  A per-scenario
-        ``timeout_s`` forces chunks of one (a deadline must map to exactly
-        one scenario to kill).
     retries:
         Per-scenario budget of re-submissions after a *transient* failure
         (worker crash, timeout, injected fault, I/O error — see
@@ -229,18 +219,20 @@ class SweepRunner:
         round ``n`` (1-based) sleeps ``backoff_s * 2**(n-1)`` first.
     timeout_s:
         Per-scenario wall-clock deadline.  On the pool path an overdue
-        scenario gets its workers killed and the pool rebuilt; on the serial
-        path the deadline is checked post-hoc (a pure simulation cannot be
-        preempted in-process).
+        scenario gets its workers killed and the pool rebuilt (chunks are
+        then one scenario each, the unit a deadline can kill; otherwise
+        every worker gets about four); on the serial path the deadline is
+        checked post-hoc (a pure simulation cannot be preempted in-process).
     strict:
         When true (the default, the historical behavior) the first terminal
         failure is re-raised after the run drains.  When false, failures are
         returned in ``SweepResult.failures`` and the partial results stand.
     resume:
-        Consult the per-grid run journal (kept whenever a ``cache_dir`` is
-        configured): scenarios that already failed
+        Consult the per-grid run journal of terminal failures (kept whenever
+        a ``cache_dir`` is configured): scenarios that already failed
         deterministically in a prior run are skipped (resurfaced as
-        ``resumed`` failure records) instead of re-executed.
+        ``resumed`` failure records) instead of re-executed.  Without it a
+        run removes its grid's journal before its first scenario.
     fault_plan:
         A deterministic :class:`~repro.experiments.faults.FaultPlan` to
         inject; ``None`` falls back to the ``REPRO_FAULT_PLAN`` environment
@@ -254,8 +246,6 @@ class SweepRunner:
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None, workers: int = 1,
                  use_cache: bool = True,
-                 bandwidths: Optional[BandwidthConfig] = None,
-                 chunk_size: Optional[int] = None,
                  retries: int = 0,
                  backoff_s: float = 0.05,
                  timeout_s: Optional[float] = None,
@@ -265,8 +255,6 @@ class SweepRunner:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.workers = max(1, int(workers))
         self.use_cache = bool(use_cache)
-        self.bandwidths = bandwidths
-        self.chunk_size = chunk_size
         self.retries = max(0, int(retries))
         self.backoff_s = max(0.0, float(backoff_s))
         self.timeout_s = None if timeout_s is None else float(timeout_s)
@@ -278,8 +266,7 @@ class SweepRunner:
         self._artifacts = (ArtifactStore(self.cache_dir, self.fault_plan)
                            if self.cache_dir is not None else None)
         #: Runs the execution rounds; owns the reusable worker pool.
-        self._executor = ScenarioExecutor(self.workers, self.chunk_size,
-                                          self.timeout_s, self.bandwidths,
+        self._executor = ScenarioExecutor(self.workers, self.timeout_s,
                                           self.fault_plan)
         self._replay_engine = None  # lazy ReplayEngine (replay scenarios only)
 
@@ -310,7 +297,7 @@ class SweepRunner:
         if self._artifacts is None:
             return None
         if key is None:
-            key = scenario.key(self.bandwidths)
+            key = scenario.key()
         return self._artifacts.read_json(f"{key}.json", "cache_corrupt",
                                          _parse_cache_entry)
 
@@ -329,11 +316,11 @@ class SweepRunner:
         if self._artifacts is None:
             return
         if key is None:
-            key = scenario.key(self.bandwidths)
+            key = scenario.key()
         name = f"{key}.json"
         if self._artifacts.publish_json(name, {
                 "schema_version": RESULT_SCHEMA_VERSION,
-                "fingerprint": scenario.fingerprint(self.bandwidths),
+                "fingerprint": scenario.fingerprint(),
                 "result": result.to_dict()}) is not None:
             self._artifacts.inject_fault("cache_corrupt", name)
 
@@ -389,12 +376,12 @@ class SweepRunner:
 
         Four phases over one :class:`_RunState`: cache probe, resume skip
         (prior deterministic failures, when ``resume=True``), replay, then
-        the guarded retry/timeout execution loop.  Each result is cached and
-        journaled the moment it completes, so an interrupt at any instant
-        loses at most the work in flight.  With ``strict=True`` (the default)
-        the first terminal failure is re-raised after everything drains;
-        otherwise failures are returned in :attr:`SweepResult.failures` next
-        to the partial results.
+        the guarded retry/timeout execution loop.  Each result is cached the
+        moment it completes and each terminal failure journaled the moment
+        it is final, so an interrupt at any instant loses at most the work in
+        flight.  With ``strict=True`` (the default) the first terminal
+        failure is re-raised after everything drains; otherwise failures are
+        returned in :attr:`SweepResult.failures` next to the partial results.
         """
         if isinstance(grid_or_scenarios, SweepGrid):
             scenarios = grid_or_scenarios.expand()
@@ -402,11 +389,8 @@ class SweepRunner:
             scenarios = list(grid_or_scenarios)
         started = time.perf_counter()
 
-        bandwidths = [scenario.resolve_bandwidths(self.bandwidths)
-                      for scenario in scenarios]
         tokens = [structure_token(scenario.config) for scenario in scenarios]
-        keys = [scenario.key(resolved, token)
-                for scenario, resolved, token in zip(scenarios, bandwidths, tokens)]
+        keys = [scenario.key(token) for scenario, token in zip(scenarios, tokens)]
         journal: Optional[RunJournal] = None
         if self._artifacts is not None:
             self._artifacts.quarantined.clear()  # tallies are per run
@@ -415,12 +399,12 @@ class SweepRunner:
                 journal = RunJournal.for_keys(self._artifacts, keys,
                                               RESULT_SCHEMA_VERSION)
             else:
-                # A fresh run voids the prior bookkeeping without reading it:
-                # an unloaded journal starts its file over at the first record.
+                # A fresh run voids the prior bookkeeping without reading it.
                 journal = RunJournal(
                     self._artifacts.sub(JOURNALS_DIR),
                     run_id_for_keys(keys, RESULT_SCHEMA_VERSION))
-        state = _RunState(scenarios, bandwidths, tokens, keys, journal)
+                journal.discard()
+        state = _RunState(scenarios, tokens, keys, journal)
 
         self._probe_cache(state)
         self._skip_resumed(state)
@@ -461,7 +445,7 @@ class SweepRunner:
 
         Re-running them cannot change the outcome, so they are resurfaced in
         the manifest marked ``resumed``.  Transient failures re-run with a
-        fresh budget; completed scenarios were already served by the cache
+        fresh budget; finished scenarios were already served by the cache
         probe (data wins over bookkeeping).
         """
         if not self.resume or state.journal is None:
@@ -502,7 +486,7 @@ class SweepRunner:
         engine = self._ensure_replay_engine()
         outcomes = engine.price_batch(
             [state.scenarios[index] for index in candidates],
-            [state.bandwidths[index] for index in candidates],
+            [state.scenarios[index].resolve_bandwidths() for index in candidates],
             [state.keys[index] for index in candidates],
             [state.tokens[index] for index in candidates])
         for index, result in zip(candidates, outcomes):
@@ -568,13 +552,10 @@ class SweepRunner:
                         result: ScenarioResult) -> None:
         """Persist one completed scenario *immediately* (crash safety).
 
-        Caching and journaling happen the moment the result lands in the
+        The cache entry is written the moment the result lands in the
         parent, not at end-of-round: an interrupt a millisecond later loses
-        nothing that already finished.
+        nothing that already finished, and a resumed run is served it.
         """
         state.attempts[index] += 1
         state.results[index] = result
         self.cache_store(state.scenarios[index], result, state.keys[index])
-        if state.journal is not None:
-            state.journal.record_completed(state.keys[index],
-                                           state.attempts[index])

@@ -73,7 +73,7 @@ class _MemoRunner:
             scenarios = grid_or_scenarios.expand()
         else:
             scenarios = list(grid_or_scenarios)
-        keys = [scenario.key(self._runner.bandwidths) for scenario in scenarios]
+        keys = [scenario.key() for scenario in scenarios]
         missing = [scenario for scenario, key in zip(scenarios, keys)
                    if key not in self._memo]
         if missing:

@@ -173,7 +173,7 @@ def test_clear_counts_only_the_named_artifacts(tmp_path):
 
 def test_corrupt_journal_and_manifest_are_quarantined(tmp_path):
     journal = RunJournal.for_keys(tmp_path, ["a"], 7)
-    journal.record_completed("a", 1)
+    journal.record_failed("a", "oom", "deterministic", 1)
     journal.path.write_text("{ torn", encoding="utf-8")
     reloaded = RunJournal.for_keys(tmp_path, ["a"], 7)
     assert reloaded.entries == {}

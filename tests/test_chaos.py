@@ -7,8 +7,8 @@ The fault-tolerance contract under test (see ``docs/robustness.md``):
   to the fault-free run once every fault's budget is spent;
 * deterministic failures (infeasible capacity, OOM, config errors) are
   recorded exactly once, never retried, and skipped on ``--resume``;
-* an interrupted sweep's journal lets a resumed run re-run zero completed
-  scenarios;
+* a resumed run re-runs zero completed scenarios: the result cache serves
+  them, and the journal holds only terminal failures;
 * corrupt cache/template artifacts are quarantined (moved aside and tallied),
   never silently recomputed over.
 """
@@ -288,7 +288,22 @@ def test_timeout_without_retries_is_recorded_as_timeout(tmp_path):
 # -- journal + resume -----------------------------------------------------------------
 
 
-def test_interrupted_sweep_resumes_without_rerunning_completed(tmp_path):
+def simulated(monkeypatch):
+    """The configs the sweep simulates from now on, in order."""
+    from repro.experiments import results
+
+    configs = []
+    original = results.run_training_session
+
+    def counting(config, **kwargs):
+        configs.append(config)
+        return original(config, **kwargs)
+
+    monkeypatch.setattr(results, "run_training_session", counting)
+    return configs
+
+
+def test_interrupted_sweep_resumes_without_rerunning_completed(tmp_path, monkeypatch):
     """The acceptance pin: resume re-runs zero completed scenarios."""
     scenarios = tiny_grid(batch_sizes=(16, 32, 64)).expand()
     keys = [s.key() for s in scenarios]
@@ -296,19 +311,18 @@ def test_interrupted_sweep_resumes_without_rerunning_completed(tmp_path):
     with pytest.raises(KeyboardInterrupt):
         SweepRunner(cache_dir=tmp_path, strict=False, fault_plan=plan).run(scenarios)
 
-    # The journal recorded the scenario that finished before the interrupt.
-    journal = RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION)
-    assert journal.completed(keys[0])
-    completed_entry = dict(journal.entries[keys[0]])
+    # The scenario that finished before the interrupt is in the cache; nothing
+    # failed terminally, so there is no journal.
+    assert sorted(path.stem for path in tmp_path.glob("*.json")) == keys[:1]
+    assert not (tmp_path / JOURNALS_DIR).exists()
 
+    ran = simulated(monkeypatch)
     resumed = SweepRunner(cache_dir=tmp_path, strict=False,
                           resume=True).run(scenarios)
     assert resumed.cache_hits == 1  # served, not re-executed
+    assert ran == [scenario.config for scenario in scenarios[1:]]
     assert len(resumed.results) == len(scenarios)
     assert resumed.failures == []
-    # Journal-verified: the completed entry was not rewritten by the resume.
-    after = RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION)
-    assert after.entries[keys[0]] == completed_entry
 
 
 _KILLED_CHILD = """
@@ -344,10 +358,11 @@ def test_sigkilled_sweep_leaves_a_valid_journal_and_resumes(tmp_path):
         child.wait(timeout=30)
     assert child.returncode == -signal.SIGKILL
 
-    # Whatever instant the kill landed on, the journal is valid and a prefix.
+    # Whatever instant the kill landed on, the cache holds the finished
+    # scenario whole, and nothing failed, so no journal was written.
     journal = RunJournal.for_keys(cache, keys, RESULT_SCHEMA_VERSION)
-    assert journal.store.quarantined == {}
-    assert list(journal.entries) in ([], keys[:1])
+    assert journal.entries == {} and journal.store.quarantined == {}
+    assert not journal.path.exists()
     cached = sorted(path.stem for path in cache.glob("*.json"))
     assert cached == [keys[0]] and not list(cache.glob(".*.tmp"))
 
@@ -355,8 +370,8 @@ def test_sigkilled_sweep_leaves_a_valid_journal_and_resumes(tmp_path):
     assert resumed.cache_hits == 1 and resumed.cache_misses == 2  # served, not re-run
     assert len(resumed.results) == len(scenarios) and resumed.failures == []
     assert resumed.quarantined == {}
-    after = RunJournal.for_keys(cache, keys, RESULT_SCHEMA_VERSION)
-    assert all(after.completed(key) for key in keys[1:])
+    assert sorted(path.stem for path in cache.glob("*.json")) == sorted(keys)
+    assert not journal.path.exists()
 
 
 def test_resume_skips_prior_deterministic_failure(tmp_path):
@@ -370,6 +385,26 @@ def test_resume_skips_prior_deterministic_failure(tmp_path):
     assert len(resumed.failures) == 1
     assert resumed.failures[0].resumed is True
     assert resumed.failures[0].reason == first.failures[0].reason
+
+
+def test_resume_reruns_a_prior_transient_failure(tmp_path, monkeypatch):
+    """A transient failure is journaled, and ``--resume`` re-runs it with a
+    fresh budget; the scenario that finished is served, not re-run."""
+    scenarios = tiny_grid().expand()
+    keys = [s.key() for s in scenarios]
+    plan = FaultPlan(faults=[FaultSpec(kind="error", key=keys[1], times=1)])
+    first = SweepRunner(cache_dir=tmp_path, strict=False,
+                        fault_plan=plan).run(scenarios)
+    record, = first.failures
+    assert (record.key, record.kind) == (keys[1], "transient")
+    journal = RunJournal.for_keys(tmp_path, keys, RESULT_SCHEMA_VERSION)
+    assert journal.entries[keys[1]]["kind"] == "transient"
+
+    ran = simulated(monkeypatch)
+    resumed = SweepRunner(cache_dir=tmp_path, strict=False,
+                          resume=True).run(scenarios)
+    assert resumed.failures == [] and resumed.resumed_skipped == 0
+    assert (resumed.cache_hits, ran) == (1, [scenarios[1].config])
 
 
 def test_fresh_run_does_not_consume_stale_journal(tmp_path):
@@ -392,7 +427,7 @@ def test_run_id_is_order_insensitive_and_grid_sensitive():
 def test_corrupt_journal_degrades_to_empty(tmp_path):
     keys = ["a", "b"]
     journal = RunJournal.for_keys(tmp_path, keys, 7)
-    journal.record_completed("a", 1)
+    journal.record_failed("a", "oom", "deterministic", 1)
     journal.path.write_text("{ torn", encoding="utf-8")
     reloaded = RunJournal.for_keys(tmp_path, keys, 7)
     assert reloaded.entries == {}
@@ -400,10 +435,10 @@ def test_corrupt_journal_degrades_to_empty(tmp_path):
 
 def test_clear_cache_wipes_journals_without_counting_them(tmp_path):
     scenarios = tiny_grid().expand()
-    runner = SweepRunner(cache_dir=tmp_path)
-    runner.run(scenarios)
+    runner = SweepRunner(cache_dir=tmp_path, strict=False)
+    runner.run(scenarios + infeasible_grid().expand())
     journal_files = list((tmp_path / JOURNALS_DIR).glob("*.jsonl"))
-    assert journal_files  # the run journaled its completions
+    assert journal_files  # the run journaled its failure
     (tmp_path / JOURNALS_DIR / "0123456789abcdef.json").write_text(
         '{"schema": 1}')  # a schema-1 journal an older version left behind
     removed = runner.clear_cache()

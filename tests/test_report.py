@@ -190,7 +190,8 @@ def test_check_report_flags_orphaned_generated_files(files, tmp_path):
 #: deviation with its reason.  A new ``no`` row fails the gate below; a row
 #: that turns ``yes`` must leave this list.
 KNOWN_UNREPRODUCED = {
-    # p50 is 2,263 us at batch 16,384: not "far too small" (ROADMAP item 2).
+    # p50 is 2,263 us at batch 16,384: not "far too small" (the ROADMAP
+    # item "Fig. 3 on the clock the paper measured").
     ("fig3", "the p50 ATI is far too small to hide any meaningful swap "
              "(Eq. 1 at the paper's bandwidths)"),
 }

@@ -40,6 +40,7 @@ from repro.experiments.replay import (
     TemplateError,
     template_key,
 )
+from repro.experiments.executor import ScenarioExecutor
 from repro.experiments.sweep import SweepRunner
 from repro.swap.executor import WalkIndex
 from repro.swap.policies import POLICIES, get_policy
@@ -567,6 +568,43 @@ def test_sweep_module_defines_only_the_runner():
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))]
     assert defined == ["SweepResult", "_parse_cache_entry", "_RunState",
                        "SweepRunner"]
+
+
+def test_the_runner_and_its_executor_take_only_what_callers_set():
+    assert list(inspect.signature(SweepRunner).parameters) == [
+        "cache_dir", "workers", "use_cache", "retries", "backoff_s", "timeout_s",
+        "strict", "resume", "fault_plan"]
+    assert list(inspect.signature(ScenarioExecutor).parameters) == [
+        "workers", "timeout_s", "fault_plan"]
+
+
+def _none_defaults(function):
+    """Names of ``function``'s parameters that default to ``None``."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    pairs = list(zip(positional[len(positional) - len(arguments.defaults):],
+                     arguments.defaults))
+    pairs += [(arg, default) for arg, default
+              in zip(arguments.kwonlyargs, arguments.kw_defaults) if default]
+    return {arg.arg for arg, default in pairs
+            if isinstance(default, ast.Constant) and default.value is None}
+
+
+def test_a_scenarios_eq1_bandwidths_come_only_from_its_device_spec():
+    """No function under ``repro.experiments`` takes ``bandwidths=None`` to
+    fall back to the device spec.  The two figure entry points that take
+    one fall back to the paper's measured Titan X figures instead."""
+    optional = {}
+    for path, tree in _sources(SRC / "experiments"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "bandwidths" in _none_defaults(node):
+                optional[f"{path.stem}.{node.name}"] = ast.get_source_segment(
+                    path.read_text(), node)
+    assert sorted(optional) == ["fig4_outliers.run_fig4",
+                                "swap_planner.run_swap_planner"]
+    for source in optional.values():
+        assert "BandwidthConfig.from_paper()" in source
+        assert "device_spec" not in source and "resolve_bandwidths" not in source
 
 
 def test_percentile_recipe_lives_in_core_only():

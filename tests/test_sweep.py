@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.swap import BandwidthConfig
+from repro.experiments.executor import _run_scenario_chunk
 from repro.experiments.grid import AXES, structure_token
 from repro.experiments.replay import template_key
 from repro.experiments.sweep import (
@@ -167,11 +168,11 @@ def test_scenario_key_ignores_label_but_not_workload():
     assert Scenario(config_a, swap_policy="planner").key() != Scenario(config_a).key()
 
 
-def _literal_key(scenario, bandwidths=None):
+def _literal_key(scenario):
     """The content address as first written down: plain ``json.dumps`` + sha256."""
     import hashlib
 
-    canonical = json.dumps(scenario.fingerprint(bandwidths), sort_keys=True,
+    canonical = json.dumps(scenario.fingerprint(), sort_keys=True,
                            separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -237,23 +238,19 @@ def _drawn_scenarios(draw):
     return Scenario(config, swap_policy=pick("none", "planner"))
 
 
-_drawn_bandwidths = st.none() | st.builds(
-    BandwidthConfig, h2d_bytes_per_s=st.sampled_from([5.5e9, 6, 6.0]),
-    d2h_bytes_per_s=st.floats(1.0, 1e12))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_drawn_grids().map(SweepGrid.expand),
-                 st.lists(_drawn_scenarios(), min_size=1, max_size=6)),
-       _drawn_bandwidths)
-def test_scenario_key_is_the_literal_json_sha256_recipe(scenarios, bandwidths):
+                 st.lists(_drawn_scenarios(), min_size=1, max_size=6)))
+def test_scenario_key_is_the_literal_json_sha256_recipe(scenarios):
     for scenario in scenarios:
-        literal = _literal_key(scenario, bandwidths)
-        assert scenario.key(bandwidths) == literal
-        assert scenario.key(bandwidths, structure_token(scenario.config)) == literal
-        resolved = scenario.resolve_bandwidths(bandwidths)
-        assert resolved is scenario.resolve_bandwidths(bandwidths)   # one record per preset
-        assert scenario.key(resolved) == literal
+        literal = _literal_key(scenario)
+        assert scenario.key() == literal
+        assert scenario.key(structure_token(scenario.config)) == literal
+        resolved = scenario.resolve_bandwidths()
+        assert resolved is scenario.resolve_bandwidths()   # one record per preset
+        assert scenario.fingerprint()["bandwidths"] == {
+            "h2d_bytes_per_s": resolved.h2d_bytes_per_s,
+            "d2h_bytes_per_s": resolved.d2h_bytes_per_s}
 
 
 @st.composite
@@ -347,8 +344,8 @@ def test_a_cache_written_by_the_literal_recipe_is_served_and_rewritten_equal(
 
     fingerprints = []
     original = Scenario.fingerprint
-    monkeypatch.setattr(Scenario, "fingerprint", lambda scenario, bandwidths=None: (
-        fingerprints.append(scenario), original(scenario, bandwidths))[1])
+    monkeypatch.setattr(Scenario, "fingerprint", lambda scenario: (
+        fingerprints.append(scenario), original(scenario))[1])
     written = SweepRunner(cache_dir=own_store).run(scenarios)
     assert [id(s) for s in fingerprints] == [id(s) for s in scenarios]   # once each
     for scenario, result in zip(scenarios, written.results):
@@ -479,22 +476,26 @@ def test_schema_version_mismatch_invalidates_cache(tmp_path):
 
 
 def test_cache_key_depends_on_bandwidths(tmp_path):
-    """Results computed under different Eq.-1 bandwidths never share an entry."""
-    from repro.core.swap import BandwidthConfig
+    """Results computed under different Eq.-1 bandwidths never share an entry:
+    two device specs with different link bandwidths get one entry each, and
+    each entry's fingerprint carries its own spec's bandwidths."""
+    from repro.device.spec import get_device_spec
 
+    specs = ("titan_x_pascal", "v100_sxm2_16gb")
+    links = {name: {"h2d_bytes_per_s": get_device_spec(name).h2d_bandwidth,
+                    "d2h_bytes_per_s": get_device_spec(name).d2h_bandwidth}
+             for name in specs}
+    assert links[specs[0]] != links[specs[1]]
     cache_dir = tmp_path / "sweeps"
-    grid = tiny_grid(batch_sizes=(16,))
-    paper = SweepRunner(cache_dir=cache_dir).run(grid)
-    assert paper.results[0].swappable_fraction > 0.0
-
-    slow = BandwidthConfig(h2d_bytes_per_s=1e3, d2h_bytes_per_s=1e3)
-    crawling = SweepRunner(cache_dir=cache_dir, bandwidths=slow).run(grid)
-    assert (crawling.cache_hits, crawling.cache_misses) == (0, 1)
-    assert crawling.results[0].swappable_fraction == 0.0
-    # And the paper-bandwidth entry is still served to a default runner.
-    again = SweepRunner(cache_dir=cache_dir).run(grid)
-    assert again.cache_hits == 1
-    assert again.results[0].swappable_fraction == paper.results[0].swappable_fraction
+    runner = SweepRunner(cache_dir=cache_dir)
+    titan = runner.run(tiny_grid(batch_sizes=(16,), device_specs=specs[:1]))
+    both = runner.run(tiny_grid(batch_sizes=(16,), device_specs=specs))
+    assert (both.cache_hits, both.cache_misses) == (1, 1)
+    assert both.results[0].to_dict() == titan.results[0].to_dict()
+    assert len({result.key for result in both.results}) == 2
+    for result in both.results:
+        entry = json.loads((cache_dir / f"{result.key}.json").read_text())
+        assert entry["fingerprint"]["bandwidths"] == links[result.scenario["device_spec"]]
 
 
 def test_failing_scenario_does_not_discard_completed_results(tmp_path):
@@ -629,7 +630,6 @@ def test_registry_policies_run_through_the_sweep():
 
 
 def test_device_axis_resolves_eq1_bandwidths_from_spec():
-    from repro.core.swap import BandwidthConfig
     from repro.device.spec import get_device_spec
 
     titan = tiny_grid(batch_sizes=(16,)).expand()[0]
@@ -637,21 +637,18 @@ def test_device_axis_resolves_eq1_bandwidths_from_spec():
     assert titan.key() != v100.key()
     resolved = v100.resolve_bandwidths()
     spec = get_device_spec("v100_sxm2_16gb")
-    assert resolved.h2d_bytes_per_s == spec.h2d_bandwidth
-    # An explicit override still wins over the device spec.
-    override = BandwidthConfig(h2d_bytes_per_s=1.0, d2h_bytes_per_s=1.0)
-    assert v100.resolve_bandwidths(override) is override
+    assert resolved == BandwidthConfig(h2d_bytes_per_s=spec.h2d_bandwidth,
+                                       d2h_bytes_per_s=spec.d2h_bandwidth)
 
 
 def test_a_run_resolves_each_scenarios_bandwidths_once(monkeypatch):
-    """Keys and the replay phase share one resolution per scenario."""
+    """The replay phase resolves each row once; keys read the preset table."""
     resolved = []
     original = Scenario.resolve_bandwidths
 
-    def counting(scenario, bandwidths=None):
-        if bandwidths is None:
-            resolved.append(scenario)
-        return original(scenario, bandwidths)
+    def counting(scenario):
+        resolved.append(scenario)
+        return original(scenario)
 
     monkeypatch.setattr(Scenario, "resolve_bandwidths", counting)
     scenarios = tiny_grid(execution_mode="replay",
@@ -683,7 +680,12 @@ def test_parallel_failure_keeps_chunkmates_and_reraises(tmp_path):
     good = tiny_grid(batch_sizes=(16, 24, 32)).expand()
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
                                             batch_size=16, iterations=2))
-    with SweepRunner(cache_dir=cache_dir, workers=2, chunk_size=2) as runner:
+    outcomes = _run_scenario_chunk(good[:1] + [bad] + good[1:2],
+                                   ["k0", "k1", "k2"], [0, 0, 0], None)
+    assert [type(outcome).__name__ for outcome in outcomes] == [
+        "ScenarioResult", "_ScenarioFailure", "ScenarioResult"]
+    assert [outcomes[0].key, outcomes[2].key] == ["k0", "k2"]
+    with SweepRunner(cache_dir=cache_dir, workers=2) as runner:
         with pytest.raises(ReproError):
             runner.run(good + [bad])
         rerun = runner.run(good)
@@ -702,13 +704,13 @@ def test_runner_pool_is_reused_across_runs():
 
 
 def test_chunking_covers_every_scenario_exactly_once():
-    runner = SweepRunner(workers=3, chunk_size=None)
-    missing = [(index, None) for index in range(10)]
-    chunks = runner._executor._chunks(missing)
-    flattened = [entry for chunk in chunks for entry in chunk]
-    assert flattened == missing
-    explicit = SweepRunner(workers=3, chunk_size=4)._executor._chunks(missing)
-    assert [len(chunk) for chunk in explicit] == [4, 4, 2]
+    """About four chunks per worker, never less than one scenario each."""
+    executor = SweepRunner(workers=3)._executor
+    for count, sizes in ((10, [1] * 10), (30, [3] * 10), (31, [3] * 10 + [1])):
+        missing = [(index, None) for index in range(count)]
+        chunks = executor._chunks(missing)
+        assert [entry for chunk in chunks for entry in chunk] == missing
+        assert [len(chunk) for chunk in chunks] == sizes
 
 
 def test_rows_report_per_scenario_wall_time():
@@ -725,7 +727,7 @@ def test_parallel_failure_carries_worker_traceback(tmp_path):
     good = tiny_grid(batch_sizes=(16, 24)).expand()
     bad = Scenario(config=TrainingRunConfig(model="lenet5", dataset="two_cluster",
                                             batch_size=16, iterations=2))
-    with SweepRunner(workers=2, chunk_size=1) as runner:
+    with SweepRunner(workers=2) as runner:
         with pytest.raises(ReproError) as caught:
             runner.run(good + [bad])
     assert caught.value.__cause__ is not None

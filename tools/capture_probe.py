@@ -56,7 +56,7 @@ def probe(config: TrainingRunConfig, repeats: int = 7) -> Dict[str, object]:
     bandwidths = scenario.resolve_bandwidths()
     template = TemplateFamily(key).capture(config)
     priced = template.replay_batch([scenario], [bandwidths], 0.0)[0]
-    equal = _comparable(priced) == _comparable(run_scenario(scenario, bandwidths))
+    equal = _comparable(priced) == _comparable(run_scenario(scenario))
     return {"simulate_ms": simulate_s * 1e3, "compile_ms": compile_s * 1e3,
             "ratio": compile_s / simulate_s, "equal": equal}
 

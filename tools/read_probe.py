@@ -7,8 +7,9 @@ two sessions), then times, round after round, one whole pass — a fresh
 ``SweepRunner(resume=True).run`` served entirely from the store — and each
 stage of that pass on its own, through the checkout's own functions:
 
-* keys and tokens — every scenario's bandwidths, ``structure_token`` and
-  ``Scenario.key``, as the run computes them;
+* keys and tokens — every scenario's ``structure_token`` and
+  ``Scenario.key`` (which resolves the scenario's bandwidths), as the run
+  computes them;
 * journal open — ``RunJournal.for_keys`` on those keys;
 * open + read — every entry's bytes through the store (``read_lines``,
   which opens and reads the way ``read_json`` does, without a JSON decode);
@@ -58,10 +59,9 @@ def benchmark_sample(directory: Path, seed: int = 100) -> Tuple[List[Scenario], 
 def _stages(scenarios: Sequence[Scenario], store: Path) -> Dict[str, Callable[[], object]]:
     """One callable per stage this checkout has, each over every scenario."""
     def keys_and_tokens():
-        bandwidths = [scenario.resolve_bandwidths(None) for scenario in scenarios]
         tokens = [sweep.structure_token(scenario.config) for scenario in scenarios]
-        return [scenario.key(resolved, token)
-                for scenario, resolved, token in zip(scenarios, bandwidths, tokens)]
+        return [scenario.key(token=token)
+                for scenario, token in zip(scenarios, tokens)]
 
     artifacts = ArtifactStore(store)
     keys = keys_and_tokens()
