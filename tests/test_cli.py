@@ -63,8 +63,9 @@ def test_cli_figure_eq1(capsys):
 
 
 #: sha256 of ``repro figure <name>``'s stdout: the paper-scale MLP trace's
-#: ATI figures and the swap planner's plan, every number as printed.
+#: Gantt chart, ATI figures and the swap planner's plan, every number as printed.
 FIGURE_STDOUT_SHA256 = {
+    "fig2": "d889fad5d9d7f26e51f03527b8a0aa231db369df1eb0680007153f891bdbc582",
     "fig3": "8b14e8f6209231269bc12b5de7ce3a98f711ae023192a929d4348cd15b45a980",
     "fig4": "5ab66c94d5b6f966c801f55370e5202f12f10a8fe2caedc854cbdc7860370749",
     "swap": "1f64083649efad1b8152446452ec860bd7f0920ecfb03d449e5090fc8bb088fe",
