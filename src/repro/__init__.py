@@ -36,7 +36,6 @@ Quickstart
 
 from .core import (
     MemoryCategory,
-    MemoryEvent,
     MemoryEventKind,
     MemoryProfiler,
     MemoryTrace,
@@ -53,7 +52,6 @@ __all__ = [
     "Device",
     "DeviceSpec",
     "MemoryCategory",
-    "MemoryEvent",
     "MemoryEventKind",
     "MemoryProfiler",
     "MemoryTrace",

@@ -22,10 +22,8 @@ from .breakdown import (
 )
 from .events import (
     PAPER_BUCKETS,
-    BlockLifetime,
     IterationMark,
     MemoryCategory,
-    MemoryEvent,
     MemoryEventKind,
 )
 from .fragmentation import (
@@ -73,7 +71,6 @@ from .trace import MemoryTrace, TRACE_FORMAT_VERSION, merge_rank_traces
 __all__ = [
     "AtiSummary",
     "BandwidthConfig",
-    "BlockLifetime",
     "BreakdownSeries",
     "CdfResult",
     "DEFAULT_ATI_THRESHOLD_NS",
@@ -85,7 +82,6 @@ __all__ = [
     "IterationMark",
     "IterationSignature",
     "MemoryCategory",
-    "MemoryEvent",
     "MemoryEventKind",
     "MemoryProfiler",
     "MemoryTrace",

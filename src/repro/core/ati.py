@@ -62,8 +62,7 @@ class IntervalArrays:
 
     ``start_index`` / ``end_index`` are the pair's rows in the trace's
     columns (:meth:`~repro.core.trace.MemoryTrace.columns`) and in its
-    ``event_strings()``, not positions into ``trace.events``: no consumer
-    builds an event object to read a row.  ``size``, ``category_code`` and
+    ``event_strings()``: a consumer reads a row's fields off the columns.  ``size``, ``category_code`` and
     ``iteration`` are the closing access's.
     """
 

@@ -1,9 +1,11 @@
 """Memory-behavior event primitives.
 
 The paper pinpoints four *memory behaviors* of each device memory block:
-``malloc``, ``free``, ``read`` and ``write``.  This module defines the event
-record emitted by the instrumented allocator / tensor storage, plus the
-per-block lifetime record that the analyses consume.
+``malloc``, ``free``, ``read`` and ``write``.  This module defines the
+vocabulary of a recorded behavior: its kind (:class:`MemoryEventKind`), the
+category of the block it touches (:class:`MemoryCategory`) and the iteration
+marks the recorder keeps.  A behavior itself is one row of a trace's event
+columns (:class:`~repro.core.trace.EventColumns`), never an object.
 
 These types are deliberately dependency-free so that both the simulated
 device (:mod:`repro.device`) and the analyses (:mod:`repro.core`) can share
@@ -116,136 +118,6 @@ for _code, _category in enumerate(MemoryCategory):
 
 #: Order in which the paper's buckets are reported in figures 5-7.
 PAPER_BUCKETS = ("input data", "parameters", "intermediate results")
-
-
-@dataclass(frozen=True)
-class MemoryEvent:
-    """A single memory behavior observed on the device.
-
-    Attributes
-    ----------
-    event_id:
-        Monotonically increasing index assigned by the recorder.  Figure 4 of
-        the paper plots behaviors against this index.
-    kind:
-        Which behavior occurred.
-    timestamp_ns:
-        Simulated device time of the behavior, in nanoseconds.
-    block_id:
-        Identity of the device memory block.  Block identities are stable
-        across caching-allocator reuse of the same underlying block, which is
-        what lets access-time intervals span allocator round trips.
-    address:
-        Device virtual address of the block at the time of the event.
-    size:
-        Size of the block in bytes (for accesses, the number of bytes touched).
-    category:
-        Content category of the block at the time of the event.
-    tag:
-        Human-readable label (e.g. ``"fc1.weight"`` or ``"relu_out"``).
-    iteration:
-        Training iteration during which the behavior happened (-1 if outside
-        a training loop).
-    op:
-        Name of the operator that triggered the access (empty for allocator
-        events).
-    device_rank:
-        Data-parallel rank of the device the behavior happened on (0 for
-        single-device runs; stamped by the trace merge for multi-device
-        sessions).
-    """
-
-    event_id: int
-    kind: MemoryEventKind
-    timestamp_ns: int
-    block_id: int
-    address: int
-    size: int
-    category: MemoryCategory = MemoryCategory.UNKNOWN
-    tag: str = ""
-    iteration: int = -1
-    op: str = ""
-    device_rank: int = 0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the event to a JSON-friendly dictionary."""
-        return {
-            "event_id": self.event_id,
-            "kind": self.kind.value,
-            "timestamp_ns": self.timestamp_ns,
-            "block_id": self.block_id,
-            "address": self.address,
-            "size": self.size,
-            "category": self.category.value,
-            "tag": self.tag,
-            "iteration": self.iteration,
-            "op": self.op,
-            "device_rank": self.device_rank,
-        }
-
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "MemoryEvent":
-        """Reconstruct an event from :meth:`to_dict` output."""
-        return MemoryEvent(
-            event_id=int(data["event_id"]),
-            kind=MemoryEventKind(data["kind"]),
-            timestamp_ns=int(data["timestamp_ns"]),
-            block_id=int(data["block_id"]),
-            address=int(data["address"]),
-            size=int(data["size"]),
-            category=MemoryCategory(data.get("category", "unknown")),
-            tag=str(data.get("tag", "")),
-            iteration=int(data.get("iteration", -1)),
-            op=str(data.get("op", "")),
-            device_rank=int(data.get("device_rank", 0)),
-        )
-
-
-@dataclass
-class BlockLifetime:
-    """One allocation→free span of a device memory block.
-
-    The Gantt chart of Figure 2 draws one rectangle per lifetime: its width is
-    ``free_ns - malloc_ns`` and its height is ``size``.
-    """
-
-    block_id: int
-    address: int
-    size: int
-    category: MemoryCategory
-    tag: str
-    malloc_ns: int
-    free_ns: Optional[int] = None
-    iteration: int = -1
-    access_count: int = 0
-    device_rank: int = 0
-
-    @property
-    def is_live(self) -> bool:
-        """Whether the block has not been freed yet."""
-        return self.free_ns is None
-
-    def duration_ns(self, now_ns: Optional[int] = None) -> int:
-        """Lifetime length in nanoseconds (up to ``now_ns`` if still live)."""
-        end = self.free_ns if self.free_ns is not None else now_ns
-        if end is None:
-            raise ValueError("block is still live; pass now_ns to measure it")
-        return max(0, end - self.malloc_ns)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Serialize the lifetime to a JSON-friendly dictionary."""
-        return {
-            "block_id": self.block_id,
-            "address": self.address,
-            "size": self.size,
-            "category": self.category.value,
-            "tag": self.tag,
-            "malloc_ns": self.malloc_ns,
-            "free_ns": self.free_ns,
-            "iteration": self.iteration,
-            "access_count": self.access_count,
-            "device_rank": self.device_rank,
-        }
 
 
 @dataclass

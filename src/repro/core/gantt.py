@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .events import MemoryCategory
-from .trace import MemoryTrace
+from .trace import CATEGORY_FROM_CODE, NEVER_FREED, MemoryTrace, lifetimes_from_columns
 
 
 @dataclass(frozen=True)
@@ -80,24 +80,30 @@ def build_gantt_chart(trace: MemoryTrace, max_iterations: Optional[int] = None) 
         if bounds:
             end_ns = max(entry[2] for entry in bounds)
 
+    cols = trace.columns()
+    tags = trace.event_strings()[0]
+    rows, free_ns, _ = lifetimes_from_columns(cols)
     rectangles: List[GanttRectangle] = []
-    for lifetime in trace.lifetimes:
-        if max_iterations is not None and lifetime.iteration >= max_iterations:
+    for row, block_id, address, size, category, start, freed, iteration, rank in zip(
+            rows.tolist(), cols.block_id[rows].tolist(), cols.address[rows].tolist(),
+            cols.size[rows].tolist(), cols.category_code[rows].tolist(),
+            cols.timestamp_ns[rows].tolist(), free_ns.tolist(),
+            cols.iteration[rows].tolist(), cols.device_rank[rows].tolist()):
+        if max_iterations is not None and iteration >= max_iterations:
             continue
-        start = lifetime.malloc_ns
-        end = lifetime.free_ns if lifetime.free_ns is not None else end_ns
+        end = freed if freed != NEVER_FREED else end_ns
         if max_iterations is not None:
             end = min(end, end_ns)
         rectangles.append(GanttRectangle(
-            block_id=lifetime.block_id,
-            tag=lifetime.tag,
-            category=lifetime.category,
-            address=lifetime.address,
-            size=lifetime.size,
+            block_id=block_id,
+            tag=tags[row],
+            category=CATEGORY_FROM_CODE[category],
+            address=address,
+            size=size,
             start_ns=start,
             end_ns=max(start, end),
-            iteration=lifetime.iteration,
-            device_rank=lifetime.device_rank,
+            iteration=iteration,
+            device_rank=rank,
         ))
     rectangles.sort(key=lambda rect: (rect.start_ns, rect.address))
     return GanttChart(rectangles=rectangles, iteration_bounds=bounds, end_ns=end_ns)

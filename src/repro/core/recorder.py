@@ -14,12 +14,12 @@ strings and the tape position themselves, reading the clock field and the
 category's ``code`` attribute directly — and nothing else.  The recorder
 never writes the tape: a taped clock logs its own atoms
 (:class:`~repro.device.tape.TimingTape`), and the recorder only notes, per
-event, how many atoms precede it.  No
-:class:`~repro.core.events.MemoryEvent` or
-:class:`~repro.core.events.BlockLifetime` object is built per behavior: the
-block lifetimes of Figure 2 are a function of the recorded stream, and
-:class:`~repro.core.trace.MemoryTrace` derives them (and the object view of
-the events) only when something actually asks.
+event, how many atoms precede it.  The log's rows are the trace:
+:meth:`TraceRecorder.to_trace` transposes them into the
+:class:`~repro.core.trace.EventColumns` of a
+:class:`~repro.core.trace.MemoryTrace`, and the block lifetimes of Figure 2
+are derived from those columns
+(:func:`~repro.core.trace.lifetimes_from_columns`) only when something asks.
 
 It also tracks iteration boundaries (for the iterative-pattern analysis).
 A swap-on run's engine rows are inserted afterwards, by
@@ -33,7 +33,7 @@ from typing import List, Optional
 
 from ..device.clock import DeviceClock
 from ..device.hooks import MemoryEventListener
-from .events import IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
+from .events import IterationMark, MemoryCategory, MemoryEventKind
 from .trace import KIND_CODES, ColumnarEventLog, MemoryTrace, pack_row
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
@@ -97,11 +97,6 @@ class TraceRecorder(MemoryEventListener):
         self._current_iteration = -1
 
     # -- event capture ----------------------------------------------------------------
-
-    @property
-    def events(self) -> List[MemoryEvent]:
-        """Object view of the recorded behaviors (synthesized; for inspection)."""
-        return self.to_trace().events
 
     def on_malloc(self, block, requested_size: int) -> None:
         if not self.enabled:

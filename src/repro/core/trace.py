@@ -25,14 +25,14 @@ store: one flat ``array('q')`` of seven-wide ``int64`` rows (one C-level
 append per behavior) plus the two string lists — and finalizes it with one
 transposing copy straight into :class:`EventColumns`.
 
-Everything else is a *view* read off the columns on first access and cached:
-``MemoryTrace.events`` (the :class:`~repro.core.events.MemoryEvent` objects
-JSON/CSV persistence and the object-level helpers walk) and
-``MemoryTrace.lifetimes`` (the Fig.-2 block lifetimes, derived by
-:func:`lifetimes_from_columns` — the only place a
-:class:`~repro.core.events.BlockLifetime` is built).  A trace constructed
-from event objects (tests, JSON loads) is converted to columns at
-construction.
+Nothing else is stored, and no per-event or per-lifetime object exists.
+The Fig.-2 block lifetimes are a function of the columns:
+:func:`lifetimes_from_columns` returns them as arrays (each malloc's row,
+its ``free_ns`` and its access count), and :func:`~repro.core.gantt.build_gantt_chart`
+and :meth:`MemoryTrace.to_dict` read those.  The trace files are written
+from the columns and loaded straight into them: :meth:`MemoryTrace.to_dict`
+emits one dict per event (:data:`EVENT_FIELDS`) and one per lifetime, and
+:meth:`MemoryTrace.from_dict` fills the columns from the stored event dicts.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import EmptyTraceError, TraceFormatError, TraceInvariantError
-from .events import BlockLifetime, IterationMark, MemoryCategory, MemoryEvent, MemoryEventKind
+from .events import IterationMark, MemoryCategory, MemoryEventKind
 
 PathLike = Union[str, Path]
 
@@ -92,6 +92,11 @@ ROW_WIDTH = len(ROW_FIELDS)
 #: ``pack_row(*fields) -> bytes``: one row in the ``array('q')`` item layout.
 pack_row = struct.Struct(f"{ROW_WIDTH}q").pack
 
+#: Fields of one stored event, in the order the JSON dicts and the CSV
+#: columns list them.
+EVENT_FIELDS = ("event_id", "kind", "timestamp_ns", "block_id", "address", "size",
+                "category", "tag", "iteration", "op", "device_rank")
+
 
 @dataclass(frozen=True)
 class EventColumns:
@@ -99,9 +104,8 @@ class EventColumns:
 
     Every analysis that aggregates over the whole event stream (ATI
     extraction, occupation breakdown, live-bytes timelines) operates on these
-    NumPy arrays instead of iterating :class:`MemoryEvent` objects — a
-    50-scenario sweep spends its time in these bulk operations, so they must
-    be vectorized.
+    NumPy arrays — a 50-scenario sweep spends its time in these bulk
+    operations, so they must be vectorized.
     """
 
     event_id: np.ndarray      # int64
@@ -253,35 +257,6 @@ class ColumnarEventLog:
         return list(self.tag), list(self.op)
 
 
-def _columns_from_events(events: Sequence[MemoryEvent]) -> EventColumns:
-    """Build the column record from a list of event objects."""
-    n = len(events)
-    event_id = np.empty(n, dtype=np.int64)
-    kind_code = np.empty(n, dtype=np.int64)
-    timestamp_ns = np.empty(n, dtype=np.int64)
-    block_id = np.empty(n, dtype=np.int64)
-    address = np.empty(n, dtype=np.int64)
-    size = np.empty(n, dtype=np.int64)
-    category_code = np.empty(n, dtype=np.int64)
-    iteration = np.empty(n, dtype=np.int64)
-    device_rank = np.empty(n, dtype=np.int64)
-    for i, event in enumerate(events):
-        event_id[i] = event.event_id
-        kind_code[i] = KIND_CODES[event.kind]
-        timestamp_ns[i] = event.timestamp_ns
-        block_id[i] = event.block_id
-        address[i] = event.address
-        size[i] = event.size
-        category_code[i] = CATEGORY_CODES[event.category]
-        iteration[i] = event.iteration
-        device_rank[i] = event.device_rank
-    return EventColumns(event_id=event_id, kind_code=kind_code,
-                        timestamp_ns=timestamp_ns, block_id=block_id,
-                        size=size, category_code=category_code,
-                        iteration=iteration, device_rank=device_rank,
-                        address=address)
-
-
 #: The engine's rows; per kind code, the eviction a restoration closes and
 #: the restoration an eviction needs (-1: not that kind of row).
 _ENGINE_CODES = np.concatenate((SWAP_CODES, RECOMPUTE_CODES))
@@ -290,7 +265,9 @@ _OPENED_BY[[_SWAP_IN_CODE, _RECOMPUTE_CODE]] = _SWAP_OUT_CODE, _RECOMPUTE_DROP_C
 _CLOSED_BY = np.full(len(KIND_CODES), -1, dtype=np.int64)
 _CLOSED_BY[[_SWAP_OUT_CODE, _RECOMPUTE_DROP_CODE]] = _SWAP_IN_CODE, _RECOMPUTE_CODE
 
-_NEVER_FREED = int(np.iinfo(np.int64).min)  # no timestamp takes this value
+#: ``free_ns`` of a lifetime whose free was never recorded (no timestamp
+#: takes this value).
+NEVER_FREED = int(np.iinfo(np.int64).min)
 
 _KEY_LIMIT = 1 << 31  # |block id| and position below it: id * n + position fits int64
 
@@ -340,67 +317,49 @@ def _pair_block_behaviors(cols: EventColumns, malloc_events: np.ndarray):
     return by_block[~is_malloc], kind[~is_malloc], lifetime_of[~is_malloc]
 
 
-def lifetimes_from_columns(cols: EventColumns,
-                           tags: Sequence[str]) -> List[BlockLifetime]:
+def lifetimes_from_columns(cols: EventColumns
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The block lifetimes of an event stream, one per malloc, in malloc order.
 
-    Paired by :func:`_pair_block_behaviors`: a reused id opens a new
-    lifetime, a double free or an access after a free touches nothing, and a
-    free the recorder never saw (paused, or the block outlived the run)
-    leaves ``free_ns`` ``None``.
+    Returns ``(malloc_rows, free_ns, access_count)``: the row of each malloc
+    (its block, address, size, category, tag, ``malloc_ns``, iteration and
+    rank are that row's), the time its lifetime was freed and the number of
+    reads and writes inside it.  Paired by :func:`_pair_block_behaviors`: a
+    reused id opens a new lifetime, a double free or an access after a free
+    touches nothing, and a free the recorder never saw (paused, or the block
+    outlived the run) leaves ``free_ns`` at :data:`NEVER_FREED`.
     """
-    malloc_events = np.flatnonzero(cols.is_malloc)
-    if malloc_events.size == 0:
-        return []
-    events, kind, lifetime_of = _pair_block_behaviors(cols, malloc_events)
+    malloc_rows = np.flatnonzero(cols.is_malloc)
+    free_ns = np.full(malloc_rows.size, NEVER_FREED, dtype=np.int64)
+    if malloc_rows.size == 0:
+        return malloc_rows, free_ns, np.zeros(0, dtype=np.int64)
+    events, kind, lifetime_of = _pair_block_behaviors(cols, malloc_rows)
     owned = lifetime_of >= 0
     closes = owned & (kind == _FREE_CODE)
-    free_ns = np.full(malloc_events.size, _NEVER_FREED, dtype=np.int64)
     free_ns[lifetime_of[closes]] = cols.timestamp_ns[events[closes]]
     access_count = np.bincount(lifetime_of[owned & ~closes],
-                               minlength=malloc_events.size)
-
-    return [
-        BlockLifetime(block_id, address, size, CATEGORY_FROM_CODE[category],
-                      tags[event], malloc_ns, None if freed == _NEVER_FREED else freed,
-                      iteration, accesses, rank)
-        for event, block_id, address, size, category, malloc_ns, freed,
-        iteration, accesses, rank in zip(
-            malloc_events.tolist(), cols.block_id[malloc_events].tolist(),
-            cols.address[malloc_events].tolist(), cols.size[malloc_events].tolist(),
-            cols.category_code[malloc_events].tolist(),
-            cols.timestamp_ns[malloc_events].tolist(), free_ns.tolist(),
-            cols.iteration[malloc_events].tolist(), access_count.tolist(),
-            cols.device_rank[malloc_events].tolist())
-    ]
+                               minlength=malloc_rows.size)
+    return malloc_rows, free_ns, access_count
 
 
 class MemoryTrace:
     """All memory behaviors recorded during one profiled run.
 
     The stream is held once, as an :class:`EventColumns` record plus the
-    ``tag``/``op`` string side-lists; ``events`` and ``lifetimes`` are views
-    derived from it on first access.  None of the three may be mutated in
-    place: rank views and merged traces share them.
+    ``tag``/``op`` string side-lists (empty when ``columns`` is omitted).
+    None of the three may be mutated in place: rank views and merged traces
+    share them.
     """
 
-    def __init__(self, events: Optional[Sequence[MemoryEvent]] = None,
+    def __init__(self, columns: Optional[EventColumns] = None,
+                 event_tags: Optional[List[str]] = None,
+                 event_ops: Optional[List[str]] = None,
                  iteration_marks: Optional[List[IterationMark]] = None,
                  metadata: Optional[Dict[str, object]] = None,
-                 end_ns: int = 0,
-                 columns: Optional[EventColumns] = None,
-                 event_tags: Optional[List[str]] = None,
-                 event_ops: Optional[List[str]] = None):
-        if columns is None:
-            events = events or ()
-            columns = _columns_from_events(events)
-            event_tags = [event.tag for event in events]
-            event_ops = [event.op for event in events]
-        self._columns = columns
-        self._event_tags = event_tags if event_tags is not None else [""] * len(columns)
-        self._event_ops = event_ops if event_ops is not None else [""] * len(columns)
-        self._events: Optional[List[MemoryEvent]] = None
-        self._lifetimes: Optional[List[BlockLifetime]] = None
+                 end_ns: int = 0):
+        self._columns = columns if columns is not None else ColumnarEventLog().snapshot_columns()
+        self._event_tags = event_tags if event_tags is not None else [""] * len(self._columns)
+        self._event_ops = event_ops if event_ops is not None else [""] * len(self._columns)
         self.iteration_marks: List[IterationMark] = (
             iteration_marks if iteration_marks is not None else [])
         self.metadata: Dict[str, object] = metadata if metadata is not None else {}
@@ -418,35 +377,6 @@ class MemoryTrace:
     def event_strings(self) -> Tuple[List[str], List[str]]:
         """Copies of the per-event ``(tags, ops)`` lists."""
         return list(self._event_tags), list(self._event_ops)
-
-    # -- derived views ------------------------------------------------------------------
-
-    @property
-    def events(self) -> List[MemoryEvent]:
-        """The event stream as objects (built from the columns on first access)."""
-        if self._events is None:
-            cols = self._columns
-            self._events = [
-                MemoryEvent(event_id=eid, kind=KIND_FROM_CODE[kind], timestamp_ns=ts,
-                            block_id=bid, address=addr, size=sz,
-                            category=CATEGORY_FROM_CODE[cat], tag=tag,
-                            iteration=it, op=op, device_rank=rank)
-                for eid, kind, ts, bid, addr, sz, cat, tag, it, op, rank in zip(
-                    cols.event_id.tolist(), cols.kind_code.tolist(),
-                    cols.timestamp_ns.tolist(), cols.block_id.tolist(),
-                    cols.address.tolist(), cols.size.tolist(),
-                    cols.category_code.tolist(),
-                    self._event_tags, cols.iteration.tolist(), self._event_ops,
-                    cols.device_rank.tolist())
-            ]
-        return self._events
-
-    @property
-    def lifetimes(self) -> List[BlockLifetime]:
-        """One :class:`BlockLifetime` per malloc, in malloc order (Figure 2)."""
-        if self._lifetimes is None:
-            self._lifetimes = lifetimes_from_columns(self._columns, self._event_tags)
-        return self._lifetimes
 
     # -- basic accessors ----------------------------------------------------------------
 
@@ -488,10 +418,6 @@ class MemoryTrace:
         first = np.ones(ids.size, dtype=bool)
         first[1:] = ids[1:] != ids[:-1]
         return ids[first].tolist()
-
-    def events_in_iteration(self, iteration: int) -> List[MemoryEvent]:
-        """All events attributed to one training iteration."""
-        return [event for event in self.events if event.iteration == iteration]
 
     # -- multi-device (data-parallel) views -------------------------------------------
 
@@ -732,14 +658,45 @@ class MemoryTrace:
 
     # -- persistence -----------------------------------------------------------------------
 
+    def _event_rows(self) -> Iterable[tuple]:
+        """Each event's :data:`EVENT_FIELDS` values, as the files store them."""
+        cols = self._columns
+        kinds = [kind.value for kind in KIND_FROM_CODE]
+        categories = [category.value for category in CATEGORY_FROM_CODE]
+        return zip(cols.event_id.tolist(), [kinds[code] for code in cols.kind_code.tolist()],
+                   cols.timestamp_ns.tolist(), cols.block_id.tolist(),
+                   cols.address.tolist(), cols.size.tolist(),
+                   [categories[code] for code in cols.category_code.tolist()],
+                   self._event_tags, cols.iteration.tolist(), self._event_ops,
+                   cols.device_rank.tolist())
+
+    def _lifetime_dicts(self) -> List[Dict[str, object]]:
+        """One dict per lifetime of :func:`lifetimes_from_columns`."""
+        cols = self._columns
+        rows, free_ns, access_count = lifetimes_from_columns(cols)
+        categories = [category.value for category in CATEGORY_FROM_CODE]
+        return [
+            {"block_id": block_id, "address": address, "size": size,
+             "category": categories[category], "tag": self._event_tags[row],
+             "malloc_ns": malloc_ns, "free_ns": None if freed == NEVER_FREED else freed,
+             "iteration": iteration, "access_count": accesses, "device_rank": rank}
+            for row, block_id, address, size, category, malloc_ns, freed,
+            iteration, accesses, rank in zip(
+                rows.tolist(), cols.block_id[rows].tolist(), cols.address[rows].tolist(),
+                cols.size[rows].tolist(), cols.category_code[rows].tolist(),
+                cols.timestamp_ns[rows].tolist(), free_ns.tolist(),
+                cols.iteration[rows].tolist(), access_count.tolist(),
+                cols.device_rank[rows].tolist())
+        ]
+
     def to_dict(self) -> Dict[str, object]:
         """Serialize the complete trace to a JSON-friendly dictionary."""
         return {
             "format_version": TRACE_FORMAT_VERSION,
             "metadata": self.metadata,
             "end_ns": self.end_ns,
-            "events": [event.to_dict() for event in self.events],
-            "lifetimes": [lifetime.to_dict() for lifetime in self.lifetimes],
+            "events": [dict(zip(EVENT_FIELDS, row)) for row in self._event_rows()],
+            "lifetimes": self._lifetime_dicts(),
             "iteration_marks": [mark.to_dict() for mark in self.iteration_marks],
         }
 
@@ -747,15 +704,32 @@ class MemoryTrace:
     def from_dict(data: Dict[str, object]) -> "MemoryTrace":
         """Reconstruct a trace from :meth:`to_dict` output.
 
-        The stored ``lifetimes`` are not read: they are a function of the
-        events and are derived from them like any other trace's.
+        The stored events fill the columns directly; ``kind``, ``timestamp_ns``,
+        ``block_id``, ``address`` and ``size`` are required, the other fields
+        default as a recorder writes them.  The stored ``lifetimes`` are not
+        read: they are a function of the events.
         """
+        kind_codes = {kind.value: code for kind, code in KIND_CODES.items()}
+        category_codes = {category.value: code for category, code in CATEGORY_CODES.items()}
         try:
             version = int(data.get("format_version", -1))
             if version != TRACE_FORMAT_VERSION:
                 raise TraceFormatError(f"unsupported trace format version {version}")
+            events = data.get("events", [])
+            rows = [(int(event["event_id"]), kind_codes[event["kind"]],
+                     int(event["timestamp_ns"]), int(event["block_id"]),
+                     int(event["address"]), int(event["size"]),
+                     category_codes[event.get("category", "unknown")],
+                     int(event.get("iteration", -1)), int(event.get("device_rank", 0)))
+                    for event in events]
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), 9).T
+            columns = EventColumns(**{name: np.ascontiguousarray(column) for name, column in zip(
+                ("event_id", "kind_code", "timestamp_ns", "block_id", "address", "size",
+                 "category_code", "iteration", "device_rank"), table)})
             return MemoryTrace(
-                events=[MemoryEvent.from_dict(entry) for entry in data.get("events", [])],
+                columns=columns,
+                event_tags=[str(event.get("tag", "")) for event in events],
+                event_ops=[str(event.get("op", "")) for event in events],
                 iteration_marks=[IterationMark.from_dict(entry)
                                  for entry in data.get("iteration_marks", [])],
                 metadata=dict(data.get("metadata", {})),
@@ -786,13 +760,10 @@ class MemoryTrace:
         """Write the event stream to CSV (one row per behavior)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fields = ["event_id", "kind", "timestamp_ns", "block_id", "address", "size",
-                  "category", "tag", "iteration", "op", "device_rank"]
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fields)
-            writer.writeheader()
-            for event in self.events:
-                writer.writerow(event.to_dict())
+            writer = csv.writer(handle)
+            writer.writerow(EVENT_FIELDS)
+            writer.writerows(self._event_rows())
         return path
 
     # -- misc --------------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
@@ -21,15 +22,10 @@ from hypothesis import strategies as st
 from repro.core import ati as ati_module
 from repro.core import trace as trace_module
 from repro.core.ati import IntervalArrays, compute_interval_arrays
-from repro.core.events import (
-    BlockLifetime,
-    IterationMark,
-    MemoryCategory,
-    MemoryEvent,
-    MemoryEventKind,
-)
+from repro.core.events import IterationMark, MemoryCategory, MemoryEventKind
 from repro.core.recorder import TraceRecorder
-from repro.core.trace import (CATEGORY_CODES, KIND_CODES, MemoryTrace, lifetimes_from_columns,
+from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KIND_FROM_CODE,
+                              NEVER_FREED, EventColumns, MemoryTrace, lifetimes_from_columns,
                               merge_rank_traces)
 from repro.device.cluster import ClusterSpec
 from repro.device.hooks import MemoryEventListener
@@ -43,6 +39,58 @@ from repro.swap.executor import (PREFETCH_MARGIN_NS, WARMUP_ITERATIONS,
 from repro.swap.policies import EvictDirective, RecomputePolicy, get_policy
 from repro.train.session import build_cluster
 from repro.units import MIB
+
+
+#: One behavior as the tests read it: a trace row's fields, with its kind and
+#: category as enum members.
+Event = namedtuple("Event", "event_id kind timestamp_ns block_id address size category "
+                            "tag iteration op device_rank",
+                   defaults=(MemoryCategory.UNKNOWN, "", -1, "", 0))
+#: One block lifetime: its malloc row's fields, when it was freed (``None``:
+#: never) and the number of accesses inside it.
+Lifetime = namedtuple("Lifetime", "block_id address size category tag malloc_ns free_ns "
+                                  "iteration access_count device_rank",
+                      defaults=(None, -1, 0, 0))
+
+
+def trace_events(trace):
+    """The trace's rows as :data:`Event` tuples, in stream order."""
+    cols = trace.columns()
+    tags, ops = trace.event_strings()
+    return [Event(event_id, KIND_FROM_CODE[kind], timestamp, block_id, address, size,
+                  CATEGORY_FROM_CODE[category], tag, iteration, op, rank)
+            for event_id, kind, timestamp, block_id, address, size, category, tag,
+            iteration, op, rank in zip(
+                cols.event_id.tolist(), cols.kind_code.tolist(),
+                cols.timestamp_ns.tolist(), cols.block_id.tolist(),
+                cols.address.tolist(), cols.size.tolist(), cols.category_code.tolist(),
+                tags, cols.iteration.tolist(), ops, cols.device_rank.tolist())]
+
+
+def trace_lifetimes(trace):
+    """:func:`lifetimes_from_columns` as :data:`Lifetime` tuples, in malloc order."""
+    rows, free_ns, access_count = lifetimes_from_columns(trace.columns())
+    events = trace_events(trace)
+    return [Lifetime(event.block_id, event.address, event.size, event.category, event.tag,
+                     event.timestamp_ns, None if freed == NEVER_FREED else freed,
+                     event.iteration, accesses, event.device_rank)
+            for event, freed, accesses in zip([events[row] for row in rows.tolist()],
+                                              free_ns.tolist(), access_count.tolist())]
+
+
+def trace_from_events(events, iteration_marks=None, metadata=None, end_ns=0):
+    """A :class:`MemoryTrace` whose columns hold ``events`` (:data:`Event` tuples)."""
+    events = list(events)
+    table = np.array([(event.event_id, KIND_CODES[event.kind], event.timestamp_ns,
+                       event.block_id, event.address, event.size,
+                       CATEGORY_CODES[event.category], event.iteration, event.device_rank)
+                      for event in events], dtype=np.int64).reshape(len(events), 9)
+    names = ("event_id", "kind_code", "timestamp_ns", "block_id", "address", "size",
+             "category_code", "iteration", "device_rank")
+    columns = EventColumns(**{name: table[:, i].copy() for i, name in enumerate(names)})
+    return MemoryTrace(columns=columns, event_tags=[event.tag for event in events],
+                       event_ops=[event.op for event in events],
+                       iteration_marks=iteration_marks, metadata=metadata, end_ns=end_ns)
 
 
 def json_digest(value) -> str:
@@ -131,8 +179,8 @@ def stable_sort_grouping():
 
 def grouped_views(trace):
     """Everything derived from a trace through a by-block grouping sort."""
-    tags, _ops = trace.event_strings()
-    views = {"lifetimes": lifetimes_from_columns(trace.columns(), tags)}
+    views = {"lifetimes": [column.tobytes()
+                           for column in lifetimes_from_columns(trace.columns())]}
     try:
         views["invariants"] = trace.validate() and "hold"
     except TraceInvariantError as error:
@@ -183,12 +231,12 @@ def replay_one(template, scenario):
 
 def swap_events(trace):
     """The engine's swap traffic (``swap_out`` / ``swap_in``) in a trace."""
-    return [event for event in trace.events if event.kind.is_swap]
+    return [event for event in trace_events(trace) if event.kind.is_swap]
 
 
 def recompute_events(trace):
     """The engine's rematerialization traffic (``recompute_drop`` / ``recompute``)."""
-    return [event for event in trace.events if event.kind.is_recompute]
+    return [event for event in trace_events(trace) if event.kind.is_recompute]
 
 
 def build_trace(event_specs, iteration_marks=(), end_ns=None):
@@ -204,7 +252,7 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
         category = spec[4] if len(spec) > 4 else MemoryCategory.ACTIVATION
         iteration = spec[5] if len(spec) > 5 else -1
         kind = MemoryEventKind(kind) if isinstance(kind, str) else kind
-        events.append(MemoryEvent(
+        events.append(Event(
             event_id=index, kind=kind, timestamp_ns=timestamp, block_id=block_id,
             address=0x1000 * block_id, size=size, category=category,
             tag=f"block{block_id}", iteration=iteration,
@@ -212,12 +260,12 @@ def build_trace(event_specs, iteration_marks=(), end_ns=None):
     marks = [IterationMark(index=i, start_ns=start, end_ns=end)
              for i, (start, end) in enumerate(iteration_marks)]
     final_ns = end_ns if end_ns is not None else (events[-1].timestamp_ns if events else 0)
-    return MemoryTrace(events=events, iteration_marks=marks, end_ns=final_ns)
+    return trace_from_events(events, iteration_marks=marks, end_ns=final_ns)
 
 
 def reference_peak_parameter_bytes(trace):
     """Parameter + optimizer-state bytes live at the footprint peak, one
-    :class:`MemoryEvent` at a time.
+    :data:`Event` at a time.
 
     The object walk the pruning estimate ran before it read the columns,
     kept as its oracle: the first malloc/free that *strictly* raises the
@@ -226,7 +274,7 @@ def reference_peak_parameter_bytes(trace):
     parameter_categories = (MemoryCategory.PARAMETER, MemoryCategory.OPTIMIZER_STATE)
     live_parameters = live_total = parameters_at_peak = 0
     peak_total = -1
-    for event in trace.events:
+    for event in trace_events(trace):
         if event.kind is MemoryEventKind.MALLOC:
             sign = 1
         elif event.kind is MemoryEventKind.FREE:
@@ -262,13 +310,13 @@ def _reference_swapped_summary(policy, label, num_blocks, swapped_bytes, peak_be
 
 
 def reference_swap_advisor_summary(trace, bandwidths, top_k=5, min_block_bytes=32 * MIB):
-    """``swap_advisor``'s offline summary, its blocks picked off ``trace.lifetimes``.
+    """``swap_advisor``'s offline summary, its blocks picked off its lifetimes.
 
     The lifetime walk the policy ran before it read the malloc rows, kept as
     its oracle (as :func:`reference_peak_parameter_bytes` is pruning's).
     """
     sizes: Dict[int, int] = {}
-    for lifetime in trace.lifetimes:
+    for lifetime in trace_lifetimes(trace):
         sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0), lifetime.size)
     candidates = sorted(
         ((block_id, size) for block_id, size in sizes.items()
@@ -287,12 +335,12 @@ def reference_swap_advisor_summary(trace, bandwidths, top_k=5, min_block_bytes=3
 
 
 def reference_zero_offload_summary(trace, bandwidths):
-    """``zero_offload``'s offline summary, its blocks picked off ``trace.lifetimes``."""
+    """``zero_offload``'s offline summary, its blocks picked off its lifetimes."""
     world_size = max(1, int(trace.metadata.get("n_devices", 1) or 1))
     if world_size > 1 and "device_rank" not in trace.metadata:
         trace = trace.for_rank(0)
     offloaded: Dict[int, int] = {}
-    for lifetime in trace.lifetimes:
+    for lifetime in trace_lifetimes(trace):
         if lifetime.category in (MemoryCategory.OPTIMIZER_STATE,
                                  MemoryCategory.PARAMETER_GRADIENT):
             offloaded[lifetime.block_id] = max(offloaded.get(lifetime.block_id, 0),
@@ -309,13 +357,13 @@ def reference_zero_offload_summary(trace, bandwidths):
 
 
 def reference_recompute_summary(trace, keep_every=2):
-    """``recompute``'s offline summary, its activations picked off ``trace.lifetimes``.
+    """``recompute``'s offline summary, its activations picked off its lifetimes.
 
     Steady-state (iteration >= 1) activation lifetimes, or all of them when
     there are none, sorted by malloc time; the producer times are the
     policy's own column loop, which this oracle does not replace.
     """
-    activation_lifetimes = [lifetime for lifetime in trace.lifetimes
+    activation_lifetimes = [lifetime for lifetime in trace_lifetimes(trace)
                             if lifetime.category is MemoryCategory.ACTIVATION]
     steady = [lifetime for lifetime in activation_lifetimes if lifetime.iteration >= 1]
     reference = steady if steady else activation_lifetimes
@@ -408,7 +456,7 @@ def policy_traces(draw):
 
 
 class ReferenceRecorder(MemoryEventListener):
-    """The obvious recorder: one :class:`MemoryEvent` object per hook call.
+    """The obvious recorder: one :data:`Event` tuple per hook call.
 
     Deliberately naive — keyword construction, a dict of open lifetimes, the
     public clock property — so the optimized :class:`TraceRecorder` has an
@@ -427,7 +475,7 @@ class ReferenceRecorder(MemoryEventListener):
 
     def _emit(self, kind, block_id, address, size, category, tag, op=""):
         if self.enabled:
-            self.events.append(MemoryEvent(
+            self.events.append(Event(
                 event_id=len(self.events), kind=kind, timestamp_ns=self.clock.now_ns,
                 block_id=block_id, address=address, size=size, category=category,
                 tag=tag, iteration=self.iteration_of(), op=op))
@@ -439,22 +487,24 @@ class ReferenceRecorder(MemoryEventListener):
 
     def on_malloc(self, block, requested_size):
         if self._emit_block(MemoryEventKind.MALLOC, block):
-            lifetime = BlockLifetime(
+            self._open[block.block_id] = len(self.lifetimes)
+            self.lifetimes.append(Lifetime(
                 block_id=block.block_id, address=block.address, size=block.size,
                 category=block.category, tag=block.tag, malloc_ns=self.clock.now_ns,
-                iteration=self.iteration_of())
-            self._open[block.block_id] = lifetime
-            self.lifetimes.append(lifetime)
+                iteration=self.iteration_of()))
 
     def on_free(self, block):
         if self._emit_block(MemoryEventKind.FREE, block):
-            lifetime = self._open.pop(block.block_id, None)
-            if lifetime is not None:
-                lifetime.free_ns = self.clock.now_ns
+            index = self._open.pop(block.block_id, None)
+            if index is not None:
+                self.lifetimes[index] = self.lifetimes[index]._replace(
+                    free_ns=self.clock.now_ns)
 
     def _on_access(self, kind, block, op):
         if self._emit_block(kind, block, op) and block.block_id in self._open:
-            self._open[block.block_id].access_count += 1
+            index = self._open[block.block_id]
+            lifetime = self.lifetimes[index]
+            self.lifetimes[index] = lifetime._replace(access_count=lifetime.access_count + 1)
 
     def on_read(self, block, nbytes, op):
         self._on_access(MemoryEventKind.READ, block, op)

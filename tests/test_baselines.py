@@ -14,7 +14,8 @@ from repro.units import MIB
 
 from tests.helpers import (build_trace, policy_traces, reference_compression_summary,
                            reference_peak_parameter_bytes, reference_recompute_summary,
-                           reference_swap_advisor_summary, reference_zero_offload_summary)
+                           reference_swap_advisor_summary, reference_zero_offload_summary,
+                           trace_lifetimes)
 
 
 def make_training_like_trace():
@@ -169,7 +170,7 @@ def test_recompute_overhead_sums_recorded_times_of_discarded_blocks():
     # producer times of the discarded (odd-indexed by malloc order) steady
     # lifetimes, normalized by the steady iteration count.
     steady = sorted(
-        (lt for lt in trace.lifetimes if lt.iteration >= 1),
+        (lt for lt in trace_lifetimes(trace) if lt.iteration >= 1),
         key=lambda item: item.malloc_ns)
     expected = sum(computed[lt.block_id]
                    for index, lt in enumerate(steady) if index % 2 != 0)

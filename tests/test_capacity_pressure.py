@@ -34,6 +34,8 @@ from repro.experiments.sweep import SweepGrid, run_scenario
 from repro.train.session import TrainingRunConfig, run_training_session
 from repro.units import GIB, MIB
 
+from tests.helpers import trace_events
+
 
 #: A workload whose unconstrained resident peak is well above 96 MiB, so a
 #: 64 MiB capacity exercises the governor without being infeasible.
@@ -70,8 +72,8 @@ def test_pressure_evictions_emit_stall_and_swap_events():
     assert summary["pressure_stall_ns"] > 0
     assert summary["pressure_stall_ns"] <= summary["stall_ns_total"]
     trace = result.trace
-    outs = [e for e in trace.events if e.kind is MemoryEventKind.SWAP_OUT]
-    ins = [e for e in trace.events if e.kind is MemoryEventKind.SWAP_IN]
+    outs = [e for e in trace_events(trace) if e.kind is MemoryEventKind.SWAP_OUT]
+    ins = [e for e in trace_events(trace) if e.kind is MemoryEventKind.SWAP_IN]
     assert outs and len(outs) == len(ins)
     assert {e.op for e in ins} <= {"demand", "prefetch", "discard", "shutdown"}
     _, resident = trace.resident_bytes_series()

@@ -24,6 +24,8 @@ from repro.nn import SGD, CrossEntropyLoss
 from repro.train import Trainer, TrainingRunConfig, run_training_session
 from repro.train.session import build_device
 
+from tests.helpers import trace_events
+
 MIB = 1024 * 1024
 
 
@@ -215,8 +217,8 @@ def _normalized_events(trace):
     """
     renamed = {}
     events = []
-    for event in trace.events:
-        data = event.to_dict()
+    for event in trace_events(trace):
+        data = event._asdict()
         data["block_id"] = renamed.setdefault(data["block_id"], len(renamed))
         data.pop("address", None)  # addresses shift with global segment ids
         events.append(data)

@@ -8,6 +8,8 @@ from repro.core.trace import merge_rank_traces
 from repro.errors import ConfigurationError
 from repro.train import TrainingRunConfig, run_training_session, shard_batch
 
+from tests.helpers import trace_events
+
 
 def _config(n_devices, batch_size=32, iterations=2, **overrides):
     return TrainingRunConfig(
@@ -49,9 +51,9 @@ def test_merged_trace_carries_the_device_rank_dimension():
     assert rank0_blocks and rank1_blocks
     assert rank0_blocks.isdisjoint(rank1_blocks)
     # Event ids are renumbered contiguously in time order.
-    ids = [event.event_id for event in trace.events]
+    ids = [event.event_id for event in trace_events(trace)]
     assert ids == list(range(len(ids)))
-    timestamps = [event.timestamp_ns for event in trace.events]
+    timestamps = [event.timestamp_ns for event in trace_events(trace)]
     assert timestamps == sorted(timestamps)
 
 
@@ -60,7 +62,7 @@ def test_each_rank_runs_the_single_device_step_on_its_shard():
     like one device training on half the batch."""
     def step(trace):
         return [(event.kind, event.size, event.category, event.op, event.tag)
-                for event in trace.events if event.op != "grad_allreduce"]
+                for event in trace_events(trace) if event.op != "grad_allreduce"]
 
     double = run_training_session(_config(2, batch_size=32))
     single = run_training_session(_config(1, batch_size=16))
@@ -77,11 +79,11 @@ def test_per_rank_slices_are_symmetric():
 
 def test_allreduce_emits_gradient_read_write_behaviors():
     session = run_training_session(_config(2))
-    ops = {event.op for event in session.trace.events}
+    ops = {event.op for event in trace_events(session.trace)}
     assert "grad_allreduce" in ops
-    reads = [event for event in session.trace.events
+    reads = [event for event in trace_events(session.trace)
              if event.op == "grad_allreduce" and event.kind.value == "read"]
-    writes = [event for event in session.trace.events
+    writes = [event for event in trace_events(session.trace)
               if event.op == "grad_allreduce" and event.kind.value == "write"]
     # One read and one write per gradient buffer per rank per iteration.
     assert len(reads) == len(writes) > 0

@@ -8,7 +8,6 @@ Python formulations.
 """
 
 from collections import Counter
-from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +32,7 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
                                  run_training_session)
 from repro.units import MIB
 
-from tests.helpers import ReferenceRecorder, validating
+from tests.helpers import ReferenceRecorder, validating, trace_events, trace_lifetimes
 
 # Every session this file runs must also satisfy the trace invariants.
 run_training_session = validating(run_training_session)
@@ -102,26 +101,26 @@ def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devi
     for rank, rank_trace in enumerate(rank_traces):
         real, reference = side_by_side[rank_classes[rank]]
         # kind, timestamp, block, address, size, category, iteration, tag, op
-        assert real.to_trace().events == reference.events
+        assert trace_events(real.to_trace()) == reference.events
         if swap == "off":
-            assert rank_trace.events == reference.events
-            assert rank_trace.lifetimes == reference.lifetimes
+            assert trace_events(rank_trace) == reference.events
+            assert trace_lifetimes(rank_trace) == reference.lifetimes
         else:
-            untimed = [replace(event, event_id=0, timestamp_ns=0)
-                       for event in rank_trace.events if event.kind not in ENGINE_KINDS]
-            assert untimed == [replace(event, event_id=0, timestamp_ns=0)
+            untimed = [event._replace(event_id=0, timestamp_ns=0)
+                       for event in trace_events(rank_trace) if event.kind not in ENGINE_KINDS]
+            assert untimed == [event._replace(event_id=0, timestamp_ns=0)
                                for event in reference.events]
         assert rank_trace.metadata["device_rank"] == rank
         assert len(rank_trace) > 500
         # The merged trace sees this rank's lifetimes under its block-id
         # offset and rank stamp: the rank slice in order, the whole as a set.
-        shifted = [replace(lifetime, block_id=lifetime.block_id + block_offset,
-                           device_rank=rank) for lifetime in rank_trace.lifetimes]
-        assert result.trace.for_rank(rank).lifetimes == shifted
+        shifted = [lifetime._replace(block_id=lifetime.block_id + block_offset,
+                                     device_rank=rank)
+                   for lifetime in trace_lifetimes(rank_trace)]
+        assert trace_lifetimes(result.trace.for_rank(rank)) == shifted
         merged_lifetimes += shifted
         block_offset += max(abs(event.block_id) for event in reference.events)
-    assert (Counter(map(astuple, result.trace.lifetimes))
-            == Counter(map(astuple, merged_lifetimes)))
+    assert Counter(trace_lifetimes(result.trace)) == Counter(merged_lifetimes)
     if swap == "lru":
         assert result.trace.columns().is_swap.any()
 
@@ -150,13 +149,13 @@ def test_recorder_matches_the_reference_across_a_pause_window(test_device):
     real.end_iteration(0)
 
     trace = real.to_trace()
-    assert trace.events == reference.events
-    assert trace.lifetimes == reference.lifetimes
-    by_tag = {lifetime.tag: lifetime for lifetime in trace.lifetimes}
+    assert trace_events(trace) == reference.events
+    assert trace_lifetimes(trace) == reference.lifetimes
+    by_tag = {lifetime.tag: lifetime for lifetime in trace_lifetimes(trace)}
     assert "c" not in by_tag
     assert by_tag["b"].free_ns is None          # its free fell in the window
     assert by_tag["a"].access_count == 2        # init write + the recorded matmul read
-    assert {e.tag for e in trace.events} >= {"a", "b", "d", "e", "c"}
+    assert {e.tag for e in trace_events(trace)} >= {"a", "b", "d", "e", "c"}
 
 
 _HOOK_STEPS = st.tuples(st.sampled_from(["malloc", "free", "read", "write"]),
@@ -199,8 +198,8 @@ def test_derived_lifetimes_match_the_reference_on_generated_streams(steps):
             for recorder in (real, reference):
                 getattr(recorder, f"on_{step}")(*arguments)
     trace = real.to_trace()
-    assert trace.events == reference.events
-    assert trace.lifetimes == reference.lifetimes
+    assert trace_events(trace) == reference.events
+    assert trace_lifetimes(trace) == reference.lifetimes
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2, 9])
@@ -323,7 +322,7 @@ def test_interval_rows_match_the_event_rows_they_index(corpus):
     trace = corpus[1]
     cols = trace.columns()
     tags, _ops = trace.event_strings()
-    events = trace.events
+    events = trace_events(trace)
     arrays = compute_interval_arrays(trace)
     for row in range(0, len(arrays), 37):
         start, end = int(arrays.start_index[row]), int(arrays.end_index[row])
@@ -335,7 +334,7 @@ def test_interval_rows_match_the_event_rows_they_index(corpus):
         assert (arrays.start_kind_code[row], arrays.end_kind_code[row]) == (
             cols.kind_code[start], cols.kind_code[end])
         assert arrays.interval_ns[row] == cols.timestamp_ns[end] - cols.timestamp_ns[start]
-        # The rows are the event objects' positions too, tags included.
+        # The rows are the event tuples' positions too, tags included.
         assert (events[start].event_id, events[end].event_id, events[end].tag) == (
             arrays.start_event_id[row], arrays.end_event_id[row], tags[end])
 
@@ -369,7 +368,7 @@ def test_swap_advisor_equals_the_per_interval_python_loop(corpus):
                                              arrays.interval_ns.tolist()):
                 largest[block_id] = max(largest.get(block_id, 0), interval_ns)
             sizes = {}
-            for lifetime in trace.lifetimes:
+            for lifetime in trace_lifetimes(trace):
                 sizes[lifetime.block_id] = max(sizes.get(lifetime.block_id, 0),
                                                lifetime.size)
             expected = sum(

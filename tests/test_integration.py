@@ -14,6 +14,8 @@ from repro.core.swap import SwapPlanner
 from repro.train.session import TrainingRunConfig, run_training_session
 from repro.viz import render_gantt, render_stacked_bars
 
+from tests.helpers import trace_events
+
 
 def test_full_pipeline_on_shared_session(small_mlp_session):
     """Every paper analysis runs on one training trace."""
@@ -53,15 +55,15 @@ def test_trace_is_reproducible_for_identical_configs():
     first = run_training_session(config)
     second = run_training_session(config)
     assert len(first.trace) == len(second.trace)
-    first_kinds = [event.kind for event in first.trace.events]
-    second_kinds = [event.kind for event in second.trace.events]
+    first_kinds = [event.kind for event in trace_events(first.trace)]
+    second_kinds = [event.kind for event in trace_events(second.trace)]
     assert first_kinds == second_kinds
-    assert [event.size for event in first.trace.events] == \
-        [event.size for event in second.trace.events]
+    assert [event.size for event in trace_events(first.trace)] == \
+        [event.size for event in trace_events(second.trace)]
 
 
 def test_every_iteration_of_the_shared_session_reads_its_loss_back(small_mlp_session):
-    readbacks = [event for event in small_mlp_session.trace.events
+    readbacks = [event for event in trace_events(small_mlp_session.trace)
                  if event.op == "memcpy_d2h" and event.kind is MemoryEventKind.READ]
     assert [event.iteration for event in readbacks] == list(range(5))
     assert {event.tag for event in readbacks} == {"ce_loss"}
@@ -74,18 +76,18 @@ def test_value_only_settings_leave_the_memory_behavior_unchanged():
                 batch_size=32, iterations=2)
     first = run_training_session(TrainingRunConfig(seed=0, learning_rate=0.1, **base))
     second = run_training_session(TrainingRunConfig(seed=11, learning_rate=0.5, **base))
-    assert ([(e.kind, e.timestamp_ns, e.size, e.category, e.op) for e in first.trace.events]
+    assert ([(e.kind, e.timestamp_ns, e.size, e.category, e.op) for e in trace_events(first.trace)]
             == [(e.kind, e.timestamp_ns, e.size, e.category, e.op)
-                for e in second.trace.events])
+                for e in trace_events(second.trace)])
 
 
 def test_convnet_session_has_workspace_and_conv_behaviors():
     config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8, iterations=2)
     result = run_training_session(config)
-    ops = {event.op for event in result.trace.events if event.op}
+    ops = {event.op for event in trace_events(result.trace) if event.op}
     assert "conv2d_forward" in ops
     assert "maxpool2d_forward" in ops
-    assert any(event.category.value == "workspace" for event in result.trace.events)
+    assert any(event.category.value == "workspace" for event in trace_events(result.trace))
 
 
 def test_memory_returns_to_steady_state_each_iteration(small_mlp_session):
@@ -93,7 +95,7 @@ def test_memory_returns_to_steady_state_each_iteration(small_mlp_session):
     trace = small_mlp_session.trace
     live = 0
     live_at_iteration_end = {}
-    for event in trace.events:
+    for event in trace_events(trace):
         if event.kind is MemoryEventKind.MALLOC:
             live += event.size
         elif event.kind is MemoryEventKind.FREE:

@@ -14,7 +14,7 @@ from repro.nn import SGD, Adam, Linear
 from repro.tensor.dtype import float16, float32
 from repro.train.session import TrainingRunConfig, run_training_session
 
-from tests.helpers import BehaviorLog
+from tests.helpers import BehaviorLog, trace_lifetimes
 
 
 @pytest.fixture
@@ -107,7 +107,7 @@ def test_fp16_session_breakdown_carries_fp32_optimizer_state():
     assert half.parameter_bytes * 2 == full.parameter_bytes
 
     def state_bytes(session):
-        return sum(l.size for l in session.trace.lifetimes
+        return sum(l.size for l in trace_lifetimes(session.trace)
                    if l.category is MemoryCategory.OPTIMIZER_STATE)
 
     # fp16 state = fp32 momentum (same as fp32 run) + fp32 master copies.

@@ -10,6 +10,8 @@ from repro.tensor import functional as F
 from repro.tensor import randn
 from repro.train.session import TrainingRunConfig, build_device, run_training_session
 
+from tests.helpers import trace_lifetimes
+
 
 def test_profiler_context_manager_records_and_detaches(test_device):
     with MemoryProfiler(test_device) as profiler:
@@ -81,7 +83,7 @@ def test_run_training_session_with_adam_keeps_two_moments_per_parameter():
         config = TrainingRunConfig(model="lenet5", dataset="mnist", batch_size=8,
                                    iterations=2, optimizer=optimizer)
         trace = run_training_session(config).trace
-        return sum(lifetime.size for lifetime in trace.lifetimes
+        return sum(lifetime.size for lifetime in trace_lifetimes(trace)
                    if lifetime.category is MemoryCategory.OPTIMIZER_STATE)
 
     assert state_bytes("adam") == 2 * state_bytes("sgd") > 0

@@ -14,6 +14,8 @@ from repro.models import MLP
 from repro.nn import SGD, CrossEntropyLoss
 from repro.tensor import from_numpy
 
+from tests.helpers import trace_events
+
 
 def run_tiny_training(hidden_dim, batch_size, iterations):
     """Train a tiny MLP and return the trace."""
@@ -48,15 +50,15 @@ def run_tiny_training(hidden_dim, batch_size, iterations):
 def check_trace_invariants(trace: MemoryTrace):
     """Invariants that must hold for every recorded trace."""
     # 1. Event ids and timestamps are monotonically non-decreasing.
-    ids = [event.event_id for event in trace.events]
+    ids = [event.event_id for event in trace_events(trace)]
     assert ids == sorted(ids)
-    times = [event.timestamp_ns for event in trace.events]
+    times = [event.timestamp_ns for event in trace_events(trace)]
     assert all(b >= a for a, b in zip(times, times[1:]))
 
     # 2. Per block: first event is a malloc, accesses only while allocated,
     #    frees alternate with mallocs.
     by_block = {}
-    for event in trace.events:
+    for event in trace_events(trace):
         if event.block_id > 0 and event.kind.is_block_behavior:
             by_block.setdefault(event.block_id, []).append(event)
     for block_id, events in by_block.items():
@@ -74,7 +76,7 @@ def check_trace_invariants(trace: MemoryTrace):
     # 3. Live bytes never go negative and the peak matches the reported peak.
     live = 0
     peak = 0
-    for event in trace.events:
+    for event in trace_events(trace):
         if event.kind is MemoryEventKind.MALLOC:
             live += event.size
         elif event.kind is MemoryEventKind.FREE:
@@ -84,7 +86,7 @@ def check_trace_invariants(trace: MemoryTrace):
     assert peak == trace.peak_live_bytes()
 
     # 4. Every access interval is non-negative and pairs events of the same block.
-    if trace.events:
+    if trace_events(trace):
         arrays = compute_interval_arrays(trace)
         block_id = trace.columns().block_id
         assert np.all(arrays.interval_ns >= 0)

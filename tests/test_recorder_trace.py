@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.events import MemoryCategory, MemoryEvent, MemoryEventKind
+from repro.core.events import MemoryCategory, MemoryEventKind
 from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace
 from repro.errors import EmptyTraceError, TraceFormatError
 from repro.tensor import functional as F
 from repro.tensor import randn
+from tests.helpers import Event, trace_events, trace_from_events, trace_lifetimes
 
 
 def record_some_activity(device):
@@ -39,7 +40,7 @@ def test_recorder_tracks_iteration_attribution(test_device):
     recorder = record_some_activity(test_device)
     trace = recorder.to_trace()
     assert trace.iterations() == [0]
-    assert all(event.iteration == 0 for event in trace.events)
+    assert all(event.iteration == 0 for event in trace_events(trace))
     (mark,) = trace.iteration_marks
     assert mark.index == 0 and mark.duration_ns() > 0
 
@@ -47,8 +48,8 @@ def test_recorder_tracks_iteration_attribution(test_device):
 def test_recorder_lifetimes_open_and_close(test_device):
     recorder = record_some_activity(test_device)
     trace = recorder.to_trace()
-    closed = [lt for lt in trace.lifetimes if lt.free_ns is not None]
-    live = [lt for lt in trace.lifetimes if lt.is_live]
+    closed = [lt for lt in trace_lifetimes(trace) if lt.free_ns is not None]
+    live = [lt for lt in trace_lifetimes(trace) if lt.free_ns is None]
     assert len(closed) == 1          # only c was freed
     assert len(live) == 2
     assert closed[0].access_count >= 1
@@ -75,8 +76,7 @@ def test_trace_accessors(simple_trace):
 
 
 def test_trace_events_in_iteration(simple_trace):
-    assert len(simple_trace.events_in_iteration(0)) == 7
-    assert len(simple_trace.events_in_iteration(1)) == 5
+    assert np.bincount(simple_trace.columns().iteration).tolist() == [7, 5]
 
 
 def test_empty_trace_guards():
@@ -94,8 +94,8 @@ def test_trace_json_round_trip(tmp_path, simple_trace):
     assert len(loaded) == len(simple_trace)
     assert loaded.block_ids() == simple_trace.block_ids()
     assert loaded.iterations() == simple_trace.iterations()
-    assert loaded.events[0].kind is MemoryEventKind.MALLOC
-    assert loaded.lifetimes[0].category is MemoryCategory.PARAMETER
+    assert trace_events(loaded)[0].kind is MemoryEventKind.MALLOC
+    assert trace_lifetimes(loaded)[0].category is MemoryCategory.PARAMETER
 
 
 def test_trace_csv_export(tmp_path, simple_trace):
@@ -123,10 +123,13 @@ def test_trace_summary_fields(simple_trace):
 
 
 def test_event_serialization_round_trip():
-    event = MemoryEvent(event_id=1, kind=MemoryEventKind.WRITE, timestamp_ns=10,
-                        block_id=3, address=0x100, size=64,
-                        category=MemoryCategory.ACTIVATION, tag="x", iteration=2, op="k")
-    assert MemoryEvent.from_dict(event.to_dict()) == event
+    event = {"event_id": 1, "kind": "write", "timestamp_ns": 10, "block_id": 3,
+             "address": 0x100, "size": 64, "category": "activation", "tag": "x",
+             "iteration": 2, "op": "k", "device_rank": 1}
+    trace = MemoryTrace.from_dict({"format_version": 1, "events": [event]})
+    assert trace_events(trace) == [Event(1, MemoryEventKind.WRITE, 10, 3, 0x100, 64,
+                                         MemoryCategory.ACTIVATION, "x", 2, "k", 1)]
+    assert trace.to_dict()["events"] == [event]
 
 
 def test_event_kind_properties():
@@ -150,15 +153,14 @@ def test_category_paper_bucket_mapping():
 # -- columnar-first recording (PR 4) ------------------------------------------------
 
 
-def test_recorder_log_is_columnar_and_events_synthesize_lazily(test_device):
+def test_recorder_log_is_columnar_and_rows_read_back(test_device):
     recorder = record_some_activity(test_device)
     trace = recorder.to_trace()
-    # The column store is available without ever materializing event objects.
     cols = trace.columns()
     assert len(cols) == len(trace) == len(recorder)
     assert cols.address is not None and cols.address.shape == cols.size.shape
-    # Lazy synthesis produces full-fidelity objects (tags, ops, addresses).
-    events = trace.events
+    # Every row reads back with full fidelity (tags, ops, addresses).
+    events = trace_events(trace)
     assert len(events) == len(cols)
     assert [e.event_id for e in events] == cols.event_id.tolist()
     assert {e.tag for e in events if e.kind is MemoryEventKind.MALLOC} == {"a", "b", "matmul_out"}
@@ -170,16 +172,16 @@ def test_columnar_trace_json_round_trip(tmp_path, test_device):
     recorder = record_some_activity(test_device)
     trace = recorder.to_trace()
     loaded = MemoryTrace.load_json(trace.save_json(tmp_path / "columnar.json"))
-    assert [e.to_dict() for e in loaded.events] == [e.to_dict() for e in trace.events]
+    assert trace_events(loaded) == trace_events(trace)
     assert loaded.peak_live_bytes() == trace.peak_live_bytes()
 
 
-def test_columnar_trace_event_strings_match_objects(test_device):
+def test_columnar_trace_event_strings_match_rows(test_device):
     recorder = record_some_activity(test_device)
     trace = recorder.to_trace()
     tags, ops = trace.event_strings()
-    assert tags == [e.tag for e in trace.events]
-    assert ops == [e.op for e in trace.events]
+    assert tags == [e.tag for e in trace_events(trace)]
+    assert ops == [e.op for e in trace_events(trace)]
 
 
 def test_midrun_trace_snapshots_are_independent(test_device):
@@ -200,11 +202,11 @@ def test_midrun_trace_snapshots_are_independent(test_device):
 
 def _events(*rows):
     """``(kind, timestamp_ns, block_id, address, size[, rank])`` rows -> a trace."""
-    return MemoryTrace(events=[
-        MemoryEvent(event_id=index, kind=MemoryEventKind(row[0]), timestamp_ns=row[1],
-                    block_id=row[2], address=row[3], size=row[4],
-                    category=MemoryCategory.ACTIVATION,
-                    device_rank=row[5] if len(row) > 5 else 0)
+    return trace_from_events([
+        Event(event_id=index, kind=MemoryEventKind(row[0]), timestamp_ns=row[1],
+              block_id=row[2], address=row[3], size=row[4],
+              category=MemoryCategory.ACTIVATION,
+              device_rank=row[5] if len(row) > 5 else 0)
         for index, row in enumerate(rows)])
 
 

@@ -35,7 +35,7 @@ from repro.experiments.template_store import TemplateStore
 from repro.swap.policies import SWAP_POLICIES
 from repro.train.session import TrainingRunConfig, build_cluster, run_training_session
 
-from tests.helpers import price_one, replay_one
+from tests.helpers import price_one, replay_one, trace_lifetimes
 
 
 def make_scenario(swap_policy="none", **overrides):
@@ -168,10 +168,10 @@ def assert_same_trace(replayed, fresh):
             == [mark.to_dict() for mark in fresh.iteration_marks])
 
     def lifetime_stream(trace):
-        ids = normalized([lt.block_id for lt in trace.lifetimes])
+        ids = normalized([lt.block_id for lt in trace_lifetimes(trace)])
         return [(bid, lt.address, lt.size, lt.category, lt.tag, lt.malloc_ns,
                  lt.free_ns, lt.iteration, lt.access_count, lt.device_rank)
-                for bid, lt in zip(ids, trace.lifetimes)]
+                for bid, lt in zip(ids, trace_lifetimes(trace))]
 
     assert lifetime_stream(replayed) == lifetime_stream(fresh)
     assert replayed.metadata == fresh.metadata

@@ -31,7 +31,7 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
 from repro.train.trainer import replica_classes, shard_batch
 from repro.units import MIB
 
-from tests.helpers import validating
+from tests.helpers import validating, trace_lifetimes
 
 # Every session this file runs must also satisfy the trace invariants.
 run_training_session = validating(run_training_session)
@@ -83,7 +83,7 @@ def assert_traces_equal(left: MemoryTrace, right: MemoryTrace):
         assert np.array_equal(getattr(left.columns(), name),
                               getattr(right.columns(), name)), name
     assert left.event_strings() == right.event_strings()
-    assert left.lifetimes == right.lifetimes
+    assert trace_lifetimes(left) == trace_lifetimes(right)
     assert ([mark.to_dict() for mark in left.iteration_marks]
             == [mark.to_dict() for mark in right.iteration_marks])
     assert left.end_ns == right.end_ns
@@ -274,7 +274,7 @@ def test_derived_ranks_share_their_class_arrays_and_nothing_mutates_them(monkeyp
         assert trace.columns() is representative.columns()
         assert trace._event_tags is representative._event_tags
         assert trace._event_ops is representative._event_ops
-        assert trace.lifetimes == representative.lifetimes
+        assert trace_lifetimes(trace) == trace_lifetimes(representative)
         assert trace.iteration_marks is representative.iteration_marks
         assert trace.metadata is not representative.metadata
 
@@ -282,7 +282,7 @@ def test_derived_ranks_share_their_class_arrays_and_nothing_mutates_them(monkeyp
     columns = representative.columns()
     for name in COLUMN_NAMES:
         getattr(columns, name).flags.writeable = False
-    lifetimes = [asdict(lifetime) for lifetime in representative.lifetimes]
+    lifetimes = [lifetime._asdict() for lifetime in trace_lifetimes(representative)]
     marks = [mark.to_dict() for mark in representative.iteration_marks]
     strings = representative.event_strings()
 
@@ -296,6 +296,6 @@ def test_derived_ranks_share_their_class_arrays_and_nothing_mutates_them(monkeyp
     assert_traces_equal(merged, result.trace)
     reduced(result)
 
-    assert [asdict(lifetime) for lifetime in representative.lifetimes] == lifetimes
+    assert [lifetime._asdict() for lifetime in trace_lifetimes(representative)] == lifetimes
     assert [mark.to_dict() for mark in representative.iteration_marks] == marks
     assert representative.event_strings() == strings

@@ -25,7 +25,7 @@ from repro.core.recorder import TraceRecorder
 from repro.core.stats import percentiles_of_sorted
 from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
                              swappable_fractions)
-from repro.core.trace import CATEGORY_FROM_CODE
+from repro.core.trace import CATEGORY_FROM_CODE, MemoryTrace
 from repro.data.loader import HostLatencyModel
 from repro.device import tape, timing
 from repro.device.clock import DeviceClock
@@ -91,11 +91,35 @@ def test_scenario_result_is_constructed_in_two_places_only():
                      ("experiments/results.py", "assemble_result")}
 
 
-def test_block_lifetimes_are_constructed_in_one_function_only():
-    sites = [(path.relative_to(SRC).as_posix(), function)
-             for path in sorted(SRC.rglob("*.py"))
-             for function in _enclosing_functions(path, _calls("BlockLifetime"))]
-    assert sites == [("core/trace.py", "lifetimes_from_columns")]
+def test_no_event_or_lifetime_object_type_exists():
+    """A trace is its event columns: no name under ``src/repro`` defines,
+    imports or reads a per-event or per-lifetime object type."""
+    def names(node):
+        if isinstance(node, ast.Name):
+            return [node.id]
+        if isinstance(node, ast.Attribute):
+            return [node.attr]
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            return [node.name]
+        if isinstance(node, ast.alias):
+            return [node.name, node.asname]
+        return []
+
+    banned = {"MemoryEvent", "BlockLifetime"}
+    sites = sorted({path.relative_to(SRC).as_posix()
+                    for path in SRC.rglob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if banned.intersection(names(node))})
+    assert sites == []
+    assert not banned.intersection(dir(repro)) and not banned.intersection(dir(repro.core))
+
+
+def test_a_trace_is_built_from_columns_only():
+    parameters = inspect.signature(MemoryTrace.__init__).parameters
+    assert "events" not in parameters and "columns" in parameters
+    for owner, view in ((MemoryTrace, "events"), (MemoryTrace, "lifetimes"),
+                        (MemoryTrace, "events_in_iteration"), (TraceRecorder, "events")):
+        assert not hasattr(owner, view), f"{owner.__name__}.{view}"
 
 
 def test_a_name_is_assigned_at_construction_only():

@@ -46,7 +46,7 @@ from repro.swap import (
 from repro.swap.executor import overlay
 from repro.train.session import TrainingRunConfig, run_training_session
 
-from tests.helpers import build_trace, recompute_events, swap_events
+from tests.helpers import build_trace, recompute_events, swap_events, trace_events, trace_lifetimes
 from tests.test_symbolic_equivalence import event_stream, lifetime_stream
 
 
@@ -207,8 +207,8 @@ def test_resident_deltas_balance_on_discard():
 def test_zero_offload_emits_balanced_swap_events():
     result = run_training_session(TrainingRunConfig(**SMALL_SWAPPED))
     trace = result.trace
-    outs = [e for e in trace.events if e.kind is MemoryEventKind.SWAP_OUT]
-    ins = [e for e in trace.events if e.kind is MemoryEventKind.SWAP_IN]
+    outs = [e for e in trace_events(trace) if e.kind is MemoryEventKind.SWAP_OUT]
+    ins = [e for e in trace_events(trace) if e.kind is MemoryEventKind.SWAP_IN]
     assert outs and len(outs) == len(ins)
     # only optimizer state / gradients are offloaded
     assert {e.category for e in outs} <= {MemoryCategory.OPTIMIZER_STATE,
@@ -226,9 +226,9 @@ def test_zero_offload_emits_balanced_swap_events():
 
 def test_swap_events_carry_policy_and_restore_op():
     result = run_training_session(TrainingRunConfig(**SMALL_SWAPPED))
-    ops_out = {e.op for e in result.trace.events
+    ops_out = {e.op for e in trace_events(result.trace)
                if e.kind is MemoryEventKind.SWAP_OUT}
-    ops_in = {e.op for e in result.trace.events
+    ops_in = {e.op for e in trace_events(result.trace)
               if e.kind is MemoryEventKind.SWAP_IN}
     assert ops_out == {"zero_offload"}
     assert ops_in <= {"demand", "prefetch", "discard", "shutdown"}
@@ -303,7 +303,7 @@ def test_a_deferred_eviction_lands_at_the_next_behavior_even_a_free():
     ], iteration_marks=[(0, 500), (500, 2_000)], end_ns=2_000)
     traces, summaries = overlay([recording], [EvictAfterEveryAccess()],
                                 get_device_spec("titan_x_pascal"))
-    events = traces[0].events
+    events = trace_events(traces[0])
     assert [(event.kind.value, event.block_id) for event in events[3:]] == [
         ("read", 1), ("swap_out", 1), ("free", 2), ("swap_in", 1), ("read", 1),
         ("free", 1)]
@@ -450,9 +450,9 @@ def test_unified_policy_accepts_planning_kwargs():
 
 def test_unified_emits_balanced_recompute_events():
     trace = deep_result("unified").trace
-    drops = [e for e in trace.events
+    drops = [e for e in trace_events(trace)
              if e.kind is MemoryEventKind.RECOMPUTE_DROP]
-    recomputes = [e for e in trace.events
+    recomputes = [e for e in trace_events(trace)
                   if e.kind is MemoryEventKind.RECOMPUTE]
     assert drops and len(drops) == len(recomputes)
     # only forward activations are rematerializable by producer replay
@@ -535,7 +535,7 @@ def test_unified_learned_compute_costs_match_offline_twin():
     clean = deep_result("off").trace
     offline = RecomputePolicy.per_block_compute_times(clean)
     by_tag = {}
-    for lifetime in clean.lifetimes:
+    for lifetime in trace_lifetimes(clean):
         if lifetime.block_id in offline:
             by_tag[lifetime.tag] = offline[lifetime.block_id]
     decisions = deep_result("unified").swap_execution["predicted"]["decisions"]
@@ -602,7 +602,7 @@ def test_merge_rank_traces_offsets_swap_block_ids():
     rank0 = swap_trace()
     rank1 = swap_trace()
     merged = merge_rank_traces([rank0, rank1])
-    outs = [e for e in merged.events if e.kind is MemoryEventKind.SWAP_OUT]
+    outs = [e for e in trace_events(merged) if e.kind is MemoryEventKind.SWAP_OUT]
     assert len(outs) == 2
     assert outs[0].block_id != outs[1].block_id
     _, resident = merged.resident_bytes_series()

@@ -25,7 +25,7 @@ import pytest
 
 from repro.train.session import TrainingRunConfig, run_training_session
 
-from tests.helpers import validating
+from tests.helpers import validating, trace_lifetimes
 
 # Every session this file runs must also satisfy the trace invariants.
 run_training_session = validating(run_training_session)
@@ -64,11 +64,11 @@ def event_stream(trace):
 def lifetime_stream(trace):
     """Per-lifetime comparison tuples, with block ids normalized."""
     block_ids = _normalized_block_ids(
-        [lifetime.block_id for lifetime in trace.lifetimes])
+        [lifetime.block_id for lifetime in trace_lifetimes(trace)])
     return [
         (bid, lt.address, lt.size, lt.category, lt.tag, lt.malloc_ns, lt.free_ns,
          lt.iteration, lt.access_count, lt.device_rank)
-        for bid, lt in zip(block_ids, trace.lifetimes)
+        for bid, lt in zip(block_ids, trace_lifetimes(trace))
     ]
 
 

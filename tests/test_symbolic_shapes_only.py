@@ -27,6 +27,8 @@ from repro.train import session as session_module
 from repro.train.session import TrainingRunConfig, run_training_session
 from repro.train.trainer import shard_batch
 
+from tests.helpers import trace_events
+
 from .test_replica_classes import make_config, outcome, pressure_capacity
 from .test_symbolic_equivalence import session_digest, trace_digest
 
@@ -95,9 +97,9 @@ def test_a_session_stages_every_batch_and_fills_nothing_from_the_host():
     config = TrainingRunConfig(**{**RESNET_FP16, "n_devices": 2})
     result = run_training_session(config)
     for trace in result.rank_traces:
-        ops |= {event.op for event in trace.events if event.op}
+        ops |= {event.op for event in trace_events(trace) if event.op}
     assert "memcpy_h2d" in ops and "init_from_host" not in ops
-    h2d = [event for event in result.rank_traces[0].events
+    h2d = [event for event in trace_events(result.rank_traces[0])
            if event.op == "memcpy_h2d"]
     assert len(h2d) == 2 * config.iterations
 
