@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe overlay-probe read-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
+.PHONY: test bench bench-pairs bench-smoke kernel-probe capture-probe overlay-probe read-probe examples-smoke report report-cold docs-check sweep-smoke sweep-scaling scaling-smoke trace-smoke swap-smoke replay-smoke frontier-smoke chaos-smoke resume-smoke clean-cache loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -172,6 +172,18 @@ resume-smoke:
 	sys.exit(len(records) != 3 or any(r['status'] != 'failed' for r in records))"
 	test ! -e .ci-resume-cache/quarantine
 	rm -rf .ci-resume-cache
+
+# Trace-file smoke (the CI trace-smoke leg): the trace `repro profile
+# --save-trace` writes must load, pass validate() and save back to the same
+# bytes (the file is written from the trace's columns and loaded into them).
+trace-smoke:
+	rm -rf .ci-trace-cache
+	$(PYTHON) -m repro profile --iterations 2 --save-trace .ci-trace-cache/trace.json > /dev/null
+	$(PYTHON) -c "from repro.core.trace import MemoryTrace; \
+	MemoryTrace.load_json('.ci-trace-cache/trace.json').validate() \
+	    .save_json('.ci-trace-cache/again.json')"
+	cmp .ci-trace-cache/trace.json .ci-trace-cache/again.json
+	rm -rf .ci-trace-cache
 
 # Run the data-parallel scaling grid and regenerate the scaling report page
 # (docs/figures/scaling.md + its SVGs) from the cached results.

@@ -455,24 +455,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(json_module.dumps(result.rows(), indent=2, default=str))
     else:
         print(result.summary_table())
-    replay_note = (f", {result.replayed} replayed from "
-                   f"{result.templates_compiled} template(s)"
-                   if result.replayed else "")
+    replayed = f"{result.replayed} replayed"
+    if result.replayed:
+        replayed += f" from {result.templates_compiled} template(s)"
+    notes = ""
+    if result.retries:
+        notes += f", {result.retries} retried"
+    if result.resumed_skipped:
+        notes += f", {result.resumed_skipped} resume-skipped"
     if result.replay_fallbacks:
         reasons = ", ".join(f"{reason}={count}" for reason, count
                             in sorted(result.replay_fallbacks.items()))
-        replay_note += f", {sum(result.replay_fallbacks.values())} simulated ({reasons})"
-    robustness_note = ""
-    if result.failures:
-        robustness_note += f", {len(result.failures)} failed"
-    if result.retries:
-        robustness_note += f", {result.retries} retried"
-    if result.resumed_skipped:
-        robustness_note += f", {result.resumed_skipped} resume-skipped"
-    print(f"\n{len(result)} scenario(s) in {result.wall_time_s:.2f}s "
-          f"({result.cache_hits} cached, {result.cache_misses} executed"
-          f"{replay_note}{robustness_note}, workers={args.workers}, "
-          f"cache={cache_dir})")
+        notes += f", replay declined {sum(result.replay_fallbacks.values())} ({reasons})"
+    # The four counts partition the scenarios; resume-skipped rows are failed.
+    print(f"\n{len(result) + len(result.failures)} scenario(s) in "
+          f"{result.wall_time_s:.2f}s ({result.cache_hits} cached, {replayed}, "
+          f"{result.simulated} simulated, {len(result.failures)} failed{notes}, "
+          f"workers={args.workers}, cache={cache_dir})")
     if result.failures:
         print("\n" + result.failure_summary(), file=sys.stderr)
         if any(f.reason in ("infeasible", "oom") for f in result.failures):

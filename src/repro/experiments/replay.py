@@ -96,6 +96,7 @@ from ..train.session import (
 )
 from ..units import US
 from .artifacts import ArtifactStore
+from .failures import DETERMINISTIC, classify_failure
 from .grid import PRICING_FIELDS, structure_token
 from .results import assemble_result, evaluate_policy
 
@@ -136,8 +137,10 @@ class TemplateError(Exception):
     """A capture cannot be turned into (or served as) a replayable template.
 
     ``reason`` is a stable machine-readable code (``swap_execution``,
-    ``capture_inconsistent``, ``capacity_mismatch``, ``compile_failed``) surfaced by the sweep CLI so fallbacks to fresh
-    simulation are explained, not silent.
+    ``capture_inconsistent``, ``capacity_mismatch``, ``compile_failed``,
+    ``capture_failed``) surfaced by the sweep CLI so fallbacks to fresh
+    simulation are explained, not silent.  A ``capture_failed`` error is
+    raised from the deterministic error the capture's simulation raised.
     """
 
     def __init__(self, message: str, reason: str = "not_replayable"):
@@ -1050,7 +1053,10 @@ class TemplateFamily:
 
         Raises the capture's reason-coded :class:`TemplateError` on failure
         after memoizing the failure, so repeated requests for a broken dtype
-        do not re-run the simulation.
+        do not re-run the simulation.  A simulation error
+        :func:`~repro.experiments.failures.classify_failure` calls
+        deterministic is the scenario's own failure: it is memoized too and
+        raised as the cause of a ``capture_failed`` :class:`TemplateError`.
         """
         dtype = config.dtype
         try:
@@ -1058,6 +1064,12 @@ class TemplateFamily:
         except TemplateError:
             self.variants[dtype] = None
             raise
+        except Exception as error:
+            if classify_failure(error)[1] != DETERMINISTIC:
+                raise
+            self.variants[dtype] = None
+            raise TemplateError(f"capture failed: {error}",
+                                reason="capture_failed") from error
         self.variants[dtype] = template
         self.compiled_fresh = True
         return template
@@ -1309,9 +1321,12 @@ class ReplayEngine:
         """Replay-price a grid of scenarios, batching within each structure.
 
         Returns one entry per scenario: the priced
-        :class:`~repro.experiments.sweep.ScenarioResult`, or ``None`` for
+        :class:`~repro.experiments.sweep.ScenarioResult`, ``None`` for
         scenarios that must be simulated fresh (with the reason tallied in
-        ``fallback_reasons``).  A structure group the engine crashes on is
+        ``fallback_reasons``), or — for the scenario whose capture failed
+        deterministically (``capture_failed``) — the error its simulation
+        raised: that is its outcome, and it is not simulated again.  A
+        structure group the engine crashes on is
         declined as a whole (reason ``engine_error``, traceback logged); the
         other groups are unaffected.  Scenarios are grouped by
         :func:`~repro.experiments.grid.structure_token`: equal tokens share a
@@ -1340,6 +1355,8 @@ class ReplayEngine:
                         None if keys is None else [keys[i] for i in rows])
             except TemplateError as exc:
                 self._count_fallback(exc.reason, len(indices))
+                if exc.reason == "capture_failed":
+                    results[indices[0]] = exc.__cause__
                 continue
             except Exception:  # degrade this group to fresh simulation
                 logger.warning(

@@ -49,6 +49,7 @@ beside it) and cleared by one
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -87,7 +88,8 @@ class SweepResult:
     cache_hits: int
     cache_misses: int
     wall_time_s: float
-    #: Scenarios priced by template replay (a subset of ``cache_misses``).
+    #: Scenarios this run priced by template replay (a subset of
+    #: ``cache_misses``).
     replayed: int = 0
     #: Template *families* that needed a fresh compile this run (one family
     #: per dtype-free structure; store hits do not count).
@@ -95,8 +97,10 @@ class SweepResult:
     #: Individual compile simulations run (>= ``templates_compiled`` when a
     #: family was widened with extra dtype variants).
     template_variants: int = 0
-    #: Replay-eligible scenarios that fell back to fresh simulation, tallied
-    #: by :class:`~repro.experiments.replay.TemplateError` reason code.
+    #: Replay-eligible scenarios the engine declined, tallied by
+    #: :class:`~repro.experiments.replay.TemplateError` reason code: each
+    #: was simulated instead, or failed (``capture_failed``: its capture's
+    #: error is its outcome).
     replay_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Scenarios that terminally failed this run (the failure manifest);
     #: the partial ``results`` above still carry every scenario that
@@ -113,6 +117,13 @@ class SweepResult:
 
     def __len__(self) -> int:
         return len(self.results)
+
+    @property
+    def simulated(self) -> int:
+        """Scenarios this run simulated to a result (neither cached nor
+        replayed); with ``cache_hits``, ``replayed`` and the failures they
+        account for every scenario."""
+        return len(self.results) - self.cache_hits - self.replayed
 
     def failure_summary(self) -> str:
         """Multi-line failure footer for the CLI/report (empty when clean)."""
@@ -477,7 +488,9 @@ class SweepRunner:
         invalid for the target capacity, swap engine on) stay missing and
         take the ordinary simulation path, with the decline reason tallied
         in ``replay_fallbacks`` — a group the engine *crashed* on degrades
-        the same way (reason ``engine_error``, traceback logged).
+        the same way (reason ``engine_error``, traceback logged).  A scenario
+        whose template capture failed deterministically is recorded as failed
+        from that error instead of being simulated a second time.
         """
         candidates = [index for index in state.missing()
                       if state.scenarios[index].via_replay]
@@ -489,11 +502,18 @@ class SweepRunner:
             [state.scenarios[index].resolve_bandwidths() for index in candidates],
             [state.keys[index] for index in candidates],
             [state.tokens[index] for index in candidates])
+        replayed = 0
         for index, result in zip(candidates, outcomes):
-            if result is not None:
+            if isinstance(result, Exception):
+                state.attempts[index] += 1
+                self._record_failure(state, index, result, "".join(
+                    traceback.format_exception(type(result), result,
+                                               result.__traceback__)))
+            elif result is not None:
                 self._record_success(state, index, result)
+                replayed += 1
         state.replay_counts = dict(
-            replayed=engine.replayed,
+            replayed=replayed,
             templates_compiled=engine.templates_compiled,
             template_variants=engine.variants_captured,
             replay_fallbacks=dict(engine.fallback_reasons))
@@ -529,24 +549,30 @@ class SweepRunner:
                     continue
                 state.attempts[index] += 1
                 error, trace_text = outcome
-                reason, kind = classify_failure(error)
-                if kind == TRANSIENT and state.attempts[index] <= self.retries:
+                if (classify_failure(error)[1] == TRANSIENT
+                        and state.attempts[index] <= self.retries):
                     state.retries += 1
                     continue
-                state.failures[index] = FailureRecord(
-                    scenario=scenario_identity(state.scenarios[index]),
-                    key=state.keys[index],
-                    reason=reason,
-                    kind=kind,
-                    attempts=state.attempts[index],
-                    error=str(error),
-                    traceback=trace_text,
-                    error_obj=error,
-                )
-                if state.journal is not None:
-                    state.journal.record_failed(state.keys[index], reason, kind,
-                                                state.attempts[index])
+                self._record_failure(state, index, error, trace_text)
             pending = state.missing()
+
+    def _record_failure(self, state: _RunState, index: int,
+                        error: BaseException, trace_text: str) -> None:
+        """Record one scenario's terminal failure and journal it."""
+        reason, kind = classify_failure(error)
+        state.failures[index] = FailureRecord(
+            scenario=scenario_identity(state.scenarios[index]),
+            key=state.keys[index],
+            reason=reason,
+            kind=kind,
+            attempts=state.attempts[index],
+            error=str(error),
+            traceback=trace_text,
+            error_obj=error,
+        )
+        if state.journal is not None:
+            state.journal.record_failed(state.keys[index], reason, kind,
+                                        state.attempts[index])
 
     def _record_success(self, state: _RunState, index: int,
                         result: ScenarioResult) -> None:

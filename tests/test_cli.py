@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -77,6 +78,27 @@ def test_cli_figure_stdout_is_golden(name, capsys):
     assert main(["figure", name]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FIGURE_STDOUT_SHA256[name]
+
+
+def test_cli_sweep_footer_partitions_the_scenarios(tmp_path, capsys):
+    """Cached, replayed, simulated and failed add up to the scenarios: two
+    mlp rows run and two lenet5 rows fail (lenet5 rejects two_cluster's 2-D
+    samples); under --resume the mlp rows are cached and the lenet5 rows are
+    resume-skipped, which counts them as failed and runs nothing."""
+    argv = ["sweep", "--models", "mlp,lenet5", "--batch-sizes", "16,32",
+            "--iterations", "1", "--workers", "1", "--cache-dir", str(tmp_path)]
+
+    def footer():
+        out = capsys.readouterr().out
+        line, = [line for line in out.splitlines() if " scenario(s) in " in line]
+        return re.sub(r" in [0-9.]+s \(", " in _s (", line.replace(str(tmp_path), "_"))
+
+    assert main(argv) == 0
+    assert footer() == ("4 scenario(s) in _s (0 cached, 0 replayed, 2 simulated, "
+                        "2 failed, workers=1, cache=_)")
+    assert main(argv + ["--resume"]) == 0
+    assert footer() == ("4 scenario(s) in _s (2 cached, 0 replayed, 0 simulated, "
+                        "2 failed, 2 resume-skipped, workers=1, cache=_)")
 
 
 def test_cli_rejects_unknown_arguments():

@@ -606,6 +606,37 @@ def test_engine_error_degrades_one_structure_group(monkeypatch, caplog):
         assert comparable(row) == comparable(fresh)
 
 
+def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog):
+    """lenet5 rejects two_cluster's 2-D samples while its template is being
+    captured: that error is the row's failure, the row is simulated once (by
+    the capture), the failed variant is memoized and the decline is tallied
+    ``capture_failed`` with no warning."""
+    from repro.errors import ShapeError
+    from repro.experiments import replay, results
+
+    calls = []
+    for module in (replay, results):
+        def counting(config, _original=module.run_training_session, **kwargs):
+            calls.append(config)
+            return _original(config, **kwargs)
+        monkeypatch.setattr(module, "run_training_session", counting)
+    scenario = Scenario(TrainingRunConfig(model="lenet5", batch_size=8, iterations=1),
+                        via_replay=True)
+    runner = SweepRunner(use_cache=False, strict=False)
+    with caplog.at_level("WARNING", logger="repro.experiments.replay"):
+        result = runner.run([scenario])
+    assert len(calls) == 1
+    assert not caplog.records
+    assert result.results == [] and result.replay_fallbacks == {"capture_failed": 1}
+    (failure,) = result.failures
+    assert (failure.reason, failure.kind, failure.attempts) == ("error", "deterministic", 1)
+    assert isinstance(failure.error_obj, ShapeError) and "ShapeError" in failure.traceback
+    family, = runner._ensure_replay_engine()._families.values()
+    assert family.variants == {"float32": None}
+    with pytest.raises(ShapeError):
+        SweepRunner(use_cache=False).run([scenario])
+
+
 # -- dtype-generalized template families ----------------------------------------------
 
 

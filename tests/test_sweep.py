@@ -590,7 +590,7 @@ def test_cli_sweep_runs_and_caches(tmp_path, capsys):
     assert "1 cached" not in out
     assert cli_main(argv) == 0
     out = capsys.readouterr().out
-    assert "(1 cached, 0 executed" in out
+    assert "(1 cached, 0 replayed, 0 simulated, 0 failed," in out
     rows = json.loads(out[:out.rindex("]") + 1])
     assert rows[0]["model"] == "mlp"
     assert rows[0]["cached"] is True
