@@ -330,12 +330,10 @@ def lifetimes_from_columns(cols: EventColumns
     outlived the run) leaves ``free_ns`` at :data:`NEVER_FREED`.
     """
     malloc_rows = np.flatnonzero(cols.is_malloc)
-    free_ns = np.full(malloc_rows.size, NEVER_FREED, dtype=np.int64)
-    if malloc_rows.size == 0:
-        return malloc_rows, free_ns, np.zeros(0, dtype=np.int64)
     events, kind, lifetime_of = _pair_block_behaviors(cols, malloc_rows)
     owned = lifetime_of >= 0
     closes = owned & (kind == _FREE_CODE)
+    free_ns = np.full(malloc_rows.size, NEVER_FREED, dtype=np.int64)
     free_ns[lifetime_of[closes]] = cols.timestamp_ns[events[closes]]
     access_count = np.bincount(lifetime_of[owned & ~closes],
                                minlength=malloc_rows.size)
@@ -670,33 +668,30 @@ class MemoryTrace:
                    self._event_tags, cols.iteration.tolist(), self._event_ops,
                    cols.device_rank.tolist())
 
-    def _lifetime_dicts(self) -> List[Dict[str, object]]:
-        """One dict per lifetime of :func:`lifetimes_from_columns`."""
-        cols = self._columns
-        rows, free_ns, access_count = lifetimes_from_columns(cols)
-        categories = [category.value for category in CATEGORY_FROM_CODE]
-        return [
-            {"block_id": block_id, "address": address, "size": size,
-             "category": categories[category], "tag": self._event_tags[row],
-             "malloc_ns": malloc_ns, "free_ns": None if freed == NEVER_FREED else freed,
-             "iteration": iteration, "access_count": accesses, "device_rank": rank}
-            for row, block_id, address, size, category, malloc_ns, freed,
-            iteration, accesses, rank in zip(
-                rows.tolist(), cols.block_id[rows].tolist(), cols.address[rows].tolist(),
-                cols.size[rows].tolist(), cols.category_code[rows].tolist(),
-                cols.timestamp_ns[rows].tolist(), free_ns.tolist(),
-                cols.iteration[rows].tolist(), access_count.tolist(),
-                cols.device_rank[rows].tolist())
-        ]
-
     def to_dict(self) -> Dict[str, object]:
-        """Serialize the complete trace to a JSON-friendly dictionary."""
+        """Serialize the complete trace to a JSON-friendly dictionary.
+
+        ``lifetimes`` lists :func:`lifetimes_from_columns`, each lifetime's
+        fields read off its malloc's event.
+        """
+        events = [dict(zip(EVENT_FIELDS, row)) for row in self._event_rows()]
+        rows, free_ns, access_count = lifetimes_from_columns(self._columns)
+        lifetimes = [
+            {"block_id": malloc["block_id"], "address": malloc["address"],
+             "size": malloc["size"], "category": malloc["category"], "tag": malloc["tag"],
+             "malloc_ns": malloc["timestamp_ns"],
+             "free_ns": None if freed == NEVER_FREED else freed,
+             "iteration": malloc["iteration"], "access_count": accesses,
+             "device_rank": malloc["device_rank"]}
+            for malloc, freed, accesses in zip([events[row] for row in rows.tolist()],
+                                               free_ns.tolist(), access_count.tolist())
+        ]
         return {
             "format_version": TRACE_FORMAT_VERSION,
             "metadata": self.metadata,
             "end_ns": self.end_ns,
-            "events": [dict(zip(EVENT_FIELDS, row)) for row in self._event_rows()],
-            "lifetimes": self._lifetime_dicts(),
+            "events": events,
+            "lifetimes": lifetimes,
             "iteration_marks": [mark.to_dict() for mark in self.iteration_marks],
         }
 

@@ -1303,10 +1303,16 @@ class ReplayEngine:
         return template
 
     def template_for(self, config: TrainingRunConfig) -> Optional[TraceTemplate]:
-        """The (possibly cached) template variant for ``config`` (or ``None``)."""
+        """The (possibly cached) template variant for ``config`` (or ``None``).
+
+        A capture that fails deterministically raises its simulation's error:
+        that run is ``config``'s outcome, so no caller simulates it again.
+        """
         try:
             return self._variant_for(config)
-        except TemplateError:
+        except TemplateError as error:
+            if error.reason == "capture_failed":
+                raise error.__cause__
             return None
 
     # -- pricing -----------------------------------------------------------------

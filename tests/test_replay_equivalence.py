@@ -612,10 +612,10 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     the capture), the failed variant is memoized and the decline is tallied
     ``capture_failed`` with no warning."""
     from repro.errors import ShapeError
-    from repro.experiments import replay, results
+    from repro.experiments import replay, results, sweep
 
     calls = []
-    for module in (replay, results):
+    for module in (replay, results, sweep):
         def counting(config, _original=module.run_training_session, **kwargs):
             calls.append(config)
             return _original(config, **kwargs)
@@ -635,6 +635,11 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     assert family.variants == {"float32": None}
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).run([scenario])
+    # The trace door raises the capture's own error: one simulation, not two.
+    calls.clear()
+    with pytest.raises(ShapeError):
+        SweepRunner(use_cache=False).trace(scenario)
+    assert len(calls) == 1
 
 
 # -- dtype-generalized template families ----------------------------------------------
