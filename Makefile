@@ -175,14 +175,19 @@ resume-smoke:
 
 # Trace-file smoke (the CI trace-smoke leg): the trace `repro profile
 # --save-trace` writes must load, pass validate() and save back to the same
-# bytes (the file is written from the trace's columns and loaded into them).
+# bytes (the file is written from the trace's columns and loaded into them),
+# under every allocator's placement of the recorded requests.
 trace-smoke:
 	rm -rf .ci-trace-cache
-	$(PYTHON) -m repro profile --iterations 2 --save-trace .ci-trace-cache/trace.json > /dev/null
-	$(PYTHON) -c "from repro.core.trace import MemoryTrace; \
-	MemoryTrace.load_json('.ci-trace-cache/trace.json').validate() \
-	    .save_json('.ci-trace-cache/again.json')"
-	cmp .ci-trace-cache/trace.json .ci-trace-cache/again.json
+	@set -e; for allocator in caching best_fit bump; do \
+		echo "== --allocator $$allocator"; \
+		$(PYTHON) -m repro profile --iterations 2 --allocator $$allocator \
+			--save-trace .ci-trace-cache/$$allocator.json > /dev/null; \
+		$(PYTHON) -c "import sys; from repro.core.trace import MemoryTrace; \
+		MemoryTrace.load_json(sys.argv[1]).validate().save_json(sys.argv[2])" \
+			.ci-trace-cache/$$allocator.json .ci-trace-cache/$$allocator.again.json; \
+		cmp .ci-trace-cache/$$allocator.json .ci-trace-cache/$$allocator.again.json; \
+	done
 	rm -rf .ci-trace-cache
 
 # Run the data-parallel scaling grid and regenerate the scaling report page

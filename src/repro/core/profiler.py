@@ -4,7 +4,9 @@
 it attaches a :class:`~repro.core.recorder.TraceRecorder` to a device for the
 duration of a ``with`` block (or between ``start()``/``stop()`` calls), passes
 iteration boundaries through to the recorder, and hands back the finished
-:class:`~repro.core.trace.MemoryTrace` plus convenience analyses.
+:class:`~repro.core.trace.MemoryTrace` — the recording placed by the
+device's allocator in its memory (:func:`~repro.core.recorder.place_traces`,
+which raises the allocator's out-of-memory) — plus convenience analyses.
 
 Example
 -------
@@ -26,7 +28,7 @@ from ..device.device import Device
 from ..errors import TraceError
 from .ati import IntervalArrays, compute_interval_arrays
 from .breakdown import OccupationBreakdown, occupation_breakdown
-from .recorder import TraceRecorder
+from .recorder import TraceRecorder, place_traces
 from .trace import MemoryTrace
 
 
@@ -35,9 +37,9 @@ class MemoryProfiler:
 
     def __init__(self, device: Device, metadata: Optional[Dict[str, object]] = None):
         self.device = device
-        meta = {"device": device.spec.to_dict(), "allocator": device.allocator.name}
+        meta = {"device": device.spec.to_dict(), "allocator": device.allocator}
         meta.update(metadata or {})
-        self.recorder = TraceRecorder(device.clock, metadata=meta)
+        self.recorder = TraceRecorder(device, metadata=meta)
         self._attached = False
         self._trace: Optional[MemoryTrace] = None
 
@@ -46,23 +48,26 @@ class MemoryProfiler:
     def start(self) -> "MemoryProfiler":
         """Attach the recorder to the device and begin collecting behaviors."""
         if not self._attached:
-            self.device.add_listener(self.recorder)
+            self.device.recorder = self.recorder
             self._attached = True
         return self
 
-    def stop(self) -> MemoryTrace:
-        """Detach from the device and freeze the trace."""
+    def detach(self) -> None:
+        """Stop recording the device's behaviors."""
         if self._attached:
-            self.device.remove_listener(self.recorder)
+            self.device.recorder = None
             self._attached = False
-        self._trace = self.recorder.to_trace()
-        return self._trace
+
+    def stop(self) -> MemoryTrace:
+        """Detach from the device and freeze the (placed) trace."""
+        self.detach()
+        return self.trace()
 
     def __enter__(self) -> "MemoryProfiler":
         return self.start()
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.stop()
+        self.detach()
 
     # -- recorder passthrough (so the profiler can be handed to the Trainer) -------------
 
@@ -77,9 +82,12 @@ class MemoryProfiler:
     # -- results ------------------------------------------------------------------------
 
     def trace(self) -> MemoryTrace:
-        """The recorded trace (finalizes it if the profiler is still attached)."""
+        """The recorded trace, placed (finalizes it if the profiler is still attached)."""
         if self._trace is None or self._attached:
-            self._trace = self.recorder.to_trace()
+            device = self.device
+            self._trace = place_traces([self.recorder.to_trace()], [device.requests],
+                                       [device.place()],
+                                       device.spec.cuda_malloc_overhead_ns)[0].trace
         return self._trace
 
     def access_intervals(self, include_lifecycle: bool = False) -> IntervalArrays:

@@ -1,70 +1,71 @@
 """Trace recorder: the instrumentation the paper adds to the runtime.
 
-:class:`TraceRecorder` implements the device's
-:class:`~repro.device.hooks.MemoryEventListener` interface and turns every
-allocator/storage notification into one timestamped row of a
-:class:`~repro.core.trace.ColumnarEventLog`.  The recorder is the hottest
-non-numeric path of a profiled run — every malloc/free/read/write lands
-here — so one recorded behavior costs one hook call and one C-level row
-append: the device's composite listener hands a lone recorder's bound hooks
-straight to the allocator and the storages (see
-:class:`~repro.device.hooks.CompositeListener`), and ``on_malloc`` /
-``on_free`` / ``on_read`` / ``on_write`` each write the packed row, the two
-strings and the tape position themselves, reading the clock field and the
-category's ``code`` attribute directly — and nothing else.  The recorder
-never writes the tape: a taped clock logs its own atoms
+:class:`TraceRecorder` occupies a device's recorder slot and turns every
+malloc / free / read / write into one timestamped row written against the
+*request id* the device handed out (:class:`~repro.device.memory.RequestLog`).
+The recorder is the hottest non-numeric path of a profiled run — every
+behavior lands here — so one recorded behavior is one hook call, one C-level
+append of a packed ``int64`` row and one op-string append: the clock field
+is read directly and nothing else is looked up.  The recorder never writes
+the tape: a taped clock logs its own atoms
 (:class:`~repro.device.tape.TimingTape`), and the recorder only notes, per
-event, how many atoms precede it.  The log's rows are the trace:
-:meth:`TraceRecorder.to_trace` transposes them into the
-:class:`~repro.core.trace.EventColumns` of a
-:class:`~repro.core.trace.MemoryTrace`, and the block lifetimes of Figure 2
-are derived from those columns
-(:func:`~repro.core.trace.lifetimes_from_columns`) only when something asks.
+event, how many atoms precede it.
 
-It also tracks iteration boundaries (for the iterative-pattern analysis).
-A swap-on run's engine rows are inserted afterwards, by
-:func:`repro.swap.executor.overlay`.
+:meth:`TraceRecorder.to_trace` is the run as the front end made it: each
+request its own block (id = request id, size = requested bytes, the
+requests laid end to end from address 0) and no segment rows.  :func:`place_traces` turns such recordings into the
+traces the allocator's placement gives
+(:func:`~repro.device.allocator.place`): block ids, addresses and sizes per
+request, the segment rows in front of the call that made them, and every
+later timestamp moved by the ``cudaMalloc`` overheads — through each
+gradient barrier by the latest arrival, the rule the swap overlay
+(:func:`repro.swap.executor.overlay`) resolves barriers with.  The block
+lifetimes of Figure 2 are derived from the columns
+(:func:`~repro.core.trace.lifetimes_from_columns`) only when something asks.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
-from ..device.clock import DeviceClock
-from ..device.hooks import MemoryEventListener
+import numpy as np
+
+from ..device.allocator import Placement
+from ..device.memory import RequestLog
 from .events import IterationMark, MemoryCategory, MemoryEventKind
-from .trace import KIND_CODES, ColumnarEventLog, MemoryTrace, pack_row
+from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
+                    columns_from_rows, iteration_rows, pack_row)
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
 _FREE = KIND_CODES[MemoryEventKind.FREE]
 _READ = KIND_CODES[MemoryEventKind.READ]
 _WRITE = KIND_CODES[MemoryEventKind.WRITE]
-_SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
-_SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 _UNKNOWN_CATEGORY = MemoryCategory.UNKNOWN.code
 
 
-class TraceRecorder(MemoryEventListener):
-    """Records malloc/free/read/write behaviors with simulated timestamps."""
+class TraceRecorder:
+    """Records malloc/free/read/write behaviors of ``device`` with simulated
+    timestamps, against its request ids."""
 
-    def __init__(self, clock: DeviceClock, metadata: Optional[dict] = None):
-        self.clock = clock
+    def __init__(self, device, metadata: Optional[dict] = None):
+        self.clock = device.clock
+        self.requests: RequestLog = device.requests
         self.metadata = dict(metadata or {})
-        self.log = ColumnarEventLog()
-        # The log lives as long as the recorder, so its three C-level appends
-        # are bound once here and called directly by the per-event hooks.
-        self._append_row = self.log.rows.frombytes
-        self._append_tag = self.log.tag.append
-        self._append_op = self.log.op.append
+        self.rows = array("q")
+        self.ops: List[str] = []
+        # The row store lives as long as the recorder, so its two C-level
+        # appends are bound once here and called directly by the hooks.
+        self._append_row = self.rows.frombytes
+        self._append_op = self.ops.append
         self.iteration_marks: List[IterationMark] = []
         self._current_iteration = -1
-        self.enabled = True
         # Template capture: when a timing tape is attached to the clock, the
         # recorder notes each event's position in the tape (the number of
         # timing atoms that precede it) so the replay engine can re-derive
         # event timestamps from re-priced atom durations.
-        self._tape = getattr(clock, "tape", None)
+        self._tape = getattr(self.clock, "tape", None)
         self.event_tape_positions = array("q") if self._tape is not None else None
         #: Per-iteration ``[begin, end]`` tape positions (parallel to
         #: ``iteration_marks``; end is -1 until the iteration closes).
@@ -98,88 +99,198 @@ class TraceRecorder(MemoryEventListener):
 
     # -- event capture ----------------------------------------------------------------
 
-    def on_malloc(self, block, requested_size: int) -> None:
-        if not self.enabled:
-            return
+    def on_malloc(self, request: int) -> None:
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_MALLOC, self.clock._now_ns, block.block_id,
-                                  block.address, block.size, block.category.code,
+        self._append_row(pack_row(_MALLOC, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
-        self._append_tag(block.tag)
         self._append_op("")
 
-    def on_free(self, block) -> None:
-        if not self.enabled:
-            return
+    def on_free(self, request: int) -> None:
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_FREE, self.clock._now_ns, block.block_id,
-                                  block.address, block.size, block.category.code,
+        self._append_row(pack_row(_FREE, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
-        self._append_tag(block.tag)
         self._append_op("")
 
-    def on_read(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
+    def on_read(self, request: int, op: str) -> None:
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_READ, self.clock._now_ns, block.block_id,
-                                  block.address, block.size, block.category.code,
+        self._append_row(pack_row(_READ, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
-        self._append_tag(block.tag)
         self._append_op(op)
 
-    def on_write(self, block, nbytes: int, op: str) -> None:
-        if not self.enabled:
-            return
+    def on_write(self, request: int, op: str) -> None:
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_WRITE, self.clock._now_ns, block.block_id,
-                                  block.address, block.size, block.category.code,
+        self._append_row(pack_row(_WRITE, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
-        self._append_tag(block.tag)
         self._append_op(op)
-
-    def _record_segment(self, kind_code: int, segment) -> None:
-        if not self.enabled:
-            return
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self.log.append(kind_code, self.clock._now_ns, -segment.segment_id,
-                        segment.address, segment.size, _UNKNOWN_CATEGORY,
-                        self._current_iteration, f"segment:{segment.pool}", "")
-
-    def on_segment_alloc(self, segment) -> None:
-        self._record_segment(_SEGMENT_ALLOC, segment)
-
-    def on_segment_free(self, segment) -> None:
-        self._record_segment(_SEGMENT_FREE, segment)
-
-    # -- pausing ----------------------------------------------------------------------
-
-    def pause(self) -> None:
-        """Temporarily stop recording (e.g. during warm-up iterations)."""
-        self.enabled = False
-
-    def resume(self) -> None:
-        """Resume recording after :meth:`pause`."""
-        self.enabled = True
 
     # -- trace construction --------------------------------------------------------------
 
     def to_trace(self) -> MemoryTrace:
-        """Freeze the recorded behaviors into an immutable :class:`MemoryTrace`."""
-        tags, ops = self.log.snapshot_strings()
+        """The recorded behaviors as the front end made them: every request
+        its own block, sized as requested and laid after the one before,
+        with its category and tag."""
+        columns = columns_from_rows(self.rows)
+        requests = self.requests
+        request = columns.block_id
+        nbytes = np.frombuffer(requests.nbytes, dtype=np.int64)
+        offsets = np.zeros(nbytes.size + 1, dtype=np.int64)
+        np.cumsum(nbytes, out=offsets[1:])
+        categories = np.fromiter((category.code for category in requests.category),
+                                 dtype=np.int64, count=len(requests))[request]
+        tags = requests.tag
         return MemoryTrace(
-            columns=self.log.snapshot_columns(),
-            event_tags=tags,
-            event_ops=ops,
-            iteration_marks=list(self.iteration_marks),
+            columns=replace(columns, address=offsets[request], size=nbytes[request],
+                            category_code=categories),
+            event_tags=[tags[index] for index in request.tolist()],
+            event_ops=list(self.ops),
+            iteration_marks=[replace(mark) for mark in self.iteration_marks],
             metadata=dict(self.metadata),
             end_ns=self.clock.now_ns,
         )
 
     def __len__(self) -> int:
-        return len(self.log)
+        return len(self.ops)
+
+
+@dataclass(frozen=True)
+class PlacedTrace:
+    """One replica's recording with its requests placed.
+
+    ``rows`` is the index in ``trace`` of every recorded row, and
+    ``segment_rows`` that of every segment row placed in front of recorded
+    row ``anchors``; ``sync_shift`` is, per gradient barrier, how much
+    longer than recorded the replica waited there (the latest arrival's
+    delay less its own).
+    """
+
+    trace: MemoryTrace
+    rows: np.ndarray
+    segment_rows: np.ndarray
+    anchors: np.ndarray
+    sync_shift: np.ndarray
+
+
+class _Placing:
+    """One replica's recording being placed (see :func:`place_traces`)."""
+
+    def __init__(self, trace: MemoryTrace, requests: RequestLog, placement: Placement,
+                 overhead_ns: int, barriers: List[int]):
+        self.trace, self.placement, self.overhead_ns = trace, placement, overhead_ns
+        columns = self.columns = trace.columns()
+        n = len(columns)
+        # Each segment row's call: the recorded malloc (or free) of its
+        # request, or — for a call the recorder did not see — the first row
+        # recorded after it.
+        calls = np.frombuffer(requests.ops, dtype=np.int64)[placement.segment_op]
+        rows = np.full((2, len(requests)), -1, dtype=np.int64)
+        for side, kind in enumerate((_MALLOC, _FREE)):
+            made = np.flatnonzero(columns.kind_code == kind)
+            rows[side, columns.block_id[made]] = made
+        anchors = rows[(calls < 0).astype(np.int64), np.where(calls < 0, ~calls, calls)]
+        self.seen = anchors >= 0
+        anchors[~self.seen] = np.searchsorted(columns.timestamp_ns, np.frombuffer(
+            requests.op_ns, dtype=np.int64)[placement.segment_op[~self.seen]])
+        self.anchors = anchors
+        #: before[p]: the segment overheads paid before point p (p rows recorded).
+        self.before = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(anchors, minlength=n + 1), out=self.before[1:])
+        self.before *= overhead_ns
+        #: The rows each barrier-delimited stretch starts at, and its delay.
+        self.starts = [0] + barriers
+        self.delays = [placement.preamble_segments * overhead_ns]
+        self.waits: List[int] = []
+
+    def arrival(self, k: int):
+        """The recorded time and the delay of the replica's arrival at barrier ``k``."""
+        row = self.starts[k + 1]
+        return (int(self.columns.timestamp_ns[row - 1]),
+                self.delays[k] + int(self.before[row] - self.before[self.starts[k]]))
+
+    def delay_at(self, points: np.ndarray, counted: np.ndarray) -> np.ndarray:
+        """The delay at ``points`` of the overheads of the calls before ``counted``."""
+        starts = np.asarray(self.starts, dtype=np.int64)
+        stretch = np.searchsorted(starts, points, side="right") - 1
+        return (np.asarray(self.delays, dtype=np.int64)[stretch]
+                + self.before[counted] - self.before[starts[stretch]])
+
+    def placed(self) -> PlacedTrace:
+        """The placed trace: the recorded rows moved and the seen calls'
+        segment rows in front of their call, each after its own overhead."""
+        trace, columns, placement, before = self.trace, self.columns, self.placement, \
+            self.before
+        n = len(columns)
+        points = np.arange(n, dtype=np.int64)
+        row_delay = self.delay_at(points, points + 1)
+        spans = np.array(iteration_rows(columns.iteration, trace.iteration_marks),
+                         dtype=np.int64).reshape(-1, 2)
+        mark_delay = self.delay_at(spans, spans).tolist()
+        end_delay = int(self.delay_at(np.array([n]), np.array([n + 1]))[0])
+        made = np.flatnonzero(self.seen)
+        anchors, calls = self.anchors[made], placement.segment_op[made]
+        ordinal = np.arange(made.size) - np.searchsorted(calls, calls)
+        segment_rows = anchors + np.arange(made.size)
+        rows = points + np.cumsum(np.bincount(anchors, minlength=n)[:n])
+        total = n + made.size
+
+        def merged(recorded, segment):
+            out = np.empty(total, dtype=np.int64)
+            out[rows], out[segment_rows] = recorded, segment
+            return out
+
+        request = columns.block_id
+        segment_ts = (columns.timestamp_ns[anchors] + row_delay[anchors]
+                      - (before[anchors + 1] - before[anchors])
+                      + (ordinal + 1) * self.overhead_ns)
+        placed_columns = EventColumns(
+            event_id=np.arange(total, dtype=np.int64),
+            kind_code=merged(columns.kind_code, placement.segment_kind[made]),
+            timestamp_ns=merged(columns.timestamp_ns + row_delay, segment_ts),
+            block_id=merged(placement.block_id[request], -placement.segment_id[made]),
+            size=merged(placement.size[request], placement.segment_size[made]),
+            category_code=merged(columns.category_code, _UNKNOWN_CATEGORY),
+            iteration=merged(columns.iteration, columns.iteration[anchors]),
+            device_rank=np.zeros(total, dtype=np.int64),
+            address=merged(placement.address[request], placement.segment_address[made]))
+        strings = np.full((2, total), "", dtype=object)
+        strings[0, rows], strings[1, rows] = trace.event_strings()
+        strings[0, segment_rows] = [placement.segment_tags[index] for index in made.tolist()]
+        marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
+                               end_ns=mark.end_ns + end)
+                 for mark, (begin, end) in zip(trace.iteration_marks, mark_delay)]
+        return PlacedTrace(
+            trace=MemoryTrace(columns=placed_columns, event_tags=strings[0].tolist(),
+                              event_ops=strings[1].tolist(), iteration_marks=marks,
+                              metadata=dict(trace.metadata), end_ns=trace.end_ns + end_delay),
+            rows=rows, segment_rows=segment_rows, anchors=anchors,
+            sync_shift=np.asarray(self.waits, dtype=np.int64))
+
+
+def place_traces(traces: Sequence[MemoryTrace], requests: Sequence[RequestLog],
+                 placements: Sequence[Placement],
+                 overhead_ns: int) -> List[PlacedTrace]:
+    """Place each replica's recording (:meth:`TraceRecorder.to_trace`) with
+    its placement: the trace a run with that allocator live would record.
+
+    Every segment reserved or released costs ``overhead_ns`` right after the
+    call's own bookkeeping (the preamble's before the first row), so a row
+    runs as much later as the segment overheads before it add up; its
+    segment rows go in front of the call's malloc (or free), each stamped
+    after its own overhead.  Replicas synchronize at every gradient barrier
+    (:func:`~repro.core.trace.barrier_rows`): all leave it as much later as
+    the latest delayed arrival is later than the latest recorded one.
+    """
+    plans = [_Placing(trace, log, placement, overhead_ns,
+                      barrier_rows(trace) if len(traces) > 1 else [])
+             for trace, log, placement in zip(traces, requests, placements)]
+    for k in range(len(plans[0].starts) - 1):
+        arrivals = [plan.arrival(k) for plan in plans]
+        delay = (max(recorded + delayed for recorded, delayed in arrivals)
+                 - max(recorded for recorded, _ in arrivals))
+        for plan, (_, delayed) in zip(plans, arrivals):
+            plan.delays.append(delay)
+            plan.waits.append(delay - delayed)
+    return [plan.placed() for plan in plans]

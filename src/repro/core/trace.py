@@ -20,10 +20,10 @@ pairing (:mod:`repro.core.ati`), the occupation breakdown
 (:mod:`repro.core.breakdown`) and the sweep engine's Eq.-1 screening never
 touch a Python event object.
 
-The recorder appends every behavior into a :class:`ColumnarEventLog` — a row
-store: one flat ``array('q')`` of seven-wide ``int64`` rows (one C-level
-append per behavior) plus the two string lists — and finalizes it with one
-transposing copy straight into :class:`EventColumns`.
+The recorder appends every behavior as one row of a flat ``array('q')`` of
+seven-wide ``int64`` rows (one C-level append per behavior) and finalizes
+it with one transposing copy straight into :class:`EventColumns`
+(:func:`columns_from_rows`).
 
 Nothing else is stored, and no per-event or per-lifetime object exists.
 The Fig.-2 block lifetimes are a function of the columns:
@@ -85,7 +85,7 @@ RECOMPUTE_CODES = np.array([_RECOMPUTE_DROP_CODE, _RECOMPUTE_CODE],
 #: and writes.
 ALLREDUCE_OP = "grad_allreduce"
 
-#: Numeric fields of one :class:`ColumnarEventLog` row, in storage order.
+#: Numeric fields of one recorded row (:func:`columns_from_rows`), in storage order.
 ROW_FIELDS = ("kind_code", "timestamp_ns", "block_id", "address", "size",
               "category_code", "iteration")
 ROW_WIDTH = len(ROW_FIELDS)
@@ -201,60 +201,28 @@ class EventColumns:
                                  | self.is_recompute_drop, -self.size, 0))
 
 
-class ColumnarEventLog:
-    """Growable row store the trace recorder appends into.
+def columns_from_rows(rows: array) -> EventColumns:
+    """The :class:`EventColumns` of a flat ``array('q')`` of :data:`ROW_FIELDS`
+    rows — the trace recorder's row store, one C-level append per behavior.
 
-    The numeric fields of every behavior live in *one* flat ``array('q')`` of
-    :data:`ROW_WIDTH`-wide rows, in :data:`ROW_FIELDS` order; the two string
-    fields (``tag``, ``op``) are plain Python lists.  One behavior is one
-    ``rows.frombytes(pack_row(...))`` — a single C-level append of a packed
-    ``int64`` row (``array.extend`` of a tuple walks the generic iterator
-    protocol and is no faster than seven appends) — plus the two list
-    appends; the recorder's hooks do exactly that inline and use
-    :meth:`append` only off the hot path.  :meth:`snapshot_columns`
-    transposes the rows once into an immutable :class:`EventColumns` (a bulk
-    copy, so the log can keep growing afterwards without invalidating
-    earlier snapshots).
+    One transposing copy: every column comes out contiguous, and ``np.array``
+    always copies (``ascontiguousarray`` would return the view itself for
+    zero or one rows), so the temporary view on ``rows`` is released and the
+    store can grow again.
     """
+    n = len(rows) // ROW_WIDTH
+    table = np.array(np.frombuffer(rows, dtype=np.int64).reshape(n, ROW_WIDTH).T,
+                     order="C")
+    return EventColumns(event_id=np.arange(n, dtype=np.int64),
+                        device_rank=np.zeros(n, dtype=np.int64),
+                        **dict(zip(ROW_FIELDS, table)))
 
-    __slots__ = ("rows", "tag", "op")
 
-    def __init__(self) -> None:
-        self.rows = array("q")
-        self.tag: List[str] = []
-        self.op: List[str] = []
-
-    def __len__(self) -> int:
-        return len(self.tag)
-
-    def append(self, kind_code: int, timestamp_ns: int, block_id: int,
-               address: int, size: int, category_code: int, iteration: int,
-               tag: str, op: str) -> int:
-        """Append one behavior; returns the event id it was assigned."""
-        event_id = len(self.tag)
-        self.rows.frombytes(pack_row(kind_code, timestamp_ns, block_id, address,
-                                     size, category_code, iteration))
-        self.tag.append(tag)
-        self.op.append(op)
-        return event_id
-
-    def snapshot_columns(self) -> EventColumns:
-        """Copy the current log contents into an immutable column record."""
-        n = len(self.tag)
-        # One transposing copy: every column comes out contiguous.  ``np.array``
-        # always copies (``ascontiguousarray`` would return the view itself for
-        # zero or one rows), so the temporary view on ``rows`` is released and
-        # the log can grow again.
-        table = np.array(
-            np.frombuffer(self.rows, dtype=np.int64).reshape(n, ROW_WIDTH).T,
-            order="C")
-        return EventColumns(event_id=np.arange(n, dtype=np.int64),
-                            device_rank=np.zeros(n, dtype=np.int64),
-                            **dict(zip(ROW_FIELDS, table)))
-
-    def snapshot_strings(self) -> Tuple[List[str], List[str]]:
-        """Copies of the per-event ``tag`` and ``op`` side-lists."""
-        return list(self.tag), list(self.op)
+def iteration_rows(iteration: np.ndarray,
+                   marks: Sequence[IterationMark]) -> List[Tuple[int, int]]:
+    """The recorded rows ``[begin, end)`` of each iteration: those stamped with its index."""
+    inside = [np.flatnonzero(iteration == mark.index) for mark in marks]
+    return [(int(rows[0]), int(rows[-1]) + 1) for rows in inside]
 
 
 #: The engine's rows; per kind code, the eviction a restoration closes and
@@ -355,7 +323,7 @@ class MemoryTrace:
                  iteration_marks: Optional[List[IterationMark]] = None,
                  metadata: Optional[Dict[str, object]] = None,
                  end_ns: int = 0):
-        self._columns = columns if columns is not None else ColumnarEventLog().snapshot_columns()
+        self._columns = columns if columns is not None else columns_from_rows(array("q"))
         self._event_tags = event_tags if event_tags is not None else [""] * len(self._columns)
         self._event_ops = event_ops if event_ops is not None else [""] * len(self._columns)
         self.iteration_marks: List[IterationMark] = (

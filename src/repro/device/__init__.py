@@ -18,9 +18,11 @@ from .allocator import (
     CachingAllocator,
     LARGE_SEGMENT_SIZE,
     MIN_BLOCK_SIZE,
+    Placement,
     SMALL_ALLOCATION_LIMIT,
     SMALL_SEGMENT_SIZE,
     make_allocator,
+    place,
     round_block_size,
     segment_size_for,
 )
@@ -38,8 +40,7 @@ from .cluster import (
 )
 from .collective import CollectiveEngine, CollectiveRecord
 from .device import Device
-from .hooks import CompositeListener, CountingListener, MemoryEventListener, NullListener
-from .memory import AllocatorStats, Block, Segment
+from .memory import AllocatorStats, Block, RequestLog, Segment
 from .spec import (
     DEVICE_PRESETS,
     DeviceSpec,
@@ -73,8 +74,6 @@ __all__ = [
     "ClusterSpec",
     "CollectiveEngine",
     "CollectiveRecord",
-    "CompositeListener",
-    "CountingListener",
     "DEVICE_PRESETS",
     "Device",
     "DeviceClock",
@@ -86,10 +85,10 @@ __all__ = [
     "KernelTimingModel",
     "LARGE_SEGMENT_SIZE",
     "MIN_BLOCK_SIZE",
-    "MemoryEventListener",
-    "NullListener",
+    "Placement",
     "SMALL_ALLOCATION_LIMIT",
     "SMALL_SEGMENT_SIZE",
+    "RequestLog",
     "Segment",
     "Stream",
     "ampere_a100_40gb",
@@ -100,6 +99,7 @@ __all__ = [
     "make_allocator",
     "matmul_cost",
     "naive_allreduce_time_ns",
+    "place",
     "reduction_cost",
     "ring_allreduce_time_ns",
     "round_block_size",

@@ -18,6 +18,16 @@ the paper instruments:
   releases fully-free cached segments and retries before raising
   :class:`~repro.errors.OutOfMemoryError`.
 
+An allocator is a pass over a finished run's requests: the front end logs
+every malloc and free (:class:`~repro.device.memory.RequestLog`) and pays
+the per-call bookkeeping overhead on its clock, and :func:`place` drives an
+allocator over the log under a capacity.  The :class:`Placement` it returns
+holds each request's block id, address and size, the segment rows with the
+call each was made in (one ``cudaMalloc``/``cudaFree`` overhead atom each,
+which :func:`~repro.core.recorder.place_traces` splices into the timeline),
+the segments reserved before the first request and the counters.  An
+out-of-memory is raised by :func:`place` at the request that hits it.
+
 Two simpler allocators (:class:`BestFitAllocator` and :class:`BumpAllocator`)
 are provided as ablation baselines: they produce different fragmentation and
 event streams for the same workload, which the allocator ablation
@@ -30,16 +40,19 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..core.events import MemoryCategory
+import numpy as np
+
+from ..core.events import MemoryCategory, MemoryEventKind
+from ..core.trace import KIND_CODES
 from ..errors import InvalidFreeError, OutOfMemoryError
-from ..units import KIB, MIB
-from .clock import DeviceClock
-from .hooks import MemoryEventListener, NullListener
-from .memory import AllocatorStats, Block, Segment
-from .spec import DeviceSpec
-from .tape import TAPE_ALLOC_OVERHEAD, TAPE_SEGMENT_OVERHEAD
+from ..units import MIB
+from .memory import AllocatorStats, Block, RequestLog, Segment
+
+_SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
+_SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
 #: Allocation granularity: all block sizes are multiples of this.
 MIN_BLOCK_SIZE = 512
@@ -148,28 +161,24 @@ def segment_size_for(rounded_size: int) -> int:
 
 
 class BaseAllocator:
-    """Common state and interface shared by all allocator implementations."""
+    """Common state and interface shared by all allocator implementations.
+
+    ``capacity`` is the device memory the allocator may reserve.  Every
+    segment reserved or released is appended to :attr:`segment_log` as
+    ``(kind code, segment)``: one ``cudaMalloc``/``cudaFree`` each, whose
+    overhead :func:`place` hands to the timeline.
+    """
 
     name = "base"
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        clock: DeviceClock,
-        listener: Optional[MemoryEventListener] = None,
-    ):
-        self.spec = spec
-        self.clock = clock
-        # The spec is frozen, so the per-malloc/free cost is read once.
-        self._alloc_overhead_ns = spec.allocator_overhead_ns
-        self.listener = listener if listener is not None else NullListener()
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
         self.stats = AllocatorStats()
+        self.segment_log: List[Tuple[int, Segment]] = []
         self._segments: List[Segment] = []
         self._next_address = BASE_ADDRESS
-        #: The allocated blocks by ``block_id``.  Written only by this class.
-        self._live_blocks: Dict[int, Block] = {}
         # Identities are per allocator: the first block (and segment) of every
-        # session is 1, whatever the process simulated before.
+        # placement is 1, whatever the process placed before.
         self._block_ids = itertools.count(1)
         self._segment_ids = itertools.count(1)
 
@@ -194,21 +203,9 @@ class BaseAllocator:
 
     # -- shared helpers ---------------------------------------------------------
 
-    def _advance_alloc_overhead(self) -> None:
-        """Pay the per-malloc/free bookkeeping cost."""
-        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
-
-    def _advance_segment_overhead(self) -> None:
-        """Pay the simulated ``cudaMalloc``/``cudaFree`` cost."""
-        self.clock.advance(self.spec.cuda_malloc_overhead_ns, TAPE_SEGMENT_OVERHEAD)
-
     def segments(self) -> List[Segment]:
         """All currently reserved segments, in reservation order."""
         return list(self._segments)
-
-    def live_blocks(self) -> List[Block]:
-        """All currently allocated blocks."""
-        return list(self._live_blocks.values())
 
     @property
     def allocated_bytes(self) -> int:
@@ -222,7 +219,7 @@ class BaseAllocator:
 
     def device_free_bytes(self) -> int:
         """Device memory not yet reserved by any segment."""
-        return self.spec.memory_capacity - self.stats.reserved_bytes
+        return self.capacity - self.stats.reserved_bytes
 
     def check_invariants(self) -> None:
         """Run the per-segment structural self-check on every segment."""
@@ -261,7 +258,7 @@ class BaseAllocator:
                 requested=size,
                 free=self.device_free_bytes(),
                 reserved=self.stats.reserved_bytes,
-                capacity=self.spec.memory_capacity,
+                capacity=self.capacity,
             )
         address = self._next_address
         self._next_address += ((size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
@@ -270,38 +267,32 @@ class BaseAllocator:
                           first_block_id=next(self._block_ids))
         self._segments.append(segment)
         self.stats.on_reserve(size)
-        self._advance_segment_overhead()
-        self.listener.on_segment_alloc(segment)
+        self.segment_log.append((_SEGMENT_ALLOC, segment))
         return segment
 
     def _release_segment(self, segment: Segment) -> None:
         """Release a fully free segment back to the device (simulated ``cudaFree``)."""
         self._segments.remove(segment)
         self.stats.on_release(segment.size)
-        self._advance_segment_overhead()
-        self.listener.on_segment_free(segment)
+        self.segment_log.append((_SEGMENT_FREE, segment))
 
     def _publish_alloc(self, block: Block, requested_size: int,
                        category: MemoryCategory, tag: str) -> Block:
-        """Mark a block allocated, update stats and notify the listener."""
+        """Mark a block allocated and update the stats."""
         block.allocated = True
         block.requested_size = requested_size
         block.category = category
         block.tag = tag
-        self._live_blocks[block.block_id] = block
         self.stats.on_alloc(block.size)
-        self.listener.on_malloc(block, requested_size)
         return block
 
     def _publish_free(self, block: Block) -> None:
-        """Mark a block free, update stats and notify the listener."""
-        if block.block_id not in self._live_blocks:
+        """Mark a block free and update the stats."""
+        if not block.allocated:
             raise InvalidFreeError(
                 f"block {block.block_id} (tag={block.tag!r}) is not currently allocated"
             )
-        del self._live_blocks[block.block_id]
         self.stats.on_free(block.size)
-        self.listener.on_free(block)
         block.allocated = False
 
 
@@ -310,13 +301,8 @@ class CachingAllocator(BaseAllocator):
 
     name = "caching"
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        clock: DeviceClock,
-        listener: Optional[MemoryEventListener] = None,
-    ):
-        super().__init__(spec, clock, listener)
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
         # Free blocks per pool, indexed by (size, insertion order): best-fit
         # is one bisect, removal is O(log n) — same blocks the historical
         # linear scans would have picked, just found without the scan.
@@ -333,7 +319,6 @@ class CachingAllocator(BaseAllocator):
     ) -> Block:
         rounded = round_block_size(size)
         pool = "small" if rounded <= SMALL_ALLOCATION_LIMIT else "large"
-        self._advance_alloc_overhead()
 
         # Best fit in the pool's free index (removes and returns the block).
         block = self._free_blocks[pool].take_best_fit(rounded)
@@ -387,7 +372,6 @@ class CachingAllocator(BaseAllocator):
     # -- free -------------------------------------------------------------------
 
     def free(self, block: Block) -> None:
-        self._advance_alloc_overhead()
         self._publish_free(block)
         pool = block.segment.pool
         block = self._coalesce(block, pool)
@@ -450,15 +434,9 @@ class BestFitAllocator(BaseAllocator):
 
     name = "best_fit"
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        clock: DeviceClock,
-        listener: Optional[MemoryEventListener] = None,
-        arena_fraction: float = 0.95,
-    ):
-        super().__init__(spec, clock, listener)
-        arena_size = int(spec.memory_capacity * arena_fraction)
+    def __init__(self, capacity: int, arena_fraction: float = 0.95):
+        super().__init__(capacity)
+        arena_size = int(self.capacity * arena_fraction)
         arena_size = (arena_size // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
         self._arena = self._reserve_segment(arena_size, pool="arena")
         # Free blocks indexed by (size, address): best-fit is one bisect and
@@ -474,14 +452,13 @@ class BestFitAllocator(BaseAllocator):
         tag: str = "",
     ) -> Block:
         rounded = round_block_size(size)
-        self._advance_alloc_overhead()
         best = self._free_index.take_best_fit(rounded)
         if best is None:
             raise OutOfMemoryError(
                 requested=rounded,
                 free=self._arena.largest_free_block(),
                 reserved=self.stats.reserved_bytes,
-                capacity=self.spec.memory_capacity,
+                capacity=self.capacity,
             )
         if best.size - rounded >= MIN_BLOCK_SIZE:
             tail = Block(self._arena, best.address + rounded, best.size - rounded,
@@ -497,7 +474,6 @@ class BestFitAllocator(BaseAllocator):
         return self._publish_alloc(best, size, category, tag)
 
     def free(self, block: Block) -> None:
-        self._advance_alloc_overhead()
         self._publish_free(block)
         nxt = block.next
         if nxt is not None and not nxt.allocated:
@@ -531,13 +507,8 @@ class BumpAllocator(BaseAllocator):
 
     name = "bump"
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        clock: DeviceClock,
-        listener: Optional[MemoryEventListener] = None,
-    ):
-        super().__init__(spec, clock, listener)
+    def __init__(self, capacity: int):
+        super().__init__(capacity)
         self._cursor = 0
 
     def allocate(
@@ -547,13 +518,12 @@ class BumpAllocator(BaseAllocator):
         tag: str = "",
     ) -> Block:
         rounded = round_block_size(size)
-        self._advance_alloc_overhead()
-        if self._cursor + rounded > self.spec.memory_capacity:
+        if self._cursor + rounded > self.capacity:
             raise OutOfMemoryError(
                 requested=rounded,
-                free=self.spec.memory_capacity - self._cursor,
+                free=self.capacity - self._cursor,
                 reserved=self.stats.reserved_bytes,
-                capacity=self.spec.memory_capacity,
+                capacity=self.capacity,
             )
         segment = self._reserve_segment(rounded, pool="bump")
         block = segment.first_block
@@ -562,14 +532,12 @@ class BumpAllocator(BaseAllocator):
         return self._publish_alloc(block, size, category, tag)
 
     def free(self, block: Block) -> None:
-        self._advance_alloc_overhead()
         self._publish_free(block)
 
     def reset(self) -> None:
         """Release everything and rewind the bump pointer (end of a phase)."""
         for segment in list(self._segments):
             self._release_segment(segment)
-        self._live_blocks.clear()
         self._cursor = 0
 
 
@@ -581,16 +549,80 @@ ALLOCATOR_CLASSES = {
 }
 
 
-def make_allocator(
-    name: str,
-    spec: DeviceSpec,
-    clock: DeviceClock,
-    listener: Optional[MemoryEventListener] = None,
-) -> BaseAllocator:
+def make_allocator(name: str, capacity: int) -> BaseAllocator:
     """Instantiate an allocator by registry name (``caching``, ``best_fit``, ``bump``)."""
-    try:
-        cls = ALLOCATOR_CLASSES[name]
-    except KeyError:
+    return ALLOCATOR_CLASSES[check_allocator(name)](capacity)
+
+
+def check_allocator(name: str) -> str:
+    """``name`` if it is a registered allocator (KeyError listing them if not)."""
+    if name not in ALLOCATOR_CLASSES:
         known = ", ".join(sorted(ALLOCATOR_CLASSES))
-        raise KeyError(f"unknown allocator '{name}'; known allocators: {known}") from None
-    return cls(spec, clock, listener)
+        raise KeyError(f"unknown allocator '{name}'; known allocators: {known}")
+    return name
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where one device's requests landed under one allocator and capacity.
+
+    Per request id: the block id, address and (rounded, split) size of the
+    block that served it.  Per segment reserved or released after the first
+    request, in order: the index into the request log's ``ops`` of the call
+    that made it, its kind code, id, address, size and ``segment:<pool>``
+    tag — each is one ``cudaMalloc``/``cudaFree`` overhead atom.
+    ``preamble_segments`` were reserved before any request (best-fit's
+    arena) and ``stats`` are the allocator's counters after the last call.
+    """
+
+    block_id: np.ndarray
+    address: np.ndarray
+    size: np.ndarray
+    segment_op: np.ndarray
+    segment_kind: np.ndarray
+    segment_id: np.ndarray
+    segment_address: np.ndarray
+    segment_size: np.ndarray
+    segment_tags: List[str]
+    preamble_segments: int
+    stats: AllocatorStats
+
+
+def place(requests: RequestLog, allocator: str, capacity: int) -> Placement:
+    """Drive allocator ``allocator`` over ``requests`` under ``capacity`` bytes.
+
+    Calls ``allocate`` / ``free`` in the log's order, as the front end made
+    them; an :class:`~repro.errors.OutOfMemoryError` propagates from the
+    request that hits it.  The only place an allocator is instantiated.
+    """
+    instance = make_allocator(allocator, capacity)
+    log = instance.segment_log
+    preamble = len(log)
+    del log[:]
+    blocks: List[Optional[Block]] = [None] * len(requests)
+    # A block is re-split and coalesced after its request is freed, so each
+    # request's (id, address, size) is read when it is served.
+    served: List[Tuple[int, int, int]] = [(0, 0, 0)] * len(requests)
+    nbytes, categories, tags = requests.nbytes, requests.category, requests.tag
+    made: List[Tuple[int, int, Segment]] = []
+    allocate, free = instance.allocate, instance.free
+    for index, op in enumerate(requests.ops):
+        if op >= 0:
+            blocks[op] = block = allocate(nbytes[op], categories[op], tags[op])
+            served[op] = (block.block_id, block.address, block.size)
+        else:
+            free(blocks[~op])
+        if log:
+            made.extend((index, kind, segment) for kind, segment in log)
+            del log[:]
+    table = np.array(served, dtype=np.int64).reshape(len(served), 3)
+    segments = np.array([(index, kind, segment.segment_id, segment.address, segment.size)
+                         for index, kind, segment in made],
+                        dtype=np.int64).reshape(len(made), 5)
+    return Placement(
+        block_id=table[:, 0], address=table[:, 1], size=table[:, 2],
+        segment_op=segments[:, 0], segment_kind=segments[:, 1],
+        segment_id=segments[:, 2], segment_address=segments[:, 3],
+        segment_size=segments[:, 4],
+        segment_tags=[f"segment:{segment.pool}" for _, _, segment in made],
+        preamble_segments=preamble, stats=instance.stats)

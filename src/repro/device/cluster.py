@@ -14,7 +14,7 @@ an interconnect*.  This module introduces that layer:
 * :class:`DeviceGroup` instantiates one replica
   :class:`~repro.device.device.Device` per replica *class* — the ranks the
   simulator cannot tell apart (same shard shape) — each with its own clock
-  and allocator —
+  and request log —
   and wires them to one shared
   :class:`~repro.device.collective.CollectiveEngine` that still costs
   collectives for all N replicas; its allreduce is the group's only barrier.
@@ -206,7 +206,7 @@ class DeviceGroup:
     ``rank_classes`` labels every rank (equal labels, one class; classes are
     numbered in order of first appearance, so rank 0 is always in class 0);
     by default every rank is its own class.  Only one :class:`Device` per
-    class is materialised — its clock, allocator and timing model stand
+    class is materialised — its clock, request log and timing model stand
     for every rank of the class — while :attr:`n_devices` and the
     collective cost model keep the cluster's full replica count.  Iterating,
     indexing and ``len()`` walk the materialised replicas in class order.
@@ -281,15 +281,6 @@ class DeviceGroup:
     def primary(self) -> Device:
         """Rank-0 replica (the degenerate single-device view of the group)."""
         return self.devices[0]
-
-    def peak_allocated_bytes(self) -> int:
-        """Per-replica peak allocated bytes (max across ranks)."""
-        return max(device.peak_allocated_bytes for device in self.devices)
-
-    def total_allocated_bytes(self) -> int:
-        """Bytes currently allocated summed over every rank of the cluster."""
-        return sum(device.allocated_bytes * len(ranks)
-                   for device, ranks in zip(self.devices, self.class_ranks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"DeviceGroup(n={self.n_devices}, "

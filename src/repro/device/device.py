@@ -3,9 +3,11 @@
 :class:`Device` ties together the pieces a training run needs:
 
 * a deterministic :class:`~repro.device.clock.DeviceClock`;
-* an instrumentable allocator (caching by default);
+* the :class:`~repro.device.memory.RequestLog` of every malloc and free,
+  placed after the run by the named allocator (caching by default,
+  :meth:`Device.place`);
 * a roofline :class:`~repro.device.timing.KernelTimingModel`;
-* a :class:`~repro.device.hooks.CompositeListener` that profilers attach to.
+* a :attr:`Device.recorder` slot a profiler's trace recorder occupies.
 
 The device is synchronous, the way eager PyTorch issues work on one stream:
 :meth:`Device.run_kernel`, the two host↔device copies and
@@ -16,11 +18,14 @@ executed after the run by :mod:`repro.swap.executor` on its own clock and
 copy stream.
 
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
-storage management and :meth:`Device.run_kernel` to account for the simulated
-execution time of each operator; storages report the reads and writes of
-kernels straight to :attr:`Device.listeners`.  Nothing is computed: tensors
-carry shape, dtype and category but no values, and memory behavior is a
-function of shapes alone.
+storage management — each pays the allocator's bookkeeping overhead on the
+clock, logs the call and hands the storage a request id, never a block —
+and :meth:`Device.run_kernel` to account for the simulated execution time
+of each operator; storages report the reads and writes of kernels straight
+to :attr:`Device.recorder`.  Nothing is computed: tensors carry shape, dtype
+and category but no values, and memory behavior is a function of shapes
+alone.  Where a request lands, and the ``cudaMalloc`` overheads that
+places it, is the allocator's pass over the log.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ from typing import Optional
 
 from ..core.events import MemoryCategory
 from ..errors import ConfigurationError
-from .allocator import BaseAllocator, make_allocator
+from .allocator import Placement, check_allocator, place
 from .clock import DeviceClock
-from .hooks import CompositeListener, MemoryEventListener
-from .memory import Block
+from .memory import RequestLog
 from .spec import DeviceSpec, titan_x_pascal
-from .tape import TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
+from .tape import TAPE_ALLOC_OVERHEAD, TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
                      DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
 
@@ -48,7 +52,7 @@ class Device:
         Hardware description; defaults to the paper's Titan X (Pascal).
     allocator:
         Registry name of the allocator policy (``"caching"``, ``"best_fit"``
-        or ``"bump"``).
+        or ``"bump"``) :meth:`place` places the requests with.
     default_dtype:
         Element type (name or :class:`~repro.tensor.dtype.DType`) used for
         floating-point tensors whose dtype is not given explicitly —
@@ -78,10 +82,12 @@ class Device:
                 f"default_dtype must be a floating-point dtype, got '{dtype.name}'")
         self.default_dtype = dtype
         self.clock = DeviceClock()
-        self.listeners = CompositeListener()
-        self.allocator: BaseAllocator = make_allocator(
-            allocator, self.spec, self.clock, self.listeners
-        )
+        self.allocator = check_allocator(allocator)
+        self.requests = RequestLog()
+        #: The trace recorder behaviors go to (``None``: nobody records).
+        self.recorder = None
+        # The spec is frozen, so the per-malloc/free cost is read once.
+        self._alloc_overhead_ns = self.spec.allocator_overhead_ns
         self.timing = KernelTimingModel(
             self.spec,
             compute_efficiency=compute_efficiency,
@@ -90,26 +96,27 @@ class Device:
         )
         self.kernel_count = 0
 
-    # -- profiling hooks -----------------------------------------------------------
-
-    def add_listener(self, listener: MemoryEventListener) -> None:
-        """Attach a memory-behavior listener (e.g. a trace recorder)."""
-        self.listeners.add(listener)
-
-    def remove_listener(self, listener: MemoryEventListener) -> None:
-        """Detach a previously attached listener."""
-        self.listeners.remove(listener)
-
     # -- memory management -----------------------------------------------------------
 
     def allocate(self, size: int, category: MemoryCategory = MemoryCategory.UNKNOWN,
-                 tag: str = "") -> Block:
-        """Allocate ``size`` bytes of device memory."""
-        return self.allocator.allocate(size, category, tag)
+                 tag: str = "") -> int:
+        """Request ``size`` bytes of device memory; returns the request id."""
+        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
+        request = self.requests.malloc(size, category, tag, self.clock._now_ns)
+        if self.recorder is not None:
+            self.recorder.on_malloc(request)
+        return request
 
-    def free(self, block: Block) -> None:
-        """Free a device memory block."""
-        self.allocator.free(block)
+    def free(self, request: int) -> None:
+        """Free the memory of request ``request``."""
+        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
+        self.requests.free(request, self.clock._now_ns)
+        if self.recorder is not None:
+            self.recorder.on_free(request)
+
+    def place(self) -> Placement:
+        """The requests so far, placed by this device's allocator in its memory."""
+        return place(self.requests, self.allocator, self.spec.memory_capacity)
 
     # -- execution -----------------------------------------------------------
 
@@ -145,38 +152,8 @@ class Device:
         self.clock.advance(duration, kind, nbytes)
         return duration
 
-    # -- introspection -----------------------------------------------------------
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes currently allocated to live tensors."""
-        return self.allocator.allocated_bytes
-
-    @property
-    def reserved_bytes(self) -> int:
-        """Bytes currently reserved from the device by the allocator."""
-        return self.allocator.reserved_bytes
-
-    @property
-    def peak_allocated_bytes(self) -> int:
-        """High-water mark of allocated bytes."""
-        return self.allocator.stats.peak_allocated_bytes
-
-    @property
-    def peak_reserved_bytes(self) -> int:
-        """High-water mark of reserved bytes."""
-        return self.allocator.stats.peak_reserved_bytes
-
-    def memory_stats(self) -> dict:
-        """``torch.cuda.memory_stats``-style dictionary of allocator counters."""
-        return self.allocator.stats.to_dict()
-
-    def memory_snapshot(self) -> list:
-        """``torch.cuda.memory_snapshot``-style dump of segments and blocks."""
-        return self.allocator.memory_snapshot()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"Device({self.spec.name!r}, allocator={self.allocator.name!r}, "
+            f"Device({self.spec.name!r}, allocator={self.allocator!r}, "
             f"now={self.clock.now_ns}ns)"
         )

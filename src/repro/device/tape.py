@@ -66,11 +66,6 @@ class TimingTape:
 
     def __init__(self, clock: DeviceClock):
         self.clock = clock
-        #: Simulated time already on the clock when the tape attached.  For
-        #: allocators that reserve memory at construction (best-fit's arena)
-        #: this is a whole number of segment overheads — the replay engine
-        #: re-prices it via :meth:`preamble_segments`.
-        self.attach_ns = clock.now_ns
         self.kind = array("q")
         self.duration_ns = array("q")
         self.nbytes = array("q")
@@ -85,17 +80,3 @@ class TimingTape:
         """Stop logging: unpublish ``clock.tape``."""
         if self.clock.tape is self:
             self.clock.tape = None
-
-    def preamble_segments(self, segment_overhead_ns: int) -> int:
-        """Pre-attach time expressed as a count of segment reservations.
-
-        Time on the clock before the tape attached comes from allocator
-        construction (best-fit reserves its arena up front); it must be a
-        whole number of ``cuda_malloc_overhead_ns`` advances to be
-        re-priceable.  Returns -1 when it is not (template invalid).
-        """
-        if self.attach_ns == 0:
-            return 0
-        if segment_overhead_ns <= 0 or self.attach_ns % segment_overhead_ns:
-            return -1
-        return self.attach_ns // segment_overhead_ns

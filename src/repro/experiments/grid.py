@@ -38,7 +38,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.swap import BandwidthConfig
 from ..device.spec import get_device_spec
 from ..swap.policies import SWAP_EXECUTION_MODES, SWAP_POLICIES
-from ..train.session import TrainingRunConfig, swap_off_twin
+from ..train.session import TrainingRunConfig
 
 #: Version of the cached result schema; bump to invalidate every cache entry.
 #: v2: policies generalized to the baselines registry, dtype axis added.
@@ -156,15 +156,11 @@ def structure_token(config: TrainingRunConfig) -> Tuple:
 
 def recording_token(config: TrainingRunConfig) -> Tuple:
     """Hashable, type-exact identity of the recording ``config``'s session
-    overlays: its swap-off twin's (:func:`~repro.train.session.swap_off_twin`)
-    :func:`structure_token` plus the twin's pricing fields but the label.
-
-    Rows with equal tokens differ at most in ``swap``,
-    ``device_memory_capacity`` (a swap-on row records with no capacity; a
-    swap-off row keeps its own, since its allocator really shrinks) and the
-    label, so one :func:`~repro.train.session.record_session` serves them all.
-    """
-    twin = swap_off_twin(config)
+    places: its :func:`structure_token` and pricing fields but ``swap``,
+    ``allocator``, ``device_memory_capacity`` and the label — rows with
+    equal tokens share one :func:`~repro.train.session.record_session`, each
+    placing it with its own allocator in its own memory."""
+    twin = replace(config, swap="off", allocator="", device_memory_capacity=None)
     pricing = _ROW_CONFIG(twin)
     return structure_token(twin), pricing, tuple(map(repr, pricing))
 

@@ -87,11 +87,12 @@ from ..device.tape import (
     TimingTape,
 )
 from ..device.timing import KernelTimingModel
+from ..core.recorder import PlacedTrace
 from ..train.session import (
     RunStructure,
     TrainingRunConfig,
     build_cluster,
-    run_training_session,
+    record_session,
     workload_metadata,
 )
 from ..units import US
@@ -193,7 +194,6 @@ class _TemplateCapture:
         self.tapes: List[TimingTape] = []
         self.rank_classes: Sequence[int] = ()
         self.profilers = None
-        self.traces = None
 
     def attach(self, group) -> None:
         self.tapes = [TimingTape(device.clock) for device in group]
@@ -201,7 +201,6 @@ class _TemplateCapture:
 
     def collect(self, profilers, traces) -> None:
         self.profilers = profilers
-        self.traces = traces
 
     def detach(self) -> None:
         for tape in self.tapes:
@@ -243,32 +242,49 @@ class RankTemplate:
                            event_ops=self.event_ops, **trace_fields)
 
 
-def _capture_rank(recorder, trace: MemoryTrace, tape: TimingTape) -> RankTemplate:
-    """Freeze one replica's recorder + tape into a :class:`RankTemplate`."""
+def _capture_rank(recorder, placed: PlacedTrace, tape: TimingTape, overhead_ns: int,
+                  preamble_segments: int) -> RankTemplate:
+    """Freeze one replica's recorder + tape, with its placement's segment
+    overhead atoms spliced in, into a :class:`RankTemplate`.
+
+    A call's segment atoms follow its bookkeeping atom, in front of its
+    malloc; a gradient barrier's atom is the replica's wait there, which the
+    placement lengthens by its ``sync_shift``.
+    """
+    trace = placed.trace
     cols = trace.columns()
     tags, ops = trace.event_strings()
-    positions = np.asarray(recorder.event_tape_positions, dtype=np.int64)
-    if positions.size != len(cols):
+    recorded = np.asarray(recorder.event_tape_positions, dtype=np.int64)
+    if recorded.size != placed.rows.size:
         raise TemplateError("event/tape correspondence is incomplete",
                             reason="capture_inconsistent")
     spans = recorder.mark_tape_spans
     if len(spans) != len(trace.iteration_marks) or any(e < 0 for _, e in spans):
         raise TemplateError("iteration mark spans are incomplete",
                             reason="capture_inconsistent")
+    at = recorded[placed.anchors]
+    positions = np.empty(len(cols), dtype=np.int64)
+    positions[placed.rows] = recorded + np.searchsorted(at, recorded, side="right")
+    positions[placed.segment_rows] = at + np.arange(1, at.size + 1)
+    mark_spans = np.asarray(spans, dtype=np.int64).reshape(len(spans), 2)
+    kind = np.insert(np.asarray(tape.kind, dtype=np.int64), at, TAPE_SEGMENT_OVERHEAD)
+    duration = np.insert(np.asarray(tape.duration_ns, dtype=np.int64), at, overhead_ns)
+    if placed.sync_shift.size:
+        duration[kind == TAPE_ALLREDUCE] += placed.sync_shift
 
     return RankTemplate(
-        tape_kind=np.asarray(tape.kind, dtype=np.int64),
-        tape_duration_ns=np.asarray(tape.duration_ns, dtype=np.int64),
-        tape_nbytes=np.asarray(tape.nbytes, dtype=np.int64),
-        tape_flops=np.asarray(tape.flops, dtype=np.float64),
-        tape_bytes_moved=np.asarray(tape.bytes_moved, dtype=np.float64),
+        tape_kind=kind,
+        tape_duration_ns=duration,
+        tape_nbytes=np.insert(np.asarray(tape.nbytes, dtype=np.int64), at, 0),
+        tape_flops=np.insert(np.asarray(tape.flops, dtype=np.float64), at, 0.0),
+        tape_bytes_moved=np.insert(np.asarray(tape.bytes_moved, dtype=np.float64), at, 0.0),
         columns=cols,
         event_tags=tags,
         event_ops=ops,
         event_tape_pos=positions,
         mark_indices=[mark.index for mark in trace.iteration_marks],
-        mark_spans=np.asarray(spans, dtype=np.int64).reshape(len(spans), 2),
-        preamble_segments=-1,  # filled by the caller (needs the compile spec)
+        mark_spans=mark_spans + np.searchsorted(at, mark_spans, side="right"),
+        preamble_segments=preamble_segments,
     )
 
 # -- the template ---------------------------------------------------------------------
@@ -958,36 +974,31 @@ def check_replay_envelope(config: TrainingRunConfig) -> None:
 
 
 def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
-    """Run the simulation once and capture its structure as a template.
+    """Run the front end once, place it, and capture its structure as a template.
 
     Raises a reason-coded :class:`TemplateError` when the configuration is
-    outside the replay envelope (swap execution on) or when
-    the capture turns out not to be replayable (pre-attach clock time that is
-    not whole segment reservations, ranks disagreeing on the collective
-    sequence).
+    outside the replay envelope (swap execution on) or when the capture
+    turns out not to be replayable (ranks disagreeing on the collective
+    sequence).  No merged trace is built: the template prices rows from the
+    replicas' own recordings.
     """
     check_replay_envelope(config)
     key = template_key(config)
     capture = _TemplateCapture()
     try:
-        session = run_training_session(config, capture=capture)
+        recording = record_session(config, capture=capture)
     finally:
         capture.detach()
 
     spec = build_cluster(config).device
-    classes = []
-    for profiler, trace, tape in zip(capture.profilers, capture.traces,
-                                     capture.tapes):
-        rank = _capture_rank(profiler.recorder, trace, tape)
-        preamble = tape.preamble_segments(spec.cuda_malloc_overhead_ns)
-        if preamble < 0:
-            raise TemplateError("pre-attach clock time is not whole segments",
-                                reason="capture_inconsistent")
-        rank.preamble_segments = preamble
-        classes.append(rank)
+    placed = recording.placed(config)
+    classes = [_capture_rank(profiler.recorder, trace, tape, spec.cuda_malloc_overhead_ns,
+                             placement.preamble_segments)
+               for profiler, trace, tape, placement in zip(
+                   capture.profilers, placed.traces, capture.tapes, placed.placements)]
     # Ranks of one replica class reference the one captured RankTemplate.
     ranks = [classes[index] for index in capture.rank_classes]
-    allocator_stats = {k: int(v) for k, v in session.allocator_stats.items()}
+    allocator_stats = {k: int(v) for k, v in placed.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0
         or any(bool((rank.columns.kind_code == _SEGMENT_FREE_CODE).any())
@@ -995,19 +1006,18 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
     meta = {
         "schema": TEMPLATE_SCHEMA_VERSION,
         "allocator": config.allocator,
-        "allocator_name": session.trace.metadata.get("allocator",
-                                                     config.allocator),
+        "allocator_name": config.allocator,
         "dtype": config.dtype,
         "n_ranks": len(ranks),
         "compile_capacity": int(spec.memory_capacity),
         "has_segment_free": bool(has_segment_free),
-        "peak_allocated_bytes": int(session.peak_allocated_bytes),
-        "peak_reserved_bytes": int(session.peak_reserved_bytes),
-        "parameter_bytes": int(session.parameter_bytes),
-        "parameter_count": int(session.parameter_count),
+        "peak_allocated_bytes": int(placed.peak_allocated_bytes),
+        "peak_reserved_bytes": int(placed.peak_reserved_bytes),
+        "parameter_bytes": int(recording.parameter_bytes),
+        "parameter_count": int(recording.parameter_count),
         "allocator_stats": allocator_stats,
-        "iteration_stats": [{"index": stats.index}
-                            for stats in session.iteration_stats],
+        "iteration_stats": [{"index": mark.index}
+                            for mark in recording.traces[0].iteration_marks],
     }
     return TraceTemplate(key, meta, ranks)
 

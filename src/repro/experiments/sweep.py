@@ -94,13 +94,14 @@ class SweepResult:
     #: Template *families* that needed a fresh compile this run (one family
     #: per dtype-free structure; store hits do not count).
     templates_compiled: int = 0
-    #: Individual compile simulations run (>= ``templates_compiled`` when a
-    #: family was widened with extra dtype variants).
+    #: Individual compile simulations this run (>= ``templates_compiled``
+    #: when a family was widened with extra dtype variants).
     template_variants: int = 0
-    #: Replay-eligible scenarios the engine declined, tallied by
+    #: Replay-eligible scenarios the engine declined this run, tallied by
     #: :class:`~repro.experiments.replay.TemplateError` reason code: each
     #: was simulated instead, or failed (``capture_failed``: its capture's
-    #: error is its outcome).
+    #: error is its outcome).  A runner keeps its engine across runs; each
+    #: run reports its own counts.
     replay_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Scenarios that terminally failed this run (the failure manifest);
     #: the partial ``results`` above still carry every scenario that
@@ -497,6 +498,9 @@ class SweepRunner:
         if not candidates:
             return
         engine = self._ensure_replay_engine()
+        # The engine lives as long as the runner: this run reports its deltas.
+        compiled, captured = engine.templates_compiled, engine.variants_captured
+        declined = dict(engine.fallback_reasons)
         outcomes = engine.price_batch(
             [state.scenarios[index] for index in candidates],
             [state.scenarios[index].resolve_bandwidths() for index in candidates],
@@ -514,9 +518,11 @@ class SweepRunner:
                 replayed += 1
         state.replay_counts = dict(
             replayed=replayed,
-            templates_compiled=engine.templates_compiled,
-            template_variants=engine.variants_captured,
-            replay_fallbacks=dict(engine.fallback_reasons))
+            templates_compiled=engine.templates_compiled - compiled,
+            template_variants=engine.variants_captured - captured,
+            replay_fallbacks={reason: count - declined.get(reason, 0)
+                              for reason, count in engine.fallback_reasons.items()
+                              if count > declined.get(reason, 0)})
 
     def _execute(self, state: _RunState) -> None:
         """Phase 4: run what is still missing under the retry policy.

@@ -62,7 +62,7 @@ import numpy as np
 from ..core.events import IterationMark, MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig
 from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, EventColumns,
-                          MemoryTrace, barrier_rows, stable_block_order)
+                          MemoryTrace, barrier_rows, iteration_rows, stable_block_order)
 from ..device.clock import DeviceClock
 from ..device.spec import DeviceSpec
 from ..device.stream import Stream
@@ -516,12 +516,6 @@ def _learn_blocks(p, columns, first_row, tags, window, iteration, phase, behavio
     carry.blocks[b[heads]] = out
 
 
-def _mark_rows(iteration: np.ndarray, marks: Sequence[IterationMark]) -> List[Tuple[int, int]]:
-    """The recorded rows ``[begin, end)`` of each iteration: those stamped with its index."""
-    inside = [np.flatnonzero(iteration == mark.index) for mark in marks]
-    return [(int(rows[0]), int(rows[-1]) + 1) for rows in inside]
-
-
 #: The :class:`BlockState` fields a learning pass writes.
 _LEARNED_STATE = ("size", "category", "tag", "last_access_ns", "first_access_phase_ns",
                   "best_gap_ns", "best_gap_ordinal", "best_gap_phase_ns",
@@ -561,7 +555,7 @@ class WalkIndex:
             array("q", getattr(columns, name).tobytes()) for name in
             ("timestamp_ns", "address", "size", "category_code", "iteration"))
         self.tags, self.ops = trace.event_strings()
-        self.mark_rows = _mark_rows(columns.iteration, trace.iteration_marks)
+        self.mark_rows = iteration_rows(columns.iteration, trace.iteration_marks)
         self.barriers = barrier_rows(trace)
         #: Allocated bytes after each recorded row (after none: 0).
         self.allocated = array("q", np.concatenate(

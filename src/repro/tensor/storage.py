@@ -1,9 +1,11 @@
-"""Device tensor storage backed by the instrumented allocator.
+"""Device tensor storage: one allocation request of the device.
 
-A :class:`DeviceStorage` owns exactly one device memory block.  Creating a
-storage performs a ``malloc`` on the device allocator, releasing it performs
-a ``free``, and every kernel that touches the storage reports a ``read`` or
-``write`` — the four memory behaviors the paper records.
+A :class:`DeviceStorage` owns exactly one device memory request.  Creating a
+storage performs a ``malloc`` on the device, releasing it performs a
+``free``, and every kernel that touches the storage reports a ``read`` or
+``write`` — the four memory behaviors the paper records.  The storage holds
+the request id the device handed out; which block serves it is the
+allocator's pass over the device's request log after the run.
 
 A storage holds no values: memory behavior is a function of shapes, so only
 the allocation, the accesses and their timing are simulated.
@@ -15,7 +17,6 @@ from typing import Optional
 
 from ..core.events import MemoryCategory
 from ..device.device import Device
-from ..device.memory import Block
 from ..errors import TensorError
 from .dtype import DType, float32
 
@@ -23,7 +24,7 @@ from .dtype import DType, float32
 class DeviceStorage:
     """A reference-counted slab of device memory holding tensor elements."""
 
-    __slots__ = ("device", "numel", "dtype", "nbytes", "category", "tag", "block",
+    __slots__ = ("device", "numel", "dtype", "nbytes", "category", "tag", "request",
                  "_refcount")
 
     def __init__(
@@ -42,15 +43,16 @@ class DeviceStorage:
         self.nbytes = self.numel * dtype.itemsize
         self.category = category
         self.tag = tag
-        self.block: Optional[Block] = device.allocate(self.nbytes or 1, category, tag)
+        #: The device request id (``None`` once freed).
+        self.request: Optional[int] = device.allocate(self.nbytes or 1, category, tag)
         self._refcount = 1
 
     # -- lifecycle ---------------------------------------------------------------
 
     @property
     def is_freed(self) -> bool:
-        """Whether the underlying device block has been released."""
-        return self.block is None
+        """Whether the underlying device memory has been released."""
+        return self.request is None
 
     def retain(self) -> "DeviceStorage":
         """Increase the reference count (a new tensor view shares this storage)."""
@@ -59,41 +61,46 @@ class DeviceStorage:
         return self
 
     def release(self) -> None:
-        """Decrease the reference count; frees the device block at zero."""
-        if self.block is None:
+        """Decrease the reference count; frees the device memory at zero."""
+        if self.request is None:
             return
         self._refcount -= 1
         if self._refcount <= 0:
             self.free()
 
     def free(self) -> None:
-        """Immediately release the device block (idempotent)."""
-        if self.block is not None:
-            self.device.free(self.block)
-            self.block = None
+        """Immediately release the device memory (idempotent)."""
+        if self.request is not None:
+            self.device.free(self.request)
+            self.request = None
 
     def _ensure_live(self) -> None:
-        if self.block is None:
+        if self.request is None:
             raise TensorError(f"storage {self.tag!r} has already been freed")
 
     # -- instrumented access -------------------------------------------------------
 
     # The two hot calls of a profiled run: the liveness check is inlined and
-    # the composite's hook is looked up per call (see ``CompositeListener``).
+    # the device's recorder is looked up per call, so one attached mid-run
+    # records from the next behavior on.
 
-    def record_read(self, op: str, nbytes: Optional[int] = None) -> None:
+    def record_read(self, op: str) -> None:
         """Report a read of this storage by operator ``op``."""
-        block = self.block
-        if block is None:
+        request = self.request
+        if request is None:
             self._ensure_live()
-        self.device.listeners.on_read(block, self.nbytes if nbytes is None else nbytes, op)
+        recorder = self.device.recorder
+        if recorder is not None:
+            recorder.on_read(request, op)
 
-    def record_write(self, op: str, nbytes: Optional[int] = None) -> None:
+    def record_write(self, op: str) -> None:
         """Report a write of this storage by operator ``op``."""
-        block = self.block
-        if block is None:
+        request = self.request
+        if request is None:
             self._ensure_live()
-        self.device.listeners.on_write(block, self.nbytes if nbytes is None else nbytes, op)
+        recorder = self.device.recorder
+        if recorder is not None:
+            recorder.on_write(request, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = ", freed" if self.is_freed else ""

@@ -96,11 +96,6 @@ class Tensor:
         """Whether the underlying device memory has been released."""
         return self.storage.is_freed
 
-    @property
-    def block_id(self) -> Optional[int]:
-        """Identity of the device memory block backing this tensor."""
-        return None if self.storage.block is None else self.storage.block.block_id
-
     # -- lifecycle --------------------------------------------------------------------
 
     def retain(self) -> "Tensor":

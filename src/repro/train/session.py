@@ -26,29 +26,38 @@ model / optimizer / loss / profiler per class, and a rank's trace is a view
 of its class's recording that differs only in ``metadata["device_rank"]``.
 
 A session is a :class:`Recording` plus what the row decides on top of it.
-:func:`record_session` simulates the row's swap-off twin
-(:func:`swap_off_twin`: swap off, the allocator at its native capacity —
-swap execution never moves an allocation), and
-:func:`run_training_session` re-stamps the recording with the row's own
-workload metadata and, for a swap-on row, runs its policy over each class's
-recording (:func:`repro.swap.executor.overlay`).  Rows that differ only in
-``swap`` and ``device_memory_capacity`` share a twin, so a sweep simulates
-it once and overlays it once per row
-(:func:`~repro.experiments.grid.recording_token` names the twin).
+:func:`record_session` runs the front end of the row's swap-off twin
+(:func:`swap_off_twin`) once: every replica class's requests
+(:class:`~repro.device.memory.RequestLog`) and its behaviors recorded
+against them — no allocator runs, so the recording is the same under every
+allocator and capacity.  :func:`run_training_session` places the recording
+with the row's allocator in the row's memory (:meth:`Recording.placed`:
+:func:`~repro.device.allocator.place` per class, then
+:func:`~repro.core.recorder.place_traces`; a swap-on row at the native
+capacity — swap execution never moves an allocation), re-stamps it with
+the row's own workload metadata and, for a swap-on row, runs its policy
+over each class's placed recording (:func:`repro.swap.executor.overlay`).
+Rows that differ only in ``swap``, ``allocator`` and
+``device_memory_capacity`` share a recording, so a sweep simulates it once
+and places it once per allocator and capacity
+(:func:`~repro.experiments.grid.recording_token` names it).
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.profiler import MemoryProfiler
+from ..core.recorder import PlacedTrace, place_traces
 from ..core.trace import MemoryTrace, merge_rank_traces
 from ..data.datasets import build_dataset
 from ..data.loader import DataLoader, HostLatencyModel
+from ..device.allocator import Placement, place
 from ..device.cluster import ClusterSpec, DeviceGroup, get_interconnect
 from ..device.device import Device
+from ..device.memory import RequestLog
 from ..device.spec import DeviceSpec, get_device_spec
 from ..errors import ConfigurationError
 from ..models.registry import build_model
@@ -252,55 +261,101 @@ def _build_optimizer(config: TrainingRunConfig, model) -> Optimizer:
 
 
 def swap_off_twin(config: TrainingRunConfig) -> TrainingRunConfig:
-    """The configuration a row's recording simulates.
+    """The configuration a row's recording simulates: the row with swap off.
 
-    A swap-on row records with swap off and the allocator at its native
-    capacity — swap execution never moves an allocation — so every swap
-    mode and capacity of one workload shares this twin.  The row's
-    ``device_memory_capacity`` is enforced by the overlay's capacity
-    governor (forced eviction with stall accounting, a structured
-    :class:`~repro.errors.InfeasibleScenarioError` when even full eviction
-    cannot fit), so blocks that are merely *swapped out* never trip a raw
-    OOM while their bytes are on the host.  A swap-off row is its own twin:
-    under a capacity its allocator really shrinks.
+    Swap execution never changes what the workload asks of memory, and the
+    allocator is a pass over the recording, so every swap mode, allocator
+    and capacity of one workload shares this twin's front end.
     """
     if config.swap == "off":
         return config
-    return replace(config, swap="off", device_memory_capacity=None)
+    return replace(config, swap="off")
+
+
+@dataclass(frozen=True)
+class PlacedRun:
+    """A :class:`Recording` placed by one allocator in one device's memory.
+
+    ``placements`` and ``traces`` are per replica class (the traces'
+    metadata names the allocator and the device), the iteration statistics
+    are re-timed like their marks, the peaks are per replica and the
+    counters replica 0's.  ``walk_indexes`` is the overlay's memo: one
+    :class:`~repro.swap.executor.WalkIndex` per class trace, built by the
+    first swap-on row overlaid on the placement (its per-row lists and
+    arrays, and the undisturbed warm-up's learning pass).
+    """
+
+    placements: Tuple[Placement, ...]
+    traces: Tuple[PlacedTrace, ...]
+    iteration_stats: Tuple[IterationStats, ...]
+    peak_allocated_bytes: int
+    peak_reserved_bytes: int
+    allocator_stats: Dict[str, int]
+    walk_indexes: List = field(default_factory=list, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class Recording:
-    """One simulated swap-off run, ready to be overlaid by any row that
-    differs from it only in ``swap`` and ``device_memory_capacity``.
+    """One run of a swap-off front end, ready to be placed and overlaid by
+    any row that differs from it only in ``swap``, ``allocator`` and
+    ``device_memory_capacity``.
 
-    ``traces`` holds one recording per replica class, stamped with the
-    twin's workload metadata; ``rank_classes`` maps each rank to its class.
-    The peaks are per replica, the rest describes replica 0.  Nothing here
-    is mutated by a session that reads it, but for the overlay's memo:
-    ``walk_indexes`` holds one :class:`~repro.swap.executor.WalkIndex` per
-    class trace, built by the first swap-on row overlaid on the recording,
-    which carries what every row's walk derives from the trace alike (its
-    per-row lists and arrays, and the undisturbed warm-up's learning pass).
+    ``traces`` holds one recording per replica class (its behaviors against
+    request ids, :meth:`~repro.core.recorder.TraceRecorder.to_trace`),
+    ``requests`` each class's request log, ``rank_classes`` maps each rank
+    to its class and ``spec`` is the device at its native capacity.  Nothing
+    but :meth:`placed`'s memo is mutated by a session that reads it.
     """
 
     config: TrainingRunConfig
     traces: Tuple[MemoryTrace, ...]
-    iteration_stats: Tuple[IterationStats, ...]
+    requests: Tuple[RequestLog, ...]
     rank_classes: Tuple[int, ...]
     spec: DeviceSpec
-    peak_allocated_bytes: int
-    peak_reserved_bytes: int
-    allocator_stats: Dict[str, int]
     parameter_bytes: int
     parameter_count: int
     collective: Optional[Dict[str, object]]
-    walk_indexes: List = field(default_factory=list, repr=False, compare=False)
+    placements: Dict[Tuple[str, int], PlacedRun] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def n_devices(self) -> int:
         """Replica count of the recorded run."""
         return len(self.rank_classes)
+
+    def placed(self, config: TrainingRunConfig) -> PlacedRun:
+        """The recording placed by ``config``'s allocator — a swap-off row
+        under its own capacity, a swap-on row at the native one — made once
+        per allocator and capacity; an out-of-memory propagates."""
+        allocator, spec = config.allocator, self.spec
+        if config.swap == "off" and config.device_memory_capacity is not None:
+            spec = spec.with_memory_capacity(config.device_memory_capacity)
+        key = (allocator, spec.memory_capacity)
+        run = self.placements.get(key)
+        if run is None:
+            placements = [place(requests, allocator, spec.memory_capacity)
+                          for requests in self.requests]
+            traces = place_traces(self.traces, self.requests, placements,
+                                  spec.cuda_malloc_overhead_ns)
+            for placed in traces:
+                metadata = placed.trace.metadata
+                metadata.update(device=spec.to_dict(), allocator=allocator)
+            run = self.placements[key] = PlacedRun(
+                placements=tuple(placements),
+                traces=tuple(traces),
+                iteration_stats=_iteration_stats([placed.trace for placed in traces]),
+                peak_allocated_bytes=max(p.stats.peak_allocated_bytes for p in placements),
+                peak_reserved_bytes=max(p.stats.peak_reserved_bytes for p in placements),
+                allocator_stats=placements[0].stats.to_dict())
+        return run
+
+
+def _iteration_stats(traces: Sequence[MemoryTrace]) -> Tuple[IterationStats, ...]:
+    """Each iteration's span on the marks of ``traces``: earliest start, latest end."""
+    return tuple(IterationStats(index=marks[0].index,
+                                start_ns=min(mark.start_ns for mark in marks),
+                                end_ns=max(mark.end_ns for mark in marks))
+                 for marks in zip(*(trace.iteration_marks for trace in traces)))
 
 
 def _swap_policies(config: TrainingRunConfig):
@@ -317,10 +372,10 @@ def _swap_policies(config: TrainingRunConfig):
     return POLICIES[config.swap]
 
 
-def _execute_swap(config: TrainingRunConfig, recording: Recording, policy,
-                  traces: List[MemoryTrace]):
-    """Overlay ``policy`` on the class recordings: the overlaid traces, the
-    iteration statistics re-timed like their marks, and the
+def _execute_swap(config: TrainingRunConfig, recording: Recording, placed: PlacedRun,
+                  policy, traces: List[MemoryTrace]):
+    """Overlay ``policy`` on the placed class recordings: the overlaid
+    traces, the iteration statistics re-timed like their marks, and the
     ``swap_execution`` payload (replica 0's summary plus the rank count)."""
     from ..swap.executor import overlay
     policies = [policy.for_run(world_size=recording.n_devices,
@@ -328,15 +383,10 @@ def _execute_swap(config: TrainingRunConfig, recording: Recording, policy,
                 for _ in traces]
     traces, summaries = overlay(traces, policies, recording.spec,
                                 capacity_bytes=config.device_memory_capacity,
-                                indexes=recording.walk_indexes)
-    stats = [replace(step, start_ns=min(trace.iteration_marks[position].start_ns
-                                        for trace in traces),
-                     end_ns=max(trace.iteration_marks[position].end_ns
-                                for trace in traces))
-             for position, step in enumerate(recording.iteration_stats)]
+                                indexes=placed.walk_indexes)
     swap_execution = summaries[0].to_dict()
     swap_execution["n_ranks"] = recording.n_devices
-    return traces, stats, swap_execution
+    return traces, list(_iteration_stats(traces)), swap_execution
 
 
 def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, object]:
@@ -367,9 +417,8 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     the per-class profilers and their traces.
     Ordinary callers leave it ``None`` and pay nothing.
 
-    The session's object graph is cyclic (block lists, segment ↔ block,
-    module ↔ children, device ↔ allocator ↔ listeners) and all of it is live
-    until the run ends, so the cyclic collector is paused while it runs — a
+    The session's object graph is cyclic (module ↔ children, device ↔
+    recorder, storage ↔ device) and all of it is live until the run ends, so the cyclic collector is paused while it runs — a
     young collection would mostly rescan objects still in use — and
     restored on the way out, unless the caller had it off.
     """
@@ -414,25 +463,22 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
 
         trainer = DataParallelTrainer(group, models, loader, optimizers, loss_fns,
                                       recorders=profilers)
-        iteration_stats = trainer.train(config.iterations)
+        trainer.train(config.iterations)
     finally:
         for profiler in profilers:
-            profiler.stop()
+            profiler.detach()
         if collector_was_enabled:
             gc.enable()
-    class_traces = [profiler.trace() for profiler in profilers]
+    class_traces = [profiler.recorder.to_trace() for profiler in profilers]
     if capture is not None:
         capture.collect(profilers=profilers, traces=class_traces)
 
     return Recording(
         config=config,
         traces=tuple(class_traces),
-        iteration_stats=tuple(iteration_stats),
+        requests=tuple(device.requests for device in group),
         rank_classes=tuple(group.rank_classes),
-        spec=group.primary.spec,
-        peak_allocated_bytes=max(device.peak_allocated_bytes for device in group),
-        peak_reserved_bytes=max(device.peak_reserved_bytes for device in group),
-        allocator_stats=group.primary.memory_stats(),
+        spec=get_device_spec(config.device_spec),
         parameter_bytes=models[0].parameter_bytes(),
         parameter_count=models[0].parameter_count(),
         collective=(trainer.collective_summary() if n_devices > 1 else None),
@@ -455,7 +501,8 @@ def run_training_session(config: TrainingRunConfig, capture=None,
     """Run one profiled training session and return its trace and statistics.
 
     The session is ``recording`` — or a fresh :func:`record_session` of
-    ``config``, given ``capture`` — re-stamped with ``config``'s workload
+    ``config``, given ``capture`` — placed with ``config``'s allocator
+    (:meth:`Recording.placed`; an out-of-memory is raised here), re-stamped with ``config``'s workload
     metadata and, when ``config.swap`` is on, overlaid by its policy
     (:func:`repro.swap.executor.overlay`) under its capacity.  A recording
     serves every row with the same
@@ -467,15 +514,16 @@ def run_training_session(config: TrainingRunConfig, capture=None,
     policy = _swap_policies(config)
     if recording is None:
         recording = record_session(config, capture)
+    placed = recording.placed(config)
     n_devices = recording.n_devices
     recorded = workload_metadata(recording.config, n_devices)
     workload = workload_metadata(config, n_devices)
-    class_traces = [_restamped(trace, recorded, workload) for trace in recording.traces]
-    iteration_stats = list(recording.iteration_stats)
+    class_traces = [_restamped(trace.trace, recorded, workload) for trace in placed.traces]
+    iteration_stats = list(placed.iteration_stats)
     swap_execution: Optional[Dict[str, object]] = None
     if policy is not None:
         class_traces, iteration_stats, swap_execution = _execute_swap(
-            config, recording, policy, class_traces)
+            config, recording, placed, policy, class_traces)
     rank_traces = [class_traces[index].rank_view(rank)
                    for rank, index in enumerate(recording.rank_classes)]
 
@@ -485,9 +533,9 @@ def run_training_session(config: TrainingRunConfig, capture=None,
         iteration_stats=iteration_stats,
         parameter_bytes=recording.parameter_bytes,
         parameter_count=recording.parameter_count,
-        peak_allocated_bytes=recording.peak_allocated_bytes,
-        peak_reserved_bytes=recording.peak_reserved_bytes,
-        allocator_stats=dict(recording.allocator_stats),
+        peak_allocated_bytes=placed.peak_allocated_bytes,
+        peak_reserved_bytes=placed.peak_reserved_bytes,
+        allocator_stats=dict(placed.allocator_stats),
         n_devices=n_devices,
         collective=(None if recording.collective is None
                     else dict(recording.collective)),

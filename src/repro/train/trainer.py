@@ -49,14 +49,12 @@ from ..tensor.tensor import Tensor, from_numpy
 
 @dataclass
 class IterationStats:
-    """Per-iteration measurements reported by the trainer."""
+    """Per-iteration measurements reported by the trainer: the iteration's
+    span on the replica clocks (earliest start, latest end)."""
 
     index: int
     start_ns: int
     end_ns: int
-    allocated_bytes_end: int
-    peak_allocated_bytes: int
-    reserved_bytes_end: int
 
     @property
     def duration_ns(self) -> int:
@@ -245,10 +243,6 @@ class DataParallelTrainer:
             index=index,
             start_ns=start_ns,
             end_ns=max(device.clock.now_ns for device in self.group),
-            allocated_bytes_end=max(device.allocated_bytes for device in self.group),
-            peak_allocated_bytes=max(device.peak_allocated_bytes
-                                     for device in self.group),
-            reserved_bytes_end=max(device.reserved_bytes for device in self.group),
         )
         self.history.append(stats)
         for recorder in self.recorders:

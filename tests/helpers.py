@@ -11,8 +11,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
@@ -28,7 +30,6 @@ from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KI
                               NEVER_FREED, EventColumns, MemoryTrace, lifetimes_from_columns,
                               merge_rank_traces)
 from repro.device.cluster import ClusterSpec
-from repro.device.hooks import MemoryEventListener
 from repro.device.stream import Stream
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
@@ -127,8 +128,9 @@ def plan_rows(planner, rows, peak_before):
         peak_before)
 
 
-class BehaviorLog(MemoryEventListener):
-    """Every behavior ``device`` reports from construction on, in order.
+class BehaviorLog:
+    """Every behavior ``device`` reports from construction on, in order: the
+    log is the device's recorder.
 
     ``rows`` holds ``(kind, tag, op)`` — ``op`` is the kernel for a read or a
     write, ``None`` for a malloc or a free — and ``times`` the device clock
@@ -138,26 +140,27 @@ class BehaviorLog(MemoryEventListener):
 
     def __init__(self, device):
         self.clock = device.clock
+        self.tags = device.requests.tag
         self.start_ns = device.clock.now_ns
         self.rows: List[Tuple[str, str, Optional[str]]] = []
         self.times: List[int] = []
-        device.add_listener(self)
+        device.recorder = self
 
-    def _log(self, kind, block, op=None):
-        self.rows.append((kind, block.tag, op))
+    def _log(self, kind, request, op=None):
+        self.rows.append((kind, self.tags[request], op))
         self.times.append(self.clock.now_ns)
 
-    def on_malloc(self, block, requested_size):
-        self._log("malloc", block)
+    def on_malloc(self, request):
+        self._log("malloc", request)
 
-    def on_free(self, block):
-        self._log("free", block)
+    def on_free(self, request):
+        self._log("free", request)
 
-    def on_read(self, block, nbytes, op):
-        self._log("read", block, op)
+    def on_read(self, request, op):
+        self._log("read", request, op)
 
-    def on_write(self, block, nbytes, op):
-        self._log("write", block, op)
+    def on_write(self, request, op):
+        self._log("write", request, op)
 
     def kernel_ns(self, op, tag):
         """The clock advance of ``op``'s launch writing ``tag``: from the
@@ -455,7 +458,7 @@ def policy_traces(draw):
     return rank_trace()
 
 
-class ReferenceRecorder(MemoryEventListener):
+class ReferenceRecorder:
     """The obvious recorder: one :data:`Event` tuple per hook call.
 
     Deliberately naive — keyword construction, a dict of open lifetimes, the
@@ -521,6 +524,35 @@ class ReferenceRecorder(MemoryEventListener):
 
     def on_segment_free(self, segment):
         self._on_segment(MemoryEventKind.SEGMENT_FREE, segment)
+
+
+class RequestReference(ReferenceRecorder):
+    """:class:`ReferenceRecorder` in a device's recorder slot: each request
+    is its own block — the request id, the bytes asked for, the requests laid
+    end to end from address 0 — with its category and tag."""
+
+    def __init__(self, device, iteration_of=lambda: -1):
+        super().__init__(device.clock, iteration_of)
+        self.requests = device.requests
+
+    def _request(self, request):
+        requests = self.requests
+        return SimpleNamespace(block_id=request, address=sum(requests.nbytes[:request]),
+                               size=requests.nbytes[request],
+                               category=requests.category[request],
+                               tag=requests.tag[request])
+
+    def on_malloc(self, request):
+        super().on_malloc(self._request(request), None)
+
+    def on_free(self, request):
+        super().on_free(self._request(request))
+
+    def on_read(self, request, op):
+        super().on_read(self._request(request), None, op)
+
+    def on_write(self, request, op):
+        super().on_write(self._request(request), None, op)
 
 
 def reference_price_times(template, configs):
@@ -681,20 +713,84 @@ def plan_inputs(warmup):
 
 
 class SwapRecorder(TraceRecorder):
-    """A recorder that also logs the swap rows of its device's live
-    :class:`ReferenceSwapExecutor`, and drives that executor's iteration
-    hooks the way a trainer would: the executor begins an iteration after
-    the recorder (replan-time evictions carry the new iteration) and ends it
-    before (boundary evictions land inside it), and it is finalized before
-    the trace is taken."""
+    """A recorder that places its device's requests live and hands every
+    behavior to the device's :class:`ReferenceSwapExecutor` first — the
+    allocator-in-the-loop session the oracle was written against.
+
+    Each malloc or free pays its call's segment overheads from ``placement``
+    on the device clock, a segment row after each; the executor then sees
+    the behavior on the request's placed block, and the row is logged
+    placed, with the executor's swap rows among the rows.  It drives the
+    executor's iteration hooks the way a trainer would: the executor begins
+    an iteration after the recorder (replan-time evictions carry the new
+    iteration) and ends it before (boundary evictions land inside it), and
+    it is finalized before the trace is taken."""
 
     executor = None
 
+    def place_live(self, device, placement):
+        """Place ``device``'s requests by ``placement`` as they come: the
+        segments reserved before the first request are paid now."""
+        self.device, self.placement = device, placement
+        self.log = []
+        self._calls = 0
+        self._blocks = {}
+        self._segments = {}
+        for index, call in enumerate(placement.segment_op.tolist()):
+            self._segments.setdefault(call, []).append(index)
+        self._overhead_ns = device.spec.cuda_malloc_overhead_ns
+        device.clock.advance(placement.preamble_segments * self._overhead_ns)
+
+    def _row(self, kind_code, block_id, address, size, category_code, tag, op):
+        self.log.append((kind_code, self.clock.now_ns, block_id, address, size,
+                         category_code, self.current_iteration, tag, op))
+
     def _record(self, kind, block, op):
-        if self.enabled:
-            self.log.append(trace_module.KIND_CODES[kind], self.clock.now_ns,
-                            block.block_id, block.address, block.size,
-                            block.category.code, self.current_iteration, block.tag, op)
+        self._row(trace_module.KIND_CODES[kind], block.block_id, block.address,
+                  block.size, block.category.code, block.tag, op)
+
+    def _call(self, request):
+        """One malloc or free: its segment overheads, then its placed block."""
+        placement = self.placement
+        for index in self._segments.get(self._calls, ()):
+            self.device.clock.advance(self._overhead_ns)
+            self._row(int(placement.segment_kind[index]), -int(placement.segment_id[index]),
+                      int(placement.segment_address[index]),
+                      int(placement.segment_size[index]), MemoryCategory.UNKNOWN.code,
+                      placement.segment_tags[index], "")
+        self._calls += 1
+        return self._block(request)
+
+    def _block(self, request):
+        block = self._blocks.get(request)
+        if block is None:
+            placement, requests = self.placement, self.requests
+            block = self._blocks[request] = SimpleNamespace(
+                block_id=int(placement.block_id[request]),
+                address=int(placement.address[request]),
+                size=int(placement.size[request]),
+                category=requests.category[request], tag=requests.tag[request])
+        return block
+
+    def on_malloc(self, request):
+        block = self._call(request)
+        self.executor.on_malloc(block, None)
+        self._record(MemoryEventKind.MALLOC, block, "")
+
+    def on_free(self, request):
+        block = self._call(request)
+        self.executor.on_free(block)
+        self._record(MemoryEventKind.FREE, block, "")
+
+    def on_read(self, request, op):
+        block = self._block(request)
+        self.executor.on_read(block, None, op)
+        self._record(MemoryEventKind.READ, block, op)
+
+    def on_write(self, request, op):
+        block = self._block(request)
+        self.executor.on_write(block, None, op)
+        self._record(MemoryEventKind.WRITE, block, op)
 
     def on_swap_out(self, block, nbytes, op):
         self._record(MemoryEventKind.SWAP_OUT, block, op)
@@ -717,9 +813,17 @@ class SwapRecorder(TraceRecorder):
         super().end_iteration(index)
 
     def to_trace(self):
+        """The placed rows as logged (the session places nothing more)."""
         if not self.executor.finalized:
             self.executor.finalize()
-        return super().to_trace()
+        rows = array("q")
+        for row in self.log:
+            rows.frombytes(trace_module.pack_row(*row[:7]))
+        return MemoryTrace(columns=trace_module.columns_from_rows(rows),
+                           event_tags=[row[7] for row in self.log],
+                           event_ops=[row[8] for row in self.log],
+                           iteration_marks=[replace(mark) for mark in self.iteration_marks],
+                           metadata=dict(self.metadata), end_ns=self.clock.now_ns)
 
 
 def _recording_plans(policy, plans):
@@ -735,23 +839,27 @@ def _recording_plans(policy, plans):
 def live_swap_session(config):
     """Run ``config`` with :class:`ReferenceSwapExecutor` live on every replica.
 
-    The executors are listeners attached ahead of the recorders (through the
-    session's ``capture`` hook), their rows are logged by
-    :class:`SwapRecorder`, and the session's overlay step is replaced by
-    what they did.  Returns the session and every executor with the inputs
-    of each plan it made.
+    The front end is recorded once to learn where the config's allocator
+    places each request; the live run then places them as they come
+    (:class:`SwapRecorder`, patched in as the profilers' recorder, with the
+    session's own placement pass and overlay step replaced by what it and
+    the executors did).  Returns the session and every executor with the
+    inputs of each plan it made.
     """
+    from repro.core.recorder import PlacedTrace
     from repro.swap import POLICIES
-    from repro.train.session import run_training_session
+    from repro.train.session import record_session, run_training_session
 
     executors = []
     if config.swap == "off":
         return run_training_session(config), executors
-    by_clock = {}
+    recording = record_session(config)
+    placements = recording.placed(config).placements
+    by_device = {}
 
     class Capture:
         def attach(self, group):
-            for device in group:
+            for device, placement in zip(group, placements):
                 policy = POLICIES[config.swap].for_run(
                     world_size=group.n_devices,
                     capacity_bytes=config.device_memory_capacity)
@@ -760,22 +868,27 @@ def live_swap_session(config):
                 plans = []
                 _recording_plans(executor.policy, plans)
                 executors.append((executor, plans))
-                by_clock[id(device.clock)] = executor
-                device.add_listener(executor)
+                by_device[id(device)] = (executor, placement)
 
         def collect(self, profilers, traces):
             pass
 
-    def recorder(clock, metadata=None):
-        made = SwapRecorder(clock, metadata)
-        made.executor = by_clock[id(clock)]
+    def recorder(device, metadata=None):
+        made = SwapRecorder(device, metadata)
+        made.executor, placement = by_device[id(device)]
         made.executor.recorder = made
+        made.place_live(device, placement)
         return made
+
+    def placed_live(traces, requests, placements, overhead_ns):
+        nothing = np.empty(0, dtype=np.int64)
+        return [PlacedTrace(trace, nothing, nothing, nothing, nothing) for trace in traces]
 
     def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
         return traces, [executor.summary() for executor, _ in executors]
 
     with mock.patch("repro.core.profiler.TraceRecorder", recorder), \
+            mock.patch("repro.train.session.place_traces", placed_live), \
             mock.patch("repro.swap.executor.overlay", lived):
         session = run_training_session(config, capture=Capture())
     return session, executors
@@ -879,11 +992,12 @@ class ReferenceBlockState:
 
 
 
-class ReferenceSwapExecutor(MemoryEventListener):
-    """The live, per-behavior swap executor: a listener attached to a
-    device ahead of its recorder, where every malloc, free, read and write
-    runs its learning rules and bookkeeping in Python, stalls the device
-    clock and logs its rows through ``recorder`` (a :class:`SwapRecorder`).
+class ReferenceSwapExecutor:
+    """The live, per-behavior swap executor: its device's
+    :class:`SwapRecorder` hands it every malloc, free, read and write on the
+    placed block before logging it, and each runs its learning rules and
+    bookkeeping in Python, stalls the device clock and logs its rows through
+    ``recorder``.
     Its copies reserve on a copy stream of its own against the device clock.
 
     The one live-hook executor: kept as the oracle

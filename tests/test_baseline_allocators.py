@@ -2,20 +2,19 @@
 
 import pytest
 
-from repro.device.allocator import BestFitAllocator, BumpAllocator
-from repro.device.clock import DeviceClock
-from repro.device.hooks import CountingListener
-from repro.device.spec import small_test_device
+from repro.core.events import MemoryCategory
+from repro.device.allocator import BestFitAllocator, BumpAllocator, place
+from repro.device.memory import RequestLog
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.units import KIB, MIB
 
 
 def make_best_fit(capacity=64 * MIB):
-    return BestFitAllocator(small_test_device(capacity), DeviceClock())
+    return BestFitAllocator(capacity)
 
 
 def make_bump(capacity=64 * MIB):
-    return BumpAllocator(small_test_device(capacity), DeviceClock())
+    return BumpAllocator(capacity)
 
 
 # -- best fit -----------------------------------------------------------------------------
@@ -104,10 +103,10 @@ def test_bump_reset_rewinds_the_cursor():
     assert allocator.stats.segment_frees >= 1
 
 
-def test_bump_notifies_listener():
-    listener = CountingListener()
-    allocator = BumpAllocator(small_test_device(), DeviceClock(), listener)
-    block = allocator.allocate(1024)
-    allocator.free(block)
-    assert listener.mallocs == 1
-    assert listener.frees == 1
+def test_bump_placement_reports_malloc_and_free():
+    requests = RequestLog()
+    requests.free(requests.malloc(1024, MemoryCategory.UNKNOWN, "", 0), 0)
+    placement = place(requests, "bump", 64 * MIB)
+    assert placement.stats.total_alloc_count == 1
+    assert placement.stats.total_free_count == 1
+    assert placement.segment_tags == ["segment:bump"]

@@ -12,18 +12,19 @@ from repro.device.allocator import (
     SMALL_ALLOCATION_LIMIT,
     SMALL_SEGMENT_SIZE,
     make_allocator,
+    place,
     round_block_size,
     segment_size_for,
 )
-from repro.device.clock import DeviceClock
-from repro.device.hooks import CountingListener
+from repro.device.device import Device
+from repro.device.memory import RequestLog
 from repro.device.spec import small_test_device
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.units import KIB, MIB
 
 
-def make_caching_allocator(capacity=256 * MIB, listener=None):
-    return CachingAllocator(small_test_device(capacity), DeviceClock(), listener)
+def make_caching_allocator(capacity=256 * MIB):
+    return CachingAllocator(capacity)
 
 
 # -- size rounding and segment sizing --------------------------------------------------
@@ -149,21 +150,25 @@ def test_empty_cache_releases_fully_free_segments():
     assert allocator.reserved_bytes == 0
 
 
-def test_listener_receives_malloc_and_free():
-    listener = CountingListener()
-    allocator = make_caching_allocator(listener=listener)
-    block = allocator.allocate(1024)
-    allocator.free(block)
-    assert listener.mallocs == 1
-    assert listener.frees == 1
-    assert listener.segment_allocs == 1
+def test_placement_reports_malloc_free_and_segment():
+    requests = RequestLog()
+    request = requests.malloc(1024, MemoryCategory.UNKNOWN, "x", 0)
+    requests.free(request, 0)
+    placement = place(requests, "caching", 256 * MIB)
+    assert placement.stats.total_alloc_count == 1
+    assert placement.stats.total_free_count == 1
+    assert placement.segment_op.tolist() == [0]
+    assert placement.segment_tags == ["segment:small"]
 
 
 def test_allocation_advances_the_clock():
-    allocator = make_caching_allocator()
-    start = allocator.clock.now_ns
-    allocator.allocate(1024)
-    assert allocator.clock.now_ns > start
+    """A request pays the bookkeeping overhead live; its segment reservation
+    is the placement's, one overhead atom at the call that made it."""
+    device = Device(small_test_device(256 * MIB))
+    start = device.clock.now_ns
+    device.allocate(1024)
+    assert device.clock.now_ns == start + device.spec.allocator_overhead_ns
+    assert device.place().segment_op.tolist() == [0]
 
 
 def test_memory_snapshot_structure():
@@ -177,7 +182,7 @@ def test_memory_snapshot_structure():
 
 def test_make_allocator_unknown_name():
     with pytest.raises(KeyError, match="unknown allocator"):
-        make_allocator("nope", small_test_device(), DeviceClock())
+        make_allocator("nope", 256 * MIB)
 
 
 # -- property-based: random workloads keep the allocator consistent -----------------------
@@ -199,7 +204,7 @@ def test_random_alloc_free_sequences_preserve_invariants(sizes, data):
         live.append(block)
         allocator.check_invariants()
         # No two live blocks overlap in the address space.
-        spans = sorted((b.address, b.end_address) for b in allocator.live_blocks())
+        spans = sorted((b.address, b.end_address) for b in live)
         for (_, first_end), (second_start, _) in zip(spans, spans[1:]):
             assert first_end <= second_start
     for block in live:

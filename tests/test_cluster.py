@@ -168,8 +168,12 @@ def test_device_group_says_what_it_holds():
 
     big = group[0].allocate(4 * MIB)
     group[1].allocate(1 * MIB)
-    assert group.total_allocated_bytes() == 3 * big.size + 2 * MIB
-    assert group.peak_allocated_bytes() == big.size
+    placements = [device.place() for device in group]
+    assert sum(placement.stats.allocated_bytes * len(ranks)
+               for placement, ranks in zip(placements, group.class_ranks)) == \
+        3 * placements[0].size[big] + 2 * MIB
+    assert max(placement.stats.peak_allocated_bytes
+               for placement in placements) == placements[0].size[big]
 
     group[1].clock.advance(50_000)   # the straggler class sets the barrier
     latest = group[1].clock.now_ns

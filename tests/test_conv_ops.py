@@ -8,7 +8,7 @@ advance its cost prices — see :class:`tests.helpers.BehaviorLog`.
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.device import Device, MemoryEventListener, small_test_device
+from repro.device import Device, small_test_device
 from repro.device.timing import conv2d_cost, elementwise_cost
 from repro.errors import ShapeError
 from repro.tensor import conv_ops as C
@@ -112,24 +112,26 @@ def test_conv2d_backward_params_accumulates_in_place(test_device):
 
 
 def test_conv2d_workspace_is_freed(test_device):
-    allocated_before = test_device.allocated_bytes
+    allocated_before = test_device.place().stats.allocated_bytes
     x = operand(test_device, (1, 3, 8, 8), "x")
     w = operand(test_device, (4, 3, 3, 3), "w")
     out = C.conv2d_forward(x, w, None, stride=1, padding=1)
     # Only x, w and the output should remain allocated (workspace freed).
     expected_live = x.nbytes + w.nbytes + out.nbytes
-    assert test_device.allocated_bytes - allocated_before <= expected_live + 1024
+    allocated = test_device.place().stats.allocated_bytes
+    assert allocated - allocated_before <= expected_live + 1024
 
 
-class _Sizes(MemoryEventListener):
-    """The requested bytes of every malloc, by tag."""
+class _Sizes:
+    """The requested bytes of every malloc from here on, by tag."""
 
     def __init__(self, device):
-        self.bytes = {}
-        device.add_listener(self)
+        self.requests, self.first = device.requests, len(device.requests)
 
-    def on_malloc(self, block, requested_size):
-        self.bytes[block.tag] = requested_size
+    @property
+    def bytes(self):
+        requests = self.requests
+        return dict(zip(requests.tag[self.first:], requests.nbytes[self.first:]))
 
 
 @pytest.mark.parametrize("batch,capped", [(8, False), (32, True)])

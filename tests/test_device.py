@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.device import CountingListener, Device, small_test_device
+from repro.device import Device, make_allocator, small_test_device
+from repro.tensor.storage import DeviceStorage
 from repro.device.timing import KernelCost
 from repro.errors import ConfigurationError
 from repro.units import MIB
@@ -12,7 +13,7 @@ from repro.units import MIB
 def test_device_defaults_to_titan_x_and_caching_allocator():
     device = Device()
     assert "Titan X" in device.spec.name
-    assert device.allocator.name == "caching"
+    assert device.allocator == "caching"
     assert device.default_dtype.name == "float32"
 
 
@@ -31,24 +32,44 @@ def test_a_device_has_one_execution_and_takes_no_mode():
 
 
 def test_allocate_and_free_update_stats(test_device):
-    block = test_device.allocate(1 * MIB, category=MemoryCategory.ACTIVATION, tag="a")
-    assert test_device.allocated_bytes >= 1 * MIB
-    test_device.free(block)
-    assert test_device.allocated_bytes == 0
-    assert test_device.peak_allocated_bytes >= 1 * MIB
+    request = test_device.allocate(1 * MIB, category=MemoryCategory.ACTIVATION, tag="a")
+    assert test_device.place().stats.allocated_bytes >= 1 * MIB
+    test_device.free(request)
+    stats = test_device.place().stats
+    assert stats.allocated_bytes == 0
+    assert stats.peak_allocated_bytes >= 1 * MIB
 
 
-def test_listeners_observe_allocations_and_accesses(test_device):
-    listener = CountingListener()
-    test_device.add_listener(listener)
-    block = test_device.allocate(1024)
-    test_device.listeners.on_write(block, 1024, "init")
-    test_device.listeners.on_read(block, 1024, "consume")
-    test_device.free(block)
-    assert (listener.mallocs, listener.writes, listener.reads, listener.frees) == (1, 1, 1, 1)
-    test_device.remove_listener(listener)
+class _CountingRecorder:
+    """Counts the behaviors a device hands its recorder."""
+
+    def __init__(self):
+        self.mallocs = self.frees = self.reads = self.writes = 0
+
+    def on_malloc(self, request):
+        self.mallocs += 1
+
+    def on_free(self, request):
+        self.frees += 1
+
+    def on_read(self, request, op):
+        self.reads += 1
+
+    def on_write(self, request, op):
+        self.writes += 1
+
+
+def test_the_recorder_observes_allocations_and_accesses(test_device):
+    recorder = test_device.recorder = _CountingRecorder()
+    storage = DeviceStorage(test_device, 256)
+    storage.record_write("init")
+    storage.record_read("consume")
+    storage.free()
+    assert (recorder.mallocs, recorder.writes, recorder.reads, recorder.frees) == (1, 1, 1, 1)
+    test_device.recorder = None
     test_device.allocate(1024)
-    assert listener.mallocs == 1
+    assert recorder.mallocs == 1
+    assert len(test_device.requests) == 2
 
 
 def test_run_kernel_advances_clock_and_counts(test_device):
@@ -75,9 +96,11 @@ def test_copies_advance_clock(test_device):
 
 def test_memory_stats_and_snapshot(test_device):
     test_device.allocate(1024, tag="x")
-    stats = test_device.memory_stats()
+    stats = test_device.place().stats.to_dict()
     assert stats["total_alloc_count"] == 1
-    snapshot = test_device.memory_snapshot()
+    allocator = make_allocator(test_device.allocator, test_device.spec.memory_capacity)
+    allocator.allocate(1024, tag="x")
+    snapshot = allocator.memory_snapshot()
     assert snapshot and snapshot[0]["blocks"]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.device import CountingListener, MemoryEventListener
 from repro.errors import DTypeError, TensorError
 from repro.tensor.dtype import all_dtypes, float32, from_numpy_dtype, get_dtype, int64
 from repro.tensor.storage import DeviceStorage
@@ -43,8 +42,8 @@ def test_storage_allocates_device_block(test_device):
     storage = DeviceStorage(test_device, numel=100, dtype=float32,
                             category=MemoryCategory.ACTIVATION, tag="act")
     assert storage.nbytes == 400
-    assert storage.block is not None
-    assert test_device.allocated_bytes >= 400
+    assert storage.request is not None
+    assert test_device.place().stats.allocated_bytes >= 400
 
 
 def test_a_storage_records_its_malloc_and_free_and_nothing_else(test_device):
@@ -75,36 +74,42 @@ def test_storage_free_is_idempotent(test_device):
         storage.record_read("op")
 
 
+class _Touches:
+    """The accesses a device hands its recorder: kind, request id and op."""
+
+    def __init__(self, device):
+        self.seen = []
+        device.recorder = self
+
+    def on_malloc(self, request):
+        pass
+
+    def on_read(self, request, op):
+        self.seen.append(("read", request, op))
+
+    def on_write(self, request, op):
+        self.seen.append(("write", request, op))
+
+
 def test_storage_access_records_events(test_device):
-    listener = CountingListener()
-    test_device.add_listener(listener)
+    touches = _Touches(test_device)
     storage = DeviceStorage(test_device, numel=10, tag="x")
     storage.record_write("producer")
     storage.record_read("consumer")
-    storage.record_read("consumer", nbytes=4)
-    assert listener.writes == 1
-    assert listener.reads == 2
+    storage.record_read("consumer")
+    assert [kind for kind, _, _ in touches.seen] == ["write", "read", "read"]
 
 
-def test_an_access_reports_the_whole_storage_unless_told_a_byte_count(test_device):
-    class Touches(MemoryEventListener):
-        def __init__(self):
-            self.seen = []
-
-        def on_read(self, block, nbytes, op):
-            self.seen.append(("read", nbytes, op))
-
-        def on_write(self, block, nbytes, op):
-            self.seen.append(("write", nbytes, op))
-
-    touches = Touches()
-    test_device.add_listener(touches)
+def test_an_access_reports_its_storage_request_and_op(test_device):
+    touches = _Touches(test_device)
     storage = DeviceStorage(test_device, numel=10, dtype=int64)
     storage.record_write("producer")
-    storage.record_read("consumer", nbytes=16)
-    storage.record_write("update", nbytes=0)
-    assert touches.seen == [("write", 80, "producer"), ("read", 16, "consumer"),
-                            ("write", 0, "update")]
+    storage.record_read("consumer")
+    storage.record_write("update")
+    request = storage.request
+    assert touches.seen == [("write", request, "producer"), ("read", request, "consumer"),
+                            ("write", request, "update")]
+    assert test_device.requests.nbytes[request] == 80
 
 
 def test_storage_rejects_negative_numel(test_device):
@@ -114,4 +119,5 @@ def test_storage_rejects_negative_numel(test_device):
 
 def test_zero_element_storage_still_occupies_a_block(test_device):
     storage = DeviceStorage(test_device, numel=0)
-    assert storage.block is not None
+    assert storage.request is not None
+    assert test_device.place().size[storage.request] == 512

@@ -1,10 +1,11 @@
-"""The instrumentation hot path: row-store log, pre-bound dispatch, columnar policies.
+"""The instrumentation hot path: row-store log, the recorder slot, columnar policies.
 
 The optimized recorder is compared, event for event, with the obvious
-:class:`tests.helpers.ReferenceRecorder`; the composite listener's dispatch
-contract (order, add/remove mid-run, class hooks patched before the device is
-built) and the columnar-first offline policies are pinned against their plain
-Python formulations.
+:class:`tests.helpers.ReferenceRecorder`, and the placed traces with the
+reference's requests mapped through their placement; the device's recorder
+slot (a recorder swapped mid-run, class hooks patched before the device is
+built) and the columnar-first offline policies are pinned against their
+plain Python formulations.
 """
 
 from collections import Counter
@@ -17,13 +18,14 @@ import numpy as np
 
 from repro.core.ati import compute_interval_arrays
 from repro.core.profiler import MemoryProfiler
-from repro.core.recorder import TraceRecorder
+from repro.core.recorder import TraceRecorder, place_traces
 from repro.core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
-from repro.core.trace import ROW_FIELDS, ColumnarEventLog
+from array import array
+
+from repro.core.trace import ROW_FIELDS, columns_from_rows, pack_row
 from repro.core.events import MemoryCategory, MemoryEventKind
 from repro.device import Device, small_test_device
 from repro.device.clock import DeviceClock
-from repro.device.hooks import HOOK_NAMES, CompositeListener, CountingListener
 from repro.experiments.sweep import Scenario, run_scenario
 from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
 from repro.tensor import functional as F
@@ -32,7 +34,8 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
                                  run_training_session)
 from repro.units import MIB
 
-from tests.helpers import ReferenceRecorder, validating, trace_events, trace_lifetimes
+from tests.helpers import (ReferenceRecorder, RequestReference, trace_events,
+                           trace_from_events, trace_lifetimes, validating)
 
 # Every session this file runs must also satisfy the trace invariants.
 run_training_session = validating(run_training_session)
@@ -60,19 +63,34 @@ def _config(structure, **overrides):
 # -- (a) the real recorder against the reference recorder ------------------------------
 
 
+class _Tee:
+    """A recorder slot holding two recorders: each behavior reaches both."""
+
+    def __init__(self, *recorders):
+        self.recorders = recorders
+
+    def __getattr__(self, name):
+        hooks = [getattr(recorder, name) for recorder in self.recorders]
+
+        def deliver(*args):
+            for hook in hooks:
+                hook(*args)
+        return deliver
+
+
 @pytest.fixture
 def side_by_side(monkeypatch):
-    """Every profiler started from here on gets a reference recorder attached
-    right behind its real one; yields the ``(real, reference)`` pairs."""
+    """Every profiler started from here on gets a reference recorder beside
+    its real one in the device's slot; yields the ``(real, reference)`` pairs."""
     pairs = []
     original_start = MemoryProfiler.start
 
     def start(profiler):
         original_start(profiler)
         real = profiler.recorder
-        reference = ReferenceRecorder(profiler.device.clock,
-                                      iteration_of=lambda: real.current_iteration)
-        profiler.device.add_listener(reference)
+        reference = RequestReference(profiler.device,
+                                     iteration_of=lambda: real.current_iteration)
+        profiler.device.recorder = _Tee(real, reference)
         pairs.append((real, reference))
         return profiler
 
@@ -80,36 +98,72 @@ def side_by_side(monkeypatch):
     return pairs
 
 
+_PLACEMENT_KINDS = ENGINE_KINDS | {MemoryEventKind.SEGMENT_ALLOC,
+                                   MemoryEventKind.SEGMENT_FREE}
+
+
+def _placed(events, placement):
+    """Request-level events with each request's block, address and size."""
+    return [event._replace(block_id=int(placement.block_id[event.block_id]),
+                           address=int(placement.address[event.block_id]),
+                           size=int(placement.size[event.block_id]))
+            for event in events]
+
+
 @pytest.mark.parametrize("swap", ["off", "lru"])
 @pytest.mark.parametrize("n_devices", [1, 2, 3])
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devices, swap):
     """One recorder pair per replica *class* (batch 512 or 8: one class on 1-2
-    devices, two on 3); the reference stream must equal every rank trace of
-    its class, field for field.  A swap-on run records its swap-off stream:
-    its rank traces are that stream overlaid, equal to it in everything but
-    time once the engine's rows are dropped."""
+    devices, two on 3); the reference stream must equal its class's
+    recording, field for field, and every rank trace of the class must be
+    that stream with each request's block, address and size from the
+    placement — segment rows between, every row as late as the segment
+    overheads before it on one replica class.  A swap-on run places its
+    swap-off stream: its rank traces are that stream overlaid, equal to it
+    in everything but time once the engine's rows are dropped."""
     capacity = LRU_CAPACITY[structure] if swap == "lru" else None
     config = _config(structure, n_devices=n_devices, swap=swap,
                      device_memory_capacity=capacity)
     result = run_training_session(config)
     rank_classes = build_device_group(config).rank_classes
     assert len(side_by_side) == len(set(rank_classes)) == (2 if n_devices == 3 else 1)
+    recording = result.recording
+    placed = recording.placed(config)
+    overhead = recording.spec.cuda_malloc_overhead_ns
     rank_traces = result.rank_traces if n_devices > 1 else [result.trace]
     assert len(rank_traces) == n_devices
     merged_lifetimes, block_offset = [], 0
     for rank, rank_trace in enumerate(rank_traces):
         real, reference = side_by_side[rank_classes[rank]]
+        placement = placed.placements[rank_classes[rank]]
         # kind, timestamp, block, address, size, category, iteration, tag, op
         assert trace_events(real.to_trace()) == reference.events
+        expected = _placed(reference.events, placement)
+        events = trace_events(rank_trace)
+        behaviors = [event for event in events if event.kind not in _PLACEMENT_KINDS]
+        untimed = [event._replace(event_id=0, timestamp_ns=0) for event in behaviors]
+        assert untimed == [event._replace(event_id=0, timestamp_ns=0)
+                           for event in expected]
+        if swap == "off" and len(set(rank_classes)) == 1:
+            # One replica class waits at no barrier: every row runs as late
+            # as the segment overheads before it, the preamble's included.
+            segments, recorded = placement.preamble_segments, iter(reference.events)
+            for event in events:
+                if event.kind in _PLACEMENT_KINDS:
+                    segments += 1
+                else:
+                    assert event.timestamp_ns == (next(recorded).timestamp_ns
+                                                  + segments * overhead)
         if swap == "off":
-            assert trace_events(rank_trace) == reference.events
-            assert trace_lifetimes(rank_trace) == reference.lifetimes
-        else:
-            untimed = [event._replace(event_id=0, timestamp_ns=0)
-                       for event in trace_events(rank_trace) if event.kind not in ENGINE_KINDS]
-            assert untimed == [event._replace(event_id=0, timestamp_ns=0)
-                               for event in reference.events]
+            lifetimes = trace_lifetimes(rank_trace)
+            assert [lifetime._replace(malloc_ns=0, free_ns=None, device_rank=0)
+                    for lifetime in lifetimes] == [
+                lifetime._replace(block_id=int(placement.block_id[lifetime.block_id]),
+                                  address=int(placement.address[lifetime.block_id]),
+                                  size=int(placement.size[lifetime.block_id]),
+                                  malloc_ns=0, free_ns=None)
+                for lifetime in reference.lifetimes]
         assert rank_trace.metadata["device_rank"] == rank
         assert len(rank_trace) > 500
         # The merged trace sees this rank's lifetimes under its block-id
@@ -119,21 +173,20 @@ def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devi
                    for lifetime in trace_lifetimes(rank_trace)]
         assert trace_lifetimes(result.trace.for_rank(rank)) == shifted
         merged_lifetimes += shifted
-        block_offset += max(abs(event.block_id) for event in reference.events)
+        block_offset += max(abs(event.block_id) for event in events)
     assert Counter(trace_lifetimes(result.trace)) == Counter(merged_lifetimes)
     if swap == "lru":
         assert result.trace.columns().is_swap.any()
 
 
 def test_recorder_matches_the_reference_across_a_pause_window(test_device):
-    real = TraceRecorder(test_device.clock)
-    reference = ReferenceRecorder(test_device.clock,
-                                  iteration_of=lambda: real.current_iteration)
-    test_device.add_listener(real)
-    test_device.add_listener(reference)
+    real = TraceRecorder(test_device)
+    reference = RequestReference(test_device, iteration_of=lambda: real.current_iteration)
+    both = _Tee(real, reference)
+    test_device.recorder = both
 
     def paused(flag):
-        real.enabled = reference.enabled = not flag
+        test_device.recorder = None if flag else both
 
     real.begin_iteration(0)
     a = randn(test_device, (8, 8), tag="a")
@@ -144,7 +197,7 @@ def test_recorder_matches_the_reference_across_a_pause_window(test_device):
     paused(False)
     d = F.matmul(a, c, tag="d")        # accesses to c: no open lifetime to bump
     c.free()                           # free with no recorded malloc
-    e = randn(test_device, (8, 8), tag="e")   # reuses b's cached block id
+    e = randn(test_device, (8, 8), tag="e")
     F.matmul(d, e)
     real.end_iteration(0)
 
@@ -156,6 +209,13 @@ def test_recorder_matches_the_reference_across_a_pause_window(test_device):
     assert by_tag["b"].free_ns is None          # its free fell in the window
     assert by_tag["a"].access_count == 2        # init write + the recorded matmul read
     assert {e.tag for e in trace_events(trace)} >= {"a", "b", "d", "e", "c"}
+    # Placed, the recorded rows keep their order, each after the segment
+    # overheads before it (the window's calls' included).
+    placed = place_traces([trace], [test_device.requests], [test_device.place()],
+                          test_device.spec.cuda_malloc_overhead_ns)[0].trace
+    assert (np.diff(placed.columns().timestamp_ns) >= 0).all()
+    assert [event.tag for event in trace_events(placed)
+            if event.kind not in _PLACEMENT_KINDS] == [event.tag for event in reference.events]
 
 
 _HOOK_STEPS = st.tuples(st.sampled_from(["malloc", "free", "read", "write"]),
@@ -173,19 +233,17 @@ def test_derived_lifetimes_match_the_reference_on_generated_streams(steps):
     access before any malloc): the lifetimes read off the columns are the ones
     the reference recorder keeps by hand."""
     clock = DeviceClock()
-    real = TraceRecorder(clock)
-    reference = ReferenceRecorder(clock, iteration_of=lambda: real.current_iteration)
+    iteration = [-1]
+    reference = ReferenceRecorder(clock, iteration_of=lambda: iteration[0])
     categories = list(MemoryCategory)
     for position, (step, block_id, advance) in enumerate(steps):
         clock.advance(advance)
         if step == "pause":
-            real.pause()
             reference.enabled = False
         elif step == "resume":
-            real.resume()
             reference.enabled = True
         elif step == "iteration":
-            real.begin_iteration(real.current_iteration + 1)
+            iteration[0] += 1
         else:
             # Every call sees its own size/category/tag: a lifetime must carry
             # its malloc's, whatever the later events of the block say.
@@ -195,9 +253,8 @@ def test_derived_lifetimes_match_the_reference_on_generated_streams(steps):
                                     tag=f"step{position}")
             arguments = {"malloc": (block, block.size), "free": (block,)}.get(
                 step, (block, block.size, f"op{position}"))
-            for recorder in (real, reference):
-                getattr(recorder, f"on_{step}")(*arguments)
-    trace = real.to_trace()
+            getattr(reference, f"on_{step}")(*arguments)
+    trace = trace_from_events(reference.events)
     assert trace_events(trace) == reference.events
     assert trace_lifetimes(trace) == reference.lifetimes
 
@@ -206,73 +263,69 @@ def test_derived_lifetimes_match_the_reference_on_generated_streams(steps):
 def test_log_keeps_growing_after_a_snapshot(rows):
     # Zero- and one-row tables are already "contiguous" when transposed: the
     # snapshot must copy them anyway, or the row store stays pinned by a view.
-    log = ColumnarEventLog()
+    log = array("q")
     for i in range(rows):
-        assert log.append(i % 4, 10 * i, i + 1, 512 * i, 512, 5, 0, f"t{i}", "op") == i
-    columns = log.snapshot_columns()
-    assert log.append(1, 999, 77, 0, 512, 8, 1, "late", "") == rows
-    assert len(columns) == rows and len(log) == rows + 1
+        log.frombytes(pack_row(i % 4, 10 * i, i + 1, 512 * i, 512, 5, 0))
+    columns = columns_from_rows(log)
+    log.frombytes(pack_row(1, 999, 77, 0, 512, 8, 1))
+    assert len(columns) == rows and len(log) == (rows + 1) * len(ROW_FIELDS)
     assert columns.block_id.tolist() == list(range(1, rows + 1))
     assert columns.timestamp_ns.tolist() == [10 * i for i in range(rows)]
     assert all(getattr(columns, name).flags["C_CONTIGUOUS"] for name in ROW_FIELDS)
-    assert log.snapshot_columns().block_id.tolist()[-1] == 77
+    assert columns_from_rows(log).block_id.tolist()[-1] == 77
 
 
-# -- (b) composite dispatch ------------------------------------------------------------
+# -- (b) the recorder slot --------------------------------------------------------------
 
 
-class _Probe(CountingListener):
-    """Counts like its base and notes the order deliveries arrive in."""
+class _Probe:
+    """Counts the behaviors it is handed and notes the order they arrive in."""
 
     def __init__(self, name, order):
-        super().__init__()
         self.name, self.order = name, order
+        self.mallocs = self.frees = self.writes = 0
 
-    def on_write(self, block, nbytes, op):
-        super().on_write(block, nbytes, op)
+    def on_malloc(self, request):
+        self.mallocs += 1
+
+    def on_free(self, request):
+        self.frees += 1
+
+    def on_read(self, request, op):
+        pass
+
+    def on_write(self, request, op):
+        self.writes += 1
         self.order.append(self.name)
 
 
-def test_composite_with_no_child_one_child_and_two_children(test_device):
+def test_a_recorder_swapped_mid_run_records_from_the_next_behavior(test_device):
     order = []
     first, second = _Probe("first", order), _Probe("second", order)
-    composite = test_device.listeners
-    assert len(composite) == 0
-    randn(test_device, (4,))                    # nobody listens: a no-op
-    composite.add(first)
-    # one child: the composite's hooks *are* the child's bound methods
-    assert all(getattr(composite, name) == getattr(first, name) for name in HOOK_NAMES)
+    assert test_device.recorder is None
+    randn(test_device, (4,))                    # nobody records: a no-op
+    test_device.recorder = first
     randn(test_device, (4,))
     assert (first.mallocs, first.writes) == (1, 1)
-    composite.add(second)                       # added mid-run
+    test_device.recorder = second               # swapped mid-run
     tensor = randn(test_device, (4,))
-    assert order == ["first", "first", "second"]   # attachment order
+    assert order == ["first", "second"]
     assert (second.mallocs, second.writes) == (1, 1)
-    composite.remove(first)                     # removed mid-run
-    composite.remove(first)                     # absent: a no-op
     tensor.free()
     assert (first.frees, second.frees) == (0, 1)
-    assert all(getattr(composite, name) == getattr(second, name) for name in HOOK_NAMES)
-    composite.remove(second)
-    assert len(composite) == 0
+    test_device.recorder = None
     randn(test_device, (4,))
-    assert (first.mallocs, second.mallocs) == (2, 1)
-
-
-def test_constructor_children_are_bound_too(test_device):
-    order = []
-    composite = CompositeListener([_Probe("a", order), _Probe("b", order)])
-    composite.on_write(test_device.allocate(512), 512, "op")
-    assert order == ["a", "b"]
+    assert (first.mallocs, second.mallocs) == (1, 1)
+    assert len(test_device.requests) == 4       # the log keeps every request
 
 
 def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(monkeypatch):
     seen = []
     original = TraceRecorder.on_read
 
-    def traced(recorder, block, nbytes, op):
+    def traced(recorder, request, op):
         seen.append(op)
-        return original(recorder, block, nbytes, op)
+        return original(recorder, request, op)
 
     monkeypatch.setattr(TraceRecorder, "on_read", traced)
     device = Device(small_test_device())
@@ -404,7 +457,10 @@ def test_every_device_numbers_its_blocks_and_segments_from_one():
     for allocator in ("caching", "best_fit", "bump"):
         for _ in range(2):
             device = Device(small_test_device(), allocator=allocator)
-            block = device.allocate(1024)
-            other = device.allocate(1024)
-            assert block.block_id == 1 and block.segment.segment_id == 1
-            assert other.block_id == 2
+            device.allocate(1024)
+            device.allocate(1024)
+            placement = device.place()
+            assert placement.block_id.tolist() == [1, 2]
+            # best-fit's one segment is its pre-reserved arena
+            assert (placement.segment_id[:1].tolist()
+                    or [placement.preamble_segments]) == [1]

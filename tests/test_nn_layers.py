@@ -144,7 +144,7 @@ def test_layer_backward_frees_saved_activations(test_device):
     """After a forward+backward round trip no layer-internal tensors leak."""
     layer = Linear(test_device, 16, 16)
     x = make_input(test_device, (8, 16))
-    baseline = test_device.allocated_bytes
+    baseline = test_device.place().stats.allocated_bytes
     y = layer(x)
     grad_out = make_input(test_device, (8, 16))
     grad_x = layer.backward(grad_out)
@@ -154,4 +154,4 @@ def test_layer_backward_frees_saved_activations(test_device):
     # Only the (persistent) parameter gradients may remain beyond the baseline;
     # allow the 512-byte allocator rounding per gradient block.
     persistent = sum(p.grad.nbytes for p in layer.parameters() if p.grad is not None)
-    assert test_device.allocated_bytes <= baseline + persistent + 2 * 512
+    assert test_device.place().stats.allocated_bytes <= baseline + persistent + 2 * 512

@@ -123,11 +123,11 @@ def test_zero_grad_zeroes_existing_gradients(test_device):
 
 
 def test_module_free_releases_device_memory(test_device):
-    allocated_before = test_device.allocated_bytes
+    allocated_before = test_device.place().stats.allocated_bytes
     layer = Linear(test_device, 8, 8)
-    assert test_device.allocated_bytes > allocated_before
+    assert test_device.place().stats.allocated_bytes > allocated_before
     layer.free()
-    assert test_device.allocated_bytes == allocated_before
+    assert test_device.place().stats.allocated_bytes == allocated_before
 
 
 def test_parameter_bytes_and_buffer_bytes(test_device):

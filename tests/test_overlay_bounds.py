@@ -38,7 +38,7 @@ from tests.test_swap_differential import LADDER
 
 def assert_resident_within_recorded_allocation(scenario):
     """Per rank, resident bytes after every row of the overlaid trace are at
-    most the recording's allocated bytes after the recorded rows up to it
+    most the placed recording's allocated bytes after the recorded rows up to it
     (an engine row sits in front of the recorded row it was made at)."""
     recording = record_session(scenario.config)
     try:
@@ -46,7 +46,7 @@ def assert_resident_within_recorded_allocation(scenario):
     except InfeasibleScenarioError:   # no trace to hold
         return
     for rank, trace in enumerate(session.rank_traces or [session.trace]):
-        recorded = recording.traces[recording.rank_classes[rank]].columns()
+        recorded = recording.placed(scenario.config).traces[recording.rank_classes[rank]].trace.columns()
         allocated = np.concatenate(([0], np.cumsum(recorded.live_deltas())))
         columns = trace.columns()
         engine = columns.is_swap | columns.is_rematerialization
@@ -122,5 +122,5 @@ def test_the_shared_warmup_pass_is_order_independent(fresh, disturbed_first):
         view = swap_run(scenario, "overlay", recording)
         assert view == fresh[RUNGS.index(scenario)], scenario.config.describe()
         learned = learned or not disturbs[id(scenario)]
-        (index,) = recording.walk_indexes
+        (index,) = recording.placed(scenario.config).walk_indexes
         assert (index.warmup is not None) == learned

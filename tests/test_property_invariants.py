@@ -121,7 +121,8 @@ def test_device_allocation_roundtrip_property(requests):
         if free_something and live:
             device.free(live.pop())
         live.append(device.allocate(size))
-    for block in live:
-        device.free(block)
-    assert device.allocated_bytes == 0
-    assert device.peak_allocated_bytes > 0
+    for request in live:
+        device.free(request)
+    stats = device.place().stats
+    assert stats.allocated_bytes == 0
+    assert stats.peak_allocated_bytes > 0

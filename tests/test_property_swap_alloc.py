@@ -23,7 +23,7 @@ from repro.core.swap import (
     swappable_fraction,
     swappable_mask,
 )
-from repro.device import Device, small_test_device
+from repro.device import CachingAllocator, Device, small_test_device
 from repro.units import KB, MIB
 
 from tests.helpers import build_trace, plan_rows
@@ -152,10 +152,9 @@ def test_swap_plan_zero_overhead_selects_all_feasible_blocks(intervals):
 # -- caching allocator invariants -----------------------------------------------------
 
 
-def assert_no_overlapping_live_blocks(device):
+def assert_no_overlapping_live_blocks(blocks):
     """No two live blocks may share device bytes."""
-    spans = sorted((block.address, block.address + block.size)
-                   for block in device.allocator.live_blocks())
+    spans = sorted((block.address, block.address + block.size) for block in blocks)
     for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
         assert end_a <= start_b, "live blocks overlap"
 
@@ -169,36 +168,41 @@ allocation_programs = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(program=allocation_programs)
 def test_caching_allocator_conserves_bytes_and_never_overlaps(program):
+    allocator = CachingAllocator(1 << 30)
     device = Device(small_test_device(1 << 30))
-    live = []
+    live, requests = [], []
     allocated_total = 0
     for size, frees in program:
         for _ in range(min(frees, len(live))):
             block = live.pop(0)
             allocated_total -= block.size
-            device.free(block)
-        block = device.allocate(size)
+            allocator.free(block)
+            device.free(requests.pop(0))
+        block = allocator.allocate(size)
+        requests.append(device.allocate(size))
         assert block.size >= size, "allocator returned an undersized block"
         live.append(block)
         allocated_total += block.size
 
         # Conservation: the allocator's notion of allocated bytes equals the
         # sum of the blocks it has handed out and not yet been given back.
-        assert device.allocated_bytes == allocated_total
-        assert device.allocated_bytes == sum(b.size for b in device.allocator.live_blocks())
-        assert device.reserved_bytes >= device.allocated_bytes
-        assert_no_overlapping_live_blocks(device)
-        device.allocator.check_invariants()
+        assert allocator.allocated_bytes == allocated_total
+        assert allocator.allocated_bytes == sum(b.size for b in live)
+        assert allocator.reserved_bytes >= allocator.allocated_bytes
+        assert_no_overlapping_live_blocks(live)
+        allocator.check_invariants()
+    # The device's placement of the same calls is this allocator's.
+    assert device.place().stats == allocator.stats
 
     for block in live:
-        device.free(block)
-    assert device.allocated_bytes == 0
+        allocator.free(block)
+    assert allocator.allocated_bytes == 0
     # Every reserved segment is fully reusable once everything is freed.
-    assert all(segment.is_fully_free() for segment in device.allocator.segments())
+    assert all(segment.is_fully_free() for segment in allocator.segments())
     # And the cache can be dropped completely: freed bytes were conserved.
-    reserved_before = device.reserved_bytes
-    assert device.allocator.empty_cache() == reserved_before
-    assert device.reserved_bytes == 0
+    reserved_before = allocator.reserved_bytes
+    assert allocator.empty_cache() == reserved_before
+    assert allocator.reserved_bytes == 0
 
 
 # -- predicted peak: the broadcast against the loop it replaced -------------------------

@@ -13,15 +13,15 @@ from tests.helpers import Event, trace_events, trace_from_events, trace_lifetime
 
 
 def record_some_activity(device):
-    recorder = TraceRecorder(device.clock, metadata={"workload": "unit-test"})
-    device.add_listener(recorder)
+    recorder = TraceRecorder(device, metadata={"workload": "unit-test"})
+    device.recorder = recorder
     recorder.begin_iteration(0)
     a = randn(device, (8, 8), tag="a")
     b = randn(device, (8, 8), tag="b")
     c = F.matmul(a, b)
     c.free()
     recorder.end_iteration(0)
-    device.remove_listener(recorder)
+    device.recorder = None
     return recorder
 
 
@@ -56,12 +56,11 @@ def test_recorder_lifetimes_open_and_close(test_device):
 
 
 def test_recorder_pause_resume(test_device):
-    recorder = TraceRecorder(test_device.clock)
-    test_device.add_listener(recorder)
-    recorder.pause()
+    """Recording pauses while the recorder leaves the device's slot."""
+    recorder = TraceRecorder(test_device)
     randn(test_device, (4,))
     assert len(recorder) == 0
-    recorder.resume()
+    test_device.recorder = recorder
     randn(test_device, (4,))
     assert len(recorder) > 0
 
@@ -185,8 +184,8 @@ def test_columnar_trace_event_strings_match_rows(test_device):
 
 
 def test_midrun_trace_snapshots_are_independent(test_device):
-    recorder = TraceRecorder(test_device.clock)
-    test_device.add_listener(recorder)
+    recorder = TraceRecorder(test_device)
+    test_device.recorder = recorder
     randn(test_device, (4,))
     early = recorder.to_trace()
     early_len = len(early)
@@ -194,7 +193,7 @@ def test_midrun_trace_snapshots_are_independent(test_device):
     late = recorder.to_trace()
     assert len(early) == early_len          # earlier snapshot unaffected
     assert len(late) > early_len
-    test_device.remove_listener(recorder)
+    test_device.recorder = None
 
 
 # -- MemoryTrace.validate(): access inside lifetime, monotone clocks, no live overlap -----

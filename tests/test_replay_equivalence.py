@@ -606,20 +606,55 @@ def test_engine_error_degrades_one_structure_group(monkeypatch, caplog):
         assert comparable(row) == comparable(fresh)
 
 
+def test_each_run_reports_its_own_replay_counts():
+    """A runner keeps its replay engine across runs, and each run reports
+    what it compiled and declined, not the engine's totals."""
+    swap_on = dataclasses.replace(make_scenario(swap="lru"), via_replay=True)
+    fresh = dataclasses.replace(make_scenario(batch_size=32), via_replay=True)
+    with SweepRunner(use_cache=False) as runner:
+        first, second = runner.run([swap_on]), runner.run([swap_on])
+        compiled = runner.run([fresh])
+        again = runner.run([fresh])
+    for run in (first, second):
+        assert run.replay_fallbacks == {"swap_execution": 1}
+        assert (run.templates_compiled, run.template_variants) == (0, 0)
+    assert (compiled.templates_compiled, compiled.template_variants) == (1, 1)
+    assert (again.templates_compiled, again.template_variants) == (0, 0)
+    assert compiled.replay_fallbacks == again.replay_fallbacks == {}
+
+
+def test_a_capture_builds_no_merged_trace(monkeypatch):
+    """A template is priced from the replicas' own recordings: compiling a
+    two-replica structure merges (and re-stamps) no trace."""
+    from repro.core import trace as trace_module
+    from repro.experiments import replay
+    from repro.train import session
+
+    def no_merge(*args, **kwargs):
+        raise AssertionError("a capture merged rank traces")
+
+    for module in (trace_module, session, replay):
+        monkeypatch.setattr(module, "merge_rank_traces", no_merge)
+    config = make_scenario(n_devices=2).config
+    template = TemplateFamily(template_key(config)).capture(config)
+    assert len(template.ranks) == 2
+
+
 def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog):
     """lenet5 rejects two_cluster's 2-D samples while its template is being
     captured: that error is the row's failure, the row is simulated once (by
     the capture), the failed variant is memoized and the decline is tallied
     ``capture_failed`` with no warning."""
     from repro.errors import ShapeError
-    from repro.experiments import replay, results, sweep
+    from repro.experiments import replay
+    from repro.train import session
 
     calls = []
-    for module in (replay, results, sweep):
-        def counting(config, _original=module.run_training_session, **kwargs):
+    for module in (replay, session):
+        def counting(config, *args, _original=module.record_session, **kwargs):
             calls.append(config)
-            return _original(config, **kwargs)
-        monkeypatch.setattr(module, "run_training_session", counting)
+            return _original(config, *args, **kwargs)
+        monkeypatch.setattr(module, "record_session", counting)
     scenario = Scenario(TrainingRunConfig(model="lenet5", batch_size=8, iterations=1),
                         via_replay=True)
     runner = SweepRunner(use_cache=False, strict=False)
@@ -856,8 +891,8 @@ def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
     captured = []
     capture_rank = replay._capture_rank
 
-    def recording(recorder, trace, tape):
-        captured.append((trace, capture_rank(recorder, trace, tape)))
+    def recording(recorder, placed, *args):
+        captured.append((placed.trace, capture_rank(recorder, placed, *args)))
         return captured[-1][1]
 
     monkeypatch.setattr(replay, "_capture_rank", recording)
@@ -1017,7 +1052,7 @@ def test_a_second_process_serves_the_trace_from_the_store(tmp_path, monkeypatch)
 
     import repro.experiments.replay as replay_module
     import repro.experiments.sweep as sweep_module
-    monkeypatch.setattr(replay_module, "run_training_session", no_simulation)
+    monkeypatch.setattr(replay_module, "record_session", no_simulation)
     monkeypatch.setattr(sweep_module, "run_training_session", no_simulation)
     second = SweepRunner(cache_dir=tmp_path)
     scenario.config.device_spec = "v100_sxm2_16gb"

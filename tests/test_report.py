@@ -113,8 +113,9 @@ def test_warm_trace_figures_simulate_nothing(files, cache_dir, monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("a warm report must not simulate")
 
-    for module in (replay, results, sweep):
+    for module in (results, sweep):
         monkeypatch.setattr(module, "run_training_session", no_simulation)
+    monkeypatch.setattr(replay, "record_session", no_simulation)
     from repro.report.generate import _MemoRunner
     runner = _MemoRunner(SweepRunner(cache_dir=cache_dir))
     for builder in FIGURE_BUILDERS[:3]:

@@ -2,24 +2,28 @@
 
 Under ``caching``, ``best_fit`` and ``bump`` a workload makes the same
 requests: its malloc / free / read / write rows agree in kind, category, tag
-and op, and its mallocs ask for the same byte counts.  Only the placement
-differs — the block ``size`` column (the allocator's rounding and splitting)
-and the segment rows.  A sweep over the three allocators and three swap-off
-capacities of one structure gives the results and failures pinned below.
+and op, and its mallocs ask for the same byte counts (its request log).
+Only the placement differs — the block ``size`` column (the allocator's
+rounding and splitting) and the segment rows.  So a sweep over the three
+allocators and three swap-off capacities of one structure runs its front
+end once and places it nine times, with the results and failures pinned
+below.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core.events import MemoryEventKind
 from repro.core.trace import KIND_CODES
-from repro.device.hooks import MemoryEventListener
 from repro.experiments.grid import SweepGrid
 from repro.experiments.sweep import SweepRunner
+from repro.train import session as session_module
 from repro.train.session import TrainingRunConfig, run_training_session
 from repro.units import GIB, MIB
 
@@ -61,31 +65,10 @@ def _config(name: str, n_devices: int, allocator: str) -> TrainingRunConfig:
                              allocator=allocator, **STRUCTURES[name])
 
 
-class _Requests(MemoryEventListener):
-    """The requested byte count of every malloc, in call order."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def on_malloc(self, block, requested_size):
-        self.sizes.append(requested_size)
-
-
 def _session_and_requests(config):
     """The session plus each replica class's requested malloc sizes."""
-    logs = []
-
-    class Capture:
-        def attach(self, group):
-            for device in group:
-                logs.append(_Requests())
-                device.add_listener(logs[-1])
-
-        def collect(self, profilers, traces):
-            pass
-
-    session = run_training_session(config, capture=Capture())
-    return session, [log.sizes for log in logs]
+    session = run_training_session(config)
+    return session, [requests.nbytes.tolist() for requests in session.recording.requests]
 
 
 def _view(trace, requested):
@@ -180,8 +163,11 @@ def _digest(value) -> str:
 
 
 def _sweep_digests():
-    with SweepRunner(use_cache=False, strict=False) as runner:
+    with mock.patch.object(session_module, "record_session",
+                           wraps=session_module.record_session) as record_session, \
+            SweepRunner(use_cache=False, strict=False) as runner:
         sweep = runner.run(ALLOCATOR_GRID.expand())
+    assert record_session.call_count == 1
     results = {}
     for result in sweep.results:
         data = result.to_dict()
@@ -199,7 +185,7 @@ def _sweep_digests():
 
 def test_allocator_and_capacity_rows_keep_their_outcomes():
     """Six rows fit and three run out of memory, each with its own result or
-    error, pinned byte for byte."""
+    error, pinned byte for byte — from one run of the front end."""
     results, failures = _sweep_digests()
     assert results == RESULT_SHA256
     assert failures == FAILURE_SHA256

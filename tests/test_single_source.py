@@ -31,7 +31,6 @@ from repro.device import tape, timing
 from repro.device.clock import DeviceClock
 from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
-from repro.device.hooks import HOOK_NAMES, CountingListener, MemoryEventListener
 from repro.device.spec import get_device_spec
 from repro.experiments.grid import PRICING_FIELDS, SweepGrid, structure_token
 from repro.experiments.replay import (
@@ -91,26 +90,31 @@ def test_scenario_result_is_constructed_in_two_places_only():
                      ("experiments/results.py", "assemble_result")}
 
 
+def _names(node):
+    """The names an AST node defines, imports or reads."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.alias):
+        return [node.name, node.asname]
+    return []
+
+
+def _naming(banned, paths):
+    """The paths (relative to ``src/repro``) with a node naming one of ``banned``."""
+    return sorted({path.relative_to(SRC).as_posix() for path in paths
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if banned.intersection(_names(node))})
+
+
 def test_no_event_or_lifetime_object_type_exists():
     """A trace is its event columns: no name under ``src/repro`` defines,
     imports or reads a per-event or per-lifetime object type."""
-    def names(node):
-        if isinstance(node, ast.Name):
-            return [node.id]
-        if isinstance(node, ast.Attribute):
-            return [node.attr]
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            return [node.name]
-        if isinstance(node, ast.alias):
-            return [node.name, node.asname]
-        return []
-
     banned = {"MemoryEvent", "BlockLifetime"}
-    sites = sorted({path.relative_to(SRC).as_posix()
-                    for path in SRC.rglob("*.py")
-                    for node in ast.walk(ast.parse(path.read_text()))
-                    if banned.intersection(names(node))})
-    assert sites == []
+    assert _naming(banned, SRC.rglob("*.py")) == []
     assert not banned.intersection(dir(repro)) and not banned.intersection(dir(repro.core))
 
 
@@ -137,17 +141,23 @@ def test_a_name_is_assigned_at_construction_only():
     assert functions == {"__init__"}
 
 
-def test_four_functions_run_a_training_session():
-    """One way to run a scenario: results, template capture and the runner's
-    trace door simulate; ``repro profile`` prints session-only fields
-    (``peak_allocated_bytes``, the ``swap_execution`` block) no trace carries."""
+def test_three_functions_run_a_training_session():
+    """One way to run a scenario: results and the runner's trace door
+    simulate; ``repro profile`` prints session-only fields
+    (``peak_allocated_bytes``, the ``swap_execution`` block) no trace
+    carries.  A template capture records the front end and places it — it
+    builds no merged trace."""
     sites = {(path.relative_to(SRC).as_posix(), function)
              for path in sorted(SRC.rglob("*.py"))
              for function in _enclosing_functions(path, _calls("run_training_session"))}
     assert sites == {("experiments/results.py", "run_scenario_on"),
-                     ("experiments/replay.py", "_compile_template_checked"),
                      ("experiments/sweep.py", "trace"),
                      ("cli.py", "_cmd_profile")}
+    recorders = {(path.relative_to(SRC).as_posix(), function)
+                 for path in sorted(SRC.rglob("*.py"))
+                 for function in _enclosing_functions(path, _calls("record_session"))}
+    assert recorders == {("train/session.py", "run_training_session"),
+                         ("experiments/replay.py", "_compile_template_checked")}
     holders = sorted(path.name for path in (SRC / "experiments").glob("*.py")
                      if "SessionResult" in path.read_text())
     assert holders == ["results.py"]
@@ -487,7 +497,7 @@ def test_the_clock_logs_its_own_atoms():
         assert not hasattr(DeviceClock(), name), name
     methods = {name for name, value in vars(tape.TimingTape).items()
                if callable(value) and not name.startswith("__")}
-    assert methods == {"detach", "preamble_segments"}
+    assert methods == {"detach"}
     attached = tape.TimingTape(DeviceClock())
     for name in ("consistent", "unexpected", "_pending", "_observe", "_append"):
         assert not hasattr(attached, name), name
@@ -502,8 +512,7 @@ def test_the_clock_logs_its_own_atoms():
     calls = {(path.relative_to(SRC).as_posix(), node.func.attr)
              for path, tree in _sources() for node in ast.walk(tree)
              if tape_call(node) and not path.relative_to(SRC).as_posix().startswith("device/")}
-    assert calls == {("experiments/replay.py", "detach"),
-                     ("experiments/replay.py", "preamble_segments")}
+    assert calls == {("experiments/replay.py", "detach")}
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         for word in ("record_kernel", "record_sync", "add_observer", ".consistent"):
@@ -522,18 +531,54 @@ def test_eq1_round_trip_has_one_implementation():
                        ("core/swap.py", "round_trip_s_per_byte")}
 
 
-def test_a_listener_hears_only_the_six_allocator_and_storage_hooks():
-    assert HOOK_NAMES == ("on_malloc", "on_free", "on_read", "on_write",
-                          "on_segment_alloc", "on_segment_free")
-    for listener in (MemoryEventListener, CountingListener, TraceRecorder):
-        assert {name for name in vars(listener) if name.startswith("on_")} \
-            == set(HOOK_NAMES), listener.__name__
+#: The four behaviors a device hands its recorder, against request ids.
+BEHAVIOR_HOOKS = ("on_malloc", "on_free", "on_read", "on_write")
+
+
+def test_a_recorder_hears_only_the_four_behaviors():
+    """The device has one recorder slot and no listener fan-out: no module
+    under ``src/repro`` names a listener type, a segment hook or a listener
+    list, and the recorder's hooks are the four behaviors."""
+    assert {name for name in vars(TraceRecorder) if name.startswith("on_")} \
+        == set(BEHAVIOR_HOOKS)
+    banned = {"MemoryEventListener", "CompositeListener", "NullListener",
+              "CountingListener", "on_segment_alloc", "on_segment_free",
+              "listeners", "add_listener", "remove_listener"}
+    assert _naming(banned, SRC.rglob("*.py")) == []
+
+
+def test_only_place_instantiates_an_allocator():
+    """The allocator is a pass over a finished run's requests:
+    :func:`~repro.device.allocator.place` is the one caller of
+    ``make_allocator``, the one place an allocator class is called."""
+    classes = ("CachingAllocator", "BestFitAllocator", "BumpAllocator", "make_allocator")
+    sites = {(path.relative_to(SRC).as_posix(), function)
+             for path in sorted(SRC.rglob("*.py")) for name in classes
+             for function in _enclosing_functions(path, _calls(name))}
+    assert sites == {("device/allocator.py", "place")}
+    instantiated = _enclosing_functions(
+        SRC / "device" / "allocator.py",
+        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript)
+        and getattr(node.func.value, "id", None) == "ALLOCATOR_CLASSES")
+    assert instantiated == ["make_allocator"]
+
+
+def test_the_front_end_holds_no_block():
+    """The tensor library, the layers, the models and the trainer see request
+    ids: nothing there names an allocator's block, segment or id."""
+    front_end = [*(SRC / "tensor").rglob("*.py"), *(SRC / "nn").rglob("*.py"),
+                 *(SRC / "models").rglob("*.py"), SRC / "train" / "trainer.py"]
+    banned = {"Block", "Segment", "block_id", "segment_id", "live_blocks", "allocator",
+              "Placement"}
+    assert _naming(banned, front_end) == []
+    assert not [path for path in front_end for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute) and node.attr == "block"]
 
 
 def test_tests_helpers_holds_the_only_live_hook_executor():
     """A live-hook executor is a listener that moves the device clock from
     inside the event path: only the oracle the overlay is held to is one."""
-    behaviors = set(HOOK_NAMES[:4])
+    behaviors = set(BEHAVIOR_HOOKS)
     found = []
     for root in (SRC, SRC.parents[1] / "tests"):
         for path, tree in _sources(root):
@@ -547,7 +592,9 @@ def test_tests_helpers_holds_the_only_live_hook_executor():
                              for call in ast.walk(node))
                 if hooks and stalls:
                     found.append((path.name, node.name))
-    assert found == [("helpers.py", "ReferenceSwapExecutor")]
+    # (the oracle's session places its requests live: its recorder pays each
+    # call's segment overheads on the device clock)
+    assert found == [("helpers.py", "SwapRecorder"), ("helpers.py", "ReferenceSwapExecutor")]
 
 
 def _imported_modules(tree):

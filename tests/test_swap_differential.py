@@ -311,14 +311,15 @@ def _session_view(config, recording=None):
 
 def _digest(recording):
     """sha256 over every class trace's columns, strings, marks and metadata
-    and the recorded iteration statistics."""
+    and every class's requests."""
     digest = hashlib.sha256()
     for trace in recording.traces:
         columns = trace.columns()
         for field in dataclasses.fields(columns):
             digest.update(getattr(columns, field.name).tobytes())
         digest.update(repr(_trace_view(trace)[1:]).encode())
-    digest.update(repr(recording.iteration_stats).encode())
+    for requests in recording.requests:
+        digest.update(requests.nbytes.tobytes() + requests.ops.tobytes())
     return digest.hexdigest()
 
 

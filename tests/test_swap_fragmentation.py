@@ -17,6 +17,7 @@ from repro.core.swap import (
     swap_round_trip_ns,
     swappable_mask,
 )
+from repro.device.allocator import make_allocator
 from repro.units import GB, KB, MIB, s_to_ns, us_to_ns
 
 from tests.helpers import build_trace, interval_arrays, plan_rows
@@ -159,10 +160,11 @@ def test_internal_fragmentation_bound(simple_trace):
 
 
 def test_snapshot_external_fragmentation(test_device):
-    block = test_device.allocate(512 * 1024)
-    test_device.allocate(512 * 1024)
-    test_device.free(block)
-    snapshot = test_device.memory_snapshot()
+    allocator = make_allocator(test_device.allocator, test_device.spec.memory_capacity)
+    block = allocator.allocate(512 * 1024)
+    allocator.allocate(512 * 1024)
+    allocator.free(block)
+    snapshot = allocator.memory_snapshot()
     value = snapshot_external_fragmentation(snapshot)
     assert 0.0 <= value < 1.0
     # With exactly one free block the ratio is zero by definition.

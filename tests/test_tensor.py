@@ -18,7 +18,7 @@ def test_empty_tensor_shape_and_bytes(test_device):
     assert tensor.numel == 32
     assert tensor.nbytes == 128
     assert tensor.ndim == 2
-    assert tensor.block_id is not None
+    assert tensor.storage.request is not None
 
 
 def test_scalar_shape_normalization(test_device):
@@ -129,7 +129,7 @@ def test_a_freed_tensor_refuses_every_access(test_device):
     assert test_device.clock.now_ns == before
     with pytest.raises(TensorError, match="already been freed"):
         tensor.copy_from_host()
-    assert tensor.is_freed and tensor.block_id is None
+    assert tensor.is_freed and tensor.storage.request is None
     assert log.rows == []
 
 

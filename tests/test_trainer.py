@@ -1,5 +1,8 @@
 """Tests for the training loop."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.profiler import MemoryProfiler
@@ -42,19 +45,25 @@ def test_iteration_stats_fields(test_device):
     model = MLP(test_device, hidden_dim=16)
     trainer = make_trainer(test_device, model)
     stats = trainer.train_iteration(0)
+    assert [field.name for field in dataclasses.fields(stats)] == ["index", "start_ns",
+                                                                   "end_ns"]
     assert stats.index == 0
     assert stats.duration_ns > 0
-    assert stats.peak_allocated_bytes > 0
-    assert stats.allocated_bytes_end >= 0
+    placed = test_device.place().stats
+    assert placed.peak_allocated_bytes > 0
+    assert placed.allocated_bytes >= 0
     assert trainer.history == [stats]
 
 
 def test_no_memory_leak_across_iterations(test_device):
     """Allocated bytes at the end of every steady-state iteration are equal."""
+    profiler = MemoryProfiler(test_device).start()
     model = MLP(test_device, hidden_dim=32)
-    trainer = make_trainer(test_device, model)
+    trainer = make_trainer(test_device, model, recorder=profiler)
     stats = trainer.train(5)
-    steady = [s.allocated_bytes_end for s in stats[1:]]
+    columns = profiler.stop().columns()
+    allocated = np.cumsum(columns.live_deltas())
+    steady = [allocated[np.flatnonzero(columns.iteration == s.index)[-1]] for s in stats[1:]]
     assert len(set(steady)) == 1
 
 
