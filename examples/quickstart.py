@@ -41,11 +41,14 @@ def main() -> None:
 
     print("Per-iteration memory behaviors:")
     columns = trace.columns()
+    # The allocated-bytes high-water mark up to each row.
+    peaks = np.maximum.accumulate(np.cumsum(columns.live_deltas()))
     for stats in result.iteration_stats:
         in_iteration = columns.iteration == stats.index
         blocks = np.unique(columns.block_id[in_iteration]).size
+        peak = int(peaks[np.flatnonzero(in_iteration)[-1]])
         print(f"  iteration {stats.index}: time={stats.duration_ns / 1e6:.2f} ms "
-              f"peak={format_bytes(stats.peak_allocated_bytes)} "
+              f"peak={format_bytes(peak)} "
               f"behaviors={int(in_iteration.sum())} blocks={blocks}")
 
     print(f"\nRecorded {len(trace)} memory behaviors on {len(trace.block_ids())} device blocks.")

@@ -12,22 +12,18 @@ the tape: a taped clock logs its own atoms
 event, how many atoms precede it.
 
 :meth:`TraceRecorder.to_trace` is the run as the front end made it: each
-request its own block (id = request id, size = requested bytes, the
-requests laid end to end from address 0) and no segment rows.  :func:`place_traces` turns such recordings into the
-traces the allocator's placement gives
-(:func:`~repro.device.allocator.place`): block ids, addresses and sizes per
-request, the segment rows in front of the call that made them, and every
-later timestamp moved by the ``cudaMalloc`` overheads — through each
-gradient barrier by the latest arrival, the rule the swap overlay
-(:func:`repro.swap.executor.overlay`) resolves barriers with.  The block
-lifetimes of Figure 2 are derived from the columns
-(:func:`~repro.core.trace.lifetimes_from_columns`) only when something asks.
+request its own block, sized as requested, and no segment rows.
+:func:`place_traces` turns it into the trace an allocator's placement
+(:func:`~repro.device.allocator.place`) gives: each request's block,
+the segment rows, and every later row moved by the ``cudaMalloc``
+overheads — through each gradient barrier by the latest arrival, as the
+swap overlay (:func:`repro.swap.executor.overlay`) resolves barriers.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -100,6 +96,7 @@ class TraceRecorder:
     # -- event capture ----------------------------------------------------------------
 
     def on_malloc(self, request: int) -> None:
+        """Record the malloc of ``request``."""
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
         self._append_row(pack_row(_MALLOC, self.clock._now_ns, request, 0, 0, 0,
@@ -114,6 +111,7 @@ class TraceRecorder:
         self._append_op("")
 
     def on_read(self, request: int, op: str) -> None:
+        """Record a read of ``request`` by operator ``op``."""
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
         self._append_row(pack_row(_READ, self.clock._now_ns, request, 0, 0, 0,
@@ -121,6 +119,7 @@ class TraceRecorder:
         self._append_op(op)
 
     def on_write(self, request: int, op: str) -> None:
+        """Record a write of ``request`` by operator ``op``."""
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
         self._append_row(pack_row(_WRITE, self.clock._now_ns, request, 0, 0, 0,
@@ -130,9 +129,8 @@ class TraceRecorder:
     # -- trace construction --------------------------------------------------------------
 
     def to_trace(self) -> MemoryTrace:
-        """The recorded behaviors as the front end made them: every request
-        its own block, sized as requested and laid after the one before,
-        with its category and tag."""
+        """The behaviors as the front end made them: each request its own
+        block, sized as requested and laid after the one before."""
         columns = columns_from_rows(self.rows)
         requests = self.requests
         request = columns.block_id
@@ -156,26 +154,15 @@ class TraceRecorder:
         return len(self.ops)
 
 
-@dataclass(frozen=True)
 class PlacedTrace:
-    """One replica's recording with its requests placed.
+    """One replica's recording with its requests placed (:func:`place_traces`).
 
-    ``rows`` is the index in ``trace`` of every recorded row, and
-    ``segment_rows`` that of every segment row placed in front of recorded
-    row ``anchors``; ``sync_shift`` is, per gradient barrier, how much
-    longer than recorded the replica waited there (the latest arrival's
-    delay less its own).
+    ``trace`` is the placed trace; ``rows`` is the index in it of every
+    recorded row, and ``segment_rows`` that of every segment row placed in
+    front of recorded row ``anchors``; ``waits`` is, per gradient barrier,
+    how much longer than recorded the replica waited there (the latest
+    arrival's delay less its own).
     """
-
-    trace: MemoryTrace
-    rows: np.ndarray
-    segment_rows: np.ndarray
-    anchors: np.ndarray
-    sync_shift: np.ndarray
-
-
-class _Placing:
-    """One replica's recording being placed (see :func:`place_traces`)."""
 
     def __init__(self, trace: MemoryTrace, requests: RequestLog, placement: Placement,
                  overhead_ns: int, barriers: List[int]):
@@ -183,57 +170,55 @@ class _Placing:
         columns = self.columns = trace.columns()
         n = len(columns)
         # Each segment row's call: the recorded malloc (or free) of its
-        # request, or — for a call the recorder did not see — the first row
-        # recorded after it.
+        # request, or the first row after a call the recorder did not see.
         calls = np.frombuffer(requests.ops, dtype=np.int64)[placement.segment_op]
         rows = np.full((2, len(requests)), -1, dtype=np.int64)
         for side, kind in enumerate((_MALLOC, _FREE)):
             made = np.flatnonzero(columns.kind_code == kind)
             rows[side, columns.block_id[made]] = made
-        anchors = rows[(calls < 0).astype(np.int64), np.where(calls < 0, ~calls, calls)]
-        self.seen = anchors >= 0
-        anchors[~self.seen] = np.searchsorted(columns.timestamp_ns, np.frombuffer(
+        at = rows[(calls < 0).astype(np.int64), np.where(calls < 0, ~calls, calls)]
+        self.seen = at >= 0
+        at[~self.seen] = np.searchsorted(columns.timestamp_ns, np.frombuffer(
             requests.op_ns, dtype=np.int64)[placement.segment_op[~self.seen]])
-        self.anchors = anchors
         #: before[p]: the segment overheads paid before point p (p rows recorded).
         self.before = np.zeros(n + 2, dtype=np.int64)
-        np.cumsum(np.bincount(anchors, minlength=n + 1), out=self.before[1:])
+        np.cumsum(np.bincount(at, minlength=n + 1), out=self.before[1:])
         self.before *= overhead_ns
+        self.anchors = at[self.seen]
         #: The rows each barrier-delimited stretch starts at, and its delay.
         self.starts = [0] + barriers
         self.delays = [placement.preamble_segments * overhead_ns]
         self.waits: List[int] = []
 
-    def arrival(self, k: int):
+    def _arrival(self, k: int):
         """The recorded time and the delay of the replica's arrival at barrier ``k``."""
         row = self.starts[k + 1]
         return (int(self.columns.timestamp_ns[row - 1]),
                 self.delays[k] + int(self.before[row] - self.before[self.starts[k]]))
 
-    def delay_at(self, points: np.ndarray, counted: np.ndarray) -> np.ndarray:
+    def _delay_at(self, points: np.ndarray, counted: np.ndarray) -> np.ndarray:
         """The delay at ``points`` of the overheads of the calls before ``counted``."""
         starts = np.asarray(self.starts, dtype=np.int64)
         stretch = np.searchsorted(starts, points, side="right") - 1
         return (np.asarray(self.delays, dtype=np.int64)[stretch]
                 + self.before[counted] - self.before[starts[stretch]])
 
-    def placed(self) -> PlacedTrace:
-        """The placed trace: the recorded rows moved and the seen calls'
-        segment rows in front of their call, each after its own overhead."""
+    def _place(self) -> "PlacedTrace":
+        """Move the rows; put each seen call's segment rows in front of it."""
         trace, columns, placement, before = self.trace, self.columns, self.placement, \
             self.before
         n = len(columns)
         points = np.arange(n, dtype=np.int64)
-        row_delay = self.delay_at(points, points + 1)
+        row_delay = self._delay_at(points, points + 1)
         spans = np.array(iteration_rows(columns.iteration, trace.iteration_marks),
                          dtype=np.int64).reshape(-1, 2)
-        mark_delay = self.delay_at(spans, spans).tolist()
-        end_delay = int(self.delay_at(np.array([n]), np.array([n + 1]))[0])
-        made = np.flatnonzero(self.seen)
-        anchors, calls = self.anchors[made], placement.segment_op[made]
+        mark_delay = self._delay_at(spans, spans).tolist()
+        end_delay = int(self._delay_at(np.array([n]), np.array([n + 1]))[0])
+        made, anchors = np.flatnonzero(self.seen), self.anchors
+        calls = placement.segment_op[made]
         ordinal = np.arange(made.size) - np.searchsorted(calls, calls)
-        segment_rows = anchors + np.arange(made.size)
-        rows = points + np.cumsum(np.bincount(anchors, minlength=n)[:n])
+        segment_rows = self.segment_rows = anchors + np.arange(made.size)
+        rows = self.rows = points + np.cumsum(np.bincount(anchors, minlength=n)[:n])
         total = n + made.size
 
         def merged(recorded, segment):
@@ -261,12 +246,11 @@ class _Placing:
         marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
                                end_ns=mark.end_ns + end)
                  for mark, (begin, end) in zip(trace.iteration_marks, mark_delay)]
-        return PlacedTrace(
-            trace=MemoryTrace(columns=placed_columns, event_tags=strings[0].tolist(),
-                              event_ops=strings[1].tolist(), iteration_marks=marks,
-                              metadata=dict(trace.metadata), end_ns=trace.end_ns + end_delay),
-            rows=rows, segment_rows=segment_rows, anchors=anchors,
-            sync_shift=np.asarray(self.waits, dtype=np.int64))
+        self.trace = MemoryTrace(columns=placed_columns, event_tags=strings[0].tolist(),
+                                 event_ops=strings[1].tolist(), iteration_marks=marks,
+                                 metadata=dict(trace.metadata),
+                                 end_ns=trace.end_ns + end_delay)
+        return self
 
 
 def place_traces(traces: Sequence[MemoryTrace], requests: Sequence[RequestLog],
@@ -283,14 +267,14 @@ def place_traces(traces: Sequence[MemoryTrace], requests: Sequence[RequestLog],
     (:func:`~repro.core.trace.barrier_rows`): all leave it as much later as
     the latest delayed arrival is later than the latest recorded one.
     """
-    plans = [_Placing(trace, log, placement, overhead_ns,
-                      barrier_rows(trace) if len(traces) > 1 else [])
+    plans = [PlacedTrace(trace, log, placement, overhead_ns,
+                         barrier_rows(trace) if len(traces) > 1 else [])
              for trace, log, placement in zip(traces, requests, placements)]
     for k in range(len(plans[0].starts) - 1):
-        arrivals = [plan.arrival(k) for plan in plans]
+        arrivals = [plan._arrival(k) for plan in plans]
         delay = (max(recorded + delayed for recorded, delayed in arrivals)
                  - max(recorded for recorded, _ in arrivals))
         for plan, (_, delayed) in zip(plans, arrivals):
             plan.delays.append(delay)
             plan.waits.append(delay - delayed)
-    return [plan.placed() for plan in plans]
+    return [plan._place() for plan in plans]

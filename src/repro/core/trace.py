@@ -203,12 +203,9 @@ class EventColumns:
 
 def columns_from_rows(rows: array) -> EventColumns:
     """The :class:`EventColumns` of a flat ``array('q')`` of :data:`ROW_FIELDS`
-    rows — the trace recorder's row store, one C-level append per behavior.
-
-    One transposing copy: every column comes out contiguous, and ``np.array``
-    always copies (``ascontiguousarray`` would return the view itself for
-    zero or one rows), so the temporary view on ``rows`` is released and the
-    store can grow again.
+    rows (the recorder's row store) in one transposing copy: ``np.array``
+    always copies (``ascontiguousarray`` would return a view for zero or one
+    rows), so the view on ``rows`` is released and the store can grow again.
     """
     n = len(rows) // ROW_WIDTH
     table = np.array(np.frombuffer(rows, dtype=np.int64).reshape(n, ROW_WIDTH).T,

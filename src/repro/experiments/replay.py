@@ -249,7 +249,7 @@ def _capture_rank(recorder, placed: PlacedTrace, tape: TimingTape, overhead_ns: 
 
     A call's segment atoms follow its bookkeeping atom, in front of its
     malloc; a gradient barrier's atom is the replica's wait there, which the
-    placement lengthens by its ``sync_shift``.
+    placement lengthens by its ``waits``.
     """
     trace = placed.trace
     cols = trace.columns()
@@ -269,8 +269,8 @@ def _capture_rank(recorder, placed: PlacedTrace, tape: TimingTape, overhead_ns: 
     mark_spans = np.asarray(spans, dtype=np.int64).reshape(len(spans), 2)
     kind = np.insert(np.asarray(tape.kind, dtype=np.int64), at, TAPE_SEGMENT_OVERHEAD)
     duration = np.insert(np.asarray(tape.duration_ns, dtype=np.int64), at, overhead_ns)
-    if placed.sync_shift.size:
-        duration[kind == TAPE_ALLREDUCE] += placed.sync_shift
+    if placed.waits:
+        duration[kind == TAPE_ALLREDUCE] += placed.waits
 
     return RankTemplate(
         tape_kind=kind,

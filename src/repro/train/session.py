@@ -26,21 +26,16 @@ model / optimizer / loss / profiler per class, and a rank's trace is a view
 of its class's recording that differs only in ``metadata["device_rank"]``.
 
 A session is a :class:`Recording` plus what the row decides on top of it.
-:func:`record_session` runs the front end of the row's swap-off twin
-(:func:`swap_off_twin`) once: every replica class's requests
-(:class:`~repro.device.memory.RequestLog`) and its behaviors recorded
-against them — no allocator runs, so the recording is the same under every
-allocator and capacity.  :func:`run_training_session` places the recording
-with the row's allocator in the row's memory (:meth:`Recording.placed`:
-:func:`~repro.device.allocator.place` per class, then
-:func:`~repro.core.recorder.place_traces`; a swap-on row at the native
-capacity — swap execution never moves an allocation), re-stamps it with
-the row's own workload metadata and, for a swap-on row, runs its policy
-over each class's placed recording (:func:`repro.swap.executor.overlay`).
-Rows that differ only in ``swap``, ``allocator`` and
-``device_memory_capacity`` share a recording, so a sweep simulates it once
-and places it once per allocator and capacity
-(:func:`~repro.experiments.grid.recording_token` names it).
+:func:`record_session` runs the front end of the row's swap-off twin once:
+each replica class's requests and its behaviors recorded against them, the
+same under every allocator and capacity.  :func:`run_training_session`
+places it with the row's allocator (:meth:`Recording.placed`; a swap-on row
+at the native capacity — swap execution never moves an allocation),
+re-stamps it with the row's workload metadata and, for a swap-on row, runs
+its policy over each class's placed recording
+(:func:`repro.swap.executor.overlay`).  Rows that differ only in ``swap``,
+``allocator`` and ``device_memory_capacity`` share a recording
+(:func:`~repro.experiments.grid.recording_token`).
 """
 
 from __future__ import annotations
@@ -276,13 +271,10 @@ def swap_off_twin(config: TrainingRunConfig) -> TrainingRunConfig:
 class PlacedRun:
     """A :class:`Recording` placed by one allocator in one device's memory.
 
-    ``placements`` and ``traces`` are per replica class (the traces'
-    metadata names the allocator and the device), the iteration statistics
-    are re-timed like their marks, the peaks are per replica and the
-    counters replica 0's.  ``walk_indexes`` is the overlay's memo: one
-    :class:`~repro.swap.executor.WalkIndex` per class trace, built by the
-    first swap-on row overlaid on the placement (its per-row lists and
-    arrays, and the undisturbed warm-up's learning pass).
+    ``placements`` and ``traces`` are per replica class, the peaks per
+    replica and the counters replica 0's.  ``walk_indexes`` is the overlay's
+    memo: one :class:`~repro.swap.executor.WalkIndex` per class trace (its
+    per-row arrays and the undisturbed warm-up's learning pass).
     """
 
     placements: Tuple[Placement, ...]
@@ -300,11 +292,10 @@ class Recording:
     any row that differs from it only in ``swap``, ``allocator`` and
     ``device_memory_capacity``.
 
-    ``traces`` holds one recording per replica class (its behaviors against
-    request ids, :meth:`~repro.core.recorder.TraceRecorder.to_trace`),
-    ``requests`` each class's request log, ``rank_classes`` maps each rank
-    to its class and ``spec`` is the device at its native capacity.  Nothing
-    but :meth:`placed`'s memo is mutated by a session that reads it.
+    ``traces`` holds one recording per replica class (behaviors against
+    request ids) and ``requests`` its request log, ``rank_classes`` maps
+    each rank to its class and ``spec`` is the device at its native
+    capacity.  Only :meth:`placed`'s memo is mutated by a session.
     """
 
     config: TrainingRunConfig
@@ -418,9 +409,10 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     Ordinary callers leave it ``None`` and pay nothing.
 
     The session's object graph is cyclic (module ↔ children, device ↔
-    recorder, storage ↔ device) and all of it is live until the run ends, so the cyclic collector is paused while it runs — a
-    young collection would mostly rescan objects still in use — and
-    restored on the way out, unless the caller had it off.
+    recorder, storage ↔ device) and all of it is live until the run ends,
+    so the cyclic collector is paused while it runs — a young collection
+    would mostly rescan objects still in use — and restored on the way
+    out, unless the caller had it off.
     """
     if config.iterations <= 0:
         raise ConfigurationError("iterations must be positive")

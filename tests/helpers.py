@@ -846,7 +846,6 @@ def live_swap_session(config):
     the executors did).  Returns the session and every executor with the
     inputs of each plan it made.
     """
-    from repro.core.recorder import PlacedTrace
     from repro.swap import POLICIES
     from repro.train.session import record_session, run_training_session
 
@@ -881,8 +880,7 @@ def live_swap_session(config):
         return made
 
     def placed_live(traces, requests, placements, overhead_ns):
-        nothing = np.empty(0, dtype=np.int64)
-        return [PlacedTrace(trace, nothing, nothing, nothing, nothing) for trace in traces]
+        return [SimpleNamespace(trace=trace) for trace in traces]
 
     def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
         return traces, [executor.summary() for executor, _ in executors]
