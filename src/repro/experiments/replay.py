@@ -523,10 +523,7 @@ class TraceTemplate:
         * ``best_fit`` (and anything unknown): same capacity only — the
           arena layout is itself a function of the capacity.
         """
-        spec = get_device_spec(config.device_spec)
-        capacity = (config.device_memory_capacity
-                    if config.device_memory_capacity is not None
-                    else spec.memory_capacity)
+        capacity = memory_capacity(config)
         compile_capacity = int(self.meta["compile_capacity"])
         if capacity == compile_capacity:
             return True
@@ -966,6 +963,13 @@ class TraceTemplate:
 # -- compilation ----------------------------------------------------------------------
 
 
+def memory_capacity(config: TrainingRunConfig) -> int:
+    """The device memory ``config`` runs in: its capacity, else its spec's."""
+    if config.device_memory_capacity is not None:
+        return config.device_memory_capacity
+    return get_device_spec(config.device_spec).memory_capacity
+
+
 def check_replay_envelope(config: TrainingRunConfig) -> None:
     """Raise a reason-coded :class:`TemplateError` for un-replayable configs."""
     if config.swap != "off":
@@ -1037,14 +1041,18 @@ class TemplateFamily:
     references rather than copies.
 
     ``variants`` maps dtype name to the captured :class:`TraceTemplate`, or
-    to ``None`` for a dtype whose capture failed (memoized so a sweep pays
-    the failed attempt only once).
+    to ``None`` for a dtype whose capture is not replayable (memoized so a
+    sweep pays the failed attempt only once).  A capture whose simulation
+    failed (``capture_failed``: an out-of-memory, say) failed at its
+    capacity, a pricing field, so ``failed_captures`` memoizes it per
+    ``(dtype, capacity)``: a row at another capacity captures again.
     """
 
     def __init__(self, key: str,
                  variants: Optional[Dict[str, Optional[TraceTemplate]]] = None):
         self.key = key
         self.variants: Dict[str, Optional[TraceTemplate]] = dict(variants or {})
+        self.failed_captures: set = set()
         #: Whether this engine/process ran a fresh capture for the family
         #: (as opposed to loading every variant from the store).
         self.compiled_fresh = False
@@ -1066,7 +1074,8 @@ class TemplateFamily:
         do not re-run the simulation.  A simulation error
         :func:`~repro.experiments.failures.classify_failure` calls
         deterministic is the scenario's own failure: it is memoized too and
-        raised as the cause of a ``capture_failed`` :class:`TemplateError`.
+        raised as the cause of a ``capture_failed`` :class:`TemplateError`,
+        memoized under ``config``'s dtype and capacity.
         """
         dtype = config.dtype
         try:
@@ -1077,7 +1086,7 @@ class TemplateFamily:
         except Exception as error:
             if classify_failure(error)[1] != DETERMINISTIC:
                 raise
-            self.variants[dtype] = None
+            self.failed_captures.add((dtype, memory_capacity(config)))
             raise TemplateError(f"capture failed: {error}",
                                 reason="capture_failed") from error
         self.variants[dtype] = template
@@ -1303,6 +1312,10 @@ class ReplayEngine:
                     f"dtype {dtype} previously failed to compile",
                     reason="compile_failed")
             return template
+        if (dtype, memory_capacity(config)) in family.failed_captures:
+            raise TemplateError(
+                f"dtype {dtype} previously failed to compile at this capacity",
+                reason="compile_failed")
         freshly_compiled_family = not family.compiled_fresh
         template = family.capture(config)
         self.variants_captured += 1
@@ -1341,7 +1354,9 @@ class ReplayEngine:
         scenarios that must be simulated fresh (with the reason tallied in
         ``fallback_reasons``), or — for the scenario whose capture failed
         deterministically (``capture_failed``) — the error its simulation
-        raised: that is its outcome, and it is not simulated again.  A
+        raised: that is its outcome, and it is not simulated again.  The
+        group's other rows at that capacity are declined, and the rest are
+        priced from a capture at the next one's capacity.  A
         structure group the engine crashes on is
         declined as a whole (reason ``engine_error``, traceback logged); the
         other groups are unaffected.  Scenarios are grouped by
@@ -1357,34 +1372,52 @@ class ReplayEngine:
         for i, token in enumerate(tokens):
             groups.setdefault(token, []).append(i)
         for indices in groups.values():
-            try:
-                template = self._variant_for(scenarios[indices[0]].config)
-                eligible = [i for i in indices
-                            if template.valid_for(scenarios[i].config)]
-                priced: List = []
-                for block in range(0, len(eligible), PRICE_BLOCK_ROWS):
-                    rows = eligible[block:block + PRICE_BLOCK_ROWS]
-                    priced += template.replay_batch(
-                        [scenarios[i] for i in rows],
-                        [bandwidths_list[i] for i in rows],
-                        time.perf_counter(),
-                        None if keys is None else [keys[i] for i in rows])
-            except TemplateError as exc:
-                self._count_fallback(exc.reason, len(indices))
-                if exc.reason == "capture_failed":
-                    results[indices[0]] = exc.__cause__
-                continue
-            except Exception:  # degrade this group to fresh simulation
-                logger.warning(
-                    "replay engine failed on %d scenario(s) like [%s]; "
-                    "falling back to simulation", len(indices),
-                    scenarios[indices[0]].describe(), exc_info=True)
-                self._count_fallback("engine_error", len(indices))
-                continue
-            if len(eligible) < len(indices):
-                self._count_fallback("capacity_mismatch",
-                                     len(indices) - len(eligible))
-            for i, result in zip(eligible, priced):
-                results[i] = result
-            self.replayed += len(eligible)
+            while indices:
+                indices = self._price_group(scenarios, indices, bandwidths_list, keys,
+                                            results)
         return results
+
+    def _price_group(self, scenarios: Sequence, indices: List[int],
+                     bandwidths_list: Sequence[BandwidthConfig],
+                     keys: Optional[Sequence[str]], results: List) -> List[int]:
+        """Price one structure group's rows ``indices`` into ``results``.
+
+        Returns the rows left to price: after a ``capture_failed``, those
+        at another capacity than the failed capture's; otherwise none.
+        """
+        try:
+            template = self._variant_for(scenarios[indices[0]].config)
+            eligible = [i for i in indices
+                        if template.valid_for(scenarios[i].config)]
+            priced: List = []
+            for block in range(0, len(eligible), PRICE_BLOCK_ROWS):
+                rows = eligible[block:block + PRICE_BLOCK_ROWS]
+                priced += template.replay_batch(
+                    [scenarios[i] for i in rows],
+                    [bandwidths_list[i] for i in rows],
+                    time.perf_counter(),
+                    None if keys is None else [keys[i] for i in rows])
+        except TemplateError as exc:
+            if exc.reason != "capture_failed":
+                self._count_fallback(exc.reason, len(indices))
+                return []
+            results[indices[0]] = exc.__cause__
+            capacity = memory_capacity(scenarios[indices[0]].config)
+            rest = [i for i in indices
+                    if memory_capacity(scenarios[i].config) != capacity]
+            self._count_fallback(exc.reason, len(indices) - len(rest))
+            return rest
+        except Exception:  # degrade this group to fresh simulation
+            logger.warning(
+                "replay engine failed on %d scenario(s) like [%s]; "
+                "falling back to simulation", len(indices),
+                scenarios[indices[0]].describe(), exc_info=True)
+            self._count_fallback("engine_error", len(indices))
+            return []
+        if len(eligible) < len(indices):
+            self._count_fallback("capacity_mismatch",
+                                 len(indices) - len(eligible))
+        for i, result in zip(eligible, priced):
+            results[i] = result
+        self.replayed += len(eligible)
+        return []

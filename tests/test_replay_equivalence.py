@@ -11,12 +11,15 @@ compile separately (models, replica counts, dtypes, allocators, policies).
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.swap import BandwidthConfig
 from repro.data.loader import HostLatencyModel
+from repro.device.spec import titan_x_pascal
 from repro.device.tape import TAPE_ALLREDUCE, TAPE_KERNEL
 from repro.experiments.configs import PAPER_MLP_HOST_LATENCY, paper_mlp_config
 from repro.experiments.grid import structure_token
@@ -643,8 +646,8 @@ def test_a_capture_builds_no_merged_trace(monkeypatch):
 def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog):
     """lenet5 rejects two_cluster's 2-D samples while its template is being
     captured: that error is the row's failure, the row is simulated once (by
-    the capture), the failed variant is memoized and the decline is tallied
-    ``capture_failed`` with no warning."""
+    the capture), the failure is memoized at the capture's dtype and
+    capacity and the decline is tallied ``capture_failed`` with no warning."""
     from repro.errors import ShapeError
     from repro.experiments import replay
     from repro.train import session
@@ -667,7 +670,8 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     assert (failure.reason, failure.kind, failure.attempts) == ("error", "deterministic", 1)
     assert isinstance(failure.error_obj, ShapeError) and "ShapeError" in failure.traceback
     family, = runner._ensure_replay_engine()._families.values()
-    assert family.variants == {"float32": None}
+    assert family.variants == {}
+    assert family.failed_captures == {("float32", titan_x_pascal().memory_capacity)}
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).run([scenario])
     # The trace door raises the capture's own error: one simulation, not two.
@@ -675,6 +679,20 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).trace(scenario)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("capacities", ["0.004,12", "12,0.004"])
+def test_a_capture_that_overflows_its_capacity_fails_only_its_row(tmp_path, capsys,
+                                                                   capacities):
+    """bump overflows 0.004 GiB on this MLP: whichever capacity the family
+    captures at first, the 12 GiB row is replayed and the 0.004 GiB row
+    fails, and nothing is simulated."""
+    assert main(["sweep", "--models", "mlp", "--batch-sizes", "32", "--allocators", "bump",
+                 "--iterations", "2", "--device-memory-gib", capacities,
+                 "--execution", "replay", "--no-cache", "--cache-dir", str(tmp_path)]) == 0
+    counts = re.search(r"\((\d+) cached, (\d+) replayed.*?, (\d+) simulated, (\d+) failed",
+                       capsys.readouterr().out)
+    assert counts.groups() == ("0", "1", "0", "1")
 
 
 # -- dtype-generalized template families ----------------------------------------------
