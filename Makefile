@@ -176,12 +176,14 @@ resume-smoke:
 # Trace-file smoke (the CI trace-smoke leg): the trace `repro profile
 # --save-trace` writes must load, pass validate() and save back to the same
 # bytes (the file is written from the trace's columns and loaded into them),
-# under every allocator's placement of the recorded requests.
+# under every allocator's placement of the recorded requests.  Four
+# iterations, so the file crosses iterations the trainer appended as copies
+# of a steady one.
 trace-smoke:
 	rm -rf .ci-trace-cache
 	@set -e; for allocator in caching best_fit bump; do \
 		echo "== --allocator $$allocator"; \
-		$(PYTHON) -m repro profile --iterations 2 --allocator $$allocator \
+		$(PYTHON) -m repro profile --iterations 4 --allocator $$allocator \
 			--save-trace .ci-trace-cache/$$allocator.json > /dev/null; \
 		$(PYTHON) -c "import sys; from repro.core.trace import MemoryTrace; \
 		MemoryTrace.load_json(sys.argv[1]).validate().save_json(sys.argv[2])" \
@@ -199,12 +201,15 @@ sweep-scaling:
 
 # Multi-device smoke (the CI scaling-smoke leg): a cold sweep over replica
 # counts with one divisible (one replica class) and one non-divisible (two
-# classes) batch size, then the differential suite that holds the class
-# sessions to full materialisation.
+# classes) batch size, then the differential suites that hold the class
+# sessions to full materialisation and the copied steady iterations to the
+# fully simulated trainer (drawn wide: --hypothesis-profile=steady-wide,
+# registered in tests/conftest.py).
 scaling-smoke:
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 48,50 \
 		--n-devices 1,2,3,4 --workers 2 --no-cache
 	$(PYTHON) -m pytest tests/test_replica_classes.py -q
+	$(PYTHON) -m pytest tests/test_steady_iterations.py -q --hypothesis-profile=steady-wide
 
 clean-cache:
 	rm -rf .repro_cache

@@ -33,9 +33,11 @@ class DeviceClock:
     def __init__(self, start_ns: int = 0):
         if start_ns < 0:
             raise ClockError(f"clock cannot start at negative time {start_ns}")
-        #: The current time.  Written only by this class; the trace recorder
-        #: (once per recorded behavior) and the swap overlay's walk read the
-        #: field directly instead of going through the :attr:`now_ns` property.
+        #: The current time.  Written by this class and by a copied steady
+        #: iteration (:mod:`repro.train.trainer`), which appends its atoms to
+        #: the tape verbatim and moves the clock by their sum; the trace
+        #: recorder (once per recorded behavior) and the swap overlay's walk
+        #: read the field directly instead of going through :attr:`now_ns`.
         self._now_ns = int(start_ns)
         #: The :class:`~repro.device.tape.TimingTape` this clock logs its
         #: advances on, if any (set by the tape itself when it attaches).

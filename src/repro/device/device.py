@@ -94,7 +94,6 @@ class Device:
             bandwidth_efficiency=bandwidth_efficiency,
             host_dispatch_overhead_ns=host_dispatch_overhead_ns,
         )
-        self.kernel_count = 0
 
     # -- memory management -----------------------------------------------------------
 
@@ -124,7 +123,6 @@ class Device:
         """Account for the execution of one kernel; returns its duration in ns."""
         duration = self.timing.op_duration_ns(cost)
         self.clock.advance(duration, TAPE_KERNEL, 0, cost.flops, cost.bytes_moved)
-        self.kernel_count += 1
         return duration
 
     def host_pause(self, duration_ns: int) -> None:

@@ -40,7 +40,6 @@ class Optimizer:
         if lr <= 0:
             raise ConfigurationError(f"learning rate must be positive, got {lr}")
         self.lr = float(lr)
-        self.step_count = 0
         self._master_weights: Dict[int, Tensor] = {}
 
     def zero_grad(self) -> None:
@@ -120,7 +119,6 @@ class SGD(Optimizer):
         return self._momentum_buffers[index]
 
     def step(self) -> None:
-        self.step_count += 1
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue
@@ -156,7 +154,6 @@ class Adam(Optimizer):
         return self._exp_avg[index], self._exp_avg_sq[index]
 
     def step(self) -> None:
-        self.step_count += 1
         for index, parameter in enumerate(self.parameters):
             if parameter.grad is None:
                 continue

@@ -28,7 +28,11 @@ of its class's recording that differs only in ``metadata["device_rank"]``.
 A session is a :class:`Recording` plus what the row decides on top of it.
 :func:`record_session` runs the front end of the row's swap-off twin once:
 each replica class's requests and its behaviors recorded against them, the
-same under every allocator and capacity.  :func:`run_training_session`
+same under every allocator and capacity.  Its trainer simulates each
+distinct iteration once: once an iteration leaves the devices as it found
+them, the later ones are appended as its shifted copies
+(:mod:`repro.train.trainer`), so the iteration count adds little to the
+recording's cost.  :func:`run_training_session`
 places it with the row's allocator (:meth:`Recording.placed`; a swap-on row
 at the native capacity — swap execution never moves an allocation),
 re-stamps it with the row's workload metadata and, for a swap-on row, runs

@@ -26,17 +26,32 @@ around an existing device.
 
 An optional recorder (duck-typed: ``begin_iteration`` / ``end_iteration``)
 receives iteration boundaries so that the analyses can segment the trace.
+
+Each distinct iteration is simulated once.  An iteration is a deterministic
+function of what the devices hold when it starts, so once one leaves every
+replica's live requests and the replicas' clock offsets as it found them
+(:func:`left_as_found`: it freed exactly the requests it made), every later
+iteration of the same :meth:`DataParallelTrainer.train` call is that
+iteration again, shifted.  The trainer appends it as a copy
+(:class:`_SteadyIteration`) without running the model: to each replica's
+request log, its slot's :class:`~repro.core.recorder.TraceRecorder` and its
+timing tape, its clock, the collective records and the history, with new
+request ids shifted by the requests an iteration makes and every time by
+the iteration's duration.  The recorders still see ``begin_iteration`` /
+``end_iteration`` around every copy.  A slot holding any other recorder
+wants every hook call, so such a run is simulated in full.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..core.events import MemoryCategory
-from ..core.trace import ALLREDUCE_OP
+from ..core.recorder import TraceRecorder
+from ..core.trace import ALLREDUCE_OP, ROW_FIELDS, ROW_WIDTH
 from ..device.cluster import DeviceGroup
 from ..device.collective import CollectiveRecord
 from ..device.device import Device
@@ -94,6 +109,146 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
     inputs.release()
     labels.release()
     device.host_pause(post_iteration_host_ns)
+
+
+# -- steady iterations ---------------------------------------------------------------
+
+
+class _Position(NamedTuple):
+    """How far one replica's record reaches: its clock, its request log's
+    requests and calls, its slot recorder's rows and its tape's atoms."""
+
+    now_ns: int
+    requests: int
+    ops: int
+    rows: int
+    atoms: int
+
+
+def _position(device: Device) -> _Position:
+    recorder, tape = device.recorder, device.clock.tape
+    return _Position(device.clock.now_ns, len(device.requests), len(device.requests.ops),
+                     0 if recorder is None else len(recorder),
+                     0 if tape is None else len(tape))
+
+
+def _int64(items) -> np.ndarray:
+    """An ``array('q')`` slice (a copy) as an int64 array over its buffer."""
+    return np.frombuffer(items, dtype=np.int64)
+
+
+def left_as_found(devices: Sequence[Device], starts: Sequence[_Position],
+                  ends: Sequence[_Position]) -> bool:
+    """Whether the iteration between ``starts`` and ``ends`` left every
+    replica's live requests and the replicas' clock offsets as it found them.
+
+    The live requests are unchanged exactly when the iteration freed the
+    requests it made and no other: as many frees as new requests, each of a
+    new one (a request is freed at most once).
+    """
+    for device, start, end in zip(devices, starts, ends):
+        if end.now_ns - ends[0].now_ns != start.now_ns - starts[0].now_ns:
+            return False
+        ops = _int64(device.requests.ops[start.ops:end.ops])
+        freed = ~ops[ops < 0]
+        if freed.size != end.requests - start.requests or (
+                freed.size and int(freed.min()) < start.requests):
+            return False
+    return True
+
+
+_TIMESTAMP, _REQUEST, _ITERATION = (ROW_FIELDS.index(name) for name in (
+    "timestamp_ns", "block_id", "iteration"))
+
+
+class _ReplicaSpan:
+    """One replica's record of a steady iteration, as its copies append it.
+
+    A copy ``j`` iterations later makes the same requests with ids ``j *
+    new_requests`` higher and keeps the persistent ones; every time it
+    records is ``j * duration_ns`` later and every tape position ``j``
+    iterations' atoms further.
+    """
+
+    def __init__(self, device: Device, start: _Position, end: _Position):
+        self.device = device
+        self.duration_ns = end.now_ns - start.now_ns
+        self.new_requests = end.requests - start.requests
+        self.atoms = end.atoms - start.atoms
+        log, tape, recorder = device.requests, device.clock.tape, device.recorder
+        #: The stores a copy extends verbatim, each with its steady slice.
+        self.verbatim = [(store, store[start.requests:end.requests])
+                         for store in (log.nbytes, log.category, log.tag)]
+        if tape is not None:
+            self.verbatim += [(column, column[start.atoms:end.atoms]) for column in (
+                tape.kind, tape.duration_ns, tape.nbytes, tape.flops, tape.bytes_moved)]
+        self.ops = _int64(log.ops[start.ops:end.ops])
+        #: +1 for a malloc (id ``r``), -1 for a free (``~r``, so ``~(r + n) = ~r - n``).
+        self.op_shift = np.where(self.ops >= 0, 1, -1)
+        self.op_ns = _int64(log.op_ns[start.ops:end.ops])
+        self.positions = None
+        if recorder is not None:
+            self.verbatim.append((recorder.ops, recorder.ops[start.rows:end.rows]))
+            self.rows = _int64(recorder.rows[start.rows * ROW_WIDTH:end.rows * ROW_WIDTH]
+                               ).reshape(-1, ROW_WIDTH)
+            self.renamed = self.rows[:, _REQUEST] >= start.requests
+            if recorder.event_tape_positions is not None:
+                self.positions = _int64(recorder.event_tape_positions[start.rows:end.rows])
+
+    def append(self, copy: int) -> None:
+        """Append the iteration ``copy`` iterations after the steady one."""
+        device, renamed, shift_ns = self.device, copy * self.new_requests, \
+            copy * self.duration_ns
+        for store, chunk in self.verbatim:
+            store.extend(chunk)
+        log = device.requests
+        log.ops.frombytes((self.ops + self.op_shift * renamed).tobytes())
+        log.op_ns.frombytes((self.op_ns + shift_ns).tobytes())
+        recorder = device.recorder
+        if recorder is not None:
+            rows = self.rows.copy()
+            rows[:, _TIMESTAMP] += shift_ns
+            rows[:, _REQUEST] += self.renamed * renamed
+            rows[:, _ITERATION] = recorder.current_iteration
+            recorder.rows.frombytes(rows.tobytes())
+            if self.positions is not None:
+                recorder.event_tape_positions.frombytes(
+                    (self.positions + copy * self.atoms).tobytes())
+        device.clock._now_ns += self.duration_ns
+
+
+class _SteadyIteration:
+    """An iteration that left the devices as it found it, appended again as
+    every later iteration of the :meth:`DataParallelTrainer.train` call."""
+
+    def __init__(self, trainer: "DataParallelTrainer", stats: "IterationStats",
+                 starts: Sequence[_Position], ends: Sequence[_Position],
+                 records: Sequence[CollectiveRecord]):
+        self.stats = stats
+        self.records = list(records)
+        self.replicas = [_ReplicaSpan(device, start, end)
+                         for device, start, end in zip(trainer.group, starts, ends)]
+        self.duration_ns = self.replicas[0].duration_ns
+
+    def repeat(self, trainer: "DataParallelTrainer", index: int) -> "IterationStats":
+        """Append iteration ``index`` as a copy; returns its statistics."""
+        copy = index - self.stats.index
+        shift_ns = copy * self.duration_ns
+        for recorder in trainer.recorders:
+            recorder.begin_iteration(index)
+        for replica in self.replicas:
+            replica.append(copy)
+        for record in self.records:
+            record = replace(record, start_ns=record.start_ns + shift_ns,
+                             end_ns=record.end_ns + shift_ns)
+            trainer.group.collective.records.append(record)
+            trainer.collective_records.append(record)
+        stats = IterationStats(index=index, start_ns=self.stats.start_ns + shift_ns,
+                               end_ns=self.stats.end_ns + shift_ns)
+        trainer.history.append(stats)
+        for recorder in trainer.recorders:
+            recorder.end_iteration(index)
+        return stats
 
 
 def shard_batch(array: np.ndarray, n_shards: int) -> List[np.ndarray]:
@@ -252,12 +407,34 @@ class DataParallelTrainer:
     # -- multiple iterations -----------------------------------------------------------
 
     def train(self, num_iterations: int) -> List[IterationStats]:
-        """Run ``num_iterations`` data-parallel training iterations."""
+        """Run ``num_iterations`` data-parallel training iterations.
+
+        Iterations are simulated until one leaves the devices as it found
+        them (:func:`left_as_found`); the rest are appended as its copies.
+        """
         if num_iterations <= 0:
             raise ConfigurationError(f"num_iterations must be positive, got {num_iterations}")
         start_index = len(self.history)
-        return [self.train_iteration(start_index + offset)
-                for offset in range(num_iterations)]
+        stop = start_index + num_iterations
+        devices = list(self.group)
+        # A copy extends a plain recorder; any other wants every hook call.
+        if any(device.recorder is not None and type(device.recorder) is not TraceRecorder
+               for device in devices):
+            return [self.train_iteration(index) for index in range(start_index, stop)]
+        steady: Optional[_SteadyIteration] = None
+        history: List[IterationStats] = []
+        for index in range(start_index, stop):
+            if steady is not None:
+                history.append(steady.repeat(self, index))
+                continue
+            starts = [_position(device) for device in devices]
+            records = len(self.collective_records)
+            history.append(self.train_iteration(index))
+            ends = [_position(device) for device in devices]
+            if index + 1 < stop and left_as_found(devices, starts, ends):
+                steady = _SteadyIteration(self, history[-1], starts, ends,
+                                          self.collective_records[records:])
+        return history
 
     # -- reporting ---------------------------------------------------------------------
 

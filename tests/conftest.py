@@ -17,6 +17,9 @@ settings.register_profile("swap-wide", max_examples=200, deadline=None)
 #: The wide draw of ``tests/test_property_replay.py`` (the replay-smoke CI
 #: leg: ``pytest --hypothesis-profile=replay-wide``).
 settings.register_profile("replay-wide", max_examples=100, deadline=None)
+#: The wide draw of ``tests/test_steady_iterations.py`` (the scaling-smoke CI
+#: leg: ``pytest --hypothesis-profile=steady-wide``).
+settings.register_profile("steady-wide", max_examples=100, deadline=None)
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import pytest
 from repro.core.events import MemoryCategory
 from repro.device import Device, make_allocator, small_test_device
 from repro.tensor.storage import DeviceStorage
+from repro.device.tape import TAPE_KERNEL, TimingTape
 from repro.device.timing import KernelCost
 from repro.errors import ConfigurationError
 from repro.units import MIB
@@ -73,11 +74,14 @@ def test_the_recorder_observes_allocations_and_accesses(test_device):
 
 
 def test_run_kernel_advances_clock_and_counts(test_device):
+    """A launch is one kernel atom on the tape, as long as the clock moved."""
+    tape = TimingTape(test_device.clock)
     before = test_device.clock.now_ns
     duration = test_device.run_kernel(KernelCost(flops=1e6, name="k"))
     assert duration > 0
     assert test_device.clock.now_ns == before + duration
-    assert test_device.kernel_count == 1
+    assert (list(tape.kind), list(tape.duration_ns), list(tape.flops)) == (
+        [TAPE_KERNEL], [duration], [1e6])
 
 
 def test_host_pause_advances_clock(test_device):
