@@ -63,7 +63,7 @@ import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -1052,7 +1052,7 @@ class TemplateFamily:
                  variants: Optional[Dict[str, Optional[TraceTemplate]]] = None):
         self.key = key
         self.variants: Dict[str, Optional[TraceTemplate]] = dict(variants or {})
-        self.failed_captures: set = set()
+        self.failed_captures: Set[Tuple[str, int]] = set()
         #: Whether this engine/process ran a fresh capture for the family
         #: (as opposed to loading every variant from the store).
         self.compiled_fresh = False

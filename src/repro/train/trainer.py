@@ -221,7 +221,7 @@ class _SteadyIteration:
     """An iteration that left the devices as it found it, appended again as
     every later iteration of the :meth:`DataParallelTrainer.train` call."""
 
-    def __init__(self, trainer: "DataParallelTrainer", stats: "IterationStats",
+    def __init__(self, trainer: DataParallelTrainer, stats: IterationStats,
                  starts: Sequence[_Position], ends: Sequence[_Position],
                  records: Sequence[CollectiveRecord]):
         self.stats = stats
@@ -230,7 +230,7 @@ class _SteadyIteration:
                          for device, start, end in zip(trainer.group, starts, ends)]
         self.duration_ns = self.replicas[0].duration_ns
 
-    def repeat(self, trainer: "DataParallelTrainer", index: int) -> "IterationStats":
+    def repeat(self, trainer: DataParallelTrainer, index: int) -> IterationStats:
         """Append iteration ``index`` as a copy; returns its statistics."""
         copy = index - self.stats.index
         shift_ns = copy * self.duration_ns
