@@ -173,13 +173,15 @@ resume-smoke:
 	test ! -e .ci-resume-cache/quarantine
 	rm -rf .ci-resume-cache
 
-# Trace-file smoke (the CI trace-smoke leg): the trace `repro profile
-# --save-trace` writes must load, pass validate() and save back to the same
-# bytes (the file is written from the trace's columns and loaded into them),
-# under every allocator's placement of the recorded requests.  Four
-# iterations, so the file crosses iterations the trainer appended as copies
-# of a steady one.
+# Trace-file smoke (the CI trace-smoke leg): first the placement pins and
+# invariants (tests/test_placement.py) under the wide hypothesis draw, then
+# the trace `repro profile --save-trace` writes must load, pass validate()
+# and save back to the same bytes (the file is written from the trace's
+# columns and loaded into them), under every allocator's placement of the
+# recorded requests.  Four iterations, so the file crosses iterations the
+# trainer appended as copies of a steady one.
 trace-smoke:
+	$(PYTHON) -m pytest -q tests/test_placement.py --hypothesis-profile=placement-wide
 	rm -rf .ci-trace-cache
 	@set -e; for allocator in caching best_fit bump; do \
 		echo "== --allocator $$allocator"; \

@@ -39,7 +39,7 @@ from typing import List, Optional
 from .core import compute_interval_arrays, occupation_breakdown, summarize_values_us
 from .core.events import PAPER_BUCKETS
 from .data.datasets import DATASET_PRESETS
-from .device.allocator import ALLOCATOR_CLASSES
+from .device.allocator import PLACEMENT_PASSES
 from .device.cluster import INTERCONNECT_PRESETS
 from .device.spec import DEVICE_PRESETS
 from .errors import InfeasibleScenarioError, OutOfMemoryError
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--iterations", type=int, default=5)
     profile.add_argument("--device", default="titan_x_pascal", choices=sorted(DEVICE_PRESETS))
     profile.add_argument("--allocator", default="caching",
-                         choices=tuple(ALLOCATOR_CLASSES))
+                         choices=tuple(PLACEMENT_PASSES))
     profile.add_argument("--swap", default=SWAP_OFF,
                          choices=SWAP_EXECUTION_MODES,
                          help="run the closed-loop swap-execution engine "
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated iteration counts")
     sweep.add_argument("--allocators", default="caching",
                        help="comma-separated allocator policies "
-                            f"({', '.join(ALLOCATOR_CLASSES)})")
+                            f"({', '.join(PLACEMENT_PASSES)})")
     sweep.add_argument("--swap-policies", default="none",
                        help="comma-separated baseline policies "
                             f"({', '.join(SWAP_POLICIES)})")
@@ -352,7 +352,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # a clean message before any scenario (or worker process) starts.
     dimension_choices = (
         ("--models", _split_csv(args.models), set(available_models())),
-        ("--allocators", _split_csv(args.allocators), set(ALLOCATOR_CLASSES)),
+        ("--allocators", _split_csv(args.allocators), set(PLACEMENT_PASSES)),
         ("--swap-policies", _split_csv(args.swap_policies), set(SWAP_POLICIES)),
         ("--swap", _split_csv(args.swap), set(SWAP_EXECUTION_MODES)),
         ("--devices", _split_csv(args.devices), set(DEVICE_PRESETS)),

@@ -30,7 +30,6 @@ from .fragmentation import (
     FragmentationReport,
     analyze_fragmentation,
     internal_fragmentation_bytes,
-    snapshot_external_fragmentation,
 )
 from .gantt import GanttChart, GanttRectangle, build_gantt_chart
 from .outliers import (
@@ -111,7 +110,6 @@ __all__ = [
     "occupation_breakdown",
     "pairwise_ati_size",
     "sequence_similarity",
-    "snapshot_external_fragmentation",
     "summarize_values_us",
     "swap_round_trip_ns",
     "top_swap_candidates",

@@ -7,8 +7,7 @@ during MLP training".  This module quantifies that:
 * *internal* fragmentation: an upper bound on the bytes handed out beyond
   what was requested (size rounding);
 * *external* fragmentation: reserved-but-unallocated bytes held in the
-  allocator's cache, and the classic ``1 - largest_free / total_free`` ratio
-  computed from allocator snapshots;
+  allocator's cache;
 * a reserved/allocated utilization timeline replayed from the trace.
 
 All per-event reductions run on the trace's column store
@@ -21,7 +20,7 @@ its peaks and utilization statistics directly on those arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -114,20 +113,3 @@ def internal_fragmentation_bytes(trace: MemoryTrace) -> int:
         return 0
     peak_live_blocks = int(max(0, np.cumsum(deltas).max()))
     return peak_live_blocks * 511
-
-
-def snapshot_external_fragmentation(snapshot: List[dict]) -> float:
-    """``1 - largest_free_block / total_free`` over an allocator snapshot.
-
-    Takes the output of ``Device.memory_snapshot()`` (live allocator state),
-    returns 0.0 when there is no free memory at all.
-    """
-    free_sizes: List[int] = []
-    for segment in snapshot:
-        for block in segment["blocks"]:
-            if not block["allocated"]:
-                free_sizes.append(int(block["size"]))
-    total_free = sum(free_sizes)
-    if total_free == 0:
-        return 0.0
-    return 1.0 - max(free_sizes) / total_free

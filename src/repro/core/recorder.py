@@ -104,6 +104,7 @@ class TraceRecorder:
         self._append_op("")
 
     def on_free(self, request: int) -> None:
+        """Record the free of ``request``."""
         if self._tape is not None:
             self.event_tape_positions.append(len(self._tape))
         self._append_row(pack_row(_FREE, self.clock._now_ns, request, 0, 0, 0,

@@ -2,7 +2,10 @@
 
 This package replaces the Nvidia Titan X (Pascal) + CUDA runtime used by the
 paper with a deterministic software model whose memory system is instrumented
-exactly the way the paper instruments PyTorch's allocators.  The device is
+exactly the way the paper instruments PyTorch's allocators.  A device's
+front end logs its mallocs and frees (:class:`~repro.device.memory.RequestLog`);
+an allocator is a placement pass over that log
+(:func:`~repro.device.allocator.place`, one loop per policy).  The device is
 synchronous — kernels and host↔device copies run in order on one timeline,
 its clock — and the one asynchronous copy engine,
 :class:`~repro.device.stream.Stream`, belongs to the swap overlay
@@ -11,17 +14,12 @@ clock of its own.
 """
 
 from .allocator import (
-    ALLOCATOR_CLASSES,
-    BaseAllocator,
-    BestFitAllocator,
-    BumpAllocator,
-    CachingAllocator,
     LARGE_SEGMENT_SIZE,
     MIN_BLOCK_SIZE,
+    PLACEMENT_PASSES,
     Placement,
     SMALL_ALLOCATION_LIMIT,
     SMALL_SEGMENT_SIZE,
-    make_allocator,
     place,
     round_block_size,
     segment_size_for,
@@ -40,7 +38,7 @@ from .cluster import (
 )
 from .collective import CollectiveEngine, CollectiveRecord
 from .device import Device
-from .memory import AllocatorStats, Block, RequestLog, Segment
+from .memory import AllocatorStats, RequestLog
 from .spec import (
     DEVICE_PRESETS,
     DeviceSpec,
@@ -60,17 +58,11 @@ from .timing import (
 )
 
 __all__ = [
-    "ALLOCATOR_CLASSES",
     "ALLREDUCE_ALGORITHMS",
     "AllocatorStats",
     "BandwidthMeasurement",
     "BandwidthReport",
     "BandwidthTest",
-    "BaseAllocator",
-    "BestFitAllocator",
-    "Block",
-    "BumpAllocator",
-    "CachingAllocator",
     "ClusterSpec",
     "CollectiveEngine",
     "CollectiveRecord",
@@ -85,18 +77,17 @@ __all__ = [
     "KernelTimingModel",
     "LARGE_SEGMENT_SIZE",
     "MIN_BLOCK_SIZE",
+    "PLACEMENT_PASSES",
     "Placement",
     "SMALL_ALLOCATION_LIMIT",
     "SMALL_SEGMENT_SIZE",
     "RequestLog",
-    "Segment",
     "Stream",
     "ampere_a100_40gb",
     "conv2d_cost",
     "elementwise_cost",
     "get_device_spec",
     "get_interconnect",
-    "make_allocator",
     "matmul_cost",
     "naive_allreduce_time_ns",
     "place",

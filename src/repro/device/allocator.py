@@ -1,6 +1,6 @@
-"""Device memory allocators.
+"""Device memory allocators: one placement pass per policy.
 
-The centerpiece is :class:`CachingAllocator`, a faithful reimplementation of
+The centerpiece is the ``caching`` policy, a faithful reimplementation of
 the policy used by PyTorch's CUDA caching allocator, which is the allocator
 the paper instruments:
 
@@ -20,17 +20,29 @@ the paper instruments:
 
 An allocator is a pass over a finished run's requests: the front end logs
 every malloc and free (:class:`~repro.device.memory.RequestLog`) and pays
-the per-call bookkeeping overhead on its clock, and :func:`place` drives an
-allocator over the log under a capacity.  The :class:`Placement` it returns
-holds each request's block id, address and size, the segment rows with the
-call each was made in (one ``cudaMalloc``/``cudaFree`` overhead atom each,
-which :func:`~repro.core.recorder.place_traces` splices into the timeline),
-the segments reserved before the first request and the counters.  An
-out-of-memory is raised by :func:`place` at the request that hits it.
+the per-call bookkeeping overhead on its clock, and :func:`place` runs the
+named policy's pass over the log under a capacity.  Each pass is one loop
+over ``requests.ops`` on flat lists indexed by block id (address, size,
+allocated, neighbours, segment, free-list key): a pool of free blocks is a
+sorted list of integer keys ``size << 80 | tiebreak << 32 | block id``, so
+best fit is one ``bisect_left`` and equal sizes go by the tiebreak — the
+insertion sequence for ``caching`` (oldest free block first), the address
+for ``best_fit`` (lowest first).  The counters are the loop's locals.
+There is no allocator object and no per-call method: a call and a block
+object per request cost more than the placement itself.
 
-Two simpler allocators (:class:`BestFitAllocator` and :class:`BumpAllocator`)
-are provided as ablation baselines: they produce different fragmentation and
-event streams for the same workload, which the allocator ablation
+The :class:`Placement` a pass returns holds each request's block id,
+address and size, the segment rows with the call each was made in (one
+``cudaMalloc``/``cudaFree`` overhead atom each, which
+:func:`~repro.core.recorder.place_traces` splices into the timeline), the
+segments reserved before the first request and the counters.  An
+out-of-memory is raised at the request that hits it, and the free of a
+block that is not allocated raises :class:`~repro.errors.InvalidFreeError`.
+
+Two simpler policies (``best_fit``: one arena, best fit, immediate
+coalescing; ``bump``: fresh address space for every request) are ablation
+baselines: they produce different fragmentation and event streams for the
+same workload, which the allocator ablation
 (:func:`repro.experiments.ablations.run_allocator_ablation`, checked by
 ``tests/test_experiments.py::test_allocator_ablation_differentiates_policies``
 and rendered in ``docs/figures/ablations.md``) quantifies.
@@ -38,18 +50,17 @@ and rendered in ``docs/figures/ablations.md``) quantifies.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from ..core.events import MemoryCategory, MemoryEventKind
+from ..core.events import MemoryEventKind
 from ..core.trace import KIND_CODES
 from ..errors import InvalidFreeError, OutOfMemoryError
 from ..units import MIB
-from .memory import AllocatorStats, Block, RequestLog, Segment
+from .memory import AllocatorStats, RequestLog
 
 _SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
 _SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
@@ -68,79 +79,15 @@ LARGE_SPLIT_REMAINDER = 1 * MIB
 BASE_ADDRESS = 0x7F00_0000_0000
 #: Segments are aligned to this boundary in the simulated address space.
 SEGMENT_ALIGNMENT = 2 * MIB
+#: The share of the capacity ``best_fit`` reserves as its one arena.
+_ARENA_SHARE = 0.95
 
-
-class IndexedFreeList:
-    """Size-ordered index of free blocks with bisect-backed best-fit lookup.
-
-    Replaces the historical unsorted ``List[Block]`` free lists, whose
-    best-fit search and removal were linear scans — the dominant allocator
-    cost once symbolic sweeps made everything else array-speed.  Entries are
-    ``(size, tiebreak)`` keys kept sorted with ``bisect``; membership and the
-    key of a given block are O(1) dict lookups, removal is an O(log n) search
-    plus one C-level list deletion, and best-fit is a single ``bisect_left``.
-
-    The tiebreak among equal-size blocks preserves the exact semantics of the
-    linear scans (so event streams stay bit-identical):
-
-    * ``"fifo"`` — a monotonically increasing insertion sequence.  Equal-size
-      candidates are taken oldest-first, exactly like the old first-match
-      scan over an append-ordered list (:class:`CachingAllocator`).
-    * ``"address"`` — the block's device address.  Equal-size candidates are
-      taken lowest-address-first, exactly like the old address-order scan
-      over the arena's block list (:class:`BestFitAllocator`).
-    """
-
-    def __init__(self, tiebreak: str = "fifo"):
-        if tiebreak not in ("fifo", "address"):
-            raise ValueError(f"unknown tiebreak policy {tiebreak!r}")
-        self._by_address = tiebreak == "address"
-        self._seq = itertools.count()
-        self._keys: List[Tuple[int, int]] = []                  # sorted (size, tiebreak)
-        self._key_by_id: Dict[int, Tuple[int, int]] = {}        # block_id -> key
-        self._block_by_key: Dict[Tuple[int, int], Block] = {}   # key -> block
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, block: "Block") -> bool:
-        return block.block_id in self._key_by_id
-
-    def blocks(self) -> List["Block"]:
-        """The indexed blocks in (size, tiebreak) order."""
-        return [self._block_by_key[key] for key in self._keys]
-
-    def add(self, block: "Block") -> None:
-        """Index a block that just became free."""
-        key = (block.size, block.address if self._by_address else next(self._seq))
-        self._key_by_id[block.block_id] = key
-        self._block_by_key[key] = block
-        insort(self._keys, key)
-
-    def discard(self, block: "Block") -> bool:
-        """Remove a block from the index if present; returns whether it was."""
-        key = self._key_by_id.pop(block.block_id, None)
-        if key is None:
-            return False
-        del self._block_by_key[key]
-        del self._keys[bisect_left(self._keys, key)]
-        return True
-
-    def take_best_fit(self, min_size: int) -> Optional["Block"]:
-        """Remove and return the best-fitting free block of at least ``min_size``.
-
-        Among blocks of the smallest sufficient size, the tiebreak order
-        decides (oldest insertion for ``"fifo"``, lowest address for
-        ``"address"``) — matching the block the historical linear scans
-        would have picked.
-        """
-        index = bisect_left(self._keys, (min_size, -1))
-        if index == len(self._keys):
-            return None
-        key = self._keys.pop(index)
-        block = self._block_by_key.pop(key)
-        del self._key_by_id[block.block_id]
-        return block
+# A free-list key is ``size << _SIZE | tiebreak << _TIE | block id``: block
+# ids stay below 2**32 and tiebreaks (a sequence number, an address offset
+# into the arena) below 2**48.
+_TIE = 32
+_SIZE = 80
+_BLOCK = (1 << _TIE) - 1
 
 
 def round_block_size(size: int) -> int:
@@ -157,409 +104,12 @@ def segment_size_for(rounded_size: int) -> int:
     if rounded_size < LARGE_SEGMENT_SIZE:
         return LARGE_SEGMENT_SIZE
     # Huge allocations get a dedicated segment rounded to 2 MiB.
-    return ((rounded_size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
+    return _aligned(rounded_size)
 
 
-class BaseAllocator:
-    """Common state and interface shared by all allocator implementations.
-
-    ``capacity`` is the device memory the allocator may reserve.  Every
-    segment reserved or released is appended to :attr:`segment_log` as
-    ``(kind code, segment)``: one ``cudaMalloc``/``cudaFree`` each, whose
-    overhead :func:`place` hands to the timeline.
-    """
-
-    name = "base"
-
-    def __init__(self, capacity: int):
-        self.capacity = int(capacity)
-        self.stats = AllocatorStats()
-        self.segment_log: List[Tuple[int, Segment]] = []
-        self._segments: List[Segment] = []
-        self._next_address = BASE_ADDRESS
-        # Identities are per allocator: the first block (and segment) of every
-        # placement is 1, whatever the process placed before.
-        self._block_ids = itertools.count(1)
-        self._segment_ids = itertools.count(1)
-
-    # -- interface -------------------------------------------------------------
-
-    def allocate(
-        self,
-        size: int,
-        category: MemoryCategory = MemoryCategory.UNKNOWN,
-        tag: str = "",
-    ) -> Block:
-        """Allocate a device block of at least ``size`` bytes."""
-        raise NotImplementedError
-
-    def free(self, block: Block) -> None:
-        """Return a previously allocated block to the allocator."""
-        raise NotImplementedError
-
-    def empty_cache(self) -> int:
-        """Release cached (fully free) segments; returns bytes released."""
-        return 0
-
-    # -- shared helpers ---------------------------------------------------------
-
-    def segments(self) -> List[Segment]:
-        """All currently reserved segments, in reservation order."""
-        return list(self._segments)
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes currently handed out to tensors."""
-        return self.stats.allocated_bytes
-
-    @property
-    def reserved_bytes(self) -> int:
-        """Bytes currently reserved from the device (segments)."""
-        return self.stats.reserved_bytes
-
-    def device_free_bytes(self) -> int:
-        """Device memory not yet reserved by any segment."""
-        return self.capacity - self.stats.reserved_bytes
-
-    def check_invariants(self) -> None:
-        """Run the per-segment structural self-check on every segment."""
-        for segment in self._segments:
-            segment.check_invariants()
-
-    def memory_snapshot(self) -> List[Dict[str, object]]:
-        """A ``torch.cuda.memory_snapshot()``-style dump of segments and blocks."""
-        snapshot: List[Dict[str, object]] = []
-        for segment in self._segments:
-            snapshot.append(
-                {
-                    "segment_id": segment.segment_id,
-                    "address": segment.address,
-                    "size": segment.size,
-                    "pool": segment.pool,
-                    "blocks": [
-                        {
-                            "block_id": b.block_id,
-                            "address": b.address,
-                            "size": b.size,
-                            "allocated": b.allocated,
-                            "category": b.category.value,
-                            "tag": b.tag,
-                        }
-                        for b in segment.blocks()
-                    ],
-                }
-            )
-        return snapshot
-
-    def _reserve_segment(self, size: int, pool: str) -> Segment:
-        """Reserve a new segment of ``size`` bytes (simulated ``cudaMalloc``)."""
-        if size > self.device_free_bytes():
-            raise OutOfMemoryError(
-                requested=size,
-                free=self.device_free_bytes(),
-                reserved=self.stats.reserved_bytes,
-                capacity=self.capacity,
-            )
-        address = self._next_address
-        self._next_address += ((size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
-        segment = Segment(address=address, size=size, pool=pool,
-                          segment_id=next(self._segment_ids),
-                          first_block_id=next(self._block_ids))
-        self._segments.append(segment)
-        self.stats.on_reserve(size)
-        self.segment_log.append((_SEGMENT_ALLOC, segment))
-        return segment
-
-    def _release_segment(self, segment: Segment) -> None:
-        """Release a fully free segment back to the device (simulated ``cudaFree``)."""
-        self._segments.remove(segment)
-        self.stats.on_release(segment.size)
-        self.segment_log.append((_SEGMENT_FREE, segment))
-
-    def _publish_alloc(self, block: Block, requested_size: int,
-                       category: MemoryCategory, tag: str) -> Block:
-        """Mark a block allocated and update the stats."""
-        block.allocated = True
-        block.requested_size = requested_size
-        block.category = category
-        block.tag = tag
-        self.stats.on_alloc(block.size)
-        return block
-
-    def _publish_free(self, block: Block) -> None:
-        """Mark a block free and update the stats."""
-        if not block.allocated:
-            raise InvalidFreeError(
-                f"block {block.block_id} (tag={block.tag!r}) is not currently allocated"
-            )
-        self.stats.on_free(block.size)
-        block.allocated = False
-
-
-class CachingAllocator(BaseAllocator):
-    """PyTorch-style caching allocator (see module docstring for the policy)."""
-
-    name = "caching"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        # Free blocks per pool, indexed by (size, insertion order): best-fit
-        # is one bisect, removal is O(log n) — same blocks the historical
-        # linear scans would have picked, just found without the scan.
-        self._free_blocks: Dict[str, IndexedFreeList] = {
-            "small": IndexedFreeList("fifo"), "large": IndexedFreeList("fifo")}
-
-    # -- allocation -------------------------------------------------------------
-
-    def allocate(
-        self,
-        size: int,
-        category: MemoryCategory = MemoryCategory.UNKNOWN,
-        tag: str = "",
-    ) -> Block:
-        rounded = round_block_size(size)
-        pool = "small" if rounded <= SMALL_ALLOCATION_LIMIT else "large"
-
-        # Best fit in the pool's free index (removes and returns the block).
-        block = self._free_blocks[pool].take_best_fit(rounded)
-        if block is not None:
-            self.stats.cache_hits += 1
-        else:
-            self.stats.cache_misses += 1
-            block = self._allocate_from_new_segment(pool, rounded)
-
-        block = self._maybe_split(block, rounded, pool)
-        return self._publish_alloc(block, size, category, tag)
-
-    def _allocate_from_new_segment(self, pool: str, rounded: int) -> Block:
-        """Reserve a fresh segment and return its (single, free) covering block."""
-        segment_size = segment_size_for(rounded)
-        try:
-            segment = self._reserve_segment(segment_size, pool)
-        except OutOfMemoryError:
-            # Mimic PyTorch: release cached segments and retry once before
-            # surfacing the OOM to the caller.
-            released = self.empty_cache()
-            if released <= 0:
-                raise
-            segment = self._reserve_segment(segment_size, pool)
-        block = segment.first_block
-        assert block is not None  # a fresh segment always has one covering block
-        return block
-
-    def _maybe_split(self, block: Block, rounded: int, pool: str) -> Block:
-        """Split ``block`` if the remainder is worth keeping, per pool policy."""
-        remainder = block.size - rounded
-        should_split = (
-            remainder >= MIN_BLOCK_SIZE
-            if pool == "small"
-            else remainder > LARGE_SPLIT_REMAINDER
-        )
-        if not should_split:
-            return block
-        tail = Block(block.segment, block.address + rounded, remainder,
-                     block_id=next(self._block_ids))
-        tail.prev = block
-        tail.next = block.next
-        if block.next is not None:
-            block.next.prev = tail
-        block.next = tail
-        block.size = rounded
-        self._free_blocks[pool].add(tail)
-        self.stats.split_count += 1
-        return block
-
-    # -- free -------------------------------------------------------------------
-
-    def free(self, block: Block) -> None:
-        self._publish_free(block)
-        pool = block.segment.pool
-        block = self._coalesce(block, pool)
-        self._free_blocks[pool].add(block)
-
-    def _coalesce(self, block: Block, pool: str) -> Block:
-        """Merge ``block`` with free neighbours; returns the surviving block.
-
-        The surviving block keeps the identity (``block_id``) of the left-most
-        participant, matching how a real allocator's block descriptor absorbs
-        its right neighbour.
-        """
-        # Merge with the right neighbour first so addresses stay contiguous.
-        nxt = block.next
-        if nxt is not None and not nxt.allocated:
-            self._remove_from_free_list(pool, nxt)
-            block.size += nxt.size
-            block.next = nxt.next
-            if nxt.next is not None:
-                nxt.next.prev = block
-            self.stats.coalesce_count += 1
-        prev = block.prev
-        if prev is not None and not prev.allocated:
-            self._remove_from_free_list(pool, prev)
-            prev.size += block.size
-            prev.next = block.next
-            if block.next is not None:
-                block.next.prev = prev
-            self.stats.coalesce_count += 1
-            block = prev
-        return block
-
-    def _remove_from_free_list(self, pool: str, block: Block) -> None:
-        self._free_blocks[pool].discard(block)
-
-    # -- cache management --------------------------------------------------------
-
-    def empty_cache(self) -> int:
-        """Release every fully free segment; returns the number of bytes released."""
-        released = 0
-        for segment in list(self._segments):
-            if not segment.is_fully_free():
-                continue
-            for block in list(segment.blocks()):
-                self._remove_from_free_list(segment.pool, block)
-            released += segment.size
-            self._release_segment(segment)
-        return released
-
-
-class BestFitAllocator(BaseAllocator):
-    """Non-caching best-fit allocator over one big arena (ablation baseline).
-
-    The whole device memory is reserved as a single segment up front; every
-    allocation does a best-fit search over the arena's free blocks and every
-    free coalesces immediately.  There is no pooling and no size rounding
-    beyond the 512-byte granularity, so the event stream and fragmentation
-    profile differ from the caching allocator's.
-    """
-
-    name = "best_fit"
-
-    def __init__(self, capacity: int, arena_fraction: float = 0.95):
-        super().__init__(capacity)
-        arena_size = int(self.capacity * arena_fraction)
-        arena_size = (arena_size // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
-        self._arena = self._reserve_segment(arena_size, pool="arena")
-        # Free blocks indexed by (size, address): best-fit is one bisect and
-        # equal sizes resolve lowest-address-first, exactly the block the old
-        # address-order scan over the arena would have returned.
-        self._free_index = IndexedFreeList("address")
-        self._free_index.add(self._arena.first_block)
-
-    def allocate(
-        self,
-        size: int,
-        category: MemoryCategory = MemoryCategory.UNKNOWN,
-        tag: str = "",
-    ) -> Block:
-        rounded = round_block_size(size)
-        best = self._free_index.take_best_fit(rounded)
-        if best is None:
-            raise OutOfMemoryError(
-                requested=rounded,
-                free=self._arena.largest_free_block(),
-                reserved=self.stats.reserved_bytes,
-                capacity=self.capacity,
-            )
-        if best.size - rounded >= MIN_BLOCK_SIZE:
-            tail = Block(self._arena, best.address + rounded, best.size - rounded,
-                         block_id=next(self._block_ids))
-            tail.prev = best
-            tail.next = best.next
-            if best.next is not None:
-                best.next.prev = tail
-            best.next = tail
-            best.size = rounded
-            self._free_index.add(tail)
-            self.stats.split_count += 1
-        return self._publish_alloc(best, size, category, tag)
-
-    def free(self, block: Block) -> None:
-        self._publish_free(block)
-        nxt = block.next
-        if nxt is not None and not nxt.allocated:
-            self._free_index.discard(nxt)
-            block.size += nxt.size
-            block.next = nxt.next
-            if nxt.next is not None:
-                nxt.next.prev = block
-            self.stats.coalesce_count += 1
-        prev = block.prev
-        if prev is not None and not prev.allocated:
-            self._free_index.discard(prev)
-            prev.size += block.size
-            prev.next = block.next
-            if block.next is not None:
-                block.next.prev = prev
-            self.stats.coalesce_count += 1
-            block = prev
-        self._free_index.add(block)
-
-
-class BumpAllocator(BaseAllocator):
-    """Linear (bump-pointer) allocator that never reuses memory until reset.
-
-    This models the most naive runtime possible: every allocation consumes
-    fresh address space and frees only bookkeep.  It is used as an ablation
-    baseline to show how much the caching allocator's block reuse shapes the
-    per-block behavior streams, and it also provides an upper bound on the
-    footprint a workload would need without any reuse.
-    """
-
-    name = "bump"
-
-    def __init__(self, capacity: int):
-        super().__init__(capacity)
-        self._cursor = 0
-
-    def allocate(
-        self,
-        size: int,
-        category: MemoryCategory = MemoryCategory.UNKNOWN,
-        tag: str = "",
-    ) -> Block:
-        rounded = round_block_size(size)
-        if self._cursor + rounded > self.capacity:
-            raise OutOfMemoryError(
-                requested=rounded,
-                free=self.capacity - self._cursor,
-                reserved=self.stats.reserved_bytes,
-                capacity=self.capacity,
-            )
-        segment = self._reserve_segment(rounded, pool="bump")
-        block = segment.first_block
-        assert block is not None
-        self._cursor += rounded
-        return self._publish_alloc(block, size, category, tag)
-
-    def free(self, block: Block) -> None:
-        self._publish_free(block)
-
-    def reset(self) -> None:
-        """Release everything and rewind the bump pointer (end of a phase)."""
-        for segment in list(self._segments):
-            self._release_segment(segment)
-        self._cursor = 0
-
-
-#: Registry of allocator implementations, used by experiment configuration.
-ALLOCATOR_CLASSES = {
-    CachingAllocator.name: CachingAllocator,
-    BestFitAllocator.name: BestFitAllocator,
-    BumpAllocator.name: BumpAllocator,
-}
-
-
-def make_allocator(name: str, capacity: int) -> BaseAllocator:
-    """Instantiate an allocator by registry name (``caching``, ``best_fit``, ``bump``)."""
-    return ALLOCATOR_CLASSES[check_allocator(name)](capacity)
-
-
-def check_allocator(name: str) -> str:
-    """``name`` if it is a registered allocator (KeyError listing them if not)."""
-    if name not in ALLOCATOR_CLASSES:
-        known = ", ".join(sorted(ALLOCATOR_CLASSES))
-        raise KeyError(f"unknown allocator '{name}'; known allocators: {known}")
-    return name
+def _aligned(size: int) -> int:
+    """``size`` rounded up to the segment alignment."""
+    return ((size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
 
 
 @dataclass(frozen=True)
@@ -588,41 +138,368 @@ class Placement:
     stats: AllocatorStats
 
 
-def place(requests: RequestLog, allocator: str, capacity: int) -> Placement:
-    """Drive allocator ``allocator`` over ``requests`` under ``capacity`` bytes.
-
-    Calls ``allocate`` / ``free`` in the log's order, as the front end made
-    them; an :class:`~repro.errors.OutOfMemoryError` propagates from the
-    request that hits it.  The only place an allocator is instantiated.
-    """
-    instance = make_allocator(allocator, capacity)
-    log = instance.segment_log
-    preamble = len(log)
-    del log[:]
-    blocks: List[Optional[Block]] = [None] * len(requests)
-    # A block is re-split and coalesced after its request is freed, so each
-    # request's (id, address, size) is read when it is served.
-    served: List[Tuple[int, int, int]] = [(0, 0, 0)] * len(requests)
-    nbytes, categories, tags = requests.nbytes, requests.category, requests.tag
-    made: List[Tuple[int, int, Segment]] = []
-    allocate, free = instance.allocate, instance.free
-    for index, op in enumerate(requests.ops):
-        if op >= 0:
-            blocks[op] = block = allocate(nbytes[op], categories[op], tags[op])
-            served[op] = (block.block_id, block.address, block.size)
-        else:
-            free(blocks[~op])
-        if log:
-            made.extend((index, kind, segment) for kind, segment in log)
-            del log[:]
-    table = np.array(served, dtype=np.int64).reshape(len(served), 3)
-    segments = np.array([(index, kind, segment.segment_id, segment.address, segment.size)
-                         for index, kind, segment in made],
-                        dtype=np.int64).reshape(len(made), 5)
+def _placement(blocks: List[int], addresses: List[int], sizes: List[int],
+               rows: List[tuple], tags: List[str], preamble: int,
+               stats: AllocatorStats) -> Placement:
+    """A :class:`Placement` from a pass's per-request and per-segment lists."""
+    segments = np.array(rows, dtype=np.int64).reshape(len(rows), 5)
     return Placement(
-        block_id=table[:, 0], address=table[:, 1], size=table[:, 2],
+        block_id=np.array(blocks, dtype=np.int64),
+        address=np.array(addresses, dtype=np.int64),
+        size=np.array(sizes, dtype=np.int64),
         segment_op=segments[:, 0], segment_kind=segments[:, 1],
         segment_id=segments[:, 2], segment_address=segments[:, 3],
         segment_size=segments[:, 4],
-        segment_tags=[f"segment:{segment.pool}" for _, _, segment in made],
-        preamble_segments=preamble, stats=instance.stats)
+        segment_tags=tags, preamble_segments=preamble, stats=stats)
+
+
+def _bad_free(block: int, tag: str) -> InvalidFreeError:
+    return InvalidFreeError(f"block {block} (tag={tag!r}) is not currently allocated")
+
+
+def _place_caching(requests: RequestLog, capacity: int) -> Placement:
+    """The caching allocator's pass (see the module docstring for the policy)."""
+    n = len(requests)
+    nbytes, request_tags = requests.nbytes, requests.tag
+    served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
+    # Per block id (0: no block): address, size, allocated, neighbours,
+    # segment, free-list key and the request that last held it.
+    address, size, allocated = [0], [0], [False]
+    prev, after, segment_of, key_of, holder = [0], [0], [0], [0], [0]
+    # Per segment id: address, size, pool, first block; live ones in order.
+    segment_address, segment_size, segment_pool, segment_first = [0], [0], [None], [0]
+    pool_names: List[str] = [""]
+    live_segments: List[int] = []
+    small_pool: List[int] = []
+    large_pool: List[int] = []
+    rows: List[tuple] = []
+    tags: List[str] = []
+    sequence = 0
+    next_address = BASE_ADDRESS
+    allocated_bytes = reserved = active = 0
+    peak_allocated = peak_reserved = peak_active = 0
+    mallocs = frees = alloc_bytes = hits = misses = 0
+    segment_allocs = segment_frees = splits = coalesces = 0
+    for call, op in enumerate(requests.ops):
+        if op >= 0:
+            wanted = nbytes[op]
+            rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
+            small = rounded <= SMALL_ALLOCATION_LIMIT
+            pool = small_pool if small else large_pool
+            at = bisect_left(pool, rounded << _SIZE)
+            if at < len(pool):
+                block = pool.pop(at) & _BLOCK
+                hits += 1
+            else:
+                misses += 1
+                reserve = segment_size_for(rounded)
+                if reserve > capacity - reserved:
+                    failure = OutOfMemoryError(requested=reserve, free=capacity - reserved,
+                                               reserved=reserved, capacity=capacity)
+                    # Like PyTorch: release every fully free segment and
+                    # retry once before surfacing the out-of-memory.
+                    released = 0
+                    for segment in list(live_segments):
+                        first = cursor = segment_first[segment]
+                        while cursor and not allocated[cursor]:
+                            cursor = after[cursor]
+                        if cursor:
+                            continue
+                        cached = segment_pool[segment]
+                        while first:
+                            at = bisect_left(cached, key_of[first])
+                            if at < len(cached) and cached[at] == key_of[first]:
+                                del cached[at]
+                            first = after[first]
+                        live_segments.remove(segment)
+                        released += segment_size[segment]
+                        reserved -= segment_size[segment]
+                        segment_frees += 1
+                        rows.append((call, _SEGMENT_FREE, segment, segment_address[segment],
+                                     segment_size[segment]))
+                        tags.append(pool_names[segment])
+                    if released <= 0:
+                        raise failure
+                    if reserve > capacity - reserved:
+                        raise OutOfMemoryError(requested=reserve, free=capacity - reserved,
+                                               reserved=reserved, capacity=capacity)
+                segment = len(segment_address)
+                block = len(address)
+                segment_address.append(next_address)
+                segment_size.append(reserve)
+                segment_pool.append(pool)
+                segment_first.append(block)
+                pool_names.append("segment:small" if small else "segment:large")
+                live_segments.append(segment)
+                address.append(next_address)
+                size.append(reserve)
+                allocated.append(False)
+                prev.append(0)
+                after.append(0)
+                segment_of.append(segment)
+                key_of.append(0)
+                holder.append(0)
+                rows.append((call, _SEGMENT_ALLOC, segment, next_address, reserve))
+                tags.append(pool_names[segment])
+                next_address += _aligned(reserve)
+                reserved += reserve
+                segment_allocs += 1
+                if reserved > peak_reserved:
+                    peak_reserved = reserved
+            block_size = size[block]
+            remainder = block_size - rounded
+            if remainder >= MIN_BLOCK_SIZE if small else remainder > LARGE_SPLIT_REMAINDER:
+                tail = len(address)
+                address.append(address[block] + rounded)
+                size.append(remainder)
+                allocated.append(False)
+                prev.append(block)
+                following = after[block]
+                after.append(following)
+                if following:
+                    prev[following] = tail
+                after[block] = tail
+                segment_of.append(segment_of[block])
+                key = remainder << _SIZE | sequence << _TIE | tail
+                sequence += 1
+                key_of.append(key)
+                holder.append(0)
+                insort(pool, key)
+                size[block] = block_size = rounded
+                splits += 1
+            allocated[block] = True
+            holder[block] = op
+            served_block[op] = block
+            served_address[op] = address[block]
+            served_size[op] = block_size
+            allocated_bytes += block_size
+            alloc_bytes += block_size
+            active += 1
+            mallocs += 1
+            if allocated_bytes > peak_allocated:
+                peak_allocated = allocated_bytes
+            if active > peak_active:
+                peak_active = active
+        else:
+            block = served_block[~op]
+            if not allocated[block]:
+                raise _bad_free(block, request_tags[holder[block]])
+            allocated[block] = False
+            block_size = size[block]
+            allocated_bytes -= block_size
+            active -= 1
+            frees += 1
+            pool = segment_pool[segment_of[block]]
+            # Merge the right neighbour first so addresses stay contiguous;
+            # the left-most block keeps its id.
+            neighbour = after[block]
+            if neighbour and not allocated[neighbour]:
+                del pool[bisect_left(pool, key_of[neighbour])]
+                block_size += size[neighbour]
+                following = after[block] = after[neighbour]
+                if following:
+                    prev[following] = block
+                coalesces += 1
+            neighbour = prev[block]
+            if neighbour and not allocated[neighbour]:
+                del pool[bisect_left(pool, key_of[neighbour])]
+                block_size += size[neighbour]
+                following = after[neighbour] = after[block]
+                if following:
+                    prev[following] = neighbour
+                coalesces += 1
+                block = neighbour
+            size[block] = block_size
+            key_of[block] = key = block_size << _SIZE | sequence << _TIE | block
+            sequence += 1
+            insort(pool, key)
+    return _placement(served_block, served_address, served_size, rows, tags, 0, AllocatorStats(
+        allocated_bytes=allocated_bytes, reserved_bytes=reserved, active_blocks=active,
+        peak_allocated_bytes=peak_allocated, peak_reserved_bytes=peak_reserved,
+        peak_active_blocks=peak_active, total_alloc_count=mallocs, total_free_count=frees,
+        total_alloc_bytes=alloc_bytes, cache_hits=hits, cache_misses=misses,
+        segment_allocs=segment_allocs, segment_frees=segment_frees, split_count=splits,
+        coalesce_count=coalesces))
+
+
+def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
+    """A non-caching best-fit pass over one big arena (ablation baseline).
+
+    95 % of the device, aligned down, is reserved as a single segment before
+    the first request; every allocation takes the best-fitting free block of
+    the arena (the lowest address among equal sizes) and every free
+    coalesces immediately.  There is no pooling and no size rounding beyond
+    the 512-byte granularity, so the event stream and fragmentation profile
+    differ from the caching allocator's.
+    """
+    n = len(requests)
+    nbytes, request_tags = requests.nbytes, requests.tag
+    served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
+    arena = int(capacity * _ARENA_SHARE) // SEGMENT_ALIGNMENT * SEGMENT_ALIGNMENT
+    # Per block id (0: no block); block 1 covers the arena.
+    address, size, allocated = [0, BASE_ADDRESS], [0, arena], [False, False]
+    prev, after, key_of, holder = [0, 0], [0, 0], [0, arena << _SIZE | 1], [0, 0]
+    pool = [key_of[1]]
+    allocated_bytes = active = peak_allocated = peak_active = 0
+    mallocs = frees = alloc_bytes = splits = coalesces = 0
+    for op in requests.ops:
+        if op >= 0:
+            wanted = nbytes[op]
+            rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
+            at = bisect_left(pool, rounded << _SIZE)
+            if at == len(pool):
+                raise OutOfMemoryError(requested=rounded,
+                                       free=pool[-1] >> _SIZE if pool else 0,
+                                       reserved=arena, capacity=capacity)
+            block = pool.pop(at) & _BLOCK
+            block_size = size[block]
+            remainder = block_size - rounded
+            if remainder >= MIN_BLOCK_SIZE:
+                tail = len(address)
+                start = address[block] + rounded
+                address.append(start)
+                size.append(remainder)
+                allocated.append(False)
+                prev.append(block)
+                following = after[block]
+                after.append(following)
+                if following:
+                    prev[following] = tail
+                after[block] = tail
+                key = remainder << _SIZE | (start - BASE_ADDRESS) << _TIE | tail
+                key_of.append(key)
+                holder.append(0)
+                insort(pool, key)
+                size[block] = block_size = rounded
+                splits += 1
+            allocated[block] = True
+            holder[block] = op
+            served_block[op] = block
+            served_address[op] = address[block]
+            served_size[op] = block_size
+            allocated_bytes += block_size
+            alloc_bytes += block_size
+            active += 1
+            mallocs += 1
+            if allocated_bytes > peak_allocated:
+                peak_allocated = allocated_bytes
+            if active > peak_active:
+                peak_active = active
+        else:
+            block = served_block[~op]
+            if not allocated[block]:
+                raise _bad_free(block, request_tags[holder[block]])
+            allocated[block] = False
+            block_size = size[block]
+            allocated_bytes -= block_size
+            active -= 1
+            frees += 1
+            neighbour = after[block]
+            if neighbour and not allocated[neighbour]:
+                del pool[bisect_left(pool, key_of[neighbour])]
+                block_size += size[neighbour]
+                following = after[block] = after[neighbour]
+                if following:
+                    prev[following] = block
+                coalesces += 1
+            neighbour = prev[block]
+            if neighbour and not allocated[neighbour]:
+                del pool[bisect_left(pool, key_of[neighbour])]
+                block_size += size[neighbour]
+                following = after[neighbour] = after[block]
+                if following:
+                    prev[following] = neighbour
+                coalesces += 1
+                block = neighbour
+            size[block] = block_size
+            key_of[block] = key = (block_size << _SIZE
+                                   | (address[block] - BASE_ADDRESS) << _TIE | block)
+            insort(pool, key)
+    return _placement(served_block, served_address, served_size, [], [], 1, AllocatorStats(
+        allocated_bytes=allocated_bytes, reserved_bytes=arena, active_blocks=active,
+        peak_allocated_bytes=peak_allocated, peak_reserved_bytes=arena,
+        peak_active_blocks=peak_active, total_alloc_count=mallocs, total_free_count=frees,
+        total_alloc_bytes=alloc_bytes, segment_allocs=1, split_count=splits,
+        coalesce_count=coalesces))
+
+
+def _place_bump(requests: RequestLog, capacity: int) -> Placement:
+    """A linear (bump-pointer) pass that never reuses memory (ablation baseline).
+
+    Every allocation reserves a fresh segment of its rounded size and frees
+    only bookkeep: the most naive runtime possible, showing how much the
+    caching allocator's block reuse shapes the per-block behavior streams
+    and bounding the footprint a workload would need without any reuse.
+    Block ``k`` is the ``k``-th malloc, in segment ``k``.
+    """
+    n = len(requests)
+    nbytes, request_tags = requests.nbytes, requests.tag
+    served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
+    allocated = [False] * (n + 1)
+    rows: List[tuple] = []
+    next_address = BASE_ADDRESS
+    reserved = allocated_bytes = active = peak_allocated = peak_active = 0
+    block = frees = 0
+    for call, op in enumerate(requests.ops):
+        if op >= 0:
+            wanted = nbytes[op]
+            rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
+            if reserved + rounded > capacity:
+                raise OutOfMemoryError(requested=rounded, free=capacity - reserved,
+                                       reserved=reserved, capacity=capacity)
+            block += 1
+            rows.append((call, _SEGMENT_ALLOC, block, next_address, rounded))
+            allocated[block] = True
+            served_block[op] = block
+            served_address[op] = next_address
+            served_size[op] = rounded
+            next_address += _aligned(rounded)
+            reserved += rounded
+            allocated_bytes += rounded
+            active += 1
+            if allocated_bytes > peak_allocated:
+                peak_allocated = allocated_bytes
+            if active > peak_active:
+                peak_active = active
+        else:
+            request = ~op
+            served = served_block[request]
+            if not allocated[served]:
+                raise _bad_free(served, request_tags[request])
+            allocated[served] = False
+            allocated_bytes -= served_size[request]
+            active -= 1
+            frees += 1
+    return _placement(served_block, served_address, served_size, rows,
+                      ["segment:bump"] * block, 0, AllocatorStats(
+                          allocated_bytes=allocated_bytes, reserved_bytes=reserved,
+                          active_blocks=active, peak_allocated_bytes=peak_allocated,
+                          peak_reserved_bytes=reserved, peak_active_blocks=peak_active,
+                          total_alloc_count=block, total_free_count=frees,
+                          total_alloc_bytes=reserved, segment_allocs=block))
+
+
+#: The placement pass of each allocator policy, by name.
+PLACEMENT_PASSES = {
+    "caching": _place_caching,
+    "best_fit": _place_best_fit,
+    "bump": _place_bump,
+}
+
+
+def check_allocator(name: str) -> str:
+    """``name`` if it is a registered allocator (KeyError listing them if not)."""
+    if name not in PLACEMENT_PASSES:
+        known = ", ".join(sorted(PLACEMENT_PASSES))
+        raise KeyError(f"unknown allocator '{name}'; known allocators: {known}")
+    return name
+
+
+def place(requests: RequestLog, allocator: str, capacity: int) -> Placement:
+    """Run allocator ``allocator``'s pass over ``requests`` under ``capacity`` bytes.
+
+    Serves the mallocs and frees in the log's order, as the front end made
+    them; an :class:`~repro.errors.OutOfMemoryError` propagates from the
+    request that hits it.
+    """
+    return PLACEMENT_PASSES[check_allocator(allocator)](requests, int(capacity))

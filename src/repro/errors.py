@@ -134,10 +134,6 @@ class InvalidFreeError(DeviceError):
     """Raised when freeing a pointer the allocator does not own."""
 
 
-class AllocatorStateError(DeviceError):
-    """Raised when the allocator's internal invariants are violated."""
-
-
 class ClockError(DeviceError):
     """Raised when the simulated clock would move backwards."""
 

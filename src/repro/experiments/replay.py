@@ -1352,11 +1352,12 @@ class ReplayEngine:
         Returns one entry per scenario: the priced
         :class:`~repro.experiments.sweep.ScenarioResult`, ``None`` for
         scenarios that must be simulated fresh (with the reason tallied in
-        ``fallback_reasons``), or — for the scenario whose capture failed
-        deterministically (``capture_failed``) — the error its simulation
-        raised: that is its outcome, and it is not simulated again.  The
-        group's other rows at that capacity are declined, and the rest are
-        priced from a capture at the next one's capacity.  A
+        ``fallback_reasons``), or — for the rows of a structure group whose
+        capture failed deterministically (``capture_failed``) — the error the
+        capture's simulation raised: it is the outcome of every row of the
+        group at the capture's capacity, and none of them is simulated
+        again.  The group's rows at other capacities are priced from a
+        capture at the next one's capacity.  A
         structure group the engine crashes on is
         declined as a whole (reason ``engine_error``, traceback logged); the
         other groups are unaffected.  Scenarios are grouped by
@@ -1382,8 +1383,9 @@ class ReplayEngine:
                      keys: Optional[Sequence[str]], results: List) -> List[int]:
         """Price one structure group's rows ``indices`` into ``results``.
 
-        Returns the rows left to price: after a ``capture_failed``, those
-        at another capacity than the failed capture's; otherwise none.
+        Returns the rows left to price: after a ``capture_failed``, which
+        fails every row at the capture's capacity with its error, those at
+        another capacity; otherwise none.
         """
         try:
             template = self._variant_for(scenarios[indices[0]].config)
@@ -1401,10 +1403,13 @@ class ReplayEngine:
             if exc.reason != "capture_failed":
                 self._count_fallback(exc.reason, len(indices))
                 return []
-            results[indices[0]] = exc.__cause__
             capacity = memory_capacity(scenarios[indices[0]].config)
-            rest = [i for i in indices
-                    if memory_capacity(scenarios[i].config) != capacity]
+            rest = []
+            for i in indices:
+                if memory_capacity(scenarios[i].config) == capacity:
+                    results[i] = exc.__cause__
+                else:
+                    rest.append(i)
             self._count_fallback(exc.reason, len(indices) - len(rest))
             return rest
         except Exception:  # degrade this group to fresh simulation

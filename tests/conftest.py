@@ -20,6 +20,9 @@ settings.register_profile("replay-wide", max_examples=100, deadline=None)
 #: The wide draw of ``tests/test_steady_iterations.py`` (the scaling-smoke CI
 #: leg: ``pytest --hypothesis-profile=steady-wide``).
 settings.register_profile("steady-wide", max_examples=100, deadline=None)
+#: The wide draw of ``tests/test_placement.py`` (the trace-smoke CI leg:
+#: ``pytest --hypothesis-profile=placement-wide``).
+settings.register_profile("placement-wide", max_examples=200, deadline=None)
 
 
 @pytest.fixture

@@ -967,7 +967,7 @@ class ReferenceBlockState:
     size: int = 0
     category: MemoryCategory = MemoryCategory.UNKNOWN
     tag: str = ""
-    block: object = None            # the live Block (for event emission)
+    block: object = None            # the placed block's view (for event emission)
     resident: bool = True
     freed: bool = False
     pending_ready_ns: Optional[int] = None   # in-flight prefetch completion

@@ -212,21 +212,10 @@ def _classic_single_device_trace(config):
     return profiler.trace(), trainer
 
 
-def _normalized_events(trace):
-    """Event dicts with block ids renamed to first-appearance ordinals.
-
-    Block/segment identities come from process-global counters, so two runs
-    in one process never share raw ids; the behavior streams are equivalent
-    iff they agree after this order-preserving renaming.
-    """
-    renamed = {}
-    events = []
-    for event in trace_events(trace):
-        data = event._asdict()
-        data["block_id"] = renamed.setdefault(data["block_id"], len(renamed))
-        data.pop("address", None)  # addresses shift with global segment ids
-        events.append(data)
-    return events
+def _events(trace):
+    """Event dicts, raw block ids and addresses included: both are numbered
+    and laid out per placement, so two runs of one workload share them."""
+    return [event._asdict() for event in trace_events(trace)]
 
 
 @pytest.mark.parametrize("batch_size,iterations", [(16, 3), (32, 2), (64, 4)])
@@ -239,7 +228,7 @@ def test_device_group_of_one_reproduces_the_single_device_trace(batch_size, iter
     session = run_training_session(config)
     classic_trace, classic_trainer = _classic_single_device_trace(config)
 
-    assert _normalized_events(session.trace) == _normalized_events(classic_trace)
+    assert _events(session.trace) == _events(classic_trace)
     assert ([mark.to_dict() for mark in session.trace.iteration_marks]
             == [mark.to_dict() for mark in classic_trace.iteration_marks])
     assert session.trace.end_ns == classic_trace.end_ns

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.events import MemoryCategory
-from repro.device import Device, make_allocator, small_test_device
+from repro.device import Device, small_test_device
 from repro.tensor.storage import DeviceStorage
 from repro.device.tape import TAPE_KERNEL, TimingTape
 from repro.device.timing import KernelCost
@@ -98,14 +98,15 @@ def test_copies_advance_clock(test_device):
     assert d2h > 0
 
 
-def test_memory_stats_and_snapshot(test_device):
+def test_memory_stats_and_placement(test_device):
     test_device.allocate(1024, tag="x")
     stats = test_device.place().stats.to_dict()
     assert stats["total_alloc_count"] == 1
-    allocator = make_allocator(test_device.allocator, test_device.spec.memory_capacity)
-    allocator.allocate(1024, tag="x")
-    snapshot = allocator.memory_snapshot()
-    assert snapshot and snapshot[0]["blocks"]
+    placement = test_device.place()
+    # One small segment holding the request's block.
+    assert placement.segment_tags == ["segment:small"]
+    assert placement.segment_address[0] <= placement.address[0] < \
+        placement.segment_address[0] + placement.segment_size[0]
 
 
 def test_work_runs_in_order_on_the_clock(test_device):

@@ -126,10 +126,27 @@ def test_registry_unknown_model_raises(titan_device):
         build_model("transformer-9000", titan_device)
 
 
-def test_registry_register_custom_model(titan_device):
-    register_model("tiny_mlp_for_test", lambda device, **kw: MLP(device, hidden_dim=4, **kw),
-                   overwrite=True)
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """The model registry as a copy the test may extend: a model registered
+    through it is gone afterwards, so ``available_models()`` is unchanged."""
+    from repro.models import registry
+
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    return registry._REGISTRY
+
+
+def test_registry_register_custom_model(titan_device, scratch_registry):
+    before = available_models()
+    register_model("tiny_mlp_for_test", lambda device, **kw: MLP(device, hidden_dim=4, **kw))
+    assert available_models() == sorted([*before, "tiny_mlp_for_test"])
+    assert "tiny_mlp_for_test" in scratch_registry
     model = build_model("tiny_mlp_for_test", titan_device)
     assert model.parameter_count() > 0
     with pytest.raises(ConfigurationError):
         register_model("tiny_mlp_for_test", lambda device, **kw: None)
+
+
+def test_a_registered_test_model_does_not_outlive_its_test():
+    """Runs after the registration above: the registry is as it was."""
+    assert "tiny_mlp_for_test" not in available_models()

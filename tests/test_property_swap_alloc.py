@@ -5,8 +5,9 @@ invariants) with targeted properties of the two subtlest components:
 
 * :class:`~repro.core.swap.SwapPlanner` — Eq.-1 consistency and conservative
   savings accounting;
-* :class:`~repro.device.allocator.CachingAllocator` — no overlapping live
-  blocks, byte conservation across alloc/free streams.
+* the ``caching`` placement of a device's requests
+  (:func:`~repro.device.allocator.place`) — no overlapping live blocks, byte
+  conservation across alloc/free streams, a cache that empties completely.
 """
 
 import numpy as np
@@ -23,7 +24,9 @@ from repro.core.swap import (
     swappable_fraction,
     swappable_mask,
 )
-from repro.device import CachingAllocator, Device, small_test_device
+from repro.core.events import MemoryEventKind
+from repro.core.trace import KIND_CODES
+from repro.device import Device, small_test_device
 from repro.units import KB, MIB
 
 from tests.helpers import build_trace, plan_rows
@@ -152,13 +155,6 @@ def test_swap_plan_zero_overhead_selects_all_feasible_blocks(intervals):
 # -- caching allocator invariants -----------------------------------------------------
 
 
-def assert_no_overlapping_live_blocks(blocks):
-    """No two live blocks may share device bytes."""
-    spans = sorted((block.address, block.address + block.size) for block in blocks)
-    for (_, end_a), (start_b, _) in zip(spans, spans[1:]):
-        assert end_a <= start_b, "live blocks overlap"
-
-
 allocation_programs = st.lists(
     st.tuples(st.integers(min_value=1, max_value=4 * MIB),  # request size
               st.integers(min_value=0, max_value=3)),       # frees before this alloc
@@ -167,42 +163,37 @@ allocation_programs = st.lists(
 
 @settings(max_examples=40, deadline=None)
 @given(program=allocation_programs)
-def test_caching_allocator_conserves_bytes_and_never_overlaps(program):
-    allocator = CachingAllocator(1 << 30)
-    device = Device(small_test_device(1 << 30))
-    live, requests = [], []
-    allocated_total = 0
+def test_caching_placement_conserves_bytes_and_never_overlaps(program):
+    from tests.test_placement import check_placement
+
+    capacity = 1 << 30
+    device = Device(small_test_device(capacity))
+    live = []
     for size, frees in program:
         for _ in range(min(frees, len(live))):
-            block = live.pop(0)
-            allocated_total -= block.size
-            allocator.free(block)
-            device.free(requests.pop(0))
-        block = allocator.allocate(size)
-        requests.append(device.allocate(size))
-        assert block.size >= size, "allocator returned an undersized block"
-        live.append(block)
-        allocated_total += block.size
+            device.free(live.pop(0))
+        live.append(device.allocate(size))
+    # Every block holds its request, live blocks never overlap and the
+    # allocated bytes are the live blocks' sizes, call by call.
+    placement = device.place()
+    check_placement(device.requests, placement, "caching", capacity)
+    assert placement.stats.allocated_bytes == sum(
+        int(placement.size[request]) for request in live)
+    assert placement.stats.reserved_bytes >= placement.stats.allocated_bytes
 
-        # Conservation: the allocator's notion of allocated bytes equals the
-        # sum of the blocks it has handed out and not yet been given back.
-        assert allocator.allocated_bytes == allocated_total
-        assert allocator.allocated_bytes == sum(b.size for b in live)
-        assert allocator.reserved_bytes >= allocator.allocated_bytes
-        assert_no_overlapping_live_blocks(live)
-        allocator.check_invariants()
-    # The device's placement of the same calls is this allocator's.
-    assert device.place().stats == allocator.stats
-
-    for block in live:
-        allocator.free(block)
-    assert allocator.allocated_bytes == 0
-    # Every reserved segment is fully reusable once everything is freed.
-    assert all(segment.is_fully_free() for segment in allocator.segments())
-    # And the cache can be dropped completely: freed bytes were conserved.
-    reserved_before = allocator.reserved_bytes
-    assert allocator.empty_cache() == reserved_before
-    assert allocator.reserved_bytes == 0
+    for request in live:
+        device.free(request)
+    emptied = device.place()
+    assert emptied.stats.allocated_bytes == 0
+    # Every reserved segment is fully free once everything is freed: asking
+    # for the whole device releases all of them before reserving it.
+    reserved_before = emptied.stats.reserved_bytes
+    whole = device.allocate(capacity)
+    placement = device.place()
+    released = ((placement.segment_op == len(device.requests.ops) - 1)
+                & (placement.segment_kind == KIND_CODES[MemoryEventKind.SEGMENT_FREE]))
+    assert int(placement.segment_size[released].sum()) == reserved_before
+    assert placement.stats.reserved_bytes == placement.size[whole] == capacity
 
 
 # -- predicted peak: the broadcast against the loop it replaced -------------------------

@@ -154,27 +154,19 @@ def assert_same_trace(replayed, fresh):
     """``replayed`` is the trace ``fresh`` is, event for event — and a valid one."""
     replayed.validate()
     fresh_cols, replay_cols = fresh.columns(), replayed.columns()
-    # Block/segment ids draw from a process-global counter, so two runs in
-    # one process differ by a constant shift; compare first-appearance order.
-    def normalized(values):
-        mapping = {}
-        return [mapping.setdefault(v, len(mapping)) for v in values]
-
-    for name in ("event_id", "kind_code", "timestamp_ns", "size",
+    # Block and segment ids are numbered from 1 per placement: raw ids agree.
+    for name in ("event_id", "kind_code", "timestamp_ns", "block_id", "size",
                  "category_code", "iteration", "device_rank", "address"):
         np.testing.assert_array_equal(getattr(replay_cols, name),
                                       getattr(fresh_cols, name), err_msg=name)
-    assert (normalized(replay_cols.block_id.tolist())
-            == normalized(fresh_cols.block_id.tolist()))
     assert replayed.event_strings() == fresh.event_strings()
     assert ([mark.to_dict() for mark in replayed.iteration_marks]
             == [mark.to_dict() for mark in fresh.iteration_marks])
 
     def lifetime_stream(trace):
-        ids = normalized([lt.block_id for lt in trace_lifetimes(trace)])
-        return [(bid, lt.address, lt.size, lt.category, lt.tag, lt.malloc_ns,
+        return [(lt.block_id, lt.address, lt.size, lt.category, lt.tag, lt.malloc_ns,
                  lt.free_ns, lt.iteration, lt.access_count, lt.device_rank)
-                for bid, lt in zip(ids, trace_lifetimes(trace))]
+                for lt in trace_lifetimes(trace)]
 
     assert lifetime_stream(replayed) == lifetime_stream(fresh)
     assert replayed.metadata == fresh.metadata
@@ -679,6 +671,35 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).trace(scenario)
     assert len(calls) == 1
+
+
+def test_a_failed_capture_fails_every_row_at_its_capacity(monkeypatch):
+    """Three lenet5 rows on two_cluster differ only in the host dispatch
+    overhead, a pricing field: one capture fails for all three, so the
+    front end runs once and each row fails as its own simulation would."""
+    from repro.experiments import replay
+    from repro.train import session
+
+    calls = []
+    for module in (replay, session):
+        def counting(config, *args, _original=module.record_session, **kwargs):
+            calls.append(config)
+            return _original(config, *args, **kwargs)
+        monkeypatch.setattr(module, "record_session", counting)
+    configs = [TrainingRunConfig(model="lenet5", batch_size=8, iterations=1,
+                                 host_dispatch_overhead_ns=overhead)
+               for overhead in (None, 1_000, 2_000)]
+    with SweepRunner(use_cache=False, strict=False) as runner:
+        result = runner.run([Scenario(config, via_replay=True) for config in configs])
+    assert len(calls) == 1
+    assert result.results == [] and result.replay_fallbacks == {"capture_failed": 3}
+    assert [failure.kind for failure in result.failures] == ["deterministic"] * 3
+    for config, failure in zip(configs, result.failures):
+        with SweepRunner(use_cache=False, strict=False) as runner:
+            (fresh,) = runner.run([Scenario(config)]).failures
+        assert (failure.reason, failure.kind, failure.error) \
+            == (fresh.reason, fresh.kind, fresh.error)
+        assert failure.scenario == fresh.scenario
 
 
 @pytest.mark.parametrize("capacities", ["0.004,12", "12,0.004"])

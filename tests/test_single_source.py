@@ -28,6 +28,7 @@ from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction
 from repro.core.trace import CATEGORY_FROM_CODE, MemoryTrace
 from repro.data.loader import HostLatencyModel
 from repro.device import tape, timing
+from repro.device.allocator import PLACEMENT_PASSES
 from repro.device.clock import DeviceClock
 from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
@@ -547,20 +548,34 @@ def test_a_recorder_hears_only_the_four_behaviors():
     assert _naming(banned, SRC.rglob("*.py")) == []
 
 
-def test_only_place_instantiates_an_allocator():
-    """The allocator is a pass over a finished run's requests:
-    :func:`~repro.device.allocator.place` is the one caller of
-    ``make_allocator``, the one place an allocator class is called."""
-    classes = ("CachingAllocator", "BestFitAllocator", "BumpAllocator", "make_allocator")
+def _reads_request_calls(node):
+    """A read of ``<x>.ops`` where ``x`` is a request log by this code's names
+    (``requests``, ``log``, ``<device>.requests``)."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "ops"):
+        return False
+    return (getattr(node.value, "id", None) in ("requests", "log")
+            or getattr(node.value, "attr", None) == "requests")
+
+
+def test_only_the_placement_passes_read_the_request_log():
+    """The allocator is a pass over a finished run's requests: one loop per
+    policy in ``device/allocator.py`` walks ``RequestLog.ops``, and besides
+    them only the placement of the recorded rows (which call made each
+    segment row) and the trainer, which writes the log, read it.  There is
+    no allocator object: the module's one class is the result."""
     sites = {(path.relative_to(SRC).as_posix(), function)
-             for path in sorted(SRC.rglob("*.py")) for name in classes
-             for function in _enclosing_functions(path, _calls(name))}
-    assert sites == {("device/allocator.py", "place")}
-    instantiated = _enclosing_functions(
-        SRC / "device" / "allocator.py",
-        lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Subscript)
-        and getattr(node.func.value, "id", None) == "ALLOCATOR_CLASSES")
-    assert instantiated == ["make_allocator"]
+             for path in sorted(SRC.rglob("*.py"))
+             for function in _enclosing_functions(path, _reads_request_calls)}
+    passes = {("device/allocator.py", function.__name__)
+              for function in PLACEMENT_PASSES.values()}
+    assert len(passes) == len(PLACEMENT_PASSES) == 3
+    assert sites == passes | {
+        ("core/recorder.py", "__init__"),                       # PlacedTrace
+        ("train/trainer.py", "_position"), ("train/trainer.py", "left_as_found"),
+        ("train/trainer.py", "__init__"), ("train/trainer.py", "append")}
+    tree = ast.parse((SRC / "device" / "allocator.py").read_text())
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] \
+        == ["Placement"]
 
 
 def test_the_front_end_holds_no_block():

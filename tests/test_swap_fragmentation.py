@@ -8,7 +8,6 @@ from repro.core.fragmentation import (
     analyze_fragmentation,
     fragmentation_series,
     internal_fragmentation_bytes,
-    snapshot_external_fragmentation,
 )
 from repro.core.swap import (
     BandwidthConfig,
@@ -17,7 +16,6 @@ from repro.core.swap import (
     swap_round_trip_ns,
     swappable_mask,
 )
-from repro.device.allocator import make_allocator
 from repro.units import GB, KB, MIB, s_to_ns, us_to_ns
 
 from tests.helpers import build_trace, interval_arrays, plan_rows
@@ -157,18 +155,3 @@ def test_fragmentation_of_empty_trace():
 
 def test_internal_fragmentation_bound(simple_trace):
     assert internal_fragmentation_bytes(simple_trace) == 2 * 511
-
-
-def test_snapshot_external_fragmentation(test_device):
-    allocator = make_allocator(test_device.allocator, test_device.spec.memory_capacity)
-    block = allocator.allocate(512 * 1024)
-    allocator.allocate(512 * 1024)
-    allocator.free(block)
-    snapshot = allocator.memory_snapshot()
-    value = snapshot_external_fragmentation(snapshot)
-    assert 0.0 <= value < 1.0
-    # With exactly one free block the ratio is zero by definition.
-    assert snapshot_external_fragmentation([{"blocks": [
-        {"allocated": False, "size": 100}]}]) == 0.0
-    assert snapshot_external_fragmentation([{"blocks": [
-        {"allocated": True, "size": 100}]}]) == 0.0

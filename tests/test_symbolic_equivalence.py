@@ -10,9 +10,11 @@ three swap runs, the integration suite's MLP and the
 mixed-precision pair — so a kernel that changes what a run records fails
 here.
 
-Block ids come from a process-global counter (they are *stable within* a
-session but not across sessions), so the digests normalize them to
-first-appearance order.
+The digests rename block ids to first-appearance order only because the
+literals were recorded that way, when ids came from a process-global
+counter.  Ids are numbered from 1 per placement now, so raw ids would
+compare as well; re-recording the literals raw would move every one of
+them for no gain.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ module, public class or public function/method is missing a docstring.
 "Public" means the name has no leading underscore.  Two exemptions keep the
 gate practical: purely mechanical dunder methods, and *interface overrides* —
 a method whose name is documented on some other class in the package (e.g.
-``Module.forward``, ``BaseAllocator.allocate``, the recorder ``on_*`` hooks)
+``Module.forward``, ``Optimizer.step``, the recorder ``on_*`` hooks)
 does not need to repeat the contract at every implementation site.
 
 Usage::
