@@ -166,9 +166,9 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
     # segment, free-list key and the request that last held it.
     address, size, allocated = [0], [0], [False]
     prev, after, segment_of, key_of, holder = [0], [0], [0], [0], [0]
-    # Per segment id: address, size, pool, first block; live ones in order.
+    # Per segment id: address, size, pool, first block, tag; live ones in order.
     segment_address, segment_size, segment_pool, segment_first = [0], [0], [None], [0]
-    pool_names: List[str] = [""]
+    segment_tag: List[str] = [""]
     live_segments: List[int] = []
     small_pool: List[int] = []
     large_pool: List[int] = []
@@ -183,7 +183,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
     for call, op in enumerate(requests.ops):
         if op >= 0:
             wanted = nbytes[op]
-            rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
+            rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE  # round_block_size
             small = rounded <= SMALL_ALLOCATION_LIMIT
             pool = small_pool if small else large_pool
             at = bisect_left(pool, rounded << _SIZE)
@@ -217,7 +217,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
                         segment_frees += 1
                         rows.append((call, _SEGMENT_FREE, segment, segment_address[segment],
                                      segment_size[segment]))
-                        tags.append(pool_names[segment])
+                        tags.append(segment_tag[segment])
                     if released <= 0:
                         raise failure
                     if reserve > capacity - reserved:
@@ -229,7 +229,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
                 segment_size.append(reserve)
                 segment_pool.append(pool)
                 segment_first.append(block)
-                pool_names.append("segment:small" if small else "segment:large")
+                segment_tag.append("segment:small" if small else "segment:large")
                 live_segments.append(segment)
                 address.append(next_address)
                 size.append(reserve)
@@ -240,7 +240,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
                 key_of.append(0)
                 holder.append(0)
                 rows.append((call, _SEGMENT_ALLOC, segment, next_address, reserve))
-                tags.append(pool_names[segment])
+                tags.append(segment_tag[segment])
                 next_address += _aligned(reserve)
                 reserved += reserve
                 segment_allocs += 1

@@ -12,6 +12,7 @@ import functools
 import hashlib
 import json
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from repro.core.recorder import TraceRecorder
 from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KIND_FROM_CODE,
                               NEVER_FREED, EventColumns, MemoryTrace, lifetimes_from_columns,
                               merge_rank_traces)
+from repro.device.allocator import BASE_ADDRESS, round_block_size
 from repro.device.cluster import ClusterSpec
 from repro.device.stream import Stream
 from repro.device.timing import KernelTimingModel
@@ -1509,3 +1511,96 @@ class ReferenceSwapExecutor:
         if self._live_bytes > self._iter_peak_live:
             self._iter_peak_live = self._live_bytes
             self._iter_peak_phase_ns = phase
+
+
+# -- placements -----------------------------------------------------------------------
+
+SEGMENT_ALLOC_CODE = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
+SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
+#: The tags of each policy's segment rows (best-fit's arena is its preamble).
+SEGMENT_TAGS = {"caching": {"segment:small", "segment:large"}, "best_fit": set(),
+                "bump": {"segment:bump"}}
+
+
+def segment_rows(placement):
+    """A placement's segment rows after the preamble as ``(call, kind, id,
+    address, size)``."""
+    return list(zip(*(column.tolist() for column in (
+        placement.segment_op, placement.segment_kind, placement.segment_id,
+        placement.segment_address, placement.segment_size))))
+
+
+def check_placement(requests, placement, policy: str, capacity: int) -> None:
+    """Walk ``requests`` against ``policy``'s ``placement`` and check the invariants.
+
+    Live blocks never overlap and each lies inside a reserved segment; each
+    block holds at least its rounded request; reserved bytes never exceed
+    ``capacity``; the counters are the walk's sums and running maxima.
+    """
+    stats, rows = placement.stats, segment_rows(placement)
+    made = sum(size for _, kind, _, _, size in rows if kind == SEGMENT_ALLOC_CODE)
+    released = sum(size for _, kind, _, _, size in rows if kind == SEGMENT_FREE_CODE)
+    reserved = stats.reserved_bytes - made + released        # the preamble's bytes
+    assert placement.preamble_segments in (0, 1)
+    segments = {}
+    if placement.preamble_segments:
+        segments[0] = (BASE_ADDRESS, BASE_ADDRESS + reserved)
+    else:
+        assert reserved == 0
+    peak_reserved = reserved
+    assert reserved <= capacity
+    starts, ends, live = [], [], {}
+    allocated = peak_allocated = active = peak_active = 0
+    mallocs = frees = alloc_bytes = 0
+    next_row = 0
+    for call, op in enumerate(requests.ops):
+        while next_row < len(rows) and rows[next_row][0] == call:
+            _, kind, segment, address, size = rows[next_row]
+            if kind == SEGMENT_ALLOC_CODE:
+                segments[segment] = (address, address + size)
+                reserved += size
+            else:
+                assert segments.pop(segment) == (address, address + size)
+                reserved -= size
+            assert reserved <= capacity
+            peak_reserved = max(peak_reserved, reserved)
+            next_row += 1
+        request = op if op >= 0 else ~op
+        address = int(placement.address[request])
+        size = int(placement.size[request])
+        if op >= 0:
+            assert size >= round_block_size(requests.nbytes[request])
+            assert any(low <= address and address + size <= high
+                       for low, high in segments.values())
+            at = bisect_left(starts, address)
+            assert at == 0 or ends[at - 1] <= address, "live blocks overlap"
+            assert at == len(starts) or address + size <= starts[at], "live blocks overlap"
+            starts.insert(at, address)
+            ends.insert(at, address + size)
+            live[request] = size
+            allocated += size
+            active += 1
+            mallocs += 1
+            alloc_bytes += size
+            peak_allocated = max(peak_allocated, allocated)
+            peak_active = max(peak_active, active)
+        else:
+            at = bisect_right(starts, address) - 1
+            assert starts[at] == address
+            del starts[at], ends[at]
+            allocated -= live.pop(request)
+            active -= 1
+            frees += 1
+    assert next_row == len(rows)
+    assert stats.allocated_bytes == allocated == sum(live.values())
+    assert stats.active_blocks == active == len(live)
+    assert stats.reserved_bytes == reserved
+    assert (stats.peak_allocated_bytes, stats.peak_active_blocks, stats.peak_reserved_bytes) \
+        == (peak_allocated, peak_active, peak_reserved)
+    assert (stats.total_alloc_count, stats.total_free_count, stats.total_alloc_bytes) \
+        == (mallocs, frees, alloc_bytes)
+    assert stats.segment_allocs == placement.preamble_segments + sum(
+        kind == SEGMENT_ALLOC_CODE for _, kind, _, _, _ in rows)
+    assert stats.segment_frees == sum(kind == SEGMENT_FREE_CODE for _, kind, _, _, _ in rows)
+    assert set(placement.segment_tags) <= SEGMENT_TAGS[policy]
+

@@ -20,15 +20,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import MemoryCategory, MemoryEventKind
-from repro.core.trace import KIND_CODES
+from repro.core.events import MemoryCategory
 from repro.device.allocator import (
     BASE_ADDRESS,
     LARGE_SEGMENT_SIZE,
@@ -46,11 +44,11 @@ from repro.device.spec import small_test_device
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.units import GIB, KIB, MIB
 
+from tests.helpers import SEGMENT_ALLOC_CODE, SEGMENT_FREE_CODE, check_placement, segment_rows
+
 POLICIES = ("caching", "best_fit", "bump")
 COLUMNS = ("block_id", "address", "size", "segment_op", "segment_kind", "segment_id",
            "segment_address", "segment_size")
-_SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
-_SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
 
 # -- building and reading request logs ----------------------------------------------------
@@ -110,94 +108,6 @@ def outcome(requests: RequestLog, policy: str, capacity: int) -> str:
         return digest(place(requests, policy, capacity))
     except OutOfMemoryError as error:
         return f"oom@{failing_call(requests, policy, capacity)}: {error}"
-
-
-def segment_rows(placement):
-    """The segment rows after the preamble as ``(call, kind, id, address, size)``."""
-    return list(zip(*(getattr(placement, name).tolist() for name in COLUMNS[3:])))
-
-
-# -- the invariants every placement keeps -------------------------------------------------
-
-
-def check_placement(requests: RequestLog, placement, policy: str, capacity: int) -> None:
-    """Walk ``requests`` against ``policy``'s ``placement`` and check the invariants.
-
-    Live blocks never overlap and each lies inside a reserved segment; each
-    block holds at least its rounded request; reserved bytes never exceed
-    ``capacity``; the counters are the walk's sums and running maxima.
-    """
-    stats, rows = placement.stats, segment_rows(placement)
-    made = sum(size for _, kind, _, _, size in rows if kind == _SEGMENT_ALLOC)
-    released = sum(size for _, kind, _, _, size in rows if kind == _SEGMENT_FREE)
-    reserved = stats.reserved_bytes - made + released        # the preamble's bytes
-    assert placement.preamble_segments in (0, 1)
-    segments = {}
-    if placement.preamble_segments:
-        segments[0] = (BASE_ADDRESS, BASE_ADDRESS + reserved)
-    else:
-        assert reserved == 0
-    peak_reserved = reserved
-    assert reserved <= capacity
-    starts, ends, live = [], [], {}
-    allocated = peak_allocated = active = peak_active = 0
-    mallocs = frees = alloc_bytes = 0
-    next_row = 0
-    for call, op in enumerate(requests.ops):
-        while next_row < len(rows) and rows[next_row][0] == call:
-            _, kind, segment, address, size = rows[next_row]
-            if kind == _SEGMENT_ALLOC:
-                segments[segment] = (address, address + size)
-                reserved += size
-            else:
-                assert segments.pop(segment) == (address, address + size)
-                reserved -= size
-            assert reserved <= capacity
-            peak_reserved = max(peak_reserved, reserved)
-            next_row += 1
-        request = op if op >= 0 else ~op
-        address = int(placement.address[request])
-        size = int(placement.size[request])
-        if op >= 0:
-            assert size >= round_block_size(requests.nbytes[request])
-            assert any(low <= address and address + size <= high
-                       for low, high in segments.values())
-            at = bisect_left(starts, address)
-            assert at == 0 or ends[at - 1] <= address, "live blocks overlap"
-            assert at == len(starts) or address + size <= starts[at], "live blocks overlap"
-            starts.insert(at, address)
-            ends.insert(at, address + size)
-            live[request] = size
-            allocated += size
-            active += 1
-            mallocs += 1
-            alloc_bytes += size
-            peak_allocated = max(peak_allocated, allocated)
-            peak_active = max(peak_active, active)
-        else:
-            at = bisect_right(starts, address) - 1
-            assert starts[at] == address
-            del starts[at], ends[at]
-            allocated -= live.pop(request)
-            active -= 1
-            frees += 1
-    assert next_row == len(rows)
-    assert stats.allocated_bytes == allocated == sum(live.values())
-    assert stats.active_blocks == active == len(live)
-    assert stats.reserved_bytes == reserved
-    assert (stats.peak_allocated_bytes, stats.peak_active_blocks, stats.peak_reserved_bytes) \
-        == (peak_allocated, peak_active, peak_reserved)
-    assert (stats.total_alloc_count, stats.total_free_count, stats.total_alloc_bytes) \
-        == (mallocs, frees, alloc_bytes)
-    assert stats.segment_allocs == placement.preamble_segments + sum(
-        kind == _SEGMENT_ALLOC for _, kind, _, _, _ in rows)
-    assert stats.segment_frees == sum(kind == _SEGMENT_FREE for _, kind, _, _, _ in rows)
-    assert set(placement.segment_tags) <= SEGMENT_TAGS[policy]
-
-
-#: The tags of each policy's segment rows (best-fit's arena is its preamble).
-SEGMENT_TAGS = {"caching": {"segment:small", "segment:large"}, "best_fit": set(),
-                "bump": {"segment:bump"}}
 
 
 #: ``pytest --hypothesis-profile=placement-wide`` (``make trace-smoke``) draws
@@ -637,7 +547,7 @@ def test_caching_serves_a_rounded_block_in_a_fresh_segment():
     assert placement.size[request] == 1024
     assert placement.block_id[request] == 1
     assert placement.address[request] == placement.segment_address[0] == BASE_ADDRESS
-    assert segment_rows(placement) == [(0, _SEGMENT_ALLOC, 1, BASE_ADDRESS, SMALL_SEGMENT_SIZE)]
+    assert segment_rows(placement) == [(0, SEGMENT_ALLOC_CODE, 1, BASE_ADDRESS, SMALL_SEGMENT_SIZE)]
     assert placement.segment_tags == ["segment:small"]
     assert placement.stats.allocated_bytes == 1024
     assert placement.stats.active_blocks == 1
@@ -763,9 +673,9 @@ def test_caching_releases_its_cache_and_retries_before_failing():
     placement = place(requests, "caching", 64 * MIB)
     assert placement.size[big] >= 50 * MIB
     assert segment_rows(placement) == [
-        (0, _SEGMENT_ALLOC, 1, BASE_ADDRESS, 40 * MIB),
-        (2, _SEGMENT_FREE, 1, BASE_ADDRESS, 40 * MIB),
-        (2, _SEGMENT_ALLOC, 2, BASE_ADDRESS + 40 * MIB, 50 * MIB)]
+        (0, SEGMENT_ALLOC_CODE, 1, BASE_ADDRESS, 40 * MIB),
+        (2, SEGMENT_FREE_CODE, 1, BASE_ADDRESS, 40 * MIB),
+        (2, SEGMENT_ALLOC_CODE, 2, BASE_ADDRESS + 40 * MIB, 50 * MIB)]
     assert placement.segment_tags == ["segment:large"] * 3
 
 
@@ -776,7 +686,7 @@ def test_caching_empty_cache_releases_every_fully_free_segment():
     huge = malloc(requests, 22 * MIB)
     placement = place(requests, "caching", 24 * MIB)
     reserved_before = SMALL_SEGMENT_SIZE + LARGE_SEGMENT_SIZE
-    released = [row for row in segment_rows(placement) if row[1] == _SEGMENT_FREE]
+    released = [row for row in segment_rows(placement) if row[1] == SEGMENT_FREE_CODE]
     assert [row[0] for row in released] == [4, 4]
     assert sum(row[4] for row in released) == reserved_before
     assert placement.stats.reserved_bytes == placement.size[huge] == 22 * MIB

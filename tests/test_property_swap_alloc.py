@@ -24,12 +24,10 @@ from repro.core.swap import (
     swappable_fraction,
     swappable_mask,
 )
-from repro.core.events import MemoryEventKind
-from repro.core.trace import KIND_CODES
 from repro.device import Device, small_test_device
 from repro.units import KB, MIB
 
-from tests.helpers import build_trace, plan_rows
+from tests.helpers import SEGMENT_FREE_CODE, build_trace, check_placement, plan_rows
 
 BANDWIDTHS = BandwidthConfig.from_paper()
 
@@ -164,8 +162,6 @@ allocation_programs = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(program=allocation_programs)
 def test_caching_placement_conserves_bytes_and_never_overlaps(program):
-    from tests.test_placement import check_placement
-
     capacity = 1 << 30
     device = Device(small_test_device(capacity))
     live = []
@@ -191,7 +187,7 @@ def test_caching_placement_conserves_bytes_and_never_overlaps(program):
     whole = device.allocate(capacity)
     placement = device.place()
     released = ((placement.segment_op == len(device.requests.ops) - 1)
-                & (placement.segment_kind == KIND_CODES[MemoryEventKind.SEGMENT_FREE]))
+                & (placement.segment_kind == SEGMENT_FREE_CODE))
     assert int(placement.segment_size[released].sum()) == reserved_before
     assert placement.stats.reserved_bytes == placement.size[whole] == capacity
 
