@@ -37,7 +37,8 @@ kernel-probe:
 	-$(PYTHON) tools/kernel_probe.py
 
 # What a template capture costs over the bare simulation it records (best of 7,
-# resnet18 / vgg11 / mlp at 1 and 2 devices; ROADMAP item 8's bar is <= 1.05x),
+# resnet18 / vgg11 / mlp at 1 and 2 devices; the bar of the ROADMAP item "One way
+# to run a scenario" is <= 1.05x),
 # with a check that the template prices each config to the simulation's result.
 # Prints a table, never fails.
 capture-probe:

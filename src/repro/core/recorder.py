@@ -1,15 +1,19 @@
 """Trace recorder: the instrumentation the paper adds to the runtime.
 
-:class:`TraceRecorder` occupies a device's recorder slot and turns every
-malloc / free / read / write into one timestamped row written against the
-*request id* the device handed out (:class:`~repro.device.memory.RequestLog`).
+Every :class:`~repro.device.device.Device` makes its :class:`TraceRecorder`
+when it is built, and the recorder turns every malloc / free / read / write
+from then on into one timestamped row written against the *request id* the
+device handed out (:class:`~repro.device.memory.RequestLog`).  Its malloc
+and free rows are the device's one log of the calls: the placement passes
+(:func:`~repro.device.allocator.place`) and :func:`place_traces` read the
+call sequence off them, and the trainer copies them for a steady iteration.
 The recorder is the hottest non-numeric path of a profiled run — every
 behavior lands here — so one recorded behavior is one hook call, one C-level
 append of a packed ``int64`` row and one op-string append: the clock field
 is read directly and nothing else is looked up.  The recorder never writes
 the tape: a taped clock logs its own atoms
-(:class:`~repro.device.tape.TimingTape`), and the recorder only notes, per
-event, how many atoms precede it.
+(:class:`~repro.device.tape.TimingTape`), and while one is attached the
+recorder notes, per event, how many atoms precede it.
 
 :meth:`TraceRecorder.to_trace` is the run as the front end made it: each
 request its own block, sized as requested, and no segment rows.
@@ -24,11 +28,11 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from ..device.allocator import Placement
+from ..device.allocator import Placement, call_rows
 from ..device.memory import RequestLog
 from .events import IterationMark, MemoryCategory, MemoryEventKind
 from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
@@ -45,10 +49,11 @@ class TraceRecorder:
     """Records malloc/free/read/write behaviors of ``device`` with simulated
     timestamps, against its request ids."""
 
-    def __init__(self, device, metadata: Optional[dict] = None):
+    def __init__(self, device):
         self.clock = device.clock
         self.requests: RequestLog = device.requests
-        self.metadata = dict(metadata or {})
+        #: What the trace says about the run (a profiler stamps it).
+        self.metadata: dict = {}
         self.rows = array("q")
         self.ops: List[str] = []
         # The row store lives as long as the recorder, so its two C-level
@@ -57,14 +62,14 @@ class TraceRecorder:
         self._append_op = self.ops.append
         self.iteration_marks: List[IterationMark] = []
         self._current_iteration = -1
-        # Template capture: when a timing tape is attached to the clock, the
+        # Template capture: while a timing tape is attached to the clock, the
         # recorder notes each event's position in the tape (the number of
         # timing atoms that precede it) so the replay engine can re-derive
         # event timestamps from re-priced atom durations.
-        self._tape = getattr(self.clock, "tape", None)
-        self.event_tape_positions = array("q") if self._tape is not None else None
-        #: Per-iteration ``[begin, end]`` tape positions (parallel to
-        #: ``iteration_marks``; end is -1 until the iteration closes).
+        self.event_tape_positions = array("q")
+        self._append_position = self.event_tape_positions.append
+        #: Per-iteration ``[begin, end]`` tape positions of the iterations
+        #: begun while a tape is attached (end is -1 until the iteration closes).
         self.mark_tape_spans: List[List[int]] = []
 
     # -- iteration bookkeeping ------------------------------------------------------
@@ -78,8 +83,9 @@ class TraceRecorder:
         """Mark the start of training iteration ``index``."""
         self._current_iteration = index
         self.iteration_marks.append(IterationMark(index=index, start_ns=self.clock.now_ns))
-        if self.event_tape_positions is not None:
-            self.mark_tape_spans.append([len(self._tape), -1])
+        tape = self.clock.tape
+        if tape is not None:
+            self.mark_tape_spans.append([len(tape), -1])
 
     def end_iteration(self, index: int) -> None:
         """Mark the end of training iteration ``index``."""
@@ -87,9 +93,9 @@ class TraceRecorder:
             mark = self.iteration_marks[position]
             if mark.index == index and mark.end_ns is None:
                 mark.end_ns = self.clock.now_ns
-                if (self.event_tape_positions is not None
-                        and position < len(self.mark_tape_spans)):
-                    self.mark_tape_spans[position][1] = len(self._tape)
+                tape = self.clock.tape
+                if tape is not None and position < len(self.mark_tape_spans):
+                    self.mark_tape_spans[position][1] = len(tape)
                 break
         self._current_iteration = -1
 
@@ -97,33 +103,37 @@ class TraceRecorder:
 
     def on_malloc(self, request: int) -> None:
         """Record the malloc of ``request``."""
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_MALLOC, self.clock._now_ns, request, 0, 0, 0,
+        clock = self.clock
+        if clock.tape is not None:
+            self._append_position(len(clock.tape))
+        self._append_row(pack_row(_MALLOC, clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op("")
 
     def on_free(self, request: int) -> None:
         """Record the free of ``request``."""
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_FREE, self.clock._now_ns, request, 0, 0, 0,
+        clock = self.clock
+        if clock.tape is not None:
+            self._append_position(len(clock.tape))
+        self._append_row(pack_row(_FREE, clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op("")
 
     def on_read(self, request: int, op: str) -> None:
         """Record a read of ``request`` by operator ``op``."""
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_READ, self.clock._now_ns, request, 0, 0, 0,
+        clock = self.clock
+        if clock.tape is not None:
+            self._append_position(len(clock.tape))
+        self._append_row(pack_row(_READ, clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op(op)
 
     def on_write(self, request: int, op: str) -> None:
         """Record a write of ``request`` by operator ``op``."""
-        if self._tape is not None:
-            self.event_tape_positions.append(len(self._tape))
-        self._append_row(pack_row(_WRITE, self.clock._now_ns, request, 0, 0, 0,
+        clock = self.clock
+        if clock.tape is not None:
+            self._append_position(len(clock.tape))
+        self._append_row(pack_row(_WRITE, clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op(op)
 
@@ -165,27 +175,17 @@ class PlacedTrace:
     arrival's delay less its own).
     """
 
-    def __init__(self, trace: MemoryTrace, requests: RequestLog, placement: Placement,
-                 overhead_ns: int, barriers: List[int]):
+    def __init__(self, trace: MemoryTrace, placement: Placement, overhead_ns: int,
+                 barriers: List[int]):
         self.trace, self.placement, self.overhead_ns = trace, placement, overhead_ns
         columns = self.columns = trace.columns()
         n = len(columns)
-        # Each segment row's call: the recorded malloc (or free) of its
-        # request, or the first row after a call the recorder did not see.
-        calls = np.frombuffer(requests.ops, dtype=np.int64)[placement.segment_op]
-        rows = np.full((2, len(requests)), -1, dtype=np.int64)
-        for side, kind in enumerate((_MALLOC, _FREE)):
-            made = np.flatnonzero(columns.kind_code == kind)
-            rows[side, columns.block_id[made]] = made
-        at = rows[(calls < 0).astype(np.int64), np.where(calls < 0, ~calls, calls)]
-        self.seen = at >= 0
-        at[~self.seen] = np.searchsorted(columns.timestamp_ns, np.frombuffer(
-            requests.op_ns, dtype=np.int64)[placement.segment_op[~self.seen]])
+        # Each segment row's call: the recorded malloc (or free) that made it.
+        at = self.anchors = call_rows(columns)[placement.segment_op]
         #: before[p]: the segment overheads paid before point p (p rows recorded).
         self.before = np.zeros(n + 2, dtype=np.int64)
         np.cumsum(np.bincount(at, minlength=n + 1), out=self.before[1:])
         self.before *= overhead_ns
-        self.anchors = at[self.seen]
         #: The rows each barrier-delimited stretch starts at, and its delay.
         self.starts = [0] + barriers
         self.delays = [placement.preamble_segments * overhead_ns]
@@ -205,7 +205,7 @@ class PlacedTrace:
                 + self.before[counted] - self.before[starts[stretch]])
 
     def _place(self) -> "PlacedTrace":
-        """Move the rows; put each seen call's segment rows in front of it."""
+        """Move the rows; put each call's segment rows in front of it."""
         trace, columns, placement, before = self.trace, self.columns, self.placement, \
             self.before
         n = len(columns)
@@ -215,12 +215,11 @@ class PlacedTrace:
                          dtype=np.int64).reshape(-1, 2)
         mark_delay = self._delay_at(spans, spans).tolist()
         end_delay = int(self._delay_at(np.array([n]), np.array([n + 1]))[0])
-        made, anchors = np.flatnonzero(self.seen), self.anchors
-        calls = placement.segment_op[made]
-        ordinal = np.arange(made.size) - np.searchsorted(calls, calls)
-        segment_rows = self.segment_rows = anchors + np.arange(made.size)
+        anchors, calls = self.anchors, placement.segment_op
+        ordinal = np.arange(calls.size) - np.searchsorted(calls, calls)
+        segment_rows = self.segment_rows = anchors + np.arange(calls.size)
         rows = self.rows = points + np.cumsum(np.bincount(anchors, minlength=n)[:n])
-        total = n + made.size
+        total = n + calls.size
 
         def merged(recorded, segment):
             out = np.empty(total, dtype=np.int64)
@@ -233,17 +232,17 @@ class PlacedTrace:
                       + (ordinal + 1) * self.overhead_ns)
         placed_columns = EventColumns(
             event_id=np.arange(total, dtype=np.int64),
-            kind_code=merged(columns.kind_code, placement.segment_kind[made]),
+            kind_code=merged(columns.kind_code, placement.segment_kind),
             timestamp_ns=merged(columns.timestamp_ns + row_delay, segment_ts),
-            block_id=merged(placement.block_id[request], -placement.segment_id[made]),
-            size=merged(placement.size[request], placement.segment_size[made]),
+            block_id=merged(placement.block_id[request], -placement.segment_id),
+            size=merged(placement.size[request], placement.segment_size),
             category_code=merged(columns.category_code, _UNKNOWN_CATEGORY),
             iteration=merged(columns.iteration, columns.iteration[anchors]),
             device_rank=np.zeros(total, dtype=np.int64),
-            address=merged(placement.address[request], placement.segment_address[made]))
+            address=merged(placement.address[request], placement.segment_address))
         strings = np.full((2, total), "", dtype=object)
         strings[0, rows], strings[1, rows] = trace.event_strings()
-        strings[0, segment_rows] = [placement.segment_tags[index] for index in made.tolist()]
+        strings[0, segment_rows] = placement.segment_tags
         marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
                                end_ns=mark.end_ns + end)
                  for mark, (begin, end) in zip(trace.iteration_marks, mark_delay)]
@@ -254,8 +253,7 @@ class PlacedTrace:
         return self
 
 
-def place_traces(traces: Sequence[MemoryTrace], requests: Sequence[RequestLog],
-                 placements: Sequence[Placement],
+def place_traces(traces: Sequence[MemoryTrace], placements: Sequence[Placement],
                  overhead_ns: int) -> List[PlacedTrace]:
     """Place each replica's recording (:meth:`TraceRecorder.to_trace`) with
     its placement: the trace a run with that allocator live would record.
@@ -268,9 +266,9 @@ def place_traces(traces: Sequence[MemoryTrace], requests: Sequence[RequestLog],
     (:func:`~repro.core.trace.barrier_rows`): all leave it as much later as
     the latest delayed arrival is later than the latest recorded one.
     """
-    plans = [PlacedTrace(trace, log, placement, overhead_ns,
+    plans = [PlacedTrace(trace, placement, overhead_ns,
                          barrier_rows(trace) if len(traces) > 1 else [])
-             for trace, log, placement in zip(traces, requests, placements)]
+             for trace, placement in zip(traces, placements)]
     for k in range(len(plans[0].starts) - 1):
         arrivals = [plan._arrival(k) for plan in plans]
         delay = (max(recorded + delayed for recorded, delayed in arrivals)

@@ -3,9 +3,10 @@
 This package replaces the Nvidia Titan X (Pascal) + CUDA runtime used by the
 paper with a deterministic software model whose memory system is instrumented
 exactly the way the paper instruments PyTorch's allocators.  A device's
-front end logs its mallocs and frees (:class:`~repro.device.memory.RequestLog`);
-an allocator is a placement pass over that log
-(:func:`~repro.device.allocator.place`, one loop per policy).  The device is
+front end logs its requests (:class:`~repro.device.memory.RequestLog`) and
+its recorder writes each malloc and free as a row; an allocator is a
+placement pass over those calls (:func:`~repro.device.allocator.place`, one
+loop per policy).  The device is
 synchronous — kernels and host↔device copies run in order on one timeline,
 its clock — and the one asynchronous copy engine,
 :class:`~repro.device.stream.Stream`, belongs to the swap overlay

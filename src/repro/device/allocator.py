@@ -19,17 +19,19 @@ the paper instruments:
   :class:`~repro.errors.OutOfMemoryError`.
 
 An allocator is a pass over a finished run's requests: the front end logs
-every malloc and free (:class:`~repro.device.memory.RequestLog`) and pays
-the per-call bookkeeping overhead on its clock, and :func:`place` runs the
-named policy's pass over the log under a capacity.  Each pass is one loop
-over ``requests.ops`` on flat lists indexed by block id (address, size,
-allocated, neighbours, segment, free-list key): a pool of free blocks is a
-sorted list of integer keys ``size << 80 | tiebreak << 32 | block id``, so
-best fit is one ``bisect_left`` and equal sizes go by the tiebreak — the
-insertion sequence for ``caching`` (oldest free block first), the address
-for ``best_fit`` (lowest first).  The counters are the loop's locals.
-There is no allocator object and no per-call method: a call and a block
-object per request cost more than the placement itself.
+every request (:class:`~repro.device.memory.RequestLog`), its recorder
+writes every malloc and free as a row, the device pays the per-call
+bookkeeping overhead on its clock, and :func:`place` runs the named
+policy's pass over the calls those rows make (:func:`call_rows`) under a
+capacity.  Each pass is one loop over the calls on flat lists indexed by
+block id (address, size, allocated, neighbours, segment, free-list key): a
+pool of free blocks is a sorted list of integer keys ``size << 80 |
+tiebreak << 32 | block id``, so best fit is one ``bisect_left`` and equal
+sizes go by the tiebreak — the insertion sequence for ``caching`` (oldest
+free block first), the address for ``best_fit`` (lowest first).  The
+counters are the loop's locals.  There is no allocator object and no
+per-call method: a call and a block object per request cost more than the
+placement itself.
 
 The :class:`Placement` a pass returns holds each request's block id,
 address and size, the segment rows with the call each was made in (one
@@ -37,7 +39,8 @@ address and size, the segment rows with the call each was made in (one
 :func:`~repro.core.recorder.place_traces` splices into the timeline), the
 segments reserved before the first request and the counters.  An
 out-of-memory is raised at the request that hits it, and the free of a
-block that is not allocated raises :class:`~repro.errors.InvalidFreeError`.
+request that is not live (freed already) raises
+:class:`~repro.errors.InvalidFreeError`.
 
 Two simpler policies (``best_fit``: one arena, best fit, immediate
 coalescing; ``bump``: fresh address space for every request) are ablation
@@ -57,11 +60,13 @@ from typing import List
 import numpy as np
 
 from ..core.events import MemoryEventKind
-from ..core.trace import KIND_CODES
+from ..core.trace import KIND_CODES, EventColumns
 from ..errors import InvalidFreeError, OutOfMemoryError
 from ..units import MIB
 from .memory import AllocatorStats, RequestLog
 
+_MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
+_FREE = KIND_CODES[MemoryEventKind.FREE]
 _SEGMENT_ALLOC = KIND_CODES[MemoryEventKind.SEGMENT_ALLOC]
 _SEGMENT_FREE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
@@ -118,8 +123,8 @@ class Placement:
 
     Per request id: the block id, address and (rounded, split) size of the
     block that served it.  Per segment reserved or released after the first
-    request, in order: the index into the request log's ``ops`` of the call
-    that made it, its kind code, id, address, size and ``segment:<pool>``
+    request, in order: the index among the calls (:func:`call_rows`) of the
+    one that made it, its kind code, id, address, size and ``segment:<pool>``
     tag — each is one ``cudaMalloc``/``cudaFree`` overhead atom.
     ``preamble_segments`` were reserved before any request (best-fit's
     arena) and ``stats`` are the allocator's counters after the last call.
@@ -157,15 +162,16 @@ def _bad_free(block: int, tag: str) -> InvalidFreeError:
     return InvalidFreeError(f"block {block} (tag={tag!r}) is not currently allocated")
 
 
-def _place_caching(requests: RequestLog, capacity: int) -> Placement:
+def _place_caching(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
     """The caching allocator's pass (see the module docstring for the policy)."""
     n = len(requests)
     nbytes, request_tags = requests.nbytes, requests.tag
     served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
+    live = bytearray(n)
     # Per block id (0: no block): address, size, allocated, neighbours,
-    # segment, free-list key and the request that last held it.
+    # segment and free-list key.
     address, size, allocated = [0], [0], [False]
-    prev, after, segment_of, key_of, holder = [0], [0], [0], [0], [0]
+    prev, after, segment_of, key_of = [0], [0], [0], [0]
     # Per segment id: address, size, pool, first block, tag; live ones in order.
     segment_address, segment_size, segment_pool, segment_first = [0], [0], [None], [0]
     segment_tag: List[str] = [""]
@@ -180,7 +186,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
     peak_allocated = peak_reserved = peak_active = 0
     mallocs = frees = alloc_bytes = hits = misses = 0
     segment_allocs = segment_frees = splits = coalesces = 0
-    for call, op in enumerate(requests.ops):
+    for call, op in enumerate(calls):
         if op >= 0:
             wanted = nbytes[op]
             rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE  # round_block_size
@@ -238,7 +244,6 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
                 after.append(0)
                 segment_of.append(segment)
                 key_of.append(0)
-                holder.append(0)
                 rows.append((call, _SEGMENT_ALLOC, segment, next_address, reserve))
                 tags.append(segment_tag[segment])
                 next_address += _aligned(reserve)
@@ -263,12 +268,11 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
                 key = remainder << _SIZE | sequence << _TIE | tail
                 sequence += 1
                 key_of.append(key)
-                holder.append(0)
                 insort(pool, key)
                 size[block] = block_size = rounded
                 splits += 1
             allocated[block] = True
-            holder[block] = op
+            live[op] = True
             served_block[op] = block
             served_address[op] = address[block]
             served_size[op] = block_size
@@ -281,9 +285,11 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
             if active > peak_active:
                 peak_active = active
         else:
-            block = served_block[~op]
-            if not allocated[block]:
-                raise _bad_free(block, request_tags[holder[block]])
+            request = ~op
+            block = served_block[request]
+            if not live[request]:
+                raise _bad_free(block, request_tags[request])
+            live[request] = False
             allocated[block] = False
             block_size = size[block]
             allocated_bytes -= block_size
@@ -322,7 +328,7 @@ def _place_caching(requests: RequestLog, capacity: int) -> Placement:
         coalesce_count=coalesces))
 
 
-def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
+def _place_best_fit(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
     """A non-caching best-fit pass over one big arena (ablation baseline).
 
     95 % of the device, aligned down, is reserved as a single segment before
@@ -335,14 +341,15 @@ def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
     n = len(requests)
     nbytes, request_tags = requests.nbytes, requests.tag
     served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
+    live = bytearray(n)
     arena = int(capacity * _ARENA_SHARE) // SEGMENT_ALIGNMENT * SEGMENT_ALIGNMENT
     # Per block id (0: no block); block 1 covers the arena.
     address, size, allocated = [0, BASE_ADDRESS], [0, arena], [False, False]
-    prev, after, key_of, holder = [0, 0], [0, 0], [0, arena << _SIZE | 1], [0, 0]
+    prev, after, key_of = [0, 0], [0, 0], [0, arena << _SIZE | 1]
     pool = [key_of[1]]
     allocated_bytes = active = peak_allocated = peak_active = 0
     mallocs = frees = alloc_bytes = splits = coalesces = 0
-    for op in requests.ops:
+    for op in calls:
         if op >= 0:
             wanted = nbytes[op]
             rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
@@ -368,12 +375,11 @@ def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
                 after[block] = tail
                 key = remainder << _SIZE | (start - BASE_ADDRESS) << _TIE | tail
                 key_of.append(key)
-                holder.append(0)
                 insort(pool, key)
                 size[block] = block_size = rounded
                 splits += 1
             allocated[block] = True
-            holder[block] = op
+            live[op] = True
             served_block[op] = block
             served_address[op] = address[block]
             served_size[op] = block_size
@@ -386,9 +392,11 @@ def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
             if active > peak_active:
                 peak_active = active
         else:
-            block = served_block[~op]
-            if not allocated[block]:
-                raise _bad_free(block, request_tags[holder[block]])
+            request = ~op
+            block = served_block[request]
+            if not live[request]:
+                raise _bad_free(block, request_tags[request])
+            live[request] = False
             allocated[block] = False
             block_size = size[block]
             allocated_bytes -= block_size
@@ -423,7 +431,7 @@ def _place_best_fit(requests: RequestLog, capacity: int) -> Placement:
         coalesce_count=coalesces))
 
 
-def _place_bump(requests: RequestLog, capacity: int) -> Placement:
+def _place_bump(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
     """A linear (bump-pointer) pass that never reuses memory (ablation baseline).
 
     Every allocation reserves a fresh segment of its rounded size and frees
@@ -440,7 +448,7 @@ def _place_bump(requests: RequestLog, capacity: int) -> Placement:
     next_address = BASE_ADDRESS
     reserved = allocated_bytes = active = peak_allocated = peak_active = 0
     block = frees = 0
-    for call, op in enumerate(requests.ops):
+    for call, op in enumerate(calls):
         if op >= 0:
             wanted = nbytes[op]
             rounded = (wanted + 511) & -512 if wanted > 0 else MIN_BLOCK_SIZE
@@ -495,11 +503,22 @@ def check_allocator(name: str) -> str:
     return name
 
 
-def place(requests: RequestLog, allocator: str, capacity: int) -> Placement:
+def call_rows(columns: EventColumns) -> np.ndarray:
+    """The rows of a recording that are a malloc or a free: its calls, in order."""
+    kind = columns.kind_code
+    return np.flatnonzero((kind == _MALLOC) | (kind == _FREE))
+
+
+def place(requests: RequestLog, columns: EventColumns, allocator: str,
+          capacity: int) -> Placement:
     """Run allocator ``allocator``'s pass over ``requests`` under ``capacity`` bytes.
 
-    Serves the mallocs and frees in the log's order, as the front end made
-    them; an :class:`~repro.errors.OutOfMemoryError` propagates from the
-    request that hits it.
+    Serves the mallocs and frees of the recording ``columns`` (rows written
+    against ``requests``' ids) in order, as the front end made them; an
+    :class:`~repro.errors.OutOfMemoryError` propagates from the request
+    that hits it.
     """
-    return PLACEMENT_PASSES[check_allocator(allocator)](requests, int(capacity))
+    rows = call_rows(columns)
+    request = columns.block_id[rows]
+    calls = np.where(columns.kind_code[rows] == _MALLOC, request, ~request).tolist()
+    return PLACEMENT_PASSES[check_allocator(allocator)](requests, calls, int(capacity))

@@ -3,11 +3,13 @@
 :class:`Device` ties together the pieces a training run needs:
 
 * a deterministic :class:`~repro.device.clock.DeviceClock`;
-* the :class:`~repro.device.memory.RequestLog` of every malloc and free,
-  placed after the run by the named allocator (caching by default,
-  :meth:`Device.place`);
-* a roofline :class:`~repro.device.timing.KernelTimingModel`;
-* a :attr:`Device.recorder` slot a profiler's trace recorder occupies.
+* the :class:`~repro.device.memory.RequestLog` of every malloc's bytes,
+  category and tag;
+* its :class:`~repro.core.recorder.TraceRecorder`, made with the device:
+  every behavior from construction on is one of its rows, and its malloc and
+  free rows are the device's only record of the calls, placed after the run
+  by the named allocator (caching by default, :meth:`Device.place`);
+* a roofline :class:`~repro.device.timing.KernelTimingModel`.
 
 The device is synchronous, the way eager PyTorch issues work on one stream:
 :meth:`Device.run_kernel`, the two host↔device copies and
@@ -19,13 +21,14 @@ copy stream.
 
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
 storage management — each pays the allocator's bookkeeping overhead on the
-clock, logs the call and hands the storage a request id, never a block —
-and :meth:`Device.run_kernel` to account for the simulated execution time
-of each operator; storages report the reads and writes of kernels straight
-to :attr:`Device.recorder`.  Nothing is computed: tensors carry shape, dtype
-and category but no values, and memory behavior is a function of shapes
-alone.  Where a request lands, and the ``cudaMalloc`` overheads that
-places it, is the allocator's pass over the log.
+clock, hands the call to :attr:`Device.recorder` and hands the storage a
+request id, never a block — and :meth:`Device.run_kernel` to account for the
+simulated execution time of each operator; storages report the reads and
+writes of kernels straight to :attr:`Device.recorder`.  Nothing is
+computed: tensors carry shape, dtype and category but no values, and memory
+behavior is a function of shapes alone.  Where a request lands, and the
+``cudaMalloc`` overheads that places it, is the allocator's pass over the
+recorded calls.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.events import MemoryCategory
+from ..core.trace import columns_from_rows
 from ..errors import ConfigurationError
 from .allocator import Placement, check_allocator, place
 from .clock import DeviceClock
@@ -72,6 +76,7 @@ class Device:
         bandwidth_efficiency: float = DEFAULT_BANDWIDTH_EFFICIENCY,
         host_dispatch_overhead_ns: int = DEFAULT_HOST_DISPATCH_OVERHEAD_NS,
     ):
+        from ..core.recorder import TraceRecorder
         from ..tensor.dtype import DType, get_dtype
 
         self.spec = spec if spec is not None else titan_x_pascal()
@@ -84,8 +89,8 @@ class Device:
         self.clock = DeviceClock()
         self.allocator = check_allocator(allocator)
         self.requests = RequestLog()
-        #: The trace recorder behaviors go to (``None``: nobody records).
-        self.recorder = None
+        #: The trace recorder every behavior goes to.
+        self.recorder = TraceRecorder(self)
         # The spec is frozen, so the per-malloc/free cost is read once.
         self._alloc_overhead_ns = self.spec.allocator_overhead_ns
         self.timing = KernelTimingModel(
@@ -101,21 +106,19 @@ class Device:
                  tag: str = "") -> int:
         """Request ``size`` bytes of device memory; returns the request id."""
         self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
-        request = self.requests.malloc(size, category, tag, self.clock._now_ns)
-        if self.recorder is not None:
-            self.recorder.on_malloc(request)
+        request = self.requests.add(size, category, tag)
+        self.recorder.on_malloc(request)
         return request
 
     def free(self, request: int) -> None:
         """Free the memory of request ``request``."""
         self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
-        self.requests.free(request, self.clock._now_ns)
-        if self.recorder is not None:
-            self.recorder.on_free(request)
+        self.recorder.on_free(request)
 
     def place(self) -> Placement:
-        """The requests so far, placed by this device's allocator in its memory."""
-        return place(self.requests, self.allocator, self.spec.memory_capacity)
+        """The calls so far, placed by this device's allocator in its memory."""
+        return place(self.requests, columns_from_rows(self.recorder.rows), self.allocator,
+                     self.spec.memory_capacity)
 
     # -- execution -----------------------------------------------------------
 

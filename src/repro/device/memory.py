@@ -1,9 +1,11 @@
 """Device memory primitives: the request log and the allocator counters.
 
-A device's front end does not place anything: every ``malloc`` and ``free``
-of a training run is one entry of its :class:`RequestLog` (request id,
-requested bytes, category, tag), and an allocator is a pass over that log
-after the run (:func:`~repro.device.allocator.place`).
+A device's front end does not place anything: every ``malloc`` of a
+training run adds one request to its :class:`RequestLog` (request id,
+requested bytes, category, tag), its recorder writes each malloc and free
+as a row against that id — the rows are the run's only record of the
+calls — and an allocator is a pass over those calls after the run
+(:func:`~repro.device.allocator.place`).
 
 The caching allocator (like PyTorch's CUDA caching allocator) reserves large
 *segments* from the device with ``cudaMalloc`` and carves them into *blocks*
@@ -28,39 +30,27 @@ class RequestLog:
     """The allocation requests of one device's front end, in call order.
 
     A request is one ``malloc``: its id is its index, and it keeps the bytes
-    asked for, the category and the tag.  ``ops`` is the call sequence — the
-    request id for a malloc, its complement ``~id`` for the free — and
-    ``op_ns`` the front-end clock of each call once its bookkeeping overhead
-    is paid: where a placement's segment reservations land.
+    asked for, the category and the tag.  When each request was made and
+    freed is the device recorder's (its malloc and free rows).
     """
 
-    __slots__ = ("nbytes", "category", "tag", "ops", "op_ns")
+    __slots__ = ("nbytes", "category", "tag")
 
     def __init__(self) -> None:
         self.nbytes = array("q")
         self.category: List[MemoryCategory] = []
         self.tag: List[str] = []
-        self.ops = array("q")
-        self.op_ns = array("q")
 
     def __len__(self) -> int:
         return len(self.tag)
 
-    def malloc(self, nbytes: int, category: MemoryCategory, tag: str,
-               now_ns: int) -> int:
-        """Log a malloc of ``nbytes``; returns its request id."""
+    def add(self, nbytes: int, category: MemoryCategory, tag: str) -> int:
+        """Log a request of ``nbytes``; returns its id."""
         request = len(self.tag)
         self.nbytes.append(nbytes)
         self.category.append(category)
         self.tag.append(tag)
-        self.ops.append(request)
-        self.op_ns.append(now_ns)
         return request
-
-    def free(self, request: int, now_ns: int) -> None:
-        """Log the free of ``request``."""
-        self.ops.append(~request)
-        self.op_ns.append(now_ns)
 
 
 @dataclass

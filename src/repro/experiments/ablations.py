@@ -76,8 +76,8 @@ class AllocatorAblationRow:
         stats = result.allocator_stats
         total_lookups = stats.get("cache_hits", 0) + stats.get("cache_misses", 0)
         # Reserved-memory counters come from the allocator itself rather than
-        # the trace: the best-fit allocator reserves its whole arena when the
-        # device is constructed, before the profiler attaches.
+        # the trace: the best-fit allocator reserves its whole arena before
+        # the first request, a segment no recorded call made.
         return AllocatorAblationRow(
             allocator=str(result.scenario["allocator"]),
             num_events=result.num_events,

@@ -63,7 +63,7 @@ import time
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -188,19 +188,16 @@ def template_key(config: TrainingRunConfig) -> str:
 
 class _TemplateCapture:
     """Session hook that attaches one timing tape per materialised replica
-    clock (one per replica class) and notes which class each rank is in."""
+    clock (one per replica class; each device's recorder notes its tape
+    positions) and keeps the group."""
 
     def __init__(self) -> None:
         self.tapes: List[TimingTape] = []
-        self.rank_classes: Sequence[int] = ()
-        self.profilers = None
+        self.group = None
 
     def attach(self, group) -> None:
         self.tapes = [TimingTape(device.clock) for device in group]
-        self.rank_classes = group.rank_classes
-
-    def collect(self, profilers, traces) -> None:
-        self.profilers = profilers
+        self.group = group
 
     def detach(self) -> None:
         for tape in self.tapes:
@@ -996,12 +993,12 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
 
     spec = build_cluster(config).device
     placed = recording.placed(config)
-    classes = [_capture_rank(profiler.recorder, trace, tape, spec.cuda_malloc_overhead_ns,
+    classes = [_capture_rank(device.recorder, trace, tape, spec.cuda_malloc_overhead_ns,
                              placement.preamble_segments)
-               for profiler, trace, tape, placement in zip(
-                   capture.profilers, placed.traces, capture.tapes, placed.placements)]
+               for device, trace, tape, placement in zip(
+                   capture.group, placed.traces, capture.tapes, placed.placements)]
     # Ranks of one replica class reference the one captured RankTemplate.
-    ranks = [classes[index] for index in capture.rank_classes]
+    ranks = [classes[index] for index in capture.group.rank_classes]
     allocator_stats = {k: int(v) for k, v in placed.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0
@@ -1029,6 +1026,11 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
 # -- dtype-generalized families -------------------------------------------------------
 
 
+def _capture_failed(error: Exception) -> TemplateError:
+    """The ``capture_failed`` decline of a row whose capture raised ``error``."""
+    return TemplateError(f"capture failed: {error}", reason="capture_failed")
+
+
 class TemplateFamily:
     """Per-dtype :class:`TraceTemplate` variants sharing one structural key.
 
@@ -1044,15 +1046,16 @@ class TemplateFamily:
     to ``None`` for a dtype whose capture is not replayable (memoized so a
     sweep pays the failed attempt only once).  A capture whose simulation
     failed (``capture_failed``: an out-of-memory, say) failed at its
-    capacity, a pricing field, so ``failed_captures`` memoizes it per
-    ``(dtype, capacity)``: a row at another capacity captures again.
+    capacity, a pricing field, so ``failed_captures`` memoizes its error per
+    ``(dtype, capacity)``: a later row there fails with it, and a row at
+    another capacity captures again.
     """
 
     def __init__(self, key: str,
                  variants: Optional[Dict[str, Optional[TraceTemplate]]] = None):
         self.key = key
         self.variants: Dict[str, Optional[TraceTemplate]] = dict(variants or {})
-        self.failed_captures: Set[Tuple[str, int]] = set()
+        self.failed_captures: Dict[Tuple[str, int], Exception] = {}
         #: Whether this engine/process ran a fresh capture for the family
         #: (as opposed to loading every variant from the store).
         self.compiled_fresh = False
@@ -1086,9 +1089,8 @@ class TemplateFamily:
         except Exception as error:
             if classify_failure(error)[1] != DETERMINISTIC:
                 raise
-            self.failed_captures.add((dtype, memory_capacity(config)))
-            raise TemplateError(f"capture failed: {error}",
-                                reason="capture_failed") from error
+            self.failed_captures[dtype, memory_capacity(config)] = error
+            raise _capture_failed(error) from error
         self.variants[dtype] = template
         self.compiled_fresh = True
         return template
@@ -1312,10 +1314,9 @@ class ReplayEngine:
                     f"dtype {dtype} previously failed to compile",
                     reason="compile_failed")
             return template
-        if (dtype, memory_capacity(config)) in family.failed_captures:
-            raise TemplateError(
-                f"dtype {dtype} previously failed to compile at this capacity",
-                reason="compile_failed")
+        failed = family.failed_captures.get((dtype, memory_capacity(config)))
+        if failed is not None:
+            raise _capture_failed(failed) from failed
         freshly_compiled_family = not family.compiled_fresh
         template = family.capture(config)
         self.variants_captured += 1

@@ -81,26 +81,21 @@ class DeviceStorage:
     # -- instrumented access -------------------------------------------------------
 
     # The two hot calls of a profiled run: the liveness check is inlined and
-    # the device's recorder is looked up per call, so one attached mid-run
-    # records from the next behavior on.
+    # the hook is looked up on the device's recorder per call.
 
     def record_read(self, op: str) -> None:
         """Report a read of this storage by operator ``op``."""
         request = self.request
         if request is None:
             self._ensure_live()
-        recorder = self.device.recorder
-        if recorder is not None:
-            recorder.on_read(request, op)
+        self.device.recorder.on_read(request, op)
 
     def record_write(self, op: str) -> None:
         """Report a write of this storage by operator ``op``."""
         request = self.request
         if request is None:
             self._ensure_live()
-        recorder = self.device.recorder
-        if recorder is not None:
-            recorder.on_write(request, op)
+        self.device.recorder.on_write(request, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = ", freed" if self.is_freed else ""

@@ -3,9 +3,10 @@
 A :class:`TrainingRunConfig` declaratively describes one training workload
 (model, dataset, batch size, device, allocator, host latency, replica
 count) and :func:`run_training_session` builds every piece (through
-:func:`record_session`), attaches the memory profiler, trains for the
-requested number of iterations and returns the recorded trace together with
-the per-iteration statistics.
+:func:`record_session`: every device records from its construction, the
+profiler stamps each one's recorder), trains for the requested number of
+iterations and returns the recorded trace together with the per-iteration
+statistics.
 
 This is the single entry point used by the figure experiments, the examples
 and the benchmark harness, so every reported number flows through the exact
@@ -27,10 +28,11 @@ of its class's recording that differs only in ``metadata["device_rank"]``.
 
 A session is a :class:`Recording` plus what the row decides on top of it.
 :func:`record_session` runs the front end of the row's swap-off twin once:
-each replica class's requests and its behaviors recorded against them, the
-same under every allocator and capacity.  Its trainer simulates each
-distinct iteration once: once an iteration leaves the devices as it found
-them, the later ones are appended as its shifted copies
+each replica class's requests and its behaviors recorded against them — the
+malloc and free rows are the one record of the calls the placement passes
+read — the same under every allocator and capacity.  Its trainer simulates
+each distinct iteration once: once an iteration leaves the devices as it
+found them, the later ones are appended as its shifted copies
 (:mod:`repro.train.trainer`), so the iteration count adds little to the
 recording's cost.  :func:`run_training_session`
 places it with the row's allocator (:meth:`Recording.placed`; a swap-on row
@@ -297,7 +299,8 @@ class Recording:
     ``device_memory_capacity``.
 
     ``traces`` holds one recording per replica class (behaviors against
-    request ids) and ``requests`` its request log, ``rank_classes`` maps
+    request ids, its malloc and free rows the calls a placement serves) and
+    ``requests`` its request log, ``rank_classes`` maps
     each rank to its class and ``spec`` is the device at its native
     capacity.  Only :meth:`placed`'s memo is mutated by a session.
     """
@@ -328,10 +331,9 @@ class Recording:
         key = (allocator, spec.memory_capacity)
         run = self.placements.get(key)
         if run is None:
-            placements = [place(requests, allocator, spec.memory_capacity)
-                          for requests in self.requests]
-            traces = place_traces(self.traces, self.requests, placements,
-                                  spec.cuda_malloc_overhead_ns)
+            placements = [place(requests, trace.columns(), allocator, spec.memory_capacity)
+                          for requests, trace in zip(self.requests, self.traces)]
+            traces = place_traces(self.traces, placements, spec.cuda_malloc_overhead_ns)
             for placed in traces:
                 metadata = placed.trace.metadata
                 metadata.update(device=spec.to_dict(), allocator=allocator)
@@ -406,11 +408,10 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     """Simulate ``config``'s swap-off twin (:func:`swap_off_twin`) once.
 
     ``capture`` is an optional instrumentation hook used by the replay engine
-    (:mod:`repro.experiments.replay`): an object with ``attach(group)`` —
-    called right after device construction, before any profiled work — and
-    ``collect(profilers, traces)`` — called once the run is complete with
-    the per-class profilers and their traces.
-    Ordinary callers leave it ``None`` and pay nothing.
+    (:mod:`repro.experiments.replay`): an object whose ``attach(group)`` is
+    called right after device construction, before any profiled work; each
+    device's recorder holds the run once it is complete.  Ordinary callers
+    leave it ``None`` and pay nothing.
 
     The session's object graph is cyclic (module ↔ children, device ↔
     recorder, storage ↔ device) and all of it is live until the run ends,
@@ -441,8 +442,6 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     # optimizer construction (parameter allocation + initialization) is
     # profiled too — it is what puts the "parameters" bytes in the breakdown.
     # ``group`` iterates the materialised replicas: one per replica class.
-    for profiler in profilers:
-        profiler.start()
     collector_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -457,17 +456,12 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
         loss_fns = [CrossEntropyLoss(device, name="loss") for device in group]
         optimizers = [_build_optimizer(config, model) for model in models]
 
-        trainer = DataParallelTrainer(group, models, loader, optimizers, loss_fns,
-                                      recorders=profilers)
+        trainer = DataParallelTrainer(group, models, loader, optimizers, loss_fns)
         trainer.train(config.iterations)
     finally:
-        for profiler in profilers:
-            profiler.detach()
         if collector_was_enabled:
             gc.enable()
     class_traces = [profiler.recorder.to_trace() for profiler in profilers]
-    if capture is not None:
-        capture.collect(profilers=profilers, traces=class_traces)
 
     return Recording(
         config=config,

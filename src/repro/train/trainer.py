@@ -17,29 +17,30 @@ One iteration reproduces the dataflow of an eager PyTorch training step:
 across the ranks, each *materialised* replica — one per replica class of the
 group (:func:`replica_classes`), standing for every rank of its class — runs
 the per-shard forward/backward of its representative rank
-against its own model copy and recorder, a gradient allreduce on the group's
+against its own model copy and device, a gradient allreduce on the group's
 :class:`~repro.device.collective.CollectiveEngine` synchronizes the replica
 clocks (and emits the gradient read/write behaviors) *before* the per-replica
 optimizer step — exactly PyTorch DDP's dataflow.  With one replica the
 allreduce is skipped entirely; :class:`Trainer` is that one-replica case
 around an existing device.
 
-An optional recorder (duck-typed: ``begin_iteration`` / ``end_iteration``)
-receives iteration boundaries so that the analyses can segment the trace.
+The trainer marks every iteration's boundaries on each device's recorder
+(``begin_iteration`` / ``end_iteration``) so that the analyses can segment
+the trace.
 
 Each distinct iteration is simulated once.  An iteration is a deterministic
 function of what the devices hold when it starts, so once one leaves every
 replica's live requests and the replicas' clock offsets as it found them
-(:func:`left_as_found`: it freed exactly the requests it made), every later
-iteration of the same :meth:`DataParallelTrainer.train` call is that
-iteration again, shifted.  The trainer appends it as a copy
-(:class:`_SteadyIteration`) without running the model: to each replica's
-request log, its slot's :class:`~repro.core.recorder.TraceRecorder` and its
-timing tape, its clock, the collective records and the history, with new
-request ids shifted by the requests an iteration makes and every time by
-the iteration's duration.  The recorders still see ``begin_iteration`` /
-``end_iteration`` around every copy.  A slot holding any other recorder
-wants every hook call, so such a run is simulated in full.
+(:func:`left_as_found`, read off the recorder's free rows: it freed exactly
+the requests it made), every later iteration of the same
+:meth:`DataParallelTrainer.train` call is that iteration again, shifted.
+The trainer appends it as a copy (:class:`_SteadyIteration`) without
+running the model: to each replica's request log, its
+:class:`~repro.core.recorder.TraceRecorder` and its timing tape, its clock,
+the collective records and the history, with new request ids shifted by the
+requests an iteration makes and every time by the iteration's duration.
+The recorders still see ``begin_iteration`` / ``end_iteration`` around
+every copy.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..core.events import MemoryCategory
-from ..core.recorder import TraceRecorder
-from ..core.trace import ALLREDUCE_OP, ROW_FIELDS, ROW_WIDTH
+from ..core.events import MemoryCategory, MemoryEventKind
+from ..core.trace import ALLREDUCE_OP, KIND_CODES, ROW_FIELDS, ROW_WIDTH
 from ..device.cluster import DeviceGroup
 from ..device.collective import CollectiveRecord
 from ..device.device import Device
@@ -116,25 +116,29 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
 
 class _Position(NamedTuple):
     """How far one replica's record reaches: its clock, its request log's
-    requests and calls, its slot recorder's rows and its tape's atoms."""
+    requests, its recorder's rows and its tape's atoms."""
 
     now_ns: int
     requests: int
-    ops: int
     rows: int
     atoms: int
 
 
 def _position(device: Device) -> _Position:
-    recorder, tape = device.recorder, device.clock.tape
-    return _Position(device.clock.now_ns, len(device.requests), len(device.requests.ops),
-                     0 if recorder is None else len(recorder),
+    tape = device.clock.tape
+    return _Position(device.clock.now_ns, len(device.requests), len(device.recorder),
                      0 if tape is None else len(tape))
 
 
-def _int64(items) -> np.ndarray:
-    """An ``array('q')`` slice (a copy) as an int64 array over its buffer."""
-    return np.frombuffer(items, dtype=np.int64)
+_KIND, _TIMESTAMP, _REQUEST, _ITERATION = (ROW_FIELDS.index(name) for name in (
+    "kind_code", "timestamp_ns", "block_id", "iteration"))
+_FREE = KIND_CODES[MemoryEventKind.FREE]
+
+
+def _rows(device: Device, start: _Position, end: _Position) -> np.ndarray:
+    """The recorder rows ``device`` wrote between ``start`` and ``end`` (a copy)."""
+    return np.frombuffer(device.recorder.rows[start.rows * ROW_WIDTH:end.rows * ROW_WIDTH],
+                         dtype=np.int64).reshape(-1, ROW_WIDTH)
 
 
 def left_as_found(devices: Sequence[Device], starts: Sequence[_Position],
@@ -143,22 +147,18 @@ def left_as_found(devices: Sequence[Device], starts: Sequence[_Position],
     replica's live requests and the replicas' clock offsets as it found them.
 
     The live requests are unchanged exactly when the iteration freed the
-    requests it made and no other: as many frees as new requests, each of a
-    new one (a request is freed at most once).
+    requests it made and no other: as many free rows as new requests, each
+    of a new one (a request is freed at most once).
     """
     for device, start, end in zip(devices, starts, ends):
         if end.now_ns - ends[0].now_ns != start.now_ns - starts[0].now_ns:
             return False
-        ops = _int64(device.requests.ops[start.ops:end.ops])
-        freed = ~ops[ops < 0]
+        rows = _rows(device, start, end)
+        freed = rows[rows[:, _KIND] == _FREE, _REQUEST]
         if freed.size != end.requests - start.requests or (
                 freed.size and int(freed.min()) < start.requests):
             return False
     return True
-
-
-_TIMESTAMP, _REQUEST, _ITERATION = (ROW_FIELDS.index(name) for name in (
-    "timestamp_ns", "block_id", "iteration"))
 
 
 class _ReplicaSpan:
@@ -179,41 +179,30 @@ class _ReplicaSpan:
         #: The stores a copy extends verbatim, each with its steady slice.
         self.verbatim = [(store, store[start.requests:end.requests])
                          for store in (log.nbytes, log.category, log.tag)]
+        self.verbatim.append((recorder.ops, recorder.ops[start.rows:end.rows]))
+        self.positions = None
         if tape is not None:
             self.verbatim += [(column, column[start.atoms:end.atoms]) for column in (
                 tape.kind, tape.duration_ns, tape.nbytes, tape.flops, tape.bytes_moved)]
-        self.ops = _int64(log.ops[start.ops:end.ops])
-        #: +1 for a malloc (id ``r``), -1 for a free (``~r``, so ``~(r + n) = ~r - n``).
-        self.op_shift = np.where(self.ops >= 0, 1, -1)
-        self.op_ns = _int64(log.op_ns[start.ops:end.ops])
-        self.positions = None
-        if recorder is not None:
-            self.verbatim.append((recorder.ops, recorder.ops[start.rows:end.rows]))
-            self.rows = _int64(recorder.rows[start.rows * ROW_WIDTH:end.rows * ROW_WIDTH]
-                               ).reshape(-1, ROW_WIDTH)
-            self.renamed = self.rows[:, _REQUEST] >= start.requests
-            if recorder.event_tape_positions is not None:
-                self.positions = _int64(recorder.event_tape_positions[start.rows:end.rows])
+            self.positions = np.frombuffer(
+                recorder.event_tape_positions[start.rows:end.rows], dtype=np.int64)
+        self.rows = _rows(device, start, end)
+        self.renamed = self.rows[:, _REQUEST] >= start.requests
 
     def append(self, copy: int) -> None:
         """Append the iteration ``copy`` iterations after the steady one."""
-        device, renamed, shift_ns = self.device, copy * self.new_requests, \
-            copy * self.duration_ns
+        device, renamed = self.device, copy * self.new_requests
         for store, chunk in self.verbatim:
             store.extend(chunk)
-        log = device.requests
-        log.ops.frombytes((self.ops + self.op_shift * renamed).tobytes())
-        log.op_ns.frombytes((self.op_ns + shift_ns).tobytes())
         recorder = device.recorder
-        if recorder is not None:
-            rows = self.rows.copy()
-            rows[:, _TIMESTAMP] += shift_ns
-            rows[:, _REQUEST] += self.renamed * renamed
-            rows[:, _ITERATION] = recorder.current_iteration
-            recorder.rows.frombytes(rows.tobytes())
-            if self.positions is not None:
-                recorder.event_tape_positions.frombytes(
-                    (self.positions + copy * self.atoms).tobytes())
+        rows = self.rows.copy()
+        rows[:, _TIMESTAMP] += copy * self.duration_ns
+        rows[:, _REQUEST] += self.renamed * renamed
+        rows[:, _ITERATION] = recorder.current_iteration
+        recorder.rows.frombytes(rows.tobytes())
+        if self.positions is not None:
+            recorder.event_tape_positions.frombytes(
+                (self.positions + copy * self.atoms).tobytes())
         device.clock._now_ns += self.duration_ns
 
 
@@ -234,8 +223,8 @@ class _SteadyIteration:
         """Append iteration ``index`` as a copy; returns its statistics."""
         copy = index - self.stats.index
         shift_ns = copy * self.duration_ns
-        for recorder in trainer.recorders:
-            recorder.begin_iteration(index)
+        for device in trainer.group:
+            device.recorder.begin_iteration(index)
         for replica in self.replicas:
             replica.append(copy)
         for record in self.records:
@@ -246,8 +235,8 @@ class _SteadyIteration:
         stats = IterationStats(index=index, start_ns=self.stats.start_ns + shift_ns,
                                end_ns=self.stats.end_ns + shift_ns)
         trainer.history.append(stats)
-        for recorder in trainer.recorders:
-            recorder.end_iteration(index)
+        for device in trainer.group:
+            device.recorder.end_iteration(index)
         return stats
 
 
@@ -293,30 +282,21 @@ class DataParallelTrainer:
         The single host-side loader producing *global* batches; every
         iteration the batch is sharded across the ``n_devices`` ranks and
         each replica trains on its class representative's shard.
-    recorders:
-        Optional per-replica recorders (duck-typed ``begin_iteration`` /
-        ``end_iteration``), e.g. one
-        :class:`~repro.core.profiler.MemoryProfiler` per replica.
     """
 
     def __init__(self, group: DeviceGroup, models: Sequence[Module],
                  loader: DataLoader, optimizers: Sequence[Optimizer],
-                 loss_fns: Sequence[Module], recorders: Optional[Sequence] = None,
-                 post_iteration_host_ns: int = 1_000_000):
+                 loss_fns: Sequence[Module], post_iteration_host_ns: int = 1_000_000):
         n = group.n_materialized
         if not (len(models) == len(optimizers) == len(loss_fns) == n):
             raise ConfigurationError(
                 f"need one model/optimizer/loss per replica: got {len(models)}/"
                 f"{len(optimizers)}/{len(loss_fns)} for {n} device(s)")
-        if recorders is not None and len(recorders) != n:
-            raise ConfigurationError(
-                f"need one recorder per replica, got {len(recorders)} for {n}")
         self.group = group
         self.models = list(models)
         self.loader = loader
         self.optimizers = list(optimizers)
         self.loss_fns = list(loss_fns)
-        self.recorders = list(recorders) if recorders is not None else []
         self.post_iteration_host_ns = int(post_iteration_host_ns)
         self.history: List[IterationStats] = []
         self.collective_records: List[CollectiveRecord] = []
@@ -357,8 +337,8 @@ class DataParallelTrainer:
 
     def train_iteration(self, index: int) -> IterationStats:
         """Run one data-parallel iteration; returns the aggregated statistics."""
-        for recorder in self.recorders:
-            recorder.begin_iteration(index)
+        for device in self.group:
+            device.recorder.begin_iteration(index)
         start_ns = min(device.clock.now_ns for device in self.group)
 
         # 1. One global host-side batch, sharded across the replicas.  Every
@@ -400,8 +380,8 @@ class DataParallelTrainer:
             end_ns=max(device.clock.now_ns for device in self.group),
         )
         self.history.append(stats)
-        for recorder in self.recorders:
-            recorder.end_iteration(index)
+        for device in self.group:
+            device.recorder.end_iteration(index)
         return stats
 
     # -- multiple iterations -----------------------------------------------------------
@@ -417,10 +397,6 @@ class DataParallelTrainer:
         start_index = len(self.history)
         stop = start_index + num_iterations
         devices = list(self.group)
-        # A copy extends a plain recorder; any other wants every hook call.
-        if any(device.recorder is not None and type(device.recorder) is not TraceRecorder
-               for device in devices):
-            return [self.train_iteration(index) for index in range(start_index, stop)]
         steady: Optional[_SteadyIteration] = None
         history: List[IterationStats] = []
         for index in range(start_index, stop):
@@ -448,9 +424,6 @@ class Trainer(DataParallelTrainer):
     :class:`DataParallelTrainer` over a group wrapping ``device``."""
 
     def __init__(self, model: Module, loader: DataLoader, optimizer: Optimizer,
-                 loss_fn: Module, device: Device, recorder=None,
-                 post_iteration_host_ns: int = 1_000_000):
+                 loss_fn: Module, device: Device, post_iteration_host_ns: int = 1_000_000):
         super().__init__(DeviceGroup.of(device), [model], loader, [optimizer],
-                         [loss_fn],
-                         recorders=None if recorder is None else [recorder],
-                         post_iteration_host_ns=post_iteration_host_ns)
+                         [loss_fn], post_iteration_host_ns=post_iteration_host_ns)

@@ -30,8 +30,9 @@ from repro.core.recorder import TraceRecorder
 from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KIND_FROM_CODE,
                               NEVER_FREED, EventColumns, MemoryTrace, lifetimes_from_columns,
                               merge_rank_traces)
-from repro.device.allocator import BASE_ADDRESS, round_block_size
+from repro.device.allocator import BASE_ADDRESS, call_rows, place, round_block_size
 from repro.device.cluster import ClusterSpec
+from repro.device.memory import RequestLog
 from repro.device.stream import Stream
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
@@ -131,8 +132,10 @@ def plan_rows(planner, rows, peak_before):
 
 
 class BehaviorLog:
-    """Every behavior ``device`` reports from construction on, in order: the
-    log is the device's recorder.
+    """Every behavior ``device`` reports from the log's construction on, in
+    order: the log is the device's recorder.  A trainer's iteration marks
+    are not behaviors, and a copied iteration reaches no hook, so a session
+    logged here is simulated in full (``left_as_found`` patched).
 
     ``rows`` holds ``(kind, tag, op)`` — ``op`` is the kernel for a read or a
     write, ``None`` for a malloc or a free — and ``times`` the device clock
@@ -163,6 +166,15 @@ class BehaviorLog:
 
     def on_write(self, request, op):
         self._log("write", request, op)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def begin_iteration(self, index):
+        pass
+
+    def end_iteration(self, index):
+        pass
 
     def kernel_ns(self, op, tag):
         """The clock advance of ``op``'s launch writing ``tag``: from the
@@ -843,10 +855,11 @@ def live_swap_session(config):
 
     The front end is recorded once to learn where the config's allocator
     places each request; the live run then places them as they come
-    (:class:`SwapRecorder`, patched in as the profilers' recorder, with the
-    session's own placement pass and overlay step replaced by what it and
-    the executors did).  Returns the session and every executor with the
-    inputs of each plan it made.
+    (:class:`SwapRecorder`, put in each device's recorder slot before any
+    work, with every iteration simulated and the session's own placement
+    passes and overlay step replaced by what it and the executors did).
+    Returns the session and every executor with the inputs of each plan it
+    made.
     """
     from repro.swap import POLICIES
     from repro.train.session import record_session, run_training_session
@@ -856,7 +869,7 @@ def live_swap_session(config):
         return run_training_session(config), executors
     recording = record_session(config)
     placements = recording.placed(config).placements
-    by_device = {}
+    by_requests = {}
 
     class Capture:
         def attach(self, group):
@@ -869,25 +882,23 @@ def live_swap_session(config):
                 plans = []
                 _recording_plans(executor.policy, plans)
                 executors.append((executor, plans))
-                by_device[id(device)] = (executor, placement)
+                device.recorder = SwapRecorder(device)
+                device.recorder.executor = executor
+                executor.recorder = device.recorder
+                device.recorder.place_live(device, placement)
+                by_requests[id(device.requests)] = placement
 
-        def collect(self, profilers, traces):
-            pass
+    def placed(requests, columns, allocator, capacity):
+        return by_requests[id(requests)]
 
-    def recorder(device, metadata=None):
-        made = SwapRecorder(device, metadata)
-        made.executor, placement = by_device[id(device)]
-        made.executor.recorder = made
-        made.place_live(device, placement)
-        return made
-
-    def placed_live(traces, requests, placements, overhead_ns):
+    def placed_live(traces, placements, overhead_ns):
         return [SimpleNamespace(trace=trace) for trace in traces]
 
     def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
         return traces, [executor.summary() for executor, _ in executors]
 
-    with mock.patch("repro.core.profiler.TraceRecorder", recorder), \
+    with mock.patch("repro.train.trainer.left_as_found", lambda *args: False), \
+            mock.patch("repro.train.session.place", placed), \
             mock.patch("repro.train.session.place_traces", placed_live), \
             mock.patch("repro.swap.executor.overlay", lived):
         session = run_training_session(config, capture=Capture())
@@ -1522,6 +1533,65 @@ SEGMENT_TAGS = {"caching": {"segment:small", "segment:large"}, "best_fit": set()
                 "bump": {"segment:bump"}}
 
 
+MALLOC_CODE = KIND_CODES[MemoryEventKind.MALLOC]
+FREE_CODE = KIND_CODES[MemoryEventKind.FREE]
+
+
+class RequestProgram:
+    """A front end's requests and its calls in order — a request id per
+    malloc, ``~id`` per free — readable by
+    :func:`~repro.device.allocator.place` as a recording's malloc and free
+    rows (``kind_code`` and ``block_id``)."""
+
+    def __init__(self, requests=None, calls=()):
+        self.requests = RequestLog() if requests is None else requests
+        self.calls = list(calls)
+
+    @classmethod
+    def recorded(cls, requests, columns):
+        """The calls of a recording's ``columns``, against ``requests``."""
+        rows = call_rows(columns)
+        request = columns.block_id[rows]
+        return cls(requests, np.where(columns.kind_code[rows] == MALLOC_CODE, request,
+                                      ~request).tolist())
+
+    @classmethod
+    def of(cls, device):
+        """The calls ``device``'s recorder has recorded so far."""
+        return cls.recorded(device.requests,
+                            trace_module.columns_from_rows(device.recorder.rows))
+
+    def __len__(self):
+        return len(self.requests)
+
+    def malloc(self, nbytes, category=MemoryCategory.UNKNOWN, tag=""):
+        """Log a malloc of ``nbytes``; returns its request id."""
+        request = self.requests.add(nbytes, category, tag)
+        self.calls.append(request)
+        return request
+
+    def free(self, *requests):
+        """Log the free of each of ``requests``, in order."""
+        self.calls += [~request for request in requests]
+
+    def prefix(self, calls):
+        """The program of the first ``calls`` calls."""
+        return RequestProgram(self.requests, self.calls[:calls])
+
+    @property
+    def kind_code(self):
+        return np.where(np.array(self.calls, dtype=np.int64) >= 0, MALLOC_CODE, FREE_CODE)
+
+    @property
+    def block_id(self):
+        calls = np.array(self.calls, dtype=np.int64)
+        return np.where(calls >= 0, calls, ~calls)
+
+    def place(self, policy, capacity):
+        """``policy``'s placement of the calls under ``capacity`` bytes."""
+        return place(self.requests, self, policy, capacity)
+
+
 def segment_rows(placement):
     """A placement's segment rows after the preamble as ``(call, kind, id,
     address, size)``."""
@@ -1530,8 +1600,9 @@ def segment_rows(placement):
         placement.segment_address, placement.segment_size))))
 
 
-def check_placement(requests, placement, policy: str, capacity: int) -> None:
-    """Walk ``requests`` against ``policy``'s ``placement`` and check the invariants.
+def check_placement(program, placement, policy: str, capacity: int) -> None:
+    """Walk a :class:`RequestProgram`'s calls against ``policy``'s
+    ``placement`` and check the invariants.
 
     Live blocks never overlap and each lies inside a reserved segment; each
     block holds at least its rounded request; reserved bytes never exceed
@@ -1553,7 +1624,8 @@ def check_placement(requests, placement, policy: str, capacity: int) -> None:
     allocated = peak_allocated = active = peak_active = 0
     mallocs = frees = alloc_bytes = 0
     next_row = 0
-    for call, op in enumerate(requests.ops):
+    requests = program.requests
+    for call, op in enumerate(program.calls):
         while next_row < len(rows) and rows[next_row][0] == call:
             _, kind, segment, address, size = rows[next_row]
             if kind == SEGMENT_ALLOC_CODE:

@@ -198,17 +198,15 @@ def _classic_single_device_trace(config):
     """The historical single-Device pipeline, reproduced piece by piece."""
     device = build_device(config)
     profiler = MemoryProfiler(device)
-    with profiler:
-        model = build_model(config.model, device, **dict(config.model_kwargs))
-        dataset = build_dataset(config.dataset, **dict(config.dataset_kwargs))
-        loader = DataLoader(dataset, batch_size=config.batch_size,
-                            host_latency=config.host_latency)
-        loss_fn = CrossEntropyLoss(device, name="loss")
-        optimizer = SGD(model.parameters(), lr=config.learning_rate,
-                        momentum=config.momentum)
-        trainer = Trainer(model, loader, optimizer, loss_fn, device,
-                          recorder=profiler)
-        trainer.train(config.iterations)
+    model = build_model(config.model, device, **dict(config.model_kwargs))
+    dataset = build_dataset(config.dataset, **dict(config.dataset_kwargs))
+    loader = DataLoader(dataset, batch_size=config.batch_size,
+                        host_latency=config.host_latency)
+    loss_fn = CrossEntropyLoss(device, name="loss")
+    optimizer = SGD(model.parameters(), lr=config.learning_rate,
+                    momentum=config.momentum)
+    trainer = Trainer(model, loader, optimizer, loss_fn, device)
+    trainer.train(config.iterations)
     return profiler.trace(), trainer
 
 

@@ -3,9 +3,9 @@
 The optimized recorder is compared, event for event, with the obvious
 :class:`tests.helpers.ReferenceRecorder`, and the placed traces with the
 reference's requests mapped through their placement; the device's recorder
-slot (a recorder swapped mid-run, class hooks patched before the device is
-built) and the columnar-first offline policies are pinned against their
-plain Python formulations.
+(made with the device, recording from its first behavior, class hooks
+patched before the device is built) and the columnar-first offline policies
+are pinned against their plain Python formulations.
 """
 
 from collections import Counter
@@ -30,6 +30,7 @@ from repro.experiments.sweep import Scenario, run_scenario
 from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
 from repro.tensor import functional as F
 from repro.tensor import randn
+from repro.train import trainer as trainer_module
 from repro.train.session import (TrainingRunConfig, build_device_group,
                                  run_training_session)
 from repro.units import MIB
@@ -64,13 +65,18 @@ def _config(structure, **overrides):
 
 
 class _Tee:
-    """A recorder slot holding two recorders: each behavior reaches both."""
+    """A recorder slot holding two recorders: each behavior reaches both, an
+    iteration mark the ones that keep marks; its length is the first one's."""
 
     def __init__(self, *recorders):
         self.recorders = recorders
 
+    def __len__(self):
+        return len(self.recorders[0])
+
     def __getattr__(self, name):
-        hooks = [getattr(recorder, name) for recorder in self.recorders]
+        hooks = [getattr(recorder, name) for recorder in self.recorders
+                 if hasattr(recorder, name)]
 
         def deliver(*args):
             for hook in hooks:
@@ -80,21 +86,21 @@ class _Tee:
 
 @pytest.fixture
 def side_by_side(monkeypatch):
-    """Every profiler started from here on gets a reference recorder beside
-    its real one in the device's slot; yields the ``(real, reference)`` pairs."""
+    """Every profiler made from here on puts a reference recorder beside its
+    device's real one, before any behavior, and every iteration is simulated
+    (a copied one reaches no hook); yields the ``(real, reference)`` pairs."""
     pairs = []
-    original_start = MemoryProfiler.start
+    original_init = MemoryProfiler.__init__
 
-    def start(profiler):
-        original_start(profiler)
+    def init(profiler, device, metadata=None):
+        original_init(profiler, device, metadata)
         real = profiler.recorder
-        reference = RequestReference(profiler.device,
-                                     iteration_of=lambda: real.current_iteration)
-        profiler.device.recorder = _Tee(real, reference)
+        reference = RequestReference(device, iteration_of=lambda: real.current_iteration)
+        device.recorder = _Tee(real, reference)
         pairs.append((real, reference))
-        return profiler
 
-    monkeypatch.setattr(MemoryProfiler, "start", start)
+    monkeypatch.setattr(MemoryProfiler, "__init__", init)
+    monkeypatch.setattr(trainer_module, "left_as_found", lambda *args: False)
     return pairs
 
 
@@ -179,43 +185,45 @@ def test_recorder_matches_the_reference_recorder(side_by_side, structure, n_devi
         assert result.trace.columns().is_swap.any()
 
 
-def test_recorder_matches_the_reference_across_a_pause_window(test_device):
-    real = TraceRecorder(test_device)
+def test_recorder_matches_the_reference_from_the_first_behavior(test_device):
+    """A device's recorder holds every behavior since the device was built:
+    with a reference beside it from the start, the two agree, every request
+    has its malloc row, and placed, the recorded rows keep their order, each
+    as late as the segment overheads before it."""
+    real = test_device.recorder
     reference = RequestReference(test_device, iteration_of=lambda: real.current_iteration)
-    both = _Tee(real, reference)
-    test_device.recorder = both
-
-    def paused(flag):
-        test_device.recorder = None if flag else both
-
+    test_device.recorder = _Tee(real, reference)
     real.begin_iteration(0)
     a = randn(test_device, (8, 8), tag="a")
     b = randn(test_device, (8, 8), tag="b")
-    paused(True)
-    c = F.matmul(a, b, tag="c")        # malloc of c is not recorded ...
-    b.free()                           # ... nor is the free of b
-    paused(False)
-    d = F.matmul(a, c, tag="d")        # accesses to c: no open lifetime to bump
-    c.free()                           # free with no recorded malloc
+    c = F.matmul(a, b, tag="c")
+    b.free()
+    d = F.matmul(a, c, tag="d")
+    c.free()
     e = randn(test_device, (8, 8), tag="e")
     F.matmul(d, e)
     real.end_iteration(0)
+    test_device.recorder = real
 
     trace = real.to_trace()
     assert trace_events(trace) == reference.events
     assert trace_lifetimes(trace) == reference.lifetimes
     by_tag = {lifetime.tag: lifetime for lifetime in trace_lifetimes(trace)}
-    assert "c" not in by_tag
-    assert by_tag["b"].free_ns is None          # its free fell in the window
-    assert by_tag["a"].access_count == 2        # init write + the recorded matmul read
-    assert {e.tag for e in trace_events(trace)} >= {"a", "b", "d", "e", "c"}
-    # Placed, the recorded rows keep their order, each after the segment
-    # overheads before it (the window's calls' included).
-    placed = place_traces([trace], [test_device.requests], [test_device.place()],
+    assert by_tag["b"].free_ns is not None and by_tag["d"].free_ns is None
+    assert trace.counts_by_kind()["malloc"] == len(test_device.requests) == 6
+    placement = test_device.place()
+    placed = place_traces([trace], [placement],
                           test_device.spec.cuda_malloc_overhead_ns)[0].trace
-    assert (np.diff(placed.columns().timestamp_ns) >= 0).all()
-    assert [event.tag for event in trace_events(placed)
-            if event.kind not in _PLACEMENT_KINDS] == [event.tag for event in reference.events]
+    segments, recorded = placement.preamble_segments, iter(reference.events)
+    for event in trace_events(placed):
+        if event.kind in _PLACEMENT_KINDS:
+            segments += 1
+        else:
+            expected = next(recorded)
+            assert (event.tag, event.timestamp_ns) == (
+                expected.tag,
+                expected.timestamp_ns + segments * test_device.spec.cuda_malloc_overhead_ns)
+    assert next(recorded, None) is None
 
 
 _HOOK_STEPS = st.tuples(st.sampled_from(["malloc", "free", "read", "write"]),
@@ -278,45 +286,16 @@ def test_log_keeps_growing_after_a_snapshot(rows):
 # -- (b) the recorder slot --------------------------------------------------------------
 
 
-class _Probe:
-    """Counts the behaviors it is handed and notes the order they arrive in."""
-
-    def __init__(self, name, order):
-        self.name, self.order = name, order
-        self.mallocs = self.frees = self.writes = 0
-
-    def on_malloc(self, request):
-        self.mallocs += 1
-
-    def on_free(self, request):
-        self.frees += 1
-
-    def on_read(self, request, op):
-        pass
-
-    def on_write(self, request, op):
-        self.writes += 1
-        self.order.append(self.name)
-
-
-def test_a_recorder_swapped_mid_run_records_from_the_next_behavior(test_device):
-    order = []
-    first, second = _Probe("first", order), _Probe("second", order)
-    assert test_device.recorder is None
-    randn(test_device, (4,))                    # nobody records: a no-op
-    test_device.recorder = first
-    randn(test_device, (4,))
-    assert (first.mallocs, first.writes) == (1, 1)
-    test_device.recorder = second               # swapped mid-run
-    tensor = randn(test_device, (4,))
-    assert order == ["first", "second"]
-    assert (second.mallocs, second.writes) == (1, 1)
-    tensor.free()
-    assert (first.frees, second.frees) == (0, 1)
-    test_device.recorder = None
-    randn(test_device, (4,))
-    assert (first.mallocs, second.mallocs) == (1, 1)
-    assert len(test_device.requests) == 4       # the log keeps every request
+def test_a_device_records_from_its_first_behavior():
+    """A fresh device's recorder is a plain :class:`TraceRecorder`, and every
+    request the device logs has its malloc row there."""
+    device = Device(small_test_device())
+    assert type(device.recorder) is TraceRecorder and len(device.recorder) == 0
+    randn(device, (4,))
+    randn(device, (4,)).free()
+    counts = device.recorder.to_trace().counts_by_kind()
+    assert (counts["malloc"], counts["write"], counts["free"]) == (2, 2, 1)
+    assert len(device.requests) == 2
 
 
 def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(monkeypatch):
@@ -329,9 +308,9 @@ def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(mon
 
     monkeypatch.setattr(TraceRecorder, "on_read", traced)
     device = Device(small_test_device())
-    with MemoryProfiler(device) as profiler:
-        a = randn(device, (4, 4))
-        F.matmul(a, a)
+    profiler = MemoryProfiler(device)
+    a = randn(device, (4, 4))
+    F.matmul(a, a)
     reads = profiler.trace().counts_by_kind()["read"]
     assert reads == 2 and seen == ["matmul", "matmul"]
 

@@ -1,8 +1,9 @@
-"""Placement: where each allocator policy puts a device's request log.
+"""Placement: where each allocator policy puts a device's requests.
 
 :func:`~repro.device.allocator.place` runs one policy — ``caching``,
-``best_fit`` or ``bump`` — over a :class:`~repro.device.memory.RequestLog`
-under a capacity.  This file
+``best_fit`` or ``bump`` — over the malloc and free calls a recording's rows
+make against a :class:`~repro.device.memory.RequestLog` under a capacity;
+hand-built programs are :class:`tests.helpers.RequestProgram`.  This file
 
 * pins the sha256 of whole placements (the eight columns, the segment tags,
   the preamble count and the counters) of recorded training runs and of a
@@ -34,44 +35,40 @@ from repro.device.allocator import (
     SEGMENT_ALIGNMENT,
     SMALL_ALLOCATION_LIMIT,
     SMALL_SEGMENT_SIZE,
-    place,
     round_block_size,
     segment_size_for,
 )
 from repro.device.device import Device
-from repro.device.memory import AllocatorStats, RequestLog
+from repro.device.memory import AllocatorStats
 from repro.device.spec import small_test_device
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.units import GIB, KIB, MIB
 
-from tests.helpers import SEGMENT_ALLOC_CODE, SEGMENT_FREE_CODE, check_placement, segment_rows
+from tests.helpers import (SEGMENT_ALLOC_CODE, SEGMENT_FREE_CODE, RequestProgram,
+                           check_placement, segment_rows)
 
 POLICIES = ("caching", "best_fit", "bump")
 COLUMNS = ("block_id", "address", "size", "segment_op", "segment_kind", "segment_id",
            "segment_address", "segment_size")
 
 
-# -- building and reading request logs ----------------------------------------------------
+# -- building and reading request programs ------------------------------------------------
 
 
-def malloc(requests: RequestLog, nbytes: int, tag: str = "",
+def malloc(requests: RequestProgram, nbytes: int, tag: str = "",
            category: MemoryCategory = MemoryCategory.UNKNOWN) -> int:
     """Log a malloc of ``nbytes``; returns its request id."""
-    return requests.malloc(nbytes, category, tag, 0)
+    return requests.malloc(nbytes, category, tag)
 
 
-def free(requests: RequestLog, *ids: int) -> None:
+def free(requests: RequestProgram, *ids: int) -> None:
     """Log the free of each request in ``ids``, in order."""
-    for request in ids:
-        requests.free(request, 0)
+    requests.free(*ids)
 
 
-def prefix(requests: RequestLog, calls: int) -> RequestLog:
-    """The log of the first ``calls`` calls of ``requests``."""
-    log = RequestLog()
-    log.nbytes, log.category, log.tag = requests.nbytes, requests.category, requests.tag
-    log.ops, log.op_ns = requests.ops[:calls], requests.op_ns[:calls]
-    return log
+def place(requests: RequestProgram, policy: str, capacity: int):
+    """``policy``'s placement of the program under ``capacity`` bytes."""
+    return requests.place(policy, capacity)
 
 
 def digest(placement) -> str:
@@ -88,13 +85,13 @@ def digest(placement) -> str:
     return hasher.hexdigest()
 
 
-def failing_call(requests: RequestLog, policy: str, capacity: int) -> int:
-    """Index into ``requests.ops`` of the call that runs out of memory."""
-    low, high = 0, len(requests.ops)          # prefix(low) places, prefix(high) fails
+def failing_call(requests: RequestProgram, policy: str, capacity: int) -> int:
+    """Index into the program's calls of the one that runs out of memory."""
+    low, high = 0, len(requests.calls)        # prefix(low) places, prefix(high) fails
     while high - low > 1:
         middle = (low + high) // 2
         try:
-            place(prefix(requests, middle), policy, capacity)
+            place(requests.prefix(middle), policy, capacity)
         except OutOfMemoryError:
             high = middle
         else:
@@ -102,7 +99,7 @@ def failing_call(requests: RequestLog, policy: str, capacity: int) -> int:
     return high - 1
 
 
-def outcome(requests: RequestLog, policy: str, capacity: int) -> str:
+def outcome(requests: RequestProgram, policy: str, capacity: int) -> str:
     """A placement's digest, or the call and message of its out-of-memory."""
     try:
         return digest(place(requests, policy, capacity))
@@ -125,9 +122,9 @@ drawn_programs = st.lists(
     min_size=1, max_size=60)
 
 
-def log_of_program(program, free_all: bool) -> RequestLog:
+def log_of_program(program, free_all: bool) -> RequestProgram:
     """The request log of a drawn program: its frees, then its malloc, per step."""
-    requests, live = RequestLog(), []
+    requests, live = RequestProgram(), []
     for size, frees in program:
         for choice in frees:
             if live:
@@ -151,7 +148,7 @@ def test_drawn_programs_keep_the_placement_invariants(policy, program, free_all,
         assert error.requested > error.free
         # The prefix before the failing call places and keeps the invariants.
         call = failing_call(requests, policy, capacity)
-        head = prefix(requests, call)
+        head = requests.prefix(call)
         check_placement(head, place(head, policy, capacity), policy, capacity)
         return
     check_placement(requests, placement, policy, capacity)
@@ -265,10 +262,12 @@ def recordings():
 def test_recorded_placements_are_pinned(recordings, name, n, dtype):
     recording = recordings[name, n, dtype]
     capacity = recording.spec.memory_capacity
+    programs = [RequestProgram.recorded(requests, trace.columns())
+                for requests, trace in zip(recording.requests, recording.traces)]
     for policy in POLICIES:
-        placements = [place(requests, policy, capacity) for requests in recording.requests]
-        for requests, placement in zip(recording.requests, placements):
-            check_placement(requests, placement, policy, capacity)
+        placements = [place(program, policy, capacity) for program in programs]
+        for program, placement in zip(programs, placements):
+            check_placement(program, placement, policy, capacity)
         assert "+".join(digest(placement) for placement in placements) \
             == RECORDED_SHA256[f"{name}/{n}/{dtype}/{policy}"]
 
@@ -276,24 +275,24 @@ def test_recorded_placements_are_pinned(recordings, name, n, dtype):
 # -- pins: a seeded corpus of request programs ----------------------------------------------
 
 
-def seeded_program(seed: int, steps: int = 160) -> RequestLog:
+def seeded_program(seed: int, steps: int = 160) -> RequestProgram:
     """A random interleaving of mallocs (sizes mostly from :data:`PALETTE`)
     and frees of live requests, drawn from ``random.Random(seed)``."""
     rng = random.Random(seed)
-    requests, live = RequestLog(), []
+    requests, live = RequestProgram(), []
     for step in range(steps):
         if live and rng.random() < 0.45:
-            requests.free(live.pop(rng.randrange(len(live))), step)
+            requests.free(live.pop(rng.randrange(len(live))))
         else:
             size = rng.choice(PALETTE) if rng.random() < 0.75 else rng.randint(1, 6 * MIB)
-            live.append(requests.malloc(size, MemoryCategory.UNKNOWN, f"r{len(requests)}", step))
+            live.append(requests.malloc(size, MemoryCategory.UNKNOWN, f"r{len(requests)}"))
     return requests
 
 
-def fifo_ties() -> RequestLog:
+def fifo_ties() -> RequestProgram:
     """Four equal free blocks kept apart by live separators, freed out of
     address order, then asked for again at the same size."""
-    requests = RequestLog()
+    requests = RequestProgram()
     holes, keep = [], []
     for _ in range(4):
         holes.append(malloc(requests, 1 * KIB))
@@ -304,10 +303,10 @@ def fifo_ties() -> RequestLog:
     return requests
 
 
-def address_ties() -> RequestLog:
+def address_ties() -> RequestProgram:
     """Two equal holes and one larger, freed high address first, then asked
     for a small block, one the large hole fits and one no hole fits."""
-    requests = RequestLog()
+    requests = RequestProgram()
     large, _, low, _, high, _ = (malloc(requests, size) for size in
                                  (8 * KIB, 1 * KIB, 2 * KIB, 1 * KIB, 2 * KIB, 1 * KIB))
     free(requests, high, low, large)
@@ -468,7 +467,7 @@ CORPUS_OUTCOMES = {
 }
 
 
-def corpus_log(source) -> RequestLog:
+def corpus_log(source) -> RequestProgram:
     return {"fifo_ties": fifo_ties, "address_ties": address_ties}[source]() \
         if isinstance(source, str) else seeded_program(source)
 
@@ -513,7 +512,7 @@ def test_segment_size_for_small_and_large_requests():
 
 def test_unknown_allocator_name():
     with pytest.raises(KeyError, match="unknown allocator"):
-        place(RequestLog(), "nope", 256 * MIB)
+        place(RequestProgram(), "nope", 256 * MIB)
 
 
 def test_stats_to_dict_contains_all_counters():
@@ -528,7 +527,7 @@ def test_stats_to_dict_contains_all_counters():
 def test_placements_number_blocks_and_segments_from_one():
     """Two replicas' equal logs place to equal ids: each placement numbers
     its blocks and segments from 1, whatever the process placed before."""
-    requests = RequestLog()
+    requests = RequestProgram()
     malloc(requests, 1 * KIB)
     for policy in POLICIES:
         first, second = place(requests, policy, 64 * MIB), place(requests, policy, 64 * MIB)
@@ -540,7 +539,7 @@ def test_placements_number_blocks_and_segments_from_one():
 
 
 def test_caching_serves_a_rounded_block_in_a_fresh_segment():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 1000, tag="w", category=MemoryCategory.PARAMETER)
     placement = place(requests, "caching", 256 * MIB)
     # The segment's covering block serves the first request, from its start.
@@ -552,12 +551,13 @@ def test_caching_serves_a_rounded_block_in_a_fresh_segment():
     assert placement.stats.allocated_bytes == 1024
     assert placement.stats.active_blocks == 1
     # What was asked stays the request's.
-    assert (requests.nbytes[request], requests.category[request], requests.tag[request]) \
+    log = requests.requests
+    assert (log.nbytes[request], log.category[request], log.tag[request]) \
         == (1000, MemoryCategory.PARAMETER, "w")
 
 
 def test_caching_small_requests_share_one_segment():
-    requests = RequestLog()
+    requests = RequestProgram()
     for _ in range(10):
         malloc(requests, 10 * KIB)
     placement = place(requests, "caching", 256 * MIB)
@@ -566,19 +566,19 @@ def test_caching_small_requests_share_one_segment():
 
 
 def test_caching_reuse_keeps_the_block_id():
-    requests = RequestLog()
+    requests = RequestProgram()
     first = malloc(requests, 64 * KIB, tag="a")
     free(requests, first)
     second = malloc(requests, 64 * KIB, tag="b")
     placement = place(requests, "caching", 256 * MIB)
     assert placement.block_id[second] == placement.block_id[first]
     assert placement.address[second] == placement.address[first]
-    assert requests.tag[second] == "b"
+    assert requests.requests.tag[second] == "b"
     assert placement.stats.cache_hits >= 1
 
 
 def test_caching_best_fit_prefers_the_smallest_sufficient_block():
-    requests = RequestLog()
+    requests = RequestProgram()
     small = malloc(requests, 2 * MIB)        # large pool
     big = malloc(requests, 8 * MIB)
     free(requests, small, big)
@@ -589,7 +589,7 @@ def test_caching_best_fit_prefers_the_smallest_sufficient_block():
 
 
 def test_caching_split_keeps_the_remainder_available():
-    requests = RequestLog()
+    requests = RequestProgram()
     first = malloc(requests, 512 * KIB)     # small pool, 2 MiB segment
     second = malloc(requests, 512 * KIB)
     placement = place(requests, "caching", 256 * MIB)
@@ -602,7 +602,7 @@ def test_caching_split_keeps_the_remainder_available():
 
 
 def test_caching_coalesces_free_neighbours():
-    requests = RequestLog()
+    requests = RequestProgram()
     blocks = [malloc(requests, 512 * KIB) for _ in range(4)]   # the whole segment
     free(requests, *blocks)
     whole = malloc(requests, SMALL_ALLOCATION_LIMIT)
@@ -618,7 +618,7 @@ def test_caching_coalesces_free_neighbours():
 
 def test_caching_coalesced_blocks_leave_the_free_list():
     """A block absorbed by its free neighbour is never served under its own id."""
-    requests = RequestLog()
+    requests = RequestProgram()
     left, right, _ = (malloc(requests, 1 * KIB) for _ in range(3))
     free(requests, left, right)
     again = [malloc(requests, 1 * KIB) for _ in range(2)]
@@ -644,15 +644,34 @@ def test_caching_equal_sizes_are_served_oldest_free_first():
 
 
 def test_caching_double_free_raises():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 1024, tag="x")
     free(requests, request, request)
     with pytest.raises(InvalidFreeError, match=r"block 1 \(tag='x'\) is not currently allocated"):
         place(requests, "caching", 256 * MIB)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_a_request_freed_again_after_its_block_is_served_again_raises(policy):
+    """A free is checked against its request, not against the block that
+    served it: once ``b`` holds the block ``a`` held, freeing ``a`` again
+    raises instead of freeing ``b``'s block."""
+    requests = RequestProgram()
+    a = malloc(requests, 1024, tag="a")
+    free(requests, a)
+    b = malloc(requests, 1024, tag="b")
+    served = place(requests, policy, 1 * GIB)
+    assert served.stats.allocated_bytes == 1024
+    if policy != "bump":
+        assert served.block_id[b] == served.block_id[a]
+    free(requests, a)
+    with pytest.raises(InvalidFreeError,
+                       match=rf"block {served.block_id[a]} \(tag='a'\) is not currently allocated"):
+        place(requests, policy, 1 * GIB)
+
+
 def test_caching_out_of_memory_carries_its_details():
-    requests = RequestLog()
+    requests = RequestProgram()
     malloc(requests, 20 * MIB)
     malloc(requests, 30 * MIB)
     with pytest.raises(OutOfMemoryError) as excinfo:
@@ -664,7 +683,7 @@ def test_caching_out_of_memory_carries_its_details():
 
 
 def test_caching_releases_its_cache_and_retries_before_failing():
-    requests = RequestLog()
+    requests = RequestProgram()
     cached = malloc(requests, 40 * MIB)
     free(requests, cached)                   # cached, not released
     # A different size cannot reuse the cached block, but the allocator
@@ -680,7 +699,7 @@ def test_caching_releases_its_cache_and_retries_before_failing():
 
 
 def test_caching_empty_cache_releases_every_fully_free_segment():
-    requests = RequestLog()
+    requests = RequestProgram()
     small, large = malloc(requests, 4 * KIB), malloc(requests, 4 * MIB)
     free(requests, small, large)
     huge = malloc(requests, 22 * MIB)
@@ -694,7 +713,7 @@ def test_caching_empty_cache_releases_every_fully_free_segment():
 
 
 def test_caching_retry_that_frees_nothing_fails_with_the_first_details():
-    requests = RequestLog()
+    requests = RequestProgram()
     malloc(requests, 4 * MIB)
     malloc(requests, 22 * MIB)
     with pytest.raises(OutOfMemoryError) as excinfo:
@@ -704,9 +723,9 @@ def test_caching_retry_that_frees_nothing_fails_with_the_first_details():
 
 
 def test_caching_placement_reports_malloc_free_and_segment():
-    requests = RequestLog()
-    request = requests.malloc(1024, MemoryCategory.UNKNOWN, "x", 0)
-    requests.free(request, 0)
+    requests = RequestProgram()
+    request = requests.malloc(1024, MemoryCategory.UNKNOWN, "x")
+    requests.free(request)
     placement = place(requests, "caching", 256 * MIB)
     assert placement.stats.total_alloc_count == 1
     assert placement.stats.total_free_count == 1
@@ -728,7 +747,7 @@ def test_allocation_advances_the_clock():
 
 
 def test_best_fit_reserves_one_arena_up_front():
-    placement = place(RequestLog(), "best_fit", 64 * MIB)
+    placement = place(RequestProgram(), "best_fit", 64 * MIB)
     assert placement.preamble_segments == 1
     assert placement.stats.segment_allocs == 1
     assert placement.stats.reserved_bytes == (int(64 * MIB * 0.95) // SEGMENT_ALIGNMENT
@@ -737,7 +756,7 @@ def test_best_fit_reserves_one_arena_up_front():
 
 
 def test_best_fit_allocates_and_frees():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 100 * KIB, tag="x")
     assert place(requests, "best_fit", 64 * MIB).stats.allocated_bytes == 100 * KIB
     free(requests, request)
@@ -747,7 +766,7 @@ def test_best_fit_allocates_and_frees():
 
 
 def test_best_fit_chooses_the_smallest_sufficient_hole():
-    requests = RequestLog()
+    requests = RequestProgram()
     first, second, third = (malloc(requests, size) for size in (1 * MIB, 4 * MIB, 2 * MIB))
     free(requests, first, third)
     # A 1.5 MiB request fits both holes; best fit takes the 2 MiB one.
@@ -771,7 +790,7 @@ def test_best_fit_equal_holes_are_served_lowest_address_first():
 
 
 def test_best_fit_coalesces_adjacent_holes():
-    requests = RequestLog()
+    requests = RequestProgram()
     blocks = [malloc(requests, 1 * MIB) for _ in range(3)]
     free(requests, *blocks)
     arena = int(64 * MIB * 0.95) // SEGMENT_ALIGNMENT * SEGMENT_ALIGNMENT
@@ -784,7 +803,7 @@ def test_best_fit_coalesces_adjacent_holes():
 
 
 def test_best_fit_out_of_memory_when_no_hole_fits():
-    requests = RequestLog()
+    requests = RequestProgram()
     malloc(requests, 10 * MIB)
     malloc(requests, 10 * MIB)
     with pytest.raises(OutOfMemoryError) as excinfo:
@@ -794,7 +813,7 @@ def test_best_fit_out_of_memory_when_no_hole_fits():
 
 
 def test_best_fit_double_free_raises():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 1024)
     free(requests, request, request)
     with pytest.raises(InvalidFreeError):
@@ -805,7 +824,7 @@ def test_best_fit_double_free_raises():
 
 
 def test_bump_never_reuses_memory():
-    requests = RequestLog()
+    requests = RequestProgram()
     first = malloc(requests, 1 * MIB, tag="a")
     free(requests, first)
     second = malloc(requests, 1 * MIB, tag="b")
@@ -816,7 +835,7 @@ def test_bump_never_reuses_memory():
 
 
 def test_bump_out_of_memory_at_capacity():
-    requests = RequestLog()
+    requests = RequestProgram()
     malloc(requests, 3 * MIB)
     malloc(requests, 2 * MIB)
     with pytest.raises(OutOfMemoryError) as excinfo:
@@ -825,7 +844,7 @@ def test_bump_out_of_memory_at_capacity():
 
 
 def test_bump_starts_every_placement_at_an_empty_device():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 3 * MIB)
     for _ in range(2):
         placement = place(requests, "bump", 4 * MIB)
@@ -834,7 +853,7 @@ def test_bump_starts_every_placement_at_an_empty_device():
 
 
 def test_bump_segments_hold_one_block_each():
-    requests = RequestLog()
+    requests = RequestProgram()
     first, second = malloc(requests, 1000), malloc(requests, 1024)
     placement = place(requests, "bump", 64 * MIB)
     assert placement.size.tolist() == placement.segment_size.tolist() == [1024, 1024]
@@ -845,7 +864,7 @@ def test_bump_segments_hold_one_block_each():
 
 
 def test_bump_counters_track_peaks():
-    requests = RequestLog()
+    requests = RequestProgram()
     first, _ = malloc(requests, 600), malloc(requests, 300)
     free(requests, first)
     stats = place(requests, "bump", 64 * MIB).stats
@@ -857,7 +876,7 @@ def test_bump_counters_track_peaks():
 
 
 def test_bump_double_free_raises():
-    requests = RequestLog()
+    requests = RequestProgram()
     request = malloc(requests, 1024)
     free(requests, request, request)
     with pytest.raises(InvalidFreeError):
@@ -865,8 +884,8 @@ def test_bump_double_free_raises():
 
 
 def test_bump_placement_reports_malloc_and_free():
-    requests = RequestLog()
-    requests.free(requests.malloc(1024, MemoryCategory.UNKNOWN, "", 0), 0)
+    requests = RequestProgram()
+    requests.free(requests.malloc(1024, MemoryCategory.UNKNOWN, ""))
     placement = place(requests, "bump", 64 * MIB)
     assert placement.stats.total_alloc_count == 1
     assert placement.stats.total_free_count == 1

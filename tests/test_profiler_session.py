@@ -5,7 +5,7 @@ import pytest
 from repro.core.ati import IntervalArrays
 from repro.core.events import MemoryCategory
 from repro.core.profiler import MemoryProfiler
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError
 from repro.tensor import functional as F
 from repro.tensor import randn
 from repro.train.session import TrainingRunConfig, build_device, run_training_session
@@ -13,22 +13,22 @@ from repro.train.session import TrainingRunConfig, build_device, run_training_se
 from tests.helpers import trace_lifetimes
 
 
-def test_profiler_context_manager_records_and_detaches(test_device):
-    with MemoryProfiler(test_device) as profiler:
-        a = randn(test_device, (8, 8))
-        b = randn(test_device, (8, 8))
-        F.matmul(a, b)
-        assert profiler.event_count() > 0
-    count_at_exit = profiler.event_count()
-    randn(test_device, (4, 4))                       # not recorded anymore
-    assert profiler.event_count() == count_at_exit
+def test_profiler_reads_every_behavior_of_its_device(test_device):
+    profiler = MemoryProfiler(test_device)
+    a = randn(test_device, (8, 8))
+    b = randn(test_device, (8, 8))
+    F.matmul(a, b)
+    count = profiler.event_count()
+    assert count > 0
+    randn(test_device, (4, 4))                       # the device keeps recording
+    assert profiler.event_count() == count + 2
     trace = profiler.trace()              # placed: the segment rows join
-    assert len(trace) == count_at_exit + len(test_device.place().segment_op)
+    assert len(trace) == count + 2 + len(test_device.place().segment_op)
 
 
 def test_profiler_metadata_includes_device_description(test_device):
-    with MemoryProfiler(test_device, metadata={"note": "hi"}) as profiler:
-        randn(test_device, (2,))
+    profiler = MemoryProfiler(test_device, metadata={"note": "hi"})
+    randn(test_device, (2,))
     trace = profiler.trace()
     assert trace.metadata["note"] == "hi"
     assert trace.metadata["allocator"] == "caching"
@@ -36,28 +36,19 @@ def test_profiler_metadata_includes_device_description(test_device):
 
 
 def test_profiler_analysis_shortcuts(small_mlp_session, test_device):
-    with MemoryProfiler(test_device) as profiler:
-        profiler.begin_iteration(0)
-        a = randn(test_device, (16, 16))
-        b = randn(test_device, (16, 16))
-        c = F.matmul(a, b)
-        F.relu_forward(c)
-        profiler.end_iteration(0)
+    profiler = MemoryProfiler(test_device)
+    test_device.recorder.begin_iteration(0)
+    a = randn(test_device, (16, 16))
+    b = randn(test_device, (16, 16))
+    c = F.matmul(a, b)
+    F.relu_forward(c)
+    test_device.recorder.end_iteration(0)
     assert isinstance(profiler.access_intervals(), IntervalArrays)
     assert len(profiler.access_intervals()) >= 1
     assert (len(profiler.access_intervals(include_lifecycle=True))
             > len(profiler.access_intervals()))
     assert profiler.breakdown().total_bytes > 0
     assert profiler.trace().iterations() == [0]
-
-
-def test_profiler_require_attached(test_device):
-    profiler = MemoryProfiler(test_device)
-    with pytest.raises(TraceError):
-        profiler.require_attached()
-    profiler.start()
-    profiler.require_attached()
-    profiler.stop()
 
 
 def test_build_device_applies_capacity_override():

@@ -21,29 +21,28 @@ def run_tiny_training(hidden_dim, batch_size, iterations):
     """Train a tiny MLP and return the trace."""
     device = Device(small_test_device(1 << 30))
     profiler = MemoryProfiler(device)
-    with profiler:
-        model = MLP(device, hidden_dim=hidden_dim)
-        loss_fn = CrossEntropyLoss(device)
-        optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
-        rng = np.random.default_rng(0)
-        for iteration in range(iterations):
-            profiler.begin_iteration(iteration)
-            x = from_numpy(device, rng.standard_normal((batch_size, 2)).astype(np.float32),
-                           tag="input")
-            labels = from_numpy(device, rng.integers(0, 2, batch_size).astype(np.int64),
-                                tag="labels")
-            logits = model(x)
-            loss = loss_fn(logits, labels)
-            logits.release()
-            optimizer.zero_grad()
-            grad = loss_fn.backward()
-            model.backward(grad).release()
-            grad.release()
-            optimizer.step()
-            loss.release()
-            x.release()
-            labels.release()
-            profiler.end_iteration(iteration)
+    model = MLP(device, hidden_dim=hidden_dim)
+    loss_fn = CrossEntropyLoss(device)
+    optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
+    rng = np.random.default_rng(0)
+    for iteration in range(iterations):
+        device.recorder.begin_iteration(iteration)
+        x = from_numpy(device, rng.standard_normal((batch_size, 2)).astype(np.float32),
+                       tag="input")
+        labels = from_numpy(device, rng.integers(0, 2, batch_size).astype(np.int64),
+                            tag="labels")
+        logits = model(x)
+        loss = loss_fn(logits, labels)
+        logits.release()
+        optimizer.zero_grad()
+        grad = loss_fn.backward()
+        model.backward(grad).release()
+        grad.release()
+        optimizer.step()
+        loss.release()
+        x.release()
+        labels.release()
+        device.recorder.end_iteration(iteration)
     return profiler.trace()
 
 

@@ -27,7 +27,8 @@ from repro.core.swap import (
 from repro.device import Device, small_test_device
 from repro.units import KB, MIB
 
-from tests.helpers import SEGMENT_FREE_CODE, build_trace, check_placement, plan_rows
+from tests.helpers import (SEGMENT_FREE_CODE, RequestProgram, build_trace, check_placement,
+                           plan_rows)
 
 BANDWIDTHS = BandwidthConfig.from_paper()
 
@@ -172,7 +173,7 @@ def test_caching_placement_conserves_bytes_and_never_overlaps(program):
     # Every block holds its request, live blocks never overlap and the
     # allocated bytes are the live blocks' sizes, call by call.
     placement = device.place()
-    check_placement(device.requests, placement, "caching", capacity)
+    check_placement(RequestProgram.of(device), placement, "caching", capacity)
     assert placement.stats.allocated_bytes == sum(
         int(placement.size[request]) for request in live)
     assert placement.stats.reserved_bytes >= placement.stats.allocated_bytes
@@ -186,7 +187,7 @@ def test_caching_placement_conserves_bytes_and_never_overlaps(program):
     reserved_before = emptied.stats.reserved_bytes
     whole = device.allocate(capacity)
     placement = device.place()
-    released = ((placement.segment_op == len(device.requests.ops) - 1)
+    released = ((placement.segment_op == len(RequestProgram.of(device).calls) - 1)
                 & (placement.segment_kind == SEGMENT_FREE_CODE))
     assert int(placement.segment_size[released].sum()) == reserved_before
     assert placement.stats.reserved_bytes == placement.size[whole] == capacity

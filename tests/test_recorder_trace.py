@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.events import MemoryCategory, MemoryEventKind
-from repro.core.recorder import TraceRecorder
 from repro.core.trace import MemoryTrace
 from repro.errors import EmptyTraceError, TraceFormatError
 from repro.tensor import functional as F
@@ -13,15 +12,14 @@ from tests.helpers import Event, trace_events, trace_from_events, trace_lifetime
 
 
 def record_some_activity(device):
-    recorder = TraceRecorder(device, metadata={"workload": "unit-test"})
-    device.recorder = recorder
+    recorder = device.recorder
+    recorder.metadata["workload"] = "unit-test"
     recorder.begin_iteration(0)
     a = randn(device, (8, 8), tag="a")
     b = randn(device, (8, 8), tag="b")
     c = F.matmul(a, b)
     c.free()
     recorder.end_iteration(0)
-    device.recorder = None
     return recorder
 
 
@@ -53,16 +51,6 @@ def test_recorder_lifetimes_open_and_close(test_device):
     assert len(closed) == 1          # only c was freed
     assert len(live) == 2
     assert closed[0].access_count >= 1
-
-
-def test_recorder_pause_resume(test_device):
-    """Recording pauses while the recorder leaves the device's slot."""
-    recorder = TraceRecorder(test_device)
-    randn(test_device, (4,))
-    assert len(recorder) == 0
-    test_device.recorder = recorder
-    randn(test_device, (4,))
-    assert len(recorder) > 0
 
 
 def test_trace_accessors(simple_trace):
@@ -184,8 +172,7 @@ def test_columnar_trace_event_strings_match_rows(test_device):
 
 
 def test_midrun_trace_snapshots_are_independent(test_device):
-    recorder = TraceRecorder(test_device)
-    test_device.recorder = recorder
+    recorder = test_device.recorder
     randn(test_device, (4,))
     early = recorder.to_trace()
     early_len = len(early)
@@ -193,7 +180,6 @@ def test_midrun_trace_snapshots_are_independent(test_device):
     late = recorder.to_trace()
     assert len(early) == early_len          # earlier snapshot unaffected
     assert len(late) > early_len
-    test_device.recorder = None
 
 
 # -- MemoryTrace.validate(): access inside lifetime, monotone clocks, no live overlap -----

@@ -663,7 +663,9 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     assert isinstance(failure.error_obj, ShapeError) and "ShapeError" in failure.traceback
     family, = runner._ensure_replay_engine()._families.values()
     assert family.variants == {}
-    assert family.failed_captures == {("float32", titan_x_pascal().memory_capacity)}
+    (key, error), = family.failed_captures.items()
+    assert key == ("float32", titan_x_pascal().memory_capacity)
+    assert error is failure.error_obj
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).run([scenario])
     # The trace door raises the capture's own error: one simulation, not two.
@@ -700,6 +702,33 @@ def test_a_failed_capture_fails_every_row_at_its_capacity(monkeypatch):
         assert (failure.reason, failure.kind, failure.error) \
             == (fresh.reason, fresh.kind, fresh.error)
         assert failure.scenario == fresh.scenario
+
+
+def test_a_later_run_fails_a_row_with_its_remembered_capture_error(monkeypatch):
+    """Two lenet5 rows on two_cluster differ only in the host dispatch
+    overhead, a pricing field: run one after the other through one runner,
+    the second fails with the first one's capture error, as a
+    ``capture_failed`` row, and the front end runs once."""
+    from repro.experiments import replay
+    from repro.train import session
+
+    calls = []
+    for module in (replay, session):
+        def counting(config, *args, _original=module.record_session, **kwargs):
+            calls.append(config)
+            return _original(config, *args, **kwargs)
+        monkeypatch.setattr(module, "record_session", counting)
+    first, second = (Scenario(TrainingRunConfig(model="lenet5", batch_size=8, iterations=1,
+                                                host_dispatch_overhead_ns=overhead),
+                              via_replay=True) for overhead in (None, 1_000))
+    with SweepRunner(use_cache=False, strict=False) as runner:
+        ran = [runner.run([scenario]) for scenario in (first, second)]
+    assert len(calls) == 1
+    for result in ran:
+        assert result.results == [] and result.replay_fallbacks == {"capture_failed": 1}
+    (failed,), (again,) = (result.failures for result in ran)
+    assert (again.reason, again.kind, again.error) == (failed.reason, failed.kind, failed.error)
+    assert again.error_obj is failed.error_obj
 
 
 @pytest.mark.parametrize("capacities", ["0.004,12", "12,0.004"])

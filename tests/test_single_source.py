@@ -21,7 +21,8 @@ from repro.core.ati import (AtiSummary, IntervalArrays, summarize_rows_us,
                             summarize_values_us)
 from repro.core.breakdown import occupation_from_columns
 from repro.core.events import MemoryCategory
-from repro.core.recorder import TraceRecorder
+from repro.core.profiler import MemoryProfiler
+from repro.core.recorder import PlacedTrace, TraceRecorder
 from repro.core.stats import percentiles_of_sorted
 from repro.core.swap import (BandwidthConfig, max_swap_bytes, swappable_fraction,
                              swappable_fractions)
@@ -32,6 +33,7 @@ from repro.device.allocator import PLACEMENT_PASSES
 from repro.device.clock import DeviceClock
 from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
+from repro.device.memory import RequestLog
 from repro.device.spec import get_device_spec
 from repro.experiments.grid import PRICING_FIELDS, SweepGrid, structure_token
 from repro.experiments.replay import (
@@ -45,7 +47,7 @@ from repro.experiments.sweep import SweepRunner
 from repro.swap.executor import WalkIndex
 from repro.swap.policies import POLICIES, get_policy
 from repro.train.session import Recording, TrainingRunConfig
-from repro.train.trainer import DataParallelTrainer
+from repro.train.trainer import DataParallelTrainer, Trainer
 from repro.units import MIB
 
 from tests.helpers import build_trace, price_one
@@ -550,29 +552,67 @@ def test_a_recorder_hears_only_the_four_behaviors():
 
 def _reads_request_calls(node):
     """A read of ``<x>.ops`` where ``x`` is a request log by this code's names
-    (``requests``, ``log``, ``<device>.requests``)."""
+    (``requests``, ``log``, ``<device>.requests``), or of an ``op_ns``."""
+    if isinstance(node, ast.Attribute) and node.attr == "op_ns":
+        return True
     if not (isinstance(node, ast.Attribute) and node.attr == "ops"):
         return False
     return (getattr(node.value, "id", None) in ("requests", "log")
             or getattr(node.value, "attr", None) == "requests")
 
 
+def _reads_recorder_rows(node):
+    """A read of ``<recorder>.rows`` (``recorder`` or ``<x>.recorder``)."""
+    if not (isinstance(node, ast.Attribute) and node.attr == "rows"):
+        return False
+    return "recorder" in (getattr(node.value, "id", None), getattr(node.value, "attr", None))
+
+
+def _sites(predicate):
+    return {(path.relative_to(SRC).as_posix(), function)
+            for path in sorted(SRC.rglob("*.py"))
+            for function in _enclosing_functions(path, predicate)}
+
+
+def test_one_log_per_device():
+    """A device's recorder rows are its only record of malloc and free: no
+    module reads a request log's call sequence or its clock stamps, a fresh
+    device already holds its :class:`TraceRecorder`, no trainer takes a
+    recorder, and no profiler opens an attach window."""
+    assert _sites(_reads_request_calls) == set()
+    for name in ("ops", "op_ns", "malloc", "free"):
+        assert not hasattr(RequestLog(), name), name
+    assert type(Device().recorder) is TraceRecorder
+    for trainer in (DataParallelTrainer, Trainer):
+        assert not {"recorder", "recorders"} & set(inspect.signature(trainer).parameters)
+    for name in ("start", "stop", "detach", "require_attached", "__enter__",
+                 "begin_iteration", "end_iteration"):
+        assert not hasattr(MemoryProfiler, name), name
+    assert "seen" not in inspect.getsource(PlacedTrace)
+
+
 def test_only_the_placement_passes_read_the_request_log():
-    """The allocator is a pass over a finished run's requests: one loop per
-    policy in ``device/allocator.py`` walks ``RequestLog.ops``, and besides
-    them only the placement of the recorded rows (which call made each
-    segment row) and the trainer, which writes the log, read it.  There is
-    no allocator object: the module's one class is the result."""
-    sites = {(path.relative_to(SRC).as_posix(), function)
-             for path in sorted(SRC.rglob("*.py"))
-             for function in _enclosing_functions(path, _reads_request_calls)}
+    """The allocator is a pass over a finished run's calls: only the
+    recorder writes them, as its malloc and free rows; :func:`place`
+    (for the policy passes) and :class:`PlacedTrace` (which call made each
+    segment row) read them through :func:`call_rows`, and besides them only
+    a device placing its calls so far and the trainer's copier read a
+    recorder's rows.  There is no allocator object: the module's one class
+    is the result."""
     passes = {("device/allocator.py", function.__name__)
               for function in PLACEMENT_PASSES.values()}
     assert len(passes) == len(PLACEMENT_PASSES) == 3
-    assert sites == passes | {
-        ("core/recorder.py", "__init__"),                       # PlacedTrace
-        ("train/trainer.py", "_position"), ("train/trainer.py", "left_as_found"),
-        ("train/trainer.py", "__init__"), ("train/trainer.py", "append")}
+    for function in PLACEMENT_PASSES.values():
+        assert list(inspect.signature(function).parameters) == ["requests", "calls",
+                                                                "capacity"]
+    assert _sites(_calls("call_rows")) == {("device/allocator.py", "place"),
+                                           ("core/recorder.py", "__init__")}  # PlacedTrace
+    assert _sites(_reads_recorder_rows) == {
+        ("device/device.py", "place"),
+        ("train/trainer.py", "_rows"), ("train/trainer.py", "append")}
+    writers = _sites(lambda node: _calls("pack_row")(node) and any(
+        getattr(arg, "id", None) in ("_MALLOC", "_FREE") for arg in node.args))
+    assert writers == {("core/recorder.py", "on_malloc"), ("core/recorder.py", "on_free")}
     tree = ast.parse((SRC / "device" / "allocator.py").read_text())
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] \
         == ["Placement"]

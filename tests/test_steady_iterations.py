@@ -6,7 +6,8 @@ iteration of its ``train`` call (:mod:`repro.train.trainer`).  The oracle
 here is the untiled trainer: with the steady predicate patched (test-only;
 nothing in ``src/`` switches it) never to fire, every iteration is
 simulated, and the tiled run must record exactly what the oracle does —
-request logs, recorder rows and strings, marks, clocks, tapes and their
+each request's bytes, category and tag, the recorder's rows (the malloc and
+free calls among them) and strings, marks, clocks, tapes and their
 positions, collective records and iteration statistics.
 
 ``pytest --hypothesis-profile=steady-wide`` (``make scaling-smoke``) draws
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import MemoryCategory
-from repro.core.recorder import TraceRecorder
 from repro.data.loader import HostLatencyModel
 from repro.device.tape import TimingTape
 from repro.models import MLP
@@ -74,20 +74,19 @@ def make_config(model, optimizer=("sgd", 0.9), dtype="float32", devices=(1, 4),
 
 
 class _Hook:
-    """A session hook that keeps the profilers and, when capturing, attaches
-    a timing tape to every replica clock the way a template capture does."""
+    """A session hook that keeps the device group and, when capturing,
+    attaches a timing tape to every replica clock the way a template capture
+    does."""
 
     def __init__(self, capture):
         self.capture = capture
         self.tapes = []
-        self.profilers = []
+        self.group = []
 
     def attach(self, group):
+        self.group = group
         if self.capture:
             self.tapes = [TimingTape(device.clock) for device in group]
-
-    def collect(self, profilers, traces):
-        self.profilers = profilers
 
     def detach(self):
         for tape in self.tapes:
@@ -127,23 +126,21 @@ def record(config, capture, steady=True):
         finally:
             hook.detach()
     (trainer,) = trainers
-    tapes = hook.tapes or [None] * len(hook.profilers)
+    tapes = hook.tapes or [None] * len(hook.group)
     replicas = []
-    for profiler, requests, tape in zip(hook.profilers, recording.requests, tapes):
-        recorder = profiler.recorder
-        positions = recorder.event_tape_positions
+    for device, requests, tape in zip(hook.group, recording.requests, tapes):
+        recorder = device.recorder
         replicas.append({
             "requests": (requests.nbytes.tobytes(),
                          [category.code for category in requests.category],
-                         list(requests.tag), requests.ops.tobytes(),
-                         requests.op_ns.tobytes()),
+                         list(requests.tag)),
             "rows": recorder.rows.tobytes(),
             "ops": list(recorder.ops),
             "marks": [(mark.index, mark.start_ns, mark.end_ns)
                       for mark in recorder.iteration_marks],
-            "end_ns": profiler.device.clock.now_ns,
+            "end_ns": device.clock.now_ns,
             "tape": _tape(tape),
-            "event_tape_positions": None if positions is None else positions.tobytes(),
+            "event_tape_positions": recorder.event_tape_positions.tobytes(),
             "mark_tape_spans": [list(span) for span in recorder.mark_tape_spans],
         })
     recorded = {
@@ -295,20 +292,3 @@ def test_replicas_whose_clock_offsets_move_are_not_steady(monkeypatch):
     monkeypatch.setattr(session_module, "_build_optimizer", lagging)
     config = make_config("mlp", devices=(3, 5), iterations=6)
     assert check(config, capture=True) == [0, 1, 2, 3, 4]
-
-
-class _SubclassRecorder(TraceRecorder):
-    """A recorder subclass, which may do anything with a hook call."""
-
-    def on_malloc(self, request):
-        super().on_malloc(request)
-
-
-def test_a_foreign_recorder_sees_every_iteration(monkeypatch):
-    """Only a plain recorder (or an empty slot) is extended by a copy; with
-    any other recorder in a slot, every iteration is simulated."""
-    monkeypatch.setattr("repro.core.profiler.TraceRecorder", _SubclassRecorder)
-    config = make_config("mlp", devices=(2, 4), iterations=4)
-    tiled, simulated = record(config, capture=True)
-    assert simulated == [0, 1, 2, 3]
-    assert_same(tiled, record(config, capture=True, steady=False)[0])

@@ -310,8 +310,8 @@ def _session_view(config, recording=None):
 
 
 def _digest(recording):
-    """sha256 over every class trace's columns, strings, marks and metadata
-    and every class's requests."""
+    """sha256 over every class trace's columns (its malloc and free calls
+    among them), strings, marks and metadata and every class's request sizes."""
     digest = hashlib.sha256()
     for trace in recording.traces:
         columns = trace.columns()
@@ -319,7 +319,7 @@ def _digest(recording):
             digest.update(getattr(columns, field.name).tobytes())
         digest.update(repr(_trace_view(trace)[1:]).encode())
     for requests in recording.requests:
-        digest.update(requests.nbytes.tobytes() + requests.ops.tobytes())
+        digest.update(requests.nbytes.tobytes())
     return digest.hexdigest()
 
 

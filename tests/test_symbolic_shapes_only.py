@@ -44,9 +44,6 @@ class _GrabGroup:
     def attach(self, group):
         self.group = group
 
-    def collect(self, profilers, traces):
-        pass
-
 
 # -- (a) nothing is drawn, cast or stored ----------------------------------------------
 

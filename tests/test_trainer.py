@@ -11,11 +11,12 @@ from repro.errors import ConfigurationError
 from repro.models import MLP, LeNet5
 from repro.nn import SGD, CrossEntropyLoss
 from repro.train import Trainer
+from repro.train import trainer as trainer_module
 
 from tests.helpers import BehaviorLog
 
 
-def make_trainer(device, model, batch_size=32, recorder=None):
+def make_trainer(device, model, batch_size=32):
     if isinstance(model, MLP):
         dataset = TwoClusterDataset(input_dim=model.input_dim)
     else:
@@ -26,10 +27,17 @@ def make_trainer(device, model, batch_size=32, recorder=None):
                                                       per_byte_ns=0.05))
     optimizer = SGD(model.parameters(), lr=0.05, momentum=0.9)
     loss_fn = CrossEntropyLoss(device)
-    return Trainer(model, loader, optimizer, loss_fn, device, recorder=recorder)
+    return Trainer(model, loader, optimizer, loss_fn, device)
 
 
-def test_every_iteration_reads_its_loss_back_to_the_host(test_device):
+@pytest.fixture
+def every_iteration_simulated(monkeypatch):
+    """A behavior log sees hook calls only: no iteration is a copy."""
+    monkeypatch.setattr(trainer_module, "left_as_found", lambda *args: False)
+
+
+def test_every_iteration_reads_its_loss_back_to_the_host(test_device,
+                                                         every_iteration_simulated):
     """The loss readback is a memory behavior: a D2H read, then the free."""
     model = MLP(test_device, hidden_dim=32)
     trainer = make_trainer(test_device, model, batch_size=64)
@@ -57,11 +65,11 @@ def test_iteration_stats_fields(test_device):
 
 def test_no_memory_leak_across_iterations(test_device):
     """Allocated bytes at the end of every steady-state iteration are equal."""
-    profiler = MemoryProfiler(test_device).start()
+    profiler = MemoryProfiler(test_device)
     model = MLP(test_device, hidden_dim=32)
-    trainer = make_trainer(test_device, model, recorder=profiler)
+    trainer = make_trainer(test_device, model)
     stats = trainer.train(5)
-    columns = profiler.stop().columns()
+    columns = profiler.trace().columns()
     allocated = np.cumsum(columns.live_deltas())
     steady = [allocated[np.flatnonzero(columns.iteration == s.index)[-1]] for s in stats[1:]]
     assert len(set(steady)) == 1
@@ -69,11 +77,10 @@ def test_no_memory_leak_across_iterations(test_device):
 
 def test_trainer_feeds_recorder_iteration_marks(test_device):
     profiler = MemoryProfiler(test_device)
-    profiler.start()
     model = MLP(test_device, hidden_dim=16)
-    trainer = make_trainer(test_device, model, recorder=profiler)
+    trainer = make_trainer(test_device, model)
     trainer.train(3)
-    trace = profiler.stop()
+    trace = profiler.trace()
     assert trace.iterations() == [0, 1, 2]
     assert all(mark.end_ns is not None for mark in trace.iteration_marks)
 
@@ -85,7 +92,7 @@ def test_trainer_rejects_nonpositive_iterations(test_device):
         trainer.train(0)
 
 
-def test_training_convnet_on_images(test_device):
+def test_training_convnet_on_images(test_device, every_iteration_simulated):
     model = LeNet5(test_device)
     trainer = make_trainer(test_device, model, batch_size=8)
     log = BehaviorLog(test_device)

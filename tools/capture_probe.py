@@ -2,8 +2,9 @@
 """What a template capture costs over the simulation it records.
 
 A capture is the simulation with a timing tape on every replica clock, so
-its cost over a bare ``run_training_session`` is the tape's (ROADMAP item 8
-asks for at most 1.05x before every row becomes capture + price).
+its cost over a bare ``run_training_session`` is the tape's (the ROADMAP item
+"One way to run a scenario" asks for at most 1.05x before every row becomes
+capture + price).
 ``make capture-probe`` prints, per structure at 1 and 2 devices, the
 best-of-7 wall time of ``run_training_session`` and of the template compile
 of the same config, their ratio, and whether the template prices the config
