@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..device.allocator import place
 from ..device.device import Device
 from .ati import IntervalArrays, compute_interval_arrays
 from .breakdown import OccupationBreakdown, occupation_breakdown
@@ -41,8 +42,9 @@ class MemoryProfiler:
 
     def trace(self) -> MemoryTrace:
         """The behaviors recorded so far, placed."""
-        device = self.device
-        return place_traces([self.recorder.to_trace()], [device.place()],
+        device, recording = self.device, self.recorder.to_trace()
+        placement = place(recording, device.allocator, device.spec.memory_capacity)
+        return place_traces([recording], [placement],
                             device.spec.cuda_malloc_overhead_ns)[0].trace
 
     def access_intervals(self, include_lifecycle: bool = False) -> IntervalArrays:

@@ -2,16 +2,19 @@
 
 Every :class:`~repro.device.device.Device` makes its :class:`TraceRecorder`
 when it is built, and the recorder turns every malloc / free / read / write
-from then on into one timestamped row written against the *request id* the
-device handed out (:class:`~repro.device.memory.RequestLog`).  Its malloc
-and free rows are the device's one log of the calls: the placement passes
-(:func:`~repro.device.allocator.place`) and :func:`place_traces` read the
-call sequence off them, and the trainer copies them for a steady iteration.
-The recorder is the hottest non-numeric path of a profiled run — every
-behavior lands here — so one recorded behavior is one hook call, one C-level
-append of a packed ``int64`` row and one op-string append: the clock field
-is read directly and nothing else is looked up.  The recorder never writes
-the tape: a taped clock logs its own atoms
+from then on into one timestamped row written against a *request id*.  The
+malloc row is the request: :meth:`TraceRecorder.on_malloc` numbers it (its
+malloc ordinal, which the device hands the storage), packs its bytes and
+category code into the row and keeps its tag in :attr:`TraceRecorder.tags`.
+The malloc and free rows are the device's one log of the calls: the
+placement passes (:func:`~repro.device.allocator.place`) and
+:func:`place_traces` read the call sequence off them, and the trainer
+copies them for a steady iteration.  The recorder is the hottest
+non-numeric path of a profiled run — every behavior lands here — so one
+recorded behavior is one hook call, one C-level append of a packed
+``int64`` row and one op-string append (a malloc adds its tag): the clock
+field is read directly and nothing else is looked up.  The recorder never
+writes the tape: a taped clock logs its own atoms
 (:class:`~repro.device.tape.TimingTape`), and while one is attached the
 recorder notes, per event, how many atoms precede it.
 
@@ -33,7 +36,6 @@ from typing import List, Sequence
 import numpy as np
 
 from ..device.allocator import Placement, call_rows
-from ..device.memory import RequestLog
 from .events import IterationMark, MemoryCategory, MemoryEventKind
 from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
                     columns_from_rows, iteration_rows, pack_row)
@@ -47,19 +49,21 @@ _UNKNOWN_CATEGORY = MemoryCategory.UNKNOWN.code
 
 class TraceRecorder:
     """Records malloc/free/read/write behaviors of ``device`` with simulated
-    timestamps, against its request ids."""
+    timestamps, against the request ids its mallocs number."""
 
     def __init__(self, device):
         self.clock = device.clock
-        self.requests: RequestLog = device.requests
         #: What the trace says about the run (a profiler stamps it).
         self.metadata: dict = {}
         self.rows = array("q")
         self.ops: List[str] = []
-        # The row store lives as long as the recorder, so its two C-level
-        # appends are bound once here and called directly by the hooks.
+        #: Each request's tag, by request id (its malloc ordinal).
+        self.tags: List[str] = []
+        # The stores live as long as the recorder, so their C-level appends
+        # are bound once here and called directly by the hooks.
         self._append_row = self.rows.frombytes
         self._append_op = self.ops.append
+        self._append_tag = self.tags.append
         self.iteration_marks: List[IterationMark] = []
         self._current_iteration = -1
         # Template capture: while a timing tape is attached to the clock, the
@@ -101,14 +105,17 @@ class TraceRecorder:
 
     # -- event capture ----------------------------------------------------------------
 
-    def on_malloc(self, request: int) -> None:
-        """Record the malloc of ``request``."""
+    def on_malloc(self, nbytes: int, category_code: int, tag: str) -> int:
+        """Record a malloc of ``nbytes``; returns its request id."""
         clock = self.clock
         if clock.tape is not None:
             self._append_position(len(clock.tape))
-        self._append_row(pack_row(_MALLOC, clock._now_ns, request, 0, 0, 0,
+        request = len(self.tags)
+        self._append_row(pack_row(_MALLOC, clock._now_ns, request, 0, nbytes, category_code,
                                   self._current_iteration))
         self._append_op("")
+        self._append_tag(tag)
+        return request
 
     def on_free(self, request: int) -> None:
         """Record the free of ``request``."""
@@ -143,17 +150,15 @@ class TraceRecorder:
         """The behaviors as the front end made them: each request its own
         block, sized as requested and laid after the one before."""
         columns = columns_from_rows(self.rows)
-        requests = self.requests
         request = columns.block_id
-        nbytes = np.frombuffer(requests.nbytes, dtype=np.int64)
-        offsets = np.zeros(nbytes.size + 1, dtype=np.int64)
-        np.cumsum(nbytes, out=offsets[1:])
-        categories = np.fromiter((category.code for category in requests.category),
-                                 dtype=np.int64, count=len(requests))[request]
-        tags = requests.tag
+        mallocs = np.flatnonzero(columns.kind_code == _MALLOC)
+        offsets = np.zeros(mallocs.size + 1, dtype=np.int64)
+        np.cumsum(columns.size[mallocs], out=offsets[1:])
+        at = mallocs[request]         # each row's request's malloc row
+        tags = self.tags
         return MemoryTrace(
-            columns=replace(columns, address=offsets[request], size=nbytes[request],
-                            category_code=categories),
+            columns=replace(columns, address=offsets[request], size=columns.size[at],
+                            category_code=columns.category_code[at]),
             event_tags=[tags[index] for index in request.tolist()],
             event_ops=list(self.ops),
             iteration_marks=[replace(mark) for mark in self.iteration_marks],

@@ -3,18 +3,20 @@
 This package replaces the Nvidia Titan X (Pascal) + CUDA runtime used by the
 paper with a deterministic software model whose memory system is instrumented
 exactly the way the paper instruments PyTorch's allocators.  A device's
-front end logs its requests (:class:`~repro.device.memory.RequestLog`) and
-its recorder writes each malloc and free as a row; an allocator is a
-placement pass over those calls (:func:`~repro.device.allocator.place`, one
-loop per policy).  The device is
-synchronous — kernels and host↔device copies run in order on one timeline,
-its clock — and the one asynchronous copy engine,
+recorder (:class:`~repro.core.recorder.TraceRecorder`) is the one store of
+its requests: each malloc row is a request — its id the malloc's ordinal,
+its bytes and category in the row, its tag kept beside the rows — and each
+free a row against that id.  An allocator is a placement pass over those
+calls (:func:`~repro.device.allocator.place`, one loop per policy).  The
+device is synchronous — kernels and host↔device copies run in order on one
+timeline, its clock — and the one asynchronous copy engine,
 :class:`~repro.device.stream.Stream`, belongs to the swap overlay
 (:mod:`repro.swap.executor`), which reserves its transfers on it against a
 clock of its own.
 """
 
 from .allocator import (
+    AllocatorStats,
     LARGE_SEGMENT_SIZE,
     MIN_BLOCK_SIZE,
     PLACEMENT_PASSES,
@@ -39,7 +41,6 @@ from .cluster import (
 )
 from .collective import CollectiveEngine, CollectiveRecord
 from .device import Device
-from .memory import AllocatorStats, RequestLog
 from .spec import (
     DEVICE_PRESETS,
     DeviceSpec,
@@ -82,7 +83,6 @@ __all__ = [
     "Placement",
     "SMALL_ALLOCATION_LIMIT",
     "SMALL_SEGMENT_SIZE",
-    "RequestLog",
     "Stream",
     "ampere_a100_40gb",
     "conv2d_cost",

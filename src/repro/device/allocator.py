@@ -18,26 +18,31 @@ the paper instruments:
   releases fully-free cached segments and retries before raising
   :class:`~repro.errors.OutOfMemoryError`.
 
-An allocator is a pass over a finished run's requests: the front end logs
-every request (:class:`~repro.device.memory.RequestLog`), its recorder
-writes every malloc and free as a row, the device pays the per-call
-bookkeeping overhead on its clock, and :func:`place` runs the named
-policy's pass over the calls those rows make (:func:`call_rows`) under a
-capacity.  Each pass is one loop over the calls on flat lists indexed by
-block id (address, size, allocated, neighbours, segment, free-list key): a
-pool of free blocks is a sorted list of integer keys ``size << 80 |
-tiebreak << 32 | block id``, so best fit is one ``bisect_left`` and equal
-sizes go by the tiebreak — the insertion sequence for ``caching`` (oldest
-free block first), the address for ``best_fit`` (lowest first).  The
-counters are the loop's locals.  There is no allocator object and no
-per-call method: a call and a block object per request cost more than the
-placement itself.
+An allocator is a pass over a finished run's requests.  The device's
+recorder is their one store: a request is its malloc row — its id the
+malloc's ordinal, its bytes and category in the row — and the recorder
+keeps its tag; a free is a row against the same id.  The device pays the
+per-call bookkeeping overhead on its clock, and :func:`place` runs the named
+policy's pass over the calls a recording's rows make (:func:`call_rows`)
+under a capacity.  Each pass is one loop over the calls on flat lists
+indexed by block id (address, size, allocated, neighbours, segment,
+free-list key): a pool of free blocks is a sorted list of integer keys
+``size << 80 | tiebreak << 32 | block id``, so best fit is one
+``bisect_left`` and equal sizes go by the tiebreak — the insertion sequence
+for ``caching`` (oldest free block first), the address for ``best_fit``
+(lowest first).  The counters are the loop's locals.  There is no allocator
+object and no per-call method: a call and a block object per request cost
+more than the placement itself.
 
 The :class:`Placement` a pass returns holds each request's block id,
 address and size, the segment rows with the call each was made in (one
 ``cudaMalloc``/``cudaFree`` overhead atom each, which
 :func:`~repro.core.recorder.place_traces` splices into the timeline), the
-segments reserved before the first request and the counters.  An
+segments reserved before the first request and the counters
+(:class:`AllocatorStats`).  A block is an integer id, numbered from 1 per
+placement; when the caching policy serves a request from a cached block the
+id is kept, which is what lets access-time intervals span allocator round
+trips — the block-level view the paper instruments.  An
 out-of-memory is raised at the request that hits it, and the free of a
 request that is not live (freed already) raises
 :class:`~repro.errors.InvalidFreeError`.
@@ -55,15 +60,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from ..core.events import MemoryEventKind
-from ..core.trace import KIND_CODES, EventColumns
+from ..core.trace import KIND_CODES, EventColumns, MemoryTrace
 from ..errors import InvalidFreeError, OutOfMemoryError
 from ..units import MIB
-from .memory import AllocatorStats, RequestLog
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
 _FREE = KIND_CODES[MemoryEventKind.FREE]
@@ -117,6 +121,52 @@ def _aligned(size: int) -> int:
     return ((size + SEGMENT_ALIGNMENT - 1) // SEGMENT_ALIGNMENT) * SEGMENT_ALIGNMENT
 
 
+@dataclass
+class AllocatorStats:
+    """The counters of one placement (:attr:`~repro.device.allocator.Placement.stats`).
+
+    Mirrors the statistics exposed by ``torch.cuda.memory_stats``: current and
+    peak values for allocated bytes, reserved bytes and live block counts,
+    plus cumulative counters for allocation traffic and cache behavior.
+    """
+
+    allocated_bytes: int = 0
+    reserved_bytes: int = 0
+    active_blocks: int = 0
+    peak_allocated_bytes: int = 0
+    peak_reserved_bytes: int = 0
+    peak_active_blocks: int = 0
+    total_alloc_count: int = 0
+    total_free_count: int = 0
+    total_alloc_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    segment_allocs: int = 0
+    segment_frees: int = 0
+    split_count: int = 0
+    coalesce_count: int = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        """Serialize all counters as a plain dictionary."""
+        return {
+            "allocated_bytes": self.allocated_bytes,
+            "reserved_bytes": self.reserved_bytes,
+            "active_blocks": self.active_blocks,
+            "peak_allocated_bytes": self.peak_allocated_bytes,
+            "peak_reserved_bytes": self.peak_reserved_bytes,
+            "peak_active_blocks": self.peak_active_blocks,
+            "total_alloc_count": self.total_alloc_count,
+            "total_free_count": self.total_free_count,
+            "total_alloc_bytes": self.total_alloc_bytes,
+            "cache_hits": self.cache_hits,
+            "cache_misses": self.cache_misses,
+            "segment_allocs": self.segment_allocs,
+            "segment_frees": self.segment_frees,
+            "split_count": self.split_count,
+            "coalesce_count": self.coalesce_count,
+        }
+
+
 @dataclass(frozen=True)
 class Placement:
     """Where one device's requests landed under one allocator and capacity.
@@ -162,10 +212,10 @@ def _bad_free(block: int, tag: str) -> InvalidFreeError:
     return InvalidFreeError(f"block {block} (tag={tag!r}) is not currently allocated")
 
 
-def _place_caching(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
+def _place_caching(nbytes: List[int], tag_of: Callable[[int], str], calls: List[int],
+                   capacity: int) -> Placement:
     """The caching allocator's pass (see the module docstring for the policy)."""
-    n = len(requests)
-    nbytes, request_tags = requests.nbytes, requests.tag
+    n = len(nbytes)
     served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
     live = bytearray(n)
     # Per block id (0: no block): address, size, allocated, neighbours,
@@ -288,7 +338,7 @@ def _place_caching(requests: RequestLog, calls: List[int], capacity: int) -> Pla
             request = ~op
             block = served_block[request]
             if not live[request]:
-                raise _bad_free(block, request_tags[request])
+                raise _bad_free(block, tag_of(request))
             live[request] = False
             allocated[block] = False
             block_size = size[block]
@@ -328,7 +378,8 @@ def _place_caching(requests: RequestLog, calls: List[int], capacity: int) -> Pla
         coalesce_count=coalesces))
 
 
-def _place_best_fit(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
+def _place_best_fit(nbytes: List[int], tag_of: Callable[[int], str], calls: List[int],
+                    capacity: int) -> Placement:
     """A non-caching best-fit pass over one big arena (ablation baseline).
 
     95 % of the device, aligned down, is reserved as a single segment before
@@ -338,8 +389,7 @@ def _place_best_fit(requests: RequestLog, calls: List[int], capacity: int) -> Pl
     the 512-byte granularity, so the event stream and fragmentation profile
     differ from the caching allocator's.
     """
-    n = len(requests)
-    nbytes, request_tags = requests.nbytes, requests.tag
+    n = len(nbytes)
     served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
     live = bytearray(n)
     arena = int(capacity * _ARENA_SHARE) // SEGMENT_ALIGNMENT * SEGMENT_ALIGNMENT
@@ -395,7 +445,7 @@ def _place_best_fit(requests: RequestLog, calls: List[int], capacity: int) -> Pl
             request = ~op
             block = served_block[request]
             if not live[request]:
-                raise _bad_free(block, request_tags[request])
+                raise _bad_free(block, tag_of(request))
             live[request] = False
             allocated[block] = False
             block_size = size[block]
@@ -431,7 +481,8 @@ def _place_best_fit(requests: RequestLog, calls: List[int], capacity: int) -> Pl
         coalesce_count=coalesces))
 
 
-def _place_bump(requests: RequestLog, calls: List[int], capacity: int) -> Placement:
+def _place_bump(nbytes: List[int], tag_of: Callable[[int], str], calls: List[int],
+                capacity: int) -> Placement:
     """A linear (bump-pointer) pass that never reuses memory (ablation baseline).
 
     Every allocation reserves a fresh segment of its rounded size and frees
@@ -440,8 +491,7 @@ def _place_bump(requests: RequestLog, calls: List[int], capacity: int) -> Placem
     and bounding the footprint a workload would need without any reuse.
     Block ``k`` is the ``k``-th malloc, in segment ``k``.
     """
-    n = len(requests)
-    nbytes, request_tags = requests.nbytes, requests.tag
+    n = len(nbytes)
     served_block, served_address, served_size = [0] * n, [0] * n, [0] * n
     allocated = [False] * (n + 1)
     rows: List[tuple] = []
@@ -473,7 +523,7 @@ def _place_bump(requests: RequestLog, calls: List[int], capacity: int) -> Placem
             request = ~op
             served = served_block[request]
             if not allocated[served]:
-                raise _bad_free(served, request_tags[request])
+                raise _bad_free(served, tag_of(request))
             allocated[served] = False
             allocated_bytes -= served_size[request]
             active -= 1
@@ -509,16 +559,23 @@ def call_rows(columns: EventColumns) -> np.ndarray:
     return np.flatnonzero((kind == _MALLOC) | (kind == _FREE))
 
 
-def place(requests: RequestLog, columns: EventColumns, allocator: str,
-          capacity: int) -> Placement:
-    """Run allocator ``allocator``'s pass over ``requests`` under ``capacity`` bytes.
+def place(recording: MemoryTrace, allocator: str, capacity: int) -> Placement:
+    """Run allocator ``allocator``'s pass over ``recording`` under ``capacity`` bytes.
 
-    Serves the mallocs and frees of the recording ``columns`` (rows written
-    against ``requests``' ids) in order, as the front end made them; an
-    :class:`~repro.errors.OutOfMemoryError` propagates from the request
-    that hits it.
+    Serves the recording's mallocs and frees in order, as the front end made
+    them: a request is its malloc row (its id the malloc's ordinal, its
+    bytes the row's ``size``) and is freed by the free row with its id.  An
+    :class:`~repro.errors.OutOfMemoryError` propagates from the request that
+    hits it; the free of a request that is not live names the request's tag.
     """
+    columns = recording.columns()
     rows = call_rows(columns)
     request = columns.block_id[rows]
-    calls = np.where(columns.kind_code[rows] == _MALLOC, request, ~request).tolist()
-    return PLACEMENT_PASSES[check_allocator(allocator)](requests, calls, int(capacity))
+    malloc = columns.kind_code[rows] == _MALLOC
+    mallocs = rows[malloc]
+    calls = np.where(malloc, request, ~request).tolist()
+
+    def tag_of(request: int) -> str:
+        return recording.event_strings()[0][mallocs[request]]
+    return PLACEMENT_PASSES[check_allocator(allocator)](
+        columns.size[mallocs].tolist(), tag_of, calls, int(capacity))

@@ -14,8 +14,7 @@ an interconnect*.  This module introduces that layer:
 * :class:`DeviceGroup` instantiates one replica
   :class:`~repro.device.device.Device` per replica *class* — the ranks the
   simulator cannot tell apart (same shard shape) — each with its own clock
-  and request log —
-  and wires them to one shared
+  and recorder — and wires them to one shared
   :class:`~repro.device.collective.CollectiveEngine` that still costs
   collectives for all N replicas; its allreduce is the group's only barrier.
 
@@ -206,7 +205,7 @@ class DeviceGroup:
     ``rank_classes`` labels every rank (equal labels, one class; classes are
     numbered in order of first appearance, so rank 0 is always in class 0);
     by default every rank is its own class.  Only one :class:`Device` per
-    class is materialised — its clock, request log and timing model stand
+    class is materialised — its clock, recorder and timing model stand
     for every rank of the class — while :attr:`n_devices` and the
     collective cost model keep the cluster's full replica count.  Iterating,
     indexing and ``len()`` walk the materialised replicas in class order.

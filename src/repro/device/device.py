@@ -3,12 +3,12 @@
 :class:`Device` ties together the pieces a training run needs:
 
 * a deterministic :class:`~repro.device.clock.DeviceClock`;
-* the :class:`~repro.device.memory.RequestLog` of every malloc's bytes,
-  category and tag;
 * its :class:`~repro.core.recorder.TraceRecorder`, made with the device:
-  every behavior from construction on is one of its rows, and its malloc and
-  free rows are the device's only record of the calls, placed after the run
-  by the named allocator (caching by default, :meth:`Device.place`);
+  every behavior from construction on is one of its rows.  Its malloc rows
+  are the device's requests — bytes and category in the row, the tag kept
+  by the recorder — and with its free rows the only record of the calls,
+  placed after the run by the named allocator (caching by default,
+  :meth:`Device.place`);
 * a roofline :class:`~repro.device.timing.KernelTimingModel`.
 
 The device is synchronous, the way eager PyTorch issues work on one stream:
@@ -21,8 +21,8 @@ copy stream.
 
 The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
 storage management — each pays the allocator's bookkeeping overhead on the
-clock, hands the call to :attr:`Device.recorder` and hands the storage a
-request id, never a block — and :meth:`Device.run_kernel` to account for the
+clock and hands the call to :attr:`Device.recorder`, whose malloc ordinal is
+the request id the storage gets, never a block — and :meth:`Device.run_kernel` to account for the
 simulated execution time of each operator; storages report the reads and
 writes of kernels straight to :attr:`Device.recorder`.  Nothing is
 computed: tensors carry shape, dtype and category but no values, and memory
@@ -36,15 +36,12 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.events import MemoryCategory
-from ..core.trace import columns_from_rows
 from ..errors import ConfigurationError
 from .allocator import Placement, check_allocator, place
 from .clock import DeviceClock
-from .memory import RequestLog
 from .spec import DeviceSpec, titan_x_pascal
 from .tape import TAPE_ALLOC_OVERHEAD, TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
-from .timing import (DEFAULT_BANDWIDTH_EFFICIENCY, DEFAULT_COMPUTE_EFFICIENCY,
-                     DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel)
+from .timing import DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel
 
 
 class Device:
@@ -63,8 +60,9 @@ class Device:
         parameters, activations and staged input batches all follow it, so
         ``default_dtype="float16"`` models half-precision training.  Must be
         a floating-point dtype.
-    compute_efficiency / bandwidth_efficiency / host_dispatch_overhead_ns:
-        Forwarded to :class:`~repro.device.timing.KernelTimingModel`.
+    host_dispatch_overhead_ns:
+        Forwarded to :class:`~repro.device.timing.KernelTimingModel`, which
+        keeps its own default efficiencies.
     """
 
     def __init__(
@@ -72,8 +70,6 @@ class Device:
         spec: Optional[DeviceSpec] = None,
         allocator: str = "caching",
         default_dtype: object = "float32",
-        compute_efficiency: float = DEFAULT_COMPUTE_EFFICIENCY,
-        bandwidth_efficiency: float = DEFAULT_BANDWIDTH_EFFICIENCY,
         host_dispatch_overhead_ns: int = DEFAULT_HOST_DISPATCH_OVERHEAD_NS,
     ):
         from ..core.recorder import TraceRecorder
@@ -88,17 +84,12 @@ class Device:
         self.default_dtype = dtype
         self.clock = DeviceClock()
         self.allocator = check_allocator(allocator)
-        self.requests = RequestLog()
         #: The trace recorder every behavior goes to.
         self.recorder = TraceRecorder(self)
         # The spec is frozen, so the per-malloc/free cost is read once.
         self._alloc_overhead_ns = self.spec.allocator_overhead_ns
         self.timing = KernelTimingModel(
-            self.spec,
-            compute_efficiency=compute_efficiency,
-            bandwidth_efficiency=bandwidth_efficiency,
-            host_dispatch_overhead_ns=host_dispatch_overhead_ns,
-        )
+            self.spec, host_dispatch_overhead_ns=host_dispatch_overhead_ns)
 
     # -- memory management -----------------------------------------------------------
 
@@ -106,9 +97,7 @@ class Device:
                  tag: str = "") -> int:
         """Request ``size`` bytes of device memory; returns the request id."""
         self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
-        request = self.requests.add(size, category, tag)
-        self.recorder.on_malloc(request)
-        return request
+        return self.recorder.on_malloc(size, category.code, tag)
 
     def free(self, request: int) -> None:
         """Free the memory of request ``request``."""
@@ -117,8 +106,7 @@ class Device:
 
     def place(self) -> Placement:
         """The calls so far, placed by this device's allocator in its memory."""
-        return place(self.requests, columns_from_rows(self.recorder.rows), self.allocator,
-                     self.spec.memory_capacity)
+        return place(self.recorder.to_trace(), self.allocator, self.spec.memory_capacity)
 
     # -- execution -----------------------------------------------------------
 

@@ -4,8 +4,9 @@ A :class:`DeviceStorage` owns exactly one device memory request.  Creating a
 storage performs a ``malloc`` on the device, releasing it performs a
 ``free``, and every kernel that touches the storage reports a ``read`` or
 ``write`` — the four memory behaviors the paper records.  The storage holds
-the request id the device handed out; which block serves it is the
-allocator's pass over the device's request log after the run.
+the request id the device handed out (its malloc's ordinal in the device's
+recorder); which block serves it is the allocator's pass over the
+recorder's malloc and free rows after the run.
 
 A storage holds no values: memory behavior is a function of shapes, so only
 the allocation, the accesses and their timing are simulated.

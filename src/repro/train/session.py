@@ -58,7 +58,6 @@ from ..data.loader import DataLoader, HostLatencyModel
 from ..device.allocator import Placement, place
 from ..device.cluster import ClusterSpec, DeviceGroup, get_interconnect
 from ..device.device import Device
-from ..device.memory import RequestLog
 from ..device.spec import DeviceSpec, get_device_spec
 from ..errors import ConfigurationError
 from ..models.registry import build_model
@@ -299,15 +298,14 @@ class Recording:
     ``device_memory_capacity``.
 
     ``traces`` holds one recording per replica class (behaviors against
-    request ids, its malloc and free rows the calls a placement serves) and
-    ``requests`` its request log, ``rank_classes`` maps
-    each rank to its class and ``spec`` is the device at its native
-    capacity.  Only :meth:`placed`'s memo is mutated by a session.
+    request ids, its malloc rows the requests and, with its free rows, the
+    calls a placement serves), ``rank_classes`` maps each rank to its class
+    and ``spec`` is the device at its native capacity.  Only
+    :meth:`placed`'s memo is mutated by a session.
     """
 
     config: TrainingRunConfig
     traces: Tuple[MemoryTrace, ...]
-    requests: Tuple[RequestLog, ...]
     rank_classes: Tuple[int, ...]
     spec: DeviceSpec
     parameter_bytes: int
@@ -331,8 +329,8 @@ class Recording:
         key = (allocator, spec.memory_capacity)
         run = self.placements.get(key)
         if run is None:
-            placements = [place(requests, trace.columns(), allocator, spec.memory_capacity)
-                          for requests, trace in zip(self.requests, self.traces)]
+            placements = [place(trace, allocator, spec.memory_capacity)
+                          for trace in self.traces]
             traces = place_traces(self.traces, placements, spec.cuda_malloc_overhead_ns)
             for placed in traces:
                 metadata = placed.trace.metadata
@@ -466,7 +464,6 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     return Recording(
         config=config,
         traces=tuple(class_traces),
-        requests=tuple(device.requests for device in group),
         rank_classes=tuple(group.rank_classes),
         spec=get_device_spec(config.device_spec),
         parameter_bytes=models[0].parameter_bytes(),

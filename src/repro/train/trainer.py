@@ -35,10 +35,12 @@ replica's live requests and the replicas' clock offsets as it found them
 the requests it made), every later iteration of the same
 :meth:`DataParallelTrainer.train` call is that iteration again, shifted.
 The trainer appends it as a copy (:class:`_SteadyIteration`) without
-running the model: to each replica's request log, its
-:class:`~repro.core.recorder.TraceRecorder` and its timing tape, its clock,
-the collective records and the history, with new request ids shifted by the
-requests an iteration makes and every time by the iteration's duration.
+running the model: to each replica's
+:class:`~repro.core.recorder.TraceRecorder` (its rows — a malloc row is a
+request, bytes and category included — its ops and its request tags) and
+timing tape, its clock, the collective records and the history, with new
+request ids shifted by the requests an iteration makes and every time by
+the iteration's duration.
 The recorders still see ``begin_iteration`` / ``end_iteration`` around
 every copy.
 """
@@ -115,8 +117,8 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
 
 
 class _Position(NamedTuple):
-    """How far one replica's record reaches: its clock, its request log's
-    requests, its recorder's rows and its tape's atoms."""
+    """How far one replica's record reaches: its clock, its recorder's
+    requests and rows and its tape's atoms."""
 
     now_ns: int
     requests: int
@@ -125,8 +127,8 @@ class _Position(NamedTuple):
 
 
 def _position(device: Device) -> _Position:
-    tape = device.clock.tape
-    return _Position(device.clock.now_ns, len(device.requests), len(device.recorder),
+    tape, recorder = device.clock.tape, device.recorder
+    return _Position(device.clock.now_ns, len(recorder.tags), len(recorder),
                      0 if tape is None else len(tape))
 
 
@@ -175,11 +177,10 @@ class _ReplicaSpan:
         self.duration_ns = end.now_ns - start.now_ns
         self.new_requests = end.requests - start.requests
         self.atoms = end.atoms - start.atoms
-        log, tape, recorder = device.requests, device.clock.tape, device.recorder
+        tape, recorder = device.clock.tape, device.recorder
         #: The stores a copy extends verbatim, each with its steady slice.
-        self.verbatim = [(store, store[start.requests:end.requests])
-                         for store in (log.nbytes, log.category, log.tag)]
-        self.verbatim.append((recorder.ops, recorder.ops[start.rows:end.rows]))
+        self.verbatim = [(recorder.tags, recorder.tags[start.requests:end.requests]),
+                         (recorder.ops, recorder.ops[start.rows:end.rows])]
         self.positions = None
         if tape is not None:
             self.verbatim += [(column, column[start.atoms:end.atoms]) for column in (

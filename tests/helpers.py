@@ -32,7 +32,6 @@ from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KI
                               merge_rank_traces)
 from repro.device.allocator import BASE_ADDRESS, call_rows, place, round_block_size
 from repro.device.cluster import ClusterSpec
-from repro.device.memory import RequestLog
 from repro.device.stream import Stream
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
@@ -145,7 +144,8 @@ class BehaviorLog:
 
     def __init__(self, device):
         self.clock = device.clock
-        self.tags = device.requests.tag
+        # Requests go on being numbered where the device's recorder left off.
+        self.tags = list(device.recorder.tags)
         self.start_ns = device.clock.now_ns
         self.rows: List[Tuple[str, str, Optional[str]]] = []
         self.times: List[int] = []
@@ -155,8 +155,11 @@ class BehaviorLog:
         self.rows.append((kind, self.tags[request], op))
         self.times.append(self.clock.now_ns)
 
-    def on_malloc(self, request):
+    def on_malloc(self, nbytes, category_code, tag):
+        request = len(self.tags)
+        self.tags.append(tag)
         self._log("malloc", request)
+        return request
 
     def on_free(self, request):
         self._log("free", request)
@@ -541,23 +544,26 @@ class ReferenceRecorder:
 
 
 class RequestReference(ReferenceRecorder):
-    """:class:`ReferenceRecorder` in a device's recorder slot: each request
-    is its own block — the request id, the bytes asked for, the requests laid
-    end to end from address 0 — with its category and tag."""
+    """:class:`ReferenceRecorder` in a device's recorder slot from the
+    device's first request on: each request is its own block — the request
+    id (its malloc ordinal), the bytes asked for, the requests laid end to
+    end from address 0 — with its category and tag."""
 
     def __init__(self, device, iteration_of=lambda: -1):
         super().__init__(device.clock, iteration_of)
-        self.requests = device.requests
+        self.requests = []      # (nbytes, category, tag) by request id
 
     def _request(self, request):
-        requests = self.requests
-        return SimpleNamespace(block_id=request, address=sum(requests.nbytes[:request]),
-                               size=requests.nbytes[request],
-                               category=requests.category[request],
-                               tag=requests.tag[request])
+        nbytes, category, tag = self.requests[request]
+        return SimpleNamespace(block_id=request,
+                               address=sum(made[0] for made in self.requests[:request]),
+                               size=nbytes, category=category, tag=tag)
 
-    def on_malloc(self, request):
+    def on_malloc(self, nbytes, category_code, tag):
+        request = len(self.requests)
+        self.requests.append((nbytes, CATEGORY_FROM_CODE[category_code], tag))
         super().on_malloc(self._request(request), None)
+        return request
 
     def on_free(self, request):
         super().on_free(self._request(request))
@@ -747,6 +753,7 @@ class SwapRecorder(TraceRecorder):
         segments reserved before the first request are paid now."""
         self.device, self.placement = device, placement
         self.log = []
+        self._categories = []
         self._calls = 0
         self._blocks = {}
         self._segments = {}
@@ -778,18 +785,22 @@ class SwapRecorder(TraceRecorder):
     def _block(self, request):
         block = self._blocks.get(request)
         if block is None:
-            placement, requests = self.placement, self.requests
+            placement = self.placement
             block = self._blocks[request] = SimpleNamespace(
                 block_id=int(placement.block_id[request]),
                 address=int(placement.address[request]),
                 size=int(placement.size[request]),
-                category=requests.category[request], tag=requests.tag[request])
+                category=self._categories[request], tag=self.tags[request])
         return block
 
-    def on_malloc(self, request):
+    def on_malloc(self, nbytes, category_code, tag):
+        request = len(self.tags)
+        self.tags.append(tag)
+        self._categories.append(CATEGORY_FROM_CODE[category_code])
         block = self._call(request)
         self.executor.on_malloc(block, None)
         self._record(MemoryEventKind.MALLOC, block, "")
+        return request
 
     def on_free(self, request):
         block = self._call(request)
@@ -869,7 +880,7 @@ def live_swap_session(config):
         return run_training_session(config), executors
     recording = record_session(config)
     placements = recording.placed(config).placements
-    by_requests = {}
+    by_rank = {}
 
     class Capture:
         def attach(self, group):
@@ -886,10 +897,10 @@ def live_swap_session(config):
                 device.recorder.executor = executor
                 executor.recorder = device.recorder
                 device.recorder.place_live(device, placement)
-                by_requests[id(device.requests)] = placement
+            by_rank.update(zip((ranks[0] for ranks in group.class_ranks), placements))
 
-    def placed(requests, columns, allocator, capacity):
-        return by_requests[id(requests)]
+    def placed(recording, allocator, capacity):
+        return by_rank[recording.metadata["device_rank"]]
 
     def placed_live(traces, placements, overhead_ns):
         return [SimpleNamespace(trace=trace) for trace in traces]
@@ -1539,34 +1550,44 @@ FREE_CODE = KIND_CODES[MemoryEventKind.FREE]
 
 class RequestProgram:
     """A front end's requests and its calls in order — a request id per
-    malloc, ``~id`` per free — readable by
-    :func:`~repro.device.allocator.place` as a recording's malloc and free
-    rows (``kind_code`` and ``block_id``)."""
+    malloc (its ordinal), ``~id`` per free — built as the recording
+    :func:`~repro.device.allocator.place` reads: one malloc or free row per
+    call, a malloc row carrying its request's bytes, category and tag."""
 
-    def __init__(self, requests=None, calls=()):
-        self.requests = RequestLog() if requests is None else requests
+    def __init__(self, calls=(), nbytes=(), categories=(), tags=()):
         self.calls = list(calls)
+        self.nbytes = list(nbytes)
+        self.categories = list(categories)
+        self.tags = list(tags)
 
     @classmethod
-    def recorded(cls, requests, columns):
-        """The calls of a recording's ``columns``, against ``requests``."""
+    def recorded(cls, recording):
+        """The program of a recording's malloc and free rows."""
+        columns = recording.columns()
         rows = call_rows(columns)
         request = columns.block_id[rows]
-        return cls(requests, np.where(columns.kind_code[rows] == MALLOC_CODE, request,
-                                      ~request).tolist())
+        malloc = columns.kind_code[rows] == MALLOC_CODE
+        mallocs = rows[malloc]
+        tags = recording.event_strings()[0]
+        return cls(np.where(malloc, request, ~request).tolist(),
+                   columns.size[mallocs].tolist(),
+                   [CATEGORY_FROM_CODE[code] for code in columns.category_code[mallocs].tolist()],
+                   [tags[row] for row in mallocs.tolist()])
 
     @classmethod
     def of(cls, device):
         """The calls ``device``'s recorder has recorded so far."""
-        return cls.recorded(device.requests,
-                            trace_module.columns_from_rows(device.recorder.rows))
+        return cls.recorded(device.recorder.to_trace())
 
     def __len__(self):
-        return len(self.requests)
+        return len(self.tags)
 
     def malloc(self, nbytes, category=MemoryCategory.UNKNOWN, tag=""):
         """Log a malloc of ``nbytes``; returns its request id."""
-        request = self.requests.add(nbytes, category, tag)
+        request = len(self.tags)
+        self.nbytes.append(nbytes)
+        self.categories.append(category)
+        self.tags.append(tag)
         self.calls.append(request)
         return request
 
@@ -1576,20 +1597,29 @@ class RequestProgram:
 
     def prefix(self, calls):
         """The program of the first ``calls`` calls."""
-        return RequestProgram(self.requests, self.calls[:calls])
+        return RequestProgram(self.calls[:calls], self.nbytes, self.categories, self.tags)
 
-    @property
-    def kind_code(self):
-        return np.where(np.array(self.calls, dtype=np.int64) >= 0, MALLOC_CODE, FREE_CODE)
-
-    @property
-    def block_id(self):
+    def recording(self):
+        """The calls as a recording's rows: each against its request, with
+        the request's bytes, category and tag."""
         calls = np.array(self.calls, dtype=np.int64)
-        return np.where(calls >= 0, calls, ~calls)
+        request = np.where(calls >= 0, calls, ~calls)
+        n = calls.size
+        nbytes = np.array(self.nbytes, dtype=np.int64)
+        categories = np.array([category.code for category in self.categories], dtype=np.int64)
+        zeros = np.zeros(n, dtype=np.int64)
+        return MemoryTrace(
+            columns=EventColumns(
+                event_id=np.arange(n, dtype=np.int64),
+                kind_code=np.where(calls >= 0, MALLOC_CODE, FREE_CODE),
+                timestamp_ns=zeros, block_id=request, size=nbytes[request],
+                category_code=categories[request], iteration=zeros - 1,
+                device_rank=zeros, address=zeros),
+            event_tags=[self.tags[index] for index in request.tolist()])
 
     def place(self, policy, capacity):
         """``policy``'s placement of the calls under ``capacity`` bytes."""
-        return place(self.requests, self, policy, capacity)
+        return place(self.recording(), policy, capacity)
 
 
 def segment_rows(placement):
@@ -1624,7 +1654,6 @@ def check_placement(program, placement, policy: str, capacity: int) -> None:
     allocated = peak_allocated = active = peak_active = 0
     mallocs = frees = alloc_bytes = 0
     next_row = 0
-    requests = program.requests
     for call, op in enumerate(program.calls):
         while next_row < len(rows) and rows[next_row][0] == call:
             _, kind, segment, address, size = rows[next_row]
@@ -1641,7 +1670,7 @@ def check_placement(program, placement, policy: str, capacity: int) -> None:
         address = int(placement.address[request])
         size = int(placement.size[request])
         if op >= 0:
-            assert size >= round_block_size(requests.nbytes[request])
+            assert size >= round_block_size(program.nbytes[request])
             assert any(low <= address and address + size <= high
                        for low, high in segments.values())
             at = bisect_left(starts, address)

@@ -15,7 +15,7 @@ from repro.tensor import conv_ops as C
 from repro.tensor import empty, float16, float32, zeros
 from repro.tensor.conv_ops import conv_output_hw
 
-from tests.helpers import BehaviorLog
+from tests.helpers import BehaviorLog, RequestProgram
 
 ACTIVATION = MemoryCategory.ACTIVATION
 GRADIENT = MemoryCategory.ACTIVATION_GRADIENT
@@ -126,12 +126,12 @@ class _Sizes:
     """The requested bytes of every malloc from here on, by tag."""
 
     def __init__(self, device):
-        self.requests, self.first = device.requests, len(device.requests)
+        self.device, self.first = device, len(device.recorder.tags)
 
     @property
     def bytes(self):
-        requests = self.requests
-        return dict(zip(requests.tag[self.first:], requests.nbytes[self.first:]))
+        requests = RequestProgram.of(self.device)
+        return dict(zip(requests.tags[self.first:], requests.nbytes[self.first:]))
 
 
 @pytest.mark.parametrize("batch,capped", [(8, False), (32, True)])

@@ -47,8 +47,9 @@ class _CountingRecorder:
     def __init__(self):
         self.mallocs = self.frees = self.reads = self.writes = 0
 
-    def on_malloc(self, request):
+    def on_malloc(self, nbytes, category_code, tag):
         self.mallocs += 1
+        return self.mallocs - 1
 
     def on_free(self, request):
         self.frees += 1
@@ -67,9 +68,9 @@ def test_the_recorder_observes_allocations_and_accesses(test_device):
     storage.record_read("consume")
     storage.free()
     assert (recorder.mallocs, recorder.writes, recorder.reads, recorder.frees) == (1, 1, 1, 1)
-    test_device.allocate(1024)
+    # The request id is the recorder's malloc ordinal.
+    assert test_device.allocate(1024) == 1
     assert recorder.mallocs == 2
-    assert len(test_device.requests) == 2
 
 
 def test_run_kernel_advances_clock_and_counts(test_device):

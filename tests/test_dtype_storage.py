@@ -79,10 +79,12 @@ class _Touches:
 
     def __init__(self, device):
         self.seen = []
+        self.nbytes = []
         device.recorder = self
 
-    def on_malloc(self, request):
-        pass
+    def on_malloc(self, nbytes, category_code, tag):
+        self.nbytes.append(nbytes)
+        return len(self.nbytes) - 1
 
     def on_read(self, request, op):
         self.seen.append(("read", request, op))
@@ -109,7 +111,7 @@ def test_an_access_reports_its_storage_request_and_op(test_device):
     request = storage.request
     assert touches.seen == [("write", request, "producer"), ("read", request, "consumer"),
                             ("write", request, "update")]
-    assert test_device.requests.nbytes[request] == 80
+    assert touches.nbytes[request] == 80
 
 
 def test_storage_rejects_negative_numel(test_device):

@@ -66,7 +66,8 @@ def _config(structure, **overrides):
 
 class _Tee:
     """A recorder slot holding two recorders: each behavior reaches both, an
-    iteration mark the ones that keep marks; its length is the first one's."""
+    iteration mark the ones that keep marks; its length, its request tags and
+    a hook's result (a malloc's request id) are the first one's."""
 
     def __init__(self, *recorders):
         self.recorders = recorders
@@ -74,13 +75,17 @@ class _Tee:
     def __len__(self):
         return len(self.recorders[0])
 
+    @property
+    def tags(self):
+        return self.recorders[0].tags
+
     def __getattr__(self, name):
         hooks = [getattr(recorder, name) for recorder in self.recorders
                  if hasattr(recorder, name)]
 
         def deliver(*args):
-            for hook in hooks:
-                hook(*args)
+            results = [hook(*args) for hook in hooks]
+            return results[0] if results else None
         return deliver
 
 
@@ -210,7 +215,7 @@ def test_recorder_matches_the_reference_from_the_first_behavior(test_device):
     assert trace_lifetimes(trace) == reference.lifetimes
     by_tag = {lifetime.tag: lifetime for lifetime in trace_lifetimes(trace)}
     assert by_tag["b"].free_ns is not None and by_tag["d"].free_ns is None
-    assert trace.counts_by_kind()["malloc"] == len(test_device.requests) == 6
+    assert trace.counts_by_kind()["malloc"] == len(real.tags) == len(reference.requests) == 6
     placement = test_device.place()
     placed = place_traces([trace], [placement],
                           test_device.spec.cuda_malloc_overhead_ns)[0].trace
@@ -295,7 +300,7 @@ def test_a_device_records_from_its_first_behavior():
     randn(device, (4,)).free()
     counts = device.recorder.to_trace().counts_by_kind()
     assert (counts["malloc"], counts["write"], counts["free"]) == (2, 2, 1)
-    assert len(device.requests) == 2
+    assert len(device.recorder.tags) == 2
 
 
 def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(monkeypatch):

@@ -83,11 +83,11 @@ def test_adam_allocates_two_moments_per_parameter(test_device):
     optimizer = Adam(layer.parameters(), lr=1e-3)
     for param in layer.parameters():
         param.ensure_grad()
-    made = len(test_device.requests)
+    made = len(test_device.recorder.tags)
     optimizer.step()
     expected = 2 * sum(p.nbytes for p in layer.parameters())
     assert optimizer.state_bytes() == expected
-    tags = test_device.requests.tag[made:]
+    tags = test_device.recorder.tags[made:]
     assert sorted(tags) == sorted(f"{p.name}.{moment}" for p in layer.parameters()
                                   for moment in ("exp_avg", "exp_avg_sq"))
 
@@ -98,13 +98,13 @@ def test_adam_reuses_its_moments_after_the_first_step(test_device):
     for param in layer.parameters():
         param.ensure_grad()
     optimizer.step()
-    made = len(test_device.requests)
+    made = len(test_device.recorder.tags)
     log = BehaviorLog(test_device)
     optimizer.step()
     assert log.rows and all(kind in ("read", "write") for kind, _, _ in log.rows)
     assert optimizer.state_bytes() == 2 * sum(p.nbytes for p in layer.parameters())
     # The moments persist: the second step made no request and touched them.
-    assert len(test_device.requests) == made
+    assert len(log.tags) == made
     assert {tag for _, tag, _ in log.rows} >= {
         f"{p.name}.{moment}" for p in layer.parameters() for moment in ("exp_avg", "exp_avg_sq")}
 

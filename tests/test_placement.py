@@ -2,8 +2,9 @@
 
 :func:`~repro.device.allocator.place` runs one policy — ``caching``,
 ``best_fit`` or ``bump`` — over the malloc and free calls a recording's rows
-make against a :class:`~repro.device.memory.RequestLog` under a capacity;
-hand-built programs are :class:`tests.helpers.RequestProgram`.  This file
+make under a capacity, each request its malloc row (bytes, category, tag);
+hand-built programs are :class:`tests.helpers.RequestProgram`, built as
+recordings.  This file
 
 * pins the sha256 of whole placements (the eight columns, the segment tags,
   the preamble count and the counters) of recorded training runs and of a
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core.events import MemoryCategory
 from repro.device.allocator import (
     BASE_ADDRESS,
+    AllocatorStats,
     LARGE_SEGMENT_SIZE,
     MIN_BLOCK_SIZE,
     SEGMENT_ALIGNMENT,
@@ -39,7 +41,6 @@ from repro.device.allocator import (
     segment_size_for,
 )
 from repro.device.device import Device
-from repro.device.memory import AllocatorStats
 from repro.device.spec import small_test_device
 from repro.errors import InvalidFreeError, OutOfMemoryError
 from repro.units import GIB, KIB, MIB
@@ -123,7 +124,7 @@ drawn_programs = st.lists(
 
 
 def log_of_program(program, free_all: bool) -> RequestProgram:
-    """The request log of a drawn program: its frees, then its malloc, per step."""
+    """The request program a draw describes: its frees, then its malloc, per step."""
     requests, live = RequestProgram(), []
     for size, frees in program:
         for choice in frees:
@@ -262,8 +263,7 @@ def recordings():
 def test_recorded_placements_are_pinned(recordings, name, n, dtype):
     recording = recordings[name, n, dtype]
     capacity = recording.spec.memory_capacity
-    programs = [RequestProgram.recorded(requests, trace.columns())
-                for requests, trace in zip(recording.requests, recording.traces)]
+    programs = [RequestProgram.recorded(trace) for trace in recording.traces]
     for policy in POLICIES:
         placements = [place(program, policy, capacity) for program in programs]
         for program, placement in zip(programs, placements):
@@ -550,9 +550,9 @@ def test_caching_serves_a_rounded_block_in_a_fresh_segment():
     assert placement.segment_tags == ["segment:small"]
     assert placement.stats.allocated_bytes == 1024
     assert placement.stats.active_blocks == 1
-    # What was asked stays the request's.
-    log = requests.requests
-    assert (log.nbytes[request], log.category[request], log.tag[request]) \
+    # What was asked stays the request's: its malloc row's.
+    recorded = RequestProgram.recorded(requests.recording())
+    assert (recorded.nbytes[request], recorded.categories[request], recorded.tags[request]) \
         == (1000, MemoryCategory.PARAMETER, "w")
 
 
@@ -573,7 +573,7 @@ def test_caching_reuse_keeps_the_block_id():
     placement = place(requests, "caching", 256 * MIB)
     assert placement.block_id[second] == placement.block_id[first]
     assert placement.address[second] == placement.address[first]
-    assert requests.requests.tag[second] == "b"
+    assert requests.tags[second] == "b"
     assert placement.stats.cache_hits >= 1
 
 

@@ -2,7 +2,8 @@
 
 Under ``caching``, ``best_fit`` and ``bump`` a workload makes the same
 requests: its malloc / free / read / write rows agree in kind, category, tag
-and op, and its mallocs ask for the same byte counts (its request log).
+and op, and its mallocs ask for the same byte counts (its recording's malloc
+rows).
 Only the placement differs — the block ``size`` column (the allocator's
 rounding and splitting) and the segment rows.  So a sweep over the three
 allocators and three swap-off capacities of one structure runs its front
@@ -66,9 +67,11 @@ def _config(name: str, n_devices: int, allocator: str) -> TrainingRunConfig:
 
 
 def _session_and_requests(config):
-    """The session plus each replica class's requested malloc sizes."""
+    """The session plus each replica class's requested malloc sizes: the
+    ``size`` of its recording's malloc rows."""
     session = run_training_session(config)
-    return session, [requests.nbytes.tolist() for requests in session.recording.requests]
+    return session, [columns.size[columns.is_malloc].tolist()
+                     for columns in (trace.columns() for trace in session.recording.traces)]
 
 
 def _view(trace, requested):

@@ -33,7 +33,6 @@ from repro.device.allocator import PLACEMENT_PASSES
 from repro.device.clock import DeviceClock
 from repro.device.cluster import DeviceGroup
 from repro.device.device import Device
-from repro.device.memory import RequestLog
 from repro.device.spec import get_device_spec
 from repro.experiments.grid import PRICING_FIELDS, SweepGrid, structure_token
 from repro.experiments.replay import (
@@ -575,13 +574,16 @@ def _sites(predicate):
 
 
 def test_one_log_per_device():
-    """A device's recorder rows are its only record of malloc and free: no
-    module reads a request log's call sequence or its clock stamps, a fresh
-    device already holds its :class:`TraceRecorder`, no trainer takes a
-    recorder, and no profiler opens an attach window."""
+    """A device's recorder rows are its only record of malloc and free and
+    its malloc rows its only record of the requests: no module defines or
+    imports a request log or reads one's call sequence or clock stamps, a
+    fresh device already holds its :class:`TraceRecorder`, no trainer takes
+    a recorder, and no profiler opens an attach window."""
     assert _sites(_reads_request_calls) == set()
-    for name in ("ops", "op_ns", "malloc", "free"):
-        assert not hasattr(RequestLog(), name), name
+    assert _naming({"RequestLog"}, SRC.rglob("*.py")) == []
+    assert not (SRC / "device" / "memory.py").exists()
+    assert not hasattr(Device(), "requests")
+    assert "requests" not in {field.name for field in dataclasses.fields(Recording)}
     assert type(Device().recorder) is TraceRecorder
     for trainer in (DataParallelTrainer, Trainer):
         assert not {"recorder", "recorders"} & set(inspect.signature(trainer).parameters)
@@ -596,26 +598,24 @@ def test_only_the_placement_passes_read_the_request_log():
     recorder writes them, as its malloc and free rows; :func:`place`
     (for the policy passes) and :class:`PlacedTrace` (which call made each
     segment row) read them through :func:`call_rows`, and besides them only
-    a device placing its calls so far and the trainer's copier read a
-    recorder's rows.  There is no allocator object: the module's one class
-    is the result."""
+    the trainer's copier reads a recorder's rows.  There is no allocator
+    object: the module's classes are the result and its counters."""
     passes = {("device/allocator.py", function.__name__)
               for function in PLACEMENT_PASSES.values()}
     assert len(passes) == len(PLACEMENT_PASSES) == 3
     for function in PLACEMENT_PASSES.values():
-        assert list(inspect.signature(function).parameters) == ["requests", "calls",
+        assert list(inspect.signature(function).parameters) == ["nbytes", "tag_of", "calls",
                                                                 "capacity"]
     assert _sites(_calls("call_rows")) == {("device/allocator.py", "place"),
                                            ("core/recorder.py", "__init__")}  # PlacedTrace
     assert _sites(_reads_recorder_rows) == {
-        ("device/device.py", "place"),
         ("train/trainer.py", "_rows"), ("train/trainer.py", "append")}
     writers = _sites(lambda node: _calls("pack_row")(node) and any(
         getattr(arg, "id", None) in ("_MALLOC", "_FREE") for arg in node.args))
     assert writers == {("core/recorder.py", "on_malloc"), ("core/recorder.py", "on_free")}
     tree = ast.parse((SRC / "device" / "allocator.py").read_text())
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] \
-        == ["Placement"]
+        == ["AllocatorStats", "Placement"]
 
 
 def test_the_front_end_holds_no_block():
@@ -793,12 +793,13 @@ def test_replay_follows_a_changed_timing_default(monkeypatch):
                  host_dispatch_overhead_ns)
 
     monkeypatch.setattr(timing.KernelTimingModel, "__init__", slower)
-    moved = {timing.DEFAULT_COMPUTE_EFFICIENCY: 0.5,
-             timing.DEFAULT_BANDWIDTH_EFFICIENCY: 0.5,
-             timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS: 9_000}
-    monkeypatch.setattr(Device.__init__, "__defaults__",
-                        tuple(moved.get(value, value) if isinstance(value, (int, float))
-                              else value for value in Device.__init__.__defaults__))
+    # The device takes one timing default (the host dispatch cost); the
+    # efficiencies are the model's own.
+    defaults = Device.__init__.__defaults__
+    assert defaults.count(timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS) == 1
+    monkeypatch.setattr(Device.__init__, "__defaults__", tuple(
+        9_000 if value == timing.DEFAULT_HOST_DISPATCH_OVERHEAD_NS else value
+        for value in defaults))
     replayed = price_one(ReplayEngine(), scenario, bandwidths)
     fresh = run_scenario(scenario)
     assert replayed.step_time_s_total == fresh.step_time_s_total

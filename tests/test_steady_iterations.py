@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import MemoryCategory
+from repro.core.trace import ROW_FIELDS, ROW_WIDTH, columns_from_rows
 from repro.data.loader import HostLatencyModel
+from repro.device import Device, small_test_device
 from repro.device.tape import TimingTape
 from repro.models import MLP
 from repro.models import registry
@@ -128,12 +131,10 @@ def record(config, capture, steady=True):
     (trainer,) = trainers
     tapes = hook.tapes or [None] * len(hook.group)
     replicas = []
-    for device, requests, tape in zip(hook.group, recording.requests, tapes):
+    for device, tape in zip(hook.group, tapes):
         recorder = device.recorder
         replicas.append({
-            "requests": (requests.nbytes.tobytes(),
-                         [category.code for category in requests.category],
-                         list(requests.tag)),
+            "tags": list(recorder.tags),
             "rows": recorder.rows.tobytes(),
             "ops": list(recorder.ops),
             "marks": [(mark.index, mark.start_ns, mark.end_ns)
@@ -215,6 +216,43 @@ def test_a_steady_session_simulates_two_iterations():
     copies."""
     config = make_config("resnet18", devices=(3, 5), iterations=6)
     assert record(config, capture=True)[1] == [0, 1]
+
+
+def test_a_malloc_row_is_its_request():
+    """A malloc row carries its request's bytes and category code, a request
+    id is its malloc's ordinal, and a copied steady iteration's malloc rows
+    carry them too."""
+    device = Device(small_test_device())
+    made = [device.allocate(1000, MemoryCategory.PARAMETER, "w"),
+            device.allocate(24, MemoryCategory.ACTIVATION, "a")]
+    device.free(made[0])
+    device.allocate(512, MemoryCategory.WORKSPACE, "g")
+    columns = columns_from_rows(device.recorder.rows)
+    malloc = columns.is_malloc
+    assert made == [0, 1]
+    assert columns.block_id[malloc].tolist() == [0, 1, 2]
+    assert columns.size[malloc].tolist() == [1000, 24, 512]
+    assert columns.category_code[malloc].tolist() == [
+        category.code for category in (MemoryCategory.PARAMETER, MemoryCategory.ACTIVATION,
+                                       MemoryCategory.WORKSPACE)]
+    assert device.recorder.tags == ["w", "a", "g"]
+
+    recorded, simulated = record(make_config("mlp", iterations=4), capture=False)
+    assert simulated == [0, 1]
+    (replica,) = recorded["replicas"]
+    rows = np.frombuffer(replica["rows"], dtype=np.int64).reshape(-1, ROW_WIDTH)
+    kind, request, size, category, iteration = (ROW_FIELDS.index(name) for name in (
+        "kind_code", "block_id", "size", "category_code", "iteration"))
+    mallocs = rows[rows[:, kind] == columns.kind_code[malloc][0]]
+    assert mallocs[:, request].tolist() == list(range(len(mallocs)))
+
+    def requests_of(index):
+        return [(nbytes, code, replica["tags"][made]) for made, nbytes, code in
+                mallocs[mallocs[:, iteration] == index][:, [request, size, category]].tolist()]
+
+    steady = requests_of(1)
+    assert steady and all(nbytes > 0 for nbytes, _, _ in steady)
+    assert requests_of(2) == requests_of(3) == steady
 
 
 class _GrowingMLP(MLP):

@@ -311,15 +311,14 @@ def _session_view(config, recording=None):
 
 def _digest(recording):
     """sha256 over every class trace's columns (its malloc and free calls
-    among them), strings, marks and metadata and every class's request sizes."""
+    among them, each malloc row with its request's size), strings, marks and
+    metadata."""
     digest = hashlib.sha256()
     for trace in recording.traces:
         columns = trace.columns()
         for field in dataclasses.fields(columns):
             digest.update(getattr(columns, field.name).tobytes())
         digest.update(repr(_trace_view(trace)[1:]).encode())
-    for requests in recording.requests:
-        digest.update(requests.nbytes.tobytes())
     return digest.hexdigest()
 
 

@@ -17,6 +17,12 @@ inside ``finalize``, a plan inside the overlay) is charged to itself.
 Stages a checkout lacks are skipped, so the probe runs unchanged on an
 older commit for a side-by-side reading.
 
+It then prints three exact counts of one more sample, taken with no timer
+installed: the recorded rows the walks walked, the rows a walk acted on
+(``SwapExecutor._enter``), and the access rows walked with neither a
+capacity nor a pressure-relieving policy — the most any lever that skips
+rows no decision can fire on could save.
+
 cProfile put ``Stream.reserve`` at 8-12 % of the overlay's self time, but
 wall time did not confirm it: the profiler's per-call cost inflates the
 many short calls, so read the overlay here, not off a profile.  Reports,
@@ -29,8 +35,9 @@ import statistics
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -134,6 +141,37 @@ def probe(scenarios: Sequence[Scenario], samples: int = 7) -> List[Tuple[str, fl
             for stage in ORDER + ["total"]]
 
 
+#: The exact counts of :func:`counts`, in print order.
+COUNTS = ["recorded rows walked", "rows acted on", "ungoverned access rows"]
+
+
+def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
+    """The :data:`COUNTS` of one serial uncached sweep over ``scenarios``,
+    no timer installed (a walk without ``_enter`` counts no acted-on rows)."""
+    found = dict.fromkeys(COUNTS, 0)
+    owner = executor.SwapExecutor
+    walk, enter = owner._walk, vars(owner).get("_enter")
+    accesses = {executor._READ, executor._WRITE}
+
+    def counted_walk(self, stop):
+        walked = self._kind[self._cursor:stop]
+        found["recorded rows walked"] += len(walked)
+        if not self._governed:
+            found["ungoverned access rows"] += sum(kind in accesses for kind in walked)
+        return walk(self, stop)
+
+    def counted_enter(self, row):
+        found["rows acted on"] += 1
+        return enter(self, row)
+
+    with ExitStack() as patches:
+        patches.enter_context(mock.patch.object(owner, "_walk", counted_walk))
+        if enter is not None:
+            patches.enter_context(mock.patch.object(owner, "_enter", counted_enter))
+        SweepRunner(cache_dir=None, workers=1, strict=False).run(scenarios)
+    return found
+
+
 def table(rows: List[Tuple[str, float]]) -> str:
     """One line per stage: median ms and share of the median sample."""
     total = dict(rows)["total"]
@@ -149,3 +187,6 @@ if __name__ == "__main__":
     rows = ladder()
     print(f"swap_ladder sample ({len(rows)} rows), medians of 7")
     print(table(probe(rows)))
+    print("exact counts of one sample (no timers)")
+    for name, count in counts(rows).items():
+        print(f"{name:<24} {count:>10,}")
