@@ -4,8 +4,8 @@
 Runs the Figure-1 MLP (2 -> 12288 -> 2) for five iterations on the simulated
 Titan X (Pascal), then prints:
 
-* the Gantt chart of block lifetimes (Figure 2) and the iterative-pattern
-  similarity that backs the "obvious iterative patterns" observation;
+* the Gantt chart of block lifetimes (Figure 2) and the exact periodicity
+  that backs the "obvious iterative patterns" observation;
 * the ATI distribution as a CDF and per-behavior-kind violin statistics
   (Figure 3);
 * the per-behavior ATI/size series with the high-ATI large-block outliers
@@ -42,9 +42,8 @@ def main() -> None:
     print("Figure 2 — Gantt chart of the first five iterations")
     print("=" * 78)
     print(render_gantt(fig2.gantt, width=100, max_rows=28))
-    print(f"\nPer-iteration similarity: sequence={fig2.patterns.mean_sequence_similarity:.3f}, "
-          f"jaccard={fig2.patterns.mean_jaccard_similarity:.3f} "
-          f"-> iterative={fig2.patterns.is_iterative}")
+    print(f"\nIterations: {fig2.periodicity.describe()}; first differing column "
+          f"per consecutive pair: {list(fig2.periodicity.breaks)}")
     print(f"Iteration durations: "
           f"{[round(x, 3) for x in fig2.iteration_durations_s]} s")
 

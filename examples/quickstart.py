@@ -7,7 +7,7 @@ This is the five-minute tour of the library:
 2. run it with :func:`repro.run_training_session` — the device allocator and
    every tensor access are instrumented automatically;
 3. analyse the recorded trace: access-time intervals, occupation breakdown,
-   Gantt chart and iterative-pattern report.
+   Gantt chart and the iterations' exact periodicity.
 
 Run with:  python examples/quickstart.py
 """
@@ -18,8 +18,8 @@ from repro import TrainingRunConfig, run_training_session
 from repro.core import (
     build_gantt_chart,
     compute_interval_arrays,
-    detect_iterative_pattern,
     occupation_breakdown,
+    periodicity,
     summarize_values_us,
 )
 from repro.units import format_bytes
@@ -63,9 +63,9 @@ def main() -> None:
     print("\nOccupation breakdown at peak footprint:")
     print("  " + breakdown.format_row())
 
-    patterns = detect_iterative_pattern(trace)
-    print(f"\nIterative pattern: similarity={patterns.mean_sequence_similarity:.3f} "
-          f"(iterative={patterns.is_iterative})")
+    periodic = periodicity(trace)
+    print(f"\nIterations: {periodic.describe()}; first differing column per "
+          f"consecutive pair: {list(periodic.breaks)}")
 
     print("\nGantt chart of block lifetimes (first 5 iterations):")
     print(render_gantt(build_gantt_chart(trace, max_iterations=5), width=90, max_rows=20))

@@ -3,7 +3,7 @@
 The recorder side (:class:`~repro.core.profiler.MemoryProfiler` /
 :class:`~repro.core.recorder.TraceRecorder`) produces a
 :class:`~repro.core.trace.MemoryTrace`; the analysis side (ATI, breakdown,
-gantt, patterns, fragmentation, Eq.-1 swap planning) consumes it.  The hot
+gantt, periodicity, fragmentation, Eq.-1 swap planning) consumes it.  The hot
 analyses — ATI pairing, occupation breakdown, Eq.-1 screening — are
 vectorized over the trace's columnar NumPy view
 (:meth:`~repro.core.trace.MemoryTrace.columns`, see the module docstring of
@@ -40,14 +40,7 @@ from .outliers import (
     pairwise_ati_size,
     top_swap_candidates,
 )
-from .patterns import (
-    IterationSignature,
-    PatternReport,
-    detect_iterative_pattern,
-    iteration_signature,
-    jaccard_similarity,
-    sequence_similarity,
-)
+from .patterns import Periodicity, periodicity
 from .profiler import MemoryProfiler
 from .recorder import TraceRecorder
 from .stats import (
@@ -79,7 +72,6 @@ __all__ = [
     "GanttRectangle",
     "IntervalArrays",
     "IterationMark",
-    "IterationSignature",
     "MemoryCategory",
     "MemoryEventKind",
     "MemoryProfiler",
@@ -87,7 +79,7 @@ __all__ = [
     "OccupationBreakdown",
     "OutlierReport",
     "PAPER_BUCKETS",
-    "PatternReport",
+    "Periodicity",
     "SwapCandidate",
     "SwapPlan",
     "SwapPlanner",
@@ -97,19 +89,16 @@ __all__ = [
     "analyze_fragmentation",
     "build_gantt_chart",
     "compute_interval_arrays",
-    "detect_iterative_pattern",
     "empirical_cdf",
     "find_outliers",
     "gaussian_kde_trace",
     "merge_rank_traces",
     "internal_fragmentation_bytes",
-    "iteration_signature",
-    "jaccard_similarity",
     "max_swap_bytes",
     "model_state_bytes",
     "occupation_breakdown",
     "pairwise_ati_size",
-    "sequence_similarity",
+    "periodicity",
     "summarize_values_us",
     "swap_round_trip_ns",
     "top_swap_candidates",

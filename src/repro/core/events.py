@@ -31,11 +31,12 @@ class MemoryEventKind(enum.Enum):
     (:mod:`repro.swap`) when a block is evicted to host memory or brought
     back to the device.  They are *runtime actions on* a block, not behaviors
     *of* the workload, so they are excluded from the paper's block-behavior
-    set: ATI pairing, the occupation breakdown and the iterative-pattern
-    analysis all ignore them, while the residency accounting
-    (:meth:`~repro.core.trace.MemoryTrace.resident_bytes_series`) is built
-    from them.  New kinds append at the end so the stable integer codes of
-    the column store never shift.
+    set: ATI pairing and the occupation breakdown ignore them, while the
+    residency accounting
+    (:meth:`~repro.core.trace.MemoryTrace.resident_bytes_series`) and the
+    periodicity pass (:func:`~repro.core.patterns.periodicity`) read them.
+    New kinds append at the end so the stable integer codes of the column
+    store never shift.
 
     ``RECOMPUTE_DROP`` / ``RECOMPUTE`` are the rematerialization twins of the
     swap pair: the unified eviction engine discards an activation without any

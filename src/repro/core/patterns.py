@@ -1,141 +1,86 @@
-"""Iterative memory-access-pattern detection.
+"""Exact periodicity of a trace's iterations.
 
 The paper's first observation (Figure 2) is that training's memory behaviors
-are *iterative*: every iteration issues (almost) the same sequence of
-behaviors on (almost) the same blocks.  This module quantifies that claim:
-
-* each iteration is reduced to a *signature* — the ordered sequence of
-  ``(kind, size, category)`` tuples of its behaviors;
-* pairwise similarity between iteration signatures is measured both as exact
-  sequence similarity (ratio of the longest common prefix/suffix matching via
-  difflib) and as a multiset Jaccard similarity (order-insensitive);
-* a periodicity report states whether the trace is iterative (mean pairwise
-  similarity above a threshold, by default 0.9) after discarding the first
-  warm-up iteration (which additionally allocates parameters, gradients and
-  optimizer state).
+are *iterative*: every iteration issues the same behaviors on the same
+blocks.  :func:`periodicity` states that as a fact of the columns, not a
+score.  Two iterations *match* when they hold the same number of rows and,
+row by row, equal kind, size and category codes, timestamps one constant
+apart, block ids related by a bijection and equal addresses.  The trace is
+periodic with period ``p`` from iteration ``k`` when every iteration from
+``k`` on matches the one ``p`` later.  Only the rows stamped with a marked
+iteration are compared, engine rows (swap, recompute) and segment rows
+included.
 """
 
 from __future__ import annotations
 
-import difflib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .trace import ACCESS_CODES, CATEGORY_FROM_CODE, KIND_FROM_CODE, MemoryTrace
+from .trace import EventColumns, MemoryTrace
 
-Signature = Tuple[Tuple[str, int, str], ...]
-
-
-@dataclass
-class IterationSignature:
-    """The behavior signature of one training iteration."""
-
-    iteration: int
-    signature: Signature
-    event_count: int
-    total_bytes_touched: int
-
-    def multiset(self) -> Counter:
-        """Order-insensitive view of the signature."""
-        return Counter(self.signature)
+#: The columns two iterations are compared on, in the order a break is named.
+COLUMNS = ("rows", "kind", "size", "category", "time", "block_id", "address")
 
 
-@dataclass
-class PatternReport:
-    """Result of the iterative-pattern analysis."""
+@dataclass(frozen=True)
+class Periodicity:
+    """Where a trace becomes exactly periodic, and what breaks it before.
 
-    signatures: List[IterationSignature]
-    sequence_similarity: Dict[Tuple[int, int], float]
-    jaccard_similarity: Dict[Tuple[int, int], float]
-    mean_sequence_similarity: float
-    mean_jaccard_similarity: float
-    is_iterative: bool
-    steady_state_start: int
-
-    def summary(self) -> Dict[str, object]:
-        """Compact summary used by reports and tests."""
-        return {
-            "num_iterations": len(self.signatures),
-            "mean_sequence_similarity": self.mean_sequence_similarity,
-            "mean_jaccard_similarity": self.mean_jaccard_similarity,
-            "is_iterative": self.is_iterative,
-            "steady_state_start": self.steady_state_start,
-        }
-
-
-def iteration_signature(trace: MemoryTrace, iteration: int) -> IterationSignature:
-    """Build the behavior signature of one iteration (column-store selection).
-
-    The per-iteration behaviors are selected with vectorized masks over
-    :meth:`~repro.core.trace.MemoryTrace.columns`; only the final signature
-    tuple is materialized in Python (it must be hashable for difflib).
+    ``start`` and ``period`` are the first iteration ``k`` and the smallest
+    period ``p`` such that every iteration from ``k`` on matches the one
+    ``p`` later, at least one pair compared; both are ``None`` when no
+    period holds.  ``breaks[i]`` names the first column (:data:`COLUMNS`) in
+    which ``iterations[i + 1]`` differs from ``iterations[i]``, ``None``
+    when they match.
     """
+
+    iterations: Tuple[int, ...]
+    start: Optional[int]
+    period: Optional[int]
+    breaks: Tuple[Optional[str], ...]
+
+    def describe(self) -> str:
+        """The result in words, as Figure 2 reports it."""
+        if self.period is None:
+            return "not exactly periodic"
+        return f"exactly periodic from iteration {self.start}, period {self.period}"
+
+
+def _iteration_table(cols: EventColumns, rows: np.ndarray) -> np.ndarray:
+    """The compared columns (:data:`COLUMNS` after ``rows``) of one
+    iteration's ``rows``: times from its first row, and each block id
+    relabelled by the row of its first appearance, so that two iterations'
+    labels are equal iff a bijection relates their ids."""
+    _, first, label = np.unique(cols.block_id[rows], return_index=True,
+                                return_inverse=True)
+    time = cols.timestamp_ns[rows]
+    return np.stack((cols.kind_code[rows], cols.size[rows], cols.category_code[rows],
+                     time - time[:1], first[label], cols.address[rows]))
+
+
+def _first_break(a: np.ndarray, b: np.ndarray) -> Optional[str]:
+    if a.shape != b.shape:
+        return "rows"
+    differs = (a != b).any(axis=1)
+    return COLUMNS[1 + int(differs.argmax())] if differs.any() else None
+
+
+def periodicity(trace: MemoryTrace) -> Periodicity:
+    """The smallest exact period of ``trace``'s iterations and where it starts."""
     cols = trace.columns()
-    mask = cols.is_block_behavior & (cols.iteration == iteration)
-    kinds = cols.kind_code[mask]
-    sizes = cols.size[mask]
-    categories = cols.category_code[mask]
-    access_mask = np.isin(kinds, ACCESS_CODES)
-    signature = tuple(zip((KIND_FROM_CODE[code].value for code in kinds),
-                          sizes.tolist(),
-                          (CATEGORY_FROM_CODE[code].value for code in categories)))
-    return IterationSignature(
-        iteration=iteration,
-        signature=signature,
-        event_count=int(kinds.size),
-        total_bytes_touched=int(sizes[access_mask].sum()),
-    )
-
-
-def sequence_similarity(a: Signature, b: Signature) -> float:
-    """Order-sensitive similarity of two signatures (difflib ratio in [0, 1])."""
-    if not a and not b:
-        return 1.0
-    matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
-    return matcher.ratio()
-
-
-def jaccard_similarity(a: Signature, b: Signature) -> float:
-    """Multiset Jaccard similarity of two signatures (order-insensitive)."""
-    if not a and not b:
-        return 1.0
-    counter_a, counter_b = Counter(a), Counter(b)
-    intersection = sum((counter_a & counter_b).values())
-    union = sum((counter_a | counter_b).values())
-    return intersection / union if union else 0.0
-
-
-def detect_iterative_pattern(trace: MemoryTrace, skip_warmup: int = 1,
-                             similarity_threshold: float = 0.9) -> PatternReport:
-    """Quantify how iterative the trace's memory behaviors are.
-
-    ``skip_warmup`` iterations at the start are excluded from the similarity
-    statistics (but still reported in the signatures) because the first
-    iteration also allocates parameters' gradients and optimizer state.
-    """
-    iterations = trace.iterations()
-    signatures = [iteration_signature(trace, index) for index in iterations]
-    steady = [sig for sig in signatures if sig.iteration >= skip_warmup]
-
-    seq_sim: Dict[Tuple[int, int], float] = {}
-    jac_sim: Dict[Tuple[int, int], float] = {}
-    for i, first in enumerate(steady):
-        for second in steady[i + 1:]:
-            key = (first.iteration, second.iteration)
-            seq_sim[key] = sequence_similarity(first.signature, second.signature)
-            jac_sim[key] = jaccard_similarity(first.signature, second.signature)
-
-    mean_seq = sum(seq_sim.values()) / len(seq_sim) if seq_sim else 1.0
-    mean_jac = sum(jac_sim.values()) / len(jac_sim) if jac_sim else 1.0
-    return PatternReport(
-        signatures=signatures,
-        sequence_similarity=seq_sim,
-        jaccard_similarity=jac_sim,
-        mean_sequence_similarity=mean_seq,
-        mean_jaccard_similarity=mean_jac,
-        is_iterative=mean_seq >= similarity_threshold,
-        steady_state_start=skip_warmup,
-    )
+    iterations = tuple(trace.iterations())
+    tables = [_iteration_table(cols, np.flatnonzero(cols.iteration == index))
+              for index in iterations]
+    breaks = tuple(_first_break(a, b) for a, b in zip(tables, tables[1:]))
+    n = len(tables)
+    for period in range(1, n):
+        start = n - period
+        while start > 0 and _first_break(tables[start - 1],
+                                         tables[start - 1 + period]) is None:
+            start -= 1
+        if start < n - period:
+            return Periodicity(iterations, iterations[start], period, breaks)
+    return Periodicity(iterations, None, None, breaks)

@@ -3,9 +3,10 @@
 The paper's observation: "there are obvious iterative memory access patterns
 in the first five rounds of MLP training" and "there are fewer memory
 fragments during MLP training".  This experiment produces the Gantt-chart
-rectangles, the per-iteration pattern-similarity report and the
-fragmentation summary from the MLP scenario's trace, served by the sweep
-runner (:meth:`~repro.experiments.sweep.SweepRunner.trace`).
+rectangles, the trace's exact periodicity
+(:func:`~repro.core.patterns.periodicity`) and the fragmentation summary
+from the MLP scenario's trace, served by the sweep runner
+(:meth:`~repro.experiments.sweep.SweepRunner.trace`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Dict, List, Optional
 
 from ..core.fragmentation import FragmentationReport, analyze_fragmentation
 from ..core.gantt import GanttChart, build_gantt_chart
-from ..core.patterns import PatternReport, detect_iterative_pattern
+from ..core.patterns import Periodicity, periodicity
 from ..train.session import TrainingRunConfig
 from .configs import paper_mlp_config
 from .sweep import Scenario, SweepRunner
@@ -27,7 +28,7 @@ class Fig2Result:
 
     label: str
     gantt: GanttChart
-    patterns: PatternReport
+    periodicity: Periodicity
     fragmentation: FragmentationReport
     #: Duration of each completed profiled iteration, in seconds.
     iteration_durations_s: List[float]
@@ -55,9 +56,9 @@ class Fig2Result:
             "workload": self.label,
             "num_rectangles": len(self.gantt),
             "num_iterations": self.num_iterations,
-            "mean_sequence_similarity": self.patterns.mean_sequence_similarity,
-            "mean_jaccard_similarity": self.patterns.mean_jaccard_similarity,
-            "is_iterative": self.patterns.is_iterative,
+            "periodic_from": self.periodicity.start,
+            "period": self.periodicity.period,
+            "pair_breaks": list(self.periodicity.breaks),
             "peak_live_bytes": self.peak_live_bytes,
             "mean_allocator_utilization": self.fragmentation.mean_utilization,
             "iteration_durations_s": self.iteration_durations_s,
@@ -67,7 +68,7 @@ class Fig2Result:
 def run_fig2(config: Optional[TrainingRunConfig] = None,
              max_iterations: int = 5,
              runner: Optional[SweepRunner] = None) -> Fig2Result:
-    """Run the Figure-2 experiment (paper MLP, five iterations, Gantt + patterns).
+    """Run the Figure-2 experiment (paper MLP, five iterations, Gantt + periodicity).
 
     ``runner`` (defaulting to a serial, uncached :class:`SweepRunner`) serves
     the trace; share one across figures to rebuild instead of re-simulating.
@@ -78,7 +79,7 @@ def run_fig2(config: Optional[TrainingRunConfig] = None,
     return Fig2Result(
         label=scenario.label,
         gantt=build_gantt_chart(trace, max_iterations=max_iterations),
-        patterns=detect_iterative_pattern(trace, skip_warmup=1),
+        periodicity=periodicity(trace),
         fragmentation=analyze_fragmentation(trace),
         iteration_durations_s=[mark.duration_ns() / 1e9
                                for mark in trace.iteration_marks

@@ -47,10 +47,10 @@ def test_fig2_golden_numbers():
     summary = result.summary()
     assert summary["num_rectangles"] == 56
     assert summary["num_iterations"] == 4
-    assert summary["is_iterative"] is True
     assert summary["peak_live_bytes"] == 14336
-    assert summary["mean_sequence_similarity"] == pytest.approx(1.0, rel=REL)
-    assert summary["mean_jaccard_similarity"] == pytest.approx(1.0, rel=REL)
+    assert summary["periodic_from"] == 1
+    assert summary["period"] == 1
+    assert summary["pair_breaks"] == ["rows", None, None]
 
 
 def test_fig3_golden_numbers(golden_runner):

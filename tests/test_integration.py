@@ -5,9 +5,9 @@ from repro.core import (
     analyze_fragmentation,
     build_gantt_chart,
     compute_interval_arrays,
-    detect_iterative_pattern,
     find_outliers,
     occupation_breakdown,
+    periodicity,
     summarize_values_us,
 )
 from repro.core.swap import SwapPlanner
@@ -31,8 +31,8 @@ def test_full_pipeline_on_shared_session(small_mlp_session):
     assert (max(rect.size for rect in chart.rectangles)
             <= small_mlp_session.peak_allocated_bytes)
 
-    patterns = detect_iterative_pattern(trace)
-    assert patterns.is_iterative
+    periodic = periodicity(trace)
+    assert (periodic.start, periodic.period) == (1, 1)
 
     breakdown = occupation_breakdown(trace)
     assert breakdown.total_bytes == trace.peak_live_bytes()

@@ -8,7 +8,9 @@ nothing in ``src/`` switches it) never to fire, every iteration is
 simulated, and the tiled run must record exactly what the oracle does —
 each request's bytes, category and tag, the recorder's rows (the malloc and
 free calls among them) and strings, marks, clocks, tapes and their
-positions, collective records and iteration statistics.
+positions, collective records and iteration statistics.  The placed trace
+of every corpus recording is then exactly periodic, with period 1, from the
+iteration the trainer found steady (:func:`repro.core.patterns.periodicity`).
 
 ``pytest --hypothesis-profile=steady-wide`` (``make scaling-smoke``) draws
 the differential at the profile's count instead of its tier-1 one.
@@ -24,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.events import MemoryCategory
+from repro.core.patterns import periodicity
 from repro.core.trace import ROW_FIELDS, ROW_WIDTH, columns_from_rows
 from repro.data.loader import HostLatencyModel
 from repro.device import Device, small_test_device
@@ -104,9 +107,9 @@ def _tape(tape):
 
 
 def record(config, capture, steady=True):
-    """Run ``config``'s front end; returns everything it recorded and the
-    indices of the iterations the trainer simulated.  ``steady=False`` is
-    the oracle: the steady predicate never fires."""
+    """Run ``config``'s front end; returns everything it recorded, the
+    indices of the iterations the trainer simulated and the recording.
+    ``steady=False`` is the oracle: the steady predicate never fires."""
     hook, trainers, simulated = _Hook(capture), [], []
     train = DataParallelTrainer.train
     train_iteration = DataParallelTrainer.train_iteration
@@ -152,7 +155,7 @@ def record(config, capture, steady=True):
         "collective_summary": trainer.collective_summary(),
         "recording_collective": recording.collective,
     }
-    return recorded, simulated
+    return recorded, simulated, recording
 
 
 def assert_same(tiled, oracle):
@@ -168,8 +171,8 @@ def assert_same(tiled, oracle):
 
 def check(config, capture):
     """The tiled run equals the oracle; returns the iterations it simulated."""
-    tiled, simulated = record(config, capture)
-    oracle, everything = record(config, capture, steady=False)
+    tiled, simulated, _ = record(config, capture)
+    oracle, everything, _ = record(config, capture, steady=False)
     assert everything == list(range(config.iterations))
     assert_same(tiled, oracle)
     return simulated
@@ -196,6 +199,23 @@ def test_copied_iterations_equal_the_oracle(config, capture):
     """Every registered model's iteration 1 is steady: the tiled trainer
     simulates iterations 0 and 1 and records what the oracle records."""
     assert check(config, capture) == list(range(min(config.iterations, 2)))
+
+
+@pytest.mark.parametrize("config, capture", _corpus())
+def test_the_placed_trace_is_period_one_from_the_steady_iteration(config, capture):
+    """Under ``best_fit`` each replica class's placed trace repeats from the
+    iteration after which the trainer copied (read off the iterations it
+    simulated): iteration 0 makes the gradients and the optimizer state, so
+    its pair breaks on ``rows``.  A run too short to copy has no period."""
+    _, simulated, recording = record(config, capture)
+    steady = simulated[-1] if len(simulated) < config.iterations else None
+    placed = recording.placed(dataclasses.replace(config, allocator="best_fit"))
+    for class_trace in placed.traces:
+        result = periodicity(class_trace.trace)
+        assert (result.start, result.period) == ((None, None) if steady is None
+                                                 else (steady, 1))
+        assert result.breaks == ("rows",) * (config.iterations > 1) + (
+            None,) * (config.iterations - 2)
 
 
 @settings(max_examples=settings.default.max_examples if WIDE else 10, deadline=None)
@@ -237,7 +257,7 @@ def test_a_malloc_row_is_its_request():
                                        MemoryCategory.WORKSPACE)]
     assert device.recorder.tags == ["w", "a", "g"]
 
-    recorded, simulated = record(make_config("mlp", iterations=4), capture=False)
+    recorded, simulated, _ = record(make_config("mlp", iterations=4), capture=False)
     assert simulated == [0, 1]
     (replica,) = recorded["replicas"]
     rows = np.frombuffer(replica["rows"], dtype=np.int64).reshape(-1, ROW_WIDTH)
