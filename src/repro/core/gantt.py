@@ -81,7 +81,7 @@ def build_gantt_chart(trace: MemoryTrace, max_iterations: Optional[int] = None) 
             end_ns = max(entry[2] for entry in bounds)
 
     cols = trace.columns()
-    tags = trace.event_strings()[0]
+    tags = trace.event_tags
     rows, free_ns, _ = lifetimes_from_columns(cols)
     rectangles: List[GanttRectangle] = []
     for row, block_id, address, size, category, start, freed, iteration, rank in zip(

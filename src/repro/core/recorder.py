@@ -10,11 +10,14 @@ The malloc and free rows are the device's one log of the calls: the
 placement passes (:func:`~repro.device.allocator.place`) and
 :func:`place_traces` read the call sequence off them, and the trainer
 copies them for a steady iteration.  The recorder is the hottest
-non-numeric path of a profiled run — every behavior lands here — so one
-recorded behavior is one hook call, one C-level append of a packed
-``int64`` row and one op-string append (a malloc adds its tag): the clock
-field is read directly and nothing else is looked up.  The recorder never
-writes the tape: a taped clock logs its own atoms
+non-numeric path of a profiled run — every behavior lands here — so a
+malloc, a free or an access outside a kernel is one hook call, one C-level
+append of a packed ``int64`` row and one op-string append (a malloc adds its
+tag): the clock field is read directly and nothing else is looked up.  A
+kernel launch is one call too: :meth:`TraceRecorder.on_kernel` checks every
+operand live, packs a read row per input, advances the clock by the kernel's
+atom and packs a write row per output, appended with one ``frombytes``.
+The recorder never writes the tape: a taped clock logs its own atoms
 (:class:`~repro.device.tape.TimingTape`), and while one is attached the
 recorder notes, per event, how many atoms precede it.
 
@@ -36,6 +39,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..device.allocator import Placement, call_rows
+from ..device.tape import TAPE_KERNEL
 from .events import IterationMark, MemoryCategory, MemoryEventKind
 from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
                     columns_from_rows, iteration_rows, pack_row)
@@ -63,6 +67,7 @@ class TraceRecorder:
         # are bound once here and called directly by the hooks.
         self._append_row = self.rows.frombytes
         self._append_op = self.ops.append
+        self._extend_ops = self.ops.extend
         self._append_tag = self.tags.append
         self.iteration_marks: List[IterationMark] = []
         self._current_iteration = -1
@@ -72,6 +77,7 @@ class TraceRecorder:
         # event timestamps from re-priced atom durations.
         self.event_tape_positions = array("q")
         self._append_position = self.event_tape_positions.append
+        self._extend_positions = self.event_tape_positions.extend
         #: Per-iteration ``[begin, end]`` tape positions of the iterations
         #: begun while a tape is attached (end is -1 until the iteration closes).
         self.mark_tape_spans: List[List[int]] = []
@@ -143,6 +149,37 @@ class TraceRecorder:
         self._append_row(pack_row(_WRITE, clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op(op)
+
+    def on_kernel(self, op: str, reads: Sequence, writes: Sequence, duration_ns: int,
+                  flops: float, bytes_moved: float) -> None:
+        """Record one launch of kernel ``op``: a read row per operand in
+        ``reads`` at the current time, the kernel's atom on the clock
+        (``duration_ns`` long, priced by ``flops`` and ``bytes_moved``) and a
+        write row per operand in ``writes`` at the kernel's end.  Operands
+        are tensors (their ``storage.request``); every one is checked live
+        before a row is recorded or the clock moves."""
+        clock = self.clock
+        iteration = self._current_iteration
+        start = clock._now_ns
+        end = start + duration_ns
+        rows = b""
+        for operand in reads:
+            request = operand.storage.request
+            if request is None:
+                operand.storage.ensure_live()
+            rows += pack_row(_READ, start, request, 0, 0, 0, iteration)
+        for operand in writes:
+            request = operand.storage.request
+            if request is None:
+                operand.storage.ensure_live()
+            rows += pack_row(_WRITE, end, request, 0, 0, 0, iteration)
+        clock.advance(duration_ns, TAPE_KERNEL, 0, flops, bytes_moved)
+        self._append_row(rows)
+        self._extend_ops([op] * (len(reads) + len(writes)))
+        tape = clock.tape
+        if tape is not None:
+            after = len(tape)
+            self._extend_positions([after - 1] * len(reads) + [after] * len(writes))
 
     # -- trace construction --------------------------------------------------------------
 
@@ -246,7 +283,7 @@ class PlacedTrace:
             device_rank=np.zeros(total, dtype=np.int64),
             address=merged(placement.address[request], placement.segment_address))
         strings = np.full((2, total), "", dtype=object)
-        strings[0, rows], strings[1, rows] = trace.event_strings()
+        strings[0, rows], strings[1, rows] = trace.event_tags, trace.event_ops
         strings[0, segment_rows] = placement.segment_tags
         marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
                                end_ns=mark.end_ns + end)

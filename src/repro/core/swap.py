@@ -248,7 +248,7 @@ class SwapPlanner:
         its block's category when that access has no tag.
         """
         def labels(rows: np.ndarray) -> List[str]:
-            tags, _ops = trace.event_strings()
+            tags = trace.event_tags
             return [tags[end] or CATEGORY_FROM_CODE[code].value
                     for end, code in zip(arrays.end_index[rows].tolist(),
                                          arrays.category_code[rows].tolist())]

@@ -341,6 +341,17 @@ class MemoryTrace:
         """Copies of the per-event ``(tags, ops)`` lists."""
         return list(self._event_tags), list(self._event_ops)
 
+    @property
+    def event_tags(self) -> List[str]:
+        """The stored per-event tags: read them, never mutate them (rank views
+        and merged traces share them; :meth:`event_strings` gives copies)."""
+        return self._event_tags
+
+    @property
+    def event_ops(self) -> List[str]:
+        """The stored per-event ops, shared like :attr:`event_tags`."""
+        return self._event_ops
+
     # -- basic accessors ----------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -745,7 +756,7 @@ def barrier_rows(trace: MemoryTrace) -> List[int]:
     after its gradient allreduce barrier (none in a single-device recording):
     the trainer records every gradient's read, waits at the barrier, then
     records the writes."""
-    ops, columns = trace.event_strings()[1], trace.columns()
+    ops, columns = trace.event_ops, trace.columns()
     if ALLREDUCE_OP not in ops:
         return []
     writes = np.flatnonzero(columns.kind_code == _WRITE_CODE)
@@ -819,17 +830,11 @@ def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:
         device_rank=rank_col[order],
         address=_gather("address"),
     )
-    # Ranks of one replica class share their column record: read the string
-    # side-lists once per distinct recording, not once per rank.
-    strings: Dict[int, Tuple[List[str], List[str]]] = {}
     all_tags: List[str] = []
     all_ops: List[str] = []
-    for trace, cols in zip(traces, per_rank_cols):
-        if id(cols) not in strings:
-            strings[id(cols)] = trace.event_strings()
-        tags, ops = strings[id(cols)]
-        all_tags.extend(tags)
-        all_ops.extend(ops)
+    for trace in traces:
+        all_tags.extend(trace.event_tags)
+        all_ops.extend(trace.event_ops)
     order_list = order.tolist()
     merged_tags = [all_tags[i] for i in order_list]
     merged_ops = [all_ops[i] for i in order_list]

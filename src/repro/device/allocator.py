@@ -576,6 +576,6 @@ def place(recording: MemoryTrace, allocator: str, capacity: int) -> Placement:
     calls = np.where(malloc, request, ~request).tolist()
 
     def tag_of(request: int) -> str:
-        return recording.event_strings()[0][mallocs[request]]
+        return recording.event_tags[mallocs[request]]
     return PLACEMENT_PASSES[check_allocator(allocator)](
         columns.size[mallocs].tolist(), tag_of, calls, int(capacity))

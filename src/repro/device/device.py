@@ -12,19 +12,20 @@
 * a roofline :class:`~repro.device.timing.KernelTimingModel`.
 
 The device is synchronous, the way eager PyTorch issues work on one stream:
-:meth:`Device.run_kernel`, the two host↔device copies and
-:meth:`Device.host_pause` each record their timing atom and advance the
-clock by their duration before they return, so the clock is the device's
-whole timeline.  Swap traffic, the one thing that overlaps with compute, is
-executed after the run by :mod:`repro.swap.executor` on its own clock and
-copy stream.
+a kernel launch, the two host↔device copies and :meth:`Device.host_pause`
+each record their timing atom and advance the clock by their duration before
+they return, so the clock is the device's whole timeline.  Swap traffic, the
+one thing that overlaps with compute, is executed after the run by
+:mod:`repro.swap.executor` on its own clock and copy stream.
 
-The tensor library calls :meth:`Device.allocate` / :meth:`Device.free` for
-storage management — each pays the allocator's bookkeeping overhead on the
-clock and hands the call to :attr:`Device.recorder`, whose malloc ordinal is
-the request id the storage gets, never a block — and :meth:`Device.run_kernel` to account for the
-simulated execution time of each operator; storages report the reads and
-writes of kernels straight to :attr:`Device.recorder`.  Nothing is
+A tensor calls :meth:`Device.allocate` when it is made and
+:meth:`Device.free` when its last view lets go — each pays the allocator's
+bookkeeping overhead on the clock and hands the call to
+:attr:`Device.recorder`, whose malloc ordinal is the request id the tensor's
+storage keeps, never a block.  :meth:`Device.run_kernel` is the one kernel
+entry of the tensor library: it prices the kernel and makes one recorder
+call, :meth:`~repro.core.recorder.TraceRecorder.on_kernel`, which records
+the operands' reads, the kernel's clock atom and its writes.  Nothing is
 computed: tensors carry shape, dtype and category but no values, and memory
 behavior is a function of shapes alone.  Where a request lands, and the
 ``cudaMalloc`` overheads that places it, is the allocator's pass over the
@@ -33,14 +34,14 @@ recorded calls.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..core.events import MemoryCategory
 from ..errors import ConfigurationError
 from .allocator import Placement, check_allocator, place
 from .clock import DeviceClock
 from .spec import DeviceSpec, titan_x_pascal
-from .tape import TAPE_ALLOC_OVERHEAD, TAPE_KERNEL, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
+from .tape import TAPE_ALLOC_OVERHEAD, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from .timing import DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel
 
 
@@ -110,10 +111,12 @@ class Device:
 
     # -- execution -----------------------------------------------------------
 
-    def run_kernel(self, cost: KernelCost) -> int:
-        """Account for the execution of one kernel; returns its duration in ns."""
+    def run_kernel(self, op: str, cost: KernelCost, reads: Sequence, writes: Sequence) -> int:
+        """Launch kernel ``op``, which reads the tensors ``reads``, runs for
+        its cost's duration and writes the tensors ``writes``: one call to
+        the recorder's kernel hook.  Returns the duration in ns."""
         duration = self.timing.op_duration_ns(cost)
-        self.clock.advance(duration, TAPE_KERNEL, 0, cost.flops, cost.bytes_moved)
+        self.recorder.on_kernel(op, reads, writes, duration, cost.flops, cost.bytes_moved)
         return duration
 
     def host_pause(self, duration_ns: int) -> None:

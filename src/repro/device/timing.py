@@ -20,7 +20,7 @@ in eager PyTorch is a significant part of small-kernel ATIs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict
 
@@ -45,18 +45,27 @@ class KernelCost:
     Immutable and slotted: the cost functions below are memoized (keyed on
     their arguments' values *and* types, so a cached cost has exactly the
     fields the call would have computed), and equal launches share one
-    instance.
+    instance.  Every launch looks its duration up by its cost
+    (:meth:`KernelTimingModel.op_duration_ns`) and logs its DRAM traffic, so
+    the hash — the dataclass's own, over the four fields — and
+    :attr:`bytes_moved` are computed once, when the cost is made.
     """
 
     flops: float = 0.0
     bytes_read: float = 0.0
     bytes_written: float = 0.0
     name: str = ""
+    #: Total DRAM traffic of the kernel in bytes.
+    bytes_moved: float = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def bytes_moved(self) -> float:
-        """Total DRAM traffic of the kernel in bytes."""
-        return self.bytes_read + self.bytes_written
+    def __post_init__(self):
+        object.__setattr__(self, "bytes_moved", self.bytes_read + self.bytes_written)
+        object.__setattr__(self, "_hash", hash((self.flops, self.bytes_read,
+                                                self.bytes_written, self.name)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def scaled(self, factor: float) -> "KernelCost":
         """Return a copy with all work scaled by ``factor`` (for fused ops)."""

@@ -71,7 +71,7 @@ def run_fig4(config: Optional[TrainingRunConfig] = None,
     bandwidths = bandwidths if bandwidths is not None else BandwidthConfig.from_paper()
     trace = runner.trace(scenario)
     intervals = compute_interval_arrays(trace)
-    tags, _ops = trace.event_strings()
+    tags = trace.event_tags
     return Fig4Result(
         label=scenario.label,
         intervals=intervals,

@@ -554,7 +554,7 @@ class WalkIndex:
         self.ts, self.address, self.size, self.category, self.iteration = (
             array("q", getattr(columns, name).tobytes()) for name in
             ("timestamp_ns", "address", "size", "category_code", "iteration"))
-        self.tags, self.ops = trace.event_strings()
+        self.tags, self.ops = trace.event_tags, trace.event_ops
         self.mark_rows = iteration_rows(columns.iteration, trace.iteration_marks)
         self.barriers = barrier_rows(trace)
         #: Allocated bytes after each recorded row (after none: 0).

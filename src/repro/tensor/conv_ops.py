@@ -18,7 +18,6 @@ from ..device.timing import conv2d_cost, elementwise_cost
 from ..errors import ShapeError
 from ..units import MIB
 from .dtype import float32
-from .functional import launch
 from .tensor import Tensor, empty
 
 #: cuDNN-style workspace cap; the modeled workspace never exceeds this.
@@ -88,7 +87,7 @@ def conv2d_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor],
     if workspace is not None:
         inputs.append(workspace)
 
-    launch(device, "conv2d_forward", cost, inputs, out)
+    device.run_kernel("conv2d_forward", cost, inputs, (out,))
     if workspace is not None:
         workspace.free()
     return out
@@ -113,7 +112,7 @@ def conv2d_backward_input(grad_output: Tensor, weight: Tensor,
     cost = conv2d_cost(batch, in_channels, out_channels, out_h, out_w, kernel_h, kernel_w,
                        itemsize=grad_output.dtype.itemsize, name="conv2d_backward_input")
     inputs = [grad_output, weight] + ([workspace] if workspace is not None else [])
-    launch(device, "conv2d_backward_input", cost, inputs, grad_input)
+    device.run_kernel("conv2d_backward_input", cost, inputs, (grad_input,))
     if workspace is not None:
         workspace.free()
     return grad_input
@@ -136,7 +135,7 @@ def conv2d_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
     cost = conv2d_cost(batch, in_channels, out_channels, out_h, out_w, kernel_h, kernel_w,
                        itemsize=x.dtype.itemsize, name="conv2d_backward_weight")
     inputs = [x, grad_output, grad_weight] + ([workspace] if workspace is not None else [])
-    launch(device, "conv2d_backward_weight", cost, inputs, grad_weight)
+    device.run_kernel("conv2d_backward_weight", cost, inputs, (grad_weight,))
     if workspace is not None:
         workspace.free()
 
@@ -144,8 +143,8 @@ def conv2d_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
         bias_cost = elementwise_cost(grad_output.numel, n_inputs=2,
                                      itemsize=grad_output.dtype.itemsize,
                                      name="conv2d_backward_bias")
-        launch(device, "conv2d_backward_bias", bias_cost, [grad_output, grad_bias],
-               grad_bias)
+        device.run_kernel("conv2d_backward_bias", bias_cost, (grad_output, grad_bias),
+                          (grad_bias,))
 
 
 # -- pooling ---------------------------------------------------------------------------
@@ -162,8 +161,7 @@ def maxpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
     indices = empty(device, (batch, channels, out_h, out_w), dtype=x.dtype,
                     category=MemoryCategory.ACTIVATION, tag=f"{tag}_indices")
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="maxpool2d")
-    launch(device, "maxpool2d_forward", cost, [x], out)
-    indices.storage.record_write("maxpool2d_forward")
+    device.run_kernel("maxpool2d_forward", cost, (x,), (out, indices))
     return out, indices
 
 
@@ -176,7 +174,8 @@ def maxpool2d_backward(grad_output: Tensor, indices: Tensor,
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="maxpool2d_backward")
-    return launch(device, "maxpool2d_backward", cost, [grad_output, indices], grad_input)
+    device.run_kernel("maxpool2d_backward", cost, (grad_output, indices), (grad_input,))
+    return grad_input
 
 
 def avgpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
@@ -188,7 +187,8 @@ def avgpool2d_forward(x: Tensor, kernel: int, stride: int, padding: int = 0,
     out = empty(device, (batch, channels, out_h, out_w), dtype=x.dtype,
                 category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="avgpool2d")
-    return launch(device, "avgpool2d_forward", cost, [x], out)
+    device.run_kernel("avgpool2d_forward", cost, (x,), (out,))
+    return out
 
 
 def avgpool2d_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
@@ -199,7 +199,8 @@ def avgpool2d_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=1,
                             itemsize=grad_output.dtype.itemsize, name="avgpool2d_backward")
-    return launch(device, "avgpool2d_backward", cost, [grad_output], grad_input)
+    device.run_kernel("avgpool2d_backward", cost, (grad_output,), (grad_input,))
+    return grad_input
 
 
 def global_avg_pool_forward(x: Tensor, tag: str = "gap_out") -> Tensor:
@@ -210,7 +211,8 @@ def global_avg_pool_forward(x: Tensor, tag: str = "gap_out") -> Tensor:
                 category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize,
                             name="global_avg_pool")
-    return launch(device, "global_avg_pool_forward", cost, [x], out)
+    device.run_kernel("global_avg_pool_forward", cost, (x,), (out,))
+    return out
 
 
 def global_avg_pool_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, int],
@@ -221,7 +223,8 @@ def global_avg_pool_backward(grad_output: Tensor, x_shape: Tuple[int, int, int, 
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_input.numel, n_inputs=1,
                             itemsize=grad_output.dtype.itemsize, name="global_avg_pool_backward")
-    return launch(device, "global_avg_pool_backward", cost, [grad_output], grad_input)
+    device.run_kernel("global_avg_pool_backward", cost, (grad_output,), (grad_input,))
+    return grad_input
 
 
 # -- batch normalization ----------------------------------------------------------------
@@ -245,9 +248,8 @@ def batchnorm2d_forward(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Te
                         category=MemoryCategory.ACTIVATION, tag=f"{tag}_invstd")
     cost = elementwise_cost(x.numel, n_inputs=2, flops_per_element=5.0,
                             itemsize=x.dtype.itemsize, name="batchnorm2d")
-    launch(device, "batchnorm2d_forward", cost, [x, gamma, beta], out)
-    save_mean.storage.record_write("batchnorm2d_forward")
-    save_invstd.storage.record_write("batchnorm2d_forward")
+    device.run_kernel("batchnorm2d_forward", cost, (x, gamma, beta),
+                      (out, save_mean, save_invstd))
 
     if training:
         running_mean.storage.record_read("batchnorm2d_forward")
@@ -266,8 +268,8 @@ def batchnorm2d_backward(grad_output: Tensor, x: Tensor, gamma: Tensor, save_mea
                        category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=3, flops_per_element=8.0,
                             itemsize=x.dtype.itemsize, name="batchnorm2d_backward")
-    launch(device, "batchnorm2d_backward", cost,
-           [grad_output, x, gamma, save_mean, save_invstd], grad_input)
+    device.run_kernel("batchnorm2d_backward", cost,
+                      (grad_output, x, gamma, save_mean, save_invstd), (grad_input,))
 
     grad_gamma.storage.record_read("batchnorm2d_backward")
     grad_beta.storage.record_read("batchnorm2d_backward")

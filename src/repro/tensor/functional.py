@@ -1,12 +1,13 @@
 """Dense, elementwise, loss and optimizer kernels.
 
 Every function in this module behaves like one (or a small fixed number of)
-device kernel launch(es):
+device kernel launch(es), each one :meth:`~repro.device.device.Device.run_kernel`
+call naming the kernel's operands:
 
 1. the input storages are *read* (recorded as ``read`` behaviors),
 2. the kernel executes for a duration given by the roofline timing model
    (advancing the simulated clock),
-3. the output storage is *written* (recorded as a ``write`` behavior).
+3. the output storages are *written* (recorded as ``write`` behaviors).
 
 No values are computed: the behaviors and their timing depend on shapes only.
 
@@ -16,29 +17,14 @@ Convolution, pooling and batch-normalization kernels live in
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..core.events import MemoryCategory
 from ..device.device import Device
-from ..device.timing import KernelCost, elementwise_cost, matmul_cost, reduction_cost
+from ..device.timing import elementwise_cost, matmul_cost, reduction_cost
 from ..errors import ShapeError
 from .dtype import float32
 from .tensor import Tensor, empty
-
-
-def launch(
-    device: Device,
-    op_name: str,
-    cost: KernelCost,
-    inputs: Sequence[Tensor],
-    output: Tensor,
-) -> Tensor:
-    """Run one simulated kernel: record reads, advance time, record the write."""
-    for tensor in inputs:
-        tensor.storage.record_read(op_name)
-    device.run_kernel(cost)
-    output.storage.record_write(op_name)
-    return output
 
 
 def _check_same_device(*tensors: Tensor) -> Device:
@@ -62,7 +48,8 @@ def matmul(a: Tensor, b: Tensor, category: MemoryCategory = MemoryCategory.ACTIV
     n = b.shape[1]
     out = empty(device, (m, n), dtype=a.dtype, category=category, tag=tag or "matmul_out")
     cost = matmul_cost(m, k, n, itemsize=a.dtype.itemsize, name=op_name)
-    return launch(device, op_name, cost, [a, b], out)
+    device.run_kernel(op_name, cost, (a, b), (out,))
+    return out
 
 
 def linear_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
@@ -75,8 +62,9 @@ def linear_forward(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     n = weight.shape[1]
     out = empty(device, (m, n), dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = matmul_cost(m, k, n, itemsize=x.dtype.itemsize, name="linear_forward")
-    inputs = [x, weight] + ([bias] if bias is not None else [])
-    return launch(device, "linear_forward", cost, inputs, out)
+    device.run_kernel("linear_forward", cost,
+                      (x, weight) if bias is None else (x, weight, bias), (out,))
+    return out
 
 
 def linear_backward_input(grad_output: Tensor, weight: Tensor,
@@ -89,7 +77,8 @@ def linear_backward_input(grad_output: Tensor, weight: Tensor,
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = matmul_cost(m, n, k, itemsize=grad_output.dtype.itemsize,
                        name="linear_backward_input")
-    return launch(device, "linear_backward_input", cost, [grad_output, weight], out)
+    device.run_kernel("linear_backward_input", cost, (grad_output, weight), (out,))
+    return out
 
 
 def linear_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
@@ -103,14 +92,14 @@ def linear_backward_params(x: Tensor, grad_output: Tensor, grad_weight: Tensor,
     m, k = x.shape
     n = grad_output.shape[1]
     cost = matmul_cost(k, m, n, itemsize=x.dtype.itemsize, name="linear_backward_weight")
-    launch(device, "linear_backward_weight", cost, [x, grad_output, grad_weight],
-           grad_weight)
+    device.run_kernel("linear_backward_weight", cost, (x, grad_output, grad_weight),
+                      (grad_weight,))
 
     if grad_bias is not None:
         bias_cost = reduction_cost(m * n, itemsize=grad_output.dtype.itemsize,
                                    name="linear_backward_bias")
-        launch(device, "linear_backward_bias", bias_cost, [grad_output, grad_bias],
-               grad_bias)
+        device.run_kernel("linear_backward_bias", bias_cost, (grad_output, grad_bias),
+                          (grad_bias,))
 
 
 # -- elementwise operators ----------------------------------------------------------------
@@ -124,7 +113,8 @@ def add(a: Tensor, b: Tensor, tag: str = "add_out",
         raise ShapeError(f"add shapes {a.shape} and {b.shape} differ")
     out = empty(device, a.shape, dtype=a.dtype, category=category, tag=tag)
     cost = elementwise_cost(a.numel, n_inputs=2, itemsize=a.dtype.itemsize, name="add")
-    return launch(device, "add", cost, [a, b], out)
+    device.run_kernel("add", cost, (a, b), (out,))
+    return out
 
 
 def accumulate_(dst: Tensor, src: Tensor, op_name: str = "accumulate") -> Tensor:
@@ -133,7 +123,8 @@ def accumulate_(dst: Tensor, src: Tensor, op_name: str = "accumulate") -> Tensor
     if dst.shape != src.shape:
         raise ShapeError(f"accumulate shapes {dst.shape} and {src.shape} differ")
     cost = elementwise_cost(dst.numel, n_inputs=2, itemsize=dst.dtype.itemsize, name=op_name)
-    return launch(device, op_name, cost, [dst, src], dst)
+    device.run_kernel(op_name, cost, (dst, src), (dst,))
+    return dst
 
 
 def scale(x: Tensor, alpha: float, tag: str = "scale_out",
@@ -142,13 +133,15 @@ def scale(x: Tensor, alpha: float, tag: str = "scale_out",
     device = x.device
     out = empty(device, x.shape, dtype=x.dtype, category=category, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="scale")
-    return launch(device, "scale", cost, [x], out)
+    device.run_kernel("scale", cost, (x,), (out,))
+    return out
 
 
 def zero_(x: Tensor) -> Tensor:
     """In-place fill with zeros (``optimizer.zero_grad``)."""
     cost = elementwise_cost(x.numel, n_inputs=0, itemsize=x.dtype.itemsize, name="zero_")
-    return launch(x.device, "zero_", cost, [], x)
+    x.device.run_kernel("zero_", cost, (), (x,))
+    return x
 
 
 def relu_forward(x: Tensor, tag: str = "relu_out") -> Tensor:
@@ -156,7 +149,8 @@ def relu_forward(x: Tensor, tag: str = "relu_out") -> Tensor:
     device = x.device
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, itemsize=x.dtype.itemsize, name="relu")
-    return launch(device, "relu_forward", cost, [x], out)
+    device.run_kernel("relu_forward", cost, (x,), (out,))
+    return out
 
 
 def relu_backward(grad_output: Tensor, output: Tensor, tag: str = "relu_grad_in") -> Tensor:
@@ -166,7 +160,8 @@ def relu_backward(grad_output: Tensor, output: Tensor, tag: str = "relu_grad_in"
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="relu_backward")
-    return launch(device, "relu_backward", cost, [grad_output, output], out)
+    device.run_kernel("relu_backward", cost, (grad_output, output), (out,))
+    return out
 
 
 def sigmoid_forward(x: Tensor, tag: str = "sigmoid_out") -> Tensor:
@@ -175,7 +170,8 @@ def sigmoid_forward(x: Tensor, tag: str = "sigmoid_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=4.0,
                             itemsize=x.dtype.itemsize, name="sigmoid")
-    return launch(device, "sigmoid_forward", cost, [x], out)
+    device.run_kernel("sigmoid_forward", cost, (x,), (out,))
+    return out
 
 
 def sigmoid_backward(grad_output: Tensor, output: Tensor, tag: str = "sigmoid_grad_in") -> Tensor:
@@ -185,7 +181,8 @@ def sigmoid_backward(grad_output: Tensor, output: Tensor, tag: str = "sigmoid_gr
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2, flops_per_element=3.0,
                             itemsize=grad_output.dtype.itemsize, name="sigmoid_backward")
-    return launch(device, "sigmoid_backward", cost, [grad_output, output], out)
+    device.run_kernel("sigmoid_backward", cost, (grad_output, output), (out,))
+    return out
 
 
 def tanh_forward(x: Tensor, tag: str = "tanh_out") -> Tensor:
@@ -194,7 +191,8 @@ def tanh_forward(x: Tensor, tag: str = "tanh_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=4.0,
                             itemsize=x.dtype.itemsize, name="tanh")
-    return launch(device, "tanh_forward", cost, [x], out)
+    device.run_kernel("tanh_forward", cost, (x,), (out,))
+    return out
 
 
 def tanh_backward(grad_output: Tensor, output: Tensor, tag: str = "tanh_grad_in") -> Tensor:
@@ -204,7 +202,8 @@ def tanh_backward(grad_output: Tensor, output: Tensor, tag: str = "tanh_grad_in"
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2, flops_per_element=3.0,
                             itemsize=grad_output.dtype.itemsize, name="tanh_backward")
-    return launch(device, "tanh_backward", cost, [grad_output, output], out)
+    device.run_kernel("tanh_backward", cost, (grad_output, output), (out,))
+    return out
 
 
 def dropout_forward(x: Tensor, p: float,
@@ -218,7 +217,7 @@ def dropout_forward(x: Tensor, p: float,
     mask.storage.record_write("dropout_mask")
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=2, itemsize=x.dtype.itemsize, name="dropout")
-    launch(device, "dropout_forward", cost, [x, mask], out)
+    device.run_kernel("dropout_forward", cost, (x, mask), (out,))
     return out, mask
 
 
@@ -229,7 +228,8 @@ def dropout_backward(grad_output: Tensor, mask: Tensor, tag: str = "dropout_grad
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(grad_output.numel, n_inputs=2,
                             itemsize=grad_output.dtype.itemsize, name="dropout_backward")
-    return launch(device, "dropout_backward", cost, [grad_output, mask], out)
+    device.run_kernel("dropout_backward", cost, (grad_output, mask), (out,))
+    return out
 
 
 # -- softmax and losses -------------------------------------------------------------------
@@ -241,7 +241,8 @@ def softmax(x: Tensor, tag: str = "softmax_out") -> Tensor:
     out = empty(device, x.shape, dtype=x.dtype, category=MemoryCategory.ACTIVATION, tag=tag)
     cost = elementwise_cost(x.numel, n_inputs=1, flops_per_element=5.0,
                             itemsize=x.dtype.itemsize, name="softmax")
-    return launch(device, "softmax", cost, [x], out)
+    device.run_kernel("softmax", cost, (x,), (out,))
+    return out
 
 
 def cross_entropy_forward(logits: Tensor, labels: Tensor) -> Tuple[Tensor, Tensor]:
@@ -250,7 +251,7 @@ def cross_entropy_forward(logits: Tensor, labels: Tensor) -> Tuple[Tensor, Tenso
     probs = softmax(logits, tag="ce_probs")
     loss = empty(device, (1,), dtype=float32, category=MemoryCategory.ACTIVATION, tag="ce_loss")
     cost = reduction_cost(logits.numel, itemsize=logits.dtype.itemsize, name="cross_entropy")
-    launch(device, "cross_entropy_forward", cost, [probs, labels], loss)
+    device.run_kernel("cross_entropy_forward", cost, (probs, labels), (loss,))
     return loss, probs
 
 
@@ -262,7 +263,8 @@ def cross_entropy_backward(probs: Tensor, labels: Tensor,
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(probs.numel, n_inputs=2, itemsize=probs.dtype.itemsize,
                             name="cross_entropy_backward")
-    return launch(device, "cross_entropy_backward", cost, [probs, labels], out)
+    device.run_kernel("cross_entropy_backward", cost, (probs, labels), (out,))
+    return out
 
 
 def mse_forward(prediction: Tensor, target: Tensor) -> Tensor:
@@ -272,7 +274,8 @@ def mse_forward(prediction: Tensor, target: Tensor) -> Tensor:
         raise ShapeError(f"mse shapes {prediction.shape} and {target.shape} differ")
     loss = empty(device, (1,), dtype=float32, category=MemoryCategory.ACTIVATION, tag="mse_loss")
     cost = reduction_cost(prediction.numel, itemsize=prediction.dtype.itemsize, name="mse")
-    return launch(device, "mse_forward", cost, [prediction, target], loss)
+    device.run_kernel("mse_forward", cost, (prediction, target), (loss,))
+    return loss
 
 
 def mse_backward(prediction: Tensor, target: Tensor, tag: str = "mse_grad") -> Tensor:
@@ -282,7 +285,8 @@ def mse_backward(prediction: Tensor, target: Tensor, tag: str = "mse_grad") -> T
                 category=MemoryCategory.ACTIVATION_GRADIENT, tag=tag)
     cost = elementwise_cost(prediction.numel, n_inputs=2,
                             itemsize=prediction.dtype.itemsize, name="mse_backward")
-    return launch(device, "mse_backward", cost, [prediction, target], out)
+    device.run_kernel("mse_backward", cost, (prediction, target), (out,))
+    return out
 
 
 # -- optimizer update kernels ------------------------------------------------------------
@@ -299,17 +303,14 @@ def sgd_step(param: Tensor, grad: Tensor, momentum_buffer: Optional[Tensor]) -> 
     inputs = (param, grad) if momentum_buffer is None else (param, grad, momentum_buffer)
     cost = elementwise_cost(param.numel, n_inputs=len(inputs), flops_per_element=4.0,
                             itemsize=param.dtype.itemsize, name="sgd_step")
-    launch(device, "sgd_step", cost, inputs, param)
-    if momentum_buffer is not None:
-        momentum_buffer.storage.record_write("sgd_step")
+    device.run_kernel("sgd_step", cost, inputs,
+                      (param,) if momentum_buffer is None else (param, momentum_buffer))
 
 
 def adam_step(param: Tensor, grad: Tensor, exp_avg: Tensor, exp_avg_sq: Tensor) -> None:
     """One Adam update, in-place on the parameter and its moment buffers."""
     device = _check_same_device(param, grad, exp_avg, exp_avg_sq)
-    inputs = [param, grad, exp_avg, exp_avg_sq]
-    cost = elementwise_cost(param.numel, n_inputs=len(inputs), flops_per_element=10.0,
+    cost = elementwise_cost(param.numel, n_inputs=4, flops_per_element=10.0,
                             itemsize=param.dtype.itemsize, name="adam_step")
-    launch(device, "adam_step", cost, inputs, param)
-    exp_avg.storage.record_write("adam_step")
-    exp_avg_sq.storage.record_write("adam_step")
+    device.run_kernel("adam_step", cost, (param, grad, exp_avg, exp_avg_sq),
+                      (param, exp_avg, exp_avg_sq))

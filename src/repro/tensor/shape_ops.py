@@ -13,7 +13,6 @@ from typing import List, Sequence
 from ..core.events import MemoryCategory
 from ..device.timing import elementwise_cost
 from ..errors import ShapeError
-from .functional import launch
 from .tensor import Tensor, empty
 
 
@@ -34,7 +33,8 @@ def concat_channels(tensors: Sequence[Tensor], tag: str = "concat_out") -> Tenso
     numel = sum(tensor.numel for tensor in tensors)
     cost = elementwise_cost(numel, n_inputs=1, itemsize=tensors[0].dtype.itemsize,
                             name="concat_channels")
-    return launch(device, "concat_channels", cost, list(tensors), out)
+    device.run_kernel("concat_channels", cost, tensors, (out,))
+    return out
 
 
 def split_channels(grad: Tensor, channel_sizes: Sequence[int],
@@ -52,6 +52,6 @@ def split_channels(grad: Tensor, channel_sizes: Sequence[int],
                       category=MemoryCategory.ACTIVATION_GRADIENT, tag=f"{tag}_{index}")
         cost = elementwise_cost(piece.numel, n_inputs=1, itemsize=grad.dtype.itemsize,
                                 name="split_channels")
-        launch(device, "split_channels", cost, [grad], piece)
+        device.run_kernel("split_channels", cost, (grad,), (piece,))
         outputs.append(piece)
     return outputs

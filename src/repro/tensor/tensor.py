@@ -71,8 +71,9 @@ class Tensor:
         #: Number of elements (1 for a 0-d shape), computed once per tensor.
         self.numel = math.prod(self.shape)
         if storage is None:
-            storage = DeviceStorage(device, numel=self.numel, dtype=dtype,
-                                    category=category, tag=tag)
+            nbytes = self.numel * dtype.itemsize
+            storage = DeviceStorage(device, self.numel, nbytes, tag,
+                                    device.allocate(nbytes or 1, category, tag))
         elif storage.numel != self.numel:
             raise ShapeError(
                 f"storage of {storage.numel} elements cannot view shape {self.shape}"
@@ -98,18 +99,33 @@ class Tensor:
 
     # -- lifecycle --------------------------------------------------------------------
 
+    # The tensor owns its storage's lifecycle: it makes the request when it is
+    # built and frees it here, one call to the device each.
+
     def retain(self) -> "Tensor":
         """Add a reference to the underlying storage and return ``self``."""
-        self.storage.retain()
+        storage = self.storage
+        storage.ensure_live()
+        storage.refcount += 1
         return self
 
     def release(self) -> None:
-        """Drop one reference to the underlying storage (frees it at zero)."""
-        self.storage.release()
+        """Drop one reference to the underlying storage (frees it at zero;
+        a no-op once it is freed)."""
+        storage = self.storage
+        request = storage.request
+        if request is not None:
+            storage.refcount -= 1
+            if storage.refcount <= 0:
+                self.device.free(request)
+                storage.request = None
 
     def free(self) -> None:
-        """Force-release the underlying device memory immediately."""
-        self.storage.free()
+        """Force-release the underlying device memory immediately (idempotent)."""
+        storage = self.storage
+        if storage.request is not None:
+            self.device.free(storage.request)
+            storage.request = None
 
     # -- views ------------------------------------------------------------------------
 
@@ -118,9 +134,8 @@ class Tensor:
         new_shape = _normalize_shape(shape)
         if math.prod(new_shape) != self.numel:
             raise ShapeError(f"cannot reshape {self.shape} ({self.numel} elems) to {new_shape}")
-        view = Tensor(self.device, new_shape, dtype=self.dtype, category=self.category,
-                      tag=self.tag, storage=self.storage.retain())
-        return view
+        return Tensor(self.device, new_shape, dtype=self.dtype, category=self.category,
+                      tag=self.tag, storage=self.retain().storage)
 
     def flatten_batch(self) -> "Tensor":
         """View a ``(N, ...)`` tensor as ``(N, prod(...))`` (classifier input)."""
@@ -132,6 +147,7 @@ class Tensor:
 
     def copy_from_host(self) -> "Tensor":
         """Stage host data onto the device: models a pinned H2D copy plus a write."""
+        self.storage.ensure_live()
         self.device.copy_host_to_device(self.nbytes)
         self.storage.record_write("memcpy_h2d")
         return self

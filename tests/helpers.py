@@ -33,6 +33,7 @@ from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KI
 from repro.device.allocator import BASE_ADDRESS, call_rows, place, round_block_size
 from repro.device.cluster import ClusterSpec
 from repro.device.stream import Stream
+from repro.device.tape import TAPE_KERNEL
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.errors import InfeasibleScenarioError, TraceInvariantError
@@ -130,6 +131,21 @@ def plan_rows(planner, rows, peak_before):
         peak_before)
 
 
+def kernel_rows(recorder, op, reads, writes, duration_ns, flops, bytes_moved):
+    """A hook-level recorder's ``on_kernel``: the launch of ``op`` spelled as
+    its rows — every operand checked live, then ``on_read`` per tensor in
+    ``reads``, the kernel's atom on the recorder's clock and ``on_write`` per
+    tensor in ``writes`` — which :meth:`TraceRecorder.on_kernel` packs in one
+    call."""
+    for operand in (*reads, *writes):
+        operand.storage.ensure_live()
+    for operand in reads:
+        recorder.on_read(operand.storage.request, op)
+    recorder.clock.advance(duration_ns, TAPE_KERNEL, 0, flops, bytes_moved)
+    for operand in writes:
+        recorder.on_write(operand.storage.request, op)
+
+
 class BehaviorLog:
     """Every behavior ``device`` reports from the log's construction on, in
     order: the log is the device's recorder.  A trainer's iteration marks
@@ -169,6 +185,8 @@ class BehaviorLog:
 
     def on_write(self, request, op):
         self._log("write", request, op)
+
+    on_kernel = kernel_rows
 
     def __len__(self):
         return len(self.rows)
@@ -574,6 +592,8 @@ class RequestReference(ReferenceRecorder):
     def on_write(self, request, op):
         super().on_write(self._request(request), None, op)
 
+    on_kernel = kernel_rows
+
 
 def reference_price_times(template, configs):
     """The per-row repricer: every row's durations built and summed on its own.
@@ -816,6 +836,8 @@ class SwapRecorder(TraceRecorder):
         block = self._block(request)
         self.executor.on_write(block, None, op)
         self._record(MemoryEventKind.WRITE, block, op)
+
+    on_kernel = kernel_rows
 
     def on_swap_out(self, block, nbytes, op):
         self._record(MemoryEventKind.SWAP_OUT, block, op)

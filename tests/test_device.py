@@ -4,11 +4,14 @@ import pytest
 
 from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device
-from repro.tensor.storage import DeviceStorage
+from repro.tensor import empty
+from repro.tensor import functional as F
 from repro.device.tape import TAPE_KERNEL, TimingTape
 from repro.device.timing import KernelCost
 from repro.errors import ConfigurationError
 from repro.units import MIB
+
+from tests.helpers import kernel_rows
 
 
 def test_device_defaults_to_titan_x_and_caching_allocator():
@@ -44,7 +47,8 @@ def test_allocate_and_free_update_stats(test_device):
 class _CountingRecorder:
     """Counts the behaviors a device hands its recorder."""
 
-    def __init__(self):
+    def __init__(self, clock):
+        self.clock = clock
         self.mallocs = self.frees = self.reads = self.writes = 0
 
     def on_malloc(self, nbytes, category_code, tag):
@@ -60,24 +64,30 @@ class _CountingRecorder:
     def on_write(self, request, op):
         self.writes += 1
 
+    on_kernel = kernel_rows
+
 
 def test_the_recorder_observes_allocations_and_accesses(test_device):
-    recorder = test_device.recorder = _CountingRecorder()
-    storage = DeviceStorage(test_device, 256)
-    storage.record_write("init")
-    storage.record_read("consume")
-    storage.free()
+    recorder = test_device.recorder = _CountingRecorder(test_device.clock)
+    tensor = empty(test_device, (256,))
+    tensor.storage.record_write("init")
+    tensor.storage.record_read("consume")
+    tensor.free()
     assert (recorder.mallocs, recorder.writes, recorder.reads, recorder.frees) == (1, 1, 1, 1)
     # The request id is the recorder's malloc ordinal.
     assert test_device.allocate(1024) == 1
     assert recorder.mallocs == 2
+    # A launch reaches the recorder's kernel hook: two reads, one write.
+    a = empty(test_device, (4,))
+    F.add(a, a)
+    assert (recorder.mallocs, recorder.writes, recorder.reads, recorder.frees) == (4, 2, 3, 1)
 
 
 def test_run_kernel_advances_clock_and_counts(test_device):
     """A launch is one kernel atom on the tape, as long as the clock moved."""
     tape = TimingTape(test_device.clock)
     before = test_device.clock.now_ns
-    duration = test_device.run_kernel(KernelCost(flops=1e6, name="k"))
+    duration = test_device.run_kernel("k", KernelCost(flops=1e6, name="k"), (), ())
     assert duration > 0
     assert test_device.clock.now_ns == before + duration
     assert (list(tape.kind), list(tape.duration_ns), list(tape.flops)) == (
@@ -113,7 +123,7 @@ def test_work_runs_in_order_on_the_clock(test_device):
     """Kernels, copies and host pauses each block until done: the clock is
     the device's whole timeline, with nothing left in flight to drain."""
     before = test_device.clock.now_ns
-    durations = [test_device.run_kernel(KernelCost(flops=1e6, name="k")),
+    durations = [test_device.run_kernel("k", KernelCost(flops=1e6, name="k"), (), ()),
                  test_device.copy_host_to_device(1 * MIB)]
     test_device.host_pause(500)
     durations.append(test_device.copy_device_to_host(2 * MIB))

@@ -22,11 +22,13 @@ from repro.core.recorder import TraceRecorder, place_traces
 from repro.core.swap import BandwidthConfig, SwapPlanner, swap_round_trip_ns
 from array import array
 
-from repro.core.trace import ROW_FIELDS, columns_from_rows, pack_row
+from repro.core.trace import (ROW_FIELDS, MemoryTrace, barrier_rows, columns_from_rows,
+                              merge_rank_traces, pack_row)
 from repro.core.events import MemoryCategory, MemoryEventKind
 from repro.device import Device, small_test_device
 from repro.device.clock import DeviceClock
 from repro.experiments.sweep import Scenario, run_scenario
+from repro.swap.executor import WalkIndex
 from repro.swap.policies import PlannerPolicy, SwapAdvisorPolicy
 from repro.tensor import functional as F
 from repro.tensor import randn
@@ -78,6 +80,18 @@ class _Tee:
     @property
     def tags(self):
         return self.recorders[0].tags
+
+    def on_kernel(self, op, reads, writes, duration_ns, flops, bytes_moved):
+        """The first recorder's kernel hook moves the clock; the others log
+        the launch's reads before it and its writes after."""
+        first, *others = self.recorders
+        for recorder in others:
+            for operand in reads:
+                recorder.on_read(operand.storage.request, op)
+        first.on_kernel(op, reads, writes, duration_ns, flops, bytes_moved)
+        for recorder in others:
+            for operand in writes:
+                recorder.on_write(operand.storage.request, op)
 
     def __getattr__(self, name):
         hooks = [getattr(recorder, name) for recorder in self.recorders
@@ -305,19 +319,40 @@ def test_a_device_records_from_its_first_behavior():
 
 def test_class_hook_patched_before_the_device_is_built_is_the_one_that_fires(monkeypatch):
     seen = []
-    original = TraceRecorder.on_read
+    original = TraceRecorder.on_kernel
 
-    def traced(recorder, request, op):
-        seen.append(op)
-        return original(recorder, request, op)
+    def traced(recorder, op, reads, writes, *atom):
+        seen.append((op, len(reads), len(writes)))
+        return original(recorder, op, reads, writes, *atom)
 
-    monkeypatch.setattr(TraceRecorder, "on_read", traced)
+    monkeypatch.setattr(TraceRecorder, "on_kernel", traced)
     device = Device(small_test_device())
     profiler = MemoryProfiler(device)
     a = randn(device, (4, 4))
     F.matmul(a, a)
     reads = profiler.trace().counts_by_kind()["read"]
-    assert reads == 2 and seen == ["matmul", "matmul"]
+    assert reads == 2 and seen == [("matmul", 2, 1)]
+
+
+def test_internal_readers_copy_no_string_list(monkeypatch):
+    """``event_strings()`` hands out copies of a trace's stored tag and op
+    lists; placement, the barrier search, the rank merge and the overlay's
+    walk index read the stored lists and copy neither."""
+    config = _config("mlp", n_devices=2)
+    recording = run_training_session(config).recording
+    trace = recording.traces[0]
+    tags, ops = trace.event_strings()
+    assert (tags, ops) == (trace.event_tags, trace.event_ops)
+    assert tags is not trace.event_tags and ops is not trace.event_ops
+    calls = []
+    original = MemoryTrace.event_strings
+    monkeypatch.setattr(MemoryTrace, "event_strings",
+                        lambda trace: calls.append(trace) or original(trace))
+    recording.placements.clear()
+    rank_traces = [placed.trace for placed in recording.placed(config).traces]
+    assert barrier_rows(rank_traces[0]) and WalkIndex(trace).barriers
+    merge_rank_traces(rank_traces)
+    assert calls == []
 
 
 # -- (c) columnar-first offline policies -----------------------------------------------

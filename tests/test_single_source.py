@@ -45,6 +45,7 @@ from repro.experiments.executor import ScenarioExecutor
 from repro.experiments.sweep import SweepRunner
 from repro.swap.executor import WalkIndex
 from repro.swap.policies import POLICIES, get_policy
+from repro.tensor import functional
 from repro.train.session import Recording, TrainingRunConfig
 from repro.train.trainer import DataParallelTrainer, Trainer
 from repro.units import MIB
@@ -469,12 +470,16 @@ def test_the_device_is_synchronous_and_the_overlay_owns_the_copy_stream():
     assert sites == {("swap/executor.py", "__init__")}
 
 
+def _passes_atom(node, kind):
+    """Whether call ``node`` passes atom ``kind``."""
+    return any(getattr(arg, "id", None) == kind
+               for arg in (*node.args, *(k.value for k in node.keywords)))
+
+
 def _advance_sites(kind):
     """(module, function) of every ``.advance(...)`` call passing atom ``kind``."""
     def predicate(node):
-        return (_calls("advance")(node)
-                and any(getattr(arg, "id", None) == kind
-                        for arg in (*node.args, *(k.value for k in node.keywords))))
+        return _calls("advance")(node) and _passes_atom(node, kind)
     return {(path.relative_to(SRC).as_posix(), function)
             for path in sorted(SRC.rglob("*.py"))
             for function in _enclosing_functions(path, predicate)}
@@ -519,7 +524,17 @@ def test_the_clock_logs_its_own_atoms():
         text = path.read_text()
         for word in ("record_kernel", "record_sync", "add_observer", ".consistent"):
             assert word not in text, (path, word)
-    assert _advance_sites("TAPE_KERNEL") == {("device/device.py", "run_kernel")}
+
+
+def test_a_kernel_launch_is_one_recorder_call():
+    """``Device.run_kernel`` is the one kernel entry and the only caller of
+    the recorder's kernel hook, whose atom is the only ``TAPE_KERNEL``
+    advance; the tensor library has no per-row launch helper left."""
+    assert _sites(_calls("on_kernel")) == {("device/device.py", "run_kernel")}
+    assert _advance_sites("TAPE_KERNEL") == {("core/recorder.py", "on_kernel")}
+    assert not hasattr(functional, "launch")
+    launchers = {path for path, _ in _sites(_calls("run_kernel"))}
+    assert launchers == {"tensor/functional.py", "tensor/conv_ops.py", "tensor/shape_ops.py"}
 
 
 def test_eq1_round_trip_has_one_implementation():
@@ -533,14 +548,16 @@ def test_eq1_round_trip_has_one_implementation():
                        ("core/swap.py", "round_trip_s_per_byte")}
 
 
-#: The four behaviors a device hands its recorder, against request ids.
-BEHAVIOR_HOOKS = ("on_malloc", "on_free", "on_read", "on_write")
+#: The four behaviors a device hands its recorder, against request ids, and
+#: the kernel launch: its reads, its clock atom and its writes in one call.
+BEHAVIOR_HOOKS = ("on_malloc", "on_free", "on_read", "on_write", "on_kernel")
 
 
 def test_a_recorder_hears_only_the_four_behaviors():
     """The device has one recorder slot and no listener fan-out: no module
     under ``src/repro`` names a listener type, a segment hook or a listener
-    list, and the recorder's hooks are the four behaviors."""
+    list, and the recorder's hooks are the four behaviors and the launch
+    that carries a kernel's reads and writes."""
     assert {name for name in vars(TraceRecorder) if name.startswith("on_")} \
         == set(BEHAVIOR_HOOKS)
     banned = {"MemoryEventListener", "CompositeListener", "NullListener",
@@ -642,8 +659,8 @@ def test_tests_helpers_holds_the_only_live_hook_executor():
                     continue
                 hooks = {item.name for item in node.body
                          if isinstance(item, ast.FunctionDef)} & behaviors
-                stalls = any(isinstance(call, ast.Call)
-                             and getattr(call.func, "attr", None) == "advance"
+                # (a kernel's own atom is the launch, not a stall)
+                stalls = any(_calls("advance")(call) and not _passes_atom(call, "TAPE_KERNEL")
                              for call in ast.walk(node))
                 if hooks and stalls:
                     found.append((path.name, node.name))

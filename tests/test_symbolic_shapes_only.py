@@ -428,8 +428,8 @@ def test_device_work_reads_as_on_the_parent_commit():
     device = Device()
     cost = elementwise_cost(1 << 16)
     for _ in range(3):
-        device.run_kernel(cost)
+        device.run_kernel("k", cost, (), ())
     assert device.clock.now_ns == 37_368
     device.host_pause(50_000)
-    device.run_kernel(cost)
+    device.run_kernel("k", cost, (), ())
     assert device.clock.now_ns == 99_824

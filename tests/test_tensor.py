@@ -6,7 +6,9 @@ import pytest
 from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device
 from repro.errors import ShapeError, TensorError
+from repro.device.timing import elementwise_cost
 from repro.tensor import arange_labels, empty, from_numpy, full, randn, zeros
+from repro.tensor import functional as F
 from repro.tensor.dtype import float16, float32, int64
 
 from tests.helpers import BehaviorLog
@@ -120,7 +122,9 @@ def test_views_record_no_behavior_and_the_last_release_frees(test_device):
 
 def test_a_freed_tensor_refuses_every_access(test_device):
     tensor = empty(test_device, (4,), tag="gone")
+    live = empty(test_device, (4,), tag="live")
     tensor.free()
+    real = test_device.recorder
     log = BehaviorLog(test_device)
     before = test_device.clock.now_ns
     for access in (tensor.copy_to_host, tensor.retain, lambda: tensor.reshape((2, 2))):
@@ -131,6 +135,20 @@ def test_a_freed_tensor_refuses_every_access(test_device):
         tensor.copy_from_host()
     assert tensor.is_freed and tensor.storage.request is None
     assert log.rows == []
+    # The copy and a launch with a freed input or output check every operand
+    # before they move the clock or record a row, under either recorder.
+    cost = elementwise_cost(4, n_inputs=2)
+    refused = (tensor.copy_from_host,
+               lambda: test_device.run_kernel("add", cost, (live, tensor), (live,)),
+               lambda: test_device.run_kernel("add", cost, (live, live), (tensor,)),
+               lambda: F.accumulate_(live, tensor), lambda: F.accumulate_(tensor, live))
+    for recorder in (log, real):
+        test_device.recorder = recorder
+        for access in refused:
+            rows, before = len(recorder), test_device.clock.now_ns
+            with pytest.raises(TensorError, match="already been freed"):
+                access()
+            assert (len(recorder), test_device.clock.now_ns) == (rows, before)
 
 
 def test_resident_host_data_is_written_without_a_copy():

@@ -135,6 +135,17 @@ def test_memoized_cost_equals_its_original_field_for_field(function, data):
         cached.flops = 0.0
 
 
+def test_a_cost_is_hashed_once_as_the_dataclass_would():
+    """The duration table is keyed by cost: a cost's hash is the four-field
+    tuple's, computed when the cost is made and read back on every lookup."""
+    cost = KernelCost(flops=2.0, bytes_read=8.0, bytes_written=4.0, name="k")
+    assert hash(cost) == hash((2.0, 8.0, 4.0, "k")) == hash(dataclasses.replace(cost))
+    object.__setattr__(cost, "_hash", 7)
+    assert hash(cost) == 7
+    assert cost == KernelCost(flops=2.0, bytes_read=8.0, bytes_written=4.0, name="k")
+    assert repr(cost) == "KernelCost(flops=2.0, bytes_read=8.0, bytes_written=4.0, name='k')"
+
+
 @pytest.mark.parametrize("function", list(_MEMOIZED), ids=lambda f: f.__name__)
 def test_cost_caches_are_bounded(function):
     assert function.cache_info().maxsize == COST_CACHE_SIZE
