@@ -36,11 +36,11 @@ bench-smoke:
 kernel-probe:
 	-$(PYTHON) tools/kernel_probe.py
 
-# What a template capture costs over the bare simulation it records (best of 7,
-# resnet18 / vgg11 / mlp at 1 and 2 devices; the bar of the ROADMAP item "One way
-# to run a scenario" is <= 1.05x),
-# with a check that the template prices each config to the simulation's result.
-# Prints a table, never fails.
+# What a template capture costs over the bare simulation it records: the same
+# recording, placed, plus the tape layout (best of 7, resnet18 / vgg11 / mlp at
+# 1 and 2 devices; the bar of the ROADMAP item "One way to run a scenario" is
+# <= 1.05x), with a check that the template prices each config to the
+# simulation's result.  Prints a table, never fails.
 capture-probe:
 	-$(PYTHON) tools/capture_probe.py
 

@@ -13,13 +13,24 @@ copies them for a steady iteration.  The recorder is the hottest
 non-numeric path of a profiled run — every behavior lands here — so a
 malloc, a free or an access outside a kernel is one hook call, one C-level
 append of a packed ``int64`` row and one op-string append (a malloc adds its
-tag): the clock field is read directly and nothing else is looked up.  A
-kernel launch is one call too: :meth:`TraceRecorder.on_kernel` checks every
-operand live, packs a read row per input, advances the clock by the kernel's
-atom and packs a write row per output, appended with one ``frombytes``.
-The recorder never writes the tape: a taped clock logs its own atoms
-(:class:`~repro.device.tape.TimingTape`), and while one is attached the
-recorder notes, per event, how many atoms precede it.
+tag): the clock field is read and written directly and nothing else is
+looked up.
+
+The recorder is also the only code that moves its device's clock, and
+every run it records keeps the timing atoms a template needs
+(:mod:`repro.device.tape`), so a simulated row and a template are made from
+one recording.  A malloc or a free moves the clock by the allocator's
+bookkeeping overhead before its row and logs no atom: its row implies it.
+A kernel launch is one call,
+:meth:`TraceRecorder.on_kernel`: it checks every operand live, packs a read
+row per input, the kernel's atom and a write row per output, and moves the
+clock by the kernel's duration.  Every other advance — a copy, a host
+pause, an allreduce's wait — is one :meth:`TraceRecorder.on_atom`.  A logged
+atom carries the number of rows recorded before it, and every iteration
+mark the number of atoms logged and rows recorded at its begin and end
+(:attr:`TraceRecorder.mark_spans`), so the tape a template prices, and each
+row's position in it, follow from the recording alone
+(:func:`~repro.experiments.replay._capture_rank`).
 
 :meth:`TraceRecorder.to_trace` is the run as the front end made it: each
 request its own block, sized as requested, and no segment rows.
@@ -39,7 +50,8 @@ from typing import List, Sequence
 import numpy as np
 
 from ..device.allocator import Placement, call_rows
-from ..device.tape import TAPE_KERNEL
+from ..device.tape import ATOM_DTYPE, ATOM_SIZE, TAPE_KERNEL, pack_atom
+from ..errors import ClockError
 from .events import IterationMark, MemoryCategory, MemoryEventKind
 from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
                     columns_from_rows, iteration_rows, pack_row)
@@ -53,34 +65,34 @@ _UNKNOWN_CATEGORY = MemoryCategory.UNKNOWN.code
 
 class TraceRecorder:
     """Records malloc/free/read/write behaviors of ``device`` with simulated
-    timestamps, against the request ids its mallocs number."""
+    timestamps, against the request ids its mallocs number, and the timing
+    atoms it moves the device's clock by."""
 
     def __init__(self, device):
         self.clock = device.clock
+        #: The allocator's bookkeeping overhead every malloc and free pays
+        #: (the spec is frozen, so it is read once).
+        self.call_ns = device.spec.allocator_overhead_ns
         #: What the trace says about the run (a profiler stamps it).
         self.metadata: dict = {}
         self.rows = array("q")
         self.ops: List[str] = []
         #: Each request's tag, by request id (its malloc ordinal).
         self.tags: List[str] = []
+        #: Every atom logged, packed (:data:`~repro.device.tape.ATOM_DTYPE`).
+        self.atoms = bytearray()
         # The stores live as long as the recorder, so their C-level appends
         # are bound once here and called directly by the hooks.
         self._append_row = self.rows.frombytes
         self._append_op = self.ops.append
         self._extend_ops = self.ops.extend
         self._append_tag = self.tags.append
+        self._append_atom = self.atoms.extend
         self.iteration_marks: List[IterationMark] = []
+        #: Per iteration mark: ``[atoms, rows]`` logged and recorded at its
+        #: begin, then at its end (``-1, -1`` until the iteration closes).
+        self.mark_spans: List[List[int]] = []
         self._current_iteration = -1
-        # Template capture: while a timing tape is attached to the clock, the
-        # recorder notes each event's position in the tape (the number of
-        # timing atoms that precede it) so the replay engine can re-derive
-        # event timestamps from re-priced atom durations.
-        self.event_tape_positions = array("q")
-        self._append_position = self.event_tape_positions.append
-        self._extend_positions = self.event_tape_positions.extend
-        #: Per-iteration ``[begin, end]`` tape positions of the iterations
-        #: begun while a tape is attached (end is -1 until the iteration closes).
-        self.mark_tape_spans: List[List[int]] = []
 
     # -- iteration bookkeeping ------------------------------------------------------
 
@@ -93,9 +105,7 @@ class TraceRecorder:
         """Mark the start of training iteration ``index``."""
         self._current_iteration = index
         self.iteration_marks.append(IterationMark(index=index, start_ns=self.clock.now_ns))
-        tape = self.clock.tape
-        if tape is not None:
-            self.mark_tape_spans.append([len(tape), -1])
+        self.mark_spans.append([len(self.atoms) // ATOM_SIZE, len(self.ops), -1, -1])
 
     def end_iteration(self, index: int) -> None:
         """Mark the end of training iteration ``index``."""
@@ -103,61 +113,54 @@ class TraceRecorder:
             mark = self.iteration_marks[position]
             if mark.index == index and mark.end_ns is None:
                 mark.end_ns = self.clock.now_ns
-                tape = self.clock.tape
-                if tape is not None and position < len(self.mark_tape_spans):
-                    self.mark_tape_spans[position][1] = len(tape)
+                self.mark_spans[position][2:] = len(self.atoms) // ATOM_SIZE, len(self.ops)
                 break
         self._current_iteration = -1
 
     # -- event capture ----------------------------------------------------------------
 
     def on_malloc(self, nbytes: int, category_code: int, tag: str) -> int:
-        """Record a malloc of ``nbytes``; returns its request id."""
+        """Record a malloc of ``nbytes`` once the allocator's bookkeeping
+        overhead is on the clock; returns its request id."""
         clock = self.clock
-        if clock.tape is not None:
-            self._append_position(len(clock.tape))
+        now = clock._now_ns = clock._now_ns + self.call_ns
         request = len(self.tags)
-        self._append_row(pack_row(_MALLOC, clock._now_ns, request, 0, nbytes, category_code,
+        self._append_row(pack_row(_MALLOC, now, request, 0, nbytes, category_code,
                                   self._current_iteration))
         self._append_op("")
         self._append_tag(tag)
         return request
 
     def on_free(self, request: int) -> None:
-        """Record the free of ``request``."""
+        """Record the free of ``request`` once the allocator's bookkeeping
+        overhead is on the clock."""
         clock = self.clock
-        if clock.tape is not None:
-            self._append_position(len(clock.tape))
-        self._append_row(pack_row(_FREE, clock._now_ns, request, 0, 0, 0,
-                                  self._current_iteration))
+        now = clock._now_ns = clock._now_ns + self.call_ns
+        self._append_row(pack_row(_FREE, now, request, 0, 0, 0, self._current_iteration))
         self._append_op("")
 
     def on_read(self, request: int, op: str) -> None:
         """Record a read of ``request`` by operator ``op``."""
-        clock = self.clock
-        if clock.tape is not None:
-            self._append_position(len(clock.tape))
-        self._append_row(pack_row(_READ, clock._now_ns, request, 0, 0, 0,
+        self._append_row(pack_row(_READ, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op(op)
 
     def on_write(self, request: int, op: str) -> None:
         """Record a write of ``request`` by operator ``op``."""
-        clock = self.clock
-        if clock.tape is not None:
-            self._append_position(len(clock.tape))
-        self._append_row(pack_row(_WRITE, clock._now_ns, request, 0, 0, 0,
+        self._append_row(pack_row(_WRITE, self.clock._now_ns, request, 0, 0, 0,
                                   self._current_iteration))
         self._append_op(op)
 
     def on_kernel(self, op: str, reads: Sequence, writes: Sequence, duration_ns: int,
                   flops: float, bytes_moved: float) -> None:
         """Record one launch of kernel ``op``: a read row per operand in
-        ``reads`` at the current time, the kernel's atom on the clock
-        (``duration_ns`` long, priced by ``flops`` and ``bytes_moved``) and a
-        write row per operand in ``writes`` at the kernel's end.  Operands
-        are tensors (their ``storage.request``); every one is checked live
-        before a row is recorded or the clock moves."""
+        ``reads`` at the current time, the kernel's atom (``duration_ns``
+        long, priced by ``flops`` and ``bytes_moved``) and a write row per
+        operand in ``writes`` at the kernel's end.  Operands are tensors
+        (their ``storage.request``); every one is checked live, and the
+        duration non-negative, before a row is recorded or the clock moves."""
+        if duration_ns < 0:
+            raise ClockError(f"cannot advance clock by negative delta {duration_ns}")
         clock = self.clock
         iteration = self._current_iteration
         start = clock._now_ns
@@ -173,13 +176,25 @@ class TraceRecorder:
             if request is None:
                 operand.storage.ensure_live()
             rows += pack_row(_WRITE, end, request, 0, 0, 0, iteration)
-        clock.advance(duration_ns, TAPE_KERNEL, 0, flops, bytes_moved)
+        self._append_atom(pack_atom(len(self.ops) + len(reads), TAPE_KERNEL, duration_ns, 0,
+                                    flops, bytes_moved))
+        clock._now_ns = end
         self._append_row(rows)
         self._extend_ops([op] * (len(reads) + len(writes)))
-        tape = clock.tape
-        if tape is not None:
-            after = len(tape)
-            self._extend_positions([after - 1] * len(reads) + [after] * len(writes))
+
+    def on_atom(self, kind: int, duration_ns: int, nbytes: int = 0) -> None:
+        """Move the clock by one atom of ``kind`` (``nbytes`` its payload)
+        that no row implies: a copy, a host pause, an allreduce's wait.
+        Zero-length atoms are logged too; a fractional duration is rounded
+        to the nanosecond, and a negative one raises
+        :class:`~repro.errors.ClockError` before the clock moves or an
+        atom is logged."""
+        if type(duration_ns) is not int:
+            duration_ns = int(round(duration_ns))
+        if duration_ns < 0:
+            raise ClockError(f"cannot advance clock by negative delta {duration_ns}")
+        self._append_atom(pack_atom(len(self.ops), kind, duration_ns, nbytes, 0.0, 0.0))
+        self.clock._now_ns += duration_ns
 
     # -- trace construction --------------------------------------------------------------
 
@@ -203,6 +218,11 @@ class TraceRecorder:
             end_ns=self.clock.now_ns,
         )
 
+    def atom_log(self) -> np.ndarray:
+        """The atoms logged so far, as :data:`~repro.device.tape.ATOM_DTYPE`
+        records (a copy)."""
+        return np.frombuffer(bytes(self.atoms), dtype=ATOM_DTYPE)
+
     def __len__(self) -> int:
         return len(self.ops)
 
@@ -222,8 +242,10 @@ class PlacedTrace:
         self.trace, self.placement, self.overhead_ns = trace, placement, overhead_ns
         columns = self.columns = trace.columns()
         n = len(columns)
+        #: The recorded malloc and free rows, in order: the calls.
+        self.calls = call_rows(columns)
         # Each segment row's call: the recorded malloc (or free) that made it.
-        at = self.anchors = call_rows(columns)[placement.segment_op]
+        at = self.anchors = self.calls[placement.segment_op]
         #: before[p]: the segment overheads paid before point p (p rows recorded).
         self.before = np.zeros(n + 2, dtype=np.int64)
         np.cumsum(np.bincount(at, minlength=n + 1), out=self.before[1:])

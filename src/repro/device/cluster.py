@@ -240,7 +240,7 @@ class DeviceGroup:
 
         self.devices = devices
         self.collective = CollectiveEngine(
-            self.cluster, [device.clock for device in devices])
+            self.cluster, [device.recorder for device in devices])
 
     @classmethod
     def single(cls, spec: Optional[DeviceSpec] = None, **device_kwargs) -> "DeviceGroup":

@@ -7,13 +7,15 @@ slowest participating replica arrives) followed by an algorithm-dependent
 transfer cost from the cluster's cost model
 (:meth:`~repro.device.cluster.ClusterSpec.allreduce_time_ns`), after which
 every replica clock has advanced to the same completion time.  The engine
-holds one clock per *materialised* replica — one per replica class of the
-:class:`~repro.device.cluster.DeviceGroup`; ranks of one class arrive at the
-same instant, so the barrier over the class clocks is the barrier over all
-ranks — while the cost and the reported ``world_size`` are the cluster's.
-The allreduce is the only cross-rank synchronization a run has: every
-device is synchronous, so there is no stream to drain, and the timing tape
-records it as its one sync atom (:data:`~repro.device.tape.TAPE_ALLREDUCE`).
+holds the recorder of every *materialised* replica — one per replica class
+of the :class:`~repro.device.cluster.DeviceGroup`; ranks of one class
+arrive at the same instant, so the barrier over the class clocks is the
+barrier over all ranks — while the cost and the reported ``world_size``
+are the cluster's.  The allreduce is the only cross-rank synchronization a
+run has: every device is synchronous, so there is no stream to drain, and
+each replica's recorder moves its clock through it as one sync atom, the
+replica's wait for the barrier's end
+(:data:`~repro.device.tape.TAPE_ALLREDUCE`).
 
 The engine deliberately knows nothing about tensors: the training loop
 (:class:`~repro.train.trainer.DataParallelTrainer`) owns the gradient
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from .clock import DeviceClock
 from .cluster import ClusterSpec
 from .tape import TAPE_ALLREDUCE
 
@@ -88,15 +89,15 @@ class CollectiveEngine:
     ----------
     cluster:
         The cluster specification supplying the allreduce cost model.
-    clocks:
-        One :class:`~repro.device.clock.DeviceClock` per materialised
-        replica, in class order; collectives barrier and then advance all of
-        them together.
+    recorders:
+        The :class:`~repro.core.recorder.TraceRecorder` of every
+        materialised replica, in class order; collectives barrier on their
+        clocks and then advance all of them together.
     """
 
-    def __init__(self, cluster: ClusterSpec, clocks: Sequence[DeviceClock]):
+    def __init__(self, cluster: ClusterSpec, recorders: Sequence):
         self.cluster = cluster
-        self.clocks = list(clocks)
+        self.recorders = list(recorders)
         self.records: List[CollectiveRecord] = []
 
     @property
@@ -111,11 +112,11 @@ class CollectiveEngine:
         clocks) and every clock is advanced to the shared completion time.
         With one replica the cost is zero and no clock moves.
         """
-        start = max(clock.now_ns for clock in self.clocks)
+        start = max(recorder.clock.now_ns for recorder in self.recorders)
         duration = self.cluster.allreduce_time_ns(nbytes)
         end = start + duration
-        for clock in self.clocks:
-            clock.advance(end - clock.now_ns, TAPE_ALLREDUCE, int(nbytes))
+        for recorder in self.recorders:
+            recorder.on_atom(TAPE_ALLREDUCE, end - recorder.clock.now_ns, int(nbytes))
         record = CollectiveRecord(
             kind="allreduce", nbytes=int(nbytes), start_ns=start, end_ns=end,
             algorithm=self.cluster.allreduce_algorithm, world_size=self.world_size,

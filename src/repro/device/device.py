@@ -13,19 +13,23 @@
 
 The device is synchronous, the way eager PyTorch issues work on one stream:
 a kernel launch, the two host↔device copies and :meth:`Device.host_pause`
-each record their timing atom and advance the clock by their duration before
-they return, so the clock is the device's whole timeline.  Swap traffic, the
-one thing that overlaps with compute, is executed after the run by
+each advance the clock by their duration before they return, so the clock
+is the device's whole timeline.  The recorder moves it, logging the timing
+atom behind each advance in the same call (:mod:`repro.device.tape`; a
+malloc's or a free's is implied by its row), and besides it only a copied
+steady iteration does (:mod:`repro.train.trainer`).  Swap traffic, the one
+thing that overlaps with compute, is executed after the run by
 :mod:`repro.swap.executor` on its own clock and copy stream.
 
 A tensor calls :meth:`Device.allocate` when it is made and
-:meth:`Device.free` when its last view lets go — each pays the allocator's
-bookkeeping overhead on the clock and hands the call to
-:attr:`Device.recorder`, whose malloc ordinal is the request id the tensor's
-storage keeps, never a block.  :meth:`Device.run_kernel` is the one kernel
-entry of the tensor library: it prices the kernel and makes one recorder
-call, :meth:`~repro.core.recorder.TraceRecorder.on_kernel`, which records
-the operands' reads, the kernel's clock atom and its writes.  Nothing is
+:meth:`Device.free` when its last view lets go — each one call to
+:attr:`Device.recorder`, which pays the allocator's bookkeeping overhead on
+the clock and whose malloc ordinal is the request id the tensor's storage
+keeps, never a block.  :meth:`Device.run_kernel` is the one kernel entry of
+the tensor library: it prices the kernel and makes one recorder call,
+:meth:`~repro.core.recorder.TraceRecorder.on_kernel`, which records the
+operands' reads, the kernel's atom and its writes; a copy and a host pause
+are one :meth:`~repro.core.recorder.TraceRecorder.on_atom` each.  Nothing is
 computed: tensors carry shape, dtype and category but no values, and memory
 behavior is a function of shapes alone.  Where a request lands, and the
 ``cudaMalloc`` overheads that places it, is the allocator's pass over the
@@ -41,7 +45,7 @@ from ..errors import ConfigurationError
 from .allocator import Placement, check_allocator, place
 from .clock import DeviceClock
 from .spec import DeviceSpec, titan_x_pascal
-from .tape import TAPE_ALLOC_OVERHEAD, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
+from .tape import TAPE_CONST, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from .timing import DEFAULT_HOST_DISPATCH_OVERHEAD_NS, KernelCost, KernelTimingModel
 
 
@@ -85,10 +89,9 @@ class Device:
         self.default_dtype = dtype
         self.clock = DeviceClock()
         self.allocator = check_allocator(allocator)
-        #: The trace recorder every behavior goes to.
+        #: The trace recorder every behavior, and every advance of the
+        #: clock, goes to.
         self.recorder = TraceRecorder(self)
-        # The spec is frozen, so the per-malloc/free cost is read once.
-        self._alloc_overhead_ns = self.spec.allocator_overhead_ns
         self.timing = KernelTimingModel(
             self.spec, host_dispatch_overhead_ns=host_dispatch_overhead_ns)
 
@@ -97,12 +100,10 @@ class Device:
     def allocate(self, size: int, category: MemoryCategory = MemoryCategory.UNKNOWN,
                  tag: str = "") -> int:
         """Request ``size`` bytes of device memory; returns the request id."""
-        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
         return self.recorder.on_malloc(size, category.code, tag)
 
     def free(self, request: int) -> None:
         """Free the memory of request ``request``."""
-        self.clock.advance(self._alloc_overhead_ns, TAPE_ALLOC_OVERHEAD)
         self.recorder.on_free(request)
 
     def place(self) -> Placement:
@@ -128,7 +129,7 @@ class Device:
         """
         if duration_ns < 0:
             raise ConfigurationError("host_pause duration must be non-negative")
-        self.clock.advance(duration_ns)
+        self.recorder.on_atom(TAPE_CONST, duration_ns)
 
     def copy_host_to_device(self, nbytes: int) -> int:
         """Synchronous pinned host→device copy; returns its duration in ns."""
@@ -141,7 +142,7 @@ class Device:
     def _copy(self, kind: int, nbytes: int, bandwidth: float) -> int:
         """A blocking copy: its memcpy duration on the clock, as atom ``kind``."""
         duration = self.timing.memcpy_duration_ns(nbytes, bandwidth)
-        self.clock.advance(duration, kind, nbytes)
+        self.recorder.on_atom(kind, duration, nbytes)
         return duration
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -1,32 +1,29 @@
-"""Timing tape: the *reason* behind every clock advance, one atom at a time.
+"""Timing atoms: the *reason* behind every advance of a device's clock.
 
 A run's event structure is a pure function of the
 workload (model, batch size, replica count, ...) while simulated *time* is a
 pure function of that structure plus the pricing axes (device spec, host
-dispatch overhead, interconnect).  The tape is what separates the two: it is
-a :class:`~repro.device.clock.DeviceClock`'s own log.  Every advance names
-its atom kind — a kernel with its roofline parameters, a memcpy with its byte
-count, an allocator bookkeeping overhead, the gradient allreduce, or a
-host-side constant — and a clock with a tape attached appends that atom,
-with the nanoseconds it moved, as one row of the tape's columns.  The
-trace-template replay engine (:mod:`repro.experiments.replay`) later
-re-derives every timestamp for a different device specification with a
-handful of vectorized array transforms, without re-running the simulation.
-
-Because the atom and the advance are one call, the tape cannot disagree
-with the clock: it holds exactly one atom per advance, zero-length ones
-included.
+dispatch overhead, interconnect).  The atoms are what separates the two:
+every advance of a device's clock is one atom, of one kind — a kernel with
+its roofline parameters, a memcpy with its byte count, an allocator
+bookkeeping overhead, the gradient allreduce, or a host-side constant —
+with the nanoseconds it moved the clock.  The device's
+:class:`~repro.core.recorder.TraceRecorder` is the only code that moves
+its clock, and it logs each atom it moves it by (:data:`ATOM_DTYPE`), with
+the number of rows recorded before it, in the same call — all but the
+allocator's, which every malloc and free row implies.  A template
+(:mod:`repro.experiments.replay`) lays the atoms out as one tape per
+replica and later re-derives every timestamp for a different device
+specification with a handful of vectorized array transforms, without
+re-running the simulation.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import TYPE_CHECKING, Dict
+import struct
+from typing import Dict
 
 import numpy as np
-
-if TYPE_CHECKING:  # the clock imports this module for its atom kinds
-    from .clock import DeviceClock
 
 #: Atom kinds.  ``CONST`` re-prices to its recorded nanoseconds; the others
 #: re-price from the target device specification (and the allreduce, the one
@@ -41,6 +38,15 @@ TAPE_ALLOC_OVERHEAD = 4
 TAPE_SEGMENT_OVERHEAD = 5
 TAPE_ALLREDUCE = 6
 
+#: One logged atom: the rows recorded before it, its kind, the nanoseconds
+#: it moved the clock and its pricing inputs (bytes, flops, DRAM traffic).
+ATOM_DTYPE = np.dtype([("rows", "<i8"), ("kind", "<i8"), ("duration_ns", "<i8"),
+                       ("nbytes", "<i8"), ("flops", "<f8"), ("bytes_moved", "<f8")])
+#: ``pack_atom(rows, kind, duration_ns, nbytes, flops, bytes_moved) -> bytes``:
+#: one atom in the :data:`ATOM_DTYPE` layout.
+pack_atom = struct.Struct("<4q2d").pack
+ATOM_SIZE = ATOM_DTYPE.itemsize
+
 
 def atom_index_table(kinds: np.ndarray) -> Dict[int, np.ndarray]:
     """Positions of every atom kind present in a tape's kind column.
@@ -54,29 +60,3 @@ def atom_index_table(kinds: np.ndarray) -> Dict[int, np.ndarray]:
     # The kinds present, ascending (``np.unique`` would import ``numpy.ma``).
     return {kind: np.flatnonzero(kinds == kind)
             for kind in np.flatnonzero(np.bincount(kinds)).tolist()}
-
-
-class TimingTape:
-    """Per-clock columnar log of timing atoms (one per clock advance).
-
-    Attaching a tape registers it as ``clock.tape``; from then on every
-    :meth:`DeviceClock.advance <repro.device.clock.DeviceClock.advance>`
-    appends its atom to the five columns below until :meth:`detach`.
-    """
-
-    def __init__(self, clock: DeviceClock):
-        self.clock = clock
-        self.kind = array("q")
-        self.duration_ns = array("q")
-        self.nbytes = array("q")
-        self.flops = array("d")
-        self.bytes_moved = array("d")
-        clock.tape = self
-
-    def __len__(self) -> int:
-        return len(self.kind)
-
-    def detach(self) -> None:
-        """Stop logging: unpublish ``clock.tape``."""
-        if self.clock.tape is self:
-            self.clock.tape = None

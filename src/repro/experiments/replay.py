@@ -6,13 +6,16 @@ workload (model, batch size, allocator, replica count); simulated *time* is
 that structure priced under the timing axes (:data:`PRICING_FIELDS`).  This
 module splits the two:
 
-* :meth:`TemplateFamily.capture` runs the simulation **once** per structure
-  with a :class:`~repro.device.tape.TimingTape` attached to every replica
-  clock, which then logs each of its advances as one typed timing atom, and
-  keeps a :class:`TraceTemplate`: per replica the trace's event columns and
-  tag / op lists as recorded, the clock's atoms, the event→atom
-  correspondence (atoms preceding each event) and iteration spans, plus the
-  structural scalars (peaks, parameter bytes, allocator counters).
+* :meth:`TemplateFamily.capture` records the simulation **once** per
+  structure — a plain :func:`~repro.train.session.record_session`, the run
+  a simulated row places: every device's recorder logs the timing atoms it
+  moves the clock by (:mod:`repro.device.tape`), each with the rows before
+  it — places it, and keeps a :class:`TraceTemplate`: per replica the
+  trace's event columns and tag / op lists as recorded, the clock's atoms
+  (those the malloc and free rows and the placement's segments imply
+  spliced in, :func:`_capture_rank`), the event→atom correspondence (atoms
+  preceding each event) and iteration spans, plus the structural scalars
+  (peaks, parameter bytes, allocator counters).
 * :meth:`TraceTemplate._price_points` prices each distinct pricing point of
   a batch once, at zero host dispatch, in one ``(points × atoms)`` int64
   broadcast per rank; collectives are resolved with barrier semantics in a
@@ -84,7 +87,6 @@ from ..device.tape import (
     TAPE_MEMCPY_D2H,
     TAPE_MEMCPY_H2D,
     TAPE_SEGMENT_OVERHEAD,
-    TimingTape,
 )
 from ..device.timing import KernelTimingModel
 from ..core.recorder import PlacedTrace
@@ -186,24 +188,6 @@ def template_key(config: TrainingRunConfig) -> str:
 # -- capture --------------------------------------------------------------------------
 
 
-class _TemplateCapture:
-    """Session hook that attaches one timing tape per materialised replica
-    clock (one per replica class; each device's recorder notes its tape
-    positions) and keeps the group."""
-
-    def __init__(self) -> None:
-        self.tapes: List[TimingTape] = []
-        self.group = None
-
-    def attach(self, group) -> None:
-        self.tapes = [TimingTape(device.clock) for device in group]
-        self.group = group
-
-    def detach(self) -> None:
-        for tape in self.tapes:
-            tape.detach()
-
-
 @dataclass
 class RankTemplate:
     """One replica's captured structure: its trace's events, tape atoms, mark spans."""
@@ -239,42 +223,58 @@ class RankTemplate:
                            event_ops=self.event_ops, **trace_fields)
 
 
-def _capture_rank(recorder, placed: PlacedTrace, tape: TimingTape, overhead_ns: int,
-                  preamble_segments: int) -> RankTemplate:
-    """Freeze one replica's recorder + tape, with its placement's segment
-    overhead atoms spliced in, into a :class:`RankTemplate`.
+def _capture_rank(placed: PlacedTrace, atoms: np.ndarray, spans: np.ndarray,
+                  alloc_ns: int, segment_ns: int, preamble_segments: int) -> RankTemplate:
+    """Lay one replica class's ``placed`` recording out as a
+    :class:`RankTemplate`: its logged ``atoms`` and iteration ``spans``
+    (:class:`~repro.train.session.Recording`), with the atoms the rows imply
+    spliced in.
 
-    A call's segment atoms follow its bookkeeping atom, in front of its
-    malloc; a gradient barrier's atom is the replica's wait there, which the
+    Every malloc and free is preceded by its bookkeeping atom (``alloc_ns``
+    long), after every atom logged with as many rows before it, and a call
+    the placement reserves or releases segments for is followed by a
+    segment atom (``segment_ns`` long) per segment, in front of its row.  A
+    gradient barrier's atom is the replica's wait there, which the
     placement lengthens by its ``waits``.
     """
     trace = placed.trace
     cols = trace.columns()
     tags, ops = trace.event_strings()
-    recorded = np.asarray(recorder.event_tape_positions, dtype=np.int64)
-    if recorded.size != placed.rows.size:
-        raise TemplateError("event/tape correspondence is incomplete",
-                            reason="capture_inconsistent")
-    spans = recorder.mark_tape_spans
-    if len(spans) != len(trace.iteration_marks) or any(e < 0 for _, e in spans):
+    if (spans[:, 2:] < 0).any():
         raise TemplateError("iteration mark spans are incomplete",
                             reason="capture_inconsistent")
+    calls = placed.calls
+    logged = atoms["rows"]
+    # The atoms, logged or implied, before each recorded row: those logged
+    # with at most as many rows before them, and one per call up to the row.
+    n = len(placed.columns)
+    recorded = np.cumsum(np.bincount(logged, minlength=n + 1)[:n]
+                         + np.bincount(calls, minlength=n))
     at = recorded[placed.anchors]
     positions = np.empty(len(cols), dtype=np.int64)
     positions[placed.rows] = recorded + np.searchsorted(at, recorded, side="right")
     positions[placed.segment_rows] = at + np.arange(1, at.size + 1)
-    mark_spans = np.asarray(spans, dtype=np.int64).reshape(len(spans), 2)
-    kind = np.insert(np.asarray(tape.kind, dtype=np.int64), at, TAPE_SEGMENT_OVERHEAD)
-    duration = np.insert(np.asarray(tape.duration_ns, dtype=np.int64), at, overhead_ns)
+    mark_spans = np.stack([spans[:, 0] + np.searchsorted(calls, spans[:, 1]),
+                           spans[:, 2] + np.searchsorted(calls, spans[:, 3])], axis=1)
+    # Each call's bookkeeping atom sits in front of the call's row, after the
+    # logged atoms with as many rows before them.
+    before_call = np.searchsorted(logged, calls, side="right")
+
+    def spliced(name, call_value, segment_value):
+        """Tape column ``name``: the logged atoms', the calls' and the segments'."""
+        return np.insert(np.insert(atoms[name], before_call, call_value), at, segment_value)
+
+    kind = spliced("kind", TAPE_ALLOC_OVERHEAD, TAPE_SEGMENT_OVERHEAD)
+    duration = spliced("duration_ns", alloc_ns, segment_ns)
     if placed.waits:
         duration[kind == TAPE_ALLREDUCE] += placed.waits
 
     return RankTemplate(
         tape_kind=kind,
         tape_duration_ns=duration,
-        tape_nbytes=np.insert(np.asarray(tape.nbytes, dtype=np.int64), at, 0),
-        tape_flops=np.insert(np.asarray(tape.flops, dtype=np.float64), at, 0.0),
-        tape_bytes_moved=np.insert(np.asarray(tape.bytes_moved, dtype=np.float64), at, 0.0),
+        tape_nbytes=spliced("nbytes", 0, 0),
+        tape_flops=spliced("flops", 0.0, 0.0),
+        tape_bytes_moved=spliced("bytes_moved", 0.0, 0.0),
         columns=cols,
         event_tags=tags,
         event_ops=ops,
@@ -967,38 +967,28 @@ def memory_capacity(config: TrainingRunConfig) -> int:
     return get_device_spec(config.device_spec).memory_capacity
 
 
-def check_replay_envelope(config: TrainingRunConfig) -> None:
-    """Raise a reason-coded :class:`TemplateError` for un-replayable configs."""
-    if config.swap != "off":
-        raise TemplateError("swap-execution runs are not replayable",
-                            reason="swap_execution")
-
-
 def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
-    """Run the front end once, place it, and capture its structure as a template.
+    """Record the front end once, place it, and capture its structure as a template.
 
     Raises a reason-coded :class:`TemplateError` when the configuration is
-    outside the replay envelope (swap execution on) or when the capture
-    turns out not to be replayable (ranks disagreeing on the collective
-    sequence).  No merged trace is built: the template prices rows from the
-    replicas' own recordings.
+    outside the replay envelope (swap execution on: :func:`template_key`
+    refuses it) or when the capture turns out not to be replayable (ranks
+    disagreeing on the collective sequence).  The recording is a plain
+    :func:`~repro.train.session.record_session`: its atoms and iteration
+    spans are all a template needs besides the placement.  No merged trace
+    is built: the template prices rows from the replicas' own recordings.
     """
-    check_replay_envelope(config)
     key = template_key(config)
-    capture = _TemplateCapture()
-    try:
-        recording = record_session(config, capture=capture)
-    finally:
-        capture.detach()
-
+    recording = record_session(config)
     spec = build_cluster(config).device
     placed = recording.placed(config)
-    classes = [_capture_rank(device.recorder, trace, tape, spec.cuda_malloc_overhead_ns,
-                             placement.preamble_segments)
-               for device, trace, tape, placement in zip(
-                   capture.group, placed.traces, capture.tapes, placed.placements)]
+    classes = [_capture_rank(trace, atoms, spans, spec.allocator_overhead_ns,
+                             spec.cuda_malloc_overhead_ns, placement.preamble_segments)
+               for atoms, spans, trace, placement in zip(
+                   recording.atoms, recording.mark_spans, placed.traces,
+                   placed.placements)]
     # Ranks of one replica class reference the one captured RankTemplate.
-    ranks = [classes[index] for index in capture.group.rank_classes]
+    ranks = [classes[index] for index in recording.rank_classes]
     allocator_stats = {k: int(v) for k, v in placed.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0
@@ -1303,7 +1293,6 @@ class ReplayEngine:
 
     def _variant_for(self, config: TrainingRunConfig) -> TraceTemplate:
         """The captured variant serving ``config``; raises on any fallback."""
-        check_replay_envelope(config)
         key = template_key(config)
         family = self._family_for(key)
         dtype = config.dtype

@@ -30,7 +30,11 @@ A session is a :class:`Recording` plus what the row decides on top of it.
 :func:`record_session` runs the front end of the row's swap-off twin once:
 each replica class's requests and its behaviors recorded against them — the
 malloc and free rows are the one record of the calls the placement passes
-read — the same under every allocator and capacity.  Its trainer simulates
+read — the same under every allocator and capacity, with the timing atoms
+every device's recorder moved its clock by (:mod:`repro.device.tape`).  The
+one recording serves a simulated row and a template alike: a template
+capture (:mod:`repro.experiments.replay`) is this run placed, its atoms laid
+out as a tape, never a second, instrumented run.  Its trainer simulates
 each distinct iteration once: once an iteration leaves the devices as it
 found them, the later ones are appended as its shifted copies
 (:mod:`repro.train.trainer`), so the iteration count adds little to the
@@ -49,6 +53,8 @@ from __future__ import annotations
 import gc
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.profiler import MemoryProfiler
 from ..core.recorder import PlacedTrace, place_traces
@@ -300,8 +306,12 @@ class Recording:
     ``traces`` holds one recording per replica class (behaviors against
     request ids, its malloc rows the requests and, with its free rows, the
     calls a placement serves), ``rank_classes`` maps each rank to its class
-    and ``spec`` is the device at its native capacity.  Only
-    :meth:`placed`'s memo is mutated by a session.
+    and ``spec`` is the device at its native capacity.  ``atoms`` holds
+    each class's logged timing atoms
+    (:data:`~repro.device.tape.ATOM_DTYPE` records) and ``mark_spans`` its
+    iteration marks' ``(atoms, rows)`` at begin and end, one ``(k, 4)``
+    array: what a template prices (:func:`repro.experiments.replay._capture_rank`).
+    Only :meth:`placed`'s memo is mutated by a session.
     """
 
     config: TrainingRunConfig
@@ -311,6 +321,8 @@ class Recording:
     parameter_bytes: int
     parameter_count: int
     collective: Optional[Dict[str, object]]
+    atoms: Tuple[np.ndarray, ...] = field(repr=False, compare=False)
+    mark_spans: Tuple[np.ndarray, ...] = field(repr=False, compare=False)
     placements: Dict[Tuple[str, int], PlacedRun] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -402,14 +414,11 @@ def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, ob
     return metadata
 
 
-def record_session(config: TrainingRunConfig, capture=None) -> Recording:
+def record_session(config: TrainingRunConfig) -> Recording:
     """Simulate ``config``'s swap-off twin (:func:`swap_off_twin`) once.
 
-    ``capture`` is an optional instrumentation hook used by the replay engine
-    (:mod:`repro.experiments.replay`): an object whose ``attach(group)`` is
-    called right after device construction, before any profiled work; each
-    device's recorder holds the run once it is complete.  Ordinary callers
-    leave it ``None`` and pay nothing.
+    The one recording serves a simulated row and a template alike: each
+    class's trace, timing atoms and iteration spans.
 
     The session's object graph is cyclic (module ↔ children, device ↔
     recorder, storage ↔ device) and all of it is live until the run ends,
@@ -427,8 +436,6 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
             f"per device ({config.n_devices})")
     config = swap_off_twin(config)
     group = build_device_group(config)
-    if capture is not None:
-        capture.attach(group)
     n_devices = group.n_devices
     base_metadata = workload_metadata(config, n_devices)
     profilers = [
@@ -459,16 +466,19 @@ def record_session(config: TrainingRunConfig, capture=None) -> Recording:
     finally:
         if collector_was_enabled:
             gc.enable()
-    class_traces = [profiler.recorder.to_trace() for profiler in profilers]
+    recorders = [profiler.recorder for profiler in profilers]
 
     return Recording(
         config=config,
-        traces=tuple(class_traces),
+        traces=tuple(recorder.to_trace() for recorder in recorders),
         rank_classes=tuple(group.rank_classes),
         spec=get_device_spec(config.device_spec),
         parameter_bytes=models[0].parameter_bytes(),
         parameter_count=models[0].parameter_count(),
         collective=(trainer.collective_summary() if n_devices > 1 else None),
+        atoms=tuple(recorder.atom_log() for recorder in recorders),
+        mark_spans=tuple(np.array(recorder.mark_spans, dtype=np.int64).reshape(-1, 4)
+                         for recorder in recorders),
     )
 
 
@@ -483,12 +493,12 @@ def _restamped(trace: MemoryTrace, recorded: Dict[str, object],
         {**own, **workload, "device_rank": trace.metadata["device_rank"]})
 
 
-def run_training_session(config: TrainingRunConfig, capture=None,
+def run_training_session(config: TrainingRunConfig,
                          recording: Optional[Recording] = None) -> SessionResult:
     """Run one profiled training session and return its trace and statistics.
 
     The session is ``recording`` — or a fresh :func:`record_session` of
-    ``config``, given ``capture`` — placed with ``config``'s allocator
+    ``config`` — placed with ``config``'s allocator
     (:meth:`Recording.placed`; an out-of-memory is raised here), re-stamped with ``config``'s workload
     metadata and, when ``config.swap`` is on, overlaid by its policy
     (:func:`repro.swap.executor.overlay`) under its capacity.  A recording
@@ -500,7 +510,7 @@ def run_training_session(config: TrainingRunConfig, capture=None,
     """
     policy = _swap_policies(config)
     if recording is None:
-        recording = record_session(config, capture)
+        recording = record_session(config)
     placed = recording.placed(config)
     n_devices = recording.n_devices
     recorded = workload_metadata(recording.config, n_devices)

@@ -37,10 +37,11 @@ the requests it made), every later iteration of the same
 The trainer appends it as a copy (:class:`_SteadyIteration`) without
 running the model: to each replica's
 :class:`~repro.core.recorder.TraceRecorder` (its rows — a malloc row is a
-request, bytes and category included — its ops and its request tags) and
-timing tape, its clock, the collective records and the history, with new
-request ids shifted by the requests an iteration makes and every time by
-the iteration's duration.
+request, bytes and category included — its ops, its request tags and its
+timing atoms), its clock, the collective records and the history, with new
+request ids shifted by the requests an iteration makes, every time by the
+iteration's duration and every atom's row count by its rows.  Besides the
+recorder, the copy is the one code that moves a device's clock.
 The recorders still see ``begin_iteration`` / ``end_iteration`` around
 every copy.
 """
@@ -57,6 +58,7 @@ from ..core.trace import ALLREDUCE_OP, KIND_CODES, ROW_FIELDS, ROW_WIDTH
 from ..device.cluster import DeviceGroup
 from ..device.collective import CollectiveRecord
 from ..device.device import Device
+from ..device.tape import ATOM_DTYPE, ATOM_SIZE
 from ..errors import ConfigurationError
 from ..data.loader import DataLoader
 from ..nn.module import Module
@@ -117,19 +119,17 @@ def _replica_readback_release(device: Device, loss: Tensor, inputs: Tensor,
 
 
 class _Position(NamedTuple):
-    """How far one replica's record reaches: its clock, its recorder's
-    requests and rows and its tape's atoms."""
+    """How far one replica's record reaches: its clock and its recorder's
+    requests and rows."""
 
     now_ns: int
     requests: int
     rows: int
-    atoms: int
 
 
 def _position(device: Device) -> _Position:
-    tape, recorder = device.clock.tape, device.recorder
-    return _Position(device.clock.now_ns, len(recorder.tags), len(recorder),
-                     0 if tape is None else len(tape))
+    recorder = device.recorder
+    return _Position(device.clock.now_ns, len(recorder.tags), len(recorder))
 
 
 _KIND, _TIMESTAMP, _REQUEST, _ITERATION = (ROW_FIELDS.index(name) for name in (
@@ -168,25 +168,23 @@ class _ReplicaSpan:
 
     A copy ``j`` iterations later makes the same requests with ids ``j *
     new_requests`` higher and keeps the persistent ones; every time it
-    records is ``j * duration_ns`` later and every tape position ``j``
-    iterations' atoms further.
+    records is ``j * duration_ns`` later, and every atom it logs has ``j``
+    iterations' rows more before it.  Its atoms are the ones the recorder's
+    last mark, the steady iteration's, spans.
     """
 
     def __init__(self, device: Device, start: _Position, end: _Position):
         self.device = device
         self.duration_ns = end.now_ns - start.now_ns
         self.new_requests = end.requests - start.requests
-        self.atoms = end.atoms - start.atoms
-        tape, recorder = device.clock.tape, device.recorder
+        self.new_rows = end.rows - start.rows
+        recorder = device.recorder
         #: The stores a copy extends verbatim, each with its steady slice.
         self.verbatim = [(recorder.tags, recorder.tags[start.requests:end.requests]),
                          (recorder.ops, recorder.ops[start.rows:end.rows])]
-        self.positions = None
-        if tape is not None:
-            self.verbatim += [(column, column[start.atoms:end.atoms]) for column in (
-                tape.kind, tape.duration_ns, tape.nbytes, tape.flops, tape.bytes_moved)]
-            self.positions = np.frombuffer(
-                recorder.event_tape_positions[start.rows:end.rows], dtype=np.int64)
+        first, _, last, _ = recorder.mark_spans[-1]
+        self.atoms = np.frombuffer(recorder.atoms[first * ATOM_SIZE:last * ATOM_SIZE],
+                                   dtype=ATOM_DTYPE)
         self.rows = _rows(device, start, end)
         self.renamed = self.rows[:, _REQUEST] >= start.requests
 
@@ -201,9 +199,9 @@ class _ReplicaSpan:
         rows[:, _REQUEST] += self.renamed * renamed
         rows[:, _ITERATION] = recorder.current_iteration
         recorder.rows.frombytes(rows.tobytes())
-        if self.positions is not None:
-            recorder.event_tape_positions.frombytes(
-                (self.positions + copy * self.atoms).tobytes())
+        atoms = self.atoms.copy()
+        atoms["rows"] += copy * self.new_rows
+        recorder.atoms += atoms.tobytes()
         device.clock._now_ns += self.duration_ns
 
 

@@ -33,7 +33,6 @@ from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KI
 from repro.device.allocator import BASE_ADDRESS, call_rows, place, round_block_size
 from repro.device.cluster import ClusterSpec
 from repro.device.stream import Stream
-from repro.device.tape import TAPE_KERNEL
 from repro.device.timing import KernelTimingModel
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.errors import InfeasibleScenarioError, TraceInvariantError
@@ -134,16 +133,28 @@ def plan_rows(planner, rows, peak_before):
 def kernel_rows(recorder, op, reads, writes, duration_ns, flops, bytes_moved):
     """A hook-level recorder's ``on_kernel``: the launch of ``op`` spelled as
     its rows — every operand checked live, then ``on_read`` per tensor in
-    ``reads``, the kernel's atom on the recorder's clock and ``on_write`` per
-    tensor in ``writes`` — which :meth:`TraceRecorder.on_kernel` packs in one
-    call."""
+    ``reads``, the kernel's duration on the recorder's clock and
+    ``on_write`` per tensor in ``writes`` — which
+    :meth:`TraceRecorder.on_kernel` packs in one call."""
     for operand in (*reads, *writes):
         operand.storage.ensure_live()
     for operand in reads:
         recorder.on_read(operand.storage.request, op)
-    recorder.clock.advance(duration_ns, TAPE_KERNEL, 0, flops, bytes_moved)
+    recorder.clock.advance(duration_ns)
     for operand in writes:
         recorder.on_write(operand.storage.request, op)
+
+
+def atom_advance(recorder, kind, duration_ns, nbytes=0):
+    """A hook-level recorder's ``on_atom``: the atom's duration on the
+    recorder's clock (a copy, a host pause, an allreduce's wait)."""
+    recorder.clock.advance(duration_ns)
+
+
+def call_advance(recorder):
+    """What a hook-level recorder's ``on_malloc`` / ``on_free`` does first:
+    the allocator's bookkeeping overhead on the recorder's clock."""
+    recorder.clock.advance(recorder.call_ns)
 
 
 class BehaviorLog:
@@ -160,6 +171,7 @@ class BehaviorLog:
 
     def __init__(self, device):
         self.clock = device.clock
+        self.call_ns = device.spec.allocator_overhead_ns
         # Requests go on being numbered where the device's recorder left off.
         self.tags = list(device.recorder.tags)
         self.start_ns = device.clock.now_ns
@@ -172,12 +184,14 @@ class BehaviorLog:
         self.times.append(self.clock.now_ns)
 
     def on_malloc(self, nbytes, category_code, tag):
+        call_advance(self)
         request = len(self.tags)
         self.tags.append(tag)
         self._log("malloc", request)
         return request
 
     def on_free(self, request):
+        call_advance(self)
         self._log("free", request)
 
     def on_read(self, request, op):
@@ -187,6 +201,7 @@ class BehaviorLog:
         self._log("write", request, op)
 
     on_kernel = kernel_rows
+    on_atom = atom_advance
 
     def __len__(self):
         return len(self.rows)
@@ -814,6 +829,7 @@ class SwapRecorder(TraceRecorder):
         return block
 
     def on_malloc(self, nbytes, category_code, tag):
+        call_advance(self)
         request = len(self.tags)
         self.tags.append(tag)
         self._categories.append(CATEGORY_FROM_CODE[category_code])
@@ -823,6 +839,7 @@ class SwapRecorder(TraceRecorder):
         return request
 
     def on_free(self, request):
+        call_advance(self)
         block = self._call(request)
         self.executor.on_free(block)
         self._record(MemoryEventKind.FREE, block, "")
@@ -895,7 +912,8 @@ def live_swap_session(config):
     made.
     """
     from repro.swap import POLICIES
-    from repro.train.session import record_session, run_training_session
+    from repro.train.session import (build_device_group, record_session,
+                                     run_training_session)
 
     executors = []
     if config.swap == "off":
@@ -904,22 +922,26 @@ def live_swap_session(config):
     placements = recording.placed(config).placements
     by_rank = {}
 
-    class Capture:
-        def attach(self, group):
-            for device, placement in zip(group, placements):
-                policy = POLICIES[config.swap].for_run(
-                    world_size=group.n_devices,
-                    capacity_bytes=config.device_memory_capacity)
-                executor = ReferenceSwapExecutor(
-                    device, policy, capacity_bytes=config.device_memory_capacity)
-                plans = []
-                _recording_plans(executor.policy, plans)
-                executors.append((executor, plans))
-                device.recorder = SwapRecorder(device)
-                device.recorder.executor = executor
-                executor.recorder = device.recorder
-                device.recorder.place_live(device, placement)
-            by_rank.update(zip((ranks[0] for ranks in group.class_ranks), placements))
+    def live_group(twin):
+        """The device group of the session's swap-off twin, each recorder
+        slot a SwapRecorder.  The collective engine keeps the recorders the
+        devices were built with: they move the same clocks."""
+        group = build_device_group(twin)
+        for device, placement in zip(group, placements):
+            policy = POLICIES[config.swap].for_run(
+                world_size=group.n_devices,
+                capacity_bytes=config.device_memory_capacity)
+            executor = ReferenceSwapExecutor(
+                device, policy, capacity_bytes=config.device_memory_capacity)
+            plans = []
+            _recording_plans(executor.policy, plans)
+            executors.append((executor, plans))
+            device.recorder = SwapRecorder(device)
+            device.recorder.executor = executor
+            executor.recorder = device.recorder
+            device.recorder.place_live(device, placement)
+        by_rank.update(zip((ranks[0] for ranks in group.class_ranks), placements))
+        return group
 
     def placed(recording, allocator, capacity):
         return by_rank[recording.metadata["device_rank"]]
@@ -931,10 +953,11 @@ def live_swap_session(config):
         return traces, [executor.summary() for executor, _ in executors]
 
     with mock.patch("repro.train.trainer.left_as_found", lambda *args: False), \
+            mock.patch("repro.train.session.build_device_group", live_group), \
             mock.patch("repro.train.session.place", placed), \
             mock.patch("repro.train.session.place_traces", placed_live), \
             mock.patch("repro.swap.executor.overlay", lived):
-        session = run_training_session(config, capture=Capture())
+        session = run_training_session(config)
     return session, executors
 
 

@@ -6,12 +6,12 @@ from repro.core.events import MemoryCategory
 from repro.device import Device, small_test_device
 from repro.tensor import empty
 from repro.tensor import functional as F
-from repro.device.tape import TAPE_KERNEL, TimingTape
+from repro.device.tape import TAPE_KERNEL
 from repro.device.timing import KernelCost
 from repro.errors import ConfigurationError
 from repro.units import MIB
 
-from tests.helpers import kernel_rows
+from tests.helpers import call_advance, kernel_rows
 
 
 def test_device_defaults_to_titan_x_and_caching_allocator():
@@ -47,15 +47,18 @@ def test_allocate_and_free_update_stats(test_device):
 class _CountingRecorder:
     """Counts the behaviors a device hands its recorder."""
 
-    def __init__(self, clock):
-        self.clock = clock
+    def __init__(self, device):
+        self.clock = device.clock
+        self.call_ns = device.spec.allocator_overhead_ns
         self.mallocs = self.frees = self.reads = self.writes = 0
 
     def on_malloc(self, nbytes, category_code, tag):
+        call_advance(self)
         self.mallocs += 1
         return self.mallocs - 1
 
     def on_free(self, request):
+        call_advance(self)
         self.frees += 1
 
     def on_read(self, request, op):
@@ -68,7 +71,7 @@ class _CountingRecorder:
 
 
 def test_the_recorder_observes_allocations_and_accesses(test_device):
-    recorder = test_device.recorder = _CountingRecorder(test_device.clock)
+    recorder = test_device.recorder = _CountingRecorder(test_device)
     tensor = empty(test_device, (256,))
     tensor.storage.record_write("init")
     tensor.storage.record_read("consume")
@@ -84,14 +87,15 @@ def test_the_recorder_observes_allocations_and_accesses(test_device):
 
 
 def test_run_kernel_advances_clock_and_counts(test_device):
-    """A launch is one kernel atom on the tape, as long as the clock moved."""
-    tape = TimingTape(test_device.clock)
+    """A launch is one kernel atom in the recorder's log, as long as the
+    clock moved."""
     before = test_device.clock.now_ns
     duration = test_device.run_kernel("k", KernelCost(flops=1e6, name="k"), (), ())
     assert duration > 0
     assert test_device.clock.now_ns == before + duration
-    assert (list(tape.kind), list(tape.duration_ns), list(tape.flops)) == (
-        [TAPE_KERNEL], [duration], [1e6])
+    atoms = test_device.recorder.atom_log()
+    assert (atoms["kind"].tolist(), atoms["duration_ns"].tolist(),
+            atoms["flops"].tolist()) == ([TAPE_KERNEL], [duration], [1e6])
 
 
 def test_host_pause_advances_clock(test_device):

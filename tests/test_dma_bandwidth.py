@@ -5,7 +5,7 @@ import pytest
 from repro.core.swap import BandwidthConfig, swap_round_trip_ns
 from repro.device.bandwidth import BandwidthTest
 from repro.device.device import Device
-from repro.device.tape import TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D, TimingTape
+from repro.device.tape import TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D
 from repro.device.spec import titan_x_pascal
 from repro.units import MIB
 
@@ -44,14 +44,14 @@ def test_empty_copy_costs_only_the_launch_overhead(device):
     assert device.clock.now_ns == 2 * overhead
 
 
-def test_copies_are_taped_with_their_direction_and_bytes(device):
-    tape = TimingTape(device.clock)
+def test_copies_are_logged_with_their_direction_and_bytes(device):
     durations = [device.copy_host_to_device(10), device.copy_device_to_host(20),
                  device.copy_host_to_device(30)]
-    assert list(tape.kind) == [TAPE_MEMCPY_H2D, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D]
-    assert list(tape.nbytes) == [10, 20, 30]
-    assert list(tape.duration_ns) == durations
-    assert sum(tape.duration_ns) == device.clock.now_ns
+    atoms = device.recorder.atom_log()
+    assert atoms["kind"].tolist() == [TAPE_MEMCPY_H2D, TAPE_MEMCPY_D2H, TAPE_MEMCPY_H2D]
+    assert atoms["nbytes"].tolist() == [10, 20, 30]
+    assert atoms["duration_ns"].tolist() == durations
+    assert int(atoms["duration_ns"].sum()) == device.clock.now_ns
 
 
 def test_round_trip_time_matches_equation_one():

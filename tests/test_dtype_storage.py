@@ -9,7 +9,7 @@ from repro.tensor.dtype import all_dtypes, float32, from_numpy_dtype, get_dtype,
 from repro.tensor import empty
 from repro.tensor import functional as F
 
-from tests.helpers import BehaviorLog, kernel_rows
+from tests.helpers import BehaviorLog, call_advance, kernel_rows
 
 
 # -- dtypes ---------------------------------------------------------------------------
@@ -82,11 +82,13 @@ class _Touches:
 
     def __init__(self, device):
         self.clock = device.clock
+        self.call_ns = device.spec.allocator_overhead_ns
         self.seen = []
         self.nbytes = []
         device.recorder = self
 
     def on_malloc(self, nbytes, category_code, tag):
+        call_advance(self)
         self.nbytes.append(nbytes)
         return len(self.nbytes) - 1
 

@@ -959,8 +959,8 @@ def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
     captured = []
     capture_rank = replay._capture_rank
 
-    def recording(recorder, placed, *args):
-        captured.append((placed.trace, capture_rank(recorder, placed, *args)))
+    def recording(placed, *args):
+        captured.append((placed.trace, capture_rank(placed, *args)))
         return captured[-1][1]
 
     monkeypatch.setattr(replay, "_capture_rank", recording)

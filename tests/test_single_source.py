@@ -201,12 +201,11 @@ def test_host_latency_is_named_once_in_replay_the_fingerprints_none_drop():
              if "host_latency" in line]
     assert lines and all(fingerprint.lineno <= number <= fingerprint.end_lineno
                          for number in lines)
-    from repro.experiments.replay import check_replay_envelope
     reasons = set()
     for config in (TrainingRunConfig(swap="lru"), TrainingRunConfig(),
                    TrainingRunConfig(host_latency=HostLatencyModel())):
         try:
-            check_replay_envelope(config)
+            template_key(config)
         except TemplateError as error:
             reasons.add(error.reason)
     assert reasons == {"swap_execution"}
@@ -476,54 +475,99 @@ def _passes_atom(node, kind):
                for arg in (*node.args, *(k.value for k in node.keywords)))
 
 
-def _advance_sites(kind):
-    """(module, function) of every ``.advance(...)`` call passing atom ``kind``."""
+def _atom_sites(kind):
+    """(module, function) of every atom hook or atom packing passing ``kind``."""
     def predicate(node):
-        return _calls("advance")(node) and _passes_atom(node, kind)
-    return {(path.relative_to(SRC).as_posix(), function)
-            for path in sorted(SRC.rglob("*.py"))
-            for function in _enclosing_functions(path, predicate)}
+        return (_calls("on_atom")(node) or _calls("pack_atom")(node)) and _passes_atom(node, kind)
+    return _sites(predicate)
 
 
 def test_the_tape_has_one_sync_kind():
     """The gradient allreduce is the one cross-rank sync a run records: only
-    ``CollectiveEngine.allreduce`` advances a clock with its atom."""
+    ``CollectiveEngine.allreduce`` logs its atom."""
     kinds = {name for name in vars(tape) if name.startswith("TAPE_")}
     assert kinds == {"TAPE_CONST", "TAPE_KERNEL", "TAPE_MEMCPY_H2D", "TAPE_MEMCPY_D2H",
                      "TAPE_ALLOC_OVERHEAD", "TAPE_SEGMENT_OVERHEAD", "TAPE_ALLREDUCE"}
     assert not hasattr(tape, "SYNC_KINDS")
-    assert _advance_sites("TAPE_ALLREDUCE") == {("device/collective.py", "allreduce")}
+    assert _atom_sites("TAPE_ALLREDUCE") == {("device/collective.py", "allreduce")}
     assert "sync_kinds" not in REPLAY.read_text()
 
 
-def test_the_clock_logs_its_own_atoms():
-    """One call per advance: the clock has no observers, the tape no
-    recording methods or mismatch counters, and outside ``device/`` a tape is
-    only attached, read and detached."""
-    for name in ("add_observer", "remove_observer", "reset", "_observers"):
+def test_the_recorder_logs_its_own_atoms():
+    """One call per advance: the clock has no observers and no tape, and an
+    atom is packed only by the recorder's kernel and atom hooks, whose
+    callers are a launch, a copy, a host pause and the allreduce; the
+    allocator's atom is never logged (its row implies it)."""
+    for name in ("add_observer", "remove_observer", "reset", "_observers", "tape"):
         assert not hasattr(DeviceClock(), name), name
-    methods = {name for name, value in vars(tape.TimingTape).items()
-               if callable(value) and not name.startswith("__")}
-    assert methods == {"detach"}
-    attached = tape.TimingTape(DeviceClock())
-    for name in ("consistent", "unexpected", "_pending", "_observe", "_append"):
-        assert not hasattr(attached, name), name
-    assert not any(name.startswith("record_") for name in dir(attached))
-
-    def tape_call(node):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            return False
-        receiver = node.func.value
-        return getattr(receiver, "attr", getattr(receiver, "id", None)) in ("tape", "_tape")
-
-    calls = {(path.relative_to(SRC).as_posix(), node.func.attr)
-             for path, tree in _sources() for node in ast.walk(tree)
-             if tape_call(node) and not path.relative_to(SRC).as_posix().startswith("device/")}
-    assert calls == {("experiments/replay.py", "detach")}
+    assert list(inspect.signature(DeviceClock.advance).parameters) == ["self", "delta_ns"]
+    assert _sites(_calls("pack_atom")) == {("core/recorder.py", "on_kernel"),
+                                           ("core/recorder.py", "on_atom")}
+    assert _sites(_calls("on_atom")) == {("device/device.py", "host_pause"),
+                                         ("device/device.py", "_copy"),
+                                         ("device/collective.py", "allreduce")}
+    assert _atom_sites("TAPE_ALLOC_OVERHEAD") == set()
     for path in sorted(SRC.rglob("*.py")):
         text = path.read_text()
         for word in ("record_kernel", "record_sync", "add_observer", ".consistent"):
             assert word not in text, (path, word)
+
+
+def _moves_a_clock(node):
+    """Whether ``node`` writes a clock's time or advances a clock."""
+    if isinstance(node, (ast.Assign, ast.AugAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return any(isinstance(target, ast.Attribute) and target.attr == "_now_ns"
+                   for target in targets)
+    return _calls("advance")(node) or _calls("advance_to")(node)
+
+
+def _qualified_sites(predicate):
+    """(module, ``Class.function``) of every node ``predicate`` accepts."""
+    found = set()
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if predicate(node):
+            found.add((path.relative_to(SRC).as_posix(), ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path, tree in _sources():
+        visit(tree, (), path)
+    return found
+
+
+def test_only_the_recorder_and_the_steady_copy_move_a_device_clock():
+    """A device's clock moves in :class:`TraceRecorder` — which logs the atom
+    of every advance with it — and in a copied steady iteration, which
+    appends its atoms with its rows; ``DeviceClock.advance`` is left to the
+    swap overlay's own clock.  So there is no taped mode to switch on: no
+    module names a tape class, a capture hook, per-event tape positions or a
+    ``capture`` parameter."""
+    sites = _qualified_sites(_moves_a_clock)
+    overlay = {site for site in sites if site[0] == "swap/executor.py"}
+    assert overlay
+    assert sites - overlay == {
+        ("device/clock.py", "DeviceClock.__init__"),
+        ("device/clock.py", "DeviceClock.advance"),
+        ("device/clock.py", "DeviceClock.advance_to"),
+        ("core/recorder.py", "TraceRecorder.on_malloc"),
+        ("core/recorder.py", "TraceRecorder.on_free"),
+        ("core/recorder.py", "TraceRecorder.on_kernel"),
+        ("core/recorder.py", "TraceRecorder.on_atom"),
+        ("train/trainer.py", "_ReplicaSpan.append")}
+    for path, tree in _sources():
+        text = path.read_text()
+        for word in ("TimingTape", "_TemplateCapture", "event_tape_positions",
+                     "mark_tape_spans"):
+            assert word not in text, (path, word)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                names = {arg.arg for arg in (*node.posonlyargs, *node.args,
+                                             *node.kwonlyargs)}
+                assert "capture" not in names, path
 
 
 def test_a_kernel_launch_is_one_recorder_call():
@@ -531,7 +575,7 @@ def test_a_kernel_launch_is_one_recorder_call():
     the recorder's kernel hook, whose atom is the only ``TAPE_KERNEL``
     advance; the tensor library has no per-row launch helper left."""
     assert _sites(_calls("on_kernel")) == {("device/device.py", "run_kernel")}
-    assert _advance_sites("TAPE_KERNEL") == {("core/recorder.py", "on_kernel")}
+    assert _atom_sites("TAPE_KERNEL") == {("core/recorder.py", "on_kernel")}
     assert not hasattr(functional, "launch")
     launchers = {path for path, _ in _sites(_calls("run_kernel"))}
     assert launchers == {"tensor/functional.py", "tensor/conv_ops.py", "tensor/shape_ops.py"}
@@ -551,15 +595,17 @@ def test_eq1_round_trip_has_one_implementation():
 #: The four behaviors a device hands its recorder, against request ids, and
 #: the kernel launch: its reads, its clock atom and its writes in one call.
 BEHAVIOR_HOOKS = ("on_malloc", "on_free", "on_read", "on_write", "on_kernel")
+#: The one hook besides: an advance of the clock no row implies.
+ATOM_HOOK = "on_atom"
 
 
 def test_a_recorder_hears_only_the_four_behaviors():
     """The device has one recorder slot and no listener fan-out: no module
     under ``src/repro`` names a listener type, a segment hook or a listener
-    list, and the recorder's hooks are the four behaviors and the launch
-    that carries a kernel's reads and writes."""
+    list, and the recorder's hooks are the four behaviors, the launch
+    that carries a kernel's reads and writes and the atom hook."""
     assert {name for name in vars(TraceRecorder) if name.startswith("on_")} \
-        == set(BEHAVIOR_HOOKS)
+        == {*BEHAVIOR_HOOKS, ATOM_HOOK}
     banned = {"MemoryEventListener", "CompositeListener", "NullListener",
               "CountingListener", "on_segment_alloc", "on_segment_free",
               "listeners", "add_listener", "remove_listener"}
@@ -659,9 +705,7 @@ def test_tests_helpers_holds_the_only_live_hook_executor():
                     continue
                 hooks = {item.name for item in node.body
                          if isinstance(item, ast.FunctionDef)} & behaviors
-                # (a kernel's own atom is the launch, not a stall)
-                stalls = any(_calls("advance")(call) and not _passes_atom(call, "TAPE_KERNEL")
-                             for call in ast.walk(node))
+                stalls = any(_calls("advance")(call) for call in ast.walk(node))
                 if hooks and stalls:
                     found.append((path.name, node.name))
     # (the oracle's session places its requests live: its recorder pays each

@@ -38,13 +38,6 @@ RESNET_FP16 = dict(model="resnet18", dataset="cifar10", batch_size=8, iterations
                    dtype="float16", seed=3)
 
 
-class _GrabGroup:
-    """A session ``capture`` hook that only keeps the device group."""
-
-    def attach(self, group):
-        self.group = group
-
-
 # -- (a) nothing is drawn, cast or stored ----------------------------------------------
 
 
@@ -411,13 +404,21 @@ def test_every_kernel_advances_the_clock_by_its_duration_and_swap_keeps_off_it(
     monkeypatch.setattr(Stream, "reserve", reserve)
     config = make_config("mlp", batch_size=2048, iterations=5, swap="unified",
                          model_kwargs={"hidden_dim": 8192, "num_hidden_layers": 6})
-    grab = _GrabGroup()
-    session = run_training_session(config, capture=grab)
+    groups = []
+    build_device_group = session_module.build_device_group
+
+    def grab(config):
+        groups.append(build_device_group(config))
+        return groups[-1]
+
+    monkeypatch.setattr(session_module, "build_device_group", grab)
+    session = run_training_session(config)
     assert kernels > 100
     assert session.swap_execution["recompute_count"] > 0
     assert session.swap_execution["swap_out_count"] > 0
     assert stream_clocks
-    device_clocks = [device.clock for device in grab.group]
+    (group,) = groups
+    device_clocks = [device.clock for device in group]
     assert not any(clock is device_clock for clock in stream_clocks
                    for device_clock in device_clocks)
 

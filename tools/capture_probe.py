@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """What a template capture costs over the simulation it records.
 
-A capture is the simulation with a timing tape on every replica clock, so
-its cost over a bare ``run_training_session`` is the tape's (the ROADMAP item
-"One way to run a scenario" asks for at most 1.05x before every row becomes
-capture + price).
+A capture is a plain ``record_session`` — every recorder logs its clock's
+timing atoms in every run — placed, with each replica's tape laid out from
+its atoms and rows, so its cost over a bare ``run_training_session`` is the
+tape layout's (the ROADMAP item "One way to run a scenario" asks for at most
+1.05x before every row becomes capture + price).
 ``make capture-probe`` prints, per structure at 1 and 2 devices, the
 best-of-7 wall time of ``run_training_session`` and of the template compile
 of the same config, their ratio, and whether the template prices the config
