@@ -304,17 +304,32 @@ class PlacedTrace:
             iteration=merged(columns.iteration, columns.iteration[anchors]),
             device_rank=np.zeros(total, dtype=np.int64),
             address=merged(placement.address[request], placement.segment_address))
-        strings = np.full((2, total), "", dtype=object)
-        strings[0, rows], strings[1, rows] = trace.event_tags, trace.event_ops
-        strings[0, segment_rows] = placement.segment_tags
+        tags, ops = trace.event_tags, trace.event_ops
+        if calls.size:
+            tags, ops = _spliced(tags, anchors, placement.segment_tags), \
+                _spliced(ops, anchors, [""] * calls.size)
         marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
                                end_ns=mark.end_ns + end)
                  for mark, (begin, end) in zip(trace.iteration_marks, mark_delay)]
-        self.trace = MemoryTrace(columns=placed_columns, event_tags=strings[0].tolist(),
-                                 event_ops=strings[1].tolist(), iteration_marks=marks,
+        self.trace = MemoryTrace(columns=placed_columns, event_tags=tags,
+                                 event_ops=ops, iteration_marks=marks,
                                  metadata=dict(trace.metadata),
                                  end_ns=trace.end_ns + end_delay)
         return self
+
+
+def _spliced(recorded: List[str], anchors: np.ndarray, inserted: List[str]) -> List[str]:
+    """``recorded`` with each of ``inserted`` put in front of its row in
+    ``anchors`` (ascending; one anchor per inserted string), in one list of
+    exactly that length: each stretch is a same-length slice assignment."""
+    out = [""] * (len(recorded) + len(inserted))
+    start = 0
+    for shift, (anchor, value) in enumerate(zip(anchors.tolist(), inserted)):
+        out[start + shift:anchor + shift] = recorded[start:anchor]
+        out[anchor + shift] = value
+        start = anchor
+    out[start + len(inserted):] = recorded[start:]
+    return out
 
 
 def place_traces(traces: Sequence[MemoryTrace], placements: Sequence[Placement],

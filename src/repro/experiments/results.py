@@ -1,19 +1,21 @@
 """Per-scenario execution and reduction: one scenario in, one result out.
 
-:func:`run_scenario` executes one scenario and reduces its trace to a
+:func:`run_scenario` executes one scenario and reduces it to a
 JSON-serializable :class:`ScenarioResult` — the per-scenario *metrics*, not
 the multi-megabyte trace; :func:`run_scenario_on` does the same on a
-swap-off recording an earlier row already made.  The reduction runs on the
-trace's column store (:meth:`~repro.core.trace.MemoryTrace.columns`): ATI
-pairing via :func:`~repro.core.ati.compute_interval_arrays`, Eq.-1
-screening via :func:`~repro.core.swap.swappable_fraction` over the interval
-arrays, and the occupation breakdown via the vectorized
-:func:`~repro.core.breakdown.occupation_breakdown` — the multi-megabyte
-Python event objects never cross the process-pool boundary, only the
-reduced :class:`ScenarioResult`.  Every result is put together by
-:func:`assemble_result`, fed by a fresh session's trace
-(:func:`reduce_trace`) or by the replay engine's priced points; either way a
-row's offline policy is :func:`evaluate_policy` on rank 0's own recording.
+swap-off recording an earlier row already made.  :func:`reduce_trace` is the
+one reduction of recordings: a session hands it one recording per replica
+class and each rank's class (:func:`reduce_session`), and it measures the
+merged trace those ranks record without building it — ATI pairing via
+:func:`~repro.core.ati.compute_interval_arrays` once per class, Eq.-1
+screening via :func:`~repro.core.swap.swappable_fractions` and the
+occupation breakdown via :func:`~repro.core.breakdown.occupation_from_columns`
+over the pairs and malloc / free rows put in merged order.  A merged trace is
+its one-recording case.  Only the reduced :class:`ScenarioResult` crosses
+the process-pool boundary.  Every result is put together by
+:func:`assemble_result`, fed by :func:`reduce_trace` or by the replay
+engine's priced points; either way a row's offline policy is
+:func:`evaluate_policy` on rank 0's own recording.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
-from ..core.breakdown import OccupationBreakdown, occupation_breakdown
-from ..core.swap import BandwidthConfig, swappable_fraction
-from ..core.trace import MemoryTrace
+from ..core.breakdown import OccupationBreakdown, occupation_from_columns
+from ..core.swap import BandwidthConfig, swappable_fractions
+from ..core.trace import MemoryTrace, merge_order, require_merge_order
 from ..errors import ConfigurationError
 from ..swap.policies import SWAP_POLICIES, MemoryPolicy, get_policy
 from ..train.session import (Recording, RunStructure, SessionResult,
@@ -218,39 +222,76 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
                    key: Optional[str] = None) -> ScenarioResult:
     """Reduce a finished session to a :class:`ScenarioResult`.
 
-    The session hands :func:`reduce_trace` its trace, structure record,
-    iteration durations, policy summary and ``collective`` /
+    The session hands :func:`reduce_trace` its replica classes' recordings
+    and ``rank_classes`` — no merged trace is built — with its structure
+    record, iteration durations, policy summary and ``collective`` /
     ``swap_execution`` blocks.  ``key`` is the scenario's content hash when
     the caller already computed it.
     """
-    rank0 = session.rank_traces[0] if session.rank_traces else session.trace
+    rank0 = session.rank_traces[0] if session.rank_traces else session.class_traces[0]
     return reduce_trace(
-        scenario, bandwidths, session.trace, session.structure(),
-        [stats.duration_ns for stats in session.iteration_stats],
+        scenario, bandwidths, session.class_traces, session.rank_classes,
+        session.structure(), [stats.duration_ns for stats in session.iteration_stats],
         evaluate_policy(scenario.swap_policy, rank0, bandwidths),
         session.collective, session.swap_execution, started, key)
 
 
 def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
-                 trace: MemoryTrace, structure: RunStructure,
-                 step_durations_ns: Sequence[int],
+                 traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
+                 structure: RunStructure, step_durations_ns: Sequence[int],
                  swap: Optional[Dict[str, object]],
                  collective: Optional[Dict[str, object]],
                  swap_execution: Optional[Dict[str, object]],
                  started: float, key: Optional[str] = None) -> ScenarioResult:
-    """Measure a merged trace (ATI summary, Eq.-1 screening, occupation
-    breakdown) and assemble the result with the row's policy summary.
+    """Measure the merged trace of ranks that record ``traces`` (ATI summary,
+    Eq.-1 screening, occupation breakdown) without building it, and assemble
+    the result with the row's policy summary.
 
-    Fed by a fresh session (:func:`reduce_session`); the tests also feed it
-    a trace the replay engine rebuilt (``TraceTemplate.replay_trace``), the
+    ``traces`` holds one recording per replica class and ``rank_classes``
+    each rank's class, as a session keeps them (:func:`reduce_session`).
+    One recording — a single device, or a trace already merged — is the call
+    with ``[trace]`` and ``(0,)``, measured as it stands; the tests feed it a
+    trace the replay engine rebuilt (``TraceTemplate.replay_trace``), the
     reference the columnar replay reduction is diffed against.
+
+    :func:`~repro.core.trace.merge_rank_traces` keeps block ids rank-disjoint,
+    so the merged ATI pairs are each rank's own as long as every rank's rows
+    keep their recorded order in the merge, which is checked once per class
+    (:func:`~repro.core.trace.require_merge_order`; a
+    :class:`~repro.errors.TraceInvariantError` otherwise).  The pairs and the
+    malloc / free rows are then measured once per class and put in merged
+    order by one :func:`~repro.core.trace.merge_order` each.
     """
-    arrays = compute_interval_arrays(trace)
+    measured = []
+    for trace in traces:
+        cols = trace.columns()
+        pairs = compute_interval_arrays(trace)
+        life = np.flatnonzero(cols.is_malloc | cols.is_free)
+        measured.append((
+            (pairs.end_index, pairs.interval_ns, pairs.size),
+            (life, cols.live_deltas()[life], cols.category_code[life],
+             cols.timestamp_ns[life])))
+
+    def merged(part: int) -> Sequence[np.ndarray]:
+        """The ranks' values of ``part`` (0: the ATI pairs, 1: the malloc /
+        free rows), concatenated in merged row order."""
+        per_rank = [measured[index][part] for index in rank_classes]
+        if len(per_rank) == 1:
+            return per_rank[0][1:]
+        rows, *columns = zip(*per_rank)
+        order = merge_order([traces[index].columns() for index in rank_classes], rows)
+        return [np.concatenate(column)[order] for column in columns]
+
+    if len(rank_classes) > 1:
+        for trace in traces:
+            require_merge_order(trace)
+    interval_ns, sizes = merged(0)
     return assemble_result(
         scenario, key if key is not None else scenario.key(), structure,
-        ati=summarize_values_us(arrays.interval_us),
-        swappable=swappable_fraction(arrays, bandwidths),
-        breakdown=occupation_breakdown(trace, label=scenario.label).to_dict(),
+        ati=summarize_values_us(interval_ns / 1_000.0),
+        swappable=float(swappable_fractions(
+            interval_ns[None, :], sizes, [bandwidths.round_trip_s_per_byte])[0]),
+        breakdown=occupation_from_columns(*merged(1), label=scenario.label).to_dict(),
         step_durations_ns=step_durations_ns, swap=swap,
         collective=collective, swap_execution=swap_execution, started=started)
 

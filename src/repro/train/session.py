@@ -5,7 +5,7 @@ A :class:`TrainingRunConfig` declaratively describes one training workload
 count) and :func:`run_training_session` builds every piece (through
 :func:`record_session`: every device records from its construction, the
 profiler stamps each one's recorder), trains for the requested number of
-iterations and returns the recorded trace together with the per-iteration
+iterations and returns the recorded traces together with the per-iteration
 statistics.
 
 This is the single entry point used by the figure experiments, the examples
@@ -18,8 +18,10 @@ replica whose event stream is byte-identical to the historical single-device
 path — the golden-figure tests pin that equivalence.  With ``n_devices>1``
 the session becomes synchronous data-parallel training: the global batch
 sharded across ranks, a gradient allreduce on the configured interconnect
-before every optimizer step, and one trace per rank merged (with a
-``device_rank`` dimension) into the session trace.  Memory behaviour is
+before every optimizer step, and one trace per rank; the session's merged
+trace (with a ``device_rank`` dimension) is built only when it is read
+(:attr:`SessionResult.trace`), and a sweep row is reduced from the rank
+recordings without it.  Memory behaviour is
 deterministic, so ranks the simulator cannot tell apart — one *replica
 class* (:func:`~repro.train.trainer.replica_classes`: equal shard shapes, at
 most two classes) — share one simulated replica: the session builds one
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,7 +158,9 @@ class RunStructure:
 
     A session builds one per run (:meth:`SessionResult.structure`); a replay
     template builds one from its ``meta`` and serves every pricing point with
-    it.  The peaks are per replica, the counts cover the merged trace.
+    it.  The peaks are per replica; the counts cover the merged trace, which
+    keeps every rank's events and rank-disjoint block ids, so both build
+    them as per-rank sums without merging.
     """
 
     peak_allocated_bytes: int
@@ -179,14 +184,20 @@ class RunStructure:
 class SessionResult:
     """Everything produced by one profiled training run.
 
-    For multi-device sessions ``trace`` is the rank-merged trace (every event
-    carries its ``device_rank``), the peak byte counts are *per-replica*
-    peaks (max across ranks — the number that must fit each device), and
-    ``collective`` summarizes the gradient allreduces.
+    ``class_traces`` holds one recording per replica class and
+    ``rank_classes`` each rank's class; ``rank_traces`` (multi-device only)
+    is every rank's view of its class recording.  What the result reports is
+    measured off them (:func:`~repro.experiments.results.reduce_session`).
+    ``trace`` is the rank-merged trace (every event carries its
+    ``device_rank``; a single device's is its recording), built on its first
+    read.  The peak byte counts are *per-replica* peaks (max across ranks —
+    the number that must fit each device), and ``collective`` summarizes the
+    gradient allreduces.
     """
 
     config: TrainingRunConfig
-    trace: MemoryTrace
+    class_traces: List[MemoryTrace]
+    rank_classes: Tuple[int, ...]
     iteration_stats: List[IterationStats]
     parameter_bytes: int
     parameter_count: int
@@ -207,15 +218,25 @@ class SessionResult:
         """Label for reports (falls back to the config description)."""
         return self.config.label or self.config.describe()
 
+    @cached_property
+    def trace(self) -> MemoryTrace:
+        """The rank-merged trace (:func:`~repro.core.trace.merge_rank_traces`),
+        merged on the first read."""
+        return merge_rank_traces(self.rank_traces
+                                 or [self.class_traces[0].rank_view(0)])
+
     def structure(self) -> RunStructure:
-        """The pricing-independent scalars the per-scenario reduction reports."""
+        """The pricing-independent scalars the per-scenario reduction reports
+        (its counts summed over the ranks' class recordings)."""
+        events = [len(trace) for trace in self.class_traces]
+        blocks = [len(trace.block_ids()) for trace in self.class_traces]
         return RunStructure(
             peak_allocated_bytes=int(self.peak_allocated_bytes),
             peak_reserved_bytes=int(self.peak_reserved_bytes),
             parameter_bytes=int(self.parameter_bytes),
             parameter_count=int(self.parameter_count),
-            num_events=len(self.trace),
-            num_blocks=len(self.trace.block_ids()),
+            num_events=sum(events[index] for index in self.rank_classes),
+            num_blocks=sum(blocks[index] for index in self.rank_classes),
             allocator_stats={k: int(v) for k, v in self.allocator_stats.items()},
         )
 
@@ -495,7 +516,7 @@ def _restamped(trace: MemoryTrace, recorded: Dict[str, object],
 
 def run_training_session(config: TrainingRunConfig,
                          recording: Optional[Recording] = None) -> SessionResult:
-    """Run one profiled training session and return its trace and statistics.
+    """Run one profiled training session and return its traces and statistics.
 
     The session is ``recording`` — or a fresh :func:`record_session` of
     ``config`` — placed with ``config``'s allocator
@@ -506,7 +527,8 @@ def run_training_session(config: TrainingRunConfig,
     :func:`~repro.experiments.grid.recording_token`; the result does not
     depend on whether it was shared.  An unknown swap mode is a
     :class:`~repro.errors.ConfigurationError` raised before anything is
-    simulated.
+    simulated.  Nothing is merged here: the result keeps each replica
+    class's trace and every rank's view of it (:class:`SessionResult`).
     """
     policy = _swap_policies(config)
     if recording is None:
@@ -526,7 +548,8 @@ def run_training_session(config: TrainingRunConfig,
 
     return SessionResult(
         config=config,
-        trace=merge_rank_traces(rank_traces),
+        class_traces=class_traces,
+        rank_classes=recording.rank_classes,
         iteration_stats=iteration_stats,
         parameter_bytes=recording.parameter_bytes,
         parameter_count=recording.parameter_count,

@@ -437,7 +437,7 @@ def rebuilt_trace_result(template, scenario):
     allreduce_ns = int(costs[0].sum())
     policy_trace = trace.for_rank(0) if config.n_devices > 1 else trace
     return reduce_trace(
-        scenario, bandwidths, trace, template._batch_arrays().structure,
+        scenario, bandwidths, [trace], (0,), template._batch_arrays().structure,
         [marks[i].end_ns - marks[i].start_ns for i in template.iteration_indices],
         evaluate_policy(scenario.swap_policy, policy_trace, bandwidths),
         template._collective_summary(clusters[0], allreduce_ns), None, 0.0)

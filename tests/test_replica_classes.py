@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 import zipfile
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from repro.core.trace import EventColumns, MemoryTrace, merge_rank_traces
 from repro.errors import InfeasibleScenarioError, OutOfMemoryError
 from repro.experiments.replay import ReplayEngine, save_family, template_key
+from repro.errors import TraceInvariantError
+from repro.experiments.results import evaluate_policy, reduce_trace, run_scenario
 from repro.experiments.sweep import Scenario, reduce_session
 from repro.train import session as session_module
 from repro.train.session import (TrainingRunConfig, build_device_group,
@@ -117,6 +119,26 @@ def reduced(session):
     return row
 
 
+def reduced_merged(session):
+    """``session`` reduced off its merged trace: the one-recording call of
+    the reduction :func:`reduced` runs on the class recordings."""
+    scenario = Scenario(config=session.config)
+    bandwidths = scenario.resolve_bandwidths()
+    merged = merge_rank_traces(session.rank_traces or [session.class_traces[0]])
+    structure = session.structure()
+    assert (structure.num_events, structure.num_blocks) == (len(merged),
+                                                            len(merged.block_ids()))
+    rank0 = (session.rank_traces or session.class_traces)[0]
+    result = reduce_trace(
+        scenario, bandwidths, [merged], (0,), structure,
+        [stats.duration_ns for stats in session.iteration_stats],
+        evaluate_policy(scenario.swap_policy, rank0, bandwidths),
+        session.collective, session.swap_execution, time.perf_counter())
+    row = result.to_dict()
+    row.pop("wall_time_s")
+    return row
+
+
 def npz_members(path):
     """Member names (in order) and payload bytes — not the zip timestamps."""
     with zipfile.ZipFile(path) as archive:
@@ -183,7 +205,7 @@ def test_class_session_equals_the_fully_materialised_one(config, tmp_path_factor
         assert default == oracle   # the same message, rank 0 fails first
         return
     assert_sessions_equal(default, oracle)
-    assert reduced(default) == reduced(oracle)
+    assert reduced(default) == reduced(oracle) == reduced_merged(default)
     if config.swap == "off":    # replay-routed: the compiled family must agree too
         rows, members = compiled_family(config, tmp_path_factory.mktemp("default"))
         with every_rank_materialised():
@@ -299,3 +321,58 @@ def test_derived_ranks_share_their_class_arrays_and_nothing_mutates_them(monkeyp
     assert [lifetime._asdict() for lifetime in trace_lifetimes(representative)] == lifetimes
     assert [mark.to_dict() for mark in representative.iteration_marks] == marks
     assert representative.event_strings() == strings
+
+
+# -- no merged trace on the sweep path -------------------------------------------------
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_devices=2, batch_size=8),
+    dict(n_devices=3, batch_size=8),
+    dict(n_devices=2, batch_size=8, swap="zero_offload"),
+], ids=["two-ranks", "three-uneven-ranks", "two-ranks-swap-on"])
+def test_a_multi_rank_row_merges_no_trace(overrides):
+    """A data-parallel row is measured off its class recordings: it runs with
+    the merge refused, and reads what its merged trace reduces to."""
+    from repro.core import trace as trace_module
+
+    scenario = Scenario(config=make_config("mlp", **overrides))
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (trace_module, session_module):
+            patch.setattr(module, "merge_rank_traces",
+                          lambda traces: pytest.fail("rank traces were merged"))
+        row = run_scenario(scenario).to_dict()
+    row.pop("wall_time_s")
+    assert row == reduced_merged(run_training_session(scenario.config))
+
+
+def test_the_session_trace_is_merged_on_its_first_read():
+    session = session_module.run_training_session(make_config(
+        "mlp", n_devices=3, batch_size=8))
+    assert "trace" not in vars(session)
+    reduced(session)
+    assert "trace" not in vars(session)
+    assert_traces_equal(session.trace, merge_rank_traces(session.rank_traces))
+    assert session.trace is session.trace
+
+
+def test_a_rank_clock_that_steps_back_is_refused():
+    """Pairing a class's accesses in recording order is the merge's pairing
+    only while every rank's clock never goes back: that is checked, and one
+    recording measured as it stands is not."""
+    session = run_training_session(make_config("mlp", n_devices=2, batch_size=8))
+    trace = session.class_traces[0]
+    stamps = trace.columns().timestamp_ns.copy()
+    row = len(stamps) // 2
+    stamps[row] = stamps[row - 1] - 1
+    stepped = MemoryTrace(
+        columns=replace(trace.columns(), timestamp_ns=stamps),
+        event_tags=trace.event_tags, event_ops=trace.event_ops,
+        iteration_marks=trace.iteration_marks, metadata=trace.metadata,
+        end_ns=trace.end_ns)
+    with pytest.raises(TraceInvariantError) as refused:
+        reduced(replace(session, class_traces=[stepped]))
+    assert refused.value.event_index == row
+    scenario = Scenario(config=session.config)
+    reduce_trace(scenario, scenario.resolve_bandwidths(), [stepped], (0,),
+                 session.structure(), [], None, None, None, 0.0)
