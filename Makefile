@@ -122,9 +122,12 @@ frontier-smoke:
 # re-prices it across device specs; then the same sweep with a policy row in
 # a fresh process, which must price every row — the policy's rank-0 trace
 # re-timed from the stored template's columns — compiling none; the template
-# directory must hold archives and no second kind of file.  Last, the grid
-# over replica counts, interconnects and every offline policy runs under
-# both executions: its --json rows, wall time aside, must be identical.
+# directory must hold archives and no second kind of file.  A two-dtype,
+# two-replica-count sweep in a fresh cache directory must leave exactly four
+# archives: dtype is part of the template key, one archive per capture.
+# Last, the grid over replica counts, interconnects and every offline policy
+# runs under both executions: its --json rows, wall time aside, must be
+# identical.
 REPLAY_SWEEP = $(PYTHON) -m repro sweep --models mlp --batch-sizes 32 \
 	--execution replay --devices titan_x_pascal,v100_sxm2_16gb --no-cache \
 	--cache-dir .ci-replay-cache
@@ -138,6 +141,10 @@ replay-smoke:
 	$(REPLAY_SWEEP) --swap-policies none,swap_advisor \
 		| grep -F "4 replayed from 0 template(s)"
 	test -z "$$(ls .ci-replay-cache/templates | grep -v '\.npz$$')"
+	rm -rf .ci-replay-dtypes
+	$(REPLAY_SWEEP) --dtypes float32,float16 --n-devices 1,2 --cache-dir .ci-replay-dtypes
+	test "$$(ls .ci-replay-dtypes/templates/*.npz | wc -l)" -eq 4
+	rm -rf .ci-replay-dtypes
 	$(REPLAY_GRID_JSON) > .ci-replay-cache/replay.out
 	grep -F "56 replayed from" .ci-replay-cache/replay.out
 	$(REPLAY_GRID_JSON) --execution symbolic > .ci-replay-cache/symbolic.out

@@ -10,33 +10,39 @@ module splits the two:
   structure — a plain :func:`~repro.train.session.record_session`, the run
   a simulated row places: every device's recorder logs the timing atoms it
   moves the clock by (:mod:`repro.device.tape`), each with the rows before
-  it — places it, and keeps a :class:`TraceTemplate`: per replica the
-  trace's event columns and tag / op lists as recorded, the clock's atoms
-  (those the malloc and free rows and the placement's segments imply
-  spliced in, :func:`_capture_rank`), the event→atom correspondence (atoms
-  preceding each event) and iteration spans, plus the structural scalars
-  (peaks, parameter bytes, allocator counters).
+  it — places it, and keeps a :class:`TraceTemplate`: per replica *class*
+  (``rank_classes`` maps each rank to its class, as the
+  :class:`~repro.train.session.Recording` does) the trace's event columns
+  and tag / op lists as recorded, the clock's atoms (those the malloc and
+  free rows and the placement's segments imply spliced in,
+  :func:`_capture_rank`), the event→atom correspondence (atoms preceding
+  each event) and iteration spans, plus the structural scalars (peaks,
+  parameter bytes, allocator counters).  ``dtype`` is structural like any
+  field outside :data:`PRICING_FIELDS`: fp16's activations and AMP master
+  weights are another event stream, so another key and another capture.
 * :meth:`TraceTemplate._price_points` prices each distinct pricing point of
   a batch once, at zero host dispatch, in one ``(points × atoms)`` int64
-  broadcast per rank; collectives are resolved with barrier semantics in a
-  loop over the sync points, not over scenarios.  A row's clocks are then
-  *affine* in its dispatch cost ``d``: every reading is ``T0[point] + d · K``
-  with ``K`` the kernels launched before that column.  This is exact, not an
-  approximation: ``d`` enters each kernel atom as an integer added after
-  rounding, and every rank launches the same number of kernels before each
-  sync (checked at construction), so a barrier shifts all arrivals by the
-  same ``d · K``.  :meth:`TraceTemplate._price_times` builds the full
-  ``(S, width)`` rows from the points — bit-identical to what a fresh
-  simulation advances its clocks by — for the one caller that rebuilds a
-  merged trace (:meth:`TraceTemplate.replay_trace`).
+  broadcast per replica class; collectives are resolved with barrier
+  semantics in a loop over the sync points, not over scenarios.  A row's
+  clocks are then *affine* in its dispatch cost ``d``: every reading is
+  ``T0[point] + d · K`` with ``K`` the kernels launched before that column.
+  This is exact, not an approximation: ``d`` enters each kernel atom as an
+  integer added after rounding, and every class launches the same number of
+  kernels before each sync (checked at construction), so a barrier shifts
+  all arrivals by the same ``d · K``.  :meth:`TraceTemplate._price_times`
+  builds the full ``(S, width)`` rows from the points — bit-identical to
+  what a fresh simulation advances its clocks by — for the one caller that
+  rebuilds a merged trace (:meth:`TraceTemplate.replay_trace`).
 * :meth:`TraceTemplate.replay_batch` reduces every row one way, to the exact
   :class:`~repro.experiments.sweep.ScenarioResult` a fresh simulation would
   produce (:func:`~repro.experiments.sweep.assemble_result`), **fed by the
   priced points**: ATI pairing, block sizes, live-bytes deltas and
   categories are structural (``merge_rank_traces`` keeps block ids
   rank-disjoint and per-rank clocks are monotone, so the merged trace's ATI
-  pairs are the union of the rank-local ones) and are precomputed per
-  template (:class:`_MergedColumns`); per row only the gaps
+  pairs are the union of the rank-local ones), measured once per class
+  (:func:`~repro.experiments.results.measure_class`, as a simulated row
+  measures it) and laid out per rank on its class's clock columns
+  (:class:`_MergedColumns`); per row only the gaps
   (``base_gap[point] + d · kgap``) and the few clock columns a reduction
   reads are gathered — no ``(S, width)`` time matrix is built.  A
   multi-rank template's merged event *order* depends on the pricing: the
@@ -47,10 +53,8 @@ module splits the two:
   additionally evaluates it on rank 0's own recording — the captured
   columns re-timed to the row's rank-0 clocks (:meth:`TraceTemplate._rank_trace`),
   as a fresh session hands the policy its ``rank_traces[0]``.
-* ``dtype`` is a *generalized* axis: one :class:`TemplateFamily` (one
-  structural key, one ``.npz``) holds a lazily captured variant per dtype,
-  because AMP master-weight allocations give fp16 a different event stream.
-* :class:`ReplayEngine` memoizes families in memory and, given a
+* :class:`ReplayEngine` memoizes one :class:`TemplateFamily` — one capture —
+  per key in memory and, given a
   :class:`~repro.experiments.template_store.TemplateStore`, as
   content-addressed archives beside the sweep cache; it declines — with a
   reason code the sweep CLI prints — whatever a template cannot serve
@@ -70,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ati import compute_interval_arrays, summarize_rows_us
+from ..core.ati import summarize_rows_us
 from ..core.breakdown import occupation_from_columns
 from ..core.events import IterationMark, MemoryEventKind
 from ..core.swap import BandwidthConfig, swappable_fractions
@@ -101,7 +105,7 @@ from ..units import US
 from .artifacts import ArtifactStore
 from .failures import DETERMINISTIC, classify_failure
 from .grid import PRICING_FIELDS, structure_token
-from .results import assemble_result, evaluate_policy
+from .results import assemble_result, evaluate_policy, measure_class
 
 logger = logging.getLogger(__name__)
 
@@ -112,7 +116,9 @@ logger = logging.getLogger(__name__)
 #: v3: no lifetime table — lifetimes are derived from the event columns.
 #: v4: one execution mode — ``execution_mode`` left the config, so the
 #: structural fingerprint (and every template key) changed.
-TEMPLATE_SCHEMA_VERSION = 4
+#: v5: one capture per archive — ``dtype`` is back in the fingerprint — and
+#: one entry per replica class, with the ranks' ``rank_classes``.
+TEMPLATE_SCHEMA_VERSION = 5
 
 _SEGMENT_FREE_CODE = KIND_CODES[MemoryEventKind.SEGMENT_FREE]
 
@@ -122,12 +128,9 @@ PER_ROW_PRICING_FIELDS = ("label", "host_dispatch_overhead_ns")
 _POINT_KEY = attrgetter(*(name for name in PRICING_FIELDS
                           if name not in PER_ROW_PRICING_FIELDS))
 
-#: Config fields that *do* change the event structure but are generalized
-#: within one :class:`TemplateFamily` instead of splitting the template key:
-#: each value gets its own captured variant under the shared key (for
-#: ``dtype``, the AMP master-weight allocations are a structural delta worth
-#: one extra capture — not a reason to compile a whole new family).
-GENERALIZED_FIELDS = ("dtype",)
+#: The :class:`RunStructure` scalars a template's ``meta`` carries.
+_STRUCTURE_SCALARS = ("peak_allocated_bytes", "peak_reserved_bytes",
+                      "parameter_bytes", "parameter_count")
 
 #: Rows of one structure group priced per ``replay_batch`` call.  Rows are
 #: independent, so blocking changes no result; it bounds the point table
@@ -157,19 +160,17 @@ class TemplateError(Exception):
 def template_fingerprint(config: TrainingRunConfig) -> Dict[str, object]:
     """Canonical JSON-friendly *structural* identity of a training config.
 
-    Everything that shapes the event stream stays — the host-latency model
-    included: its pause is a constant atom on the tape, so each model is its
-    own structure.  The pricing axes (:data:`PRICING_FIELDS`) are dropped,
-    and so are the generalized axes (:data:`GENERALIZED_FIELDS` — served by
-    per-value variants within one :class:`TemplateFamily`).  An absent model
-    leaves no entry, which keeps the keys of latency-free configs (and the
-    template stores written under them) what they were.
+    Everything that shapes the event stream stays — ``dtype`` and the
+    host-latency model included: the latter's pause is a constant atom on
+    the tape, so each model is its own structure.  The pricing axes
+    (:data:`PRICING_FIELDS`) are dropped.  An absent latency model leaves no
+    entry.
     """
     if config.swap != "off":
         raise TemplateError("swap-execution runs are not replayable",
                             reason="swap_execution")
     structural = config.to_dict()
-    for name in PRICING_FIELDS + GENERALIZED_FIELDS:
+    for name in PRICING_FIELDS:
         structural.pop(name, None)
     if structural["host_latency"] is None:
         del structural["host_latency"]
@@ -190,7 +191,8 @@ def template_key(config: TrainingRunConfig) -> str:
 
 @dataclass
 class RankTemplate:
-    """One replica's captured structure: its trace's events, tape atoms, mark spans."""
+    """One replica class's captured structure: its trace's events, tape
+    atoms, mark spans."""
 
     # timing tape (one entry per clock advance)
     tape_kind: np.ndarray          # int64
@@ -212,7 +214,7 @@ class RankTemplate:
 
     def trace(self, timestamp_ns: Optional[np.ndarray] = None,
               **trace_fields) -> MemoryTrace:
-        """This replica's trace, re-timed to ``timestamp_ns`` when given.
+        """This class's trace, re-timed to ``timestamp_ns`` when given.
 
         The string lists (and every column but the timestamps) are shared
         with the template, as :meth:`MemoryTrace.rank_view` shares them.
@@ -288,14 +290,16 @@ def _capture_rank(placed: PlacedTrace, atoms: np.ndarray, spans: np.ndarray,
 
 
 @dataclass
-class _RankAtoms:
-    """One rank's gather tables for the batched ``(S × atoms)`` repricing.
+class _ClassAtoms:
+    """One replica class's gather tables for the batched ``(S × atoms)``
+    repricing.
 
     Per-kind atom positions (so a batch prices each kind with one
     fancy-indexed assignment instead of a boolean mask per scenario) and the
-    pre-scaled roofline numerators.  ``base`` is the column of the rank's
+    pre-scaled roofline numerators.  ``base`` is the column of the class's
     clock-start entry in the batch's time matrix, whose rows concatenate
-    every rank's ``n_atoms + 1`` clock readings rank-major.
+    every class's ``n_atoms + 1`` clock readings class-major; every rank of
+    the class reads its clocks there.
     """
 
     base: int
@@ -327,12 +331,13 @@ class _MergedColumns:
     and every rank's clock is monotone, so the ATI pairs of the merged trace
     are exactly the union of the rank-local pairs and every per-event column
     is known up front; only the merged event *order* depends on the pricing
-    point.  Everything is stored rank-major / event-id-minor, so a stable
+    point.  Everything is stored rank-major / event-id-minor, each rank's
+    entries its class's measure on its class's clock columns, so a stable
     argsort of re-priced timestamps reproduces the merge's
-    ``(timestamp, rank, event_id)`` order on any subset of events.  Events
-    are addressed by the clock column holding their timestamp, so reductions
-    gather straight from the priced points and never materialize a
-    per-scenario event vector.
+    ``(timestamp, rank, event_id)`` order on any subset of events (two ranks
+    of one class tie, and keep rank order).  Events are addressed by the
+    clock column holding their timestamp, so reductions gather straight from
+    the priced points and never materialize a per-scenario event vector.
     """
 
     ati_start_col: np.ndarray      # endpoints of each ATI pair
@@ -353,9 +358,9 @@ class _MergedColumns:
 class _BatchArrays:
     """Per-template tables behind :meth:`TraceTemplate.replay_batch`."""
 
-    atoms: List[_RankAtoms]
+    atoms: List[_ClassAtoms]
     width: int                          # columns of the time matrix
-    #: (width,) int64: kernel atoms of the column's rank before the column —
+    #: (width,) int64: kernel atoms of the column's class before the column —
     #: the coefficient of the dispatch cost in every clock reading.
     kernels_before: np.ndarray
     merged: _MergedColumns
@@ -409,13 +414,13 @@ def _column_breakdown(deltas: np.ndarray, categories: np.ndarray,
 
 
 def _kernels_before(rank: RankTemplate) -> np.ndarray:
-    """``(n_atoms + 1,)`` int64: kernel atoms among the rank's first ``i`` atoms."""
+    """``(n_atoms + 1,)`` int64: kernel atoms among the class's first ``i`` atoms."""
     counts = np.zeros(rank.tape_kind.size + 1, dtype=np.int64)
     np.cumsum(rank.tape_kind == TAPE_KERNEL, out=counts[1:])
     return counts
 
 
-def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAtoms:
+def _class_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _ClassAtoms:
     table = atom_index_table(rank.tape_kind)
     empty = np.empty(0, dtype=np.int64)
     const_idx = table.get(TAPE_CONST, empty)
@@ -426,7 +431,7 @@ def _rank_atoms(rank: RankTemplate, sync_pos: np.ndarray, base: int) -> _RankAto
     kernel_moved = rank.tape_bytes_moved[kernel_idx]
     h2d_bytes = rank.tape_nbytes[h2d_idx]
     d2h_bytes = rank.tape_nbytes[d2h_idx]
-    return _RankAtoms(
+    return _ClassAtoms(
         base=base,
         n_atoms=int(rank.tape_kind.size),
         preamble_segments=int(rank.preamble_segments),
@@ -454,52 +459,54 @@ class TraceTemplate:
 
     ``meta`` carries the structural scalars (allocator name, capacities,
     peaks, parameter bytes, allocator counters, iteration indices);
-    ``ranks`` carries the per-replica arrays.  Construction validates the
-    capture (matching cross-rank sync sequences and kernel counts before each
-    sync, events and the capture's iteration marks on every rank); the
-    timestamp-free tables behind batched repricing are built on first use.
+    ``classes`` carries one :class:`RankTemplate` per replica class and
+    ``rank_classes`` each rank's class, as a
+    :class:`~repro.train.session.Recording` keeps them.  Construction
+    validates the capture (matching sync sequences and kernel counts before
+    each sync across the classes, events and the capture's iteration marks
+    in every class); the timestamp-free tables behind batched repricing are
+    built on first use.  A class is validated, priced and measured once;
+    only the merged views (:class:`_MergedColumns`, :meth:`_rank_trace`,
+    :meth:`_rebuild_trace`, :meth:`_collective_summary`) walk the ranks,
+    each rank reading its class's clock columns.
     """
 
     def __init__(self, key: str, meta: Dict[str, object],
-                 ranks: Sequence[RankTemplate]):
+                 classes: Sequence[RankTemplate], rank_classes: Sequence[int]):
         self.key = key
         self.meta = dict(meta)
-        self.ranks = list(ranks)
-        if not self.ranks:
-            raise TemplateError("a template needs at least one rank",
+        self.classes = list(classes)
+        self.rank_classes = tuple(int(index) for index in rank_classes)
+        if not self.classes:
+            raise TemplateError("a template needs at least one replica class",
                                 reason="capture_inconsistent")
         self._validate_syncs()
         #: Iteration indices of the capture's step statistics, in step order.
         self.iteration_indices = [int(entry["index"])
                                   for entry in self.meta["iteration_stats"]]
-        # Every row is reduced off each rank's events and iteration spans
-        # (:class:`_MergedColumns`), so a rank must have both.
+        # Every row is reduced off each class's events and iteration spans
+        # (:class:`_MergedColumns`), so a class must have both.
         if any(len(rank.columns) == 0 or rank.mark_indices != self.iteration_indices
-               for rank in self.ranks):
-            raise TemplateError("a rank recorded no events or other iteration "
-                                "marks", reason="capture_inconsistent")
+               for rank in self.classes):
+            raise TemplateError("a replica class recorded no events or other "
+                                "iteration marks", reason="capture_inconsistent")
         self._batch: Optional[_BatchArrays] = None  # built on first replay_batch
-
-    @property
-    def dtype(self) -> str:
-        """Training precision this variant was captured under."""
-        return str(self.meta.get("dtype", "float32"))
 
     # -- validation -------------------------------------------------------------------
 
     def _validate_syncs(self) -> None:
-        """Cross-rank allreduce atoms must agree in payload, rank by rank,
-        and every rank must launch the same number of kernels before each —
+        """Cross-rank allreduce atoms must agree in payload, class by class,
+        and every class must launch the same number of kernels before each —
         the condition under which a barrier keeps the clocks affine in the
         dispatch cost (:class:`_PricedPoints`)."""
         self.sync_pos = [np.flatnonzero(rank.tape_kind == TAPE_ALLREDUCE)
-                         for rank in self.ranks]
-        payloads = [rank.tape_nbytes[pos] for rank, pos in zip(self.ranks, self.sync_pos)]
+                         for rank in self.classes]
+        payloads = [rank.tape_nbytes[pos] for rank, pos in zip(self.classes, self.sync_pos)]
         if any(not np.array_equal(other, payloads[0]) for other in payloads[1:]):
             raise TemplateError("ranks disagree on the collective sequence",
                                 reason="capture_inconsistent")
         launched = [_kernels_before(rank)[pos]
-                    for rank, pos in zip(self.ranks, self.sync_pos)]
+                    for rank, pos in zip(self.classes, self.sync_pos)]
         if any(not np.array_equal(other, launched[0]) for other in launched[1:]):
             raise TemplateError("ranks launch different kernel counts before a "
                                 "collective", reason="capture_inconsistent")
@@ -537,60 +544,54 @@ class TraceTemplate:
     def _batch_arrays(self) -> _BatchArrays:
         """Build (once) the tables behind :meth:`replay_batch`."""
         if self._batch is None:
-            atoms: List[_RankAtoms] = []
+            atoms: List[_ClassAtoms] = []
             base = 0
-            for rank, sync_pos in zip(self.ranks, self.sync_pos):
-                atoms.append(_rank_atoms(rank, sync_pos, base))
+            for rank, sync_pos in zip(self.classes, self.sync_pos):
+                atoms.append(_class_atoms(rank, sync_pos, base))
                 base += atoms[-1].n_atoms + 1
-            traces = [rank.trace() for rank in self.ranks]
-            # merge_rank_traces keeps every event and keeps block ids
-            # rank-disjoint, so the merged counts are the per-rank sums.
-            structure = RunStructure(
-                peak_allocated_bytes=int(self.meta["peak_allocated_bytes"]),
-                peak_reserved_bytes=int(self.meta["peak_reserved_bytes"]),
-                parameter_bytes=int(self.meta["parameter_bytes"]),
-                parameter_count=int(self.meta["parameter_count"]),
-                num_events=sum(len(trace) for trace in traces),
-                num_blocks=sum(len(trace.block_ids()) for trace in traces),
-                allocator_stats={k: int(v)
-                                 for k, v in self.meta["allocator_stats"].items()},
-            )
+            traces = [rank.trace() for rank in self.classes]
             self._batch = _BatchArrays(
                 atoms=atoms, width=base,
                 kernels_before=np.concatenate([_kernels_before(rank)
-                                               for rank in self.ranks]),
+                                               for rank in self.classes]),
                 merged=self._merged_columns(atoms, traces),
-                structure=structure)
+                structure=RunStructure.of_classes(
+                    traces, self.rank_classes, self.meta["allocator_stats"],
+                    **{name: self.meta[name] for name in _STRUCTURE_SCALARS}))
         return self._batch
 
-    def _merged_columns(self, atoms: Sequence[_RankAtoms],
+    def _merged_columns(self, atoms: Sequence[_ClassAtoms],
                         traces: Sequence[MemoryTrace]) -> _MergedColumns:
-        """The merged trace's structure, addressed by time-matrix column."""
-        per_rank: Dict[str, List[np.ndarray]] = {
-            name: [] for name in ("ati_start_col", "ati_end_col", "ati_size",
-                                  "life_col", "life_delta", "life_category")}
-        for rank, tables, trace in zip(self.ranks, atoms, traces):
-            cols = trace.columns()
+        """The merged trace's structure, addressed by time-matrix column:
+        each class measured once (:func:`measure_class`), each rank its
+        class's measure on its class's clock columns."""
+        per_class = []
+        for rank, tables, trace in zip(self.classes, atoms, traces):
             event_col = tables.base + rank.event_tape_pos
-            pairs = compute_interval_arrays(trace)
-            lifecycle = np.flatnonzero(cols.is_malloc | cols.is_free)
-            per_rank["ati_start_col"].append(event_col[pairs.start_index])
-            per_rank["ati_end_col"].append(event_col[pairs.end_index])
-            per_rank["ati_size"].append(pairs.size)
-            per_rank["life_col"].append(event_col[lifecycle])
-            per_rank["life_delta"].append(cols.live_deltas()[lifecycle])
-            per_rank["life_category"].append(cols.category_code[lifecycle])
-        columns = {name: np.concatenate(parts) for name, parts in per_rank.items()}
+            measure = measure_class(trace)
+            pairs = measure.pairs
+            per_class.append({
+                "ati_start_col": event_col[pairs.start_index],
+                "ati_end_col": event_col[pairs.end_index],
+                "ati_size": pairs.size,
+                "life_col": event_col[measure.life],
+                "life_delta": measure.life_delta,
+                "life_category": measure.life_category,
+            })
+        columns = {name: np.concatenate([per_class[index][name]
+                                         for index in self.rank_classes])
+                   for name in per_class[0]}
+        # (ranks, iterations, 2): every rank's spans on its class's columns
+        spans = np.stack([self.classes[index].mark_spans + atoms[index].base
+                          for index in self.rank_classes])
 
         breakdown_base, peak_col = None, -1
-        if len(self.ranks) == 1:
+        if len(self.rank_classes) == 1:
             breakdown_base, peak_col = _column_breakdown(
                 columns["life_delta"], columns["life_category"], columns["life_col"])
         return _MergedColumns(
-            span_begin=np.stack([tables.base + rank.mark_spans[:, 0]
-                                 for rank, tables in zip(self.ranks, atoms)]),
-            span_end=np.stack([tables.base + rank.mark_spans[:, 1]
-                               for rank, tables in zip(self.ranks, atoms)]),
+            span_begin=spans[:, :, 0],
+            span_end=spans[:, :, 1],
             breakdown_base=breakdown_base,
             peak_col=peak_col,
             **columns,
@@ -599,12 +600,14 @@ class TraceTemplate:
     # -- re-pricing -------------------------------------------------------------------
 
     def _price_points(self, configs: Sequence[TrainingRunConfig]) -> _PricedPoints:
-        """Every clock reading of every rank at each distinct pricing point.
+        """Every clock reading of every replica class at each distinct
+        pricing point.
 
-        The ``(points, width)`` int64 clock table — rank ``r`` owns columns
+        The ``(points, width)`` int64 clock table — class ``c`` owns columns
         ``[base, base + n_atoms]``, entry ``base + i`` being its clock right
         after atom ``i - 1`` (``base`` itself the post-preamble start), so an
-        event at tape position ``p`` happened at column ``base + p`` — is
+        event at tape position ``p`` happened at column ``base + p`` on every
+        rank of the class — is
         priced at zero host dispatch, once per point (:data:`_POINT_KEY`);
         each config contributes only its point and its dispatch cost.
 
@@ -616,8 +619,9 @@ class TraceTemplate:
         adds to a kernel *after* rounding, so it adds ``d · K`` to a clock
         that ``K`` kernels precede.  Collectives are resolved with barrier
         semantics in a loop over the sync points (not over points): all ranks
-        leave a sync at the latest arrival plus the point's allreduce cost.
-        Every rank launches the same ``K`` before a sync
+        leave a sync at the latest arrival plus the point's allreduce cost,
+        and the ranks of a class arrive together, so the latest arrival is
+        the latest class's.  Every class launches the same ``K`` before a sync
         (:meth:`_validate_syncs`), so every arrival — and hence the departure
         — carries the same ``d · K`` and the affine form survives the barrier.
         """
@@ -664,8 +668,8 @@ class TraceTemplate:
                                                              len(sync_nbytes))
 
         times = np.empty((n_points, batch.width), dtype=np.int64)
-        clocks: List[np.ndarray] = []      # per-rank views into ``times``
-        offsets: List[np.ndarray] = []     # per-rank clock offset of the open segment
+        clocks: List[np.ndarray] = []      # per-class views into ``times``
+        offsets: List[np.ndarray] = []     # per-class clock offset of the open segment
         for atoms in batch.atoms:
             durations = np.zeros((n_points, atoms.n_atoms), dtype=np.int64)
             if atoms.const_idx.size:
@@ -698,7 +702,7 @@ class TraceTemplate:
             clocks.append(clock)
             offsets.append(atoms.preamble_segments * segment_overhead)
 
-        # Each sync splits a rank's timeline; between two syncs the clock is
+        # Each sync splits a class's timeline; between two syncs the clock is
         # the prefix sum plus the segment's offset, added in place once the
         # segment's closing sync has read the raw prefix.
         segment_begin = [0] * len(clocks)
@@ -722,7 +726,7 @@ class TraceTemplate:
 
     def _price_times(self, configs: Sequence[TrainingRunConfig]
                      ) -> Tuple[np.ndarray, np.ndarray, List[ClusterSpec]]:
-        """Every clock reading of every rank under every config.
+        """Every clock reading of every replica class under every config.
 
         Returns the ``(S, width)`` int64 time matrix (columns as in
         :meth:`_price_points`, each row its point's clocks plus dispatch ×
@@ -738,8 +742,8 @@ class TraceTemplate:
                 priced.sync_costs[point_of],
                 [priced.clusters[point] for point in point_of.tolist()])
 
-    def _rank_times(self, row: np.ndarray) -> List[np.ndarray]:
-        """Split one row of the time matrix into per-rank clock arrays."""
+    def _class_times(self, row: np.ndarray) -> List[np.ndarray]:
+        """Split one row of the time matrix into per-class clock arrays."""
         return [row[atoms.base:atoms.base + atoms.n_atoms + 1]
                 for atoms in self._batch_arrays().atoms]
 
@@ -788,7 +792,7 @@ class TraceTemplate:
         # Rows are independent, so they are reduced grouped by point: each
         # point's rows are then one slice of every per-row array.
         rows = sorted(range(len(scenarios)), key=point_of.__getitem__)
-        n_ranks = len(self.ranks)
+        n_ranks = len(self.rank_classes)
         row_dispatch = priced.dispatch[rows]
         bounds = np.searchsorted(priced.point_of[rows],
                                  np.arange(len(priced.clusters) + 1)).tolist()
@@ -878,7 +882,8 @@ class TraceTemplate:
                               priced.times[priced.point_of[rows], peak_col]
                               + row_dispatch * kernels[peak_col], 0).tolist()
 
-        rank0 = slice(0, batch.atoms[0].n_atoms + 1)   # rank 0's clock columns
+        first = batch.atoms[self.rank_classes[0]]
+        rank0 = slice(first.base, first.base + first.n_atoms + 1)  # rank 0's clock columns
         results: List[object] = [None] * len(scenarios)
         for j, i in enumerate(rows):
             scenario, point = scenarios[i], point_of[i]
@@ -907,9 +912,10 @@ class TraceTemplate:
     def _collective_summary(self, cluster: ClusterSpec,
                             total_ns: int) -> Optional[Dict[str, object]]:
         """The session's ``collective`` block (``None`` on a single device)."""
-        if len(self.ranks) == 1:
+        n_ranks = len(self.rank_classes)
+        if n_ranks == 1:
             return None
-        return collective_summary(cluster, len(self.ranks), len(self.sync_nbytes),
+        return collective_summary(cluster, n_ranks, len(self.sync_nbytes),
                                   int(self.sync_nbytes.sum()), total_ns)
 
     # -- trace rebuild ----------------------------------------------------------------
@@ -918,19 +924,19 @@ class TraceTemplate:
                     clock: np.ndarray) -> MemoryTrace:
         """The trace rank ``rank_index`` of a fresh run would have recorded.
 
-        ``clock`` is the rank's ``n_atoms + 1`` clock readings: the captured
-        columns are re-timed to them, with the iteration marks and the
-        metadata the rank's profiler gives its recording.
+        ``clock`` is the ``n_atoms + 1`` clock readings of the rank's class:
+        the class's captured columns are re-timed to them, with the iteration
+        marks and the metadata the rank's profiler gives its recording.
         """
-        rank = self.ranks[rank_index]
+        rank = self.classes[self.rank_classes[rank_index]]
         marks = [IterationMark(index=index,
                                start_ns=int(clock[span[0]]),
                                end_ns=int(clock[span[1]]))
                  for index, span in zip(rank.mark_indices, rank.mark_spans)]
         metadata = {
             "device": spec.to_dict(),
-            "allocator": self.meta["allocator_name"],
-            **workload_metadata(config, len(self.ranks)),
+            "allocator": self.meta["allocator"],
+            **workload_metadata(config, len(self.rank_classes)),
             "device_rank": rank_index,
         }
         return rank.trace(clock[rank.event_tape_pos], iteration_marks=marks,
@@ -940,13 +946,13 @@ class TraceTemplate:
                        times: List[np.ndarray]) -> MemoryTrace:
         """Reconstruct the merged trace a fresh run would have recorded.
 
-        Every rank's trace (:meth:`_rank_trace` under its clock array in
-        ``times``) is merged with the *real*
+        Every rank's trace (:meth:`_rank_trace` under its class's clock array
+        in ``times``) is merged with the *real*
         :func:`~repro.core.trace.merge_rank_traces` (the merged event order
         is timestamp-dependent, so it must be recomputed).
         """
-        return merge_rank_traces([self._rank_trace(rank_index, config, spec, clock)
-                                  for rank_index, clock in enumerate(times)])
+        return merge_rank_traces([self._rank_trace(rank_index, config, spec, times[index])
+                                  for rank_index, index in enumerate(self.rank_classes)])
 
     def replay_trace(self, config: TrainingRunConfig) -> MemoryTrace:
         """The merged trace a fresh run of ``config`` records, bit for bit:
@@ -954,7 +960,7 @@ class TraceTemplate:
         :meth:`valid_for` first)."""
         times, _, clusters = self._price_times([config])
         return self._rebuild_trace(config, clusters[0].device,
-                                   self._rank_times(times[0]))
+                                   self._class_times(times[0]))
 
 
 # -- compilation ----------------------------------------------------------------------
@@ -987,19 +993,15 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
                for atoms, spans, trace, placement in zip(
                    recording.atoms, recording.mark_spans, placed.traces,
                    placed.placements)]
-    # Ranks of one replica class reference the one captured RankTemplate.
-    ranks = [classes[index] for index in recording.rank_classes]
     allocator_stats = {k: int(v) for k, v in placed.allocator_stats.items()}
     has_segment_free = (
         allocator_stats.get("segment_frees", 0) > 0
         or any(bool((rank.columns.kind_code == _SEGMENT_FREE_CODE).any())
-               for rank in ranks))
+               for rank in classes))
     meta = {
         "schema": TEMPLATE_SCHEMA_VERSION,
         "allocator": config.allocator,
-        "allocator_name": config.allocator,
-        "dtype": config.dtype,
-        "n_ranks": len(ranks),
+        "n_ranks": recording.n_devices,
         "compile_capacity": int(spec.memory_capacity),
         "has_segment_free": bool(has_segment_free),
         "peak_allocated_bytes": int(placed.peak_allocated_bytes),
@@ -1010,10 +1012,10 @@ def _compile_template_checked(config: TrainingRunConfig) -> TraceTemplate:
         "iteration_stats": [{"index": mark.index}
                             for mark in recording.traces[0].iteration_marks],
     }
-    return TraceTemplate(key, meta, ranks)
+    return TraceTemplate(key, meta, classes, recording.rank_classes)
 
 
-# -- dtype-generalized families -------------------------------------------------------
+# -- the per-key memo -----------------------------------------------------------------
 
 
 def _capture_failed(error: Exception) -> TemplateError:
@@ -1022,84 +1024,61 @@ def _capture_failed(error: Exception) -> TemplateError:
 
 
 class TemplateFamily:
-    """Per-dtype :class:`TraceTemplate` variants sharing one structural key.
+    """The per-key memo of one capture.
 
-    ``dtype`` changes the event stream (half-precision tensors allocate
-    half-width activations and AMP keeps fp32 master weights), so each dtype
-    needs its own captured variant — but the *family* identity, the
-    persisted ``.npz`` and the compile accounting are shared: a family is
-    compiled once, then widened lazily by one extra capture per new dtype,
-    and variants whose arrays match the base variant are persisted as
-    references rather than copies.
-
-    ``variants`` maps dtype name to the captured :class:`TraceTemplate`, or
-    to ``None`` for a dtype whose capture is not replayable (memoized so a
-    sweep pays the failed attempt only once).  A capture whose simulation
-    failed (``capture_failed``: an out-of-memory, say) failed at its
-    capacity, a pricing field, so ``failed_captures`` memoizes its error per
-    ``(dtype, capacity)``: a later row there fails with it, and a row at
-    another capacity captures again.
+    ``template`` is the key's captured :class:`TraceTemplate` (``None``
+    until it is captured or loaded).  ``declined`` memoizes a capture that
+    is not replayable, so a sweep pays the failed attempt only once.  A
+    capture whose simulation failed (``capture_failed``: an out-of-memory,
+    say) failed at its capacity, a pricing field, so ``failed_captures``
+    memoizes its error per capacity: a later row there fails with it, and a
+    row at another capacity captures again.
     """
 
-    def __init__(self, key: str,
-                 variants: Optional[Dict[str, Optional[TraceTemplate]]] = None):
+    def __init__(self, key: str, template: Optional[TraceTemplate] = None):
         self.key = key
-        self.variants: Dict[str, Optional[TraceTemplate]] = dict(variants or {})
-        self.failed_captures: Dict[Tuple[str, int], Exception] = {}
-        #: Whether this engine/process ran a fresh capture for the family
-        #: (as opposed to loading every variant from the store).
-        self.compiled_fresh = False
-
-    def get(self, dtype: str) -> Optional[TraceTemplate]:
-        """The captured variant for ``dtype`` (``None`` if absent or failed)."""
-        return self.variants.get(dtype)
-
-    def captured_dtypes(self) -> List[str]:
-        """Dtypes with a successfully captured variant, sorted."""
-        return sorted(dtype for dtype, template in self.variants.items()
-                      if template is not None)
+        self.template = template
+        self.declined = False
+        self.failed_captures: Dict[int, Exception] = {}
 
     def capture(self, config: TrainingRunConfig) -> TraceTemplate:
-        """Capture (and memoize) the variant for ``config.dtype``.
+        """Capture (and memoize) the template of ``config``'s structure.
 
         Raises the capture's reason-coded :class:`TemplateError` on failure
-        after memoizing the failure, so repeated requests for a broken dtype
-        do not re-run the simulation.  A simulation error
+        after memoizing the decline, so repeated requests for a broken
+        structure do not re-run the simulation.  A simulation error
         :func:`~repro.experiments.failures.classify_failure` calls
-        deterministic is the scenario's own failure: it is memoized too and
-        raised as the cause of a ``capture_failed`` :class:`TemplateError`,
-        memoized under ``config``'s dtype and capacity.
+        deterministic is the scenario's own failure: it is memoized under
+        ``config``'s capacity and raised as the cause of a ``capture_failed``
+        :class:`TemplateError`.
         """
-        dtype = config.dtype
         try:
-            template = _compile_template_checked(config)
+            self.template = _compile_template_checked(config)
         except TemplateError:
-            self.variants[dtype] = None
+            self.declined = True
             raise
         except Exception as error:
             if classify_failure(error)[1] != DETERMINISTIC:
                 raise
-            self.failed_captures[dtype, memory_capacity(config)] = error
+            self.failed_captures[memory_capacity(config)] = error
             raise _capture_failed(error) from error
-        self.variants[dtype] = template
-        self.compiled_fresh = True
-        return template
+        return self.template
 
 
 # -- persistence ----------------------------------------------------------------------
 
 #: (column group, members) pairs that must agree in length for a persisted
-#: rank to be loadable — the torn-write / corruption screen on load.
+#: class to be loadable — the torn-write / corruption screen on load.
 _TAPE_COLUMNS = ("tape_kind", "tape_duration_ns", "tape_nbytes", "tape_flops",
                  "tape_bytes_moved")
-#: Archive array name -> the :class:`EventColumns` field a rank holds it in.
+#: Archive array name -> the :class:`EventColumns` field a class holds it in.
 _EVENT_FIELDS = {"event_kind": "kind_code", "event_block": "block_id",
                  "event_address": "address", "event_size": "size",
                  "event_category": "category_code", "event_iteration": "iteration"}
 _EVENT_COLUMNS = (*_EVENT_FIELDS, "event_tape_pos")
 
-#: Every per-rank array of the archive, in stored order.
-_RANK_ARRAYS = (*_TAPE_COLUMNS, *_EVENT_COLUMNS, "mark_spans")
+#: Every per-class array of the archive, in stored order.
+_CLASS_ARRAYS = (*_TAPE_COLUMNS, *_EVENT_COLUMNS, "mark_spans")
 
 
 def _rank_array(rank: RankTemplate, name: str) -> np.ndarray:
@@ -1110,7 +1089,7 @@ def _rank_array(rank: RankTemplate, name: str) -> np.ndarray:
 
 
 def _validate_rank_columns(columns: Dict[str, np.ndarray], info: dict) -> None:
-    """Raise when a persisted rank's arrays are mutually inconsistent."""
+    """Raise when a persisted class's arrays are mutually inconsistent."""
     tape_len = len(columns["tape_kind"])
     for name in _TAPE_COLUMNS:
         if len(columns[name]) != tape_len:
@@ -1135,51 +1114,45 @@ def _validate_rank_columns(columns: Dict[str, np.ndarray], info: dict) -> None:
         raise ValueError("mark span begins after it ends")
 
 
-def save_family(family: TemplateFamily, path: Path) -> None:
-    """Persist a family atomically as a single ``.npz``.
+def _validate_rank_classes(rank_classes: List[int], n_classes: int,
+                           n_ranks: int) -> None:
+    """Raise unless ``rank_classes`` maps ``n_ranks`` ranks onto exactly the
+    ``n_classes`` stored classes."""
+    if len(rank_classes) != n_ranks:
+        raise ValueError(f"rank_classes names {len(rank_classes)} ranks, "
+                         f"the template {n_ranks}")
+    named = set(rank_classes)
+    if not named <= set(range(n_classes)):
+        raise ValueError("rank_classes names a class the archive lacks")
+    if len(named) != n_classes:
+        raise ValueError("a stored class serves no rank")
 
-    Arrays are namespaced ``v{variant}_r{rank}_{column}``; any array of a
-    later variant that is byte-identical to the base variant's same-rank
-    column is recorded in the header's ``aliased_arrays`` list instead of
-    being written again, so a dtype variant costs only its structural delta.
-    The file is published atomically through the directory's
+
+def save_family(family: TemplateFamily, path: Path) -> None:
+    """Persist a family's template atomically as a single ``.npz``.
+
+    Arrays are stored once per replica class, namespaced
+    ``c{class}_{column}``; the header carries the template's ``meta``, its
+    ``rank_classes`` and each class's string lists, iteration indices and
+    preamble.  The file is published atomically through the directory's
     :class:`~repro.experiments.artifacts.ArtifactStore`, so a parallel
     reader never sees a torn template.
     """
     path = Path(path)
-    arrays: Dict[str, np.ndarray] = {}
-    variant_items = sorted((dtype, template)
-                           for dtype, template in family.variants.items()
-                           if template is not None)
-    base = variant_items[0][1] if variant_items else None
-    variants_header = []
-    for j, (dtype, template) in enumerate(variant_items):
-        ranks_header = []
-        for i, rank in enumerate(template.ranks):
-            aliased = []
-            for name in _RANK_ARRAYS:
-                column = _rank_array(rank, name)
-                if j > 0 and i < len(base.ranks):
-                    base_column = _rank_array(base.ranks[i], name)
-                    if (column.dtype == base_column.dtype
-                            and column.shape == base_column.shape
-                            and np.array_equal(column, base_column)):
-                        aliased.append(name)
-                        continue
-                arrays[f"v{j}_r{i}_{name}"] = column
-            ranks_header.append({
-                "event_tags": rank.event_tags,
-                "event_ops": rank.event_ops,
-                "mark_indices": rank.mark_indices,
-                "preamble_segments": rank.preamble_segments,
-                "aliased_arrays": aliased,
-            })
-        variants_header.append({"dtype": dtype, "meta": template.meta,
-                                "ranks": ranks_header})
+    template = family.template
+    arrays: Dict[str, np.ndarray] = {
+        f"c{i}_{name}": _rank_array(rank, name)
+        for i, rank in enumerate(template.classes) for name in _CLASS_ARRAYS}
     header = {
         "schema": TEMPLATE_SCHEMA_VERSION,
         "key": family.key,
-        "variants": variants_header,
+        "meta": template.meta,
+        "rank_classes": list(template.rank_classes),
+        "classes": [{"event_tags": rank.event_tags,
+                     "event_ops": rank.event_ops,
+                     "mark_indices": rank.mark_indices,
+                     "preamble_segments": rank.preamble_segments}
+                    for rank in template.classes],
     }
     arrays["header"] = np.frombuffer(
         json.dumps(header).encode("utf-8"), dtype=np.uint8)
@@ -1191,14 +1164,34 @@ def save_family(family: TemplateFamily, path: Path) -> None:
     ArtifactStore(path.parent).publish(path.name, write)
 
 
+def _load_class(data, i: int, info: dict) -> RankTemplate:
+    """Stored class ``i`` of the archive ``data``, its arrays screened."""
+    columns = {name: np.array(data[f"c{i}_{name}"]) for name in _CLASS_ARRAYS}
+    _validate_rank_columns(columns, info)
+    n_events = len(columns["event_kind"])
+    return RankTemplate(
+        columns=EventColumns(
+            event_id=np.arange(n_events, dtype=np.int64),
+            timestamp_ns=np.zeros(n_events, dtype=np.int64),
+            device_rank=np.zeros(n_events, dtype=np.int64),
+            **{field: columns[name] for name, field in _EVENT_FIELDS.items()}),
+        event_tags=[str(tag) for tag in info["event_tags"]],
+        event_ops=[str(op) for op in info["event_ops"]],
+        mark_indices=[int(x) for x in info["mark_indices"]],
+        preamble_segments=int(info["preamble_segments"]),
+        **{name: columns[name] for name in _CLASS_ARRAYS if name not in _EVENT_FIELDS},
+    )
+
+
 def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamily]:
     """Load a persisted family; ``None`` on any mismatch or corruption.
 
-    Every rank's arrays are cross-validated (column lengths, event tape
+    Every class's arrays are cross-validated (column lengths, event tape
     positions non-decreasing inside the tape, iteration spans ordered inside
-    ``[0, tape length]``) so a torn or hand-edited file is rejected rather
-    than replayed — with the reason logged; another schema or key is a plain
-    miss and says nothing.
+    ``[0, tape length]``) and ``rank_classes`` must map ``meta["n_ranks"]``
+    ranks onto exactly the stored classes, so a torn or hand-edited file is
+    rejected rather than replayed — with the reason logged; another schema
+    or key is a plain miss and says nothing.
     """
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -1207,39 +1200,14 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
                 return None
             if key is not None and header.get("key") != key:
                 return None
-            family = TemplateFamily(str(header["key"]))
-            base_columns: List[Dict[str, np.ndarray]] = []
-            for j, variant_info in enumerate(header["variants"]):
-                ranks = []
-                for i, info in enumerate(variant_info["ranks"]):
-                    aliased = set(info.get("aliased_arrays", ()))
-                    columns = {}
-                    for name in _RANK_ARRAYS:
-                        if name in aliased:
-                            columns[name] = base_columns[i][name]
-                        else:
-                            columns[name] = np.array(data[f"v{j}_r{i}_{name}"])
-                    _validate_rank_columns(columns, info)
-                    n_events = len(columns["event_kind"])
-                    ranks.append(RankTemplate(
-                        columns=EventColumns(
-                            event_id=np.arange(n_events, dtype=np.int64),
-                            timestamp_ns=np.zeros(n_events, dtype=np.int64),
-                            device_rank=np.zeros(n_events, dtype=np.int64),
-                            **{field: columns[name]
-                               for name, field in _EVENT_FIELDS.items()}),
-                        event_tags=[str(tag) for tag in info["event_tags"]],
-                        event_ops=[str(op) for op in info["event_ops"]],
-                        mark_indices=[int(x) for x in info["mark_indices"]],
-                        preamble_segments=int(info["preamble_segments"]),
-                        **{name: columns[name] for name in _RANK_ARRAYS
-                           if name not in _EVENT_FIELDS},
-                    ))
-                    if j == 0:
-                        base_columns.append(columns)
-                family.variants[str(variant_info["dtype"])] = TraceTemplate(
-                    str(header["key"]), variant_info["meta"], ranks)
-            return family
+            meta = header["meta"]
+            classes = [_load_class(data, i, info)
+                       for i, info in enumerate(header["classes"])]
+            rank_classes = [int(index) for index in header["rank_classes"]]
+            _validate_rank_classes(rank_classes, len(classes), int(meta["n_ranks"]))
+            family_key = str(header["key"])
+            return TemplateFamily(family_key, TraceTemplate(family_key, meta, classes,
+                                                            rank_classes))
     except Exception:  # whatever a damaged archive raises: the caller recompiles
         logger.warning("template file %s (key %s) is unreadable; treating it "
                        "as a miss", path, key, exc_info=True)
@@ -1252,15 +1220,13 @@ def load_family(path: Path, key: Optional[str] = None) -> Optional[TemplateFamil
 class ReplayEngine:
     """Compile-once / replay-many scenario pricer.
 
-    Template *families* (one per dtype-free structural key, holding one
-    captured variant per dtype) are memoized in memory; given a ``store``
-    (the sweep runner builds one next to its result cache) they are also
-    published through that
-    :class:`~repro.experiments.template_store.TemplateStore` — a directory
-    of content-addressed ``.npz`` files — so later processes skip
-    compilation entirely.  A memoized ``None`` variant
-    marks a dtype whose capture failed, so the sweep only pays the
-    attempted compilation once.
+    One :class:`TemplateFamily` per structural key — one capture — is
+    memoized in memory; given a ``store`` (the sweep runner builds one next
+    to its result cache) each captured template is also published, once,
+    through that :class:`~repro.experiments.template_store.TemplateStore` —
+    a directory of content-addressed ``.npz`` files — so later processes
+    skip compilation entirely.  A family's memoized decline means the sweep
+    only pays an attempted compilation once.
 
     Every scenario that cannot be replay-priced bumps
     ``fallback_reasons[<TemplateError reason>]``; the sweep CLI surfaces the
@@ -1270,16 +1236,12 @@ class ReplayEngine:
     def __init__(self, store: Optional["TemplateStore"] = None):
         self.store = store
         self._families: Dict[str, TemplateFamily] = {}
-        #: Families that required at least one fresh capture this process
-        #: (store hits do not count, matching the pre-family semantics).
+        #: Templates captured this process (store hits do not count).
         self.templates_compiled = 0
-        #: Individual compile simulations run (>= ``templates_compiled``
-        #: when families were widened with extra dtypes).
-        self.variants_captured = 0
         self.replayed = 0
         self.fallback_reasons: Dict[str, int] = {}
 
-    # -- family/variant resolution ----------------------------------------------
+    # -- template resolution ------------------------------------------------------
 
     def _family_for(self, key: str) -> TemplateFamily:
         family = self._families.get(key)
@@ -1291,38 +1253,31 @@ class ReplayEngine:
             self._families[key] = family
         return family
 
-    def _variant_for(self, config: TrainingRunConfig) -> TraceTemplate:
-        """The captured variant serving ``config``; raises on any fallback."""
-        key = template_key(config)
-        family = self._family_for(key)
-        dtype = config.dtype
-        if dtype in family.variants:
-            template = family.variants[dtype]
-            if template is None:
-                raise TemplateError(
-                    f"dtype {dtype} previously failed to compile",
-                    reason="compile_failed")
-            return template
-        failed = family.failed_captures.get((dtype, memory_capacity(config)))
+    def _template(self, config: TrainingRunConfig) -> TraceTemplate:
+        """The captured template serving ``config``; raises on any fallback."""
+        family = self._family_for(template_key(config))
+        if family.template is not None:
+            return family.template
+        if family.declined:
+            raise TemplateError("the structure previously failed to compile",
+                                reason="compile_failed")
+        failed = family.failed_captures.get(memory_capacity(config))
         if failed is not None:
             raise _capture_failed(failed) from failed
-        freshly_compiled_family = not family.compiled_fresh
         template = family.capture(config)
-        self.variants_captured += 1
-        if freshly_compiled_family:
-            self.templates_compiled += 1
+        self.templates_compiled += 1
         if self.store is not None:
             self.store.publish(family)
         return template
 
     def template_for(self, config: TrainingRunConfig) -> Optional[TraceTemplate]:
-        """The (possibly cached) template variant for ``config`` (or ``None``).
+        """The (possibly cached) template for ``config`` (or ``None``).
 
         A capture that fails deterministically raises its simulation's error:
         that run is ``config``'s outcome, so no caller simulates it again.
         """
         try:
-            return self._variant_for(config)
+            return self._template(config)
         except TemplateError as error:
             if error.reason == "capture_failed":
                 raise error.__cause__
@@ -1352,9 +1307,9 @@ class ReplayEngine:
         declined as a whole (reason ``engine_error``, traceback logged); the
         other groups are unaffected.  Scenarios are grouped by
         :func:`~repro.experiments.grid.structure_token`: equal tokens share a
-        :func:`template_key` and a dtype variant, so the key is hashed once
-        per group.  ``keys`` and ``tokens`` optionally carry the scenarios'
-        precomputed content hashes and tokens.
+        :func:`template_key`, so the key is hashed once per group.  ``keys``
+        and ``tokens`` optionally carry the scenarios' precomputed content
+        hashes and tokens.
         """
         if tokens is None:
             tokens = [structure_token(scenario.config) for scenario in scenarios]
@@ -1378,7 +1333,7 @@ class ReplayEngine:
         another capacity; otherwise none.
         """
         try:
-            template = self._variant_for(scenarios[indices[0]].config)
+            template = self._template(scenarios[indices[0]].config)
             eligible = [i for i in indices
                         if template.valid_for(scenarios[i].config)]
             priced: List = []

@@ -7,7 +7,8 @@ swap-off recording an earlier row already made.  :func:`reduce_trace` is the
 one reduction of recordings: a session hands it one recording per replica
 class and each rank's class (:func:`reduce_session`), and it measures the
 merged trace those ranks record without building it — ATI pairing via
-:func:`~repro.core.ati.compute_interval_arrays` once per class, Eq.-1
+:func:`~repro.core.ati.compute_interval_arrays` once per class
+(:func:`measure_class`, as the replay template measures a class), Eq.-1
 screening via :func:`~repro.core.swap.swappable_fractions` and the
 occupation breakdown via :func:`~repro.core.breakdown.occupation_from_columns`
 over the pairs and malloc / free rows put in merged order.  A merged trace is
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.ati import AtiSummary, compute_interval_arrays, summarize_values_us
+from ..core.ati import (AtiSummary, IntervalArrays, compute_interval_arrays,
+                        summarize_values_us)
 from ..core.breakdown import OccupationBreakdown, occupation_from_columns
 from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import MemoryTrace, merge_order, require_merge_order
@@ -236,6 +238,26 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
         session.collective, session.swap_execution, started, key)
 
 
+class ClassMeasure(NamedTuple):
+    """One replica class's recording as a row measures it, clocks aside: its
+    ATI pairs and its malloc / free rows with their live-bytes deltas and
+    category codes.  A simulated row reads them with the recording's
+    timestamps (:func:`reduce_trace`), a replayed one with its priced clocks."""
+
+    pairs: IntervalArrays
+    life: np.ndarray
+    life_delta: np.ndarray
+    life_category: np.ndarray
+
+
+def measure_class(trace: MemoryTrace) -> ClassMeasure:
+    """The :class:`ClassMeasure` of one class recording ``trace``."""
+    cols = trace.columns()
+    life = np.flatnonzero(cols.is_malloc | cols.is_free)
+    return ClassMeasure(compute_interval_arrays(trace), life,
+                        cols.live_deltas()[life], cols.category_code[life])
+
+
 def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
                  traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
                  structure: RunStructure, step_durations_ns: Sequence[int],
@@ -259,18 +281,15 @@ def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
     keep their recorded order in the merge, which is checked once per class
     (:func:`~repro.core.trace.require_merge_order`; a
     :class:`~repro.errors.TraceInvariantError` otherwise).  The pairs and the
-    malloc / free rows are then measured once per class and put in merged
-    order by one :func:`~repro.core.trace.merge_order` each.
+    malloc / free rows are then measured once per class
+    (:func:`measure_class`) and put in merged order by one
+    :func:`~repro.core.trace.merge_order` each.
     """
     measured = []
     for trace in traces:
-        cols = trace.columns()
-        pairs = compute_interval_arrays(trace)
-        life = np.flatnonzero(cols.is_malloc | cols.is_free)
-        measured.append((
-            (pairs.end_index, pairs.interval_ns, pairs.size),
-            (life, cols.live_deltas()[life], cols.category_code[life],
-             cols.timestamp_ns[life])))
+        pairs, life, deltas, categories = measure_class(trace)
+        measured.append(((pairs.end_index, pairs.interval_ns, pairs.size),
+                         (life, deltas, categories, trace.columns().timestamp_ns[life])))
 
     def merged(part: int) -> Sequence[np.ndarray]:
         """The ranks' values of ``part`` (0: the ATI pairs, 1: the malloc /

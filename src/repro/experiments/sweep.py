@@ -91,12 +91,9 @@ class SweepResult:
     #: Scenarios this run priced by template replay (a subset of
     #: ``cache_misses``).
     replayed: int = 0
-    #: Template *families* that needed a fresh compile this run (one family
-    #: per dtype-free structure; store hits do not count).
+    #: Templates captured this run: one capture per structural key (dtype
+    #: included); a template served from memory or the store does not count.
     templates_compiled: int = 0
-    #: Individual compile simulations this run (>= ``templates_compiled``
-    #: when a family was widened with extra dtype variants).
-    template_variants: int = 0
     #: Replay-eligible scenarios the engine declined this run, tallied by
     #: :class:`~repro.experiments.replay.TemplateError` reason code: each
     #: was simulated instead, or failed (``capture_failed``: its capture's
@@ -499,7 +496,7 @@ class SweepRunner:
             return
         engine = self._ensure_replay_engine()
         # The engine lives as long as the runner: this run reports its deltas.
-        compiled, captured = engine.templates_compiled, engine.variants_captured
+        compiled = engine.templates_compiled
         declined = dict(engine.fallback_reasons)
         outcomes = engine.price_batch(
             [state.scenarios[index] for index in candidates],
@@ -519,7 +516,6 @@ class SweepRunner:
         state.replay_counts = dict(
             replayed=replayed,
             templates_compiled=engine.templates_compiled - compiled,
-            template_variants=engine.variants_captured - captured,
             replay_fallbacks={reason: count - declined.get(reason, 0)
                               for reason, count in engine.fallback_reasons.items()
                               if count > declined.get(reason, 0)})

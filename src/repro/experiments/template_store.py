@@ -1,10 +1,12 @@
 """Template store: a directory of content-addressed template archives.
 
-The replay engine persists one ``.npz`` per :class:`TemplateFamily`, named
-by the family's structural key (a content hash of the dtype-free config
-fingerprint).  The directory *is* the store: a family is held exactly when
-its archive exists, so a lookup is one ``is_file`` probe and writers share
-nothing but archive names.  Archives are published atomically
+The replay engine persists one ``.npz`` per :class:`TemplateFamily` — one
+captured template, stored once per replica class — named by its structural
+key (a content hash of the config fingerprint, ``dtype`` included).  Each
+template is published once, when it is captured.  The directory *is* the
+store: a family is held exactly when its archive exists, so a lookup is one
+``is_file`` probe and writers share nothing but archive names.  Archives are
+published atomically
 (:func:`~repro.experiments.replay.save_family`) through the directory's
 :class:`~repro.experiments.artifacts.ArtifactStore`: parallel sweep workers
 never read a torn file, and an unreadable one is quarantined, not re-parsed.

@@ -158,9 +158,9 @@ class RunStructure:
 
     A session builds one per run (:meth:`SessionResult.structure`); a replay
     template builds one from its ``meta`` and serves every pricing point with
-    it.  The peaks are per replica; the counts cover the merged trace, which
-    keeps every rank's events and rank-disjoint block ids, so both build
-    them as per-rank sums without merging.
+    it.  Both build it with :meth:`of_classes`.  The peaks are per replica;
+    the counts cover the merged trace, which keeps every rank's events and
+    rank-disjoint block ids, so they are per-rank sums taken without merging.
     """
 
     peak_allocated_bytes: int
@@ -170,6 +170,19 @@ class RunStructure:
     num_events: int
     num_blocks: int
     allocator_stats: Dict[str, int]
+
+    @classmethod
+    def of_classes(cls, traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
+                   allocator_stats: Dict[str, int], **scalars: int) -> "RunStructure":
+        """The structure of a run whose ranks record ``traces`` (one per
+        replica class, ``rank_classes`` each rank's), given its peaks and
+        parameter counts as ``scalars``."""
+        events = [len(trace) for trace in traces]
+        blocks = [len(trace.block_ids()) for trace in traces]
+        return cls(num_events=sum(events[index] for index in rank_classes),
+                   num_blocks=sum(blocks[index] for index in rank_classes),
+                   allocator_stats={k: int(v) for k, v in allocator_stats.items()},
+                   **{name: int(value) for name, value in scalars.items()})
 
     @property
     def mean_utilization(self) -> float:
@@ -228,17 +241,12 @@ class SessionResult:
     def structure(self) -> RunStructure:
         """The pricing-independent scalars the per-scenario reduction reports
         (its counts summed over the ranks' class recordings)."""
-        events = [len(trace) for trace in self.class_traces]
-        blocks = [len(trace.block_ids()) for trace in self.class_traces]
-        return RunStructure(
-            peak_allocated_bytes=int(self.peak_allocated_bytes),
-            peak_reserved_bytes=int(self.peak_reserved_bytes),
-            parameter_bytes=int(self.parameter_bytes),
-            parameter_count=int(self.parameter_count),
-            num_events=sum(events[index] for index in self.rank_classes),
-            num_blocks=sum(blocks[index] for index in self.rank_classes),
-            allocator_stats={k: int(v) for k, v in self.allocator_stats.items()},
-        )
+        return RunStructure.of_classes(
+            self.class_traces, self.rank_classes, self.allocator_stats,
+            peak_allocated_bytes=self.peak_allocated_bytes,
+            peak_reserved_bytes=self.peak_reserved_bytes,
+            parameter_bytes=self.parameter_bytes,
+            parameter_count=self.parameter_count)
 
 
 def build_cluster(config: TrainingRunConfig) -> ClusterSpec:

@@ -47,9 +47,10 @@ GOLDEN = {
 
 
 def template_digest(template):
-    """sha256 over every rank's tape columns, positions, spans and preamble."""
+    """sha256 over every rank's tape columns, positions, spans and preamble
+    (each rank's those of its replica class)."""
     digest = hashlib.sha256()
-    for rank in template.ranks:
+    for rank in (template.classes[index] for index in template.rank_classes):
         for name in (*_TAPE_COLUMNS, "event_tape_pos", "mark_spans"):
             array = np.ascontiguousarray(_rank_array(rank, name))
             digest.update(f"{name}:{array.dtype.str}:{array.shape};".encode())
@@ -64,5 +65,5 @@ def test_captured_template_bytes_are_pinned(label):
     config = TrainingRunConfig(**{"iterations": 2, "seed": 3, **overrides})
     template = ReplayEngine().template_for(config)
     assert template is not None
-    assert len(template.ranks[0].tape_kind) == tape_len
+    assert len(template.classes[template.rank_classes[0]].tape_kind) == tape_len
     assert template_digest(template) == expected

@@ -69,8 +69,8 @@ def test_replayed_timestamps_are_monotone_per_rank(seed):
         template = engine.template_for(config)
         assert template is not None, config
         times, _, _ = template._price_times([config])
-        for rank, absolute in zip(template.ranks,
-                                  template._rank_times(times[0])):
+        for rank, absolute in zip(template.classes,
+                                  template._class_times(times[0])):
             assert absolute.size == rank.tape_kind.size + 1
             assert np.all(np.diff(absolute) >= 0)
             if rank.event_tape_pos.size:

@@ -145,7 +145,7 @@ def assert_replayed_trace_is_the_fresh_one(store_dir):
     engine = ReplayEngine(store=TemplateStore(store_dir) if store_dir else None)
     template = engine.template_for(compile_point)
     if store_dir:
-        template = TemplateStore(store_dir).load(template.key).get(config.dtype)
+        template = TemplateStore(store_dir).load(template.key).template
     assert_same_trace(template.replay_trace(config),
                       run_training_session(config).trace)
 
@@ -294,8 +294,8 @@ def test_template_round_trips_through_npz(tmp_path):
     scenario = make_scenario(n_devices=2)
     template = ReplayEngine().template_for(scenario.config)
     path = tmp_path / "template.npz"
-    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
-    loaded = load_family(path, key=template.key).get(template.dtype)
+    save_family(TemplateFamily(template.key, template), path)
+    loaded = load_family(path, key=template.key).template
     assert loaded is not None
     fresh = run_scenario(scenario)
     replayed = replay_one(loaded, scenario)
@@ -347,8 +347,7 @@ def test_price_batch_is_bit_identical_to_fresh_symbolic():
         scenarios, [s.resolve_bandwidths() for s in scenarios])
     for scenario, result in zip(scenarios, batched):
         assert comparable(result) == comparable(run_scenario(scenario))
-    assert engine.templates_compiled == 1  # one family serves the whole grid
-    assert engine.variants_captured == 2  # one capture per dtype
+    assert engine.templates_compiled == 2  # one capture per dtype
     assert engine.replayed == len(scenarios)
 
 
@@ -380,7 +379,7 @@ def test_price_batch_handles_multi_rank_scenarios():
         batched = engine.price_batch(
             scenarios, [s.resolve_bandwidths() for s in scenarios])
     assert engine.replayed == len(scenarios) == 144
-    assert engine.templates_compiled == 2 and engine.fallback_reasons == {}
+    assert engine.templates_compiled == 4 and engine.fallback_reasons == {}
     for scenario, result in zip(scenarios, batched):
         assert comparable(result) == comparable(run_scenario(scenario))
 
@@ -482,7 +481,7 @@ def test_skewed_rank_clocks_replay_exactly(n_devices, batch_size):
         template = engine.template_for(scenario.config)
         times, _, _ = template._price_times([scenario.config])
         stamps = [clock[rank.event_tape_pos] for clock, rank
-                  in zip(template._rank_times(times[0]), template.ranks)]
+                  in zip(template._class_times(times[0]), template.classes)]
         # array_split hands the last rank the short shard: it runs ahead,
         # so its events sort *before* rank 0's (no tie to fall back on).
         assert np.any(stamps[-1] < stamps[0])
@@ -548,7 +547,7 @@ def test_pricing_a_block_twice_leaves_every_template_array_as_it_was(monkeypatch
                  engine.template_for(scenarios[-1].config)]
 
     def state():
-        return _owned([(template.ranks, template._batch_arrays(), template.sync_pos,
+        return _owned([(template.classes, template._batch_arrays(), template.sync_pos,
                         template.sync_nbytes)
                        for template in templates])
 
@@ -612,9 +611,9 @@ def test_each_run_reports_its_own_replay_counts():
         again = runner.run([fresh])
     for run in (first, second):
         assert run.replay_fallbacks == {"swap_execution": 1}
-        assert (run.templates_compiled, run.template_variants) == (0, 0)
-    assert (compiled.templates_compiled, compiled.template_variants) == (1, 1)
-    assert (again.templates_compiled, again.template_variants) == (0, 0)
+        assert run.templates_compiled == 0
+    assert compiled.templates_compiled == 1
+    assert again.templates_compiled == 0
     assert compiled.replay_fallbacks == again.replay_fallbacks == {}
 
 
@@ -632,14 +631,14 @@ def test_a_capture_builds_no_merged_trace(monkeypatch):
         monkeypatch.setattr(module, "merge_rank_traces", no_merge)
     config = make_scenario(n_devices=2).config
     template = TemplateFamily(template_key(config)).capture(config)
-    assert len(template.ranks) == 2
+    assert template.rank_classes == (0, 0) and len(template.classes) == 1
 
 
 def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog):
     """lenet5 rejects two_cluster's 2-D samples while its template is being
     captured: that error is the row's failure, the row is simulated once (by
-    the capture), the failure is memoized at the capture's dtype and
-    capacity and the decline is tallied ``capture_failed`` with no warning."""
+    the capture), the failure is memoized at the capture's capacity and
+    the decline is tallied ``capture_failed`` with no warning."""
     from repro.errors import ShapeError
     from repro.experiments import replay
     from repro.train import session
@@ -662,9 +661,9 @@ def test_a_deterministic_capture_failure_is_the_rows_outcome(monkeypatch, caplog
     assert (failure.reason, failure.kind, failure.attempts) == ("error", "deterministic", 1)
     assert isinstance(failure.error_obj, ShapeError) and "ShapeError" in failure.traceback
     family, = runner._ensure_replay_engine()._families.values()
-    assert family.variants == {}
-    (key, error), = family.failed_captures.items()
-    assert key == ("float32", titan_x_pascal().memory_capacity)
+    assert family.template is None and not family.declined
+    (capacity, error), = family.failed_captures.items()
+    assert capacity == titan_x_pascal().memory_capacity
     assert error is failure.error_obj
     with pytest.raises(ShapeError):
         SweepRunner(use_cache=False).run([scenario])
@@ -745,78 +744,70 @@ def test_a_capture_that_overflows_its_capacity_fails_only_its_row(tmp_path, caps
     assert counts.groups() == ("0", "1", "0", "1")
 
 
-# -- dtype-generalized template families ----------------------------------------------
+# -- dtype: one template key, one capture per precision ------------------------------
 
 
-def test_template_key_is_dtype_invariant():
-    """``dtype`` is a generalized axis: fp32 and fp16 share one family key."""
+def test_template_key_splits_on_dtype():
+    """``dtype`` is structural: fp32 and fp16 are two keys, two captures."""
     base = make_scenario().config
-    assert template_key(base) == template_key(
+    assert template_key(base) != template_key(
         TrainingRunConfig(**{**base.__dict__, "dtype": "float16"}))
 
 
 @pytest.mark.parametrize("n_devices", [1, 2])
 @pytest.mark.parametrize("dtype", ["float32", "float16"])
 def test_dtype_variants_replay_bit_identical_to_symbolic(dtype, n_devices):
-    """One family, widened per dtype, stays exact (incl. AMP master-weight
+    """Each dtype's template stays exact (incl. AMP master-weight
     structural deltas) across replica counts."""
     engine = ReplayEngine()
     assert_replay_exact(engine, make_scenario(dtype="float32",
                                               n_devices=n_devices))
     assert_replay_exact(engine, make_scenario(dtype=dtype,
                                               n_devices=n_devices))
-    assert engine.templates_compiled == 1
+    assert engine.templates_compiled == (1 if dtype == "float32" else 2)
 
 
-def test_one_family_serves_both_dtypes_across_pricing_points():
+def test_each_dtype_template_serves_its_pricing_points():
     engine = ReplayEngine()
     for dtype in ("float32", "float16"):
         for overrides in ({}, {"device_spec": "v100_sxm2_16gb"},
                           {"host_dispatch_overhead_ns": 2_000}):
             assert_replay_exact(engine, make_scenario(dtype=dtype, **overrides))
-    assert engine.templates_compiled == 1
-    assert engine.variants_captured == 2
+    assert engine.templates_compiled == 2
     assert engine.replayed == 6
 
 
-def test_family_round_trips_with_dtype_variants(tmp_path):
-    fp32 = make_scenario(dtype="float32")
-    fp16 = make_scenario(dtype="float16")
-    family = TemplateFamily(template_key(fp32.config))
-    family.capture(fp32.config)
-    family.capture(fp16.config)
-    path = tmp_path / "family.npz"
-    save_family(family, path)
-    loaded = load_family(path, key=family.key)
-    assert loaded is not None
-    assert loaded.captured_dtypes() == ["float16", "float32"]
-    for scenario in (fp32, fp16):
-        variant = loaded.get(scenario.config.dtype)
-        replayed = replay_one(variant, scenario)
+def test_each_dtype_round_trips_under_its_own_key(tmp_path):
+    for scenario in (make_scenario(dtype="float32"), make_scenario(dtype="float16")):
+        family = TemplateFamily(template_key(scenario.config))
+        family.capture(scenario.config)
+        path = tmp_path / f"{family.key}.npz"
+        save_family(family, path)
+        loaded = load_family(path, key=family.key)
+        assert loaded is not None and loaded.key == family.key
+        replayed = replay_one(loaded.template, scenario)
         assert comparable(replayed) == comparable(run_scenario(scenario))
+    assert len(list(tmp_path.iterdir())) == 2
 
 
-def test_load_template_selects_the_requested_dtype_variant(tmp_path):
+def test_an_archive_is_served_only_under_its_own_dtypes_key(tmp_path):
     fp32 = make_scenario(dtype="float32").config
     fp16 = make_scenario(dtype="float16").config
-    family = TemplateFamily(template_key(fp32))
-    family.capture(fp32)
+    family = TemplateFamily(template_key(fp16))
     family.capture(fp16)
     path = tmp_path / "family.npz"
     save_family(family, path)
-    loaded = load_family(path)
-    assert loaded.get("float16").dtype == "float16"
-    assert loaded.get("float32").dtype == "float32"
-    assert loaded.get("bfloat16") is None
+    assert load_family(path, key=template_key(fp32)) is None
+    assert load_family(path, key=template_key(fp16)).template is not None
 
 
-def test_failed_dtype_capture_is_memoized_not_retried():
+def test_a_declined_capture_is_memoized_not_retried():
     config = make_scenario().config
     family = TemplateFamily(template_key(config))
     broken = TrainingRunConfig(**{**config.__dict__, "swap": "lru"})
     with pytest.raises(TemplateError):
         family.capture(broken)
-    assert family.variants[broken.dtype] is None  # memoized failure
+    assert family.declined and family.template is None  # memoized failure
 
 
 # -- fallback-reason accounting -------------------------------------------------------
@@ -836,7 +827,7 @@ def test_sweep_surfaces_replay_fallback_reasons():
     result = SweepRunner().run(grid)
     assert result.replayed == 1
     assert result.replay_fallbacks == {"swap_execution": 1}
-    assert result.template_variants == 1
+    assert result.templates_compiled == 1
 
 
 def without_atom(rank, atom):
@@ -859,11 +850,11 @@ def test_ranks_launching_unequal_kernels_before_a_sync_are_declined(monkeypatch)
 
     def doctored(config):
         template = compile_checked(config)
-        rank = template.ranks[1]
+        rank, = template.classes        # two ranks of one class, told apart
         first_sync = np.flatnonzero(rank.tape_kind == TAPE_ALLREDUCE)[0]
         kernel = np.flatnonzero(rank.tape_kind[:first_sync] == TAPE_KERNEL)[-1]
-        ranks = [template.ranks[0], without_atom(rank, kernel)]
-        return replay.TraceTemplate(template.key, template.meta, ranks)
+        classes = [rank, without_atom(rank, kernel)]
+        return replay.TraceTemplate(template.key, template.meta, classes, (0, 1))
 
     with pytest.raises(TemplateError, match="kernel counts") as declined:
         doctored(make_scenario(n_devices=2).config)
@@ -903,8 +894,9 @@ def test_a_rank_without_the_captures_events_and_marks_is_declined(monkeypatch, d
 
     def doctored(config):
         template = compile_checked(config)
-        ranks = [template.ranks[0], doctor(template.ranks[1])]
-        return replay.TraceTemplate(template.key, template.meta, ranks)
+        rank, = template.classes        # two ranks of one class, told apart
+        return replay.TraceTemplate(template.key, template.meta,
+                                    [rank, doctor(rank)], (0, 1))
 
     with pytest.raises(TemplateError, match="iteration marks") as declined:
         doctored(make_scenario(n_devices=2).config)
@@ -925,7 +917,7 @@ def test_a_rank_without_the_captures_events_and_marks_is_declined(monkeypatch, d
 def test_save_family_leaves_no_temp_files(tmp_path):
     template = ReplayEngine().template_for(make_scenario().config)
     path = tmp_path / "template.npz"
-    save_family(TemplateFamily(template.key, {template.dtype: template}), path)
+    save_family(TemplateFamily(template.key, template), path)
     assert [p.name for p in tmp_path.iterdir()] == ["template.npz"]
 
 
@@ -933,12 +925,13 @@ def test_engine_persists_families_through_the_store(tmp_path):
     engine = ReplayEngine(store=TemplateStore(tmp_path))
     assert_replay_exact(engine, make_scenario())
     assert_replay_exact(engine, make_scenario(dtype="float16"))
-    assert engine.templates_compiled == 1
-    assert ([path.name for path in tmp_path.iterdir()]
-            == [f"{template_key(make_scenario().config)}.npz"])
+    assert engine.templates_compiled == 2
+    assert (sorted(path.name for path in tmp_path.iterdir())
+            == sorted(f"{template_key(make_scenario(dtype=dtype).config)}.npz"
+                      for dtype in ("float32", "float16")))
 
-    # A later process loads the family from the store: no fresh compile, and
-    # pricing stays exact for both dtypes at a new pricing point.
+    # A later process loads both templates from the store: no fresh compile,
+    # and pricing stays exact for both dtypes at a new pricing point.
     second = ReplayEngine(store=TemplateStore(tmp_path))
     assert_replay_exact(second,
                         make_scenario(device_spec="v100_sxm2_16gb"))
@@ -946,7 +939,6 @@ def test_engine_persists_families_through_the_store(tmp_path):
                         make_scenario(dtype="float16",
                                       device_spec="v100_sxm2_16gb"))
     assert second.templates_compiled == 0
-    assert second.variants_captured == 0
 
 
 def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
@@ -966,11 +958,11 @@ def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
     monkeypatch.setattr(replay, "_capture_rank", recording)
     three_ranks = make_scenario(n_devices=3).config     # two replica classes
     template = ReplayEngine().template_for(three_ranks)
-    assert len(captured) == 2 and len(template.ranks) == 3
-    for trace, rank in captured:
+    assert len(captured) == 2 and template.rank_classes == (0, 1, 1)
+    for (trace, rank), member in zip(captured, template.classes):
         assert rank.columns is trace.columns()
         assert (rank.event_tags, rank.event_ops) == trace.event_strings()
-        assert any(rank is member for member in template.ranks)
+        assert rank is member
 
     def assert_shares(trace, rank):
         assert trace._event_tags is rank.event_tags
@@ -982,12 +974,12 @@ def test_a_captured_rank_is_its_traces_columns_and_a_rebuilt_trace_shares_them(
     config = make_scenario().config
     single = ReplayEngine().template_for(config)
     path = tmp_path / "family.npz"
-    save_family(TemplateFamily(single.key, {single.dtype: single}), path)
-    loaded = load_family(path).get(single.dtype)
-    assert not loaded.ranks[0].columns.timestamp_ns.any()   # nothing recorded to keep
+    save_family(TemplateFamily(single.key, single), path)
+    loaded = load_family(path).template
+    assert not loaded.classes[0].columns.timestamp_ns.any()   # nothing recorded to keep
     for one_rank in (single, loaded):
-        rank, = one_rank.ranks
-        times = one_rank._rank_times(one_rank._price_times([config])[0][0])
+        rank, = one_rank.classes
+        times = one_rank._class_times(one_rank._price_times([config])[0][0])
         spec = build_cluster(config).device
         rebuilt = one_rank._rebuild_trace(config, spec, times)
         for trace in (rebuilt, one_rank.replay_trace(config),
@@ -1063,10 +1055,12 @@ def test_a_dict_valued_latency_model_is_the_dataclass_one():
             == comparable(run_scenario(as_dataclass)))
 
 
-def test_latency_free_template_key_is_the_one_parent_stores_were_written_under():
+def test_a_latency_free_template_key_is_pinned():
+    """An absent latency model leaves no entry in the fingerprint, so the key
+    of a latency-free config moves only with the template schema (v5)."""
     config = TrainingRunConfig(model="mlp", batch_size=32, iterations=2)
     assert template_key(config) == (
-        "9baded31d8bf75bcf1aaec7441d301a8c9767144f6d11dd976e84784607c9cf8")
+        "5abd1b5250cc490d26e60c7231426e77fe0b53a0701ff4f99b3f95f0e905f4fa")
 
 
 def test_the_reports_comparison_grid_replays_every_row():

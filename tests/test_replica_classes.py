@@ -5,11 +5,12 @@ ranks the simulator cannot tell apart — and derives the other ranks from it.
 The oracle here is full materialisation: with the class function patched
 (test-only; there is nothing in ``src/`` to switch) so that every rank is its
 own class, a session must produce exactly what the default one does, down to
-the saved template bytes.
+the template bytes every rank is served from its archive.
 """
 
 from __future__ import annotations
 
+import json
 import time
 import zipfile
 from contextlib import contextmanager
@@ -139,10 +140,19 @@ def reduced_merged(session):
     return row
 
 
-def npz_members(path):
-    """Member names (in order) and payload bytes — not the zip timestamps."""
+def rank_members(path):
+    """What the archive gives each rank — its class's array payloads and
+    class header — plus the template's ``meta``; not the zip timestamps,
+    and not how the ranks are grouped into classes."""
     with zipfile.ZipFile(path) as archive:
-        return [(info.filename, archive.read(info)) for info in archive.infolist()]
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    with np.load(path, allow_pickle=False) as data:
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+    return header["meta"], [
+        (header["classes"][index],
+         [(name.split("_", 1)[1], payload) for name, payload in members.items()
+          if name.startswith(f"c{index}_")])
+        for index in header["rank_classes"]]
 
 
 def compiled_family(config, directory):
@@ -164,7 +174,7 @@ def compiled_family(config, directory):
         rows.append(row)
     path = directory / "family.npz"
     save_family(engine._families[template_key(config)], path)
-    return rows, npz_members(path)
+    return rows, rank_members(path)
 
 
 # -- the differential property ---------------------------------------------------------

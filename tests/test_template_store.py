@@ -28,13 +28,10 @@ SETTINGS = dict(model="mlp", model_kwargs={"hidden_dim": 32},
 CONFIG = TrainingRunConfig(**SETTINGS)
 
 
-def make_family(dtypes=("float32",), **overrides):
-    settings = {**SETTINGS, **overrides}
-    configs = [TrainingRunConfig(**{**settings, "dtype": dtype})
-               for dtype in dtypes]
-    family = TemplateFamily(template_key(configs[0]))
-    for config in configs:
-        family.capture(config)
+def make_family(**overrides):
+    config = TrainingRunConfig(**{**SETTINGS, **overrides})
+    family = TemplateFamily(template_key(config))
+    family.capture(config)
     return family
 
 
@@ -46,7 +43,7 @@ def snapshot(directory):
 
 def test_publish_writes_manifest_entry_and_npz(tmp_path):
     store = TemplateStore(tmp_path)
-    family = make_family(dtypes=("float32", "float16"))
+    family = make_family(dtype="float16")
     assert store.keys() == []
     path = store.publish(family)
 
@@ -63,14 +60,15 @@ def test_publish_leaves_no_temp_files(tmp_path):
 
 def test_load_round_trips_the_family(tmp_path):
     store = TemplateStore(tmp_path)
-    family = make_family(dtypes=("float32", "float16"))
+    family = make_family(dtype="float16", n_devices=3, batch_size=17)
     store.publish(family)
 
     loaded = TemplateStore(tmp_path).load(family.key)
     assert loaded is not None
-    assert loaded.key == family.key
-    assert loaded.captured_dtypes() == ["float16", "float32"]
-    assert not loaded.compiled_fresh  # a store hit is not a fresh compile
+    assert loaded.key == family.key and loaded.template.key == family.key
+    assert loaded.template.rank_classes == family.template.rank_classes == (0, 0, 1)
+    assert loaded.template.meta == family.template.meta
+    assert not loaded.declined and loaded.failed_captures == {}
 
 
 def test_load_miss_returns_none(tmp_path):
@@ -82,14 +80,14 @@ def test_a_store_laid_down_with_a_manifest_is_served_and_the_manifest_ignored(tm
     every family is served without a compile, ``load`` and ``publish`` leave
     the stale index alone, ``clear_cache()`` takes it away."""
     templates = tmp_path / TEMPLATES_DIR
-    family = make_family(dtypes=("float32", "float16"))
-    archive = TemplateStore(templates).publish(family)
+    families = [make_family(dtype=dtype) for dtype in ("float32", "float16")]
+    archives = [TemplateStore(templates).publish(family) for family in families]
     index = templates / "index.json"
     index.write_text(json.dumps({
-        "schema": 1, "next_seq": 2,
-        "entries": {family.key: {"file": archive.name, "seq": 1,
-                                 "bytes": archive.stat().st_size,
-                                 "dtypes": ["float16", "float32"]}}},
+        "schema": 1, "next_seq": 3,
+        "entries": {family.key: {"file": archive.name, "seq": seq,
+                                 "bytes": archive.stat().st_size}
+                    for seq, (family, archive) in enumerate(zip(families, archives))}},
         indent=2, sort_keys=True))
     laid_down = snapshot(templates)
 
@@ -97,13 +95,14 @@ def test_a_store_laid_down_with_a_manifest_is_served_and_the_manifest_ignored(tm
     for dtype in ("float32", "float16"):
         variant = TrainingRunConfig(**{**SETTINGS, "dtype": dtype})
         assert engine.template_for(variant) is not None
-    assert engine.templates_compiled == engine.variants_captured == 0
+    assert engine.templates_compiled == 0
     assert snapshot(templates) == laid_down         # load wrote nothing
 
     other = make_family(batch_size=8)
     TemplateStore(templates).publish(other)
     assert index.read_bytes() == laid_down["index.json"]
-    assert TemplateStore(templates).keys() == sorted([family.key, other.key])
+    assert TemplateStore(templates).keys() == sorted(
+        [family.key for family in families] + [other.key])
 
     SweepRunner(cache_dir=tmp_path).clear_cache()
     assert snapshot(templates) == {}
@@ -112,7 +111,7 @@ def test_a_store_laid_down_with_a_manifest_is_served_and_the_manifest_ignored(tm
 def test_two_stores_on_one_directory_never_lose_a_family(tmp_path):
     """Two writers interleaving ``publish`` and ``load`` of different families
     share no state a read-modify-write could drop an entry from."""
-    variants = make_family().variants
+    template = make_family().template
     per_writer = 6
     names = {writer: [f"{writer}-{n}" for n in range(per_writer)]
              for writer in ("a", "b")}
@@ -122,7 +121,7 @@ def test_two_stores_on_one_directory_never_lose_a_family(tmp_path):
         store = TemplateStore(tmp_path)
         try:
             for key, other in zip(mine, theirs):
-                store.publish(TemplateFamily(key, variants))
+                store.publish(TemplateFamily(key, template))
                 store.load(other)       # hit or miss, depending on the race
                 assert store.load(key) is not None
         except Exception as error:      # surfaced after the join
@@ -250,8 +249,7 @@ def test_a_doctored_archive_is_rejected_and_the_sweep_recompiles(tmp_path, caplo
     with np.load(path, allow_pickle=False) as data:
         arrays = {name: np.array(data[name]) for name in data.files}
     column, edit = DAMAGE[damage]
-    arrays[f"v0_r0_{column}"] = edit(arrays[f"v0_r0_{column}"],
-                                     len(arrays["v0_r0_tape_kind"]))
+    arrays[f"c0_{column}"] = edit(arrays[f"c0_{column}"], len(arrays["c0_tape_kind"]))
     with open(path, "wb") as handle:
         np.savez(handle, **arrays)
 
@@ -266,3 +264,84 @@ def test_a_doctored_archive_is_rejected_and_the_sweep_recompiles(tmp_path, caplo
     symbolic = SweepRunner(use_cache=False).run(
         SweepGrid(execution_mode="symbolic", **DOCTORED_GRID).expand())
     assert _rows(replayed) == _rows(symbolic)
+
+
+# -- one entry per replica class, one publish per template ------------------------------
+
+
+def _stored_classes(path):
+    """The replica-class prefixes of an archive's arrays (``c0``, ``c1``, ...)."""
+    with np.load(path, allow_pickle=False) as data:
+        return sorted({name.split("_", 1)[0] for name in data.files if name != "header"})
+
+
+def test_a_one_class_template_stores_and_loads_its_class_once(tmp_path):
+    """Four ranks of one replica class: the archive holds that class's arrays
+    once, and the loaded template hands every rank the one ``RankTemplate``."""
+    store = TemplateStore(tmp_path)
+    path = store.publish(make_family(n_devices=4, batch_size=16))
+    assert _stored_classes(path) == ["c0"]
+    loaded = store.load(path.stem).template
+    assert loaded.rank_classes == (0, 0, 0, 0)
+    assert len(loaded.classes) == 1
+    assert len({id(loaded.classes[index]) for index in loaded.rank_classes}) == 1
+
+
+def test_a_two_dtype_grid_publishes_each_template_once(tmp_path, monkeypatch):
+    """fp32 and fp16 at one and two devices are four keys: each template is
+    published once, when it is captured, so the bytes written are the
+    store's bytes."""
+    published = []
+    publish = TemplateStore.publish
+
+    def counting(self, family):
+        path = publish(self, family)
+        published.append((path.name, path.stat().st_size))
+        return path
+
+    monkeypatch.setattr(TemplateStore, "publish", counting)
+    grid = SweepGrid(execution_mode="replay", models=("mlp",), batch_sizes=(16,),
+                     iterations=(2,), dtypes=("float32", "float16"), n_devices=(1, 2),
+                     device_specs=("titan_x_pascal", "v100_sxm2_16gb"),
+                     model_kwargs={"hidden_dim": 32}, dataset="two_cluster")
+    result = SweepRunner(cache_dir=tmp_path).run(grid.expand())
+    assert result.templates_compiled == 4 and result.replayed == 8
+    store = TemplateStore(tmp_path / TEMPLATES_DIR)
+    archives = sorted(store.root.glob("*.npz"))
+    assert len(archives) == 4
+    assert sorted(name for name, _ in published) == [path.name for path in archives]
+    assert (sum(size for _, size in published)
+            == sum(path.stat().st_size for path in archives))
+
+
+#: Hand edits of the header's ``rank_classes`` on a three-rank, two-class
+#: archive (``(0, 0, 1)``) that leave every stored array intact.
+RANK_CLASS_DAMAGE = {
+    "fewer ranks than the template": [0, 0],
+    "a class the archive lacks": [0, 0, 2],
+    "a stored class no rank uses": [0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("damage", sorted(RANK_CLASS_DAMAGE))
+def test_a_doctored_rank_class_map_is_quarantined(tmp_path, caplog, damage):
+    config = TrainingRunConfig(**{**SETTINGS, "n_devices": 3, "batch_size": 17})
+    store = TemplateStore(tmp_path)
+    path = store.publish(make_family(n_devices=3, batch_size=17))
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {name: np.array(data[name]) for name in data.files}
+    header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+    assert header["rank_classes"] == [0, 0, 1] and _stored_classes(path) == ["c0", "c1"]
+    header["rank_classes"] = RANK_CLASS_DAMAGE[damage]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as handle:
+        np.savez(handle, **arrays)
+
+    fresh = TemplateStore(tmp_path)
+    with caplog.at_level(logging.WARNING, logger=replay.__name__):
+        assert fresh.load(path.stem) is None
+    (record,) = caplog.records
+    assert str(path) in record.getMessage() and record.exc_info is not None
+    assert fresh.artifacts.quarantined == {"template_corrupt": 1}
+    engine = ReplayEngine(store=TemplateStore(tmp_path))
+    assert engine.template_for(config) is not None and engine.templates_compiled == 1
