@@ -45,10 +45,11 @@ capture-probe:
 	-$(PYTHON) tools/capture_probe.py
 
 # Where a swap_ladder sample's time goes, as medians of 7 samples: the
-# recording, the overlay's stages (init, walk, learning, log, plan,
-# finalize) and the reduction; then one sample's exact counts, no timers:
-# rows walked, rows acted on, access rows of ungoverned walks.  Prints a
-# table, never fails.
+# recording, its placement, the overlay's stages (init, walk, learning, log,
+# plan, finalize), the reduction with its measure apart and any overlaid
+# trace built on read; then one sample's exact counts, no timers: rows
+# walked, rows acted on, access rows of ungoverned walks, full log builds
+# and measure_class calls.  Prints a table, never fails.
 overlay-probe:
 	-$(PYTHON) tools/overlay_probe.py
 
@@ -92,13 +93,16 @@ sweep-smoke:
 # per-behavior oracle (every trace validated), the premise that swapping
 # moves no allocation, the overlay on a shared recording and the bound that
 # residency never exceeds the recording's allocation, on the pinned corpus
-# and a wide generated draw; the engine's own suite, its copy
-# stream's (tests/test_stream.py), the sweep's recording sharing
-# (tests/test_shared_recordings.py) and the columnar planner's Eq.-1 and
-# selection invariants (tests/test_property_swap_alloc.py); then a tiny
-# sweep under every executable policy that prints measured vs predicted.
+# and a wide generated draw; a swap row measured off its walk's clock
+# against the eagerly built overlaid traces (tests/test_swap_measure.py);
+# the engine's own suite, its copy stream's (tests/test_stream.py), the
+# sweep's recording sharing (tests/test_shared_recordings.py) and the
+# columnar planner's Eq.-1 and selection invariants
+# (tests/test_property_swap_alloc.py); then a tiny sweep under every
+# executable policy that prints measured vs predicted.
 swap-smoke:
 	$(PYTHON) -m pytest tests/test_swap_differential.py tests/test_overlay_bounds.py \
+		tests/test_swap_measure.py \
 		tests/test_swap_execution.py tests/test_stream.py tests/test_shared_recordings.py \
 		tests/test_property_swap_alloc.py -q --hypothesis-profile=swap-wide
 	$(PYTHON) -m repro sweep --models mlp --batch-sizes 512 --iterations 5 \

@@ -770,10 +770,11 @@ def merge_order(columns: Sequence[EventColumns],
     """Where :func:`merge_rank_traces` puts rows of the ranks' ``columns``:
     ordered by timestamp, then rank, then rank-local event id.
 
-    ``rows`` holds the rows taken of each rank (default: all of them); the
-    result indexes their rank-by-rank concatenation.  A subset keeps the
-    relative order the whole merge gives it, so a reduction can order just
-    the rows it measures.
+    ``columns`` need only their ``timestamp_ns`` and ``event_id`` (a swap
+    walk's clock has both).  ``rows`` holds the rows taken of each rank
+    (default: all of them); the result indexes their rank-by-rank
+    concatenation.  A subset keeps the relative order the whole merge gives
+    it, so a reduction can order just the rows it measures.
     """
     if rows is None:
         rows = [slice(None)] * len(columns)
@@ -786,21 +787,21 @@ def merge_order(columns: Sequence[EventColumns],
         np.concatenate([stamps for stamps, _ in taken])))
 
 
-def require_merge_order(trace: MemoryTrace) -> None:
-    """Raise :class:`~repro.errors.TraceInvariantError` unless one rank's
-    rows are already in the order :func:`merge_order` gives them: the
-    timestamps never decrease (the monotone-clock invariant of
+def require_merge_order(columns: EventColumns, rank: int = 0) -> None:
+    """Raise :class:`~repro.errors.TraceInvariantError` unless the rows of
+    ``rank``'s ``columns`` (their ``timestamp_ns`` and ``event_id``) are
+    already in the order :func:`merge_order` gives them: the timestamps
+    never decrease (the monotone-clock invariant of
     :meth:`MemoryTrace.validate`) and rows of one timestamp come in event-id
     order.  One pass over two columns."""
-    cols = trace.columns()
-    stamp, event_id = cols.timestamp_ns, cols.event_id
+    stamp, event_id = columns.timestamp_ns, columns.event_id
     backwards = np.flatnonzero((stamp[1:] < stamp[:-1])
                                | ((stamp[1:] == stamp[:-1]) & (event_id[1:] < event_id[:-1])))
     if backwards.size:
         row = int(backwards[0]) + 1
         raise TraceInvariantError(
             row, f"timestamp {int(stamp[row])} ns (event id {int(event_id[row])}) comes "
-                 f"before the previous event of rank {trace.metadata.get('device_rank', 0)}")
+                 f"before the previous event of rank {rank}")
 
 
 def merge_rank_traces(traces: Sequence[MemoryTrace]) -> MemoryTrace:

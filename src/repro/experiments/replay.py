@@ -349,7 +349,8 @@ class _MergedColumns:
     span_begin: np.ndarray         # (ranks, iterations) iteration-span columns
     span_end: np.ndarray
     #: Single rank only (the event order is then timestamp-free too): the
-    #: occupation breakdown and the column of its peak event (-1: none).
+    #: occupation breakdown, label and peak instant aside, and the column of
+    #: its peak event (-1: none).
     breakdown_base: Optional[Dict[str, object]]
     peak_col: int
 
@@ -556,7 +557,9 @@ class TraceTemplate:
                                                for rank in self.classes]),
                 merged=self._merged_columns(atoms, traces),
                 structure=RunStructure.of_classes(
-                    traces, self.rank_classes, self.meta["allocator_stats"],
+                    [len(trace) for trace in traces],
+                    [len(trace.block_ids()) for trace in traces],
+                    self.rank_classes, self.meta["allocator_stats"],
                     **{name: self.meta[name] for name in _STRUCTURE_SCALARS}))
         return self._batch
 
@@ -564,11 +567,11 @@ class TraceTemplate:
                         traces: Sequence[MemoryTrace]) -> _MergedColumns:
         """The merged trace's structure, addressed by time-matrix column:
         each class measured once (:func:`measure_class`), each rank its
-        class's measure on its class's clock columns."""
-        per_class = []
-        for rank, tables, trace in zip(self.classes, atoms, traces):
+        class's measure on its class's clock columns.  One rank's breakdown
+        is its class's, read at the column of its peak."""
+        per_class, measures = [], [measure_class(trace) for trace in traces]
+        for rank, tables, measure in zip(self.classes, atoms, measures):
             event_col = tables.base + rank.event_tape_pos
-            measure = measure_class(trace)
             pairs = measure.pairs
             per_class.append({
                 "ati_start_col": event_col[pairs.start_index],
@@ -587,8 +590,9 @@ class TraceTemplate:
 
         breakdown_base, peak_col = None, -1
         if len(self.rank_classes) == 1:
-            breakdown_base, peak_col = _column_breakdown(
-                columns["life_delta"], columns["life_category"], columns["life_col"])
+            breakdown_base, peak = measures[self.rank_classes[0]].occupation
+            if peak >= 0:
+                peak_col = int(columns["life_col"][peak])
         return _MergedColumns(
             span_begin=spans[:, :, 0],
             span_end=spans[:, :, 1],

@@ -3,19 +3,25 @@
 :func:`run_scenario` executes one scenario and reduces it to a
 JSON-serializable :class:`ScenarioResult` — the per-scenario *metrics*, not
 the multi-megabyte trace; :func:`run_scenario_on` does the same on a
-swap-off recording an earlier row already made.  :func:`reduce_trace` is the
-one reduction of recordings: a session hands it one recording per replica
-class and each rank's class (:func:`reduce_session`), and it measures the
-merged trace those ranks record without building it — ATI pairing via
-:func:`~repro.core.ati.compute_interval_arrays` once per class
+swap-off recording an earlier row already made.  :func:`reduce_measures` is
+the one reduction of a simulated row: it measures the merged trace of the
+row's ranks without building it — ATI pairing via
+:func:`~repro.core.ati.compute_interval_arrays` once per class recording
 (:func:`measure_class`, as the replay template measures a class), Eq.-1
 screening via :func:`~repro.core.swap.swappable_fractions` and the
 occupation breakdown via :func:`~repro.core.breakdown.occupation_from_columns`
-over the pairs and malloc / free rows put in merged order.  A merged trace is
-its one-recording case.  Only the reduced :class:`ScenarioResult` crosses
-the process-pool boundary.  Every result is put together by
-:func:`assemble_result`, fed by :func:`reduce_trace` or by the replay
-engine's priced points; either way a row's offline policy is
+over the pairs and malloc / free rows read on the row's clocks and put in
+merged order.  A session (:func:`reduce_session`) hands it each placed
+class recording's measure, taken once per placed run
+(:func:`class_measures`), and its clocks: a swap-off row's recordings' own
+timestamps, a swap-on row's walk clocks — swapping moves no allocation, so
+a swap row's pairs, malloc / free rows and blocks are its recording's, at
+the rows and times its walk gives them, and no overlaid trace is built.
+:func:`reduce_trace` feeds the same core traces measured on the spot; a
+merged trace is its one-recording case.  Only the reduced
+:class:`ScenarioResult` crosses the process-pool boundary.  Every result is
+put together by :func:`assemble_result`, fed by :func:`reduce_measures` or
+by the replay engine's priced points; either way a row's offline policy is
 :func:`evaluate_policy` on rank 0's own recording.
 """
 
@@ -23,7 +29,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import MemoryTrace, merge_order, require_merge_order
 from ..errors import ConfigurationError
 from ..swap.policies import SWAP_POLICIES, MemoryPolicy, get_policy
-from ..train.session import (Recording, RunStructure, SessionResult,
+from ..train.session import (PlacedRun, Recording, RunStructure, SessionResult,
                              run_training_session)
 from ..units import MIB
 from .grid import Scenario
@@ -224,30 +231,49 @@ def reduce_session(scenario: Scenario, bandwidths: BandwidthConfig,
                    key: Optional[str] = None) -> ScenarioResult:
     """Reduce a finished session to a :class:`ScenarioResult`.
 
-    The session hands :func:`reduce_trace` its replica classes' recordings
-    and ``rank_classes`` — no merged trace is built — with its structure
-    record, iteration durations, policy summary and ``collective`` /
-    ``swap_execution`` blocks.  ``key`` is the scenario's content hash when
-    the caller already computed it.
+    Each placed class recording is measured once (:func:`class_measures`,
+    kept on its :class:`~repro.train.session.PlacedRun`) and read on the
+    row's clocks by :func:`reduce_measures`: a swap-off row's are its
+    recordings' own, a swap-on row's each class's
+    :class:`~repro.swap.executor.WalkClock`.  No trace is built or merged,
+    unless a named offline policy reads rank 0's.  ``key`` is the
+    scenario's content hash when the caller already computed it.
     """
-    rank0 = session.rank_traces[0] if session.rank_traces else session.class_traces[0]
-    return reduce_trace(
-        scenario, bandwidths, session.class_traces, session.rank_classes,
-        session.structure(), [stats.duration_ns for stats in session.iteration_stats],
-        evaluate_policy(scenario.swap_policy, rank0, bandwidths),
+    swap = None
+    if scenario.swap_policy != "none":
+        rank0 = (session.rank_traces or session.class_traces)[0]
+        swap = evaluate_policy(scenario.swap_policy, rank0, bandwidths)
+    clocks = ([(None, trace.columns()) for trace in session.placed_traces]
+              if session.clocks is None else
+              [(clock.rows, clock) for clock in session.clocks])
+    return reduce_measures(
+        scenario, bandwidths, class_measures(session.placed), clocks,
+        session.rank_classes, session.structure(),
+        [stats.duration_ns for stats in session.iteration_stats], swap,
         session.collective, session.swap_execution, started, key)
 
 
-class ClassMeasure(NamedTuple):
+@dataclass(frozen=True)
+class ClassMeasure:
     """One replica class's recording as a row measures it, clocks aside: its
     ATI pairs and its malloc / free rows with their live-bytes deltas and
-    category codes.  A simulated row reads them with the recording's
-    timestamps (:func:`reduce_trace`), a replayed one with its priced clocks."""
+    category codes.  A row reads them on its own clock
+    (:func:`reduce_measures`), a replayed one on its priced clocks."""
 
     pairs: IntervalArrays
     life: np.ndarray
     life_delta: np.ndarray
     life_category: np.ndarray
+
+    @cached_property
+    def occupation(self) -> Tuple[Dict[str, object], int]:
+        """The occupation breakdown of the malloc / free rows in their order,
+        label and peak instant aside, and the position of its peak among
+        them (-1: no such row).  A rank that keeps its class's order shares
+        it and reads the peak instant off its own clock there."""
+        breakdown = occupation_from_columns(self.life_delta, self.life_category,
+                                            np.arange(self.life.size)).to_dict()
+        return breakdown, (int(breakdown["peak_time_ns"]) if self.life.size else -1)
 
 
 def measure_class(trace: MemoryTrace) -> ClassMeasure:
@@ -258,6 +284,14 @@ def measure_class(trace: MemoryTrace) -> ClassMeasure:
                         cols.live_deltas()[life], cols.category_code[life])
 
 
+def class_measures(placed: PlacedRun) -> List[ClassMeasure]:
+    """The :class:`ClassMeasure` of each class recording of ``placed``,
+    measured once per placed run."""
+    if not placed.measures:
+        placed.measures.extend(measure_class(trace.trace) for trace in placed.traces)
+    return placed.measures
+
+
 def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
                  traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
                  structure: RunStructure, step_durations_ns: Sequence[int],
@@ -265,53 +299,91 @@ def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
                  collective: Optional[Dict[str, object]],
                  swap_execution: Optional[Dict[str, object]],
                  started: float, key: Optional[str] = None) -> ScenarioResult:
-    """Measure the merged trace of ranks that record ``traces`` (ATI summary,
-    Eq.-1 screening, occupation breakdown) without building it, and assemble
-    the result with the row's policy summary.
+    """:func:`reduce_measures` of ``traces`` (one recording per replica
+    class, ``rank_classes`` each rank's class), each measured here and read
+    on its own timestamps.
 
-    ``traces`` holds one recording per replica class and ``rank_classes``
-    each rank's class, as a session keeps them (:func:`reduce_session`).
     One recording — a single device, or a trace already merged — is the call
     with ``[trace]`` and ``(0,)``, measured as it stands; the tests feed it a
     trace the replay engine rebuilt (``TraceTemplate.replay_trace``), the
-    reference the columnar replay reduction is diffed against.
+    reference the columnar replay reduction is diffed against, and the
+    overlaid traces a swap-on session builds when read, the reference a
+    swap-on row's reduction off its walk's clock is diffed against.
+    """
+    return reduce_measures(
+        scenario, bandwidths, [measure_class(trace) for trace in traces],
+        [(None, trace.columns()) for trace in traces], rank_classes, structure,
+        step_durations_ns, swap, collective, swap_execution, started, key)
+
+
+def reduce_measures(scenario: Scenario, bandwidths: BandwidthConfig,
+                    measures: Sequence[ClassMeasure], clocks: Sequence[tuple],
+                    rank_classes: Sequence[int], structure: RunStructure,
+                    step_durations_ns: Sequence[int],
+                    swap: Optional[Dict[str, object]],
+                    collective: Optional[Dict[str, object]],
+                    swap_execution: Optional[Dict[str, object]],
+                    started: float, key: Optional[str] = None) -> ScenarioResult:
+    """Measure the merged trace of ranks whose class recordings were measured
+    as ``measures`` and ran on ``clocks`` (ATI summary, Eq.-1 screening,
+    occupation breakdown) without building it, and assemble the result with
+    the row's policy summary: the one reduction of a simulated row.
+
+    ``clocks`` holds per class ``(rows, columns)``: where each measured row
+    landed on the clock (``None``: the same row) and the clock's
+    ``timestamp_ns`` and ``event_id`` per row — a recording's own columns,
+    or a swap walk's :class:`~repro.swap.executor.WalkClock`.  A walk
+    inserts rows that are neither accesses nor malloc / free rows and moves
+    the rest in order, so a class's ATI pairs and malloc / free rows are its
+    recording's, at new rows and times.
 
     :func:`~repro.core.trace.merge_rank_traces` keeps block ids rank-disjoint,
     so the merged ATI pairs are each rank's own as long as every rank's rows
-    keep their recorded order in the merge, which is checked once per class
+    keep their clock's order in the merge, which is checked once per class
     (:func:`~repro.core.trace.require_merge_order`; a
-    :class:`~repro.errors.TraceInvariantError` otherwise).  The pairs and the
-    malloc / free rows are then measured once per class
-    (:func:`measure_class`) and put in merged order by one
-    :func:`~repro.core.trace.merge_order` each.
+    :class:`~repro.errors.TraceInvariantError` otherwise); the pairs and the
+    malloc / free rows are put in merged order by one
+    :func:`~repro.core.trace.merge_order` each.  One rank keeps its order,
+    so its breakdown is its class's but for the label and the peak instant.
     """
-    measured = []
-    for trace in traces:
-        pairs, life, deltas, categories = measure_class(trace)
-        measured.append(((pairs.end_index, pairs.interval_ns, pairs.size),
-                         (life, deltas, categories, trace.columns().timestamp_ns[life])))
+    timed = []
+    for measure, (rows, columns) in zip(measures, clocks):
+        pairs, life, stamps = measure.pairs, measure.life, columns.timestamp_ns
+        if rows is None:
+            ends, gaps = pairs.end_index, pairs.interval_ns
+        else:
+            ends, life = rows[pairs.end_index], rows[life]
+            gaps = stamps[ends] - stamps[rows[pairs.start_index]]
+        timed.append(((ends, gaps, pairs.size),
+                      (life, measure.life_delta, measure.life_category, stamps[life])))
 
     def merged(part: int) -> Sequence[np.ndarray]:
         """The ranks' values of ``part`` (0: the ATI pairs, 1: the malloc /
         free rows), concatenated in merged row order."""
-        per_rank = [measured[index][part] for index in rank_classes]
+        per_rank = [timed[index][part] for index in rank_classes]
         if len(per_rank) == 1:
             return per_rank[0][1:]
         rows, *columns = zip(*per_rank)
-        order = merge_order([traces[index].columns() for index in rank_classes], rows)
+        order = merge_order([clocks[index][1] for index in rank_classes], rows)
         return [np.concatenate(column)[order] for column in columns]
 
     if len(rank_classes) > 1:
-        for trace in traces:
-            require_merge_order(trace)
+        for index, (_, columns) in enumerate(clocks):
+            require_merge_order(columns, list(rank_classes).index(index))
+        breakdown = occupation_from_columns(*merged(1), label=scenario.label).to_dict()
+    else:
+        (index,) = rank_classes
+        shared, peak = measures[index].occupation
+        breakdown = dict(shared)
+        breakdown["label"] = scenario.label
+        breakdown["peak_time_ns"] = int(timed[index][1][3][peak]) if peak >= 0 else 0
     interval_ns, sizes = merged(0)
     return assemble_result(
         scenario, key if key is not None else scenario.key(), structure,
         ati=summarize_values_us(interval_ns / 1_000.0),
         swappable=float(swappable_fractions(
             interval_ns[None, :], sizes, [bandwidths.round_trip_s_per_byte])[0]),
-        breakdown=occupation_from_columns(*merged(1), label=scenario.label).to_dict(),
-        step_durations_ns=step_durations_ns, swap=swap,
+        breakdown=breakdown, step_durations_ns=step_durations_ns, swap=swap,
         collective=collective, swap_execution=swap_execution, started=started)
 
 

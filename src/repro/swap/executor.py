@@ -45,8 +45,12 @@ starts when the last clock arrives and no stream is ever drained.
 The result is each recording re-timed, with every eviction and restoration
 inserted as a ``swap_out`` / ``swap_in`` (or ``recompute_drop`` /
 ``recompute``) row in front of the recorded row it was made at, plus the
-measured :class:`SwapExecutionSummary`.  ``docs/swapping.md`` has the full
-semantics.
+measured :class:`SwapExecutionSummary`.  The walk keeps that log laid out,
+not built (:class:`WalkLog`), and merges only the columns it reads; it
+hands back a :class:`WalkClock` — where each recorded row landed and the
+log's timestamps, all a row's reduction reads besides its recording — which
+builds the overlaid trace only when it is read.  ``docs/swapping.md`` has
+the full semantics.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -61,8 +66,9 @@ import numpy as np
 
 from ..core.events import IterationMark, MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig
-from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, EventColumns,
-                          MemoryTrace, barrier_rows, iteration_rows, stable_block_order)
+from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, ROW_WIDTH,
+                          EventColumns, MemoryTrace, barrier_rows, iteration_rows,
+                          stable_block_order)
 from ..device.clock import DeviceClock
 from ..device.spec import DeviceSpec
 from ..device.stream import Stream
@@ -563,6 +569,104 @@ class WalkIndex:
         self.warmup: Optional[_WarmupPass] = None
 
 
+class WalkLog:
+    """The log of a walk over a recording's first ``walked`` rows, laid out
+    but not built: recorded row ``i`` is log row ``rows[i]`` and the ``j``-th
+    inserted row (a ``(anchor, *ROW_FIELDS, tag, op)`` tuple, in front of
+    recorded row ``anchor``) is log row ``own[j]``; from row ``start`` of each
+    ``(start, delay)`` shift on, recorded rows run ``delay`` later.
+
+    A reader merges the columns it reads (:meth:`column`, :meth:`tags`);
+    :meth:`columns` builds all of them.
+    """
+
+    def __init__(self, recorded: MemoryTrace, walked: int,
+                 inserted: Sequence[tuple], shifts: Sequence[Tuple[int, int]]):
+        self.recorded, self.inserted = recorded, inserted
+        self._shifts = np.array(shifts).T
+        anchors = np.fromiter((row[0] for row in inserted), np.int64, len(inserted))
+        walked_rows = np.arange(walked)
+        self.rows = walked_rows + np.searchsorted(anchors, walked_rows, side="right")
+        self.own = anchors + np.arange(anchors.size)
+
+    def __len__(self) -> int:
+        return self.rows.size + self.own.size
+
+    def column(self, name: str) -> np.ndarray:
+        """The log's ``name`` column (one of :data:`ROW_FIELDS`), timestamps
+        at their delays."""
+        rows, own = self.rows, self.own
+        column = np.empty(len(self), dtype=np.int64)
+        column[rows] = getattr(self.recorded.columns(), name)[:rows.size]
+        position = ROW_FIELDS.index(name) + 1
+        column[own] = [row[position] for row in self.inserted]
+        if name == "timestamp_ns":
+            starts, delays = self._shifts
+            column[rows] += delays[np.searchsorted(starts, np.arange(rows.size),
+                                                   side="right") - 1]
+        return column
+
+    def _strings(self, recorded: List[str], position: int) -> List[str]:
+        merged, done = [], 0
+        for row in self.inserted:
+            merged += recorded[done:row[0]]
+            merged.append(row[position])
+            done = row[0]
+        merged += recorded[done:self.rows.size]
+        return merged
+
+    def tags(self) -> List[str]:
+        """The log's tags."""
+        return self._strings(self.recorded.event_tags, ROW_WIDTH + 1)
+
+    def ops(self) -> List[str]:
+        """The log's ops."""
+        return self._strings(self.recorded.event_ops, ROW_WIDTH + 2)
+
+    def columns(self) -> EventColumns:
+        """Every column of the log: the log built."""
+        return EventColumns(event_id=np.arange(len(self)),
+                            device_rank=np.zeros(len(self), dtype=np.int64),
+                            **{name: self.column(name) for name in ROW_FIELDS})
+
+
+class WalkClock:
+    """A finished walk over one replica's recording, as a swap row is
+    measured off it: where each recorded row landed in the overlaid log
+    (``rows``), the log's clock (``timestamp_ns``, one per log row;
+    ``event_id`` is the row number), the re-timed iteration marks and end.
+
+    Swapping moves no allocation and the inserted rows are neither accesses
+    nor live-bytes changes, so everything else a row reports is the
+    recording's own.  The overlaid trace is built only when read
+    (:attr:`trace`), once.
+    """
+
+    def __init__(self, walk_log: WalkLog, iteration_marks: List[IterationMark], end_ns: int):
+        self.rows = walk_log.rows
+        self.timestamp_ns = walk_log.column("timestamp_ns")
+        self.iteration_marks = iteration_marks
+        self.end_ns = end_ns
+        self._walk_log = walk_log
+
+    def __len__(self) -> int:
+        return self.timestamp_ns.size
+
+    @property
+    def event_id(self) -> np.ndarray:
+        """The log's event ids: its row numbers."""
+        return np.arange(len(self))
+
+    @cached_property
+    def trace(self) -> MemoryTrace:
+        """The overlaid recording, built on the first read."""
+        walk_log = self._walk_log
+        return MemoryTrace(columns=walk_log.columns(),
+                           event_tags=walk_log.tags(), event_ops=walk_log.ops(),
+                           iteration_marks=self.iteration_marks,
+                           metadata=dict(walk_log.recorded.metadata), end_ns=self.end_ns)
+
+
 class SwapExecutor:
     """One replica's walk over its swap-off recording (see :func:`overlay`).
 
@@ -604,7 +708,7 @@ class SwapExecutor:
         self._iteration, self._tags, self._ops = index.iteration, index.tags, index.ops
         self._mark_rows, self._barriers = index.mark_rows, index.barriers
         self._marks: List[IterationMark] = []     # the re-timed marks
-        # The log (see :meth:`log`) is kept as its two differences from the
+        # The log (see :meth:`_laid_out`) is kept as its two differences from the
         # recording: the delay from each row on where it changes, and the
         # inserted rows.
         self._shifts: List[Tuple[int, int]] = [(0, 0)]
@@ -648,8 +752,7 @@ class SwapExecutor:
         self._carry = LearningCarry(live_bytes=0, last_event_ns=0)
         #: The last learning iteration's footprint (the plan's reference).
         self._profile = IterationProfile([], 0, None, 0)
-        #: The whole log and the peaks :meth:`finalize` read off it.
-        self._log: Optional[Tuple[EventColumns, List[str], List[str]]] = None
+        #: The peaks :meth:`finalize` read off the log.
         self._books: Optional[Tuple[int, int, int]] = None
 
     # -- introspection -----------------------------------------------------------------
@@ -666,42 +769,10 @@ class SwapExecutor:
                        peak_live_bytes=peak_live, warmup_peak_bytes=warmup_peak,
                        predicted=self.policy.predicted)
 
-    def log(self) -> Tuple[EventColumns, List[str], List[str]]:
-        """The log's columns, tags and ops: the recorded rows walked so far at
-        their delays, each inserted row in front of the recorded row it was
-        made at."""
-        recorded, walked, inserted = self._recorded.columns(), self._cursor, self._inserted
-        rows = np.arange(walked)
-        anchors = np.fromiter((row[0] for row in inserted), np.int64, len(inserted))
-        own = anchors + np.arange(anchors.size)
-        place = rows + np.searchsorted(anchors, rows, side="right")
-        merged = {}
-        for position, name in enumerate(ROW_FIELDS, start=1):
-            column = merged[name] = np.empty(own.size + walked, dtype=np.int64)
-            column[place] = getattr(recorded, name)[:walked]
-            column[own] = [row[position] for row in inserted]
-        starts, delays = np.array(self._shifts).T
-        merged["timestamp_ns"][place] += delays[np.searchsorted(starts, rows, side="right") - 1]
-        tags, ops, done = [], [], 0
-        for row in inserted:
-            tags += self._tags[done:row[0]]
-            ops += self._ops[done:row[0]]
-            tags.append(row[8])
-            ops.append(row[9])
-            done = row[0]
-        tags += self._tags[done:walked]
-        ops += self._ops[done:walked]
-        return (EventColumns(event_id=np.arange(own.size + walked),
-                             device_rank=np.zeros(own.size + walked, dtype=np.int64),
-                             **merged), tags, ops)
-
-    def trace(self) -> MemoryTrace:
-        """The overlaid recording; call after :meth:`finalize`."""
-        columns, tags, ops = self._log
-        return MemoryTrace(columns=columns, event_tags=tags, event_ops=ops,
-                           iteration_marks=self._marks,
-                           metadata=dict(self._recorded.metadata),
-                           end_ns=self._recorded.end_ns + self._delay)
+    def _laid_out(self) -> WalkLog:
+        """The log so far, laid out: the recorded rows walked at their
+        delays, each inserted row in front of the recorded row it was made at."""
+        return WalkLog(self._recorded, self._cursor, self._inserted, self._shifts)
 
     # -- the points the trainer marks ---------------------------------------------------
 
@@ -785,8 +856,9 @@ class SwapExecutor:
         later than recorded."""
         self._shift(self._cursor, delay)
 
-    def finalize(self) -> None:
-        """Walk the rest of the recording and balance the books.
+    def finalize(self) -> WalkClock:
+        """Walk the rest of the recording, balance the books and return the
+        finished walk's :class:`WalkClock`.
 
         Every block still swapped out gets a zero-copy ``"shutdown"``
         ``swap_in``, so the trace's residency series always sums back to the
@@ -800,25 +872,27 @@ class SwapExecutor:
             self._put_back(state)
             self.counters.shutdown_restores += 1
             self._emit_restore(state, "shutdown")
-        self._log = self.log()
-        self._books = self._read_peaks()
+        walk_log = self._laid_out()
+        self._books = self._read_peaks(walk_log)
+        return WalkClock(walk_log, self._marks, self._recorded.end_ns + self._delay)
 
-    def _read_peaks(self) -> Tuple[int, int, int]:
-        """``(resident, live, warm-up)`` peaks, read off the log.
+    def _read_peaks(self, walk_log: WalkLog) -> Tuple[int, int, int]:
+        """``(resident, live, warm-up)`` peaks, read off the log's kinds and sizes.
 
         Resident bytes are the running sum of the rows' residency deltas,
         sampled after every malloc and every restoration that put bytes on the
         device (``discard`` / ``shutdown`` restorations are bookkeeping and
-        stay out); live bytes are sampled after every malloc.
+        stay out); live bytes are sampled after every malloc.  Every
+        restoration is one of the walk's own rows: a swap-off recording has none.
         """
         self._learn()
         warmup_peak = self._profile.peak_bytes
-        columns, _, ops = self._log
-        kind, size = columns.kind_code, columns.size
+        kind, size = walk_log.column("kind_code"), walk_log.column("size")
         malloc = kind == _MALLOC
         sampled = malloc.copy()
-        sampled[[row for row in np.flatnonzero(_RESTORE_KINDS[kind]).tolist()
-                 if ops[row] not in _BOOKKEEPING_RESTORES]] = True
+        sampled[[row for row, (_, code, *_, op) in zip(walk_log.own.tolist(),
+                                                        walk_log.inserted)
+                 if _RESTORE_KINDS[code] and op not in _BOOKKEEPING_RESTORES]] = True
         resident = np.cumsum(_RESIDENT_SIGN[kind] * size)
         live = np.cumsum(_LIVE_SIGN[kind] * size)
 
@@ -1182,10 +1256,10 @@ class SwapExecutor:
         if self._learned_row == 0 and not self._inserted and len(self._shifts) == 1:
             profile = self._learn_warmup(stop)
         else:
-            columns, tags, _ = self.log()
+            walk_log = self._laid_out()
             profile = learn_from_rows(
-                [getattr(columns, name)[self._learned_row:stop] for name in LEARNED_FIELDS],
-                self._learned_row, tags, self._windows, self._states, self._carry)
+                [walk_log.column(name)[self._learned_row:stop] for name in LEARNED_FIELDS],
+                self._learned_row, walk_log.tags(), self._windows, self._states, self._carry)
         self._learned_row = stop
         if profile is not None:
             self._profile = profile
@@ -1218,7 +1292,7 @@ class SwapExecutor:
 def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryPolicy]],
             spec: DeviceSpec, capacity_bytes: Optional[int] = None,
             indexes: Optional[List[WalkIndex]] = None
-            ) -> Tuple[List[MemoryTrace], List[SwapExecutionSummary]]:
+            ) -> Tuple[List[WalkClock], List[SwapExecutionSummary]]:
     """Execute a swap policy on the swap-off recordings of a run's replicas.
 
     ``traces`` are the replicas' recordings (one per materialised replica,
@@ -1228,9 +1302,9 @@ def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryP
     the latest of their delayed arrivals, measured from the latest recorded
     one.  ``indexes`` is where the recordings keep their :class:`WalkIndex`
     (one per trace, made here when it is empty; ``None``: made for this
-    call only).  Returns every replica's overlaid trace and its
-    :class:`SwapExecutionSummary`; an infeasible capacity raises
-    :class:`~repro.errors.InfeasibleScenarioError`.
+    call only).  Returns every replica's :class:`WalkClock` — its overlaid
+    trace is built only when read — and its :class:`SwapExecutionSummary`;
+    an infeasible capacity raises :class:`~repro.errors.InfeasibleScenarioError`.
     """
     if indexes is None:
         indexes = []
@@ -1246,7 +1320,5 @@ def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryP
                 executor.leave(delay)
         for executor in executors:
             executor.end_iteration(mark.index)
-    for executor in executors:
-        executor.finalize()
-    return ([executor.trace() for executor in executors],
+    return ([executor.finalize() for executor in executors],
             [executor.summary() for executor in executors])

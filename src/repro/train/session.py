@@ -45,9 +45,10 @@ places it with the row's allocator (:meth:`Recording.placed`; a swap-on row
 at the native capacity — swap execution never moves an allocation),
 re-stamps it with the row's workload metadata and, for a swap-on row, runs
 its policy over each class's placed recording
-(:func:`repro.swap.executor.overlay`).  Rows that differ only in ``swap``,
-``allocator`` and ``device_memory_capacity`` share a recording
-(:func:`~repro.experiments.grid.recording_token`).
+(:func:`repro.swap.executor.overlay`), keeping each walk's clock: the
+overlaid traces are built only when read (:class:`SessionResult`).  Rows
+that differ only in ``swap``, ``allocator`` and ``device_memory_capacity``
+share a recording (:func:`~repro.experiments.grid.recording_token`).
 """
 
 from __future__ import annotations
@@ -172,13 +173,12 @@ class RunStructure:
     allocator_stats: Dict[str, int]
 
     @classmethod
-    def of_classes(cls, traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
-                   allocator_stats: Dict[str, int], **scalars: int) -> "RunStructure":
-        """The structure of a run whose ranks record ``traces`` (one per
-        replica class, ``rank_classes`` each rank's), given its peaks and
-        parameter counts as ``scalars``."""
-        events = [len(trace) for trace in traces]
-        blocks = [len(trace.block_ids()) for trace in traces]
+    def of_classes(cls, events: Sequence[int], blocks: Sequence[int],
+                   rank_classes: Sequence[int], allocator_stats: Dict[str, int],
+                   **scalars: int) -> "RunStructure":
+        """The structure of a run whose replica classes record ``events`` rows
+        on ``blocks`` blocks each (``rank_classes`` each rank's class), given
+        its peaks and parameter counts as ``scalars``."""
         return cls(num_events=sum(events[index] for index in rank_classes),
                    num_blocks=sum(blocks[index] for index in rank_classes),
                    allocator_stats={k: int(v) for k, v in allocator_stats.items()},
@@ -197,19 +197,24 @@ class RunStructure:
 class SessionResult:
     """Everything produced by one profiled training run.
 
-    ``class_traces`` holds one recording per replica class and
-    ``rank_classes`` each rank's class; ``rank_traces`` (multi-device only)
-    is every rank's view of its class recording.  What the result reports is
+    ``placed_traces`` holds each replica class's placed recording, stamped
+    with the row's metadata, and ``rank_classes`` each rank's class; a
+    swap-on row's ``clocks`` hold each class's
+    :class:`~repro.swap.executor.WalkClock`.  What the result reports is
     measured off them (:func:`~repro.experiments.results.reduce_session`).
-    ``trace`` is the rank-merged trace (every event carries its
-    ``device_rank``; a single device's is its recording), built on its first
-    read.  The peak byte counts are *per-replica* peaks (max across ranks —
-    the number that must fit each device), and ``collective`` summarizes the
-    gradient allreduces.
+    ``class_traces`` (one per class: a swap-on row's overlaid recordings),
+    ``rank_traces`` (multi-device only: every rank's view of its class
+    trace) and ``trace`` (the rank-merged trace; every event carries its
+    ``device_rank``, and a single device's is its recording) are built on
+    their first read.  The peak byte counts are *per-replica* peaks (max
+    across ranks — the number that must fit each device), and
+    ``collective`` summarizes the gradient allreduces.
     """
 
     config: TrainingRunConfig
-    class_traces: List[MemoryTrace]
+    placed_traces: List[MemoryTrace]
+    #: The placed run ``placed_traces`` come from (see :class:`PlacedRun`).
+    placed: "PlacedRun" = field(repr=False, compare=False)
     rank_classes: Tuple[int, ...]
     iteration_stats: List[IterationStats]
     parameter_bytes: int
@@ -219,10 +224,11 @@ class SessionResult:
     allocator_stats: Dict[str, int]
     n_devices: int = 1
     collective: Optional[Dict[str, object]] = None
-    rank_traces: Optional[List[MemoryTrace]] = None
     #: Swap-execution outcome (rank-0 replica's summary dict plus the rank
     #: count; replicas are symmetric) — ``None`` when ``config.swap`` is off.
     swap_execution: Optional[Dict[str, object]] = None
+    #: Each class's walk under the row's swap policy (``None``: swap off).
+    clocks: Optional[List] = field(default=None, repr=False, compare=False)
     #: The swap-off recording the session was made from (see :class:`Recording`).
     recording: Optional["Recording"] = field(default=None, repr=False, compare=False)
 
@@ -230,6 +236,22 @@ class SessionResult:
     def label(self) -> str:
         """Label for reports (falls back to the config description)."""
         return self.config.label or self.config.describe()
+
+    @cached_property
+    def class_traces(self) -> List[MemoryTrace]:
+        """One trace per replica class: its placed recording, overlaid by
+        the row's walk when swap is on (built on the first read)."""
+        if self.clocks is None:
+            return self.placed_traces
+        return [clock.trace for clock in self.clocks]
+
+    @cached_property
+    def rank_traces(self) -> Optional[List[MemoryTrace]]:
+        """Every rank's view of its class trace (``None``: one device)."""
+        if self.n_devices == 1:
+            return None
+        return [self.class_traces[index].rank_view(rank)
+                for rank, index in enumerate(self.rank_classes)]
 
     @cached_property
     def trace(self) -> MemoryTrace:
@@ -240,9 +262,11 @@ class SessionResult:
 
     def structure(self) -> RunStructure:
         """The pricing-independent scalars the per-scenario reduction reports
-        (its counts summed over the ranks' class recordings)."""
+        (its counts summed over the ranks' class traces, none of them built:
+        a walk adds rows, never a block)."""
+        events = [len(source) for source in (self.clocks or self.placed_traces)]
         return RunStructure.of_classes(
-            self.class_traces, self.rank_classes, self.allocator_stats,
+            events, self.placed.block_counts, self.rank_classes, self.allocator_stats,
             peak_allocated_bytes=self.peak_allocated_bytes,
             peak_reserved_bytes=self.peak_reserved_bytes,
             parameter_bytes=self.parameter_bytes,
@@ -312,9 +336,11 @@ class PlacedRun:
     """A :class:`Recording` placed by one allocator in one device's memory.
 
     ``placements`` and ``traces`` are per replica class, the peaks per
-    replica and the counters replica 0's.  ``walk_indexes`` is the overlay's
-    memo: one :class:`~repro.swap.executor.WalkIndex` per class trace (its
-    per-row arrays and the undisturbed warm-up's learning pass).
+    replica and the counters replica 0's.  Two memos, one entry per class
+    trace, are filled by the rows placed here: ``walk_indexes``, the
+    overlay's :class:`~repro.swap.executor.WalkIndex` (its per-row arrays
+    and the undisturbed warm-up's learning pass), and ``measures``, the
+    reduction's :class:`~repro.experiments.results.ClassMeasure`.
     """
 
     placements: Tuple[Placement, ...]
@@ -324,6 +350,12 @@ class PlacedRun:
     peak_reserved_bytes: int
     allocator_stats: Dict[str, int]
     walk_indexes: List = field(default_factory=list, repr=False, compare=False)
+    measures: List = field(default_factory=list, repr=False, compare=False)
+
+    @cached_property
+    def block_counts(self) -> Tuple[int, ...]:
+        """The number of blocks of each class trace."""
+        return tuple(len(placed.trace.block_ids()) for placed in self.traces)
 
 
 @dataclass(frozen=True)
@@ -410,19 +442,20 @@ def _swap_policies(config: TrainingRunConfig):
 
 def _execute_swap(config: TrainingRunConfig, recording: Recording, placed: PlacedRun,
                   policy, traces: List[MemoryTrace]):
-    """Overlay ``policy`` on the placed class recordings: the overlaid
-    traces, the iteration statistics re-timed like their marks, and the
-    ``swap_execution`` payload (replica 0's summary plus the rank count)."""
+    """Overlay ``policy`` on the placed class recordings: each class's
+    :class:`~repro.swap.executor.WalkClock`, the iteration statistics
+    re-timed like their marks, and the ``swap_execution`` payload (replica
+    0's summary plus the rank count)."""
     from ..swap.executor import overlay
     policies = [policy.for_run(world_size=recording.n_devices,
                                capacity_bytes=config.device_memory_capacity)
                 for _ in traces]
-    traces, summaries = overlay(traces, policies, recording.spec,
+    clocks, summaries = overlay(traces, policies, recording.spec,
                                 capacity_bytes=config.device_memory_capacity,
                                 indexes=placed.walk_indexes)
     swap_execution = summaries[0].to_dict()
     swap_execution["n_ranks"] = recording.n_devices
-    return traces, list(_iteration_stats(traces)), swap_execution
+    return clocks, list(_iteration_stats(clocks)), swap_execution
 
 
 def workload_metadata(config: TrainingRunConfig, n_devices: int) -> Dict[str, object]:
@@ -535,8 +568,9 @@ def run_training_session(config: TrainingRunConfig,
     :func:`~repro.experiments.grid.recording_token`; the result does not
     depend on whether it was shared.  An unknown swap mode is a
     :class:`~repro.errors.ConfigurationError` raised before anything is
-    simulated.  Nothing is merged here: the result keeps each replica
-    class's trace and every rank's view of it (:class:`SessionResult`).
+    simulated.  Nothing is merged or built here: the result keeps each
+    replica class's placed trace and, for a swap-on row, its walk's clock;
+    the overlaid and per-rank traces are built when read (:class:`SessionResult`).
     """
     policy = _swap_policies(config)
     if recording is None:
@@ -545,18 +579,16 @@ def run_training_session(config: TrainingRunConfig,
     n_devices = recording.n_devices
     recorded = workload_metadata(recording.config, n_devices)
     workload = workload_metadata(config, n_devices)
-    class_traces = [_restamped(trace.trace, recorded, workload) for trace in placed.traces]
+    placed_traces = [_restamped(trace.trace, recorded, workload) for trace in placed.traces]
     iteration_stats = list(placed.iteration_stats)
-    swap_execution: Optional[Dict[str, object]] = None
+    clocks = swap_execution = None
     if policy is not None:
-        class_traces, iteration_stats, swap_execution = _execute_swap(
-            config, recording, placed, policy, class_traces)
-    rank_traces = [class_traces[index].rank_view(rank)
-                   for rank, index in enumerate(recording.rank_classes)]
+        clocks, iteration_stats, swap_execution = _execute_swap(
+            config, recording, placed, policy, placed_traces)
 
     return SessionResult(
         config=config,
-        class_traces=class_traces,
+        placed_traces=placed_traces,
         rank_classes=recording.rank_classes,
         iteration_stats=iteration_stats,
         parameter_bytes=recording.parameter_bytes,
@@ -567,7 +599,8 @@ def run_training_session(config: TrainingRunConfig,
         n_devices=n_devices,
         collective=(None if recording.collective is None
                     else dict(recording.collective)),
-        rank_traces=(rank_traces if n_devices > 1 else None),
         swap_execution=swap_execution,
+        clocks=clocks,
+        placed=placed,
         recording=recording,
     )

@@ -912,6 +912,7 @@ def live_swap_session(config):
     made.
     """
     from repro.swap import POLICIES
+    from repro.swap.executor import WalkClock, WalkLog
     from repro.train.session import (build_device_group, record_session,
                                      run_training_session)
 
@@ -950,7 +951,10 @@ def live_swap_session(config):
         return [SimpleNamespace(trace=trace) for trace in traces]
 
     def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
-        return traces, [executor.summary() for executor, _ in executors]
+        """Each live trace as a walk that inserted nothing and moved nothing."""
+        clocks = [WalkClock(WalkLog(trace, len(trace), [], [(0, 0)]),
+                            trace.iteration_marks, trace.end_ns) for trace in traces]
+        return clocks, [executor.summary() for executor, _ in executors]
 
     with mock.patch("repro.train.trainer.left_as_found", lambda *args: False), \
             mock.patch("repro.train.session.build_device_group", live_group), \
@@ -975,13 +979,141 @@ def overlaid_swap_session(config, recording=None):
         plans = [[] for _ in policies]
         for policy, made in zip(policies, plans):
             _recording_plans(policy, made)
-        traces, summaries = overlay(traces, policies, *args, **kwargs)
+        clocks, summaries = overlay(traces, policies, *args, **kwargs)
         walks.extend(zip(summaries, plans))
-        return traces, summaries
+        return clocks, summaries
 
     with mock.patch("repro.swap.executor.overlay", observed):
         session = run_training_session(config, recording=recording)
     return session, walks
+
+
+def eager_overlaid_trace(executor):
+    """A finalized walk's overlaid trace, built the way the executor built
+    it before its log was laid out per column: every column, tag and op of
+    the log merged at once from the walk's inserted rows and delay shifts."""
+    from repro.core.trace import ROW_FIELDS
+
+    recorded, walked, inserted = executor._recorded, executor._cursor, executor._inserted
+    columns = recorded.columns()
+    rows = np.arange(walked)
+    anchors = np.fromiter((row[0] for row in inserted), np.int64, len(inserted))
+    own = anchors + np.arange(anchors.size)
+    place = rows + np.searchsorted(anchors, rows, side="right")
+    merged = {}
+    for position, name in enumerate(ROW_FIELDS, start=1):
+        column = merged[name] = np.empty(own.size + walked, dtype=np.int64)
+        column[place] = getattr(columns, name)[:walked]
+        column[own] = [row[position] for row in inserted]
+    starts, delays = np.array(executor._shifts).T
+    merged["timestamp_ns"][place] += delays[np.searchsorted(starts, rows, side="right") - 1]
+    tags, ops, done = [], [], 0
+    for row in inserted:
+        tags += recorded.event_tags[done:row[0]]
+        ops += recorded.event_ops[done:row[0]]
+        tags.append(row[8])
+        ops.append(row[9])
+        done = row[0]
+    tags += recorded.event_tags[done:walked]
+    ops += recorded.event_ops[done:walked]
+    return MemoryTrace(
+        columns=EventColumns(event_id=np.arange(own.size + walked),
+                             device_rank=np.zeros(own.size + walked, dtype=np.int64),
+                             **merged),
+        event_tags=tags, event_ops=ops, iteration_marks=executor._marks,
+        metadata=dict(recorded.metadata), end_ns=recorded.end_ns + executor._delay)
+
+
+def eager_swap_session(config, recording=None):
+    """Run ``config`` (on ``recording``, when given) with every walk's
+    overlaid trace built eagerly at its finalize
+    (:func:`eager_overlaid_trace`); returns the session and the class
+    traces, one per replica class (the session's placed traces for a
+    swap-off row)."""
+    from repro.swap.executor import SwapExecutor
+    from repro.train.session import run_training_session
+
+    built = []
+    finalize = SwapExecutor.finalize
+
+    def finalized(executor):
+        clock = finalize(executor)
+        built.append(eager_overlaid_trace(executor))
+        return clock
+
+    with mock.patch.object(SwapExecutor, "finalize", finalized):
+        session = run_training_session(config, recording=recording)
+    return session, built or list(session.placed_traces)
+
+
+def reference_reduce_trace(scenario, bandwidths, traces, rank_classes, structure,
+                           step_durations_ns, swap, collective, swap_execution):
+    """The reduction of recordings as it stood before it read measures on
+    clocks: each trace's ATI pairs and malloc / free rows on its own
+    timestamps, put in merged order across ranks, and the occupation
+    breakdown computed on them row by row."""
+    from repro.core.ati import summarize_values_us
+    from repro.core.breakdown import occupation_from_columns
+    from repro.core.swap import swappable_fractions
+    from repro.core.trace import merge_order, require_merge_order
+    from repro.experiments.results import assemble_result
+
+    measured = []
+    for trace in traces:
+        columns = trace.columns()
+        pairs = compute_interval_arrays(trace)
+        life = np.flatnonzero(columns.is_malloc | columns.is_free)
+        measured.append(((pairs.end_index, pairs.interval_ns, pairs.size),
+                         (life, columns.live_deltas()[life], columns.category_code[life],
+                          columns.timestamp_ns[life])))
+
+    def merged(part):
+        per_rank = [measured[index][part] for index in rank_classes]
+        if len(per_rank) == 1:
+            return per_rank[0][1:]
+        rows, *columns = zip(*per_rank)
+        order = merge_order([traces[index].columns() for index in rank_classes], rows)
+        return [np.concatenate(column)[order] for column in columns]
+
+    if len(rank_classes) > 1:
+        for trace in traces:
+            require_merge_order(trace.columns(), trace.metadata["device_rank"])
+    interval_ns, sizes = merged(0)
+    return assemble_result(
+        scenario, scenario.key(), structure,
+        ati=summarize_values_us(interval_ns / 1_000.0),
+        swappable=float(swappable_fractions(
+            interval_ns[None, :], sizes, [bandwidths.round_trip_s_per_byte])[0]),
+        breakdown=occupation_from_columns(*merged(1), label=scenario.label).to_dict(),
+        step_durations_ns=step_durations_ns, swap=swap, collective=collective,
+        swap_execution=swap_execution, started=0.0)
+
+
+def eager_reduction(scenario, recording=None):
+    """``scenario``'s result by the path a row took before a swap row was
+    measured off its walk's clock: :func:`reference_reduce_trace` over the
+    eagerly built class traces (:func:`eager_swap_session`), the structure
+    counted off them and the offline policy evaluated on rank 0's view."""
+    from repro.experiments.results import evaluate_policy
+    from repro.train.session import RunStructure
+
+    session, traces = eager_swap_session(scenario.config, recording)
+    bandwidths = scenario.resolve_bandwidths()
+    rank0 = traces[session.rank_classes[0]]
+    if session.n_devices > 1:
+        rank0 = rank0.rank_view(0)
+    structure = RunStructure.of_classes(
+        [len(trace) for trace in traces], [len(trace.block_ids()) for trace in traces],
+        session.rank_classes, session.allocator_stats,
+        peak_allocated_bytes=session.peak_allocated_bytes,
+        peak_reserved_bytes=session.peak_reserved_bytes,
+        parameter_bytes=session.parameter_bytes, parameter_count=session.parameter_count)
+    result = reference_reduce_trace(
+        scenario, bandwidths, traces, session.rank_classes, structure,
+        [stats.duration_ns for stats in session.iteration_stats],
+        evaluate_policy(scenario.swap_policy, rank0, bandwidths),
+        session.collective, session.swap_execution)
+    return replace(result, wall_time_s=0.0), traces
 
 
 def swap_run(scenario, side, recording=None):

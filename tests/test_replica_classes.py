@@ -380,9 +380,10 @@ def test_a_rank_clock_that_steps_back_is_refused():
         event_tags=trace.event_tags, event_ops=trace.event_ops,
         iteration_marks=trace.iteration_marks, metadata=trace.metadata,
         end_ns=trace.end_ns)
-    with pytest.raises(TraceInvariantError) as refused:
-        reduced(replace(session, class_traces=[stepped]))
-    assert refused.value.event_index == row
     scenario = Scenario(config=session.config)
+    with pytest.raises(TraceInvariantError) as refused:
+        reduce_trace(scenario, scenario.resolve_bandwidths(), [stepped],
+                     session.rank_classes, session.structure(), [], None, None, None, 0.0)
+    assert refused.value.event_index == row
     reduce_trace(scenario, scenario.resolve_bandwidths(), [stepped], (0,),
                  session.structure(), [], None, None, None, 0.0)

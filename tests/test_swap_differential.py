@@ -265,7 +265,7 @@ def test_resident_bytes_follow_the_trace(swap, capacity, width):
 
     def end_iteration(executor, index):
         original(executor, index)
-        deltas = executor.log()[0].resident_deltas()
+        deltas = executor._laid_out().columns().resident_deltas()
         assert executor.resident_bytes == int(np.sum(deltas))
         checked.append(index)
 

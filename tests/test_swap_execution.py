@@ -81,10 +81,10 @@ def run_manual_policy(policy, **overrides):
     cannot express.  Returns the overlaid trace and the summary.
     """
     config = TrainingRunConfig(**{**DEEP_MLP, **overrides})
-    traces, summaries = overlay([run_training_session(config).trace], [policy],
+    clocks, summaries = overlay([run_training_session(config).trace], [policy],
                                 get_device_spec(config.device_spec),
                                 capacity_bytes=config.device_memory_capacity)
-    return traces[0], summaries[0]
+    return clocks[0].trace, summaries[0]
 
 
 @lru_cache(maxsize=None)
@@ -301,8 +301,9 @@ def test_a_deferred_eviction_lands_at_the_next_behavior_even_a_free():
         ("read", 1_020, 1, 1024, MemoryCategory.ACTIVATION, 1),
         ("free", 1_030, 1, 1024, MemoryCategory.ACTIVATION, 1),
     ], iteration_marks=[(0, 500), (500, 2_000)], end_ns=2_000)
-    traces, summaries = overlay([recording], [EvictAfterEveryAccess()],
+    clocks, summaries = overlay([recording], [EvictAfterEveryAccess()],
                                 get_device_spec("titan_x_pascal"))
+    traces = [clock.trace for clock in clocks]
     events = trace_events(traces[0])
     assert [(event.kind.value, event.block_id) for event in events[3:]] == [
         ("read", 1), ("swap_out", 1), ("free", 2), ("swap_in", 1), ("read", 1),

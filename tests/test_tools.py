@@ -152,9 +152,11 @@ def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
                           swaps=("off", "lru", "planner")).expand()
     rows = dict(probe.probe(scenarios, samples=1))
     assert list(rows) == probe.ORDER + ["total"]
-    for stage in ("recording", "overlay: init", "overlay: walk", "overlay: learning",
-                  "overlay: log", "overlay: plan", "overlay: finalize", "reduction"):
+    for stage in ("recording", "placement", "overlay: init", "overlay: walk",
+                  "overlay: learning", "overlay: log", "overlay: plan", "overlay: finalize",
+                  "reduction: measure", "reduction"):
         assert rows[stage] > 0, stage
+    assert rows["trace build"] == 0
     assert sum(rows[stage] for stage in probe.ORDER) == pytest.approx(rows["total"])
     assert SwapExecutor._walk is walk
     lines = probe.table(list(rows.items())).splitlines()
@@ -164,6 +166,18 @@ def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
 
 def test_overlay_probe_reads_the_benchmark_sample():
     assert len(_load("overlay_probe").ladder()) == 23
+
+
+def test_overlay_probe_counts_full_log_builds_and_measures():
+    from repro.experiments.grid import SweepGrid
+
+    probe = _load("overlay_probe")
+    scenarios = SweepGrid(models=("mlp",), batch_sizes=(64,), iterations=(3,),
+                          swaps=("off", "lru", "planner")).expand()
+    found = probe.counts(scenarios)
+    assert list(found) == probe.COUNTS
+    assert found["full log builds"] == 0
+    assert found["measure_class calls"] == 1
 
 
 # -- tools/read_probe.py ----------------------------------------------------------------

@@ -6,10 +6,17 @@ rows at seed 100, one serial uncached ``SweepRunner.run``) seven times with
 a timer on each stage and prints the median milliseconds of each:
 
 * recording — ``record_session``, the swap-off twins the rows share;
+* placement — ``Recording.placed``, each twin placed once per allocator and
+  capacity (the placement passes and the segment rows);
 * overlay — ``overlay`` split into the walk index and executor set-up
-  (init), the row walk, the learning passes, the log builds, the policies'
-  plans, ``finalize`` and the rest of the overlay's own code;
-* reduction — ``reduce_session``;
+  (init), the row walk, the learning passes, the log (its columns merged
+  where read, or built in full), the policies' plans, ``finalize`` and the
+  rest of the overlay's own code;
+* reduction — ``reduce_session``, its measure of the class recordings
+  (``measure_class``) apart;
+* trace build — an overlaid trace built when a session's traces are read
+  (``WalkClock.trace``; none on this sweep, whose rows evaluate no offline
+  policy);
 * sweep — what the runner spends around them.
 
 Every timer counts only its own time: a stage nested in another (the walk
@@ -17,11 +24,13 @@ inside ``finalize``, a plan inside the overlay) is charged to itself.
 Stages a checkout lacks are skipped, so the probe runs unchanged on an
 older commit for a side-by-side reading.
 
-It then prints three exact counts of one more sample, taken with no timer
+It then prints five exact counts of one more sample, taken with no timer
 installed: the recorded rows the walks walked, the rows a walk acted on
-(``SwapExecutor._enter``), and the access rows walked with neither a
-capacity nor a pressure-relieving policy — the most any lever that skips
-rows no decision can fire on could save.
+(``SwapExecutor._enter``), the access rows walked with neither a capacity
+nor a pressure-relieving policy — the most any lever that skips rows no
+decision can fire on could save —, the overlaid logs built in full
+(``WalkLog.columns``, or ``SwapExecutor.log`` on a checkout without it)
+and the class recordings measured (``measure_class``).
 
 cProfile put ``Stream.reserve`` at 8-12 % of the overlay's self time, but
 wall time did not confirm it: the profiler's per-call cost inflates the
@@ -36,6 +45,7 @@ import sys
 import tempfile
 import time
 from contextlib import ExitStack, contextmanager
+from functools import cached_property
 from pathlib import Path
 from unittest import mock
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -51,6 +61,7 @@ from repro.train import session  # noqa: E402
 #: ``(owner, attribute, stage)`` of every timed call; owners a checkout lacks are skipped.
 STAGES = [
     (session, "record_session", "recording"),
+    (session.Recording, "placed", "placement"),
     (executor, "overlay", "overlay: rest"),
     (getattr(executor, "WalkIndex", None), "__init__", "overlay: init"),
     (executor.SwapExecutor, "__init__", "overlay: init"),
@@ -62,10 +73,14 @@ STAGES = [
     *((policy, "plan", "overlay: plan") for policy in policies.POLICIES.values()
       if "plan" in vars(policy)),
     (results, "reduce_session", "reduction"),
+    (results, "measure_class", "reduction: measure"),
+    (getattr(executor, "WalkLog", None), "column", "overlay: log"),
+    (getattr(executor, "WalkLog", None), "columns", "overlay: log"),
+    (getattr(executor, "WalkClock", None), "trace", "trace build"),
 ]
-ORDER = ["recording", "overlay: init", "overlay: walk", "overlay: learning",
+ORDER = ["recording", "placement", "overlay: init", "overlay: walk", "overlay: learning",
          "overlay: log", "overlay: plan", "overlay: finalize", "overlay: rest",
-         "reduction", "sweep"]
+         "reduction: measure", "reduction", "trace build", "sweep"]
 
 
 class Timers:
@@ -92,9 +107,10 @@ class Timers:
         for owner, attribute, stage in STAGES:
             if owner is None or attribute not in vars(owner):
                 continue
-            original = getattr(owner, attribute)
+            original = vars(owner)[attribute]
+            function = original.func if isinstance(original, cached_property) else original
 
-            def timed(*args, _original=original, _stage=stage, **kwargs):
+            def timed(*args, _original=function, _stage=stage, **kwargs):
                 self._charge()
                 self._stack.append(_stage)
                 try:
@@ -102,6 +118,9 @@ class Timers:
                 finally:
                     self._charge()
                     self._stack.pop()
+            if isinstance(original, cached_property):
+                timed = cached_property(timed)
+                timed.__set_name__(owner, attribute)
             originals.append((owner, attribute, original))
             setattr(owner, attribute, timed)
         try:
@@ -142,7 +161,8 @@ def probe(scenarios: Sequence[Scenario], samples: int = 7) -> List[Tuple[str, fl
 
 
 #: The exact counts of :func:`counts`, in print order.
-COUNTS = ["recorded rows walked", "rows acted on", "ungoverned access rows"]
+COUNTS = ["recorded rows walked", "rows acted on", "ungoverned access rows",
+          "full log builds", "measure_class calls"]
 
 
 def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
@@ -152,6 +172,11 @@ def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
     owner = executor.SwapExecutor
     walk, enter = owner._walk, vars(owner).get("_enter")
     accesses = {executor._READ, executor._WRITE}
+    # The full log build: ``WalkLog.columns``; a checkout without
+    # ``WalkLog`` builds it in ``SwapExecutor.log``.
+    walk_log = getattr(executor, "WalkLog", None)
+    builder = (walk_log, "columns") if walk_log is not None else (owner, "log")
+    tallied = [(*builder, "full log builds"), (results, "measure_class", "measure_class calls")]
 
     def counted_walk(self, stop):
         walked = self._kind[self._cursor:stop]
@@ -164,10 +189,19 @@ def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
         found["rows acted on"] += 1
         return enter(self, row)
 
+    def tally(function, name):
+        def counted(*args, **kwargs):
+            found[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
     with ExitStack() as patches:
         patches.enter_context(mock.patch.object(owner, "_walk", counted_walk))
         if enter is not None:
             patches.enter_context(mock.patch.object(owner, "_enter", counted_enter))
+        for target, attribute, name in tallied:
+            patches.enter_context(mock.patch.object(
+                target, attribute, tally(getattr(target, attribute), name)))
         SweepRunner(cache_dir=None, workers=1, strict=False).run(scenarios)
     return found
 
