@@ -152,6 +152,16 @@ def occupation_from_columns(deltas: np.ndarray, categories: np.ndarray,
     )
 
 
+def positioned_breakdown(deltas: np.ndarray, categories: np.ndarray,
+                         positions: np.ndarray) -> Tuple[Dict[str, object], int]:
+    """:func:`occupation_from_columns` of a malloc/free stream timed by
+    ``positions`` instead of a clock, as a dict, and the position of its peak
+    event (-1: no event).  Streams that share this order share all of it but
+    the peak instant, which each reads off its own clock at that position."""
+    breakdown = occupation_from_columns(deltas, categories, positions).to_dict()
+    return breakdown, (int(breakdown["peak_time_ns"]) if positions.size else -1)
+
+
 @dataclass
 class BreakdownSeries:
     """A family of breakdowns indexed by a swept parameter (batch size, depth, ...)."""

@@ -70,14 +70,6 @@ class OutlierReport:
             return None
         return _by_ati_times_size(self.intervals, self.rows)[0]
 
-    def outlier_bytes(self) -> int:
-        """Total bytes of the distinct blocks involved in outlier behaviors."""
-        seen: Dict[int, int] = {}
-        for block_id, size in zip(self.intervals.block_id[self.rows].tolist(),
-                                  self.intervals.size[self.rows].tolist()):
-            seen[block_id] = max(seen.get(block_id, 0), size)
-        return sum(seen.values())
-
     def _row_dicts(self) -> List[Dict[str, object]]:
         """Each outlier row's fields, ``tag`` included, in row order."""
         columns = [getattr(self.intervals, name)[self.rows].tolist() for name in (

@@ -54,7 +54,3 @@ class MemoryProfiler:
     def breakdown(self, label: str = "") -> OccupationBreakdown:
         """Occupation breakdown (Figures 5-7) of the recorded trace."""
         return occupation_breakdown(self.trace(), label=label)
-
-    def event_count(self) -> int:
-        """Number of behaviors recorded so far."""
-        return len(self.recorder)

@@ -37,8 +37,10 @@ request its own block, sized as requested, and no segment rows.
 :func:`place_traces` turns it into the trace an allocator's placement
 (:func:`~repro.device.allocator.place`) gives: each request's block,
 the segment rows, and every later row moved by the ``cudaMalloc``
-overheads — through each gradient barrier by the latest arrival, as the
-swap overlay (:func:`repro.swap.executor.overlay`) resolves barriers.
+overheads — through each gradient barrier by the latest arrival
+(:func:`~repro.core.trace.barrier_delay`).  The rows are laid by a
+:class:`~repro.core.trace.Splice`, as the swap overlay
+(:func:`repro.swap.executor.overlay`) lays its own.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from ..device.allocator import Placement, call_rows
 from ..device.tape import ATOM_DTYPE, ATOM_SIZE, TAPE_KERNEL, pack_atom
 from ..errors import ClockError
 from .events import IterationMark, MemoryCategory, MemoryEventKind
-from .trace import (KIND_CODES, EventColumns, MemoryTrace, barrier_rows,
+from .trace import (KIND_CODES, MemoryTrace, Splice, barrier_delay, barrier_rows,
                     columns_from_rows, iteration_rows, pack_row)
 
 _MALLOC = KIND_CODES[MemoryEventKind.MALLOC]
@@ -269,7 +271,8 @@ class PlacedTrace:
                 + self.before[counted] - self.before[starts[stretch]])
 
     def _place(self) -> "PlacedTrace":
-        """Move the rows; put each call's segment rows in front of it."""
+        """Move the rows; put each call's segment rows in front of it
+        (a :class:`~repro.core.trace.Splice` of the recording)."""
         trace, columns, placement, before = self.trace, self.columns, self.placement, \
             self.before
         n = len(columns)
@@ -281,55 +284,29 @@ class PlacedTrace:
         end_delay = int(self._delay_at(np.array([n]), np.array([n + 1]))[0])
         anchors, calls = self.anchors, placement.segment_op
         ordinal = np.arange(calls.size) - np.searchsorted(calls, calls)
-        segment_rows = self.segment_rows = anchors + np.arange(calls.size)
-        rows = self.rows = points + np.cumsum(np.bincount(anchors, minlength=n)[:n])
-        total = n + calls.size
-
-        def merged(recorded, segment):
-            out = np.empty(total, dtype=np.int64)
-            out[rows], out[segment_rows] = recorded, segment
-            return out
-
         request = columns.block_id
-        segment_ts = (columns.timestamp_ns[anchors] + row_delay[anchors]
-                      - (before[anchors + 1] - before[anchors])
-                      + (ordinal + 1) * self.overhead_ns)
-        placed_columns = EventColumns(
-            event_id=np.arange(total, dtype=np.int64),
-            kind_code=merged(columns.kind_code, placement.segment_kind),
-            timestamp_ns=merged(columns.timestamp_ns + row_delay, segment_ts),
-            block_id=merged(placement.block_id[request], -placement.segment_id),
-            size=merged(placement.size[request], placement.segment_size),
-            category_code=merged(columns.category_code, _UNKNOWN_CATEGORY),
-            iteration=merged(columns.iteration, columns.iteration[anchors]),
-            device_rank=np.zeros(total, dtype=np.int64),
-            address=merged(placement.address[request], placement.segment_address))
-        tags, ops = trace.event_tags, trace.event_ops
-        if calls.size:
-            tags, ops = _spliced(tags, anchors, placement.segment_tags), \
-                _spliced(ops, anchors, [""] * calls.size)
+        blocks = MemoryTrace(
+            columns=replace(columns, block_id=placement.block_id[request],
+                            size=placement.size[request],
+                            address=placement.address[request]),
+            event_tags=trace.event_tags, event_ops=trace.event_ops, metadata=trace.metadata)
+        splice = Splice(blocks, n, anchors, {
+            "kind_code": placement.segment_kind,
+            "timestamp_ns": (columns.timestamp_ns[anchors] + row_delay[anchors]
+                             - (before[anchors + 1] - before[anchors])
+                             + (ordinal + 1) * self.overhead_ns),
+            "block_id": -placement.segment_id,
+            "address": placement.segment_address,
+            "size": placement.segment_size,
+            "category_code": _UNKNOWN_CATEGORY,
+            "iteration": columns.iteration[anchors]},
+            placement.segment_tags, [""] * calls.size, row_delay)
+        self.rows, self.segment_rows = splice.rows, splice.own
         marks = [IterationMark(index=mark.index, start_ns=mark.start_ns + begin,
                                end_ns=mark.end_ns + end)
                  for mark, (begin, end) in zip(trace.iteration_marks, mark_delay)]
-        self.trace = MemoryTrace(columns=placed_columns, event_tags=tags,
-                                 event_ops=ops, iteration_marks=marks,
-                                 metadata=dict(trace.metadata),
-                                 end_ns=trace.end_ns + end_delay)
+        self.trace = splice.trace(marks, trace.end_ns + end_delay)
         return self
-
-
-def _spliced(recorded: List[str], anchors: np.ndarray, inserted: List[str]) -> List[str]:
-    """``recorded`` with each of ``inserted`` put in front of its row in
-    ``anchors`` (ascending; one anchor per inserted string), in one list of
-    exactly that length: each stretch is a same-length slice assignment."""
-    out = [""] * (len(recorded) + len(inserted))
-    start = 0
-    for shift, (anchor, value) in enumerate(zip(anchors.tolist(), inserted)):
-        out[start + shift:anchor + shift] = recorded[start:anchor]
-        out[anchor + shift] = value
-        start = anchor
-    out[start + len(inserted):] = recorded[start:]
-    return out
 
 
 def place_traces(traces: Sequence[MemoryTrace], placements: Sequence[Placement],
@@ -350,8 +327,7 @@ def place_traces(traces: Sequence[MemoryTrace], placements: Sequence[Placement],
              for trace, placement in zip(traces, placements)]
     for k in range(len(plans[0].starts) - 1):
         arrivals = [plan._arrival(k) for plan in plans]
-        delay = (max(recorded + delayed for recorded, delayed in arrivals)
-                 - max(recorded for recorded, _ in arrivals))
+        delay = barrier_delay(arrivals)
         for plan, (_, delayed) in zip(plans, arrivals):
             plan.delays.append(delay)
             plan.waits.append(delay - delayed)

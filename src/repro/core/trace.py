@@ -751,6 +751,76 @@ class MemoryTrace:
         }
 
 
+class Splice:
+    """Rows laid into a recording: its first ``n`` rows, recorded row ``i``
+    ``delay[i]`` later than recorded, with the ``j``-th inserted row in front
+    of recorded row ``anchors[j]`` (ascending; ``n``: after the last).
+
+    Recorded row ``i`` lands on row ``rows[i]`` and inserted row ``j`` on
+    row ``own[j]``.  ``inserted`` holds the inserted rows' value of each of
+    :data:`ROW_FIELDS` (an array, or one value for all of them),
+    ``inserted_tags`` / ``inserted_ops`` their strings.  A reader merges
+    the columns it reads (:meth:`column`, :meth:`tags`, :meth:`ops`);
+    :meth:`trace` builds them all.  The placement
+    (:func:`~repro.core.recorder.place_traces`: segment rows, ``cudaMalloc``
+    overheads) and the swap walk (:func:`~repro.swap.executor.overlay`:
+    evictions and restorations, stalls) lay their rows this way.
+    """
+
+    def __init__(self, recorded: MemoryTrace, n: int, anchors: np.ndarray,
+                 inserted: Dict[str, object], inserted_tags: Sequence[str],
+                 inserted_ops: Sequence[str], delay: np.ndarray):
+        self.recorded, self.n, self.delay = recorded, n, delay
+        self.inserted, self.inserted_tags, self.inserted_ops = \
+            inserted, inserted_tags, inserted_ops
+        self.anchors = anchors
+        self.rows = np.arange(n) + np.cumsum(np.bincount(anchors, minlength=n + 1)[:n])
+        self.own = anchors + np.arange(anchors.size)
+
+    def __len__(self) -> int:
+        return self.n + self.anchors.size
+
+    def column(self, name: str) -> np.ndarray:
+        """The ``name`` column (one of :data:`ROW_FIELDS`), recorded
+        timestamps at their delays."""
+        out = np.empty(len(self), dtype=np.int64)
+        recorded = getattr(self.recorded.columns(), name)[:self.n]
+        out[self.rows] = recorded + self.delay if name == "timestamp_ns" else recorded
+        out[self.own] = self.inserted[name]
+        return out
+
+    def _strings(self, recorded: List[str], inserted: Sequence[str]) -> List[str]:
+        if not self.anchors.size and self.n == len(recorded):
+            return recorded         # shared, as traces share their unmutated lists
+        out, done = [], 0
+        for anchor, value in zip(self.anchors.tolist(), inserted):
+            out += recorded[done:anchor]
+            out.append(value)
+            done = anchor
+        out += recorded[done:self.n]
+        return out
+
+    def tags(self) -> List[str]:
+        """Every row's tag."""
+        return self._strings(self.recorded.event_tags, self.inserted_tags)
+
+    def ops(self) -> List[str]:
+        """Every row's op."""
+        return self._strings(self.recorded.event_ops, self.inserted_ops)
+
+    def columns(self) -> EventColumns:
+        """Every column, numbered from 0 on rank 0."""
+        return EventColumns(event_id=np.arange(len(self), dtype=np.int64),
+                            device_rank=np.zeros(len(self), dtype=np.int64),
+                            **{name: self.column(name) for name in ROW_FIELDS})
+
+    def trace(self, iteration_marks: List[IterationMark], end_ns: int) -> MemoryTrace:
+        """The spliced recording as a trace, with the recording's metadata."""
+        return MemoryTrace(columns=self.columns(), event_tags=self.tags(),
+                           event_ops=self.ops(), iteration_marks=iteration_marks,
+                           metadata=dict(self.recorded.metadata), end_ns=end_ns)
+
+
 def barrier_rows(trace: MemoryTrace) -> List[int]:
     """Per iteration of a data-parallel replica's recording, the row right
     after its gradient allreduce barrier (none in a single-device recording):
@@ -763,6 +833,16 @@ def barrier_rows(trace: MemoryTrace) -> List[int]:
     reads = [ops.index(ALLREDUCE_OP, int(np.argmax(columns.iteration == mark.index)))
              for mark in trace.iteration_marks]
     return writes[np.searchsorted(writes, reads)].tolist()
+
+
+def barrier_delay(arrivals: Sequence[Tuple[int, int]]) -> int:
+    """How much later than recorded replicas leave a gradient barrier
+    (:func:`barrier_rows`), given each one's ``(recorded, delay)`` arrival
+    there: the collective starts when the last clock arrives, so all leave
+    as much later as the latest delayed arrival is later than the latest
+    recorded one."""
+    return (max(recorded + delay for recorded, delay in arrivals)
+            - max(recorded for recorded, _ in arrivals))
 
 
 def merge_order(columns: Sequence[EventColumns],

@@ -36,7 +36,7 @@ per-link bandwidth ``B`` and per-message latency ``L``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -177,10 +177,6 @@ class ClusterSpec:
                 f"unknown allreduce algorithm '{self.allreduce_algorithm}'; "
                 f"known algorithms: {known}")
 
-    def with_n_devices(self, n_devices: int) -> "ClusterSpec":
-        """Return a copy of this spec with a different replica count."""
-        return replace(self, n_devices=int(n_devices))
-
     def allreduce_time_ns(self, nbytes: int) -> int:
         """Simulated duration of one allreduce of ``nbytes`` across the cluster."""
         model = ALLREDUCE_ALGORITHMS[self.allreduce_algorithm]
@@ -275,11 +271,6 @@ class DeviceGroup:
     def n_materialized(self) -> int:
         """Number of replicas actually simulated (one per replica class)."""
         return len(self.devices)
-
-    @property
-    def primary(self) -> Device:
-        """Rank-0 replica (the degenerate single-device view of the group)."""
-        return self.devices[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"DeviceGroup(n={self.n_devices}, "

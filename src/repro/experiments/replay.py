@@ -75,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.ati import summarize_rows_us
-from ..core.breakdown import occupation_from_columns
+from ..core.breakdown import occupation_from_columns, positioned_breakdown
 from ..core.events import IterationMark, MemoryEventKind
 from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import KIND_CODES, EventColumns, MemoryTrace, merge_rank_traces
@@ -400,18 +400,6 @@ def shared_stable_order(base: np.ndarray, slope: np.ndarray, low: int,
             order, np.argsort(base + high * slope, kind="stable")):
         return None
     return order
-
-
-def _column_breakdown(deltas: np.ndarray, categories: np.ndarray,
-                      columns: np.ndarray) -> Tuple[Dict[str, object], int]:
-    """The occupation breakdown of malloc/free events in this order, timed by
-    their clock columns, and the column of its peak event (-1: no event).
-
-    Rows that share the order share all of it but the peak instant, which
-    each reads off its own clock at that column.
-    """
-    breakdown = occupation_from_columns(deltas, categories, columns).to_dict()
-    return breakdown, (int(breakdown["peak_time_ns"]) if columns.size else -1)
 
 
 def _kernels_before(rank: RankTemplate) -> np.ndarray:
@@ -833,8 +821,10 @@ class TraceTemplate:
             """Put the gaps of the point's rows ``begin:end`` into the merged
             trace's closing-event order (the ATI mean sums in it), in place,
             and return the breakdown of the merged malloc/free order the rows
-            share, with its peak column (:func:`_column_breakdown`).  The
-            order at the rows' smallest and largest dispatch cost decides
+            share, with its peak column
+            (:func:`~repro.core.breakdown.positioned_breakdown` of their
+            clock columns).  The order at the rows' smallest and largest
+            dispatch cost decides
             (:func:`shared_stable_order`): shared, it is one gather and one
             breakdown; otherwise each row sorts its own clocks, gets its own
             breakdown in ``own_breakdown``, and ``None`` is returned.
@@ -860,9 +850,9 @@ class TraceTemplate:
                           else np.take_along_axis(block, order, axis=1))
             order, clocks = order_of(merged.life_col)
             if clocks is None:
-                return _column_breakdown(merged.life_delta[order],
-                                         merged.life_category[order],
-                                         merged.life_col[order])
+                return positioned_breakdown(merged.life_delta[order],
+                                            merged.life_category[order],
+                                            merged.life_col[order])
             for j, row_order, row_clocks in zip(range(begin, end), order, clocks):
                 own_breakdown[j] = occupation_from_columns(
                     merged.life_delta[row_order], merged.life_category[row_order],

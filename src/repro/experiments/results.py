@@ -17,9 +17,8 @@ class recording's measure, taken once per placed run
 timestamps, a swap-on row's walk clocks — swapping moves no allocation, so
 a swap row's pairs, malloc / free rows and blocks are its recording's, at
 the rows and times its walk gives them, and no overlaid trace is built.
-:func:`reduce_trace` feeds the same core traces measured on the spot; a
-merged trace is its one-recording case.  Only the reduced
-:class:`ScenarioResult` crosses the process-pool boundary.  Every result is
+Only the reduced :class:`ScenarioResult` crosses the process-pool
+boundary.  Every result is
 put together by :func:`assemble_result`, fed by :func:`reduce_measures` or
 by the replay engine's priced points; either way a row's offline policy is
 :func:`evaluate_policy` on rank 0's own recording.
@@ -36,7 +35,8 @@ import numpy as np
 
 from ..core.ati import (AtiSummary, IntervalArrays, compute_interval_arrays,
                         summarize_values_us)
-from ..core.breakdown import OccupationBreakdown, occupation_from_columns
+from ..core.breakdown import (OccupationBreakdown, occupation_from_columns,
+                              positioned_breakdown)
 from ..core.swap import BandwidthConfig, swappable_fractions
 from ..core.trace import MemoryTrace, merge_order, require_merge_order
 from ..errors import ConfigurationError
@@ -271,9 +271,8 @@ class ClassMeasure:
         label and peak instant aside, and the position of its peak among
         them (-1: no such row).  A rank that keeps its class's order shares
         it and reads the peak instant off its own clock there."""
-        breakdown = occupation_from_columns(self.life_delta, self.life_category,
-                                            np.arange(self.life.size)).to_dict()
-        return breakdown, (int(breakdown["peak_time_ns"]) if self.life.size else -1)
+        return positioned_breakdown(self.life_delta, self.life_category,
+                                    np.arange(self.life.size))
 
 
 def measure_class(trace: MemoryTrace) -> ClassMeasure:
@@ -290,30 +289,6 @@ def class_measures(placed: PlacedRun) -> List[ClassMeasure]:
     if not placed.measures:
         placed.measures.extend(measure_class(trace.trace) for trace in placed.traces)
     return placed.measures
-
-
-def reduce_trace(scenario: Scenario, bandwidths: BandwidthConfig,
-                 traces: Sequence[MemoryTrace], rank_classes: Sequence[int],
-                 structure: RunStructure, step_durations_ns: Sequence[int],
-                 swap: Optional[Dict[str, object]],
-                 collective: Optional[Dict[str, object]],
-                 swap_execution: Optional[Dict[str, object]],
-                 started: float, key: Optional[str] = None) -> ScenarioResult:
-    """:func:`reduce_measures` of ``traces`` (one recording per replica
-    class, ``rank_classes`` each rank's class), each measured here and read
-    on its own timestamps.
-
-    One recording — a single device, or a trace already merged — is the call
-    with ``[trace]`` and ``(0,)``, measured as it stands; the tests feed it a
-    trace the replay engine rebuilt (``TraceTemplate.replay_trace``), the
-    reference the columnar replay reduction is diffed against, and the
-    overlaid traces a swap-on session builds when read, the reference a
-    swap-on row's reduction off its walk's clock is diffed against.
-    """
-    return reduce_measures(
-        scenario, bandwidths, [measure_class(trace) for trace in traces],
-        [(None, trace.columns()) for trace in traces], rank_classes, structure,
-        step_durations_ns, swap, collective, swap_execution, started, key)
 
 
 def reduce_measures(scenario: Scenario, bandwidths: BandwidthConfig,
@@ -397,9 +372,9 @@ def assemble_result(scenario: Scenario, key: str, structure: RunStructure, *,
                     started: float) -> ScenarioResult:
     """Build one :class:`ScenarioResult` from a row's measurements.
 
-    The only place a result is put together: :func:`reduce_trace` feeds it
-    what it measured on a trace, the replay engine what it read off its
-    priced points, so a result field or a step-time term is added here once.
+    The only place a result is put together: :func:`reduce_measures` feeds
+    it what it measured on a row's clocks, the replay engine what it read off
+    its priced points, so a result field or a step-time term is added here once.
     ``breakdown`` is ``OccupationBreakdown.to_dict()``; its total is the
     trace's peak live bytes.
     """

@@ -65,15 +65,15 @@ from .grid import (CACHE_DIR_ENV, DEFAULT_CACHE_DIR, RESULT_SCHEMA_VERSION,
                    SWAP_EXECUTION_MODES, SWAP_POLICIES, Scenario, SweepGrid,
                    default_cache_dir, structure_token)
 from .journal import JOURNALS_DIR, RunJournal, clear_journals, run_id_for_keys
-from .results import (ScenarioResult, assemble_result, reduce_session,
-                      reduce_trace, run_scenario, scenario_identity)
+from .results import (ScenarioResult, assemble_result, reduce_session, run_scenario,
+                      scenario_identity)
 
 __all__ = [
     "CACHE_DIR_ENV", "DEFAULT_CACHE_DIR", "DETERMINISTIC", "FailureRecord",
     "RESULT_SCHEMA_VERSION", "SWAP_EXECUTION_MODES", "SWAP_POLICIES", "Scenario",
     "ScenarioResult", "SweepGrid", "SweepResult", "SweepRunner", "TRANSIENT",
     "assemble_result", "classify_failure", "default_cache_dir", "reduce_session",
-    "reduce_trace", "run_scenario", "scenario_identity",
+    "run_scenario", "scenario_identity",
     # Bound here for the benchmark harness, which checks that every module
     # importing the function by name is patched and restored with it.
     "run_training_session",

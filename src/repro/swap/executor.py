@@ -46,8 +46,9 @@ The result is each recording re-timed, with every eviction and restoration
 inserted as a ``swap_out`` / ``swap_in`` (or ``recompute_drop`` /
 ``recompute``) row in front of the recorded row it was made at, plus the
 measured :class:`SwapExecutionSummary`.  The walk keeps that log laid out,
-not built (:class:`WalkLog`), and merges only the columns it reads; it
-hands back a :class:`WalkClock` — where each recorded row landed and the
+not built: a :class:`~repro.core.trace.Splice` of the recording, laid like
+the placement's segment rows, of which it merges only the columns it reads.
+It hands back a :class:`WalkClock` — where each recorded row landed and the
 log's timestamps, all a row's reduction reads besides its recording — which
 builds the overlaid trace only when it is read.  ``docs/swapping.md`` has
 the full semantics.
@@ -67,7 +68,7 @@ import numpy as np
 from ..core.events import IterationMark, MemoryCategory, MemoryEventKind
 from ..core.swap import BandwidthConfig
 from ..core.trace import (CATEGORY_FROM_CODE, KIND_CODES, ROW_FIELDS, ROW_WIDTH,
-                          EventColumns, MemoryTrace, barrier_rows, iteration_rows,
+                          MemoryTrace, Splice, barrier_delay, barrier_rows, iteration_rows,
                           stable_block_order)
 from ..device.clock import DeviceClock
 from ..device.spec import DeviceSpec
@@ -569,67 +570,6 @@ class WalkIndex:
         self.warmup: Optional[_WarmupPass] = None
 
 
-class WalkLog:
-    """The log of a walk over a recording's first ``walked`` rows, laid out
-    but not built: recorded row ``i`` is log row ``rows[i]`` and the ``j``-th
-    inserted row (a ``(anchor, *ROW_FIELDS, tag, op)`` tuple, in front of
-    recorded row ``anchor``) is log row ``own[j]``; from row ``start`` of each
-    ``(start, delay)`` shift on, recorded rows run ``delay`` later.
-
-    A reader merges the columns it reads (:meth:`column`, :meth:`tags`);
-    :meth:`columns` builds all of them.
-    """
-
-    def __init__(self, recorded: MemoryTrace, walked: int,
-                 inserted: Sequence[tuple], shifts: Sequence[Tuple[int, int]]):
-        self.recorded, self.inserted = recorded, inserted
-        self._shifts = np.array(shifts).T
-        anchors = np.fromiter((row[0] for row in inserted), np.int64, len(inserted))
-        walked_rows = np.arange(walked)
-        self.rows = walked_rows + np.searchsorted(anchors, walked_rows, side="right")
-        self.own = anchors + np.arange(anchors.size)
-
-    def __len__(self) -> int:
-        return self.rows.size + self.own.size
-
-    def column(self, name: str) -> np.ndarray:
-        """The log's ``name`` column (one of :data:`ROW_FIELDS`), timestamps
-        at their delays."""
-        rows, own = self.rows, self.own
-        column = np.empty(len(self), dtype=np.int64)
-        column[rows] = getattr(self.recorded.columns(), name)[:rows.size]
-        position = ROW_FIELDS.index(name) + 1
-        column[own] = [row[position] for row in self.inserted]
-        if name == "timestamp_ns":
-            starts, delays = self._shifts
-            column[rows] += delays[np.searchsorted(starts, np.arange(rows.size),
-                                                   side="right") - 1]
-        return column
-
-    def _strings(self, recorded: List[str], position: int) -> List[str]:
-        merged, done = [], 0
-        for row in self.inserted:
-            merged += recorded[done:row[0]]
-            merged.append(row[position])
-            done = row[0]
-        merged += recorded[done:self.rows.size]
-        return merged
-
-    def tags(self) -> List[str]:
-        """The log's tags."""
-        return self._strings(self.recorded.event_tags, ROW_WIDTH + 1)
-
-    def ops(self) -> List[str]:
-        """The log's ops."""
-        return self._strings(self.recorded.event_ops, ROW_WIDTH + 2)
-
-    def columns(self) -> EventColumns:
-        """Every column of the log: the log built."""
-        return EventColumns(event_id=np.arange(len(self)),
-                            device_rank=np.zeros(len(self), dtype=np.int64),
-                            **{name: self.column(name) for name in ROW_FIELDS})
-
-
 class WalkClock:
     """A finished walk over one replica's recording, as a swap row is
     measured off it: where each recorded row landed in the overlaid log
@@ -638,16 +578,16 @@ class WalkClock:
 
     Swapping moves no allocation and the inserted rows are neither accesses
     nor live-bytes changes, so everything else a row reports is the
-    recording's own.  The overlaid trace is built only when read
-    (:attr:`trace`), once.
+    recording's own.  The overlaid trace is built from the walk's
+    :class:`~repro.core.trace.Splice` only when read (:attr:`trace`), once.
     """
 
-    def __init__(self, walk_log: WalkLog, iteration_marks: List[IterationMark], end_ns: int):
-        self.rows = walk_log.rows
-        self.timestamp_ns = walk_log.column("timestamp_ns")
+    def __init__(self, splice: Splice, iteration_marks: List[IterationMark], end_ns: int):
+        self.rows = splice.rows
+        self.timestamp_ns = splice.column("timestamp_ns")
         self.iteration_marks = iteration_marks
         self.end_ns = end_ns
-        self._walk_log = walk_log
+        self._splice = splice
 
     def __len__(self) -> int:
         return self.timestamp_ns.size
@@ -660,11 +600,7 @@ class WalkClock:
     @cached_property
     def trace(self) -> MemoryTrace:
         """The overlaid recording, built on the first read."""
-        walk_log = self._walk_log
-        return MemoryTrace(columns=walk_log.columns(),
-                           event_tags=walk_log.tags(), event_ops=walk_log.ops(),
-                           iteration_marks=self.iteration_marks,
-                           metadata=dict(walk_log.recorded.metadata), end_ns=self.end_ns)
+        return self._splice.trace(self.iteration_marks, self.end_ns)
 
 
 class SwapExecutor:
@@ -769,10 +705,15 @@ class SwapExecutor:
                        peak_live_bytes=peak_live, warmup_peak_bytes=warmup_peak,
                        predicted=self.policy.predicted)
 
-    def _laid_out(self) -> WalkLog:
+    def _laid_out(self) -> Splice:
         """The log so far, laid out: the recorded rows walked at their
         delays, each inserted row in front of the recorded row it was made at."""
-        return WalkLog(self._recorded, self._cursor, self._inserted, self._shifts)
+        walked, inserted = self._cursor, self._inserted
+        anchors, *values, tags, ops = zip(*inserted) if inserted else [()] * (ROW_WIDTH + 3)
+        starts, delays = np.array(self._shifts).T
+        return Splice(self._recorded, walked, np.array(anchors, dtype=np.int64),
+                      dict(zip(ROW_FIELDS, np.array(values, dtype=np.int64))), tags, ops,
+                      np.repeat(delays, np.diff(starts, append=walked)))
 
     # -- the points the trainer marks ---------------------------------------------------
 
@@ -780,8 +721,8 @@ class SwapExecutor:
         """Iteration start: reset per-iteration ordinals, (re)plan, activate.
 
         Then, when the recording synchronizes, walk up to the iteration's
-        gradient barrier and return the recorded and the delayed arrival
-        there (the clock of the row before it; ``None``: no barrier).
+        gradient barrier and return the recorded arrival there (the clock of
+        the row before it) and the walk's delay (``None``: no barrier).
         """
         position = len(self._marks)
         self._at(self._mark_rows[position][0],
@@ -834,8 +775,7 @@ class SwapExecutor:
             return None
         row = self._barriers[position]
         self._walk(row)
-        arrival = self._ts[row - 1]
-        return arrival, arrival + self._delay
+        return self._ts[row - 1], self._delay
 
     def end_iteration(self, index: int) -> None:
         """Iteration end: flush deferred evictions, apply boundary directives."""
@@ -872,11 +812,11 @@ class SwapExecutor:
             self._put_back(state)
             self.counters.shutdown_restores += 1
             self._emit_restore(state, "shutdown")
-        walk_log = self._laid_out()
-        self._books = self._read_peaks(walk_log)
-        return WalkClock(walk_log, self._marks, self._recorded.end_ns + self._delay)
+        splice = self._laid_out()
+        self._books = self._read_peaks(splice)
+        return WalkClock(splice, self._marks, self._recorded.end_ns + self._delay)
 
-    def _read_peaks(self, walk_log: WalkLog) -> Tuple[int, int, int]:
+    def _read_peaks(self, splice: Splice) -> Tuple[int, int, int]:
         """``(resident, live, warm-up)`` peaks, read off the log's kinds and sizes.
 
         Resident bytes are the running sum of the rows' residency deltas,
@@ -887,11 +827,12 @@ class SwapExecutor:
         """
         self._learn()
         warmup_peak = self._profile.peak_bytes
-        kind, size = walk_log.column("kind_code"), walk_log.column("size")
+        kind, size = splice.column("kind_code"), splice.column("size")
         malloc = kind == _MALLOC
         sampled = malloc.copy()
-        sampled[[row for row, (_, code, *_, op) in zip(walk_log.own.tolist(),
-                                                        walk_log.inserted)
+        sampled[[row for row, code, op in zip(splice.own.tolist(),
+                                              splice.inserted["kind_code"].tolist(),
+                                              splice.inserted_ops)
                  if _RESTORE_KINDS[code] and op not in _BOOKKEEPING_RESTORES]] = True
         resident = np.cumsum(_RESIDENT_SIGN[kind] * size)
         live = np.cumsum(_LIVE_SIGN[kind] * size)
@@ -1256,10 +1197,10 @@ class SwapExecutor:
         if self._learned_row == 0 and not self._inserted and len(self._shifts) == 1:
             profile = self._learn_warmup(stop)
         else:
-            walk_log = self._laid_out()
+            splice = self._laid_out()
             profile = learn_from_rows(
-                [walk_log.column(name)[self._learned_row:stop] for name in LEARNED_FIELDS],
-                self._learned_row, walk_log.tags(), self._windows, self._states, self._carry)
+                [splice.column(name)[self._learned_row:stop] for name in LEARNED_FIELDS],
+                self._learned_row, splice.tags(), self._windows, self._states, self._carry)
         self._learned_row = stop
         if profile is not None:
             self._profile = profile
@@ -1300,9 +1241,10 @@ def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryP
     replica.  Several replicas advance in lock-step: each iteration's
     gradient barrier (:func:`~repro.core.trace.barrier_rows`) resolves to
     the latest of their delayed arrivals, measured from the latest recorded
-    one.  ``indexes`` is where the recordings keep their :class:`WalkIndex`
-    (one per trace, made here when it is empty; ``None``: made for this
-    call only).  Returns every replica's :class:`WalkClock` — its overlaid
+    one (:func:`~repro.core.trace.barrier_delay`, as the placement's).
+    ``indexes`` is where the recordings keep their :class:`WalkIndex` (one
+    per trace, made here when it is empty; ``None``: made for this call
+    only).  Returns every replica's :class:`WalkClock` — its overlaid
     trace is built only when read — and its :class:`SwapExecutionSummary`;
     an infeasible capacity raises :class:`~repro.errors.InfeasibleScenarioError`.
     """
@@ -1315,7 +1257,7 @@ def overlay(traces: Sequence[MemoryTrace], policies: Sequence[Union[str, MemoryP
     for mark in traces[0].iteration_marks:
         arrivals = [executor.begin_iteration(mark.index) for executor in executors]
         if len(executors) > 1:
-            delay = max(live for _, live in arrivals) - max(recorded for recorded, _ in arrivals)
+            delay = barrier_delay(arrivals)
             for executor in executors:
                 executor.leave(delay)
         for executor in executors:

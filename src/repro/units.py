@@ -42,21 +42,6 @@ def ns_to_us(ns: int) -> float:
     return ns / US
 
 
-def ns_to_ms(ns: int) -> float:
-    """Convert nanoseconds to milliseconds (float)."""
-    return ns / MS
-
-
-def gbps_to_bytes_per_ns(gbps: float) -> float:
-    """Convert a decimal GB/s bandwidth to bytes per nanosecond."""
-    return gbps * GB / SECOND
-
-
-def bytes_per_ns_to_gbps(bpn: float) -> float:
-    """Convert bytes per nanosecond back to decimal GB/s."""
-    return bpn * SECOND / GB
-
-
 def format_bytes(nbytes: float) -> str:
     """Format a byte count with a binary-unit suffix (e.g. ``1.50 MiB``)."""
     nbytes = float(nbytes)

@@ -28,8 +28,8 @@ from repro.core.ati import IntervalArrays, compute_interval_arrays
 from repro.core.events import IterationMark, MemoryCategory, MemoryEventKind
 from repro.core.recorder import TraceRecorder
 from repro.core.trace import (CATEGORY_CODES, CATEGORY_FROM_CODE, KIND_CODES, KIND_FROM_CODE,
-                              NEVER_FREED, EventColumns, MemoryTrace, lifetimes_from_columns,
-                              merge_rank_traces)
+                              NEVER_FREED, ROW_FIELDS, EventColumns, MemoryTrace, Splice,
+                              lifetimes_from_columns, merge_rank_traces)
 from repro.device.allocator import BASE_ADDRESS, call_rows, place, round_block_size
 from repro.device.cluster import ClusterSpec
 from repro.device.stream import Stream
@@ -912,7 +912,7 @@ def live_swap_session(config):
     made.
     """
     from repro.swap import POLICIES
-    from repro.swap.executor import WalkClock, WalkLog
+    from repro.swap.executor import WalkClock
     from repro.train.session import (build_device_group, record_session,
                                      run_training_session)
 
@@ -952,7 +952,9 @@ def live_swap_session(config):
 
     def lived(traces, policies, spec, capacity_bytes=None, indexes=None):
         """Each live trace as a walk that inserted nothing and moved nothing."""
-        clocks = [WalkClock(WalkLog(trace, len(trace), [], [(0, 0)]),
+        clocks = [WalkClock(Splice(trace, len(trace), np.zeros(0, dtype=np.int64),
+                                   dict.fromkeys(ROW_FIELDS, ()), [], [],
+                                   np.zeros(len(trace), dtype=np.int64)),
                             trace.iteration_marks, trace.end_ns) for trace in traces]
         return clocks, [executor.summary() for executor, _ in executors]
 
@@ -992,8 +994,6 @@ def eager_overlaid_trace(executor):
     """A finalized walk's overlaid trace, built the way the executor built
     it before its log was laid out per column: every column, tag and op of
     the log merged at once from the walk's inserted rows and delay shifts."""
-    from repro.core.trace import ROW_FIELDS
-
     recorded, walked, inserted = executor._recorded, executor._cursor, executor._inserted
     columns = recorded.columns()
     rows = np.arange(walked)
@@ -1044,6 +1044,26 @@ def eager_swap_session(config, recording=None):
     with mock.patch.object(SwapExecutor, "finalize", finalized):
         session = run_training_session(config, recording=recording)
     return session, built or list(session.placed_traces)
+
+
+def reduce_trace(scenario, bandwidths, traces, rank_classes, structure,
+                 step_durations_ns, swap, collective, swap_execution, started, key=None):
+    """``reduce_measures`` of ``traces`` (one recording per replica class,
+    ``rank_classes`` each rank's class), each measured here and read on its
+    own timestamps.
+
+    One recording — a single device, or a trace already merged — is the call
+    with ``[trace]`` and ``(0,)``, measured as it stands: the reference the
+    columnar replay reduction is diffed against (fed the trace
+    ``TraceTemplate.replay_trace`` rebuilds), and a session's class
+    reduction against its merged trace.
+    """
+    from repro.experiments.results import measure_class, reduce_measures
+
+    return reduce_measures(
+        scenario, bandwidths, [measure_class(trace) for trace in traces],
+        [(None, trace.columns()) for trace in traces], rank_classes, structure,
+        step_durations_ns, swap, collective, swap_execution, started, key)
 
 
 def reference_reduce_trace(scenario, bandwidths, traces, rank_classes, structure,

@@ -98,7 +98,6 @@ def test_find_outliers_requires_both_thresholds():
     assert report.tags == ["b1"]
     assert report.fraction == pytest.approx(0.25)
     assert report.largest == 0
-    assert report.outlier_bytes() == 700 * MIB
     assert report.describe()[0].startswith("block 1 (b1): ATI ")
     assert report.to_dict()["count"] == 1
     (row,) = report.to_dict()["outliers"]
@@ -117,7 +116,6 @@ def test_outliers_rank_by_ati_times_size_and_fall_back_to_the_category():
     assert report.largest == 1
     assert [line.split(":")[0] for line in report.describe()] == [
         "block 2 (activation)", "block 1 (b1)", "block 3 (b3)"]
-    assert report.outlier_bytes() == (700 + 900 + 700) * MIB
 
 
 def test_find_outliers_custom_thresholds():

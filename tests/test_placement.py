@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import MemoryCategory
+from repro.core.events import IterationMark, MemoryCategory
+from repro.core.trace import ROW_FIELDS, EventColumns, MemoryTrace, Splice
 from repro.device.allocator import (
     BASE_ADDRESS,
     AllocatorStats,
@@ -890,3 +891,86 @@ def test_bump_placement_reports_malloc_and_free():
     assert placement.stats.total_alloc_count == 1
     assert placement.stats.total_free_count == 1
     assert placement.segment_tags == ["segment:bump"]
+
+
+# -- laying rows into a recording ------------------------------------------------------------
+
+
+def _recording(rng: random.Random, length: int) -> MemoryTrace:
+    """A recording of ``length`` rows of random values, tags and ops."""
+    columns = {name: np.array([rng.randrange(-50, 50) for _ in range(length)], dtype=np.int64)
+               for name in ROW_FIELDS}
+    return MemoryTrace(
+        columns=EventColumns(event_id=np.arange(length), device_rank=np.zeros(length, np.int64),
+                             **columns),
+        event_tags=[f"t{row}" for row in range(length)],
+        event_ops=[f"o{row}" for row in range(length)], metadata={"device_rank": 1})
+
+
+def _naive_splice(recorded: MemoryTrace, n: int, anchors, inserted, tags, ops, delay):
+    """Row by row: each inserted row before its anchor, then the recorded
+    row at its delay.  Returns ``(rows, own, output rows)``, an output row
+    being its :data:`ROW_FIELDS` values, tag and op."""
+    columns = recorded.columns()
+    rows, own, out = [], [], []
+    pending = list(zip(anchors, zip(*(inserted[name] for name in ROW_FIELDS)), tags, ops))
+    for row in range(n + 1):
+        while pending and pending[0][0] == row:
+            _, values, tag, op = pending.pop(0)
+            own.append(len(out))
+            out.append((*values, tag, op))
+        if row < n:
+            values = [int(getattr(columns, name)[row]) for name in ROW_FIELDS]
+            values[ROW_FIELDS.index("timestamp_ns")] += int(delay[row])
+            rows.append(len(out))
+            out.append((*values, recorded.event_tags[row], recorded.event_ops[row]))
+    assert not pending
+    return rows, own, out
+
+
+def _check_splice(seed: int, length: int, n: int, count: int) -> None:
+    """A :class:`Splice` of ``count`` drawn rows into the first ``n`` of a
+    ``length``-row recording equals the row-by-row splice."""
+    rng = random.Random(seed)
+    recorded = _recording(rng, length)
+    anchors = sorted(rng.choice([0, n, rng.randint(0, n)]) for _ in range(count))
+    inserted = {name: [rng.randrange(-50, 50) for _ in range(count)] for name in ROW_FIELDS}
+    tags = [f"inserted-tag{j}" for j in range(count)]
+    ops = [f"inserted-op{j}" for j in range(count)]
+    delay = np.array([rng.randrange(0, 100) for _ in range(n)], dtype=np.int64)
+    splice = Splice(recorded, n, np.array(anchors, dtype=np.int64),
+                    {name: np.array(values, dtype=np.int64) for name, values in inserted.items()},
+                    tags, ops, delay)
+    rows, own, out = _naive_splice(recorded, n, anchors, inserted, tags, ops, delay)
+    assert len(splice) == len(out) == n + count
+    assert splice.rows.tolist() == rows and splice.own.tolist() == own
+    for position, name in enumerate(ROW_FIELDS):
+        assert splice.column(name).tolist() == [row[position] for row in out], name
+    assert splice.tags() == [row[-2] for row in out]
+    assert splice.ops() == [row[-1] for row in out]
+    marks = [IterationMark(index=0, start_ns=1, end_ns=2)]
+    trace = splice.trace(marks, 77)
+    built = trace.columns()
+    assert built.event_id.tolist() == list(range(len(out)))
+    assert built.device_rank.tolist() == [0] * len(out)
+    assert [getattr(built, name).tolist() for name in ROW_FIELDS] == \
+        [splice.column(name).tolist() for name in ROW_FIELDS]
+    assert trace.event_strings() == (splice.tags(), splice.ops())
+    assert (trace.iteration_marks, trace.end_ns, trace.metadata) == (marks, 77, {"device_rank": 1})
+    assert trace.metadata is not recorded.metadata
+
+
+@settings(max_examples=settings.default.max_examples if WIDE else 40, deadline=None)
+@given(seed=st.integers(0, 1 << 30), length=st.integers(0, 30), walked=st.floats(0, 1),
+       count=st.integers(0, 12))
+def test_a_splice_lays_rows_as_a_row_by_row_splice(seed, length, walked, count):
+    """Repeated anchors, anchor 0 and anchor ``n``, part of a recording."""
+    _check_splice(seed, length, int(walked * length), count)
+
+
+@pytest.mark.parametrize("length,n,count", [(0, 0, 0), (0, 0, 3), (9, 9, 0), (9, 4, 0),
+                                            (9, 4, 6), (9, 9, 6), (1, 0, 2)],
+                         ids=["empty", "only-inserted", "nothing-inserted", "part-walked",
+                              "part-walked-inserted", "whole", "none-walked"])
+def test_a_splice_at_the_edges(length, n, count):
+    _check_splice(length * 100 + n * 10 + count, length, n, count)

@@ -237,6 +237,7 @@ def test_rows_of_a_point_share_one_breakdown_when_their_order_does(
     order, so the breakdown is computed once per point; uneven shards move
     the order with the dispatch cost (at 2 x 7 it differs at every ``d`` in
     {0, 10^2, ..., 10^6}), so each row computes its own."""
+    from repro.core import breakdown as breakdown_module
     from repro.experiments import replay
 
     base = multi_rank_config("resnet18", 2, batch_size)
@@ -250,10 +251,14 @@ def test_rows_of_a_point_share_one_breakdown_when_their_order_does(
     assert len(orders) == (1 if shared else 6)
 
     calls = []
-    breakdown = replay.occupation_from_columns
-    monkeypatch.setattr(replay, "occupation_from_columns",
-                        lambda *args, **kwargs: calls.append(args) or breakdown(
-                            *args, **kwargs))
+    breakdown = breakdown_module.occupation_from_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return breakdown(*args, **kwargs)
+    # A shared order's breakdown is computed through ``positioned_breakdown``.
+    monkeypatch.setattr(replay, "occupation_from_columns", counted)
+    monkeypatch.setattr(breakdown_module, "occupation_from_columns", counted)
     scenarios = [Scenario(config=dataclasses.replace(
         base, device_spec=spec, interconnect=link, host_dispatch_overhead_ns=d))
         for spec in ("titan_x_pascal", "v100_sxm2_16gb")

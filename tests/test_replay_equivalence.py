@@ -32,13 +32,13 @@ from repro.experiments.replay import (
     save_family,
     template_key,
 )
-from repro.experiments.results import evaluate_policy, reduce_trace
+from repro.experiments.results import evaluate_policy
 from repro.experiments.sweep import Scenario, SweepGrid, SweepRunner, run_scenario
 from repro.experiments.template_store import TemplateStore
 from repro.swap.policies import SWAP_POLICIES
 from repro.train.session import TrainingRunConfig, build_cluster, run_training_session
 
-from tests.helpers import price_one, replay_one, trace_lifetimes
+from tests.helpers import price_one, reduce_trace, replay_one, trace_lifetimes
 
 
 def make_scenario(swap_policy="none", **overrides):
@@ -412,7 +412,7 @@ def test_policy_free_rows_build_no_time_matrix(n_devices, batch_size):
                       refuse("a merged trace was rebuilt"))
         patch.setattr(replay_module, "merge_rank_traces",
                       refuse("rank traces were merged"))
-        patch.setattr(results_module, "reduce_trace",
+        patch.setattr(results_module, "reduce_measures",
                       refuse("a trace was re-reduced"))
         batched = engine.price_batch(
             scenarios, [s.resolve_bandwidths() for s in scenarios])

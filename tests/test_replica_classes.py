@@ -26,7 +26,7 @@ from repro.core.trace import EventColumns, MemoryTrace, merge_rank_traces
 from repro.errors import InfeasibleScenarioError, OutOfMemoryError
 from repro.experiments.replay import ReplayEngine, save_family, template_key
 from repro.errors import TraceInvariantError
-from repro.experiments.results import evaluate_policy, reduce_trace, run_scenario
+from repro.experiments.results import evaluate_policy, run_scenario
 from repro.experiments.sweep import Scenario, reduce_session
 from repro.train import session as session_module
 from repro.train.session import (TrainingRunConfig, build_device_group,
@@ -34,7 +34,7 @@ from repro.train.session import (TrainingRunConfig, build_device_group,
 from repro.train.trainer import replica_classes, shard_batch
 from repro.units import MIB
 
-from tests.helpers import validating, trace_lifetimes
+from tests.helpers import reduce_trace, trace_lifetimes, validating
 
 # Every session this file runs must also satisfy the trace invariants.
 run_training_session = validating(run_training_session)

@@ -681,6 +681,19 @@ def test_only_the_placement_passes_read_the_request_log():
         == ["AllocatorStats", "Placement"]
 
 
+def test_one_splice_lays_rows_into_a_recording():
+    """The placement's segment rows and the swap walk's rows go into a
+    recording through one :class:`~repro.core.trace.Splice`, and their
+    replicas leave a gradient barrier by one rule: no module keeps a log
+    layout, a string splice or a column merge of its own."""
+    assert _naming({"WalkLog", "_spliced"}, SRC.rglob("*.py")) == []
+    assert _naming({"merged"}, [SRC / "core" / "recorder.py"]) == []
+    assert _sites(_calls("Splice")) == {("core/recorder.py", "_place"),
+                                        ("swap/executor.py", "_laid_out")}
+    assert _sites(_calls("barrier_delay")) == {("core/recorder.py", "place_traces"),
+                                               ("swap/executor.py", "overlay")}
+
+
 def test_the_front_end_holds_no_block():
     """The tensor library, the layers, the models and the trainer see request
     ids: nothing there names an allocator's block, segment or id."""

@@ -26,12 +26,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
-from repro.core.trace import merge_rank_traces
+from repro.core.recorder import PlacedTrace
+from repro.core.trace import Splice, merge_rank_traces
 from repro.errors import InfeasibleScenarioError
 from repro.experiments import results as results_module
 from repro.experiments.results import run_scenario
 from repro.experiments.sweep import SweepRunner
-from repro.swap.executor import WalkLog
 from repro.train import session as session_module
 from repro.train.session import run_training_session
 
@@ -116,29 +116,32 @@ def _counted(owner, name, calls):
 def test_a_ladder_sweep_measures_each_placed_recording_once_and_builds_no_log():
     """A serial sweep of the ladder measures each placed class recording once
     (the placement pass runs once per one), not once per row, and builds no
-    overlaid log in full: every row is read off its walk's clock."""
+    overlaid log in full: every row is read off its walk's clock.  The only
+    splices built in full are the placed recordings, one per placed class."""
     calls = {}
     with _counted(results_module, "measure_class", calls), \
             _counted(session_module, "place", calls), \
-            _counted(WalkLog, "columns", calls), \
-            _counted(WalkLog, "ops", calls):
+            _counted(PlacedTrace, "_place", calls), \
+            _counted(Splice, "columns", calls), \
+            _counted(Splice, "ops", calls):
         sweep = SweepRunner(cache_dir=None, workers=1, strict=False).run(LADDER)
     assert len(sweep.results) == 23 and not sweep.failures
     assert calls["measure_class"] == calls["place"] < len(LADDER)
-    assert "columns" not in calls and "ops" not in calls
+    assert calls["columns"] == calls["ops"] == calls["_place"] == calls["place"]
 
 
 def test_a_swap_rows_trace_is_built_once_when_read():
     (scenario,) = [s for s in LADDER if s.config.n_devices == 2]
     calls = {}
-    with _counted(WalkLog, "columns", calls):
+    with _counted(Splice, "columns", calls), _counted(PlacedTrace, "_place", calls):
         session = run_training_session(scenario.config)
-        assert "columns" not in calls
+        placed = calls["_place"]
+        assert calls["columns"] == placed           # the placement's, no walk's
         first = session.trace
-        assert calls["columns"] == len(session.clocks) == 1
+        assert calls["columns"] - placed == len(session.clocks) == 1
         assert session.trace is first
         session.class_traces, session.rank_traces
-    assert calls["columns"] == 1
+    assert calls["columns"] - placed == 1
     expected = eager_swap_session(scenario.config)[1]
     assert [_trace_view(trace) for trace in session.class_traces] == \
         [_trace_view(trace) for trace in expected]

@@ -143,11 +143,12 @@ def test_capture_probe_covers_three_structures_at_one_and_two_devices():
 
 
 def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
+    from repro.core.trace import Splice
     from repro.experiments.grid import SweepGrid
     from repro.swap.executor import SwapExecutor
 
     probe = _load("overlay_probe")
-    walk = SwapExecutor._walk
+    walk, column = SwapExecutor._walk, Splice.column
     scenarios = SweepGrid(models=("mlp",), batch_sizes=(64,), iterations=(3,),
                           swaps=("off", "lru", "planner")).expand()
     rows = dict(probe.probe(scenarios, samples=1))
@@ -157,8 +158,13 @@ def test_overlay_probe_splits_a_sample_into_its_stages_and_unwraps_them():
                   "reduction: measure", "reduction"):
         assert rows[stage] > 0, stage
     assert rows["trace build"] == 0
+    # A splice's merges are the overlay's log under the overlay, else the
+    # stage that called them: the placement's own splice is placement time.
+    assert probe._log_stage(["overlay: rest", "overlay: finalize"]) == "overlay: log"
+    assert probe._log_stage(["placement"]) == "placement"
+    assert probe._log_stage(["trace build"]) == "trace build"
     assert sum(rows[stage] for stage in probe.ORDER) == pytest.approx(rows["total"])
-    assert SwapExecutor._walk is walk
+    assert SwapExecutor._walk is walk and Splice.column is column
     lines = probe.table(list(rows.items())).splitlines()
     assert lines[0].split() == ["stage", "median", "ms", "share"]
     assert lines[-1].startswith("overlay (all)")

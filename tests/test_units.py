@@ -15,12 +15,6 @@ def test_time_conversions_round_trip():
     assert units.us_to_ns(25) == 25_000
     assert units.s_to_ns(0.8) == 800_000_000
     assert units.ns_to_us(25_000) == pytest.approx(25.0)
-    assert units.ns_to_ms(1_500_000) == pytest.approx(1.5)
-
-
-def test_bandwidth_conversions_round_trip():
-    bpn = units.gbps_to_bytes_per_ns(6.4)
-    assert units.bytes_per_ns_to_gbps(bpn) == pytest.approx(6.4)
 
 
 def test_format_bytes_picks_adaptive_units():

@@ -10,8 +10,9 @@ a timer on each stage and prints the median milliseconds of each:
   capacity (the placement passes and the segment rows);
 * overlay — ``overlay`` split into the walk index and executor set-up
   (init), the row walk, the learning passes, the log (its columns merged
-  where read, or built in full), the policies' plans, ``finalize`` and the
-  rest of the overlay's own code;
+  where read, or built in full: a ``Splice`` under the overlay; the
+  placement's own splice is the placement's time), the policies' plans,
+  ``finalize`` and the rest of the overlay's own code;
 * reduction — ``reduce_session``, its measure of the class recordings
   (``measure_class``) apart;
 * trace build — an overlaid trace built when a session's traces are read
@@ -29,8 +30,10 @@ installed: the recorded rows the walks walked, the rows a walk acted on
 (``SwapExecutor._enter``), the access rows walked with neither a capacity
 nor a pressure-relieving policy — the most any lever that skips rows no
 decision can fire on could save —, the overlaid logs built in full
-(``WalkLog.columns``, or ``SwapExecutor.log`` on a checkout without it)
-and the class recordings measured (``measure_class``).
+(``Splice.columns`` less the one build of each placed recording,
+``PlacedTrace._place``; ``WalkLog.columns`` or ``SwapExecutor.log`` on a
+checkout without the splice) and the class recordings measured
+(``measure_class``).
 
 cProfile put ``Stream.reserve`` at 8-12 % of the overlay's self time, but
 wall time did not confirm it: the profiler's per-call cost inflates the
@@ -53,12 +56,20 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from bench.workloads import SwapLadder  # noqa: E402
+from repro.core import recorder, trace  # noqa: E402
 from repro.experiments import results  # noqa: E402
 from repro.experiments.sweep import Scenario, SweepRunner  # noqa: E402
 from repro.swap import executor, policies  # noqa: E402
 from repro.train import session  # noqa: E402
 
-#: ``(owner, attribute, stage)`` of every timed call; owners a checkout lacks are skipped.
+
+def _log_stage(stack: Sequence[str]) -> str:
+    """A splice's merge is the overlay's log under the overlay, else its caller's stage."""
+    return "overlay: log" if not stack or stack[-1].startswith("overlay") else stack[-1]
+
+
+#: ``(owner, attribute, stage)`` of every timed call (a callable stage is
+#: picked from the stages open at the call); owners a checkout lacks are skipped.
 STAGES = [
     (session, "record_session", "recording"),
     (session.Recording, "placed", "placement"),
@@ -74,6 +85,8 @@ STAGES = [
       if "plan" in vars(policy)),
     (results, "reduce_session", "reduction"),
     (results, "measure_class", "reduction: measure"),
+    (getattr(trace, "Splice", None), "column", _log_stage),
+    (getattr(trace, "Splice", None), "columns", _log_stage),
     (getattr(executor, "WalkLog", None), "column", "overlay: log"),
     (getattr(executor, "WalkLog", None), "columns", "overlay: log"),
     (getattr(executor, "WalkClock", None), "trace", "trace build"),
@@ -112,7 +125,7 @@ class Timers:
 
             def timed(*args, _original=function, _stage=stage, **kwargs):
                 self._charge()
-                self._stack.append(_stage)
+                self._stack.append(_stage(self._stack) if callable(_stage) else _stage)
                 try:
                     return _original(*args, **kwargs)
                 finally:
@@ -172,11 +185,17 @@ def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
     owner = executor.SwapExecutor
     walk, enter = owner._walk, vars(owner).get("_enter")
     accesses = {executor._READ, executor._WRITE}
-    # The full log build: ``WalkLog.columns``; a checkout without
-    # ``WalkLog`` builds it in ``SwapExecutor.log``.
-    walk_log = getattr(executor, "WalkLog", None)
-    builder = (walk_log, "columns") if walk_log is not None else (owner, "log")
-    tallied = [(*builder, "full log builds"), (results, "measure_class", "measure_class calls")]
+    # The full log build: ``Splice.columns``, less the one of each placed
+    # recording; a checkout without the splice builds it in
+    # ``WalkLog.columns``, one without either in ``SwapExecutor.log``.
+    splice, walk_log = getattr(trace, "Splice", None), getattr(executor, "WalkLog", None)
+    tallied = [(results, "measure_class", "measure_class calls")]
+    if splice is not None:
+        tallied += [(splice, "columns", "full log builds"),
+                    (recorder.PlacedTrace, "_place", "placements")]
+    else:
+        tallied.append((*((walk_log, "columns") if walk_log is not None else (owner, "log")),
+                        "full log builds"))
 
     def counted_walk(self, stop):
         walked = self._kind[self._cursor:stop]
@@ -191,7 +210,7 @@ def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
 
     def tally(function, name):
         def counted(*args, **kwargs):
-            found[name] += 1
+            found[name] = found.get(name, 0) + 1
             return function(*args, **kwargs)
         return counted
 
@@ -203,6 +222,7 @@ def counts(scenarios: Sequence[Scenario]) -> Dict[str, int]:
             patches.enter_context(mock.patch.object(
                 target, attribute, tally(getattr(target, attribute), name)))
         SweepRunner(cache_dir=None, workers=1, strict=False).run(scenarios)
+    found["full log builds"] -= found.pop("placements", 0)
     return found
 
 
